@@ -65,7 +65,10 @@ plan_goldens
 # engines at 1 and 4 workers.
 cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # Join reordering must be result-preserving too: optimizer on vs off,
-# both engines, 1 and 4 workers, identical row sets and fingerprints.
+# both engines, 1 and 4 workers, identical row sets and fingerprints —
+# plus the self-checks that "off" really binds and executes the
+# syntactic plan (different EXPLAIN text; a row budget only the
+# optimized plan fits).
 cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # The cardinality estimator's invariants (selectivity in [0,1], conjunct
 # monotonicity) under random predicates and degenerate statistics.
@@ -87,17 +90,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The engine's hot loops must stay allocation-lean: these lints catch the
 # collect-then-iterate and clone-a-key patterns the radix kernels removed.
 cargo clippy -p sqalpel-engine --all-targets -- -D warnings -D clippy::needless_collect -D clippy::redundant_clone
-# Smoke the parallel repro harness end to end (tiny scale, one rep, no
-# BENCH_parallel.json rewrite).
-cargo run --release -p sqalpel-bench --bin repro -- parallel --smoke
-# Smoke the optimizer repro harness (tiny scale, one rep, no
-# BENCH_optimizer.json rewrite): exercises the syntactic/cold/adaptive
-# three-way measurement including the plan-cache reoptimization path.
-cargo run --release -p sqalpel-bench --bin repro -- optimizer --smoke
-# Smoke the multi-tenant scale harness (miniature populate/load/recovery
-# phases, no BENCH_scale.json rewrite): drains a sharded queue through
-# the v2 wire under admission control and times a WAL-tail replay.
-cargo run --release -p sqalpel-bench --bin repro -- scale --smoke
 # Admission-control invariants (the per-user in-flight bound is exact and
 # every release path — report, error, reaper — returns the slot).
 cargo test -q --release -p sqalpel-core --test admission_props
@@ -118,6 +110,10 @@ cargo test -q --release -p sqalpel-core --test push_props
 # path: an acked batch replays byte-identical from its one group-commit
 # record, a torn group commit drops the whole batch atomically.
 cargo test -q --release -p sqalpel-bench --test crash_recovery
-# Smoke the bulk + push wire paths end to end over loopback (one batch
-# ack, idempotent retry, a QueueReady frame; no BENCH_wire.json rewrite).
-cargo run --release -p sqalpel-bench --bin repro -- wire --bulk-smoke
+# The benchmark (BENCHMARK.json): all five workloads at smoke length with
+# every output check on — engines agree with the goldens, every task
+# acked once, ReportBatch index order, CSV byte-identical after reopening
+# the state dir. Writes nothing.
+bash benchmark/run.sh --smoke
+# The benchmark's own unit tests, including spec.rs == BENCHMARK.json.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml

@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures, or run the platform live.
 //!
 //! ```text
-//! repro table1 | table2 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | ablation | parallel [--smoke] | optimizer [--smoke] | wire [--bulk-smoke] | scale [--smoke] | all
+//! repro table1 | table2 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | ablation | all
 //! repro serve [addr] [--state-dir DIR]        # demo platform: HTTP /v1 on addr, framed v2 on port+1;
 //!                                             # with a state dir the platform is durable (WAL + snapshots)
 //!                                             # and SIGINT/SIGTERM shut down gracefully
@@ -38,8 +38,8 @@ fn main() {
         _ => {}
     }
     let known = [
-        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-        "ablation", "parallel", "optimizer", "wire", "scale", "all",
+        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ablation",
+        "all",
     ];
     if !known.contains(&what) {
         eprintln!("usage: repro [{}]", known.join(" | "));
@@ -90,27 +90,6 @@ fn main() {
     }
     if run("ablation") {
         println!("{}", sqalpel_bench::ablations::report());
-    }
-    if run("parallel") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        println!("{}", sqalpel_bench::parallel_report_opts(smoke));
-    }
-    if run("optimizer") {
-        let smoke = args.iter().any(|a| a == "--smoke");
-        println!("{}", sqalpel_bench::optimizer_report_opts(smoke));
-    }
-    if run("wire") {
-        if args.iter().any(|a| a == "--bulk-smoke") {
-            println!("{}", sqalpel_bench::wire_bulk_smoke());
-        } else {
-            println!("{}", sqalpel_bench::wire_report());
-        }
-    }
-    if what == "scale" {
-        // Deliberately not part of `all`: the full run registers ~1M
-        // users and is sized for a dedicated benchmark pass.
-        let smoke = args.iter().any(|a| a == "--smoke");
-        println!("{}", sqalpel_bench::scale_report_opts(smoke));
     }
     eprintln!("[repro {what} done in {:.1?}]", t0.elapsed());
 }

@@ -398,378 +398,7 @@ pub fn fig7() -> String {
     out
 }
 
-// ------------------------------------------------- parallel execution
-
-/// Thread counts swept by the parallel report.
-const PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Median per configuration with the configurations interleaved
-/// round-robin (one repetition of each per round, after a warmup run):
-/// on a shared host, slow drift then biases every thread count equally
-/// instead of whichever happened to run last.
-fn interleaved_medians(dbmses: &[Box<dyn Dbms>], sql: &str, reps: usize) -> Vec<f64> {
-    if let Some(first) = dbmses.first() {
-        first.execute(sql).expect("parallel bench query executes");
-    }
-    let mut runs: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); dbmses.len()];
-    for rep in 0..reps {
-        // Rotate the starting configuration each round: allocator and
-        // cache state warms up over a round, so a fixed order would tax
-        // whichever configuration always ran last.
-        for j in 0..dbmses.len() {
-            let i = (rep + j) % dbmses.len();
-            let t0 = Instant::now();
-            dbmses[i].execute(sql).expect("parallel bench query executes");
-            runs[i].push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    runs.into_iter()
-        .map(|mut r| {
-            r.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            r[r.len() / 2]
-        })
-        .collect()
-}
-
-/// Build a server holding an enqueued Q6 pool walk of roughly `tasks`
-/// tasks (entries × one dbms × one host), plus a contributor to drain it.
-fn walk_server(tasks: usize) -> (sqalpel_core::SqalpelServer, sqalpel_core::UserId, usize) {
-    walk_server_on(sqalpel_core::SqalpelServer::new(), tasks)
-}
-
-/// [`walk_server`] on a caller-built server (e.g. one with an admission
-/// bound wide enough for a bulk contributor to hold the whole queue).
-fn walk_server_on(
-    server: sqalpel_core::SqalpelServer,
-    tasks: usize,
-) -> (sqalpel_core::SqalpelServer, sqalpel_core::UserId, usize) {
-    use sqalpel_core::Visibility;
-    let owner = server.register_user("mlk", "mlk@cwi.nl").expect("owner");
-    let contrib = server.register_user("pk", "pk@monetdb.com").expect("contributor");
-    let project = server
-        .create_project(owner, "walk", "parallel dispatch bench", Visibility::Public)
-        .expect("project");
-    server
-        .set_targets(project, owner, vec!["rowstore-2.0".into()], vec!["bench-server".into()])
-        .expect("targets");
-    server.invite(project, owner, contrib).expect("invite");
-    let exp = server
-        .add_experiment(project, owner, "q1 walk", sqalpel_sql::tpch::Q1, None, 10_000, 10_000)
-        .expect("experiment");
-    server.seed_pool(project, exp, owner, tasks / 2, 42).expect("seed");
-    server
-        .morph_pool(project, exp, owner, None, tasks / 2, 7)
-        .expect("morph");
-    let total = server.enqueue_experiment(project, exp, owner).expect("enqueue");
-    (server, contrib, total)
-}
-
-/// Drain `walk_server`'s queue with `n` workers talking to a simulated
-/// remote target (fixed per-query latency — the paper's contributors run
-/// against remote DBMSes, so dispatch is wait-bound, not compute-bound);
-/// returns (tasks completed, wall seconds).
-fn drain_walk(n: usize, tasks: usize) -> (usize, f64) {
-    use sqalpel_core::{DriverConfig, ExperimentDriver, RemoteConnector, Worker};
-    let (server, contrib, _total) = walk_server(tasks);
-    let workers = (0..n)
-        .map(|_| {
-            let key = server.issue_key(contrib).expect("key");
-            let connector = RemoteConnector {
-                label: "rowstore-2.0".into(),
-                latency: std::time::Duration::from_millis(10),
-                rows: 1,
-            };
-            let driver = ExperimentDriver::new(
-                connector,
-                DriverConfig::parse("dbms = rowstore-2.0\nhost = bench-server\nrepetitions = 3")
-                    .expect("config"),
-            );
-            Worker::new(key, driver)
-        })
-        .collect();
-    let report = sqalpel_core::run_worker_pool(&server, workers);
-    (report.completed(), report.wall.as_secs_f64())
-}
-
-/// `repro parallel`: morsel-parallel engine speedups (scan, aggregate,
-/// join at 1/2/4/8 threads) and the multi-worker queue drain, printed as
-/// a table and written machine-readably to `BENCH_parallel.json`.
-pub fn parallel_report() -> String {
-    parallel_report_opts(false)
-}
-
-/// [`parallel_report`] with a smoke switch for CI: smoke mode shrinks the
-/// scale factor, runs each configuration once, and does **not** overwrite
-/// `BENCH_parallel.json` — it only proves the harness runs end to end.
-pub fn parallel_report_opts(smoke: bool) -> String {
-    use serde_json::{Map, Value};
-
-    // The engine sweep needs lineitem far past the morsel spawn
-    // threshold, so the scale floor is 0.1 regardless of SQALPEL_SF.
-    let sf = if smoke { 0.02 } else { base_sf().max(0.1) };
-    // A median needs at least three observations to mean anything, so the
-    // report enforces that floor even when SQALPEL_REPS asks for fewer.
-    let reps = if smoke { 1 } else { repetitions().max(3) };
-    let db = Arc::new(Database::tpch(sf, 42));
-    // Selective, expression-heavy predicate: the filter kernels dominate
-    // and the small survivor set keeps result materialization (which is
-    // sequential) off the critical path.
-    let scan = "select l_orderkey, l_extendedprice from lineitem \
-                where l_quantity < 2 and l_extendedprice * (1 - l_discount) * (1 + l_tax) > 1000";
-    // Numeric group key and arguments: per-row hashing + accumulation is
-    // the dominant cost and every accumulator merges exactly.
-    let aggregate = "select l_suppkey, count(*), sum(l_quantity), min(l_extendedprice), \
-                     max(l_extendedprice) from lineitem group by l_suppkey";
-    let join = "select count(*) from lineitem, orders where l_orderkey = o_orderkey";
-    // RowStore parallelizes only its scan+filter front end, so the
-    // aggregate/join sweeps are ColStore-only.
-    let cases: [(&str, &str, &str); 4] = [
-        ("colstore-5.1", "scan", scan),
-        ("colstore-5.1", "aggregate", aggregate),
-        ("colstore-5.1", "join", join),
-        ("rowstore-2.0", "scan", scan),
-    ];
-
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut out = format!(
-        "## Parallel execution — morsel speedups (SF {sf}, {reps} reps) and worker-pool dispatch\n\n\
-         host offers {cores} core(s); thread counts beyond that measure overhead, not speedup\n\n\
-         engine        op         t=1ms   t=2ms   t=4ms   t=8ms   4x-speedup\n"
-    );
-    let mut ops_json = Vec::new();
-    for (engine, op, sql) in cases {
-        let dbmses: Vec<Box<dyn Dbms>> = PAR_THREADS
-            .iter()
-            .map(|&t| -> Box<dyn Dbms> {
-                if engine.starts_with("colstore") {
-                    Box::new(ColStore::new(db.clone()).with_threads(t))
-                } else {
-                    Box::new(RowStore::new(db.clone()).with_threads(t))
-                }
-            })
-            .collect();
-        let medians = interleaved_medians(&dbmses, sql, reps);
-        let speedup = medians[0] / medians[2].max(1e-9);
-        let _ = writeln!(
-            out,
-            "{engine:<13} {op:<9} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {speedup:>9.2}x",
-            medians[0], medians[1], medians[2], medians[3]
-        );
-        let mut o = Map::new();
-        o.insert("engine".into(), Value::String(engine.into()));
-        o.insert("op".into(), Value::String(op.into()));
-        o.insert("sql".into(), Value::String(sql.into()));
-        let mut per_thread = Map::new();
-        for (t, m) in PAR_THREADS.iter().zip(&medians) {
-            per_thread.insert(t.to_string(), Value::Float(*m));
-        }
-        o.insert("median_ms".into(), Value::Object(per_thread));
-        o.insert("speedup_4_threads".into(), Value::Float(speedup));
-        ops_json.push(Value::Object(o));
-    }
-
-    // The dispatch half: the same ~100-task pool walk drained by one
-    // worker vs a pool of four, against a simulated remote target.
-    let tasks = if smoke { 20 } else { 100 };
-    let (seq_done, seq_s) = drain_walk(1, tasks);
-    let (pool_done, pool_s) = drain_walk(4, tasks);
-    let dispatch_speedup = seq_s / pool_s.max(1e-9);
-    let _ = writeln!(
-        out,
-        "\npool walk: {seq_done} tasks in {seq_s:.2}s with 1 worker, \
-         {pool_done} tasks in {pool_s:.2}s with 4 workers ({dispatch_speedup:.2}x)"
-    );
-
-    let mut walk = Map::new();
-    walk.insert("tasks".into(), Value::Int(seq_done as i64));
-    walk.insert("sequential_s".into(), Value::Float(seq_s));
-    walk.insert("pool_workers".into(), Value::Int(4));
-    walk.insert("pool_s".into(), Value::Float(pool_s));
-    walk.insert("speedup".into(), Value::Float(dispatch_speedup));
-
-    let mut root = Map::new();
-    root.insert("sf".into(), Value::Float(sf));
-    root.insert("available_parallelism".into(), Value::Int(cores as i64));
-    root.insert("repetitions".into(), Value::Int(reps as i64));
-    root.insert(
-        "threads".into(),
-        Value::Array(PAR_THREADS.iter().map(|&t| Value::Int(t as i64)).collect()),
-    );
-    root.insert("engine_ops".into(), Value::Array(ops_json));
-    root.insert("pool_walk".into(), Value::Object(walk));
-    if smoke {
-        let _ = writeln!(out, "\nsmoke mode: BENCH_parallel.json left untouched");
-        return out;
-    }
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable");
-    match std::fs::write("BENCH_parallel.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "\nwrote BENCH_parallel.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "\ncould not write BENCH_parallel.json: {e}");
-        }
-    }
-    out
-}
-
-// ------------------------------------------------ optimizer benchmark
-
-/// The join-order slice: the five multi-join TPC-H queries the plan
-/// goldens pin, where the syntactic FROM order is far from optimal.
-const OPT_QUERIES: [&str; 5] = ["Q5", "Q7", "Q8", "Q9", "Q21"];
-
-/// Median per configuration with the configurations interleaved
-/// round-robin, closure flavor — same discipline as
-/// [`interleaved_medians`] but over arbitrary run actions, so the
-/// plan-cache adaptive path (which is not `Dbms::execute`) can be
-/// measured against the others under identical drift.
-fn interleaved_medians_of(actions: &mut [&mut dyn FnMut()], reps: usize) -> Vec<f64> {
-    let mut runs: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); actions.len()];
-    for rep in 0..reps {
-        for j in 0..actions.len() {
-            let i = (rep + j) % actions.len();
-            let t0 = Instant::now();
-            actions[i]();
-            runs[i].push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    runs.into_iter()
-        .map(|mut r| {
-            r.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            r[r.len() / 2]
-        })
-        .collect()
-}
-
-/// `repro optimizer`: cost-based join-order speedups on the five
-/// join-heavy TPC-H queries, single-threaded, written machine-readably
-/// to `BENCH_optimizer.json`. Three configurations per query:
-///
-/// * **syntactic** — optimizer off, joins execute in FROM order;
-/// * **cold** — cost-based order from load-time statistics alone;
-/// * **reoptimized** — the plan-cache adaptive loop: one profiled run
-///   records observed cardinalities, the next fingerprint execution
-///   re-plans with them, and the measured executions hit that plan.
-pub fn optimizer_report() -> String {
-    optimizer_report_opts(false)
-}
-
-/// [`optimizer_report`] with a smoke switch for CI: smoke mode shrinks
-/// the scale factor, runs each configuration once, and does **not**
-/// overwrite `BENCH_optimizer.json`.
-pub fn optimizer_report_opts(smoke: bool) -> String {
-    use serde_json::{Map, Value};
-    use sqalpel_engine::{CacheOutcome, PlanCache};
-
-    // Join-order effects need real intermediate sizes: floor SF 0.1
-    // (the acceptance scale) unless smoking the harness.
-    let sf = if smoke { 0.01 } else { base_sf().max(0.1) };
-    let reps = if smoke { 1 } else { repetitions().max(3) };
-    let db = Arc::new(Database::tpch(sf, 42));
-    // Q21 stays in the plan goldens but out of the timed sweep: its
-    // runtime is dominated by per-row correlated EXISTS re-execution
-    // (quadratic in SF), which join order does not govern — at SF 0.1 a
-    // single run takes tens of minutes for a ~1.0x ratio.
-    let timed: Vec<&str> = OPT_QUERIES.iter().copied().filter(|q| *q != "Q21").collect();
-    let queries: Vec<(&str, &str)> = sqalpel_sql::tpch::all_queries()
-        .into_iter()
-        .filter(|(name, _)| timed.contains(name))
-        .collect();
-
-    let mut out = format!(
-        "## Cost-based join-order optimizer — t=1 medians (SF {sf}, {reps} reps)\n\n\
-         query   syntactic-ms  cold-ms  reopt-ms  cold-speedup  reopt-speedup\n"
-    );
-    let mut rows_json = Vec::new();
-    for (name, sql) in queries {
-        let off = RowStore::new(db.clone())
-            .with_threads(1)
-            .with_optimizer(false);
-        let on = RowStore::new(db.clone()).with_threads(1);
-        let adaptive = RowStore::new(db.clone())
-            .with_threads(1)
-            .with_plan_cache(Arc::new(PlanCache::new(8)));
-        // Prime the adaptive path: the profiled run records observed
-        // cardinalities as feedback, the next fingerprint execution
-        // re-plans with them and caches the result.
-        let (_, plan) = adaptive.execute_analyzed(sql).expect("analyze primes feedback");
-        let fp = plan.explain.fingerprint;
-        let primed = adaptive
-            .execute_by_fingerprint(sql, Some(fp))
-            .expect("fingerprint execution");
-        assert!(
-            matches!(primed.cache, CacheOutcome::Reoptimized),
-            "{name}: priming run did not reoptimize"
-        );
-        // Warm each configuration once so first-touch costs are off the
-        // measured path, then interleave.
-        off.execute(sql).expect("bench query executes");
-        on.execute(sql).expect("bench query executes");
-        let mut run_off = || {
-            off.execute(sql).expect("bench query executes");
-        };
-        let mut run_on = || {
-            on.execute(sql).expect("bench query executes");
-        };
-        let mut run_adaptive = || {
-            let exec = adaptive
-                .execute_by_fingerprint(sql, Some(fp))
-                .expect("fingerprint execution");
-            assert!(matches!(exec.cache, CacheOutcome::Hit));
-        };
-        let medians =
-            interleaved_medians_of(&mut [&mut run_off, &mut run_on, &mut run_adaptive], reps);
-        let (m_off, m_on, m_adaptive) = (medians[0], medians[1], medians[2]);
-        let cold_speedup = m_off / m_on.max(1e-9);
-        let reopt_speedup = m_off / m_adaptive.max(1e-9);
-        let _ = writeln!(
-            out,
-            "{name:<7} {m_off:>12.1} {m_on:>8.1} {m_adaptive:>9.1} {cold_speedup:>12.2}x {reopt_speedup:>13.2}x"
-        );
-        let mut o = Map::new();
-        o.insert("query".into(), Value::String(name.into()));
-        o.insert("syntactic_ms".into(), Value::Float(m_off));
-        o.insert("cold_ms".into(), Value::Float(m_on));
-        o.insert("reoptimized_ms".into(), Value::Float(m_adaptive));
-        o.insert("cold_speedup".into(), Value::Float(cold_speedup));
-        o.insert("reoptimized_speedup".into(), Value::Float(reopt_speedup));
-        rows_json.push(Value::Object(o));
-    }
-
-    let mut root = Map::new();
-    root.insert("sf".into(), Value::Float(sf));
-    root.insert("threads".into(), Value::Int(1));
-    root.insert("repetitions".into(), Value::Int(reps as i64));
-    root.insert("queries".into(), Value::Array(rows_json));
-    let mut skipped = Map::new();
-    skipped.insert("query".into(), Value::String("Q21".into()));
-    skipped.insert(
-        "reason".into(),
-        Value::String(
-            "runtime is correlated-subquery-bound (per-row EXISTS), not join-order-bound; \
-             pinned by the plan goldens instead"
-                .into(),
-        ),
-    );
-    root.insert("skipped".into(), Value::Array(vec![Value::Object(skipped)]));
-    if smoke {
-        let _ = writeln!(out, "\nsmoke mode: BENCH_optimizer.json left untouched");
-        return out;
-    }
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable");
-    match std::fs::write("BENCH_optimizer.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "\nwrote BENCH_optimizer.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "\ncould not write BENCH_optimizer.json: {e}");
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------- wire benchmark
+// ---------------------------------------------------------------- metrics
 
 /// Render a [`sqalpel_core::MetricsSnapshot`] as the two-section text
 /// report printed by `repro metrics`.
@@ -791,647 +420,6 @@ pub fn format_metrics(snap: &sqalpel_core::MetricsSnapshot) -> String {
             "  {name}: count={} sum={} p50<={} p95<={} p99<={}",
             h.count, h.sum, h.p50, h.p95, h.p99
         );
-    }
-    out
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p / 100.0).round() as usize;
-    sorted_ms[idx]
-}
-
-/// `repro wire`: loopback v1-vs-v2 sweep of the platform wire layer,
-/// written machine-readably to `BENCH_wire.json`. Four measurements:
-///
-/// * **requests/s, three ways** — four concurrent clients hammering the
-///   cheapest op (`QueueSummary`) over v1 JSON/HTTP (one connection per
-///   request), v2 framed serial (one persistent connection), and v2
-///   pipelined (batches of tagged frames in flight); the numbers
-///   reflect transport + codec + dispatch, not query work;
-/// * **plan cache** — `Execute` over v2 against an engine backend, one
-///   cold miss then a warm fingerprint-keyed loop, average hit vs miss
-///   latency plus the server's `plan_cache.*` counters;
-/// * **hand-out latency** — one contributor drains a ~100-task queue over
-///   v1, timing every `request_task` round trip (p50/p99).
-pub fn wire_report() -> String {
-    use serde_json::{Map, Value};
-    use sqalpel_core::wire::Request;
-    use sqalpel_core::{
-        DriverConfig, ExecBackend, ExperimentDriver, MockConnector, Proto, V2Config, V2Server,
-        WireClient, WireConfig, WireServer,
-    };
-    use sqalpel_engine::{Database, PlanCache, RowStore};
-
-    let (server, contrib, total) = walk_server(100);
-    let server = Arc::new(server);
-    let backend = ExecBackend::new(Arc::new(
-        RowStore::new(Arc::new(Database::tpch(0.001, 42)))
-            .with_plan_cache(Arc::new(PlanCache::new(64))),
-    ));
-    let wire = WireServer::start_with_backend(
-        Arc::clone(&server),
-        Some(backend.clone()),
-        "127.0.0.1:0",
-        WireConfig::default(),
-    )
-    .expect("bind v1 loopback");
-    let v2 = V2Server::start(
-        Arc::clone(&server),
-        Some(backend),
-        "127.0.0.1:0",
-        V2Config::default(),
-    )
-    .expect("bind v2 loopback");
-    let addr = wire.local_addr();
-    let v2_addr = v2.local_addr();
-
-    const CLIENTS: usize = 4;
-    const CALLS_PER_CLIENT: usize = 250;
-    const PIPELINE_DEPTH: usize = 25;
-
-    fn rps_sweep<F>(make: &F, pipelined: bool) -> (f64, f64)
-    where
-        F: Fn() -> WireClient + Sync,
-    {
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..CLIENTS {
-                scope.spawn(move || {
-                    let client = make();
-                    if pipelined {
-                        let batch = vec![Request::QueueSummary; PIPELINE_DEPTH];
-                        for _ in 0..CALLS_PER_CLIENT / PIPELINE_DEPTH {
-                            for reply in client.pipeline(&batch).expect("pipelined batch") {
-                                reply.expect("summary over loopback");
-                            }
-                        }
-                    } else {
-                        for _ in 0..CALLS_PER_CLIENT {
-                            client.queue_summary().expect("summary over loopback");
-                        }
-                    }
-                });
-            }
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        ((CLIENTS * CALLS_PER_CLIENT) as f64 / wall.max(1e-9), wall)
-    }
-
-    let (v1_rps, v1_wall) = rps_sweep(&|| WireClient::builder(addr).build(), false);
-    let v2_client = || WireClient::builder(v2_addr).transport(Proto::V2Framed).build();
-    let (v2_rps, v2_wall) = rps_sweep(&v2_client, false);
-    let (v2p_rps, v2p_wall) = rps_sweep(&v2_client, true);
-
-    // Plan cache: one cold Execute (parse + bind + plan, cache miss),
-    // then a warm fingerprint-keyed loop that skips straight to the
-    // cached plan. Hit/miss truth comes from the per-response CacheStatus
-    // and the server-side plan_cache.* counters.
-    let exec_client = v2_client();
-    let exec_sql = "select count(*) from lineitem where l_quantity < 24";
-    let t_cold = Instant::now();
-    let cold = exec_client.execute(exec_sql, None).expect("cold execute");
-    let cold_ms = t_cold.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(cold.cache.as_str(), "miss");
-    const WARM_CALLS: usize = 50;
-    let t_warm = Instant::now();
-    for _ in 0..WARM_CALLS {
-        let warm = exec_client
-            .execute(exec_sql, Some(cold.fingerprint))
-            .expect("warm execute");
-        assert_eq!(warm.cache.as_str(), "hit");
-        assert_eq!(warm.result.data, cold.result.data, "hit must equal miss");
-    }
-    let warm_ms = t_warm.elapsed().as_secs_f64() * 1e3 / WARM_CALLS as f64;
-    let snap = exec_client.metrics().expect("metrics over v2");
-    let cache_hits = snap.counter("plan_cache.hits").unwrap_or(0);
-    let cache_misses = snap.counter("plan_cache.misses").unwrap_or(0);
-
-    // Drain the queue over the wire, timing each claim. The connector is
-    // a zero-spin mock so the round trip dominates, not query execution.
-    let key = server.issue_key(contrib).expect("key");
-    let client = WireClient::builder(addr).build();
-    let driver = ExperimentDriver::new(
-        MockConnector {
-            label: "rowstore-2.0".into(),
-            fail_pattern: None,
-            spin: 0,
-            rows: 1,
-        },
-        DriverConfig::parse("dbms = rowstore-2.0\nhost = bench-server\nrepetitions = 1")
-            .expect("config"),
-    );
-    let mut claim_ms = Vec::with_capacity(total);
-    loop {
-        let t = Instant::now();
-        let task = client
-            .request_task(&key, "rowstore-2.0", "bench-server")
-            .expect("claim over loopback");
-        let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
-        let Some(task) = task else { break };
-        claim_ms.push(elapsed_ms);
-        client
-            .report_result(&key, task.id, &driver.run(&task.sql))
-            .expect("report over loopback");
-    }
-    claim_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&claim_ms, 50.0);
-    let p99 = percentile(&claim_ms, 99.0);
-
-    // Bulk result streaming: the same ~1k-record workload reported two
-    // ways over v2 — one `report_result` round trip per record vs a
-    // single `ReportBatch` upload (columnar continuation frames, one
-    // ack, one WAL group commit). Claims happen outside both timed
-    // windows; the numbers isolate the reporting path.
-    const BULK_RECORDS: usize = 1_000;
-    let bulk_rig = || {
-        use sqalpel_core::AdmissionConfig;
-        // One contributor holds the whole queue at once, so the
-        // admission bound must clear the record count.
-        let (server, contrib, total) = walk_server_on(
-            sqalpel_core::SqalpelServer::with_admission(AdmissionConfig {
-                max_inflight_per_user: 2 * BULK_RECORDS,
-                max_queued_per_project: 100 * BULK_RECORDS,
-            }),
-            BULK_RECORDS,
-        );
-        let server = Arc::new(server);
-        let v2 = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default())
-            .expect("bind bulk loopback");
-        let key = server.issue_key(contrib).expect("key");
-        let client = WireClient::builder(v2.local_addr()).transport(Proto::V2Framed).build();
-        let mut claimed = Vec::with_capacity(total);
-        while let Some(task) = client
-            .claim_task(&key, "rowstore-2.0", "bench-server", claimed.len() as u64 + 1)
-            .expect("bulk claim")
-        {
-            claimed.push((task.id, driver.run(&task.sql)));
-        }
-        assert_eq!(claimed.len(), total, "contributor holds the whole walk");
-        (server, v2, client, key, claimed)
-    };
-    let (_s1, _v2a, per_client, per_key, per_claimed) = bulk_rig();
-    let t_per = Instant::now();
-    for (task, outcome) in &per_claimed {
-        per_client.report_result(&per_key, *task, outcome).expect("per-record report");
-    }
-    let per_report_wall = t_per.elapsed().as_secs_f64();
-    let (_s2, _v2b, bulk_client, bulk_key, bulk_claimed) = bulk_rig();
-    let records = bulk_claimed.len();
-    let t_bulk = Instant::now();
-    let acked = bulk_client.report_batch(&bulk_key, &bulk_claimed).expect("bulk report");
-    let bulk_wall = t_bulk.elapsed().as_secs_f64();
-    assert_eq!(acked.len(), records, "one ack covers every record");
-    let per_report_rps = records as f64 / per_report_wall.max(1e-9);
-    let bulk_rps = records as f64 / bulk_wall.max(1e-9);
-    let bulk_speedup = bulk_rps / per_report_rps.max(1e-9);
-
-    let v2_speedup = v2_rps / v1_rps.max(1e-9);
-    let v2p_speedup = v2p_rps / v1_rps.max(1e-9);
-    let mut out = format!(
-        "## Wire layer — v1 JSON/HTTP vs v2 framed binary on loopback\n\n\
-         throughput ({CLIENTS} clients x {CALLS_PER_CLIENT} summary calls each):\n\
-         \x20 v1 http           : {v1_rps:>9.0} requests/s  ({v1_wall:.2}s)\n\
-         \x20 v2 framed serial  : {v2_rps:>9.0} requests/s  ({v2_wall:.2}s)  {v2_speedup:.1}x v1\n\
-         \x20 v2 framed pipelined (depth {PIPELINE_DEPTH}): {v2p_rps:>9.0} requests/s  ({v2p_wall:.2}s)  {v2p_speedup:.1}x v1\n\
-         plan cache over v2: cold miss {cold_ms:.3}ms, warm hit avg {warm_ms:.3}ms over {WARM_CALLS} calls \
-         (server counters: {cache_hits} hits / {cache_misses} misses)\n\
-         task hand-out (v1): {} tasks drained, claim latency p50 {p50:.3}ms / p99 {p99:.3}ms\n\
-         bulk upload ({records} records over v2): per-report {per_report_rps:>7.0} records/s, \
-         one ReportBatch {bulk_rps:>7.0} records/s  {bulk_speedup:.1}x\n",
-        claim_ms.len()
-    );
-
-    let proto_entry = |rps: f64, wall: f64| {
-        let mut m = Map::new();
-        m.insert("requests_per_s".into(), Value::Float(rps));
-        m.insert("wall_s".into(), Value::Float(wall));
-        Value::Object(m)
-    };
-    let mut handout = Map::new();
-    handout.insert("tasks".into(), Value::Int(claim_ms.len() as i64));
-    handout.insert("p50_ms".into(), Value::Float(p50));
-    handout.insert("p99_ms".into(), Value::Float(p99));
-    let mut cache = Map::new();
-    cache.insert("cold_miss_ms".into(), Value::Float(cold_ms));
-    cache.insert("warm_hit_avg_ms".into(), Value::Float(warm_ms));
-    cache.insert("warm_calls".into(), Value::Int(WARM_CALLS as i64));
-    cache.insert("hits".into(), Value::Int(cache_hits as i64));
-    cache.insert("misses".into(), Value::Int(cache_misses as i64));
-    let mut root = Map::new();
-    root.insert("v1".into(), proto_entry(v1_rps, v1_wall));
-    root.insert("v2_serial".into(), proto_entry(v2_rps, v2_wall));
-    root.insert("v2_pipelined".into(), proto_entry(v2p_rps, v2p_wall));
-    root.insert("pipeline_depth".into(), Value::Int(PIPELINE_DEPTH as i64));
-    root.insert("v2_serial_speedup".into(), Value::Float(v2_speedup));
-    root.insert("v2_pipelined_speedup".into(), Value::Float(v2p_speedup));
-    root.insert("throughput_clients".into(), Value::Int(CLIENTS as i64));
-    root.insert(
-        "throughput_calls".into(),
-        Value::Int((CLIENTS * CALLS_PER_CLIENT) as i64),
-    );
-    root.insert("plan_cache".into(), Value::Object(cache));
-    root.insert("handout".into(), Value::Object(handout));
-    let mut bulk = Map::new();
-    bulk.insert("records".into(), Value::Int(records as i64));
-    bulk.insert("per_report_rps".into(), Value::Float(per_report_rps));
-    bulk.insert("bulk_rps".into(), Value::Float(bulk_rps));
-    bulk.insert("speedup".into(), Value::Float(bulk_speedup));
-    root.insert("bulk".into(), Value::Object(bulk));
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable");
-    match std::fs::write("BENCH_wire.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "\nwrote BENCH_wire.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "\ncould not write BENCH_wire.json: {e}");
-        }
-    }
-    out
-}
-
-/// `repro wire --bulk-smoke`: a fast CI gate over the two new v2 paths.
-/// Spins up a loopback v2 server, drains a small walk with one
-/// `ReportBatch` (asserting the ack covers every record and a retry
-/// deduplicates to the same indices), and round-trips a server-push
-/// notification (subscribe, enqueue, receive `QueueReady` as a frame).
-/// Panics on any violation; prints a one-screen summary otherwise.
-pub fn wire_bulk_smoke() -> String {
-    use sqalpel_core::{
-        DriverConfig, ExperimentDriver, MockConnector, Proto, V2Config, V2Server, WireClient,
-    };
-
-    let (server, contrib, total) = walk_server(40);
-    let server = Arc::new(server);
-    let v2 = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default())
-        .expect("bind v2 loopback");
-    let key = server.issue_key(contrib).expect("key");
-    let client = WireClient::builder(v2.local_addr()).transport(Proto::V2Framed).build();
-    let driver = ExperimentDriver::new(
-        MockConnector {
-            label: "rowstore-2.0".into(),
-            fail_pattern: None,
-            spin: 0,
-            rows: 1,
-        },
-        DriverConfig::parse("dbms = rowstore-2.0\nhost = bench-server\nrepetitions = 1")
-            .expect("config"),
-    );
-
-    // Push round trip first: subscribe, then enqueue more work — the
-    // subscription must see the QueueReady as an unsolicited frame on
-    // its own connection. (walk_server's owner/project are the first
-    // registered user and project.)
-    let mut waiter = client.subscribe_push(&key).expect("v2 push subscription");
-    let owner = sqalpel_core::UserId(1);
-    let project = sqalpel_core::ProjectId(1);
-    let extra = server
-        .add_experiment(project, owner, "smoke extra", sqalpel_sql::tpch::Q6, None, 100, 100)
-        .expect("extra experiment");
-    server.seed_pool(project, extra, owner, 3, 7).expect("seed extra");
-    let added = server.enqueue_experiment(project, extra, owner).expect("enqueue extra");
-    assert!(added > 0);
-    let n = waiter
-        .wait(std::time::Duration::from_secs(5))
-        .expect("push channel healthy")
-        .expect("QueueReady within 5s");
-    assert!(
-        matches!(n, sqalpel_core::Notification::QueueReady { project: p } if p == project),
-        "expected QueueReady for the walk project, got {n:?}"
-    );
-
-    // Bulk drain: claim everything under distinct nonces, upload as one
-    // batch, and retry the identical batch — the ack must repeat the
-    // same indices with zero new records.
-    let mut claimed = Vec::new();
-    while let Some(task) = client
-        .claim_task(&key, "rowstore-2.0", "bench-server", claimed.len() as u64 + 1)
-        .expect("bulk claim")
-    {
-        claimed.push((task.id, driver.run(&task.sql)));
-    }
-    assert!(claimed.len() >= total, "bulk claims cover the whole walk");
-    let acked = client.report_batch(&key, &claimed).expect("bulk upload");
-    assert_eq!(acked.len(), claimed.len(), "one ack per record, in order");
-    let again = client.report_batch(&key, &claimed).expect("idempotent retry");
-    assert_eq!(again, acked, "retrying a delivered batch repeats the same indices");
-    let summary = server.queue_summary();
-    assert_eq!(summary.queued, 0, "queue fully drained");
-    assert_eq!(summary.running, 0, "no claims left open");
-    let m = server.metrics();
-    assert_eq!(m.counter("wire.bulk_records"), 2 * claimed.len() as u64);
-    assert!(m.counter("wire.push_frames") >= 1, "the QueueReady went over the wire");
-
-    format!(
-        "## Wire bulk smoke\n\n\
-         push: QueueReady frame received after enqueue\n\
-         bulk: {} records in one ReportBatch ack, retry deduplicated to the same indices\n\
-         queue drained; wire.bulk_records = {}, wire.push_frames = {}\n",
-        claimed.len(),
-        m.counter("wire.bulk_records"),
-        m.counter("wire.push_frames"),
-    )
-}
-
-/// `repro scale`: full-size load generation (see
-/// [`scale_report_opts`]), written to `BENCH_scale.json`.
-pub fn scale_report() -> String {
-    scale_report_opts(false)
-}
-
-/// `repro scale [--smoke]`: multi-tenant load generator for the sharded
-/// platform. Three phases:
-///
-/// * **populate** — register ~1M users, create several public projects,
-///   invite ~10k of the users as contributors, seed one grammar walk per
-///   project and enqueue it against every cataloged DBMS×host target;
-/// * **load** — a pool of worker threads, each holding one persistent v2
-///   framed connection and a distinct target combo, multiplexes the ~10k
-///   contributor keys over the wire: claim, run against a zero-spin mock
-///   connector (the platform is under test, not the engine), report,
-///   until every shard's queue is drained. Reports hand-out latency
-///   p50/p99 and wire requests/s;
-/// * **recovery** — build a durable server in a temp state dir (users,
-///   a project, half-drained queue, a few claims left in flight), drop
-///   it *without* a snapshot to simulate a crash, and time the reopen
-///   that replays the whole WAL tail.
-///
-/// `--smoke` runs a miniature of all three phases and leaves
-/// `BENCH_scale.json` untouched.
-pub fn scale_report_opts(smoke: bool) -> String {
-    use serde_json::{Map, Value};
-    use sqalpel_core::{
-        DriverConfig, ExperimentDriver, MockConnector, PlatformError, Proto, SqalpelServer,
-        UserId, V2Config, V2Server, Visibility, WireClient,
-    };
-
-    // Full mode sizes to the paper's ambition (~1M registered users,
-    // ~10k concurrent contributors); smoke keeps the same shape at CI
-    // scale.
-    let (n_users, n_contrib, n_projects, n_seed, r_users) = if smoke {
-        (5_000usize, 200usize, 2usize, 40usize, 1_000usize)
-    } else {
-        (1_000_000, 10_000, 8, 480, 20_000)
-    };
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-        .clamp(6, 24); // >= 6 so every DBMS×host combo below gets drained
-
-    // ------------------------------------------------------- populate
-    let t_pop = Instant::now();
-    let server = SqalpelServer::new();
-    let admin = server.register_user("admin", "admin@sqalpel.io").expect("admin");
-    let contributors: Vec<UserId> = (0..n_contrib)
-        .map(|i| {
-            server
-                .register_user(&format!("c{i}"), &format!("c{i}@scale.test"))
-                .expect("contributor")
-        })
-        .collect();
-    for i in n_contrib + 1..n_users {
-        server
-            .register_user(&format!("u{i}"), &format!("u{i}@scale.test"))
-            .expect("user");
-    }
-    let combos: [(&str, &str); 6] = [
-        ("rowstore-2.0", "bench-server"),
-        ("rowstore-1.4", "bench-server"),
-        ("colstore-5.1", "bench-server"),
-        ("rowstore-2.0", "raspberry-pi"),
-        ("rowstore-1.4", "raspberry-pi"),
-        ("colstore-5.1", "raspberry-pi"),
-    ];
-    let mut total_tasks = 0usize;
-    for p in 0..n_projects {
-        let project = server
-            .create_project(admin, &format!("scale-{p}"), "load generator study", Visibility::Public)
-            .expect("project");
-        server
-            .set_targets(
-                project,
-                admin,
-                vec!["rowstore-2.0".into(), "rowstore-1.4".into(), "colstore-5.1".into()],
-                vec!["bench-server".into(), "raspberry-pi".into()],
-            )
-            .expect("targets");
-        for &user in &contributors {
-            server.invite(project, admin, user).expect("invite");
-        }
-        let exp = server
-            .add_experiment(project, admin, "q1 scale", sqalpel_sql::tpch::Q1, None, 10_000, 10_000)
-            .expect("experiment");
-        server.seed_pool(project, exp, admin, n_seed, 42 + p as u64).expect("seed");
-        total_tasks += server.enqueue_experiment(project, exp, admin).expect("enqueue");
-    }
-    let keys: Vec<_> = contributors
-        .iter()
-        .map(|&u| server.issue_key(u).expect("key"))
-        .collect();
-    let pop_s = t_pop.elapsed().as_secs_f64();
-
-    // ----------------------------------------------------------- load
-    let server = Arc::new(server);
-    let mut v2 = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default())
-        .expect("bind v2 loopback");
-    let v2_addr = v2.local_addr();
-    let t_load = Instant::now();
-    let per_thread: Vec<(Vec<f64>, u64, u64, u64)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let keys = &keys;
-            let (dbms, host) = combos[t % combos.len()];
-            handles.push(scope.spawn(move || {
-                let client = WireClient::builder(v2_addr).transport(Proto::V2Framed).build();
-                let driver = ExperimentDriver::new(
-                    MockConnector { label: dbms.into(), fail_pattern: None, spin: 0, rows: 1 },
-                    DriverConfig::parse(&format!("dbms = {dbms}\nhost = {host}\nrepetitions = 1"))
-                        .expect("driver config"),
-                );
-                // One persistent v2 connection multiplexing an even
-                // slice of the contributor keys against one target.
-                let my: Vec<_> = keys.iter().skip(t).step_by(threads).collect();
-                let mut lat = Vec::new();
-                let (mut reports, mut throttled, mut polls) = (0u64, 0u64, 0u64);
-                let mut empty = 0usize;
-                let mut i = 0usize;
-                // Claims are reported immediately and failed tasks are
-                // terminal, so a drained target never refills: two
-                // consecutive empty polls end the thread.
-                while empty < 2 {
-                    let key = my[i % my.len()];
-                    i += 1;
-                    polls += 1;
-                    let t0 = Instant::now();
-                    match client.request_task(key, dbms, host) {
-                        Ok(Some(task)) => {
-                            lat.push(t0.elapsed().as_secs_f64() * 1e3);
-                            empty = 0;
-                            client
-                                .report_result(key, task.id, &driver.run(&task.sql))
-                                .expect("report over loopback");
-                            reports += 1;
-                        }
-                        Ok(None) => empty += 1,
-                        // Shouldn't fire (each key holds at most one
-                        // claim here); counted, and bumping `empty`
-                        // guarantees termination regardless.
-                        Err(PlatformError::Throttled(_)) => {
-                            throttled += 1;
-                            empty += 1;
-                        }
-                        Err(e) => panic!("scale worker {t}: {e}"),
-                    }
-                }
-                (lat, reports, throttled, polls)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("scale worker")).collect()
-    });
-    let load_wall = t_load.elapsed().as_secs_f64();
-    let mut claim_ms: Vec<f64> = Vec::new();
-    let (mut reports, mut throttled, mut polls) = (0u64, 0u64, 0u64);
-    for (lat, r, th, p) in per_thread {
-        claim_ms.extend(lat);
-        reports += r;
-        throttled += th;
-        polls += p;
-    }
-    assert_eq!(claim_ms.len(), total_tasks, "every enqueued task must drain");
-    claim_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&claim_ms, 50.0);
-    let p99 = percentile(&claim_ms, 99.0);
-    let round_trips = polls + reports;
-    let rps = round_trips as f64 / load_wall.max(1e-9);
-    let snap = server.metrics().snapshot();
-    let handouts = snap.counter("shard.handouts").unwrap_or(0);
-    let empty_polls = snap.counter("queue.empty_polls").unwrap_or(0);
-    let adm_throttled = snap.counter("admission.throttled").unwrap_or(0);
-    v2.shutdown();
-
-    // ------------------------------------------------------- recovery
-    let dir = std::env::temp_dir().join(format!(
-        "sqalpel-scale-recovery-{}-{}",
-        if smoke { "smoke" } else { "full" },
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("recovery state dir");
-    let (wal_records, inflight) = {
-        let srv = SqalpelServer::open(&dir).expect("open durable server");
-        let owner = srv.register_user("owner", "owner@scale.test").expect("owner");
-        let contrib = srv.register_user("worker", "worker@scale.test").expect("worker");
-        for i in 0..r_users {
-            srv.register_user(&format!("r{i}"), &format!("r{i}@scale.test"))
-                .expect("user");
-        }
-        let project = srv
-            .create_project(owner, "recovery", "crash replay timing", Visibility::Public)
-            .expect("project");
-        srv.set_targets(project, owner, vec!["rowstore-2.0".into()], vec!["bench-server".into()])
-            .expect("targets");
-        srv.invite(project, owner, contrib).expect("invite");
-        let exp = srv
-            .add_experiment(project, owner, "q1 recovery", sqalpel_sql::tpch::Q1, None, 10_000, 10_000)
-            .expect("experiment");
-        srv.seed_pool(project, exp, owner, 60, 42).expect("seed");
-        let total = srv.enqueue_experiment(project, exp, owner).expect("enqueue");
-        let key = srv.issue_key(contrib).expect("key");
-        let driver = ExperimentDriver::new(
-            MockConnector { label: "rowstore-2.0".into(), fail_pattern: None, spin: 0, rows: 1 },
-            DriverConfig::parse("dbms = rowstore-2.0\nhost = bench-server\nrepetitions = 1")
-                .expect("driver config"),
-        );
-        for _ in 0..total / 2 {
-            let Some(task) = srv
-                .request_task(&key, "rowstore-2.0", "bench-server")
-                .expect("claim")
-            else {
-                break;
-            };
-            srv.report_result(&key, task.id, driver.run(&task.sql)).expect("report");
-        }
-        // Leave a handful of claims open: the reopen must restore them
-        // as running with their admission slots still held.
-        let inflight = 5usize.min(total.saturating_sub(total / 2));
-        for _ in 0..inflight {
-            let k = srv.issue_key(contrib).expect("key");
-            let _ = srv
-                .request_task(&k, "rowstore-2.0", "bench-server")
-                .expect("claim");
-        }
-        let wal_records = srv.metrics().snapshot().counter("wal.records").unwrap_or(0);
-        (wal_records, inflight)
-        // Dropped without a snapshot: a simulated crash. The WAL tail
-        // holds everything.
-    };
-    let t_rec = Instant::now();
-    let srv2 = SqalpelServer::open(&dir).expect("recover after crash");
-    let recovery_ms = t_rec.elapsed().as_secs_f64() * 1e3;
-    let replayed = srv2.metrics().snapshot().counter("wal.replayed_records").unwrap_or(0);
-    let summary = srv2.queue_summary();
-    assert_eq!(replayed, wal_records, "crash loses no acknowledged record");
-    assert_eq!(summary.running, inflight, "open claims survive the crash");
-    drop(srv2);
-    let _ = std::fs::remove_dir_all(&dir);
-    let rec_rate = replayed as f64 / (recovery_ms / 1e3).max(1e-9);
-
-    let mut out = format!(
-        "## Platform scale — {n_contrib} contributors over {n_users} registered users (v2 wire)\n\n\
-         populate: {n_users} users, {n_projects} projects, {total_tasks} tasks enqueued ({pop_s:.1}s)\n\
-         load ({threads} threads x 1 persistent v2 connection, {} keys multiplexed):\n\
-         \x20 hand-out: {} claims, latency p50 {p50:.3}ms / p99 {p99:.3}ms\n\
-         \x20 throughput: {rps:.0} requests/s over {round_trips} round trips ({load_wall:.2}s wall)\n\
-         \x20 server: {handouts} handouts, {empty_polls} empty polls, {adm_throttled} throttled \
-         (client saw {throttled})\n\
-         recovery: {replayed} WAL records replayed in {recovery_ms:.1}ms ({rec_rate:.0} records/s), \
-         {inflight} in-flight claims restored\n",
-        keys.len(),
-        claim_ms.len(),
-    );
-
-    if smoke {
-        let _ = writeln!(out, "\nsmoke mode: BENCH_scale.json left untouched");
-        return out;
-    }
-    let mut handout = Map::new();
-    handout.insert("claims".into(), Value::Int(claim_ms.len() as i64));
-    handout.insert("p50_ms".into(), Value::Float(p50));
-    handout.insert("p99_ms".into(), Value::Float(p99));
-    let mut load = Map::new();
-    load.insert("threads".into(), Value::Int(threads as i64));
-    load.insert("contributor_keys".into(), Value::Int(keys.len() as i64));
-    load.insert("requests_per_s".into(), Value::Float(rps));
-    load.insert("round_trips".into(), Value::Int(round_trips as i64));
-    load.insert("wall_s".into(), Value::Float(load_wall));
-    load.insert("empty_polls".into(), Value::Int(empty_polls as i64));
-    load.insert("throttled".into(), Value::Int(adm_throttled as i64));
-    let mut recovery = Map::new();
-    recovery.insert("wal_records".into(), Value::Int(replayed as i64));
-    recovery.insert("recovery_ms".into(), Value::Float(recovery_ms));
-    recovery.insert("records_per_s".into(), Value::Float(rec_rate));
-    recovery.insert("inflight_restored".into(), Value::Int(inflight as i64));
-    recovery.insert("registered_users".into(), Value::Int(r_users as i64));
-    let mut root = Map::new();
-    root.insert("registered_users".into(), Value::Int(n_users as i64));
-    root.insert("contributors".into(), Value::Int(n_contrib as i64));
-    root.insert("projects".into(), Value::Int(n_projects as i64));
-    root.insert("tasks".into(), Value::Int(total_tasks as i64));
-    root.insert("transport".into(), Value::String("v2-framed".into()));
-    root.insert("handout".into(), Value::Object(handout));
-    root.insert("load".into(), Value::Object(load));
-    root.insert("recovery".into(), Value::Object(recovery));
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serializable");
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => {
-            let _ = writeln!(out, "\nwrote BENCH_scale.json");
-        }
-        Err(e) => {
-            let _ = writeln!(out, "\ncould not write BENCH_scale.json: {e}");
-        }
     }
     out
 }

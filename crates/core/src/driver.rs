@@ -171,28 +171,6 @@ impl Connector for MockConnector {
     }
 }
 
-/// Simulates the paper's actual deployment: the contributor's driver talks
-/// to a *remote* DBMS, so each execution is dominated by waiting (network
-/// round-trip + server-side run time), not local compute. Every call
-/// sleeps for the configured latency and reports a fixed row count —
-/// which is why multi-worker dispatch pays off even on a single core.
-pub struct RemoteConnector {
-    pub label: String,
-    pub latency: std::time::Duration,
-    pub rows: usize,
-}
-
-impl Connector for RemoteConnector {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn execute(&self, _sql: &str) -> Result<usize, String> {
-        std::thread::sleep(self.latency);
-        Ok(self.rows)
-    }
-}
-
 /// Driver configuration — the contents of the paper's config file:
 /// "It specifies the DBMS and host used in the experimental run and the
 /// project contributed to", plus the anonymous key.

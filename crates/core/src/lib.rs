@@ -51,7 +51,7 @@ pub use durability::{recover, Durability, RecoveredState, WalRecord};
 pub use catalog::{Catalogs, DbmsEntry, HostEntry, Visibility};
 pub use driver::{
     Connector, DriverConfig, EngineConnector, ExperimentDriver, MockConnector, OperatorProfile,
-    RemoteConnector, RunOutcome,
+    RunOutcome,
 };
 pub use error::{PlatformError, PlatformResult};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};

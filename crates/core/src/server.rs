@@ -752,6 +752,48 @@ impl SqalpelServer {
         out
     }
 
+    /// The stored form of an accepted report — shared by the single and
+    /// the batch path — plus the error text the queue completion needs.
+    /// Folds the run's zone-map counters into `scan.chunks_*`, visible at
+    /// GET /v1/metrics.
+    fn accepted_record(
+        &self,
+        task: &Task,
+        key: &ContributorKey,
+        outcome: RunOutcome,
+    ) -> (Option<String>, ResultRecord) {
+        let error = outcome.error.clone();
+        let mut rec: ResultRecord = record(
+            task.id,
+            task.project,
+            task.experiment,
+            task.query,
+            &task.dbms_label,
+            &task.host,
+            key,
+            outcome.times_ms,
+            outcome.rows,
+            outcome.error,
+        );
+        rec.load_before = outcome.load_before;
+        rec.load_after = outcome.load_after;
+        rec.extras = outcome.extras;
+        rec.fingerprint = outcome.fingerprint;
+        rec.profile = outcome.profile;
+        if let Some(profile) = &rec.profile {
+            let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
+                (a + op.chunks_scanned, b + op.chunks_skipped)
+            });
+            if scanned > 0 {
+                self.metrics.add("scan.chunks_scanned", scanned);
+            }
+            if skipped > 0 {
+                self.metrics.add("scan.chunks_skipped", skipped);
+            }
+        }
+        (error, rec)
+    }
+
     /// The driver's "report back" call.
     ///
     /// Reports are **idempotent per (task, contributor)**: if this key
@@ -785,48 +827,9 @@ impl SqalpelServer {
                 // Refused up front — the same typed errors `queue.complete`
                 // would raise — so nothing is logged or mutated for a
                 // report that cannot be accepted.
-                return Err(match &task.state {
-                    TaskState::Running { .. } => PlatformError::AccessDenied(format!(
-                        "task #{} belongs to another contributor",
-                        task_id.0
-                    )),
-                    other => PlatformError::Invalid(format!(
-                        "task #{} is not running (state {other:?})",
-                        task_id.0
-                    )),
-                });
+                return Err(not_held_refusal(&task));
             }
-            let error = outcome.error.clone();
-            let mut rec: ResultRecord = record(
-                task_id,
-                task.project,
-                task.experiment,
-                task.query,
-                &task.dbms_label,
-                &task.host,
-                key,
-                outcome.times_ms,
-                outcome.rows,
-                outcome.error,
-            );
-            rec.load_before = outcome.load_before;
-            rec.load_after = outcome.load_after;
-            rec.extras = outcome.extras;
-            rec.fingerprint = outcome.fingerprint;
-            rec.profile = outcome.profile;
-            // Zone-map effectiveness across everything reported to this
-            // server, visible at GET /v1/metrics.
-            if let Some(profile) = &rec.profile {
-                let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
-                    (a + op.chunks_scanned, b + op.chunks_skipped)
-                });
-                if scanned > 0 {
-                    self.metrics.add("scan.chunks_scanned", scanned);
-                }
-                if skipped > 0 {
-                    self.metrics.add("scan.chunks_skipped", skipped);
-                }
-            }
+            let (error, rec) = self.accepted_record(&task, key, outcome);
             // One combined record: replay applies the queue completion
             // and the stored result atomically. Logged *before* the queue
             // mutation: if the append fails, the task stays Running and
@@ -919,16 +922,7 @@ impl SqalpelServer {
                         indices[pos] = existing as u64;
                         continue;
                     }
-                    return Err(match &task.state {
-                        TaskState::Running { .. } => PlatformError::AccessDenied(format!(
-                            "task #{} belongs to another contributor",
-                            task_id.0
-                        )),
-                        other => PlatformError::Invalid(format!(
-                            "task #{} is not running (state {other:?})",
-                            task_id.0
-                        )),
-                    });
+                    return Err(not_held_refusal(task));
                 }
                 if fresh.is_empty() {
                     continue; // pure retry: everything resolved as duplicates
@@ -941,36 +935,7 @@ impl SqalpelServer {
                     // Borrow, don't clone: the task's SQL text is dead
                     // weight here and a bulk batch holds hundreds.
                     let task = s.queue.task(*task_id).expect("validated above");
-                    let outcome = outcome.clone();
-                    let error = outcome.error.clone();
-                    let mut rec: ResultRecord = record(
-                        *task_id,
-                        task.project,
-                        task.experiment,
-                        task.query,
-                        &task.dbms_label,
-                        &task.host,
-                        key,
-                        outcome.times_ms,
-                        outcome.rows,
-                        outcome.error,
-                    );
-                    rec.load_before = outcome.load_before;
-                    rec.load_after = outcome.load_after;
-                    rec.extras = outcome.extras;
-                    rec.fingerprint = outcome.fingerprint;
-                    rec.profile = outcome.profile;
-                    if let Some(profile) = &rec.profile {
-                        let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
-                            (a + op.chunks_scanned, b + op.chunks_skipped)
-                        });
-                        if scanned > 0 {
-                            self.metrics.add("scan.chunks_scanned", scanned);
-                        }
-                        if skipped > 0 {
-                            self.metrics.add("scan.chunks_skipped", skipped);
-                        }
-                    }
+                    let (error, rec) = self.accepted_record(task, key, outcome.clone());
                     if !experiments.contains(&task.experiment) {
                         experiments.push(task.experiment);
                     }
@@ -1187,6 +1152,23 @@ fn experiment_drained(s: &ProjectShard, experiment: ExperimentId) -> bool {
         t.experiment == experiment
             && matches!(t.state, TaskState::Queued | TaskState::Running { .. })
     })
+}
+
+/// Why a report for a task the reporting key does not hold (and never
+/// filed a record for) is refused — the same typed errors
+/// `queue.complete` would raise, raised before anything is logged or
+/// mutated.
+fn not_held_refusal(task: &Task) -> PlatformError {
+    match &task.state {
+        TaskState::Running { .. } => PlatformError::AccessDenied(format!(
+            "task #{} belongs to another contributor",
+            task.id.0
+        )),
+        other => PlatformError::Invalid(format!(
+            "task #{} is not running (state {other:?})",
+            task.id.0
+        )),
+    }
 }
 
 impl Platform for SqalpelServer {

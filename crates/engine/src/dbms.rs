@@ -181,19 +181,6 @@ fn cached_execute(
     })
 }
 
-/// Bind (and, unless disabled, rewrite and optimize) `sql` against `db`,
-/// then render the plan. Both engines share the binder, rewriter and
-/// optimizer, so their EXPLAIN output — and therefore their fingerprints
-/// — are identical by construction.
-fn explain_sql(db: &Database, sql: &str, rewrite: bool, optimize: bool) -> EngineResult<Explain> {
-    let q = sqalpel_sql::parse_query(sql)?;
-    let bound = Planner::new(db)
-        .with_rewrite(rewrite)
-        .with_optimize(optimize)
-        .bind(&q)?;
-    Ok(ir::explain(&bound))
-}
-
 /// The row engine as a target system.
 #[derive(Clone)]
 pub struct RowStore {
@@ -295,10 +282,16 @@ impl RowStore {
         p.bind(&q)
     }
 
+    /// A fresh executor carrying this store's knobs, so the subqueries
+    /// it binds at runtime are planned the way `bind_sql` plans the
+    /// statement.
+    fn exec(&self) -> RowExec<'_> {
+        RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
+            .with_planner_flags(self.rewrite, self.optimize)
+    }
+
     fn run_bound(&self, bound: &BoundQuery) -> EngineResult<ResultSet> {
-        let exec = RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
-            .with_rewrite(self.rewrite);
-        let rows = exec.run_query(bound, None)?;
+        let rows = self.exec().run_query(bound, None)?;
         Ok(ResultSet::new(bound.output_names(), rows))
     }
 
@@ -310,9 +303,7 @@ impl RowStore {
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
         let bound = self.bind_sql(sql, None)?;
-        let exec = RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
-            .with_rewrite(self.rewrite)
-            .with_profiler();
+        let exec = self.exec().with_profiler();
         let rows = exec.run_query(&bound, None)?;
         let profile = exec.take_profile();
         let plan = AnalyzedPlan {
@@ -337,9 +328,7 @@ impl RowStore {
     /// estimates converging on the actuals.
     pub fn explain_adaptive(&self, sql: &str) -> EngineResult<(Explain, Explain)> {
         let profiled_run = |bound: &BoundQuery| -> EngineResult<crate::profile::ProfileShard> {
-            let exec = RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
-                .with_rewrite(self.rewrite)
-                .with_profiler();
+            let exec = self.exec().with_profiler();
             exec.run_query(bound, None)?;
             Ok(exec.take_profile())
         };
@@ -368,14 +357,11 @@ impl Dbms for RowStore {
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        let exec = RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
-            .with_rewrite(self.rewrite);
-        let (columns, rows) = exec.run_sql(sql)?;
-        Ok(ResultSet::new(columns, rows))
+        self.run_bound(&self.bind_sql(sql, None)?)
     }
 
     fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        explain_sql(&self.db, sql, self.rewrite, self.optimize)
+        Ok(ir::explain(&self.bind_sql(sql, None)?))
     }
 
     fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
@@ -404,7 +390,6 @@ pub struct ColStore {
     threads: usize,
     rewrite: bool,
     optimize: bool,
-    zone_maps: bool,
     plan_cache: Option<Arc<PlanCache>>,
 }
 
@@ -416,7 +401,6 @@ impl ColStore {
             threads: morsel::default_threads(),
             rewrite: true,
             optimize: true,
-            zone_maps: true,
             plan_cache: None,
         }
     }
@@ -445,14 +429,6 @@ impl ColStore {
     /// with this.
     pub fn with_optimizer(mut self, on: bool) -> Self {
         self.optimize = on;
-        self
-    }
-
-    /// Toggle zone-map scan skipping (on by default). Results are
-    /// identical either way; the benches use this to measure how much
-    /// of a selective scan the zone maps let the engine skip.
-    pub fn with_zone_maps(mut self, on: bool) -> Self {
-        self.zone_maps = on;
         self
     }
 
@@ -486,11 +462,16 @@ impl ColStore {
         p.bind(&q)
     }
 
+    /// A fresh executor carrying this store's knobs, so the subqueries
+    /// it binds at runtime are planned the way `bind_sql` plans the
+    /// statement.
+    fn exec(&self) -> ColExec<'_> {
+        ColExec::with_threads(&self.db, self.budget, self.threads)
+            .with_planner_flags(self.rewrite, self.optimize)
+    }
+
     fn run_bound(&self, bound: &BoundQuery) -> EngineResult<ResultSet> {
-        let exec = ColExec::with_threads(&self.db, self.budget, self.threads)
-            .with_rewrite(self.rewrite)
-            .with_zone_maps(self.zone_maps);
-        let rows = exec.run_query(bound, None)?;
+        let rows = self.exec().run_query(bound, None)?;
         Ok(ResultSet::new(bound.output_names(), rows))
     }
 
@@ -502,10 +483,7 @@ impl ColStore {
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
         let bound = self.bind_sql(sql, None)?;
-        let exec = ColExec::with_threads(&self.db, self.budget, self.threads)
-            .with_rewrite(self.rewrite)
-            .with_zone_maps(self.zone_maps)
-            .with_profiler();
+        let exec = self.exec().with_profiler();
         let rows = exec.run_query(&bound, None)?;
         let profile = exec.take_profile();
         let plan = AnalyzedPlan {
@@ -533,15 +511,11 @@ impl Dbms for ColStore {
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        let exec = ColExec::with_threads(&self.db, self.budget, self.threads)
-            .with_rewrite(self.rewrite)
-            .with_zone_maps(self.zone_maps);
-        let (columns, rows) = exec.run_sql(sql)?;
-        Ok(ResultSet::new(columns, rows))
+        self.run_bound(&self.bind_sql(sql, None)?)
     }
 
     fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        explain_sql(&self.db, sql, self.rewrite, self.optimize)
+        Ok(ir::explain(&self.bind_sql(sql, None)?))
     }
 
     fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {

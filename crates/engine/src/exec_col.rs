@@ -213,13 +213,12 @@ pub struct ColExec<'a> {
     threads: usize,
     subqueries: RefCell<HashMap<usize, SubState>>,
     ctes: RefCell<Vec<CteFrame>>,
-    /// Whether the logical rewriter runs on bound plans (on by default;
-    /// the equivalence suites turn it off to diff against raw plans).
+    /// Whether the logical rewriter and the join-order optimizer run on
+    /// the subqueries this execution binds at runtime (both on by
+    /// default; the equivalence suites turn one off to diff against raw
+    /// or syntactic-order plans).
     rewrite: bool,
-    /// Whether predicate-bearing scans consult per-chunk zone maps to
-    /// skip chunks outright (on by default; the scan benchmarks turn it
-    /// off to measure the skipping itself).
-    zone_maps: bool,
+    optimize: bool,
     /// Per-node metrics collection; `None` (the default) keeps every
     /// operator on an early-return path with no metrics code at all.
     profiler: Option<Profiler>,
@@ -249,22 +248,16 @@ impl<'a> ColExec<'a> {
             subqueries: RefCell::new(HashMap::new()),
             ctes: RefCell::new(Vec::new()),
             rewrite: true,
-            zone_maps: true,
+            optimize: true,
             profiler: None,
         }
     }
 
-    /// Toggle the logical rewriter for this execution (and any runtime
-    /// subquery binds it performs).
-    pub fn with_rewrite(mut self, on: bool) -> Self {
-        self.rewrite = on;
-        self
-    }
-
-    /// Toggle zone-map scan skipping (on by default). Results are
-    /// identical either way; only the chunks a scan touches change.
-    pub fn with_zone_maps(mut self, on: bool) -> Self {
-        self.zone_maps = on;
+    /// Set the planner flags the runtime subquery binds of this
+    /// execution use, so they match how the statement itself was bound.
+    pub fn with_planner_flags(mut self, rewrite: bool, optimize: bool) -> Self {
+        self.rewrite = rewrite;
+        self.optimize = optimize;
         self
     }
 
@@ -297,17 +290,9 @@ impl<'a> ColExec<'a> {
             subqueries: RefCell::new(HashMap::new()),
             ctes: RefCell::new(Vec::new()),
             rewrite: true,
-            zone_maps: true,
+            optimize: true,
             profiler: None,
         }
-    }
-
-    /// Parse, bind and run a SQL query, returning output names and rows.
-    pub fn run_sql(&self, sql: &str) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let q = sqalpel_sql::parse_query(sql)?;
-        let bound = Planner::new(self.db).with_rewrite(self.rewrite).bind(&q)?;
-        let rows = self.run_query(&bound, None)?;
-        Ok((bound.output_names(), rows))
     }
 
     fn charge(&self, n: u64) -> EngineResult<()> {
@@ -821,11 +806,7 @@ impl<'a> ColExec<'a> {
             return Ok(None);
         }
         let schema = input.schema();
-        let zpreds = if self.zone_maps {
-            zone_preds(&conjs, table, live)
-        } else {
-            Vec::new()
-        };
+        let zpreds = zone_preds(&conjs, table, live);
         let start = self.profiler.as_ref().map(|_| Instant::now());
         let mut parts = Vec::new();
         let (mut scanned, mut skipped) = (0u64, 0u64);
@@ -886,7 +867,7 @@ impl<'a> ColExec<'a> {
         let schema = input.schema();
         let conjs = predicate.conjuncts();
         let staged = conjs.iter().copied().all(vectorizable);
-        let zpreds = if staged && self.zone_maps {
+        let zpreds = if staged {
             zone_preds(&conjs, table, live)
         } else {
             Vec::new()
@@ -1621,6 +1602,7 @@ impl SubqueryRunner for ColExec<'_> {
         let bound = Rc::new(
             Planner::with_ctes(self.db, cte_scope)
                 .with_rewrite(self.rewrite)
+                .with_optimize(self.optimize)
                 .bind(q)?,
         );
         match self.run_query(&bound, None) {
@@ -2316,10 +2298,29 @@ mod tests {
         Database::tpch(0.001, 42)
     }
 
+    fn bind(db: &Database, sql: &str) -> EngineResult<BoundQuery> {
+        Planner::new(db).bind(&sqalpel_sql::parse_query(sql)?)
+    }
+
+    fn try_run(
+        db: &Database,
+        budget: u64,
+        sql: &str,
+    ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
+        let bound = bind(db, sql)?;
+        let rows = ColExec::new(db, budget).run_query(&bound, None)?;
+        Ok((bound.output_names(), rows))
+    }
+
     fn run(db: &Database, sql: &str) -> (Vec<String>, Vec<Vec<Value>>) {
-        ColExec::new(db, 50_000_000)
-            .run_sql(sql)
-            .unwrap_or_else(|e| panic!("{sql} failed: {e}"))
+        try_run(db, 50_000_000, sql).unwrap_or_else(|e| panic!("{sql} failed: {e}"))
+    }
+
+    fn run_row_engine(db: &Database, sql: &str) -> Vec<Vec<Value>> {
+        let bound = bind(db, sql).unwrap();
+        crate::exec_row::RowExec::new(db, 50_000_000)
+            .run_query(&bound, None)
+            .unwrap()
     }
 
     #[test]
@@ -2359,9 +2360,7 @@ mod tests {
         let sql = "select n_name, count(*) as c from nation, supplier \
                    where n_nationkey = s_nationkey group by n_name order by c desc, n_name";
         let (_, crows) = run(&d, sql);
-        let (_, rrows) = crate::exec_row::RowExec::new(&d, 50_000_000)
-            .run_sql(sql)
-            .unwrap();
+        let rrows = run_row_engine(&d, sql);
         assert_eq!(crows.len(), rrows.len());
         for (c, r) in crows.iter().zip(&rrows) {
             assert_eq!(c[0].to_string(), r[0].to_string());
@@ -2394,9 +2393,7 @@ mod tests {
     fn q6_matches_row_engine_approximately() {
         let d = db();
         let (_, c) = run(&d, sqalpel_sql::tpch::Q6);
-        let (_, r) = crate::exec_row::RowExec::new(&d, 50_000_000)
-            .run_sql(sqalpel_sql::tpch::Q6)
-            .unwrap();
+        let r = run_row_engine(&d, sqalpel_sql::tpch::Q6);
         let cv = c[0][0].as_f64().unwrap();
         let rv = r[0][0].as_f64().unwrap();
         assert!((cv - rv).abs() / rv.abs() < 1e-6, "{cv} vs {rv}");
@@ -2418,9 +2415,7 @@ mod tests {
     #[test]
     fn budget_enforced() {
         let d = db();
-        let err = ColExec::new(&d, 1_000)
-            .run_sql("select count(*) from lineitem, lineitem l2")
-            .unwrap_err();
+        let err = try_run(&d, 1_000, "select count(*) from lineitem, lineitem l2").unwrap_err();
         assert!(matches!(err, EngineError::Budget(_)));
     }
 

@@ -60,9 +60,12 @@ pub struct RowExec<'a> {
     /// False for the legacy (pre-hash-join) version: every join runs as a
     /// nested loop over its equality predicates.
     hash_joins: bool,
-    /// Whether the logical rewriter runs on bound plans (on by default;
-    /// the equivalence suites turn it off to diff against raw plans).
+    /// Whether the logical rewriter and the join-order optimizer run on
+    /// the subqueries this execution binds at runtime (both on by
+    /// default; the equivalence suites turn one off to diff against raw
+    /// or syntactic-order plans).
     rewrite: bool,
+    optimize: bool,
     /// Per-node metrics collection; `None` (the default) keeps every
     /// operator on an early-return path with no metrics code at all.
     profiler: Option<Profiler>,
@@ -102,14 +105,16 @@ impl<'a> RowExec<'a> {
             ctes: RefCell::new(Vec::new()),
             hash_joins,
             rewrite: true,
+            optimize: true,
             profiler: None,
         }
     }
 
-    /// Toggle the logical rewriter for this execution (and any runtime
-    /// subquery binds it performs).
-    pub fn with_rewrite(mut self, on: bool) -> Self {
-        self.rewrite = on;
+    /// Set the planner flags the runtime subquery binds of this
+    /// execution use, so they match how the statement itself was bound.
+    pub fn with_planner_flags(mut self, rewrite: bool, optimize: bool) -> Self {
+        self.rewrite = rewrite;
+        self.optimize = optimize;
         self
     }
 
@@ -143,16 +148,9 @@ impl<'a> RowExec<'a> {
             ctes: RefCell::new(Vec::new()),
             hash_joins,
             rewrite: true,
+            optimize: true,
             profiler: None,
         }
-    }
-
-    /// Parse, bind and run a SQL query, returning output names and rows.
-    pub fn run_sql(&self, sql: &str) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
-        let q = sqalpel_sql::parse_query(sql)?;
-        let bound = Planner::new(self.db).with_rewrite(self.rewrite).bind(&q)?;
-        let rows = self.run_query(&bound, None)?;
-        Ok((bound.output_names(), rows))
     }
 
     fn charge(&self, n: u64) -> EngineResult<()> {
@@ -736,6 +734,7 @@ impl SubqueryRunner for RowExec<'_> {
         let bound = Rc::new(
             Planner::with_ctes(self.db, cte_scope)
                 .with_rewrite(self.rewrite)
+                .with_optimize(self.optimize)
                 .bind(q)?,
         );
         match self.run_query(&bound, None) {
@@ -766,10 +765,19 @@ mod tests {
         Database::tpch(0.001, 42)
     }
 
+    fn try_run(
+        db: &Database,
+        budget: u64,
+        sql: &str,
+    ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
+        let q = sqalpel_sql::parse_query(sql)?;
+        let bound = Planner::new(db).bind(&q)?;
+        let rows = RowExec::new(db, budget).run_query(&bound, None)?;
+        Ok((bound.output_names(), rows))
+    }
+
     fn run(db: &Database, sql: &str) -> (Vec<String>, Vec<Vec<Value>>) {
-        RowExec::new(db, 50_000_000)
-            .run_sql(sql)
-            .unwrap_or_else(|e| panic!("{sql} failed: {e}"))
+        try_run(db, 50_000_000, sql).unwrap_or_else(|e| panic!("{sql} failed: {e}"))
     }
 
     #[test]
@@ -939,19 +947,14 @@ mod tests {
     #[test]
     fn budget_aborts_runaway_cross_join() {
         let d = db();
-        let exec = RowExec::new(&d, 10_000);
-        let err = exec
-            .run_sql("select count(*) from lineitem, lineitem l2")
-            .unwrap_err();
+        let err = try_run(&d, 10_000, "select count(*) from lineitem, lineitem l2").unwrap_err();
         assert!(matches!(err, EngineError::Budget(_)));
     }
 
     #[test]
     fn unknown_column_reported() {
         let d = db();
-        let err = RowExec::new(&d, 1_000_000)
-            .run_sql("select bogus from nation")
-            .unwrap_err();
+        let err = try_run(&d, 1_000_000, "select bogus from nation").unwrap_err();
         assert!(matches!(err, EngineError::UnknownColumn(_)));
     }
 
