@@ -4,10 +4,12 @@
 #   ./ci.sh                          full gate
 #   ./ci.sh explain-goldens          only the EXPLAIN golden check
 #   ./ci.sh explain-goldens --bless  regenerate the goldens after an
-#                                    intentional rewriter/plan change
+#                                    intentional unnesting/rewriter/plan
+#                                    change
 #   ./ci.sh plan-goldens [--bless]   the join-order goldens: Q5/Q7/Q8/Q9/Q21
 #                                    chosen order + estimated vs actual
-#                                    cardinalities (timings masked)
+#                                    cardinalities (timings masked); Q21
+#                                    carries the semi and anti join estimates
 set -eux
 
 explain_goldens() {
@@ -55,14 +57,22 @@ cargo test -q -p sqalpel-core --test wire_loopback
 # report, and warm plan-cache hits return byte-identical results.
 cargo test -q -p sqalpel-core --test wire_differential
 # EXPLAIN plans for the full TPC-H + SSB flights are pinned: any drift in
-# the binder/rewriter/ir output fails here until re-blessed.
+# the binder/unnesting/rewriter/ir output fails here until re-blessed.
+# The same suite holds the ratchet that no TPC-H plan evaluates a
+# subquery per outer row (the cached uncorrelated scalars are listed).
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
 # estimated-vs-actual cardinalities for the five join-heavy queries,
-# including the adaptive second pass.
+# including the adaptive second pass (and, on Q21, est vs actual of the
+# semi and anti joins its EXISTS / NOT EXISTS became).
 plan_goldens
 # Every logical rewrite must be result-preserving, byte-for-byte, on both
-# engines at 1 and 4 workers.
+# engines at 1 and 4 workers. This is also the unnesting wall: semi, anti
+# and group joins against per-row evaluation (rewriter off) on NULL
+# probes, NULLs in the set, empty sets and groups, duplicate inner keys
+# and every fallback shape — each case checked to take the path it is
+# named for — plus Q4/Q20 on ColStore at SF 0.005 under the default
+# budget, which the per-row path blew.
 cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # Join reordering must be result-preserving too: optimizer on vs off,
 # both engines, 1 and 4 workers, identical row sets and fingerprints —
@@ -71,7 +81,8 @@ cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # optimized plan fits).
 cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # The cardinality estimator's invariants (selectivity in [0,1], conjunct
-# monotonicity) under random predicates and degenerate statistics.
+# monotonicity, semi + anti estimates partition the left input) under
+# random predicates and degenerate statistics.
 cargo test -q --release -p sqalpel-engine --test cost_props
 # Profiling must be observation-only: both flights, both engines, 1 and 4
 # workers, profiler on vs off — identical results and row counts.

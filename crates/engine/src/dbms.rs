@@ -271,6 +271,7 @@ impl RowStore {
         &self,
         sql: &str,
         hints: Option<&ir::cost::CardHints>,
+        explain: bool,
     ) -> EngineResult<BoundQuery> {
         let q = sqalpel_sql::parse_query(sql)?;
         let mut p = Planner::new(&self.db)
@@ -279,7 +280,11 @@ impl RowStore {
         if let Some(h) = hints {
             p = p.with_hints(h.clone());
         }
-        p.bind(&q)
+        if explain {
+            p.bind_explained(&q)
+        } else {
+            p.bind(&q)
+        }
     }
 
     /// A fresh executor carrying this store's knobs, so the subqueries
@@ -302,7 +307,7 @@ impl RowStore {
     /// feedback so the next `execute_by_fingerprint` re-optimizes with
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
-        let bound = self.bind_sql(sql, None)?;
+        let bound = self.bind_sql(sql, None, true)?;
         let exec = self.exec().with_profiler();
         let rows = exec.run_query(&bound, None)?;
         let profile = exec.take_profile();
@@ -332,7 +337,7 @@ impl RowStore {
             exec.run_query(bound, None)?;
             Ok(exec.take_profile())
         };
-        let cold_bound = self.bind_sql(sql, None)?;
+        let cold_bound = self.bind_sql(sql, None, true)?;
         let cold_profile = profiled_run(&cold_bound)?;
         let cold = ir::explain_estimates(
             &cold_bound,
@@ -340,7 +345,7 @@ impl RowStore {
             &ir::cost::CardHints::default(),
         );
         let hints = crate::profile::extract_feedback(&cold_bound, &cold_profile);
-        let warm_bound = self.bind_sql(sql, Some(&hints))?;
+        let warm_bound = self.bind_sql(sql, Some(&hints), true)?;
         let warm_profile = profiled_run(&warm_bound)?;
         let warm = ir::explain_estimates(&warm_bound, &warm_profile, &hints);
         Ok((cold, warm))
@@ -357,11 +362,11 @@ impl Dbms for RowStore {
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        self.run_bound(&self.bind_sql(sql, None)?)
+        self.run_bound(&self.bind_sql(sql, None, false)?)
     }
 
     fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        Ok(ir::explain(&self.bind_sql(sql, None)?))
+        Ok(ir::explain(&self.bind_sql(sql, None, true)?))
     }
 
     fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
@@ -376,7 +381,7 @@ impl Dbms for RowStore {
         cached_execute(
             self.plan_cache.as_ref(),
             fingerprint,
-            |hints| self.bind_sql(sql, hints),
+            |hints| self.bind_sql(sql, hints, false),
             |bound| self.run_bound(bound),
         )
     }
@@ -451,6 +456,7 @@ impl ColStore {
         &self,
         sql: &str,
         hints: Option<&ir::cost::CardHints>,
+        explain: bool,
     ) -> EngineResult<BoundQuery> {
         let q = sqalpel_sql::parse_query(sql)?;
         let mut p = Planner::new(&self.db)
@@ -459,7 +465,11 @@ impl ColStore {
         if let Some(h) = hints {
             p = p.with_hints(h.clone());
         }
-        p.bind(&q)
+        if explain {
+            p.bind_explained(&q)
+        } else {
+            p.bind(&q)
+        }
     }
 
     /// A fresh executor carrying this store's knobs, so the subqueries
@@ -482,7 +492,7 @@ impl ColStore {
     /// feedback so the next `execute_by_fingerprint` re-optimizes with
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
-        let bound = self.bind_sql(sql, None)?;
+        let bound = self.bind_sql(sql, None, true)?;
         let exec = self.exec().with_profiler();
         let rows = exec.run_query(&bound, None)?;
         let profile = exec.take_profile();
@@ -511,11 +521,11 @@ impl Dbms for ColStore {
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        self.run_bound(&self.bind_sql(sql, None)?)
+        self.run_bound(&self.bind_sql(sql, None, false)?)
     }
 
     fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        Ok(ir::explain(&self.bind_sql(sql, None)?))
+        Ok(ir::explain(&self.bind_sql(sql, None, true)?))
     }
 
     fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
@@ -530,7 +540,7 @@ impl Dbms for ColStore {
         cached_execute(
             self.plan_cache.as_ref(),
             fingerprint,
-            |hints| self.bind_sql(sql, hints),
+            |hints| self.bind_sql(sql, hints, false),
             |bound| self.run_bound(bound),
         )
     }

@@ -4,19 +4,25 @@
 //! optional outer environment, which is how correlated subqueries see the
 //! enclosing row (SQL's innermost-first scoping). Subqueries are executed
 //! through the [`SubqueryRunner`] callback so each engine runs nested
-//! queries with its own executor; uncorrelated subqueries are detected on
-//! first use and their result cached by the runner.
+//! queries with its own executor. Only the subqueries the plan-time
+//! unnesting pass left in place get here; [`run_subquery`] — the one
+//! implementation behind both runners — binds such a body on first use,
+//! finds out then whether it is correlated, and caches the result of an
+//! uncorrelated one for the rest of the execution.
 //!
 //! The evaluator implements SQL three-valued logic: comparisons over NULL
 //! yield NULL, `AND`/`OR` follow Kleene semantics, and filters treat NULL
 //! as false.
 
 use crate::error::{EngineError, EngineResult};
-use crate::ir::Expr;
-use crate::plan::Schema;
+use crate::ir::{Expr, Ty};
+use crate::plan::{BoundQuery, Planner, Schema};
+use crate::storage::Database;
 use crate::value::{self, ArithMode, Key, Value};
 use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, Query, UnaryOp};
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// A row visible to expression evaluation, with a link to the enclosing
 /// row for correlated subqueries.
@@ -70,10 +76,95 @@ impl<'a> Env<'a> {
     }
 }
 
+/// Materialized result rows.
+pub type Rows = Vec<Vec<Value>>;
+
 /// Callback for executing subqueries inside expressions.
 pub trait SubqueryRunner {
-    /// Run `q` with `outer` in scope; returns the result rows.
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Vec<Vec<Value>>>;
+    /// Run `q` with `outer` in scope; returns the result rows — shared,
+    /// because an uncorrelated subquery hands out its one cached result
+    /// for every outer row.
+    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>>;
+}
+
+/// One materialized CTE visible during execution.
+pub(crate) struct CteFrame {
+    pub name: String,
+    pub cols: Vec<(String, Ty)>,
+    pub rows: Rc<Rows>,
+}
+
+/// How a subquery behaved on first execution.
+pub(crate) enum SubState {
+    /// Uncorrelated: its cached result rows.
+    Cached(Rc<Rows>),
+    /// Correlated: the bound query, re-executed per outer row.
+    Correlated(Rc<BoundQuery>),
+}
+
+/// Per-execution subquery states, keyed by the address of the subquery's
+/// AST inside the (immutable) bound plan.
+pub(crate) type SubStates = RefCell<HashMap<usize, SubState>>;
+
+/// Bind a subquery body at runtime with the CTEs materialized so far in
+/// scope (e.g. TPC-H Q15's `(select max(total_revenue) from revenue)`),
+/// planned the way the enclosing statement was.
+pub(crate) fn bind_subquery(
+    db: &Database,
+    ctes: &[CteFrame],
+    rewrite: bool,
+    optimize: bool,
+    q: &Query,
+) -> EngineResult<BoundQuery> {
+    let scope = ctes
+        .iter()
+        .map(|f| (f.name.clone(), f.cols.clone()))
+        .collect();
+    Planner::with_ctes(db, scope)
+        .with_rewrite(rewrite)
+        .with_optimize(optimize)
+        .bind(q)
+}
+
+/// The [`SubqueryRunner`] protocol both executors implement with their
+/// own `bind` and `run`: a subquery seen before either returns its cached
+/// rows or re-runs its bound plan under `outer`; a new one is bound, run
+/// once *without* an outer row, and classified by what happens — success
+/// means uncorrelated (cache the rows), `UnknownColumn` means a name only
+/// the outer row resolves (keep the plan, run it per row).
+pub(crate) fn run_subquery(
+    states: &SubStates,
+    q: &Query,
+    outer: &Env<'_>,
+    bind: impl FnOnce() -> EngineResult<BoundQuery>,
+    run: impl Fn(&BoundQuery, Option<&Env<'_>>) -> EngineResult<Rows>,
+) -> EngineResult<Rc<Rows>> {
+    let id = q as *const Query as usize;
+    let known = match states.borrow().get(&id) {
+        Some(SubState::Cached(rows)) => return Ok(Rc::clone(rows)),
+        Some(SubState::Correlated(bound)) => Some(Rc::clone(bound)),
+        None => None,
+    };
+    if let Some(bound) = known {
+        return run(&bound, Some(outer)).map(Rc::new);
+    }
+    let bound = Rc::new(bind()?);
+    match run(&bound, None) {
+        Ok(rows) => {
+            let rows = Rc::new(rows);
+            states
+                .borrow_mut()
+                .insert(id, SubState::Cached(Rc::clone(&rows)));
+            Ok(rows)
+        }
+        Err(EngineError::UnknownColumn(_)) => {
+            states
+                .borrow_mut()
+                .insert(id, SubState::Correlated(Rc::clone(&bound)));
+            run(&bound, Some(outer)).map(Rc::new)
+        }
+        Err(other) => Err(other),
+    }
 }
 
 /// Computed aggregate values for post-grouping expression evaluation:
@@ -194,7 +285,7 @@ pub fn eval(e: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> EngineResult<Value> {
             }
             let rows = ctx.runner.run_subquery(query, env)?;
             let mut found = false;
-            for row in &rows {
+            for row in rows.iter() {
                 let cell = row
                     .first()
                     .ok_or_else(|| EngineError::Type("IN subquery with no columns".into()))?;
@@ -798,7 +889,7 @@ mod tests {
     /// A runner for tests: subqueries are not expected.
     struct NoSubqueries;
     impl SubqueryRunner for NoSubqueries {
-        fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Vec<Vec<Value>>> {
+        fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
             panic!("no subqueries expected in this test")
         }
     }

@@ -17,17 +17,17 @@
 use crate::codec;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    collect_aggregates, eval, eval_filter, Accumulator, AggFunc, AggSpec, AggValues, Env, EvalCtx,
-    SubqueryRunner,
+    self, collect_aggregates, eval, eval_filter, Accumulator, AggFunc, AggSpec, AggValues,
+    CteFrame, Env, EvalCtx, Rows, SubStates, SubqueryRunner,
 };
-use crate::ir::{Expr, Ty};
+use crate::ir::Expr;
 use crate::morsel::{self, BudgetCounter};
 use crate::output::finish_rows;
-use crate::plan::{BoundQuery, Plan, Planner, Schema};
-use crate::profile::{self, NodeMetrics, ProfileShard, Profiler};
+use crate::plan::{BoundQuery, JoinKind, Plan, Schema};
+use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
 use crate::storage::{ColumnData, Database, Table};
 use crate::value::{self, ArithMode, Key, Value};
-use sqalpel_sql::ast::{BinOp, JoinKind, Query, UnaryOp};
+use sqalpel_sql::ast::{BinOp, Query, UnaryOp};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -191,18 +191,6 @@ impl Batch {
 
 }
 
-/// One materialized CTE visible during execution.
-struct CteFrame {
-    name: String,
-    cols: Vec<(String, Ty)>,
-    rows: Rc<Vec<Vec<Value>>>,
-}
-
-enum SubState {
-    Cached(Rc<Vec<Vec<Value>>>),
-    Correlated(Rc<BoundQuery>),
-}
-
 /// One query execution over the column engine.
 pub struct ColExec<'a> {
     db: &'a Database,
@@ -211,7 +199,7 @@ pub struct ColExec<'a> {
     /// Worker cap for morsel-parallel operators; `1` keeps every operator
     /// on its original sequential code path.
     threads: usize,
-    subqueries: RefCell<HashMap<usize, SubState>>,
+    subqueries: SubStates,
     ctes: RefCell<Vec<CteFrame>>,
     /// Whether the logical rewriter and the join-order optimizer run on
     /// the subqueries this execution binds at runtime (both on by
@@ -1244,6 +1232,106 @@ impl<'a> ColExec<'a> {
         Ok((self.exec_core(plan, outer)?, None))
     }
 
+    /// Semi/anti membership: per left row, whether some right row with an
+    /// equal key passes the residual. A probe, not a join: no candidate
+    /// pair is built without a residual, and with one each left row
+    /// stops at its first passing candidate — round `k` runs the residual
+    /// over the `k`-th candidate of every left row still unmatched, so a
+    /// low-cardinality key costs a lookup per row, not the pair product.
+    /// Charges one row per candidate tested, as the row engine does.
+    fn semi_matched(
+        &self,
+        lbatch: &Batch,
+        rbatch: &Batch,
+        equi: &[(Expr, Expr)],
+        residual: Option<&Expr>,
+        outer: Option<&Env<'_>>,
+    ) -> EngineResult<Vec<bool>> {
+        let lkeys: Vec<ColVec> = equi
+            .iter()
+            .map(|(le, _)| self.eval_vec(le, lbatch, outer))
+            .collect::<EngineResult<_>>()?;
+        let rkeys: Vec<ColVec> = equi
+            .iter()
+            .map(|(_, re)| self.eval_vec(re, rbatch, outer))
+            .collect::<EngineResult<_>>()?;
+
+        // Per left row, the right rows with an equal key, in build order:
+        // `join_indices`' tables and codec gate, the match lists kept as
+        // lists. Without a key every right row is a candidate, which is
+        // what the one empty `Vec<Key>` of the legacy table says.
+        self.charge((lbatch.len + rbatch.len) as u64)?;
+        let codecs = if !equi.is_empty() && lbatch.len > 0 && rbatch.len > 0 {
+            codec::join_codecs(&lkeys, &rkeys)?
+        } else {
+            None
+        };
+        let typed;
+        let mut legacy: HashMap<Vec<Key>, Vec<u32>> = HashMap::new();
+        let mut lists: Vec<&[u32]> = Vec::with_capacity(lbatch.len);
+        if let Some((lc, rc)) = &codecs {
+            let mut table = codec::MatchMap::new(rc.u64_mode());
+            let mut scratch = Vec::new();
+            for j in 0..rbatch.len {
+                table.push(&rc.encode(j, &mut scratch)?, j as u32);
+            }
+            typed = table;
+            for i in 0..lbatch.len {
+                lists.push(typed.get(&lc.encode(i, &mut scratch)?).unwrap_or(&[]));
+            }
+        } else {
+            let key = |keys: &[ColVec], i: usize| -> EngineResult<Vec<Key>> {
+                keys.iter().map(|c| c.get(i).key()).collect()
+            };
+            for j in 0..rbatch.len {
+                legacy.entry(key(&rkeys, j)?).or_default().push(j as u32);
+            }
+            for i in 0..lbatch.len {
+                lists.push(legacy.get(&key(&lkeys, i)?).map_or(&[], Vec::as_slice));
+            }
+        }
+
+        let mut schema = lbatch.schema.clone();
+        schema.extend(rbatch.schema.iter().cloned());
+        let mut candidates = Batch {
+            schema,
+            len: 0,
+            cols: Vec::new(),
+        };
+        let lw = lbatch.cols.len();
+        let read = residual.map(Expr::slots).unwrap_or_default();
+        let mut matched = vec![false; lbatch.len];
+        let mut active: Vec<usize> = (0..lbatch.len).filter(|&i| !lists[i].is_empty()).collect();
+        let mut k = 0;
+        while !active.is_empty() {
+            self.charge(active.len() as u64)?;
+            let Some(r) = residual else {
+                for &i in &active {
+                    matched[i] = true;
+                }
+                break;
+            };
+            // The k-th candidate of every active left row, carrying only
+            // the columns the residual reads.
+            let ridx: Vec<usize> = active.iter().map(|&i| lists[i][k] as usize).collect();
+            candidates.len = active.len();
+            candidates.cols = (0..lw + rbatch.cols.len())
+                .map(|slot| match slot {
+                    _ if !read.contains(&slot) => ColVec::Const(Value::Null, active.len()),
+                    _ if slot < lw => lbatch.cols[slot].gather(&active),
+                    _ => rbatch.cols[slot - lw].gather(&ridx),
+                })
+                .collect();
+            let mask = self.eval_vec(r, &candidates, outer)?;
+            for (pos, &i) in active.iter().enumerate() {
+                matched[i] = mask.truth(pos)? == Some(true);
+            }
+            k += 1;
+            active.retain(|&i| !matched[i] && lists[i].len() > k);
+        }
+        Ok(matched)
+    }
+
     fn exec_join(
         &self,
         left: &Plan,
@@ -1273,6 +1361,16 @@ impl<'a> ColExec<'a> {
             self.join_input(left, kind, col_slots(equi.iter().map(|(l, _)| l).collect()), outer)?;
         let (rbatch, rlazy) =
             self.join_input(right, kind, col_slots(equi.iter().map(|(_, r)| r).collect()), outer)?;
+        if !kind.emits_right() {
+            // One output row per left row that matched (semi) or did not
+            // (anti), in probe order.
+            let matched = self.semi_matched(&lbatch, &rbatch, equi, residual, outer)?;
+            let keep: Vec<usize> = (0..lbatch.len)
+                .filter(|&i| matched[i] == (kind == JoinKind::Semi))
+                .collect();
+            return Ok(lbatch.gather(&keep));
+        }
+
         let mut combined_schema = lbatch.schema.clone();
         combined_schema.extend(rbatch.schema.iter().cloned());
 
@@ -1579,62 +1677,14 @@ impl<'a> ColExec<'a> {
 }
 
 impl SubqueryRunner for ColExec<'_> {
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Vec<Vec<Value>>> {
-        let id = q as *const Query as usize;
-        {
-            let subs = self.subqueries.borrow();
-            match subs.get(&id) {
-                Some(SubState::Cached(rows)) => return Ok(rows.as_ref().clone()),
-                Some(SubState::Correlated(bound)) => {
-                    let bound = Rc::clone(bound);
-                    drop(subs);
-                    return self.run_query(&bound, Some(outer));
-                }
-                None => {}
-            }
-        }
-        let cte_scope: Vec<(String, Vec<(String, Ty)>)> = self
-            .ctes
-            .borrow()
-            .iter()
-            .map(|f| (f.name.clone(), f.cols.clone()))
-            .collect();
-        let bound = Rc::new(
-            Planner::with_ctes(self.db, cte_scope)
-                .with_rewrite(self.rewrite)
-                .with_optimize(self.optimize)
-                .bind(q)?,
-        );
-        match self.run_query(&bound, None) {
-            Ok(rows) => {
-                let rows = Rc::new(rows);
-                self.subqueries
-                    .borrow_mut()
-                    .insert(id, SubState::Cached(Rc::clone(&rows)));
-                Ok(rows.as_ref().clone())
-            }
-            Err(EngineError::UnknownColumn(_)) => {
-                self.subqueries
-                    .borrow_mut()
-                    .insert(id, SubState::Correlated(Rc::clone(&bound)));
-                self.run_query(&bound, Some(outer))
-            }
-            Err(other) => Err(other),
-        }
-    }
-}
-
-/// Cumulative profiled rows_out of a node's direct children — read before
-/// and after an execution, the difference is the rows the node consumed
-/// *this* time (stable under repeated executions of one bound tree).
-fn child_rows_out(prof: &Profiler, plan: &Plan) -> u64 {
-    match plan {
-        Plan::Scan { .. } | Plan::Derived { .. } | Plan::Cte { .. } => 0,
-        Plan::Filter { input, .. } => prof.rows_out_of(profile::node_key(&**input)),
-        Plan::Join { left, right, .. } => {
-            prof.rows_out_of(profile::node_key(&**left))
-                + prof.rows_out_of(profile::node_key(&**right))
-        }
+    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>> {
+        eval::run_subquery(
+            &self.subqueries,
+            q,
+            outer,
+            || eval::bind_subquery(self.db, &self.ctes.borrow(), self.rewrite, self.optimize, q),
+            |bound, outer| self.run_query(bound, outer),
+        )
     }
 }
 
@@ -1983,6 +2033,10 @@ impl<'a> ArgCol<'a> {
 }
 
 /// Convert row-major results into a batch (derived tables / CTE scans).
+/// A column whose values are all integers, all dates or all strings gets
+/// its typed vector — what join keys are made of, and what keeps a join
+/// against a derived table (every group join is one) on the codec path
+/// instead of boxing a key per row. Everything else stays boxed.
 fn rows_to_batch(schema: Schema, rows: &[Vec<Value>]) -> Batch {
     let width = schema.len();
     let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rows.len()); width];
@@ -1991,10 +2045,43 @@ fn rows_to_batch(schema: Schema, rows: &[Vec<Value>]) -> Batch {
             c.push(v.clone());
         }
     }
+    let typed = |vals: Vec<Value>| {
+        let all = |is: fn(&Value) -> bool| !vals.is_empty() && vals.iter().all(is);
+        if all(|v| matches!(v, Value::Int(_))) {
+            ColVec::Int(
+                vals.iter()
+                    .filter_map(|v| match v {
+                        Value::Int(i) => Some(*i),
+                        _ => None,
+                    })
+                    .collect(),
+            )
+        } else if all(|v| matches!(v, Value::Date(_))) {
+            ColVec::Date(
+                vals.iter()
+                    .filter_map(|v| match v {
+                        Value::Date(d) => Some(*d),
+                        _ => None,
+                    })
+                    .collect(),
+            )
+        } else if all(|v| matches!(v, Value::Str(_))) {
+            ColVec::Str(
+                vals.into_iter()
+                    .filter_map(|v| match v {
+                        Value::Str(s) => Some(s),
+                        _ => None,
+                    })
+                    .collect(),
+            )
+        } else {
+            ColVec::Val(vals)
+        }
+    };
     Batch {
         schema,
         len: rows.len(),
-        cols: cols.into_iter().map(ColVec::Val).collect(),
+        cols: cols.into_iter().map(typed).collect(),
     }
 }
 
@@ -2293,6 +2380,7 @@ fn not_kernel(v: &ColVec, n: usize) -> EngineResult<ColVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Planner;
 
     fn db() -> Database {
         Database::tpch(0.001, 42)

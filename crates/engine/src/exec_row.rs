@@ -8,38 +8,24 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    collect_aggregates, eval, eval_filter, Accumulator, AggValues, Env, EvalCtx, SubqueryRunner,
+    self, collect_aggregates, eval, eval_filter, Accumulator, AggValues, CteFrame, Env, EvalCtx,
+    Rows, SubStates, SubqueryRunner,
 };
-use crate::ir::{Expr, Ty};
+use crate::ir::Expr;
 use crate::morsel::{self, BudgetCounter};
 use crate::output::{finish_rows, sort_keys};
-use crate::plan::{BoundQuery, Plan, Planner, Schema};
-use crate::profile::{self, NodeMetrics, ProfileShard, Profiler};
+use crate::plan::{BoundQuery, JoinKind, Plan, Schema};
+use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
 use crate::storage::Database;
 use crate::codec::FxBuild;
 use crate::value::{self, ArithMode, Value};
-use sqalpel_sql::ast::{JoinKind, Query};
+use sqalpel_sql::ast::Query;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How a subquery behaved on first execution.
-/// One materialized CTE visible during execution.
-struct CteFrame {
-    name: String,
-    cols: Vec<(String, Ty)>,
-    rows: Rc<Vec<Vec<Value>>>,
-}
-
-enum SubState {
-    /// Uncorrelated: bound query plus its cached result rows.
-    Cached(Rc<Vec<Vec<Value>>>),
-    /// Correlated: bound query, re-executed per outer row.
-    Correlated(Rc<BoundQuery>),
-}
 
 /// One query execution over the row engine.
 ///
@@ -54,7 +40,7 @@ pub struct RowExec<'a> {
     /// Worker cap for the morsel-parallel scan+filter front end; `1`
     /// keeps execution fully sequential.
     threads: usize,
-    subqueries: RefCell<HashMap<usize, SubState>>,
+    subqueries: SubStates,
     /// CTE frames: innermost last.
     ctes: RefCell<Vec<CteFrame>>,
     /// False for the legacy (pre-hash-join) version: every join runs as a
@@ -597,35 +583,63 @@ impl<'a> RowExec<'a> {
             (&[][..], folded.as_ref())
         };
 
+        // One candidate pair through the residual; emits the combined row
+        // for the kinds that output it. Semi and anti joins stop at the
+        // first match and emit the left row alone, once, afterwards.
+        let emits_right = kind.emits_right();
+        let pair = |lrow: &[Value],
+                    rrow: &[Value],
+                    sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>|
+         -> EngineResult<bool> {
+            self.charge(1)?;
+            if residual.is_none() && !emits_right {
+                return Ok(true);
+            }
+            let mut row = lrow.to_vec();
+            row.extend(rrow.iter().cloned());
+            let keep = match residual {
+                Some(r) => {
+                    let env = match outer {
+                        Some(o) => Env::with_outer(&combined, &row, o),
+                        None => Env::new(&combined, &row),
+                    };
+                    eval_filter(r, &env, &ctx)?
+                }
+                None => true,
+            };
+            if keep && emits_right {
+                sink(&row)?;
+            }
+            Ok(keep)
+        };
+        // What a left row contributes once its candidates are through.
+        let finish = |lrow: &[Value],
+                      matched: bool,
+                      sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>|
+         -> EngineResult<()> {
+            match kind {
+                JoinKind::LeftOuter if !matched => {
+                    let mut row = lrow.to_vec();
+                    row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
+                    sink(&row)
+                }
+                JoinKind::Semi if matched => sink(lrow),
+                JoinKind::Anti if !matched => sink(lrow),
+                _ => Ok(()),
+            }
+        };
+
         if equi.is_empty() {
             // Nested-loop (cross) join with optional residual.
             return self.execute_core(left, outer, &mut |lrow| {
                 let mut matched = false;
                 for rrow in &right_rows {
-                    self.charge(1)?;
-                    let mut row = lrow.to_vec();
-                    row.extend(rrow.iter().cloned());
-                    let keep = match residual {
-                        Some(r) => {
-                            let env = match outer {
-                                Some(o) => Env::with_outer(&combined, &row, o),
-                                None => Env::new(&combined, &row),
-                            };
-                            eval_filter(r, &env, &ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
-                        matched = true;
-                        sink(&row)?;
+                    matched |= pair(lrow, rrow, sink)?;
+                    if matched && !emits_right {
+                        break;
                     }
                 }
-                if !matched && kind == JoinKind::LeftOuter {
-                    let mut row = lrow.to_vec();
-                    row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                    sink(&row)?;
-                }
-                Ok(())
+                finish(lrow, matched, sink)
             });
         }
 
@@ -665,101 +679,33 @@ impl<'a> RowExec<'a> {
             let mut matched = false;
             if let Some(candidates) = table.get(key_buf.as_slice()) {
                 for &ri in candidates {
-                    self.charge(1)?;
-                    let mut row = lrow.to_vec();
-                    row.extend(right_rows[ri].iter().cloned());
-                    let keep = match residual {
-                        Some(r) => {
-                            let env = match outer {
-                                Some(o) => Env::with_outer(&combined, &row, o),
-                                None => Env::new(&combined, &row),
-                            };
-                            eval_filter(r, &env, &ctx)?
-                        }
-                        None => true,
-                    };
-                    if keep {
-                        matched = true;
-                        sink(&row)?;
+                    matched |= pair(lrow, &right_rows[ri], sink)?;
+                    if matched && !emits_right {
+                        break;
                     }
                 }
             }
-            if !matched && kind == JoinKind::LeftOuter {
-                let mut row = lrow.to_vec();
-                row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                sink(&row)?;
-            }
-            Ok(())
+            finish(lrow, matched, sink)
         })
     }
 }
 
-/// Cumulative profiled rows_out of a node's direct children — read before
-/// and after an execution, the difference is the rows the node consumed
-/// *this* time (stable under repeated executions of one bound tree).
-fn child_rows_out(prof: &Profiler, plan: &Plan) -> u64 {
-    match plan {
-        Plan::Scan { .. } | Plan::Derived { .. } | Plan::Cte { .. } => 0,
-        Plan::Filter { input, .. } => prof.rows_out_of(profile::node_key(&**input)),
-        Plan::Join { left, right, .. } => {
-            prof.rows_out_of(profile::node_key(&**left))
-                + prof.rows_out_of(profile::node_key(&**right))
-        }
-    }
-}
-
 impl SubqueryRunner for RowExec<'_> {
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Vec<Vec<Value>>> {
-        let id = q as *const Query as usize;
-        // Fast path: known state.
-        {
-            let subs = self.subqueries.borrow();
-            match subs.get(&id) {
-                Some(SubState::Cached(rows)) => return Ok(rows.as_ref().clone()),
-                Some(SubState::Correlated(bound)) => {
-                    let bound = Rc::clone(bound);
-                    drop(subs);
-                    return self.run_query(&bound, Some(outer));
-                }
-                None => {}
-            }
-        }
-        // First execution: decide correlated vs cached.
-        let cte_scope: Vec<(String, Vec<(String, Ty)>)> = self
-            .ctes
-            .borrow()
-            .iter()
-            .map(|f| (f.name.clone(), f.cols.clone()))
-            .collect();
-        let bound = Rc::new(
-            Planner::with_ctes(self.db, cte_scope)
-                .with_rewrite(self.rewrite)
-                .with_optimize(self.optimize)
-                .bind(q)?,
-        );
-        match self.run_query(&bound, None) {
-            Ok(rows) => {
-                let rows = Rc::new(rows);
-                self.subqueries
-                    .borrow_mut()
-                    .insert(id, SubState::Cached(Rc::clone(&rows)));
-                Ok(rows.as_ref().clone())
-            }
-            Err(EngineError::UnknownColumn(_)) => {
-                // Columns resolve only through the outer row: correlated.
-                self.subqueries
-                    .borrow_mut()
-                    .insert(id, SubState::Correlated(Rc::clone(&bound)));
-                self.run_query(&bound, Some(outer))
-            }
-            Err(other) => Err(other),
-        }
+    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>> {
+        eval::run_subquery(
+            &self.subqueries,
+            q,
+            outer,
+            || eval::bind_subquery(self.db, &self.ctes.borrow(), self.rewrite, self.optimize, q),
+            |bound, outer| self.run_query(bound, outer),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Planner;
 
     fn db() -> Database {
         Database::tpch(0.001, 42)

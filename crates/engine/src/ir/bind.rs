@@ -3,10 +3,15 @@
 //! Resolution uses exactly the rule the runtime `Env::resolve` applies:
 //! a qualified name matches on `(binding, column)`, an unqualified name on
 //! `column` alone, two hits are ambiguous, and a miss is *not* an error —
-//! it becomes an [`Expr::Outer`] reference resolved by climbing the
-//! environment chain at runtime (that is how the engines detect
-//! correlation, by running once without an outer environment and catching
-//! `UnknownColumn`).
+//! it becomes an [`Expr::Outer`] reference. Those references are what
+//! correlation is read from: the unnesting pass ([`super::unnest`]) binds
+//! a subquery body at plan time, resolves its `Outer`s against the
+//! enclosing block with the same rule, and turns the ones in `WHERE`
+//! equalities into join keys. A subquery it leaves in place keeps its
+//! `Outer`s, which climb the environment chain at runtime; for those the
+//! executors still find out on first evaluation whether the body is
+//! correlated at all (it runs once without an outer row, and
+//! `UnknownColumn` means it is).
 
 use crate::error::{EngineError, EngineResult};
 use crate::ir::expr::Expr;

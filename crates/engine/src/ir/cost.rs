@@ -22,7 +22,9 @@ pub const LIKE_CONTAINS_SEL: f64 = 0.1;
 pub const LIKE_PREFIX_SEL: f64 = 0.05;
 /// `IS NULL` — the generated data is essentially null-free.
 pub const IS_NULL_SEL: f64 = 0.05;
-/// Any predicate involving a subquery (IN/EXISTS/scalar).
+/// Any predicate involving a subquery (IN/EXISTS/scalar) that was left
+/// in place; the ones unnested into semi/anti joins are priced from
+/// their keys ([`semi_selectivity`]).
 pub const SUBQUERY_SEL: f64 = 0.3;
 
 /// Cost weights for a hash join: the build side is hashed (insert per
@@ -298,6 +300,33 @@ pub fn equi_edge_selectivity(
     1.0 / ndv_l.max(ndv_r).max(1.0)
 }
 
+/// Fraction of a semi join's left rows that find a partner on one key
+/// pair, by containment: the smaller key domain is assumed to lie inside
+/// the larger, so `min(ndv_l, ndv_r)` of the left side's `ndv_l` distinct
+/// values — and, values taken as equally frequent, that share of its rows
+/// — match. A side without a statistic counts each of its rows as
+/// distinct, and a right side filtered down to `right_rows` cannot hold
+/// more distinct keys than rows.
+pub fn semi_selectivity(
+    left: Option<&SlotStat>,
+    right: Option<&SlotStat>,
+    left_rows: f64,
+    right_rows: f64,
+) -> f64 {
+    let ndv_l = left.map_or(left_rows.max(1.0), SlotStat::ndv_floor);
+    let ndv_r = right
+        .map_or(right_rows.max(1.0), SlotStat::ndv_floor)
+        .min(right_rows.max(0.0));
+    clamp(ndv_r.min(ndv_l) / ndv_l)
+}
+
+/// Output rows of the semi and of the anti join over one pair of inputs:
+/// between them they emit every left row exactly once.
+pub fn semi_anti_rows(left_rows: f64, match_sel: f64) -> (f64, f64) {
+    let semi = left_rows * clamp(match_sel);
+    (semi, left_rows - semi)
+}
+
 /// Observed cardinalities from a prior profiled run, keyed by the
 /// *sorted* set of relation bindings a subplan covers — stable across
 /// join orders, which is what lets a re-search consume them.
@@ -320,6 +349,11 @@ impl CardHints {
         let mut sorted = bindings.to_vec();
         sorted.sort();
         self.map.get(&sorted).copied()
+    }
+
+    /// Forget the hint for a *sorted* binding set.
+    pub fn remove(&mut self, bindings: &[String]) {
+        self.map.remove(bindings);
     }
 
     pub fn is_empty(&self) -> bool {

@@ -18,9 +18,8 @@
 //! fingerprint is stable across runs, platforms and engines.
 
 use crate::ir::expr::Expr;
-use crate::plan::{BoundQuery, Plan};
+use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::profile::{self, NodeMetrics, ProfileShard};
-use sqalpel_sql::ast::JoinKind;
 use std::fmt::Write;
 
 /// A rendered plan with its canonical fingerprint.
@@ -98,7 +97,8 @@ fn render(bq: &BoundQuery, ann: Ann) -> Explain {
 
 /// Flat list of `(operator label, metrics)` in render order — the shape
 /// the platform ships over the wire (labels like `select`,
-/// `scan lineitem`, `filter`, `join inner`, `derived d`, `cte scan c`).
+/// `scan lineitem`, `filter`, `join inner`, `join semi`, `derived d`,
+/// `cte scan c`).
 pub fn profile_ops(bq: &BoundQuery, prof: &ProfileShard) -> Vec<(String, NodeMetrics)> {
     let mut out = Vec::new();
     ops_query(bq, prof, &mut out);
@@ -130,11 +130,7 @@ fn ops_plan(p: &Plan, prof: &ProfileShard, out: &mut Vec<(String, NodeMetrics)>)
         Plan::Join {
             left, right, kind, ..
         } => {
-            let kname = match kind {
-                JoinKind::Inner => "inner",
-                JoinKind::LeftOuter => "left outer",
-            };
-            out.push((format!("join {kname}"), m));
+            out.push((format!("join {}", kind.name()), m));
             ops_plan(left, prof, out);
             ops_plan(right, prof, out);
         }
@@ -236,6 +232,12 @@ fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
         }
         out.push('\n');
     }
+    // Why each subquery still in this block was not turned into a join,
+    // and whether it runs once or per row.
+    for note in &bq.subquery_notes {
+        indent(out, level + 1);
+        let _ = writeln!(out, "subquery {note}");
+    }
     for (name, body) in &bq.ctes {
         indent(out, level + 1);
         let _ = writeln!(out, "cte {name}:");
@@ -298,11 +300,7 @@ fn render_plan(p: &Plan, level: usize, out: &mut String, ann: Ann) {
             residual,
         } => {
             indent(out, level);
-            let kname = match kind {
-                JoinKind::Inner => "inner",
-                JoinKind::LeftOuter => "left outer",
-            };
-            let _ = write!(out, "join {kname}");
+            let _ = write!(out, "join {}", kind.name());
             if !equi.is_empty() {
                 out.push_str(" on");
                 for (i, (l, r)) in equi.iter().enumerate() {
@@ -397,85 +395,26 @@ fn normalized(e: &Expr) -> Expr {
 fn normalize_in_place(e: &mut Expr) {
     use sqalpel_sql::ast::BinOp;
     // Children first (normalization is structural, subqueries stay as-is).
-    match e {
-        Expr::Unary { expr, .. }
-        | Expr::Extract { expr, .. }
-        | Expr::IsNull { expr, .. }
-        | Expr::InSubquery { expr, .. } => normalize_in_place(expr),
-        Expr::Binary { left, right, .. } => {
-            normalize_in_place(left);
-            normalize_in_place(right);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            normalize_in_place(expr);
-            normalize_in_place(low);
-            normalize_in_place(high);
-        }
-        Expr::InList { expr, list, .. } => {
-            normalize_in_place(expr);
-            for x in list {
-                normalize_in_place(x);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            normalize_in_place(expr);
-            normalize_in_place(pattern);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(o) = operand {
-                normalize_in_place(o);
-            }
-            for (w, t) in branches {
-                normalize_in_place(w);
-                normalize_in_place(t);
-            }
-            if let Some(x) = else_branch {
-                normalize_in_place(x);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                normalize_in_place(a);
-            }
-        }
-        Expr::Substring {
-            expr,
-            start,
-            length,
-        } => {
-            normalize_in_place(expr);
-            normalize_in_place(start);
-            if let Some(l) = length {
-                normalize_in_place(l);
-            }
-        }
-        _ => {}
-    }
-    if let Expr::Binary { left, op, right } = e {
-        let mirrored = match op {
-            BinOp::Eq => Some(BinOp::Eq),
-            BinOp::NotEq => Some(BinOp::NotEq),
-            BinOp::Lt => Some(BinOp::Gt),
-            BinOp::LtEq => Some(BinOp::GtEq),
-            BinOp::Gt => Some(BinOp::Lt),
-            BinOp::GtEq => Some(BinOp::LtEq),
-            _ => None,
+    e.visit_mut(&mut |node| {
+        let Expr::Binary { left, op, right } = node else {
+            return;
         };
-        if let Some(m) = mirrored {
-            if matches!(left.as_ref(), Expr::Literal(_) | Expr::Bool(_))
-                && !matches!(right.as_ref(), Expr::Literal(_) | Expr::Bool(_))
-            {
-                std::mem::swap(left, right);
-                *op = m;
-            }
+        let mirrored = match op {
+            BinOp::Eq => BinOp::Eq,
+            BinOp::NotEq => BinOp::NotEq,
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            _ => return,
+        };
+        if matches!(left.as_ref(), Expr::Literal(_) | Expr::Bool(_))
+            && !matches!(right.as_ref(), Expr::Literal(_) | Expr::Bool(_))
+        {
+            std::mem::swap(left, right);
+            *op = mirrored;
         }
-    }
+    });
 }
 
 fn canon_query(bq: &BoundQuery, out: &mut String) {
@@ -558,9 +497,11 @@ fn canon_plan(p: &Plan, out: &mut String) {
             equi,
             residual,
         } => {
-            // Only outer joins reach here (inner joins are regions); the
-            // sides of an outer join never swap, but the subtrees may
+            // Outer, semi and anti joins reach here (inner joins are
+            // regions); their sides never swap, but the subtrees may
             // have been permuted internally, so slots still rank-remap.
+            // `EXISTS` and `IN` spellings of one semi join are the same
+            // node by now, so they hash alike.
             let lrank = ranks(&left.schema());
             let rrank = ranks(&right.schema());
             let mut pairs: Vec<String> = equi
@@ -576,7 +517,18 @@ fn canon_plan(p: &Plan, out: &mut String) {
             pairs.sort();
             let _ = write!(out, "join {kind:?} [{}]", pairs.join(","));
             if let Some(r) = residual {
-                let rank = ranks(&p.schema());
+                // The residual frame is left ++ right whatever the join
+                // emits. A semi/anti body may scan a table the outer
+                // block scans too, and a rank over the concatenation
+                // would break that tie by physical position: rank those
+                // per side.
+                let rank = if kind.emits_right() {
+                    ranks(&p.schema())
+                } else {
+                    let mut rank = lrank.clone();
+                    rank.extend(rrank.iter().map(|r| r + lrank.len()));
+                    rank
+                };
                 let mut cs: Vec<String> = r
                     .conjuncts()
                     .iter()

@@ -51,9 +51,10 @@ impl fmt::Display for Ty {
 ///   the runtime environment chain (correlation);
 /// * [`Expr::OutputCol`] — an `ORDER BY` alias referencing a projected
 ///   output column by position;
-/// * subqueries stay opaque AST ([`ast::Query`]) and are bound lazily at
-///   runtime against the environment that first evaluates them, preserving
-///   the engines' correlation detection.
+/// * a subquery node holds opaque AST ([`ast::Query`]). The unnesting pass
+///   replaces the ones it can with joins; one that is still here when the
+///   plan executes is bound lazily, against the environment that first
+///   evaluates it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Col { slot: usize, ty: Ty },
@@ -181,12 +182,14 @@ impl Expr {
         }
     }
 
-    /// In-place slot renumbering (used when predicates move across plan
-    /// nodes and when pruning compacts scan schemas).
-    pub fn map_slots(&mut self, f: &impl Fn(usize) -> usize) {
+    /// Post-order mutable traversal: children first, then the node itself.
+    /// `f` may replace the node it is handed; the replacement is not
+    /// descended into. Subquery bodies are not visited (same rule as
+    /// [`Expr::visit`]).
+    pub fn visit_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
         match self {
-            Expr::Col { slot, .. } => *slot = f(*slot),
-            Expr::Outer(_)
+            Expr::Col { .. }
+            | Expr::Outer(_)
             | Expr::OutputCol(_)
             | Expr::Literal(_)
             | Expr::Bool(_)
@@ -196,51 +199,62 @@ impl Expr {
             Expr::Unary { expr, .. }
             | Expr::Extract { expr, .. }
             | Expr::IsNull { expr, .. }
-            | Expr::InSubquery { expr, .. } => expr.map_slots(f),
+            | Expr::InSubquery { expr, .. } => expr.visit_mut(f),
             Expr::Binary { left, right, .. } => {
-                left.map_slots(f);
-                right.map_slots(f);
+                left.visit_mut(f);
+                right.visit_mut(f);
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.map_slots(f);
-                low.map_slots(f);
-                high.map_slots(f);
+                expr.visit_mut(f);
+                low.visit_mut(f);
+                high.visit_mut(f);
             }
             Expr::InList { expr, list, .. } => {
-                expr.map_slots(f);
+                expr.visit_mut(f);
                 for e in list {
-                    e.map_slots(f);
+                    e.visit_mut(f);
                 }
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.map_slots(f);
-                pattern.map_slots(f);
+                expr.visit_mut(f);
+                pattern.visit_mut(f);
             }
             Expr::Case { operand, branches, else_branch } => {
                 if let Some(o) = operand {
-                    o.map_slots(f);
+                    o.visit_mut(f);
                 }
                 for (w, t) in branches {
-                    w.map_slots(f);
-                    t.map_slots(f);
+                    w.visit_mut(f);
+                    t.visit_mut(f);
                 }
                 if let Some(e) = else_branch {
-                    e.map_slots(f);
+                    e.visit_mut(f);
                 }
             }
             Expr::Function { args, .. } => {
                 for a in args {
-                    a.map_slots(f);
+                    a.visit_mut(f);
                 }
             }
             Expr::Substring { expr, start, length } => {
-                expr.map_slots(f);
-                start.map_slots(f);
+                expr.visit_mut(f);
+                start.visit_mut(f);
                 if let Some(l) = length {
-                    l.map_slots(f);
+                    l.visit_mut(f);
                 }
             }
         }
+        f(self);
+    }
+
+    /// In-place slot renumbering (used when predicates move across plan
+    /// nodes and when pruning compacts scan schemas).
+    pub fn map_slots(&mut self, f: &impl Fn(usize) -> usize) {
+        self.visit_mut(&mut |e| {
+            if let Expr::Col { slot, .. } = e {
+                *slot = f(*slot);
+            }
+        });
     }
 
     /// A copy with every slot shifted by `delta`.
@@ -250,8 +264,9 @@ impl Expr {
         e
     }
 
-    /// Every slot referenced by this expression (subquery bodies excluded —
-    /// their references are tracked by name through the protected set).
+    /// Every slot referenced by this expression (the bodies of subqueries
+    /// left in place excluded — their references are tracked by name
+    /// through the protected set).
     pub fn slots(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.visit(&mut |e| {

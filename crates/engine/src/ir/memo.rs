@@ -15,8 +15,11 @@
 //!
 //! Predicates that must not move (subqueries, constants — the same
 //! `immovable` rule the rewriter uses) stay in a filter above the
-//! region. `LEFT OUTER` joins are reorder barriers: they become region
-//! leaves, and their own inputs are optimized as independent regions.
+//! region. `LEFT OUTER`, semi and anti joins are reorder barriers: they
+//! become region leaves, and their own inputs are optimized as
+//! independent regions. A group join (what the unnesting pass makes of a
+//! correlated scalar aggregate) is an inner join against a derived table
+//! and takes part in the search like any other.
 //!
 //! Like `rewrite::prune`, every entry point returns an old→new slot
 //! mapping for its node's schema so callers can remap expressions bound
@@ -25,9 +28,9 @@
 
 use super::cost::{self, CardHints, FrameStats, SlotStat};
 use super::expr::Expr;
-use crate::plan::{BoundQuery, Plan};
+use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::storage::{ColumnData, Table};
-use sqalpel_sql::ast::{BinOp, JoinKind};
+use sqalpel_sql::ast::BinOp;
 use std::collections::BTreeMap;
 use std::mem;
 
@@ -135,11 +138,12 @@ fn optimize_plan(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         Plan::Join {
             left,
             right,
+            kind,
             equi,
             residual,
-            ..
         } => {
-            // Left-outer joins: optimize each side as its own region.
+            // Left-outer, semi and anti joins: optimize each side as its
+            // own region.
             let ml = optimize_plan(left, ctx);
             let mr = optimize_plan(right, ctx);
             for (l, r) in equi.iter_mut() {
@@ -151,6 +155,9 @@ fn optimize_plan(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             combined.extend(mr.into_iter().map(|o| o.map(|v| v + left_w)));
             if let Some(res) = residual {
                 remap(res, &combined);
+            }
+            if !kind.emits_right() {
+                combined.truncate(left_w);
             }
             combined
         }
@@ -535,17 +542,27 @@ fn leaf_estimates(plan: &Plan, width: usize, ctx: &Ctx) -> (f64, Vec<Option<Slot
 }
 
 fn scan_stats(table: &Table, live: &[usize]) -> Vec<Option<SlotStat>> {
-    live.iter()
-        .map(|&ci| {
-            table.col_stats(ci).map(|cs| {
-                let scale = match &table.columns[ci].data {
-                    ColumnData::Decimal { scale, .. } => Some(*scale),
-                    _ => None,
-                };
-                SlotStat::from_col(cs, scale)
-            })
-        })
-        .collect()
+    live.iter().map(|&ci| column_stat(table, ci)).collect()
+}
+
+fn column_stat(table: &Table, ci: usize) -> Option<SlotStat> {
+    table.col_stats(ci).map(|cs| {
+        let scale = match &table.columns[ci].data {
+            ColumnData::Decimal { scale, .. } => Some(*scale),
+            _ => None,
+        };
+        SlotStat::from_col(cs, scale)
+    })
+}
+
+/// The load-time statistic behind a join key, when the key is a bare
+/// column that reaches a stored table through filters and joins only.
+fn key_stat(p: &Plan, key: &Expr) -> Option<SlotStat> {
+    let Expr::Col { slot, .. } = key else {
+        return None;
+    };
+    let (table, column, _) = p.stored_column(*slot)?;
+    column_stat(table, column)
 }
 
 fn inorder(t: &Tree, out: &mut Vec<usize>) {
@@ -677,6 +694,18 @@ fn estimate_plan_rows(p: &Plan, ctx: &Ctx) -> f64 {
         } => {
             let l = estimate_plan_rows(left, ctx);
             let r = estimate_plan_rows(right, ctx);
+            if !kind.emits_right() {
+                // Containment on the keys; the most selective pair decides.
+                let matching = equi
+                    .iter()
+                    .map(|(lk, rk)| {
+                        let (ls, rs) = (key_stat(left, lk), key_stat(right, rk));
+                        cost::semi_selectivity(ls.as_ref(), rs.as_ref(), l, r)
+                    })
+                    .fold(1.0, f64::min);
+                let (semi, anti) = cost::semi_anti_rows(l, matching);
+                return if *kind == JoinKind::Semi { semi } else { anti };
+            }
             let out = if equi.is_empty() { l * r } else { l.max(r) };
             if *kind == JoinKind::LeftOuter {
                 out.max(l)

@@ -9,8 +9,9 @@
 //! and `ORDER BY` aliases become [`Expr::OutputCol`] references into the
 //! projected output row.
 //!
-//! On top of the IR sit the [`rewrite`] rules (fixed point, deterministic
-//! order), the cost-based join-order optimizer ([`stats`] load-time
+//! On top of the IR sit the [`unnest`] pass (subquery conjuncts become
+//! semi, anti and group joins, per block, as it is bound), the [`rewrite`]
+//! rules (fixed point, deterministic order), the cost-based join-order optimizer ([`stats`] load-time
 //! column statistics, the [`cost`] cardinality/cost estimator, the
 //! [`memo`] DP plan enumerator), and the [`explain`] renderer with its
 //! canonical, join-order-invariant plan fingerprint.
@@ -22,6 +23,7 @@ pub mod expr;
 pub mod memo;
 pub mod rewrite;
 pub mod stats;
+pub mod unnest;
 
 pub use explain::{explain, explain_analyze, explain_estimates, profile_ops, Explain};
 pub use expr::{Expr, Ty};

@@ -26,19 +26,33 @@
 //! 7. **Pushdown into CTEs** — same, but only when the CTE is scanned
 //!    exactly once in the whole tree, is not shadowed, and is not
 //!    referenced by any lazily-bound subquery.
+//! 8. **Common-conjunct factoring** — `(A ∧ X) ∨ (A ∧ Y)` becomes
+//!    `A ∧ (X ∨ Y)`, so what every branch of an `OR` demands can be
+//!    pushed down or (rule 9) hashed. TPC-H Q19 is the shape.
+//! 9. **Join-key extraction** — a filter conjunct `l = r` directly over
+//!    an inner join, with `l` on the left input and `r` on the right,
+//!    becomes a hash key of that join when the hash tables match exactly
+//!    as `=` does (same exact type, neither side nullable).
 //!
-//! Predicates containing subqueries never move (correlation binds against
-//! the environment they were planned for); predicates containing outer
-//! references never move *into* a subtree with a different local schema
-//! (outer resolution scans the local schema first).
+//! The subqueries this module meets are the ones the unnesting pass
+//! ([`super::unnest`], run per block at bind time, before these rules)
+//! left in place; the semi, anti and group joins it produced are ordinary
+//! joins here. Predicates containing a remaining subquery never move
+//! (correlation binds against the environment they were planned for);
+//! predicates containing outer references never move *into* a subtree
+//! with a different local schema (outer resolution scans the local schema
+//! first). Filters above a semi or anti join sink into its left input
+//! like through any join; their ON-residual stays put (for an anti join a
+//! failing residual *keeps* the row).
 //!
 //! After the fixed point, [`prune`] walks the tree once computing column
 //! liveness and shrinks every [`Plan::Scan`] to its live columns.
 
 use crate::ir::bind::{collect_query_names, collect_query_tables};
 use crate::ir::expr::{Expr, Ty};
-use crate::plan::{BoundQuery, OutputItem, Plan, Schema};
-use sqalpel_sql::ast::{BinOp, JoinKind, Literal, UnaryOp};
+use crate::ir::unnest;
+use crate::plan::{BoundQuery, JoinKind, OutputItem, Plan, Schema};
+use sqalpel_sql::ast::{BinOp, Literal, UnaryOp};
 use std::collections::HashSet;
 use std::mem;
 
@@ -100,9 +114,11 @@ fn rewrite_plan(p: &mut Plan, changed: &mut bool) {
         }
     }
     simplify_filter(p, changed);
+    factor_or(p, changed);
     dedup_equi(p, changed);
     push_residual_down(p, changed);
     push_through_join(p, changed);
+    extract_join_keys(p, changed);
     push_into_derived(p, changed);
 }
 
@@ -119,77 +135,12 @@ fn dummy() -> Plan {
 
 fn fold(e: &mut Expr, changed: &mut bool) {
     // Children first.
-    match e {
-        Expr::Col { .. }
-        | Expr::Outer(_)
-        | Expr::OutputCol(_)
-        | Expr::Literal(_)
-        | Expr::Bool(_)
-        | Expr::Subquery(_)
-        | Expr::Exists { .. }
-        | Expr::Wildcard => {}
-        Expr::Unary { expr, .. }
-        | Expr::Extract { expr, .. }
-        | Expr::IsNull { expr, .. }
-        | Expr::InSubquery { expr, .. } => fold(expr, changed),
-        Expr::Binary { left, right, .. } => {
-            fold(left, changed);
-            fold(right, changed);
+    e.visit_mut(&mut |node| {
+        if let Some(next) = fold_step(node) {
+            *node = next;
+            *changed = true;
         }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            fold(expr, changed);
-            fold(low, changed);
-            fold(high, changed);
-        }
-        Expr::InList { expr, list, .. } => {
-            fold(expr, changed);
-            for x in list {
-                fold(x, changed);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            fold(expr, changed);
-            fold(pattern, changed);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(o) = operand {
-                fold(o, changed);
-            }
-            for (w, t) in branches {
-                fold(w, changed);
-                fold(t, changed);
-            }
-            if let Some(x) = else_branch {
-                fold(x, changed);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                fold(a, changed);
-            }
-        }
-        Expr::Substring {
-            expr,
-            start,
-            length,
-        } => {
-            fold(expr, changed);
-            fold(start, changed);
-            if let Some(l) = length {
-                fold(l, changed);
-            }
-        }
-    }
-    if let Some(next) = fold_step(e) {
-        *e = next;
-        *changed = true;
-    }
+    });
 }
 
 /// One folding step on an already-folded node, or `None`.
@@ -336,6 +287,115 @@ fn dedup_equi(p: &mut Plan, changed: &mut bool) {
     }
 }
 
+/// Split nested `OR`s into a flat disjunct list.
+fn disjuncts(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::Binary {
+            left,
+            op: BinOp::Or,
+            right,
+        } => {
+            let mut out = disjuncts(left);
+            out.extend(disjuncts(right));
+            out
+        }
+        other => vec![other],
+    }
+}
+
+/// Pull the conjuncts shared by every branch of an `OR` conjunct out of
+/// it. Kleene logic is a distributive lattice, so `(A ∧ X) ∨ (A ∧ Y)` and
+/// `A ∧ (X ∨ Y)` agree on NULLs as well; a branch that is nothing but the
+/// shared part absorbs the whole `OR`. Conjuncts are matched by canonical
+/// rendering; subquery conjuncts are left where they are.
+fn factor_or(p: &mut Plan, changed: &mut bool) {
+    let Plan::Filter { predicate, .. } = p else {
+        return;
+    };
+    let mut out: Vec<Expr> = Vec::new();
+    let mut fired = false;
+    for c in predicate.conjuncts() {
+        let branches: Vec<Vec<&Expr>> = disjuncts(c).iter().map(|d| d.conjuncts()).collect();
+        let shared: Vec<String> = match branches.split_first() {
+            Some((first, rest)) if !rest.is_empty() => first
+                .iter()
+                .filter(|x| !x.contains_subquery())
+                .map(|x| x.to_string())
+                .filter(|s| rest.iter().all(|b| b.iter().any(|y| y.to_string() == *s)))
+                .collect(),
+            _ => Vec::new(),
+        };
+        if shared.is_empty() {
+            out.push(c.clone());
+            continue;
+        }
+        fired = true;
+        let is_shared = |x: &Expr| shared.contains(&x.to_string());
+        out.extend(branches[0].iter().filter(|x| is_shared(x)).map(|x| (*x).clone()));
+        let rests: Vec<Option<Expr>> = branches
+            .iter()
+            .map(|b| Expr::conjoin(b.iter().filter(|x| !is_shared(x)).map(|x| (*x).clone()).collect()))
+            .collect();
+        if rests.iter().all(Option::is_some) {
+            let or = rests.into_iter().flatten().reduce(|a, b| Expr::Binary {
+                left: Box::new(a),
+                op: BinOp::Or,
+                right: Box::new(b),
+            });
+            out.extend(or);
+        }
+    }
+    if fired {
+        *predicate = Expr::conjoin(out).expect("factoring keeps the shared conjuncts");
+        *changed = true;
+    }
+}
+
+/// Turn filter conjuncts `l = r` over an inner join into hash keys of the
+/// join when `l` reads the left input only and `r` the right (or the
+/// other way round). The hash tables match NULL with NULL and floats by
+/// bit pattern, so only the pairs [`unnest::split_key`] accepts (one
+/// exactly hashed type on both sides) that cannot be NULL qualify — the
+/// result stays byte-identical to the filter over the cross product, row
+/// order included.
+fn extract_join_keys(p: &mut Plan, changed: &mut bool) {
+    let Plan::Filter { input, predicate } = p else {
+        return;
+    };
+    let Plan::Join {
+        left,
+        right,
+        kind: JoinKind::Inner,
+        equi,
+        ..
+    } = &mut **input
+    else {
+        return;
+    };
+    let left_len = left.schema().len();
+    let mut stay = Vec::new();
+    let before = equi.len();
+    for c in predicate.conjuncts() {
+        match unnest::split_key(c, left_len) {
+            Some((l, r)) if unnest::non_null(&l, left) && unnest::non_null(&r, right) => {
+                equi.push((l, r));
+            }
+            _ => stay.push(c.clone()),
+        }
+    }
+    if equi.len() == before {
+        return;
+    }
+    match Expr::conjoin(stay) {
+        Some(pred) => *predicate = pred,
+        None => {
+            let inner = mem::replace(&mut **input, dummy());
+            *p = inner;
+        }
+    }
+    *changed = true;
+}
+
 /// Can this conjunct move below a join boundary at all?
 fn immovable(c: &Expr, slots: &[usize]) -> bool {
     c.contains_subquery() || slots.is_empty()
@@ -479,70 +539,12 @@ fn substituted(c: &Expr, items: &[OutputItem]) -> Expr {
 }
 
 fn replace_cols(e: &mut Expr, items: &[OutputItem]) {
-    if let Expr::Col { slot, .. } = e {
-        *e = items[*slot].expr.clone();
-        return;
-    }
-    match e {
-        Expr::Unary { expr, .. }
-        | Expr::Extract { expr, .. }
-        | Expr::IsNull { expr, .. }
-        | Expr::InSubquery { expr, .. } => replace_cols(expr, items),
-        Expr::Binary { left, right, .. } => {
-            replace_cols(left, items);
-            replace_cols(right, items);
+    // Post-order, so a substituted projection is not itself re-substituted.
+    e.visit_mut(&mut |node| {
+        if let Expr::Col { slot, .. } = node {
+            *node = items[*slot].expr.clone();
         }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            replace_cols(expr, items);
-            replace_cols(low, items);
-            replace_cols(high, items);
-        }
-        Expr::InList { expr, list, .. } => {
-            replace_cols(expr, items);
-            for x in list {
-                replace_cols(x, items);
-            }
-        }
-        Expr::Like { expr, pattern, .. } => {
-            replace_cols(expr, items);
-            replace_cols(pattern, items);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(o) = operand {
-                replace_cols(o, items);
-            }
-            for (w, t) in branches {
-                replace_cols(w, items);
-                replace_cols(t, items);
-            }
-            if let Some(x) = else_branch {
-                replace_cols(x, items);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                replace_cols(a, items);
-            }
-        }
-        Expr::Substring {
-            expr,
-            start,
-            length,
-        } => {
-            replace_cols(expr, items);
-            replace_cols(start, items);
-            if let Some(l) = length {
-                replace_cols(l, items);
-            }
-        }
-        _ => {}
-    }
+    });
 }
 
 /// Push a filter over a derived table inside it. DISTINCT is fine (the
@@ -763,8 +765,10 @@ fn cte_pushdown(bq: &mut BoundQuery, changed: &mut bool) {
 /// Projection pruning via column liveness: shrink every scan to the
 /// columns actually referenced, plus a *protected* set of names that may
 /// be reached dynamically — outer references and any column name mentioned
-/// inside a lazily-bound subquery (which may turn out to be correlated
-/// into an enclosing scan).
+/// inside a subquery left in place (bound lazily, it may turn out to be
+/// correlated into an enclosing scan). An unnested subquery is plan nodes
+/// like any other, so the build side of a semi, anti or group join keeps
+/// its key and residual columns and nothing else.
 pub fn prune(bq: &mut BoundQuery) {
     let mut protected = HashSet::new();
     collect_protected(bq, &mut protected);
@@ -906,9 +910,9 @@ fn prune_plan(
         Plan::Join {
             left,
             right,
+            kind,
             equi,
             residual,
-            ..
         } => {
             let ml = prune_plan(left, used, protected);
             let mr = prune_plan(right, used, protected);
@@ -922,6 +926,9 @@ fn prune_plan(
             combined.extend(mr.iter().map(|x| x.map(|n| n + new_left_len)));
             if let Some(rr) = residual {
                 remap(rr, &combined);
+            }
+            if !kind.emits_right() {
+                combined.truncate(ml.len());
             }
             combined
         }

@@ -8,20 +8,27 @@
 //! the schema of the plan node the expression is evaluated against, with
 //! inferred [`Ty`]s; unresolved names become explicit outer references.
 //!
-//! After binding, the rule-based rewriter (`crate::ir::rewrite`) runs to a
+//! With the rewriter on, every `SELECT` block first goes through the
+//! unnesting pass (`crate::ir::unnest`): `[NOT] EXISTS`, `[NOT] IN` and
+//! correlated scalar-aggregate conjuncts of its `WHERE` become semi, anti
+//! and group joins — plan nodes like any other, so everything below sees
+//! them. Then the rule-based rewriter (`crate::ir::rewrite`) runs to a
 //! fixed point — constant folding, predicate pushdown through joins and
 //! into derived tables/CTEs, duplicate conjunct elimination, trivial-filter
 //! elimination — followed by projection pruning, so scans materialize only
 //! live columns. Join planning itself stays deliberately simple and
 //! deterministic: relations join in `FROM` order with hash joins on the
-//! equality conjuncts that connect them. Predicates containing subqueries
-//! are never moved (their correlation needs the full row in scope).
+//! equality conjuncts that connect them. A subquery the unnesting pass
+//! left in place (its shape is outside what the pass proves equivalent,
+//! or the rewriter is off) stays opaque AST in its predicate, is bound on
+//! first evaluation, and that predicate is never moved: its correlation
+//! needs the full row in scope.
 
 use crate::error::{EngineError, EngineResult};
 use crate::ir::bind::{bind_expr, bind_order_key};
 use crate::ir::{self, Ty};
 use crate::storage::{ColumnType, Database, Table};
-use sqalpel_sql::ast::{Expr, JoinKind, Query, Select, SelectItem, TableRef};
+use sqalpel_sql::ast::{self, Expr, Query, Select, SelectItem, TableRef};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -44,6 +51,45 @@ fn ty_of(ct: ColumnType) -> Ty {
         ColumnType::Str => Ty::Str,
         ColumnType::Date => Ty::Date,
         ColumnType::Float => Ty::Float,
+    }
+}
+
+/// Plan-level join kinds. `Inner` and `LeftOuter` are what SQL can spell;
+/// `Semi` and `Anti` exist only in plans — the unnesting pass produces
+/// them from `[NOT] EXISTS` / `[NOT] IN`. Both emit each left row at most
+/// once, in probe order, with the left schema only: `Semi` the rows with
+/// at least one match (after the residual), `Anti` the rows with none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKind {
+    Inner,
+    LeftOuter,
+    Semi,
+    Anti,
+}
+
+impl JoinKind {
+    /// Whether right-side columns are part of the join's output schema.
+    pub fn emits_right(self) -> bool {
+        matches!(self, JoinKind::Inner | JoinKind::LeftOuter)
+    }
+
+    /// The operator word EXPLAIN renders after `join`.
+    pub fn name(self) -> &'static str {
+        match self {
+            JoinKind::Inner => "inner",
+            JoinKind::LeftOuter => "left outer",
+            JoinKind::Semi => "semi",
+            JoinKind::Anti => "anti",
+        }
+    }
+}
+
+impl From<ast::JoinKind> for JoinKind {
+    fn from(k: ast::JoinKind) -> Self {
+        match k {
+            ast::JoinKind::Inner => JoinKind::Inner,
+            ast::JoinKind::LeftOuter => JoinKind::LeftOuter,
+        }
     }
 }
 
@@ -76,6 +122,8 @@ pub enum Plan {
     Filter { input: Box<Plan>, predicate: ir::Expr },
     /// Join with hash keys (`equi`) and an optional residual predicate
     /// evaluated on candidate matches. Empty `equi` means a cross join.
+    /// The residual is always bound against left ++ right, also for the
+    /// kinds whose output is the left schema alone.
     Join {
         left: Box<Plan>,
         right: Box<Plan>,
@@ -111,10 +159,38 @@ impl Plan {
                 .collect(),
             Plan::Cte { schema, .. } => schema.clone(),
             Plan::Filter { input, .. } => input.schema(),
-            Plan::Join { left, right, .. } => {
+            Plan::Join {
+                left, right, kind, ..
+            } => {
                 let mut s = left.schema();
-                s.extend(right.schema());
+                if kind.emits_right() {
+                    s.extend(right.schema());
+                }
                 s
+            }
+        }
+    }
+
+    /// The stored column behind output slot `slot` — `(table, column
+    /// index, null_padded)` — when the slot reaches a scan through filters
+    /// and joins only. `null_padded` says it crossed the null-padded side
+    /// of an outer join on the way; stored columns themselves hold no
+    /// NULLs.
+    pub fn stored_column(&self, slot: usize) -> Option<(&Table, usize, bool)> {
+        match self {
+            Plan::Scan { table, live, .. } => Some((table, live[slot], false)),
+            Plan::Derived { .. } | Plan::Cte { .. } => None,
+            Plan::Filter { input, .. } => input.stored_column(slot),
+            Plan::Join {
+                left, right, kind, ..
+            } => {
+                let left_width = left.schema().len();
+                if slot < left_width {
+                    left.stored_column(slot)
+                } else {
+                    let (table, column, padded) = right.stored_column(slot - left_width)?;
+                    Some((table, column, padded || *kind == JoinKind::LeftOuter))
+                }
             }
         }
     }
@@ -150,6 +226,12 @@ pub struct BoundQuery {
     pub limit: Option<u64>,
     /// True when the query computes aggregates (with or without GROUP BY).
     pub aggregated: bool,
+    /// One line per subquery the unnesting pass left in place in this
+    /// block, saying how it will run and why (`per-row: under OR`,
+    /// `cached: uncorrelated scalar`). EXPLAIN prints them; nothing else
+    /// reads them. Filled only by `Planner::bind_explained`, and empty
+    /// when the rewriter is off.
+    pub subquery_notes: Vec<String>,
 }
 
 impl BoundQuery {
@@ -175,6 +257,10 @@ pub struct Planner<'a> {
     optimize: bool,
     /// Observed cardinalities fed back from a prior profiled run.
     hints: ir::cost::CardHints,
+    /// Group-join derived tables named so far (`$sq1`, `$sq2`, ...).
+    derived_seq: usize,
+    /// Binding for EXPLAIN: fill [`BoundQuery::subquery_notes`].
+    noting: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -185,6 +271,8 @@ impl<'a> Planner<'a> {
             rewrite: true,
             optimize: true,
             hints: ir::cost::CardHints::default(),
+            derived_seq: 0,
+            noting: false,
         }
     }
 
@@ -199,6 +287,8 @@ impl<'a> Planner<'a> {
             rewrite: true,
             optimize: true,
             hints: ir::cost::CardHints::default(),
+            derived_seq: 0,
+            noting: false,
         }
     }
 
@@ -225,8 +315,9 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Bind a parsed query, then (unless disabled) rewrite, prune and
-    /// cost-optimize it.
+    /// Bind a parsed query — unnesting each block's subquery conjuncts as
+    /// it is bound, unless the rewriter is off — then (unless disabled)
+    /// rewrite, prune and cost-optimize it.
     pub fn bind(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let mut bq = self.bind_query(q)?;
         if self.rewrite {
@@ -239,7 +330,30 @@ impl<'a> Planner<'a> {
         Ok(bq)
     }
 
-    fn bind_query(&mut self, q: &Query) -> EngineResult<BoundQuery> {
+    /// [`Self::bind`] for EXPLAIN: the same plan, with a note on every
+    /// subquery the unnesting pass left in place. Saying whether such a
+    /// body is correlated can take an extra bind of it, so plans bound to
+    /// run skip the notes.
+    pub(crate) fn bind_explained(&mut self, q: &Query) -> EngineResult<BoundQuery> {
+        self.noting = true;
+        self.bind(q)
+    }
+
+    pub(crate) fn noting(&self) -> bool {
+        self.noting
+    }
+
+    /// A binding name no SQL text can spell, for a derived table the
+    /// unnesting pass introduces.
+    pub(crate) fn fresh_derived_binding(&mut self) -> String {
+        self.derived_seq += 1;
+        format!("$sq{}", self.derived_seq)
+    }
+
+    /// Bind one query block tree without the whole-tree passes of
+    /// [`Self::bind`]. With the rewriter on, each block comes back with
+    /// its subquery conjuncts already unnested.
+    pub(crate) fn bind_query(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let cte_depth = self.ctes.len();
         let mut bound_ctes = Vec::with_capacity(q.ctes.len());
         for cte in &q.ctes {
@@ -412,7 +526,7 @@ impl<'a> Planner<'a> {
             || items.iter().any(|i| i.expr.contains_aggregate())
             || having.as_ref().is_some_and(|h| h.contains_aggregate());
 
-        Ok(BoundQuery {
+        let mut bq = BoundQuery {
             ctes,
             core: current,
             items,
@@ -422,7 +536,12 @@ impl<'a> Planner<'a> {
             order_by,
             limit: q.limit,
             aggregated,
-        })
+            subquery_notes: Vec::new(),
+        };
+        if self.rewrite {
+            ir::unnest::unnest(self, &mut bq);
+        }
+        Ok(bq)
     }
 
     fn bind_table_ref(&mut self, t: &TableRef) -> EngineResult<Plan> {
@@ -495,7 +614,7 @@ impl<'a> Planner<'a> {
                 Ok(Plan::Join {
                     left: Box::new(l),
                     right: Box::new(r),
-                    kind: *kind,
+                    kind: (*kind).into(),
                     equi,
                     residual,
                 })
@@ -715,22 +834,35 @@ mod tests {
     }
 
     #[test]
-    fn subquery_predicates_stay_residual() {
-        for b in [
-            plan_raw(
-                "select s_name from supplier \
-                 where s_suppkey in (select ps_suppkey from partsupp) and s_nationkey = 3",
-            ),
-            // The rewriter must not move subquery predicates either.
-            plan(
-                "select s_name from supplier \
-                 where s_suppkey in (select ps_suppkey from partsupp) and s_nationkey = 3",
-            ),
-        ] {
-            match &b.core {
-                Plan::Filter { predicate, .. } => assert!(predicate.contains_subquery()),
-                other => panic!("{other:?}"),
+    fn subquery_predicates_stay_residual_until_unnested() {
+        let sql = "select s_name from supplier \
+                   where s_suppkey in (select ps_suppkey from partsupp) and s_nationkey = 3";
+        // The binder keeps the conjunct, body unbound, in the top filter.
+        match &plan_raw(sql).core {
+            Plan::Filter { predicate, .. } => assert!(predicate.contains_subquery()),
+            other => panic!("{other:?}"),
+        }
+        // The full pipeline turns it into a semi join and sinks the plain
+        // conjunct below it.
+        match &plan(sql).core {
+            Plan::Join {
+                left, kind, equi, ..
+            } => {
+                assert_eq!(*kind, JoinKind::Semi);
+                assert_eq!(equi.len(), 1);
+                assert!(matches!(**left, Plan::Filter { .. }), "{left:?}");
             }
+            other => panic!("{other:?}"),
+        }
+        // A shape the unnesting pass does not take stays where it was.
+        match &plan(
+            "select s_name from supplier where s_nationkey = 3 \
+             or s_suppkey in (select ps_suppkey from partsupp)",
+        )
+        .core
+        {
+            Plan::Filter { predicate, .. } => assert!(predicate.contains_subquery()),
+            other => panic!("{other:?}"),
         }
     }
 

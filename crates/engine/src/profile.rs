@@ -16,7 +16,7 @@
 //! count conservation.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Per-node counters: everything is a sum, so shard merges commute.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -145,52 +145,95 @@ pub fn node_key<T>(node: &T) -> usize {
     node as *const T as usize
 }
 
+/// Cumulative profiled rows_out of a node's direct children — read before
+/// and after an execution, the difference is the rows the node consumed
+/// *this* time (stable under repeated executions of one bound tree).
+pub(crate) fn child_rows_out(prof: &Profiler, plan: &crate::plan::Plan) -> u64 {
+    use crate::plan::Plan;
+    match plan {
+        Plan::Scan { .. } | Plan::Derived { .. } | Plan::Cte { .. } => 0,
+        Plan::Filter { input, .. } => prof.rows_out_of(node_key(&**input)),
+        Plan::Join { left, right, .. } => {
+            prof.rows_out_of(node_key(&**left)) + prof.rows_out_of(node_key(&**right))
+        }
+    }
+}
+
 /// Distill an executed profile into cardinality hints for the optimizer.
 ///
 /// Walks the bound plan that produced `prof` (profile keys are node
 /// addresses, so it must be the *same* tree instance) and records each
 /// node's actual `rows_out` under its binding set — the join-order
 /// invariant currency [`crate::ir::cost::CardHints`] trades in. The walk
-/// is top-down and first-writer-wins, so for a leaf the topmost operator
-/// over that single binding (its filter, if any) provides the post-filter
-/// cardinality the optimizer actually wants.
+/// is top-down and first-writer-wins, which means "the topmost operator
+/// over that binding set": for a leaf its filter, if any, provides the
+/// post-filter cardinality the optimizer actually wants. A semi or anti
+/// join emits its left input's columns only and so has its left input's
+/// binding set — the hint for that set is the join's output, i.e. the
+/// rows that survived the `EXISTS`/`IN`, and the input below it gets no
+/// hint of its own.
+///
+/// A binding set names one subplan only within a block. When two
+/// unrelated subtrees carry the same set — an unnested body or a derived
+/// table that scans the table its enclosing block scans, unaliased
+/// (`from lineitem where x in (select .. from lineitem)`) — neither count
+/// describes the other, and the set gets no hint at all.
 pub fn extract_feedback(
     bq: &crate::plan::BoundQuery,
     prof: &ProfileShard,
 ) -> crate::ir::cost::CardHints {
-    let mut hints = crate::ir::cost::CardHints::default();
-    feedback_plan(&bq.core, prof, &mut hints);
-    for (_, body) in &bq.ctes {
-        feedback_plan(&body.core, prof, &mut hints);
-    }
-    hints
+    let mut walk = FeedbackWalk {
+        prof,
+        hints: crate::ir::cost::CardHints::default(),
+        spoken: BTreeSet::new(),
+    };
+    walk.query(bq);
+    walk.hints
 }
 
-fn feedback_plan(
-    p: &crate::plan::Plan,
-    prof: &ProfileShard,
-    hints: &mut crate::ir::cost::CardHints,
-) {
-    use crate::plan::Plan;
-    let bindings: Vec<String> = p.bindings().into_iter().collect();
-    if let Some(m) = prof.get(node_key(p)) {
-        if hints.get(&bindings).is_none() {
-            hints.insert(bindings, m.rows_out as f64);
+struct FeedbackWalk<'a> {
+    prof: &'a ProfileShard,
+    hints: crate::ir::cost::CardHints,
+    /// Every binding set some operator has spoken for, ambiguous ones
+    /// (dropped from `hints`) included.
+    spoken: BTreeSet<Vec<String>>,
+}
+
+impl FeedbackWalk<'_> {
+    fn query(&mut self, bq: &crate::plan::BoundQuery) {
+        for (_, body) in &bq.ctes {
+            self.query(body);
         }
+        self.plan(&bq.core, false);
     }
-    match p {
-        Plan::Filter { input, .. } => feedback_plan(input, prof, hints),
-        Plan::Join { left, right, .. } => {
-            feedback_plan(left, prof, hints);
-            feedback_plan(right, prof, hints);
-        }
-        Plan::Derived { query, .. } => {
-            for (_, body) in &query.ctes {
-                feedback_plan(&body.core, prof, hints);
+
+    /// `covered`: an operator above `p` with `p`'s binding set (a filter
+    /// over it, a semi or anti join it is the left input of) already
+    /// spoke for the set.
+    fn plan(&mut self, p: &crate::plan::Plan, covered: bool) {
+        use crate::plan::Plan;
+        let mut covered = covered;
+        if let (false, Some(m)) = (covered, self.prof.get(node_key(p))) {
+            let mut bindings: Vec<String> = p.bindings().into_iter().collect();
+            bindings.sort();
+            if self.spoken.insert(bindings.clone()) {
+                self.hints.insert(bindings, m.rows_out as f64);
+            } else {
+                self.hints.remove(&bindings);
             }
-            feedback_plan(&query.core, prof, hints);
+            covered = true;
         }
-        Plan::Scan { .. } | Plan::Cte { .. } => {}
+        match p {
+            Plan::Filter { input, .. } => self.plan(input, covered),
+            Plan::Join {
+                left, right, kind, ..
+            } => {
+                self.plan(left, covered && !kind.emits_right());
+                self.plan(right, false);
+            }
+            Plan::Derived { query, .. } => self.query(query),
+            Plan::Scan { .. } | Plan::Cte { .. } => {}
+        }
     }
 }
 

@@ -10,9 +10,14 @@
 //!    estimate. The DP compares subplans whose predicate sets grow as
 //!    joins stack up; a non-monotone estimator could rank a superset of
 //!    predicates as less selective and pick absurd orders.
+//! 3. A semi join and the anti join over the same inputs split the left
+//!    side: `0 <= est(semi) <= est(left)` and `est(semi) + est(anti) =
+//!    est(left)`, whatever the key statistics say.
 
 use proptest::prelude::*;
-use sqalpel_engine::ir::cost::{selectivity, FrameStats, SlotStat};
+use sqalpel_engine::ir::cost::{
+    selectivity, semi_anti_rows, semi_selectivity, FrameStats, SlotStat,
+};
 use sqalpel_engine::ir::{Expr, Ty};
 use sqalpel_sql::ast::{BinOp, Literal, UnaryOp};
 
@@ -170,6 +175,28 @@ proptest! {
         prop_assert!(
             both <= sa + 1e-12,
             "sel(a AND b) = {both} > sel(a) = {sa}\n a = {a}\n b = {b}"
+        );
+    }
+
+    #[test]
+    fn semi_and_anti_estimates_partition_the_left_input(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        let frame = random_frame(&mut g, 2);
+        // Row counts from empty to large, sometimes fractional (they are
+        // estimates themselves).
+        let left_rows = g.below(1_000_000) as f64 / (1 + g.below(4)) as f64;
+        let right_rows = g.below(1_000_000) as f64 / (1 + g.below(4)) as f64;
+        let sel = semi_selectivity(frame.slot(0), frame.slot(1), left_rows, right_rows);
+        prop_assert!((0.0..=1.0).contains(&sel), "match selectivity {sel} out of [0,1]");
+        let (semi, anti) = semi_anti_rows(left_rows, sel);
+        prop_assert!(
+            0.0 <= semi && semi <= left_rows,
+            "semi estimate {semi} outside [0, {left_rows}]"
+        );
+        prop_assert!(0.0 <= anti, "anti estimate {anti} is negative");
+        prop_assert!(
+            (semi + anti - left_rows).abs() <= 1e-9 * left_rows.max(1.0),
+            "semi {semi} + anti {anti} != left {left_rows}"
         );
     }
 }

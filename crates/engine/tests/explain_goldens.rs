@@ -89,6 +89,42 @@ fn ssb_explain_matches_goldens() {
     check_flight(db, &sqalpel_sql::ssb::all_queries());
 }
 
+/// The ratchet behind the unnesting pass: no TPC-H query evaluates a
+/// subquery per outer row any more. The subqueries still in place are the
+/// uncorrelated scalars of Q11, Q15 and Q22, each evaluated once and
+/// cached — listed here so a new one is a conscious decision.
+#[test]
+fn no_tpch_plan_runs_a_subquery_per_row() {
+    let row = RowStore::new(Arc::new(Database::tpch(0.001, 42)));
+    let mut in_place = Vec::new();
+    for (name, sql) in sqalpel_sql::tpch::all_queries() {
+        let text = row.explain(sql).unwrap().text;
+        for line in text.lines().map(str::trim_start) {
+            let Some(note) = line.strip_prefix("subquery ") else {
+                continue;
+            };
+            assert!(
+                !note.starts_with("per-row"),
+                "{name} evaluates a subquery per outer row:\n{text}"
+            );
+            let how = note.split(" -- ").next().unwrap_or(note);
+            in_place.push(format!("{name} {how}"));
+        }
+        // Nothing opaque may hide without a note either.
+        let opaque = text.matches("(SELECT ").count();
+        let noted = text.lines().filter(|l| l.trim_start().starts_with("subquery ")).count();
+        assert_eq!(opaque, noted, "{name}: a subquery without a note:\n{text}");
+    }
+    assert_eq!(
+        in_place,
+        [
+            "Q11 cached: uncorrelated scalar (in HAVING)",
+            "Q15 cached: uncorrelated scalar",
+            "Q22 cached: uncorrelated scalar",
+        ]
+    );
+}
+
 #[test]
 fn goldens_cover_the_whole_flight() {
     // 22 TPC-H + 8 SSB golden files, no strays.

@@ -148,3 +148,39 @@ fn plan_goldens_cover_the_slice() {
     expected.sort();
     assert_eq!(files, expected);
 }
+
+/// Feedback is keyed by binding set, and a set names one subplan only
+/// within a block: an unnested `IN` body that scans the table its
+/// enclosing block scans, unaliased, shares `{lineitem}` with the outer
+/// leaf and with the semi join above both. No count may be handed from
+/// one to the other — the set gets no hint and the reoptimized plan keeps
+/// its statistics-based estimates. With aliases the sets differ and the
+/// semi join's estimate converges on what it emitted.
+#[test]
+fn colliding_binding_sets_get_no_feedback() {
+    let db = Arc::new(Database::tpch(0.001, 42));
+    let row = RowStore::new(db).with_threads(1);
+    let estimates = |text: &str| -> Vec<String> {
+        text.match_indices("est_rows=")
+            .map(|(at, _)| text[at..].chars().take_while(|c| *c != ')').collect())
+            .collect()
+    };
+    let (cold, warm) = row
+        .explain_adaptive(
+            "select count(*) from lineitem where l_quantity < 3 and l_orderkey in \
+             (select l_orderkey from lineitem where l_quantity > 45)",
+        )
+        .unwrap();
+    assert!(cold.text.contains("join semi"), "{}", cold.text);
+    assert_eq!(estimates(&cold.text), estimates(&warm.text), "{}", warm.text);
+
+    let (cold, warm) = row
+        .explain_adaptive(
+            "select count(*) from lineitem l1 where l1.l_quantity < 3 and l1.l_orderkey in \
+             (select l2.l_orderkey from lineitem l2 where l2.l_quantity > 45)",
+        )
+        .unwrap();
+    assert!(!cold.text.contains("join semi on #0 = #0 (est_rows=64)"), "{}", cold.text);
+    assert!(warm.text.contains("join semi on #0 = #0 (est_rows=64)"), "{}", warm.text);
+    assert!(warm.text.contains("filter (#1 > 45) (est_rows=606)"), "{}", warm.text);
+}
