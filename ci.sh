@@ -84,16 +84,29 @@ cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # monotonicity, semi + anti estimates partition the left input) under
 # random predicates and degenerate statistics.
 cargo test -q --release -p sqalpel-engine --test cost_props
+# Thread invariance where a partitioned or per-chunk kernel could
+# diverge from one worker: skewed groups, join extremes, budget
+# exhaustion, and a predicate that fails on one row of one chunk (same
+# error at every worker count, conjunct order respected).
+cargo test -q --release -p sqalpel-engine --test parallel_adversarial
 # Profiling must be observation-only: both flights, both engines, 1 and 4
 # workers, profiler on vs off — identical results and row counts.
 cargo test -q --release -p sqalpel-engine --test metrics_invariance
 # The merge algebra under the profiler and the metrics histograms.
 cargo test -q --release -p sqalpel-engine --test profile_props
 cargo test -q --release -p sqalpel-core --test metrics_props
+# Prepared expressions are unobservable: same values bit for bit and same
+# errors as the per-row tree walk they replaced (kept there as the
+# oracle), erroring constants only where evaluation reaches them, and
+# compiled LIKE patterns against the old char-vector matcher.
+cargo test -q --release -p sqalpel-engine --test eval_props
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
-# skipped chunk must hold no qualifying row, checked against raw data).
+# skipped chunk must hold no qualifying row, checked against raw data —
+# also end to end through the row engine's scan front end, and a
+# `date ± interval` bound must prune what its folded literal prunes).
 cargo test -q --release -p sqalpel-engine --test storage_props
-# Selection-vector filters and dict probes must stay allocation-lean.
+# Selection-vector filters, dict probes and the row engine's scan ->
+# filter -> join -> group pipeline must stay allocation-lean.
 cargo test -q --release -p sqalpel-engine --test alloc_discipline
 # Clippy over the whole workspace, including the ir module (bind/rewrite/
 # explain) that both engines now lower from.

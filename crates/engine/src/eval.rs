@@ -1,14 +1,24 @@
 //! Row-level expression evaluation, shared by both engines.
 //!
-//! Evaluation happens against an [`Env`] — a schema/row pair chained to an
-//! optional outer environment, which is how correlated subqueries see the
-//! enclosing row (SQL's innermost-first scoping). Subqueries are executed
-//! through the [`SubqueryRunner`] callback so each engine runs nested
-//! queries with its own executor. Only the subqueries the plan-time
-//! unnesting pass left in place get here; [`run_subquery`] — the one
-//! implementation behind both runners — binds such a body on first use,
-//! finds out then whether it is correlated, and caches the result of an
-//! uncorrelated one for the rest of the execution.
+//! An operator lowers each [`Expr`] once into a [`Prepared`] expression
+//! and evaluates that per row: preparation resolves names, converts
+//! literals, compiles constant `LIKE` patterns and evaluates every
+//! column-free subtree — with this same evaluator, in the operator's
+//! [`ArithMode`] — so the row loop neither parses, nor clones a constant,
+//! nor recomputes `DATE '1998-12-01' - INTERVAL '90' DAY`. There is one
+//! evaluator: the row engine's operators, the column engine's row-wise
+//! fallbacks and the zone-map bounds of both go through it.
+//!
+//! Evaluation happens in a [`Scope`] — the schema of the operator's input
+//! and the enclosing row, if any — which is how correlated subqueries see
+//! the row they run for (SQL's innermost-first scoping; [`Env`] is that
+//! chain of rows). Subqueries are executed through the
+//! [`SubqueryRunner`] callback so each engine runs nested queries with
+//! its own executor. Only the subqueries the plan-time unnesting pass
+//! left in place get here; [`run_subquery`] — the one implementation
+//! behind both runners — binds such a body on first use, finds out then
+//! whether it is correlated, and caches the result of an uncorrelated one
+//! for the rest of the execution.
 //!
 //! The evaluator implements SQL three-valued logic: comparisons over NULL
 //! yield NULL, `AND`/`OR` follow Kleene semantics, and filters treat NULL
@@ -18,8 +28,9 @@ use crate::error::{EngineError, EngineResult};
 use crate::ir::{Expr, Ty};
 use crate::plan::{BoundQuery, Planner, Schema};
 use crate::storage::Database;
-use crate::value::{self, ArithMode, Key, Value};
+use crate::value::{self, pow10, ArithMode, Key, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, Query, UnaryOp};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -33,40 +44,11 @@ pub struct Env<'a> {
     pub outer: Option<&'a Env<'a>>,
 }
 
-impl<'a> Env<'a> {
-    pub fn new(schema: &'a Schema, row: &'a [Value]) -> Self {
-        Env {
-            schema,
-            row,
-            outer: None,
-        }
-    }
-
-    pub fn with_outer(schema: &'a Schema, row: &'a [Value], outer: &'a Env<'a>) -> Self {
-        Env {
-            schema,
-            row,
-            outer: Some(outer),
-        }
-    }
-
+impl Env<'_> {
     /// Resolve a column reference: innermost scope first, ambiguity is an
     /// error within a scope, unresolved names climb to the outer scope.
     pub fn resolve(&self, col: &sqalpel_sql::ColumnRef) -> EngineResult<Value> {
-        let mut hit: Option<usize> = None;
-        for (i, meta) in self.schema.iter().enumerate() {
-            let matches = match &col.table {
-                Some(t) => meta.binding == *t && meta.name == col.column,
-                None => meta.name == col.column,
-            };
-            if matches {
-                if hit.is_some() {
-                    return Err(EngineError::AmbiguousColumn(col.to_string()));
-                }
-                hit = Some(i);
-            }
-        }
-        match hit {
+        match find_column(self.schema, col)? {
             Some(i) => Ok(self.row[i].clone()),
             None => match self.outer {
                 Some(outer) => outer.resolve(col),
@@ -74,6 +56,25 @@ impl<'a> Env<'a> {
             },
         }
     }
+}
+
+/// The slot `col` names in `schema`: `None` when no column matches, an
+/// error when more than one does.
+fn find_column(schema: &Schema, col: &sqalpel_sql::ColumnRef) -> EngineResult<Option<usize>> {
+    let mut hit: Option<usize> = None;
+    for (i, meta) in schema.iter().enumerate() {
+        let matches = match &col.table {
+            Some(t) => meta.binding == *t && meta.name == col.column,
+            None => meta.name == col.column,
+        };
+        if matches {
+            if hit.is_some() {
+                return Err(EngineError::AmbiguousColumn(col.to_string()));
+            }
+            hit = Some(i);
+        }
+    }
+    Ok(hit)
 }
 
 /// Materialized result rows.
@@ -167,29 +168,14 @@ pub(crate) fn run_subquery(
     }
 }
 
-/// Computed aggregate values for post-grouping expression evaluation:
-/// parallel arrays of spec keys and their per-group results.
-pub struct AggValues<'a> {
-    pub keys: &'a [String],
-    pub values: &'a [Value],
-}
-
-impl AggValues<'_> {
-    fn lookup(&self, key: &str) -> Option<Value> {
-        self.keys
-            .iter()
-            .position(|k| k == key)
-            .map(|i| self.values[i].clone())
-    }
-}
-
 /// Everything evaluation needs besides the row itself.
 pub struct EvalCtx<'a> {
     pub runner: &'a dyn SubqueryRunner,
     pub mode: ArithMode,
     /// Present when evaluating post-aggregation expressions (select items
-    /// over groups, HAVING).
-    pub aggs: Option<&'a AggValues<'a>>,
+    /// over groups, HAVING): the group's aggregate results, in the order
+    /// of the keys the expression was prepared with.
+    pub aggs: Option<&'a [Value]>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -201,7 +187,7 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    pub fn with_aggs(&self, aggs: &'a AggValues<'a>) -> EvalCtx<'a> {
+    pub fn with_aggs(&self, aggs: &'a [Value]) -> EvalCtx<'a> {
         EvalCtx {
             runner: self.runner,
             mode: self.mode,
@@ -210,169 +196,612 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-/// Evaluate an expression to a [`Value`].
-pub fn eval(e: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> EngineResult<Value> {
-    match e {
-        Expr::Col { slot, .. } => Ok(env.row[*slot].clone()),
-        // An outer reference still resolves through the full environment
-        // chain (local schema first) so unresolved and ambiguous names
-        // error exactly as they did pre-IR.
-        Expr::Outer(c) => env.resolve(c),
-        Expr::OutputCol(_) => Err(EngineError::Unsupported(
-            "output-column reference outside ORDER BY".into(),
-        )),
-        Expr::Bool(b) => Ok(Value::Bool(*b)),
-        Expr::Literal(l) => literal(l),
-        Expr::Wildcard => Err(EngineError::Type("bare * outside count(*)".into())),
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, env, ctx)?;
-            match op {
-                UnaryOp::Neg => value::negate(&v, ctx.mode),
-                UnaryOp::Not => Ok(match v {
-                    Value::Null => Value::Null,
-                    Value::Bool(b) => Value::Bool(!b),
-                    other => {
-                        return Err(EngineError::Type(format!(
-                            "NOT requires boolean, got {}",
-                            other.type_name()
-                        )))
-                    }
+/// Where a prepared expression runs: the schema its slots index and the
+/// enclosing row, if any. Both are fixed for as long as an operator
+/// lives, which is what lets [`Prepared`] resolve names and hoist
+/// constants once.
+#[derive(Clone, Copy)]
+pub struct Scope<'a> {
+    pub schema: &'a Schema,
+    pub outer: Option<&'a Env<'a>>,
+}
+
+/// The runner for expressions that hold no subquery: the column-free
+/// subtrees constants are folded from, and the predicates a scan decides
+/// on worker threads.
+pub(crate) struct NoSubqueries;
+
+impl SubqueryRunner for NoSubqueries {
+    fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
+        Err(EngineError::Unsupported(
+            "subquery where none can be evaluated".into(),
+        ))
+    }
+}
+
+/// An expression lowered once per operator, evaluated once per row.
+///
+/// Preparing does everything that does not depend on the row: literals
+/// are converted, names (outer references, aggregate calls) are resolved
+/// to positions, constant `LIKE` patterns are compiled, and every
+/// column-free subtree is evaluated — by this same evaluator, in the
+/// caller's [`ArithMode`], so the value is bit for bit what the row loop
+/// would have computed. A subtree whose evaluation *fails* is left in
+/// place: SQL raises an error only if evaluation reaches it (`false AND
+/// 1/0 = 1`, an unmatched `CASE` arm, an empty input), and so does this.
+/// Evaluation reads column operands by reference and clones only what it
+/// returns.
+pub struct Prepared<'a> {
+    node: Node<'a>,
+    scope: Scope<'a>,
+}
+
+enum Node<'a> {
+    Const(Value),
+    Col(usize),
+    /// Raised if evaluation gets here: unresolved or ambiguous names,
+    /// unsupported functions, aggregates outside an aggregation.
+    Fail(EngineError),
+    Neg(Box<Node<'a>>),
+    Not(Box<Node<'a>>),
+    And(Box<Node<'a>>, Box<Node<'a>>),
+    Or(Box<Node<'a>>, Box<Node<'a>>),
+    /// Arithmetic and comparison operators.
+    Binary(BinOp, Box<Node<'a>>, Box<Node<'a>>),
+    Between {
+        expr: Box<Node<'a>>,
+        negated: bool,
+        low: Box<Node<'a>>,
+        high: Box<Node<'a>>,
+    },
+    InList {
+        expr: Box<Node<'a>>,
+        negated: bool,
+        list: Vec<Node<'a>>,
+    },
+    InSubquery {
+        expr: Box<Node<'a>>,
+        negated: bool,
+        query: &'a Query,
+    },
+    Exists {
+        negated: bool,
+        query: &'a Query,
+    },
+    Like {
+        expr: Box<Node<'a>>,
+        negated: bool,
+        pattern: Box<Node<'a>>,
+    },
+    /// `LIKE` against a constant string, compiled.
+    LikeConst {
+        expr: Box<Node<'a>>,
+        negated: bool,
+        pattern: LikePattern,
+    },
+    IsNull {
+        expr: Box<Node<'a>>,
+        negated: bool,
+    },
+    Case {
+        operand: Option<Box<Node<'a>>>,
+        branches: Vec<(Node<'a>, Node<'a>)>,
+        else_branch: Option<Box<Node<'a>>>,
+    },
+    /// Position in [`EvalCtx::aggs`].
+    Agg(usize),
+    Extract {
+        field: IntervalUnit,
+        expr: Box<Node<'a>>,
+    },
+    Substring {
+        expr: Box<Node<'a>>,
+        start: Box<Node<'a>>,
+        length: Option<Box<Node<'a>>>,
+    },
+    Subquery(&'a Query),
+}
+
+/// A conjunct that tests one column against constants — the shape zone
+/// maps can bound and a scan can decide on stored values.
+pub(crate) enum ColTest<'p> {
+    /// `col op value`, mirrored if the constant stood on the left.
+    Cmp {
+        slot: usize,
+        op: BinOp,
+        value: &'p Value,
+    },
+    /// `col BETWEEN low AND high`, not negated.
+    Between {
+        slot: usize,
+        low: &'p Value,
+        high: &'p Value,
+    },
+    /// `col [NOT] LIKE 'pattern'`.
+    Like {
+        slot: usize,
+        negated: bool,
+        pattern: &'p LikePattern,
+    },
+}
+
+/// Mirror a comparison across `const op col` → `col op' const`.
+fn flip_cmp(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::LtEq => BinOp::GtEq,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::GtEq => BinOp::LtEq,
+        other => other,
+    }
+}
+
+impl<'a> Prepared<'a> {
+    /// Lower `e` for evaluation in `scope`. `agg_keys` names the
+    /// aggregates [`EvalCtx::aggs`] will carry, in order (empty outside
+    /// an aggregation). Never fails: whatever cannot be resolved becomes
+    /// an error raised when evaluation reaches it.
+    pub fn new(e: &'a Expr, scope: Scope<'a>, mode: ArithMode, agg_keys: &[String]) -> Self {
+        Prepared {
+            node: Node::lower(e, scope, mode, agg_keys),
+            scope,
+        }
+    }
+
+    /// Evaluate to a value the caller owns.
+    pub fn eval(&self, row: &[Value], ctx: &EvalCtx<'_>) -> EngineResult<Value> {
+        self.eval_ref(row, ctx).map(Cow::into_owned)
+    }
+
+    /// Evaluate without cloning a bare column or constant.
+    pub fn eval_ref<'r>(
+        &'r self,
+        row: &'r [Value],
+        ctx: &EvalCtx<'r>,
+    ) -> EngineResult<Cow<'r, Value>> {
+        self.node.ev(row, self.scope, ctx)
+    }
+
+    /// Evaluate as one conjunct of a conjunction: NULL is `None`.
+    pub fn truth(&self, row: &[Value], ctx: &EvalCtx<'_>) -> EngineResult<Option<bool>> {
+        truth(&*self.eval_ref(row, ctx)?)
+    }
+
+    /// Evaluate as a predicate; NULL counts as false (SQL WHERE
+    /// semantics).
+    pub fn filter(&self, row: &[Value], ctx: &EvalCtx<'_>) -> EngineResult<bool> {
+        match &*self.eval_ref(row, ctx)? {
+            Value::Bool(b) => Ok(*b),
+            Value::Null => Ok(false),
+            other => Err(EngineError::Type(format!(
+                "filter must be boolean, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// The column-against-constants shape of this expression, if it has
+    /// one. Constants are what preparation made of them, so `date ±
+    /// interval` bounds and outer references qualify.
+    pub(crate) fn col_test(&self) -> Option<ColTest<'_>> {
+        match &self.node {
+            Node::Binary(op, l, r) if op.is_comparison() => match (&**l, &**r) {
+                (Node::Col(slot), Node::Const(value)) => Some(ColTest::Cmp {
+                    slot: *slot,
+                    op: *op,
+                    value,
                 }),
-            }
-        }
-        Expr::Binary { left, op, right } => binary(left, *op, right, env, ctx),
-        Expr::Between {
-            expr,
-            negated,
-            low,
-            high,
-        } => {
-            let v = eval(expr, env, ctx)?;
-            let lo = eval(low, env, ctx)?;
-            let hi = eval(high, env, ctx)?;
-            let ge = compare_tv(&v, &lo, BinOp::GtEq)?;
-            let le = compare_tv(&v, &hi, BinOp::LtEq)?;
-            let b = kleene_and(ge, le);
-            Ok(negate_tv(b, *negated))
-        }
-        Expr::InList {
-            expr,
-            negated,
-            list,
-        } => {
-            let v = eval(expr, env, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let iv = eval(item, env, ctx)?;
-                if value::group_eq(&v, &iv) {
-                    found = true;
-                    break;
+                (Node::Const(value), Node::Col(slot)) => Some(ColTest::Cmp {
+                    slot: *slot,
+                    op: flip_cmp(*op),
+                    value,
+                }),
+                _ => None,
+            },
+            Node::Between {
+                expr,
+                negated: false,
+                low,
+                high,
+            } => match (&**expr, &**low, &**high) {
+                (Node::Col(slot), Node::Const(low), Node::Const(high)) => {
+                    Some(ColTest::Between {
+                        slot: *slot,
+                        low,
+                        high,
+                    })
                 }
+                _ => None,
+            },
+            Node::LikeConst {
+                expr,
+                negated,
+                pattern,
+            } => match &**expr {
+                Node::Col(slot) => Some(ColTest::Like {
+                    slot: *slot,
+                    negated: *negated,
+                    pattern,
+                }),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// The `(slot, op, constant)` bounds this conjunct puts on a column —
+    /// what zone maps are tested against.
+    pub(crate) fn col_bounds(&self) -> Vec<(usize, BinOp, &Value)> {
+        match self.col_test() {
+            Some(ColTest::Cmp { slot, op, value }) => vec![(slot, op, value)],
+            Some(ColTest::Between { slot, low, high }) => {
+                vec![(slot, BinOp::GtEq, low), (slot, BinOp::LtEq, high)]
             }
-            Ok(Value::Bool(found != *negated))
+            _ => Vec::new(),
         }
-        Expr::InSubquery {
-            expr,
-            negated,
-            query,
-        } => {
-            let v = eval(expr, env, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let rows = ctx.runner.run_subquery(query, env)?;
-            let mut found = false;
-            for row in rows.iter() {
-                let cell = row
-                    .first()
-                    .ok_or_else(|| EngineError::Type("IN subquery with no columns".into()))?;
-                if value::group_eq(&v, cell) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *negated))
-        }
-        Expr::Exists { negated, query } => {
-            let rows = ctx.runner.run_subquery(query, env)?;
-            Ok(Value::Bool(rows.is_empty() == *negated))
-        }
-        Expr::Like {
-            expr,
-            negated,
-            pattern,
-        } => {
-            let v = eval(expr, env, ctx)?;
-            let p = eval(pattern, env, ctx)?;
-            match (&v, &p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Str(s), Value::Str(pat)) => {
-                    Ok(Value::Bool(value::like_match(s, pat) != *negated))
-                }
-                _ => Err(EngineError::Type(format!(
-                    "LIKE requires strings, got {} and {}",
-                    v.type_name(),
-                    p.type_name()
-                ))),
-            }
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, env, ctx)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            let op_val = operand
-                .as_ref()
-                .map(|o| eval(o, env, ctx))
-                .transpose()?;
-            for (when, then) in branches {
-                let hit = match &op_val {
-                    Some(ov) => {
-                        let wv = eval(when, env, ctx)?;
-                        value::group_eq(ov, &wv)
+    }
+}
+
+impl<'a> Node<'a> {
+    fn lower(e: &'a Expr, scope: Scope<'a>, mode: ArithMode, agg_keys: &[String]) -> Node<'a> {
+        let sub = |x: &'a Expr| Box::new(Node::lower(x, scope, mode, agg_keys));
+        let node = match e {
+            Expr::Col { slot, .. } => Node::Col(*slot),
+            Expr::Outer(c) => resolve_outer(c, scope),
+            Expr::OutputCol(_) => Node::Fail(EngineError::Unsupported(
+                "output-column reference outside ORDER BY".into(),
+            )),
+            Expr::Bool(b) => Node::Const(Value::Bool(*b)),
+            Expr::Literal(l) => match literal(l) {
+                Ok(v) => Node::Const(v),
+                Err(e) => Node::Fail(e),
+            },
+            Expr::Wildcard => Node::Fail(EngineError::Type("bare * outside count(*)".into())),
+            Expr::Unary { op, expr } => match op {
+                UnaryOp::Neg => Node::Neg(sub(expr)),
+                UnaryOp::Not => Node::Not(sub(expr)),
+            },
+            Expr::Binary { left, op, right } => match op {
+                BinOp::And => Node::And(sub(left), sub(right)),
+                BinOp::Or => Node::Or(sub(left), sub(right)),
+                op => Node::Binary(*op, sub(left), sub(right)),
+            },
+            Expr::Between {
+                expr,
+                negated,
+                low,
+                high,
+            } => Node::Between {
+                expr: sub(expr),
+                negated: *negated,
+                low: sub(low),
+                high: sub(high),
+            },
+            Expr::InList {
+                expr,
+                negated,
+                list,
+            } => Node::InList {
+                expr: sub(expr),
+                negated: *negated,
+                list: list
+                    .iter()
+                    .map(|x| Node::lower(x, scope, mode, agg_keys))
+                    .collect(),
+            },
+            Expr::InSubquery {
+                expr,
+                negated,
+                query,
+            } => Node::InSubquery {
+                expr: sub(expr),
+                negated: *negated,
+                query,
+            },
+            Expr::Exists { negated, query } => Node::Exists {
+                negated: *negated,
+                query,
+            },
+            Expr::Like {
+                expr,
+                negated,
+                pattern,
+            } => match *sub(pattern) {
+                Node::Const(Value::Str(p)) => Node::LikeConst {
+                    expr: sub(expr),
+                    negated: *negated,
+                    pattern: LikePattern::new(&p),
+                },
+                pattern => Node::Like {
+                    expr: sub(expr),
+                    negated: *negated,
+                    pattern: Box::new(pattern),
+                },
+            },
+            Expr::IsNull { expr, negated } => Node::IsNull {
+                expr: sub(expr),
+                negated: *negated,
+            },
+            Expr::Case {
+                operand,
+                branches,
+                else_branch,
+            } => Node::Case {
+                operand: operand.as_deref().map(sub),
+                branches: branches
+                    .iter()
+                    .map(|(w, t)| {
+                        (
+                            Node::lower(w, scope, mode, agg_keys),
+                            Node::lower(t, scope, mode, agg_keys),
+                        )
+                    })
+                    .collect(),
+                else_branch: else_branch.as_deref().map(sub),
+            },
+            Expr::Function {
+                name,
+                distinct,
+                args,
+            } => {
+                if sqalpel_sql::ast::is_aggregate(name) {
+                    let key = agg_key(name, *distinct, args.first());
+                    match agg_keys.iter().position(|k| *k == key) {
+                        Some(i) => Node::Agg(i),
+                        None => Node::Fail(EngineError::Type(format!(
+                            "aggregate {name} used outside aggregation context"
+                        ))),
                     }
-                    None => matches!(eval(when, env, ctx)?, Value::Bool(true)),
-                };
-                if hit {
-                    return eval(then, env, ctx);
+                } else {
+                    Node::Fail(EngineError::Unsupported(format!("function {name}")))
                 }
             }
-            match else_branch {
-                Some(e) => eval(e, env, ctx),
-                None => Ok(Value::Null),
-            }
+            Expr::Extract { field, expr } => Node::Extract {
+                field: *field,
+                expr: sub(expr),
+            },
+            Expr::Substring {
+                expr,
+                start,
+                length,
+            } => Node::Substring {
+                expr: sub(expr),
+                start: sub(start),
+                length: length.as_deref().map(sub),
+            },
+            Expr::Subquery(q) => Node::Subquery(q),
+        };
+        node.hoisted(scope, mode)
+    }
+
+    /// Replace a node whose operands are all constants by its value,
+    /// unless evaluating it fails.
+    fn hoisted(self, scope: Scope<'a>, mode: ArithMode) -> Node<'a> {
+        fn is_const(n: &Node<'_>) -> bool {
+            matches!(n, Node::Const(_))
         }
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => {
-            if sqalpel_sql::ast::is_aggregate(name) {
-                let key = agg_key(name, *distinct, args.first());
-                match ctx.aggs.and_then(|a| a.lookup(&key)) {
-                    Some(v) => Ok(v),
-                    None => Err(EngineError::Type(format!(
-                        "aggregate {name} used outside aggregation context"
+        let column_free = match &self {
+            Node::Const(_)
+            | Node::Col(_)
+            | Node::Fail(_)
+            | Node::Agg(_)
+            | Node::InSubquery { .. }
+            | Node::Exists { .. }
+            | Node::Subquery(_) => false,
+            Node::Neg(x) | Node::Not(x) => is_const(x),
+            Node::And(l, r) | Node::Or(l, r) | Node::Binary(_, l, r) => is_const(l) && is_const(r),
+            Node::Between {
+                expr, low, high, ..
+            } => is_const(expr) && is_const(low) && is_const(high),
+            Node::InList { expr, list, .. } => is_const(expr) && list.iter().all(is_const),
+            Node::Like { expr, pattern, .. } => is_const(expr) && is_const(pattern),
+            Node::LikeConst { expr, .. }
+            | Node::IsNull { expr, .. }
+            | Node::Extract { expr, .. } => is_const(expr),
+            Node::Case {
+                operand,
+                branches,
+                else_branch,
+            } => {
+                operand.as_deref().is_none_or(is_const)
+                    && branches.iter().all(|(w, t)| is_const(w) && is_const(t))
+                    && else_branch.as_deref().is_none_or(is_const)
+            }
+            Node::Substring {
+                expr,
+                start,
+                length,
+            } => is_const(expr) && is_const(start) && length.as_deref().is_none_or(is_const),
+        };
+        if !column_free {
+            return self;
+        }
+        let ctx = EvalCtx::new(&NoSubqueries, mode);
+        let value = self.ev(&[], scope, &ctx).map(Cow::into_owned);
+        match value {
+            Ok(v) => Node::Const(v),
+            Err(_) => self,
+        }
+    }
+
+    fn ev<'r>(
+        &'r self,
+        row: &'r [Value],
+        scope: Scope<'r>,
+        ctx: &EvalCtx<'r>,
+    ) -> EngineResult<Cow<'r, Value>> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
+        match self {
+            Node::Const(v) => Ok(Cow::Borrowed(v)),
+            Node::Col(slot) => Ok(Cow::Borrowed(&row[*slot])),
+            Node::Fail(e) => Err(e.clone()),
+            Node::Neg(x) => owned(value::negate(&*x.ev(row, scope, ctx)?, ctx.mode)?),
+            Node::Not(x) => owned(match &*x.ev(row, scope, ctx)? {
+                Value::Null => Value::Null,
+                Value::Bool(b) => Value::Bool(!b),
+                other => {
+                    return Err(EngineError::Type(format!(
+                        "NOT requires boolean, got {}",
+                        other.type_name()
+                    )))
+                }
+            }),
+            // Kleene short-circuit for the boolean connectives.
+            Node::And(l, r) => {
+                let l = truth(&*l.ev(row, scope, ctx)?)?;
+                if l == Some(false) {
+                    return owned(Value::Bool(false));
+                }
+                let r = truth(&*r.ev(row, scope, ctx)?)?;
+                owned(tv(kleene_and(l, r)))
+            }
+            Node::Or(l, r) => {
+                let l = truth(&*l.ev(row, scope, ctx)?)?;
+                if l == Some(true) {
+                    return owned(Value::Bool(true));
+                }
+                let r = truth(&*r.ev(row, scope, ctx)?)?;
+                owned(tv(kleene_or(l, r)))
+            }
+            Node::Binary(op, l, r) => {
+                let lv = l.ev(row, scope, ctx)?;
+                let rv = r.ev(row, scope, ctx)?;
+                owned(match op {
+                    BinOp::Plus => value::add(&lv, &rv, ctx.mode)?,
+                    BinOp::Minus => value::sub(&lv, &rv, ctx.mode)?,
+                    BinOp::Mul => value::mul(&lv, &rv, ctx.mode)?,
+                    BinOp::Div => value::div(&lv, &rv, ctx.mode)?,
+                    BinOp::Mod => value::rem(&lv, &rv)?,
+                    BinOp::Concat => value::concat(&lv, &rv)?,
+                    cmp => tv(compare_tv(&lv, &rv, *cmp)?),
+                })
+            }
+            Node::Between {
+                expr,
+                negated,
+                low,
+                high,
+            } => {
+                let v = expr.ev(row, scope, ctx)?;
+                let lo = low.ev(row, scope, ctx)?;
+                let hi = high.ev(row, scope, ctx)?;
+                let ge = compare_tv(&v, &lo, BinOp::GtEq)?;
+                let le = compare_tv(&v, &hi, BinOp::LtEq)?;
+                owned(negate_tv(kleene_and(ge, le), *negated))
+            }
+            Node::InList {
+                expr,
+                negated,
+                list,
+            } => {
+                let v = expr.ev(row, scope, ctx)?;
+                if v.is_null() {
+                    return owned(Value::Null);
+                }
+                let mut found = false;
+                for item in list {
+                    if value::group_eq(&v, &*item.ev(row, scope, ctx)?) {
+                        found = true;
+                        break;
+                    }
+                }
+                owned(Value::Bool(found != *negated))
+            }
+            Node::InSubquery {
+                expr,
+                negated,
+                query,
+            } => {
+                let v = expr.ev(row, scope, ctx)?;
+                if v.is_null() {
+                    return owned(Value::Null);
+                }
+                let rows = ctx.runner.run_subquery(query, &scope.env(row))?;
+                let mut found = false;
+                for r in rows.iter() {
+                    let cell = r
+                        .first()
+                        .ok_or_else(|| EngineError::Type("IN subquery with no columns".into()))?;
+                    if value::group_eq(&v, cell) {
+                        found = true;
+                        break;
+                    }
+                }
+                owned(Value::Bool(found != *negated))
+            }
+            Node::Exists { negated, query } => {
+                let rows = ctx.runner.run_subquery(query, &scope.env(row))?;
+                owned(Value::Bool(rows.is_empty() == *negated))
+            }
+            Node::Like {
+                expr,
+                negated,
+                pattern,
+            } => {
+                let v = expr.ev(row, scope, ctx)?;
+                let p = pattern.ev(row, scope, ctx)?;
+                match (&*v, &*p) {
+                    (Value::Null, _) | (_, Value::Null) => owned(Value::Null),
+                    (Value::Str(s), Value::Str(pat)) => {
+                        owned(Value::Bool(value::like_match(s, pat) != *negated))
+                    }
+                    _ => Err(EngineError::Type(format!(
+                        "LIKE requires strings, got {} and {}",
+                        v.type_name(),
+                        p.type_name()
                     ))),
                 }
-            } else {
-                Err(EngineError::Unsupported(format!("function {name}")))
             }
-        }
-        Expr::Extract { field, expr } => {
-            let v = eval(expr, env, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
+            Node::LikeConst {
+                expr,
+                negated,
+                pattern,
+            } => match &*expr.ev(row, scope, ctx)? {
+                Value::Null => owned(Value::Null),
+                Value::Str(s) => owned(Value::Bool(pattern.matches(s) != *negated)),
+                other => Err(EngineError::Type(format!(
+                    "LIKE requires strings, got {} and varchar",
+                    other.type_name()
+                ))),
+            },
+            Node::IsNull { expr, negated } => {
+                owned(Value::Bool(expr.ev(row, scope, ctx)?.is_null() != *negated))
+            }
+            Node::Case {
+                operand,
+                branches,
+                else_branch,
+            } => {
+                let op_val = operand
+                    .as_ref()
+                    .map(|o| o.ev(row, scope, ctx))
+                    .transpose()?;
+                for (when, then) in branches {
+                    let wv = when.ev(row, scope, ctx)?;
+                    let hit = match &op_val {
+                        Some(ov) => value::group_eq(ov, &wv),
+                        None => matches!(&*wv, Value::Bool(true)),
+                    };
+                    if hit {
+                        return then.ev(row, scope, ctx);
+                    }
+                }
+                match else_branch {
+                    Some(e) => e.ev(row, scope, ctx),
+                    None => owned(Value::Null),
+                }
+            }
+            Node::Agg(i) => match ctx.aggs {
+                Some(values) => Ok(Cow::Borrowed(&values[*i])),
+                None => Err(EngineError::Type(
+                    "aggregate used outside aggregation context".into(),
+                )),
+            },
+            Node::Extract { field, expr } => match &*expr.ev(row, scope, ctx)? {
+                Value::Null => owned(Value::Null),
                 Value::Date(d) => {
-                    let date = sqalpel_datagen::calendar::from_days(d);
-                    Ok(Value::Int(match field {
+                    let date = sqalpel_datagen::calendar::from_days(*d);
+                    owned(Value::Int(match field {
                         IntervalUnit::Year => date.year as i64,
                         IntervalUnit::Month => date.month as i64,
                         IntervalUnit::Day => date.day as i64,
@@ -382,57 +811,87 @@ pub fn eval(e: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> EngineResult<Value> {
                     "EXTRACT requires a date, got {}",
                     other.type_name()
                 ))),
-            }
-        }
-        Expr::Substring {
-            expr,
-            start,
-            length,
-        } => {
-            let v = eval(expr, env, ctx)?;
-            let s = eval(start, env, ctx)?;
-            let l = length.as_ref().map(|l| eval(l, env, ctx)).transpose()?;
-            match (&v, &s) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Str(text), Value::Int(start1)) => {
-                    let chars: Vec<char> = text.chars().collect();
-                    let begin = (*start1 - 1).max(0) as usize;
-                    let end = match &l {
-                        Some(Value::Int(n)) => (begin + (*n).max(0) as usize).min(chars.len()),
-                        Some(other) => {
-                            return Err(EngineError::Type(format!(
-                                "SUBSTRING length must be integer, got {}",
-                                other.type_name()
-                            )))
-                        }
-                        None => chars.len(),
-                    };
-                    Ok(Value::Str(
-                        chars[begin.min(chars.len())..end].iter().collect(),
-                    ))
+            },
+            Node::Substring {
+                expr,
+                start,
+                length,
+            } => {
+                let v = expr.ev(row, scope, ctx)?;
+                let s = start.ev(row, scope, ctx)?;
+                let l = length
+                    .as_ref()
+                    .map(|l| l.ev(row, scope, ctx))
+                    .transpose()?;
+                match (&*v, &*s) {
+                    (Value::Null, _) | (_, Value::Null) => owned(Value::Null),
+                    (Value::Str(text), Value::Int(start1)) => {
+                        let begin = (*start1 - 1).max(0) as usize;
+                        let take = match l.as_deref() {
+                            Some(Value::Int(n)) => (*n).max(0) as usize,
+                            Some(other) => {
+                                return Err(EngineError::Type(format!(
+                                    "SUBSTRING length must be integer, got {}",
+                                    other.type_name()
+                                )))
+                            }
+                            None => usize::MAX,
+                        };
+                        owned(Value::Str(text.chars().skip(begin).take(take).collect()))
+                    }
+                    _ => Err(EngineError::Type(format!(
+                        "SUBSTRING requires (string, integer), got ({}, {})",
+                        v.type_name(),
+                        s.type_name()
+                    ))),
                 }
-                _ => Err(EngineError::Type(format!(
-                    "SUBSTRING requires (string, integer), got ({}, {})",
-                    v.type_name(),
-                    s.type_name()
-                ))),
             }
-        }
-        Expr::Subquery(q) => {
-            let rows = ctx.runner.run_subquery(q, env)?;
-            match rows.len() {
-                0 => Ok(Value::Null),
-                1 => rows[0]
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| EngineError::Type("scalar subquery with no columns".into())),
-                n => Err(EngineError::ScalarCardinality(format!("{n} rows"))),
+            Node::Subquery(q) => {
+                let rows = ctx.runner.run_subquery(q, &scope.env(row))?;
+                match rows.len() {
+                    0 => owned(Value::Null),
+                    1 => rows[0]
+                        .first()
+                        .cloned()
+                        .map(Cow::Owned)
+                        .ok_or_else(|| EngineError::Type("scalar subquery with no columns".into())),
+                    n => Err(EngineError::ScalarCardinality(format!("{n} rows"))),
+                }
             }
         }
     }
 }
 
-pub(crate) fn literal(l: &Literal) -> EngineResult<Value> {
+impl<'a> Scope<'a> {
+    /// The environment a subquery sees as its outer row.
+    fn env(&self, row: &'a [Value]) -> Env<'a> {
+        Env {
+            schema: self.schema,
+            row,
+            outer: self.outer,
+        }
+    }
+}
+
+/// Resolve an outer reference the way [`Env::resolve`] does — local
+/// schema first, then up the chain — once. The enclosing row does not
+/// change while the expression lives, so a name found there is a
+/// constant; unresolved and ambiguous names error when reached, exactly
+/// as they did when resolution ran per row.
+fn resolve_outer<'a>(col: &sqalpel_sql::ColumnRef, scope: Scope<'a>) -> Node<'a> {
+    match find_column(scope.schema, col) {
+        Err(e) => Node::Fail(e),
+        Ok(Some(slot)) => Node::Col(slot),
+        Ok(None) => match scope.outer.map(|o| o.resolve(col)) {
+            Some(Ok(v)) => Node::Const(v),
+            Some(Err(e)) => Node::Fail(e),
+            None => Node::Fail(EngineError::UnknownColumn(col.to_string())),
+        },
+    }
+}
+
+/// The value of a literal.
+pub fn literal(l: &Literal) -> EngineResult<Value> {
     Ok(match l {
         Literal::Integer(i) => Value::Int(*i),
         Literal::Decimal(d) => {
@@ -471,61 +930,15 @@ pub(crate) fn literal(l: &Literal) -> EngineResult<Value> {
     })
 }
 
-fn binary(
-    left: &Expr,
-    op: BinOp,
-    right: &Expr,
-    env: &Env<'_>,
-    ctx: &EvalCtx<'_>,
-) -> EngineResult<Value> {
-    // Kleene short-circuit for the boolean connectives.
-    if op == BinOp::And {
-        let l = truth(eval(left, env, ctx)?)?;
-        if l == Some(false) {
-            return Ok(Value::Bool(false));
-        }
-        let r = truth(eval(right, env, ctx)?)?;
-        return Ok(tv(kleene_and(l, r)));
-    }
-    if op == BinOp::Or {
-        let l = truth(eval(left, env, ctx)?)?;
-        if l == Some(true) {
-            return Ok(Value::Bool(true));
-        }
-        let r = truth(eval(right, env, ctx)?)?;
-        return Ok(tv(kleene_or(l, r)));
-    }
-    let lv = eval(left, env, ctx)?;
-    let rv = eval(right, env, ctx)?;
-    match op {
-        BinOp::Plus => value::add(&lv, &rv, ctx.mode),
-        BinOp::Minus => value::sub(&lv, &rv, ctx.mode),
-        BinOp::Mul => value::mul(&lv, &rv, ctx.mode),
-        BinOp::Div => value::div(&lv, &rv, ctx.mode),
-        BinOp::Mod => value::rem(&lv, &rv),
-        BinOp::Concat => value::concat(&lv, &rv),
-        cmp => Ok(tv(compare_tv(&lv, &rv, cmp)?)),
-    }
-}
-
 /// Three-valued comparison.
 fn compare_tv(a: &Value, b: &Value, op: BinOp) -> EngineResult<Option<bool>> {
-    let ord = value::compare(a, b)?;
-    Ok(ord.map(|o| match op {
-        BinOp::Eq => o.is_eq(),
-        BinOp::NotEq => o.is_ne(),
-        BinOp::Lt => o.is_lt(),
-        BinOp::LtEq => o.is_le(),
-        BinOp::Gt => o.is_gt(),
-        BinOp::GtEq => o.is_ge(),
-        _ => unreachable!("non-comparison op"),
-    }))
+    Ok(value::compare(a, b)?.map(|o| value::ordering_holds(o, op)))
 }
 
-fn truth(v: Value) -> EngineResult<Option<bool>> {
+fn truth(v: &Value) -> EngineResult<Option<bool>> {
     match v {
         Value::Null => Ok(None),
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         other => Err(EngineError::Type(format!(
             "expected boolean, got {}",
             other.type_name()
@@ -560,18 +973,6 @@ fn negate_tv(b: Option<bool>, negated: bool) -> Value {
     match b {
         Some(x) => Value::Bool(x != negated),
         None => Value::Null,
-    }
-}
-
-/// Evaluate a predicate; NULL counts as false (SQL WHERE semantics).
-pub fn eval_filter(e: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> EngineResult<bool> {
-    match eval(e, env, ctx)? {
-        Value::Bool(b) => Ok(b),
-        Value::Null => Ok(false),
-        other => Err(EngineError::Type(format!(
-            "filter must be boolean, got {}",
-            other.type_name()
-        ))),
     }
 }
 
@@ -776,7 +1177,7 @@ impl Accumulator {
 
     fn add_decimal(&mut self, raw: i128, scale: u8) -> EngineResult<()> {
         if !self.sum_is_decimal {
-            self.sum_f += raw as f64 / 10f64.powi(scale as i32);
+            self.sum_f += raw as f64 / pow10(scale);
             return Ok(());
         }
         // Align scales, widening as needed.
@@ -817,7 +1218,7 @@ impl Accumulator {
                     self.add_decimal(other.sum_d, other.sum_scale)?;
                 } else {
                     if self.sum_is_decimal {
-                        self.sum_f += self.sum_d as f64 / 10f64.powi(self.sum_scale as i32);
+                        self.sum_f += self.sum_d as f64 / pow10(self.sum_scale);
                         self.sum_is_decimal = false;
                     }
                     self.sum_f += other.sum_f;
@@ -867,7 +1268,7 @@ impl Accumulator {
                     Value::Null
                 } else if self.sum_is_decimal && self.mode == ArithMode::GuardedDecimal {
                     Value::Float(
-                        self.sum_d as f64 / 10f64.powi(self.sum_scale as i32) / self.count as f64,
+                        self.sum_d as f64 / pow10(self.sum_scale) / self.count as f64,
                     )
                 } else {
                     Value::Float(self.sum_f / self.count as f64)
@@ -886,14 +1287,6 @@ mod tests {
     use crate::plan::ColMeta;
     use sqalpel_sql::parse_expr;
 
-    /// A runner for tests: subqueries are not expected.
-    struct NoSubqueries;
-    impl SubqueryRunner for NoSubqueries {
-        fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
-            panic!("no subqueries expected in this test")
-        }
-    }
-
     fn schema(names: &[&str]) -> Schema {
         names
             .iter()
@@ -910,11 +1303,23 @@ mod tests {
         bind_expr(&parse_expr(src).unwrap(), sch)
     }
 
-    fn eval_str(src: &str, sch: &Schema, row: &[Value]) -> EngineResult<Value> {
+    fn eval_in(
+        src: &str,
+        sch: &Schema,
+        row: &[Value],
+        outer: Option<&Env<'_>>,
+        mode: ArithMode,
+    ) -> EngineResult<Value> {
         let e = bound(src, sch)?;
-        let env = Env::new(sch, row);
-        let ctx = EvalCtx::new(&NoSubqueries, ArithMode::Float);
-        eval(&e, &env, &ctx)
+        let scope = Scope {
+            schema: sch,
+            outer,
+        };
+        Prepared::new(&e, scope, mode, &[]).eval(row, &EvalCtx::new(&NoSubqueries, mode))
+    }
+
+    fn eval_str(src: &str, sch: &Schema, row: &[Value]) -> EngineResult<Value> {
+        eval_in(src, sch, row, None, ArithMode::Float)
     }
 
     #[test]
@@ -1051,15 +1456,17 @@ mod tests {
     fn outer_env_resolution() {
         let outer_sch = schema(&["x"]);
         let outer_row = vec![Value::Int(99)];
-        let outer = Env::new(&outer_sch, &outer_row);
+        let outer = Env {
+            schema: &outer_sch,
+            row: &outer_row,
+            outer: None,
+        };
         let inner_sch = schema(&["y"]);
         let inner_row = vec![Value::Int(1)];
-        let env = Env::with_outer(&inner_sch, &inner_row, &outer);
-        let ctx = EvalCtx::new(&NoSubqueries, ArithMode::Float);
         // `x` does not resolve locally, so it binds as an outer reference.
-        let e = bound("x + y", &inner_sch).unwrap();
-        assert!(e.contains_outer());
-        assert!(matches!(eval(&e, &env, &ctx).unwrap(), Value::Int(100)));
+        assert!(bound("x + y", &inner_sch).unwrap().contains_outer());
+        let v = eval_in("x + y", &inner_sch, &inner_row, Some(&outer), ArithMode::Float);
+        assert!(matches!(v.unwrap(), Value::Int(100)));
     }
 
     #[test]
@@ -1161,10 +1568,7 @@ mod tests {
     fn decimal_literal_stays_fixed_point() {
         let sch = schema(&["x"]);
         let row = vec![Value::Int(0)];
-        let e = bound("0.05", &sch).unwrap();
-        let env = Env::new(&sch, &row);
-        let ctx = EvalCtx::new(&NoSubqueries, ArithMode::GuardedDecimal);
-        match eval(&e, &env, &ctx).unwrap() {
+        match eval_in("0.05", &sch, &row, None, ArithMode::GuardedDecimal).unwrap() {
             Value::Decimal { raw, scale } => {
                 assert_eq!((raw, scale), (500, 4));
             }

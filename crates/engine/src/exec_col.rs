@@ -12,21 +12,23 @@
 //!
 //! Expressions the vectorized kernels cannot handle (subqueries, CASE,
 //! string functions) fall back to per-row evaluation over materialized
-//! rows, sharing the semantics in [`crate::eval`].
+//! rows through the one evaluator in [`crate::eval`], prepared once per
+//! batch; the same preparation supplies the constants zone maps are
+//! tested against, so a `date ± interval` bound prunes like a literal.
 
 use crate::codec;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    self, collect_aggregates, eval, eval_filter, Accumulator, AggFunc, AggSpec, AggValues,
-    CteFrame, Env, EvalCtx, Rows, SubStates, SubqueryRunner,
+    self, collect_aggregates, Accumulator, AggFunc, AggSpec, CteFrame, Env, EvalCtx, Prepared,
+    Rows, Scope, SubStates, SubqueryRunner,
 };
 use crate::ir::Expr;
 use crate::morsel::{self, BudgetCounter};
 use crate::output::finish_rows;
 use crate::plan::{BoundQuery, JoinKind, Plan, Schema};
 use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
-use crate::storage::{ColumnData, Database, Table};
-use crate::value::{self, ArithMode, Key, Value};
+use crate::storage::{self, ColumnData, Database, Table, ZonePred};
+use crate::value::{self, ArithMode, Key, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, Query, UnaryOp};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -439,6 +441,20 @@ impl<'a> ColExec<'a> {
 
         // Pass 3: per-group projection (few groups: row-wise is fine).
         let ctx = EvalCtx::new(self, MODE);
+        let scope = Scope {
+            schema: &batch.schema,
+            outer,
+        };
+        let having = bq
+            .having
+            .as_ref()
+            .map(|h| Prepared::new(h, scope, MODE, &keys));
+        let items: Vec<Prepared<'_>> = bq
+            .items
+            .iter()
+            .map(|item| Prepared::new(&item.expr, scope, MODE, &keys))
+            .collect();
+        let order = crate::output::prepare_sort_keys(bq, scope, MODE, &keys);
         for (rep, accs) in &groups {
             let rep_row: Vec<Value> = if *rep == usize::MAX {
                 vec![Value::Null; batch.schema.len()]
@@ -446,25 +462,17 @@ impl<'a> ColExec<'a> {
                 batch.row(*rep)
             };
             let values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-            let aggs = AggValues {
-                keys: &keys,
-                values: &values,
-            };
-            let env = match outer {
-                Some(o) => Env::with_outer(&batch.schema, &rep_row, o),
-                None => Env::new(&batch.schema, &rep_row),
-            };
-            let gctx = ctx.with_aggs(&aggs);
-            if let Some(h) = &bq.having {
-                if !eval_filter(h, &env, &gctx)? {
+            let gctx = ctx.with_aggs(&values);
+            if let Some(h) = &having {
+                if !h.filter(&rep_row, &gctx)? {
                     continue;
                 }
             }
-            let mut out = Vec::with_capacity(bq.items.len());
-            for item in &bq.items {
-                out.push(eval(&item.expr, &env, &gctx)?);
+            let mut out = Vec::with_capacity(items.len());
+            for item in &items {
+                out.push(item.eval(&rep_row, &gctx)?);
             }
-            let skeys = crate::output::sort_keys(bq, &out, &env, &gctx, Some(&aggs))?;
+            let skeys = crate::output::sort_keys(&order, &out, &rep_row, &gctx)?;
             produced.push((out, skeys));
         }
         Ok(())
@@ -697,26 +705,21 @@ impl<'a> ColExec<'a> {
         zpreds: &[ZonePred],
     ) -> EngineResult<(Batch, bool)> {
         self.charge(range.len() as u64)?;
-        let chunk = range.start / crate::storage::CHUNK_ROWS;
-        for zp in zpreds {
-            if let Some(zm) = table.zone_map(zp.col) {
-                if !zm.overlaps(chunk, zp.lo, zp.hi) {
-                    // Provably no qualifying row: emit a typed empty batch
-                    // (so chunk concatenation keeps its representation).
-                    let cols = live
-                        .iter()
-                        .map(|&ci| gather_table_col(&table.columns[ci].data, &[]))
-                        .collect();
-                    return Ok((
-                        Batch {
-                            schema: schema.clone(),
-                            len: 0,
-                            cols,
-                        },
-                        true,
-                    ));
-                }
-            }
+        if table.zone_skips(range.start / storage::CHUNK_ROWS, zpreds) {
+            // Provably no qualifying row: emit a typed empty batch (so
+            // chunk concatenation keeps its representation).
+            let cols = live
+                .iter()
+                .map(|&ci| gather_table_col(&table.columns[ci].data, &[]))
+                .collect();
+            return Ok((
+                Batch {
+                    schema: schema.clone(),
+                    len: 0,
+                    cols,
+                },
+                true,
+            ));
         }
         // Staged conjunct evaluation over a selection vector of global row
         // ids. Each conjunct materializes only the columns it reads, only
@@ -794,7 +797,7 @@ impl<'a> ColExec<'a> {
             return Ok(None);
         }
         let schema = input.schema();
-        let zpreds = zone_preds(&conjs, table, live);
+        let zpreds = zone_preds(&conjs, &schema, table, live);
         let start = self.profiler.as_ref().map(|_| Instant::now());
         let mut parts = Vec::new();
         let (mut scanned, mut skipped) = (0u64, 0u64);
@@ -856,7 +859,7 @@ impl<'a> ColExec<'a> {
         let conjs = predicate.conjuncts();
         let staged = conjs.iter().copied().all(vectorizable);
         let zpreds = if staged {
-            zone_preds(&conjs, table, live)
+            zone_preds(&conjs, &schema, table, live)
         } else {
             Vec::new()
         };
@@ -1488,11 +1491,7 @@ impl<'a> ColExec<'a> {
             Expr::OutputCol(_) => Err(EngineError::Unsupported(
                 "output-column reference outside ORDER BY".into(),
             )),
-            Expr::Literal(_) => {
-                // Reuse the row evaluator for literal conversion.
-                let v = self.eval_one(e, batch, 0, outer, true)?;
-                Ok(ColVec::Const(v, n))
-            }
+            Expr::Literal(l) => Ok(ColVec::Const(eval::literal(l)?, n)),
             Expr::Binary { left, op, right } => match op {
                 BinOp::And | BinOp::Or => {
                     let l = self.eval_vec(left, batch, outer)?;
@@ -1541,26 +1540,26 @@ impl<'a> ColExec<'a> {
                 let v = self.eval_vec(expr, batch, outer)?;
                 let p = self.eval_vec(pattern, batch, outer)?;
                 self.charge(n as u64)?;
-                // Fast path: string column against constant pattern.
-                if let (ColVec::Str(texts), ColVec::Const(Value::Str(pat), _)) = (&v, &p) {
-                    let out: Vec<bool> = texts
-                        .iter()
-                        .map(|t| value::like_match(t, pat) != *negated)
-                        .collect();
-                    return Ok(ColVec::Bool(out));
-                }
-                // Dict fast path: match the pattern once per dictionary
-                // entry, then map codes through the result table.
-                if let (ColVec::Dict { codes, dict }, ColVec::Const(Value::Str(pat), _)) =
-                    (&v, &p)
-                {
-                    let table: Vec<bool> = dict
-                        .iter()
-                        .map(|t| value::like_match(t, pat) != *negated)
-                        .collect();
-                    return Ok(ColVec::Bool(
-                        codes.iter().map(|&c| table[c as usize]).collect(),
-                    ));
+                // Fast paths against a constant pattern, compiled once.
+                if let ColVec::Const(Value::Str(pat), _) = &p {
+                    let pat = LikePattern::new(pat);
+                    match &v {
+                        ColVec::Str(texts) => {
+                            return Ok(ColVec::Bool(
+                                texts.iter().map(|t| pat.matches(t) != *negated).collect(),
+                            ));
+                        }
+                        // Match the pattern once per dictionary entry,
+                        // then map codes through the result table.
+                        ColVec::Dict { codes, dict } => {
+                            let table: Vec<bool> =
+                                dict.iter().map(|t| pat.matches(t) != *negated).collect();
+                            return Ok(ColVec::Bool(
+                                codes.iter().map(|&c| table[c as usize]).collect(),
+                            ));
+                        }
+                        _ => {}
+                    }
                 }
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
@@ -1632,47 +1631,27 @@ impl<'a> ColExec<'a> {
                 Ok(ColVec::Val(out))
             }
             // Everything else (CASE, EXTRACT, SUBSTRING, subqueries,
-            // unary minus, IS NULL): row-wise fallback with full semantics.
+            // unary minus, IS NULL): row-wise fallback with full semantics,
+            // through the expression prepared once for the whole batch.
             // The context and row buffer live outside the loop so the only
             // per-row allocations are the values themselves.
             _ => {
                 self.charge(n as u64)?;
                 let ctx = EvalCtx::new(self, MODE);
+                let scope = Scope {
+                    schema: &batch.schema,
+                    outer,
+                };
+                let prepared = Prepared::new(e, scope, MODE, &[]);
                 let mut out = Vec::with_capacity(n);
                 let mut row: Vec<Value> = Vec::with_capacity(batch.schema.len());
                 for i in 0..n {
                     batch.row_into(i, &mut row);
-                    let env = match outer {
-                        Some(o) => Env::with_outer(&batch.schema, &row, o),
-                        None => Env::new(&batch.schema, &row),
-                    };
-                    out.push(eval(e, &env, &ctx)?);
+                    out.push(prepared.eval(&row, &ctx)?);
                 }
                 Ok(ColVec::Val(out))
             }
         }
-    }
-
-    /// Row-wise evaluation of one element (fallback path).
-    fn eval_one(
-        &self,
-        e: &Expr,
-        batch: &Batch,
-        i: usize,
-        outer: Option<&Env<'_>>,
-        constant: bool,
-    ) -> EngineResult<Value> {
-        let row: Vec<Value> = if constant || batch.len == 0 {
-            vec![Value::Null; batch.schema.len()]
-        } else {
-            batch.row(i)
-        };
-        let env = match outer {
-            Some(o) => Env::with_outer(&batch.schema, &row, o),
-            None => Env::new(&batch.schema, &row),
-        };
-        let ctx = EvalCtx::new(self, MODE);
-        eval(e, &env, &ctx)
     }
 }
 
@@ -1715,124 +1694,20 @@ fn vectorizable(e: &Expr) -> bool {
     }
 }
 
-/// A scan-range constraint harvested from one filter conjunct, expressed
-/// in the column's zone-map domain ([`crate::storage::ZoneMap`]): integer
-/// value, decimal raw, day number, or dictionary code.
-struct ZonePred {
-    /// Table column index (`live[slot]` of the scan).
-    col: usize,
-    lo: Option<i64>,
-    hi: Option<i64>,
-}
-
-/// Mirror a comparison across `lit op col` → `col op' lit`.
-fn flip_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
-}
-
-/// Translate `col op literal` into zone-domain bounds, or `None` when the
-/// literal doesn't map exactly into the column's domain. Bounds only ever
-/// *widen* on inexact edges (saturating ±1), so a skip decision is always
-/// sound: the zone test may scan a chunk it could have skipped, never the
-/// reverse.
-fn zone_bounds(
-    op: BinOp,
-    v: &Value,
-    data: &ColumnData,
-) -> Option<(Option<i64>, Option<i64>)> {
-    let point: i64 = match (data, v) {
-        (ColumnData::Int(_) | ColumnData::ForInt(_), Value::Int(i)) => *i,
-        (ColumnData::Date(_) | ColumnData::ForDate(_), Value::Date(d)) => *d as i64,
-        (ColumnData::Decimal { scale, .. }, Value::Decimal { raw, scale: ls }) => {
-            let raw = if ls <= scale {
-                raw.checked_mul(10i128.checked_pow((scale - ls) as u32)?)?
-            } else {
-                let f = 10i128.checked_pow((ls - scale) as u32)?;
-                if raw % f != 0 {
-                    return None; // not representable at the column's scale
-                }
-                raw / f
-            };
-            i64::try_from(raw).ok()?
-        }
-        (ColumnData::Decimal { scale, .. }, Value::Int(i)) => {
-            i.checked_mul(10i64.checked_pow(*scale as u32)?)?
-        }
-        // Dictionary columns: the dictionary is sorted, so string bounds
-        // become code bounds through one binary search. An absent string
-        // folds `<`/`<=` (and `>`/`>=`) together at the insertion point;
-        // an absent equality is provably empty (lo > hi skips everything).
-        (ColumnData::Dict { dict, .. }, Value::Str(s)) => {
-            return Some(match (op, dict.binary_search(s)) {
-                (BinOp::Eq, Ok(p)) => (Some(p as i64), Some(p as i64)),
-                (BinOp::Eq, Err(_)) => (Some(0), Some(-1)),
-                (BinOp::Lt, Ok(p)) => (None, Some(p as i64 - 1)),
-                (BinOp::LtEq, Ok(p)) => (None, Some(p as i64)),
-                (BinOp::Lt | BinOp::LtEq, Err(p)) => (None, Some(p as i64 - 1)),
-                (BinOp::Gt, Ok(p)) => (Some(p as i64 + 1), None),
-                (BinOp::GtEq, Ok(p)) => (Some(p as i64), None),
-                (BinOp::Gt | BinOp::GtEq, Err(p)) => (Some(p as i64), None),
-                _ => return None,
-            });
-        }
-        _ => return None,
+/// Zone predicates for a conjunct list: whatever bounds the conjuncts,
+/// prepared in this engine's arithmetic, put on the scan's columns —
+/// `col ⋈ constant` in either order and non-negated `BETWEEN`, where a
+/// constant is any column-free expression (`date ± interval` included).
+fn zone_preds(conjs: &[&Expr], schema: &Schema, table: &Table, live: &[usize]) -> Vec<ZonePred> {
+    let scope = Scope {
+        schema,
+        outer: None,
     };
-    Some(match op {
-        BinOp::Eq => (Some(point), Some(point)),
-        BinOp::Lt => (None, Some(point.saturating_sub(1))),
-        BinOp::LtEq => (None, Some(point)),
-        BinOp::Gt => (Some(point.saturating_add(1)), None),
-        BinOp::GtEq => (Some(point), None),
-        _ => return None,
-    })
-}
-
-/// Harvest zone predicates from a conjunct list: `col ⋈ literal` in
-/// either order and non-negated `BETWEEN` over literals. Conjuncts that
-/// don't fit contribute no constraint (never an unsound one).
-fn zone_preds(conjs: &[&Expr], table: &Table, live: &[usize]) -> Vec<ZonePred> {
-    let mut out = Vec::new();
-    let mut push = |slot: usize, op: BinOp, lit: &sqalpel_sql::ast::Literal| {
-        let Ok(v) = crate::eval::literal(lit) else {
-            return;
-        };
-        let col = live[slot];
-        if let Some((lo, hi)) = zone_bounds(op, &v, &table.columns[col].data) {
-            out.push(ZonePred { col, lo, hi });
-        }
-    };
-    for conj in conjs {
-        match conj {
-            Expr::Binary { left, op, right } => match (left.as_ref(), right.as_ref()) {
-                (Expr::Col { slot, .. }, Expr::Literal(l)) => push(*slot, *op, l),
-                (Expr::Literal(l), Expr::Col { slot, .. }) => push(*slot, flip_cmp(*op), l),
-                _ => {}
-            },
-            Expr::Between {
-                expr,
-                negated: false,
-                low,
-                high,
-            } => {
-                if let Expr::Col { slot, .. } = expr.as_ref() {
-                    if let Expr::Literal(l) = low.as_ref() {
-                        push(*slot, BinOp::GtEq, l);
-                    }
-                    if let Expr::Literal(h) = high.as_ref() {
-                        push(*slot, BinOp::LtEq, h);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    let prepared: Vec<Prepared<'_>> = conjs
+        .iter()
+        .map(|c| Prepared::new(c, scope, MODE, &[]))
+        .collect();
+    storage::zone_preds(prepared.iter().flat_map(Prepared::col_bounds), table, live)
 }
 
 /// Materialize one range of a stored column into an executor vector:
@@ -2091,6 +1966,14 @@ fn rows_to_batch(schema: Schema, rows: &[Vec<Value>]) -> Batch {
 /// are the expensive, overflow-checked ones.
 fn arith_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColVec> {
     match (op, l, r) {
+        // Constant against constant (`date '1998-12-01' - interval '90'
+        // day`): compute the one value once and keep it a constant, so
+        // the comparison above it takes its typed fast path. (No rows,
+        // no evaluation: an erroring constant stays silent on empty
+        // input.)
+        (_, ColVec::Const(..), ColVec::Const(..)) if n > 0 => {
+            Ok(ColVec::Const(elementwise(op, l, r, 1)?.get(0), n))
+        }
         // decimal ⊙ decimal
         (
             BinOp::Mul,
@@ -2201,17 +2084,7 @@ fn elementwise(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColV
 
 /// Vectorized comparison producing a boolean (or nullable) vector.
 fn cmp_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColVec> {
-    fn apply(o: std::cmp::Ordering, op: BinOp) -> bool {
-        match op {
-            BinOp::Eq => o.is_eq(),
-            BinOp::NotEq => o.is_ne(),
-            BinOp::Lt => o.is_lt(),
-            BinOp::LtEq => o.is_le(),
-            BinOp::Gt => o.is_gt(),
-            BinOp::GtEq => o.is_ge(),
-            _ => unreachable!(),
-        }
-    }
+    let apply = value::ordering_holds;
     // Typed fast paths against constants (the common filter shape).
     match (l, r) {
         (ColVec::Int(a), ColVec::Const(Value::Int(c), _)) => {

@@ -5,27 +5,34 @@
 //! build sides, grouping state and the final result. Decimals are
 //! converted to `f64` on touch ([`ArithMode::Float`]): cheap arithmetic,
 //! no overflow guards — the opposite trade-off from the column engine.
+//!
+//! The rule of the pipeline is *prepare once per operator, pay only for
+//! the row*: every operator lowers its expressions into
+//! [`Prepared`] form when it opens, base tables enter through one
+//! chunk-at-a-time front end (`RowExec::scan`) that consults zone maps
+//! and decides `column ⋈ constant` conjuncts on stored values before any
+//! row is built, and joins and grouping keep their state in flat arenas
+//! and write their output into one reused row.
 
+use crate::codec::FxBuild;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    self, collect_aggregates, eval, eval_filter, Accumulator, AggValues, CteFrame, Env, EvalCtx,
-    Rows, SubStates, SubqueryRunner,
+    self, collect_aggregates, Accumulator, ColTest, CteFrame, Env, EvalCtx, NoSubqueries, Prepared,
+    Rows, Scope, SubStates, SubqueryRunner,
 };
 use crate::ir::Expr;
-use crate::morsel::{self, BudgetCounter};
-use crate::output::{finish_rows, sort_keys};
-use crate::plan::{BoundQuery, JoinKind, Plan, Schema};
+use crate::morsel;
+use crate::output::{finish_rows, prepare_sort_keys, sort_keys};
+use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
-use crate::storage::Database;
-use crate::codec::FxBuild;
-use crate::value::{self, ArithMode, Value};
-use sqalpel_sql::ast::Query;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use crate::storage::{self, CellPred, Database, Table, ZonePred, CHUNK_ROWS};
+use crate::value::{self, ArithMode, FixedKey, Value};
+use sqalpel_sql::ast::{BinOp, Query};
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One query execution over the row engine.
 ///
@@ -36,9 +43,9 @@ pub struct RowExec<'a> {
     /// Rows the execution may touch before aborting with
     /// [`EngineError::Budget`] (morphed queries can go cartesian).
     budget: u64,
-    used: BudgetCounter,
-    /// Worker cap for the morsel-parallel scan+filter front end; `1`
-    /// keeps execution fully sequential.
+    used: Cell<u64>,
+    /// Worker cap for the scan front end's decide step; `1` keeps
+    /// execution on the calling thread.
     threads: usize,
     subqueries: SubStates,
     /// CTE frames: innermost last.
@@ -59,6 +66,290 @@ pub struct RowExec<'a> {
 
 const MODE: ArithMode = ArithMode::Float;
 
+/// Rows the scan front end materializes between two pushes downstream:
+/// enough to amortize the per-column dispatch and (when profiling) the
+/// two clock reads, small enough that the batch stays cache-resident.
+const BATCH_ROWS: usize = 256;
+
+type Sink<'s> = dyn FnMut(&[Value]) -> EngineResult<()> + 's;
+
+/// What the decide step found in one chunk.
+enum ChunkSel {
+    /// The zone maps ruled the chunk out.
+    Skipped,
+    All,
+    /// Offsets of the surviving rows from the chunk's first row.
+    Rows(Vec<u32>),
+}
+
+/// The per-scan state of the front end: everything the predicate needs,
+/// prepared once. Shared by reference with the decide workers.
+struct ScanFilter<'p> {
+    table: &'p Table,
+    live: &'p [usize],
+    zones: Vec<ZonePred>,
+    /// The leading conjuncts that test one column against constants:
+    /// decided on stored values, a selection vector at a time. They
+    /// cannot fail, so running them ahead of the rows is invisible.
+    typed: Vec<(usize, CellPred<'p>)>,
+    /// The conjuncts from the first one of any other shape on: evaluated
+    /// per surviving row, in order, so the first error is the one a
+    /// row-at-a-time walk of the whole predicate raises.
+    rest: &'p [Prepared<'p>],
+    /// The slots `rest` reads.
+    rest_slots: Vec<usize>,
+    /// The predicate is a single conjunct (and so reports a non-boolean
+    /// as a filter, not as an operand of AND).
+    single: bool,
+}
+
+impl<'p> ScanFilter<'p> {
+    fn new(
+        table: &'p Table,
+        live: &'p [usize],
+        exprs: &[&Expr],
+        conjuncts: &'p [Prepared<'p>],
+    ) -> ScanFilter<'p> {
+        let zones = storage::zone_preds(
+            conjuncts.iter().flat_map(Prepared::col_bounds),
+            table,
+            live,
+        );
+        let mut typed = Vec::new();
+        for c in conjuncts {
+            let data = |slot: usize| &table.columns[live[slot]].data;
+            let compiled = match c.col_test() {
+                Some(ColTest::Cmp { slot, op, value }) => {
+                    CellPred::compare(op, value, data(slot)).map(|p| vec![(live[slot], p)])
+                }
+                Some(ColTest::Between { slot, low, high }) => {
+                    CellPred::compare(BinOp::GtEq, low, data(slot))
+                        .zip(CellPred::compare(BinOp::LtEq, high, data(slot)))
+                        .map(|(lo, hi)| vec![(live[slot], lo), (live[slot], hi)])
+                }
+                Some(ColTest::Like {
+                    slot,
+                    negated,
+                    pattern,
+                }) => CellPred::like(negated, pattern, data(slot)).map(|p| vec![(live[slot], p)]),
+                None => None,
+            };
+            match compiled {
+                Some(preds) => typed.push(preds),
+                None => break,
+            }
+        }
+        let rest = &conjuncts[typed.len()..];
+        // A subquery left in the predicate may read any column of the
+        // row by name.
+        let rest_exprs = &exprs[typed.len()..];
+        let mut rest_slots: Vec<usize> = if rest_exprs.iter().any(|e| e.contains_subquery()) {
+            (0..live.len()).collect()
+        } else {
+            rest_exprs.iter().flat_map(|e| e.slots()).collect()
+        };
+        rest_slots.sort_unstable();
+        rest_slots.dedup();
+        ScanFilter {
+            table,
+            live,
+            zones,
+            typed: typed.into_iter().flatten().collect(),
+            rest,
+            rest_slots,
+            single: conjuncts.len() == 1,
+        }
+    }
+
+    /// Whether deciding a chunk costs enough to hand chunks to workers:
+    /// some conjunct is *evaluated* per row. Comparisons on stored values
+    /// run at memory speed — a whole chunk of them costs less than waking
+    /// a thread.
+    fn worth_workers(&self) -> bool {
+        !self.rest.is_empty()
+            || self
+                .typed
+                .iter()
+                .any(|(_, p)| matches!(p, CellPred::Like { .. }))
+    }
+
+    /// The surviving rows of one chunk. `row` is scratch space of the
+    /// scan's width; only the slots the predicate reads are filled.
+    fn decide(
+        &self,
+        range: Range<usize>,
+        row: &mut [Value],
+        ctx: &EvalCtx<'_>,
+    ) -> EngineResult<ChunkSel> {
+        if self.table.zone_skips(range.start / CHUNK_ROWS, &self.zones) {
+            return Ok(ChunkSel::Skipped);
+        }
+        let base = range.start;
+        let mut sel: Vec<u32> = Vec::new();
+        let mut whole = Some(range.clone());
+        for (col, pred) in &self.typed {
+            pred.select(&self.table.columns[*col].data, base, whole.take(), &mut sel);
+            if sel.is_empty() {
+                return Ok(ChunkSel::Rows(sel));
+            }
+        }
+        if !self.rest.is_empty() {
+            if whole.take().is_some() {
+                sel.extend(0..range.len() as u32);
+            }
+            let mut kept = 0;
+            for at in 0..sel.len() {
+                let off = sel[at];
+                for &slot in &self.rest_slots {
+                    let data = &self.table.columns[self.live[slot]].data;
+                    data.read_into(base + off as usize, &mut row[slot]);
+                }
+                if self.passes(row, ctx)? {
+                    sel[kept] = off;
+                    kept += 1;
+                }
+            }
+            sel.truncate(kept);
+        }
+        Ok(if whole.is_some() || sel.len() == range.len() {
+            ChunkSel::All
+        } else {
+            ChunkSel::Rows(sel)
+        })
+    }
+
+    /// The verdict of `rest` on one row: conjuncts run in order up to the
+    /// first false one, a NULL one fails the row but not the walk — the
+    /// same operands, in the same order, as Kleene AND over the whole
+    /// predicate evaluates.
+    fn passes(&self, row: &[Value], ctx: &EvalCtx<'_>) -> EngineResult<bool> {
+        if self.single {
+            return self.rest[0].filter(row, ctx);
+        }
+        let mut pass = true;
+        for c in self.rest {
+            match c.truth(row, ctx)? {
+                Some(true) => {}
+                Some(false) => return Ok(false),
+                None => pass = false,
+            }
+        }
+        Ok(pass)
+    }
+}
+
+/// A hash index over evaluated key tuples. A single non-string key (and
+/// the empty tuple) is hashed as its [`FixedKey`]; multi-column and
+/// string keys as tagged byte encodings built in one reused buffer, owned
+/// once per distinct key. The two images never compare equal to each
+/// other (a string equals no non-string), so splitting them over two
+/// maps is exact.
+struct KeyIndex<T> {
+    fixed: HashMap<FixedKey, T, FxBuild>,
+    bytes: HashMap<Vec<u8>, T, FxBuild>,
+    buf: Vec<u8>,
+}
+
+impl<T: Copy> KeyIndex<T> {
+    fn new() -> Self {
+        KeyIndex {
+            fixed: HashMap::default(),
+            bytes: HashMap::default(),
+            buf: Vec::new(),
+        }
+    }
+
+    /// The fixed image of the key of `row`, or `None` with the byte
+    /// image left in `self.buf`.
+    fn image(
+        &mut self,
+        keys: &[Prepared<'_>],
+        row: &[Value],
+        ctx: &EvalCtx<'_>,
+    ) -> EngineResult<Option<FixedKey>> {
+        self.buf.clear();
+        match keys {
+            [] => return Ok(Some(FixedKey::UNIT)),
+            [key] => {
+                let v = key.eval_ref(row, ctx)?;
+                match value::fixed_key(&v)? {
+                    Some(k) => return Ok(Some(k)),
+                    None => value::encode_key(&v, &mut self.buf)?,
+                }
+            }
+            keys => {
+                for key in keys {
+                    value::encode_key(&*key.eval_ref(row, ctx)?, &mut self.buf)?;
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    fn get(
+        &mut self,
+        keys: &[Prepared<'_>],
+        row: &[Value],
+        ctx: &EvalCtx<'_>,
+    ) -> EngineResult<Option<T>> {
+        Ok(match self.image(keys, row, ctx)? {
+            Some(k) => self.fixed.get(&k).copied(),
+            None => self.bytes.get(self.buf.as_slice()).copied(),
+        })
+    }
+
+    /// What is stored under the key of `row` — `fresh`, newly inserted, if
+    /// nothing was — and whether that insertion happened.
+    fn get_or_insert(
+        &mut self,
+        keys: &[Prepared<'_>],
+        row: &[Value],
+        ctx: &EvalCtx<'_>,
+        fresh: T,
+    ) -> EngineResult<(T, bool)> {
+        Ok(match self.image(keys, row, ctx)? {
+            Some(k) => match self.fixed.entry(k) {
+                Entry::Occupied(e) => (*e.get(), false),
+                Entry::Vacant(e) => (*e.insert(fresh), true),
+            },
+            None => match self.bytes.get(self.buf.as_slice()) {
+                Some(found) => (*found, false),
+                None => {
+                    self.bytes.insert(self.buf.clone(), fresh);
+                    (fresh, true)
+                }
+            },
+        })
+    }
+}
+
+/// The reused output row of a join: left columns, then right.
+struct Combined {
+    row: Vec<Value>,
+    left_width: usize,
+}
+
+impl Combined {
+    fn set_left(&mut self, left: &[Value]) {
+        for (dst, src) in self.row[..self.left_width].iter_mut().zip(left) {
+            value::assign(dst, src);
+        }
+    }
+
+    fn set_right(&mut self, right: &[Value]) {
+        for (dst, src) in self.row[self.left_width..].iter_mut().zip(right) {
+            value::assign(dst, src);
+        }
+    }
+
+    fn pad_right(&mut self) {
+        self.row[self.left_width..].fill(Value::Null);
+    }
+}
+
+/// End of a match list.
+const NIL: u32 = u32::MAX;
+
 impl<'a> RowExec<'a> {
     pub fn new(db: &'a Database, budget: u64) -> Self {
         Self::with_options(db, budget, true)
@@ -70,22 +361,15 @@ impl<'a> RowExec<'a> {
         Self::with_threads(db, budget, hash_joins, 1)
     }
 
-    /// Constructor with the worker cap. Only the scan+filter front end
-    /// parallelizes — float aggregation must fold in row order — and
-    /// `threads = 1` is exactly the sequential executor.
+    /// Constructor with the worker cap. Only the scan front end's decide
+    /// step fans out — float aggregation must fold in row order — and
+    /// `threads = 1` runs the same code on the calling thread.
     pub fn with_threads(db: &'a Database, budget: u64, hash_joins: bool, threads: usize) -> Self {
         let threads = threads.max(1);
         RowExec {
             db,
             budget,
-            // A shared (atomic) counter only pays off when a parallel
-            // plan can actually be chosen; otherwise every per-row charge
-            // would eat an atomic increment for nothing.
-            used: if morsel::effective_workers(threads) > 1 {
-                BudgetCounter::shared()
-            } else {
-                BudgetCounter::local()
-            },
+            used: Cell::new(0),
             threads,
             subqueries: RefCell::new(HashMap::new()),
             ctes: RefCell::new(Vec::new()),
@@ -120,27 +404,12 @@ impl<'a> RowExec<'a> {
             .unwrap_or_default()
     }
 
-    /// A sequential executor for one parallel worker, charging the shared
-    /// budget of the coordinating execution. Workers never profile into
-    /// the coordinator directly; morsel kernels collect per-worker
-    /// [`ProfileShard`]s and merge them after the parallel region.
-    fn worker(db: &'a Database, budget: u64, hash_joins: bool, counter: Arc<AtomicU64>) -> Self {
-        RowExec {
-            db,
-            budget,
-            used: BudgetCounter::Shared(counter),
-            threads: 1,
-            subqueries: RefCell::new(HashMap::new()),
-            ctes: RefCell::new(Vec::new()),
-            hash_joins,
-            rewrite: true,
-            optimize: true,
-            profiler: None,
-        }
-    }
-
+    /// Charge `n` rows to the budget. Only the executor's own thread
+    /// charges (scan workers decide rows already paid for), so the
+    /// counter is a plain cell at every thread count.
     fn charge(&self, n: u64) -> EngineResult<()> {
-        let used = self.used.add(n);
+        let used = self.used.get() + n;
+        self.used.set(used);
         if used > self.budget {
             Err(EngineError::Budget(format!("{used} rows touched")))
         } else {
@@ -203,24 +472,30 @@ impl<'a> RowExec<'a> {
         outer: Option<&Env<'_>>,
     ) -> EngineResult<Vec<Vec<Value>>> {
         let core_schema = bq.core.schema();
+        let scope = Scope {
+            schema: &core_schema,
+            outer,
+        };
         let ctx = EvalCtx::new(self, MODE);
 
         // (output row, sort keys) pairs.
         let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
 
         if bq.aggregated {
-            self.run_aggregated(bq, &core_schema, outer, &ctx, &mut produced)?;
+            self.run_aggregated(bq, scope, &ctx, &mut produced)?;
         } else {
+            let items: Vec<Prepared<'_>> = bq
+                .items
+                .iter()
+                .map(|item| Prepared::new(&item.expr, scope, MODE, &[]))
+                .collect();
+            let order = prepare_sort_keys(bq, scope, MODE, &[]);
             self.execute_core(&bq.core, outer, &mut |row| {
-                let env = match outer {
-                    Some(o) => Env::with_outer(&core_schema, row, o),
-                    None => Env::new(&core_schema, row),
-                };
-                let mut out = Vec::with_capacity(bq.items.len());
-                for item in &bq.items {
-                    out.push(eval(&item.expr, &env, &ctx)?);
+                let mut out = Vec::with_capacity(items.len());
+                for item in &items {
+                    out.push(item.eval(row, &ctx)?);
                 }
-                let keys = sort_keys(bq, &out, &env, &ctx, None)?;
+                let keys = sort_keys(&order, &out, row, &ctx)?;
                 produced.push((out, keys));
                 Ok(())
             })?;
@@ -232,8 +507,7 @@ impl<'a> RowExec<'a> {
     fn run_aggregated(
         &self,
         bq: &BoundQuery,
-        core_schema: &Schema,
-        outer: Option<&Env<'_>>,
+        scope: Scope<'_>,
         ctx: &EvalCtx<'_>,
         produced: &mut Vec<(Vec<Value>, Vec<Value>)>,
     ) -> EngineResult<()> {
@@ -246,215 +520,257 @@ impl<'a> RowExec<'a> {
             agg_exprs.push(k);
         }
         let specs = collect_aggregates(&agg_exprs);
-        let keys: Vec<String> = specs.iter().map(|s| s.key.clone()).collect();
+        let agg_keys: Vec<String> = specs.iter().map(|s| s.key.clone()).collect();
+        let group_by: Vec<Prepared<'_>> = bq
+            .group_by
+            .iter()
+            .map(|g| Prepared::new(g, scope, MODE, &[]))
+            .collect();
+        let args: Vec<Option<Prepared<'_>>> = specs
+            .iter()
+            .map(|s| s.arg.as_ref().map(|a| Prepared::new(a, scope, MODE, &[])))
+            .collect();
 
-        // Group state in first-seen order for deterministic output. Keys
-        // are tagged byte encodings ([`value::encode_key`]) built in one
-        // reused buffer — an owned copy exists only per distinct group.
-        let mut group_index: HashMap<Vec<u8>, usize, FxBuild> = HashMap::default();
-        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
-        let mut key_buf: Vec<u8> = Vec::new();
+        // Group state in first-seen order for deterministic output, in
+        // two flat arenas: each group's representative row and its
+        // accumulators, one stride apiece.
+        let width = scope.schema.len();
+        let mut index: KeyIndex<u32> = KeyIndex::new();
+        let mut groups = 0usize;
+        let mut reps: Vec<Value> = Vec::new();
+        let mut accs: Vec<Accumulator> = Vec::new();
 
-        self.execute_core(&bq.core, outer, &mut |row| {
-            let env = match outer {
-                Some(o) => Env::with_outer(core_schema, row, o),
-                None => Env::new(core_schema, row),
-            };
-            key_buf.clear();
-            for g in &bq.group_by {
-                value::encode_key(&eval(g, &env, ctx)?, &mut key_buf)?;
+        self.execute_core(&bq.core, scope.outer, &mut |row| {
+            let (gid, fresh) = index.get_or_insert(&group_by, row, ctx, groups as u32)?;
+            if fresh {
+                groups += 1;
+                reps.extend_from_slice(row);
+                accs.extend(specs.iter().map(|s| Accumulator::new(s, MODE)));
             }
-            let idx = match group_index.get(key_buf.as_slice()) {
-                Some(&i) => i,
-                None => {
-                    let i = groups.len();
-                    group_index.insert(key_buf.clone(), i);
-                    groups.push((
-                        row.to_vec(),
-                        specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
-                    ));
-                    i
-                }
-            };
-            let (_, accs) = &mut groups[idx];
-            for (spec, acc) in specs.iter().zip(accs.iter_mut()) {
-                match &spec.arg {
+            let first = gid as usize * specs.len();
+            for (arg, acc) in args.iter().zip(&mut accs[first..first + specs.len()]) {
+                match arg {
                     None => acc.update(None)?,
-                    Some(arg) => {
-                        let v = eval(arg, &env, ctx)?;
-                        acc.update(Some(&v))?;
-                    }
+                    Some(arg) => acc.update(Some(&*arg.eval_ref(row, ctx)?))?,
                 }
             }
             Ok(())
         })?;
 
         // A global aggregate over zero rows still yields one group.
-        if groups.is_empty() && bq.group_by.is_empty() {
-            groups.push((
-                vec![Value::Null; core_schema.len()],
-                specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
-            ));
+        if groups == 0 && bq.group_by.is_empty() {
+            groups = 1;
+            reps.resize(width, Value::Null);
+            accs.extend(specs.iter().map(|s| Accumulator::new(s, MODE)));
         }
 
-        for (rep_row, accs) in &groups {
-            let values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
-            let aggs = AggValues {
-                keys: &keys,
-                values: &values,
-            };
-            let env = match outer {
-                Some(o) => Env::with_outer(core_schema, rep_row, o),
-                None => Env::new(core_schema, rep_row),
-            };
-            let gctx = ctx.with_aggs(&aggs);
-            if let Some(h) = &bq.having {
-                if !eval_filter(h, &env, &gctx)? {
+        let having = bq
+            .having
+            .as_ref()
+            .map(|h| Prepared::new(h, scope, MODE, &agg_keys));
+        let items: Vec<Prepared<'_>> = bq
+            .items
+            .iter()
+            .map(|item| Prepared::new(&item.expr, scope, MODE, &agg_keys))
+            .collect();
+        let order = prepare_sort_keys(bq, scope, MODE, &agg_keys);
+        let mut values: Vec<Value> = Vec::with_capacity(specs.len());
+        for g in 0..groups {
+            let rep_row = &reps[g * width..(g + 1) * width];
+            values.clear();
+            values.extend(accs[g * specs.len()..(g + 1) * specs.len()].iter().map(|a| a.finish()));
+            let gctx = ctx.with_aggs(&values);
+            if let Some(h) = &having {
+                if !h.filter(rep_row, &gctx)? {
                     continue;
                 }
             }
-            let mut out = Vec::with_capacity(bq.items.len());
-            for item in &bq.items {
-                out.push(eval(&item.expr, &env, &gctx)?);
+            let mut out = Vec::with_capacity(items.len());
+            for item in &items {
+                out.push(item.eval(rep_row, &gctx)?);
             }
-            let skeys = sort_keys(bq, &out, &env, &gctx, Some(&aggs))?;
+            let skeys = sort_keys(&order, &out, rep_row, &gctx)?;
             produced.push((out, skeys));
         }
         Ok(())
     }
 
-    /// Morsel-parallel scan+filter front end: workers materialize and
-    /// filter base-table rows per morsel; survivors feed the downstream
-    /// single-threaded pipeline in morsel order — exactly the row order
-    /// the sequential scan emits. Per-row predicate evaluation is order
-    /// independent, so the float pipeline's fold order is untouched.
-    /// Returns `false` when the shape or configuration keeps this on the
-    /// sequential path.
-    fn par_filter_scan(
+    /// The chunk-at-a-time front end every base-table scan goes through,
+    /// with or without a filter on top. Two steps per 4 096-row chunk:
+    ///
+    /// * **decide** — test the zone maps against the bounds the prepared
+    ///   conjuncts put on columns, run the leading `column ⋈ constant`
+    ///   conjuncts on the stored values and the rest per surviving row
+    ///   with only the columns they read fetched
+    ///   ([`ScanFilter::decide`]). Chunks are independent, so this step
+    ///   runs on morsel workers when the host has them, the predicate
+    ///   holds no subquery and deciding is worth a thread
+    ///   ([`ScanFilter::worth_workers`]); one worker is the same function
+    ///   called in a loop.
+    /// * **push** — materialize the survivors' live columns, a batch at a
+    ///   time into one reused buffer, and hand the rows downstream in row
+    ///   order, on the executor's thread.
+    ///
+    /// A skipped chunk still counts its rows, as the column engine's
+    /// `filter_chunk` does, so profiled row counts do not depend on
+    /// engine, thread count or zone maps.
+    fn scan(
         &self,
-        input: &Plan,
-        predicate: &Expr,
+        scan: &Plan,
+        filter: Option<(&Plan, &Expr)>,
         outer: Option<&Env<'_>>,
-        sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>,
-    ) -> EngineResult<bool> {
-        let Plan::Scan { table, live, .. } = input else {
-            return Ok(false);
+        sink: &mut Sink<'_>,
+    ) -> EngineResult<()> {
+        let Plan::Scan { table, live, .. } = scan else {
+            unreachable!("the scan front end is entered with a scan");
         };
-        let Some(counter) = self.used.handle() else {
-            return Ok(false);
+        let table: &Table = table;
+        let rows = table.row_count();
+        let schema = scan.schema();
+        let scope = Scope {
+            schema: &schema,
+            outer,
         };
-        if morsel::effective_workers(self.threads) < 2
-            || outer.is_some()
-            || table.row_count() < morsel::MIN_PARALLEL_ROWS
-            || !predicate.parallel_safe()
-        {
-            return Ok(false);
-        }
-        let schema = input.schema();
-        // Slots the predicate actually reads. `parallel_safe` already
-        // rejected subqueries, so `predicate.slots()` is the complete
-        // read set; every other live column is materialized lazily, only
-        // for rows that survive the filter.
-        let needed: Vec<bool> = {
-            let slots = predicate.slots();
-            (0..schema.len()).map(|i| slots.contains(&i)).collect()
-        };
-        let ncols = live.len();
-        let db = self.db;
-        let budget = self.budget;
-        let hash_joins = self.hash_joins;
-        // This kernel bypasses `execute_core` for the scan child, so when
-        // profiling each worker records the scan's share of the work in a
-        // private shard (a `Profiler` is not `Sync`); the coordinator
-        // merges the shards after the parallel region, in morsel order.
+        let exprs = filter.map(|(_, p)| p.conjuncts()).unwrap_or_default();
+        let conjuncts: Vec<Prepared<'_>> = exprs
+            .iter()
+            .map(|c| Prepared::new(c, scope, MODE, &[]))
+            .collect();
+        let filt = ScanFilter::new(table, live, &exprs, &conjuncts);
         let profiling = self.profiler.is_some();
-        let scan_key = profile::node_key(input);
-        let kept: Vec<(Vec<Vec<Value>>, Option<ProfileShard>)> =
-            morsel::run_on_morsels(table.row_count(), self.threads, |range| {
-                let w = RowExec::worker(db, budget, hash_joins, Arc::clone(&counter));
-                let ctx = EvalCtx::new(&w, MODE);
-                let mut rows = Vec::new();
-                let mut row: Vec<Value> = Vec::with_capacity(ncols);
-                // One charge per morsel, not per row: totals (and therefore
-                // whether the budget trips) are identical to the sequential
-                // per-row charges, without a contended atomic in the loop.
-                w.charge(range.len() as u64)?;
-                let scanned = range.len() as u64;
-                let start = profiling.then(Instant::now);
-                for i in range {
-                    row.clear();
-                    row.extend(live.iter().zip(&needed).map(
-                        |(&ci, &n)| {
-                            if n {
-                                table.columns[ci].data.get(i)
-                            } else {
-                                Value::Null
-                            }
-                        },
-                    ));
-                    let env = Env::new(&schema, &row);
-                    if eval_filter(predicate, &env, &ctx)? {
-                        // Survivor: fill in the columns skipped above.
-                        for (cell, (&ci, &n)) in
-                            row.iter_mut().zip(live.iter().zip(&needed))
-                        {
-                            if !n {
-                                *cell = table.columns[ci].data.get(i);
-                            }
-                        }
-                        rows.push(std::mem::replace(&mut row, Vec::with_capacity(ncols)));
-                    }
-                }
-                let shard = start.map(|t| {
-                    let mut s = ProfileShard::new();
-                    s.record(
-                        scan_key,
-                        NodeMetrics {
-                            rows_in: scanned,
-                            rows_out: scanned,
-                            batches: 1,
-                            nanos: t.elapsed().as_nanos() as u64,
-                            ..NodeMetrics::default()
-                        },
-                    );
-                    s
-                });
-                Ok((rows, shard))
-            })?;
-        for (rows, shard) in &kept {
-            if let (Some(prof), Some(s)) = (&self.profiler, shard) {
-                prof.absorb(s);
+
+        // Decide. Each chunk yields its selection and the time it took.
+        let decide = |range: Range<usize>, row: &mut [Value], ctx: &EvalCtx<'_>| {
+            let start = profiling.then(Instant::now);
+            let sel = filt.decide(range, row, ctx)?;
+            Ok((sel, start.map_or(Duration::ZERO, |t| t.elapsed())))
+        };
+        let workers = match (&filter, outer) {
+            (Some((_, p)), None)
+                if rows >= morsel::MIN_PARALLEL_ROWS
+                    && p.parallel_safe()
+                    && filt.worth_workers() =>
+            {
+                morsel::effective_workers(self.threads)
             }
-            for row in rows {
-                sink(row)?;
+            _ => 1,
+        };
+        // The whole table is charged up front — skipped chunks included,
+        // as the column engine's `filter_chunk` charges them — so the
+        // budget never depends on who decides which chunk.
+        self.charge(rows as u64)?;
+        let decided: Vec<(ChunkSel, Duration)> = if workers > 1 {
+            morsel::run_on_morsels(rows, self.threads, |range| {
+                let mut row = vec![Value::Null; live.len()];
+                decide(range, &mut row, &EvalCtx::new(&NoSubqueries, MODE))
+            })?
+        } else {
+            let ctx = EvalCtx::new(self, MODE);
+            let mut row = vec![Value::Null; live.len()];
+            morsel::morsels(rows)
+                .into_iter()
+                .map(|range| decide(range, &mut row, &ctx))
+                .collect::<EngineResult<_>>()?
+        };
+
+        // Push.
+        let width = live.len();
+        let mut batch = vec![Value::Null; BATCH_ROWS.min(rows) * width];
+        let mut every: Vec<u32> = Vec::new();
+        let mut m = NodeMetrics {
+            rows_in: rows as u64,
+            rows_out: rows as u64,
+            batches: 1,
+            ..NodeMetrics::default()
+        };
+        let (mut decide_time, mut fetch_time, mut survivors) = (Duration::ZERO, Duration::ZERO, 0u64);
+        for (range, (sel, took)) in morsel::morsels(rows).into_iter().zip(&decided) {
+            decide_time += *took;
+            let sel: &[u32] = match sel {
+                ChunkSel::Skipped => {
+                    m.chunks_skipped += 1;
+                    continue;
+                }
+                ChunkSel::All => {
+                    every.clear();
+                    every.extend(0..range.len() as u32);
+                    &every
+                }
+                ChunkSel::Rows(sel) => sel,
+            };
+            m.chunks_scanned += 1;
+            survivors += sel.len() as u64;
+            for part in sel.chunks(BATCH_ROWS) {
+                let start = profiling.then(Instant::now);
+                for (slot, &col) in live.iter().enumerate() {
+                    table.columns[col].data.fill(range.start, part, &mut batch, slot, width);
+                }
+                if let Some(t) = start {
+                    fetch_time += t.elapsed();
+                }
+                for r in 0..part.len() {
+                    sink(&batch[r * width..(r + 1) * width])?;
+                }
             }
         }
-        Ok(true)
+
+        if let Some(prof) = &self.profiler {
+            // What is timed is this node and what is below it — never
+            // the consumer the rows were pushed into: the scan is the
+            // fetch of the survivors, the filter the decision plus that.
+            m.nanos = fetch_time.as_nanos() as u64;
+            if let Some((node, _)) = filter {
+                prof.record(
+                    profile::node_key(node),
+                    NodeMetrics {
+                        rows_in: rows as u64,
+                        rows_out: survivors,
+                        batches: 1,
+                        nanos: (decide_time + fetch_time).as_nanos() as u64,
+                        ..NodeMetrics::default()
+                    },
+                );
+            }
+            prof.record(profile::node_key(scan), m);
+        }
+        Ok(())
     }
 
     /// Push rows of the relational core through `sink`, recording
     /// per-node metrics when profiling is on. The off path is one branch
     /// and a tail call into [`Self::exec_node`].
+    ///
+    /// A node's `nanos` cover the node and its inputs, not the consumer
+    /// its rows are pushed into — what the column engine's materializing
+    /// operators report by construction. In a push pipeline that takes a
+    /// clock read on either side of every `sink` call; base-table scans
+    /// time themselves per batch instead ([`Self::scan`]).
     fn execute_core(
         &self,
         plan: &Plan,
         outer: Option<&Env<'_>>,
-        sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>,
+        sink: &mut Sink<'_>,
     ) -> EngineResult<()> {
         let Some(prof) = &self.profiler else {
             return self.exec_node(plan, outer, sink);
         };
+        if scan_parts(plan).is_some() {
+            return self.exec_node(plan, outer, sink);
+        }
         let before = child_rows_out(prof, plan);
         let mut rows_out = 0u64;
+        let mut downstream = Duration::ZERO;
         let start = Instant::now();
         self.exec_node(plan, outer, &mut |row| {
             rows_out += 1;
-            sink(row)
+            let pushed = Instant::now();
+            let result = sink(row);
+            downstream += pushed.elapsed();
+            result
         })?;
-        let nanos = start.elapsed().as_nanos() as u64;
+        let nanos = start.elapsed().saturating_sub(downstream).as_nanos() as u64;
         let rows_in = match plan {
-            Plan::Scan { table, .. } => table.row_count() as u64,
-            Plan::Derived { .. } | Plan::Cte { .. } => rows_out,
+            Plan::Scan { .. } | Plan::Derived { .. } | Plan::Cte { .. } => rows_out,
             Plan::Filter { .. } | Plan::Join { .. } => child_rows_out(prof, plan) - before,
         };
         prof.record(
@@ -475,23 +791,13 @@ impl<'a> RowExec<'a> {
         &self,
         plan: &Plan,
         outer: Option<&Env<'_>>,
-        sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>,
+        sink: &mut Sink<'_>,
     ) -> EngineResult<()> {
+        if let Some((scan, filter)) = scan_parts(plan) {
+            return self.scan(scan, filter, outer, sink);
+        }
         match plan {
-            Plan::Scan { table, live, .. } => {
-                // Every sink copies what it keeps, so one row buffer is
-                // reused across the whole scan instead of a fresh
-                // allocation per row. Only live (pruned) columns are
-                // materialized.
-                let mut row: Vec<Value> = Vec::with_capacity(live.len());
-                for i in 0..table.row_count() {
-                    self.charge(1)?;
-                    row.clear();
-                    row.extend(live.iter().map(|&ci| table.columns[ci].data.get(i)));
-                    sink(&row)?;
-                }
-                Ok(())
-            }
+            Plan::Scan { .. } => unreachable!("scans go through the front end"),
             Plan::Derived { query, .. } => {
                 let rows = self.run_query(query, outer)?;
                 for row in &rows {
@@ -517,17 +823,15 @@ impl<'a> RowExec<'a> {
                 Ok(())
             }
             Plan::Filter { input, predicate } => {
-                if self.par_filter_scan(input, predicate, outer, sink)? {
-                    return Ok(());
-                }
                 let schema = input.schema();
+                let scope = Scope {
+                    schema: &schema,
+                    outer,
+                };
+                let predicate = Prepared::new(predicate, scope, MODE, &[]);
                 let ctx = EvalCtx::new(self, MODE);
                 self.execute_core(input, outer, &mut |row| {
-                    let env = match outer {
-                        Some(o) => Env::with_outer(&schema, row, o),
-                        None => Env::new(&schema, row),
-                    };
-                    if eval_filter(predicate, &env, &ctx)? {
+                    if predicate.filter(row, &ctx)? {
                         sink(row)?;
                     }
                     Ok(())
@@ -552,7 +856,7 @@ impl<'a> RowExec<'a> {
         equi: &[(Expr, Expr)],
         residual: Option<&Expr>,
         outer: Option<&Env<'_>>,
-        sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>,
+        sink: &mut Sink<'_>,
     ) -> EngineResult<()> {
         let left_schema = left.schema();
         let right_schema = right.schema();
@@ -560,12 +864,16 @@ impl<'a> RowExec<'a> {
         combined.extend(right_schema.iter().cloned());
         let ctx = EvalCtx::new(self, MODE);
 
-        // Build side: materialize the right input.
-        let mut right_rows: Vec<Vec<Value>> = Vec::new();
+        // Build side: the right input's rows, end to end in one arena.
+        let right_width = right_schema.len();
+        let mut build: Vec<Value> = Vec::new();
+        let mut build_rows = 0usize;
         self.execute_core(right, outer, &mut |row| {
-            right_rows.push(row.to_vec());
+            build.extend_from_slice(row);
+            build_rows += 1;
             Ok(())
         })?;
+        let build_row = |i: usize| &build[i * right_width..(i + 1) * right_width];
 
         // Legacy mode: fold the equality keys back into the residual and
         // run the nested loop. Right-side key slots were bound against the
@@ -582,46 +890,51 @@ impl<'a> RowExec<'a> {
             folded = Expr::conjoin(eq_preds);
             (&[][..], folded.as_ref())
         };
+        let scope_of = |schema| Scope { schema, outer };
+        let residual = residual.map(|r| Prepared::new(r, scope_of(&combined), MODE, &[]));
 
-        // One candidate pair through the residual; emits the combined row
-        // for the kinds that output it. Semi and anti joins stop at the
-        // first match and emit the left row alone, once, afterwards.
+        // One left row against its candidates, through the residual, into
+        // the reused output row. Semi and anti joins stop at the first
+        // match and emit the left row alone, once, afterwards.
         let emits_right = kind.emits_right();
-        let pair = |lrow: &[Value],
-                    rrow: &[Value],
-                    sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>|
-         -> EngineResult<bool> {
-            self.charge(1)?;
-            if residual.is_none() && !emits_right {
-                return Ok(true);
-            }
-            let mut row = lrow.to_vec();
-            row.extend(rrow.iter().cloned());
-            let keep = match residual {
-                Some(r) => {
-                    let env = match outer {
-                        Some(o) => Env::with_outer(&combined, &row, o),
-                        None => Env::new(&combined, &row),
-                    };
-                    eval_filter(r, &env, &ctx)?
-                }
-                None => true,
-            };
-            if keep && emits_right {
-                sink(&row)?;
-            }
-            Ok(keep)
+        let mut out = Combined {
+            row: vec![Value::Null; combined.len()],
+            left_width: left_schema.len(),
         };
-        // What a left row contributes once its candidates are through.
-        let finish = |lrow: &[Value],
-                      matched: bool,
-                      sink: &mut dyn FnMut(&[Value]) -> EngineResult<()>|
+        let mut probe = |lrow: &[Value],
+                         candidates: &mut dyn Iterator<Item = usize>,
+                         sink: &mut Sink<'_>|
          -> EngineResult<()> {
+            let mut matched = false;
+            let mut left_set = false;
+            for ri in candidates {
+                self.charge(1)?;
+                if residual.is_none() && !emits_right {
+                    matched = true;
+                    break;
+                }
+                if !left_set {
+                    out.set_left(lrow);
+                    left_set = true;
+                }
+                out.set_right(build_row(ri));
+                let keep = match &residual {
+                    Some(r) => r.filter(&out.row, &ctx)?,
+                    None => true,
+                };
+                if keep {
+                    matched = true;
+                    if !emits_right {
+                        break;
+                    }
+                    sink(&out.row)?;
+                }
+            }
             match kind {
                 JoinKind::LeftOuter if !matched => {
-                    let mut row = lrow.to_vec();
-                    row.extend(std::iter::repeat_n(Value::Null, right_schema.len()));
-                    sink(&row)
+                    out.set_left(lrow);
+                    out.pad_right();
+                    sink(&out.row)
                 }
                 JoinKind::Semi if matched => sink(lrow),
                 JoinKind::Anti if !matched => sink(lrow),
@@ -632,61 +945,54 @@ impl<'a> RowExec<'a> {
         if equi.is_empty() {
             // Nested-loop (cross) join with optional residual.
             return self.execute_core(left, outer, &mut |lrow| {
-                let mut matched = false;
-                for rrow in &right_rows {
-                    matched |= pair(lrow, rrow, sink)?;
-                    if matched && !emits_right {
-                        break;
-                    }
-                }
-                finish(lrow, matched, sink)
+                probe(lrow, &mut (0..build_rows), sink)
             });
         }
 
-        // Hash join: build on right keys. Keys are tagged byte encodings
-        // ([`value::encode_key`]) built in one reused scratch buffer — an
-        // owned copy exists only per distinct key, not per row.
-        let mut table: HashMap<Vec<u8>, Vec<usize>, FxBuild> = HashMap::default();
-        let mut key_buf: Vec<u8> = Vec::new();
-        for (i, rrow) in right_rows.iter().enumerate() {
+        // Hash join: index the build rows by key. A key's match list is
+        // threaded through `next` in build order, from the row the index
+        // holds to `NIL`; `last[first]` is where the list currently ends.
+        let lkeys: Vec<Prepared<'_>> = equi
+            .iter()
+            .map(|(l, _)| Prepared::new(l, scope_of(&left_schema), MODE, &[]))
+            .collect();
+        let rkeys: Vec<Prepared<'_>> = equi
+            .iter()
+            .map(|(_, r)| Prepared::new(r, scope_of(&right_schema), MODE, &[]))
+            .collect();
+        let mut index: KeyIndex<u32> = KeyIndex::new();
+        let mut next: Vec<u32> = vec![NIL; build_rows];
+        let mut last: Vec<u32> = vec![NIL; build_rows];
+        for i in 0..build_rows {
             self.charge(1)?;
-            let env = match outer {
-                Some(o) => Env::with_outer(&right_schema, rrow, o),
-                None => Env::new(&right_schema, rrow),
-            };
-            key_buf.clear();
-            for (_, rexpr) in equi {
-                value::encode_key(&eval(rexpr, &env, &ctx)?, &mut key_buf)?;
+            let (first, fresh) = index.get_or_insert(&rkeys, build_row(i), &ctx, i as u32)?;
+            if !fresh {
+                next[last[first as usize] as usize] = i as u32;
             }
-            match table.get_mut(key_buf.as_slice()) {
-                Some(list) => list.push(i),
-                None => {
-                    table.insert(key_buf.clone(), vec![i]);
-                }
-            }
+            last[first as usize] = i as u32;
         }
 
         self.execute_core(left, outer, &mut |lrow| {
             self.charge(1)?;
-            let lenv = match outer {
-                Some(o) => Env::with_outer(&left_schema, lrow, o),
-                None => Env::new(&left_schema, lrow),
-            };
-            key_buf.clear();
-            for (lexpr, _) in equi {
-                value::encode_key(&eval(lexpr, &lenv, &ctx)?, &mut key_buf)?;
-            }
-            let mut matched = false;
-            if let Some(candidates) = table.get(key_buf.as_slice()) {
-                for &ri in candidates {
-                    matched |= pair(lrow, &right_rows[ri], sink)?;
-                    if matched && !emits_right {
-                        break;
-                    }
-                }
-            }
-            finish(lrow, matched, sink)
+            let first = index.get(&lkeys, lrow, &ctx)?;
+            let mut matches = std::iter::successors(first, |&i| {
+                Some(next[i as usize]).filter(|&n| n != NIL)
+            })
+            .map(|i| i as usize);
+            probe(lrow, &mut matches, sink)
         })
+    }
+}
+
+/// `plan` as the scan front end takes it: a base-table scan, and the
+/// filter directly over it, if that is what `plan` is.
+fn scan_parts(plan: &Plan) -> Option<(&Plan, Option<(&Plan, &Expr)>)> {
+    match plan {
+        Plan::Scan { .. } => Some((plan, None)),
+        Plan::Filter { input, predicate } if matches!(**input, Plan::Scan { .. }) => {
+            Some((input, Some((plan, predicate))))
+        }
+        _ => None,
     }
 }
 

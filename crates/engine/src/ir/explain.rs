@@ -166,8 +166,9 @@ fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
                 " (rows_in={} rows_out={} batches={} time={}ns",
                 m.rows_in, m.rows_out, m.batches, m.nanos
             );
-            // Zone-map effectiveness, present only where chunked storage
-            // was actually consulted (column-engine scans).
+            // Zone-map effectiveness, present only where a scan went
+            // chunk by chunk (every row-engine scan, the column
+            // engine's fused filter scans).
             if m.chunks_scanned + m.chunks_skipped > 0 {
                 let _ = write!(
                     out,

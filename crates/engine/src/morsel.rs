@@ -14,12 +14,15 @@
 //!    exactly the error the sequential executor would have reported
 //!    (budget messages excepted — those quote the shared counter).
 //!
-//! `threads = 1` never spawns workers: the executors run dedicated
-//! single-threaded code paths. Those paths share the radix key codec
-//! ([`crate::codec`]) with the parallel kernels — the determinism
-//! contract constrains *results*, not code, and the codec's first-seen
-//! group order and build-side match order are the sequential orders by
-//! construction.
+//! `threads = 1` never spawns workers. In the row engine that is the
+//! one-worker case of the same function: its scan front end decides
+//! chunks through [`run_on_morsels`] or in a plain loop, and everything
+//! after the decision is one code path. The column engine still keeps
+//! dedicated single-threaded twins of its parallel operators; those
+//! share the radix key codec ([`crate::codec`]) with the parallel
+//! kernels — the determinism contract constrains *results*, not code, and
+//! the codec's first-seen group order and build-side match order are the
+//! sequential orders by construction.
 
 use crate::error::{EngineError, EngineResult};
 use std::cell::Cell;

@@ -6,35 +6,48 @@
 //! rows is the same SQL semantics, implemented once here.
 
 use crate::error::EngineResult;
-use crate::eval::{eval, AggValues, Env, EvalCtx};
+use crate::eval::{EvalCtx, Prepared, Scope};
 use crate::ir::Expr;
 use crate::plan::BoundQuery;
-use crate::value::{Key, Value};
+use crate::value::{ArithMode, Key, Value};
+
+/// One prepared `ORDER BY` key. Aliases were bound to output-column
+/// references at plan time ([`Expr::OutputCol`]); anything else evaluates
+/// in the row environment.
+pub enum SortKey<'a> {
+    Output(usize),
+    Expr(Prepared<'a>),
+}
+
+/// Prepare the `ORDER BY` keys of `bq` once per execution.
+pub fn prepare_sort_keys<'a>(
+    bq: &'a BoundQuery,
+    scope: Scope<'a>,
+    mode: ArithMode,
+    agg_keys: &[String],
+) -> Vec<SortKey<'a>> {
+    bq.order_by
+        .iter()
+        .map(|(key, _)| match key {
+            Expr::OutputCol(i) => SortKey::Output(*i),
+            other => SortKey::Expr(Prepared::new(other, scope, mode, agg_keys)),
+        })
+        .collect()
+}
 
 /// Compute sort key values for one output row.
-///
-/// `ORDER BY` aliases were bound to output-column references at plan time
-/// ([`Expr::OutputCol`]); anything else evaluates in the row environment.
 pub fn sort_keys(
-    bq: &BoundQuery,
+    keys: &[SortKey<'_>],
     out: &[Value],
-    env: &Env<'_>,
+    row: &[Value],
     ctx: &EvalCtx<'_>,
-    aggs: Option<&AggValues<'_>>,
 ) -> EngineResult<Vec<Value>> {
-    let mut keys = Vec::with_capacity(bq.order_by.len());
-    for (key, _) in &bq.order_by {
-        if let Expr::OutputCol(i) = key {
-            keys.push(out[*i].clone());
-            continue;
-        }
-        let v = match aggs {
-            Some(a) => eval(key, env, &ctx.with_aggs(a))?,
-            None => eval(key, env, ctx)?,
-        };
-        keys.push(v);
-    }
-    Ok(keys)
+    keys.iter()
+        .map(|key| match key {
+            SortKey::Output(i) => Ok(out[*i].clone()),
+            SortKey::Expr(e) => e.eval(row, ctx),
+        })
+        .collect()
 }
 
 /// Total order for sorting: NULLs last, numerics by value, then by type.

@@ -28,10 +28,20 @@ pub struct NodeMetrics {
     /// Distinct executions (morsels for worker-side scans, invocations
     /// otherwise).
     pub batches: u64,
-    /// Inclusive wall-clock nanoseconds spent in the node and below.
+    /// Wall-clock nanoseconds spent in the node and its inputs — never
+    /// in the consumer of its rows. The column engine materializes, so
+    /// an operator's clock stops before its parent starts; the row
+    /// engine pushes rows into the parent's code and takes that time
+    /// back out (per batch in its scan front end, with a clock read on
+    /// either side of each push in the other operators — the cost of
+    /// profiling a join is two reads per row it emits). A node's self
+    /// time is therefore `nanos` minus its children's, in both engines.
+    /// Only the `select` node of a query is inclusive of everything: it
+    /// is the root.
     pub nanos: u64,
-    /// Storage chunks a scan actually materialized. Zero for non-scan
-    /// nodes and for engines without chunked storage (the row engine).
+    /// Storage chunks a base-table scan went through. Zero for other
+    /// nodes, and for column-engine scans no filter was fused into
+    /// (they materialize whole columns and consult no zone map).
     pub chunks_scanned: u64,
     /// Storage chunks a scan skipped outright because the zone map proved
     /// no row could pass the predicate.

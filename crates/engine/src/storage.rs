@@ -6,8 +6,10 @@
 //! from the `sqalpel-datagen` generators.
 
 use crate::error::{EngineError, EngineResult};
-use crate::value::{Day, Value};
+use crate::value::{self, ordering_holds, Day, LikePattern, Value};
+use sqalpel_sql::ast::BinOp;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows per storage chunk. Zone maps are computed at this granularity and
@@ -205,6 +207,54 @@ impl ColumnData {
         }
     }
 
+    /// Write the cells at `base + sel[..]` into column `col` of the
+    /// row-major buffer `out` (`width` values per row): one variant
+    /// dispatch per column, not per cell. Strings overwrite the buffer's
+    /// previous string in place, so a reused buffer stops allocating once
+    /// its slots have grown to the column's longest value.
+    pub fn fill(&self, base: usize, sel: &[u32], out: &mut [Value], col: usize, width: usize) {
+        fn each(
+            base: usize,
+            sel: &[u32],
+            out: &mut [Value],
+            col: usize,
+            width: usize,
+            mut write: impl FnMut(usize, &mut Value),
+        ) {
+            for (r, &off) in sel.iter().enumerate() {
+                write(base + off as usize, &mut out[r * width + col]);
+            }
+        }
+        match self {
+            ColumnData::Int(v) => each(base, sel, out, col, width, |i, o| *o = Value::Int(v[i])),
+            ColumnData::Decimal { raw, scale } => each(base, sel, out, col, width, |i, o| {
+                *o = Value::Decimal {
+                    raw: raw[i] as i128,
+                    scale: *scale,
+                }
+            }),
+            ColumnData::Str(v) => each(base, sel, out, col, width, |i, o| value::set_str(o, &v[i])),
+            ColumnData::Date(v) => each(base, sel, out, col, width, |i, o| *o = Value::Date(v[i])),
+            ColumnData::Float(v) => {
+                each(base, sel, out, col, width, |i, o| *o = Value::Float(v[i]))
+            }
+            ColumnData::Dict { codes, dict } => each(base, sel, out, col, width, |i, o| {
+                value::set_str(o, &dict[codes[i] as usize])
+            }),
+            ColumnData::ForInt(v) => {
+                each(base, sel, out, col, width, |i, o| *o = Value::Int(v.get(i)))
+            }
+            ColumnData::ForDate(v) => each(base, sel, out, col, width, |i, o| {
+                *o = Value::Date(v.get(i) as Day)
+            }),
+        }
+    }
+
+    /// [`Self::fill`] for one cell.
+    pub fn read_into(&self, idx: usize, slot: &mut Value) {
+        self.fill(idx, &[0], std::slice::from_mut(slot), 0, 1);
+    }
+
     /// Per-chunk `(min, max)` zone bounds in the column's raw i64 domain
     /// (value for ints, day for dates, raw for decimals, code for dicts).
     /// `None` for types zone maps cannot order (floats, raw strings).
@@ -256,6 +306,236 @@ impl ZoneMap {
     #[inline]
     pub fn overlaps(&self, chunk: usize, lo: Option<i64>, hi: Option<i64>) -> bool {
         lo.is_none_or(|lo| self.maxs[chunk] >= lo) && hi.is_none_or(|hi| self.mins[chunk] <= hi)
+    }
+}
+
+/// A scan-range constraint harvested from one filter conjunct, expressed
+/// in the column's zone-map domain ([`ZoneMap`]): integer value, decimal
+/// raw, day number, or dictionary code.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ZonePred {
+    /// Table column index (`live[slot]` of the scan).
+    pub col: usize,
+    pub lo: Option<i64>,
+    pub hi: Option<i64>,
+}
+
+/// Translate `col op constant` into zone-domain bounds, or `None` when
+/// the constant doesn't map exactly into the column's domain. Bounds only
+/// ever *widen* on inexact edges (saturating ±1), so a skip decision is
+/// always sound: the zone test may scan a chunk it could have skipped,
+/// never the reverse.
+pub(crate) fn zone_bounds(
+    op: BinOp,
+    v: &Value,
+    data: &ColumnData,
+) -> Option<(Option<i64>, Option<i64>)> {
+    let point: i64 = match (data, v) {
+        (ColumnData::Int(_) | ColumnData::ForInt(_), Value::Int(i)) => *i,
+        (ColumnData::Date(_) | ColumnData::ForDate(_), Value::Date(d)) => *d as i64,
+        (ColumnData::Decimal { scale, .. }, Value::Decimal { raw, scale: ls }) => {
+            let raw = if ls <= scale {
+                raw.checked_mul(10i128.checked_pow((scale - ls) as u32)?)?
+            } else {
+                let f = 10i128.checked_pow((ls - scale) as u32)?;
+                if raw % f != 0 {
+                    return None; // not representable at the column's scale
+                }
+                raw / f
+            };
+            i64::try_from(raw).ok()?
+        }
+        (ColumnData::Decimal { scale, .. }, Value::Int(i)) => {
+            i.checked_mul(10i64.checked_pow(*scale as u32)?)?
+        }
+        // Dictionary columns: the dictionary is sorted, so string bounds
+        // become code bounds through one binary search. An absent string
+        // folds `<`/`<=` (and `>`/`>=`) together at the insertion point;
+        // an absent equality is provably empty (lo > hi skips everything).
+        (ColumnData::Dict { dict, .. }, Value::Str(s)) => {
+            return Some(match (op, dict.binary_search(s)) {
+                (BinOp::Eq, Ok(p)) => (Some(p as i64), Some(p as i64)),
+                (BinOp::Eq, Err(_)) => (Some(0), Some(-1)),
+                (BinOp::Lt, Ok(p)) => (None, Some(p as i64 - 1)),
+                (BinOp::LtEq, Ok(p)) => (None, Some(p as i64)),
+                (BinOp::Lt | BinOp::LtEq, Err(p)) => (None, Some(p as i64 - 1)),
+                (BinOp::Gt, Ok(p)) => (Some(p as i64 + 1), None),
+                (BinOp::GtEq, Ok(p)) => (Some(p as i64), None),
+                (BinOp::Gt | BinOp::GtEq, Err(p)) => (Some(p as i64), None),
+                _ => return None,
+            });
+        }
+        _ => return None,
+    };
+    Some(match op {
+        BinOp::Eq => (Some(point), Some(point)),
+        BinOp::Lt => (None, Some(point.saturating_sub(1))),
+        BinOp::LtEq => (None, Some(point)),
+        BinOp::Gt => (Some(point.saturating_add(1)), None),
+        BinOp::GtEq => (Some(point), None),
+        _ => return None,
+    })
+}
+
+/// Zone predicates for the `(slot, op, constant)` bounds a scan's
+/// prepared conjuncts put on its columns
+/// ([`crate::eval::Prepared::col_bounds`]). Bounds that don't map into
+/// the column's domain contribute no constraint (never an unsound one).
+pub(crate) fn zone_preds<'v>(
+    bounds: impl IntoIterator<Item = (usize, BinOp, &'v Value)>,
+    table: &Table,
+    live: &[usize],
+) -> Vec<ZonePred> {
+    bounds
+        .into_iter()
+        .filter_map(|(slot, op, v)| {
+            let col = live[slot];
+            zone_bounds(op, v, &table.columns[col].data).map(|(lo, hi)| ZonePred { col, lo, hi })
+        })
+        .collect()
+}
+
+/// `col op constant` or `col [NOT] LIKE pattern` compiled against one
+/// stored column, decided on the stored representation — the i64, the
+/// raw decimal, the dictionary code, the string in place — with exactly
+/// the verdict [`value::compare`] reaches on the boxed cell. Only pairs
+/// that comparison cannot fail on compile (stored columns hold no NULLs,
+/// so the verdict is a plain bool); everything else stays with the
+/// expression evaluator.
+pub(crate) enum CellPred<'p> {
+    /// Ints and day numbers against a constant of the same type.
+    I64 { op: BinOp, k: i64 },
+    /// Decimal against decimal, both brought to the wider scale.
+    Dec { op: BinOp, factor: i128, k: i128 },
+    /// Mixed numerics, compared as `f64` like the boxed comparison.
+    F64 { op: BinOp, div: f64, k: f64 },
+    /// Dictionary column: the verdict per code.
+    Codes(Vec<bool>),
+    Str { op: BinOp, k: &'p str },
+    Like {
+        negated: bool,
+        pattern: &'p LikePattern,
+    },
+}
+
+impl<'p> CellPred<'p> {
+    pub fn compare(op: BinOp, v: &'p Value, data: &ColumnData) -> Option<CellPred<'p>> {
+        Some(match (data, v) {
+            (ColumnData::Int(_) | ColumnData::ForInt(_), Value::Int(k)) => {
+                CellPred::I64 { op, k: *k }
+            }
+            (ColumnData::Date(_) | ColumnData::ForDate(_), Value::Date(d)) => {
+                CellPred::I64 { op, k: *d as i64 }
+            }
+            (ColumnData::Decimal { scale, .. }, Value::Decimal { raw, scale: ks }) => {
+                // An i64 raw times 10^18 still fits an i128.
+                let wide = (*scale).max(*ks);
+                if wide - scale > 18 {
+                    return None;
+                }
+                CellPred::Dec {
+                    op,
+                    factor: 10i128.pow((wide - scale) as u32),
+                    k: value::rescale(*raw, *ks, wide).ok()?,
+                }
+            }
+            (
+                ColumnData::Int(_) | ColumnData::ForInt(_),
+                Value::Decimal { .. } | Value::Float(_),
+            ) => CellPred::F64 {
+                op,
+                div: 1.0,
+                k: v.as_f64()?,
+            },
+            (ColumnData::Decimal { scale, .. }, Value::Int(_) | Value::Float(_)) => {
+                CellPred::F64 {
+                    op,
+                    div: value::pow10(*scale),
+                    k: v.as_f64()?,
+                }
+            }
+            (ColumnData::Dict { dict, .. }, Value::Str(k)) => CellPred::Codes(
+                dict.iter()
+                    .map(|s| ordering_holds(s.as_str().cmp(k.as_str()), op))
+                    .collect(),
+            ),
+            (ColumnData::Str(_), Value::Str(k)) => CellPred::Str { op, k },
+            _ => return None,
+        })
+    }
+
+    pub fn like(
+        negated: bool,
+        pattern: &'p LikePattern,
+        data: &ColumnData,
+    ) -> Option<CellPred<'p>> {
+        match data {
+            ColumnData::Dict { dict, .. } => Some(CellPred::Codes(
+                dict.iter().map(|s| pattern.matches(s) != negated).collect(),
+            )),
+            ColumnData::Str(_) => Some(CellPred::Like { negated, pattern }),
+            _ => None,
+        }
+    }
+
+    /// Keep the rows of `sel` (offsets from `base`) that pass; with
+    /// `whole` set, `sel` is first filled with every row of that range.
+    /// `data` must be the column this predicate was compiled against.
+    pub fn select(
+        &self,
+        data: &ColumnData,
+        base: usize,
+        whole: Option<Range<usize>>,
+        sel: &mut Vec<u32>,
+    ) {
+        fn keep(
+            base: usize,
+            whole: Option<Range<usize>>,
+            sel: &mut Vec<u32>,
+            pass: impl Fn(usize) -> bool,
+        ) {
+            match whole {
+                Some(range) => {
+                    sel.clear();
+                    sel.extend((range.start..range.end).filter(|&i| pass(i)).map(|i| (i - base) as u32));
+                }
+                None => sel.retain(|&off| pass(base + off as usize)),
+            }
+        }
+        let f64_holds = |x: f64, k: f64, op: BinOp| x.partial_cmp(&k).is_some_and(|o| ordering_holds(o, op));
+        match (self, data) {
+            (CellPred::I64 { op, k }, ColumnData::Int(v)) => {
+                keep(base, whole, sel, |i| ordering_holds(v[i].cmp(k), *op))
+            }
+            (CellPred::I64 { op, k }, ColumnData::Date(v)) => {
+                keep(base, whole, sel, |i| ordering_holds((v[i] as i64).cmp(k), *op))
+            }
+            (CellPred::I64 { op, k }, ColumnData::ForInt(v) | ColumnData::ForDate(v)) => {
+                keep(base, whole, sel, |i| ordering_holds(v.get(i).cmp(k), *op))
+            }
+            (CellPred::Dec { op, factor, k }, ColumnData::Decimal { raw, .. }) => {
+                keep(base, whole, sel, |i| ordering_holds((raw[i] as i128 * factor).cmp(k), *op))
+            }
+            (CellPred::F64 { op, div, k }, ColumnData::Int(v)) => {
+                keep(base, whole, sel, |i| f64_holds(v[i] as f64 / div, *k, *op))
+            }
+            (CellPred::F64 { op, div, k }, ColumnData::ForInt(v)) => {
+                keep(base, whole, sel, |i| f64_holds(v.get(i) as f64 / div, *k, *op))
+            }
+            (CellPred::F64 { op, div, k }, ColumnData::Decimal { raw, .. }) => {
+                keep(base, whole, sel, |i| f64_holds(raw[i] as f64 / div, *k, *op))
+            }
+            (CellPred::Codes(verdict), ColumnData::Dict { codes, .. }) => {
+                keep(base, whole, sel, |i| verdict[codes[i] as usize])
+            }
+            (CellPred::Str { op, k }, ColumnData::Str(v)) => {
+                keep(base, whole, sel, |i| ordering_holds(v[i].as_str().cmp(k), *op))
+            }
+            (CellPred::Like { negated, pattern }, ColumnData::Str(v)) => {
+                keep(base, whole, sel, |i| pattern.matches(&v[i]) != *negated)
+            }
+            _ => unreachable!("predicate compiled against another column"),
+        }
     }
 }
 
@@ -321,6 +601,15 @@ impl Table {
     /// The zone map for column `ci`, if its type supports one.
     pub fn zone_map(&self, ci: usize) -> Option<&ZoneMap> {
         self.zones.get(ci).and_then(|z| z.as_ref())
+    }
+
+    /// Whether the zone maps prove that no row of `chunk` can satisfy
+    /// every one of `preds`.
+    pub(crate) fn zone_skips(&self, chunk: usize, preds: &[ZonePred]) -> bool {
+        preds.iter().any(|zp| {
+            self.zone_map(zp.col)
+                .is_some_and(|zm| !zm.overlaps(chunk, zp.lo, zp.hi))
+        })
     }
 
     /// The optimizer statistics for column `ci`.

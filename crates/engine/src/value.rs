@@ -11,6 +11,7 @@
 //!   ([`ArithMode::GuardedDecimal`]), like MonetDB's type-cast guards.
 
 use crate::error::{EngineError, EngineResult};
+use sqalpel_sql::ast::BinOp;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -55,7 +56,7 @@ impl Value {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
-            Value::Decimal { raw, scale } => Some(*raw as f64 / 10f64.powi(*scale as i32)),
+            Value::Decimal { raw, scale } => Some(*raw as f64 / pow10(*scale)),
             _ => None,
         }
     }
@@ -121,6 +122,42 @@ impl fmt::Display for Value {
             Value::Date(d) => f.write_str(&sqalpel_datagen::calendar::format_days(*d)),
             Value::Interval { months, days } => write!(f, "{months} months {days} days"),
         }
+    }
+}
+
+/// `10^0 ..= 10^22`: every power of ten an `f64` holds exactly, so the
+/// table equals `10f64.powi(scale)` bit for bit (unit-tested below).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// `10^scale` as `f64` — the divisor behind every decimal-to-float touch.
+#[inline]
+pub fn pow10(scale: u8) -> f64 {
+    match POW10.get(scale as usize) {
+        Some(p) => *p,
+        None => 10f64.powi(scale as i32),
+    }
+}
+
+/// Store a string in `slot`, reusing the allocation of the string it
+/// already holds, if any.
+pub(crate) fn set_str(slot: &mut Value, s: &str) {
+    match slot {
+        Value::Str(old) => {
+            old.clear();
+            old.push_str(s);
+        }
+        _ => *slot = Value::Str(s.to_owned()),
+    }
+}
+
+/// `dst = src.clone()`, reusing the allocation of a string `dst` holds.
+pub(crate) fn assign(dst: &mut Value, src: &Value) {
+    match src {
+        Value::Str(s) => set_str(dst, s),
+        other => *dst = other.clone(),
     }
 }
 
@@ -352,6 +389,20 @@ pub fn compare(a: &Value, b: &Value) -> EngineResult<Option<Ordering>> {
     }
 }
 
+/// Whether an ordering satisfies a comparison operator.
+#[inline]
+pub fn ordering_holds(o: Ordering, op: BinOp) -> bool {
+    match op {
+        BinOp::Eq => o.is_eq(),
+        BinOp::NotEq => o.is_ne(),
+        BinOp::Lt => o.is_lt(),
+        BinOp::LtEq => o.is_le(),
+        BinOp::Gt => o.is_gt(),
+        BinOp::GtEq => o.is_ge(),
+        _ => unreachable!("non-comparison op"),
+    }
+}
+
 /// Equality for grouping/dedup/hash-join keys: NULL groups with NULL
 /// (SQL `GROUP BY` semantics), numerics compare by value.
 pub fn group_eq(a: &Value, b: &Value) -> bool {
@@ -404,85 +455,200 @@ impl Value {
     }
 }
 
-/// Append the grouping/hashing key image of `v` to `buf` as a tagged
-/// byte string. Byte equality of encodings coincides exactly with
-/// [`Key`] equality: numerics that normalize to the same scale-6
-/// decimal encode identically, and every element is fixed-width or
-/// length-prefixed so multi-column concatenations stay injective. The
-/// row engine's grouping and hash-join loops key on these encodings
-/// instead of allocating a `Vec<Key>` per row.
-pub fn encode_key(v: &Value, buf: &mut Vec<u8>) -> EngineResult<()> {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            buf.push(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.push(2);
-            buf.extend_from_slice(&(*i as i128 * 1_000_000).to_le_bytes());
-        }
+/// The fixed-width part of the key domain: the image of every value
+/// but a string, equal exactly when the [`Key`]s are. A hash table over
+/// one non-string key column hashes this instead of a byte string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct FixedKey {
+    tag: u8,
+    bits: i128,
+}
+
+impl FixedKey {
+    /// The key of the empty tuple (a global aggregate's one group);
+    /// equal to no value's key.
+    pub(crate) const UNIT: FixedKey = FixedKey {
+        tag: u8::MAX,
+        bits: 0,
+    };
+}
+
+/// The [`FixedKey`] of `v`; `None` for strings.
+pub(crate) fn fixed_key(v: &Value) -> EngineResult<Option<FixedKey>> {
+    let (tag, bits) = match v {
+        Value::Null => (0, 0),
+        Value::Bool(b) => (1, *b as i128),
+        Value::Int(i) => (2, *i as i128 * 1_000_000),
         Value::Float(f) => {
             // Mirror `Value::key`: canonicalize -0.0, fold integral
             // floats into the decimal domain.
             let c = if *f == 0.0 { 0.0 } else { *f };
             if c.fract() == 0.0 && c.abs() < 1e18 {
-                buf.push(2);
-                buf.extend_from_slice(&(c as i128 * 1_000_000).to_le_bytes());
+                (2, c as i128 * 1_000_000)
             } else {
-                buf.push(3);
-                buf.extend_from_slice(&c.to_bits().to_le_bytes());
+                (3, c.to_bits() as i128)
             }
         }
-        Value::Decimal { raw, scale } => {
-            buf.push(2);
-            buf.extend_from_slice(&rescale(*raw, *scale, 6)?.to_le_bytes());
+        Value::Decimal { raw, scale } => (2, rescale(*raw, *scale, 6)?),
+        Value::Str(_) => return Ok(None),
+        Value::Date(d) => (5, *d as i128),
+        Value::Interval { .. } => {
+            return Err(EngineError::Type("interval cannot be a key".into()))
         }
-        Value::Str(s) => {
+    };
+    Ok(Some(FixedKey { tag, bits }))
+}
+
+/// Append the grouping/hashing key image of `v` to `buf` as a tagged
+/// byte string. Byte equality of encodings coincides exactly with
+/// [`Key`] equality: numerics that normalize to the same scale-6
+/// decimal encode identically, and every element is fixed-width or
+/// length-prefixed so multi-column concatenations stay injective. The
+/// row engine's grouping and hash-join loops key multi-column and string
+/// keys on these encodings instead of allocating a `Vec<Key>` per row.
+pub fn encode_key(v: &Value, buf: &mut Vec<u8>) -> EngineResult<()> {
+    match (fixed_key(v)?, v) {
+        (Some(k), _) => {
+            buf.push(k.tag);
+            let width = match k.tag {
+                0 => 0,
+                1 => 1,
+                3 => 8,
+                5 => 4,
+                _ => 16,
+            };
+            buf.extend_from_slice(&k.bits.to_le_bytes()[..width]);
+        }
+        (None, Value::Str(s)) => {
             buf.push(4);
             buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
             buf.extend_from_slice(s.as_bytes());
         }
-        Value::Date(d) => {
-            buf.push(5);
-            buf.extend_from_slice(&d.to_le_bytes());
-        }
-        Value::Interval { .. } => {
-            return Err(EngineError::Type("interval cannot be a key".into()))
-        }
+        (None, _) => unreachable!("only strings have no fixed key"),
     }
     Ok(())
 }
 
-/// SQL `LIKE` with `%` and `_` wildcards (iterative two-pointer matcher).
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut ti, mut pi) = (0usize, 0usize);
-    let (mut star, mut mark) = (None::<usize>, 0usize);
-    while ti < t.len() {
-        // The '%' wildcard must be tested before the literal match: a
-        // literal '%' in the *text* would otherwise shadow it.
-        if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            mark = ti;
-            pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            ti += 1;
-            pi += 1;
-        } else if let Some(s) = star {
-            // Backtrack: let the last % absorb one more character.
-            pi = s + 1;
-            mark += 1;
-            ti = mark;
-        } else {
-            return false;
+/// A `LIKE` pattern compiled once: the text between `%` wildcards as
+/// segments, so matching is an anchored prefix, an anchored suffix and a
+/// leftmost substring search per middle segment over the text's bytes —
+/// no `Vec<char>` of the text or the pattern per call. `_` matches one
+/// character (not one byte); `%` in the *text* is an ordinary character.
+#[derive(Debug, Clone)]
+pub struct LikePattern {
+    /// `segs.len() - 1` is the number of `%` runs in the pattern.
+    segs: Vec<LikeSeg>,
+}
+
+/// One `%`-free stretch of a pattern: literal runs and `_` runs.
+#[derive(Debug, Clone)]
+struct LikeSeg {
+    toks: Vec<LikeTok>,
+    /// Characters the segment consumes.
+    chars: usize,
+}
+
+#[derive(Debug, Clone)]
+enum LikeTok {
+    Lit(String),
+    /// This many `_`.
+    Any(usize),
+}
+
+impl LikeSeg {
+    fn parse(src: &str) -> LikeSeg {
+        let mut toks: Vec<LikeTok> = Vec::new();
+        for c in src.chars() {
+            match (c, toks.last_mut()) {
+                ('_', Some(LikeTok::Any(n))) => *n += 1,
+                ('_', _) => toks.push(LikeTok::Any(1)),
+                (c, Some(LikeTok::Lit(s))) => s.push(c),
+                (c, _) => toks.push(LikeTok::Lit(c.to_string())),
+            }
+        }
+        LikeSeg {
+            toks,
+            chars: src.chars().count(),
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+
+    /// Match the whole segment at the start of `text`; the matched byte
+    /// length on success.
+    fn match_at(&self, text: &str) -> Option<usize> {
+        let mut pos = 0;
+        for tok in &self.toks {
+            let rest = &text[pos..];
+            match tok {
+                LikeTok::Lit(s) => {
+                    if !rest.starts_with(s.as_str()) {
+                        return None;
+                    }
+                    pos += s.len();
+                }
+                LikeTok::Any(n) => {
+                    let mut it = rest.char_indices();
+                    it.nth(n - 1)?;
+                    pos += it.next().map_or(rest.len(), |(i, _)| i);
+                }
+            }
+        }
+        Some(pos)
     }
-    pi == p.len()
+
+    /// Leftmost match of the segment in `text`: `(start, end)` bytes.
+    fn find(&self, text: &str) -> Option<(usize, usize)> {
+        match self.toks.as_slice() {
+            [] => Some((0, 0)),
+            [LikeTok::Lit(s)] => text.find(s.as_str()).map(|at| (at, at + s.len())),
+            _ => text
+                .char_indices()
+                .map(|(at, _)| at)
+                .chain(std::iter::once(text.len()))
+                .find_map(|at| self.match_at(&text[at..]).map(|len| (at, at + len))),
+        }
+    }
+}
+
+impl LikePattern {
+    pub fn new(pattern: &str) -> LikePattern {
+        LikePattern {
+            segs: pattern.split('%').map(LikeSeg::parse).collect(),
+        }
+    }
+
+    pub fn matches(&self, text: &str) -> bool {
+        let (first, rest) = self.segs.split_first().expect("split yields a segment");
+        let Some(mut pos) = first.match_at(text) else {
+            return false;
+        };
+        let Some((last, middle)) = rest.split_last() else {
+            // No `%` at all: the one segment must cover the text.
+            return pos == text.len();
+        };
+        for seg in middle {
+            match seg.find(&text[pos..]) {
+                Some((_, end)) => pos += end,
+                None => return false,
+            }
+        }
+        // The last segment is anchored at the end: step back over as
+        // many characters as it consumes.
+        let tail = &text[pos..];
+        let start = match last.chars {
+            0 => tail.len(),
+            n => match tail.char_indices().rev().nth(n - 1) {
+                Some((at, _)) => at,
+                None => return false,
+            },
+        };
+        last.match_at(&tail[start..]) == Some(tail.len() - start)
+    }
+}
+
+/// SQL `LIKE` with `%` and `_` wildcards, for one-off matches; anything
+/// that matches a pattern more than once compiles a [`LikePattern`].
+pub fn like_match(text: &str, pattern: &str) -> bool {
+    LikePattern::new(pattern).matches(text)
 }
 
 #[cfg(test)]
@@ -495,6 +661,35 @@ mod tests {
         assert_eq!(Value::cents(-205).to_string(), "-2.05");
         assert_eq!(Value::decimal(5, 2).to_string(), "0.05");
         assert_eq!(Value::decimal(7, 0).to_string(), "7");
+    }
+
+    #[test]
+    fn pow10_table_is_powi() {
+        for scale in 0..=22u8 {
+            assert_eq!(
+                pow10(scale).to_bits(),
+                10f64.powi(scale as i32).to_bits(),
+                "10^{scale}"
+            );
+        }
+        // Past the table the function is powi itself.
+        for scale in [23u8, 30, 255] {
+            assert_eq!(pow10(scale).to_bits(), 10f64.powi(scale as i32).to_bits());
+        }
+        let v = Value::decimal(123_456, 2);
+        assert_eq!(v.as_f64().unwrap().to_bits(), (123_456f64 / 10f64.powi(2)).to_bits());
+    }
+
+    #[test]
+    fn like_underscore_counts_characters_not_bytes() {
+        assert!(like_match("日本", "__"));
+        assert!(!like_match("日本", "______"));
+        assert!(like_match("a日b", "a_b"));
+        assert!(like_match("xéy", "%_y"));
+        assert!(like_match("abcabc", "%abc"));
+        assert!(!like_match("abcab", "%abc"));
+        assert!(like_match("ab", "a%b"));
+        assert!(!like_match("a", "a%a"));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! global allocator measures whole-query allocation counts; the bound is
 //! a small fraction of the row count, so any per-row `Vec<Key>` boxing or
 //! key cloning creeping back into the hot loops fails the test loudly.
+//! The row engine's tuple pipeline is held to the same contract: scan,
+//! filter, join and grouping keep rows in reused buffers and arenas.
 //!
 //! One `#[test]` only: the allocator counts globally, so concurrent tests
 //! would pollute each other's deltas.
 
-use sqalpel_engine::storage::{dec_col, int_col, str_col};
-use sqalpel_engine::{ColStore, Database, Dbms, Table};
+use sqalpel_engine::storage::{date_col, dec_col, int_col, str_col};
+use sqalpel_engine::{ColStore, Database, Dbms, RowStore, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,6 +65,8 @@ fn kernel_loops_do_not_allocate_per_row() {
                 // Low-NDV, so the loader dictionary-encodes it: predicates
                 // and probes on this column run over u32 codes.
                 str_col("tag", (0..ROWS).map(|i| format!("tag-{:02}", i % 40))),
+                date_col("day", (0..ROWS).map(|i| 9_000 + (i % 2_000) as i32)),
+                int_col("qty", (0..ROWS).map(|i| (i % 50) as i64)),
             ],
         )
         .expect("facts table"),
@@ -89,7 +93,32 @@ fn kernel_loops_do_not_allocate_per_row() {
     // different dictionaries.
     let probe = "select count(*) from facts, tags where facts.tag = tags.tag";
 
+    // The tuple pipeline end to end: scan -> filter (a typed conjunct
+    // and one the evaluator runs) -> int-key hash join -> grouped
+    // aggregates over int, decimal and date columns.
+    let pipeline = "select facts.k, sum(amount), sum(qty), max(day), count(*) \
+                    from facts, dims \
+                    where facts.k = dims.k and qty >= 5 and qty + 0 < 45 \
+                    and day >= date '1994-09-01' - interval '1' month \
+                    group by facts.k";
+
     for threads in [1usize, 4] {
+        // What the row engine may allocate is its state — the build
+        // arena and match lists (KEYS rows), the group arenas (KEYS
+        // groups, grown by doubling), a selection vector per chunk — and
+        // its result. A Vec per scanned, joined or grouped row would cost
+        // >= ROWS and blow straight past ROWS / 10.
+        let row = RowStore::new(db.clone()).with_threads(threads);
+        row.execute(pipeline).expect("pipeline warms");
+        let pipeline_allocs = allocs_during(|| {
+            row.execute(pipeline).expect("pipeline executes");
+        });
+        assert!(
+            pipeline_allocs < (ROWS / 10) as u64,
+            "row pipeline at threads={threads} allocated {pipeline_allocs} times \
+             for {ROWS} rows — a per-row allocation is back in the loop"
+        );
+
         let col = ColStore::new(db.clone()).with_threads(threads);
         // Warm once: lazy one-time state (worker bound, table caches)
         // must not count against the steady-state budget.

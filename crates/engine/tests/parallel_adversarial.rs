@@ -238,3 +238,63 @@ fn budget_exhaustion_is_thread_invariant() {
         }
     }
 }
+
+/// A predicate that fails on one row deep inside the table: which error
+/// a query reports must not depend on how many workers decide the scan's
+/// chunks, and the order of conjuncts decides whether it is reported at
+/// all — a conjunct is evaluated only if every one before it held, so a
+/// cheap conjunct *after* a failing one may not mask it, while one
+/// *before* it does.
+#[test]
+fn predicate_errors_are_thread_invariant_and_respect_conjunct_order() {
+    force_parallel();
+    const ROWS: usize = 6 * 4096;
+    // Two traps: modulo by zero at row 17 of chunk 2, division by zero at
+    // row 5 of chunk 4. Row order says the first one wins.
+    let (mod_trap, div_trap) = (2 * 4096 + 17, 4 * 4096 + 5);
+    let mut db = Database::new();
+    db.add_table(
+        Table::new(
+            "traps",
+            vec![
+                int_col("id", (0..ROWS).map(|i| i as i64)),
+                int_col("m", (0..ROWS).map(|i| if i == mod_trap { 0 } else { 3 })),
+                int_col("d", (0..ROWS).map(|i| if i == div_trap { 0 } else { 2 })),
+                // 1 on the trapped rows, 0 elsewhere.
+                int_col(
+                    "flag",
+                    (0..ROWS).map(|i| (i == mod_trap || i == div_trap) as i64),
+                ),
+            ],
+        )
+        .expect("traps table"),
+    );
+    let db = Arc::new(db);
+    let run = |threads: usize, pred: &str| {
+        RowStore::new(db.clone())
+            .with_threads(threads)
+            .execute(&format!("select count(*) from traps where {pred}"))
+            .map(|rs| rs.to_string())
+    };
+    let cases: [(&str, Result<(), &str>); 5] = [
+        // The earlier row's error, whatever chunk a worker reaches first.
+        ("id % m >= 0 and 10 / d > 0", Err("modulo by zero")),
+        ("10 / d > 0 and id % m >= 0", Err("modulo by zero")),
+        ("10 / d > 0", Err("division by zero")),
+        // A later conjunct that is false on the trapped rows hides nothing.
+        ("10 / d > 0 and flag = 0", Err("division by zero")),
+        // An earlier one keeps evaluation from ever reaching the trap.
+        ("flag = 0 and 10 / d > 0 and id % m >= 0", Ok(())),
+    ];
+    for (pred, want) in cases {
+        let seq = run(1, pred);
+        match (&seq, want) {
+            (Ok(_), Ok(())) => {}
+            (Err(e), Err(text)) => assert!(e.to_string().contains(text), "{pred}: {e}"),
+            _ => panic!("{pred} at threads=1: {seq:?}, expected {want:?}"),
+        }
+        for threads in THREADS {
+            assert_eq!(run(threads, pred), seq, "{pred} at threads={threads}");
+        }
+    }
+}

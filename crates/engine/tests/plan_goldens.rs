@@ -7,8 +7,10 @@
 //! *reoptimized* plan (re-planned with the observed cardinalities as
 //! hints). The goldens therefore lock down three things at once — the
 //! chosen join order, the estimator's numbers, and the adaptive loop's
-//! second-pass behavior. Timings are masked (`time=***`); row counts
-//! stay live because the data is reproducible (SF 0.001, seed 42).
+//! second-pass behavior. Timings are masked (`time=***`) and the scans'
+//! zone-map counters dropped (storage detail, pinned by the EXPLAIN
+//! ANALYZE goldens); row counts stay live because the data is
+//! reproducible (SF 0.001, seed 42).
 //!
 //! Re-bless with `SQALPEL_BLESS=1` (or `./ci.sh plan-goldens --bless`).
 
@@ -40,6 +42,20 @@ fn mask_times(text: &str) -> String {
             out.push_str("***");
             rest = &rest[digits + 2..];
         }
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Remove ` chunks_scanned=<n> chunks_skipped=<n>` annotations.
+fn strip_chunks(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(pos) = rest.find(" chunks_scanned=") {
+        out.push_str(&rest[..pos]);
+        rest = &rest[pos..];
+        let end = rest.find(')').unwrap_or(rest.len());
+        rest = &rest[end..];
     }
     out.push_str(rest);
     out
@@ -85,8 +101,8 @@ fn adaptive_plans_match_goldens() {
         let rendered = format!(
             "fingerprint: {}\n-- cold (stats-only estimates)\n{}-- reoptimized (actual-cardinality hints)\n{}",
             cold.fingerprint_hex(),
-            mask_times(&cold.text),
-            mask_times(&warm.text),
+            strip_chunks(&mask_times(&cold.text)),
+            strip_chunks(&mask_times(&warm.text)),
         );
         let path = dir.join(golden_name(name));
         if bless {
