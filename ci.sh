@@ -84,10 +84,15 @@ cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # monotonicity, semi + anti estimates partition the left input) under
 # random predicates and degenerate statistics.
 cargo test -q --release -p sqalpel-engine --test cost_props
-# Thread invariance where a partitioned or per-chunk kernel could
-# diverge from one worker: skewed groups, join extremes, budget
-# exhaustion, and a predicate that fails on one row of one chunk (same
-# error at every worker count, conjunct order respected).
+# Thread invariance, the primary wall for the one-operator-at-any-
+# worker-count design: both flights, both engines, 1 worker against 4;
+# then the shapes where a kernel split over ranges and partitions could
+# diverge from one pass over the whole input:
+# skewed groups, join extremes, untyped (float, boxed, NULL) keys in
+# inner/semi/anti joins and GROUP BY — also ColStore against RowStore —
+# budget exhaustion, and a predicate that fails on one row of one chunk
+# (same error at every worker count, conjunct order respected).
+cargo test -q --release -p sqalpel-engine --test parallel_differential
 cargo test -q --release -p sqalpel-engine --test parallel_adversarial
 # Profiling must be observation-only: both flights, both engines, 1 and 4
 # workers, profiler on vs off — identical results and row counts.
@@ -114,6 +119,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The engine's hot loops must stay allocation-lean: these lints catch the
 # collect-then-iterate and clone-a-key patterns the radix kernels removed.
 cargo clippy -p sqalpel-engine --all-targets -- -D warnings -D clippy::needless_collect -D clippy::redundant_clone
+# Every intra-doc link resolves, and none points at a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Admission-control invariants (the per-user in-flight bound is exact and
 # every release path — report, error, reaper — returns the slot).
 cargo test -q --release -p sqalpel-core --test admission_props

@@ -11,7 +11,7 @@
 //! Both directions of the codec live here: [`decode_http`]/
 //! [`encode_reply`] are the server side, [`encode_request`]/
 //! [`decode_reply`] the client side. Execution goes through the shared
-//! [`dispatch`](crate::wire::dispatch::dispatch), same as v2.
+//! [`dispatch`], same as v2.
 //!
 //! | Method & path                                      | Body → Response |
 //! |----------------------------------------------------|-----------------|

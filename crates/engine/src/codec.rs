@@ -1,30 +1,38 @@
-//! Fixed-width group-key codec and radix partitioning for the hash
-//! kernels (grouped aggregation and equi-join).
+//! Group-key codec and radix partitioning for the hash kernels (grouped
+//! aggregation and equi-join). [`GroupMap`] and [`MatchMap`], keyed by
+//! what this module encodes, are the only hash tables the column engine
+//! groups and joins with.
 //!
-//! The executors' hot loops used to build a `Vec<Key>` per row and clone
-//! it on first-seen insert — one or two heap allocations per input row.
-//! This module replaces that with a typed encoder over the key columns:
+//! A [`GroupCodec`] encodes one row's key from the evaluated key columns
+//! without building a `Vec<Key>` per row:
 //!
 //! - when every key column has a fixed width and the widths sum to at
 //!   most 8 bytes, a row's key packs into a single `u64` (**u64 mode**);
 //! - otherwise the key is serialized into one reusable scratch buffer
 //!   and owned copies are made only per *distinct* key.
 //!
-//! Encodings are injective per codec: every column is either fixed-width
-//! or length-prefixed, so concatenation cannot collide. For joins,
-//! [`join_codecs`] assigns both sides of each equality pair the same
-//! width and value domain (integers joined against decimals are widened
-//! to the scale-6 `i128` domain of [`crate::value::Key`]), so byte
-//! equality coincides exactly with `Key` equality.
+//! Every column has an encoding. A typed column (`Int`, `Date`, `Bool`,
+//! `Decimal`, `Str`, `Dict`) is read straight from its vector; a column
+//! whose rows may mix representations (`Float`, `Val`), a NULL or
+//! erroring constant, and a join pair whose sides are of different type
+//! classes use the tagged image of [`crate::value::encode_key`], per
+//! row — so an interval still fails on the row that holds it. Encodings
+//! are injective per codec: every column is fixed-width or
+//! length-prefixed, so concatenation cannot collide. For joins,
+//! [`join_codecs`] gives both sides of each equality pair the same
+//! encoding (integers joined against decimals are widened to the scale-6
+//! `i128` domain of [`crate::value::Key`]). Either way byte equality
+//! coincides exactly with `Key` equality.
 //!
-//! Partitioning uses the top 4 bits of a fixed-seed hash — independent
-//! of thread count, so partition contents (and with them every
-//! deterministic ordering argument) never depend on parallelism.
+//! Partitioning uses the top 4 bits of a fixed-seed hash — a pure
+//! function of the key, so which rows share a partition (and with it
+//! every deterministic ordering argument) never depends on how many
+//! workers run.
 
 use crate::error::{EngineError, EngineResult};
 use crate::exec_col::ColVec;
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::value::{self, Value};
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Number of radix partitions. Fixed (not derived from the thread
@@ -149,15 +157,15 @@ enum ColEnc<'a> {
     },
     /// A broadcast constant, pre-encoded once.
     Const(Vec<u8>),
+    /// The tagged [`value::encode_key`] image of each row's value: for
+    /// columns whose rows may mix representations, and for whatever must
+    /// keep failing on the row that holds it.
+    Tagged(&'a ColVec),
 }
 
 impl ColEnc<'_> {
     fn dec6(raw: &[i128], scale: u8) -> ColEnc<'_> {
-        let (mul, div) = if scale <= 6 {
-            (10i128.pow((6 - scale) as u32), 1)
-        } else {
-            (1, 10i128.pow((scale - 6) as u32))
-        };
+        let (mul, div) = dec6_factors(scale);
         ColEnc::Dec6 { raw, mul, div }
     }
 
@@ -169,9 +177,18 @@ impl ColEnc<'_> {
             ColEnc::Bool(_) => Some(1),
             ColEnc::Dec6 { .. } | ColEnc::IntDec6(_) => Some(16),
             ColEnc::DictCode(_) => Some(4),
-            ColEnc::Str(_) | ColEnc::DictStr { .. } => None,
+            ColEnc::Str(_) | ColEnc::DictStr { .. } | ColEnc::Tagged(_) => None,
             ColEnc::Const(b) => Some(b.len()),
         }
+    }
+}
+
+/// The `(mul, div)` pair that takes a decimal of `scale` to scale 6.
+fn dec6_factors(scale: u8) -> (i128, i128) {
+    if scale <= 6 {
+        (10i128.pow((6 - scale) as u32), 1)
+    } else {
+        (1, 10i128.pow((scale - 6) as u32))
     }
 }
 
@@ -203,29 +220,14 @@ impl EncRow<'_> {
         }
     }
 
-    /// Copy out for storage beyond the scratch buffer's lifetime — the
-    /// one place the bytes mode allocates, per distinct key.
-    pub fn to_owned_enc(&self) -> OwnedEnc {
-        match self {
-            EncRow::U64(x) => OwnedEnc::U64(*x),
-            EncRow::Bytes(b) => OwnedEnc::Bytes(b.to_vec()),
-        }
-    }
-}
-
-/// An owned encoded key (per-group state in the partial tables).
-#[derive(Clone)]
-pub enum OwnedEnc {
-    U64(u64),
-    Bytes(Vec<u8>),
-}
-
-impl OwnedEnc {
+    /// Which of `nparts` tables holds this key: its radix partition among
+    /// [`NPARTS`], or the only one there is — without hashing for it.
     #[inline]
-    pub fn as_row(&self) -> EncRow<'_> {
-        match self {
-            OwnedEnc::U64(x) => EncRow::U64(*x),
-            OwnedEnc::Bytes(b) => EncRow::Bytes(b),
+    pub fn partition(&self, nparts: usize) -> usize {
+        if nparts > 1 {
+            partition(self.hash())
+        } else {
+            0
         }
     }
 }
@@ -249,14 +251,11 @@ impl<'a> GroupCodec<'a> {
         self.u64_mode
     }
 
-    /// A codec for GROUP BY key columns, or `None` when any column needs
-    /// the legacy `Vec<Key>` path: `Float`/`Val` columns (whose rows mix
-    /// representations that `Key` unifies) and interval constants (which
-    /// must keep erroring per row exactly as `Value::key` does).
-    pub fn for_group(key_cols: &'a [ColVec]) -> Option<GroupCodec<'a>> {
-        let mut encs = Vec::with_capacity(key_cols.len());
-        for col in key_cols {
-            encs.push(match col {
+    /// A codec for GROUP BY key columns.
+    pub fn for_group(key_cols: &'a [ColVec]) -> GroupCodec<'a> {
+        let encs = key_cols
+            .iter()
+            .map(|col| match col {
                 ColVec::Int(v) => ColEnc::I64(v),
                 ColVec::Date(v) => ColEnc::Date(v),
                 ColVec::Bool(v) => ColEnc::Bool(v),
@@ -265,14 +264,15 @@ impl<'a> GroupCodec<'a> {
                 // Grouping happens within one column, so the 4-byte code
                 // is an injective stand-in for the string.
                 ColVec::Dict { codes, .. } => ColEnc::DictCode(codes),
-                ColVec::Const(Value::Interval { .. }, _) => return None,
+                // An interval cannot be a key, which each row must say.
+                ColVec::Const(Value::Interval { .. }, _) => ColEnc::Tagged(col),
                 // Any other constant puts every row in one group; the
                 // encoding just has to be self-consistent.
                 ColVec::Const(..) => ColEnc::Const(Vec::new()),
-                ColVec::Float(_) | ColVec::Val(_) => return None,
-            });
-        }
-        Some(GroupCodec::new(encs))
+                ColVec::Float(_) | ColVec::Val(_) => ColEnc::Tagged(col),
+            })
+            .collect();
+        GroupCodec::new(encs)
     }
 
     /// Pack one row's key into a `u64`. Only callable in u64 mode, whose
@@ -332,6 +332,11 @@ impl<'a> GroupCodec<'a> {
                     buf.extend_from_slice(s);
                 }
                 ColEnc::Const(b) => buf.extend_from_slice(b),
+                ColEnc::Tagged(col) => match col {
+                    ColVec::Val(v) => value::encode_key(&v[i], buf)?,
+                    ColVec::Const(v, _) => value::encode_key(v, buf)?,
+                    col => value::encode_key(&col.get(i), buf)?,
+                },
             }
         }
         Ok(EncRow::Bytes(buf))
@@ -362,8 +367,8 @@ fn classify(col: &ColVec) -> Option<JClass> {
             Value::Date(_) => JClass::Date,
             Value::Bool(_) => JClass::Bool,
             Value::Str(_) => JClass::Str,
-            // Null must keep Key::Null == Key::Null matching; floats and
-            // intervals keep their per-row `Value::key` behaviour.
+            // NULL equals NULL in the key domain; floats and intervals
+            // keep their per-row `Value::key` behaviour: all tagged.
             _ => return None,
         },
         ColVec::Float(_) | ColVec::Val(_) => return None,
@@ -372,9 +377,10 @@ fn classify(col: &ColVec) -> Option<JClass> {
 
 /// Encode one side of a pair in the given common domain. `Dec` widens
 /// integer sides into the scale-6 `i128` domain so cross-type equality
-/// matches [`value::Key`]'s normalization.
-fn enc_in_domain<'a>(col: &'a ColVec, class: JClass) -> EngineResult<ColEnc<'a>> {
-    Ok(match (col, class) {
+/// matches [`value::Key`]'s normalization. `None` for a decimal constant
+/// that does not fit that domain: the rows that meet it must fail.
+fn enc_in_domain(col: &ColVec, class: JClass) -> Option<ColEnc<'_>> {
+    Some(match (col, class) {
         (ColVec::Int(v), JClass::Int) => ColEnc::I64(v),
         (ColVec::Int(v), JClass::Dec) => ColEnc::IntDec6(v),
         (ColVec::Decimal { raw, scale }, JClass::Dec) => ColEnc::dec6(raw, *scale),
@@ -391,14 +397,8 @@ fn enc_in_domain<'a>(col: &'a ColVec, class: JClass) -> EngineResult<ColEnc<'a>>
             (Value::Int(i), JClass::Int) => i.to_le_bytes().to_vec(),
             (Value::Int(i), JClass::Dec) => (*i as i128 * 1_000_000).to_le_bytes().to_vec(),
             (Value::Decimal { raw, scale }, JClass::Dec) => {
-                // The same checked rescale `Value::key` performs per row;
-                // a failing constant fails here instead (same error).
-                let (mul, div) = if *scale <= 6 {
-                    (10i128.pow((6 - *scale) as u32), 1)
-                } else {
-                    (1, 10i128.pow((*scale - 6) as u32))
-                };
-                rescale6(*raw, mul, div)?.to_le_bytes().to_vec()
+                let (mul, div) = dec6_factors(*scale);
+                rescale6(*raw, mul, div).ok()?.to_le_bytes().to_vec()
             }
             (Value::Date(d), JClass::Date) => d.to_le_bytes().to_vec(),
             (Value::Bool(b), JClass::Bool) => vec![*b as u8],
@@ -414,36 +414,40 @@ fn enc_in_domain<'a>(col: &'a ColVec, class: JClass) -> EngineResult<ColEnc<'a>>
     })
 }
 
-/// Build matched codecs for the two sides of an equi-join, or `None`
-/// when any pair needs the legacy `Vec<Key>` path (floats, mixed `Val`
-/// columns, NULL constants, or sides in incomparable type classes).
-/// Both codecs get identical per-pair widths, so their u64 modes agree
-/// and byte equality across sides coincides with `Key` equality.
+/// Both sides of one equality pair in their common typed domain, when
+/// they have one.
+fn typed_pair<'a>(lcol: &'a ColVec, rcol: &'a ColVec) -> Option<(ColEnc<'a>, ColEnc<'a>)> {
+    let class = match (classify(lcol)?, classify(rcol)?) {
+        (a, b) if a == b => a,
+        // Integers and decimals compare by value: widen both sides.
+        (JClass::Int, JClass::Dec) | (JClass::Dec, JClass::Int) => JClass::Dec,
+        _ => return None,
+    };
+    Some((enc_in_domain(lcol, class)?, enc_in_domain(rcol, class)?))
+}
+
+/// Matched codecs for the two sides of an equi-join. Each pair gets one
+/// encoding on both sides — its common typed domain, or the tagged image
+/// when a side is a `Float`/`Val` column or a NULL constant, or the sides
+/// are of incomparable classes (which then never match, as their `Key`s
+/// never do) — so the codecs' u64 modes agree and byte equality across
+/// sides coincides with `Key` equality.
 pub fn join_codecs<'a>(
     lkeys: &'a [ColVec],
     rkeys: &'a [ColVec],
-) -> EngineResult<Option<(GroupCodec<'a>, GroupCodec<'a>)>> {
+) -> (GroupCodec<'a>, GroupCodec<'a>) {
     let mut lencs = Vec::with_capacity(lkeys.len());
     let mut rencs = Vec::with_capacity(rkeys.len());
     for (lcol, rcol) in lkeys.iter().zip(rkeys) {
-        let (Some(lc), Some(rc)) = (classify(lcol), classify(rcol)) else {
-            return Ok(None);
-        };
-        let class = match (lc, rc) {
-            (a, b) if a == b => a,
-            // Integers and decimals compare by value: widen both sides.
-            (JClass::Int, JClass::Dec) | (JClass::Dec, JClass::Int) => JClass::Dec,
-            // Incomparable classes never match, but the legacy path is
-            // the one that knows the exact per-row semantics.
-            _ => return Ok(None),
-        };
-        lencs.push(enc_in_domain(lcol, class)?);
-        rencs.push(enc_in_domain(rcol, class)?);
+        let (l, r) =
+            typed_pair(lcol, rcol).unwrap_or((ColEnc::Tagged(lcol), ColEnc::Tagged(rcol)));
+        lencs.push(l);
+        rencs.push(r);
     }
     let l = GroupCodec::new(lencs);
     let r = GroupCodec::new(rencs);
     debug_assert_eq!(l.u64_mode, r.u64_mode);
-    Ok(Some((l, r)))
+    (l, r)
 }
 
 /// Group-id hash table keyed by encoded rows. Bytes mode allocates an
@@ -481,6 +485,14 @@ impl GroupMap {
                 m.insert(b.to_vec(), gid);
             }
             _ => unreachable!("key mode mismatch"),
+        }
+    }
+
+    /// Every key with its group id, in no particular order.
+    pub fn iter(&self) -> Box<dyn Iterator<Item = (EncRow<'_>, u32)> + '_> {
+        match self {
+            GroupMap::U64(m) => Box::new(m.iter().map(|(x, g)| (EncRow::U64(*x), *g))),
+            GroupMap::Bytes(m) => Box::new(m.iter().map(|(b, g)| (EncRow::Bytes(b), *g))),
         }
     }
 }
@@ -524,58 +536,28 @@ impl MatchMap {
             _ => unreachable!("key mode mismatch"),
         }
     }
-}
 
-/// A per-(chunk, partition) arena of encoded build keys: flat storage,
-/// no per-row allocation in bytes mode. Replayed in insertion order
-/// into the partition's [`MatchMap`].
-pub enum Bucket {
-    U64(Vec<(u64, u32)>),
-    Bytes {
-        data: Vec<u8>,
-        /// (start, len, row) triples into `data`.
-        items: Vec<(u32, u32, u32)>,
-    },
-}
-
-impl Bucket {
-    pub fn new(u64_mode: bool) -> Bucket {
-        if u64_mode {
-            Bucket::U64(Vec::new())
-        } else {
-            Bucket::Bytes {
-                data: Vec::new(),
-                items: Vec::new(),
+    /// Append `later`'s match lists to this table's. When `later` was
+    /// built from rows after this table's, every key's list stays in
+    /// build-row order.
+    pub fn absorb(&mut self, later: MatchMap) {
+        fn fold<K: std::hash::Hash + Eq>(
+            into: &mut HashMap<K, Vec<u32>, FxBuild>,
+            later: HashMap<K, Vec<u32>, FxBuild>,
+        ) {
+            for (k, rows) in later {
+                match into.entry(k) {
+                    Entry::Occupied(mut e) => e.get_mut().extend(rows),
+                    Entry::Vacant(e) => {
+                        e.insert(rows);
+                    }
+                }
             }
         }
-    }
-
-    #[inline]
-    pub fn push(&mut self, k: &EncRow<'_>, row: u32) {
-        match (self, k) {
-            (Bucket::U64(v), EncRow::U64(x)) => v.push((*x, row)),
-            (Bucket::Bytes { data, items }, EncRow::Bytes(b)) => {
-                items.push((data.len() as u32, b.len() as u32, row));
-                data.extend_from_slice(b);
-            }
+        match (self, later) {
+            (MatchMap::U64(m), MatchMap::U64(l)) => fold(m, l),
+            (MatchMap::Bytes(m), MatchMap::Bytes(l)) => fold(m, l),
             _ => unreachable!("key mode mismatch"),
-        }
-    }
-
-    /// Append this bucket's keys to `m` in insertion order.
-    pub fn append_to(&self, m: &mut MatchMap) {
-        match self {
-            Bucket::U64(v) => {
-                for (x, row) in v {
-                    m.push(&EncRow::U64(*x), *row);
-                }
-            }
-            Bucket::Bytes { data, items } => {
-                for (start, len, row) in items {
-                    let b = &data[*start as usize..(*start + *len) as usize];
-                    m.push(&EncRow::Bytes(b), *row);
-                }
-            }
         }
     }
 }
@@ -583,6 +565,16 @@ impl Bucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Row `i`'s serialized key (these tests use bytes-mode codecs).
+    fn bytes(c: &GroupCodec<'_>, i: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match c.encode(i, &mut buf).unwrap() {
+            EncRow::Bytes(b) => b.to_vec(),
+            EncRow::U64(_) => panic!("expected bytes mode"),
+        }
+    }
 
     #[test]
     fn partition_is_stable_and_in_range() {
@@ -601,29 +593,52 @@ mod tests {
     fn group_codec_picks_u64_mode_by_width() {
         let ints = ColVec::Int(vec![1, 2, 3]);
         let dates = ColVec::Date(vec![10, 20, 30]);
-        let c = GroupCodec::for_group(std::slice::from_ref(&ints)).unwrap();
+        let c = GroupCodec::for_group(std::slice::from_ref(&ints));
         assert!(c.u64_mode());
         let cols = [ints.clone(), dates];
-        let c2 = GroupCodec::for_group(&cols).unwrap();
+        let c2 = GroupCodec::for_group(&cols);
         assert!(!c2.u64_mode(), "8 + 4 bytes exceeds one u64");
         let dec = ColVec::Decimal {
             raw: vec![100],
             scale: 2,
         };
-        let c3 = GroupCodec::for_group(std::slice::from_ref(&dec)).unwrap();
+        let c3 = GroupCodec::for_group(std::slice::from_ref(&dec));
         assert!(!c3.u64_mode());
     }
 
     #[test]
-    fn float_and_val_columns_fall_back() {
-        assert!(GroupCodec::for_group(&[ColVec::Float(vec![1.0])]).is_none());
-        assert!(GroupCodec::for_group(&[ColVec::Val(vec![Value::Int(1)])]).is_none());
-        assert!(GroupCodec::for_group(&[ColVec::Const(
-            Value::Interval { months: 1, days: 0 },
-            3
-        )])
-        .is_none());
-        assert!(GroupCodec::for_group(&[ColVec::Const(Value::Null, 3)]).is_some());
+    fn float_and_val_columns_group_by_key_image() {
+        // 2, 2.0 and 2.00 are one group; 2.5 and NULL are their own.
+        let vals = [ColVec::Val(vec![
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Decimal { raw: 200, scale: 2 },
+            Value::Float(2.5),
+            Value::Null,
+        ])];
+        let c = GroupCodec::for_group(&vals);
+        assert_eq!(bytes(&c, 0), bytes(&c, 1));
+        assert_eq!(bytes(&c, 0), bytes(&c, 2));
+        assert_ne!(bytes(&c, 0), bytes(&c, 3));
+        assert_ne!(bytes(&c, 3), bytes(&c, 4));
+        let floats = [ColVec::Float(vec![0.0, -0.0, 0.5])];
+        let c = GroupCodec::for_group(&floats);
+        assert_eq!(bytes(&c, 0), bytes(&c, 1));
+        assert_ne!(bytes(&c, 0), bytes(&c, 2));
+    }
+
+    #[test]
+    fn interval_constants_fail_on_each_row_not_up_front() {
+        let cols = [ColVec::Const(Value::Interval { months: 1, days: 0 }, 3)];
+        let c = GroupCodec::for_group(&cols);
+        let mut buf = Vec::new();
+        assert!(matches!(c.encode(0, &mut buf), Err(EngineError::Type(_))));
+        let (lc, rc) = join_codecs(&cols, &cols);
+        assert!(lc.encode(1, &mut buf).is_err() && rc.encode(2, &mut buf).is_err());
+        // Any other constant is one self-consistent group.
+        let cols = [ColVec::Const(Value::Null, 3)];
+        let c = GroupCodec::for_group(&cols);
+        assert_eq!(c.encode_u64(0), c.encode_u64(2));
     }
 
     #[test]
@@ -632,19 +647,9 @@ mod tests {
             ColVec::Int(vec![1, 2, 1]),
             ColVec::Str(vec!["a".into(), "b".into(), "a".into()]),
         ];
-        let c = GroupCodec::for_group(&cols).unwrap();
-        let mut b0 = Vec::new();
-        let mut b1 = Vec::new();
-        let k0 = c.encode(0, &mut b0).unwrap().to_owned_enc();
-        let k1 = c.encode(1, &mut b1).unwrap().to_owned_enc();
-        let mut b2 = Vec::new();
-        let k2 = c.encode(2, &mut b2).unwrap().to_owned_enc();
-        let bytes = |k: &OwnedEnc| match k {
-            OwnedEnc::Bytes(b) => b.clone(),
-            OwnedEnc::U64(_) => panic!("expected bytes mode"),
-        };
-        assert_eq!(bytes(&k0), bytes(&k2));
-        assert_ne!(bytes(&k0), bytes(&k1));
+        let c = GroupCodec::for_group(&cols);
+        assert_eq!(bytes(&c, 0), bytes(&c, 2));
+        assert_ne!(bytes(&c, 0), bytes(&c, 1));
     }
 
     #[test]
@@ -658,15 +663,9 @@ mod tests {
             ColVec::Str(vec!["a".into()]),
             ColVec::Str(vec!["bc".into()]),
         ];
-        let cl = GroupCodec::for_group(&left).unwrap();
-        let cr = GroupCodec::for_group(&right).unwrap();
-        let (mut bl, mut br) = (Vec::new(), Vec::new());
-        let kl = cl.encode(0, &mut bl).unwrap().to_owned_enc();
-        let kr = cr.encode(0, &mut br).unwrap().to_owned_enc();
-        match (kl, kr) {
-            (OwnedEnc::Bytes(a), OwnedEnc::Bytes(b)) => assert_ne!(a, b),
-            _ => panic!("expected bytes mode"),
-        }
+        let cl = GroupCodec::for_group(&left);
+        let cr = GroupCodec::for_group(&right);
+        assert_ne!(bytes(&cl, 0), bytes(&cr, 0));
     }
 
     #[test]
@@ -676,82 +675,129 @@ mod tests {
             raw: vec![500, 800],
             scale: 2,
         }];
-        let (lc, rc) = join_codecs(&l, &r).unwrap().unwrap();
-        let (mut bl, mut br) = (Vec::new(), Vec::new());
-        // 5 == 5.00 in the decimal domain.
-        let kl = lc.encode(0, &mut bl).unwrap().to_owned_enc();
-        let kr = rc.encode(0, &mut br).unwrap().to_owned_enc();
-        match (&kl, &kr) {
-            (OwnedEnc::Bytes(a), OwnedEnc::Bytes(b)) => assert_eq!(a, b),
-            _ => panic!("expected bytes mode"),
-        }
-        // 7 != 8.00.
-        let kl = lc.encode(1, &mut bl).unwrap().to_owned_enc();
-        let kr = rc.encode(1, &mut br).unwrap().to_owned_enc();
-        match (&kl, &kr) {
-            (OwnedEnc::Bytes(a), OwnedEnc::Bytes(b)) => assert_ne!(a, b),
-            _ => panic!("expected bytes mode"),
-        }
+        let (lc, rc) = join_codecs(&l, &r);
+        // 5 == 5.00 in the decimal domain; 7 != 8.00.
+        assert_eq!(bytes(&lc, 0), bytes(&rc, 0));
+        assert_ne!(bytes(&lc, 1), bytes(&rc, 1));
     }
 
     #[test]
     fn join_codecs_match_const_against_column() {
         let l = [ColVec::Int(vec![3, 4])];
         let r = [ColVec::Const(Value::Int(3), 2)];
-        let (lc, rc) = join_codecs(&l, &r).unwrap().unwrap();
+        let (lc, rc) = join_codecs(&l, &r);
         assert!(lc.u64_mode() && rc.u64_mode());
         assert_eq!(lc.encode_u64(0), rc.encode_u64(0));
         assert_ne!(lc.encode_u64(1), rc.encode_u64(1));
     }
 
     #[test]
-    fn join_codecs_reject_null_const_and_floats() {
+    fn join_codecs_tag_untyped_pairs_on_both_sides() {
+        // int = float compares by value.
+        let l = [ColVec::Int(vec![1, 2])];
+        let r = [ColVec::Float(vec![1.0, 2.5])];
+        let (lc, rc) = join_codecs(&l, &r);
+        assert_eq!(bytes(&lc, 0), bytes(&rc, 0));
+        assert_ne!(bytes(&lc, 1), bytes(&rc, 1));
+        // A NULL constant equals a NULL value and nothing else.
+        let l = [ColVec::Val(vec![Value::Null, Value::Int(1)])];
+        let r = [ColVec::Const(Value::Null, 2)];
+        let (lc, rc) = join_codecs(&l, &r);
+        assert_eq!(bytes(&lc, 0), bytes(&rc, 0));
+        assert_ne!(bytes(&lc, 1), bytes(&rc, 1));
+        // Incomparable classes never match, and never collide either.
         let l = [ColVec::Int(vec![1])];
-        assert!(join_codecs(&l, &[ColVec::Const(Value::Null, 1)])
-            .unwrap()
-            .is_none());
-        assert!(join_codecs(&l, &[ColVec::Float(vec![1.0])])
-            .unwrap()
-            .is_none());
-        // Incomparable classes fall back too.
-        assert!(join_codecs(&l, &[ColVec::Str(vec!["x".into()])])
-            .unwrap()
-            .is_none());
+        let r = [ColVec::Str(vec!["1".into()])];
+        let (lc, rc) = join_codecs(&l, &r);
+        assert_ne!(bytes(&lc, 0), bytes(&rc, 0));
+        // One tagged pair does not untype its neighbours.
+        let l = [ColVec::Int(vec![1]), ColVec::Float(vec![0.5])];
+        let r = [ColVec::Int(vec![1]), ColVec::Float(vec![0.5])];
+        let (lc, rc) = join_codecs(&l, &r);
+        assert_eq!(bytes(&lc, 0), bytes(&rc, 0));
+        assert_eq!(bytes(&lc, 0).len(), 8 + 1 + 8);
     }
 
     #[test]
-    fn match_map_and_bucket_preserve_insertion_order() {
+    fn match_map_absorb_keeps_every_list_in_build_order() {
         for u64_mode in [true, false] {
-            let keys = [17u64, 4, 17, 17, 4];
-            let mut bucket = Bucket::new(u64_mode);
             let mut scratch = Vec::new();
-            for (row, k) in keys.iter().enumerate() {
-                let enc = if u64_mode {
-                    EncRow::U64(*k)
-                } else {
-                    scratch.clear();
-                    scratch.extend_from_slice(&k.to_le_bytes());
-                    scratch.extend_from_slice(b"pad-to-var-width");
-                    EncRow::Bytes(&scratch)
-                };
-                bucket.push(&enc, row as u32);
-            }
-            let mut m = MatchMap::new(u64_mode);
-            bucket.append_to(&mut m);
-            let probe = |k: u64, scratch: &mut Vec<u8>| -> Vec<u32> {
+            let key = |k: u64, scratch: &mut Vec<u8>| -> Vec<u8> {
+                scratch.clear();
+                scratch.extend_from_slice(&k.to_le_bytes());
+                scratch.extend_from_slice(b"pad-to-var-width");
+                scratch.clone()
+            };
+            // Rows 0..3 in the first table, 3..5 in the later one.
+            let mut tables = [MatchMap::new(u64_mode), MatchMap::new(u64_mode)];
+            for (row, k) in [17u64, 4, 17, 17, 4].into_iter().enumerate() {
+                let owned = key(k, &mut scratch);
                 let enc = if u64_mode {
                     EncRow::U64(k)
                 } else {
-                    scratch.clear();
-                    scratch.extend_from_slice(&k.to_le_bytes());
-                    scratch.extend_from_slice(b"pad-to-var-width");
-                    EncRow::Bytes(scratch)
+                    EncRow::Bytes(&owned)
+                };
+                tables[row / 3].push(&enc, row as u32);
+            }
+            let [mut m, later] = tables;
+            m.absorb(later);
+            let mut probe = |k: u64| -> Vec<u32> {
+                let owned = key(k, &mut scratch);
+                let enc = if u64_mode {
+                    EncRow::U64(k)
+                } else {
+                    EncRow::Bytes(&owned)
                 };
                 m.get(&enc).unwrap_or_default().to_vec()
             };
-            let mut s = Vec::new();
-            assert_eq!(probe(17, &mut s), vec![0, 2, 3]);
-            assert_eq!(probe(4, &mut s), vec![1, 4]);
+            assert_eq!(probe(17), vec![0, 2, 3]);
+            assert_eq!(probe(4), vec![1, 4]);
+            assert_eq!(probe(5), Vec::<u32>::new());
+        }
+    }
+
+    /// Values that meet in the key domain from different representations
+    /// (`1`, `1.0`, `1.000000`, `-0.0`), plus ones that must stay apart.
+    fn key_value(pick: u64) -> Value {
+        let n = (pick >> 8) % 3;
+        match pick % 9 {
+            0 => Value::Int(n as i64),
+            1 => Value::Float(n as f64),
+            2 => Value::Decimal {
+                raw: n as i128 * 1_000_000,
+                scale: 6,
+            },
+            3 => Value::Decimal {
+                raw: n as i128 * 10,
+                scale: 1,
+            },
+            4 => Value::Float(-(n as f64)),
+            5 => Value::Float(n as f64 + 0.5),
+            6 => Value::Null,
+            7 => Value::Str(n.to_string()),
+            _ => Value::Date(n as i32),
+        }
+    }
+
+    proptest! {
+        /// Tagged encodings are equal exactly when `Value::key()`s are,
+        /// whichever column representation carries the value.
+        #[test]
+        fn tagged_encodings_agree_with_value_keys(a in any::<u64>(), b in any::<u64>()) {
+            let (va, vb) = (key_value(a), key_value(b));
+            let same_key = va.key().unwrap() == vb.key().unwrap();
+            let cols = [ColVec::Val(vec![va.clone(), vb.clone()])];
+            let c = GroupCodec::for_group(&cols);
+            prop_assert_eq!(bytes(&c, 0) == bytes(&c, 1), same_key, "{:?} vs {:?}", va, vb);
+            // The same through a join pair, a float column on one side
+            // where the value is one.
+            let side = |v: &Value| match v {
+                Value::Float(f) => ColVec::Float(vec![*f]),
+                v => ColVec::Val(vec![v.clone()]),
+            };
+            let (l, r) = ([side(&va)], [side(&vb)]);
+            let (lc, rc) = join_codecs(&l, &r);
+            prop_assert_eq!(bytes(&lc, 0) == bytes(&rc, 0), same_key, "{:?} vs {:?}", va, vb);
         }
     }
 }

@@ -1,7 +1,8 @@
 //! The target-system abstraction: what the sqalpel platform benchmarks.
 //!
 //! [`Dbms`] plays the role of the paper's "DBMS + host combination": a
-//! named, versioned system that executes SQL. Three implementations ship:
+//! named, versioned system that executes SQL. Three ship, all one
+//! [`Store`] front end over an [`Engine`]:
 //!
 //! - [`RowStore`] 2.0 — the pipelined tuple-at-a-time engine with hash
 //!   joins ([`crate::exec_row`]);
@@ -18,9 +19,10 @@ use crate::ir::{self, Explain};
 use crate::morsel;
 use crate::plan::{BoundQuery, Planner};
 use crate::plan_cache::{CacheOutcome, FpExecution, PlanCache};
-use crate::profile::NodeMetrics;
+use crate::profile::{NodeMetrics, ProfileShard};
 use crate::result::ResultSet;
 use crate::storage::Database;
+use crate::value::Value;
 use std::sync::Arc;
 
 /// Default execution budget: rows an execution may touch before aborting.
@@ -181,43 +183,137 @@ fn cached_execute(
     })
 }
 
-/// The row engine as a target system.
+/// What makes one target system differ from another: its label and the
+/// executor it runs bound plans on. Everything else a system does —
+/// knobs, binding, the plan cache protocol, EXPLAIN in all its forms — is
+/// [`Store`], once, for every engine.
+pub trait Engine: Clone + Send + Sync + Sized {
+    /// Product name, e.g. `"rowstore"`.
+    const NAME: &'static str;
+
+    /// Version string, e.g. `"2.0"`.
+    fn version(&self) -> &'static str;
+
+    /// Run `bound` on a fresh executor carrying `store`'s knobs, so the
+    /// subqueries it binds at runtime are planned the way the statement
+    /// was. With `profile` the executor also collects per-operator
+    /// metrics; the shard is empty otherwise.
+    fn run(
+        store: &Store<Self>,
+        bound: &BoundQuery,
+        profile: bool,
+    ) -> EngineResult<(Vec<Vec<Value>>, ProfileShard)>;
+}
+
+/// The pipelined tuple-at-a-time engine ([`crate::exec_row`]), with or
+/// without its hash joins.
 #[derive(Clone)]
-pub struct RowStore {
-    db: Arc<Database>,
-    budget: u64,
+pub struct RowEngine {
     version: &'static str,
     hash_joins: bool,
+}
+
+impl Engine for RowEngine {
+    const NAME: &'static str = "rowstore";
+
+    fn version(&self) -> &'static str {
+        self.version
+    }
+
+    fn run(
+        store: &Store<Self>,
+        bound: &BoundQuery,
+        profile: bool,
+    ) -> EngineResult<(Vec<Vec<Value>>, ProfileShard)> {
+        let hash_joins = store.engine.hash_joins;
+        let mut exec = RowExec::with_threads(&store.db, store.budget, hash_joins, store.threads)
+            .with_planner_flags(store.rewrite, store.optimize);
+        if profile {
+            exec = exec.with_profiler();
+        }
+        let rows = exec.run_query(bound, None)?;
+        Ok((rows, exec.take_profile()))
+    }
+}
+
+/// The materializing column-at-a-time engine ([`crate::exec_col`]).
+#[derive(Clone)]
+pub struct ColEngine;
+
+impl Engine for ColEngine {
+    const NAME: &'static str = "colstore";
+
+    fn version(&self) -> &'static str {
+        "5.1"
+    }
+
+    fn run(
+        store: &Store<Self>,
+        bound: &BoundQuery,
+        profile: bool,
+    ) -> EngineResult<(Vec<Vec<Value>>, ProfileShard)> {
+        let mut exec = ColExec::with_threads(&store.db, store.budget, store.threads)
+            .with_planner_flags(store.rewrite, store.optimize);
+        if profile {
+            exec = exec.with_profiler();
+        }
+        let rows = exec.run_query(bound, None)?;
+        Ok((rows, exec.take_profile()))
+    }
+}
+
+/// An engine over a database as a target system.
+#[derive(Clone)]
+pub struct Store<E: Engine> {
+    engine: E,
+    db: Arc<Database>,
+    budget: u64,
     threads: usize,
     rewrite: bool,
     optimize: bool,
     plan_cache: Option<Arc<PlanCache>>,
 }
 
-impl RowStore {
+/// The row engine as a target system.
+pub type RowStore = Store<RowEngine>;
+
+/// The column engine as a target system.
+pub type ColStore = Store<ColEngine>;
+
+impl Store<RowEngine> {
     /// RowStore 2.0: hash joins on equality predicates.
     pub fn new(db: Arc<Database>) -> Self {
-        RowStore {
-            db,
-            budget: DEFAULT_BUDGET,
+        let engine = RowEngine {
             version: "2.0",
             hash_joins: true,
-            threads: morsel::default_threads(),
-            rewrite: true,
-            optimize: true,
-            plan_cache: None,
-        }
+        };
+        Store::over(engine, db)
     }
 
     /// RowStore 1.4: the version before the hash-join upgrade — every
     /// join is a nested loop. Discriminative benchmarking against 2.0
     /// shows identical single-table queries and wildly slower joins.
     pub fn legacy(db: Arc<Database>) -> Self {
-        RowStore {
-            db,
-            budget: DEFAULT_BUDGET,
+        let engine = RowEngine {
             version: "1.4",
             hash_joins: false,
+        };
+        Store::over(engine, db)
+    }
+}
+
+impl Store<ColEngine> {
+    pub fn new(db: Arc<Database>) -> Self {
+        Store::over(ColEngine, db)
+    }
+}
+
+impl<E: Engine> Store<E> {
+    fn over(engine: E, db: Arc<Database>) -> Self {
+        Store {
+            engine,
+            db,
+            budget: DEFAULT_BUDGET,
             threads: morsel::default_threads(),
             rewrite: true,
             optimize: true,
@@ -230,8 +326,8 @@ impl RowStore {
         self
     }
 
-    /// Cap the morsel workers per query. `1` forces fully sequential
-    /// execution; results are identical at every setting.
+    /// Cap the morsel workers per query. `1` keeps every operator on one
+    /// worker; results are identical at every setting.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -287,16 +383,8 @@ impl RowStore {
         }
     }
 
-    /// A fresh executor carrying this store's knobs, so the subqueries
-    /// it binds at runtime are planned the way `bind_sql` plans the
-    /// statement.
-    fn exec(&self) -> RowExec<'_> {
-        RowExec::with_threads(&self.db, self.budget, self.hash_joins, self.threads)
-            .with_planner_flags(self.rewrite, self.optimize)
-    }
-
     fn run_bound(&self, bound: &BoundQuery) -> EngineResult<ResultSet> {
-        let rows = self.exec().run_query(bound, None)?;
+        let (rows, _) = E::run(self, bound, false)?;
         Ok(ResultSet::new(bound.output_names(), rows))
     }
 
@@ -308,9 +396,7 @@ impl RowStore {
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
         let bound = self.bind_sql(sql, None, true)?;
-        let exec = self.exec().with_profiler();
-        let rows = exec.run_query(&bound, None)?;
-        let profile = exec.take_profile();
+        let (rows, profile) = E::run(self, &bound, true)?;
         let plan = AnalyzedPlan {
             explain: ir::explain_analyze(&bound, &profile),
             ops: ir::profile_ops(&bound, &profile)
@@ -332,13 +418,8 @@ impl RowStore {
     /// pin — the second pass shows both any join-order change and the
     /// estimates converging on the actuals.
     pub fn explain_adaptive(&self, sql: &str) -> EngineResult<(Explain, Explain)> {
-        let profiled_run = |bound: &BoundQuery| -> EngineResult<crate::profile::ProfileShard> {
-            let exec = self.exec().with_profiler();
-            exec.run_query(bound, None)?;
-            Ok(exec.take_profile())
-        };
         let cold_bound = self.bind_sql(sql, None, true)?;
-        let cold_profile = profiled_run(&cold_bound)?;
+        let (_, cold_profile) = E::run(self, &cold_bound, true)?;
         let cold = ir::explain_estimates(
             &cold_bound,
             &cold_profile,
@@ -346,178 +427,19 @@ impl RowStore {
         );
         let hints = crate::profile::extract_feedback(&cold_bound, &cold_profile);
         let warm_bound = self.bind_sql(sql, Some(&hints), true)?;
-        let warm_profile = profiled_run(&warm_bound)?;
+        let (_, warm_profile) = E::run(self, &warm_bound, true)?;
         let warm = ir::explain_estimates(&warm_bound, &warm_profile, &hints);
         Ok((cold, warm))
     }
 }
 
-impl Dbms for RowStore {
+impl<E: Engine> Dbms for Store<E> {
     fn name(&self) -> &str {
-        "rowstore"
+        E::NAME
     }
 
     fn version(&self) -> &str {
-        self.version
-    }
-
-    fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        self.run_bound(&self.bind_sql(sql, None, false)?)
-    }
-
-    fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        Ok(ir::explain(&self.bind_sql(sql, None, true)?))
-    }
-
-    fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
-        self.execute_analyzed(sql).map(|(_, plan)| plan)
-    }
-
-    fn execute_by_fingerprint(
-        &self,
-        sql: &str,
-        fingerprint: Option<u64>,
-    ) -> EngineResult<FpExecution> {
-        cached_execute(
-            self.plan_cache.as_ref(),
-            fingerprint,
-            |hints| self.bind_sql(sql, hints, false),
-            |bound| self.run_bound(bound),
-        )
-    }
-}
-
-/// The column engine as a target system.
-#[derive(Clone)]
-pub struct ColStore {
-    db: Arc<Database>,
-    budget: u64,
-    threads: usize,
-    rewrite: bool,
-    optimize: bool,
-    plan_cache: Option<Arc<PlanCache>>,
-}
-
-impl ColStore {
-    pub fn new(db: Arc<Database>) -> Self {
-        ColStore {
-            db,
-            budget: DEFAULT_BUDGET,
-            threads: morsel::default_threads(),
-            rewrite: true,
-            optimize: true,
-            plan_cache: None,
-        }
-    }
-
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Cap the morsel workers per query. `1` forces fully sequential
-    /// execution; results are identical at every setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Toggle the logical rewriter (on by default). The equivalence
-    /// suites diff rewritten against raw plans with this.
-    pub fn with_rewriter(mut self, on: bool) -> Self {
-        self.rewrite = on;
-        self
-    }
-
-    /// Toggle the cost-based join-order optimizer (on by default). The
-    /// equivalence suites diff optimized against syntactic-order plans
-    /// with this.
-    pub fn with_optimizer(mut self, on: bool) -> Self {
-        self.optimize = on;
-        self
-    }
-
-    /// Attach a shared plan cache: `execute_by_fingerprint` hits skip
-    /// parse/bind/rewrite entirely.
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    pub fn database(&self) -> &Arc<Database> {
-        &self.db
-    }
-
-    fn bind_sql(
-        &self,
-        sql: &str,
-        hints: Option<&ir::cost::CardHints>,
-        explain: bool,
-    ) -> EngineResult<BoundQuery> {
-        let q = sqalpel_sql::parse_query(sql)?;
-        let mut p = Planner::new(&self.db)
-            .with_rewrite(self.rewrite)
-            .with_optimize(self.optimize);
-        if let Some(h) = hints {
-            p = p.with_hints(h.clone());
-        }
-        if explain {
-            p.bind_explained(&q)
-        } else {
-            p.bind(&q)
-        }
-    }
-
-    /// A fresh executor carrying this store's knobs, so the subqueries
-    /// it binds at runtime are planned the way `bind_sql` plans the
-    /// statement.
-    fn exec(&self) -> ColExec<'_> {
-        ColExec::with_threads(&self.db, self.budget, self.threads)
-            .with_planner_flags(self.rewrite, self.optimize)
-    }
-
-    fn run_bound(&self, bound: &BoundQuery) -> EngineResult<ResultSet> {
-        let rows = self.exec().run_query(bound, None)?;
-        Ok(ResultSet::new(bound.output_names(), rows))
-    }
-
-    /// Execute with the profiler on, returning both the result set and
-    /// the annotated plan. The invariance suite checks the rows are
-    /// byte-identical to a profiler-off `execute`. When a plan cache is
-    /// attached, the observed per-operator cardinalities are recorded as
-    /// feedback so the next `execute_by_fingerprint` re-optimizes with
-    /// actuals.
-    pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
-        let bound = self.bind_sql(sql, None, true)?;
-        let exec = self.exec().with_profiler();
-        let rows = exec.run_query(&bound, None)?;
-        let profile = exec.take_profile();
-        let plan = AnalyzedPlan {
-            explain: ir::explain_analyze(&bound, &profile),
-            ops: ir::profile_ops(&bound, &profile)
-                .into_iter()
-                .map(|(op, metrics)| OpProfile { op, metrics })
-                .collect(),
-        };
-        if let Some(cache) = &self.plan_cache {
-            let hints = crate::profile::extract_feedback(&bound, &profile);
-            cache.record_feedback(plan.explain.fingerprint, hints);
-        }
-        Ok((ResultSet::new(bound.output_names(), rows), plan))
-    }
-}
-
-impl Dbms for ColStore {
-    fn name(&self) -> &str {
-        "colstore"
-    }
-
-    fn version(&self) -> &str {
-        "5.1"
+        self.engine.version()
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {

@@ -15,7 +15,7 @@
 //! chain of rows). Subqueries are executed through the
 //! [`SubqueryRunner`] callback so each engine runs nested queries with
 //! its own executor. Only the subqueries the plan-time unnesting pass
-//! left in place get here; [`run_subquery`] — the one implementation
+//! left in place get here; `run_subquery` — the one implementation
 //! behind both runners — binds such a body on first use, finds out then
 //! whether it is correlated, and caches the result of an uncorrelated one
 //! for the rest of the execution.

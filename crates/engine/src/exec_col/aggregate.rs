@@ -1,0 +1,282 @@
+//! Grouped aggregation: vectorized key and argument columns, one
+//! partitioned accumulate / merge / stitch over them, then a row-wise
+//! projection of the (few) groups.
+
+use super::{Batch, ColExec, ColVec, MODE};
+use crate::codec::{self, GroupCodec, GroupMap};
+use crate::error::EngineResult;
+use crate::eval::{
+    collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Prepared, Scope,
+};
+use crate::ir::Expr;
+use crate::morsel;
+use crate::plan::BoundQuery;
+use crate::value::Value;
+
+/// Grouped-aggregation state: (representative row index, accumulators)
+/// per group.
+type Groups = Vec<(usize, Vec<Accumulator>)>;
+
+impl ColExec<'_> {
+    pub(super) fn project_aggregated(
+        &self,
+        bq: &BoundQuery,
+        batch: &Batch,
+        outer: Option<&Env<'_>>,
+        produced: &mut Vec<(Vec<Value>, Vec<Value>)>,
+    ) -> EngineResult<()> {
+        let mut agg_exprs: Vec<&Expr> = bq.items.iter().map(|i| &i.expr).collect();
+        if let Some(h) = &bq.having {
+            agg_exprs.push(h);
+        }
+        for (k, _) in &bq.order_by {
+            agg_exprs.push(k);
+        }
+        let specs = collect_aggregates(&agg_exprs);
+        let keys: Vec<String> = specs.iter().map(|s| s.key.clone()).collect();
+
+        // Vectorized pass 1: group-key columns and aggregate arguments.
+        let key_cols: Vec<ColVec> = bq
+            .group_by
+            .iter()
+            .map(|g| self.eval_vec(g, batch, outer))
+            .collect::<EngineResult<_>>()?;
+        let arg_cols: Vec<Option<ColVec>> = specs
+            .iter()
+            .map(|s| {
+                s.arg
+                    .as_ref()
+                    .map(|a| self.eval_vec(a, batch, outer))
+                    .transpose()
+            })
+            .collect::<EngineResult<_>>()?;
+
+        // Pass 2: group ids and accumulation.
+        let mut groups = self.aggregate(batch.len, &key_cols, &arg_cols, &specs)?;
+        if groups.is_empty() && bq.group_by.is_empty() {
+            groups.push((
+                usize::MAX,
+                specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
+            ));
+        }
+
+        // Pass 3: per-group projection (few groups: row-wise is fine).
+        let ctx = EvalCtx::new(self, MODE);
+        let scope = Scope {
+            schema: &batch.schema,
+            outer,
+        };
+        let having = bq
+            .having
+            .as_ref()
+            .map(|h| Prepared::new(h, scope, MODE, &keys));
+        let items: Vec<Prepared<'_>> = bq
+            .items
+            .iter()
+            .map(|item| Prepared::new(&item.expr, scope, MODE, &keys))
+            .collect();
+        let order = crate::output::prepare_sort_keys(bq, scope, MODE, &keys);
+        for (rep, accs) in &groups {
+            let rep_row: Vec<Value> = if *rep == usize::MAX {
+                vec![Value::Null; batch.schema.len()]
+            } else {
+                batch.row(*rep)
+            };
+            let values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
+            let gctx = ctx.with_aggs(&values);
+            if let Some(h) = &having {
+                if !h.filter(&rep_row, &gctx)? {
+                    continue;
+                }
+            }
+            let mut out = Vec::with_capacity(items.len());
+            for item in &items {
+                out.push(item.eval(&rep_row, &gctx)?);
+            }
+            let skeys = crate::output::sort_keys(&order, &out, &rep_row, &gctx)?;
+            produced.push((out, skeys));
+        }
+        Ok(())
+    }
+
+    /// Grouped accumulation over `rows` input rows, in three
+    /// deterministic phases:
+    ///
+    /// 1. each range of the input accumulates into partition-local tables
+    ///    (partition = pure function of the key), its groups in
+    ///    first-seen order;
+    /// 2. partitions are **disjoint**, so they merge independently —
+    ///    within a partition, ranges fold in range order, so every group
+    ///    keeps the representative row of the first range that saw it,
+    ///    i.e. its global first-occurrence row;
+    /// 3. a stitch pass sorts all groups by representative row. First
+    ///    occurrences are unique per group and ascending row order *is*
+    ///    first-seen order over the whole input, so the output does not
+    ///    depend on how the input was split.
+    ///
+    /// One worker gets one range and one partition, with nothing to merge
+    /// and groups already in order. So does any input with an accumulator
+    /// that does not merge exactly: DISTINCT needs one seen-set, float
+    /// sums would expose addition order.
+    fn aggregate(
+        &self,
+        rows: usize,
+        key_cols: &[ColVec],
+        arg_cols: &[Option<ColVec>],
+        specs: &[AggSpec],
+    ) -> EngineResult<Groups> {
+        let workers = if exactly_mergeable(specs, arg_cols) {
+            self.workers_for(rows)
+        } else {
+            1
+        };
+        let nparts = if workers > 1 { codec::NPARTS } else { 1 };
+        let codec = GroupCodec::for_group(key_cols);
+        let budget = &self.budget;
+
+        // Coarse ranges: per-range group tables must be merged
+        // afterwards, and with 4096-row morsels that merge would rival
+        // the accumulation itself when groups are plentiful.
+        let ranges = morsel::coarse_morsels(rows, workers);
+        let mut partials: Vec<Vec<(GroupMap, Groups)>> =
+            morsel::run_on_ranges(ranges, workers, |range| {
+                // One charge per range, not per row: the same total, and
+                // no contended atomic in the loop.
+                budget.charge(range.len() as u64)?;
+                let mut parts: Vec<(GroupMap, Groups)> = (0..nparts)
+                    .map(|_| (GroupMap::new(codec.u64_mode()), Vec::new()))
+                    .collect();
+                let feeders: Vec<ArgCol> = arg_cols.iter().map(ArgCol::from).collect();
+                let mut scratch = Vec::new();
+                for i in range {
+                    let k = codec.encode(i, &mut scratch)?;
+                    let (map, groups) = &mut parts[k.partition(nparts)];
+                    let gid = match map.get(&k) {
+                        Some(g) => g as usize,
+                        None => {
+                            map.insert(&k, groups.len() as u32);
+                            groups.push((
+                                i,
+                                specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
+                            ));
+                            groups.len() - 1
+                        }
+                    };
+                    for (f, acc) in feeders.iter().zip(groups[gid].1.iter_mut()) {
+                        f.feed(acc, i)?;
+                    }
+                }
+                Ok(parts)
+            })?;
+
+        // Phase 2: a partition's ranges fold in order into one table.
+        // A single range is already that table.
+        let merged: Vec<Groups> = if partials.len() <= 1 {
+            let only = partials.pop().unwrap_or_default();
+            only.into_iter().map(|(_, groups)| groups).collect()
+        } else {
+            morsel::run_indexed(nparts, workers, |p| {
+                let mut map = GroupMap::new(codec.u64_mode());
+                let mut groups: Groups = Vec::new();
+                for range_parts in &partials {
+                    let (range_map, range_groups) = &range_parts[p];
+                    for (k, gid) in range_map.iter() {
+                        let (rep, accs) = &range_groups[gid as usize];
+                        match map.get(&k) {
+                            Some(g) => {
+                                for (acc, other) in groups[g as usize].1.iter_mut().zip(accs) {
+                                    acc.merge(other)?;
+                                }
+                            }
+                            None => {
+                                map.insert(&k, groups.len() as u32);
+                                groups.push((*rep, accs.clone()));
+                            }
+                        }
+                    }
+                }
+                Ok(groups)
+            })?
+        };
+
+        // Phase 3: stitch — ascending first-occurrence row index is
+        // first-seen group order.
+        let mut groups: Groups = merged.into_iter().flatten().collect();
+        groups.sort_unstable_by_key(|(rep, _)| *rep);
+        Ok(groups)
+    }
+}
+
+/// Whether per-range accumulators of these aggregates combine into
+/// exactly what one pass over the whole input computes.
+fn exactly_mergeable(specs: &[AggSpec], arg_cols: &[Option<ColVec>]) -> bool {
+    specs.iter().zip(arg_cols).all(|(s, arg)| {
+        if s.distinct {
+            return false;
+        }
+        match s.func {
+            AggFunc::Count => true,
+            // Sums stay on the i128 decimal path only for integer /
+            // decimal inputs; anything else folds into f64.
+            AggFunc::Sum | AggFunc::Avg => match arg {
+                None | Some(ColVec::Int(_)) | Some(ColVec::Decimal { .. }) => true,
+                Some(ColVec::Const(v, _)) => {
+                    matches!(v, Value::Int(_) | Value::Decimal { .. } | Value::Null)
+                }
+                _ => false,
+            },
+            // Typed columns are homogeneous, so comparison is a total
+            // order and min/max are merge-order independent; a mixed
+            // `Val` column could compare incomparable pairs in a
+            // different order than one pass does.
+            AggFunc::Min | AggFunc::Max => !matches!(arg, Some(ColVec::Val(_))),
+        }
+    })
+}
+
+/// One aggregate argument's feeder: how each input row reaches its
+/// accumulator. Splitting this out of the row loop keeps typed string
+/// columns on [`Accumulator::update_str`] (no per-row boxing) and
+/// avoids re-matching the column variant per row per aggregate.
+enum ArgCol<'a> {
+    /// `count(*)`: no argument.
+    Star,
+    /// A typed string column: feed by reference.
+    Str(&'a [String]),
+    /// A dictionary column: decode the code to a borrowed string, no
+    /// per-row allocation.
+    Dict {
+        codes: &'a [u32],
+        dict: &'a [String],
+    },
+    /// Everything else: box one value per row (ints and decimals are
+    /// stack-only, so this allocates nothing for numeric columns).
+    Generic(&'a ColVec),
+}
+
+impl<'a> ArgCol<'a> {
+    fn from(arg: &'a Option<ColVec>) -> ArgCol<'a> {
+        match arg {
+            None => ArgCol::Star,
+            Some(ColVec::Str(v)) => ArgCol::Str(v),
+            Some(ColVec::Dict { codes, dict }) => ArgCol::Dict {
+                codes,
+                dict: dict.as_slice(),
+            },
+            Some(c) => ArgCol::Generic(c),
+        }
+    }
+
+    #[inline]
+    fn feed(&self, acc: &mut Accumulator, i: usize) -> EngineResult<()> {
+        match self {
+            ArgCol::Star => acc.update(None),
+            ArgCol::Str(v) => acc.update_str(&v[i]),
+            ArgCol::Dict { codes, dict } => acc.update_str(&dict[codes[i] as usize]),
+            ArgCol::Generic(c) => {
+                let v = c.get(i);
+                acc.update(Some(&v))
+            }
+        }
+    }
+}

@@ -13,7 +13,7 @@
 //! semi, anti and group joins, per block, as it is bound), the [`rewrite`]
 //! rules (fixed point, deterministic order), the cost-based join-order optimizer ([`stats`] load-time
 //! column statistics, the [`cost`] cardinality/cost estimator, the
-//! [`memo`] DP plan enumerator), and the [`explain`] renderer with its
+//! [`memo`] DP plan enumerator), and the [`mod@explain`] renderer with its
 //! canonical, join-order-invariant plan fingerprint.
 
 pub mod bind;

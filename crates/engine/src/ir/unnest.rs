@@ -40,7 +40,7 @@
 //!
 //! Everything else stays on the per-row [`crate::eval::SubqueryRunner`]
 //! path; the choice depends on the query's shape alone. When the plan is
-//! bound for EXPLAIN ([`Planner::bind_explained`]) each subquery left in
+//! bound for EXPLAIN (`Planner::bind_explained`) each subquery left in
 //! place also gets a line in [`BoundQuery::subquery_notes`] saying how it
 //! runs and why — telling `cached` from `per-row` outside the three
 //! shapes takes a bind of the body, which an executing bind does not pay.

@@ -5,41 +5,40 @@
 //! parallel operator in the engines follows the same discipline:
 //!
 //! 1. workers produce one partial result per morsel, never touching
-//!    shared mutable state except the [`BudgetCounter`];
+//!    shared mutable state except the [`RowBudget`];
 //! 2. partial results are merged **in morsel order**, so row order,
-//!    group first-seen order and join match order are identical to the
-//!    sequential plan;
+//!    group first-seen order and join match order do not depend on how
+//!    the input was split;
 //! 3. the first error in morsel order wins. Because a morsel is scanned
 //!    sequentially and earlier morsels contain no failing row, that is
-//!    exactly the error the sequential executor would have reported
-//!    (budget messages excepted — those quote the shared counter).
+//!    the error a single pass over the whole input reports (budget
+//!    messages excepted — those quote the shared counter).
 //!
-//! `threads = 1` never spawns workers. In the row engine that is the
-//! one-worker case of the same function: its scan front end decides
-//! chunks through [`run_on_morsels`] or in a plain loop, and everything
-//! after the decision is one code path. The column engine still keeps
-//! dedicated single-threaded twins of its parallel operators; those
-//! share the radix key codec ([`crate::codec`]) with the parallel
-//! kernels — the determinism contract constrains *results*, not code, and
-//! the codec's first-seen group order and build-side match order are the
-//! sequential orders by construction.
+//! Neither engine has a sequential twin of an operator. `threads = 1`,
+//! a one-core host and an input below [`MIN_PARALLEL_ROWS`] all mean *one
+//! worker*, and one worker is the degenerate case of the same function:
+//! [`run_indexed`] runs inline without spawning, [`coarse_morsels`] hands
+//! the whole input over as a single range, and the partitioned hash
+//! kernels ([`crate::codec`]) then hold one partition table with nothing
+//! to merge. The row engine fans out only the decide step of its scans;
+//! the column engine's scan, join and aggregate each compute their worker
+//! count from what they can observe — [`effective_workers`], the input
+//! size, whether the predicate needs this execution's subquery state,
+//! whether every accumulator merges exactly.
 
 use crate::error::{EngineError, EngineResult};
-use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Rows per morsel. Small enough that a skewed predicate still load-balances
 /// across workers, large enough that per-morsel overhead (a batch header,
 /// a hash-table allocation) stays invisible. Equal to the storage chunk
 /// size by construction: a morsel is exactly one zone-mapped chunk, so
-/// parallel scans can skip morsels with the same zone test the
-/// sequential scan uses.
+/// a scan's zone test skips whole morsels at every worker count.
 pub const MORSEL_ROWS: usize = crate::storage::CHUNK_ROWS;
 
-/// Inputs below this row count stay on the sequential path: spawning
-/// threads costs more than the scan.
+/// Inputs below this row count get one worker: spawning threads costs
+/// more than the scan.
 pub const MIN_PARALLEL_ROWS: usize = 2 * MORSEL_ROWS;
 
 /// The default for the `threads` knob: whatever the machine offers.
@@ -61,15 +60,17 @@ pub fn morsels(len: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Split `0..len` into a few large contiguous chunks — enough for `threads`
-/// workers to load-balance (4 per worker) but far fewer than [`morsels`]
-/// would produce. Used where per-chunk state must be *merged* afterwards
-/// (grouped aggregation): with 4096-row morsels and many groups the merge
-/// work rivals the accumulation itself. Chunks never go below
-/// [`MORSEL_ROWS`]; boundaries don't affect results (merging is associative
-/// over contiguous splits), only overhead.
-pub fn coarse_morsels(len: usize, threads: usize) -> Vec<Range<usize>> {
-    let target = threads.max(1) * 4;
+/// Split `0..len` into the contiguous ranges `workers` workers share: the
+/// whole input as one range for one worker — per-range state then has
+/// nothing to merge with — and otherwise enough large chunks to
+/// load-balance (4 per worker) but far fewer than [`morsels`] would
+/// produce. Used where per-range state must be *merged* afterwards
+/// (grouped aggregation, join builds): with 4096-row morsels and many
+/// groups the merge work rivals the accumulation itself. Chunks never go
+/// below [`MORSEL_ROWS`]; boundaries don't affect results (merging is
+/// associative over contiguous splits), only overhead.
+pub fn coarse_morsels(len: usize, workers: usize) -> Vec<Range<usize>> {
+    let target = if workers <= 1 { 1 } else { workers * 4 };
     let chunk = len.div_ceil(target).max(MORSEL_ROWS);
     let mut out = Vec::with_capacity(len.div_ceil(chunk.max(1)));
     let mut lo = 0;
@@ -81,42 +82,31 @@ pub fn coarse_morsels(len: usize, threads: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// The execution budget's row counter. Single-threaded executions keep the
-/// original `Cell` (no synchronization, bit-identical behaviour); parallel
-/// executions share one atomic across all workers so the budget bounds the
-/// *query*, not each thread.
+/// An execution's row budget: how many rows a query may touch before it
+/// is aborted, counted once for the whole query however many workers
+/// charge it.
 #[derive(Debug)]
-pub enum BudgetCounter {
-    Local(Cell<u64>),
-    Shared(Arc<AtomicU64>),
+pub struct RowBudget {
+    limit: u64,
+    used: AtomicU64,
 }
 
-impl BudgetCounter {
-    pub fn local() -> Self {
-        BudgetCounter::Local(Cell::new(0))
-    }
-
-    pub fn shared() -> Self {
-        BudgetCounter::Shared(Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Add `n` rows and return the new total.
-    pub fn add(&self, n: u64) -> u64 {
-        match self {
-            BudgetCounter::Local(c) => {
-                let used = c.get() + n;
-                c.set(used);
-                used
-            }
-            BudgetCounter::Shared(a) => a.fetch_add(n, Ordering::Relaxed) + n,
+impl RowBudget {
+    pub fn new(limit: u64) -> Self {
+        RowBudget {
+            limit,
+            used: AtomicU64::new(0),
         }
     }
 
-    /// The shared atomic, when this execution is parallel.
-    pub fn handle(&self) -> Option<Arc<AtomicU64>> {
-        match self {
-            BudgetCounter::Local(_) => None,
-            BudgetCounter::Shared(a) => Some(Arc::clone(a)),
+    /// Count `n` more rows; an error once the total passes the limit.
+    pub fn charge(&self, n: u64) -> EngineResult<()> {
+        // Relaxed: the counter publishes no other data.
+        let used = self.used.fetch_add(n, Ordering::Relaxed) + n;
+        if used > self.limit {
+            Err(EngineError::Budget(format!("{used} rows touched")))
+        } else {
+            Ok(())
         }
     }
 }
@@ -162,10 +152,10 @@ fn host_workers() -> usize {
 }
 
 /// Workers a `threads = N` request actually yields on this host. The
-/// executors consult this before choosing a parallel plan: when it says
-/// one worker, partitioned execution would pay its chunk-merge overhead
-/// with zero concurrency in return, so they stay on the (codec-backed)
-/// sequential path — which produces byte-identical results anyway.
+/// executors consult this before splitting an input: when it says one
+/// worker, ranges and partitions would pay their merge overhead with
+/// zero concurrency in return, so the operator runs as one range — which
+/// produces byte-identical results anyway.
 pub fn effective_workers(threads: usize) -> usize {
     threads.min(host_workers())
 }
@@ -305,16 +295,20 @@ mod tests {
     }
 
     #[test]
-    fn budget_counter_shared_accumulates_across_clones() {
-        let b = BudgetCounter::shared();
-        let h = b.handle().unwrap();
-        assert_eq!(b.add(10), 10);
-        h.fetch_add(5, Ordering::Relaxed);
-        assert_eq!(b.add(1), 16);
-        let local = BudgetCounter::local();
-        assert!(local.handle().is_none());
-        assert_eq!(local.add(3), 3);
-        assert_eq!(local.add(4), 7);
+    fn one_worker_gets_the_whole_input_as_one_range() {
+        for len in [1, MORSEL_ROWS, 150 * MORSEL_ROWS + 3] {
+            assert_eq!(coarse_morsels(len, 1), vec![0..len]);
+        }
+        assert!(coarse_morsels(0, 1).is_empty());
     }
 
+    #[test]
+    fn row_budget_counts_across_sharers_and_trips_past_the_limit() {
+        let b = std::sync::Arc::new(RowBudget::new(15));
+        let other = std::sync::Arc::clone(&b);
+        b.charge(10).unwrap();
+        other.charge(5).unwrap();
+        let err = b.charge(1).unwrap_err();
+        assert_eq!(err, EngineError::Budget("16 rows touched".into()));
+    }
 }

@@ -7,13 +7,14 @@
 //! node's address ([`node_key`]), which is stable for the lifetime of
 //! the bound plan tree.
 //!
-//! Morsel-parallel kernels cannot write into the coordinator's profiler
-//! from worker threads; instead each worker fills a private
-//! [`ProfileShard`] and the coordinator [`Profiler::absorb`]s the shards
-//! *after* `run_on_morsels` returns — in morsel order, though the merge
-//! is order-independent by construction (sums only). The property tests
-//! in `tests/profile_props.rs` pin merge associativity/commutativity and
-//! count conservation.
+//! A profiler belongs to one thread. An operator that fans work out over
+//! morsel workers is timed and counted as a whole by the coordinating
+//! thread, once its workers are done — one sample per execution at every
+//! worker count, so a scan's clock can never exceed its parent's. Shards
+//! of separate executions still combine: every field is a sum, so
+//! [`ProfileShard::merge`] is order-independent by construction (the
+//! property tests in `tests/profile_props.rs` pin associativity,
+//! commutativity and count conservation).
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -25,8 +26,7 @@ pub struct NodeMetrics {
     pub rows_in: u64,
     /// Rows the node handed to its parent.
     pub rows_out: u64,
-    /// Distinct executions (morsels for worker-side scans, invocations
-    /// otherwise).
+    /// Distinct executions of the node.
     pub batches: u64,
     /// Wall-clock nanoseconds spent in the node and its inputs — never
     /// in the consumer of its rows. The column engine materializes, so
@@ -121,7 +121,7 @@ impl Profiler {
         self.shard.borrow_mut().record(key, sample);
     }
 
-    /// Merge a worker's shard in (after morsel execution).
+    /// Merge another execution's shard in.
     pub fn absorb(&self, shard: &ProfileShard) {
         self.shard.borrow_mut().merge(shard);
     }

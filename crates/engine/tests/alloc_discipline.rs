@@ -1,15 +1,17 @@
 //! The radix kernels' allocation contract: aggregation and join inner
-//! loops must not allocate per row for int/decimal keys. A counting
-//! global allocator measures whole-query allocation counts; the bound is
-//! a small fraction of the row count, so any per-row `Vec<Key>` boxing or
-//! key cloning creeping back into the hot loops fails the test loudly.
+//! loops must not allocate per row, for typed (int/decimal/dict) keys
+//! and for the float keys that go through the tagged key image alike. A
+//! counting global allocator measures whole-query allocation counts; the
+//! bound is a small fraction of the row count, so any per-row `Vec<Key>`
+//! boxing or key cloning creeping back into the hot loops fails the test
+//! loudly.
 //! The row engine's tuple pipeline is held to the same contract: scan,
 //! filter, join and grouping keep rows in reused buffers and arenas.
 //!
 //! One `#[test]` only: the allocator counts globally, so concurrent tests
 //! would pollute each other's deltas.
 
-use sqalpel_engine::storage::{date_col, dec_col, int_col, str_col};
+use sqalpel_engine::storage::{date_col, dec_col, float_col, int_col, str_col};
 use sqalpel_engine::{ColStore, Database, Dbms, RowStore, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +53,8 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn kernel_loops_do_not_allocate_per_row() {
-    // Lift the single-core worker bound so the partitioned kernels are
-    // measured too, not just the sequential codec path.
+    // Lift the single-core worker bound so the kernels are measured over
+    // several ranges and partitions too, not just over one.
     std::env::set_var("SQALPEL_FORCE_WORKERS", "8");
 
     let mut db = Database::new();
@@ -67,13 +69,20 @@ fn kernel_loops_do_not_allocate_per_row() {
                 str_col("tag", (0..ROWS).map(|i| format!("tag-{:02}", i % 40))),
                 date_col("day", (0..ROWS).map(|i| 9_000 + (i % 2_000) as i32)),
                 int_col("qty", (0..ROWS).map(|i| (i % 50) as i64)),
+                float_col("fkey", (0..ROWS).map(|i| (i % KEYS) as f64 + 0.5)),
             ],
         )
         .expect("facts table"),
     );
     db.add_table(
-        Table::new("dims", vec![int_col("k", (0..KEYS).map(|i| i as i64))])
-            .expect("dims table"),
+        Table::new(
+            "dims",
+            vec![
+                int_col("k", (0..KEYS).map(|i| i as i64)),
+                float_col("fkey", (0..KEYS).map(|i| i as f64 + 0.5)),
+            ],
+        )
+        .expect("dims table"),
     );
     // A second dimension keyed on the dict-encoded string: its own
     // (distinct) dictionary, so the join compares via string bytes.
@@ -92,6 +101,10 @@ fn kernel_loops_do_not_allocate_per_row() {
     // Dict-probe path: both join keys are dictionary-encoded with
     // different dictionaries.
     let probe = "select count(*) from facts, tags where facts.tag = tags.tag";
+    // Float keys have no typed encoding: each row's key is its tagged
+    // image, written into the same scratch buffer and hash tables.
+    let float_agg = "select fkey, count(*), sum(amount) from facts group by fkey";
+    let float_join = "select count(*) from facts, dims where facts.fkey = dims.fkey";
 
     // The tuple pipeline end to end: scan -> filter (a typed conjunct
     // and one the evaluator runs) -> int-key hash join -> grouped
@@ -126,6 +139,8 @@ fn kernel_loops_do_not_allocate_per_row() {
         col.execute(join).expect("join warms");
         col.execute(filt).expect("filter warms");
         col.execute(probe).expect("probe warms");
+        col.execute(float_agg).expect("float agg warms");
+        col.execute(float_join).expect("float join warms");
 
         // Steady-state allocation budget: group state, partition tables,
         // chunk merges and the result are all O(groups + chunks + cols),
@@ -171,5 +186,17 @@ fn kernel_loops_do_not_allocate_per_row() {
             "dict probe at threads={threads} allocated {probe_allocs} times \
              for {ROWS} probe rows — a per-row allocation is back in the loop"
         );
+
+        // Float keys: a boxed key per row would cost >= ROWS.
+        for (what, sql) in [("float-keyed aggregation", float_agg), ("float-keyed join", float_join)] {
+            let allocs = allocs_during(|| {
+                col.execute(sql).expect("float-keyed query executes");
+            });
+            assert!(
+                allocs < (ROWS / 2) as u64,
+                "{what} at threads={threads} allocated {allocs} times \
+                 for {ROWS} rows — a per-row allocation is back in the loop"
+            );
+        }
     }
 }

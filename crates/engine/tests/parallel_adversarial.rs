@@ -1,8 +1,8 @@
 //! Adversarial shapes for the radix-partitioned kernels.
 //!
 //! The TPC-H/SSB differential suite exercises realistic distributions;
-//! this one aims at the spots where a partitioned kernel could diverge
-//! from its sequential twin:
+//! this one aims at the spots where a kernel split over ranges and
+//! partitions could diverge from one pass over the whole input:
 //!
 //! * **single group** — every row lands in one partition, the merge
 //!   phase degenerates to a pure reduction across chunks;
@@ -13,12 +13,19 @@
 //!   partials disagree wildly in size;
 //! * **join extremes** — duplicate-heavy probe sides, unique⋈unique, a
 //!   mixed int=decimal key (the widened 16-byte domain), and string
-//!   keys.
+//!   keys;
+//! * **untyped keys** — float = float, float = int, a `CASE`-valued key
+//!   (a boxed column of ints and NULLs), a key that is NULL on every
+//!   row, and two-column keys mixing a typed and a float column, as
+//!   inner, semi (`IN`/`EXISTS`) and anti (`NOT IN`/`NOT EXISTS`) joins
+//!   and as GROUP BY keys: the column engine encodes these with the
+//!   tagged key image, row by row, in the same hash tables as the typed
+//!   ones.
 //!
 //! Every case must be byte-identical (`approx_eq` with tolerance 0.0)
-//! between `threads = 1` and `threads ∈ {2, 4, 8}` on both engines, and
-//! budget exhaustion must fail with the same error kind at every thread
-//! count.
+//! between `threads = 1` and `threads ∈ {2, 4, 8}` on both engines, the
+//! two engines must agree with each other, and budget exhaustion must
+//! fail with the same error kind at every thread count.
 
 use sqalpel_engine::storage::{dec_col, float_col, int_col, str_col};
 use sqalpel_engine::{ColStore, Database, Dbms, EngineError, RowStore, Table};
@@ -77,6 +84,21 @@ fn assert_thread_invariant<D: Dbms>(seq: &D, par: &D, threads: usize, sql: &str)
     }
 }
 
+/// The column engine against the row engine: the same rows, whatever
+/// each one's hash tables are keyed on.
+fn assert_engines_agree(row: &RowStore, col: &ColStore, sql: &str) {
+    let a = row
+        .execute(sql)
+        .unwrap_or_else(|e| panic!("{sql} failed on rowstore: {e}"));
+    let b = col
+        .execute(sql)
+        .unwrap_or_else(|e| panic!("{sql} failed on colstore: {e}"));
+    assert!(
+        a.canonicalized().approx_eq(&b.canonicalized(), 1e-9),
+        "{sql} diverged:\nrowstore:\n{a}\ncolstore:\n{b}"
+    );
+}
+
 /// One table holding every adversarial aggregation distribution as a
 /// separate column, so each query picks its poison.
 fn agg_db() -> Arc<Database> {
@@ -125,6 +147,8 @@ fn join_db() -> Arc<Database> {
                 // does — through the widened int=decimal codec domain.
                 dec_col("dec_k", (0..JOIN_KEYS).map(|i| (i * 100) as i64), 2),
                 str_col("name", (0..JOIN_KEYS).map(|i| format!("n{i}"))),
+                // `k` again, as a float.
+                float_col("f", (0..JOIN_KEYS).map(|i| i as f64)),
             ],
         )
         .expect("build table"),
@@ -142,6 +166,12 @@ fn join_db() -> Arc<Database> {
                     (0..PROBE_ROWS).map(|i| format!("n{}", i % JOIN_KEYS)),
                 ),
                 int_col("v", (0..PROBE_ROWS).map(|i| (i % 13) as i64)),
+                // Half-steps over the key domain: every other value is
+                // integral (the key image of an int), the rest are not.
+                float_col(
+                    "fk",
+                    (0..PROBE_ROWS).map(|i| (i % (2 * JOIN_KEYS)) as f64 * 0.5),
+                ),
             ],
         )
         .expect("probe table"),
@@ -155,9 +185,19 @@ const AGG_QUERIES: &[&str] = &[
     "select zipf, count(*), min(distinct_key), max(str_key) from skew group by zipf",
     "select str_key, count(*), min(str_key), max(dec_val) from skew group by str_key",
     "select one_group, avg(f_val), count(distinct zipf) from skew group by one_group",
-    // Float group keys stay off the codec path by design; the sequential
-    // fallback must be just as thread-invariant.
+    // Untyped keys. A float column, all distinct:
     "select count(*), sum(dec_val) from skew group by f_val",
+    // floats and ints in one key column, meeting where they are equal
+    // (`7.0` of row 14 and the `7` of every odd row are one group);
+    "select count(*), sum(dec_val) from skew \
+     group by case when distinct_key % 2 = 0 then f_val else one_group end",
+    // a CASE-valued key that is NULL for most rows;
+    "select case when zipf > 0 then zipf end, count(*), sum(dec_val) from skew \
+     group by case when zipf > 0 then zipf end",
+    // a NULL constant: one group;
+    "select count(*), min(distinct_key) from skew group by null",
+    // and a typed column next to a float one.
+    "select zipf, f_val, count(*), sum(dec_val) from skew group by zipf, f_val",
 ];
 
 const JOIN_QUERIES: &[&str] = &[
@@ -165,6 +205,30 @@ const JOIN_QUERIES: &[&str] = &[
     "select count(*), min(build.name) from probe, build where probe.u = build.k",
     "select count(*), sum(probe.v) from probe, build where probe.k = build.dec_k",
     "select count(*), max(probe.v) from probe, build where probe.name_k = build.name",
+    // Untyped keys, inner: float = float, float = int, a CASE-valued key
+    // (ints and NULLs), a key NULL on every row, typed + float columns.
+    "select count(*), sum(probe.v) from probe, build where probe.fk = build.f",
+    "select count(*), sum(probe.v) from probe, build where probe.fk = build.k",
+    "select count(*), sum(probe.v) from probe, build \
+     where case when probe.v < 6 then probe.k end = build.k",
+    "select count(*) from probe, build where case when probe.v < 0 then probe.k end = build.k",
+    "select count(*), sum(probe.v) from probe, build \
+     where probe.k = build.k and probe.fk = build.f",
+    // Semi and anti, on the CASE-valued key from either side (the
+    // unnester hashes only statically typed keys; this one is typed int
+    // and boxed at run time), and with the float pair as the residual.
+    "select count(*), sum(v) from probe \
+     where case when v < 6 then k end in (select k from build where k < 500)",
+    "select count(*), sum(v) from probe \
+     where case when v < 6 then k end not in (select k from build where k < 500)",
+    "select count(*), sum(v) from probe where exists \
+     (select 1 from build where build.k = case when probe.v < 6 then probe.k end)",
+    "select count(*), sum(v) from probe where not exists \
+     (select 1 from build where build.k = case when probe.v < 6 then probe.k end)",
+    "select count(*), sum(v) from probe \
+     where k in (select case when k < 500 then k end from build)",
+    "select count(*), sum(v) from probe where not exists \
+     (select 1 from build where build.k = probe.k and build.f = probe.fk)",
 ];
 
 #[test]
@@ -179,6 +243,7 @@ fn aggregation_extremes_are_thread_invariant() {
             let col_par = ColStore::new(db.clone()).with_threads(threads);
             assert_thread_invariant(&row_seq, &row_par, threads, sql);
             assert_thread_invariant(&col_seq, &col_par, threads, sql);
+            assert_engines_agree(&row_par, &col_par, sql);
         }
     }
 }
@@ -195,6 +260,7 @@ fn join_extremes_are_thread_invariant() {
             let col_par = ColStore::new(db.clone()).with_threads(threads);
             assert_thread_invariant(&row_seq, &row_par, threads, sql);
             assert_thread_invariant(&col_seq, &col_par, threads, sql);
+            assert_engines_agree(&row_par, &col_par, sql);
         }
     }
 }

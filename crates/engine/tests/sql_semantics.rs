@@ -318,3 +318,42 @@ fn self_join_with_aliases() {
         },
     );
 }
+
+#[test]
+fn non_ascii_literals_and_quoted_identifiers() {
+    // A literal is its characters, not one Latin-1 `char` per UTF-8
+    // byte: it must equal, and prefix-match, stored UTF-8 data.
+    let mut db = Database::new();
+    db.add_table(
+        Table::new(
+            "orte",
+            vec![
+                str_col(
+                    "name",
+                    ["Ä", "Ärmel", "Apfel", "Öl"].iter().map(|s| s.to_string()),
+                ),
+                int_col("größe", [1, 2, 3, 4].into_iter()),
+            ],
+        )
+        .unwrap(),
+    );
+    let db = Arc::new(db);
+    let cases = [
+        ("select \"größe\" from orte where name = 'Ä'", vec!["1"]),
+        ("select \"größe\" from orte where name like 'Ä%' order by 1", vec!["1", "2"]),
+        ("select name from orte where \"größe\" = 4", vec!["Öl"]),
+        ("select 'Ä''ö' from orte where name = 'Öl'", vec!["Ä'ö"]),
+    ];
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        for (sql, want) in &cases {
+            let r = dbms
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql} failed on {}: {e}", dbms.label()));
+            let got: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+            assert_eq!(&got, want, "{sql} on {}", dbms.label());
+        }
+    }
+}

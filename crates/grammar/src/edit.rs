@@ -8,7 +8,7 @@
 //! making join-paths explicit."
 //!
 //! Every operation validates its preconditions and leaves the grammar in
-//! a state that still passes [`crate::validate`].
+//! a state that still passes [`crate::validate()`].
 
 use crate::ast::{Alternative, Element, Grammar};
 use std::fmt;

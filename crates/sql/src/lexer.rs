@@ -236,20 +236,30 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The source between two byte offsets. Callers cut at quote bytes,
+    /// which are ASCII and so never fall inside a multi-byte character:
+    /// the slice is whole UTF-8 characters of the (already valid) input.
+    fn text(&self, start: usize, end: usize) -> &'a str {
+        std::str::from_utf8(&self.src[start..end]).expect("cut at ASCII quote bytes")
+    }
+
     fn lex_string(&mut self, pos: Pos) -> ParseResult<Token> {
         self.bump(); // opening quote
         let mut out = String::new();
+        let mut start = self.idx;
         loop {
             match self.bump() {
                 Some(b'\'') => {
-                    if self.peek() == Some(b'\'') {
-                        self.bump();
-                        out.push('\'');
-                    } else {
+                    out.push_str(self.text(start, self.idx - 1));
+                    if self.peek() != Some(b'\'') {
                         return Ok(Token::String(out));
                     }
+                    // `''` is one quote; the literal continues after it.
+                    self.bump();
+                    out.push('\'');
+                    start = self.idx;
                 }
-                Some(c) => out.push(c as char),
+                Some(_) => {}
                 None => return Err(ParseError::new(pos, "unterminated string literal")),
             }
         }
@@ -257,11 +267,14 @@ impl<'a> Lexer<'a> {
 
     fn lex_quoted_ident(&mut self, pos: Pos) -> ParseResult<Token> {
         self.bump(); // opening quote
-        let mut out = String::new();
+        let start = self.idx;
         loop {
             match self.bump() {
-                Some(b'"') => return Ok(Token::Word(out)),
-                Some(c) => out.push((c as char).to_ascii_lowercase()),
+                Some(b'"') => {
+                    let name = self.text(start, self.idx - 1);
+                    return Ok(Token::Word(name.to_ascii_lowercase()));
+                }
+                Some(_) => {}
                 None => return Err(ParseError::new(pos, "unterminated quoted identifier")),
             }
         }
@@ -383,6 +396,20 @@ mod tests {
         assert_eq!(
             toks("\"Group\""),
             vec![Token::Word("group".into()), Token::Eof]
+        );
+    }
+
+    #[test]
+    fn non_ascii_literals_keep_their_characters() {
+        // One character each, not one `char` per UTF-8 byte.
+        assert_eq!(
+            toks("'Ä' 'Ä''ö%' \"Größe\""),
+            vec![
+                Token::String("Ä".into()),
+                Token::String("Ä'ö%".into()),
+                Token::Word("größe".into()),
+                Token::Eof
+            ]
         );
     }
 
