@@ -124,6 +124,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Admission-control invariants (the per-user in-flight bound is exact and
 # every release path — report, error, reaper — returns the slot).
 cargo test -q --release -p sqalpel-core --test admission_props
+# The queue's O(1) bookkeeping is the scans it replaced: per-state counts
+# and open tasks per experiment against the deleted scans (kept in the
+# test as the oracle) after every step of random enqueue / checkout /
+# claim / unclaim / complete / reap / requeue sequences, and equal counts
+# again after snapshot -> restore and WAL -> streamed replay.
+cargo test -q --release -p sqalpel-core --test queue_props
+# The task path's allocation and memory contract: allocations per
+# in-memory request_task and report_result pinned (8 and 3), the in-process
+# drain of 160k tasks flat from first to last, and replay of a 20k-task,
+# 10k-report log peaking within 1.25x of the recovered state (it streams).
+cargo test -q --release -p sqalpel-core --test alloc_discipline
 # Bulk-upload differential wall: the same experiment reported per-record
 # over v1, per-record over v2 and as one streamed v2 batch must export
 # byte-identical CSVs with identical queue counters; a connection killed
@@ -132,8 +143,9 @@ cargo test -q --release -p sqalpel-core --test admission_props
 cargo test -q --release -p sqalpel-core --test bulk_differential
 # Server-push delivery contract: exactly one QueueReady per parked
 # subscription per wake event (proptest vs a reference model), nothing to
-# closed subscriptions, and push-subscribed worker pools drain late work
-# with queue.empty_polls pinned at zero.
+# closed subscriptions, exactly one ExperimentFinished when the reaper
+# times out an experiment's last open tasks, and push-subscribed worker
+# pools drain late work with queue.empty_polls pinned at zero.
 cargo test -q --release -p sqalpel-core --test push_props
 # Crash-recovery e2e: kill -9 a durable `repro serve` mid-walk, restart,
 # and require byte-identical acked results, re-hand-out of the open claim

@@ -202,7 +202,7 @@ pub fn speedup(
 pub fn times_by_query(records: &[ResultRecord], dbms_label: &str) -> HashMap<QueryId, f64> {
     let mut out = HashMap::new();
     for r in records {
-        if r.dbms_label == dbms_label {
+        if &*r.dbms_label == dbms_label {
             if let Some(m) = r.median_ms() {
                 out.insert(QueryId(r.query), m);
             }
@@ -358,7 +358,7 @@ pub fn history(pool: &QueryPool, records: &[ResultRecord]) -> Vec<HistoryNode> {
         measured.insert(id);
         match r.median_ms() {
             Some(m) => {
-                times.entry(id).or_default().insert(r.dbms_label.clone(), m);
+                times.entry(id).or_default().insert(r.dbms_label.to_string(), m);
                 errored.insert(id, false);
             }
             None => {

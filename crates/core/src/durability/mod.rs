@@ -23,7 +23,7 @@ pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
 pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot};
-pub use wal::{read_wal, WalRecord, WalWriter, WAL_FILE};
+pub use wal::{read_wal, WalReader, WalRecord, WalWriter, WAL_FILE};
 
 use crate::shard::{GlobalShard, ProjectShard};
 use parking_lot::Mutex;

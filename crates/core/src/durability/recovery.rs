@@ -3,9 +3,13 @@
 //! Replay applies each [`WalRecord`] as the physical outcome it logged,
 //! in log order, against plain (un-locked) state parts — recovery is
 //! single-threaded, locks come afterwards when the parts are wrapped in
-//! a [`crate::shard::ShardedState`]. Replay errors mean a corrupt log
-//! (records that contradict the state they claim to extend) and abort
-//! recovery rather than guessing.
+//! a [`crate::shard::ShardedState`]. It streams: a record is read,
+//! applied **by value** — its strings move into the state, and a task or
+//! result re-shares the texts its neighbours already hold — and dropped
+//! before the next is parsed, so the memory high-water mark of a boot is
+//! the recovered state plus one record, not the state plus the log.
+//! Replay errors mean a corrupt log (records that contradict the state
+//! they claim to extend) and abort recovery rather than guessing.
 
 use super::snapshot::{latest_snapshot, read_snapshot};
 use super::wal::{read_wal, WalRecord, WAL_FILE};
@@ -60,11 +64,12 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
         ),
     };
 
-    let (records, torn_records) = read_wal(&dir.join(WAL_FILE))?;
+    let mut wal = read_wal(&dir.join(WAL_FILE))?;
     let mut replayed_records = 0u64;
     let mut skipped_records = 0u64;
     let mut last_lsn = snapshot_lsn;
-    for (lsn, record) in records {
+    for item in &mut wal {
+        let (lsn, record) = item?;
         if lsn <= snapshot_lsn {
             // The crash landed after the snapshot was persisted but
             // before the WAL truncation reached disk: the record's
@@ -77,7 +82,7 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
                 "wal lsn {lsn} out of order (after {last_lsn})"
             )));
         }
-        apply(&record, &mut global, &mut shards).map_err(corrupt)?;
+        apply(record, &mut global, &mut shards).map_err(corrupt)?;
         last_lsn = lsn;
         replayed_records += 1;
     }
@@ -90,13 +95,13 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
         replayed_records,
         skipped_records,
         next_lsn: last_lsn,
-        torn_records,
+        torn_records: wal.torn(),
     })
 }
 
-/// Apply one WAL record to the state parts.
+/// Apply one WAL record to the state parts, consuming it.
 pub fn apply(
-    record: &WalRecord,
+    record: WalRecord,
     global: &mut GlobalShard,
     shards: &mut Vec<ProjectShard>,
 ) -> Result<(), String> {
@@ -111,24 +116,38 @@ pub fn apply(
             .get_mut((id.0 - 1) as usize)
             .ok_or(format!("record for unknown project #{}", id.0))
     }
+    /// One accepted report: the queue completion and the stored result.
+    fn accept(
+        shards: &mut [ProjectShard],
+        task: crate::queue::TaskId,
+        key: &crate::user::ContributorKey,
+        error: Option<String>,
+        record: crate::results::ResultRecord,
+    ) -> Result<(), String> {
+        let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
+        shard
+            .queue
+            .complete(task, key, error)
+            .map_err(|e| e.to_string())?;
+        shard.restore_result(record);
+        Ok(())
+    }
     match record {
         WalRecord::UserRegistered {
             id,
             nickname,
             email,
-        } => global.users.restore_user(*id, nickname, email),
+        } => global.users.restore_user(id, &nickname, &email),
         WalRecord::KeyIssued { user, key, counter } => {
-            global.users.restore_key(key.clone(), *user, *counter);
+            global.users.restore_key(key, user, counter);
             Ok(())
         }
-        WalRecord::DbmsAdded { entry } => global
-            .catalogs
-            .add_dbms(entry.clone())
-            .map_err(|e| e.to_string()),
-        WalRecord::HostAdded { entry } => global
-            .catalogs
-            .add_host(entry.clone())
-            .map_err(|e| e.to_string()),
+        WalRecord::DbmsAdded { entry } => {
+            global.catalogs.add_dbms(entry).map_err(|e| e.to_string())
+        }
+        WalRecord::HostAdded { entry } => {
+            global.catalogs.add_host(entry).map_err(|e| e.to_string())
+        }
         WalRecord::ProjectCreated {
             id,
             owner,
@@ -140,18 +159,14 @@ pub fn apply(
                 return Err(format!("project #{} replayed out of order", id.0));
             }
             shards.push(ProjectShard::new(Project::new(
-                *id,
-                title.clone(),
-                synopsis.clone(),
-                *owner,
-                *visibility,
+                id, title, synopsis, owner, visibility,
             )));
             Ok(())
         }
         WalRecord::Invited { project, user } => {
-            let shard = shard_mut(shards, *project)?;
-            if *user != shard.project.owner {
-                shard.project.contributors.insert(*user);
+            let shard = shard_mut(shards, project)?;
+            if user != shard.project.owner {
+                shard.project.contributors.insert(user);
             }
             Ok(())
         }
@@ -160,9 +175,9 @@ pub fn apply(
             dbms_labels,
             hosts,
         } => {
-            let shard = shard_mut(shards, *project)?;
-            shard.project.dbms_labels = dbms_labels.clone();
-            shard.project.hosts = hosts.clone();
+            let shard = shard_mut(shards, project)?;
+            shard.project.dbms_labels = dbms_labels;
+            shard.project.hosts = hosts;
             // No publication re-check: it passed when the record was
             // acknowledged, and the catalogs replay in the same order.
             Ok(())
@@ -172,15 +187,15 @@ pub fn apply(
             author,
             text,
         } => {
-            let shard = shard_mut(shards, *project)?;
-            shard.project.comments.push(crate::project::Comment {
-                author: *author,
-                text: text.clone(),
-            });
+            let shard = shard_mut(shards, project)?;
+            shard
+                .project
+                .comments
+                .push(crate::project::Comment { author, text });
             Ok(())
         }
         WalRecord::TakenDown { project } => {
-            shard_mut(shards, *project)?.project.taken_down = true;
+            shard_mut(shards, project)?.project.taken_down = true;
             Ok(())
         }
         WalRecord::ExperimentAdded {
@@ -193,17 +208,17 @@ pub fn apply(
             pool_cap,
             dialect,
         } => {
-            let grammar = Grammar::parse(grammar).map_err(|e| format!("grammar: {e}"))?;
-            shard_mut(shards, *project)?
+            let grammar = Grammar::parse(&grammar).map_err(|e| format!("grammar: {e}"))?;
+            shard_mut(shards, project)?
                 .project
                 .restore_experiment(
-                    *id,
-                    title,
-                    baseline_sql,
+                    id,
+                    &title,
+                    &baseline_sql,
                     grammar,
-                    *template_cap,
-                    *pool_cap,
-                    dialect.clone(),
+                    template_cap,
+                    pool_cap,
+                    dialect,
                 )
                 .map_err(|e| e.to_string())
         }
@@ -212,29 +227,29 @@ pub fn apply(
             experiment,
             entries,
         } => {
-            let shard = shard_mut(shards, *project)?;
+            let shard = shard_mut(shards, project)?;
             let pool = &mut shard
                 .project
-                .experiment_mut(*experiment)
+                .experiment_mut(experiment)
                 .map_err(|e| e.to_string())?
                 .pool;
             for entry in entries {
-                pool.restore_entry(entry.clone())?;
+                pool.restore_entry(entry)?;
             }
             Ok(())
         }
         WalRecord::TasksEnqueued { project, tasks } => {
-            let shard = shard_mut(shards, *project)?;
+            let shard = shard_mut(shards, project)?;
             for task in tasks {
-                shard.queue.restore_task(task.clone())?;
+                shard.queue.restore_task(task)?;
             }
             Ok(())
         }
         WalRecord::TaskClaimed { task, key } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
+            let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
             shard
                 .queue
-                .claim(*task, key)
+                .claim(task, &key)
                 .map(|_| ())
                 .map_err(|e| e.to_string())
         }
@@ -243,46 +258,33 @@ pub fn apply(
             key,
             error,
             record,
-        } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
-            shard
-                .queue
-                .complete(*task, key, error.clone())
-                .map_err(|e| e.to_string())?;
-            shard.results.push(record.clone());
-            Ok(())
-        }
+        } => accept(shards, task, &key, error, record),
         WalRecord::ReportBatchAccepted { key, items } => {
             // One group commit replays as its per-report effects, in
             // upload order — all of them or (torn tail) none.
             for (task, error, record) in items {
-                let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
-                shard
-                    .queue
-                    .complete(*task, key, error.clone())
-                    .map_err(|e| e.to_string())?;
-                shard.results.push(record.clone());
+                accept(shards, task, &key, error, record)?;
             }
             Ok(())
         }
         WalRecord::TasksReaped { project, tasks } => {
-            let shard = shard_mut(shards, *project)?;
+            let shard = shard_mut(shards, project)?;
             for task in tasks {
-                shard.queue.restore_timeout(*task).map_err(|e| e.to_string())?;
+                shard.queue.restore_timeout(task).map_err(|e| e.to_string())?;
             }
             Ok(())
         }
         WalRecord::TaskRequeued { task } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(*task))?;
-            shard.queue.requeue(*task).map_err(|e| e.to_string())
+            let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
+            shard.queue.requeue(task).map_err(|e| e.to_string())
         }
         WalRecord::ResultHidden {
             project,
             index,
             hidden,
         } => {
-            let shard = shard_mut(shards, *project)?;
-            if !shard.results.set_hidden(*index, *hidden) {
+            let shard = shard_mut(shards, project)?;
+            if !shard.results.set_hidden(index, hidden) {
                 return Err(format!("hidden flag for unknown result #{index}"));
             }
             Ok(())
@@ -380,7 +382,7 @@ mod tests {
                         project: crate::project::ProjectId(1),
                         experiment: crate::project::ExperimentId(0),
                         query: entry.id,
-                        sql: entry.sql.clone(),
+                        sql: entry.sql.as_str().into(),
                         dbms_label: "rowstore-2.0".into(),
                         host: "bench-server".into(),
                         state: TaskState::Queued,
@@ -391,7 +393,7 @@ mod tests {
                         project: crate::project::ProjectId(1),
                         experiment: crate::project::ExperimentId(0),
                         query: entry.id,
-                        sql: entry.sql.clone(),
+                        sql: entry.sql.as_str().into(),
                         dbms_label: "colstore-5.1".into(),
                         host: "bench-server".into(),
                         state: TaskState::Queued,

@@ -319,7 +319,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
             "result" => {
                 let record = ResultRecord::from_value(&v["record"]).map_err(corrupt)?;
                 let shard = shard_mut(&mut shards, ProjectId(record.project))?;
-                shard.results.push(record);
+                shard.restore_result(record);
             }
             "end" => {
                 ended = true;

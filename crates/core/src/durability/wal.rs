@@ -569,28 +569,55 @@ impl WalWriter {
     }
 }
 
-/// Read every intact record from a WAL file, stopping silently at a torn
-/// tail. Returns the `(lsn, record)` pairs and the count of torn
-/// (ignored) lines.
-pub fn read_wal(path: &Path) -> io::Result<(Vec<(u64, WalRecord)>, usize)> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e),
-    };
-    let mut records = Vec::new();
-    let mut torn = 0;
-    for line in BufReader::new(file).split(b'\n') {
-        let line = line?;
-        let Some(parsed) = parse_line(&line) else {
+/// The intact records of a WAL file, one at a time: replay applies each
+/// before the next is parsed, so recovery never holds more of the log
+/// than one record beside the state it is rebuilding. Iteration ends
+/// silently at a torn tail — short line, bad length, bad checksum — and
+/// [`torn`](WalReader::torn) then says so; an I/O error is yielded once
+/// and ends it too.
+pub struct WalReader {
+    /// `None` once the file is exhausted, torn or failed (or was absent).
+    lines: Option<std::io::Split<BufReader<File>>>,
+    torn: usize,
+}
+
+impl WalReader {
+    /// Torn (ignored) lines met so far: 0, or 1 once the tail was reached
+    /// and found torn.
+    pub fn torn(&self) -> usize {
+        self.torn
+    }
+}
+
+impl Iterator for WalReader {
+    type Item = io::Result<(u64, WalRecord)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.lines.as_mut()?.next()?.map(|line| parse_line(&line)) {
+            Ok(Some(record)) => Some(Ok(record)),
             // Torn or corrupt: everything from here on is past the
             // acknowledged prefix.
-            torn += 1;
-            break;
-        };
-        records.push(parsed);
+            Ok(None) => {
+                self.torn += 1;
+                self.lines = None;
+                None
+            }
+            Err(e) => {
+                self.lines = None;
+                Some(Err(e))
+            }
+        }
     }
-    Ok((records, torn))
+}
+
+/// Open a WAL file for replay. A missing file reads as empty.
+pub fn read_wal(path: &Path) -> io::Result<WalReader> {
+    let lines = match File::open(path) {
+        Ok(f) => Some(BufReader::new(f).split(b'\n')),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+        Err(e) => return Err(e),
+    };
+    Ok(WalReader { lines, torn: 0 })
 }
 
 fn parse_line(line: &[u8]) -> Option<(u64, WalRecord)> {
@@ -621,6 +648,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Drain a log: its intact records and the torn-line count.
+    fn read_all(path: &Path) -> (Vec<(u64, WalRecord)>, usize) {
+        let mut wal = read_wal(path).unwrap();
+        let records = wal.by_ref().collect::<io::Result<Vec<_>>>().unwrap();
+        (records, wal.torn())
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -724,7 +758,7 @@ mod tests {
         assert_eq!(wal.lsn(), sample_records().len() as u64);
         assert!(bytes > 0);
 
-        let (back, torn) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let (back, torn) = read_all(&dir.join(WAL_FILE));
         assert_eq!(torn, 0);
         assert_eq!(back.len(), sample_records().len());
         // LSNs stamp the records 1..=n in append order.
@@ -756,7 +790,7 @@ mod tests {
         let cut = text.len() - 10;
         std::fs::write(&path, &text[..cut]).unwrap();
 
-        let (back, torn) = read_wal(&path).unwrap();
+        let (back, torn) = read_all(&path);
         assert_eq!(back.len(), 2);
         assert_eq!(torn, 1);
 
@@ -765,7 +799,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] = bytes[mid].wrapping_add(1);
         std::fs::write(&path, &bytes).unwrap();
-        let (back, torn) = read_wal(&path).unwrap();
+        let (back, torn) = read_all(&path);
         assert!(back.len() <= 2);
         assert_eq!(torn, 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -780,11 +814,11 @@ mod tests {
         }
         wal.reset_after_snapshot().unwrap();
         assert_eq!(wal.lsn(), 2, "lsn keeps counting across truncation");
-        let (back, _) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let (back, _) = read_all(&dir.join(WAL_FILE));
         assert!(back.is_empty());
         // Appends continue on the truncated file, LSNs past the snapshot.
         wal.append(&sample_records()[0]).unwrap();
-        let (back, _) = read_wal(&dir.join(WAL_FILE)).unwrap();
+        let (back, _) = read_all(&dir.join(WAL_FILE));
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].0, 3, "post-truncation records carry lsns past the snapshot");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -792,7 +826,7 @@ mod tests {
 
     #[test]
     fn missing_wal_reads_empty() {
-        let (records, torn) = read_wal(Path::new("/nonexistent/wal.log")).unwrap();
+        let (records, torn) = read_all(Path::new("/nonexistent/wal.log"));
         assert!(records.is_empty());
         assert_eq!(torn, 0);
     }

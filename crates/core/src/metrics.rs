@@ -136,10 +136,15 @@ impl MetricsRegistry {
         &self.shards[(fnv1a(name) % SHARDS as u64) as usize]
     }
 
-    /// Add `n` to a counter, creating it at zero first.
+    /// Add `n` to a counter, creating it at zero first. The name is
+    /// copied only the first time it is seen.
     pub fn add(&self, name: &str, n: u64) {
         let mut shard = self.shard(name).lock();
-        *shard.counters.entry(name.to_string()).or_insert(0) += n;
+        if let Some(c) = shard.counters.get_mut(name) {
+            *c += n;
+            return;
+        }
+        shard.counters.insert(name.to_string(), n);
     }
 
     /// Increment a counter by one.
@@ -147,9 +152,14 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Record one duration sample into a histogram.
+    /// Record one duration sample into a histogram (the name, again,
+    /// copied on first sight only).
     pub fn observe_nanos(&self, name: &str, nanos: u64) {
         let mut shard = self.shard(name).lock();
+        if let Some(h) = shard.histograms.get_mut(name) {
+            h.record(nanos);
+            return;
+        }
         shard
             .histograms
             .entry(name.to_string())

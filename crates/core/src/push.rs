@@ -28,7 +28,8 @@ use std::time::{Duration, Instant};
 pub enum Notification {
     /// Tasks were enqueued or requeued on this project's queue.
     QueueReady { project: ProjectId },
-    /// The experiment's last outstanding task reached a terminal state.
+    /// The experiment's last outstanding task reached a terminal state —
+    /// reported, or timed out by the reaper.
     ExperimentFinished {
         project: ProjectId,
         experiment: ExperimentId,

@@ -10,6 +10,19 @@
 //! tasks it could actually hand out instead of scanning the whole queue.
 //! A second index tracks the running tasks per contributor key, which
 //! makes re-handing a lost claim (idempotent retry) an O(1) lookup.
+//!
+//! Bookkeeping is O(1) too. Every state change of a stored task goes
+//! through one function (`set_state`), which keeps two sets of counts
+//! exact: tasks per state ([`TaskQueue::summary`]) and open — `Queued` or
+//! `Running` — tasks per experiment ([`TaskQueue::open_tasks`], the
+//! `ExperimentFinished` trigger). Neither is ever recomputed by a scan;
+//! `tests/queue_props.rs` keeps the scans as the oracle.
+//!
+//! Texts are stored once: the tasks of one query share one `sql`
+//! allocation, and every task of a target shares the target's
+//! `dbms_label` and `host` (the queue interns targets; the `seen` and
+//! `ready` indexes are keyed by the interned id, so a lookup builds no
+//! string).
 
 use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryId;
@@ -17,6 +30,7 @@ use crate::project::{ExperimentId, ProjectId};
 use crate::user::ContributorKey;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,6 +48,14 @@ pub enum TaskState {
     Failed(String),
     /// Reaped after exceeding the delivery timeout.
     TimedOut,
+}
+
+impl TaskState {
+    /// Claimable or in flight: the task still stands between its
+    /// experiment and `ExperimentFinished`.
+    pub fn is_open(&self) -> bool {
+        matches!(self, TaskState::Queued | TaskState::Running { .. })
+    }
 }
 
 impl Serialize for TaskState {
@@ -91,9 +113,11 @@ pub struct Task {
     pub project: ProjectId,
     pub experiment: ExperimentId,
     pub query: QueryId,
-    pub sql: String,
-    pub dbms_label: String,
-    pub host: String,
+    /// Shared by the tasks of one query (one per DBMS x host target).
+    pub sql: Arc<str>,
+    /// Shared with the queue's interned target, as is `host`.
+    pub dbms_label: Arc<str>,
+    pub host: Arc<str>,
     pub state: TaskState,
     /// Set when the task is handed out. Server-side only (it feeds the
     /// stuck-run reaper); not carried on the wire.
@@ -107,9 +131,9 @@ impl Serialize for Task {
         m.insert("project".into(), self.project.0.into());
         m.insert("experiment".into(), self.experiment.0.into());
         m.insert("query".into(), self.query.0.into());
-        m.insert("sql".into(), self.sql.clone().into());
-        m.insert("dbms_label".into(), self.dbms_label.clone().into());
-        m.insert("host".into(), self.host.clone().into());
+        m.insert("sql".into(), (&*self.sql).into());
+        m.insert("dbms_label".into(), (&*self.dbms_label).into());
+        m.insert("host".into(), (&*self.host).into());
         m.insert("state".into(), self.state.to_value());
         Value::Object(m)
     }
@@ -120,7 +144,7 @@ impl Deserialize for Task {
         let num = |k: &str| v[k].as_i64().map(|x| x as u64).ok_or(format!("task: missing {k}"));
         let text = |k: &str| {
             v[k].as_str()
-                .map(str::to_string)
+                .map(Arc::<str>::from)
                 .ok_or(format!("task: missing {k}"))
         };
         Ok(Task {
@@ -158,6 +182,17 @@ impl QueueSummary {
     pub fn terminal(&self) -> usize {
         self.finished + self.failed + self.timed_out
     }
+
+    /// The count a task in `state` is tallied under.
+    fn slot(&mut self, state: &TaskState) -> &mut usize {
+        match state {
+            TaskState::Queued => &mut self.queued,
+            TaskState::Running { .. } => &mut self.running,
+            TaskState::Done => &mut self.finished,
+            TaskState::Failed(_) => &mut self.failed,
+            TaskState::TimedOut => &mut self.timed_out,
+        }
+    }
 }
 
 impl Serialize for QueueSummary {
@@ -189,6 +224,17 @@ impl Deserialize for QueueSummary {
     }
 }
 
+/// One interned (dbms_label, host) target and its hand-out deque.
+#[derive(Debug)]
+struct Target {
+    dbms_label: Arc<str>,
+    host: Arc<str>,
+    /// Queued task ids, FIFO. Entries are discarded lazily — an id whose
+    /// task is no longer `Queued` is skipped (and dropped) at pop time,
+    /// so `claim` by id never has to search the deque.
+    ready: VecDeque<TaskId>,
+}
+
 /// The server-side task queue.
 #[derive(Debug, Default)]
 pub struct TaskQueue {
@@ -197,15 +243,20 @@ pub struct TaskQueue {
     /// id space by project (`project << 32`), so a task id alone names
     /// its owning shard; a standalone queue uses base 0.
     id_base: u64,
-    /// Dedup: each (experiment, query, dbms, host) is queued once.
-    seen: HashSet<(ProjectId, ExperimentId, QueryId, String, String)>,
-    /// Hand-out index: queued task ids per (dbms_label, host), FIFO.
-    /// Entries are discarded lazily — an id whose task is no longer
-    /// `Queued` is skipped (and dropped) at pop time, so `claim` by id
-    /// never has to search the deque.
-    ready: HashMap<(String, String), VecDeque<TaskId>>,
-    /// Running tasks per contributor, for idempotent claim retries.
+    /// The targets tasks were enqueued for, in first-seen order; the
+    /// position is the interned id. A project declares a handful (its
+    /// DBMS x host product), so lookup is a scan of a short vector.
+    targets: Vec<Target>,
+    /// Dedup: each (experiment, query, target) is queued once.
+    seen: HashSet<(ProjectId, ExperimentId, QueryId, usize)>,
+    /// Running tasks per contributor, for idempotent claim retries and
+    /// the stuck-run reaper.
     running: HashMap<ContributorKey, Vec<TaskId>>,
+    /// Tasks per state. Invariant: equals a recount over `tasks`.
+    counts: QueueSummary,
+    /// Open (`Queued | Running`) tasks per experiment. Invariant: equals
+    /// a recount over `tasks`; an experiment with no entry has none.
+    open: HashMap<(ProjectId, ExperimentId), usize>,
 }
 
 impl TaskQueue {
@@ -231,54 +282,123 @@ impl TaskQueue {
         Ok(idx)
     }
 
+    fn target_of(&self, dbms_label: &str, host: &str) -> Option<usize> {
+        self.targets
+            .iter()
+            .position(|t| &*t.dbms_label == dbms_label && &*t.host == host)
+    }
+
+    fn intern_target(&mut self, dbms_label: &str, host: &str) -> usize {
+        self.target_of(dbms_label, host).unwrap_or_else(|| {
+            self.targets.push(Target {
+                dbms_label: dbms_label.into(),
+                host: host.into(),
+                ready: VecDeque::new(),
+            });
+            self.targets.len() - 1
+        })
+    }
+
+    /// The ready deque a stored task belongs to.
+    fn ready_of(&mut self, idx: usize) -> &mut VecDeque<TaskId> {
+        let task = &self.tasks[idx];
+        let target = self
+            .target_of(&task.dbms_label, &task.host)
+            .expect("a stored task's target is interned");
+        &mut self.targets[target].ready
+    }
+
+    /// Append a task in whatever state it is in, indexing and counting
+    /// it. The caller has interned its target and checked `seen`.
+    fn push(&mut self, mut task: Task, target: usize) {
+        task.started = None;
+        match &task.state {
+            TaskState::Queued => self.targets[target].ready.push_back(task.id),
+            TaskState::Running { contributor } => {
+                self.hold(task.id, contributor);
+                task.started = Some(Instant::now());
+            }
+            _ => {}
+        }
+        *self.counts.slot(&task.state) += 1;
+        if task.state.is_open() {
+            *self.open.entry((task.project, task.experiment)).or_default() += 1;
+        }
+        self.tasks.push(task);
+    }
+
+    /// The one place a stored task changes state, so the per-state and
+    /// per-experiment counts can never drift from the tasks. Returns the
+    /// state the task left.
+    fn set_state(&mut self, idx: usize, to: TaskState) -> TaskState {
+        let task = &mut self.tasks[idx];
+        let from = std::mem::replace(&mut task.state, to);
+        *self.counts.slot(&from) -= 1;
+        *self.counts.slot(&task.state) += 1;
+        if from.is_open() != task.state.is_open() {
+            let open = self.open.entry((task.project, task.experiment)).or_default();
+            if from.is_open() {
+                *open -= 1;
+            } else {
+                *open += 1;
+            }
+        }
+        from
+    }
+
     /// Enqueue a query for one DBMS + host combination. Returns `None`
-    /// when the combination was already queued.
+    /// when the combination was already queued. Pass the same `Arc` for
+    /// every target of a query and its tasks share the text.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         &mut self,
         project: ProjectId,
         experiment: ExperimentId,
         query: QueryId,
-        sql: impl Into<String>,
-        dbms_label: impl Into<String>,
-        host: impl Into<String>,
+        sql: impl Into<Arc<str>>,
+        dbms_label: &str,
+        host: &str,
     ) -> Option<TaskId> {
-        let dbms_label = dbms_label.into();
-        let host = host.into();
-        let key = (project, experiment, query, dbms_label.clone(), host.clone());
-        if !self.seen.insert(key) {
+        let target = self.intern_target(dbms_label, host);
+        if !self.seen.insert((project, experiment, query, target)) {
             return None;
         }
         let id = TaskId(self.id_base + self.tasks.len() as u64);
-        self.ready
-            .entry((dbms_label.clone(), host.clone()))
-            .or_default()
-            .push_back(id);
-        self.tasks.push(Task {
+        let t = &self.targets[target];
+        let task = Task {
             id,
             project,
             experiment,
             query,
             sql: sql.into(),
-            dbms_label,
-            host,
+            dbms_label: Arc::clone(&t.dbms_label),
+            host: Arc::clone(&t.host),
             state: TaskState::Queued,
             started: None,
-        });
+        };
+        self.push(task, target);
         Some(id)
     }
 
+    fn hold(&mut self, id: TaskId, contributor: &ContributorKey) {
+        match self.running.get_mut(contributor) {
+            Some(held) => held.push(id),
+            None => {
+                self.running.insert(contributor.clone(), vec![id]);
+            }
+        }
+    }
+
     fn mark_running(&mut self, idx: usize, contributor: &ContributorKey) -> Task {
-        let task = &mut self.tasks[idx];
-        task.state = TaskState::Running {
-            contributor: contributor.clone(),
-        };
-        task.started = Some(Instant::now());
-        self.running
-            .entry(contributor.clone())
-            .or_default()
-            .push(task.id);
-        task.clone()
+        self.set_state(
+            idx,
+            TaskState::Running {
+                contributor: contributor.clone(),
+            },
+        );
+        self.tasks[idx].started = Some(Instant::now());
+        self.hold(self.tasks[idx].id, contributor);
+        self.tasks[idx].clone()
     }
 
     /// Hand the next queued task for the given target to a contributor
@@ -298,10 +418,9 @@ impl TaskQueue {
     /// Pop the oldest still-queued id from the target's ready deque,
     /// discarding stale entries along the way.
     fn pop_ready(&mut self, dbms_label: &str, host: &str) -> Option<TaskId> {
-        let bucket = self
-            .ready
-            .get_mut(&(dbms_label.to_string(), host.to_string()))?;
+        let target = self.target_of(dbms_label, host)?;
         let base = self.id_base;
+        let bucket = &mut self.targets[target].ready;
         while let Some(id) = bucket.pop_front() {
             if self.tasks[(id.0 - base) as usize].state == TaskState::Queued {
                 return Some(id);
@@ -314,8 +433,9 @@ impl TaskQueue {
     /// project-role filter over these before claiming one; only tasks that
     /// could be handed out for this exact target are visited.
     pub fn queued_for(&self, dbms_label: &str, host: &str) -> Vec<TaskId> {
-        match self.ready.get(&(dbms_label.to_string(), host.to_string())) {
-            Some(bucket) => bucket
+        match self.target_of(dbms_label, host) {
+            Some(target) => self.targets[target]
+                .ready
                 .iter()
                 .copied()
                 .filter(|id| self.tasks[(id.0 - self.id_base) as usize].state == TaskState::Queued)
@@ -336,7 +456,7 @@ impl TaskQueue {
         self.running.get(contributor)?.iter().find_map(|id| {
             let t = &self.tasks[(id.0 - self.id_base) as usize];
             let held = matches!(&t.state, TaskState::Running { contributor: c } if c == contributor);
-            (held && t.dbms_label == dbms_label && t.host == host).then_some(t)
+            (held && &*t.dbms_label == dbms_label && &*t.host == host).then_some(t)
         })
     }
 
@@ -363,13 +483,11 @@ impl TaskQueue {
     /// the contributor holding the claim may undo it.
     pub fn unclaim(&mut self, id: TaskId, contributor: &ContributorKey) -> PlatformResult<()> {
         let idx = self.slot(id)?;
-        let task = &mut self.tasks[idx];
-        match &task.state {
+        match &self.tasks[idx].state {
             TaskState::Running { contributor: c } if c == contributor => {
-                task.state = TaskState::Queued;
-                task.started = None;
-                let target = (task.dbms_label.clone(), task.host.clone());
-                self.ready.entry(target).or_default().push_front(id);
+                self.set_state(idx, TaskState::Queued);
+                self.tasks[idx].started = None;
+                self.ready_of(idx).push_front(id);
                 self.drop_running(id, contributor);
                 Ok(())
             }
@@ -403,13 +521,15 @@ impl TaskQueue {
         error: Option<String>,
     ) -> PlatformResult<()> {
         let idx = self.slot(id)?;
-        let task = &mut self.tasks[idx];
-        match &task.state {
+        match &self.tasks[idx].state {
             TaskState::Running { contributor: c } if c == contributor => {
-                task.state = match error {
-                    None => TaskState::Done,
-                    Some(e) => TaskState::Failed(e),
-                };
+                self.set_state(
+                    idx,
+                    match error {
+                        None => TaskState::Done,
+                        Some(e) => TaskState::Failed(e),
+                    },
+                );
                 self.drop_running(id, contributor);
                 Ok(())
             }
@@ -426,39 +546,36 @@ impl TaskQueue {
 
     /// Reap running tasks older than `timeout`: they return to the queue
     /// as `TimedOut` (visible for inspection) and a fresh `Queued` copy is
-    /// NOT created — the moderator decides about re-runs.
+    /// NOT created — the moderator decides about re-runs. Visits the
+    /// running tasks only; returns the reaped ids in id order.
     pub fn reap_stuck(&mut self, timeout: Duration) -> Vec<TaskId> {
         let now = Instant::now();
-        let mut reaped = Vec::new();
-        for task in &mut self.tasks {
-            if let TaskState::Running { contributor } = &task.state {
-                if let Some(started) = task.started {
-                    if now.duration_since(started) >= timeout {
-                        let contributor = contributor.clone();
-                        task.state = TaskState::TimedOut;
-                        reaped.push(task.id);
-                        let id = task.id;
-                        if let Some(held) = self.running.get_mut(&contributor) {
-                            held.retain(|&t| t != id);
-                        }
-                    }
-                }
-            }
+        let mut reaped: Vec<TaskId> = self
+            .running
+            .values()
+            .flatten()
+            .copied()
+            .filter(|id| {
+                self.tasks[(id.0 - self.id_base) as usize]
+                    .started
+                    .is_some_and(|started| now.duration_since(started) >= timeout)
+            })
+            .collect();
+        reaped.sort_unstable();
+        for &id in &reaped {
+            self.restore_timeout(id).expect("held ids are own ids");
         }
-        self.running.retain(|_, held| !held.is_empty());
         reaped
     }
 
     /// Requeue a timed-out or failed task (moderator action).
     pub fn requeue(&mut self, id: TaskId) -> PlatformResult<()> {
         let idx = self.slot(id)?;
-        let task = &mut self.tasks[idx];
-        match task.state {
+        match self.tasks[idx].state {
             TaskState::TimedOut | TaskState::Failed(_) => {
-                task.state = TaskState::Queued;
-                task.started = None;
-                let target = (task.dbms_label.clone(), task.host.clone());
-                self.ready.entry(target).or_default().push_back(id);
+                self.set_state(idx, TaskState::Queued);
+                self.tasks[idx].started = None;
+                self.ready_of(idx).push_back(id);
                 Ok(())
             }
             _ => Err(PlatformError::Invalid(format!(
@@ -479,7 +596,10 @@ impl TaskQueue {
     /// Re-insert a task during recovery. Tasks must arrive in id order
     /// (snapshot/WAL order). A `Running` task restarts its hand-out clock
     /// — the reaper measures from recovery, not from the original claim,
-    /// which `started` being server-side state makes unavoidable.
+    /// which `started` being server-side state makes unavoidable. Texts
+    /// are re-shared as `enqueue` shared them: the labels with the
+    /// interned target, the SQL with the preceding task's when equal
+    /// (the targets of one query are enqueued back to back).
     pub fn restore_task(&mut self, mut task: Task) -> Result<(), String> {
         let expect = self.id_base + self.tasks.len() as u64;
         if task.id.0 != expect {
@@ -488,60 +608,43 @@ impl TaskQueue {
                 task.id.0
             ));
         }
-        self.seen.insert((
-            task.project,
-            task.experiment,
-            task.query,
-            task.dbms_label.clone(),
-            task.host.clone(),
-        ));
-        match &task.state {
-            TaskState::Queued => {
-                self.ready
-                    .entry((task.dbms_label.clone(), task.host.clone()))
-                    .or_default()
-                    .push_back(task.id);
-                task.started = None;
+        let target = self.intern_target(&task.dbms_label, &task.host);
+        task.dbms_label = Arc::clone(&self.targets[target].dbms_label);
+        task.host = Arc::clone(&self.targets[target].host);
+        if let Some(prev) = self.tasks.last() {
+            if prev.sql == task.sql {
+                task.sql = Arc::clone(&prev.sql);
             }
-            TaskState::Running { contributor } => {
-                self.running
-                    .entry(contributor.clone())
-                    .or_default()
-                    .push(task.id);
-                task.started = Some(Instant::now());
-            }
-            _ => task.started = None,
         }
-        self.tasks.push(task);
+        self.seen
+            .insert((task.project, task.experiment, task.query, target));
+        self.push(task, target);
         Ok(())
     }
 
-    /// Replay of a reap record: force a running task to `TimedOut`
-    /// without consulting the (not replayable) hand-out clock.
+    /// Force a running task to `TimedOut` without consulting the hand-out
+    /// clock — the reaper's transition, and the replay of its record
+    /// (where the clock is not replayable).
     pub fn restore_timeout(&mut self, id: TaskId) -> PlatformResult<()> {
         let idx = self.slot(id)?;
-        let task = &mut self.tasks[idx];
-        if let TaskState::Running { contributor } = task.state.clone() {
-            task.state = TaskState::TimedOut;
-            task.started = None;
-            self.drop_running(id, &contributor);
+        if matches!(self.tasks[idx].state, TaskState::Running { .. }) {
+            if let TaskState::Running { contributor } = self.set_state(idx, TaskState::TimedOut) {
+                self.drop_running(id, &contributor);
+            }
+            self.tasks[idx].started = None;
         }
         Ok(())
     }
 
     /// Count of tasks per state.
     pub fn summary(&self) -> QueueSummary {
-        let mut s = QueueSummary::default();
-        for t in &self.tasks {
-            match t.state {
-                TaskState::Queued => s.queued += 1,
-                TaskState::Running { .. } => s.running += 1,
-                TaskState::Done => s.finished += 1,
-                TaskState::Failed(_) => s.failed += 1,
-                TaskState::TimedOut => s.timed_out += 1,
-            }
-        }
-        s
+        self.counts
+    }
+
+    /// Open (`Queued | Running`) tasks of one experiment: zero means it
+    /// has nothing claimable or in flight left.
+    pub fn open_tasks(&self, project: ProjectId, experiment: ExperimentId) -> usize {
+        self.open.get(&(project, experiment)).copied().unwrap_or(0)
     }
 }
 

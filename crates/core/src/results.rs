@@ -12,6 +12,7 @@ use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
 use crate::user::ContributorKey;
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// System load averages (1, 5, 15 minutes), "easily accessible in a Linux
 /// environment", recorded at the start and end of a run.
@@ -50,8 +51,10 @@ pub struct ResultRecord {
     pub project: u64,
     pub experiment: u64,
     pub query: u64,
-    pub dbms_label: String,
-    pub host: String,
+    /// Shared with the task's (and so the queue's interned target's)
+    /// text, as is `host`.
+    pub dbms_label: Arc<str>,
+    pub host: Arc<str>,
     /// The anonymous contributor key.
     pub contributor: String,
     /// Wall-clock milliseconds, one per repetition (default 5).
@@ -65,7 +68,10 @@ pub struct ResultRecord {
     pub load_after: LoadAvg,
     /// "An open-ended key-value list structure can be returned to keep
     /// system specific performance indicators for post inspection."
-    pub extras: serde_json::Value,
+    /// Kept as the compact JSON text the contributor's value prints to
+    /// (`null` when there is none): the platform stores and serves it
+    /// but never reads into it, and the text is a fraction of the tree.
+    pub extras: String,
     /// Moderation: hidden results are not served to readers.
     /// Absent in serialized input from older clients; defaults to false.
     pub hidden: bool,
@@ -88,8 +94,8 @@ impl Serialize for ResultRecord {
         m.insert("project".into(), self.project.into());
         m.insert("experiment".into(), self.experiment.into());
         m.insert("query".into(), self.query.into());
-        m.insert("dbms_label".into(), self.dbms_label.clone().into());
-        m.insert("host".into(), self.host.clone().into());
+        m.insert("dbms_label".into(), (&*self.dbms_label).into());
+        m.insert("host".into(), (&*self.host).into());
         m.insert("contributor".into(), self.contributor.clone().into());
         m.insert("times_ms".into(), self.times_ms.clone().into());
         m.insert("rows".into(), self.rows.into());
@@ -102,7 +108,12 @@ impl Serialize for ResultRecord {
         );
         m.insert("load_before".into(), self.load_before.to_value());
         m.insert("load_after".into(), self.load_after.to_value());
-        m.insert("extras".into(), self.extras.clone());
+        // The field is public: text that is not JSON is kept, as a string.
+        m.insert(
+            "extras".into(),
+            serde_json::from_str(&self.extras)
+                .unwrap_or_else(|_| Value::String(self.extras.clone())),
+        );
         m.insert("hidden".into(), self.hidden.into());
         m.insert(
             "fingerprint".into(),
@@ -136,8 +147,8 @@ impl Deserialize for ResultRecord {
             project: field_u64("project")?,
             experiment: field_u64("experiment")?,
             query: field_u64("query")?,
-            dbms_label: field_str("dbms_label")?,
-            host: field_str("host")?,
+            dbms_label: field_str("dbms_label")?.into(),
+            host: field_str("host")?.into(),
             contributor: field_str("contributor")?,
             times_ms: v["times_ms"]
                 .as_array()
@@ -153,7 +164,7 @@ impl Deserialize for ResultRecord {
             },
             load_before: LoadAvg::from_value(&v["load_before"])?,
             load_after: LoadAvg::from_value(&v["load_after"])?,
-            extras: v["extras"].clone(),
+            extras: v["extras"].to_string(),
             hidden: v["hidden"].as_bool().unwrap_or(false),
             // Absent in input from older clients; encoded as 16 hex digits.
             fingerprint: v["fingerprint"]
@@ -261,40 +272,45 @@ impl ResultStore {
         }
     }
 
-    /// CSV export (§5.6: "exported in CSV for post-processing").
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "task,project,experiment,query,dbms,host,contributor,median_ms,runs,rows,error,hidden,fingerprint\n",
-        );
-        for r in &self.records {
-            let median = r
-                .median_ms()
-                .map(|m| format!("{m:.3}"))
-                .unwrap_or_default();
-            let error = r.error.as_deref().unwrap_or("").replace(',', ";");
-            let fingerprint = r
-                .fingerprint
-                .map(|fp| format!("{fp:016x}"))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                r.task,
-                r.project,
-                r.experiment,
-                r.query,
-                r.dbms_label,
-                r.host,
-                r.contributor,
-                median,
-                r.times_ms.len(),
-                r.rows,
-                error,
-                r.hidden,
-                fingerprint
-            ));
-        }
-        out
+}
+
+/// CSV export (§5.6: "exported in CSV for post-processing") of any
+/// selection of records, in iteration order.
+pub fn to_csv<'a>(records: impl IntoIterator<Item = &'a ResultRecord>) -> String {
+    use std::fmt::Write;
+    let mut out = String::from(
+        "task,project,experiment,query,dbms,host,contributor,median_ms,runs,rows,error,hidden,fingerprint\n",
+    );
+    for r in records {
+        let median = r
+            .median_ms()
+            .map(|m| format!("{m:.3}"))
+            .unwrap_or_default();
+        let error = r.error.as_deref().unwrap_or("").replace(',', ";");
+        let fingerprint = r
+            .fingerprint
+            .map(|fp| format!("{fp:016x}"))
+            .unwrap_or_default();
+        writeln!(
+            out,
+            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            r.task,
+            r.project,
+            r.experiment,
+            r.query,
+            r.dbms_label,
+            r.host,
+            r.contributor,
+            median,
+            r.times_ms.len(),
+            r.rows,
+            error,
+            r.hidden,
+            fingerprint
+        )
+        .expect("writing to a String cannot fail");
     }
+    out
 }
 
 /// Convenience constructor for tests and the driver.
@@ -316,15 +332,15 @@ pub fn record(
         project: project.0,
         experiment: experiment.0,
         query: query.0,
-        dbms_label: dbms_label.to_string(),
-        host: host.to_string(),
+        dbms_label: dbms_label.into(),
+        host: host.into(),
         contributor: contributor.0.clone(),
         times_ms,
         rows,
         error,
         load_before: LoadAvg::default(),
         load_after: LoadAvg::default(),
-        extras: serde_json::Value::Null,
+        extras: "null".into(),
         hidden: false,
         fingerprint: None,
         profile: None,
@@ -392,7 +408,7 @@ mod tests {
         let mut s = ResultStore::new();
         s.push(sample(0, vec![1.5, 2.5, 3.5], None));
         s.push(sample(1, vec![], Some("bad, query")));
-        let csv = s.to_csv();
+        let csv = to_csv(s.all());
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("task,project"));
@@ -404,7 +420,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let mut r = sample(0, vec![1.0, 2.0], None);
-        r.extras = serde_json::json!({"cache_hits": 42});
+        r.extras = serde_json::json!({"cache_hits": 42}).to_string();
         r.fingerprint = Some(0x00ab_cdef_0123_4567);
         r.profile = Some(vec![OperatorProfile {
             op: "filter".into(),
@@ -417,7 +433,7 @@ mod tests {
         }]);
         let text = serde_json::to_string(&r).unwrap();
         let back: ResultRecord = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.extras["cache_hits"], 42);
+        assert_eq!(back.extras, r#"{"cache_hits":42}"#);
         assert_eq!(back.times_ms, vec![1.0, 2.0]);
         assert_eq!(back.fingerprint, Some(0x00ab_cdef_0123_4567));
         assert_eq!(back.profile, r.profile);
@@ -439,7 +455,7 @@ mod tests {
         with_fp.fingerprint = Some(0xdead_beef);
         s.push(with_fp);
         s.push(sample(1, vec![2.0], None));
-        let csv = s.to_csv();
+        let csv = to_csv(s.all());
         let lines: Vec<&str> = csv.lines().collect();
         assert!(lines[0].ends_with(",fingerprint"));
         assert!(lines[1].ends_with(",00000000deadbeef"));

@@ -37,9 +37,10 @@ use crate::pool::{PoolEntry, QueryId, Strategy};
 use crate::project::{ExperimentId, Project, ProjectId, Role};
 use crate::push::{LocalWaiter, Notification, PushHub, PushWaiter};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
-use crate::results::{record, ResultRecord, ResultStore};
+use crate::results::{self, ResultRecord};
 use crate::shard::{ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -222,6 +223,15 @@ impl SqalpelServer {
         self.metrics.add("wal.bytes", bytes);
         self.ops_since_snapshot.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// [`log`](Self::log) for the hot paths: an in-memory server does not
+    /// even build the record.
+    fn log_with(&self, build: impl FnOnce() -> WalRecord) -> PlatformResult<()> {
+        match self.durability {
+            Some(_) => self.log(&build()),
+            None => Ok(()),
+        }
     }
 
     /// Snapshot the full state and truncate the WAL behind it. Takes
@@ -581,18 +591,16 @@ impl SqalpelServer {
     ) -> PlatformResult<usize> {
         self.with_shard(project, |s| {
             s.project.require(actor, Role::Owner)?;
-            let (entries, dbms_labels, hosts) = {
-                let exp = s.project.experiment(experiment)?;
-                (
-                    exp.pool
-                        .entries()
-                        .iter()
-                        .map(|e| (e.id, e.sql.clone()))
-                        .collect::<Vec<_>>(),
-                    s.project.dbms_labels.clone(),
-                    s.project.hosts.clone(),
-                )
-            };
+            // One shared text per query; its targets' tasks all point at it.
+            let entries: Vec<(QueryId, Arc<str>)> = s
+                .project
+                .experiment(experiment)?
+                .pool
+                .entries()
+                .iter()
+                .map(|e| (e.id, Arc::from(e.sql.as_str())))
+                .collect();
+            let (dbms_labels, hosts) = (s.project.dbms_labels.clone(), s.project.hosts.clone());
             // Quota check against the upper bound (dedup may admit
             // fewer): refuse before mutating anything.
             let sum = s.queue.summary();
@@ -604,28 +612,23 @@ impl SqalpelServer {
                 self.metrics.incr("admission.throttled");
                 return Err(e);
             }
-            let mut created = Vec::new();
+            let first_new = s.queue.tasks().len();
             for (qid, sql) in &entries {
                 for d in &dbms_labels {
                     for h in &hosts {
-                        if let Some(id) = s.queue.enqueue(
-                            project,
-                            experiment,
-                            *qid,
-                            sql.clone(),
-                            d.clone(),
-                            h.clone(),
-                        ) {
-                            created.push(s.queue.task(id).expect("just enqueued").clone());
-                        }
+                        s.queue
+                            .enqueue(project, experiment, *qid, Arc::clone(sql), d, h);
                     }
                 }
             }
+            // The new tasks are the tail of the queue; the copy the log
+            // takes shares their texts.
+            let created = &s.queue.tasks()[first_new..];
             let n = created.len();
             if n > 0 {
-                self.log(&WalRecord::TasksEnqueued {
+                self.log_with(|| WalRecord::TasksEnqueued {
                     project,
-                    tasks: created,
+                    tasks: created.to_vec(),
                 })?;
             }
             Ok(n)
@@ -695,7 +698,7 @@ impl SqalpelServer {
                         &t.state,
                         TaskState::Running { contributor } if contributor == key
                     );
-                    if held && t.dbms_label == dbms_label && t.host == host {
+                    if held && &*t.dbms_label == dbms_label && &*t.host == host {
                         self.metrics.incr("server.request_task.rehandout");
                         return Ok(Some(t.clone()));
                     }
@@ -718,7 +721,7 @@ impl SqalpelServer {
                         continue;
                     }
                     if let Some(task) = s.queue.checkout(key, dbms_label, host) {
-                        if let Err(e) = self.log(&WalRecord::TaskClaimed {
+                        if let Err(e) = self.log_with(|| WalRecord::TaskClaimed {
                             task: task.id,
                             key: key.clone(),
                         }) {
@@ -754,32 +757,38 @@ impl SqalpelServer {
 
     /// The stored form of an accepted report — shared by the single and
     /// the batch path — plus the error text the queue completion needs.
-    /// Folds the run's zone-map counters into `scan.chunks_*`, visible at
-    /// GET /v1/metrics.
+    /// The record borrows what the task already holds (its target
+    /// labels) and keeps `extras` as text. Folds the run's zone-map
+    /// counters into `scan.chunks_*`, visible at GET /v1/metrics.
     fn accepted_record(
         &self,
         task: &Task,
         key: &ContributorKey,
         outcome: RunOutcome,
     ) -> (Option<String>, ResultRecord) {
-        let error = outcome.error.clone();
-        let mut rec: ResultRecord = record(
-            task.id,
-            task.project,
-            task.experiment,
-            task.query,
-            &task.dbms_label,
-            &task.host,
-            key,
-            outcome.times_ms,
-            outcome.rows,
-            outcome.error,
-        );
-        rec.load_before = outcome.load_before;
-        rec.load_after = outcome.load_after;
-        rec.extras = outcome.extras;
-        rec.fingerprint = outcome.fingerprint;
-        rec.profile = outcome.profile;
+        // Sized for the driver's four-key object, then cut to fit: two
+        // allocations instead of a doubling ladder, and no slack stored.
+        let mut extras = String::with_capacity(128);
+        write!(extras, "{}", outcome.extras).expect("writing to a String cannot fail");
+        extras.shrink_to_fit();
+        let rec = ResultRecord {
+            task: task.id.0,
+            project: task.project.0,
+            experiment: task.experiment.0,
+            query: task.query.0,
+            dbms_label: Arc::clone(&task.dbms_label),
+            host: Arc::clone(&task.host),
+            contributor: key.0.clone(),
+            times_ms: outcome.times_ms,
+            rows: outcome.rows,
+            error: outcome.error,
+            load_before: outcome.load_before,
+            load_after: outcome.load_after,
+            extras,
+            hidden: false,
+            fingerprint: outcome.fingerprint,
+            profile: outcome.profile,
+        };
         if let Some(profile) = &rec.profile {
             let (scanned, skipped) = profile.iter().fold((0, 0), |(a, b), op| {
                 (a + op.chunks_scanned, b + op.chunks_skipped)
@@ -791,7 +800,34 @@ impl SqalpelServer {
                 self.metrics.add("scan.chunks_skipped", skipped);
             }
         }
-        (error, rec)
+        (rec.error.clone(), rec)
+    }
+
+    /// Log one accepted report and hand its parts back to be moved on
+    /// into the state: the record is built by move and destructured
+    /// again, never copied to be logged — and not built at all on an
+    /// in-memory server.
+    fn log_report(
+        &self,
+        task: TaskId,
+        key: &ContributorKey,
+        error: Option<String>,
+        record: ResultRecord,
+    ) -> PlatformResult<(Option<String>, ResultRecord)> {
+        if self.durability.is_none() {
+            return Ok((error, record));
+        }
+        let logged = WalRecord::ReportAccepted {
+            task,
+            key: key.clone(),
+            error,
+            record,
+        };
+        self.log(&logged)?;
+        let WalRecord::ReportAccepted { error, record, .. } = logged else {
+            unreachable!("built four lines up")
+        };
+        Ok((error, record))
     }
 
     /// The driver's "report back" call.
@@ -810,7 +846,9 @@ impl SqalpelServer {
         let out = self.metrics.time("server.report_result_nanos", || {
             let shard = self.state.shard_of_task(task_id)?;
             let mut s = shard.write();
-            let task = s.queue.task(task_id)?.clone();
+            // Borrowed, not cloned: a report needs four ids and two labels
+            // of its task, not a copy of the SQL.
+            let task = s.queue.task(task_id)?;
             // The idempotency check applies only when this key does NOT hold
             // the task: a running claim means this is a fresh report (e.g. the
             // task failed, was requeued and re-claimed by the same key), not a
@@ -827,26 +865,22 @@ impl SqalpelServer {
                 // Refused up front — the same typed errors `queue.complete`
                 // would raise — so nothing is logged or mutated for a
                 // report that cannot be accepted.
-                return Err(not_held_refusal(&task));
+                return Err(not_held_refusal(task));
             }
-            let (error, rec) = self.accepted_record(&task, key, outcome);
+            let (project, experiment) = (task.project, task.experiment);
+            let (error, rec) = self.accepted_record(task, key, outcome);
             // One combined record: replay applies the queue completion
             // and the stored result atomically. Logged *before* the queue
             // mutation: if the append fails, the task stays Running and
             // the admission slot stays held, so the contributor's retry
             // can complete it once the log is writable again — in-memory,
             // on-disk and admission state never diverge.
-            self.log(&WalRecord::ReportAccepted {
-                task: task_id,
-                key: key.clone(),
-                error: error.clone(),
-                record: rec.clone(),
-            })?;
+            let (error, rec) = self.log_report(task_id, key, error, rec)?;
             s.queue
                 .complete(task_id, key, error)
                 .expect("validated above under this lock: task is held by this key");
             let idx = s.results.push(rec);
-            let drained = experiment_drained(&s, task.experiment);
+            let drained = experiment_drained(&s, experiment);
             drop(s);
             if self.admission.release(key, task_id) {
                 self.metrics.incr("admission.released");
@@ -855,8 +889,8 @@ impl SqalpelServer {
             self.metrics.incr("server.report_result.accepted");
             if drained {
                 self.push.notify(&Notification::ExperimentFinished {
-                    project: task.project,
-                    experiment: task.experiment,
+                    project,
+                    experiment,
                 });
             }
             Ok(idx)
@@ -988,18 +1022,21 @@ impl SqalpelServer {
         out
     }
 
-    /// Reap stuck runs (moderator cron).
+    /// Reap stuck runs (moderator cron). An experiment whose last open
+    /// task timed out is finished: its subscribers hear so, once.
     pub fn reap_stuck(&self, timeout: Duration) -> Vec<TaskId> {
         let mut all = Vec::new();
+        let mut finished: Vec<(ProjectId, ExperimentId)> = Vec::new();
         for shard in self.state.all_shards() {
             let mut s = shard.write();
             let reaped = s.queue.reap_stuck(timeout);
             if reaped.is_empty() {
                 continue;
             }
+            let project = s.project.id;
             if self
                 .log(&WalRecord::TasksReaped {
-                    project: s.project.id,
+                    project,
                     tasks: reaped.clone(),
                 })
                 .is_err()
@@ -1010,8 +1047,19 @@ impl SqalpelServer {
                 if self.admission.release_any(t) {
                     self.metrics.incr("admission.released");
                 }
+                let experiment = s.queue.task(t).expect("just reaped here").experiment;
+                if experiment_drained(&s, experiment) && !finished.contains(&(project, experiment)) {
+                    finished.push((project, experiment));
+                }
             }
             all.extend(reaped);
+        }
+        // Notify outside every shard lock.
+        for (project, experiment) in finished {
+            self.push.notify(&Notification::ExperimentFinished {
+                project,
+                experiment,
+            });
         }
         all
     }
@@ -1056,25 +1104,8 @@ impl SqalpelServer {
     ) -> PlatformResult<Vec<ResultRecord>> {
         let shard = self.state.shard(project)?;
         let s = shard.read();
-        let role = s.project.role_of(viewer);
-        if role < Role::Reader {
-            return Err(PlatformError::AccessDenied(format!(
-                "project #{} is private",
-                project.0
-            )));
-        }
-        if s.project.taken_down {
-            return Err(PlatformError::Publication(format!(
-                "project #{} was taken down",
-                project.0
-            )));
-        }
-        Ok(s.results
-            .all()
-            .iter()
-            .filter(|r| role >= Role::Contributor || !r.hidden)
-            .cloned()
-            .collect())
+        let records = visible_results(&s, viewer)?.cloned().collect();
+        Ok(records)
     }
 
     /// Hide or unhide one result. `index` is shard-local (the index
@@ -1100,13 +1131,13 @@ impl SqalpelServer {
         })
     }
 
+    /// The CSV of what [`results_for`](Self::results_for) would return,
+    /// written from the stored records without copying them first.
     pub fn export_csv(&self, project: ProjectId, viewer: UserId) -> PlatformResult<String> {
-        let records = self.results_for(project, viewer)?;
-        let mut store = ResultStore::new();
-        for r in records {
-            store.push(r);
-        }
-        Ok(store.to_csv())
+        let shard = self.state.shard(project)?;
+        let s = shard.read();
+        let csv = results::to_csv(visible_results(&s, viewer)?);
+        Ok(csv)
     }
 
     /// Results of a project keyed off a contributor key instead of a user
@@ -1145,13 +1176,36 @@ impl SqalpelServer {
     }
 }
 
+/// The stored results of a shard's project that `viewer` may see — the
+/// access rule behind `results_for` and `export_csv`.
+fn visible_results(
+    s: &ProjectShard,
+    viewer: UserId,
+) -> PlatformResult<impl Iterator<Item = &ResultRecord>> {
+    let role = s.project.role_of(viewer);
+    if role < Role::Reader {
+        return Err(PlatformError::AccessDenied(format!(
+            "project #{} is private",
+            s.project.id.0
+        )));
+    }
+    if s.project.taken_down {
+        return Err(PlatformError::Publication(format!(
+            "project #{} was taken down",
+            s.project.id.0
+        )));
+    }
+    Ok(s.results
+        .all()
+        .iter()
+        .filter(move |r| role >= Role::Contributor || !r.hidden))
+}
+
 /// Whether an experiment has no claimable or in-flight task left in this
-/// shard's queue — the `ExperimentFinished` trigger.
+/// shard's queue — the `ExperimentFinished` trigger. A lookup: the queue
+/// counts open tasks per experiment as they change state.
 fn experiment_drained(s: &ProjectShard, experiment: ExperimentId) -> bool {
-    !s.queue.tasks().iter().any(|t| {
-        t.experiment == experiment
-            && matches!(t.state, TaskState::Queued | TaskState::Running { .. })
-    })
+    s.queue.open_tasks(s.project.id, experiment) == 0
 }
 
 /// Why a report for a task the reporting key does not hold (and never

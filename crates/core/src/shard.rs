@@ -17,7 +17,7 @@ use crate::catalog::Catalogs;
 use crate::error::{PlatformError, PlatformResult};
 use crate::project::{Project, ProjectId};
 use crate::queue::{TaskId, TaskQueue};
-use crate::results::ResultStore;
+use crate::results::{ResultRecord, ResultStore};
 use crate::user::UserRegistry;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,6 +60,19 @@ impl ProjectShard {
             queue,
             results: ResultStore::new(),
         }
+    }
+
+    /// File a result during recovery, sharing its target labels with its
+    /// task's again — the sharing `report_result` set up and the log
+    /// could not carry.
+    pub fn restore_result(&mut self, mut record: ResultRecord) -> usize {
+        if let Ok(task) = self.queue.task(TaskId(record.task)) {
+            if task.dbms_label == record.dbms_label && task.host == record.host {
+                record.dbms_label = Arc::clone(&task.dbms_label);
+                record.host = Arc::clone(&task.host);
+            }
+        }
+        self.results.push(record)
     }
 }
 

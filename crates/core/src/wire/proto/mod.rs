@@ -234,37 +234,81 @@ pub enum Request {
     Execute { sql: String, fingerprint: Option<u64> },
 }
 
-impl Request {
-    /// A bounded-cardinality metric label for this op.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::RegisterUser { .. } => "register_user",
-            Request::IssueKey { .. } => "issue_key",
-            Request::AddDbms { .. } => "add_dbms",
-            Request::AddHost { .. } => "add_host",
-            Request::DbmsLabels => "dbms_labels",
-            Request::CreateProject { .. } => "create_project",
-            Request::Invite { .. } => "invite",
-            Request::SetTargets { .. } => "set_targets",
-            Request::Comment { .. } => "comment",
-            Request::TakeDown { .. } => "take_down",
-            Request::RoleOf { .. } => "role_of",
-            Request::AddExperiment { .. } => "add_experiment",
-            Request::SeedPool { .. } => "seed_pool",
-            Request::MorphPool { .. } => "morph_pool",
-            Request::EnqueueExperiment { .. } => "enqueue_experiment",
-            Request::ResultsForKey { .. } => "results_for_key",
-            Request::ExportCsv { .. } => "export_csv",
-            Request::HideResult { .. } => "hide_result",
-            Request::RequestTask { .. } => "request_task",
-            Request::ReportResult { .. } => "report_result",
-            Request::ReportBatch { .. } => "report_batch",
-            Request::QueueSummary => "queue_summary",
-            Request::ReapStuck { .. } => "reap_stuck",
-            Request::Requeue { .. } => "requeue",
-            Request::Metrics => "metrics",
-            Request::Execute { .. } => "execute",
+/// One row per op: its label, and the v1 route that carries it (numeric
+/// path segments as `:id`). Every metric name an op is counted under is
+/// a `concat!` of these, so the per-request path formats no label.
+macro_rules! ops {
+    ($($variant:ident: $name:literal, $route:literal;)*) => {
+        impl Request {
+            /// A bounded-cardinality metric label for this op.
+            pub fn op_name(&self) -> &'static str {
+                match self {
+                    $(Request::$variant { .. } => $name,)*
+                }
+            }
+
+            /// `(route counter, latency histogram)` this op is metered
+            /// under when it arrives over v1: `wire.route.<METHOD /path>`
+            /// and `wire.latency.<METHOD /path>`.
+            pub fn v1_metric_names(&self) -> (&'static str, &'static str) {
+                match self {
+                    $(Request::$variant { .. } => (
+                        concat!("wire.route.", $route),
+                        concat!("wire.latency.", $route),
+                    ),)*
+                }
+            }
+
+            /// The same pair over v2: `wire.route.V2 <op>` and
+            /// `wire.latency.V2 <op>`.
+            pub fn v2_metric_names(&self) -> (&'static str, &'static str) {
+                match self {
+                    $(Request::$variant { .. } => (
+                        concat!("wire.route.V2 ", $name),
+                        concat!("wire.latency.V2 ", $name),
+                    ),)*
+                }
+            }
         }
+    };
+}
+
+ops! {
+    RegisterUser: "register_user", "POST /v1/user/register";
+    IssueKey: "issue_key", "POST /v1/user/key";
+    AddDbms: "add_dbms", "POST /v1/dbms";
+    AddHost: "add_host", "POST /v1/host";
+    DbmsLabels: "dbms_labels", "GET /v1/dbms";
+    CreateProject: "create_project", "POST /v1/project/create";
+    Invite: "invite", "POST /v1/project/:id/invite";
+    SetTargets: "set_targets", "POST /v1/project/:id/targets";
+    Comment: "comment", "POST /v1/project/:id/comment";
+    TakeDown: "take_down", "POST /v1/project/:id/take_down";
+    RoleOf: "role_of", "GET /v1/project/:id/role";
+    AddExperiment: "add_experiment", "POST /v1/project/:id/experiment";
+    SeedPool: "seed_pool", "POST /v1/project/:id/experiment/:id/seed";
+    MorphPool: "morph_pool", "POST /v1/project/:id/experiment/:id/morph";
+    EnqueueExperiment: "enqueue_experiment", "POST /v1/project/:id/experiment/:id/enqueue";
+    ResultsForKey: "results_for_key", "GET /v1/project/:id/results";
+    ExportCsv: "export_csv", "GET /v1/project/:id/csv";
+    HideResult: "hide_result", "POST /v1/result/hide";
+    RequestTask: "request_task", "POST /v1/task/request";
+    ReportResult: "report_result", "POST /v1/result/report";
+    ReportBatch: "report_batch", "POST /v1/result/report_batch";
+    QueueSummary: "queue_summary", "GET /v1/queue/summary";
+    ReapStuck: "reap_stuck", "POST /v1/queue/reap";
+    Requeue: "requeue", "POST /v1/task/:id/requeue";
+    Metrics: "metrics", "GET /v1/metrics";
+    Execute: "execute", "POST /v1/execute";
+}
+
+/// The `wire.status.<class>xx` counter of an HTTP status.
+pub fn status_counter(status: u16) -> &'static str {
+    match status / 100 {
+        2 => "wire.status.2xx",
+        4 => "wire.status.4xx",
+        5 => "wire.status.5xx",
+        _ => "wire.status.other",
     }
 }
 

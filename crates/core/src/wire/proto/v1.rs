@@ -50,8 +50,8 @@
 //! (`wire.latency.<METHOD /path>`), all served back by `GET /v1/metrics`.
 
 use super::{
-    need, need_bool, need_str, need_strings, need_u64, obj, strings, ErrorCode, ExecOutcome,
-    Reply, Request,
+    need, need_bool, need_str, need_strings, need_u64, obj, status_counter, strings, ErrorCode,
+    ExecOutcome, Reply, Request,
 };
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
@@ -124,27 +124,36 @@ pub fn handle(
     backend: Option<&ExecBackend>,
     req: &WireRequest,
 ) -> WireResponse {
-    let label = route_label(req);
     let start = std::time::Instant::now();
-    let resp = match decode_http(req) {
-        Ok(op) => encode_reply(&dispatch(server, backend, &op)),
-        Err(resp) => resp,
-    };
     let metrics = server.metrics();
+    let resp = match decode_http(req) {
+        Ok(op) => {
+            let resp = encode_reply(&dispatch(server, backend, &op));
+            let (route, latency) = op.v1_metric_names();
+            metrics.incr(route);
+            metrics.observe_nanos(latency, start.elapsed().as_nanos() as u64);
+            resp
+        }
+        // No op to name the request by: label it by what was asked for.
+        Err(resp) => {
+            let label = route_label(req);
+            metrics.incr(&format!("wire.route.{label}"));
+            metrics.observe_nanos(
+                &format!("wire.latency.{label}"),
+                start.elapsed().as_nanos() as u64,
+            );
+            resp
+        }
+    };
     metrics.incr("wire.requests");
-    metrics.incr(&format!("wire.route.{label}"));
-    metrics.incr(&format!("wire.status.{}xx", resp.status / 100));
-    metrics.observe_nanos(
-        &format!("wire.latency.{label}"),
-        start.elapsed().as_nanos() as u64,
-    );
+    metrics.incr(status_counter(resp.status));
     resp
 }
 
 /// A bounded-cardinality metric label for a request: the method plus the
 /// path with numeric segments normalized to `:id`, so `/v1/project/7` and
 /// `/v1/project/9` share one counter.
-fn route_label(req: &WireRequest) -> String {
+pub(crate) fn route_label(req: &WireRequest) -> String {
     let parts: Vec<&str> = req
         .segments()
         .iter()

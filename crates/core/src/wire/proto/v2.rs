@@ -1096,9 +1096,9 @@ fn read_task(r: &mut R<'_>) -> D<Task> {
         project: ProjectId(r.u64()?),
         experiment: ExperimentId(r.u64()?),
         query: QueryId(r.u64()?),
-        sql: r.str()?,
-        dbms_label: r.str()?,
-        host: r.str()?,
+        sql: r.str()?.into(),
+        dbms_label: r.str()?.into(),
+        host: r.str()?.into(),
         state: match r.u8()? {
             0 => TaskState::Queued,
             1 => TaskState::Running {
@@ -1284,7 +1284,8 @@ fn write_records(w: &mut W, records: &[ResultRecord]) {
         w.f64(rec.load_after.fifteen);
     }
     for rec in records {
-        w.json(&rec.extras);
+        // Stored as the JSON text this column carries.
+        w.str(&rec.extras);
     }
     w.bitmap(n, |i| records[i].hidden);
     w.bitmap(n, |i| records[i].fingerprint.is_some());
@@ -1354,9 +1355,10 @@ fn read_records(r: &mut R<'_>) -> D<Vec<ResultRecord>> {
             LoadAvg { one: r.f64()?, five: r.f64()?, fifteen: r.f64()? },
         ));
     }
-    let mut extras: Vec<serde_json::Value> = Vec::with_capacity(n);
+    let mut extras: Vec<String> = Vec::with_capacity(n);
     for _ in 0..n {
-        extras.push(r.json("extras")?);
+        // Parsed to reject a malformed payload, kept as compact text.
+        extras.push(r.json::<serde_json::Value>("extras")?.to_string());
     }
     let hidden = r.bitmap(n)?;
     let has_fp = r.bitmap(n)?;
@@ -1377,8 +1379,8 @@ fn read_records(r: &mut R<'_>) -> D<Vec<ResultRecord>> {
             project: project[i],
             experiment: experiment[i],
             query: query[i],
-            dbms_label: dbms_label[i].clone(),
-            host: host[i].clone(),
+            dbms_label: dbms_label[i].as_str().into(),
+            host: host[i].as_str().into(),
             contributor: contributor[i].clone(),
             times_ms: times[i].clone(),
             rows: rows[i] as usize,
@@ -1528,6 +1530,7 @@ fn read_result_set(r: &mut R<'_>) -> D<WireResultSet> {
 mod tests {
     use super::*;
     use serde::Value;
+    use crate::wire::proto::v1;
 
     fn round_trip_request(req: Request) -> Request {
         let frame = encode_request_frame(7, &req);
@@ -1587,7 +1590,7 @@ mod tests {
             error: (i % 2 == 1).then(|| "boom".to_string()),
             load_before: LoadAvg::default(),
             load_after: LoadAvg { one: 0.1, five: 0.2, fifteen: 0.3 },
-            extras: serde_json::json!({"i": i as i64}),
+            extras: serde_json::json!({"i": i as i64}).to_string(),
             hidden: i.is_multiple_of(3),
             fingerprint: i.is_multiple_of(2).then_some(0xfeed + i),
             profile: (i == 2).then(|| sample_outcome().profile.unwrap()),
@@ -1675,6 +1678,12 @@ mod tests {
             let back = round_trip_request(req.clone());
             // Compare via the JSON debug form — RunOutcome has no PartialEq.
             assert_eq!(format!("{back:?}"), format!("{req:?}"));
+            // The static v1 metric names are what the route this op
+            // travels on used to be formatted into per request.
+            let label = v1::route_label(&v1::encode_request(&req));
+            let (route, latency) = req.v1_metric_names();
+            assert_eq!(route, format!("wire.route.{label}"));
+            assert_eq!(latency, format!("wire.latency.{label}"));
         }
     }
 

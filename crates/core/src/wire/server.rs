@@ -29,7 +29,7 @@ use crate::server::SqalpelServer;
 use crate::wire::dispatch::ExecBackend;
 use crate::wire::proto::v1;
 use crate::wire::proto::v2::{self, DecodedRequest};
-use crate::wire::proto::{ErrorCode, Reply, Request};
+use crate::wire::proto::{status_counter, ErrorCode, Reply, Request};
 use crate::wire::transport::http::{read_request, write_response, Response};
 use crate::PlatformError;
 use std::collections::HashMap;
@@ -603,18 +603,14 @@ fn handle_v2(
     let start = std::time::Instant::now();
     let outcome = crate::wire::dispatch::dispatch(server, backend, op);
     let metrics = server.metrics();
-    let label = format!("V2 {}", op.op_name());
+    let (route, latency) = op.v2_metric_names();
     metrics.incr("wire.requests");
-    metrics.incr(&format!("wire.route.{label}"));
-    let status_class = match &outcome {
-        Ok(_) => 2,
-        Err(e) => ErrorCode::of(e).http_status() / 100,
-    };
-    metrics.incr(&format!("wire.status.{status_class}xx"));
-    metrics.observe_nanos(
-        &format!("wire.latency.{label}"),
-        start.elapsed().as_nanos() as u64,
-    );
+    metrics.incr(route);
+    metrics.incr(status_counter(match &outcome {
+        Ok(_) => 200,
+        Err(e) => ErrorCode::of(e).http_status(),
+    }));
+    metrics.observe_nanos(latency, start.elapsed().as_nanos() as u64);
     outcome
 }
 

@@ -247,6 +247,99 @@ fn experiment_on(server: &SqalpelServer) -> usize {
     server.enqueue_experiment(project, exp, owner).unwrap()
 }
 
+/// `ExperimentFinished` is promised "when an experiment's last task goes
+/// terminal" — a timeout is terminal too. Reaping the last running tasks
+/// of an experiment delivers exactly one notification (however many
+/// tasks the sweep took), reaping while others are still open delivers
+/// none, and a requeued task that then completes finishes it once more.
+#[test]
+fn reaping_the_last_task_finishes_the_experiment_once() {
+    const WIDE_SQL: &str =
+        "select n_name, n_regionkey from nation where n_regionkey = 1 and n_name = 'BRAZIL'";
+    let server = SqalpelServer::new();
+    let owner = server.register_user("owner", "o@x.test").unwrap();
+    let project = server
+        .create_project(owner, "reap", "push reap", Visibility::Public)
+        .unwrap();
+    server
+        .set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
+        .unwrap();
+    let exp = server
+        .add_experiment(project, owner, "first", WIDE_SQL, None, 1_000, 100)
+        .unwrap();
+    server.seed_pool(project, exp, owner, 5, 42).unwrap();
+    let n = server.enqueue_experiment(project, exp, owner).unwrap();
+    assert!(n >= 3, "{n} tasks");
+    let key = server.issue_key(owner).unwrap();
+    let hub = server.push_hub();
+    let sub = hub.subscribe("watcher");
+    let finished = |got: &[Notification]| {
+        got.iter()
+            .filter(|n| matches!(n, Notification::ExperimentFinished { .. }))
+            .count()
+    };
+
+    // Two tasks stay in flight, the rest are reported: not finished yet.
+    let mut held = Vec::new();
+    while let Some(t) = server
+        .request_task_claimed(&key, DBMS, HOST, Some(held.len() as u64))
+        .unwrap()
+    {
+        held.push(t);
+    }
+    assert_eq!(held.len(), n);
+    for t in held.drain(2..) {
+        server.report_result(&key, t.id, fake_outcome()).unwrap();
+    }
+    assert_eq!(finished(&hub.drain(sub)), 0);
+
+    // A sweep that finds nothing stuck says nothing.
+    assert!(server.reap_stuck(Duration::from_secs(3600)).is_empty());
+    assert_eq!(finished(&hub.drain(sub)), 0);
+
+    // The sweep that times out both: one notification, not two.
+    let reaped = server.reap_stuck(Duration::ZERO);
+    assert_eq!(reaped.len(), 2);
+    let got = hub.drain(sub);
+    assert_eq!(finished(&got), 1, "{got:?}");
+    assert_eq!(server.queue_summary().timed_out, 2);
+
+    // Requeue one (QueueReady, experiment open again), run it to the
+    // end: finished once more.
+    server.requeue(reaped[0]).unwrap();
+    let again = server.request_task(&key, DBMS, HOST).unwrap().unwrap();
+    assert_eq!(again.id, reaped[0]);
+    assert_eq!(finished(&hub.drain(sub)), 0);
+    server.report_result(&key, again.id, fake_outcome()).unwrap();
+    assert_eq!(finished(&hub.drain(sub)), 1);
+
+    // Per experiment, not per sweep: with the first experiment down to
+    // one running task and a second one freshly queued, the sweep that
+    // takes that task finishes the first and says nothing of the second.
+    server.requeue(reaped[1]).unwrap();
+    let last = server.request_task(&key, DBMS, HOST).unwrap().unwrap();
+    let exp2 = server
+        .add_experiment(project, owner, "second", WIDE_SQL, None, 1_000, 100)
+        .unwrap();
+    server.seed_pool(project, exp2, owner, 5, 3).unwrap();
+    assert!(server.enqueue_experiment(project, exp2, owner).unwrap() >= 2);
+    hub.drain(sub);
+    assert_eq!(server.reap_stuck(Duration::ZERO), vec![last.id]);
+    assert_eq!(
+        hub.drain(sub),
+        vec![Notification::ExperimentFinished {
+            project,
+            experiment: last.experiment,
+        }]
+    );
+
+    // Reaping a task whose experiment still has one queued: silent.
+    let first_of_two = server.request_task(&key, DBMS, HOST).unwrap().unwrap();
+    assert_eq!(first_of_two.experiment, exp2);
+    assert_eq!(server.reap_stuck(Duration::ZERO), vec![first_of_two.id]);
+    assert_eq!(hub.drain(sub), Vec::new());
+}
+
 fn short_policy(push: bool) -> PollPolicy {
     PollPolicy {
         max_empty_polls: 3,

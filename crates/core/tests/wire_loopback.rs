@@ -44,7 +44,7 @@ fn driver() -> ExperimentDriver<MockConnector> {
 
 /// Order- and contributor-independent digest of a result set: one
 /// `(query, dbms, host, rows, errored, repetitions)` row per record.
-type Fingerprint = Vec<(u64, String, String, usize, bool, usize)>;
+type Fingerprint = Vec<(u64, std::sync::Arc<str>, std::sync::Arc<str>, usize, bool, usize)>;
 
 fn fingerprint(records: &[ResultRecord]) -> Fingerprint {
     let mut fp: Vec<_> = records
