@@ -130,10 +130,19 @@ cargo test -q --release -p sqalpel-core --test admission_props
 # claim / unclaim / complete / reap / requeue sequences, and equal counts
 # again after snapshot -> restore and WAL -> streamed replay.
 cargo test -q --release -p sqalpel-core --test queue_props
+# The durable formats, byte for byte: the log, checkpoint and CSV the
+# last value-tree build wrote (tests/golden/, all 18 ops and every
+# checkpoint line kind) are what today's text sink writes and what its
+# lines re-encode to; text sink == tree sink on random records;
+# encode -> decode -> encode is a fixed point; the element-wise walk of a
+# bulk record equals whole-line parsing; a line cut at any byte is torn.
+cargo test -q --release -p sqalpel-core --test wal_codec_props
 # The task path's allocation and memory contract: allocations per
-# in-memory request_task and report_result pinned (8 and 3), the in-process
-# drain of 160k tasks flat from first to last, and replay of a 20k-task,
-# 10k-report log peaking within 1.25x of the recovered state (it streams).
+# request_task and report_result pinned (8 and 3 in memory, 9 and 4 on a
+# durable server), the in-process drain of 160k tasks flat from first to
+# last, replay of a 20k-task, 10k-report log peaking within 1.25x of the
+# recovered state (it streams), and a 40k-task enqueue line written and
+# replayed within the state plus twice the line's bytes.
 cargo test -q --release -p sqalpel-core --test alloc_discipline
 # Bulk-upload differential wall: the same experiment reported per-record
 # over v1, per-record over v2 and as one streamed v2 batch must export

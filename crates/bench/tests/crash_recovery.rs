@@ -201,7 +201,9 @@ fn kill_nine_mid_walk_loses_nothing() {
 /// replays byte-identical (the record is durable before the ack), and a
 /// torn group-commit record (the crash landed mid-`write`) drops the
 /// *whole* batch atomically: zero of its reports visible, never a
-/// partial prefix, and every report re-submittable exactly once.
+/// partial prefix, and every report re-submittable exactly once — and
+/// what the boot after the tear acknowledges survives the boot after
+/// that.
 #[test]
 fn kill_nine_mid_group_commit_keeps_bulk_batches_atomic() {
     let dir = std::env::temp_dir().join(format!("sqalpel-crash-bulk-{}", std::process::id()));
@@ -277,6 +279,20 @@ fn kill_nine_mid_group_commit_keeps_bulk_batches_atomic() {
     let csv_final = client3.export_csv(PROJECT, ADMIN).expect("csv after resubmit");
     assert_eq!(csv_final, csv2, "resubmitted batch restores the pre-crash export byte-for-byte");
 
-    drop(serve3);
+    // Boot 4: what boot 3 acknowledged was appended behind a torn tail.
+    // It must have landed on a line of its own — the torn bytes cut off
+    // first — or this boot stops replay at them and the resubmitted
+    // batch, acked a moment ago, is gone.
+    let mut serve3 = serve3;
+    serve3.child.kill().expect("SIGKILL serve");
+    serve3.child.wait().expect("reap serve");
+    let serve4 = spawn_serve(&dir);
+    let client4 = WireClient::builder(serve4.v2_addr).transport(Proto::V2Framed).build();
+    let csv_after = client4.export_csv(PROJECT, ADMIN).expect("csv after the fourth boot");
+    assert_eq!(csv_after, csv2, "reports acked behind a torn tail must survive the next boot");
+    let summary = client4.queue_summary().expect("summary");
+    assert_eq!((summary.finished, summary.running), (6, 0));
+
+    drop(serve4);
     let _ = std::fs::remove_dir_all(&dir);
 }

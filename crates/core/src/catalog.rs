@@ -7,7 +7,7 @@
 //! [`crate::project`].
 
 use crate::error::{PlatformError, PlatformResult};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::collections::BTreeMap;
 
 /// Visibility of catalog entries and projects.
@@ -18,11 +18,11 @@ pub enum Visibility {
 }
 
 impl Serialize for Visibility {
-    fn to_value(&self) -> Value {
-        match self {
-            Visibility::Public => "public".into(),
-            Visibility::Private => "private".into(),
-        }
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.str(match self {
+            Visibility::Public => "public",
+            Visibility::Private => "private",
+        })
     }
 }
 
@@ -57,18 +57,19 @@ impl DbmsEntry {
 }
 
 impl Serialize for DbmsEntry {
-    fn to_value(&self) -> Value {
-        let mut settings = serde_json::Map::new();
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("name", &self.name);
+        s.key("settings");
+        s.begin_object();
         for (k, v) in &self.settings {
-            settings.insert(k.clone(), v.clone().into());
+            s.field(k, v);
         }
-        let mut m = serde_json::Map::new();
-        m.insert("name".into(), self.name.clone().into());
-        m.insert("version".into(), self.version.clone().into());
-        m.insert("vendor".into(), self.vendor.clone().into());
-        m.insert("settings".into(), Value::Object(settings));
-        m.insert("visibility".into(), self.visibility.to_value());
-        Value::Object(m)
+        s.end_object();
+        s.field("vendor", &self.vendor);
+        s.field("version", &self.version);
+        s.field("visibility", &self.visibility);
+        s.end_object();
     }
 }
 
@@ -111,15 +112,15 @@ pub struct HostEntry {
 }
 
 impl Serialize for HostEntry {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("name".into(), self.name.clone().into());
-        m.insert("cpu".into(), self.cpu.clone().into());
-        m.insert("cores".into(), self.cores.into());
-        m.insert("ram_gb".into(), self.ram_gb.into());
-        m.insert("os".into(), self.os.clone().into());
-        m.insert("visibility".into(), self.visibility.to_value());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("cores", &self.cores);
+        s.field("cpu", &self.cpu);
+        s.field("name", &self.name);
+        s.field("os", &self.os);
+        s.field("ram_gb", &self.ram_gb);
+        s.field("visibility", &self.visibility);
+        s.end_object();
     }
 }
 

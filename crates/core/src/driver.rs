@@ -14,7 +14,7 @@
 //! queue/driver testing.
 
 use crate::results::LoadAvg;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use sqalpel_engine::Dbms;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,16 +59,16 @@ pub struct OperatorProfile {
 }
 
 impl Serialize for OperatorProfile {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("op".into(), self.op.clone().into());
-        m.insert("rows_in".into(), self.rows_in.into());
-        m.insert("rows_out".into(), self.rows_out.into());
-        m.insert("batches".into(), self.batches.into());
-        m.insert("nanos".into(), self.nanos.into());
-        m.insert("chunks_scanned".into(), self.chunks_scanned.into());
-        m.insert("chunks_skipped".into(), self.chunks_skipped.into());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("batches", &self.batches);
+        s.field("chunks_scanned", &self.chunks_scanned);
+        s.field("chunks_skipped", &self.chunks_skipped);
+        s.field("nanos", &self.nanos);
+        s.field("op", &self.op);
+        s.field("rows_in", &self.rows_in);
+        s.field("rows_out", &self.rows_out);
+        s.end_object();
     }
 }
 
@@ -241,35 +241,18 @@ pub struct RunOutcome {
 }
 
 impl Serialize for RunOutcome {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("times_ms".into(), self.times_ms.clone().into());
-        m.insert("rows".into(), self.rows.into());
-        m.insert(
-            "error".into(),
-            match &self.error {
-                Some(e) => e.clone().into(),
-                None => Value::Null,
-            },
-        );
-        m.insert("load_before".into(), self.load_before.to_value());
-        m.insert("load_after".into(), self.load_after.to_value());
-        m.insert("extras".into(), self.extras.clone());
-        m.insert(
-            "fingerprint".into(),
-            match self.fingerprint {
-                Some(fp) => Value::from(format!("{fp:016x}")),
-                None => Value::Null,
-            },
-        );
-        m.insert(
-            "profile".into(),
-            match &self.profile {
-                Some(ops) => Value::Array(ops.iter().map(|o| o.to_value()).collect()),
-                None => Value::Null,
-            },
-        );
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("error", &self.error);
+        s.field("extras", &self.extras);
+        s.key("fingerprint");
+        crate::results::fingerprint_hex(s, self.fingerprint);
+        s.field("load_after", &self.load_after);
+        s.field("load_before", &self.load_before);
+        s.field("profile", &self.profile);
+        s.field("rows", &self.rows);
+        s.field("times_ms", &self.times_ms);
+        s.end_object();
     }
 }
 

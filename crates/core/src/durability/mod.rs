@@ -15,7 +15,9 @@
 //! skipped, not double-applied. A torn final record — the crash
 //! interrupted an append whose operation was never acknowledged — is
 //! discarded, which is precisely the at-least-acknowledged, at-most-once
-//! semantics the wire protocol's idempotent retries expect.
+//! semantics the wire protocol's idempotent retries expect; its bytes
+//! are cut off the file before the first new append, so what this boot
+//! acknowledges is not stranded behind them for the next.
 
 pub mod recovery;
 pub mod snapshot;
@@ -23,7 +25,7 @@ pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
 pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot};
-pub use wal::{read_wal, WalReader, WalRecord, WalWriter, WAL_FILE};
+pub use wal::{read_wal, EnqueuedTasks, WalReader, WalRecord, WalWriter, WAL_FILE};
 
 use crate::shard::{GlobalShard, ProjectShard};
 use parking_lot::Mutex;
@@ -38,11 +40,12 @@ pub struct Durability {
 
 impl Durability {
     /// Open a state directory: recover whatever is there, then position
-    /// the WAL for appending. Creates the directory if needed.
+    /// the WAL for appending right behind its last intact record (a torn
+    /// tail is truncated away). Creates the directory if needed.
     pub fn open(dir: &Path) -> io::Result<(Durability, RecoveredState)> {
         std::fs::create_dir_all(dir)?;
         let recovered = recover(dir)?;
-        let wal = WalWriter::open(dir, recovered.next_lsn)?;
+        let wal = WalWriter::open(dir, recovered.next_lsn, recovered.wal_len)?;
         Ok((
             Durability {
                 dir: dir.to_path_buf(),
@@ -56,9 +59,10 @@ impl Durability {
         &self.dir
     }
 
-    /// Append one record, flushed to the OS. Returns the framed byte
-    /// length. The caller must hold the lock of the state it mutated.
-    pub fn log(&self, record: &WalRecord) -> io::Result<u64> {
+    /// Append one record ([`WalRecord`] or [`EnqueuedTasks`]), flushed to
+    /// the OS. Returns the framed byte length. The caller must hold the
+    /// lock of the state it mutated.
+    pub fn log(&self, record: &impl serde::Serialize) -> io::Result<u64> {
         self.wal.lock().append(record)
     }
 

@@ -44,6 +44,9 @@ pub struct RecoveredState {
     pub next_lsn: u64,
     /// Torn lines discarded at the WAL tail.
     pub torn_records: usize,
+    /// Byte length of the WAL's intact records: where the reopened log
+    /// continues, whatever torn bytes lie behind it.
+    pub wal_len: u64,
 }
 
 /// Recover platform state from `dir`. An empty or missing directory
@@ -96,6 +99,7 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
         skipped_records,
         next_lsn: last_lsn,
         torn_records: wal.torn(),
+        wal_len: wal.intact_len(),
     })
 }
 
@@ -335,7 +339,7 @@ mod tests {
         let entry = pool.entries()[0].clone();
         let base = 1u64 << 32;
 
-        let mut wal = WalWriter::open(dir, 0).unwrap();
+        let mut wal = WalWriter::open(dir, 0, 0).unwrap();
         let records = vec![
             WalRecord::UserRegistered {
                 id: UserId(1),
@@ -556,7 +560,7 @@ mod tests {
     #[test]
     fn contradictory_replay_is_rejected() {
         let dir = tmp_dir("contradict");
-        let mut wal = WalWriter::open(&dir, 0).unwrap();
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
         // A claim for a task that was never enqueued.
         wal.append(&WalRecord::ProjectCreated {
             id: crate::project::ProjectId(1),

@@ -18,7 +18,8 @@ use crate::queue::Task;
 use crate::results::ResultRecord;
 use crate::shard::{GlobalShard, ProjectShard};
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize, Value};
+use serde::text::TextSink;
+use serde::{Deserialize, Sink, Value};
 use sqalpel_grammar::Grammar;
 use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -28,15 +29,26 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {}", msg.into()))
 }
 
-fn line(out: &mut impl Write, t: &str, mut fields: serde_json::Map) -> io::Result<()> {
-    fields.insert("t".into(), t.into());
-    writeln!(out, "{}", Value::Object(fields))
+/// Where the lines of one snapshot go: the file, and the buffer each
+/// line is written into first (reused; a line is one item, never large).
+struct Lines {
+    out: BufWriter<File>,
+    buf: String,
 }
 
-fn one(key: &str, value: Value) -> serde_json::Map {
-    let mut m = serde_json::Map::new();
-    m.insert(key.into(), value);
-    m
+impl Lines {
+    /// One line: a JSON object whose members `describe` writes — its
+    /// `"t"` tag among them, in key order like the rest (the sink
+    /// contract of the `serde` stand-in).
+    fn line(&mut self, describe: impl FnOnce(&mut TextSink)) -> io::Result<()> {
+        self.buf.clear();
+        let mut s = TextSink::new(&mut self.buf);
+        s.begin_object();
+        describe(&mut s);
+        s.end_object();
+        self.buf.push('\n');
+        self.out.write_all(self.buf.as_bytes())
+    }
 }
 
 /// Write a snapshot of the given state at `lsn`. The caller must hold
@@ -50,94 +62,117 @@ pub fn write_snapshot(
 ) -> io::Result<PathBuf> {
     let tmp = dir.join(format!("snapshot-{lsn:020}.tmp"));
     let path = dir.join(format!("snapshot-{lsn:020}.jsonl"));
-    let mut out = BufWriter::new(File::create(&tmp)?);
+    let mut out = Lines {
+        out: BufWriter::new(File::create(&tmp)?),
+        buf: String::new(),
+    };
 
-    line(&mut out, "meta", {
-        let mut m = one("lsn", lsn.into());
-        m.insert("projects".into(), shards.len().into());
-        m
+    out.line(|s| {
+        s.field("lsn", &lsn);
+        s.field("projects", &shards.len());
+        s.field("t", "meta");
     })?;
 
     for u in global.users.users() {
-        let mut m = one("id", u.id.0.into());
-        m.insert("nickname".into(), u.nickname.clone().into());
-        m.insert("email".into(), u.email_for_legal_contact().into());
-        line(&mut out, "user", m)?;
+        out.line(|s| {
+            s.field("email", u.email_for_legal_contact());
+            s.field("id", &u.id.0);
+            s.field("nickname", &u.nickname);
+            s.field("t", "user");
+        })?;
     }
     for (key, user) in global.users.keys() {
-        let mut m = one("key", key.0.clone().into());
-        m.insert("user".into(), user.0.into());
-        line(&mut out, "key", m)?;
+        out.line(|s| {
+            s.field("key", &key.0);
+            s.field("t", "key");
+            s.field("user", &user.0);
+        })?;
     }
-    line(
-        &mut out,
-        "key_counter",
-        one("value", global.users.key_counter().into()),
-    )?;
+    out.line(|s| {
+        s.field("t", "key_counter");
+        s.field("value", &global.users.key_counter());
+    })?;
     for entry in global.catalogs.dbms_entries() {
-        line(&mut out, "dbms", one("entry", entry.to_value()))?;
+        out.line(|s| {
+            s.field("entry", entry);
+            s.field("t", "dbms");
+        })?;
     }
     for entry in global.catalogs.host_entries() {
-        line(&mut out, "host", one("entry", entry.to_value()))?;
+        out.line(|s| {
+            s.field("entry", entry);
+            s.field("t", "host");
+        })?;
     }
 
     for shard in shards {
         let p = &shard.project;
-        let mut m = one("id", p.id.0.into());
-        m.insert("title".into(), p.title.clone().into());
-        m.insert("synopsis".into(), p.synopsis.clone().into());
-        m.insert("owner".into(), p.owner.0.into());
-        m.insert("visibility".into(), p.visibility.to_value());
-        m.insert(
-            "contributors".into(),
-            Value::Array(p.contributors.iter().map(|u| Value::from(u.0)).collect()),
-        );
-        m.insert(
-            "comments".into(),
-            Value::Array(
-                p.comments
-                    .iter()
-                    .map(|c| {
-                        let mut m = one("author", c.author.0.into());
-                        m.insert("text".into(), c.text.clone().into());
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        );
-        m.insert("dbms_labels".into(), p.dbms_labels.clone().into());
-        m.insert("hosts".into(), p.hosts.clone().into());
-        m.insert("taken_down".into(), p.taken_down.into());
-        line(&mut out, "project", m)?;
+        out.line(|s| {
+            s.key("comments");
+            s.begin_array();
+            for c in &p.comments {
+                s.begin_object();
+                s.field("author", &c.author.0);
+                s.field("text", &c.text);
+                s.end_object();
+            }
+            s.end_array();
+            s.key("contributors");
+            s.begin_array();
+            for u in &p.contributors {
+                s.int(u.0 as i64);
+            }
+            s.end_array();
+            s.field("dbms_labels", &p.dbms_labels);
+            s.field("hosts", &p.hosts);
+            s.field("id", &p.id.0);
+            s.field("owner", &p.owner.0);
+            s.field("synopsis", &p.synopsis);
+            s.field("t", "project");
+            s.field("taken_down", &p.taken_down);
+            s.field("title", &p.title);
+            s.field("visibility", &p.visibility);
+        })?;
 
         for e in &p.experiments {
-            let mut m = one("project", p.id.0.into());
-            m.insert("id".into(), e.id.0.into());
-            m.insert("title".into(), e.title.clone().into());
-            m.insert("baseline_sql".into(), e.baseline_sql.clone().into());
-            m.insert("grammar".into(), e.pool.grammar().to_string().into());
-            m.insert("template_cap".into(), e.pool.template_cap().into());
-            m.insert("pool_cap".into(), e.pool.pool_cap().into());
-            if let Some(d) = e.pool.dialect() {
-                m.insert("dialect".into(), d.into());
-            }
-            line(&mut out, "experiment", m)?;
+            out.line(|s| {
+                s.field("baseline_sql", &e.baseline_sql);
+                if let Some(d) = e.pool.dialect() {
+                    s.field("dialect", d);
+                }
+                s.field("grammar", &e.pool.grammar().to_string());
+                s.field("id", &e.id.0);
+                s.field("pool_cap", &e.pool.pool_cap());
+                s.field("project", &p.id.0);
+                s.field("t", "experiment");
+                s.field("template_cap", &e.pool.template_cap());
+                s.field("title", &e.title);
+            })?;
             for entry in e.pool.entries() {
-                let mut m = one("project", p.id.0.into());
-                m.insert("experiment".into(), e.id.0.into());
-                m.insert("entry".into(), entry.to_value());
-                line(&mut out, "pool_entry", m)?;
+                out.line(|s| {
+                    s.field("entry", entry);
+                    s.field("experiment", &e.id.0);
+                    s.field("project", &p.id.0);
+                    s.field("t", "pool_entry");
+                })?;
             }
         }
         for task in shard.queue.tasks() {
-            line(&mut out, "task", one("task", task.to_value()))?;
+            out.line(|s| {
+                s.field("t", "task");
+                s.field("task", task);
+            })?;
         }
         for record in shard.results.all() {
-            line(&mut out, "result", one("record", record.to_value()))?;
+            out.line(|s| {
+                s.field("record", record);
+                s.field("t", "result");
+            })?;
         }
     }
 
-    line(&mut out, "end", serde_json::Map::new())?;
+    out.line(|s| s.field("t", "end"))?;
+    let mut out = out.out;
     out.flush()?;
     out.into_inner()
         .map_err(|e| io::Error::other(e.to_string()))?

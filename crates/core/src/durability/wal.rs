@@ -15,10 +15,21 @@
 //! length of the JSON text and `fnv64` its FNV-1a checksum. A torn
 //! tail — short line, bad length, bad checksum — ends replay at the
 //! last intact record, which is exactly the prefix the platform
-//! acknowledged before the crash. The LSN stamp lets recovery skip
-//! records a snapshot already contains: if a crash lands between
-//! persisting a snapshot and truncating the log, the stale prefix
-//! (lsn <= snapshot lsn) is ignored instead of replayed twice.
+//! acknowledged before the crash; the writer that reopens the log cuts
+//! the torn bytes off before it appends. A line that passes its checksum
+//! but does not decode is something else — an acknowledged record this
+//! build cannot read — and fails recovery, naming the LSN. The LSN stamp
+//! lets recovery skip records a snapshot already contains: if a crash
+//! lands between persisting a snapshot and truncating the log, the stale
+//! prefix (lsn <= snapshot lsn) is ignored instead of replayed twice.
+//!
+//! A line is written, not built: each record type describes its JSON
+//! once (`Serialize::serialize`, keys in byte order) and the writer runs
+//! that description against its line buffer — no value tree on the way
+//! out. On the way in a record is decoded through a tree, but a bulk
+//! record's array (`tasks`, `entries`, `items`) is walked off the text
+//! element by element, so replay holds one element's tree, never one
+//! line's.
 //!
 //! Each append is flushed to the OS before the operation acks, which
 //! survives process death (`kill -9`). Full fsync happens at snapshot
@@ -31,9 +42,11 @@ use crate::project::{ExperimentId, ProjectId};
 use crate::queue::{Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize, Value};
+use serde::text::TextSink;
+use serde::{Deserialize, Serialize, Sink, Value};
+use std::borrow::Borrow;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a over a byte string — the per-record checksum.
@@ -179,30 +192,58 @@ impl WalRecord {
     }
 }
 
+/// `op`, `project` and `tasks` of a `tasks_enqueued` record — shared by
+/// the owned record and its borrowed form.
+fn tasks_enqueued<S: Sink>(s: &mut S, project: ProjectId, tasks: &[Task]) {
+    s.field("op", "tasks_enqueued");
+    s.field("project", &project.0);
+    s.field("tasks", tasks);
+}
+
+/// [`WalRecord::TasksEnqueued`] over tasks that stay where they are: the
+/// server logs the queue's new tail without copying it. Encodes to the
+/// same bytes.
+pub struct EnqueuedTasks<'a> {
+    pub project: ProjectId,
+    pub tasks: &'a [Task],
+}
+
+impl Serialize for EnqueuedTasks<'_> {
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        tasks_enqueued(s, self.project, self.tasks);
+        s.end_object();
+    }
+}
+
 impl Serialize for WalRecord {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("op".into(), self.op().into());
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        let op = self.op();
+        s.begin_object();
         match self {
             WalRecord::UserRegistered {
                 id,
                 nickname,
                 email,
             } => {
-                m.insert("id".into(), id.0.into());
-                m.insert("nickname".into(), nickname.clone().into());
-                m.insert("email".into(), email.clone().into());
+                s.field("email", email);
+                s.field("id", &id.0);
+                s.field("nickname", nickname);
+                s.field("op", op);
             }
             WalRecord::KeyIssued { user, key, counter } => {
-                m.insert("user".into(), user.0.into());
-                m.insert("key".into(), key.0.clone().into());
-                m.insert("counter".into(), (*counter).into());
+                s.field("counter", counter);
+                s.field("key", &key.0);
+                s.field("op", op);
+                s.field("user", &user.0);
             }
             WalRecord::DbmsAdded { entry } => {
-                m.insert("entry".into(), entry.to_value());
+                s.field("entry", entry);
+                s.field("op", op);
             }
             WalRecord::HostAdded { entry } => {
-                m.insert("entry".into(), entry.to_value());
+                s.field("entry", entry);
+                s.field("op", op);
             }
             WalRecord::ProjectCreated {
                 id,
@@ -211,36 +252,41 @@ impl Serialize for WalRecord {
                 synopsis,
                 visibility,
             } => {
-                m.insert("id".into(), id.0.into());
-                m.insert("owner".into(), owner.0.into());
-                m.insert("title".into(), title.clone().into());
-                m.insert("synopsis".into(), synopsis.clone().into());
-                m.insert("visibility".into(), visibility.to_value());
+                s.field("id", &id.0);
+                s.field("op", op);
+                s.field("owner", &owner.0);
+                s.field("synopsis", synopsis);
+                s.field("title", title);
+                s.field("visibility", visibility);
             }
             WalRecord::Invited { project, user } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("user".into(), user.0.into());
+                s.field("op", op);
+                s.field("project", &project.0);
+                s.field("user", &user.0);
             }
             WalRecord::TargetsSet {
                 project,
                 dbms_labels,
                 hosts,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("dbms_labels".into(), dbms_labels.clone().into());
-                m.insert("hosts".into(), hosts.clone().into());
+                s.field("dbms_labels", dbms_labels);
+                s.field("hosts", hosts);
+                s.field("op", op);
+                s.field("project", &project.0);
             }
             WalRecord::CommentAdded {
                 project,
                 author,
                 text,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("author".into(), author.0.into());
-                m.insert("text".into(), text.clone().into());
+                s.field("author", &author.0);
+                s.field("op", op);
+                s.field("project", &project.0);
+                s.field("text", text);
             }
             WalRecord::TakenDown { project } => {
-                m.insert("project".into(), project.0.into());
+                s.field("op", op);
+                s.field("project", &project.0);
             }
             WalRecord::ExperimentAdded {
                 project,
@@ -252,39 +298,33 @@ impl Serialize for WalRecord {
                 pool_cap,
                 dialect,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("id".into(), id.0.into());
-                m.insert("title".into(), title.clone().into());
-                m.insert("baseline_sql".into(), baseline_sql.clone().into());
-                m.insert("grammar".into(), grammar.clone().into());
-                m.insert("template_cap".into(), (*template_cap).into());
-                m.insert("pool_cap".into(), (*pool_cap).into());
+                s.field("baseline_sql", baseline_sql);
                 if let Some(d) = dialect {
-                    m.insert("dialect".into(), d.clone().into());
+                    s.field("dialect", d);
                 }
+                s.field("grammar", grammar);
+                s.field("id", &id.0);
+                s.field("op", op);
+                s.field("pool_cap", pool_cap);
+                s.field("project", &project.0);
+                s.field("template_cap", template_cap);
+                s.field("title", title);
             }
             WalRecord::PoolExtended {
                 project,
                 experiment,
                 entries,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("experiment".into(), experiment.0.into());
-                m.insert(
-                    "entries".into(),
-                    Value::Array(entries.iter().map(|e| e.to_value()).collect()),
-                );
+                s.field("entries", entries);
+                s.field("experiment", &experiment.0);
+                s.field("op", op);
+                s.field("project", &project.0);
             }
-            WalRecord::TasksEnqueued { project, tasks } => {
-                m.insert("project".into(), project.0.into());
-                m.insert(
-                    "tasks".into(),
-                    Value::Array(tasks.iter().map(|t| t.to_value()).collect()),
-                );
-            }
+            WalRecord::TasksEnqueued { project, tasks } => tasks_enqueued(s, *project, tasks),
             WalRecord::TaskClaimed { task, key } => {
-                m.insert("task".into(), task.0.into());
-                m.insert("key".into(), key.0.clone().into());
+                s.field("key", &key.0);
+                s.field("op", op);
+                s.field("task", &task.0);
             }
             WalRecord::ReportAccepted {
                 task,
@@ -292,59 +332,75 @@ impl Serialize for WalRecord {
                 error,
                 record,
             } => {
-                m.insert("task".into(), task.0.into());
-                m.insert("key".into(), key.0.clone().into());
                 if let Some(e) = error {
-                    m.insert("error".into(), e.clone().into());
+                    s.field("error", e);
                 }
-                m.insert("record".into(), record.to_value());
+                s.field("key", &key.0);
+                s.field("op", op);
+                s.field("record", record);
+                s.field("task", &task.0);
             }
             WalRecord::ReportBatchAccepted { key, items } => {
-                m.insert("key".into(), key.0.clone().into());
-                m.insert(
-                    "items".into(),
-                    Value::Array(
-                        items
-                            .iter()
-                            .map(|(task, error, record)| {
-                                let mut item = serde_json::Map::new();
-                                item.insert("task".into(), task.0.into());
-                                if let Some(e) = error {
-                                    item.insert("error".into(), e.clone().into());
-                                }
-                                item.insert("record".into(), record.to_value());
-                                Value::Object(item)
-                            })
-                            .collect(),
-                    ),
-                );
+                s.key("items");
+                s.begin_array();
+                for (task, error, record) in items {
+                    s.begin_object();
+                    if let Some(e) = error {
+                        s.field("error", e);
+                    }
+                    s.field("record", record);
+                    s.field("task", &task.0);
+                    s.end_object();
+                }
+                s.end_array();
+                s.field("key", &key.0);
+                s.field("op", op);
             }
             WalRecord::TasksReaped { project, tasks } => {
-                m.insert("project".into(), project.0.into());
-                m.insert(
-                    "tasks".into(),
-                    Value::Array(tasks.iter().map(|t| Value::from(t.0)).collect()),
-                );
+                s.field("op", op);
+                s.field("project", &project.0);
+                s.key("tasks");
+                s.begin_array();
+                for t in tasks {
+                    s.int(t.0 as i64);
+                }
+                s.end_array();
             }
             WalRecord::TaskRequeued { task } => {
-                m.insert("task".into(), task.0.into());
+                s.field("op", op);
+                s.field("task", &task.0);
             }
             WalRecord::ResultHidden {
                 project,
                 index,
                 hidden,
             } => {
-                m.insert("project".into(), project.0.into());
-                m.insert("index".into(), (*index).into());
-                m.insert("hidden".into(), (*hidden).into());
+                s.field("hidden", hidden);
+                s.field("index", index);
+                s.field("op", op);
+                s.field("project", &project.0);
             }
         }
-        Value::Object(m)
+        s.end_object();
     }
 }
 
-impl Deserialize for WalRecord {
-    fn from_value(v: &Value) -> Result<Self, String> {
+/// The keys under which a record carries its one array that grows with
+/// the pool: `PoolExtended`, `ReportBatchAccepted`, `TasksEnqueued` (and
+/// `TasksReaped`, whose ids share the last). Replay walks these element
+/// by element instead of holding the line's tree.
+const BULK_KEYS: [&str; 3] = ["entries", "items", "tasks"];
+
+impl WalRecord {
+    /// The one decoder. `v` holds the record's members; `bulk(key)`
+    /// yields the elements of its bulk array — borrowed from `v` itself
+    /// ([`from_value`](Deserialize::from_value)) or parsed one at a time
+    /// off the line's text ([`decode_line`]).
+    fn decode<I, V>(v: &Value, bulk: impl FnOnce(&str) -> Result<I, String>) -> Result<Self, String>
+    where
+        I: Iterator<Item = Result<V, String>>,
+        V: Borrow<Value>,
+    {
         let num = |k: &str| {
             v[k].as_i64()
                 .map(|x| x as u64)
@@ -422,22 +478,27 @@ impl Deserialize for WalRecord {
             "pool_extended" => Ok(WalRecord::PoolExtended {
                 project: ProjectId(num("project")?),
                 experiment: ExperimentId(num("experiment")?),
-                entries: v["entries"]
-                    .as_array()
-                    .ok_or("pool_extended: missing entries")?
-                    .iter()
-                    .map(PoolEntry::from_value)
+                entries: bulk("entries")?
+                    .map(|e| PoolEntry::from_value(e?.borrow()))
                     .collect::<Result<_, _>>()?,
             }),
-            "tasks_enqueued" => Ok(WalRecord::TasksEnqueued {
-                project: ProjectId(num("project")?),
-                tasks: v["tasks"]
-                    .as_array()
-                    .ok_or("tasks_enqueued: missing tasks")?
-                    .iter()
-                    .map(Task::from_value)
-                    .collect::<Result<_, _>>()?,
-            }),
+            "tasks_enqueued" => {
+                // The targets of one query are enqueued back to back:
+                // a task takes over its predecessor's texts where they
+                // are equal, so the decoded record holds each once.
+                let mut tasks: Vec<Task> = Vec::new();
+                for e in bulk("tasks")? {
+                    let mut task = Task::from_value(e?.borrow())?;
+                    if let Some(prev) = tasks.last() {
+                        task.share_texts(prev);
+                    }
+                    tasks.push(task);
+                }
+                Ok(WalRecord::TasksEnqueued {
+                    project: ProjectId(num("project")?),
+                    tasks,
+                })
+            }
             "task_claimed" => Ok(WalRecord::TaskClaimed {
                 task: TaskId(num("task")?),
                 key: ContributorKey(text("key")?),
@@ -450,11 +511,10 @@ impl Deserialize for WalRecord {
             }),
             "report_batch_accepted" => Ok(WalRecord::ReportBatchAccepted {
                 key: ContributorKey(text("key")?),
-                items: v["items"]
-                    .as_array()
-                    .ok_or("report_batch_accepted: missing items")?
-                    .iter()
+                items: bulk("items")?
                     .map(|item| {
+                        let item = item?;
+                        let item = item.borrow();
                         Ok((
                             TaskId(
                                 item["task"]
@@ -470,12 +530,10 @@ impl Deserialize for WalRecord {
             }),
             "tasks_reaped" => Ok(WalRecord::TasksReaped {
                 project: ProjectId(num("project")?),
-                tasks: v["tasks"]
-                    .as_array()
-                    .ok_or("tasks_reaped: missing tasks")?
-                    .iter()
+                tasks: bulk("tasks")?
                     .map(|t| {
-                        t.as_i64()
+                        t?.borrow()
+                            .as_i64()
                             .map(|x| TaskId(x as u64))
                             .ok_or("tasks_reaped: bad task id".to_string())
                     })
@@ -494,8 +552,54 @@ impl Deserialize for WalRecord {
     }
 }
 
+/// Whole-tree decoding — what `serde_json::from_str::<WalRecord>` runs,
+/// and the oracle the element-wise path is tested against.
+impl Deserialize for WalRecord {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        Self::decode(v, |key| {
+            v[key]
+                .as_array()
+                .map(|items| items.iter().map(Ok))
+                .ok_or(format!("wal record: missing {key}"))
+        })
+    }
+}
+
+/// Decode one record's JSON text holding one element's tree at a time:
+/// the bulk array (if the record has one) is walked off the text, the
+/// handful of other members parsed as usual.
+fn decode_line(json: &str) -> Result<WalRecord, String> {
+    let (head, bulk) =
+        serde_json::from_str_deferring(json, &BULK_KEYS).map_err(|e| e.to_string())?;
+    match bulk {
+        None => WalRecord::from_value(&head),
+        Some(elements) => WalRecord::decode(&head, |key| {
+            if key == elements.key() {
+                Ok(elements.map(|e| e.map_err(|e| e.to_string())))
+            } else {
+                Err(format!("wal record: missing {key}"))
+            }
+        }),
+    }
+}
+
 /// The WAL file name inside a state directory.
 pub const WAL_FILE: &str = "wal.log";
+
+/// A line buffer — the writer's or the reader's — is kept from record to
+/// record; one a bulk line has grown is cut back to this capacity, so a
+/// 20 MB enqueue does not stay resident. Cut back, not dropped: the
+/// allocator shrinks a mapping of that size in place, while *freeing* a
+/// multi-megabyte block teaches glibc to serve everything up to that
+/// size from the heap and to stop trimming it (it raises its mmap and
+/// trim thresholds to the size freed) — 35 MB of a 133 MB heap sat free
+/// at its top after a set-up that dropped its 23 MB line buffer.
+const LINE_KEEP: usize = 64 * 1024;
+
+/// Room in front of the payload for the frame header, which can only be
+/// written once the payload is known: three numbers of at most 20, 20
+/// and 16 characters and their separators.
+const HEADER_ROOM: usize = 64;
 
 /// Appender over the single live WAL file.
 pub struct WalWriter {
@@ -505,46 +609,76 @@ pub struct WalWriter {
     /// starting sequence handed in at open — a monotone record sequence
     /// used to name snapshots.
     lsn: u64,
+    /// The file's length: everything before it is intact records.
+    len: u64,
+    /// The line being framed; reused, see [`LINE_KEEP`].
+    buf: String,
 }
 
 impl WalWriter {
     /// Open (creating if absent) the WAL for appending. `lsn` is the
-    /// sequence number recovery established for the existing tail.
-    pub fn open(dir: &Path, lsn: u64) -> io::Result<WalWriter> {
+    /// sequence number recovery established for the existing tail and
+    /// `intact_len` the byte length of its intact records
+    /// ([`WalReader::intact_len`]): anything behind that is a torn write
+    /// and is cut off here, so the first append lands on a line of its
+    /// own instead of behind bytes the next replay would stop at.
+    pub fn open(dir: &Path, lsn: u64, intact_len: u64) -> io::Result<WalWriter> {
         let path = dir.join(WAL_FILE);
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter { path, file, lsn })
+        if file.metadata()?.len() > intact_len {
+            file.set_len(intact_len)?;
+            file.sync_all()?;
+        }
+        Ok(WalWriter {
+            path,
+            file,
+            lsn,
+            len: intact_len,
+            buf: String::new(),
+        })
     }
 
     pub fn lsn(&self) -> u64 {
         self.lsn
     }
 
-    /// Append one record, stamped with the next LSN, and flush it to the
+    /// Append one record — a [`WalRecord`] or its borrowed form
+    /// [`EnqueuedTasks`] — stamped with the next LSN, and flush it to the
     /// OS. Returns the framed line's byte length (for the `wal.bytes`
-    /// counter). A failed append truncates back to the pre-append length
-    /// so a partial line cannot tear off later, successful records.
-    pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
-        let json = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("wal encode: {e}")))?;
+    /// counter). The record is written, not built: its description runs
+    /// once against the line buffer, the payload is checksummed where it
+    /// lies and the header put in front of it. A failed append truncates
+    /// back to the pre-append length so a partial line cannot tear off
+    /// later, successful records.
+    pub fn append(&mut self, record: &impl Serialize) -> io::Result<u64> {
+        self.buf.clear();
+        self.buf.extend(std::iter::repeat_n(' ', HEADER_ROOM));
+        record.serialize(&mut TextSink::new(&mut self.buf));
         let lsn = self.lsn + 1;
-        let line = format!("{lsn} {} {:016x} {}\n", json.len(), fnv64(json.as_bytes()), json);
-        let start = self.file.metadata()?.len();
-        if let Err(e) = self
-            .file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-        {
-            let _ = self.file.set_len(start);
-            let _ = self.file.seek(SeekFrom::End(0));
+        let payload = &self.buf.as_bytes()[HEADER_ROOM..];
+        let mut header = [0u8; HEADER_ROOM];
+        let mut room = &mut header[..];
+        write!(room, "{lsn} {} {:016x} ", payload.len(), fnv64(payload))?;
+        let start = room.len();
+        let header = std::str::from_utf8(&header[..HEADER_ROOM - start]).expect("ASCII header");
+        self.buf.replace_range(start..HEADER_ROOM, header);
+        self.buf.push('\n');
+        let line = &self.buf.as_bytes()[start..];
+        if let Err(e) = self.file.write_all(line).and_then(|()| self.file.flush()) {
+            let _ = self.file.set_len(self.len);
             return Err(e);
         }
+        let written = line.len() as u64;
         self.lsn = lsn;
-        Ok(line.len() as u64)
+        self.len += written;
+        if self.buf.capacity() > LINE_KEEP {
+            self.buf.clear();
+            self.buf.shrink_to(LINE_KEEP);
+        }
+        Ok(written)
     }
 
     /// Fsync then truncate: called under all platform locks right after
@@ -553,7 +687,7 @@ impl WalWriter {
     pub fn reset_after_snapshot(&mut self) -> io::Result<()> {
         self.file.sync_all()?;
         self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
+        self.len = 0;
         self.file.sync_all()?;
         Ok(())
     }
@@ -571,14 +705,20 @@ impl WalWriter {
 
 /// The intact records of a WAL file, one at a time: replay applies each
 /// before the next is parsed, so recovery never holds more of the log
-/// than one record beside the state it is rebuilding. Iteration ends
-/// silently at a torn tail — short line, bad length, bad checksum — and
-/// [`torn`](WalReader::torn) then says so; an I/O error is yielded once
-/// and ends it too.
+/// than one line's text and one record beside the state it is
+/// rebuilding — and of a bulk record's line, one element's tree. Iteration
+/// ends silently at a torn tail — short line, bad length, bad checksum —
+/// and [`torn`](WalReader::torn) then says so. A line that passes its
+/// checksum but does not decode is not a torn write — it was
+/// acknowledged — and is yielded as an error naming its LSN; that, like
+/// an I/O error, ends the iteration too.
 pub struct WalReader {
     /// `None` once the file is exhausted, torn or failed (or was absent).
-    lines: Option<std::io::Split<BufReader<File>>>,
+    file: Option<BufReader<File>>,
+    /// The line being parsed; reused, see [`LINE_KEEP`].
+    line: Vec<u8>,
     torn: usize,
+    intact_len: u64,
 }
 
 impl WalReader {
@@ -587,41 +727,71 @@ impl WalReader {
     pub fn torn(&self) -> usize {
         self.torn
     }
+
+    /// The byte offset just past the last intact record read so far —
+    /// once iteration has ended, where the next append belongs.
+    pub fn intact_len(&self) -> u64 {
+        self.intact_len
+    }
 }
 
 impl Iterator for WalReader {
     type Item = io::Result<(u64, WalRecord)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.lines.as_mut()?.next()?.map(|line| parse_line(&line)) {
-            Ok(Some(record)) => Some(Ok(record)),
-            // Torn or corrupt: everything from here on is past the
-            // acknowledged prefix.
-            Ok(None) => {
-                self.torn += 1;
-                self.lines = None;
-                None
-            }
-            Err(e) => {
-                self.lines = None;
-                Some(Err(e))
-            }
+        self.line.clear();
+        let item = match self.file.as_mut()?.read_until(b'\n', &mut self.line) {
+            Ok(0) => None,
+            Ok(n) => match parse_line(&self.line) {
+                Some((lsn, Ok(record))) => {
+                    self.intact_len += n as u64;
+                    Some(Ok((lsn, record)))
+                }
+                Some((lsn, Err(e))) => Some(Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("wal record lsn {lsn} passes its checksum but does not decode: {e}"),
+                ))),
+                // Torn: everything from here on is past the
+                // acknowledged prefix.
+                None => {
+                    self.torn += 1;
+                    None
+                }
+            },
+            Err(e) => Some(Err(e)),
+        };
+        if !matches!(item, Some(Ok(_))) {
+            self.file = None;
         }
+        if self.line.capacity() > LINE_KEEP {
+            self.line.clear();
+            self.line.shrink_to(LINE_KEEP);
+        }
+        item
     }
 }
 
 /// Open a WAL file for replay. A missing file reads as empty.
 pub fn read_wal(path: &Path) -> io::Result<WalReader> {
-    let lines = match File::open(path) {
-        Ok(f) => Some(BufReader::new(f).split(b'\n')),
+    let file = match File::open(path) {
+        Ok(f) => Some(BufReader::new(f)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => None,
         Err(e) => return Err(e),
     };
-    Ok(WalReader { lines, torn: 0 })
+    Ok(WalReader {
+        file,
+        line: Vec::new(),
+        torn: 0,
+        intact_len: 0,
+    })
 }
 
-fn parse_line(line: &[u8]) -> Option<(u64, WalRecord)> {
-    let text = std::str::from_utf8(line).ok()?;
+/// One framed line, newline included. `None` is a torn write: no
+/// newline (the append never completed), a malformed header, a length or
+/// checksum that does not match. Otherwise the record's LSN and what its
+/// payload decodes to.
+fn parse_line(line: &[u8]) -> Option<(u64, Result<WalRecord, String>)> {
+    let text = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
     let (lsn, rest) = text.split_once(' ')?;
     let (len, rest) = rest.split_once(' ')?;
     let (sum, json) = rest.split_once(' ')?;
@@ -631,7 +801,7 @@ fn parse_line(line: &[u8]) -> Option<(u64, WalRecord)> {
     if json.len() != len || fnv64(json.as_bytes()) != sum {
         return None;
     }
-    serde_json::from_str(json).ok().map(|r| (lsn, r))
+    Some((lsn, decode_line(json)))
 }
 
 #[cfg(test)]
@@ -750,7 +920,7 @@ mod tests {
     #[test]
     fn append_and_read_round_trips() {
         let dir = tmp_dir("roundtrip");
-        let mut wal = WalWriter::open(&dir, 0).unwrap();
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
         let mut bytes = 0;
         for r in sample_records() {
             bytes += wal.append(&r).unwrap();
@@ -779,7 +949,7 @@ mod tests {
     #[test]
     fn torn_tail_stops_replay_at_acknowledged_prefix() {
         let dir = tmp_dir("torn");
-        let mut wal = WalWriter::open(&dir, 0).unwrap();
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
         for r in sample_records().into_iter().take(3) {
             wal.append(&r).unwrap();
         }
@@ -805,10 +975,103 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Three boots. The first dies mid-append; the second replays the
+    /// intact prefix and acknowledges more; the third must find all of
+    /// it. Opening at the end of the file instead of the end of the last
+    /// intact record would glue the second boot's first record onto the
+    /// torn bytes, and the third boot would stop there.
+    #[test]
+    fn appends_after_a_torn_tail_survive_the_next_boot() {
+        let dir = tmp_dir("torn-append");
+        let path = dir.join(WAL_FILE);
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
+        for r in sample_records().into_iter().take(3) {
+            wal.append(&r).unwrap();
+        }
+        drop(wal);
+        let whole = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &whole[..whole.len() - 10]).unwrap();
+
+        // Boot two: two records replay, the torn third is cut away.
+        let mut tail = read_wal(&path).unwrap();
+        let replayed: Vec<_> = tail.by_ref().map(|r| r.unwrap()).collect();
+        assert_eq!((replayed.len(), tail.torn()), (2, 1));
+        let intact = tail.intact_len();
+        assert!(intact < whole.len() as u64 - 10);
+        let mut wal = WalWriter::open(&dir, 2, intact).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        for r in sample_records().into_iter().skip(3).take(2) {
+            wal.append(&r).unwrap();
+        }
+        drop(wal);
+
+        // Boot three: everything acknowledged is there, nothing torn.
+        let (back, torn) = read_all(&path);
+        let lsns: Vec<u64> = back.iter().map(|(lsn, _)| *lsn).collect();
+        assert_eq!((lsns, torn), (vec![1, 2, 3, 4], 0));
+        assert_eq!(back[2].1.op(), "targets_set");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A line whose checksum holds was acknowledged: if it does not
+    /// decode, replay must say so, not pass it off as a torn tail.
+    #[test]
+    fn a_checksummed_line_that_does_not_decode_is_an_error() {
+        let dir = tmp_dir("undecodable");
+        let path = dir.join(WAL_FILE);
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
+        wal.append(&sample_records()[0]).unwrap();
+        drop(wal);
+        let mut log = std::fs::read(&path).unwrap();
+        for json in [r#"{"op":"from_the_future"}"#, r#"{"op":"tasks_enqueued","project":1,"tasks":[{}]}"#] {
+            let line = format!("2 {} {:016x} {json}\n", json.len(), fnv64(json.as_bytes()));
+            let mut bad = log.clone();
+            bad.extend_from_slice(line.as_bytes());
+            std::fs::write(&path, &bad).unwrap();
+            let mut wal = read_wal(&path).unwrap();
+            assert!(wal.next().unwrap().is_ok());
+            let err = wal.next().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("lsn 2"), "{err}");
+            assert!(wal.next().is_none());
+            assert_eq!(wal.torn(), 0);
+        }
+        // The same bytes with one flipped are torn, as before.
+        let json = r#"{"op":"from_the_future"}"#;
+        let line = format!("2 {} {:016x} {json}\n", json.len(), fnv64(json.as_bytes()) ^ 1);
+        log.extend_from_slice(line.as_bytes());
+        std::fs::write(&path, &log).unwrap();
+        assert_eq!(read_all(&path).1, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The line buffer is the writer's only allocation, and a bulk line
+    /// does not leave it behind.
+    #[test]
+    fn the_line_buffer_is_reused_and_cut_back_to_its_cap() {
+        let dir = tmp_dir("buffer");
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
+        wal.append(&sample_records()[0]).unwrap();
+        let small = wal.buf.capacity();
+        assert!(small > 0 && small <= LINE_KEEP);
+        wal.append(&sample_records()[1]).unwrap();
+        assert_eq!(wal.buf.capacity(), small);
+        wal.append(&WalRecord::CommentAdded {
+            project: ProjectId(1),
+            author: UserId(1),
+            text: "x".repeat(2 * LINE_KEEP),
+        })
+        .unwrap();
+        assert_eq!(wal.buf.capacity(), LINE_KEEP);
+        let (back, torn) = read_all(&dir.join(WAL_FILE));
+        assert_eq!((back.len(), torn), (3, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn reset_after_snapshot_empties_the_log() {
         let dir = tmp_dir("reset");
-        let mut wal = WalWriter::open(&dir, 0).unwrap();
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
         for r in sample_records().into_iter().take(2) {
             wal.append(&r).unwrap();
         }

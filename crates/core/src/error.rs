@@ -5,7 +5,7 @@
 //! the [`serde::Serialize`]/[`serde::Deserialize`] impls round-trip
 //! `{"code": ..., "message": ..., "detail": ...}` losslessly.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::fmt;
 
 /// Errors raised by the sqalpel platform layers.
@@ -91,26 +91,25 @@ impl PlatformError {
 }
 
 impl Serialize for PlatformError {
-    fn to_value(&self) -> Value {
-        let detail: Value = match self {
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("code", self.code());
+        match self {
             PlatformError::Invalid(m)
             | PlatformError::AccessDenied(m)
             | PlatformError::Grammar(m)
             | PlatformError::Publication(m)
             | PlatformError::Transport(m)
-            | PlatformError::Throttled(m) => m.clone().into(),
+            | PlatformError::Throttled(m) => s.field("detail", m),
             PlatformError::UnknownUser(id)
             | PlatformError::UnknownProject(id)
             | PlatformError::UnknownExperiment(id)
             | PlatformError::UnknownTask(id)
-            | PlatformError::UnknownQuery(id) => (*id).into(),
-            PlatformError::PoolFull(cap) => (*cap).into(),
-        };
-        let mut m = serde_json::Map::new();
-        m.insert("code".into(), self.code().into());
-        m.insert("message".into(), self.to_string().into());
-        m.insert("detail".into(), detail);
-        Value::Object(m)
+            | PlatformError::UnknownQuery(id) => s.field("detail", id),
+            PlatformError::PoolFull(cap) => s.field("detail", cap),
+        }
+        s.field("message", &self.to_string());
+        s.end_object();
     }
 }
 

@@ -15,7 +15,7 @@
 //! relative error — plenty for p50/p95/p99 latency reporting.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -239,14 +239,14 @@ impl MetricsSnapshot {
 }
 
 impl Serialize for HistogramSummary {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("count".into(), self.count.into());
-        m.insert("sum".into(), self.sum.into());
-        m.insert("p50".into(), self.p50.into());
-        m.insert("p95".into(), self.p95.into());
-        m.insert("p99".into(), self.p99.into());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("count", &self.count);
+        s.field("p50", &self.p50);
+        s.field("p95", &self.p95);
+        s.field("p99", &self.p99);
+        s.field("sum", &self.sum);
+        s.end_object();
     }
 }
 
@@ -267,20 +267,24 @@ impl Deserialize for HistogramSummary {
     }
 }
 
+/// Both lists are name-sorted (see the type), which is the key order the
+/// sink contract asks for.
 impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        let mut counters = serde_json::Map::new();
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("counters");
+        s.begin_object();
         for (k, v) in &self.counters {
-            counters.insert(k.clone(), (*v).into());
+            s.field(k, v);
         }
-        let mut histograms = serde_json::Map::new();
+        s.end_object();
+        s.key("histograms");
+        s.begin_object();
         for (k, h) in &self.histograms {
-            histograms.insert(k.clone(), h.to_value());
+            s.field(k, h);
         }
-        let mut m = serde_json::Map::new();
-        m.insert("counters".into(), Value::Object(counters));
-        m.insert("histograms".into(), Value::Object(histograms));
-        Value::Object(m)
+        s.end_object();
+        s.end_object();
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::error::{PlatformError, PlatformResult};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use sqalpel_grammar::{instantiate, Choice, Grammar, Template};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -96,22 +96,18 @@ pub struct PoolEntry {
 }
 
 impl Serialize for Origin {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
         match self {
-            Origin::Baseline => {
-                m.insert("kind".into(), "baseline".into());
-            }
-            Origin::Random => {
-                m.insert("kind".into(), "random".into());
-            }
+            Origin::Baseline => s.field("kind", "baseline"),
+            Origin::Random => s.field("kind", "random"),
             Origin::Morph { strategy, parent } => {
-                m.insert("kind".into(), "morph".into());
-                m.insert("strategy".into(), strategy.name().into());
-                m.insert("parent".into(), parent.0.into());
+                s.field("kind", "morph");
+                s.field("parent", &parent.0);
+                s.field("strategy", strategy.name());
             }
         }
-        Value::Object(m)
+        s.end_object();
     }
 }
 
@@ -134,28 +130,25 @@ impl Deserialize for Origin {
 }
 
 impl Serialize for PoolEntry {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("id".into(), self.id.0.into());
-        m.insert("sql".into(), self.sql.clone().into());
-        m.insert("template".into(), self.template.into());
-        let choice: serde_json::Map = self
-            .choice
-            .iter()
-            .map(|(class, idxs)| {
-                let idxs: Vec<Value> = idxs.iter().map(|&i| Value::from(i)).collect();
-                (class.clone(), Value::Array(idxs))
-            })
-            .collect();
-        m.insert("choice".into(), Value::Object(choice));
-        m.insert("origin".into(), self.origin.to_value());
-        m.insert("step".into(), self.step.into());
-        // Hex text keeps the full u64 out of i64 number territory, same
-        // trick as the results CSV.
-        if let Some(fp) = self.fingerprint {
-            m.insert("fingerprint".into(), format!("{fp:016x}").into());
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("choice");
+        s.begin_object();
+        for (class, idxs) in &self.choice {
+            s.field(class, idxs);
         }
-        Value::Object(m)
+        s.end_object();
+        // Left out, not null, when the pool has no fingerprinter.
+        if self.fingerprint.is_some() {
+            s.key("fingerprint");
+            crate::results::fingerprint_hex(s, self.fingerprint);
+        }
+        s.field("id", &self.id.0);
+        s.field("origin", &self.origin);
+        s.field("sql", &self.sql);
+        s.field("step", &self.step);
+        s.field("template", &self.template);
+        s.end_object();
     }
 }
 

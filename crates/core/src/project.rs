@@ -12,7 +12,7 @@ use crate::catalog::{Catalogs, Visibility};
 use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryPool;
 use crate::user::UserId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use sqalpel_grammar::Grammar;
 use std::collections::BTreeSet;
 
@@ -36,13 +36,13 @@ pub enum Role {
 }
 
 impl Serialize for Role {
-    fn to_value(&self) -> Value {
-        match self {
-            Role::None => "none".into(),
-            Role::Reader => "reader".into(),
-            Role::Contributor => "contributor".into(),
-            Role::Owner => "owner".into(),
-        }
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.str(match self {
+            Role::None => "none",
+            Role::Reader => "reader",
+            Role::Contributor => "contributor",
+            Role::Owner => "owner",
+        })
     }
 }
 

@@ -28,7 +28,7 @@ use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::user::ContributorKey;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,28 +59,22 @@ impl TaskState {
 }
 
 impl Serialize for TaskState {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
         match self {
-            TaskState::Queued => {
-                m.insert("kind".into(), "queued".into());
-            }
+            TaskState::Queued => s.field("kind", "queued"),
             TaskState::Running { contributor } => {
-                m.insert("kind".into(), "running".into());
-                m.insert("contributor".into(), contributor.0.clone().into());
+                s.field("contributor", &contributor.0);
+                s.field("kind", "running");
             }
-            TaskState::Done => {
-                m.insert("kind".into(), "done".into());
-            }
+            TaskState::Done => s.field("kind", "done"),
             TaskState::Failed(e) => {
-                m.insert("kind".into(), "failed".into());
-                m.insert("error".into(), e.clone().into());
+                s.field("error", e);
+                s.field("kind", "failed");
             }
-            TaskState::TimedOut => {
-                m.insert("kind".into(), "timed_out".into());
-            }
+            TaskState::TimedOut => s.field("kind", "timed_out"),
         }
-        Value::Object(m)
+        s.end_object();
     }
 }
 
@@ -124,18 +118,36 @@ pub struct Task {
     pub started: Option<Instant>,
 }
 
+/// Point `text` at `shared`'s allocation when the two read the same.
+fn share(text: &mut Arc<str>, shared: &Arc<str>) {
+    if !Arc::ptr_eq(text, shared) && **text == **shared {
+        *text = Arc::clone(shared);
+    }
+}
+
+impl Task {
+    /// Take over `prev`'s `sql`, `dbms_label` and `host` where they are
+    /// equal: a freshly decoded task owns its three texts, and the tasks
+    /// of one query follow each other.
+    pub(crate) fn share_texts(&mut self, prev: &Task) {
+        share(&mut self.sql, &prev.sql);
+        share(&mut self.dbms_label, &prev.dbms_label);
+        share(&mut self.host, &prev.host);
+    }
+}
+
 impl Serialize for Task {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("id".into(), self.id.0.into());
-        m.insert("project".into(), self.project.0.into());
-        m.insert("experiment".into(), self.experiment.0.into());
-        m.insert("query".into(), self.query.0.into());
-        m.insert("sql".into(), (&*self.sql).into());
-        m.insert("dbms_label".into(), (&*self.dbms_label).into());
-        m.insert("host".into(), (&*self.host).into());
-        m.insert("state".into(), self.state.to_value());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("dbms_label", &*self.dbms_label);
+        s.field("experiment", &self.experiment.0);
+        s.field("host", &*self.host);
+        s.field("id", &self.id.0);
+        s.field("project", &self.project.0);
+        s.field("query", &self.query.0);
+        s.field("sql", &*self.sql);
+        s.field("state", &self.state);
+        s.end_object();
     }
 }
 
@@ -196,14 +208,14 @@ impl QueueSummary {
 }
 
 impl Serialize for QueueSummary {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("queued".into(), self.queued.into());
-        m.insert("running".into(), self.running.into());
-        m.insert("finished".into(), self.finished.into());
-        m.insert("failed".into(), self.failed.into());
-        m.insert("timed_out".into(), self.timed_out.into());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("failed", &self.failed);
+        s.field("finished", &self.finished);
+        s.field("queued", &self.queued);
+        s.field("running", &self.running);
+        s.field("timed_out", &self.timed_out);
+        s.end_object();
     }
 }
 
@@ -612,9 +624,7 @@ impl TaskQueue {
         task.dbms_label = Arc::clone(&self.targets[target].dbms_label);
         task.host = Arc::clone(&self.targets[target].host);
         if let Some(prev) = self.tasks.last() {
-            if prev.sql == task.sql {
-                task.sql = Arc::clone(&prev.sql);
-            }
+            share(&mut task.sql, &prev.sql);
         }
         self.seen
             .insert((task.project, task.experiment, task.query, target));

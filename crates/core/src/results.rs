@@ -11,7 +11,7 @@ use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
 use crate::user::ContributorKey;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 use std::sync::Arc;
 
 /// System load averages (1, 5, 15 minutes), "easily accessible in a Linux
@@ -24,12 +24,12 @@ pub struct LoadAvg {
 }
 
 impl Serialize for LoadAvg {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("one".into(), self.one.into());
-        m.insert("five".into(), self.five.into());
-        m.insert("fifteen".into(), self.fifteen.into());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("fifteen", &self.fifteen);
+        s.field("five", &self.five);
+        s.field("one", &self.one);
+        s.end_object();
     }
 }
 
@@ -87,49 +87,50 @@ pub struct ResultRecord {
     pub profile: Option<Vec<OperatorProfile>>,
 }
 
+/// A plan fingerprint as JSON: 16 hex digits (text keeps the full `u64`
+/// out of `i64` number territory), or `null`.
+pub(crate) fn fingerprint_hex<S: Sink>(s: &mut S, fingerprint: Option<u64>) {
+    let Some(fp) = fingerprint else {
+        return s.null();
+    };
+    let mut hex = [0u8; 16];
+    for (i, digit) in hex.iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(fp >> (60 - 4 * i)) as usize & 0xf];
+    }
+    s.str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+}
+
 impl Serialize for ResultRecord {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("task".into(), self.task.into());
-        m.insert("project".into(), self.project.into());
-        m.insert("experiment".into(), self.experiment.into());
-        m.insert("query".into(), self.query.into());
-        m.insert("dbms_label".into(), (&*self.dbms_label).into());
-        m.insert("host".into(), (&*self.host).into());
-        m.insert("contributor".into(), self.contributor.clone().into());
-        m.insert("times_ms".into(), self.times_ms.clone().into());
-        m.insert("rows".into(), self.rows.into());
-        m.insert(
-            "error".into(),
-            match &self.error {
-                Some(e) => Value::from(e.clone()),
-                None => Value::Null,
-            },
-        );
-        m.insert("load_before".into(), self.load_before.to_value());
-        m.insert("load_after".into(), self.load_after.to_value());
-        // The field is public: text that is not JSON is kept, as a string.
-        m.insert(
-            "extras".into(),
-            serde_json::from_str(&self.extras)
-                .unwrap_or_else(|_| Value::String(self.extras.clone())),
-        );
-        m.insert("hidden".into(), self.hidden.into());
-        m.insert(
-            "fingerprint".into(),
-            match self.fingerprint {
-                Some(fp) => Value::from(format!("{fp:016x}")),
-                None => Value::Null,
-            },
-        );
-        m.insert(
-            "profile".into(),
-            match &self.profile {
-                Some(ops) => Value::Array(ops.iter().map(|o| o.to_value()).collect()),
-                None => Value::Null,
-            },
-        );
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("contributor", &self.contributor);
+        s.field("dbms_label", &*self.dbms_label);
+        s.field("error", &self.error);
+        s.field("experiment", &self.experiment);
+        // Compact JSON — what every constructor in this crate stores —
+        // goes out as it is. The field is public, though: anything else
+        // is parsed and re-printed, and text that is not JSON is kept,
+        // as a string.
+        s.key("extras");
+        if !s.splice(&self.extras) {
+            match serde_json::from_str::<Value>(&self.extras) {
+                Ok(v) => v.serialize(s),
+                Err(_) => s.str(&self.extras),
+            }
+        }
+        s.key("fingerprint");
+        fingerprint_hex(s, self.fingerprint);
+        s.field("hidden", &self.hidden);
+        s.field("host", &*self.host);
+        s.field("load_after", &self.load_after);
+        s.field("load_before", &self.load_before);
+        s.field("profile", &self.profile);
+        s.field("project", &self.project);
+        s.field("query", &self.query);
+        s.field("rows", &self.rows);
+        s.field("task", &self.task);
+        s.field("times_ms", &self.times_ms);
+        s.end_object();
     }
 }
 

@@ -30,7 +30,7 @@
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
-use crate::durability::{Durability, WalRecord};
+use crate::durability::{Durability, EnqueuedTasks, WalRecord};
 use crate::error::{PlatformError, PlatformResult};
 use crate::metrics::MetricsRegistry;
 use crate::pool::{PoolEntry, QueryId, Strategy};
@@ -40,7 +40,8 @@ use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{self, ResultRecord};
 use crate::shard::{ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
-use std::fmt::Write as _;
+use serde::text::TextSink;
+use serde::Serialize;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -212,7 +213,7 @@ impl SqalpelServer {
     /// Append one record to the WAL (no-op on in-memory servers). Called
     /// while holding the lock that guards the mutated state, so WAL
     /// order equals mutation order per lock domain.
-    fn log(&self, record: &WalRecord) -> PlatformResult<()> {
+    fn log(&self, record: &impl Serialize) -> PlatformResult<()> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
@@ -621,17 +622,13 @@ impl SqalpelServer {
                     }
                 }
             }
-            // The new tasks are the tail of the queue; the copy the log
-            // takes shares their texts.
-            let created = &s.queue.tasks()[first_new..];
-            let n = created.len();
-            if n > 0 {
-                self.log_with(|| WalRecord::TasksEnqueued {
-                    project,
-                    tasks: created.to_vec(),
-                })?;
+            // The new tasks are the tail of the queue; the log writes
+            // them from where they are.
+            let tasks = &s.queue.tasks()[first_new..];
+            if !tasks.is_empty() {
+                self.log(&EnqueuedTasks { project, tasks })?;
             }
-            Ok(n)
+            Ok(tasks.len())
         })
     }
 
@@ -769,7 +766,7 @@ impl SqalpelServer {
         // Sized for the driver's four-key object, then cut to fit: two
         // allocations instead of a doubling ladder, and no slack stored.
         let mut extras = String::with_capacity(128);
-        write!(extras, "{}", outcome.extras).expect("writing to a String cannot fail");
+        outcome.extras.serialize(&mut TextSink::new(&mut extras));
         extras.shrink_to_fit();
         let rec = ResultRecord {
             task: task.id.0,
@@ -867,6 +864,7 @@ impl SqalpelServer {
                 // report that cannot be accepted.
                 return Err(not_held_refusal(task));
             }
+            require_finite(task_id, &outcome)?;
             let (project, experiment) = (task.project, task.experiment);
             let (error, rec) = self.accepted_record(task, key, outcome);
             // One combined record: replay applies the queue completion
@@ -935,7 +933,7 @@ impl SqalpelServer {
                 let mut fresh: Vec<usize> = Vec::new();
                 let mut seen = std::collections::HashSet::new();
                 for &pos in &positions {
-                    let (task_id, _) = &reports[pos];
+                    let (task_id, outcome) = &reports[pos];
                     if !seen.insert(task_id.0) {
                         return Err(PlatformError::Invalid(format!(
                             "task #{} appears twice in one batch",
@@ -948,6 +946,7 @@ impl SqalpelServer {
                         TaskState::Running { contributor } if contributor == key
                     );
                     if held_by_key {
+                        require_finite(*task_id, outcome)?;
                         fresh.push(pos);
                         continue;
                     }
@@ -1212,6 +1211,26 @@ fn experiment_drained(s: &ProjectShard, experiment: ExperimentId) -> bool {
 /// filed a record for) is refused — the same typed errors
 /// `queue.complete` would raise, raised before anything is logged or
 /// mutated.
+/// Refuse a report with a non-finite time or load average, before
+/// anything is logged: JSON has no NaN or infinity, so the log line would
+/// print one as `null`, pass its checksum and never decode again.
+fn require_finite(task: TaskId, outcome: &RunOutcome) -> PlatformResult<()> {
+    let loads = [outcome.load_before, outcome.load_after];
+    let mut numbers = outcome
+        .times_ms
+        .iter()
+        .copied()
+        .chain(loads.iter().flat_map(|l| [l.one, l.five, l.fifteen]));
+    if numbers.all(f64::is_finite) {
+        Ok(())
+    } else {
+        Err(PlatformError::Invalid(format!(
+            "report for task #{} carries a non-finite time or load average",
+            task.0
+        )))
+    }
+}
+
 fn not_held_refusal(task: &Task) -> PlatformError {
     match &task.state {
         TaskState::Running { .. } => PlatformError::AccessDenied(format!(

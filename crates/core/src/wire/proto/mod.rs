@@ -26,7 +26,7 @@ use crate::project::{ExperimentId, ProjectId, Role};
 use crate::queue::{QueueSummary, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Value};
 
 // ------------------------------------------------------------ error codes
 
@@ -443,24 +443,28 @@ impl From<&WireValue> for sqalpel_engine::Value {
 }
 
 impl Serialize for WireValue {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        /// `[tag, a]` or `[tag, a, b]`.
+        fn tagged<S: Sink>(s: &mut S, tag: &str, a: &impl Serialize, b: Option<i64>) {
+            s.begin_array();
+            s.str(tag);
+            a.serialize(s);
+            if let Some(b) = b {
+                s.int(b);
+            }
+            s.end_array();
+        }
         match self {
-            WireValue::Null => Value::Null,
-            WireValue::Bool(b) => Value::Array(vec!["b".into(), (*b).into()]),
-            WireValue::Int(i) => Value::Array(vec!["i".into(), (*i).into()]),
-            WireValue::Float(f) => Value::Array(vec!["f".into(), (*f).into()]),
-            WireValue::Decimal { raw, scale } => Value::Array(vec![
-                "d".into(),
-                raw.to_string().into(),
-                (*scale as i64).into(),
-            ]),
-            WireValue::Str(s) => Value::Array(vec!["s".into(), s.clone().into()]),
-            WireValue::Date(d) => Value::Array(vec!["t".into(), (*d as i64).into()]),
-            WireValue::Interval { months, days } => Value::Array(vec![
-                "iv".into(),
-                (*months as i64).into(),
-                (*days as i64).into(),
-            ]),
+            WireValue::Null => s.null(),
+            WireValue::Bool(b) => tagged(s, "b", b, None),
+            WireValue::Int(i) => tagged(s, "i", i, None),
+            WireValue::Float(f) => tagged(s, "f", f, None),
+            WireValue::Decimal { raw, scale } => {
+                tagged(s, "d", &raw.to_string(), Some(*scale as i64))
+            }
+            WireValue::Str(text) => tagged(s, "s", text, None),
+            WireValue::Date(d) => tagged(s, "t", d, None),
+            WireValue::Interval { months, days } => tagged(s, "iv", months, Some(*days as i64)),
         }
     }
 }
@@ -543,22 +547,11 @@ impl WireResultSet {
 }
 
 impl Serialize for WireResultSet {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert(
-            "columns".into(),
-            Value::Array(self.columns.iter().map(|c| c.clone().into()).collect()),
-        );
-        m.insert(
-            "data".into(),
-            Value::Array(
-                self.data
-                    .iter()
-                    .map(|col| Value::Array(col.iter().map(|v| v.to_value()).collect()))
-                    .collect(),
-            ),
-        );
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("columns", &self.columns);
+        s.field("data", &self.data);
+        s.end_object();
     }
 }
 
@@ -600,12 +593,13 @@ pub struct ExecOutcome {
 }
 
 impl Serialize for ExecOutcome {
-    fn to_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        m.insert("result".into(), self.result.to_value());
-        m.insert("fingerprint".into(), format!("{:016x}", self.fingerprint).into());
-        m.insert("cache".into(), self.cache.as_str().into());
-        Value::Object(m)
+    fn serialize<S: Sink>(&self, s: &mut S) {
+        s.begin_object();
+        s.field("cache", self.cache.as_str());
+        s.key("fingerprint");
+        crate::results::fingerprint_hex(s, Some(self.fingerprint));
+        s.field("result", &self.result);
+        s.end_object();
     }
 }
 

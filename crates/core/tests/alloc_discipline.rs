@@ -7,15 +7,20 @@
 //! * **Per-op allocations.** An in-memory `request_task` and
 //!   `report_result` allocate a fixed, small number of times — nothing
 //!   proportional to the SQL text (shared, not cloned), the metric names
-//!   (looked up, not copied) or the index keys (interned). The durable
-//!   numbers are printed beside them; most of those are the WAL's
-//!   value-tree encoder.
+//!   (looked up, not copied) or the index keys (interned). A durable
+//!   server adds the record's own key and nothing else: the log line is
+//!   written into a reused buffer, not built as a value tree.
 //! * **Depth independence.** Draining a 160 k-task queue in process costs
 //!   the same per task at the end as at the start: no step of claim or
 //!   report walks the finished prefix the drain leaves behind.
 //! * **Streaming replay.** Recovering a 20 k-task, 10 k-report log peaks
 //!   within 1.25x of the bytes the recovered state occupies: the log is
 //!   applied record by record, never parsed whole beside the state.
+//! * **A bulk line costs its text, not its tree.** Enqueueing 40 k tasks
+//!   on a durable server, and replaying the one 19 MB line that makes,
+//!   each peak within the state plus twice the line's bytes (a buffer
+//!   grown by doubling): the line is written from the queue's own tasks
+//!   and read back one element at a time.
 //!
 //! It also prints (`--nocapture`) the bytes a queued task and a stored
 //! result occupy — the numbers EXPERIMENTS.md quotes.
@@ -202,10 +207,11 @@ fn claim_report_and_replay_cost_what_they_do() {
     drain(&server, &fx, &outcome, 200);
     let (claim, report) = drain(&server, &fx, &outcome, 1_000);
     eprintln!("durable    allocs/request_task {claim:.2}  allocs/report_result {report:.2}");
-    // Measured 24 and 72 (35 and 86 before). The 16 and 69 on top of
-    // the in-memory counts are the log line: value tree, text, frame.
-    assert!(claim <= 26.0, "durable request_task allocates {claim:.2} times");
-    assert!(report <= 75.0, "durable report_result allocates {report:.2} times");
+    // Measured 9 and 4: the in-memory counts plus the contributor key
+    // the logged record owns (24 and 72 while the line was built as a
+    // value tree, printed and framed; 35 and 86 before that).
+    assert!(claim <= 10.05, "durable request_task allocates {claim:.2} times");
+    assert!(report <= 5.05, "durable report_result allocates {report:.2} times");
     drop(server);
     std::fs::remove_dir_all(&dir).unwrap();
 
@@ -263,6 +269,71 @@ fn claim_report_and_replay_cost_what_they_do() {
     assert!(
         high_water as f64 <= 1.25 * state as f64,
         "recovery peaked at {high_water} B for a state of {state} B"
+    );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // ---- one bulk line: written and replayed within state + 2x its text
+    let dir = tmp_dir("bulk-line");
+    let server = SqalpelServer::open(&dir).unwrap();
+    let owner = server.register_user("owner", "owner@alloc.test").unwrap();
+    let project = server
+        .create_project(owner, "bulk", "one bulk line", Visibility::Public)
+        .unwrap();
+    server
+        .set_targets(
+            project,
+            owner,
+            DBMS.iter().map(|s| s.to_string()).collect(),
+            HOSTS.iter().map(|s| s.to_string()).collect(),
+        )
+        .unwrap();
+    let grammar = sqalpel_grammar::convert_sql(sqalpel_sql::tpch::Q1).unwrap();
+    let exp = server
+        .add_experiment(project, owner, "exp", sqalpel_sql::tpch::Q1, Some(grammar), 10_000, 10_000)
+        .unwrap();
+    server.seed_pool(project, exp, owner, 6_666, 1).unwrap();
+    let before = live();
+    PEAK.store(before, Ordering::Relaxed);
+    let enqueued = server.enqueue_experiment(project, exp, owner).unwrap();
+    let enqueue_high_water = PEAK.load(Ordering::Relaxed) - before;
+    let queued_state = live() - before;
+    assert_eq!(enqueued, 40_002);
+    drop(server);
+    let line = std::fs::read(dir.join("wal.log"))
+        .unwrap()
+        .split(|&b| b == b'\n')
+        .map(<[u8]>::len)
+        .max()
+        .unwrap();
+    eprintln!(
+        "enqueue of {enqueued} tasks: a {:.1} MB line, high-water {:.1} MB over {:.1} MB of new state",
+        line as f64 / 1e6,
+        enqueue_high_water as f64 / 1e6,
+        queued_state as f64 / 1e6
+    );
+    assert!(line > 15_000_000, "the enqueue line is {line} B");
+    assert!(
+        enqueue_high_water <= queued_state + 2 * line,
+        "enqueue peaked at {enqueue_high_water} B for {queued_state} B of state and a {line} B line"
+    );
+    let before = live();
+    PEAK.store(before, Ordering::Relaxed);
+    let recovered = recover(&dir).unwrap();
+    let high_water = PEAK.load(Ordering::Relaxed) - before;
+    let state = live() - before;
+    assert_eq!(recovered.shards[0].queue.summary().queued, 40_002);
+    eprintln!(
+        "replay of that line: high-water {:.1} MB over a recovered state of {:.1} MB ({:.2}x the line on top)",
+        high_water as f64 / 1e6,
+        state as f64 / 1e6,
+        (high_water - state) as f64 / line as f64
+    );
+    // The parent held the line, its value tree and an unshared
+    // `Vec<Task>` at once: more than five times the line.
+    assert!(
+        high_water <= state + 2 * line,
+        "replay peaked at {high_water} B for a state of {state} B and a {line} B line"
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -256,7 +256,7 @@ proptest! {
 
         // WAL -> replay: the accepted operations, streamed back.
         let dir = tmp_dir("wal", seed);
-        let mut wal = WalWriter::open(&dir, 0).unwrap();
+        let mut wal = WalWriter::open(&dir, 0, 0).unwrap();
         for r in &log {
             wal.append(r).unwrap();
         }

@@ -193,6 +193,84 @@ fn typed_errors_are_transport_invariant() {
     assert!(matches!(v2.take_down(ProjectId(99)), Err(PlatformError::UnknownProject(99))));
 }
 
+/// JSON has no NaN or infinity: a non-finite time or load average would
+/// print as `null` in the log line, pass its checksum and never decode
+/// again — one contributor's bad number ending replay for everybody. So
+/// the report is refused, typed, before anything is logged: over v2,
+/// which carries the raw `f64`, and over v1, whose JSON body already
+/// holds the `null`. The claim stays held and the honest report lands;
+/// the single and the batch path both; and the directory reopens to the
+/// state the live server ended in.
+#[test]
+fn non_finite_reports_are_refused_before_the_log_on_both_transports() {
+    let dir = std::env::temp_dir().join(format!("sqalpel-wirediff-nan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Arc::new(SqalpelServer::open(&dir).unwrap());
+    let (w1, w2, v1, v2) = both_wires(&server);
+    let owner = v2.register_user("mlk", "mlk@cwi.nl").unwrap();
+    let key = v2.issue_key(owner).unwrap();
+    let project = v2
+        .create_project(owner, "nan", "non-finite reports", Visibility::Public)
+        .unwrap();
+    v2.set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
+        .unwrap();
+    let exp = v2
+        .add_experiment(project, owner, "fig1", SQL, Some(sqalpel_grammar::FIG1_GRAMMAR), 1000, 100)
+        .unwrap();
+    v2.seed_pool(project, exp, owner, 9, 42).unwrap();
+    assert!(v2.enqueue_experiment(project, exp, owner).unwrap() >= 8);
+    let logged = || server.metrics().snapshot().counter("wal.records").unwrap();
+
+    type Poison = fn(&mut sqalpel_core::RunOutcome);
+    let poisons: [Poison; 4] = [
+        |o| o.times_ms = vec![f64::NAN],
+        |o| o.times_ms.push(f64::INFINITY),
+        |o| o.load_before.five = f64::NEG_INFINITY,
+        |o| o.load_after.fifteen = f64::NAN,
+    ];
+    for (i, poison) in poisons.iter().enumerate() {
+        let client = if i % 2 == 0 { &v1 } else { &v2 };
+        let task = client.request_task(&key, DBMS, HOST).unwrap().unwrap();
+        let good = driver().run(&task.sql);
+        let mut bad = good.clone();
+        poison(&mut bad);
+        let before = logged();
+        let err = client.report_result(&key, task.id, &bad).unwrap_err();
+        assert!(matches!(err, PlatformError::Invalid(_)), "poison {i}: {err:?}");
+        assert_eq!(logged(), before, "a refused report logs nothing");
+        assert_eq!(server.queue_summary().running, 1, "the claim is still held");
+        client.report_result(&key, task.id, &good).unwrap();
+    }
+
+    // The batch path: one bad report refuses the whole upload, unlogged.
+    for (client, nonce) in [(&v1, 10u64), (&v2, 20)] {
+        let a = client.claim_task(&key, DBMS, HOST, nonce).unwrap().unwrap();
+        let b = client.claim_task(&key, DBMS, HOST, nonce + 1).unwrap().unwrap();
+        let good = driver().run(&a.sql);
+        let mut bad = good.clone();
+        bad.times_ms = vec![1.0, f64::NAN];
+        let before = logged();
+        let err = client
+            .report_batch(&key, &[(a.id, good.clone()), (b.id, bad)])
+            .unwrap_err();
+        assert!(matches!(err, PlatformError::Invalid(_)), "{err:?}");
+        assert_eq!(logged(), before, "a refused batch logs nothing");
+        assert_eq!(server.queue_summary().running, 2);
+        client
+            .report_batch(&key, &[(a.id, good.clone()), (b.id, good)])
+            .unwrap();
+    }
+
+    let live = (server.queue_summary(), server.export_csv(project, owner).unwrap());
+    assert_eq!((live.0.finished, live.0.running), (8, 0));
+    drop((w1, w2, v1, v2));
+    drop(server);
+    let reopened = SqalpelServer::open(&dir).unwrap();
+    assert_eq!((reopened.queue_summary(), reopened.export_csv(project, owner).unwrap()), live);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A pipelined batch must return exactly what the same ops return when
 /// sent serially — same order, same values — and interleaves cheap and
 /// fallible ops so per-frame errors stay correlated by tag.
