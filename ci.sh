@@ -56,6 +56,10 @@ cargo test -q -p sqalpel-core --test wire_loopback
 # errors, CSV, pipelined-vs-serial), v2 mid-frame drops never double-
 # report, and warm plan-cache hits return byte-identical results.
 cargo test -q -p sqalpel-core --test wire_differential
+# Both wire codecs byte for byte: every request, reply, error and v2
+# connection frame against fixtures the per-variant codecs wrote, plus
+# the typed error and status of each malformed-input case.
+cargo test -q -p sqalpel-core --test wire_codec_golden
 # EXPLAIN plans for the full TPC-H + SSB flights are pinned: any drift in
 # the binder/unnesting/rewriter/ir output fails here until re-blessed.
 # The same suite holds the ratchet that no TPC-H plan evaluates a

@@ -1,9 +1,10 @@
 //! Platform error type.
 //!
-//! Every variant carries a *stable machine-readable code* ([`PlatformError::code`])
-//! so wire clients can reconstruct the exact typed error from a JSON payload:
-//! the [`serde::Serialize`]/[`serde::Deserialize`] impls round-trip
-//! `{"code": ..., "message": ..., "detail": ...}` losslessly.
+//! Every variant carries a *stable machine-readable code* ([`ErrorCode`],
+//! one table row per variant) so wire clients can reconstruct the exact
+//! typed error: the [`serde::Serialize`]/[`serde::Deserialize`] impls
+//! round-trip `{"code": ..., "message": ..., "detail": ...}` losslessly,
+//! and v2 carries the same code and detail in binary.
 
 use serde::{Deserialize, Serialize, Sink, Value};
 use std::fmt;
@@ -36,57 +37,164 @@ pub enum PlatformError {
     Throttled(String),
 }
 
-impl PlatformError {
-    /// The stable machine-readable error code carried on the wire.
-    /// Codes are part of the v1 protocol: they never change meaning.
-    pub fn code(&self) -> &'static str {
-        match self {
-            PlatformError::Invalid(_) => "invalid",
-            PlatformError::UnknownUser(_) => "unknown_user",
-            PlatformError::UnknownProject(_) => "unknown_project",
-            PlatformError::UnknownExperiment(_) => "unknown_experiment",
-            PlatformError::UnknownTask(_) => "unknown_task",
-            PlatformError::UnknownQuery(_) => "unknown_query",
-            PlatformError::AccessDenied(_) => "access_denied",
-            PlatformError::Grammar(_) => "grammar",
-            PlatformError::PoolFull(_) => "pool_full",
-            PlatformError::Publication(_) => "publication",
-            PlatformError::Transport(_) => "transport",
-            PlatformError::Throttled(_) => "throttled",
+/// An error's payload as it travels: a message, or a number (an id, a
+/// cap). The v1 `"detail"` member is its JSON; v2 writes a kind byte
+/// (0 text, 1 number) and then the value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Detail<'a> {
+    Text(&'a str),
+    Number(u64),
+}
+
+/// The payload types of [`PlatformError`] variants.
+trait Payload: Sized {
+    fn detail(&self) -> Detail<'_>;
+    fn from_detail(d: Detail<'_>) -> Option<Self>;
+}
+
+impl Payload for String {
+    fn detail(&self) -> Detail<'_> {
+        Detail::Text(self)
+    }
+    fn from_detail(d: Detail<'_>) -> Option<Self> {
+        match d {
+            Detail::Text(m) => Some(m.to_string()),
+            Detail::Number(_) => None,
         }
     }
+}
 
-    /// Rebuild the typed error from a `(code, detail)` pair. The detail is
-    /// the variant payload: a number for the `unknown_*`/`pool_full`
-    /// families, a message string for everything else.
+impl Payload for u64 {
+    fn detail(&self) -> Detail<'_> {
+        Detail::Number(*self)
+    }
+    fn from_detail(d: Detail<'_>) -> Option<Self> {
+        match d {
+            Detail::Number(n) => Some(n),
+            Detail::Text(_) => None,
+        }
+    }
+}
+
+impl Payload for usize {
+    fn detail(&self) -> Detail<'_> {
+        Detail::Number(*self as u64)
+    }
+    fn from_detail(d: Detail<'_>) -> Option<Self> {
+        u64::from_detail(d).map(|n| n as usize)
+    }
+}
+
+/// One row per [`PlatformError`] variant: its v2 status byte, its stable
+/// string code and the HTTP status that carries it on v1. Everything
+/// that maps an error to or from either wire is generated from here;
+/// codes never change meaning.
+macro_rules! error_codes {
+    ($($variant:ident = $byte:literal, $code:literal, $http:literal;)*) => {
+        /// The unified error code shared by both protocols: one per
+        /// [`PlatformError`] variant, carried as the v1 JSON `"code"` plus
+        /// HTTP status and as the v2 response status byte (never 0 —
+        /// that means OK).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum ErrorCode {
+            $($variant = $byte,)*
+        }
+
+        impl ErrorCode {
+            /// Every code, in table order.
+            pub const ALL: &'static [ErrorCode] = &[$(ErrorCode::$variant),*];
+
+            pub fn of(err: &PlatformError) -> ErrorCode {
+                match err {
+                    $(PlatformError::$variant(_) => ErrorCode::$variant,)*
+                }
+            }
+
+            /// The HTTP status carrying this error on v1.
+            pub fn http_status(self) -> u16 {
+                match self {
+                    $(ErrorCode::$variant => $http,)*
+                }
+            }
+
+            /// The stable string code (the v1 JSON `"code"` member).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $code,)*
+                }
+            }
+
+            pub fn as_u8(self) -> u8 {
+                self as u8
+            }
+
+            pub fn from_u8(b: u8) -> Option<ErrorCode> {
+                match b {
+                    $($byte => Some(ErrorCode::$variant),)*
+                    _ => None,
+                }
+            }
+
+            pub(crate) fn parse(code: &str) -> Option<ErrorCode> {
+                match code {
+                    $($code => Some(ErrorCode::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl PlatformError {
+            /// The variant's payload as it travels.
+            pub(crate) fn detail(&self) -> Detail<'_> {
+                match self {
+                    $(PlatformError::$variant(p) => p.detail(),)*
+                }
+            }
+
+            /// Rebuild the typed error from its code and payload.
+            pub(crate) fn from_detail(code: ErrorCode, detail: Detail<'_>) -> Result<PlatformError, String> {
+                let wrong = || format!("error code {:?} cannot carry {detail:?}", code.as_str());
+                Ok(match code {
+                    $(ErrorCode::$variant => {
+                        PlatformError::$variant(Payload::from_detail(detail).ok_or_else(wrong)?)
+                    })*
+                })
+            }
+        }
+    };
+}
+
+error_codes! {
+    Invalid = 1, "invalid", 400;
+    UnknownUser = 2, "unknown_user", 404;
+    UnknownProject = 3, "unknown_project", 404;
+    UnknownExperiment = 4, "unknown_experiment", 404;
+    UnknownTask = 5, "unknown_task", 404;
+    UnknownQuery = 6, "unknown_query", 404;
+    AccessDenied = 7, "access_denied", 403;
+    Grammar = 8, "grammar", 422;
+    PoolFull = 9, "pool_full", 409;
+    Publication = 10, "publication", 451;
+    Transport = 11, "transport", 500;
+    Throttled = 12, "throttled", 429;
+}
+
+impl PlatformError {
+    /// The stable machine-readable error code carried on the wire.
+    pub fn code(&self) -> &'static str {
+        ErrorCode::of(self).as_str()
+    }
+
+    /// Rebuild the typed error from a `(code, detail)` pair: a number for
+    /// the `unknown_*`/`pool_full` families, a message for the rest.
     pub fn from_code(code: &str, detail: &Value) -> Result<PlatformError, String> {
-        let num = || {
-            detail
-                .as_i64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("error code {code:?} needs a numeric detail"))
+        let code = ErrorCode::parse(code).ok_or_else(|| format!("unknown error code {code:?}"))?;
+        let detail = match detail {
+            Value::String(m) => Detail::Text(m),
+            v => Detail::Number(v.as_i64().ok_or("error detail is neither text nor a number")? as u64),
         };
-        let text = || {
-            detail
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("error code {code:?} needs a string detail"))
-        };
-        Ok(match code {
-            "invalid" => PlatformError::Invalid(text()?),
-            "unknown_user" => PlatformError::UnknownUser(num()?),
-            "unknown_project" => PlatformError::UnknownProject(num()?),
-            "unknown_experiment" => PlatformError::UnknownExperiment(num()?),
-            "unknown_task" => PlatformError::UnknownTask(num()?),
-            "unknown_query" => PlatformError::UnknownQuery(num()?),
-            "access_denied" => PlatformError::AccessDenied(text()?),
-            "grammar" => PlatformError::Grammar(text()?),
-            "pool_full" => PlatformError::PoolFull(num()? as usize),
-            "publication" => PlatformError::Publication(text()?),
-            "transport" => PlatformError::Transport(text()?),
-            "throttled" => PlatformError::Throttled(text()?),
-            other => return Err(format!("unknown error code {other:?}")),
-        })
+        PlatformError::from_detail(code, detail)
     }
 }
 
@@ -94,19 +202,10 @@ impl Serialize for PlatformError {
     fn serialize<S: Sink>(&self, s: &mut S) {
         s.begin_object();
         s.field("code", self.code());
-        match self {
-            PlatformError::Invalid(m)
-            | PlatformError::AccessDenied(m)
-            | PlatformError::Grammar(m)
-            | PlatformError::Publication(m)
-            | PlatformError::Transport(m)
-            | PlatformError::Throttled(m) => s.field("detail", m),
-            PlatformError::UnknownUser(id)
-            | PlatformError::UnknownProject(id)
-            | PlatformError::UnknownExperiment(id)
-            | PlatformError::UnknownTask(id)
-            | PlatformError::UnknownQuery(id) => s.field("detail", id),
-            PlatformError::PoolFull(cap) => s.field("detail", cap),
+        s.key("detail");
+        match self.detail() {
+            Detail::Text(m) => s.str(m),
+            Detail::Number(n) => s.int(n as i64),
         }
         s.field("message", &self.to_string());
         s.end_object();

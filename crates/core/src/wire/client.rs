@@ -46,7 +46,7 @@ use crate::queue::{QueueSummary, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::server::Platform;
 use crate::user::{ContributorKey, UserId};
-use crate::wire::proto::{v1, ExecOutcome, Reply, Request};
+use crate::wire::proto::{v1, ExecOutcome, Op, Reply, ReplyKind, Request};
 use crate::wire::transport::framed::FramedConn;
 use crate::wire::transport::http::{read_response, write_request};
 use std::net::{SocketAddr, TcpStream};
@@ -212,16 +212,28 @@ impl WireClient {
     /// method below goes through, also usable directly (the differential
     /// suite drives it with every [`Request`] variant).
     pub fn call(&self, op: &Request) -> PlatformResult<Reply> {
+        self.with_retry(|| match self.proto {
+            Proto::V1Http => self.attempt_v1(op),
+            Proto::V2Framed => self.attempt_v2(op.op_name(), |c| c.send(op), |c| c.send_truncated(op)),
+        })
+    }
+
+    /// A call answered with the reply the message table pairs with `op`,
+    /// unwrapped to its payload.
+    fn ask<T: 'static>(&self, op: &Request) -> PlatformResult<T> {
+        self.call(op)?.answer(op.reply_kind())
+    }
+
+    /// The retry envelope: up to `attempts` tries with backoff between
+    /// them; a final outcome — success or a typed platform error — ends
+    /// it at once.
+    fn with_retry(&self, mut attempt: impl FnMut() -> Attempt) -> PlatformResult<Reply> {
         let mut last_failure = String::new();
-        for attempt in 0..self.retry.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
+        for i in 0..self.retry.attempts.max(1) {
+            if i > 0 {
+                std::thread::sleep(self.retry.backoff(i - 1));
             }
-            let outcome = match self.proto {
-                Proto::V1Http => self.attempt_v1(op),
-                Proto::V2Framed => self.attempt_v2(op),
-            };
-            match outcome {
+            match attempt() {
                 Attempt::Final(result) => return result,
                 Attempt::Retry(msg) => last_failure = msg,
             }
@@ -277,44 +289,55 @@ impl WireClient {
         }
     }
 
-    /// v2: reuse (or establish) the persistent framed connection. Any
-    /// I/O failure tears the connection down so the next attempt starts
-    /// from a clean handshake.
-    fn attempt_v2(&self, op: &Request) -> Attempt {
+    /// A fresh framed connection to the server.
+    fn connect(&self) -> std::io::Result<FramedConn> {
+        FramedConn::connect(
+            &self.addr.to_string(),
+            self.connect_timeout,
+            self.io_timeout,
+            self.max_body,
+        )
+    }
+
+    /// The persistent v2 connection out of its slot, or a new one. Only a
+    /// clean exchange puts it back, so any failure reconnects next time.
+    fn checkout(&self, slot: &mut Option<FramedConn>) -> std::io::Result<FramedConn> {
+        slot.take().map_or_else(|| self.connect(), Ok)
+    }
+
+    /// v2: one exchange on the persistent connection — `send` writes the
+    /// request (one frame, or a bulk upload's continuation frames and
+    /// summary) and the response under its tag is read back. On a
+    /// scheduled drop `send_truncated` cuts the request off mid-frame
+    /// instead: the server must discard it undispatched, so (unlike v1's
+    /// drop) the retry is the only delivery.
+    fn attempt_v2(
+        &self,
+        name: &str,
+        send: impl FnOnce(&mut FramedConn) -> std::io::Result<u32>,
+        send_truncated: impl FnOnce(&mut FramedConn) -> std::io::Result<()>,
+    ) -> Attempt {
         let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            match FramedConn::connect(
-                &self.addr.to_string(),
-                self.connect_timeout,
-                self.io_timeout,
-                self.max_body,
-            ) {
-                Ok(conn) => *guard = Some(conn),
-                Err(e) => return Attempt::Retry(format!("{}: connect: {e}", op.op_name())),
-            }
-        }
-        // Take the connection out of the slot: only a clean exchange
-        // puts it back, so any failure path reconnects next attempt.
-        let mut conn = guard.take().expect("connection just established");
+        let mut slot = self.conn.lock().expect("conn lock");
+        let mut conn = match self.checkout(&mut slot) {
+            Ok(conn) => conn,
+            Err(e) => return Attempt::Retry(format!("{name}: connect: {e}")),
+        };
         if self.drop_every != 0 && n.is_multiple_of(self.drop_every) {
-            // Half a frame on the wire, then gone — the server must
-            // discard it without dispatching (unlike v1's drop, the
-            // request is NOT processed; the retry is the only delivery).
-            let _ = conn.send_truncated(op);
-            return Attempt::Retry(format!("{}: injected connection drop", op.op_name()));
+            let _ = send_truncated(&mut conn);
+            return Attempt::Retry(format!("{name}: injected connection drop"));
         }
-        match conn.call(op) {
+        match conn.exchange(send) {
             // A server-side transport error is the v2 analogue of 5xx.
             Ok(Err(PlatformError::Transport(msg))) => {
-                *guard = Some(conn);
-                Attempt::Retry(format!("{}: server transport error: {msg}", op.op_name()))
+                *slot = Some(conn);
+                Attempt::Retry(format!("{name}: server transport error: {msg}"))
             }
             Ok(outcome) => {
-                *guard = Some(conn);
+                *slot = Some(conn);
                 Attempt::Final(outcome)
             }
-            Err(e) => Attempt::Retry(format!("{}: {e}", op.op_name())),
+            Err(e) => Attempt::Retry(format!("{name}: {e}")),
         }
     }
 
@@ -330,21 +353,10 @@ impl WireClient {
                 "pipelining requires the v2 framed transport".into(),
             ));
         }
-        let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            *guard = Some(
-                FramedConn::connect(
-                    &self.addr.to_string(),
-                    self.connect_timeout,
-                    self.io_timeout,
-                    self.max_body,
-                )
-                .map_err(|e| PlatformError::Transport(format!("pipeline connect: {e}")))?,
-            );
-        }
-        // Take the connection out of the slot: on any failure it stays
-        // out (dropped), so the next call starts from a clean handshake.
-        let mut conn = guard.take().expect("connection just established");
+        let mut slot = self.conn.lock().expect("conn lock");
+        let mut conn = self
+            .checkout(&mut slot)
+            .map_err(|e| PlatformError::Transport(format!("pipeline connect: {e}")))?;
         let mut tags = Vec::with_capacity(ops.len());
         for op in ops {
             self.requests.fetch_add(1, Ordering::Relaxed);
@@ -360,7 +372,7 @@ impl WireClient {
                 .map_err(|e| PlatformError::Transport(format!("pipeline recv: {e}")))?;
             by_tag.insert(tag, outcome);
         }
-        *guard = Some(conn);
+        *slot = Some(conn);
         tags.iter()
             .map(|tag| {
                 by_tag.remove(tag).ok_or_else(|| {
@@ -370,52 +382,29 @@ impl WireClient {
             .collect::<PlatformResult<Vec<_>>>()
     }
 
-    fn expect<T>(
-        reply: Reply,
-        what: &str,
-        extract: impl FnOnce(Reply) -> Option<T>,
-    ) -> PlatformResult<T> {
-        let debug = format!("{reply:?}");
-        extract(reply).ok_or_else(|| {
-            PlatformError::Transport(format!("expected {what} reply, got {debug}"))
-        })
-    }
-
     // ------------------------------------------------- the typed surface
 
     pub fn register_user(&self, nickname: &str, email: &str) -> PlatformResult<UserId> {
-        let reply = self.call(&Request::RegisterUser {
+        self.ask(&Request::RegisterUser {
             nickname: nickname.into(),
             email: email.into(),
-        })?;
-        Self::expect(reply, "user", |r| match r {
-            Reply::User(u) => Some(u),
-            _ => None,
         })
     }
 
     pub fn issue_key(&self, user: UserId) -> PlatformResult<ContributorKey> {
-        let reply = self.call(&Request::IssueKey { user })?;
-        Self::expect(reply, "key", |r| match r {
-            Reply::Key(k) => Some(k),
-            _ => None,
-        })
+        self.ask(&Request::IssueKey { user })
     }
 
     pub fn add_dbms(&self, entry: DbmsEntry) -> PlatformResult<()> {
-        self.call(&Request::AddDbms { entry }).map(|_| ())
+        self.ask(&Request::AddDbms { entry })
     }
 
     pub fn add_host(&self, entry: HostEntry) -> PlatformResult<()> {
-        self.call(&Request::AddHost { entry }).map(|_| ())
+        self.ask(&Request::AddHost { entry })
     }
 
     pub fn dbms_labels(&self) -> PlatformResult<Vec<String>> {
-        let reply = self.call(&Request::DbmsLabels)?;
-        Self::expect(reply, "labels", |r| match r {
-            Reply::Labels(l) => Some(l),
-            _ => None,
-        })
+        self.ask(&Request::DbmsLabels)
     }
 
     pub fn create_project(
@@ -425,20 +414,16 @@ impl WireClient {
         synopsis: &str,
         visibility: Visibility,
     ) -> PlatformResult<ProjectId> {
-        let reply = self.call(&Request::CreateProject {
+        self.ask(&Request::CreateProject {
             owner,
             title: title.into(),
             synopsis: synopsis.into(),
             visibility,
-        })?;
-        Self::expect(reply, "project", |r| match r {
-            Reply::Project(p) => Some(p),
-            _ => None,
         })
     }
 
     pub fn invite(&self, project: ProjectId, owner: UserId, user: UserId) -> PlatformResult<()> {
-        self.call(&Request::Invite { project, owner, user }).map(|_| ())
+        self.ask(&Request::Invite { project, owner, user })
     }
 
     pub fn set_targets(
@@ -448,34 +433,28 @@ impl WireClient {
         dbms_labels: Vec<String>,
         hosts: Vec<String>,
     ) -> PlatformResult<()> {
-        self.call(&Request::SetTargets {
+        self.ask(&Request::SetTargets {
             project,
             actor,
             dbms_labels,
             hosts,
         })
-        .map(|_| ())
     }
 
     pub fn comment(&self, project: ProjectId, author: UserId, text: &str) -> PlatformResult<()> {
-        self.call(&Request::Comment {
+        self.ask(&Request::Comment {
             project,
             author,
             text: text.into(),
         })
-        .map(|_| ())
     }
 
     pub fn take_down(&self, project: ProjectId) -> PlatformResult<()> {
-        self.call(&Request::TakeDown { project }).map(|_| ())
+        self.ask(&Request::TakeDown { project })
     }
 
     pub fn role_of(&self, project: ProjectId, user: UserId) -> PlatformResult<Role> {
-        let reply = self.call(&Request::RoleOf { project, user })?;
-        Self::expect(reply, "role", |r| match r {
-            Reply::Role(role) => Some(role),
-            _ => None,
-        })
+        self.ask(&Request::RoleOf { project, user })
     }
 
     /// Add an experiment; the grammar travels as source text and is
@@ -492,7 +471,7 @@ impl WireClient {
         template_cap: usize,
         pool_cap: usize,
     ) -> PlatformResult<ExperimentId> {
-        let reply = self.call(&Request::AddExperiment {
+        self.ask(&Request::AddExperiment {
             project,
             actor,
             title: title.into(),
@@ -500,10 +479,6 @@ impl WireClient {
             grammar: grammar_source.map(str::to_string),
             template_cap: template_cap as u64,
             pool_cap: pool_cap as u64,
-        })?;
-        Self::expect(reply, "experiment", |r| match r {
-            Reply::Experiment(e) => Some(e),
-            _ => None,
         })
     }
 
@@ -515,17 +490,14 @@ impl WireClient {
         n_random: usize,
         seed: u64,
     ) -> PlatformResult<usize> {
-        let reply = self.call(&Request::SeedPool {
+        self.ask::<u64>(&Request::SeedPool {
             project,
             experiment,
             actor,
             n_random: n_random as u64,
             seed,
-        })?;
-        Self::expect(reply, "seeded count", |r| match r {
-            Reply::Seeded(n) => Some(n as usize),
-            _ => None,
         })
+        .map(|n| n as usize)
     }
 
     pub fn morph_pool(
@@ -537,17 +509,13 @@ impl WireClient {
         steps: usize,
         seed: u64,
     ) -> PlatformResult<Vec<QueryId>> {
-        let reply = self.call(&Request::MorphPool {
+        self.ask(&Request::MorphPool {
             project,
             experiment,
             actor,
             strategy: strategy.map(|s| s.name().to_string()),
             steps: steps as u64,
             seed,
-        })?;
-        Self::expect(reply, "added queries", |r| match r {
-            Reply::Added(ids) => Some(ids),
-            _ => None,
         })
     }
 
@@ -557,15 +525,12 @@ impl WireClient {
         experiment: ExperimentId,
         actor: UserId,
     ) -> PlatformResult<usize> {
-        let reply = self.call(&Request::EnqueueExperiment {
+        self.ask::<u64>(&Request::EnqueueExperiment {
             project,
             experiment,
             actor,
-        })?;
-        Self::expect(reply, "enqueued count", |r| match r {
-            Reply::Enqueued(n) => Some(n as usize),
-            _ => None,
         })
+        .map(|n| n as usize)
     }
 
     pub fn request_task(
@@ -574,15 +539,11 @@ impl WireClient {
         dbms_label: &str,
         host: &str,
     ) -> PlatformResult<Option<Task>> {
-        let reply = self.call(&Request::RequestTask {
+        self.ask(&Request::RequestTask {
             key: key.clone(),
             dbms_label: dbms_label.into(),
             host: host.into(),
             claim: None,
-        })?;
-        Self::expect(reply, "task handout", |r| match r {
-            Reply::Handout(t) => Some(t),
-            _ => None,
         })
     }
 
@@ -597,111 +558,38 @@ impl WireClient {
         host: &str,
         claim: u64,
     ) -> PlatformResult<Option<Task>> {
-        let reply = self.call(&Request::RequestTask {
+        self.ask(&Request::RequestTask {
             key: key.clone(),
             dbms_label: dbms_label.into(),
             host: host.into(),
             claim: Some(claim),
-        })?;
-        Self::expect(reply, "task handout", |r| match r {
-            Reply::Handout(t) => Some(t),
-            _ => None,
         })
     }
 
     /// Upload a whole experiment's results in one acked exchange. On v2
     /// the reports stream as columnar continuation frames (see
-    /// [`FramedConn::send_batch`]); on v1 they travel as one JSON body.
+    /// [`FramedConn::send_batch`]) inside the same retry envelope as
+    /// [`WireClient::call`]; on v1 they travel as one JSON body.
     /// Returns the record index of each report, in input order.
     pub fn report_batch(
         &self,
         key: &ContributorKey,
         reports: &[(TaskId, RunOutcome)],
     ) -> PlatformResult<Vec<u64>> {
-        let reply = match self.proto {
-            Proto::V1Http => self.call(&Request::ReportBatch {
+        if self.proto == Proto::V1Http {
+            return self.ask(&Request::ReportBatch {
                 key: key.clone(),
                 reports: reports.to_vec(),
-            })?,
-            Proto::V2Framed => self.call_batch(key, reports)?,
-        };
-        Self::expect(reply, "batch indices", |r| match r {
-            Reply::Batch(idx) => Some(idx),
-            _ => None,
-        })
-    }
-
-    /// The bulk analogue of [`WireClient::call`]: same retry envelope,
-    /// but each v2 attempt streams the batch as continuation frames.
-    fn call_batch(
-        &self,
-        key: &ContributorKey,
-        reports: &[(TaskId, RunOutcome)],
-    ) -> PlatformResult<Reply> {
-        let mut last_failure = String::new();
-        for attempt in 0..self.retry.attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(self.retry.backoff(attempt - 1));
-            }
-            match self.attempt_batch_v2(key, reports) {
-                Attempt::Final(result) => return result,
-                Attempt::Retry(msg) => last_failure = msg,
-            }
+            });
         }
-        Err(PlatformError::Transport(format!(
-            "{last_failure} (after {} attempts)",
-            self.retry.attempts.max(1)
-        )))
-    }
-
-    fn attempt_batch_v2(
-        &self,
-        key: &ContributorKey,
-        reports: &[(TaskId, RunOutcome)],
-    ) -> Attempt {
-        let n = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut guard = self.conn.lock().expect("conn lock");
-        if guard.is_none() {
-            match FramedConn::connect(
-                &self.addr.to_string(),
-                self.connect_timeout,
-                self.io_timeout,
-                self.max_body,
-            ) {
-                Ok(conn) => *guard = Some(conn),
-                Err(e) => return Attempt::Retry(format!("report_batch: connect: {e}")),
-            }
-        }
-        let mut conn = guard.take().expect("connection just established");
-        if self.drop_every != 0 && n.is_multiple_of(self.drop_every) {
-            // The connection dies mid-continuation-frame: the summary
-            // never goes out, so the server must drop the buffered parts
-            // undispatched and the retry is the only delivery.
-            let _ = conn.send_batch_truncated(reports);
-            return Attempt::Retry("report_batch: injected connection drop".into());
-        }
-        let exchange = (|| -> std::io::Result<PlatformResult<Reply>> {
-            let sent = conn.send_batch(key, reports)?;
-            let (tag, outcome) = conn.recv()?;
-            if tag != sent {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("batch ack tag {tag} does not match request tag {sent}"),
-                ));
-            }
-            Ok(outcome)
-        })();
-        match exchange {
-            Ok(Err(PlatformError::Transport(msg))) => {
-                *guard = Some(conn);
-                Attempt::Retry(format!("report_batch: server transport error: {msg}"))
-            }
-            Ok(outcome) => {
-                *guard = Some(conn);
-                Attempt::Final(outcome)
-            }
-            Err(e) => Attempt::Retry(format!("report_batch: {e}")),
-        }
+        self.with_retry(|| {
+            self.attempt_v2(
+                Op::ReportBatch.label(),
+                |c| c.send_batch(key, reports),
+                |c| c.send_batch_truncated(reports),
+            )
+        })?
+        .answer(ReplyKind::Batch)
     }
 
     /// Open a dedicated subscribed connection for server push, so a
@@ -712,13 +600,7 @@ impl WireClient {
         if self.proto != Proto::V2Framed {
             return None;
         }
-        let mut conn = FramedConn::connect(
-            &self.addr.to_string(),
-            self.connect_timeout,
-            self.io_timeout,
-            self.max_body,
-        )
-        .ok()?;
+        let mut conn = self.connect().ok()?;
         conn.subscribe(key).ok()?;
         Some(Box::new(RemoteWaiter { conn }))
     }
@@ -729,46 +611,31 @@ impl WireClient {
         task: TaskId,
         outcome: &RunOutcome,
     ) -> PlatformResult<usize> {
-        let reply = self.call(&Request::ReportResult {
+        self.ask::<u64>(&Request::ReportResult {
             key: key.clone(),
             task,
             outcome: outcome.clone(),
-        })?;
-        Self::expect(reply, "record index", |r| match r {
-            Reply::Index(n) => Some(n as usize),
-            _ => None,
         })
+        .map(|n| n as usize)
     }
 
     pub fn queue_summary(&self) -> PlatformResult<QueueSummary> {
-        let reply = self.call(&Request::QueueSummary)?;
-        Self::expect(reply, "queue summary", |r| match r {
-            Reply::Queue(q) => Some(q),
-            _ => None,
-        })
+        self.ask(&Request::QueueSummary)
     }
 
     /// The server's metrics snapshot (`GET /v1/metrics`).
     pub fn metrics(&self) -> PlatformResult<MetricsSnapshot> {
-        let reply = self.call(&Request::Metrics)?;
-        Self::expect(reply, "metrics snapshot", |r| match r {
-            Reply::Metrics(m) => Some(m),
-            _ => None,
-        })
+        self.ask(&Request::Metrics)
     }
 
     pub fn reap_stuck(&self, timeout: Duration) -> PlatformResult<Vec<TaskId>> {
-        let reply = self.call(&Request::ReapStuck {
+        self.ask(&Request::ReapStuck {
             timeout_ms: timeout.as_millis() as u64,
-        })?;
-        Self::expect(reply, "reaped tasks", |r| match r {
-            Reply::Reaped(ids) => Some(ids),
-            _ => None,
         })
     }
 
     pub fn requeue(&self, task: TaskId) -> PlatformResult<()> {
-        self.call(&Request::Requeue { task }).map(|_| ())
+        self.ask(&Request::Requeue { task })
     }
 
     pub fn results_for_key(
@@ -776,13 +643,9 @@ impl WireClient {
         project: ProjectId,
         key: &ContributorKey,
     ) -> PlatformResult<Vec<ResultRecord>> {
-        let reply = self.call(&Request::ResultsForKey {
+        self.ask(&Request::ResultsForKey {
             project,
             key: key.clone(),
-        })?;
-        Self::expect(reply, "results", |r| match r {
-            Reply::Results(rs) => Some(rs),
-            _ => None,
         })
     }
 
@@ -793,35 +656,26 @@ impl WireClient {
         index: usize,
         hidden: bool,
     ) -> PlatformResult<()> {
-        self.call(&Request::HideResult {
+        self.ask(&Request::HideResult {
             project,
             actor,
             index: index as u64,
             hidden,
         })
-        .map(|_| ())
     }
 
     /// CSV export (a raw-text response on v1, a string frame on v2).
     pub fn export_csv(&self, project: ProjectId, viewer: UserId) -> PlatformResult<String> {
-        let reply = self.call(&Request::ExportCsv { project, viewer })?;
-        Self::expect(reply, "csv", |r| match r {
-            Reply::Csv(text) => Some(text),
-            _ => None,
-        })
+        self.ask(&Request::ExportCsv { project, viewer })
     }
 
     /// Execute SQL on the server's attached engine. Passing back the
     /// fingerprint from a previous outcome lets the server's plan cache
     /// skip parse/bind/rewrite on a hit.
     pub fn execute(&self, sql: &str, fingerprint: Option<u64>) -> PlatformResult<ExecOutcome> {
-        let reply = self.call(&Request::Execute {
+        self.ask(&Request::Execute {
             sql: sql.into(),
             fingerprint,
-        })?;
-        Self::expect(reply, "execution outcome", |r| match r {
-            Reply::Execution(out) => Some(out),
-            _ => None,
         })
     }
 }

@@ -5,17 +5,36 @@
 //! binary codec — while everything that *moves bytes* lives in
 //! [`crate::wire::transport`]. Both protocol versions encode the same
 //! typed [`Request`]/[`Reply`] surface and are dispatched by the same
-//! [`crate::wire::dispatch`] function, so their behavior is equivalent
-//! by construction; the differential suite checks the decoded results
-//! are byte-identical.
+//! [`crate::wire::dispatch`] function.
 //!
-//! Errors are unified across protocols by [`ErrorCode`]: one stable
-//! numeric code per [`PlatformError`] variant, carried as an HTTP status
-//! plus JSON body on v1 and as a status byte plus typed detail on v2 —
-//! either transport reconstructs the exact typed error.
+//! # The message table
+//!
+//! Every `Request` and `Reply` variant is one row of the table below,
+//! and both codecs are loops over it — no per-variant code exists
+//! anywhere else. A request row gives the variant's fields **in v2
+//! order** with where v1 carries each (`Via`: a body member, the whole
+//! body, a `:id` path segment or a query parameter), then its v2 opcode,
+//! its op label (the metric name), its v1 method and route, and the
+//! reply variant it answers with. A reply row gives its payload type
+//! (and, for a body member, its v1 key), its v2 reply kind and how v1
+//! carries it. How each field *type* travels is its
+//! `Field` impl (`field.rs`), written once for both wires.
+//!
+//! Adding an op is one row here plus its arm in
+//! [`dispatch`](crate::wire::dispatch::dispatch). Opcodes 0, 27 and 28
+//! and reply kinds 0 and 20 belong to the hand-written connection-level
+//! frames of [`v2`] (hello, bulk part, subscribe, hello answer, push).
+//!
+//! Errors are unified across protocols by [`ErrorCode`] (its own table
+//! in [`crate::error`]): carried as an HTTP status plus JSON body on v1
+//! and as a status byte plus typed detail on v2 — either transport
+//! reconstructs the exact typed error.
 
+mod field;
 pub mod v1;
 pub mod v2;
+
+pub use crate::error::ErrorCode;
 
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
@@ -26,225 +45,124 @@ use crate::project::{ExperimentId, ProjectId, Role};
 use crate::queue::{QueueSummary, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
+use field::{Field, Hex};
 use serde::{Deserialize, Serialize, Sink, Value};
+use std::any::Any;
 
-// ------------------------------------------------------------ error codes
-
-/// The unified error-code enum shared by both protocols. Each variant
-/// maps 1:1 to a [`PlatformError`] variant, a stable string code (the v1
-/// JSON `"code"` field), an HTTP status (the v1 status line) and a wire
-/// byte (the v2 response status byte). Codes never change meaning.
+/// Where a field travels on v1. (v2 writes every field back to back, in
+/// table order.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ErrorCode {
-    Invalid = 1,
-    UnknownUser = 2,
-    UnknownProject = 3,
-    UnknownExperiment = 4,
-    UnknownTask = 5,
-    UnknownQuery = 6,
-    AccessDenied = 7,
-    Grammar = 8,
-    PoolFull = 9,
-    Publication = 10,
-    Transport = 11,
-    Throttled = 12,
+pub(crate) enum Via {
+    /// A member of the JSON body, keyed by the field's name.
+    Body,
+    /// The whole JSON body: a catalog entry, a bare reply object.
+    Whole,
+    /// The next `:id` segment of the route.
+    Path,
+    /// The `?name=` query parameter.
+    Query,
+    /// A `text/plain` body.
+    Text,
 }
 
-impl ErrorCode {
-    pub fn of(err: &PlatformError) -> ErrorCode {
-        match err {
-            PlatformError::Invalid(_) => ErrorCode::Invalid,
-            PlatformError::UnknownUser(_) => ErrorCode::UnknownUser,
-            PlatformError::UnknownProject(_) => ErrorCode::UnknownProject,
-            PlatformError::UnknownExperiment(_) => ErrorCode::UnknownExperiment,
-            PlatformError::UnknownTask(_) => ErrorCode::UnknownTask,
-            PlatformError::UnknownQuery(_) => ErrorCode::UnknownQuery,
-            PlatformError::AccessDenied(_) => ErrorCode::AccessDenied,
-            PlatformError::Grammar(_) => ErrorCode::Grammar,
-            PlatformError::PoolFull(_) => ErrorCode::PoolFull,
-            PlatformError::Publication(_) => ErrorCode::Publication,
-            PlatformError::Transport(_) => ErrorCode::Transport,
-            PlatformError::Throttled(_) => ErrorCode::Throttled,
-        }
-    }
-
-    /// The HTTP status carrying this error on v1. Part of the protocol.
-    pub fn http_status(self) -> u16 {
-        match self {
-            ErrorCode::Invalid => 400,
-            ErrorCode::UnknownUser
-            | ErrorCode::UnknownProject
-            | ErrorCode::UnknownExperiment
-            | ErrorCode::UnknownTask
-            | ErrorCode::UnknownQuery => 404,
-            ErrorCode::AccessDenied => 403,
-            ErrorCode::Grammar => 422,
-            ErrorCode::PoolFull => 409,
-            ErrorCode::Publication => 451,
-            ErrorCode::Transport => 500,
-            ErrorCode::Throttled => 429,
-        }
-    }
-
-    /// The stable string code (identical to [`PlatformError::code`]).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::Invalid => "invalid",
-            ErrorCode::UnknownUser => "unknown_user",
-            ErrorCode::UnknownProject => "unknown_project",
-            ErrorCode::UnknownExperiment => "unknown_experiment",
-            ErrorCode::UnknownTask => "unknown_task",
-            ErrorCode::UnknownQuery => "unknown_query",
-            ErrorCode::AccessDenied => "access_denied",
-            ErrorCode::Grammar => "grammar",
-            ErrorCode::PoolFull => "pool_full",
-            ErrorCode::Publication => "publication",
-            ErrorCode::Transport => "transport",
-            ErrorCode::Throttled => "throttled",
-        }
-    }
-
-    /// The v2 status byte (never 0 — that means OK).
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-
-    pub fn from_u8(b: u8) -> Option<ErrorCode> {
-        Some(match b {
-            1 => ErrorCode::Invalid,
-            2 => ErrorCode::UnknownUser,
-            3 => ErrorCode::UnknownProject,
-            4 => ErrorCode::UnknownExperiment,
-            5 => ErrorCode::UnknownTask,
-            6 => ErrorCode::UnknownQuery,
-            7 => ErrorCode::AccessDenied,
-            8 => ErrorCode::Grammar,
-            9 => ErrorCode::PoolFull,
-            10 => ErrorCode::Publication,
-            11 => ErrorCode::Transport,
-            12 => ErrorCode::Throttled,
-            _ => return None,
-        })
-    }
+/// Receives a message's fields in table order: what each codec's encoder
+/// implements.
+pub(crate) trait Visit {
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via, value: &T);
 }
 
-// -------------------------------------------------------- typed requests
-
-/// One platform operation, transport-agnostic. Each protocol version
-/// encodes this enum its own way; [`crate::wire::dispatch::dispatch`]
-/// executes it against the server, so v1 and v2 cannot drift apart.
-#[derive(Debug, Clone)]
-pub enum Request {
-    RegisterUser { nickname: String, email: String },
-    IssueKey { user: UserId },
-    AddDbms { entry: DbmsEntry },
-    AddHost { entry: HostEntry },
-    DbmsLabels,
-    CreateProject {
-        owner: UserId,
-        title: String,
-        synopsis: String,
-        visibility: Visibility,
-    },
-    Invite { project: ProjectId, owner: UserId, user: UserId },
-    SetTargets {
-        project: ProjectId,
-        actor: UserId,
-        dbms_labels: Vec<String>,
-        hosts: Vec<String>,
-    },
-    Comment { project: ProjectId, author: UserId, text: String },
-    TakeDown { project: ProjectId },
-    RoleOf { project: ProjectId, user: UserId },
-    AddExperiment {
-        project: ProjectId,
-        actor: UserId,
-        title: String,
-        baseline_sql: String,
-        /// Grammar source text, parsed server-side.
-        grammar: Option<String>,
-        template_cap: u64,
-        pool_cap: u64,
-    },
-    SeedPool {
-        project: ProjectId,
-        experiment: ExperimentId,
-        actor: UserId,
-        n_random: u64,
-        seed: u64,
-    },
-    MorphPool {
-        project: ProjectId,
-        experiment: ExperimentId,
-        actor: UserId,
-        /// Strategy name, resolved server-side.
-        strategy: Option<String>,
-        steps: u64,
-        seed: u64,
-    },
-    EnqueueExperiment {
-        project: ProjectId,
-        experiment: ExperimentId,
-        actor: UserId,
-    },
-    ResultsForKey { project: ProjectId, key: ContributorKey },
-    ExportCsv { project: ProjectId, viewer: UserId },
-    HideResult {
-        project: ProjectId,
-        actor: UserId,
-        index: u64,
-        hidden: bool,
-    },
-    RequestTask {
-        key: ContributorKey,
-        dbms_label: String,
-        host: String,
-        /// Claim nonce. `None` keeps the legacy idempotent semantics:
-        /// if the key already holds a task matching the target, that
-        /// task is re-handed-out. `Some(n)` scopes the idempotency to
-        /// this nonce, so a bulk client can hold several tasks of the
-        /// same target at once — its retries reuse the nonce and still
-        /// get the same task back, but a *fresh* nonce gets a fresh
-        /// checkout.
-        claim: Option<u64>,
-    },
-    ReportResult {
-        key: ContributorKey,
-        task: TaskId,
-        outcome: RunOutcome,
-    },
-    /// COPY-style bulk report: a whole experiment's outcomes in one
-    /// acknowledged exchange. On v2 the reports stream as columnar
-    /// continuation frames terminated by a summary frame; on v1 they
-    /// travel as one JSON body. The reply is [`Reply::Batch`] — the
-    /// accepted record index per report, in input order.
-    ReportBatch {
-        key: ContributorKey,
-        reports: Vec<(TaskId, RunOutcome)>,
-    },
-    QueueSummary,
-    ReapStuck { timeout_ms: u64 },
-    Requeue { task: TaskId },
-    Metrics,
-    /// Execute SQL on the server's attached target system. With a
-    /// fingerprint, a plan-cache hit skips parse/bind/rewrite — the v2
-    /// `ExecuteByFingerprint` fast path (also exposed on v1 as
-    /// `POST /v1/execute` so the differential suite covers it).
-    Execute { sql: String, fingerprint: Option<u64> },
+/// Supplies a message's fields in table order: what each codec's decoder
+/// implements.
+pub(crate) trait Source {
+    type Error;
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> Result<T, Self::Error>;
 }
 
-/// One row per op: its label, and the v1 route that carries it (numeric
-/// path segments as `:id`). Every metric name an op is counted under is
-/// a `concat!` of these, so the per-request path formats no label.
-macro_rules! ops {
-    ($($variant:ident: $name:literal, $route:literal;)*) => {
+/// The codec of a table field: its type, or the spelling after `as`.
+macro_rules! codec {
+    ($t:ty) => { $t };
+    ($t:ty as $c:ty) => { $c };
+}
+
+/// A reply payload's v1 name: its body key, else the variant's name.
+macro_rules! key_or {
+    (; $v:ident) => { stringify!($v) };
+    ($k:literal; $v:ident) => { $k };
+}
+
+/// `$x`, where the table has a `$t` (binds a payload in a pattern).
+macro_rules! per {
+    ($t:ty, $x:ident) => { $x };
+}
+
+/// `a` as the `B` it is: a reply's payload handed to the caller who
+/// asked for that type.
+fn cast<A: 'static, B: 'static>(a: A) -> B {
+    let mut slot = Some(a);
+    (&mut slot as &mut dyn Any)
+        .downcast_mut::<Option<B>>()
+        .and_then(Option::take)
+        .expect("the table pairs each reply with one payload type")
+}
+
+/// The message table: one row per variant generates [`Request`],
+/// [`Reply`] and everything both codecs need.
+///
+/// * request row — `Variant { field: Type [as Codec] => Via, … } = opcode,
+///   "op label", "METHOD /v1/route" => ReplyVariant;`, fields in v2 order;
+/// * reply row — `Variant[(Payload[, "v1 body key"])] = kind => Via;`.
+macro_rules! messages {
+    (
+        requests {$(
+            $(#[$rmeta:meta])*
+            $req:ident $({$(
+                $(#[$fmeta:meta])*
+                $field:ident: $fty:ty $(as $codec:ty)? => $via:ident
+            ),* $(,)?})? = $op:literal, $label:literal, $route:literal => $answer:ident;
+        )*}
+        replies {$(
+            $(#[$pmeta:meta])*
+            $rep:ident $(($pty:ty $(, $key:literal)?))? = $kind:literal => $shape:ident;
+        )*}
+    ) => {
+        /// One platform operation, transport-agnostic: the request half
+        /// of the message table.
+        #[derive(Debug, Clone)]
+        pub enum Request {$(
+            $(#[$rmeta])*
+            $req $({$($(#[$fmeta])* $field: $fty,)*})?,
+        )*}
+
+        /// The result of one dispatched [`Request`], transport-agnostic:
+        /// the reply half of the message table.
+        #[derive(Debug, Clone)]
+        pub enum Reply {$(
+            $(#[$pmeta])*
+            $rep $(($pty))?,
+        )*}
+
+        /// The v2 opcode of each request.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub(crate) enum Op {
+            $($req = $op,)*
+        }
+
+        /// The v2 kind of each reply.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub(crate) enum ReplyKind {
+            $($rep = $kind,)*
+        }
+
+        /// Every v1 route (`METHOD /path`, numeric segments as `:id`) and
+        /// the op it carries.
+        pub(crate) const ROUTES: &[(&str, Op)] = &[$(($route, Op::$req)),*];
+
         impl Request {
             /// A bounded-cardinality metric label for this op.
             pub fn op_name(&self) -> &'static str {
-                match self {
-                    $(Request::$variant { .. } => $name,)*
-                }
+                self.opcode().label()
             }
 
             /// `(route counter, latency histogram)` this op is metered
@@ -252,7 +170,7 @@ macro_rules! ops {
             /// and `wire.latency.<METHOD /path>`.
             pub fn v1_metric_names(&self) -> (&'static str, &'static str) {
                 match self {
-                    $(Request::$variant { .. } => (
+                    $(Request::$req { .. } => (
                         concat!("wire.route.", $route),
                         concat!("wire.latency.", $route),
                     ),)*
@@ -263,43 +181,262 @@ macro_rules! ops {
             /// `wire.latency.V2 <op>`.
             pub fn v2_metric_names(&self) -> (&'static str, &'static str) {
                 match self {
-                    $(Request::$variant { .. } => (
-                        concat!("wire.route.V2 ", $name),
-                        concat!("wire.latency.V2 ", $name),
+                    $(Request::$req { .. } => (
+                        concat!("wire.route.V2 ", $label),
+                        concat!("wire.latency.V2 ", $label),
                     ),)*
+                }
+            }
+
+            /// The v1 `METHOD /path` this op travels on.
+            pub(crate) fn route(&self) -> &'static str {
+                match self {
+                    $(Request::$req { .. } => $route,)*
+                }
+            }
+
+            pub(crate) fn opcode(&self) -> Op {
+                match self {
+                    $(Request::$req { .. } => Op::$req,)*
+                }
+            }
+
+            /// The reply this op answers with.
+            pub(crate) fn reply_kind(&self) -> ReplyKind {
+                match self {
+                    $(Request::$req { .. } => ReplyKind::$answer,)*
+                }
+            }
+
+            /// Hand every field to `out`, in table order.
+            pub(crate) fn visit(&self, out: &mut impl Visit) {
+                match self {$(
+                    Request::$req { $($($field,)*)? } => {
+                        $($(out.field::<codec!($fty $(as $codec)?), $fty>(
+                            stringify!($field),
+                            Via::$via,
+                            $field,
+                        );)*)?
+                    }
+                )*}
+            }
+
+            /// The request `opcode` names, its fields read from `src` in
+            /// table order; `None` for an opcode the table lacks.
+            pub(crate) fn decode<S: Source>(opcode: u8, src: &mut S) -> Result<Option<Request>, S::Error> {
+                Ok(Some(match opcode {
+                    $($op => Request::$req { $($($field: src.field::<codec!($fty $(as $codec)?), $fty>(
+                        stringify!($field),
+                        Via::$via,
+                    )?,)*)? },)*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+
+        impl Reply {
+            pub(crate) fn kind(&self) -> ReplyKind {
+                match self {
+                    $(Reply::$rep { .. } => ReplyKind::$rep,)*
+                }
+            }
+
+            /// Hand the payload, if any, to `out`.
+            pub(crate) fn visit(&self, out: &mut impl Visit) {
+                match self {$(
+                    Reply::$rep $((per!($pty, payload)))? => {
+                        $(out.field::<$pty, $pty>(key_or!($($key)?; $rep), Via::$shape, payload);)?
+                    }
+                )*}
+            }
+
+            /// The reply of `kind`, its payload read from `src`; `None`
+            /// for a kind the table lacks.
+            pub(crate) fn decode<S: Source>(kind: u8, src: &mut S) -> Result<Option<Reply>, S::Error> {
+                Ok(Some(match kind {
+                    $($kind => Reply::$rep $((src.field::<$pty, $pty>(key_or!($($key)?; $rep), Via::$shape)?))?,)*
+                    _ => return Ok(None),
+                }))
+            }
+
+            /// The payload of a reply of `kind` — the reply the asking op
+            /// answers with; any other reply means the peer misbehaved.
+            pub(crate) fn answer<T: 'static>(self, kind: ReplyKind) -> PlatformResult<T> {
+                if self.kind() != kind {
+                    return Err(PlatformError::Transport(format!("expected a {kind:?} reply, got {self:?}")));
+                }
+                Ok(match self {
+                    $(Reply::$rep $((per!($pty, payload)))? => cast(($(per!($pty, payload))?)),)*
+                })
+            }
+        }
+
+        impl Op {
+            pub(crate) fn label(self) -> &'static str {
+                match self {
+                    $(Op::$req => $label,)*
+                }
+            }
+        }
+
+        impl ReplyKind {
+            /// How a reply of this kind travels on v1.
+            pub(crate) fn via(self) -> Via {
+                match self {
+                    $(ReplyKind::$rep => Via::$shape,)*
                 }
             }
         }
     };
 }
 
-ops! {
-    RegisterUser: "register_user", "POST /v1/user/register";
-    IssueKey: "issue_key", "POST /v1/user/key";
-    AddDbms: "add_dbms", "POST /v1/dbms";
-    AddHost: "add_host", "POST /v1/host";
-    DbmsLabels: "dbms_labels", "GET /v1/dbms";
-    CreateProject: "create_project", "POST /v1/project/create";
-    Invite: "invite", "POST /v1/project/:id/invite";
-    SetTargets: "set_targets", "POST /v1/project/:id/targets";
-    Comment: "comment", "POST /v1/project/:id/comment";
-    TakeDown: "take_down", "POST /v1/project/:id/take_down";
-    RoleOf: "role_of", "GET /v1/project/:id/role";
-    AddExperiment: "add_experiment", "POST /v1/project/:id/experiment";
-    SeedPool: "seed_pool", "POST /v1/project/:id/experiment/:id/seed";
-    MorphPool: "morph_pool", "POST /v1/project/:id/experiment/:id/morph";
-    EnqueueExperiment: "enqueue_experiment", "POST /v1/project/:id/experiment/:id/enqueue";
-    ResultsForKey: "results_for_key", "GET /v1/project/:id/results";
-    ExportCsv: "export_csv", "GET /v1/project/:id/csv";
-    HideResult: "hide_result", "POST /v1/result/hide";
-    RequestTask: "request_task", "POST /v1/task/request";
-    ReportResult: "report_result", "POST /v1/result/report";
-    ReportBatch: "report_batch", "POST /v1/result/report_batch";
-    QueueSummary: "queue_summary", "GET /v1/queue/summary";
-    ReapStuck: "reap_stuck", "POST /v1/queue/reap";
-    Requeue: "requeue", "POST /v1/task/:id/requeue";
-    Metrics: "metrics", "GET /v1/metrics";
-    Execute: "execute", "POST /v1/execute";
+messages! {
+    requests {
+        RegisterUser {
+            nickname: String => Body,
+            email: String => Body,
+        } = 1, "register_user", "POST /v1/user/register" => User;
+        IssueKey { user: UserId => Body } = 2, "issue_key", "POST /v1/user/key" => Key;
+        AddDbms { entry: DbmsEntry => Whole } = 3, "add_dbms", "POST /v1/dbms" => Unit;
+        AddHost { entry: HostEntry => Whole } = 4, "add_host", "POST /v1/host" => Unit;
+        DbmsLabels = 5, "dbms_labels", "GET /v1/dbms" => Labels;
+        CreateProject {
+            owner: UserId => Body,
+            title: String => Body,
+            synopsis: String => Body,
+            visibility: Visibility => Body,
+        } = 6, "create_project", "POST /v1/project/create" => Project;
+        Invite {
+            project: ProjectId => Path,
+            owner: UserId => Body,
+            user: UserId => Body,
+        } = 7, "invite", "POST /v1/project/:id/invite" => Unit;
+        SetTargets {
+            project: ProjectId => Path,
+            actor: UserId => Body,
+            dbms_labels: Vec<String> => Body,
+            hosts: Vec<String> => Body,
+        } = 8, "set_targets", "POST /v1/project/:id/targets" => Unit;
+        Comment {
+            project: ProjectId => Path,
+            author: UserId => Body,
+            text: String => Body,
+        } = 9, "comment", "POST /v1/project/:id/comment" => Unit;
+        TakeDown { project: ProjectId => Path } = 10, "take_down", "POST /v1/project/:id/take_down" => Unit;
+        RoleOf {
+            project: ProjectId => Path,
+            user: UserId => Query,
+        } = 11, "role_of", "GET /v1/project/:id/role" => Role;
+        AddExperiment {
+            project: ProjectId => Path,
+            actor: UserId => Body,
+            title: String => Body,
+            baseline_sql: String => Body,
+            /// Grammar source text, parsed server-side.
+            grammar: Option<String> => Body,
+            template_cap: u64 => Body,
+            pool_cap: u64 => Body,
+        } = 12, "add_experiment", "POST /v1/project/:id/experiment" => Experiment;
+        SeedPool {
+            project: ProjectId => Path,
+            experiment: ExperimentId => Path,
+            actor: UserId => Body,
+            n_random: u64 => Body,
+            seed: u64 => Body,
+        } = 13, "seed_pool", "POST /v1/project/:id/experiment/:id/seed" => Seeded;
+        MorphPool {
+            project: ProjectId => Path,
+            experiment: ExperimentId => Path,
+            actor: UserId => Body,
+            /// Strategy name, resolved server-side.
+            strategy: Option<String> => Body,
+            steps: u64 => Body,
+            seed: u64 => Body,
+        } = 14, "morph_pool", "POST /v1/project/:id/experiment/:id/morph" => Added;
+        EnqueueExperiment {
+            project: ProjectId => Path,
+            experiment: ExperimentId => Path,
+            actor: UserId => Body,
+        } = 15, "enqueue_experiment", "POST /v1/project/:id/experiment/:id/enqueue" => Enqueued;
+        ResultsForKey {
+            project: ProjectId => Path,
+            key: ContributorKey => Query,
+        } = 16, "results_for_key", "GET /v1/project/:id/results" => Results;
+        ExportCsv {
+            project: ProjectId => Path,
+            viewer: UserId => Query,
+        } = 17, "export_csv", "GET /v1/project/:id/csv" => Csv;
+        HideResult {
+            project: ProjectId => Body,
+            actor: UserId => Body,
+            index: u64 => Body,
+            hidden: bool => Body,
+        } = 18, "hide_result", "POST /v1/result/hide" => Unit;
+        RequestTask {
+            key: ContributorKey => Body,
+            dbms_label: String => Body,
+            host: String => Body,
+            /// Claim nonce. `None` keeps the legacy idempotent semantics:
+            /// if the key already holds a task matching the target, that
+            /// task is re-handed-out. `Some(n)` scopes the idempotency to
+            /// this nonce, so a bulk client can hold several tasks of the
+            /// same target at once — its retries reuse the nonce and still
+            /// get the same task back, but a *fresh* nonce gets a fresh
+            /// checkout.
+            claim: Option<u64> => Body,
+        } = 19, "request_task", "POST /v1/task/request" => Handout;
+        ReportResult {
+            key: ContributorKey => Body,
+            task: TaskId => Body,
+            outcome: RunOutcome => Body,
+        } = 20, "report_result", "POST /v1/result/report" => Index;
+        /// COPY-style bulk report: a whole experiment's outcomes in one
+        /// acknowledged exchange. On v2 the reports stream as columnar
+        /// continuation frames terminated by a summary frame; on v1 they
+        /// travel as one JSON body. The reply is [`Reply::Batch`] — the
+        /// accepted record index per report, in input order.
+        ReportBatch {
+            key: ContributorKey => Body,
+            reports: Vec<(TaskId, RunOutcome)> => Body,
+        } = 26, "report_batch", "POST /v1/result/report_batch" => Batch;
+        QueueSummary = 21, "queue_summary", "GET /v1/queue/summary" => Queue;
+        ReapStuck { timeout_ms: u64 => Body } = 22, "reap_stuck", "POST /v1/queue/reap" => Reaped;
+        Requeue { task: TaskId => Path } = 23, "requeue", "POST /v1/task/:id/requeue" => Unit;
+        Metrics = 24, "metrics", "GET /v1/metrics" => Metrics;
+        /// Execute SQL on the server's attached target system. With a
+        /// fingerprint, a plan-cache hit skips parse/bind/rewrite — the v2
+        /// `ExecuteByFingerprint` fast path (also exposed on v1 as
+        /// `POST /v1/execute` so the differential suite covers it). v1
+        /// spells the fingerprint in hex.
+        Execute {
+            sql: String => Body,
+            fingerprint: Option<u64> as Hex => Body,
+        } = 25, "execute", "POST /v1/execute" => Execution;
+    }
+    replies {
+        /// `{}` on v1.
+        Unit = 1 => Whole;
+        User(UserId, "user") = 2 => Body;
+        Key(ContributorKey, "key") = 3 => Body;
+        Labels(Vec<String>, "labels") = 4 => Body;
+        Project(ProjectId, "project") = 5 => Body;
+        Role(Role, "role") = 6 => Body;
+        Experiment(ExperimentId, "experiment") = 7 => Body;
+        Seeded(u64, "seeded") = 8 => Body;
+        Added(Vec<QueryId>, "added") = 9 => Body;
+        Enqueued(u64, "enqueued") = 10 => Body;
+        Results(Vec<ResultRecord>, "results") = 11 => Body;
+        Csv(String) = 12 => Text;
+        /// `null` on v1 when the queue had nothing for the target.
+        Handout(Option<Task>, "task") = 13 => Body;
+        Index(u64, "index") = 14 => Body;
+        /// Accepted record index per bulk report, in input order.
+        Batch(Vec<u64>, "indices") = 19 => Body;
+        Queue(QueueSummary) = 15 => Whole;
+        Reaped(Vec<TaskId>, "reaped") = 16 => Body;
+        Metrics(MetricsSnapshot) = 17 => Whole;
+        Execution(ExecOutcome) = 18 => Whole;
+    }
 }
 
 /// The `wire.status.<class>xx` counter of an HTTP status.
@@ -310,33 +447,6 @@ pub fn status_counter(status: u16) -> &'static str {
         5 => "wire.status.5xx",
         _ => "wire.status.other",
     }
-}
-
-// ---------------------------------------------------------- typed replies
-
-/// The result of one dispatched [`Request`], transport-agnostic.
-#[derive(Debug, Clone)]
-pub enum Reply {
-    Unit,
-    User(UserId),
-    Key(ContributorKey),
-    Labels(Vec<String>),
-    Project(ProjectId),
-    Role(Role),
-    Experiment(ExperimentId),
-    Seeded(u64),
-    Added(Vec<QueryId>),
-    Enqueued(u64),
-    Results(Vec<ResultRecord>),
-    Csv(String),
-    Handout(Option<Task>),
-    Index(u64),
-    /// Accepted record index per bulk report, in input order.
-    Batch(Vec<u64>),
-    Queue(QueueSummary),
-    Reaped(Vec<TaskId>),
-    Metrics(MetricsSnapshot),
-    Execution(ExecOutcome),
 }
 
 // -------------------------------------------------- execution result DTOs
@@ -618,125 +728,51 @@ impl Deserialize for ExecOutcome {
     }
 }
 
-// ----------------------------------------- shared JSON helper functions
-//
-// The one home of the hand-written JSON plumbing that used to be
-// duplicated between the server routing and the client: object
-// construction on the encode side, checked field extraction on the
-// decode side. Both directions of the v1 codec (and the JSON-payload
-// fallbacks of v2) use these.
-
-pub(crate) fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    let mut m = serde_json::Map::new();
-    for (k, v) in pairs {
-        m.insert(k.to_string(), v);
-    }
-    Value::Object(m)
-}
-
-pub(crate) fn strings(items: &[String]) -> Value {
-    Value::Array(items.iter().map(|s| s.clone().into()).collect())
-}
-
-pub(crate) fn need_str(body: &Value, key: &str) -> PlatformResult<String> {
-    body[key]
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| PlatformError::Invalid(format!("missing string field {key:?}")))
-}
-
-pub(crate) fn need_u64(body: &Value, key: &str) -> PlatformResult<u64> {
-    body[key]
-        .as_i64()
-        .filter(|n| *n >= 0)
-        .map(|n| n as u64)
-        .ok_or_else(|| PlatformError::Invalid(format!("missing numeric field {key:?}")))
-}
-
-pub(crate) fn need_bool(body: &Value, key: &str) -> PlatformResult<bool> {
-    body[key]
-        .as_bool()
-        .ok_or_else(|| PlatformError::Invalid(format!("missing bool field {key:?}")))
-}
-
-pub(crate) fn need_strings(body: &Value, key: &str) -> PlatformResult<Vec<String>> {
-    body[key]
-        .as_array()
-        .ok_or_else(|| PlatformError::Invalid(format!("missing array field {key:?}")))?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| PlatformError::Invalid(format!("{key:?} must hold strings")))
-        })
-        .collect()
-}
-
-pub(crate) fn need<T: Deserialize>(value: &Value, what: &str) -> PlatformResult<T> {
-    T::from_value(value).map_err(|e| PlatformError::Invalid(format!("bad {what}: {e}")))
-}
-
-/// Decode-side field extraction where a missing field means the *peer*
-/// misbehaved (a malformed response), not the caller.
-pub(crate) fn field_u64(v: &Value, key: &str) -> PlatformResult<u64> {
-    v[key]
-        .as_i64()
-        .filter(|n| *n >= 0)
-        .map(|n| n as u64)
-        .ok_or_else(|| PlatformError::Transport(format!("response missing {key:?}")))
-}
-
-pub(crate) fn field_str(v: &Value, key: &str) -> PlatformResult<String> {
-    v[key]
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| PlatformError::Transport(format!("response missing {key:?}")))
-}
-
-pub(crate) fn u64_array(v: &Value, key: &str) -> PlatformResult<Vec<u64>> {
-    v[key]
-        .as_array()
-        .ok_or_else(|| PlatformError::Transport(format!("response missing {key:?}")))?
-        .iter()
-        .map(|n| {
-            n.as_i64()
-                .filter(|x| *x >= 0)
-                .map(|x| x as u64)
-                .ok_or_else(|| PlatformError::Transport(format!("non-numeric {key:?} entry")))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn error_codes_are_stable_and_bijective() {
-        let all = [
-            PlatformError::Invalid("x".into()),
-            PlatformError::UnknownUser(1),
-            PlatformError::UnknownProject(2),
-            PlatformError::UnknownExperiment(3),
-            PlatformError::UnknownTask(4),
-            PlatformError::UnknownQuery(5),
-            PlatformError::AccessDenied("y".into()),
-            PlatformError::Grammar("z".into()),
-            PlatformError::PoolFull(9),
-            PlatformError::Publication("p".into()),
-            PlatformError::Transport("t".into()),
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for err in &all {
-            let code = ErrorCode::of(err);
-            assert!(seen.insert(code.as_u8()), "duplicate byte for {code:?}");
+        let mut bytes = std::collections::HashSet::new();
+        let mut codes = std::collections::HashSet::new();
+        for &code in ErrorCode::ALL {
+            assert!(bytes.insert(code.as_u8()), "duplicate byte for {code:?}");
+            assert!(codes.insert(code.as_str()), "duplicate string for {code:?}");
             assert_eq!(ErrorCode::from_u8(code.as_u8()), Some(code));
-            // The string codes agree with the error's own stable code.
-            assert_eq!(code.as_str(), err.code());
+            assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
             assert!(code.http_status() >= 400);
+            // Each code names one variant, with one kind of payload.
+            let err = PlatformError::from_code(code.as_str(), &Value::from(7))
+                .or_else(|_| PlatformError::from_code(code.as_str(), &Value::from("x")))
+                .unwrap();
+            assert_eq!(ErrorCode::of(&err), code);
+            assert_eq!(err.code(), code.as_str());
         }
+        assert_eq!(ErrorCode::ALL.len(), 12);
         assert_eq!(ErrorCode::from_u8(0), None);
         assert_eq!(ErrorCode::from_u8(200), None);
+    }
+
+    /// The connection-level frames of v2 use opcodes and reply kinds the
+    /// table leaves free, and v1 routes are unique.
+    #[test]
+    fn the_table_leaves_room_for_connection_frames() {
+        struct Empty;
+        impl Source for Empty {
+            type Error = ();
+            fn field<C: Field<T>, T>(&mut self, _: &'static str, _: Via) -> Result<T, ()> {
+                Err(())
+            }
+        }
+        for op in [0, 27, 28] {
+            assert!(matches!(Request::decode(op, &mut Empty), Ok(None)), "opcode {op}");
+        }
+        for kind in [0, 20] {
+            assert!(matches!(Reply::decode(kind, &mut Empty), Ok(None)), "kind {kind}");
+        }
+        let routes: std::collections::HashSet<_> = ROUTES.iter().map(|(r, _)| r).collect();
+        assert_eq!(routes.len(), ROUTES.len());
     }
 
     #[test]

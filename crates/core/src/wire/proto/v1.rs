@@ -1,46 +1,23 @@
 //! Protocol v1: the versioned `/v1` JSON-over-HTTP codec.
 //!
-//! Every operation of the in-process server is exposed as one endpoint.
-//! Request and response bodies are JSON built from the same hand-written
-//! serde impls the rest of the crate uses, so the wire format *is* the
-//! documented DTO format. Errors are serialized [`PlatformError`]s
-//! (`{"code", "message", "detail"}`) with the variant mapped to an HTTP
-//! status by [`ErrorCode::http_status`] — the client reconstructs the
-//! exact typed error from the body.
+//! Every operation of the in-process server is one endpoint; the message
+//! table in [`super`] gives each op's method and route and where each of
+//! its fields rides — a member of the JSON body, the whole body, a `:id`
+//! path segment or a query parameter. Bodies are JSON objects (keys in
+//! byte order) built from each field type's one JSON form, so the wire
+//! format *is* the documented DTO format. A reply is `{key: payload}`,
+//! `{}` for [`Reply::Unit`], the payload object itself for the queue
+//! summary, metrics snapshot and execution outcome, and `text/plain` for
+//! the CSV export. An absent option is `null`; a missing key reads as
+//! `null`. Errors are serialized [`PlatformError`]s — a bare
+//! `{"code", "detail", "message"}` object — under the HTTP status of
+//! their [`ErrorCode`], and the client reconstructs the exact typed
+//! error from the body.
 //!
 //! Both directions of the codec live here: [`decode_http`]/
 //! [`encode_reply`] are the server side, [`encode_request`]/
 //! [`decode_reply`] the client side. Execution goes through the shared
 //! [`dispatch`], same as v2.
-//!
-//! | Method & path                                      | Body → Response |
-//! |----------------------------------------------------|-----------------|
-//! | `POST /v1/user/register`                           | `{nickname, email}` → `{user}` |
-//! | `POST /v1/user/key`                                | `{user}` → `{key}` |
-//! | `GET  /v1/dbms`                                    | → `{labels}` |
-//! | `POST /v1/dbms`                                    | `DbmsEntry` → `{}` |
-//! | `POST /v1/host`                                    | `HostEntry` → `{}` |
-//! | `POST /v1/project/create`                          | `{owner, title, synopsis, visibility}` → `{project}` |
-//! | `POST /v1/project/{p}/invite`                      | `{owner, user}` → `{}` |
-//! | `POST /v1/project/{p}/targets`                     | `{actor, dbms_labels, hosts}` → `{}` |
-//! | `POST /v1/project/{p}/comment`                     | `{author, text}` → `{}` |
-//! | `POST /v1/project/{p}/take_down`                   | `{}` → `{}` |
-//! | `GET  /v1/project/{p}/role?user=`                  | → `{role}` |
-//! | `POST /v1/project/{p}/experiment`                  | `{actor, title, baseline_sql, grammar?, template_cap, pool_cap}` → `{experiment}` |
-//! | `POST /v1/project/{p}/experiment/{e}/seed`         | `{actor, n_random, seed}` → `{seeded}` |
-//! | `POST /v1/project/{p}/experiment/{e}/morph`        | `{actor, strategy?, steps, seed}` → `{added}` |
-//! | `POST /v1/project/{p}/experiment/{e}/enqueue`      | `{actor}` → `{enqueued}` |
-//! | `GET  /v1/project/{p}/results?key=`                | → `{results}` |
-//! | `GET  /v1/project/{p}/csv?viewer=`                 | → CSV text |
-//! | `POST /v1/result/hide`                             | `{project, actor, index, hidden}` → `{}` |
-//! | `POST /v1/task/request`                            | `{key, dbms_label, host, claim?}` → `{task}` (`task` may be null) |
-//! | `POST /v1/result/report`                           | `{key, task, outcome}` → `{index}` |
-//! | `POST /v1/result/report_batch`                     | `{key, reports: [{task, outcome}…]}` → `{indices}` |
-//! | `GET  /v1/queue/summary`                           | → `QueueSummary` |
-//! | `POST /v1/queue/reap`                              | `{timeout_ms}` → `{reaped}` |
-//! | `POST /v1/task/{t}/requeue`                        | `{}` → `{}` |
-//! | `GET  /v1/metrics`                                 | → `MetricsSnapshot` |
-//! | `POST /v1/execute`                                 | `{sql, fingerprint?}` → `ExecOutcome` |
 //!
 //! Every request is counted into the server's
 //! [`MetricsRegistry`](crate::metrics::MetricsRegistry) under
@@ -49,23 +26,13 @@
 //! (`wire.status.2xx` …) and a per-route latency histogram
 //! (`wire.latency.<METHOD /path>`), all served back by `GET /v1/metrics`.
 
-use super::{
-    need, need_bool, need_str, need_strings, need_u64, obj, status_counter, strings, ErrorCode,
-    ExecOutcome, Reply, Request,
-};
-use crate::catalog::{DbmsEntry, HostEntry, Visibility};
-use crate::driver::RunOutcome;
+use super::field::Field;
+use super::{status_counter, ErrorCode, Reply, Request, Source, Via, Visit, ROUTES};
 use crate::error::{PlatformError, PlatformResult};
-use crate::metrics::MetricsSnapshot;
-use crate::pool::QueryId;
-use crate::project::{ExperimentId, ProjectId, Role};
-use crate::queue::{QueueSummary, Task, TaskId};
-use crate::results::ResultRecord;
 use crate::server::SqalpelServer;
-use crate::user::{ContributorKey, UserId};
 use crate::wire::dispatch::{dispatch, ExecBackend};
 use crate::wire::transport::http::{Request as WireRequest, Response as WireResponse};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Value};
 
 /// The HTTP status carrying each error variant. Part of the v1 protocol.
 pub fn status_of(err: &PlatformError) -> u16 {
@@ -77,41 +44,6 @@ fn error_response(status: u16, err: &PlatformError) -> WireResponse {
         status,
         serde_json::to_string(err).expect("error serializes"),
     )
-}
-
-fn ok(value: Value) -> WireResponse {
-    WireResponse::json(
-        200,
-        serde_json::to_string(&value).expect("value serializes"),
-    )
-}
-
-fn seg_id(seg: &str, what: &str) -> PlatformResult<u64> {
-    seg.parse()
-        .map_err(|_| PlatformError::Invalid(format!("{what} id {seg:?} is not a number")))
-}
-
-fn query_u64(req: &WireRequest, key: &str) -> PlatformResult<u64> {
-    req.query_param(key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PlatformError::Invalid(format!("missing query parameter {key:?}")))
-}
-
-fn fingerprint_of(v: &Value) -> PlatformResult<Option<u64>> {
-    match v {
-        Value::Null => Ok(None),
-        v => v
-            .as_str()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .map(Some)
-            .ok_or_else(|| {
-                PlatformError::Invalid("fingerprint must be a hex string".into())
-            }),
-    }
-}
-
-fn hex_fp(fp: u64) -> Value {
-    format!("{fp:016x}").into()
 }
 
 // --------------------------------------------------------------- serving
@@ -168,297 +100,147 @@ pub(crate) fn route_label(req: &WireRequest) -> String {
     format!("{} /{}", req.method, parts.join("/"))
 }
 
-/// Decode one HTTP request into a typed [`Request`]. A failure is the
-/// ready-to-send error response: unknown endpoints stay 404 (a routing
-/// miss, not an invalid argument), everything else carries the status of
-/// its typed error.
+/// A request's fields as v1 carries them: path ids, query, lazily parsed
+/// JSON body.
+struct Inbound<'a> {
+    req: &'a WireRequest,
+    /// The segments the route's `:id`s matched, in order.
+    ids: std::vec::IntoIter<&'a str>,
+    body: Option<Value>,
+}
+
+impl Inbound<'_> {
+    fn body(&mut self) -> PlatformResult<&mut Value> {
+        if self.body.is_none() {
+            let parsed = if self.req.body.is_empty() {
+                Value::Null
+            } else {
+                let text = std::str::from_utf8(&self.req.body)
+                    .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?;
+                serde_json::from_str(text)
+                    .map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))?
+            };
+            self.body = Some(parsed);
+        }
+        Ok(self.body.as_mut().expect("just parsed"))
+    }
+}
+
+impl Source for Inbound<'_> {
+    type Error = PlatformError;
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
+        let value = match via {
+            Via::Body => match self.body()? {
+                Value::Object(members) => members.remove(name).unwrap_or_default(),
+                _ => Value::Null,
+            },
+            Via::Whole | Via::Text => std::mem::take(self.body()?),
+            Via::Path => {
+                let seg = self.ids.next().expect("a route has one `:id` per path field");
+                let id = seg.parse::<u64>().map_err(|_| {
+                    PlatformError::Invalid(format!("{name} id {seg:?} is not a number"))
+                })?;
+                Value::from(id)
+            }
+            Via::Query => {
+                let missing = || PlatformError::Invalid(format!("missing query parameter {name:?}"));
+                let text = self.req.query_param(name).ok_or_else(missing)?;
+                // Keys are text, ids numbers: read whichever the type takes.
+                return C::from_json(Value::from(text), name).or_else(|_| {
+                    let id = text.parse::<u64>().map_err(|_| missing())?;
+                    C::from_json(Value::from(id), name).map_err(PlatformError::Invalid)
+                });
+            }
+        };
+        C::from_json(value, name).map_err(PlatformError::Invalid)
+    }
+}
+
+/// Decode one HTTP request into a typed [`Request`]: the first table row
+/// whose method and route match, its fields read from wherever the row
+/// says they ride. A failure is the ready-to-send error response: unknown
+/// endpoints stay 404 (a routing miss, not an invalid argument),
+/// everything else carries the status of its typed error.
 pub fn decode_http(req: &WireRequest) -> Result<Request, WireResponse> {
     let segments = req.segments();
-    let route = decode_route(req, &segments);
-    match route {
-        Some(Ok(op)) => Ok(op),
-        Some(Err(e)) => Err(error_response(status_of(&e), &e)),
-        None => Err(error_response(
+    let matched = ROUTES.iter().find_map(|(route, op)| {
+        let (method, path) = route.split_once(' ').expect("a route is `METHOD /path`");
+        let pattern = path.split('/').filter(|s| !s.is_empty());
+        if method != req.method || pattern.clone().count() != segments.len() {
+            return None;
+        }
+        let mut ids = Vec::new();
+        for (want, got) in pattern.zip(&segments) {
+            match want {
+                ":id" => ids.push(*got),
+                literal if literal == *got => {}
+                _ => return None,
+            }
+        }
+        Some((*op, ids))
+    });
+    let Some((op, ids)) = matched else {
+        return Err(error_response(
             404,
             &PlatformError::Invalid(format!("no endpoint {} {}", req.method, req.path)),
-        )),
-    }
-}
-
-/// `None` means "no such endpoint"; `Some(Err)` a recognized endpoint
-/// with a bad body or path id.
-fn decode_route(req: &WireRequest, segments: &[&str]) -> Option<PlatformResult<Request>> {
-    // Wrap the fallible part so `?` works inside.
-    macro_rules! hit {
-        ($e:expr) => {{
-            #[allow(clippy::redundant_closure_call)]
-            let decoded = (|| -> PlatformResult<Request> { $e })();
-            Some(decoded)
-        }};
-    }
-    let body = || -> PlatformResult<Value> {
-        if req.body.is_empty() {
-            return Ok(Value::Null);
-        }
-        let text = std::str::from_utf8(&req.body)
-            .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?;
-        serde_json::from_str(text)
-            .map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))
+        ));
     };
+    let mut inbound = Inbound { req, ids: ids.into_iter(), body: None };
+    Request::decode(op as u8, &mut inbound)
+        .map(|op| op.expect("every route names a table op"))
+        .map_err(|e| error_response(status_of(&e), &e))
+}
 
-    match (req.method.as_str(), segments) {
-        ("POST", ["v1", "user", "register"]) => hit!({
-            let body = body()?;
-            Ok(Request::RegisterUser {
-                nickname: need_str(&body, "nickname")?,
-                email: need_str(&body, "email")?,
-            })
-        }),
-        ("POST", ["v1", "user", "key"]) => hit!({
-            let body = body()?;
-            Ok(Request::IssueKey {
-                user: UserId(need_u64(&body, "user")?),
-            })
-        }),
-        ("GET", ["v1", "dbms"]) => hit!(Ok(Request::DbmsLabels)),
-        ("POST", ["v1", "dbms"]) => hit!(Ok(Request::AddDbms {
-            entry: need::<DbmsEntry>(&body()?, "dbms entry")?,
-        })),
-        ("POST", ["v1", "host"]) => hit!(Ok(Request::AddHost {
-            entry: need::<HostEntry>(&body()?, "host entry")?,
-        })),
-        ("POST", ["v1", "project", "create"]) => hit!({
-            let body = body()?;
-            Ok(Request::CreateProject {
-                owner: UserId(need_u64(&body, "owner")?),
-                title: need_str(&body, "title")?,
-                synopsis: need_str(&body, "synopsis")?,
-                visibility: need::<Visibility>(&body["visibility"], "visibility")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "invite"]) => hit!({
-            let body = body()?;
-            Ok(Request::Invite {
-                project: ProjectId(seg_id(p, "project")?),
-                owner: UserId(need_u64(&body, "owner")?),
-                user: UserId(need_u64(&body, "user")?),
-            })
-        }),
-        ("POST", ["v1", "project", p, "targets"]) => hit!({
-            let body = body()?;
-            Ok(Request::SetTargets {
-                project: ProjectId(seg_id(p, "project")?),
-                actor: UserId(need_u64(&body, "actor")?),
-                dbms_labels: need_strings(&body, "dbms_labels")?,
-                hosts: need_strings(&body, "hosts")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "comment"]) => hit!({
-            let body = body()?;
-            Ok(Request::Comment {
-                project: ProjectId(seg_id(p, "project")?),
-                author: UserId(need_u64(&body, "author")?),
-                text: need_str(&body, "text")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "take_down"]) => hit!(Ok(Request::TakeDown {
-            project: ProjectId(seg_id(p, "project")?),
-        })),
-        ("GET", ["v1", "project", p, "role"]) => hit!(Ok(Request::RoleOf {
-            project: ProjectId(seg_id(p, "project")?),
-            user: UserId(query_u64(req, "user")?),
-        })),
-        ("POST", ["v1", "project", p, "experiment"]) => hit!({
-            let body = body()?;
-            let grammar = match &body["grammar"] {
-                Value::Null => None,
-                v => Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            PlatformError::Invalid("grammar must be a string".into())
-                        })?
-                        .to_string(),
-                ),
-            };
-            Ok(Request::AddExperiment {
-                project: ProjectId(seg_id(p, "project")?),
-                actor: UserId(need_u64(&body, "actor")?),
-                title: need_str(&body, "title")?,
-                baseline_sql: need_str(&body, "baseline_sql")?,
-                grammar,
-                template_cap: need_u64(&body, "template_cap")?,
-                pool_cap: need_u64(&body, "pool_cap")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "experiment", e, "seed"]) => hit!({
-            let body = body()?;
-            Ok(Request::SeedPool {
-                project: ProjectId(seg_id(p, "project")?),
-                experiment: ExperimentId(seg_id(e, "experiment")?),
-                actor: UserId(need_u64(&body, "actor")?),
-                n_random: need_u64(&body, "n_random")?,
-                seed: need_u64(&body, "seed")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "experiment", e, "morph"]) => hit!({
-            let body = body()?;
-            let strategy = match &body["strategy"] {
-                Value::Null => None,
-                v => Some(
-                    v.as_str()
-                        .ok_or_else(|| {
-                            PlatformError::Invalid("strategy must be a string".into())
-                        })?
-                        .to_string(),
-                ),
-            };
-            Ok(Request::MorphPool {
-                project: ProjectId(seg_id(p, "project")?),
-                experiment: ExperimentId(seg_id(e, "experiment")?),
-                actor: UserId(need_u64(&body, "actor")?),
-                strategy,
-                steps: need_u64(&body, "steps")?,
-                seed: need_u64(&body, "seed")?,
-            })
-        }),
-        ("POST", ["v1", "project", p, "experiment", e, "enqueue"]) => hit!({
-            let body = body()?;
-            Ok(Request::EnqueueExperiment {
-                project: ProjectId(seg_id(p, "project")?),
-                experiment: ExperimentId(seg_id(e, "experiment")?),
-                actor: UserId(need_u64(&body, "actor")?),
-            })
-        }),
-        ("GET", ["v1", "project", p, "results"]) => hit!(Ok(Request::ResultsForKey {
-            project: ProjectId(seg_id(p, "project")?),
-            key: ContributorKey(
-                req.query_param("key")
-                    .ok_or_else(|| {
-                        PlatformError::Invalid("missing query parameter \"key\"".into())
-                    })?
-                    .to_string(),
-            ),
-        })),
-        ("GET", ["v1", "project", p, "csv"]) => hit!(Ok(Request::ExportCsv {
-            project: ProjectId(seg_id(p, "project")?),
-            viewer: UserId(query_u64(req, "viewer")?),
-        })),
-        ("POST", ["v1", "result", "hide"]) => hit!({
-            let body = body()?;
-            Ok(Request::HideResult {
-                project: ProjectId(need_u64(&body, "project")?),
-                actor: UserId(need_u64(&body, "actor")?),
-                index: need_u64(&body, "index")?,
-                hidden: need_bool(&body, "hidden")?,
-            })
-        }),
-        ("POST", ["v1", "task", "request"]) => hit!({
-            let body = body()?;
-            let claim = match &body["claim"] {
-                Value::Null => None,
-                v => Some(v.as_i64().filter(|n| *n >= 0).map(|n| n as u64).ok_or_else(
-                    || PlatformError::Invalid("claim must be a number".into()),
-                )?),
-            };
-            Ok(Request::RequestTask {
-                key: ContributorKey(need_str(&body, "key")?),
-                dbms_label: need_str(&body, "dbms_label")?,
-                host: need_str(&body, "host")?,
-                claim,
-            })
-        }),
-        ("POST", ["v1", "result", "report"]) => hit!({
-            let body = body()?;
-            Ok(Request::ReportResult {
-                key: ContributorKey(need_str(&body, "key")?),
-                task: TaskId(need_u64(&body, "task")?),
-                outcome: need::<RunOutcome>(&body["outcome"], "run outcome")?,
-            })
-        }),
-        ("POST", ["v1", "result", "report_batch"]) => hit!({
-            let body = body()?;
-            let reports = body["reports"]
-                .as_array()
-                .ok_or_else(|| {
-                    PlatformError::Invalid("missing array field \"reports\"".into())
-                })?
-                .iter()
-                .map(|entry| {
-                    Ok((
-                        TaskId(need_u64(entry, "task")?),
-                        need::<RunOutcome>(&entry["outcome"], "run outcome")?,
-                    ))
-                })
-                .collect::<PlatformResult<Vec<_>>>()?;
-            Ok(Request::ReportBatch {
-                key: ContributorKey(need_str(&body, "key")?),
-                reports,
-            })
-        }),
-        ("GET", ["v1", "queue", "summary"]) => hit!(Ok(Request::QueueSummary)),
-        ("POST", ["v1", "queue", "reap"]) => hit!(Ok(Request::ReapStuck {
-            timeout_ms: need_u64(&body()?, "timeout_ms")?,
-        })),
-        ("POST", ["v1", "task", t, "requeue"]) => hit!(Ok(Request::Requeue {
-            task: TaskId(seg_id(t, "task")?),
-        })),
-        ("GET", ["v1", "metrics"]) => hit!(Ok(Request::Metrics)),
-        ("POST", ["v1", "execute"]) => hit!({
-            let body = body()?;
-            Ok(Request::Execute {
-                sql: need_str(&body, "sql")?,
-                fingerprint: fingerprint_of(&body["fingerprint"])?,
-            })
-        }),
-        _ => None,
+/// A message's fields laid out the v1 way.
+#[derive(Default)]
+struct Outbound {
+    /// The route with each `:id` replaced in turn.
+    path: String,
+    query: Vec<(String, String)>,
+    members: serde_json::Map,
+    whole: Option<Value>,
+}
+
+impl Visit for Outbound {
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via, value: &T) {
+        let json = C::to_json(value);
+        let text = |json: Value| match json {
+            Value::String(s) => s,
+            other => other.to_string(),
+        };
+        match via {
+            Via::Body => {
+                self.members.insert(name.into(), json);
+            }
+            Via::Whole | Via::Text => self.whole = Some(json),
+            Via::Path => self.path = self.path.replacen(":id", &text(json), 1),
+            Via::Query => self.query.push((name.into(), text(json))),
+        }
     }
 }
 
-/// Encode one dispatched outcome as the v1 HTTP response. The JSON
-/// shapes here are the crate's original `/v1` contract, unchanged.
+impl Outbound {
+    /// The JSON body: the whole-body field, else the members.
+    fn body(self) -> Value {
+        self.whole.unwrap_or(Value::Object(self.members))
+    }
+}
+
+fn json_bytes(v: &Value) -> Vec<u8> {
+    serde_json::to_string(v).expect("value serializes").into_bytes()
+}
+
+/// Encode one dispatched outcome as the v1 HTTP response.
 pub fn encode_reply(outcome: &PlatformResult<Reply>) -> WireResponse {
     let reply = match outcome {
         Ok(reply) => reply,
         Err(e) => return error_response(status_of(e), e),
     };
-    match reply {
-        Reply::Unit => ok(obj(vec![])),
-        Reply::User(u) => ok(obj(vec![("user", u.0.into())])),
-        Reply::Key(k) => ok(obj(vec![("key", k.0.clone().into())])),
-        Reply::Labels(labels) => ok(obj(vec![("labels", strings(labels))])),
-        Reply::Project(p) => ok(obj(vec![("project", p.0.into())])),
-        Reply::Role(role) => ok(obj(vec![("role", role.to_value())])),
-        Reply::Experiment(e) => ok(obj(vec![("experiment", e.0.into())])),
-        Reply::Seeded(n) => ok(obj(vec![("seeded", (*n).into())])),
-        Reply::Added(ids) => ok(obj(vec![(
-            "added",
-            Value::Array(ids.iter().map(|q| q.0.into()).collect()),
-        )])),
-        Reply::Enqueued(n) => ok(obj(vec![("enqueued", (*n).into())])),
-        Reply::Results(records) => ok(obj(vec![(
-            "results",
-            Value::Array(records.iter().map(|r| r.to_value()).collect()),
-        )])),
-        Reply::Csv(csv) => WireResponse::text(200, csv.clone()),
-        Reply::Handout(task) => ok(obj(vec![(
-            "task",
-            match task {
-                Some(t) => t.to_value(),
-                None => Value::Null,
-            },
-        )])),
-        Reply::Index(n) => ok(obj(vec![("index", (*n).into())])),
-        Reply::Batch(indices) => ok(obj(vec![(
-            "indices",
-            Value::Array(indices.iter().map(|n| (*n).into()).collect()),
-        )])),
-        Reply::Queue(summary) => ok(summary.to_value()),
-        Reply::Reaped(ids) => ok(obj(vec![(
-            "reaped",
-            Value::Array(ids.iter().map(|t| t.0.into()).collect()),
-        )])),
-        Reply::Metrics(snapshot) => ok(snapshot.to_value()),
-        Reply::Execution(out) => ok(out.to_value()),
+    let mut out = Outbound::default();
+    reply.visit(&mut out);
+    match (reply.kind().via(), out.body()) {
+        (Via::Text, Value::String(text)) => WireResponse::text(200, text),
+        (_, body) => WireResponse::json(200, json_bytes(&body)),
     }
 }
 
@@ -466,257 +248,33 @@ pub fn encode_reply(outcome: &PlatformResult<Reply>) -> WireResponse {
 
 /// Encode one typed request as the v1 HTTP request the server routes.
 pub fn encode_request(op: &Request) -> WireRequest {
-    fn get(path: String, query: Vec<(&str, String)>) -> WireRequest {
-        WireRequest {
-            method: "GET".into(),
-            path,
-            query: query.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            body: Vec::new(),
-        }
-    }
-    fn post(path: String, body: Value) -> WireRequest {
-        WireRequest {
-            method: "POST".into(),
-            path,
-            query: Vec::new(),
-            body: serde_json::to_string(&body)
-                .expect("request body serializes")
-                .into_bytes(),
-        }
-    }
+    let (method, path) = op.route().split_once(' ').expect("a route is `METHOD /path`");
+    let mut out = Outbound { path: path.into(), ..Outbound::default() };
+    op.visit(&mut out);
+    let (path, query) = (std::mem::take(&mut out.path), std::mem::take(&mut out.query));
+    let body = if method == "GET" { Vec::new() } else { json_bytes(&out.body()) };
+    WireRequest { method: method.into(), path, query, body }
+}
 
-    match op {
-        Request::RegisterUser { nickname, email } => post(
-            "/v1/user/register".into(),
-            obj(vec![
-                ("nickname", nickname.clone().into()),
-                ("email", email.clone().into()),
-            ]),
-        ),
-        Request::IssueKey { user } => post(
-            "/v1/user/key".into(),
-            obj(vec![("user", user.0.into())]),
-        ),
-        Request::AddDbms { entry } => post("/v1/dbms".into(), entry.to_value()),
-        Request::AddHost { entry } => post("/v1/host".into(), entry.to_value()),
-        Request::DbmsLabels => get("/v1/dbms".into(), vec![]),
-        Request::CreateProject {
-            owner,
-            title,
-            synopsis,
-            visibility,
-        } => post(
-            "/v1/project/create".into(),
-            obj(vec![
-                ("owner", owner.0.into()),
-                ("title", title.clone().into()),
-                ("synopsis", synopsis.clone().into()),
-                ("visibility", visibility.to_value()),
-            ]),
-        ),
-        Request::Invite { project, owner, user } => post(
-            format!("/v1/project/{}/invite", project.0),
-            obj(vec![("owner", owner.0.into()), ("user", user.0.into())]),
-        ),
-        Request::SetTargets {
-            project,
-            actor,
-            dbms_labels,
-            hosts,
-        } => post(
-            format!("/v1/project/{}/targets", project.0),
-            obj(vec![
-                ("actor", actor.0.into()),
-                ("dbms_labels", strings(dbms_labels)),
-                ("hosts", strings(hosts)),
-            ]),
-        ),
-        Request::Comment { project, author, text } => post(
-            format!("/v1/project/{}/comment", project.0),
-            obj(vec![
-                ("author", author.0.into()),
-                ("text", text.clone().into()),
-            ]),
-        ),
-        Request::TakeDown { project } => post(
-            format!("/v1/project/{}/take_down", project.0),
-            obj(vec![]),
-        ),
-        Request::RoleOf { project, user } => get(
-            format!("/v1/project/{}/role", project.0),
-            vec![("user", user.0.to_string())],
-        ),
-        Request::AddExperiment {
-            project,
-            actor,
-            title,
-            baseline_sql,
-            grammar,
-            template_cap,
-            pool_cap,
-        } => post(
-            format!("/v1/project/{}/experiment", project.0),
-            obj(vec![
-                ("actor", actor.0.into()),
-                ("title", title.clone().into()),
-                ("baseline_sql", baseline_sql.clone().into()),
-                (
-                    "grammar",
-                    match grammar {
-                        Some(src) => src.clone().into(),
-                        None => Value::Null,
-                    },
-                ),
-                ("template_cap", (*template_cap).into()),
-                ("pool_cap", (*pool_cap).into()),
-            ]),
-        ),
-        Request::SeedPool {
-            project,
-            experiment,
-            actor,
-            n_random,
-            seed,
-        } => post(
-            format!("/v1/project/{}/experiment/{}/seed", project.0, experiment.0),
-            obj(vec![
-                ("actor", actor.0.into()),
-                ("n_random", (*n_random).into()),
-                ("seed", (*seed).into()),
-            ]),
-        ),
-        Request::MorphPool {
-            project,
-            experiment,
-            actor,
-            strategy,
-            steps,
-            seed,
-        } => post(
-            format!("/v1/project/{}/experiment/{}/morph", project.0, experiment.0),
-            obj(vec![
-                ("actor", actor.0.into()),
-                (
-                    "strategy",
-                    match strategy {
-                        Some(name) => name.clone().into(),
-                        None => Value::Null,
-                    },
-                ),
-                ("steps", (*steps).into()),
-                ("seed", (*seed).into()),
-            ]),
-        ),
-        Request::EnqueueExperiment {
-            project,
-            experiment,
-            actor,
-        } => post(
-            format!(
-                "/v1/project/{}/experiment/{}/enqueue",
-                project.0, experiment.0
-            ),
-            obj(vec![("actor", actor.0.into())]),
-        ),
-        Request::ResultsForKey { project, key } => get(
-            format!("/v1/project/{}/results", project.0),
-            vec![("key", key.0.clone())],
-        ),
-        Request::ExportCsv { project, viewer } => get(
-            format!("/v1/project/{}/csv", project.0),
-            vec![("viewer", viewer.0.to_string())],
-        ),
-        Request::HideResult {
-            project,
-            actor,
-            index,
-            hidden,
-        } => post(
-            "/v1/result/hide".into(),
-            obj(vec![
-                ("project", project.0.into()),
-                ("actor", actor.0.into()),
-                ("index", (*index).into()),
-                ("hidden", (*hidden).into()),
-            ]),
-        ),
-        Request::RequestTask {
-            key,
-            dbms_label,
-            host,
-            claim,
-        } => post(
-            "/v1/task/request".into(),
-            obj(vec![
-                ("key", key.0.clone().into()),
-                ("dbms_label", dbms_label.clone().into()),
-                ("host", host.clone().into()),
-                (
-                    "claim",
-                    match claim {
-                        Some(n) => (*n).into(),
-                        None => Value::Null,
-                    },
-                ),
-            ]),
-        ),
-        Request::ReportResult { key, task, outcome } => post(
-            "/v1/result/report".into(),
-            obj(vec![
-                ("key", key.0.clone().into()),
-                ("task", task.0.into()),
-                ("outcome", outcome.to_value()),
-            ]),
-        ),
-        Request::ReportBatch { key, reports } => post(
-            "/v1/result/report_batch".into(),
-            obj(vec![
-                ("key", key.0.clone().into()),
-                (
-                    "reports",
-                    Value::Array(
-                        reports
-                            .iter()
-                            .map(|(task, outcome)| {
-                                obj(vec![
-                                    ("task", task.0.into()),
-                                    ("outcome", outcome.to_value()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        Request::QueueSummary => get("/v1/queue/summary".into(), vec![]),
-        Request::ReapStuck { timeout_ms } => post(
-            "/v1/queue/reap".into(),
-            obj(vec![("timeout_ms", (*timeout_ms).into())]),
-        ),
-        Request::Requeue { task } => post(
-            format!("/v1/task/{}/requeue", task.0),
-            obj(vec![]),
-        ),
-        Request::Metrics => get("/v1/metrics".into(), vec![]),
-        Request::Execute { sql, fingerprint } => post(
-            "/v1/execute".into(),
-            obj(vec![
-                ("sql", sql.clone().into()),
-                (
-                    "fingerprint",
-                    match fingerprint {
-                        Some(fp) => hex_fp(*fp),
-                        None => Value::Null,
-                    },
-                ),
-            ]),
-        ),
+/// A reply's payload as v1 carries it.
+struct ReplyBody(Value);
+
+impl Source for ReplyBody {
+    type Error = PlatformError;
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
+        let value = match (via, &mut self.0) {
+            (Via::Body, Value::Object(members)) => members.remove(name).unwrap_or_default(),
+            (Via::Body, _) => Value::Null,
+            _ => std::mem::take(&mut self.0),
+        };
+        C::from_json(value, name).map_err(|e| PlatformError::Transport(format!("malformed response: {e}")))
     }
 }
 
-/// Decode the v1 HTTP response to `op` back into a typed outcome. Error
-/// statuses reconstruct the exact [`PlatformError`]; malformed success
-/// bodies are [`PlatformError::Transport`] (the peer misbehaved).
+/// Decode the v1 HTTP response to `op` back into a typed outcome: the
+/// reply the table says `op` answers with. Error statuses reconstruct the
+/// exact [`PlatformError`]; malformed success bodies are
+/// [`PlatformError::Transport`] (the peer misbehaved).
 pub fn decode_reply(op: &Request, status: u16, body: &[u8]) -> PlatformResult<Reply> {
     let text = std::str::from_utf8(body)
         .map_err(|_| PlatformError::Transport("response body is not UTF-8".into()))?;
@@ -728,78 +286,22 @@ pub fn decode_reply(op: &Request, status: u16, body: &[u8]) -> PlatformResult<Re
             .map_err(|e| PlatformError::Transport(format!("unrecognized error body: {e}")))?;
         return Err(err);
     }
-    // CSV is the one raw-text response.
-    if let Request::ExportCsv { .. } = op {
-        return Ok(Reply::Csv(text.to_string()));
-    }
-    let v: Value = serde_json::from_str(text)
-        .map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?;
-    let bad = |what: &str, e: String| PlatformError::Transport(format!("bad {what}: {e}"));
-    Ok(match op {
-        Request::RegisterUser { .. } => Reply::User(UserId(super::field_u64(&v, "user")?)),
-        Request::IssueKey { .. } => Reply::Key(ContributorKey(super::field_str(&v, "key")?)),
-        Request::AddDbms { .. }
-        | Request::AddHost { .. }
-        | Request::Invite { .. }
-        | Request::SetTargets { .. }
-        | Request::Comment { .. }
-        | Request::TakeDown { .. }
-        | Request::HideResult { .. }
-        | Request::Requeue { .. } => Reply::Unit,
-        Request::DbmsLabels => Reply::Labels(
-            need_strings(&v, "labels").map_err(|e| {
-                PlatformError::Transport(format!("response missing \"labels\": {e}"))
-            })?,
-        ),
-        Request::CreateProject { .. } => {
-            Reply::Project(ProjectId(super::field_u64(&v, "project")?))
-        }
-        Request::RoleOf { .. } => {
-            Reply::Role(Role::from_value(&v["role"]).map_err(|e| bad("role", e))?)
-        }
-        Request::AddExperiment { .. } => {
-            Reply::Experiment(ExperimentId(super::field_u64(&v, "experiment")?))
-        }
-        Request::SeedPool { .. } => Reply::Seeded(super::field_u64(&v, "seeded")?),
-        Request::MorphPool { .. } => Reply::Added(
-            super::u64_array(&v, "added")?.into_iter().map(QueryId).collect(),
-        ),
-        Request::EnqueueExperiment { .. } => Reply::Enqueued(super::field_u64(&v, "enqueued")?),
-        Request::ResultsForKey { .. } => Reply::Results(
-            v["results"]
-                .as_array()
-                .ok_or_else(|| PlatformError::Transport("response missing \"results\"".into()))?
-                .iter()
-                .map(ResultRecord::from_value)
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| bad("result record", e))?,
-        ),
-        Request::ExportCsv { .. } => unreachable!("handled above"),
-        Request::RequestTask { .. } => Reply::Handout(match &v["task"] {
-            Value::Null => None,
-            t => Some(Task::from_value(t).map_err(|e| bad("task", e))?),
-        }),
-        Request::ReportResult { .. } => Reply::Index(super::field_u64(&v, "index")?),
-        Request::ReportBatch { .. } => Reply::Batch(super::u64_array(&v, "indices")?),
-        Request::QueueSummary => Reply::Queue(
-            QueueSummary::from_value(&v).map_err(|e| bad("queue summary", e))?,
-        ),
-        Request::ReapStuck { .. } => Reply::Reaped(
-            super::u64_array(&v, "reaped")?.into_iter().map(TaskId).collect(),
-        ),
-        Request::Metrics => Reply::Metrics(
-            MetricsSnapshot::from_value(&v).map_err(|e| bad("metrics snapshot", e))?,
-        ),
-        Request::Execute { .. } => Reply::Execution(
-            ExecOutcome::from_value(&v).map_err(|e| bad("exec outcome", e))?,
-        ),
-    })
+    let kind = op.reply_kind();
+    let value = match kind.via() {
+        Via::Text => Value::from(text),
+        _ => serde_json::from_str(text)
+            .map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?,
+    };
+    Ok(Reply::decode(kind as u8, &mut ReplyBody(value))?.expect("every reply kind is in the table"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::project::{ExperimentId, ProjectId};
     use crate::queue::QueueSummary;
+    use crate::user::UserId;
+    use serde_json::json;
 
     fn get(path: &str, query: Vec<(&str, &str)>) -> WireRequest {
         WireRequest {
@@ -834,7 +336,7 @@ mod tests {
             None,
             &post(
                 "/v1/user/register",
-                &obj(vec![("nickname", "mlk".into()), ("email", "mlk@cwi.nl".into())]),
+                &json!({"nickname": "mlk", "email": "mlk@cwi.nl"}),
             ),
         );
         assert_eq!(resp.status, 200);
@@ -845,12 +347,12 @@ mod tests {
             None,
             &post(
                 "/v1/project/create",
-                &obj(vec![
-                    ("owner", owner.into()),
-                    ("title", "demo".into()),
-                    ("synopsis", "api test".into()),
-                    ("visibility", "public".into()),
-                ]),
+                &json!({
+                    "owner": owner,
+                    "title": "demo",
+                    "synopsis": "api test",
+                    "visibility": "public",
+                }),
             ),
         );
         assert_eq!(resp.status, 200);
@@ -899,14 +401,14 @@ mod tests {
         let resp = handle(
             &server,
             None,
-            &post("/v1/project/99/take_down", &obj(vec![])),
+            &post("/v1/project/99/take_down", &json!({})),
         );
         assert_eq!(resp.status, 404);
         let err = PlatformError::from_value(&body_of(&resp)).unwrap();
         assert_eq!(err, PlatformError::UnknownProject(99));
 
         // Malformed body → 400 invalid.
-        let mut req = post("/v1/user/register", &obj(vec![]));
+        let mut req = post("/v1/user/register", &json!({}));
         req.body = b"not json".to_vec();
         let resp = handle(&server, None, &req);
         assert_eq!(resp.status, 400);
@@ -920,7 +422,7 @@ mod tests {
         let resp = handle(
             &server,
             None,
-            &post("/v1/execute", &obj(vec![("sql", "select 1 from t".into())])),
+            &post("/v1/execute", &json!({"sql": "select 1 from t"})),
         );
         assert_eq!(resp.status, 400);
 
@@ -930,11 +432,11 @@ mod tests {
             None,
             &post(
                 "/v1/task/request",
-                &obj(vec![
-                    ("key", "ck_bogus".into()),
-                    ("dbms_label", "rowstore-2.0".into()),
-                    ("host", "bench-server".into()),
-                ]),
+                &json!({
+                    "key": "ck_bogus",
+                    "dbms_label": "rowstore-2.0",
+                    "host": "bench-server",
+                }),
             ),
         );
         assert_eq!(resp.status, 403);

@@ -8,7 +8,7 @@
 //! encoding decisions live in the codec.
 
 use crate::driver::RunOutcome;
-use crate::error::{PlatformError, PlatformResult};
+use crate::error::PlatformResult;
 use crate::push::Notification;
 use crate::queue::TaskId;
 use crate::user::ContributorKey;
@@ -127,7 +127,17 @@ impl FramedConn {
 
     /// One serial request/response exchange.
     pub fn call(&mut self, req: &Request) -> io::Result<PlatformResult<Reply>> {
-        let sent = self.send(req)?;
+        self.exchange(|conn| conn.send(req))
+    }
+
+    /// Write one request however `send` does — a single frame, or a bulk
+    /// upload's continuation frames and summary — and read the response
+    /// to its tag.
+    pub fn exchange(
+        &mut self,
+        send: impl FnOnce(&mut FramedConn) -> io::Result<u32>,
+    ) -> io::Result<PlatformResult<Reply>> {
+        let sent = send(self)?;
         let (tag, outcome) = self.recv()?;
         if tag != sent {
             return Err(bad(format!(
@@ -246,10 +256,4 @@ impl FramedConn {
             }
         }
     }
-}
-
-/// Map an exhausted-retries io failure into the typed transport error,
-/// same wording as the v1 client uses.
-pub fn transport_error(detail: &str, attempts: u32) -> PlatformError {
-    PlatformError::Transport(format!("{detail} (after {attempts} attempts)"))
 }

@@ -21,6 +21,12 @@
 //!   each peak within the state plus twice the line's bytes (a buffer
 //!   grown by doubling): the line is written from the queue's own tasks
 //!   and read back one element at a time.
+//! * **A length prefix is checked before it allocates.** Three v2
+//!   frames whose counts announce far more than they carry — a 5-byte
+//!   bulk part claiming 2^22 pairs, a 16 MB part of 2 M task ids and no
+//!   outcomes, a 6-byte results reply claiming 2^22 records — each fail
+//!   to decode within twice the frame plus 64 KiB, and a server answers
+//!   the two requests `Invalid` on a connection that keeps serving.
 //!
 //! It also prints (`--nocapture`) the bytes a queued task and a stored
 //! result occupy — the numbers EXPERIMENTS.md quotes.
@@ -29,11 +35,15 @@
 //! would pollute each other's deltas.
 
 use sqalpel_core::durability::recover;
+use sqalpel_core::wire::proto::v2;
+use sqalpel_core::wire::{Reply, Request};
 use sqalpel_core::{
-    ContributorKey, DriverConfig, ExperimentDriver, MockConnector, ProjectId, RunOutcome,
-    SqalpelServer, UserId, Visibility,
+    ContributorKey, DriverConfig, ExperimentDriver, MockConnector, PlatformError, ProjectId,
+    RunOutcome, SqalpelServer, UserId, V2Config, V2Server, Visibility,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -171,6 +181,78 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sqalpel-alloc-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// `body` with the u32 count at `at` replaced by `n`, and `tail` bytes
+/// appended.
+fn announce(mut body: Vec<u8>, at: usize, n: u32, tail: usize) -> Vec<u8> {
+    body[at..at + 4].copy_from_slice(&n.to_le_bytes());
+    body.resize(body.len() + tail, 0);
+    body
+}
+
+fn send_frame(s: &mut std::net::TcpStream, tag: u32, body: &[u8]) {
+    s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(&tag.to_le_bytes()).unwrap();
+    s.write_all(body).unwrap();
+}
+
+fn reply_to(s: &mut std::net::TcpStream, tag: u32) -> v2::DecodedReply {
+    let mut header = [0u8; v2::HEADER_LEN];
+    s.read_exact(&mut header).unwrap();
+    assert_eq!(u32::from_le_bytes(header[4..].try_into().unwrap()), tag);
+    let mut body = vec![0u8; u32::from_le_bytes(header[..4].try_into().unwrap()) as usize];
+    s.read_exact(&mut body).unwrap();
+    v2::decode_reply(&body).unwrap()
+}
+
+/// Frames whose length prefixes announce more than they carry.
+fn hostile_length_prefixes() {
+    let empty_part = v2::encode_batch_part_frame(0, &[])[v2::HEADER_LEN..].to_vec();
+    let empty_results =
+        v2::encode_reply_frame(0, &Ok(Reply::Results(vec![])))[v2::HEADER_LEN..].to_vec();
+    let ids = 2_000_000;
+    let requests = [
+        announce(empty_part.clone(), 1, 1 << 22, 0),
+        announce(empty_part, 1, ids, 8 * ids as usize),
+    ];
+    let reply = announce(empty_results, 2, 1 << 22, 0);
+    for body in requests.iter().chain([&reply]) {
+        let before = live();
+        PEAK.store(before, Ordering::Relaxed);
+        let refused = if body == &reply {
+            v2::decode_reply(body).is_err()
+        } else {
+            v2::decode_request(body).is_err()
+        };
+        let peak = PEAK.load(Ordering::Relaxed) - before;
+        eprintln!("a {} B frame announcing more than it holds: decode peaked at {peak} B", body.len());
+        assert!(refused, "a {} B frame decoded", body.len());
+        assert!(
+            peak <= 2 * body.len() + 64 * 1024,
+            "a {} B frame allocated {peak} B before failing",
+            body.len()
+        );
+    }
+
+    // Over a live server: typed Invalid, and the connection keeps serving.
+    let server = Arc::new(SqalpelServer::new());
+    let wire = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default()).unwrap();
+    let mut s = std::net::TcpStream::connect(wire.local_addr()).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    s.write_all(&v2::encode_hello_frame(0)).unwrap();
+    assert!(matches!(reply_to(&mut s, 0), v2::DecodedReply::Hello { .. }));
+    for (tag, body) in (1..).zip(&requests) {
+        send_frame(&mut s, tag, body);
+        match reply_to(&mut s, tag) {
+            v2::DecodedReply::Outcome(Err(PlatformError::Invalid(m))) => assert!(m.contains("truncated"), "{m}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+    s.write_all(&v2::encode_request_frame(9, &Request::QueueSummary)).unwrap();
+    assert!(matches!(reply_to(&mut s, 9), v2::DecodedReply::Outcome(Ok(Reply::Queue(_)))));
+    drop(s);
+    drop(wire);
 }
 
 #[test]
@@ -337,4 +419,7 @@ fn claim_report_and_replay_cost_what_they_do() {
     );
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // ---- hostile length prefixes: refused before they allocate
+    hostile_length_prefixes();
 }
