@@ -101,8 +101,8 @@ cargo test -q --release -p sqalpel-engine --test parallel_adversarial
 # Profiling must be observation-only: both flights, both engines, 1 and 4
 # workers, profiler on vs off — identical results and row counts.
 cargo test -q --release -p sqalpel-engine --test metrics_invariance
-# The merge algebra under the profiler and the metrics histograms.
-cargo test -q --release -p sqalpel-engine --test profile_props
+# The metrics histograms' merge algebra: associative, commutative and
+# conserving every count under arbitrary recorded sequences.
 cargo test -q --release -p sqalpel-core --test metrics_props
 # Prepared expressions are unobservable: same values bit for bit and same
 # errors as the per-row tree walk they replaced (kept there as the
@@ -134,12 +134,16 @@ cargo test -q --release -p sqalpel-core --test admission_props
 # claim / unclaim / complete / reap / requeue sequences, and equal counts
 # again after snapshot -> restore and WAL -> streamed replay.
 cargo test -q --release -p sqalpel-core --test queue_props
-# The durable formats, byte for byte: the log, checkpoint and CSV the
-# last value-tree build wrote (tests/golden/, all 18 ops and every
-# checkpoint line kind) are what today's text sink writes and what its
-# lines re-encode to; text sink == tree sink on random records;
-# encode -> decode -> encode is a fixed point; the element-wise walk of a
-# bulk record equals whole-line parsing; a line cut at any byte is torn.
+# Every JSON type's one description, both directions: the log,
+# checkpoint and CSV the last value-tree build wrote (tests/golden/, all
+# 18 ops and every checkpoint line kind) are what today's text sink
+# writes and what its lines re-encode to; text sink == tree sink and
+# encode -> decode -> encode on random values of every table type (WAL
+# records, the v1 DTOs, metrics, errors); the legacy-input table (each
+# key older writers leave out reads as its default, every other key is
+# required, a non-hex fingerprint is an error and fails replay naming
+# its LSN); the element-wise walk of a bulk record equals whole-line
+# parsing; a line cut at any byte is torn.
 cargo test -q --release -p sqalpel-core --test wal_codec_props
 # The task path's allocation and memory contract: allocations per
 # request_task and report_result pinned (8 and 3 in memory, 9 and 4 on a

@@ -7,46 +7,31 @@
 //! [`crate::project`].
 
 use crate::error::{PlatformError, PlatformResult};
-use serde::{Deserialize, Serialize, Sink, Value};
 use std::collections::BTreeMap;
 
-/// Visibility of catalog entries and projects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
-    Public,
-    Private,
-}
-
-impl Serialize for Visibility {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.str(match self {
-            Visibility::Public => "public",
-            Visibility::Private => "private",
-        })
+serde::names! {
+    /// Visibility of catalog entries and projects.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Visibility {
+        Public = "public",
+        Private = "private",
     }
 }
 
-impl Deserialize for Visibility {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        match v.as_str().ok_or("visibility: expected a string")? {
-            "public" => Ok(Visibility::Public),
-            "private" => Ok(Visibility::Private),
-            other => Err(format!("unknown visibility {other:?}")),
-        }
+serde::object! {
+    /// A database system description, including the configuration knobs
+    /// whose documentation the paper argues must accompany any
+    /// measurement.
+    #[derive(Debug, Clone)]
+    pub struct DbmsEntry {
+        "name" => pub name: String,
+        /// Documented server settings (knob → value), e.g. buffer sizes,
+        /// index use, partitioning, compression.
+        "settings" => pub settings: BTreeMap<String, String> [default],
+        "vendor" => pub vendor: String,
+        "version" => pub version: String,
+        "visibility" => pub visibility: Visibility,
     }
-}
-
-/// A database system description, including the configuration knobs whose
-/// documentation the paper argues must accompany any measurement.
-#[derive(Debug, Clone)]
-pub struct DbmsEntry {
-    pub name: String,
-    pub version: String,
-    pub vendor: String,
-    /// Documented server settings (knob → value), e.g. buffer sizes,
-    /// index use, partitioning, compression.
-    pub settings: BTreeMap<String, String>,
-    pub visibility: Visibility,
 }
 
 impl DbmsEntry {
@@ -56,94 +41,17 @@ impl DbmsEntry {
     }
 }
 
-impl Serialize for DbmsEntry {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("name", &self.name);
-        s.key("settings");
-        s.begin_object();
-        for (k, v) in &self.settings {
-            s.field(k, v);
-        }
-        s.end_object();
-        s.field("vendor", &self.vendor);
-        s.field("version", &self.version);
-        s.field("visibility", &self.visibility);
-        s.end_object();
-    }
-}
-
-impl Deserialize for DbmsEntry {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let text = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or(format!("dbms entry: missing {k}"))
-        };
-        let mut settings = BTreeMap::new();
-        if let Some(map) = v["settings"].as_object() {
-            for (k, val) in map {
-                settings.insert(
-                    k.clone(),
-                    val.as_str().ok_or("dbms settings must be strings")?.to_string(),
-                );
-            }
-        }
-        Ok(DbmsEntry {
-            name: text("name")?,
-            version: text("version")?,
-            vendor: text("vendor")?,
-            settings,
-            visibility: Visibility::from_value(&v["visibility"])?,
-        })
-    }
-}
-
-/// A hardware platform description ("ranging from a Raspberry Pi up to
-/// Intel Xeon E5-4657L servers with 1TB RAM").
-#[derive(Debug, Clone)]
-pub struct HostEntry {
-    pub name: String,
-    pub cpu: String,
-    pub cores: u32,
-    pub ram_gb: u32,
-    pub os: String,
-    pub visibility: Visibility,
-}
-
-impl Serialize for HostEntry {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("cores", &self.cores);
-        s.field("cpu", &self.cpu);
-        s.field("name", &self.name);
-        s.field("os", &self.os);
-        s.field("ram_gb", &self.ram_gb);
-        s.field("visibility", &self.visibility);
-        s.end_object();
-    }
-}
-
-impl Deserialize for HostEntry {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let text = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or(format!("host entry: missing {k}"))
-        };
-        let num = |k: &str| {
-            v[k].as_i64()
-                .map(|x| x as u32)
-                .ok_or(format!("host entry: missing {k}"))
-        };
-        Ok(HostEntry {
-            name: text("name")?,
-            cpu: text("cpu")?,
-            cores: num("cores")?,
-            ram_gb: num("ram_gb")?,
-            os: text("os")?,
-            visibility: Visibility::from_value(&v["visibility"])?,
-        })
+serde::object! {
+    /// A hardware platform description ("ranging from a Raspberry Pi up
+    /// to Intel Xeon E5-4657L servers with 1TB RAM").
+    #[derive(Debug, Clone)]
+    pub struct HostEntry {
+        "cores" => pub cores: u32,
+        "cpu" => pub cpu: String,
+        "name" => pub name: String,
+        "os" => pub os: String,
+        "ram_gb" => pub ram_gb: u32,
+        "visibility" => pub visibility: Visibility,
     }
 }
 

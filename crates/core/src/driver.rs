@@ -14,7 +14,7 @@
 //! queue/driver testing.
 
 use crate::results::LoadAvg;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::Hex;
 use sqalpel_engine::Dbms;
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,57 +41,23 @@ pub trait Connector: Send + Sync {
     }
 }
 
-/// One operator's row of an executed profile — the wire-facing mirror of
-/// `sqalpel_engine::OpProfile`, flattened so the platform crate owns its
-/// own serialization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OperatorProfile {
-    /// Operator label, e.g. `"scan lineitem"`, `"join inner"`.
-    pub op: String,
-    pub rows_in: u64,
-    pub rows_out: u64,
-    pub batches: u64,
-    pub nanos: u64,
-    /// Storage chunks a scan materialized / skipped via zone maps. Zero
-    /// for non-scan operators and engines without chunked storage.
-    pub chunks_scanned: u64,
-    pub chunks_skipped: u64,
-}
-
-impl Serialize for OperatorProfile {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("batches", &self.batches);
-        s.field("chunks_scanned", &self.chunks_scanned);
-        s.field("chunks_skipped", &self.chunks_skipped);
-        s.field("nanos", &self.nanos);
-        s.field("op", &self.op);
-        s.field("rows_in", &self.rows_in);
-        s.field("rows_out", &self.rows_out);
-        s.end_object();
-    }
-}
-
-impl Deserialize for OperatorProfile {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |k: &str| -> Result<u64, String> {
-            v[k].as_i64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("operator profile: missing {k}"))
-        };
-        Ok(OperatorProfile {
-            op: v["op"]
-                .as_str()
-                .ok_or("operator profile: missing op")?
-                .to_string(),
-            rows_in: num("rows_in")?,
-            rows_out: num("rows_out")?,
-            batches: num("batches")?,
-            nanos: num("nanos")?,
-            // Absent in payloads recorded before chunked storage existed.
-            chunks_scanned: v["chunks_scanned"].as_i64().unwrap_or(0) as u64,
-            chunks_skipped: v["chunks_skipped"].as_i64().unwrap_or(0) as u64,
-        })
+serde::object! {
+    /// One operator's row of an executed profile — the wire-facing
+    /// mirror of `sqalpel_engine::OpProfile`, flattened so the platform
+    /// crate owns its own serialization.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OperatorProfile {
+        "batches" => pub batches: u64,
+        /// Storage chunks a scan materialized / skipped via zone maps.
+        /// Zero for non-scan operators and engines without chunked
+        /// storage; absent in payloads recorded before it existed.
+        "chunks_scanned" => pub chunks_scanned: u64 [default],
+        "chunks_skipped" => pub chunks_skipped: u64 [default],
+        "nanos" => pub nanos: u64,
+        /// Operator label, e.g. `"scan lineitem"`, `"join inner"`.
+        "op" => pub op: String,
+        "rows_in" => pub rows_in: u64,
+        "rows_out" => pub rows_out: u64,
     }
 }
 
@@ -224,69 +190,21 @@ impl DriverConfig {
     }
 }
 
-/// The outcome of running one task locally.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    pub times_ms: Vec<f64>,
-    pub rows: usize,
-    pub error: Option<String>,
-    pub load_before: LoadAvg,
-    pub load_after: LoadAvg,
-    pub extras: serde_json::Value,
-    /// Plan fingerprint from the connector, when available.
-    pub fingerprint: Option<u64>,
-    /// Per-operator profile from the connector's EXPLAIN ANALYZE, when
-    /// available. Collected outside the timed repetitions.
-    pub profile: Option<Vec<OperatorProfile>>,
-}
-
-impl Serialize for RunOutcome {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("error", &self.error);
-        s.field("extras", &self.extras);
-        s.key("fingerprint");
-        crate::results::fingerprint_hex(s, self.fingerprint);
-        s.field("load_after", &self.load_after);
-        s.field("load_before", &self.load_before);
-        s.field("profile", &self.profile);
-        s.field("rows", &self.rows);
-        s.field("times_ms", &self.times_ms);
-        s.end_object();
-    }
-}
-
-impl Deserialize for RunOutcome {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(RunOutcome {
-            times_ms: v["times_ms"]
-                .as_array()
-                .ok_or("run outcome: missing times_ms")?
-                .iter()
-                .map(|t| t.as_f64().ok_or("non-numeric time".to_string()))
-                .collect::<Result<_, _>>()?,
-            rows: v["rows"].as_i64().ok_or("run outcome: missing rows")? as usize,
-            error: match &v["error"] {
-                Value::Null => None,
-                e => Some(e.as_str().ok_or("run outcome: error must be a string")?.to_string()),
-            },
-            load_before: LoadAvg::from_value(&v["load_before"])?,
-            load_after: LoadAvg::from_value(&v["load_after"])?,
-            extras: v["extras"].clone(),
-            fingerprint: v["fingerprint"]
-                .as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok()),
-            // Absent-tolerant: outcomes serialized before profiles
-            // existed deserialize to None.
-            profile: match &v["profile"] {
-                Value::Array(ops) => Some(
-                    ops.iter()
-                        .map(OperatorProfile::from_value)
-                        .collect::<Result<_, _>>()?,
-                ),
-                _ => None,
-            },
-        })
+serde::object! {
+    /// The outcome of running one task locally.
+    #[derive(Debug, Clone)]
+    pub struct RunOutcome {
+        "error" => pub error: Option<String>,
+        "extras" => pub extras: serde_json::Value,
+        /// Plan fingerprint from the connector, when available.
+        "fingerprint" => pub fingerprint: Option<u64> as Option<Hex>,
+        "load_after" => pub load_after: LoadAvg,
+        "load_before" => pub load_before: LoadAvg,
+        /// Per-operator profile from the connector's EXPLAIN ANALYZE, when
+        /// available. Collected outside the timed repetitions.
+        "profile" => pub profile: Option<Vec<OperatorProfile>>,
+        "rows" => pub rows: usize,
+        "times_ms" => pub times_ms: Vec<f64>,
     }
 }
 

@@ -246,11 +246,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
         }
         let v: Value = serde_json::from_str(&text)
             .map_err(|e| corrupt(format!("bad line: {e}")))?;
-        let num = |k: &str| {
-            v[k].as_i64()
-                .map(|x| x as u64)
-                .ok_or_else(|| corrupt(format!("missing {k}")))
-        };
+        let num = |k: &str| u64::from_value(&v[k]).map_err(|e| corrupt(format!("{k}: {e}")));
         let text_field = |k: &str| {
             v[k].as_str()
                 .map(str::to_string)
@@ -298,13 +294,12 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
                     crate::catalog::Visibility::from_value(&v["visibility"]).map_err(corrupt)?,
                 );
                 for u in v["contributors"].as_array().ok_or_else(|| corrupt("missing contributors"))? {
-                    p.contributors.insert(UserId(
-                        u.as_i64().ok_or_else(|| corrupt("bad contributor"))? as u64,
-                    ));
+                    let user = UserId::from_value(u).map_err(|e| corrupt(format!("contributor: {e}")))?;
+                    p.contributors.insert(user);
                 }
                 for c in v["comments"].as_array().ok_or_else(|| corrupt("missing comments"))? {
                     p.comments.push(Comment {
-                        author: UserId(c["author"].as_i64().ok_or_else(|| corrupt("bad author"))? as u64),
+                        author: UserId::from_value(&c["author"]).map_err(|e| corrupt(format!("author: {e}")))?,
                         text: c["text"].as_str().ok_or_else(|| corrupt("bad comment"))?.to_string(),
                     });
                 }

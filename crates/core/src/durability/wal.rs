@@ -23,13 +23,13 @@
 //! lands between persisting a snapshot and truncating the log, the stale
 //! prefix (lsn <= snapshot lsn) is ignored instead of replayed twice.
 //!
-//! A line is written, not built: each record type describes its JSON
-//! once (`Serialize::serialize`, keys in byte order) and the writer runs
-//! that description against its line buffer — no value tree on the way
-//! out. On the way in a record is decoded through a tree, but a bulk
-//! record's array (`tasks`, `entries`, `items`) is walked off the text
-//! element by element, so replay holds one element's tree, never one
-//! line's.
+//! A line is written, not built: the records' JSON is one table (each
+//! op's keys once, in byte order) that generates both directions, and
+//! the writer runs a record's description against its line buffer — no
+//! value tree on the way out. On the way in a record is decoded through
+//! a tree, but its `[bulk]` array (`tasks`, `entries`, `items`) is walked
+//! off the text element by element, so replay holds one element's tree,
+//! never one line's.
 //!
 //! Each append is flushed to the OS before the operation acks, which
 //! survives process death (`kill -9`). Full fsync happens at snapshot
@@ -39,12 +39,11 @@
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::pool::PoolEntry;
 use crate::project::{ExperimentId, ProjectId};
-use crate::queue::{Task, TaskId};
+use crate::queue::{SharedTexts, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
-use serde::{Deserialize, Serialize, Sink, Value};
-use std::borrow::Borrow;
+use serde::{Serialize, Table};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -59,528 +58,133 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One durable platform mutation.
-///
-/// `ReportAccepted` dominates the enum's size via its inline
-/// `ResultRecord`; records are serialized and dropped (or replayed one
-/// at a time), never held in bulk, so the indirection a box would buy
-/// isn't worth the churn at every construction site.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum WalRecord {
-    UserRegistered {
-        id: UserId,
-        nickname: String,
-        email: String,
-    },
-    KeyIssued {
-        user: UserId,
-        key: ContributorKey,
-        /// The registry's issue counter at derivation time; replay
-        /// advances past it so fresh keys never collide.
-        counter: u64,
-    },
-    DbmsAdded {
-        entry: DbmsEntry,
-    },
-    HostAdded {
-        entry: HostEntry,
-    },
-    ProjectCreated {
-        id: ProjectId,
-        owner: UserId,
-        title: String,
-        synopsis: String,
-        visibility: Visibility,
-    },
-    Invited {
-        project: ProjectId,
-        user: UserId,
-    },
-    TargetsSet {
-        project: ProjectId,
-        dbms_labels: Vec<String>,
-        hosts: Vec<String>,
-    },
-    CommentAdded {
-        project: ProjectId,
-        author: UserId,
-        text: String,
-    },
-    TakenDown {
-        project: ProjectId,
-    },
-    ExperimentAdded {
-        project: ProjectId,
-        id: ExperimentId,
-        title: String,
-        baseline_sql: String,
-        /// The resolved grammar rendered back to the DSL — covers both
-        /// hand-written grammars and auto-converted baselines.
-        grammar: String,
-        template_cap: usize,
-        pool_cap: usize,
-        dialect: Option<String>,
-    },
-    /// Pool entries added by seeding or a morph step (physical: the
-    /// instantiated SQL, not the random walk that found it).
-    PoolExtended {
-        project: ProjectId,
-        experiment: ExperimentId,
-        entries: Vec<PoolEntry>,
-    },
-    TasksEnqueued {
-        project: ProjectId,
-        tasks: Vec<Task>,
-    },
-    TaskClaimed {
-        task: TaskId,
-        key: ContributorKey,
-    },
-    /// A report acknowledged: the queue completion and the stored record
-    /// in one — replay applies both or neither.
-    ReportAccepted {
-        task: TaskId,
-        key: ContributorKey,
-        error: Option<String>,
-        record: ResultRecord,
-    },
-    /// One bulk upload's accepted reports as a single group commit: one
-    /// framed line, one checksum, so a torn tail drops the whole batch
-    /// atomically — an unacked batch never replays partially.
-    ReportBatchAccepted {
-        key: ContributorKey,
-        /// `(task, error, record)` per accepted report, in upload order.
-        items: Vec<(TaskId, Option<String>, ResultRecord)>,
-    },
-    TasksReaped {
-        project: ProjectId,
-        tasks: Vec<TaskId>,
-    },
-    TaskRequeued {
-        task: TaskId,
-    },
-    ResultHidden {
-        project: ProjectId,
-        index: usize,
-        hidden: bool,
-    },
-}
-
-impl WalRecord {
-    fn op(&self) -> &'static str {
-        match self {
-            WalRecord::UserRegistered { .. } => "user_registered",
-            WalRecord::KeyIssued { .. } => "key_issued",
-            WalRecord::DbmsAdded { .. } => "dbms_added",
-            WalRecord::HostAdded { .. } => "host_added",
-            WalRecord::ProjectCreated { .. } => "project_created",
-            WalRecord::Invited { .. } => "invited",
-            WalRecord::TargetsSet { .. } => "targets_set",
-            WalRecord::CommentAdded { .. } => "comment_added",
-            WalRecord::TakenDown { .. } => "taken_down",
-            WalRecord::ExperimentAdded { .. } => "experiment_added",
-            WalRecord::PoolExtended { .. } => "pool_extended",
-            WalRecord::TasksEnqueued { .. } => "tasks_enqueued",
-            WalRecord::TaskClaimed { .. } => "task_claimed",
-            WalRecord::ReportAccepted { .. } => "report_accepted",
-            WalRecord::ReportBatchAccepted { .. } => "report_batch_accepted",
-            WalRecord::TasksReaped { .. } => "tasks_reaped",
-            WalRecord::TaskRequeued { .. } => "task_requeued",
-            WalRecord::ResultHidden { .. } => "result_hidden",
-        }
+serde::tagged! {
+    /// One durable platform mutation.
+    ///
+    /// `ReportAccepted` dominates the enum's size via its inline
+    /// `ResultRecord`; records are serialized and dropped (or replayed
+    /// one at a time), never held in bulk, so the indirection a box
+    /// would buy isn't worth the churn at every construction site.
+    #[allow(clippy::large_enum_variant)]
+    #[derive(Debug, Clone)]
+    pub enum WalRecord by "op" {
+        UserRegistered {
+            "email" => email: String,
+            "id" => id: UserId,
+            "nickname" => nickname: String,
+        } = "user_registered",
+        KeyIssued {
+            /// The registry's issue counter at derivation time; replay
+            /// advances past it so fresh keys never collide.
+            "counter" => counter: u64,
+            "key" => key: ContributorKey,
+            "user" => user: UserId,
+        } = "key_issued",
+        DbmsAdded { "entry" => entry: DbmsEntry } = "dbms_added",
+        HostAdded { "entry" => entry: HostEntry } = "host_added",
+        ProjectCreated {
+            "id" => id: ProjectId,
+            "owner" => owner: UserId,
+            "synopsis" => synopsis: String,
+            "title" => title: String,
+            "visibility" => visibility: Visibility,
+        } = "project_created",
+        Invited {
+            "project" => project: ProjectId,
+            "user" => user: UserId,
+        } = "invited",
+        TargetsSet {
+            "dbms_labels" => dbms_labels: Vec<String>,
+            "hosts" => hosts: Vec<String>,
+            "project" => project: ProjectId,
+        } = "targets_set",
+        CommentAdded {
+            "author" => author: UserId,
+            "project" => project: ProjectId,
+            "text" => text: String,
+        } = "comment_added",
+        TakenDown { "project" => project: ProjectId } = "taken_down",
+        ExperimentAdded {
+            "baseline_sql" => baseline_sql: String,
+            "dialect" => dialect: Option<String> [omit],
+            /// The resolved grammar rendered back to the DSL — covers
+            /// both hand-written grammars and auto-converted baselines.
+            "grammar" => grammar: String,
+            "id" => id: ExperimentId,
+            "pool_cap" => pool_cap: usize,
+            "project" => project: ProjectId,
+            "template_cap" => template_cap: usize,
+            "title" => title: String,
+        } = "experiment_added",
+        /// Pool entries added by seeding or a morph step (physical: the
+        /// instantiated SQL, not the random walk that found it).
+        PoolExtended {
+            "entries" => entries: Vec<PoolEntry> [bulk],
+            "experiment" => experiment: ExperimentId,
+            "project" => project: ProjectId,
+        } = "pool_extended",
+        TasksEnqueued {
+            "project" => project: ProjectId,
+            "tasks" => tasks: Vec<Task> as SharedTexts [bulk],
+        } = "tasks_enqueued" also EnqueuedTasks<'_>,
+        TaskClaimed {
+            "key" => key: ContributorKey,
+            "task" => task: TaskId,
+        } = "task_claimed",
+        /// A report acknowledged: the queue completion and the stored
+        /// record in one — replay applies both or neither.
+        ReportAccepted {
+            "error" => error: Option<String> [omit],
+            "key" => key: ContributorKey,
+            "record" => record: ResultRecord,
+            "task" => task: TaskId,
+        } = "report_accepted",
+        /// One bulk upload's accepted reports as a single group commit:
+        /// one framed line, one checksum, so a torn tail drops the whole
+        /// batch atomically — an unacked batch never replays partially.
+        ReportBatchAccepted {
+            /// `(task, error, record)` per accepted report, in upload
+            /// order.
+            "items" => items: Vec<(TaskId, Option<String>, ResultRecord)> as BatchItem [bulk],
+            "key" => key: ContributorKey,
+        } = "report_batch_accepted",
+        TasksReaped {
+            "project" => project: ProjectId,
+            "tasks" => tasks: Vec<TaskId> [bulk],
+        } = "tasks_reaped",
+        TaskRequeued { "task" => task: TaskId } = "task_requeued",
+        ResultHidden {
+            "hidden" => hidden: bool,
+            "index" => index: usize,
+            "project" => project: ProjectId,
+        } = "result_hidden",
     }
 }
 
-/// `op`, `project` and `tasks` of a `tasks_enqueued` record — shared by
-/// the owned record and its borrowed form.
-fn tasks_enqueued<S: Sink>(s: &mut S, project: ProjectId, tasks: &[Task]) {
-    s.field("op", "tasks_enqueued");
-    s.field("project", &project.0);
-    s.field("tasks", tasks);
+serde::object! {
+    /// One report of a `report_batch_accepted` record.
+    BatchItem for (task, error, record): (TaskId, Option<String>, ResultRecord) {
+        "error" => error [omit],
+        "record" => record,
+        "task" => task,
+    }
 }
 
 /// [`WalRecord::TasksEnqueued`] over tasks that stay where they are: the
-/// server logs the queue's new tail without copying it. Encodes to the
-/// same bytes.
+/// server logs the queue's new tail without copying it. The table above
+/// describes it, so it encodes to the same bytes.
 pub struct EnqueuedTasks<'a> {
     pub project: ProjectId,
     pub tasks: &'a [Task],
 }
 
-impl Serialize for EnqueuedTasks<'_> {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        tasks_enqueued(s, self.project, self.tasks);
-        s.end_object();
-    }
-}
-
-impl Serialize for WalRecord {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        let op = self.op();
-        s.begin_object();
-        match self {
-            WalRecord::UserRegistered {
-                id,
-                nickname,
-                email,
-            } => {
-                s.field("email", email);
-                s.field("id", &id.0);
-                s.field("nickname", nickname);
-                s.field("op", op);
-            }
-            WalRecord::KeyIssued { user, key, counter } => {
-                s.field("counter", counter);
-                s.field("key", &key.0);
-                s.field("op", op);
-                s.field("user", &user.0);
-            }
-            WalRecord::DbmsAdded { entry } => {
-                s.field("entry", entry);
-                s.field("op", op);
-            }
-            WalRecord::HostAdded { entry } => {
-                s.field("entry", entry);
-                s.field("op", op);
-            }
-            WalRecord::ProjectCreated {
-                id,
-                owner,
-                title,
-                synopsis,
-                visibility,
-            } => {
-                s.field("id", &id.0);
-                s.field("op", op);
-                s.field("owner", &owner.0);
-                s.field("synopsis", synopsis);
-                s.field("title", title);
-                s.field("visibility", visibility);
-            }
-            WalRecord::Invited { project, user } => {
-                s.field("op", op);
-                s.field("project", &project.0);
-                s.field("user", &user.0);
-            }
-            WalRecord::TargetsSet {
-                project,
-                dbms_labels,
-                hosts,
-            } => {
-                s.field("dbms_labels", dbms_labels);
-                s.field("hosts", hosts);
-                s.field("op", op);
-                s.field("project", &project.0);
-            }
-            WalRecord::CommentAdded {
-                project,
-                author,
-                text,
-            } => {
-                s.field("author", &author.0);
-                s.field("op", op);
-                s.field("project", &project.0);
-                s.field("text", text);
-            }
-            WalRecord::TakenDown { project } => {
-                s.field("op", op);
-                s.field("project", &project.0);
-            }
-            WalRecord::ExperimentAdded {
-                project,
-                id,
-                title,
-                baseline_sql,
-                grammar,
-                template_cap,
-                pool_cap,
-                dialect,
-            } => {
-                s.field("baseline_sql", baseline_sql);
-                if let Some(d) = dialect {
-                    s.field("dialect", d);
-                }
-                s.field("grammar", grammar);
-                s.field("id", &id.0);
-                s.field("op", op);
-                s.field("pool_cap", pool_cap);
-                s.field("project", &project.0);
-                s.field("template_cap", template_cap);
-                s.field("title", title);
-            }
-            WalRecord::PoolExtended {
-                project,
-                experiment,
-                entries,
-            } => {
-                s.field("entries", entries);
-                s.field("experiment", &experiment.0);
-                s.field("op", op);
-                s.field("project", &project.0);
-            }
-            WalRecord::TasksEnqueued { project, tasks } => tasks_enqueued(s, *project, tasks),
-            WalRecord::TaskClaimed { task, key } => {
-                s.field("key", &key.0);
-                s.field("op", op);
-                s.field("task", &task.0);
-            }
-            WalRecord::ReportAccepted {
-                task,
-                key,
-                error,
-                record,
-            } => {
-                if let Some(e) = error {
-                    s.field("error", e);
-                }
-                s.field("key", &key.0);
-                s.field("op", op);
-                s.field("record", record);
-                s.field("task", &task.0);
-            }
-            WalRecord::ReportBatchAccepted { key, items } => {
-                s.key("items");
-                s.begin_array();
-                for (task, error, record) in items {
-                    s.begin_object();
-                    if let Some(e) = error {
-                        s.field("error", e);
-                    }
-                    s.field("record", record);
-                    s.field("task", &task.0);
-                    s.end_object();
-                }
-                s.end_array();
-                s.field("key", &key.0);
-                s.field("op", op);
-            }
-            WalRecord::TasksReaped { project, tasks } => {
-                s.field("op", op);
-                s.field("project", &project.0);
-                s.key("tasks");
-                s.begin_array();
-                for t in tasks {
-                    s.int(t.0 as i64);
-                }
-                s.end_array();
-            }
-            WalRecord::TaskRequeued { task } => {
-                s.field("op", op);
-                s.field("task", &task.0);
-            }
-            WalRecord::ResultHidden {
-                project,
-                index,
-                hidden,
-            } => {
-                s.field("hidden", hidden);
-                s.field("index", index);
-                s.field("op", op);
-                s.field("project", &project.0);
-            }
-        }
-        s.end_object();
-    }
-}
-
-/// The keys under which a record carries its one array that grows with
-/// the pool: `PoolExtended`, `ReportBatchAccepted`, `TasksEnqueued` (and
-/// `TasksReaped`, whose ids share the last). Replay walks these element
-/// by element instead of holding the line's tree.
-const BULK_KEYS: [&str; 3] = ["entries", "items", "tasks"];
-
-impl WalRecord {
-    /// The one decoder. `v` holds the record's members; `bulk(key)`
-    /// yields the elements of its bulk array — borrowed from `v` itself
-    /// ([`from_value`](Deserialize::from_value)) or parsed one at a time
-    /// off the line's text ([`decode_line`]).
-    fn decode<I, V>(v: &Value, bulk: impl FnOnce(&str) -> Result<I, String>) -> Result<Self, String>
-    where
-        I: Iterator<Item = Result<V, String>>,
-        V: Borrow<Value>,
-    {
-        let num = |k: &str| {
-            v[k].as_i64()
-                .map(|x| x as u64)
-                .ok_or(format!("wal record: missing {k}"))
-        };
-        let text = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or(format!("wal record: missing {k}"))
-        };
-        match v["op"].as_str().ok_or("wal record: missing op")? {
-            "user_registered" => Ok(WalRecord::UserRegistered {
-                id: UserId(num("id")?),
-                nickname: text("nickname")?,
-                email: text("email")?,
-            }),
-            "key_issued" => Ok(WalRecord::KeyIssued {
-                user: UserId(num("user")?),
-                key: ContributorKey(text("key")?),
-                counter: num("counter")?,
-            }),
-            "dbms_added" => Ok(WalRecord::DbmsAdded {
-                entry: DbmsEntry::from_value(&v["entry"])?,
-            }),
-            "host_added" => Ok(WalRecord::HostAdded {
-                entry: HostEntry::from_value(&v["entry"])?,
-            }),
-            "project_created" => Ok(WalRecord::ProjectCreated {
-                id: ProjectId(num("id")?),
-                owner: UserId(num("owner")?),
-                title: text("title")?,
-                synopsis: text("synopsis")?,
-                visibility: Visibility::from_value(&v["visibility"])?,
-            }),
-            "invited" => Ok(WalRecord::Invited {
-                project: ProjectId(num("project")?),
-                user: UserId(num("user")?),
-            }),
-            "targets_set" => {
-                let list = |k: &str| -> Result<Vec<String>, String> {
-                    v[k].as_array()
-                        .ok_or(format!("targets_set: missing {k}"))?
-                        .iter()
-                        .map(|s| {
-                            s.as_str()
-                                .map(str::to_string)
-                                .ok_or(format!("targets_set: non-string in {k}"))
-                        })
-                        .collect()
-                };
-                Ok(WalRecord::TargetsSet {
-                    project: ProjectId(num("project")?),
-                    dbms_labels: list("dbms_labels")?,
-                    hosts: list("hosts")?,
-                })
-            }
-            "comment_added" => Ok(WalRecord::CommentAdded {
-                project: ProjectId(num("project")?),
-                author: UserId(num("author")?),
-                text: text("text")?,
-            }),
-            "taken_down" => Ok(WalRecord::TakenDown {
-                project: ProjectId(num("project")?),
-            }),
-            "experiment_added" => Ok(WalRecord::ExperimentAdded {
-                project: ProjectId(num("project")?),
-                id: ExperimentId(num("id")?),
-                title: text("title")?,
-                baseline_sql: text("baseline_sql")?,
-                grammar: text("grammar")?,
-                template_cap: num("template_cap")? as usize,
-                pool_cap: num("pool_cap")? as usize,
-                dialect: v["dialect"].as_str().map(str::to_string),
-            }),
-            "pool_extended" => Ok(WalRecord::PoolExtended {
-                project: ProjectId(num("project")?),
-                experiment: ExperimentId(num("experiment")?),
-                entries: bulk("entries")?
-                    .map(|e| PoolEntry::from_value(e?.borrow()))
-                    .collect::<Result<_, _>>()?,
-            }),
-            "tasks_enqueued" => {
-                // The targets of one query are enqueued back to back:
-                // a task takes over its predecessor's texts where they
-                // are equal, so the decoded record holds each once.
-                let mut tasks: Vec<Task> = Vec::new();
-                for e in bulk("tasks")? {
-                    let mut task = Task::from_value(e?.borrow())?;
-                    if let Some(prev) = tasks.last() {
-                        task.share_texts(prev);
-                    }
-                    tasks.push(task);
-                }
-                Ok(WalRecord::TasksEnqueued {
-                    project: ProjectId(num("project")?),
-                    tasks,
-                })
-            }
-            "task_claimed" => Ok(WalRecord::TaskClaimed {
-                task: TaskId(num("task")?),
-                key: ContributorKey(text("key")?),
-            }),
-            "report_accepted" => Ok(WalRecord::ReportAccepted {
-                task: TaskId(num("task")?),
-                key: ContributorKey(text("key")?),
-                error: v["error"].as_str().map(str::to_string),
-                record: ResultRecord::from_value(&v["record"])?,
-            }),
-            "report_batch_accepted" => Ok(WalRecord::ReportBatchAccepted {
-                key: ContributorKey(text("key")?),
-                items: bulk("items")?
-                    .map(|item| {
-                        let item = item?;
-                        let item = item.borrow();
-                        Ok((
-                            TaskId(
-                                item["task"]
-                                    .as_i64()
-                                    .map(|x| x as u64)
-                                    .ok_or("report_batch_accepted: missing task")?,
-                            ),
-                            item["error"].as_str().map(str::to_string),
-                            ResultRecord::from_value(&item["record"])?,
-                        ))
-                    })
-                    .collect::<Result<_, String>>()?,
-            }),
-            "tasks_reaped" => Ok(WalRecord::TasksReaped {
-                project: ProjectId(num("project")?),
-                tasks: bulk("tasks")?
-                    .map(|t| {
-                        t?.borrow()
-                            .as_i64()
-                            .map(|x| TaskId(x as u64))
-                            .ok_or("tasks_reaped: bad task id".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-            }),
-            "task_requeued" => Ok(WalRecord::TaskRequeued {
-                task: TaskId(num("task")?),
-            }),
-            "result_hidden" => Ok(WalRecord::ResultHidden {
-                project: ProjectId(num("project")?),
-                index: num("index")? as usize,
-                hidden: v["hidden"].as_bool().ok_or("result_hidden: missing hidden")?,
-            }),
-            other => Err(format!("unknown wal op {other:?}")),
-        }
-    }
-}
-
-/// Whole-tree decoding — what `serde_json::from_str::<WalRecord>` runs,
-/// and the oracle the element-wise path is tested against.
-impl Deserialize for WalRecord {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Self::decode(v, |key| {
-            v[key]
-                .as_array()
-                .map(|items| items.iter().map(Ok))
-                .ok_or(format!("wal record: missing {key}"))
-        })
-    }
-}
-
 /// Decode one record's JSON text holding one element's tree at a time:
-/// the bulk array (if the record has one) is walked off the text, the
+/// the `[bulk]` array (if the record has one) is walked off the text, the
 /// handful of other members parsed as usual.
 fn decode_line(json: &str) -> Result<WalRecord, String> {
-    let (head, bulk) =
-        serde_json::from_str_deferring(json, &BULK_KEYS).map_err(|e| e.to_string())?;
-    match bulk {
-        None => WalRecord::from_value(&head),
-        Some(elements) => WalRecord::decode(&head, |key| {
-            if key == elements.key() {
-                Ok(elements.map(|e| e.map_err(|e| e.to_string())))
-            } else {
-                Err(format!("wal record: missing {key}"))
-            }
-        }),
-    }
+    let mut line =
+        serde_json::from_str_deferring(json, WalRecord::bulk).map_err(|e| e.to_string())?;
+    WalRecord::from_members(&mut line)
 }
 
 /// The WAL file name inside a state directory.
@@ -936,7 +540,7 @@ mod tests {
         assert_eq!(lsns, (1..=back.len() as u64).collect::<Vec<_>>());
         // Spot-check a couple of payloads survived verbatim.
         let WalRecord::ReportAccepted { record, .. } = &back[6].1 else {
-            panic!("wrong op at 6: {:?}", back[6].1.op());
+            panic!("wrong op at 6: {}", back[6].1.to_value()["op"]);
         };
         assert_eq!(record.times_ms, vec![1.0, 2.0]);
         let WalRecord::TasksEnqueued { tasks, .. } = &back[4].1 else {
@@ -1009,7 +613,7 @@ mod tests {
         let (back, torn) = read_all(&path);
         let lsns: Vec<u64> = back.iter().map(|(lsn, _)| *lsn).collect();
         assert_eq!((lsns, torn), (vec![1, 2, 3, 4], 0));
-        assert_eq!(back[2].1.op(), "targets_set");
+        assert_eq!(back[2].1.to_value()["op"], "targets_set");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -192,7 +192,7 @@ impl PlatformError {
         let code = ErrorCode::parse(code).ok_or_else(|| format!("unknown error code {code:?}"))?;
         let detail = match detail {
             Value::String(m) => Detail::Text(m),
-            v => Detail::Number(v.as_i64().ok_or("error detail is neither text nor a number")? as u64),
+            v => Detail::Number(u64::from_value(v).map_err(|_| "error detail is neither text nor a number")?),
         };
         PlatformError::from_detail(code, detail)
     }
@@ -212,10 +212,11 @@ impl Serialize for PlatformError {
     }
 }
 
+/// The message is derived from code and detail, so it is never read.
 impl Deserialize for PlatformError {
     fn from_value(v: &Value) -> Result<Self, String> {
-        let code = v["code"].as_str().ok_or("error: missing code")?;
-        PlatformError::from_code(code, &v["detail"])
+        let code = String::from_value(&v["code"]).map_err(|e| format!("code: {e}"))?;
+        PlatformError::from_code(&code, &v["detail"])
     }
 }
 

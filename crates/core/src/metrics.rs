@@ -16,7 +16,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Sink, Value};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// One bucket per possible bit length of a `u64` duration.
@@ -204,14 +204,16 @@ impl MetricsRegistry {
     }
 }
 
-/// The quantile summary of one histogram at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramSummary {
-    pub count: u64,
-    pub sum: u64,
-    pub p50: u64,
-    pub p95: u64,
-    pub p99: u64,
+serde::object! {
+    /// The quantile summary of one histogram at snapshot time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HistogramSummary {
+        "count" => pub count: u64,
+        "p50" => pub p50: u64,
+        "p95" => pub p95: u64,
+        "p99" => pub p99: u64,
+        "sum" => pub sum: u64,
+    }
 }
 
 /// A point-in-time, name-sorted view of every metric — the payload of
@@ -238,77 +240,36 @@ impl MetricsSnapshot {
     }
 }
 
-impl Serialize for HistogramSummary {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("count", &self.count);
-        s.field("p50", &self.p50);
-        s.field("p95", &self.p95);
-        s.field("p99", &self.p99);
-        s.field("sum", &self.sum);
-        s.end_object();
-    }
-}
-
-impl Deserialize for HistogramSummary {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |k: &str| -> Result<u64, String> {
-            v[k].as_i64()
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("histogram summary: missing {k}"))
-        };
-        Ok(HistogramSummary {
-            count: field("count")?,
-            sum: field("sum")?,
-            p50: field("p50")?,
-            p95: field("p95")?,
-            p99: field("p99")?,
-        })
-    }
-}
-
-/// Both lists are name-sorted (see the type), which is the key order the
-/// sink contract asks for.
+/// Two maps as name-sorted lists (see the type): the name order is the
+/// key order the sink contract asks for.
 impl Serialize for MetricsSnapshot {
     fn serialize<S: Sink>(&self, s: &mut S) {
+        fn map<S: Sink, T: Serialize>(s: &mut S, entries: &[(String, T)]) {
+            s.begin_object();
+            for (k, v) in entries {
+                s.field(k, v);
+            }
+            s.end_object();
+        }
         s.begin_object();
         s.key("counters");
-        s.begin_object();
-        for (k, v) in &self.counters {
-            s.field(k, v);
-        }
-        s.end_object();
+        map(s, &self.counters);
         s.key("histograms");
-        s.begin_object();
-        for (k, h) in &self.histograms {
-            s.field(k, h);
-        }
-        s.end_object();
+        map(s, &self.histograms);
         s.end_object();
     }
 }
 
 impl Deserialize for MetricsSnapshot {
     fn from_value(v: &Value) -> Result<Self, String> {
-        let counters = v["counters"]
-            .as_object()
-            .ok_or("metrics snapshot: missing counters")?
-            .iter()
-            .map(|(k, n)| {
-                n.as_i64()
-                    .map(|n| (k.clone(), n as u64))
-                    .ok_or_else(|| format!("metrics snapshot: non-integer counter {k}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let histograms = v["histograms"]
-            .as_object()
-            .ok_or("metrics snapshot: missing histograms")?
-            .iter()
-            .map(|(k, h)| HistogramSummary::from_value(h).map(|h| (k.clone(), h)))
-            .collect::<Result<Vec<_>, _>>()?;
+        fn map<T: Deserialize>(v: &Value, key: &str) -> Result<Vec<(String, T)>, String> {
+            BTreeMap::<String, T>::from_value(&v[key])
+                .map(|map| map.into_iter().collect())
+                .map_err(|e| format!("{key}: {e}"))
+        }
         Ok(MetricsSnapshot {
-            counters,
-            histograms,
+            counters: map(v, "counters")?,
+            histograms: map(v, "histograms")?,
         })
     }
 }

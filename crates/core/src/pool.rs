@@ -20,7 +20,7 @@
 use crate::error::{PlatformError, PlatformResult};
 use rand::rngs::StdRng;
 use rand::RngExt;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Hex, Named};
 use sqalpel_grammar::{instantiate, Choice, Grammar, Template};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -29,12 +29,16 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
 
-/// The three morphing strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    Alter,
-    Expand,
-    Prune,
+serde::newtype!(QueryId(u64));
+
+serde::names! {
+    /// The three morphing strategies.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Strategy {
+        Alter = "alter",
+        Expand = "expand",
+        Prune = "prune",
+    }
 }
 
 impl Strategy {
@@ -49,151 +53,48 @@ impl Strategy {
     }
 
     pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Alter => "alter",
-            Strategy::Expand => "expand",
-            Strategy::Prune => "prune",
-        }
+        Named::name(&self)
     }
 
     /// Inverse of [`Strategy::name`], for wire payloads.
     pub fn from_name(name: &str) -> Result<Strategy, String> {
-        match name {
-            "alter" => Ok(Strategy::Alter),
-            "expand" => Ok(Strategy::Expand),
-            "prune" => Ok(Strategy::Prune),
-            other => Err(format!("unknown strategy {other:?}")),
-        }
+        Named::from_name(name).ok_or_else(|| format!("unknown strategy {name:?}"))
     }
 }
 
-/// How a pool entry came to exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Origin {
-    /// The user-supplied baseline query.
-    Baseline,
-    /// Drawn from a randomly chosen template.
-    Random,
-    /// Morphed from `parent` with the given strategy.
-    Morph { strategy: Strategy, parent: QueryId },
-}
-
-/// One query in the pool.
-#[derive(Debug, Clone)]
-pub struct PoolEntry {
-    pub id: QueryId,
-    /// Canonical SQL text (dedup key).
-    pub sql: String,
-    /// Index into the pool's template set.
-    pub template: usize,
-    pub choice: Choice,
-    pub origin: Origin,
-    /// Creation order (the x-axis of the experiment-history view).
-    pub step: usize,
-    /// Canonical logical-plan fingerprint, when the pool has a
-    /// [`Fingerprinter`] and the query plans on the target system.
-    pub fingerprint: Option<u64>,
-}
-
-impl Serialize for Origin {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        match self {
-            Origin::Baseline => s.field("kind", "baseline"),
-            Origin::Random => s.field("kind", "random"),
-            Origin::Morph { strategy, parent } => {
-                s.field("kind", "morph");
-                s.field("parent", &parent.0);
-                s.field("strategy", strategy.name());
-            }
-        }
-        s.end_object();
+serde::tagged! {
+    /// How a pool entry came to exist.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Origin by "kind" {
+        /// The user-supplied baseline query.
+        Baseline = "baseline",
+        /// Drawn from a randomly chosen template.
+        Random = "random",
+        /// Morphed from `parent` with the given strategy.
+        Morph {
+            "parent" => parent: QueryId,
+            "strategy" => strategy: Strategy,
+        } = "morph",
     }
 }
 
-impl Deserialize for Origin {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        match v["kind"].as_str().ok_or("origin: missing kind")? {
-            "baseline" => Ok(Origin::Baseline),
-            "random" => Ok(Origin::Random),
-            "morph" => Ok(Origin::Morph {
-                strategy: Strategy::from_name(
-                    v["strategy"].as_str().ok_or("origin: missing strategy")?,
-                )?,
-                parent: QueryId(
-                    v["parent"].as_i64().ok_or("origin: missing parent")? as u64
-                ),
-            }),
-            other => Err(format!("unknown origin {other:?}")),
-        }
-    }
-}
-
-impl Serialize for PoolEntry {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.key("choice");
-        s.begin_object();
-        for (class, idxs) in &self.choice {
-            s.field(class, idxs);
-        }
-        s.end_object();
-        // Left out, not null, when the pool has no fingerprinter.
-        if self.fingerprint.is_some() {
-            s.key("fingerprint");
-            crate::results::fingerprint_hex(s, self.fingerprint);
-        }
-        s.field("id", &self.id.0);
-        s.field("origin", &self.origin);
-        s.field("sql", &self.sql);
-        s.field("step", &self.step);
-        s.field("template", &self.template);
-        s.end_object();
-    }
-}
-
-impl Deserialize for PoolEntry {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num =
-            |k: &str| v[k].as_i64().map(|x| x as u64).ok_or(format!("pool entry: missing {k}"));
-        let mut choice = Choice::new();
-        match &v["choice"] {
-            Value::Object(m) => {
-                for (class, idxs) in m.iter() {
-                    let idxs = idxs
-                        .as_array()
-                        .ok_or("pool entry: choice class not an array")?
-                        .iter()
-                        .map(|i| {
-                            i.as_i64()
-                                .map(|x| x as usize)
-                                .ok_or("pool entry: bad literal index".to_string())
-                        })
-                        .collect::<Result<Vec<usize>, String>>()?;
-                    choice.insert(class.clone(), idxs);
-                }
-            }
-            _ => return Err("pool entry: missing choice".into()),
-        }
-        let fingerprint = match v["fingerprint"].as_str() {
-            None => None,
-            Some(hex) => Some(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|e| format!("pool entry: bad fingerprint: {e}"))?,
-            ),
-        };
-        Ok(PoolEntry {
-            id: QueryId(num("id")?),
-            sql: v["sql"]
-                .as_str()
-                .ok_or("pool entry: missing sql")?
-                .to_string(),
-            template: num("template")? as usize,
-            choice,
-            origin: Origin::from_value(&v["origin"])?,
-            step: num("step")? as usize,
-            fingerprint,
-        })
+serde::object! {
+    /// One query in the pool.
+    #[derive(Debug, Clone)]
+    pub struct PoolEntry {
+        "choice" => pub choice: Choice,
+        /// Canonical logical-plan fingerprint, when the pool has a
+        /// [`Fingerprinter`] and the query plans on the target system;
+        /// left out, not null, when the pool has no fingerprinter.
+        "fingerprint" => pub fingerprint: Option<u64> as Option<Hex> [omit],
+        "id" => pub id: QueryId,
+        "origin" => pub origin: Origin,
+        /// Canonical SQL text (dedup key).
+        "sql" => pub sql: String,
+        /// Creation order (the x-axis of the experiment-history view).
+        "step" => pub step: usize,
+        /// Index into the pool's template set.
+        "template" => pub template: usize,
     }
 }
 

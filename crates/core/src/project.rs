@@ -12,7 +12,6 @@ use crate::catalog::{Catalogs, Visibility};
 use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryPool;
 use crate::user::UserId;
-use serde::{Deserialize, Serialize, Sink, Value};
 use sqalpel_grammar::Grammar;
 use std::collections::BTreeSet;
 
@@ -22,39 +21,20 @@ pub struct ProjectId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExperimentId(pub u64);
 
-/// What a user may do on a project.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Role {
-    /// No access (private project, non-member).
-    None,
-    /// Read-only: public project, unrelated user.
-    Reader,
-    /// May run experiments and submit results; sees all results.
-    Contributor,
-    /// The project leader/moderator.
-    Owner,
-}
+serde::newtype!(ProjectId(u64), ExperimentId(u64));
 
-impl Serialize for Role {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.str(match self {
-            Role::None => "none",
-            Role::Reader => "reader",
-            Role::Contributor => "contributor",
-            Role::Owner => "owner",
-        })
-    }
-}
-
-impl Deserialize for Role {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        match v.as_str().ok_or("role: expected a string")? {
-            "none" => Ok(Role::None),
-            "reader" => Ok(Role::Reader),
-            "contributor" => Ok(Role::Contributor),
-            "owner" => Ok(Role::Owner),
-            other => Err(format!("unknown role {other:?}")),
-        }
+serde::names! {
+    /// What a user may do on a project.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Role {
+        /// No access (private project, non-member).
+        None = "none",
+        /// Read-only: public project, unrelated user.
+        Reader = "reader",
+        /// May run experiments and submit results; sees all results.
+        Contributor = "contributor",
+        /// The project leader/moderator.
+        Owner = "owner",
     }
 }
 

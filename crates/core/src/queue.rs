@@ -28,7 +28,7 @@ use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::user::ContributorKey;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Codec, Deserialize, Serialize, Sink, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,18 +36,22 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u64);
 
-/// Lifecycle of a queued execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskState {
-    Queued,
-    /// Handed to a contributor; kept with the hand-out time so stuck runs
-    /// can be reaped.
-    Running { contributor: ContributorKey },
-    Done,
-    /// The contributor reported a failure.
-    Failed(String),
-    /// Reaped after exceeding the delivery timeout.
-    TimedOut,
+serde::newtype!(TaskId(u64));
+
+serde::tagged! {
+    /// Lifecycle of a queued execution.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum TaskState by "kind" {
+        Queued = "queued",
+        /// Handed to a contributor; kept with the hand-out time so stuck
+        /// runs can be reaped.
+        Running { "contributor" => contributor: ContributorKey } = "running",
+        Done = "done",
+        /// The contributor reported a failure.
+        Failed("error" => String) = "failed",
+        /// Reaped after exceeding the delivery timeout.
+        TimedOut = "timed_out",
+    }
 }
 
 impl TaskState {
@@ -58,64 +62,25 @@ impl TaskState {
     }
 }
 
-impl Serialize for TaskState {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        match self {
-            TaskState::Queued => s.field("kind", "queued"),
-            TaskState::Running { contributor } => {
-                s.field("contributor", &contributor.0);
-                s.field("kind", "running");
-            }
-            TaskState::Done => s.field("kind", "done"),
-            TaskState::Failed(e) => {
-                s.field("error", e);
-                s.field("kind", "failed");
-            }
-            TaskState::TimedOut => s.field("kind", "timed_out"),
-        }
-        s.end_object();
+serde::object! {
+    /// One (query, DBMS, host) execution.
+    #[derive(Debug, Clone)]
+    pub struct Task {
+        /// Shared with the queue's interned target, as is `host`.
+        "dbms_label" => pub dbms_label: Arc<str>,
+        "experiment" => pub experiment: ExperimentId,
+        "host" => pub host: Arc<str>,
+        "id" => pub id: TaskId,
+        "project" => pub project: ProjectId,
+        "query" => pub query: QueryId,
+        /// Shared by the tasks of one query (one per DBMS x host target).
+        "sql" => pub sql: Arc<str>,
+        "state" => pub state: TaskState,
+    } server_only {
+        /// Set when the task is handed out. It feeds the stuck-run
+        /// reaper; not carried on the wire.
+        pub started: Option<Instant>,
     }
-}
-
-impl Deserialize for TaskState {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        match v["kind"].as_str().ok_or("task state: missing kind")? {
-            "queued" => Ok(TaskState::Queued),
-            "running" => Ok(TaskState::Running {
-                contributor: ContributorKey(
-                    v["contributor"]
-                        .as_str()
-                        .ok_or("running state: missing contributor")?
-                        .to_string(),
-                ),
-            }),
-            "done" => Ok(TaskState::Done),
-            "failed" => Ok(TaskState::Failed(
-                v["error"].as_str().ok_or("failed state: missing error")?.to_string(),
-            )),
-            "timed_out" => Ok(TaskState::TimedOut),
-            other => Err(format!("unknown task state {other:?}")),
-        }
-    }
-}
-
-/// One (query, DBMS, host) execution.
-#[derive(Debug, Clone)]
-pub struct Task {
-    pub id: TaskId,
-    pub project: ProjectId,
-    pub experiment: ExperimentId,
-    pub query: QueryId,
-    /// Shared by the tasks of one query (one per DBMS x host target).
-    pub sql: Arc<str>,
-    /// Shared with the queue's interned target, as is `host`.
-    pub dbms_label: Arc<str>,
-    pub host: Arc<str>,
-    pub state: TaskState,
-    /// Set when the task is handed out. Server-side only (it feeds the
-    /// stuck-run reaper); not carried on the wire.
-    pub started: Option<Instant>,
 }
 
 /// Point `text` at `shared`'s allocation when the two read the same.
@@ -125,63 +90,43 @@ fn share(text: &mut Arc<str>, shared: &Arc<str>) {
     }
 }
 
-impl Task {
-    /// Take over `prev`'s `sql`, `dbms_label` and `host` where they are
-    /// equal: a freshly decoded task owns its three texts, and the tasks
-    /// of one query follow each other.
-    pub(crate) fn share_texts(&mut self, prev: &Task) {
-        share(&mut self.sql, &prev.sql);
-        share(&mut self.dbms_label, &prev.dbms_label);
-        share(&mut self.host, &prev.host);
+/// Tasks decoded one after another — the elements of a logged enqueue —
+/// keeping each text once: a freshly decoded task owns its `sql`,
+/// `dbms_label` and `host`, the tasks of one query follow each other, so
+/// each takes over its predecessor's allocation where the two read the
+/// same.
+pub(crate) struct SharedTexts;
+
+impl Codec<Task> for SharedTexts {
+    fn write<S: Sink>(task: &Task, s: &mut S) {
+        task.serialize(s)
+    }
+    fn read(v: &Value) -> Result<Task, String> {
+        Task::from_value(v)
+    }
+    fn push(tasks: &mut Vec<Task>, v: &Value) -> Result<(), String> {
+        let mut task = Task::from_value(v)?;
+        if let Some(prev) = tasks.last() {
+            share(&mut task.sql, &prev.sql);
+            share(&mut task.dbms_label, &prev.dbms_label);
+            share(&mut task.host, &prev.host);
+        }
+        tasks.push(task);
+        Ok(())
     }
 }
 
-impl Serialize for Task {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("dbms_label", &*self.dbms_label);
-        s.field("experiment", &self.experiment.0);
-        s.field("host", &*self.host);
-        s.field("id", &self.id.0);
-        s.field("project", &self.project.0);
-        s.field("query", &self.query.0);
-        s.field("sql", &*self.sql);
-        s.field("state", &self.state);
-        s.end_object();
+serde::object! {
+    /// Named per-state task counts — the queue dashboard line, also
+    /// served verbatim as `GET /v1/queue/summary`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct QueueSummary {
+        "failed" => pub failed: usize,
+        "finished" => pub finished: usize,
+        "queued" => pub queued: usize,
+        "running" => pub running: usize,
+        "timed_out" => pub timed_out: usize,
     }
-}
-
-impl Deserialize for Task {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |k: &str| v[k].as_i64().map(|x| x as u64).ok_or(format!("task: missing {k}"));
-        let text = |k: &str| {
-            v[k].as_str()
-                .map(Arc::<str>::from)
-                .ok_or(format!("task: missing {k}"))
-        };
-        Ok(Task {
-            id: TaskId(num("id")?),
-            project: ProjectId(num("project")?),
-            experiment: ExperimentId(num("experiment")?),
-            query: QueryId(num("query")?),
-            sql: text("sql")?,
-            dbms_label: text("dbms_label")?,
-            host: text("host")?,
-            state: TaskState::from_value(&v["state"])?,
-            started: None,
-        })
-    }
-}
-
-/// Named per-state task counts — the queue dashboard line, also served
-/// verbatim as `GET /v1/queue/summary`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueSummary {
-    pub queued: usize,
-    pub running: usize,
-    pub finished: usize,
-    pub failed: usize,
-    pub timed_out: usize,
 }
 
 impl QueueSummary {
@@ -204,35 +149,6 @@ impl QueueSummary {
             TaskState::Failed(_) => &mut self.failed,
             TaskState::TimedOut => &mut self.timed_out,
         }
-    }
-}
-
-impl Serialize for QueueSummary {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("failed", &self.failed);
-        s.field("finished", &self.finished);
-        s.field("queued", &self.queued);
-        s.field("running", &self.running);
-        s.field("timed_out", &self.timed_out);
-        s.end_object();
-    }
-}
-
-impl Deserialize for QueueSummary {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let num = |k: &str| {
-            v[k].as_i64()
-                .map(|x| x as usize)
-                .ok_or(format!("queue summary: missing {k}"))
-        };
-        Ok(QueueSummary {
-            queued: num("queued")?,
-            running: num("running")?,
-            finished: num("finished")?,
-            failed: num("failed")?,
-            timed_out: num("timed_out")?,
-        })
     }
 }
 

@@ -11,175 +11,86 @@ use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
 use crate::user::ContributorKey;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Codec, Hex, Serialize, Sink, Value};
 use std::sync::Arc;
 
-/// System load averages (1, 5, 15 minutes), "easily accessible in a Linux
-/// environment", recorded at the start and end of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LoadAvg {
-    pub one: f64,
-    pub five: f64,
-    pub fifteen: f64,
-}
-
-impl Serialize for LoadAvg {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("fifteen", &self.fifteen);
-        s.field("five", &self.five);
-        s.field("one", &self.one);
-        s.end_object();
+serde::object! {
+    /// System load averages (1, 5, 15 minutes), "easily accessible in a
+    /// Linux environment", recorded at the start and end of a run.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct LoadAvg {
+        "fifteen" => pub fifteen: f64,
+        "five" => pub five: f64,
+        "one" => pub one: f64,
     }
 }
 
-impl Deserialize for LoadAvg {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(LoadAvg {
-            one: v["one"].as_f64().ok_or("loadavg: missing one")?,
-            five: v["five"].as_f64().ok_or("loadavg: missing five")?,
-            fifteen: v["fifteen"].as_f64().ok_or("loadavg: missing fifteen")?,
-        })
+serde::object! {
+    /// One contributed measurement: the wall-clock time of each
+    /// repetition plus the open-ended key-value extras.
+    #[derive(Debug, Clone)]
+    pub struct ResultRecord {
+        /// The anonymous contributor key.
+        "contributor" => pub contributor: String,
+        /// Shared with the task's (and so the queue's interned target's)
+        /// text, as is `host`.
+        "dbms_label" => pub dbms_label: Arc<str>,
+        /// Set when the run errored; error runs are first-class data (the
+        /// yellow dots of Figure 7).
+        "error" => pub error: Option<String>,
+        "experiment" => pub experiment: u64,
+        /// "An open-ended key-value list structure can be returned to
+        /// keep system specific performance indicators for post
+        /// inspection." Kept as the compact JSON text the contributor's
+        /// value prints to (`null` when there is none): the platform
+        /// stores and serves it but never reads into it, and the text is
+        /// a fraction of the tree.
+        "extras" => pub extras: String as RawJson,
+        /// Canonical logical-plan fingerprint reported by the target
+        /// system's EXPLAIN, when it has one. Lets post-processing group
+        /// queries that are syntactically distinct but plan-equivalent.
+        "fingerprint" => pub fingerprint: Option<u64> as Option<Hex>,
+        /// Moderation: hidden results are not served to readers.
+        /// Absent in serialized input from older clients; defaults to
+        /// false.
+        "hidden" => pub hidden: bool [default],
+        "host" => pub host: Arc<str>,
+        "load_after" => pub load_after: LoadAvg,
+        "load_before" => pub load_before: LoadAvg,
+        /// Per-operator EXPLAIN ANALYZE profile from the contributor's
+        /// system, when it has one — lets post-processing attribute a
+        /// discriminative query to the operator that diverged. Kept out
+        /// of the CSV export (the column set there is pinned); consumers
+        /// read it from the JSON records.
+        "profile" => pub profile: Option<Vec<OperatorProfile>>,
+        "project" => pub project: u64,
+        "query" => pub query: u64,
+        /// Rows produced (sanity check across systems).
+        "rows" => pub rows: usize,
+        "task" => pub task: u64,
+        /// Wall-clock milliseconds, one per repetition (default 5).
+        "times_ms" => pub times_ms: Vec<f64>,
     }
 }
 
-/// One contributed measurement: the wall-clock time of each repetition
-/// plus the open-ended key-value extras.
-#[derive(Debug, Clone)]
-pub struct ResultRecord {
-    pub task: u64,
-    pub project: u64,
-    pub experiment: u64,
-    pub query: u64,
-    /// Shared with the task's (and so the queue's interned target's)
-    /// text, as is `host`.
-    pub dbms_label: Arc<str>,
-    pub host: Arc<str>,
-    /// The anonymous contributor key.
-    pub contributor: String,
-    /// Wall-clock milliseconds, one per repetition (default 5).
-    pub times_ms: Vec<f64>,
-    /// Rows produced (sanity check across systems).
-    pub rows: usize,
-    /// Set when the run errored; error runs are first-class data (the
-    /// yellow dots of Figure 7).
-    pub error: Option<String>,
-    pub load_before: LoadAvg,
-    pub load_after: LoadAvg,
-    /// "An open-ended key-value list structure can be returned to keep
-    /// system specific performance indicators for post inspection."
-    /// Kept as the compact JSON text the contributor's value prints to
-    /// (`null` when there is none): the platform stores and serves it
-    /// but never reads into it, and the text is a fraction of the tree.
-    pub extras: String,
-    /// Moderation: hidden results are not served to readers.
-    /// Absent in serialized input from older clients; defaults to false.
-    pub hidden: bool,
-    /// Canonical logical-plan fingerprint reported by the target system's
-    /// EXPLAIN, when it has one. Lets post-processing group queries that
-    /// are syntactically distinct but plan-equivalent.
-    pub fingerprint: Option<u64>,
-    /// Per-operator EXPLAIN ANALYZE profile from the contributor's
-    /// system, when it has one — lets post-processing attribute a
-    /// discriminative query to the operator that diverged. Kept out of
-    /// the CSV export (the column set there is pinned); consumers read
-    /// it from the JSON records.
-    pub profile: Option<Vec<OperatorProfile>>,
-}
+/// `extras`: JSON kept as its compact text. Compact JSON — what every
+/// constructor in this crate stores — goes out as it is. The field is
+/// public, though: anything else is parsed and re-printed, and text that
+/// is not JSON is kept, as a string. Whatever is read is kept as the
+/// text it prints to (`null` when the key is missing).
+struct RawJson;
 
-/// A plan fingerprint as JSON: 16 hex digits (text keeps the full `u64`
-/// out of `i64` number territory), or `null`.
-pub(crate) fn fingerprint_hex<S: Sink>(s: &mut S, fingerprint: Option<u64>) {
-    let Some(fp) = fingerprint else {
-        return s.null();
-    };
-    let mut hex = [0u8; 16];
-    for (i, digit) in hex.iter_mut().enumerate() {
-        *digit = b"0123456789abcdef"[(fp >> (60 - 4 * i)) as usize & 0xf];
-    }
-    s.str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
-}
-
-impl Serialize for ResultRecord {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("contributor", &self.contributor);
-        s.field("dbms_label", &*self.dbms_label);
-        s.field("error", &self.error);
-        s.field("experiment", &self.experiment);
-        // Compact JSON — what every constructor in this crate stores —
-        // goes out as it is. The field is public, though: anything else
-        // is parsed and re-printed, and text that is not JSON is kept,
-        // as a string.
-        s.key("extras");
-        if !s.splice(&self.extras) {
-            match serde_json::from_str::<Value>(&self.extras) {
+impl Codec<String> for RawJson {
+    fn write<S: Sink>(json: &String, s: &mut S) {
+        if !s.splice(json) {
+            match serde_json::from_str::<Value>(json) {
                 Ok(v) => v.serialize(s),
-                Err(_) => s.str(&self.extras),
+                Err(_) => s.str(json),
             }
         }
-        s.key("fingerprint");
-        fingerprint_hex(s, self.fingerprint);
-        s.field("hidden", &self.hidden);
-        s.field("host", &*self.host);
-        s.field("load_after", &self.load_after);
-        s.field("load_before", &self.load_before);
-        s.field("profile", &self.profile);
-        s.field("project", &self.project);
-        s.field("query", &self.query);
-        s.field("rows", &self.rows);
-        s.field("task", &self.task);
-        s.field("times_ms", &self.times_ms);
-        s.end_object();
     }
-}
-
-impl Deserialize for ResultRecord {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let field_u64 =
-            |k: &str| v[k].as_i64().map(|x| x as u64).ok_or(format!("missing {k}"));
-        let field_str = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or(format!("missing {k}"))
-        };
-        Ok(ResultRecord {
-            task: field_u64("task")?,
-            project: field_u64("project")?,
-            experiment: field_u64("experiment")?,
-            query: field_u64("query")?,
-            dbms_label: field_str("dbms_label")?.into(),
-            host: field_str("host")?.into(),
-            contributor: field_str("contributor")?,
-            times_ms: v["times_ms"]
-                .as_array()
-                .ok_or("missing times_ms")?
-                .iter()
-                .map(|t| t.as_f64().ok_or("non-numeric time".to_string()))
-                .collect::<Result<_, _>>()?,
-            rows: field_u64("rows")? as usize,
-            error: if v["error"].is_null() {
-                None
-            } else {
-                Some(field_str("error")?)
-            },
-            load_before: LoadAvg::from_value(&v["load_before"])?,
-            load_after: LoadAvg::from_value(&v["load_after"])?,
-            extras: v["extras"].to_string(),
-            hidden: v["hidden"].as_bool().unwrap_or(false),
-            // Absent in input from older clients; encoded as 16 hex digits.
-            fingerprint: v["fingerprint"]
-                .as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok()),
-            profile: match &v["profile"] {
-                Value::Array(ops) => Some(
-                    ops.iter()
-                        .map(OperatorProfile::from_value)
-                        .collect::<Result<_, _>>()?,
-                ),
-                _ => None,
-            },
-        })
+    fn read(v: &Value) -> Result<String, String> {
+        Ok(v.to_string())
     }
 }
 
@@ -351,6 +262,7 @@ pub fn record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Deserialize;
 
     fn sample(query: u64, times: Vec<f64>, error: Option<&str>) -> ResultRecord {
         record(

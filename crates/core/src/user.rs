@@ -34,6 +34,8 @@ impl User {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContributorKey(pub String);
 
+serde::newtype!(UserId(u64), ContributorKey(String));
+
 impl ContributorKey {
     /// Derive a stable, anonymous key for a user; the mapping back to the
     /// user is held only in the registry.

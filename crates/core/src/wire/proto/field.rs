@@ -16,10 +16,12 @@
 //!   absent option is `null` on the way out and a missing key or `null`
 //!   on the way in.
 //!
-//! The DTOs' JSON is their own `serde` description; the binary form of
-//! the hot ones (tasks, outcomes, result records and sets) is here,
-//! columnar where the type is a vector of records. `extras`, catalog
-//! entries and metrics snapshots travel as JSON text on v2 too.
+//! Every v1 form is the type's own `serde` description, scalars
+//! included, or a `serde` codec's (a fingerprint's hex, a report pair's
+//! object); the binary form of the hot types (tasks, outcomes, result
+//! records and sets) is here, columnar where the type is a vector of
+//! records. `extras`, catalog entries and metrics snapshots travel as
+//! JSON text on v2 too.
 
 use super::v2::{R, W};
 use super::{CacheStatus, ExecOutcome, WireResultSet, WireValue};
@@ -31,12 +33,12 @@ use crate::project::{ExperimentId, ProjectId, Role};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{LoadAvg, ResultRecord};
 use crate::user::{ContributorKey, UserId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Codec, Deserialize, Hex, Serialize, Value};
 
 type D<T> = Result<T, String>;
 
 /// The two wire forms of a value of type `T`, implemented on `T` itself
-/// except for [`Hex`], the one second spelling.
+/// except for `Option<Hex>`, the one second spelling.
 pub(crate) trait Field<T = Self> {
     /// Bits of the smallest v2 encoding: what each item of a count must
     /// find left in the frame.
@@ -69,15 +71,7 @@ impl Field for u64 {
     fn read(r: &mut R<'_>) -> D<u64> {
         r.u64()
     }
-    fn to_json(v: &u64) -> Value {
-        Value::from(*v)
-    }
-    fn from_json(v: Value, name: &str) -> D<u64> {
-        v.as_i64()
-            .filter(|n| *n >= 0)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("missing numeric field {name:?}"))
-    }
+    json_by_serde!();
 }
 
 /// Newtypes travel as what they wrap: the ids as their number, a
@@ -92,12 +86,7 @@ macro_rules! newtype_fields {
             fn read(r: &mut R<'_>) -> D<$id> {
                 <$inner>::read(r).map($id)
             }
-            fn to_json(v: &$id) -> Value {
-                <$inner>::to_json(&v.0)
-            }
-            fn from_json(v: Value, name: &str) -> D<$id> {
-                <$inner>::from_json(v, name).map($id)
-            }
+            json_by_serde!();
         }
     )*};
 }
@@ -118,12 +107,7 @@ impl Field for bool {
     fn read(r: &mut R<'_>) -> D<bool> {
         r.bool()
     }
-    fn to_json(v: &bool) -> Value {
-        Value::Bool(*v)
-    }
-    fn from_json(v: Value, name: &str) -> D<bool> {
-        v.as_bool().ok_or_else(|| format!("missing bool field {name:?}"))
-    }
+    json_by_serde!();
 }
 
 impl Field for String {
@@ -134,19 +118,11 @@ impl Field for String {
     fn read(r: &mut R<'_>) -> D<String> {
         r.str()
     }
-    fn to_json(v: &String) -> Value {
-        Value::String(v.clone())
-    }
-    fn from_json(v: Value, name: &str) -> D<String> {
-        match v {
-            Value::String(s) => Ok(s),
-            _ => Err(format!("missing string field {name:?}")),
-        }
-    }
+    json_by_serde!();
 }
 
 /// A presence byte, then the value.
-impl<T: Field> Field for Option<T> {
+impl<T: Field + Serialize + Deserialize> Field for Option<T> {
     fn write(v: &Option<T>, w: &mut W) {
         w.bool(v.is_some());
         if let Some(x) = v {
@@ -156,23 +132,12 @@ impl<T: Field> Field for Option<T> {
     fn read(r: &mut R<'_>) -> D<Option<T>> {
         Ok(if r.bool()? { Some(T::read(r)?) } else { None })
     }
-    fn to_json(v: &Option<T>) -> Value {
-        v.as_ref().map_or(Value::Null, T::to_json)
-    }
-    fn from_json(v: Value, name: &str) -> D<Option<T>> {
-        match v {
-            Value::Null => Ok(None),
-            v => T::from_json(v, name).map(Some),
-        }
-    }
+    json_by_serde!();
 }
 
-/// `Execute.fingerprint`'s v1 spelling: the plan fingerprint as 16 hex
-/// digits, as results and execution outcomes print it. v2 is the plain
-/// `Option<u64>`.
-pub(crate) struct Hex;
-
-impl Field<Option<u64>> for Hex {
+/// `Execute.fingerprint`: on v1 the plan fingerprint in hex, as results
+/// and execution outcomes print it; on v2 the plain `Option<u64>`.
+impl Field<Option<u64>> for Option<Hex> {
     fn write(v: &Option<u64>, w: &mut W) {
         Option::<u64>::write(v, w)
     }
@@ -180,22 +145,15 @@ impl Field<Option<u64>> for Hex {
         Option::<u64>::read(r)
     }
     fn to_json(v: &Option<u64>) -> Value {
-        v.map_or(Value::Null, |fp| Value::String(format!("{fp:016x}")))
+        <Self as Codec<_>>::to_value(v)
     }
     fn from_json(v: Value, name: &str) -> D<Option<u64>> {
-        match v {
-            Value::Null => Ok(None),
-            v => v
-                .as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .map(Some)
-                .ok_or_else(|| format!("{name} must be a hex string")),
-        }
+        <Self as Codec<_>>::read(&v).map_err(|e| format!("bad {name}: {e}"))
     }
 }
 
 /// A count, then the items.
-impl<T: Field> Field for Vec<T> {
+impl<T: Field + Serialize + Deserialize> Field for Vec<T> {
     fn write(v: &Vec<T>, w: &mut W) {
         w.u32(v.len() as u32);
         for x in v {
@@ -210,15 +168,7 @@ impl<T: Field> Field for Vec<T> {
         }
         Ok(out)
     }
-    fn to_json(v: &Vec<T>) -> Value {
-        Value::Array(v.iter().map(T::to_json).collect())
-    }
-    fn from_json(v: Value, name: &str) -> D<Vec<T>> {
-        match v {
-            Value::Array(items) => items.into_iter().map(|x| T::from_json(x, name)).collect(),
-            _ => Err(format!("missing array field {name:?}")),
-        }
-    }
+    json_by_serde!();
 }
 
 impl Field for Visibility {
@@ -458,10 +408,18 @@ pub(crate) fn read_report_pairs(r: &mut R<'_>) -> D<Vec<(TaskId, RunOutcome)>> {
     Ok(pairs)
 }
 
+serde::object! {
+    /// One `ReportBatch` report on v1.
+    ReportPair for (task, outcome): (TaskId, RunOutcome) {
+        "outcome" => outcome,
+        "task" => task,
+    }
+}
+
 /// `ReportBatch.reports`: on v2 the expected total, then the pairs — the
 /// single-frame form of the bulk summary frame (a server reads summary
 /// frames itself, see [`super::v2::decode_request`]); on v1 an array of
-/// `{task, outcome}` objects.
+/// `ReportPair`s.
 impl Field for Vec<(TaskId, RunOutcome)> {
     fn write(v: &Vec<(TaskId, RunOutcome)>, w: &mut W) {
         w.u32(v.len() as u32);
@@ -476,35 +434,11 @@ impl Field for Vec<(TaskId, RunOutcome)> {
         Ok(pairs)
     }
     fn to_json(v: &Vec<(TaskId, RunOutcome)>) -> Value {
-        Value::Array(
-            v.iter()
-                .map(|(task, outcome)| {
-                    let mut entry = serde_json::Map::new();
-                    entry.insert("outcome".into(), outcome.to_value());
-                    entry.insert("task".into(), TaskId::to_json(task));
-                    Value::Object(entry)
-                })
-                .collect(),
-        )
+        Value::Array(v.iter().map(ReportPair::to_value).collect())
     }
     fn from_json(v: Value, name: &str) -> D<Vec<(TaskId, RunOutcome)>> {
-        let Value::Array(entries) = v else {
-            return Err(format!("missing array field {name:?}"));
-        };
-        entries
-            .into_iter()
-            .map(|entry| {
-                let mut members = match entry {
-                    Value::Object(m) => m,
-                    _ => serde_json::Map::new(),
-                };
-                let mut take = |key| members.remove(key).unwrap_or_default();
-                Ok((
-                    TaskId::from_json(take("task"), "task")?,
-                    RunOutcome::from_json(take("outcome"), "outcome")?,
-                ))
-            })
-            .collect()
+        let items = v.as_array().ok_or_else(|| format!("missing array field {name:?}"))?;
+        items.iter().map(|x| ReportPair::read(x).map_err(|e| format!("bad {name}: {e}"))).collect()
     }
 }
 
@@ -653,19 +587,7 @@ impl Field for Vec<ResultRecord> {
         Ok(records)
     }
 
-    fn to_json(v: &Vec<ResultRecord>) -> Value {
-        Value::Array(v.iter().map(Serialize::to_value).collect())
-    }
-
-    fn from_json(v: Value, name: &str) -> D<Vec<ResultRecord>> {
-        let Value::Array(items) = v else {
-            return Err(format!("missing array field {name:?}"));
-        };
-        items
-            .iter()
-            .map(|x| ResultRecord::from_value(x).map_err(|e| format!("bad result record: {e}")))
-            .collect()
-    }
+    json_by_serde!();
 }
 
 // -------------------------------------------------------- result sets

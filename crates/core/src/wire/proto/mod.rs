@@ -45,8 +45,8 @@ use crate::project::{ExperimentId, ProjectId, Role};
 use crate::queue::{QueueSummary, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
-use field::{Field, Hex};
-use serde::{Deserialize, Serialize, Sink, Value};
+use field::Field;
+use serde::{Deserialize, Hex, Serialize, Sink, Value};
 use std::any::Any;
 
 /// Where a field travels on v1. (v2 writes every field back to back, in
@@ -410,7 +410,7 @@ messages! {
         /// spells the fingerprint in hex.
         Execute {
             sql: String => Body,
-            fingerprint: Option<u64> as Hex => Body,
+            fingerprint: Option<u64> as Option<Hex> => Body,
         } = 25, "execute", "POST /v1/execute" => Execution;
     }
     replies {
@@ -451,35 +451,22 @@ pub fn status_counter(status: u16) -> &'static str {
 
 // -------------------------------------------------- execution result DTOs
 
-/// How an [`Request::Execute`] interacted with the server's plan cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheStatus {
-    Hit,
-    Miss,
-    /// The cached plan was stale against newer cardinality feedback and
-    /// was re-planned with observed actuals before executing.
-    Reoptimized,
-    Bypass,
+serde::names! {
+    /// How an [`Request::Execute`] interacted with the server's plan cache.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum CacheStatus {
+        Hit = "hit",
+        Miss = "miss",
+        /// The cached plan was stale against newer cardinality feedback
+        /// and was re-planned with observed actuals before executing.
+        Reoptimized = "reoptimized",
+        Bypass = "bypass",
+    }
 }
 
 impl CacheStatus {
     pub fn as_str(self) -> &'static str {
-        match self {
-            CacheStatus::Hit => "hit",
-            CacheStatus::Miss => "miss",
-            CacheStatus::Reoptimized => "reoptimized",
-            CacheStatus::Bypass => "bypass",
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<CacheStatus, String> {
-        match s {
-            "hit" => Ok(CacheStatus::Hit),
-            "miss" => Ok(CacheStatus::Miss),
-            "reoptimized" => Ok(CacheStatus::Reoptimized),
-            "bypass" => Ok(CacheStatus::Bypass),
-            other => Err(format!("unknown cache status {other:?}")),
-        }
+        serde::Named::name(&self)
     }
 
     pub fn as_u8(self) -> u8 {
@@ -589,24 +576,24 @@ impl Deserialize for WireValue {
             .first()
             .and_then(|t| t.as_str())
             .ok_or("wire value: missing tag")?;
-        let at = |i: usize| arr.get(i).ok_or(format!("wire value {tag:?}: short array"));
+        /// Cell `i` of the tagged array.
+        fn at<T: Deserialize>(arr: &[Value], tag: &str, i: usize) -> Result<T, String> {
+            let cell = arr.get(i).ok_or(format!("wire value {tag:?}: short array"))?;
+            T::from_value(cell).map_err(|e| format!("wire value {tag:?}: {e}"))
+        }
         Ok(match tag {
-            "b" => WireValue::Bool(at(1)?.as_bool().ok_or("bad bool")?),
-            "i" => WireValue::Int(at(1)?.as_i64().ok_or("bad int")?),
-            "f" => WireValue::Float(at(1)?.as_f64().ok_or("bad float")?),
+            "b" => WireValue::Bool(at(arr, tag, 1)?),
+            "i" => WireValue::Int(at(arr, tag, 1)?),
+            "f" => WireValue::Float(at(arr, tag, 1)?),
             "d" => WireValue::Decimal {
-                raw: at(1)?
-                    .as_str()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("bad decimal raw")?,
-                scale: at(2)?.as_i64().filter(|s| (0..=255).contains(s)).ok_or("bad decimal scale")?
-                    as u8,
+                raw: at::<String>(arr, tag, 1)?.parse().map_err(|_| "bad decimal raw")?,
+                scale: u8::try_from(at::<i64>(arr, tag, 2)?).map_err(|_| "bad decimal scale")?,
             },
-            "s" => WireValue::Str(at(1)?.as_str().ok_or("bad string")?.to_string()),
-            "t" => WireValue::Date(at(1)?.as_i64().ok_or("bad date")? as i32),
+            "s" => WireValue::Str(at(arr, tag, 1)?),
+            "t" => WireValue::Date(at(arr, tag, 1)?),
             "iv" => WireValue::Interval {
-                months: at(1)?.as_i64().ok_or("bad interval months")? as i32,
-                days: at(2)?.as_i64().ok_or("bad interval days")? as i32,
+                months: at(arr, tag, 1)?,
+                days: at(arr, tag, 2)?,
             },
             other => return Err(format!("unknown value tag {other:?}")),
         })
@@ -665,26 +652,11 @@ impl Serialize for WireResultSet {
     }
 }
 
+/// Read as its two members, then checked: a column per name.
 impl Deserialize for WireResultSet {
     fn from_value(v: &Value) -> Result<Self, String> {
-        let columns = v["columns"]
-            .as_array()
-            .ok_or("result set: missing columns")?
-            .iter()
-            .map(|c| c.as_str().map(str::to_string).ok_or("non-string column".to_string()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let data = v["data"]
-            .as_array()
-            .ok_or("result set: missing data")?
-            .iter()
-            .map(|col| {
-                col.as_array()
-                    .ok_or("result set: column is not an array".to_string())?
-                    .iter()
-                    .map(WireValue::from_value)
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let columns = Vec::<String>::from_value(&v["columns"]).map_err(|e| format!("columns: {e}"))?;
+        let data = Vec::<Vec<WireValue>>::from_value(&v["data"]).map_err(|e| format!("data: {e}"))?;
         if data.len() != columns.len() {
             return Err("result set: column count mismatch".into());
         }
@@ -692,39 +664,15 @@ impl Deserialize for WireResultSet {
     }
 }
 
-/// The reply to [`Request::Execute`]: the columnar result, the
-/// authoritative plan fingerprint (reusable as the cache key on the next
-/// call), and how the plan cache was involved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecOutcome {
-    pub result: WireResultSet,
-    pub fingerprint: u64,
-    pub cache: CacheStatus,
-}
-
-impl Serialize for ExecOutcome {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        s.begin_object();
-        s.field("cache", self.cache.as_str());
-        s.key("fingerprint");
-        crate::results::fingerprint_hex(s, Some(self.fingerprint));
-        s.field("result", &self.result);
-        s.end_object();
-    }
-}
-
-impl Deserialize for ExecOutcome {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        Ok(ExecOutcome {
-            result: WireResultSet::from_value(&v["result"])?,
-            fingerprint: v["fingerprint"]
-                .as_str()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or("exec outcome: missing fingerprint")?,
-            cache: CacheStatus::parse(
-                v["cache"].as_str().ok_or("exec outcome: missing cache")?,
-            )?,
-        })
+serde::object! {
+    /// The reply to [`Request::Execute`]: the columnar result, the
+    /// authoritative plan fingerprint (reusable as the cache key on the
+    /// next call), and how the plan cache was involved.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ExecOutcome {
+        "cache" => pub cache: CacheStatus,
+        "fingerprint" => pub fingerprint: u64 as Hex,
+        "result" => pub result: WireResultSet,
     }
 }
 

@@ -20,13 +20,24 @@
 //! * **The element-wise walk == whole-line parsing**, on the golden
 //!   lines, on random bulk records whose texts look like the log's own
 //!   structure — and a line cut at any byte is torn, never a panic.
+//! * **Every JSON type, not only the log's records**: text sink == tree
+//!   sink and encode → decode → encode on random values of each type the
+//!   platform writes as JSON (the v1 wire's DTOs included).
+//! * **Legacy input still reads**: each key an older writer may leave out
+//!   decodes to its default when absent; every other key is required.
+//!   A value that is present but mistyped — a fingerprint that is not
+//!   hex — is an error, and a logged line holding one fails replay
+//!   naming its LSN.
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 use sqalpel_core::durability::{read_wal, write_snapshot, WalWriter, WAL_FILE};
+use sqalpel_core::wire::{CacheStatus, ExecOutcome, WireResultSet, WireValue};
 use sqalpel_core::{
-    recover, ContributorKey, DbmsEntry, ExperimentId, HostEntry, LoadAvg, OperatorProfile, Origin,
-    PoolEntry, ProjectId, ProjectShard, QueryId, ResultRecord, SqalpelServer, Strategy, Task,
-    TaskId, TaskState, UserId, Visibility, WalRecord,
+    recover, ContributorKey, DbmsEntry, ExperimentId, HistogramSummary, HostEntry, LoadAvg,
+    MetricsSnapshot, OperatorProfile, Origin, PlatformError, PoolEntry, ProjectId, ProjectShard,
+    QueryId, QueueSummary, ResultRecord, Role, RunOutcome, SqalpelServer, Strategy, Task, TaskId,
+    TaskState, UserId, Visibility, WalRecord,
 };
 use std::path::{Path, PathBuf};
 
@@ -516,6 +527,147 @@ impl Rng {
             },
         }
     }
+
+    fn outcome(&mut self, finite: bool) -> RunOutcome {
+        let r = self.result(finite);
+        RunOutcome {
+            times_ms: r.times_ms,
+            rows: r.rows,
+            error: r.error,
+            load_before: r.load_before,
+            load_after: r.load_after,
+            extras: self.json(2),
+            fingerprint: r.fingerprint,
+            profile: r.profile,
+        }
+    }
+
+    fn dbms(&mut self) -> DbmsEntry {
+        match self.record(2, true) {
+            WalRecord::DbmsAdded { entry } => entry,
+            _ => unreachable!(),
+        }
+    }
+
+    fn host(&mut self) -> HostEntry {
+        match self.record(3, true) {
+            WalRecord::HostAdded { entry } => entry,
+            _ => unreachable!(),
+        }
+    }
+
+    fn summary(&mut self) -> QueueSummary {
+        QueueSummary {
+            queued: self.id() as usize,
+            running: self.id() as usize,
+            finished: self.id() as usize,
+            failed: self.id() as usize,
+            timed_out: self.id() as usize,
+        }
+    }
+
+    fn histogram(&mut self) -> HistogramSummary {
+        HistogramSummary {
+            count: self.id(),
+            sum: self.next(),
+            p50: self.id(),
+            p95: self.next(),
+            p99: self.id(),
+        }
+    }
+
+    /// Names sorted and distinct, as a registry snapshot holds them.
+    fn metrics(&mut self) -> MetricsSnapshot {
+        let counters: std::collections::BTreeMap<String, u64> = (0..self.below(4))
+            .map(|_| (self.text(), self.next()))
+            .collect();
+        let histograms: std::collections::BTreeMap<String, HistogramSummary> = (0..self.below(3))
+            .map(|_| (self.text(), self.histogram()))
+            .collect();
+        MetricsSnapshot {
+            counters: counters.into_iter().collect(),
+            histograms: histograms.into_iter().collect(),
+        }
+    }
+
+    fn cell(&mut self, finite: bool) -> WireValue {
+        match self.below(8) {
+            0 => WireValue::Null,
+            1 => WireValue::Bool(self.coin()),
+            2 => WireValue::Int(self.next() as i64),
+            3 => WireValue::Float(self.float(finite)),
+            4 => WireValue::Decimal {
+                raw: (self.next() as i64 as i128) * (self.next() as i128),
+                scale: self.below(256) as u8,
+            },
+            5 => WireValue::Str(self.text()),
+            6 => WireValue::Date(self.next() as i32),
+            _ => WireValue::Interval {
+                months: self.next() as i32,
+                days: self.next() as i32,
+            },
+        }
+    }
+
+    fn execution(&mut self, finite: bool) -> ExecOutcome {
+        let (ncols, nrows) = (self.below(4), self.below(4));
+        ExecOutcome {
+            result: WireResultSet {
+                columns: (0..ncols).map(|_| self.text()).collect(),
+                data: (0..ncols)
+                    .map(|_| (0..nrows).map(|_| self.cell(finite)).collect())
+                    .collect(),
+            },
+            fingerprint: self.next(),
+            cache: [
+                CacheStatus::Hit,
+                CacheStatus::Miss,
+                CacheStatus::Reoptimized,
+                CacheStatus::Bypass,
+            ][self.below(4)],
+        }
+    }
+
+    fn error(&mut self) -> PlatformError {
+        let (text, n) = (self.text(), self.next());
+        match self.below(12) {
+            0 => PlatformError::Invalid(text),
+            1 => PlatformError::UnknownUser(n),
+            2 => PlatformError::UnknownProject(n),
+            3 => PlatformError::UnknownExperiment(n),
+            4 => PlatformError::UnknownTask(n),
+            5 => PlatformError::UnknownQuery(n),
+            6 => PlatformError::AccessDenied(text),
+            7 => PlatformError::Grammar(text),
+            8 => PlatformError::PoolFull(n as usize),
+            9 => PlatformError::Publication(text),
+            10 => PlatformError::Transport(text),
+            _ => PlatformError::Throttled(text),
+        }
+    }
+
+    fn role(&mut self) -> Role {
+        [Role::None, Role::Reader, Role::Contributor, Role::Owner][self.below(4)]
+    }
+}
+
+/// `v` prints the same JSON through the text sink and the tree sink; and
+/// when `finite`, what it prints decodes and prints to the same text.
+fn one_description<T: Serialize + Deserialize>(what: &str, v: &T, finite: bool) {
+    let text = serde_json::to_string(v).unwrap();
+    assert_eq!(
+        text,
+        v.to_value().to_string(),
+        "{what}: text sink != tree sink"
+    );
+    if finite {
+        let back: T = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{what}: {text}: {e}"));
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            text,
+            "{what}: decode moved bytes"
+        );
+    }
 }
 
 proptest! {
@@ -548,4 +700,352 @@ proptest! {
             prop_assert_eq!(text(walked), payload(line));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every type the platform writes as JSON — the log's members and the
+    /// v1 wire's DTOs — prints the same through both sinks, non-finite
+    /// floats included, and finite values survive encode -> decode ->
+    /// encode.
+    #[test]
+    fn every_json_type_round_trips(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        for finite in [false, true] {
+            let r = rng.result(finite);
+            one_description("ResultRecord", &r, finite);
+            one_description("LoadAvg", &r.load_after, finite);
+            for op in r.profile.iter().flatten() {
+                one_description("OperatorProfile", op, finite);
+            }
+            one_description("RunOutcome", &rng.outcome(finite), finite);
+            one_description("DbmsEntry", &rng.dbms(), finite);
+            one_description("HostEntry", &rng.host(), finite);
+            one_description("Visibility", &rng.visibility(), finite);
+            let task = rng.task();
+            one_description("Task", &task, finite);
+            one_description("TaskState", &task.state, finite);
+            one_description("QueueSummary", &rng.summary(), finite);
+            let entry = rng.pool_entry();
+            one_description("PoolEntry", &entry, finite);
+            one_description("Origin", &entry.origin, finite);
+            one_description("HistogramSummary", &rng.histogram(), finite);
+            one_description("MetricsSnapshot", &rng.metrics(), finite);
+            let exec = rng.execution(finite);
+            one_description("ExecOutcome", &exec, finite);
+            one_description("WireResultSet", &exec.result, finite);
+            for cell in exec.result.data.iter().flatten() {
+                one_description("WireValue", cell, finite);
+            }
+            one_description("PlatformError", &rng.error(), finite);
+            one_description("Role", &rng.role(), finite);
+        }
+    }
+}
+
+// ----------------------------------------------------------- legacy input
+
+/// A default an older writer's input decodes to: `full` with the field
+/// behind one key reset.
+type Reset<T> = fn(&mut T);
+
+/// Decode `full`'s JSON with each of its keys left out in turn. A key
+/// `tolerated` names decodes to `full` with that field reset; every
+/// other key is required, and leaving it out is an error. Returns how
+/// many tolerated keys the value carried.
+fn legacy_input<T: Serialize + Deserialize + Clone>(
+    what: &str,
+    full: &T,
+    tolerated: &[(&str, Reset<T>)],
+) -> usize {
+    let Value::Object(members) = full.to_value() else {
+        panic!("{what}: not an object")
+    };
+    let mut seen = 0;
+    for key in members.keys() {
+        let mut cut = members.clone();
+        cut.remove(key);
+        let got = T::from_value(&Value::Object(cut));
+        match tolerated.iter().find(|(k, _)| k == key) {
+            Some((_, reset)) => {
+                seen += 1;
+                let mut want = full.clone();
+                reset(&mut want);
+                let got = got.unwrap_or_else(|e| panic!("{what}.{key} left out: {e}"));
+                assert_eq!(
+                    serde_json::to_string(&got).unwrap(),
+                    serde_json::to_string(&want).unwrap(),
+                    "{what}.{key} left out"
+                );
+            }
+            None => assert!(
+                got.is_err(),
+                "{what}.{key} is required, yet decoded without it"
+            ),
+        }
+    }
+    seen
+}
+
+fn full_record() -> ResultRecord {
+    let mut r = result(0, 3, "rowstore-2.0", vec![1.5, 2.0], Some("boom"));
+    r.extras = r#"{"k":[1,2]}"#.into();
+    r.hidden = true;
+    r.fingerprint = Some(0xfeed_face_cafe_beef);
+    r.profile = Some(vec![OperatorProfile {
+        op: "scan nation".into(),
+        rows_in: 25,
+        rows_out: 5,
+        batches: 1,
+        nanos: 77,
+        chunks_scanned: 3,
+        chunks_skipped: 1,
+    }]);
+    r
+}
+
+fn full_outcome() -> RunOutcome {
+    let r = full_record();
+    RunOutcome {
+        times_ms: r.times_ms,
+        rows: r.rows,
+        error: r.error,
+        load_before: r.load_before,
+        load_after: r.load_after,
+        extras: serde_json::json!({"cache": "warm"}),
+        fingerprint: r.fingerprint,
+        profile: r.profile,
+    }
+}
+
+/// The keys older writers leave out, and what each decodes to.
+#[test]
+fn legacy_input_decodes_to_its_defaults() {
+    let record = full_record();
+    let n = legacy_input(
+        "ResultRecord",
+        &record,
+        &[
+            ("error", |r| r.error = None),
+            ("extras", |r| r.extras = "null".into()),
+            ("fingerprint", |r| r.fingerprint = None),
+            ("hidden", |r| r.hidden = false),
+            ("profile", |r| r.profile = None),
+        ],
+    );
+    assert_eq!(n, 5);
+    let op = record.profile.clone().unwrap().remove(0);
+    let n = legacy_input(
+        "OperatorProfile",
+        &op,
+        &[
+            ("chunks_scanned", |o| o.chunks_scanned = 0),
+            ("chunks_skipped", |o| o.chunks_skipped = 0),
+        ],
+    );
+    assert_eq!(n, 2);
+    assert_eq!(legacy_input("LoadAvg", &record.load_after, &[]), 0);
+    let n = legacy_input(
+        "RunOutcome",
+        &full_outcome(),
+        &[
+            ("error", |o| o.error = None),
+            ("extras", |o| o.extras = Value::Null),
+            ("fingerprint", |o| o.fingerprint = None),
+            ("profile", |o| o.profile = None),
+        ],
+    );
+    assert_eq!(n, 4);
+
+    let WalRecord::DbmsAdded { entry } = &history()[3] else {
+        panic!()
+    };
+    let n = legacy_input("DbmsEntry", entry, &[("settings", |e| e.settings.clear())]);
+    assert_eq!(n, 1);
+    let WalRecord::HostAdded { entry } = &history()[4] else {
+        panic!()
+    };
+    assert_eq!(legacy_input("HostEntry", entry, &[]), 0);
+
+    let mut t = task(1, 0, "select 1", "rowstore-2.0");
+    assert_eq!(legacy_input("Task", &t, &[]), 0);
+    for state in [
+        TaskState::Queued,
+        TaskState::Running { contributor: key() },
+        TaskState::Failed("boom".into()),
+    ] {
+        t.state = state;
+        assert_eq!(legacy_input("TaskState", &t.state, &[]), 0);
+    }
+    let summary = QueueSummary {
+        queued: 1,
+        running: 2,
+        finished: 3,
+        failed: 4,
+        timed_out: 5,
+    };
+    assert_eq!(legacy_input("QueueSummary", &summary, &[]), 0);
+
+    let WalRecord::PoolExtended { entries, .. } = &history()[11] else {
+        panic!()
+    };
+    let n = legacy_input(
+        "PoolEntry",
+        &entries[2],
+        &[("fingerprint", |e| e.fingerprint = None)],
+    );
+    assert_eq!(n, 1);
+    assert_eq!(legacy_input("Origin", &entries[2].origin, &[]), 0);
+
+    let histogram = HistogramSummary {
+        count: 2,
+        sum: 300,
+        p50: 100,
+        p95: 200,
+        p99: 200,
+    };
+    assert_eq!(legacy_input("HistogramSummary", &histogram, &[]), 0);
+    let snapshot = MetricsSnapshot {
+        counters: vec![("wire.requests".into(), 3)],
+        histograms: vec![("wire.latency".into(), histogram)],
+    };
+    assert_eq!(legacy_input("MetricsSnapshot", &snapshot, &[]), 0);
+    let exec = ExecOutcome {
+        result: WireResultSet {
+            columns: vec!["a".into()],
+            data: vec![vec![WireValue::Int(1), WireValue::Null]],
+        },
+        fingerprint: 0xdead_beef,
+        cache: CacheStatus::Hit,
+    };
+    assert_eq!(legacy_input("ExecOutcome", &exec, &[]), 0);
+    assert_eq!(legacy_input("WireResultSet", &exec.result, &[]), 0);
+    // The message is derived from code and detail, never read.
+    let n = legacy_input(
+        "PlatformError",
+        &PlatformError::UnknownTask(9),
+        &[("message", |_| {})],
+    );
+    assert_eq!(n, 1);
+
+    // Every op of the log: `dialect` and a report's `error` may be left
+    // out, nothing else.
+    let mut seen = 0;
+    for record in history() {
+        seen += legacy_input(
+            "WalRecord",
+            &record,
+            &[
+                ("dialect", |r| {
+                    if let WalRecord::ExperimentAdded { dialect, .. } = r {
+                        *dialect = None;
+                    }
+                }),
+                ("error", |r| {
+                    if let WalRecord::ReportAccepted { error, .. } = r {
+                        *error = None;
+                    }
+                }),
+            ],
+        );
+    }
+    assert_eq!(
+        seen, 2,
+        "the history carries one dialect and one report error"
+    );
+    // ... and inside a batch, an item's `error` may be left out too.
+    let batch = history()
+        .into_iter()
+        .find(|r| matches!(r, WalRecord::ReportBatchAccepted { .. }))
+        .unwrap();
+    for (key, tolerated) in [("error", true), ("record", false), ("task", false)] {
+        let mut v = batch.to_value();
+        let Value::Object(members) = &mut v else {
+            panic!()
+        };
+        let Some(Value::Array(items)) = members.get_mut("items") else {
+            panic!()
+        };
+        let Value::Object(item) = &mut items[1] else {
+            panic!()
+        };
+        assert!(item.remove(key).is_some(), "items[1].{key}");
+        let got = WalRecord::from_value(&v);
+        if tolerated {
+            let WalRecord::ReportBatchAccepted { items, .. } = got.unwrap() else {
+                panic!()
+            };
+            assert_eq!(items[1].1, None);
+        } else {
+            assert!(got.is_err(), "items[1].{key} is required");
+        }
+    }
+}
+
+/// A present value of the wrong type is an error naming its key, never a
+/// silent default: a fingerprint is 16 hex digits or absent.
+#[test]
+fn a_mistyped_fingerprint_is_an_error_naming_it() {
+    fn with_bad_fingerprint<T: Serialize + Deserialize>(full: &T) -> Result<T, String> {
+        let mut v = full.to_value();
+        let Value::Object(members) = &mut v else {
+            panic!()
+        };
+        members.insert("fingerprint".into(), Value::from("not-hex"));
+        T::from_value(&v)
+    }
+    let WalRecord::PoolExtended { entries, .. } = &history()[11] else {
+        panic!()
+    };
+    let exec = ExecOutcome {
+        result: WireResultSet::default(),
+        fingerprint: 7,
+        cache: CacheStatus::Miss,
+    };
+    for (what, got) in [
+        ("ResultRecord", with_bad_fingerprint(&full_record()).err()),
+        ("RunOutcome", with_bad_fingerprint(&full_outcome()).err()),
+        ("PoolEntry", with_bad_fingerprint(&entries[2]).err()),
+        ("ExecOutcome", with_bad_fingerprint(&exec).err()),
+    ] {
+        let e = got.unwrap_or_else(|| panic!("{what}: a non-hex fingerprint decoded"));
+        assert!(e.contains("fingerprint"), "{what}: {e}");
+    }
+}
+
+/// The same on the replay side: a checksummed `report_accepted` line
+/// whose record carries a non-hex fingerprint was acknowledged as
+/// something this build cannot read, so replay fails naming its LSN.
+#[test]
+fn a_logged_non_hex_fingerprint_fails_replay_naming_its_lsn() {
+    fn fnv64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
+    }
+    let report = history()
+        .into_iter()
+        .find(|r| matches!(r, WalRecord::ReportAccepted { .. }))
+        .unwrap();
+    let json = text(&report).replacen(
+        "\"fingerprint\":\"feedfacecafebeef\"",
+        "\"fingerprint\":\"not-hex\"",
+        1,
+    );
+    assert!(json.contains("not-hex"));
+    let mut log = log_of("bad-fp", &history()[..1]);
+    log.extend_from_slice(
+        format!("2 {} {:016x} {json}\n", json.len(), fnv64(json.as_bytes())).as_bytes(),
+    );
+    let dir = tmp_dir("bad-fp-replay");
+    std::fs::write(dir.join(WAL_FILE), &log).unwrap();
+    let mut wal = read_wal(&dir.join(WAL_FILE)).unwrap();
+    assert!(wal.next().unwrap().is_ok());
+    let err = wal.next().unwrap().unwrap_err();
+    assert!(err.to_string().contains("lsn 2"), "{err}");
+    assert!(err.to_string().contains("fingerprint"), "{err}");
+    assert!(wal.next().is_none());
+    assert_eq!(wal.torn(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -791,6 +791,10 @@ fn malformed_input_fails_typed() {
         query: query.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
         body: body.as_bytes().to_vec(),
     };
+    let bad_fingerprint = format!(
+        r#"{{"key":"k","outcome":{},"task":1}}"#,
+        serde_json::to_string(&outcome()).unwrap().replace(&format!("{BIG_FP:016x}"), "not-hex")
+    );
     let v1_cases: Vec<(&str, HttpRequest, u16, &str)> = vec![
         ("missing field", http("POST", "/v1/user/register", &[], r#"{"nickname":"x"}"#), 400, "email"),
         ("wrong field type", http("POST", "/v1/user/key", &[], r#"{"user":"seven"}"#), 400, "user"),
@@ -801,6 +805,7 @@ fn malformed_input_fails_typed() {
             "hidden",
         ),
         ("wrong option type", http("POST", "/v1/task/request", &[], r#"{"claim":"x","dbms_label":"d","host":"h","key":"k"}"#), 400, "claim"),
+        ("non-hex fingerprint", http("POST", "/v1/result/report", &[], &bad_fingerprint), 400, "fingerprint"),
         ("body is not JSON", http("POST", "/v1/queue/reap", &[], "{"), 400, "JSON"),
         ("non-numeric path id", http("POST", "/v1/project/abc/take_down", &[], ""), 400, "abc"),
         ("non-numeric query value", http("GET", "/v1/project/1/role", &[("user", "x")], ""), 400, "user"),

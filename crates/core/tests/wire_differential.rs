@@ -271,6 +271,38 @@ fn non_finite_reports_are_refused_before_the_log_on_both_transports() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A claim nonce is any `u64`. v1 carries one past `i64::MAX` as the
+/// negative number its bits print as, and reads it back through the
+/// same cast: on both transports such a nonce hands out a task, and a
+/// retry under the same nonce gets the same task again.
+#[test]
+fn claim_nonces_past_i64_max_work_on_both_transports() {
+    let server = Arc::new(SqalpelServer::new());
+    let (_w1, _w2, v1, v2) = both_wires(&server);
+    let owner = v2.register_user("mlk", "mlk@cwi.nl").unwrap();
+    let key = v2.issue_key(owner).unwrap();
+    let project = v2
+        .create_project(owner, "nonce", "wide claim nonces", Visibility::Public)
+        .unwrap();
+    v2.set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
+        .unwrap();
+    let exp = v2
+        .add_experiment(project, owner, "nation", SQL, None, 1000, 100)
+        .unwrap();
+    v2.seed_pool(project, exp, owner, 5, 42).unwrap();
+    assert!(v2.enqueue_experiment(project, exp, owner).unwrap() >= 2);
+
+    let mut held = Vec::new();
+    for (client, nonce) in [(&v1, u64::MAX - 8), (&v2, 1 << 63)] {
+        let task = client.claim_task(&key, DBMS, HOST, nonce).unwrap().unwrap();
+        let again = client.claim_task(&key, DBMS, HOST, nonce).unwrap().unwrap();
+        assert_eq!(again.id, task.id, "a retried nonce {nonce:#x} gets its task back");
+        held.push(task.id);
+    }
+    assert_ne!(held[0], held[1], "two nonces, two tasks");
+    assert_eq!(v1.queue_summary().unwrap().running, 2);
+}
+
 /// A pipelined batch must return exactly what the same ops return when
 /// sent serially — same order, same values — and interleaves cheap and
 /// fallible ops so per-frame errors stay correlated by tag.

@@ -9,17 +9,16 @@
 //!
 //! A profiler belongs to one thread. An operator that fans work out over
 //! morsel workers is timed and counted as a whole by the coordinating
-//! thread, once its workers are done — one sample per execution at every
-//! worker count, so a scan's clock can never exceed its parent's. Shards
-//! of separate executions still combine: every field is a sum, so
-//! [`ProfileShard::merge`] is order-independent by construction (the
-//! property tests in `tests/profile_props.rs` pin associativity,
-//! commutativity and count conservation).
+//! thread, once its workers are done — the workers run without a
+//! profiler — so there is one sample per execution at every worker
+//! count, and a scan's clock can never exceed its parent's. Repeated
+//! executions of one node (a correlated subquery's) add up in its
+//! sample: every field is a sum.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
-/// Per-node counters: everything is a sum, so shard merges commute.
+/// Per-node counters: everything is a sum.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// Rows consumed from the node's children (table rows for scans).
@@ -60,7 +59,7 @@ impl NodeMetrics {
     }
 }
 
-/// One thread's worth of per-node metrics; mergeable.
+/// One execution's per-node metrics.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ProfileShard {
     nodes: HashMap<usize, NodeMetrics>,
@@ -76,14 +75,6 @@ impl ProfileShard {
         self.nodes.entry(key).or_default().absorb(&sample);
     }
 
-    /// Fold another shard in. Associative and commutative: every field
-    /// is a sum.
-    pub fn merge(&mut self, other: &ProfileShard) {
-        for (key, m) in &other.nodes {
-            self.nodes.entry(*key).or_default().absorb(m);
-        }
-    }
-
     pub fn get(&self, key: usize) -> Option<&NodeMetrics> {
         self.nodes.get(&key)
     }
@@ -94,12 +85,6 @@ impl ProfileShard {
 
     pub fn iter(&self) -> impl Iterator<Item = (usize, &NodeMetrics)> {
         self.nodes.iter().map(|(k, m)| (*k, m))
-    }
-
-    /// Total rows_out across all nodes — the conserved quantity the
-    /// property tests check under arbitrary merge orders.
-    pub fn total_rows_out(&self) -> u64 {
-        self.nodes.values().map(|m| m.rows_out).sum()
     }
 }
 
@@ -121,11 +106,6 @@ impl Profiler {
         self.shard.borrow_mut().record(key, sample);
     }
 
-    /// Merge another execution's shard in.
-    pub fn absorb(&self, shard: &ProfileShard) {
-        self.shard.borrow_mut().merge(shard);
-    }
-
     /// The cumulative rows_out of one node so far — used by parents to
     /// compute their rows_in as a delta across a child execution, which
     /// stays correct when a subtree runs more than once (correlated
@@ -141,10 +121,6 @@ impl Profiler {
     /// Take the accumulated profile, leaving the profiler empty.
     pub fn take(&self) -> ProfileShard {
         std::mem::take(&mut self.shard.borrow_mut())
-    }
-
-    pub fn snapshot(&self) -> ProfileShard {
-        self.shard.borrow().clone()
     }
 }
 
@@ -269,24 +245,7 @@ mod tests {
         s.record(2, sample(1, 1, 1, 1));
         assert_eq!(s.get(1), Some(&sample(30, 20, 2, 150)));
         assert_eq!(s.get(2), Some(&sample(1, 1, 1, 1)));
-        assert_eq!(s.total_rows_out(), 21);
-    }
-
-    #[test]
-    fn merge_is_commutative_on_disjoint_and_overlapping_keys() {
-        let mut a = ProfileShard::new();
-        a.record(1, sample(10, 10, 1, 5));
-        a.record(2, sample(3, 2, 1, 7));
-        let mut b = ProfileShard::new();
-        b.record(2, sample(1, 1, 1, 1));
-        b.record(3, sample(9, 9, 2, 2));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total_rows_out(), a.total_rows_out() + b.total_rows_out());
+        assert_eq!(s.iter().count(), 2);
     }
 
     #[test]
