@@ -130,10 +130,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q --release -p sqalpel-core --test admission_props
 # The queue's O(1) bookkeeping is the scans it replaced: per-state counts
 # and open tasks per experiment against the deleted scans (kept in the
-# test as the oracle) after every step of random enqueue / checkout /
-# claim / unclaim / complete / reap / requeue sequences, and equal counts
-# again after snapshot -> restore and WAL -> streamed replay.
+# test as the oracle) after every step of random enqueue / checkout +
+# claim / claim by id / complete / reap / requeue sequences, and equal
+# counts again after snapshot -> restore and WAL -> streamed replay.
 cargo test -q --release -p sqalpel-core --test queue_props
+# One transition per record: the live state is the replay of its own
+# log. Random sequences of all 19 logging ops (nonce claims, batches,
+# zero-timeout reaps, requeues, hidden results, checkpoints) on a durable
+# server with one append failed at a random step: after every op the
+# live state's fingerprint (its checkpoint lines, hashed) equals what the
+# state dir recovers to, the failed op returned Err and changed nothing,
+# and the same sequence in memory ends in the same state. Plus the four
+# two-call sequences whose failed first append once left a state dir
+# that would not reopen.
+cargo test -q --release -p sqalpel-core --lib live_is_replay
 # Every JSON type's one description, both directions: the log,
 # checkpoint and CSV the last value-tree build wrote (tests/golden/, all
 # 18 ops and every checkpoint line kind) are what today's text sink
@@ -146,8 +156,9 @@ cargo test -q --release -p sqalpel-core --test queue_props
 # parsing; a line cut at any byte is torn.
 cargo test -q --release -p sqalpel-core --test wal_codec_props
 # The task path's allocation and memory contract: allocations per
-# request_task and report_result pinned (8 and 3 in memory, 9 and 4 on a
-# durable server), the in-process drain of 160k tasks flat from first to
+# request_task and report_result pinned (8 and 3 in memory, 10 and 5 on a
+# durable server; both measure 3 and 3 since a contributor key shares its
+# text and the record logged is the record applied), the in-process drain of 160k tasks flat from first to
 # last, replay of a 20k-task, 10k-report log peaking within 1.25x of the
 # recovered state (it streams), and a 40k-task enqueue line written and
 # replayed within the state plus twice the line's bytes.

@@ -58,26 +58,26 @@ pub fn counting_regimes(grammar: &Grammar, cap: usize) -> String {
 pub fn guidance_vs_random(grammar: &Grammar, attempts: usize) -> String {
     // Guided: baseline + a few random seeds, then the morphing walk.
     let mut guided = QueryPool::new(grammar.clone(), 10_000, 1_000_000).expect("pool");
-    guided.seed_baseline().expect("baseline");
+    guided.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel_grammar::seeded_rng(11);
-    guided.add_random(5, &mut rng).expect("seeds");
+    guided.walk(|d| d.add_random(5, &mut rng)).expect("seeds");
     let guided_seeded = guided.len();
     let mut guided_hits = 0;
     for _ in 0..attempts {
-        if guided.morph_auto(&mut rng).expect("morph").is_some() {
+        if guided.walk(|d| d.morph_auto(&mut rng)).expect("morph").is_some() {
             guided_hits += 1;
         }
     }
 
     // Brute force: independent random template draws (RAGS-style).
     let mut random = QueryPool::new(grammar.clone(), 10_000, 1_000_000).expect("pool");
-    random.seed_baseline().expect("baseline");
+    random.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel_grammar::seeded_rng(11);
-    random.add_random(5, &mut rng).expect("seeds");
+    random.walk(|d| d.add_random(5, &mut rng)).expect("seeds");
     let random_seeded = random.len();
     let mut random_hits = 0;
     for _ in 0..attempts {
-        if !random.add_random(1, &mut rng).expect("draw").is_empty() {
+        if !random.walk(|d| d.add_random(1, &mut rng)).expect("draw").is_empty() {
             random_hits += 1;
         }
     }

@@ -385,7 +385,7 @@ fn contribute(args: &[String]) {
     );
 
     let client = WireClient::builder(addr).transport(proto).build();
-    let key = ContributorKey(key.clone());
+    let key = ContributorKey(key.as_str().into());
     let mut completed = 0usize;
     // Empty polls and admission throttling back off instead of hammering
     // the server: a few retries ride out a queue that is refilling (or a

@@ -38,11 +38,11 @@ pub fn repetitions() -> usize {
 pub fn q1_pool(n_random: usize, n_morph: usize, seed: u64) -> QueryPool {
     let grammar = sqalpel_grammar::convert_sql(sqalpel_sql::tpch::Q1).expect("Q1 converts");
     let mut pool = QueryPool::new(grammar, 10_000, 10_000).expect("valid grammar");
-    pool.seed_baseline().expect("baseline");
+    pool.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel_grammar::seeded_rng(seed);
-    pool.add_random(n_random, &mut rng).expect("random seeds");
+    pool.walk(|d| d.add_random(n_random, &mut rng)).expect("random seeds");
     for _ in 0..n_morph {
-        let _ = pool.morph_auto(&mut rng).expect("morph");
+        let _ = pool.walk(|d| d.morph_auto(&mut rng)).expect("morph");
     }
     pool
 }
@@ -273,23 +273,17 @@ pub fn fig5_fig6() -> (String, String) {
         UserId(1),
         Visibility::Public,
     );
-    let id = project
-        .add_experiment(
-            UserId(1),
-            "Q1 pricing summary",
-            sqalpel_sql::tpch::Q1,
-            None,
-            10_000,
-            1000,
-        )
+    let (id, pool) = project
+        .new_experiment(UserId(1), sqalpel_sql::tpch::Q1, None, 10_000, 1000)
         .expect("experiment");
+    project.add_experiment(id, "Q1 pricing summary".into(), sqalpel_sql::tpch::Q1.into(), pool);
     {
         let exp = project.experiment_mut(id).expect("exists");
-        exp.pool.seed_baseline().expect("baseline");
+        exp.pool.walk(|d| d.seed_baseline()).expect("baseline");
         let mut rng = sqalpel_grammar::seeded_rng(4);
-        exp.pool.add_random(8, &mut rng).expect("seeds");
+        exp.pool.walk(|d| d.add_random(8, &mut rng)).expect("seeds");
         for _ in 0..8 {
-            let _ = exp.pool.morph_auto(&mut rng).expect("morph");
+            let _ = exp.pool.walk(|d| d.morph_auto(&mut rng)).expect("morph");
         }
     }
     let exp = project.experiment(id).expect("exists");
@@ -309,11 +303,11 @@ pub fn fig5_fig6() -> (String, String) {
 pub fn fig7() -> String {
     let grammar = sqalpel_grammar::convert_sql(sqalpel_sql::tpch::Q3).expect("Q3 converts");
     let mut pool = QueryPool::new(grammar, 10_000, 10_000).expect("valid grammar");
-    pool.seed_baseline().expect("baseline");
+    pool.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel_grammar::seeded_rng(7);
-    pool.add_random(20, &mut rng).expect("random seeds");
+    pool.walk(|d| d.add_random(20, &mut rng)).expect("random seeds");
     for _ in 0..30 {
-        let _ = pool.morph_auto(&mut rng).expect("morph");
+        let _ = pool.walk(|d| d.morph_auto(&mut rng)).expect("morph");
     }
 
     // A small instance: the nested-loop version must be able to finish

@@ -74,7 +74,7 @@ fn try_spawn_serve(dir: &std::path::Path) -> Option<Serve> {
             v2_addr = Some(rest.trim().parse().expect("v2 address"));
         }
         if let Some(k) = line.strip_prefix("demo contributor key: ") {
-            key = Some(ContributorKey(k.trim().to_string()));
+            key = Some(ContributorKey(k.trim().into()));
         }
         if addr.is_some() && v2_addr.is_some() && key.is_some() {
             break;

@@ -394,9 +394,9 @@ mod tests {
     fn pool() -> QueryPool {
         let g = Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
         let mut p = QueryPool::new(g, 10_000, 1000).unwrap();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = sqalpel_grammar::seeded_rng(2);
-        p.add_random(12, &mut rng).unwrap();
+        p.walk(|d| d.add_random(12, &mut rng)).unwrap();
         p
     }
 
@@ -483,7 +483,7 @@ mod tests {
         let mut p = pool();
         let mut rng = sqalpel_grammar::seeded_rng(5);
         for _ in 0..10 {
-            p.morph_auto(&mut rng).unwrap();
+            p.walk(|d| d.morph_auto(&mut rng)).unwrap();
         }
         // Simulate results: first query errored, second measured.
         let records = vec![

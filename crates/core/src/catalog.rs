@@ -109,24 +109,36 @@ impl Catalogs {
         c
     }
 
-    pub fn add_dbms(&mut self, entry: DbmsEntry) -> PlatformResult<()> {
-        if self.dbms(&entry.label()).is_some() {
-            return Err(PlatformError::Invalid(format!(
+    /// Whether `entry` may join the DBMS catalog: its label is new.
+    pub fn check_dbms(&self, entry: &DbmsEntry) -> PlatformResult<()> {
+        match self.dbms(&entry.label()) {
+            Some(_) => Err(PlatformError::Invalid(format!(
                 "dbms {} already cataloged",
                 entry.label()
-            )));
+            ))),
+            None => Ok(()),
         }
+    }
+
+    /// Whether `entry` may join the host catalog: its name is new.
+    pub fn check_host(&self, entry: &HostEntry) -> PlatformResult<()> {
+        match self.host(&entry.name) {
+            Some(_) => Err(PlatformError::Invalid(format!(
+                "host {} already cataloged",
+                entry.name
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    pub fn add_dbms(&mut self, entry: DbmsEntry) -> PlatformResult<()> {
+        self.check_dbms(&entry)?;
         self.dbms.push(entry);
         Ok(())
     }
 
     pub fn add_host(&mut self, entry: HostEntry) -> PlatformResult<()> {
-        if self.host(&entry.name).is_some() {
-            return Err(PlatformError::Invalid(format!(
-                "host {} already cataloged",
-                entry.name
-            )));
-        }
+        self.check_host(&entry)?;
         self.hosts.push(entry);
         Ok(())
     }

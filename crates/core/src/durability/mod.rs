@@ -2,12 +2,21 @@
 //! snapshots, boot-time recovery.
 //!
 //! The contract: **once an operation is acknowledged, it survives a
-//! crash.** The server logs a typed [`WalRecord`] for every mutation
-//! *before* releasing the lock that made it (so WAL order equals
-//! mutation order per lock domain), flushed to the OS per record. A
-//! bulk upload group-commits: all of its reports ride one
-//! [`WalRecord::ReportBatchAccepted`] line — one append, one flush, one
-//! checksum — so the batch is acknowledged, and replays, atomically.
+//! crash; an operation that returns `Err` changed nothing; and the live
+//! state is the replay of its own log.** Every mutating op has one shape:
+//! under the lock that guards what it changes it decides — changing
+//! nothing — what its typed [`WalRecord`] says, logs the record, and then
+//! applies it with the function replay applies it with
+//! ([`crate::shard::Apply`]; [`recovery::apply`] only routes a record to
+//! it). A failed append therefore leaves nothing behind, and WAL order
+//! equals mutation order per lock domain. (A bulk upload spanning
+//! projects, and a reap, commit per project: a later project's failure
+//! leaves the earlier ones committed.) Each record is flushed to the OS
+//! before the op acks. A bulk upload group-commits: all of its reports
+//! ride one [`WalRecord::ReportBatchAccepted`] line — one append, one
+//! flush, one checksum — so the batch is acknowledged, and replays,
+//! atomically.
+//!
 //! Snapshots bound replay time; the WAL is truncated when one lands.
 //! Records carry their LSN, so on boot [`recover`] loads the newest
 //! snapshot and replays only records past its LSN — a crash between the
@@ -19,13 +28,15 @@
 //! are cut off the file before the first new append, so what this boot
 //! acknowledges is not stranded behind them for the next.
 
+#[cfg(test)]
+mod live_is_replay;
 pub mod recovery;
 pub mod snapshot;
 pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
 pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot};
-pub use wal::{read_wal, EnqueuedTasks, WalReader, WalRecord, WalWriter, WAL_FILE};
+pub use wal::{read_wal, WalReader, WalRecord, WalWriter, WAL_FILE};
 
 use crate::shard::{GlobalShard, ProjectShard};
 use parking_lot::Mutex;
@@ -59,11 +70,23 @@ impl Durability {
         &self.dir
     }
 
-    /// Append one record ([`WalRecord`] or [`EnqueuedTasks`]), flushed to
-    /// the OS. Returns the framed byte length. The caller must hold the
-    /// lock of the state it mutated.
-    pub fn log(&self, record: &impl serde::Serialize) -> io::Result<u64> {
+    /// Append one record, flushed to the OS. Returns the framed byte
+    /// length. The caller must hold the lock of the state the record
+    /// changes.
+    pub fn log(&self, record: &WalRecord) -> io::Result<u64> {
         self.wal.lock().append(record)
+    }
+
+    /// Make the next append fail, or stop it from failing.
+    #[cfg(test)]
+    pub(crate) fn fail_next_append(&self, fail: bool) {
+        self.wal.lock().fail_next = fail;
+    }
+
+    /// Whether an append failure is still waiting for its append.
+    #[cfg(test)]
+    pub(crate) fn append_failure_pending(&self) -> bool {
+        self.wal.lock().fail_next
     }
 
     /// Current record sequence number.

@@ -3,7 +3,9 @@
 //! Replay applies each [`WalRecord`] as the physical outcome it logged,
 //! in log order, against plain (un-locked) state parts — recovery is
 //! single-threaded, locks come afterwards when the parts are wrapped in
-//! a [`crate::shard::ShardedState`]. It streams: a record is read,
+//! a [`crate::shard::ShardedState`]. [`apply`] only routes a record: the
+//! part it changes applies it ([`Apply`]) with the function the live
+//! server applied it with after logging it. It streams: a record is read,
 //! applied **by value** — its strings move into the state, and a task or
 //! result re-shares the texts its neighbours already hold — and dropped
 //! before the next is parsed, so the memory high-water mark of a boot is
@@ -14,10 +16,8 @@
 use super::snapshot::{latest_snapshot, read_snapshot};
 use super::wal::{read_wal, WalRecord, WAL_FILE};
 use crate::catalog::Catalogs;
-use crate::project::Project;
-use crate::shard::{GlobalShard, ProjectShard};
+use crate::shard::{project_of_task, Apply, GlobalShard, ProjectShard};
 use crate::user::UserRegistry;
-use sqalpel_grammar::Grammar;
 use std::io;
 use std::path::Path;
 
@@ -103,197 +103,47 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
     })
 }
 
-/// Apply one WAL record to the state parts, consuming it.
+/// Apply one WAL record to the state parts, consuming it: route it to
+/// the part it changes, which applies it with the function the live
+/// server applied it with.
 pub fn apply(
     record: WalRecord,
     global: &mut GlobalShard,
     shards: &mut Vec<ProjectShard>,
 ) -> Result<(), String> {
-    fn shard_mut(
-        shards: &mut [ProjectShard],
-        id: crate::project::ProjectId,
-    ) -> Result<&mut ProjectShard, String> {
-        if id.0 == 0 {
-            return Err("record for project 0".to_string());
+    let project = match &record {
+        WalRecord::UserRegistered { .. }
+        | WalRecord::KeyIssued { .. }
+        | WalRecord::DbmsAdded { .. }
+        | WalRecord::HostAdded { .. } => return global.apply(record),
+        WalRecord::ProjectCreated { .. } => {
+            let shard = ProjectShard::created(record, shards.len())?;
+            shards.push(shard);
+            return Ok(());
         }
-        shards
-            .get_mut((id.0 - 1) as usize)
-            .ok_or(format!("record for unknown project #{}", id.0))
-    }
-    /// One accepted report: the queue completion and the stored result.
-    fn accept(
-        shards: &mut [ProjectShard],
-        task: crate::queue::TaskId,
-        key: &crate::user::ContributorKey,
-        error: Option<String>,
-        record: crate::results::ResultRecord,
-    ) -> Result<(), String> {
-        let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
-        shard
-            .queue
-            .complete(task, key, error)
-            .map_err(|e| e.to_string())?;
-        shard.restore_result(record);
-        Ok(())
-    }
-    match record {
-        WalRecord::UserRegistered {
-            id,
-            nickname,
-            email,
-        } => global.users.restore_user(id, &nickname, &email),
-        WalRecord::KeyIssued { user, key, counter } => {
-            global.users.restore_key(key, user, counter);
-            Ok(())
-        }
-        WalRecord::DbmsAdded { entry } => {
-            global.catalogs.add_dbms(entry).map_err(|e| e.to_string())
-        }
-        WalRecord::HostAdded { entry } => {
-            global.catalogs.add_host(entry).map_err(|e| e.to_string())
-        }
-        WalRecord::ProjectCreated {
-            id,
-            owner,
-            title,
-            synopsis,
-            visibility,
-        } => {
-            if id.0 as usize != shards.len() + 1 {
-                return Err(format!("project #{} replayed out of order", id.0));
-            }
-            shards.push(ProjectShard::new(Project::new(
-                id, title, synopsis, owner, visibility,
-            )));
-            Ok(())
-        }
-        WalRecord::Invited { project, user } => {
-            let shard = shard_mut(shards, project)?;
-            if user != shard.project.owner {
-                shard.project.contributors.insert(user);
-            }
-            Ok(())
-        }
-        WalRecord::TargetsSet {
-            project,
-            dbms_labels,
-            hosts,
-        } => {
-            let shard = shard_mut(shards, project)?;
-            shard.project.dbms_labels = dbms_labels;
-            shard.project.hosts = hosts;
-            // No publication re-check: it passed when the record was
-            // acknowledged, and the catalogs replay in the same order.
-            Ok(())
-        }
-        WalRecord::CommentAdded {
-            project,
-            author,
-            text,
-        } => {
-            let shard = shard_mut(shards, project)?;
-            shard
-                .project
-                .comments
-                .push(crate::project::Comment { author, text });
-            Ok(())
-        }
-        WalRecord::TakenDown { project } => {
-            shard_mut(shards, project)?.project.taken_down = true;
-            Ok(())
-        }
-        WalRecord::ExperimentAdded {
-            project,
-            id,
-            title,
-            baseline_sql,
-            grammar,
-            template_cap,
-            pool_cap,
-            dialect,
-        } => {
-            let grammar = Grammar::parse(&grammar).map_err(|e| format!("grammar: {e}"))?;
-            shard_mut(shards, project)?
-                .project
-                .restore_experiment(
-                    id,
-                    &title,
-                    &baseline_sql,
-                    grammar,
-                    template_cap,
-                    pool_cap,
-                    dialect,
-                )
-                .map_err(|e| e.to_string())
-        }
-        WalRecord::PoolExtended {
-            project,
-            experiment,
-            entries,
-        } => {
-            let shard = shard_mut(shards, project)?;
-            let pool = &mut shard
-                .project
-                .experiment_mut(experiment)
-                .map_err(|e| e.to_string())?
-                .pool;
-            for entry in entries {
-                pool.restore_entry(entry)?;
-            }
-            Ok(())
-        }
-        WalRecord::TasksEnqueued { project, tasks } => {
-            let shard = shard_mut(shards, project)?;
-            for task in tasks {
-                shard.queue.restore_task(task)?;
-            }
-            Ok(())
-        }
-        WalRecord::TaskClaimed { task, key } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
-            shard
-                .queue
-                .claim(task, &key)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        }
-        WalRecord::ReportAccepted {
-            task,
-            key,
-            error,
-            record,
-        } => accept(shards, task, &key, error, record),
-        WalRecord::ReportBatchAccepted { key, items } => {
-            // One group commit replays as its per-report effects, in
-            // upload order — all of them or (torn tail) none.
-            for (task, error, record) in items {
-                accept(shards, task, &key, error, record)?;
-            }
-            Ok(())
-        }
-        WalRecord::TasksReaped { project, tasks } => {
-            let shard = shard_mut(shards, project)?;
-            for task in tasks {
-                shard.queue.restore_timeout(task).map_err(|e| e.to_string())?;
-            }
-            Ok(())
-        }
-        WalRecord::TaskRequeued { task } => {
-            let shard = shard_mut(shards, crate::shard::project_of_task(task))?;
-            shard.queue.requeue(task).map_err(|e| e.to_string())
-        }
-        WalRecord::ResultHidden {
-            project,
-            index,
-            hidden,
-        } => {
-            let shard = shard_mut(shards, project)?;
-            if !shard.results.set_hidden(index, hidden) {
-                return Err(format!("hidden flag for unknown result #{index}"));
-            }
-            Ok(())
-        }
-    }
+        WalRecord::Invited { project, .. }
+        | WalRecord::TargetsSet { project, .. }
+        | WalRecord::CommentAdded { project, .. }
+        | WalRecord::TakenDown { project }
+        | WalRecord::ExperimentAdded { project, .. }
+        | WalRecord::PoolExtended { project, .. }
+        | WalRecord::TasksEnqueued { project, .. }
+        | WalRecord::TasksReaped { project, .. }
+        | WalRecord::ResultHidden { project, .. } => *project,
+        WalRecord::TaskClaimed { task, .. }
+        | WalRecord::ReportAccepted { task, .. }
+        | WalRecord::TaskRequeued { task } => project_of_task(*task),
+        WalRecord::ReportBatchAccepted { items, .. } => match items.first() {
+            Some((task, ..)) => project_of_task(*task),
+            None => return Ok(()),
+        },
+    };
+    let shard = project
+        .0
+        .checked_sub(1)
+        .and_then(|i| shards.get_mut(i as usize))
+        .ok_or(format!("record for unknown project #{}", project.0))?;
+    shard.apply(record)
 }
 
 #[cfg(test)]
@@ -302,6 +152,7 @@ mod tests {
     use super::super::Durability;
     use super::*;
     use crate::catalog::Visibility;
+    use sqalpel_grammar::Grammar;
     use crate::queue::{TaskId, TaskState};
     use crate::results;
     use crate::user::{ContributorKey, UserId};
@@ -335,7 +186,7 @@ mod tests {
         let grammar =
             Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
         let mut pool = crate::pool::QueryPool::new(grammar.clone(), 1000, 100).unwrap();
-        pool.seed_baseline().unwrap();
+        pool.walk(|d| d.seed_baseline()).unwrap();
         let entry = pool.entries()[0].clone();
         let base = 1u64 << 32;
 

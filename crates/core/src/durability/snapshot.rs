@@ -11,8 +11,8 @@
 //! survives a crash. Readers pick the highest LSN present; older
 //! snapshots are pruned after a new one lands.
 
-use super::wal::fnv64;
-use crate::pool::PoolEntry;
+use super::wal::fnv_fold;
+use crate::pool::{PoolEntry, QueryPool};
 use crate::project::{Comment, ExperimentId, Project, ProjectId};
 use crate::queue::Task;
 use crate::results::ResultRecord;
@@ -20,7 +20,6 @@ use crate::shard::{GlobalShard, ProjectShard};
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
 use serde::{Deserialize, Sink, Value};
-use sqalpel_grammar::Grammar;
 use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -29,14 +28,15 @@ fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {}", msg.into()))
 }
 
-/// Where the lines of one snapshot go: the file, and the buffer each
-/// line is written into first (reused; a line is one item, never large).
-struct Lines {
-    out: BufWriter<File>,
+/// Where the lines of one snapshot go — the file, or the fingerprint —
+/// and the buffer each line is written into first (reused; a line is one
+/// item, never large).
+struct Lines<W> {
+    out: W,
     buf: String,
 }
 
-impl Lines {
+impl<W: Write> Lines<W> {
     /// One line: a JSON object whose members `describe` writes — its
     /// `"t"` tag among them, in key order like the rest (the sink
     /// contract of the `serde` stand-in).
@@ -72,6 +72,23 @@ pub fn write_snapshot(
         s.field("projects", &shards.len());
         s.field("t", "meta");
     })?;
+    write_state(&mut out, global, shards)?;
+    out.line(|s| s.field("t", "end"))?;
+    let mut out = out.out;
+    out.flush()?;
+    out.into_inner()
+        .map_err(|e| io::Error::other(e.to_string()))?
+        .sync_all()?;
+    fs::rename(&tmp, &path)?;
+    // Fsync the directory so the rename itself is durable.
+    File::open(dir)?.sync_all()?;
+    Ok(path)
+}
+
+/// The state's lines, in restore order: users, keys, the key counter,
+/// the catalogs, then per project its line, its experiments with their
+/// pool entries, its tasks and its results.
+fn write_state<W: Write>(out: &mut Lines<W>, global: &GlobalShard, shards: &[&ProjectShard]) -> io::Result<()> {
 
     for u in global.users.users() {
         out.line(|s| {
@@ -81,7 +98,10 @@ pub fn write_snapshot(
             s.field("t", "user");
         })?;
     }
-    for (key, user) in global.users.keys() {
+    // In key order: equal states checkpoint to equal bytes.
+    let mut keys: Vec<_> = global.users.keys().collect();
+    keys.sort_unstable();
+    for (key, user) in keys {
         out.line(|s| {
             s.field("key", &key.0);
             s.field("t", "key");
@@ -171,16 +191,7 @@ pub fn write_snapshot(
         }
     }
 
-    out.line(|s| s.field("t", "end"))?;
-    let mut out = out.out;
-    out.flush()?;
-    out.into_inner()
-        .map_err(|e| io::Error::other(e.to_string()))?
-        .sync_all()?;
-    fs::rename(&tmp, &path)?;
-    // Fsync the directory so the rename itself is durable.
-    File::open(dir)?.sync_all()?;
-    Ok(path)
+    Ok(())
 }
 
 /// The newest complete snapshot in `dir`, as `(path, lsn)`.
@@ -228,9 +239,9 @@ pub fn prune_older(dir: &Path, keep_lsn: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// Load a snapshot back into state parts. Restore order inside the file
-/// matches write order, so the per-structure `restore_*` methods see
-/// ids arrive densely.
+/// Load a snapshot back into state parts, through the functions that
+/// apply the records of the log. Restore order inside the file matches
+/// write order, so they see ids arrive densely.
 pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)> {
     let mut global = GlobalShard {
         users: crate::user::UserRegistry::new(),
@@ -257,21 +268,16 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
             "user" => {
                 global
                     .users
-                    .restore_user(
-                        UserId(num("id")?),
-                        &text_field("nickname")?,
-                        &text_field("email")?,
-                    )
+                    .add_user(UserId(num("id")?), text_field("nickname")?, text_field("email")?)
                     .map_err(corrupt)?;
             }
             "key" => {
-                // Counter comes as its own line; 0 here, maxed later.
-                global
-                    .users
-                    .restore_key(ContributorKey(text_field("key")?), UserId(num("user")?), 0);
+                // Counter comes as its own line; 0 here, raised later.
+                let key = ContributorKey(text_field("key")?.into());
+                global.users.add_key(key, UserId(num("user")?), 0);
             }
             "key_counter" => {
-                global.users.restore_key_counter(num("value")?);
+                global.users.raise_key_counter(num("value")?);
             }
             "dbms" => {
                 let entry = crate::catalog::DbmsEntry::from_value(&v["entry"]).map_err(corrupt)?;
@@ -314,20 +320,19 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
             }
             "experiment" => {
                 let shard = shard_mut(&mut shards, ProjectId(num("project")?))?;
-                let grammar = Grammar::parse(&text_field("grammar")?)
-                    .map_err(|e| corrupt(format!("grammar: {e}")))?;
-                shard
-                    .project
-                    .restore_experiment(
-                        ExperimentId(num("id")?),
-                        &text_field("title")?,
-                        &text_field("baseline_sql")?,
-                        grammar,
-                        num("template_cap")? as usize,
-                        num("pool_cap")? as usize,
-                        v["dialect"].as_str().map(str::to_string),
-                    )
-                    .map_err(|e| corrupt(e.to_string()))?;
+                let pool = QueryPool::from_dsl(
+                    &text_field("grammar")?,
+                    num("template_cap")? as usize,
+                    num("pool_cap")? as usize,
+                    v["dialect"].as_str().map(str::to_string),
+                )
+                .map_err(corrupt)?;
+                shard.project.add_experiment(
+                    ExperimentId(num("id")?),
+                    text_field("title")?,
+                    text_field("baseline_sql")?,
+                    pool,
+                );
             }
             "pool_entry" => {
                 let shard = shard_mut(&mut shards, ProjectId(num("project")?))?;
@@ -338,18 +343,18 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
                     .experiment_mut(exp)
                     .map_err(|e| corrupt(e.to_string()))?
                     .pool
-                    .restore_entry(entry)
+                    .extend([entry])
                     .map_err(corrupt)?;
             }
             "task" => {
                 let task = Task::from_value(&v["task"]).map_err(corrupt)?;
                 let shard = shard_mut(&mut shards, task.project)?;
-                shard.queue.restore_task(task).map_err(corrupt)?;
+                shard.queue.add([task]).map_err(corrupt)?;
             }
             "result" => {
                 let record = ResultRecord::from_value(&v["record"]).map_err(corrupt)?;
                 let shard = shard_mut(&mut shards, ProjectId(record.project))?;
-                shard.restore_result(record);
+                shard.file_result(record);
             }
             "end" => {
                 ended = true;
@@ -372,25 +377,26 @@ fn shard_mut(shards: &mut [ProjectShard], id: ProjectId) -> io::Result<&mut Proj
         .ok_or_else(|| corrupt(format!("item for unknown project #{}", id.0)))
 }
 
-/// A cheap whole-state integrity fingerprint, used by tests to compare
-/// a recovered state against the original.
+/// The state's fingerprint: FNV-1a over the lines a checkpoint of it
+/// holds between its `meta` and `end` lines — so two states with equal
+/// fingerprints checkpoint to the same bytes.
 pub fn state_fingerprint(global: &GlobalShard, shards: &[&ProjectShard]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for u in global.users.users() {
-        h ^= fnv64(u.nickname.as_bytes()).wrapping_add(u.id.0);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for shard in shards {
-        for task in shard.queue.tasks() {
-            h ^= fnv64(serde_json::to_string(task).unwrap_or_default().as_bytes());
-            h = h.wrapping_mul(0x100000001b3);
+    struct Fnv(u64);
+    impl Write for Fnv {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0 = fnv_fold(self.0, bytes);
+            Ok(bytes.len())
         }
-        for record in shard.results.all() {
-            h ^= fnv64(serde_json::to_string(record).unwrap_or_default().as_bytes());
-            h = h.wrapping_mul(0x100000001b3);
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
-    h
+    let mut out = Lines {
+        out: Fnv(0xcbf29ce484222325),
+        buf: String::new(),
+    };
+    write_state(&mut out, global, shards).expect("hashing cannot fail");
+    out.out.0
 }
 
 #[cfg(test)]
@@ -411,9 +417,14 @@ mod tests {
 
     fn populated() -> (GlobalShard, Vec<ProjectShard>) {
         let mut users = UserRegistry::new();
-        let owner = users.register("mlk", "mlk@cwi.nl").unwrap();
-        let worker = users.register("pk", "pk@cwi.nl").unwrap();
-        let key = users.issue_key(worker).unwrap();
+        let (owner, worker) = (UserId(1), UserId(2));
+        users.add_user(owner, "mlk".into(), "mlk@cwi.nl".into()).unwrap();
+        users.add_user(worker, "pk".into(), "pk@cwi.nl".into()).unwrap();
+        for _ in 0..3 {
+            let (key, counter) = users.next_key(worker).unwrap();
+            users.add_key(key, worker, counter);
+        }
+        let (key, _) = users.next_key(worker).unwrap();
 
         let mut project = Project::new(
             ProjectId(1),
@@ -422,46 +433,36 @@ mod tests {
             owner,
             Visibility::Public,
         );
-        project.invite(owner, worker).unwrap();
+        project.contributors.insert(worker);
         project.dbms_labels.push("rowstore-2.0".into());
         project.hosts.push("bench-server".into());
-        project
-            .add_experiment(
-                owner,
-                "nation",
-                "select count(*) from nation where n_name = 'BRAZIL'",
-                None,
-                1000,
-                100,
-            )
-            .unwrap();
+        let baseline = "select count(*) from nation where n_name = 'BRAZIL'";
+        let (id, pool) = project.new_experiment(owner, baseline, None, 1000, 100).unwrap();
+        project.add_experiment(id, "nation".into(), baseline.into(), pool);
         let exp = &mut project.experiments[0];
-        exp.pool.seed_baseline().unwrap();
         let mut rng = sqalpel_grammar::seeded_rng(42);
-        exp.pool.add_random(4, &mut rng).unwrap();
+        exp.pool
+            .walk(|d| {
+                d.seed_baseline()?;
+                d.add_random(4, &mut rng)
+            })
+            .unwrap();
 
         let mut shard = ProjectShard::new(project);
-        for entry in shard.project.experiments[0].pool.entries().to_vec() {
-            for dbms in ["rowstore-2.0", "colstore-5.1"] {
-                shard
-                    .queue
-                    .enqueue(
-                        ProjectId(1),
-                        ExperimentId(0),
-                        entry.id,
-                        entry.sql.clone(),
-                        dbms,
-                        "bench-server",
-                    )
-                    .unwrap();
-            }
-        }
-        let task = shard
-            .queue
-            .checkout(&key, "rowstore-2.0", "bench-server")
-            .unwrap();
-        shard.queue.complete(task.id, &key, None).unwrap();
-        shard.queue.checkout(&key, "colstore-5.1", "bench-server").unwrap();
+        let queries: Vec<_> = shard.project.experiments[0]
+            .pool
+            .entries()
+            .iter()
+            .map(|e| (e.id, e.sql.as_str().into()))
+            .collect();
+        let dbms = ["rowstore-2.0".to_string(), "colstore-5.1".into()];
+        let tasks = shard.queue.new_tasks(ProjectId(1), ExperimentId(0), &queries, &dbms, &["bench-server".into()]);
+        shard.queue.add(tasks).unwrap();
+        let task = shard.queue.checkout("rowstore-2.0", "bench-server").unwrap();
+        shard.queue.claim(task, key.clone()).unwrap();
+        shard.queue.complete(task, &key, None).unwrap();
+        let task = shard.queue.checkout("colstore-5.1", "bench-server").unwrap();
+        shard.queue.claim(task, key).unwrap();
         (
             GlobalShard {
                 users,
@@ -499,6 +500,18 @@ mod tests {
         assert_eq!(b.results.len(), a.results.len());
         assert_eq!(
             state_fingerprint(&g2, &s2.iter().collect::<Vec<_>>()),
+            state_fingerprint(&global, &refs)
+        );
+        // Keys are written in key order, whatever order the map holds.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let keys: Vec<&str> = text.lines().filter(|l| l.contains(r#""t":"key""#)).collect();
+        assert_eq!(keys.len(), 3);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        // The fingerprint hashes those lines: any change to them shows.
+        let mut changed = read_snapshot(&path).unwrap();
+        changed.1[0].project.comments.push(Comment { author: UserId(1), text: "x".into() });
+        assert_ne!(
+            state_fingerprint(&changed.0, &changed.1.iter().collect::<Vec<_>>()),
             state_fingerprint(&global, &refs)
         );
 

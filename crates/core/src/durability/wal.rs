@@ -50,7 +50,11 @@ use std::path::{Path, PathBuf};
 
 /// FNV-1a over a byte string — the per-record checksum.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv_fold(0xcbf29ce484222325, bytes)
+}
+
+/// FNV-1a state `h` carried on over `bytes`.
+pub(crate) fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -126,7 +130,7 @@ serde::tagged! {
         TasksEnqueued {
             "project" => project: ProjectId,
             "tasks" => tasks: Vec<Task> as SharedTexts [bulk],
-        } = "tasks_enqueued" also EnqueuedTasks<'_>,
+        } = "tasks_enqueued",
         TaskClaimed {
             "key" => key: ContributorKey,
             "task" => task: TaskId,
@@ -170,14 +174,6 @@ serde::object! {
     }
 }
 
-/// [`WalRecord::TasksEnqueued`] over tasks that stay where they are: the
-/// server logs the queue's new tail without copying it. The table above
-/// describes it, so it encodes to the same bytes.
-pub struct EnqueuedTasks<'a> {
-    pub project: ProjectId,
-    pub tasks: &'a [Task],
-}
-
 /// Decode one record's JSON text holding one element's tree at a time:
 /// the `[bulk]` array (if the record has one) is walked off the text, the
 /// handful of other members parsed as usual.
@@ -217,6 +213,10 @@ pub struct WalWriter {
     len: u64,
     /// The line being framed; reused, see [`LINE_KEEP`].
     buf: String,
+    /// Fail the next append before it writes a byte: the test suite's
+    /// way to make one append fail.
+    #[cfg(test)]
+    pub(crate) fail_next: bool,
 }
 
 impl WalWriter {
@@ -242,6 +242,8 @@ impl WalWriter {
             lsn,
             len: intact_len,
             buf: String::new(),
+            #[cfg(test)]
+            fail_next: false,
         })
     }
 
@@ -249,15 +251,18 @@ impl WalWriter {
         self.lsn
     }
 
-    /// Append one record — a [`WalRecord`] or its borrowed form
-    /// [`EnqueuedTasks`] — stamped with the next LSN, and flush it to the
+    /// Append one record stamped with the next LSN, and flush it to the
     /// OS. Returns the framed line's byte length (for the `wal.bytes`
     /// counter). The record is written, not built: its description runs
     /// once against the line buffer, the payload is checksummed where it
     /// lies and the header put in front of it. A failed append truncates
     /// back to the pre-append length so a partial line cannot tear off
     /// later, successful records.
-    pub fn append(&mut self, record: &impl Serialize) -> io::Result<u64> {
+    pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next) {
+            return Err(io::Error::other("injected append failure"));
+        }
         self.buf.clear();
         self.buf.extend(std::iter::repeat_n(' ', HEADER_ROOM));
         record.serialize(&mut TextSink::new(&mut self.buf));

@@ -120,7 +120,7 @@ pub struct Guidance {
     pub exclude: BTreeSet<(String, usize)>,
     /// Terms that must appear in every generated query.
     pub require: BTreeSet<(String, usize)>,
-    /// Relative strategy weights for [`QueryPool::morph_auto`].
+    /// Relative strategy weights for [`Draft::morph_auto`].
     pub weights: StrategyWeights,
 }
 
@@ -253,32 +253,69 @@ impl QueryPool {
         self.cap
     }
 
-    /// Re-insert an entry during recovery, bypassing instantiation: the
-    /// stored SQL is authoritative, and the (non-serializable)
-    /// fingerprinter need not be attached for the dedup sets to rebuild.
-    pub fn restore_entry(&mut self, entry: PoolEntry) -> Result<(), String> {
-        if entry.id.0 as usize != self.entries.len() {
-            return Err(format!(
-                "pool entry #{} restored out of order (expected #{})",
-                entry.id.0,
-                self.entries.len()
-            ));
+    /// Add entries a walk found (`PoolExtended`): the stored SQL is
+    /// authoritative, and the (non-serializable) fingerprinter need not
+    /// be attached for the dedup sets to grow. Ids arrive in order.
+    pub fn extend(&mut self, entries: impl IntoIterator<Item = PoolEntry>) -> Result<(), String> {
+        for entry in entries {
+            if entry.id.0 as usize != self.entries.len() {
+                return Err(format!(
+                    "pool entry #{} added out of order (expected #{})",
+                    entry.id.0,
+                    self.entries.len()
+                ));
+            }
+            if entry.template >= self.templates.len() {
+                return Err(format!(
+                    "pool entry #{} references template {} of {}",
+                    entry.id.0,
+                    entry.template,
+                    self.templates.len()
+                ));
+            }
+            self.by_sql.insert(entry.sql.clone(), entry.id);
+            if let Some(fp) = entry.fingerprint {
+                self.seen_fingerprints.insert(fp);
+            }
+            self.step = self.step.max(entry.step + 1);
+            self.entries.push(entry);
         }
-        if entry.template >= self.templates.len() {
-            return Err(format!(
-                "pool entry #{} references template {} of {}",
-                entry.id.0,
-                entry.template,
-                self.templates.len()
-            ));
-        }
-        self.by_sql.insert(entry.sql.clone(), entry.id);
-        if let Some(fp) = entry.fingerprint {
-            self.seen_fingerprints.insert(fp);
-        }
-        self.step = self.step.max(entry.step + 1);
-        self.entries.push(entry);
         Ok(())
+    }
+
+    /// A pool rebuilt from an `ExperimentAdded` record's fields: the
+    /// grammar from its DSL text, the dialect set.
+    pub fn from_dsl(
+        grammar: &str,
+        template_cap: usize,
+        pool_cap: usize,
+        dialect: Option<String>,
+    ) -> Result<QueryPool, String> {
+        let grammar = Grammar::parse(grammar).map_err(|e| format!("grammar: {e}"))?;
+        let mut pool = QueryPool::new(grammar, template_cap, pool_cap).map_err(|e| e.to_string())?;
+        pool.set_dialect(dialect);
+        Ok(pool)
+    }
+
+    /// A walk over this pool that writes what it finds into a draft.
+    pub fn draft(&self) -> Draft<'_> {
+        Draft {
+            pool: self,
+            entries: Vec::new(),
+            sqls: HashSet::new(),
+            fingerprints: HashSet::new(),
+        }
+    }
+
+    /// Run `walk` on a draft and add what it found — nothing, if it
+    /// fails. For callers that own the pool; the server logs the draft
+    /// between the two.
+    pub fn walk<T>(&mut self, walk: impl FnOnce(&mut Draft<'_>) -> PlatformResult<T>) -> PlatformResult<T> {
+        let mut draft = self.draft();
+        let out = walk(&mut draft)?;
+        let entries = draft.entries;
+        self.extend(entries).expect("a draft extends the pool it was drawn from");
+        Ok(out)
     }
 
     pub fn entry(&self, id: QueryId) -> PlatformResult<&PoolEntry> {
@@ -302,17 +339,51 @@ impl QueryPool {
             .and_then(|r| r.alternatives.get(idx))
             .map(|a| a.literal_text())
     }
+}
+
+/// Entries a walk found and the pool does not hold yet — the decision of
+/// a seed or morph call, made without touching the pool. The walk reads
+/// the pool and the draft as one: it dedups against both and draws
+/// parents from both, so a seed yields the same entries as when the walk
+/// inserted as it went. [`QueryPool::extend`] adds them.
+pub struct Draft<'a> {
+    pool: &'a QueryPool,
+    entries: Vec<PoolEntry>,
+    sqls: HashSet<String>,
+    fingerprints: HashSet<u64>,
+}
+
+impl Draft<'_> {
+    /// What the walk found, in the order found.
+    pub fn into_entries(self) -> Vec<PoolEntry> {
+        self.entries
+    }
+
+    /// The pool's entry or the draft's under `id`.
+    fn entry(&self, id: usize) -> &PoolEntry {
+        let held = self.pool.entries.len();
+        if id < held {
+            &self.pool.entries[id]
+        } else {
+            &self.entries[id - held]
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pool.entries.len() + self.entries.len()
+    }
 
     fn admissible(&self, template: &Template, choice: &Choice) -> bool {
+        let guidance = &self.pool.guidance;
         for (class, idxs) in choice {
             if idxs
                 .iter()
-                .any(|&i| self.guidance.exclude.contains(&(class.clone(), i)))
+                .any(|&i| guidance.exclude.contains(&(class.clone(), i)))
             {
                 return false;
             }
         }
-        for (class, idx) in &self.guidance.require {
+        for (class, idx) in &guidance.require {
             // A required term must be present whenever its class can
             // appear at all; templates without the class are rejected.
             if !template.counts.contains_key(class)
@@ -330,41 +401,38 @@ impl QueryPool {
         choice: Choice,
         origin: Origin,
     ) -> PlatformResult<Option<QueryId>> {
-        if self.entries.len() >= self.cap {
-            return Err(PlatformError::PoolFull(self.cap));
+        let pool = self.pool;
+        if self.len() >= pool.cap {
+            return Err(PlatformError::PoolFull(pool.cap));
         }
         let sql = instantiate(
-            &self.grammar,
-            &self.templates[template],
+            &pool.grammar,
+            &pool.templates[template],
             &choice,
-            self.dialect.as_deref(),
+            pool.dialect.as_deref(),
         )?;
-        if self.by_sql.contains_key(&sql) {
+        if pool.by_sql.contains_key(&sql) || self.sqls.contains(&sql) {
             return Ok(None); // "added to the pool unless it was already known"
         }
         // Plan-level dedup: a lexically novel query whose rewritten plan
         // fingerprint is already in the pool adds no discriminative value.
-        let fingerprint = self
-            .fingerprinter
-            .as_ref()
-            .and_then(|f| f.fingerprint(&sql));
+        let fingerprint = pool.fingerprinter.as_ref().and_then(|f| f.fingerprint(&sql));
         if let Some(fp) = fingerprint {
-            if !self.seen_fingerprints.insert(fp) {
+            if pool.seen_fingerprints.contains(&fp) || !self.fingerprints.insert(fp) {
                 return Ok(None);
             }
         }
-        let id = QueryId(self.entries.len() as u64);
-        self.by_sql.insert(sql.clone(), id);
+        let id = QueryId(self.len() as u64);
+        self.sqls.insert(sql.clone());
         self.entries.push(PoolEntry {
             id,
             sql,
             template,
             choice,
             origin,
-            step: self.step,
+            step: pool.step + self.entries.len(),
             fingerprint,
         });
-        self.step += 1;
         Ok(Some(id))
     }
 
@@ -372,6 +440,7 @@ impl QueryPool {
     /// instantiated with every literal.
     pub fn seed_baseline(&mut self) -> PlatformResult<QueryId> {
         let (idx, template) = self
+            .pool
             .templates
             .iter()
             .enumerate()
@@ -395,9 +464,9 @@ impl QueryPool {
         let mut attempts = 0;
         while added.len() < n && attempts < n * 20 {
             attempts += 1;
-            let t = rng.random_range(0..self.templates.len());
-            let choice = sqalpel_grammar::random_choice(&self.grammar, &self.templates[t], rng)?;
-            if !self.admissible(&self.templates[t], &choice) {
+            let t = rng.random_range(0..self.pool.templates.len());
+            let choice = sqalpel_grammar::random_choice(&self.pool.grammar, &self.pool.templates[t], rng)?;
+            if !self.admissible(&self.pool.templates[t], &choice) {
                 continue;
             }
             if let Some(id) = self.insert(t, choice, Origin::Random)? {
@@ -411,21 +480,21 @@ impl QueryPool {
     /// Returns the new query id, or `None` when no admissible, novel
     /// variant was found.
     pub fn morph(&mut self, strategy: Strategy, rng: &mut StdRng) -> PlatformResult<Option<QueryId>> {
-        if self.entries.is_empty() {
+        if self.len() == 0 {
             return Err(PlatformError::Invalid("morphing an empty pool".into()));
         }
         // A bounded number of parent draws; each parent gets a bounded
         // number of variant draws.
         for _ in 0..16 {
-            let parent = &self.entries[rng.random_range(0..self.entries.len())];
+            let parent = self.entry(rng.random_range(0..self.len()));
             let parent_id = parent.id;
             let candidate = match strategy {
-                Strategy::Alter => self.alter_candidate(parent_id, rng),
-                Strategy::Expand => self.expand_candidate(parent_id, rng),
-                Strategy::Prune => self.prune_candidate(parent_id, rng),
+                Strategy::Alter => self.pool.alter_candidate(parent, rng),
+                Strategy::Expand => self.pool.expand_candidate(parent, rng),
+                Strategy::Prune => self.pool.prune_candidate(parent, rng),
             };
             if let Some((template, choice)) = candidate {
-                if !self.admissible(&self.templates[template], &choice) {
+                if !self.admissible(&self.pool.templates[template], &choice) {
                     continue;
                 }
                 if let Some(id) = self.insert(
@@ -445,7 +514,7 @@ impl QueryPool {
 
     /// One step of the guided random walk: pick a strategy by weight.
     pub fn morph_auto(&mut self, rng: &mut StdRng) -> PlatformResult<Option<QueryId>> {
-        let w = self.guidance.weights;
+        let w = self.pool.guidance.weights;
         let total = w.alter + w.expand + w.prune;
         if total <= 0.0 {
             return Err(PlatformError::Invalid("all strategy weights zero".into()));
@@ -460,10 +529,11 @@ impl QueryPool {
         };
         self.morph(strategy, rng)
     }
+}
 
+impl QueryPool {
     /// Alter: same template, one literal replaced by an unused one.
-    fn alter_candidate(&self, parent: QueryId, rng: &mut StdRng) -> Option<(usize, Choice)> {
-        let entry = &self.entries[parent.0 as usize];
+    fn alter_candidate(&self, entry: &PoolEntry, rng: &mut StdRng) -> Option<(usize, Choice)> {
         let template = &self.templates[entry.template];
         // Classes where a different literal is available.
         let swappable: Vec<&String> = entry
@@ -489,8 +559,7 @@ impl QueryPool {
 
     /// Expand: a template with exactly one more slot whose counts contain
     /// the parent's; keep the parent's literals and add one.
-    fn expand_candidate(&self, parent: QueryId, rng: &mut StdRng) -> Option<(usize, Choice)> {
-        let entry = &self.entries[parent.0 as usize];
+    fn expand_candidate(&self, entry: &PoolEntry, rng: &mut StdRng) -> Option<(usize, Choice)> {
         let from = &self.templates[entry.template].counts;
         let candidates: Vec<usize> = self
             .templates
@@ -510,8 +579,7 @@ impl QueryPool {
     }
 
     /// Prune: one fewer slot; drop one literal.
-    fn prune_candidate(&self, parent: QueryId, rng: &mut StdRng) -> Option<(usize, Choice)> {
-        let entry = &self.entries[parent.0 as usize];
+    fn prune_candidate(&self, entry: &PoolEntry, rng: &mut StdRng) -> Option<(usize, Choice)> {
         let from = &self.templates[entry.template].counts;
         let candidates: Vec<usize> = self
             .templates
@@ -574,7 +642,7 @@ mod tests {
     #[test]
     fn baseline_is_maximal() {
         let mut p = pool();
-        let id = p.seed_baseline().unwrap();
+        let id = p.walk(|d| d.seed_baseline()).unwrap();
         let e = p.entry(id).unwrap();
         assert_eq!(e.origin, Origin::Baseline);
         // 4 columns + table + filter.
@@ -585,9 +653,9 @@ mod tests {
     #[test]
     fn random_seeding_dedups() {
         let mut p = pool();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(1);
-        p.add_random(20, &mut rng).unwrap();
+        p.walk(|d| d.add_random(20, &mut rng)).unwrap();
         // The whole space has 32 queries; no duplicates may appear.
         let mut sqls: Vec<&str> = p.entries().iter().map(|e| e.sql.as_str()).collect();
         let before = sqls.len();
@@ -600,11 +668,11 @@ mod tests {
     #[test]
     fn alter_changes_exactly_one_literal() {
         let mut p = pool();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(3);
-        p.add_random(5, &mut rng).unwrap();
+        p.walk(|d| d.add_random(5, &mut rng)).unwrap();
         let before = p.len();
-        if let Some(id) = p.morph(Strategy::Alter, &mut rng).unwrap() {
+        if let Some(id) = p.walk(|d| d.morph(Strategy::Alter, &mut rng)).unwrap() {
             let e = p.entry(id).unwrap();
             let Origin::Morph { strategy, parent } = e.origin else {
                 panic!("wrong origin");
@@ -623,12 +691,12 @@ mod tests {
     #[test]
     fn expand_grows_by_one_component() {
         let mut p = pool();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(5);
         // Baseline is maximal, so expanding requires smaller seeds first.
-        p.add_random(8, &mut rng).unwrap();
+        p.walk(|d| d.add_random(8, &mut rng)).unwrap();
         for _ in 0..20 {
-            if let Some(id) = p.morph(Strategy::Expand, &mut rng).unwrap() {
+            if let Some(id) = p.walk(|d| d.morph(Strategy::Expand, &mut rng)).unwrap() {
                 let e = p.entry(id).unwrap();
                 let Origin::Morph { parent, .. } = e.origin else {
                     panic!()
@@ -649,10 +717,10 @@ mod tests {
     #[test]
     fn prune_shrinks_by_one_component() {
         let mut p = pool();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(7);
         for _ in 0..20 {
-            if let Some(id) = p.morph(Strategy::Prune, &mut rng).unwrap() {
+            if let Some(id) = p.walk(|d| d.morph(Strategy::Prune, &mut rng)).unwrap() {
                 let e = p.entry(id).unwrap();
                 let Origin::Morph { parent, .. } = e.origin else {
                     panic!()
@@ -671,9 +739,9 @@ mod tests {
         // Never use n_comment (literal 3 of l_column).
         p.guidance.exclude.insert(("l_column".into(), 3));
         let mut rng = seeded_rng(11);
-        p.add_random(15, &mut rng).unwrap();
+        p.walk(|d| d.add_random(15, &mut rng)).unwrap();
         for _ in 0..30 {
-            p.morph_auto(&mut rng).unwrap();
+            p.walk(|d| d.morph_auto(&mut rng)).unwrap();
         }
         for e in p.entries() {
             assert!(
@@ -690,7 +758,7 @@ mod tests {
         // Every query must project n_name (literal 1 of l_column).
         p.guidance.require.insert(("l_column".into(), 1));
         let mut rng = seeded_rng(13);
-        p.add_random(10, &mut rng).unwrap();
+        p.walk(|d| d.add_random(10, &mut rng)).unwrap();
         assert!(!p.is_empty());
         for e in p.entries() {
             assert!(e.sql.contains("n_name"), "{}", e.sql);
@@ -701,10 +769,10 @@ mod tests {
     fn pool_cap_enforced() {
         let g = Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
         let mut p = QueryPool::new(g, 10_000, 2).unwrap();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(17);
-        p.add_random(1, &mut rng).unwrap();
-        let err = p.add_random(5, &mut rng).unwrap_err();
+        p.walk(|d| d.add_random(1, &mut rng)).unwrap();
+        let err = p.walk(|d| d.add_random(5, &mut rng)).unwrap_err();
         assert!(matches!(err, PlatformError::PoolFull(2)));
     }
 
@@ -730,11 +798,11 @@ mod tests {
         let src = "q:\n    SELECT count(*) FROM nation ${l_limit}\nl_limit:\n    LIMIT 5\nl_limit@legacydb:\n    FETCH FIRST 5 ROWS ONLY\n";
         let g = Grammar::parse(src).unwrap();
         let mut p = QueryPool::new(g.clone(), 100, 100).unwrap();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         assert!(p.entries()[0].sql.contains("LIMIT 5"));
         let mut p2 = QueryPool::new(g, 100, 100).unwrap();
         p2.set_dialect(Some("legacydb".into()));
-        p2.seed_baseline().unwrap();
+        p2.walk(|d| d.seed_baseline()).unwrap();
         assert!(p2.entries()[0].sql.contains("FETCH FIRST 5 ROWS ONLY"), "{}", p2.entries()[0].sql);
     }
 
@@ -748,8 +816,8 @@ mod tests {
         // lexically novel pool entry.
         let mut rng = seeded_rng(19);
         let mut control = QueryPool::new(g.clone(), 100, 100).unwrap();
-        control.seed_baseline().unwrap();
-        assert!(control.morph(Strategy::Alter, &mut rng).unwrap().is_some());
+        control.walk(|d| d.seed_baseline()).unwrap();
+        assert!(control.walk(|d| d.morph(Strategy::Alter, &mut rng)).unwrap().is_some());
         assert_eq!(control.len(), 2);
 
         // With an engine-backed fingerprinter the mutant's rewritten plan
@@ -760,22 +828,22 @@ mod tests {
         p.set_fingerprinter(Some(Fingerprinter::new(move |sql| {
             store.explain(sql).ok().map(|e| e.fingerprint)
         })));
-        let base = p.seed_baseline().unwrap();
+        let base = p.walk(|d| d.seed_baseline()).unwrap();
         assert!(p.entry(base).unwrap().fingerprint.is_some());
         let mut rng = seeded_rng(19);
-        let added = p.morph(Strategy::Alter, &mut rng).unwrap();
+        let added = p.walk(|d| d.morph(Strategy::Alter, &mut rng)).unwrap();
         assert!(added.is_none(), "plan-equivalent mutant must be dropped");
         assert_eq!(p.len(), 1);
     }
 
     #[test]
-    fn entries_round_trip_and_restore_rebuilds_dedup() {
+    fn entries_round_trip_and_extend_rebuilds_dedup() {
         let mut p = pool();
-        p.seed_baseline().unwrap();
+        p.walk(|d| d.seed_baseline()).unwrap();
         let mut rng = seeded_rng(23);
-        p.add_random(5, &mut rng).unwrap();
+        p.walk(|d| d.add_random(5, &mut rng)).unwrap();
         for _ in 0..10 {
-            p.morph_auto(&mut rng).unwrap();
+            p.walk(|d| d.morph_auto(&mut rng)).unwrap();
         }
         let g = Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
         let mut back = QueryPool::new(g, p.template_cap(), p.pool_cap()).unwrap();
@@ -786,7 +854,7 @@ mod tests {
             assert_eq!(e2.sql, e.sql);
             assert_eq!(e2.choice, e.choice);
             assert_eq!(e2.origin, e.origin);
-            back.restore_entry(e2).unwrap();
+            back.extend([e2]).unwrap();
         }
         assert_eq!(back.len(), p.len());
         // The rebuilt dedup set rejects re-inserting a known query: the
@@ -794,7 +862,7 @@ mod tests {
         let before = back.len();
         let mut rng2 = seeded_rng(29);
         for _ in 0..5 {
-            back.morph_auto(&mut rng2).unwrap();
+            back.walk(|d| d.morph_auto(&mut rng2)).unwrap();
         }
         let mut sqls: Vec<&str> = back.entries().iter().map(|e| e.sql.as_str()).collect();
         let n = sqls.len();
@@ -806,7 +874,40 @@ mod tests {
         let mut empty =
             QueryPool::new(Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap(), 10_000, 1000)
                 .unwrap();
-        assert!(empty.restore_entry(p.entries()[1].clone()).is_err());
+        assert!(empty.extend([p.entries()[1].clone()]).is_err());
+    }
+
+    /// A walk reads its own draft as it reads the pool: one draft for
+    /// the whole walk finds what a draft per call finds.
+    #[test]
+    fn one_draft_finds_what_a_draft_per_call_finds() {
+        let mut per_call = pool();
+        let mut rng = seeded_rng(31);
+        per_call.walk(|d| d.seed_baseline()).unwrap();
+        per_call.walk(|d| d.add_random(6, &mut rng)).unwrap();
+        for _ in 0..12 {
+            per_call.walk(|d| d.morph_auto(&mut rng)).unwrap();
+        }
+        let mut whole = pool();
+        let mut rng = seeded_rng(31);
+        let draft = {
+            let mut d = whole.draft();
+            d.seed_baseline().unwrap();
+            d.add_random(6, &mut rng).unwrap();
+            for _ in 0..12 {
+                d.morph_auto(&mut rng).unwrap();
+            }
+            d.into_entries()
+        };
+        assert!(whole.is_empty(), "a draft leaves the pool alone");
+        whole.extend(draft).unwrap();
+        let text = |p: &QueryPool| serde_json::to_string(&p.entries().to_vec()).unwrap();
+        assert!(per_call.len() > 7);
+        assert_eq!(text(&whole), text(&per_call));
+        // A failed walk adds nothing.
+        let before = whole.len();
+        assert!(whole.walk(|d| d.seed_baseline()).is_err());
+        assert_eq!(whole.len(), before);
     }
 
     #[test]

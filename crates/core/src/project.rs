@@ -131,68 +131,37 @@ impl Project {
         }
     }
 
-    /// Invite a contributor ("There is no upper limit on the number of
-    /// contributors per project").
-    pub fn invite(&mut self, inviter: UserId, user: UserId) -> PlatformResult<()> {
-        self.require(inviter, Role::Owner)?;
-        if user != self.owner {
-            self.contributors.insert(user);
-        }
-        Ok(())
-    }
-
-    /// Add an experiment: the baseline SQL is converted into a grammar
-    /// automatically (or a hand-written grammar is supplied).
-    pub fn add_experiment(
-        &mut self,
+    /// The experiment adding one would create, or why it is refused:
+    /// its id, and its pool over the baseline SQL converted into a grammar
+    /// automatically (or over a hand-written grammar).
+    pub fn new_experiment(
+        &self,
         actor: UserId,
-        title: impl Into<String>,
         baseline_sql: &str,
         grammar: Option<Grammar>,
         template_cap: usize,
         pool_cap: usize,
-    ) -> PlatformResult<ExperimentId> {
+    ) -> PlatformResult<(ExperimentId, QueryPool)> {
         self.require(actor, Role::Owner)?;
         let grammar = match grammar {
             Some(g) => g,
             None => sqalpel_grammar::convert_sql(baseline_sql)?,
         };
         let pool = QueryPool::new(grammar, template_cap, pool_cap)?;
-        let id = ExperimentId(self.next_experiment);
-        self.next_experiment += 1;
-        self.experiments.push(Experiment {
-            id,
-            title: title.into(),
-            baseline_sql: baseline_sql.to_string(),
-            pool,
-        });
-        Ok(id)
+        Ok((ExperimentId(self.next_experiment), pool))
     }
 
-    /// Re-create an experiment during recovery: no role check, explicit
-    /// id, grammar already parsed from its logged source. The pool comes
-    /// back empty — entries are replayed separately.
-    #[allow(clippy::too_many_arguments)] // mirrors the WAL record's field set
-    pub fn restore_experiment(
-        &mut self,
-        id: ExperimentId,
-        title: &str,
-        baseline_sql: &str,
-        grammar: Grammar,
-        template_cap: usize,
-        pool_cap: usize,
-        dialect: Option<String>,
-    ) -> PlatformResult<()> {
-        let mut pool = QueryPool::new(grammar, template_cap, pool_cap)?;
-        pool.set_dialect(dialect);
+    /// Add an experiment (`ExperimentAdded`) with its pool, built once:
+    /// from the grammar on the live path, from its logged text on replay.
+    /// Its entries arrive separately.
+    pub fn add_experiment(&mut self, id: ExperimentId, title: String, baseline_sql: String, pool: QueryPool) {
         self.next_experiment = self.next_experiment.max(id.0 + 1);
         self.experiments.push(Experiment {
             id,
-            title: title.to_string(),
-            baseline_sql: baseline_sql.to_string(),
+            title,
+            baseline_sql,
             pool,
         });
-        Ok(())
     }
 
     pub fn experiment(&self, id: ExperimentId) -> PlatformResult<&Experiment> {
@@ -209,24 +178,19 @@ impl Project {
             .ok_or(PlatformError::UnknownExperiment(id.0))
     }
 
-    pub fn comment(&mut self, author: UserId, text: impl Into<String>) -> PlatformResult<()> {
-        // Any registered user with at least read access may comment.
-        self.require(author, Role::Reader)?;
-        self.comments.push(Comment {
-            author,
-            text: text.into(),
-        });
-        Ok(())
-    }
-
-    /// Enforce §4.2's publication rule against the catalogs: "A project
-    /// declared public may not contain references to private DBMS and
-    /// host settings."
-    pub fn check_publication(&self, catalogs: &Catalogs) -> PlatformResult<()> {
+    /// Enforce §4.2's publication rule on the targets a project would
+    /// declare: "A project declared public may not contain references to
+    /// private DBMS and host settings."
+    pub fn check_targets(
+        &self,
+        catalogs: &Catalogs,
+        dbms_labels: &[String],
+        hosts: &[String],
+    ) -> PlatformResult<()> {
         if self.visibility != Visibility::Public {
             return Ok(());
         }
-        for label in &self.dbms_labels {
+        for label in dbms_labels {
             match catalogs.dbms(label) {
                 Some(d) if d.visibility == Visibility::Public => {}
                 Some(_) => {
@@ -241,7 +205,7 @@ impl Project {
                 }
             }
         }
-        for host in &self.hosts {
+        for host in hosts {
             match catalogs.host(host) {
                 Some(h) if h.visibility == Visibility::Public => {}
                 Some(_) => {
@@ -272,60 +236,43 @@ mod tests {
     #[test]
     fn roles() {
         let mut p = project(Visibility::Public);
-        p.invite(UserId(1), UserId(2)).unwrap();
+        p.contributors.insert(UserId(2));
         assert_eq!(p.role_of(UserId(1)), Role::Owner);
         assert_eq!(p.role_of(UserId(2)), Role::Contributor);
         assert_eq!(p.role_of(UserId(3)), Role::Reader);
         let private = project(Visibility::Private);
         assert_eq!(private.role_of(UserId(3)), Role::None);
+        assert!(private.require(UserId(3), Role::Reader).is_err());
+        assert!(private.require(UserId(1), Role::Owner).is_ok());
     }
 
     #[test]
-    fn only_owner_invites() {
+    fn new_experiment_converts_baseline() {
         let mut p = project(Visibility::Public);
-        assert!(p.invite(UserId(2), UserId(3)).is_err());
-        p.invite(UserId(1), UserId(3)).unwrap();
-        assert_eq!(p.role_of(UserId(3)), Role::Contributor);
-        // Idempotent; owner never becomes a contributor.
-        p.invite(UserId(1), UserId(3)).unwrap();
-        p.invite(UserId(1), UserId(1)).unwrap();
-        assert_eq!(p.contributors.len(), 1);
-    }
-
-    #[test]
-    fn add_experiment_converts_baseline() {
-        let mut p = project(Visibility::Public);
-        let id = p
-            .add_experiment(
+        let (id, pool) = p
+            .new_experiment(
                 UserId(1),
-                "nation scan",
                 "select count(*) from nation where n_name = 'BRAZIL'",
                 None,
                 1000,
                 100,
             )
             .unwrap();
-        let e = p.experiment(id).unwrap();
-        assert!(e.pool.grammar().rule("l_pred").is_some());
+        assert!(pool.grammar().rule("l_pred").is_some());
+        assert!(p.experiments.is_empty(), "deciding adds nothing");
+        p.add_experiment(id, "nation scan".into(), "select 1".into(), pool);
+        assert_eq!(p.experiment(id).unwrap().title, "nation scan");
+        let (next, _) = p.new_experiment(UserId(1), "select 1 from t", None, 10, 10).unwrap();
+        assert_eq!(next, ExperimentId(id.0 + 1));
     }
 
     #[test]
     fn non_owner_cannot_add_experiments() {
-        let mut p = project(Visibility::Public);
+        let p = project(Visibility::Public);
         let err = p
-            .add_experiment(UserId(5), "x", "select 1 from t", None, 10, 10)
+            .new_experiment(UserId(5), "select 1 from t", None, 10, 10)
             .unwrap_err();
         assert!(matches!(err, PlatformError::AccessDenied(_)));
-    }
-
-    #[test]
-    fn comments_respect_visibility() {
-        let mut public = project(Visibility::Public);
-        public.comment(UserId(9), "nice work").unwrap();
-        let mut private = project(Visibility::Private);
-        assert!(private.comment(UserId(9), "sneaky").is_err());
-        private.invite(UserId(1), UserId(9)).unwrap();
-        private.comment(UserId(9), "now allowed").unwrap();
     }
 
     #[test]
@@ -351,31 +298,21 @@ mod tests {
             })
             .unwrap();
 
-        let mut p = project(Visibility::Public);
-        p.dbms_labels.push("rowstore-2.0".into());
-        p.hosts.push("bench-server".into());
-        p.check_publication(&catalogs).unwrap();
-
-        p.dbms_labels.push("secretdb-1".into());
+        let p = project(Visibility::Public);
+        let labels = |l: &[&str]| l.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let bench = labels(&["bench-server"]);
+        p.check_targets(&catalogs, &labels(&["rowstore-2.0"]), &bench).unwrap();
         assert!(matches!(
-            p.check_publication(&catalogs),
+            p.check_targets(&catalogs, &labels(&["rowstore-2.0", "secretdb-1"]), &bench),
             Err(PlatformError::Publication(_))
         ));
-        p.dbms_labels.pop();
-        p.hosts.push("secret-host".into());
-        assert!(p.check_publication(&catalogs).is_err());
+        let hosts = labels(&["bench-server", "secret-host"]);
+        assert!(p.check_targets(&catalogs, &labels(&["rowstore-2.0"]), &hosts).is_err());
+        // Uncataloged targets cannot be published either.
+        assert!(p.check_targets(&catalogs, &labels(&["oracle-23c"]), &bench).is_err());
 
         // Private projects may reference anything.
-        let mut private = project(Visibility::Private);
-        private.dbms_labels.push("secretdb-1".into());
-        private.check_publication(&catalogs).unwrap();
-    }
-
-    #[test]
-    fn uncataloged_reference_blocks_publication() {
-        let catalogs = Catalogs::bootstrap();
-        let mut p = project(Visibility::Public);
-        p.dbms_labels.push("oracle-23c".into());
-        assert!(p.check_publication(&catalogs).is_err());
+        let private = project(Visibility::Private);
+        private.check_targets(&catalogs, &labels(&["secretdb-1"]), &hosts).unwrap();
     }
 }

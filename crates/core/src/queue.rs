@@ -216,11 +216,11 @@ impl TaskQueue {
             .position(|t| &*t.dbms_label == dbms_label && &*t.host == host)
     }
 
-    fn intern_target(&mut self, dbms_label: &str, host: &str) -> usize {
+    fn intern_target(&mut self, dbms_label: &Arc<str>, host: &Arc<str>) -> usize {
         self.target_of(dbms_label, host).unwrap_or_else(|| {
             self.targets.push(Target {
-                dbms_label: dbms_label.into(),
-                host: host.into(),
+                dbms_label: Arc::clone(dbms_label),
+                host: Arc::clone(host),
                 ready: VecDeque::new(),
             });
             self.targets.len() - 1
@@ -237,7 +237,7 @@ impl TaskQueue {
     }
 
     /// Append a task in whatever state it is in, indexing and counting
-    /// it. The caller has interned its target and checked `seen`.
+    /// it under its interned target.
     fn push(&mut self, mut task: Task, target: usize) {
         task.started = None;
         match &task.state {
@@ -274,38 +274,80 @@ impl TaskQueue {
         from
     }
 
-    /// Enqueue a query for one DBMS + host combination. Returns `None`
-    /// when the combination was already queued. Pass the same `Arc` for
-    /// every target of a query and its tasks share the text.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        &mut self,
+    /// The tasks enqueueing `queries` for every target of `dbms_labels` ×
+    /// `hosts` adds: each (experiment, query, target) not queued yet,
+    /// once, numbered from the queue's next id. A query's tasks share its
+    /// text, a target's tasks their labels (the queue's, when it knows
+    /// the target). Nothing changes until [`add`](Self::add) takes them.
+    pub fn new_tasks(
+        &self,
         project: ProjectId,
         experiment: ExperimentId,
-        query: QueryId,
-        sql: impl Into<Arc<str>>,
-        dbms_label: &str,
-        host: &str,
-    ) -> Option<TaskId> {
-        let target = self.intern_target(dbms_label, host);
-        if !self.seen.insert((project, experiment, query, target)) {
-            return None;
+        queries: &[(QueryId, Arc<str>)],
+        dbms_labels: &[String],
+        hosts: &[String],
+    ) -> Vec<Task> {
+        let mut targets: Vec<(Option<usize>, Arc<str>, Arc<str>)> = Vec::new();
+        for d in dbms_labels {
+            for h in hosts {
+                if targets.iter().any(|(_, td, th)| **td == **d && **th == **h) {
+                    continue;
+                }
+                targets.push(match self.target_of(d, h) {
+                    Some(t) => (Some(t), Arc::clone(&self.targets[t].dbms_label), Arc::clone(&self.targets[t].host)),
+                    None => (None, d.as_str().into(), h.as_str().into()),
+                });
+            }
         }
-        let id = TaskId(self.id_base + self.tasks.len() as u64);
-        let t = &self.targets[target];
-        let task = Task {
-            id,
-            project,
-            experiment,
-            query,
-            sql: sql.into(),
-            dbms_label: Arc::clone(&t.dbms_label),
-            host: Arc::clone(&t.host),
-            state: TaskState::Queued,
-            started: None,
-        };
-        self.push(task, target);
-        Some(id)
+        let mut tasks = Vec::with_capacity(queries.len() * targets.len());
+        for (query, sql) in queries {
+            for (known, dbms_label, host) in &targets {
+                if known.is_some_and(|t| self.seen.contains(&(project, experiment, *query, t))) {
+                    continue;
+                }
+                tasks.push(Task {
+                    id: TaskId(self.id_base + (self.tasks.len() + tasks.len()) as u64),
+                    project,
+                    experiment,
+                    query: *query,
+                    sql: Arc::clone(sql),
+                    dbms_label: Arc::clone(dbms_label),
+                    host: Arc::clone(host),
+                    state: TaskState::Queued,
+                    started: None,
+                });
+            }
+        }
+        tasks
+    }
+
+    /// Add enqueued tasks (`TasksEnqueued`), in id order, in whatever
+    /// state each is in. A `Running` task starts its hand-out clock now —
+    /// after recovery the reaper measures from the restart, which
+    /// `started` being server-side state makes unavoidable. Texts are
+    /// shared as [`new_tasks`](Self::new_tasks) shares them: the labels
+    /// with the interned target, the SQL with the preceding task's when
+    /// equal (the targets of one query are enqueued back to back).
+    pub fn add(&mut self, tasks: impl IntoIterator<Item = Task>) -> Result<(), String> {
+        for mut task in tasks {
+            let expect = self.id_base + self.tasks.len() as u64;
+            if task.id.0 != expect {
+                return Err(format!(
+                    "task #{} added out of order (expected #{expect})",
+                    task.id.0
+                ));
+            }
+            let target = self.intern_target(&task.dbms_label, &task.host);
+            task.dbms_label = Arc::clone(&self.targets[target].dbms_label);
+            task.host = Arc::clone(&self.targets[target].host);
+            if let Some(prev) = self.tasks.last() {
+                share(&mut task.sql, &prev.sql);
+            }
+            self.seen
+                .insert((task.project, task.experiment, task.query, target));
+            self.push(task, target);
+        }
+        Ok(())
     }
 
     fn hold(&mut self, id: TaskId, contributor: &ContributorKey) {
@@ -317,42 +359,20 @@ impl TaskQueue {
         }
     }
 
-    fn mark_running(&mut self, idx: usize, contributor: &ContributorKey) -> Task {
-        self.set_state(
-            idx,
-            TaskState::Running {
-                contributor: contributor.clone(),
-            },
-        );
-        self.tasks[idx].started = Some(Instant::now());
-        self.hold(self.tasks[idx].id, contributor);
-        self.tasks[idx].clone()
-    }
-
-    /// Hand the next queued task for the given target to a contributor
-    /// (the `sqalpel.py` interaction: "call the webserver, requesting a
-    /// query from the pool").
-    pub fn checkout(
-        &mut self,
-        contributor: &ContributorKey,
-        dbms_label: &str,
-        host: &str,
-    ) -> Option<Task> {
-        let id = self.pop_ready(dbms_label, host)?;
-        let idx = self.slot(id).expect("ready index holds only own ids");
-        Some(self.mark_running(idx, contributor))
-    }
-
-    /// Pop the oldest still-queued id from the target's ready deque,
-    /// discarding stale entries along the way.
-    fn pop_ready(&mut self, dbms_label: &str, host: &str) -> Option<TaskId> {
+    /// The next queued task for the given target — which task the
+    /// `sqalpel.py` interaction ("call the webserver, requesting a query
+    /// from the pool") would be handed. Stale ids at the head of the
+    /// target's ready deque are dropped on the way; nothing else changes
+    /// until [`claim`](Self::claim).
+    pub fn checkout(&mut self, dbms_label: &str, host: &str) -> Option<TaskId> {
         let target = self.target_of(dbms_label, host)?;
         let base = self.id_base;
         let bucket = &mut self.targets[target].ready;
-        while let Some(id) = bucket.pop_front() {
+        while let Some(&id) = bucket.front() {
             if self.tasks[(id.0 - base) as usize].state == TaskState::Queued {
                 return Some(id);
             }
+            bucket.pop_front();
         }
         None
     }
@@ -388,9 +408,10 @@ impl TaskQueue {
         })
     }
 
-    /// Claim a specific queued task for a contributor (used by the server,
-    /// which applies project-role filtering before choosing the task).
-    pub fn claim(&mut self, id: TaskId, contributor: &ContributorKey) -> PlatformResult<Task> {
+    /// Hand a queued task to a contributor (`TaskClaimed`): the key
+    /// moves into the task's state. A task at the head of its ready deque
+    /// leaves it, as [`checkout`](Self::checkout) found it there.
+    pub fn claim(&mut self, id: TaskId, contributor: ContributorKey) -> PlatformResult<()> {
         let idx = self.slot(id)?;
         if self.tasks[idx].state != TaskState::Queued {
             return Err(PlatformError::Invalid(format!(
@@ -398,32 +419,19 @@ impl TaskQueue {
                 id.0
             )));
         }
-        Ok(self.mark_running(idx, contributor))
+        let ready = self.ready_of(idx);
+        if ready.front() == Some(&id) {
+            ready.pop_front();
+        }
+        self.hold(id, &contributor);
+        self.set_state(idx, TaskState::Running { contributor });
+        self.tasks[idx].started = Some(Instant::now());
+        Ok(())
     }
 
     pub fn task(&self, id: TaskId) -> PlatformResult<&Task> {
         let idx = self.slot(id)?;
         Ok(&self.tasks[idx])
-    }
-
-    /// Undo a claim that could not be made durable: the task returns to
-    /// the *head* of its ready queue as if it was never handed out. Only
-    /// the contributor holding the claim may undo it.
-    pub fn unclaim(&mut self, id: TaskId, contributor: &ContributorKey) -> PlatformResult<()> {
-        let idx = self.slot(id)?;
-        match &self.tasks[idx].state {
-            TaskState::Running { contributor: c } if c == contributor => {
-                self.set_state(idx, TaskState::Queued);
-                self.tasks[idx].started = None;
-                self.ready_of(idx).push_front(id);
-                self.drop_running(id, contributor);
-                Ok(())
-            }
-            _ => Err(PlatformError::Invalid(format!(
-                "task #{} is not held by this contributor",
-                id.0
-            ))),
-        }
     }
 
     fn drop_running(&mut self, id: TaskId, contributor: &ContributorKey) {
@@ -472,13 +480,11 @@ impl TaskQueue {
         }
     }
 
-    /// Reap running tasks older than `timeout`: they return to the queue
-    /// as `TimedOut` (visible for inspection) and a fresh `Queued` copy is
-    /// NOT created — the moderator decides about re-runs. Visits the
-    /// running tasks only; returns the reaped ids in id order.
-    pub fn reap_stuck(&mut self, timeout: Duration) -> Vec<TaskId> {
+    /// The running tasks older than `timeout`, in id order: what the
+    /// reaper times out. Visits the running tasks only.
+    pub fn stuck(&self, timeout: Duration) -> Vec<TaskId> {
         let now = Instant::now();
-        let mut reaped: Vec<TaskId> = self
+        let mut stuck: Vec<TaskId> = self
             .running
             .values()
             .flatten()
@@ -489,69 +495,14 @@ impl TaskQueue {
                     .is_some_and(|started| now.duration_since(started) >= timeout)
             })
             .collect();
-        reaped.sort_unstable();
-        for &id in &reaped {
-            self.restore_timeout(id).expect("held ids are own ids");
-        }
-        reaped
+        stuck.sort_unstable();
+        stuck
     }
 
-    /// Requeue a timed-out or failed task (moderator action).
-    pub fn requeue(&mut self, id: TaskId) -> PlatformResult<()> {
-        let idx = self.slot(id)?;
-        match self.tasks[idx].state {
-            TaskState::TimedOut | TaskState::Failed(_) => {
-                self.set_state(idx, TaskState::Queued);
-                self.tasks[idx].started = None;
-                self.ready_of(idx).push_back(id);
-                Ok(())
-            }
-            _ => Err(PlatformError::Invalid(format!(
-                "task #{} is not requeueable",
-                id.0
-            ))),
-        }
-    }
-
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
-    }
-
-    pub fn id_base(&self) -> u64 {
-        self.id_base
-    }
-
-    /// Re-insert a task during recovery. Tasks must arrive in id order
-    /// (snapshot/WAL order). A `Running` task restarts its hand-out clock
-    /// — the reaper measures from recovery, not from the original claim,
-    /// which `started` being server-side state makes unavoidable. Texts
-    /// are re-shared as `enqueue` shared them: the labels with the
-    /// interned target, the SQL with the preceding task's when equal
-    /// (the targets of one query are enqueued back to back).
-    pub fn restore_task(&mut self, mut task: Task) -> Result<(), String> {
-        let expect = self.id_base + self.tasks.len() as u64;
-        if task.id.0 != expect {
-            return Err(format!(
-                "task #{} restored out of order (expected #{expect})",
-                task.id.0
-            ));
-        }
-        let target = self.intern_target(&task.dbms_label, &task.host);
-        task.dbms_label = Arc::clone(&self.targets[target].dbms_label);
-        task.host = Arc::clone(&self.targets[target].host);
-        if let Some(prev) = self.tasks.last() {
-            share(&mut task.sql, &prev.sql);
-        }
-        self.seen
-            .insert((task.project, task.experiment, task.query, target));
-        self.push(task, target);
-        Ok(())
-    }
-
-    /// Force a running task to `TimedOut` without consulting the hand-out
-    /// clock — the reaper's transition, and the replay of its record
-    /// (where the clock is not replayable).
-    pub fn restore_timeout(&mut self, id: TaskId) -> PlatformResult<()> {
+    /// Time a task out (`TasksReaped`): a running task becomes `TimedOut`
+    /// (visible for inspection) and is NOT requeued — the moderator
+    /// decides about re-runs. A task in any other state stays as it is.
+    pub fn time_out(&mut self, id: TaskId) -> PlatformResult<()> {
         let idx = self.slot(id)?;
         if matches!(self.tasks[idx].state, TaskState::Running { .. }) {
             if let TaskState::Running { contributor } = self.set_state(idx, TaskState::TimedOut) {
@@ -560,6 +511,36 @@ impl TaskQueue {
             self.tasks[idx].started = None;
         }
         Ok(())
+    }
+
+    /// Whether a task may be requeued: it timed out or failed.
+    pub fn check_requeue(&self, id: TaskId) -> PlatformResult<()> {
+        match self.task(id)?.state {
+            TaskState::TimedOut | TaskState::Failed(_) => Ok(()),
+            _ => Err(PlatformError::Invalid(format!(
+                "task #{} is not requeueable",
+                id.0
+            ))),
+        }
+    }
+
+    /// Requeue a timed-out or failed task (`TaskRequeued`, a moderator
+    /// action).
+    pub fn requeue(&mut self, id: TaskId) -> PlatformResult<()> {
+        self.check_requeue(id)?;
+        let idx = self.slot(id)?;
+        self.set_state(idx, TaskState::Queued);
+        self.tasks[idx].started = None;
+        self.ready_of(idx).push_back(id);
+        Ok(())
+    }
+
+    pub fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
+    pub fn id_base(&self) -> u64 {
+        self.id_base
     }
 
     /// Count of tasks per state.
@@ -579,66 +560,67 @@ mod tests {
     use super::*;
 
     fn key(n: u64) -> ContributorKey {
-        ContributorKey(format!("ck_{n}"))
+        ContributorKey(format!("ck_{n}").into())
+    }
+
+    /// Decide, then apply: one query for one target.
+    fn enqueue(q: &mut TaskQueue, project: u64, query: u64, sql: &str, dbms: &str) -> Option<TaskId> {
+        let queries = [(QueryId(query), Arc::from(sql))];
+        let tasks = q.new_tasks(
+            ProjectId(project),
+            ExperimentId(0),
+            &queries,
+            &[dbms.into()],
+            &["bench-server".into()],
+        );
+        let id = tasks.first().map(|t| t.id);
+        q.add(tasks).unwrap();
+        id
+    }
+
+    fn checkout(q: &mut TaskQueue, k: &ContributorKey, dbms: &str, host: &str) -> Option<Task> {
+        let id = q.checkout(dbms, host)?;
+        q.claim(id, k.clone()).unwrap();
+        Some(q.task(id).unwrap().clone())
     }
 
     fn queue_with_two() -> TaskQueue {
         let mut q = TaskQueue::new();
-        q.enqueue(
-            ProjectId(1),
-            ExperimentId(0),
-            QueryId(0),
-            "select 1 from t",
-            "rowstore-2.0",
-            "bench-server",
-        )
-        .unwrap();
-        q.enqueue(
-            ProjectId(1),
-            ExperimentId(0),
-            QueryId(1),
-            "select 2 from t",
-            "rowstore-2.0",
-            "bench-server",
-        )
-        .unwrap();
+        enqueue(&mut q, 1, 0, "select 1 from t", "rowstore-2.0").unwrap();
+        enqueue(&mut q, 1, 1, "select 2 from t", "rowstore-2.0").unwrap();
         q
     }
 
     #[test]
     fn enqueue_dedups_combinations() {
         let mut q = queue_with_two();
-        let dup = q.enqueue(
-            ProjectId(1),
-            ExperimentId(0),
-            QueryId(0),
-            "select 1 from t",
-            "rowstore-2.0",
-            "bench-server",
-        );
-        assert!(dup.is_none());
+        assert!(enqueue(&mut q, 1, 0, "select 1 from t", "rowstore-2.0").is_none());
         // Same query, different target: allowed.
-        assert!(q
-            .enqueue(
-                ProjectId(1),
-                ExperimentId(0),
-                QueryId(0),
-                "select 1 from t",
-                "colstore-5.1",
-                "bench-server",
-            )
-            .is_some());
+        assert!(enqueue(&mut q, 1, 0, "select 1 from t", "colstore-5.1").is_some());
+        // One call: each target once, each query's tasks sharing its text.
+        let queries = [(QueryId(7), Arc::from("select 7 from t")), (QueryId(0), Arc::from("select 1 from t"))];
+        let labels = ["rowstore-2.0".to_string(), "rowstore-2.0".into(), "colstore-5.1".into()];
+        let tasks = q.new_tasks(ProjectId(1), ExperimentId(0), &queries, &labels, &["bench-server".into()]);
+        let ids: Vec<u64> = tasks.iter().map(|t| t.id.0).collect();
+        assert_eq!(ids, vec![3, 4], "query 0 is queued for both targets already");
+        assert!(Arc::ptr_eq(&tasks[0].sql, &tasks[1].sql));
+        assert_eq!(q.tasks().len(), 3, "deciding adds nothing");
+        q.add(tasks).unwrap();
+        assert_eq!(q.summary().queued, 5);
     }
 
     #[test]
     fn checkout_assigns_matching_target_only() {
         let mut q = queue_with_two();
-        assert!(q.checkout(&key(1), "colstore-5.1", "bench-server").is_none());
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        assert!(checkout(&mut q, &key(1), "colstore-5.1", "bench-server").is_none());
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         assert_eq!(t.query, QueryId(0));
-        let t2 = q.checkout(&key(2), "rowstore-2.0", "bench-server").unwrap();
+        // A checkout alone hands nothing out.
+        assert_eq!(q.checkout("rowstore-2.0", "bench-server"), Some(TaskId(1)));
+        assert_eq!(q.checkout("rowstore-2.0", "bench-server"), Some(TaskId(1)));
+        let t2 = checkout(&mut q, &key(2), "rowstore-2.0", "bench-server").unwrap();
         assert_eq!(t2.query, QueryId(1));
-        assert!(q.checkout(&key(3), "rowstore-2.0", "bench-server").is_none());
+        assert!(checkout(&mut q, &key(3), "rowstore-2.0", "bench-server").is_none());
     }
 
     #[test]
@@ -646,13 +628,14 @@ mod tests {
         let mut q = queue_with_two();
         assert_eq!(q.queued_for("rowstore-2.0", "bench-server").len(), 2);
         assert!(q.queued_for("colstore-5.1", "bench-server").is_empty());
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         assert_eq!(q.queued_for("rowstore-2.0", "bench-server"), vec![TaskId(1)]);
-        // Claim by id (the server path) leaves a stale index entry that a
-        // later checkout silently discards.
-        q.claim(TaskId(1), &key(2)).unwrap();
+        // A claim by id of a task behind the head leaves a stale index
+        // entry that a later checkout silently discards.
+        q.claim(TaskId(1), key(2)).unwrap();
         assert!(q.queued_for("rowstore-2.0", "bench-server").is_empty());
-        assert!(q.checkout(&key(3), "rowstore-2.0", "bench-server").is_none());
+        assert!(q.checkout("rowstore-2.0", "bench-server").is_none());
+        assert!(q.claim(TaskId(1), key(3)).is_err(), "not queued");
         // Completion + requeue puts the id back.
         q.complete(t.id, &key(1), Some("boom".into())).unwrap();
         q.requeue(t.id).unwrap();
@@ -663,7 +646,7 @@ mod tests {
     fn running_claim_returns_held_task() {
         let mut q = queue_with_two();
         assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         let held = q.running_claim(&key(1), "rowstore-2.0", "bench-server").unwrap();
         assert_eq!(held.id, t.id);
         // Wrong target or wrong key: no re-claim.
@@ -677,11 +660,11 @@ mod tests {
     #[test]
     fn complete_success_and_failure() {
         let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         q.complete(t.id, &key(1), None).unwrap();
         assert_eq!(q.task(t.id).unwrap().state, TaskState::Done);
 
-        let t2 = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t2 = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         q.complete(t2.id, &key(1), Some("syntax error".into()))
             .unwrap();
         assert!(matches!(
@@ -697,7 +680,7 @@ mod tests {
     #[test]
     fn foreign_contributor_cannot_complete() {
         let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         assert!(matches!(
             q.complete(t.id, &key(2), None),
             Err(PlatformError::AccessDenied(_))
@@ -712,34 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn unclaim_returns_task_to_queue_head() {
+    fn stuck_tasks_time_out_and_are_requeueable() {
         let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
-        assert_eq!(q.summary().running, 1);
-        q.unclaim(t.id, &key(1)).unwrap();
-        assert_eq!(
-            q.summary(),
-            QueueSummary { queued: 2, ..Default::default() }
-        );
-        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
-        // Head of the line again: the next checkout hands out the same task.
-        let again = q.checkout(&key(2), "rowstore-2.0", "bench-server").unwrap();
-        assert_eq!(again.id, t.id);
-        // Only the holder may unclaim, and only while the task runs.
-        assert!(q.unclaim(again.id, &key(1)).is_err());
-        q.complete(again.id, &key(2), None).unwrap();
-        assert!(q.unclaim(again.id, &key(2)).is_err());
-    }
-
-    #[test]
-    fn stuck_tasks_are_reaped_and_requeueable() {
-        let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
-        // Zero timeout: immediately stuck.
-        let reaped = q.reap_stuck(Duration::ZERO);
-        assert_eq!(reaped, vec![t.id]);
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
+        // Zero timeout: immediately stuck; an hour: not yet.
+        assert!(q.stuck(Duration::from_secs(3600)).is_empty());
+        let stuck = q.stuck(Duration::ZERO);
+        assert_eq!(stuck, vec![t.id]);
+        assert_eq!(q.summary().running, 1, "finding stuck tasks changes nothing");
+        q.time_out(t.id).unwrap();
         assert_eq!(q.task(t.id).unwrap().state, TaskState::TimedOut);
-        // The reaped task is no longer held, so no idempotent re-claim.
+        // The timed-out task is no longer held, so no idempotent re-claim.
         assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
         // A late completion attempt fails.
         assert!(q.complete(t.id, &key(1), None).is_err());
@@ -747,35 +713,22 @@ mod tests {
         q.requeue(t.id).unwrap();
         assert_eq!(q.task(t.id).unwrap().state, TaskState::Queued);
         // Done tasks cannot be requeued.
-        let t2 = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t2 = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         q.complete(t2.id, &key(1), None).unwrap();
+        assert!(q.check_requeue(t2.id).is_err());
         assert!(q.requeue(t2.id).is_err());
-    }
-
-    #[test]
-    fn reap_with_long_timeout_leaves_tasks_running() {
-        let mut q = queue_with_two();
-        q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
-        assert!(q.reap_stuck(Duration::from_secs(3600)).is_empty());
-        assert_eq!(q.summary().running, 1);
+        // Timing out a task that is not running changes nothing.
+        q.time_out(t2.id).unwrap();
+        assert_eq!(q.task(t2.id).unwrap().state, TaskState::Done);
     }
 
     #[test]
     fn based_queue_allocates_offset_ids_and_rejects_foreign_ids() {
         let base = 7u64 << 32;
         let mut q = TaskQueue::with_base(base);
-        let id = q
-            .enqueue(
-                ProjectId(7),
-                ExperimentId(0),
-                QueryId(0),
-                "select 1 from t",
-                "rowstore-2.0",
-                "bench-server",
-            )
-            .unwrap();
+        let id = enqueue(&mut q, 7, 0, "select 1 from t", "rowstore-2.0").unwrap();
         assert_eq!(id, TaskId(base));
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         assert_eq!(t.id, id);
         // Ids below the base or past the end are unknown, not a panic.
         assert!(matches!(q.task(TaskId(0)), Err(PlatformError::UnknownTask(0))));
@@ -786,13 +739,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_rebuilds_indexes_and_orders() {
+    fn add_rebuilds_indexes_and_orders() {
         let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         let mut rebuilt = TaskQueue::new();
-        for task in q.tasks() {
-            rebuilt.restore_task(task.clone()).unwrap();
-        }
+        rebuilt.add(q.tasks().iter().cloned()).unwrap();
         // The running hold and the ready index both survive the rebuild.
         assert_eq!(
             rebuilt
@@ -803,21 +754,15 @@ mod tests {
         );
         assert_eq!(rebuilt.queued_for("rowstore-2.0", "bench-server"), vec![TaskId(1)]);
         assert_eq!(rebuilt.summary(), q.summary());
-        // Out-of-order restore is a corrupt snapshot, reported typed.
+        // Out-of-order ids are a corrupt log, reported typed.
         let mut bad = TaskQueue::new();
-        assert!(bad.restore_task(q.task(TaskId(1)).unwrap().clone()).is_err());
-        // Reap replay forces TimedOut without a clock.
-        rebuilt.restore_timeout(t.id).unwrap();
-        assert_eq!(rebuilt.task(t.id).unwrap().state, TaskState::TimedOut);
-        assert!(rebuilt
-            .running_claim(&key(1), "rowstore-2.0", "bench-server")
-            .is_none());
+        assert!(bad.add([q.task(TaskId(1)).unwrap().clone()]).is_err());
     }
 
     #[test]
     fn task_and_summary_round_trip() {
         let mut q = queue_with_two();
-        let t = q.checkout(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
         let text = serde_json::to_string(&t).unwrap();
         let back: Task = serde_json::from_str(&text).unwrap();
         assert_eq!(back.id, t.id);

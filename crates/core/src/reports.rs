@@ -207,22 +207,15 @@ mod tests {
             Visibility::Public,
         );
         let g = sqalpel_grammar::Grammar::parse(sqalpel_grammar::FIG1_GRAMMAR).unwrap();
-        let id = p
-            .add_experiment(
-                UserId(1),
-                "nation",
-                "SELECT count(*) FROM nation WHERE n_name= 'BRAZIL'",
-                Some(g),
-                1000,
-                100,
-            )
-            .unwrap();
+        let baseline = "SELECT count(*) FROM nation WHERE n_name= 'BRAZIL'";
+        let (id, pool) = p.new_experiment(UserId(1), baseline, Some(g), 1000, 100).unwrap();
+        p.add_experiment(id, "nation".into(), baseline.into(), pool);
         {
             let exp = p.experiment_mut(id).unwrap();
-            exp.pool.seed_baseline().unwrap();
+            exp.pool.walk(|d| d.seed_baseline()).unwrap();
             let mut rng = sqalpel_grammar::seeded_rng(1);
-            exp.pool.add_random(5, &mut rng).unwrap();
-            exp.pool.morph_auto(&mut rng).unwrap();
+            exp.pool.walk(|d| d.add_random(5, &mut rng)).unwrap();
+            exp.pool.walk(|d| d.morph_auto(&mut rng)).unwrap();
         }
         let exp = p.experiment(id).unwrap();
         let page = experiment_page(&p, exp);

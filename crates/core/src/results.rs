@@ -135,27 +135,6 @@ impl ResultStore {
         &self.records
     }
 
-    /// Records visible to readers: not hidden.
-    pub fn visible(&self) -> impl Iterator<Item = &ResultRecord> {
-        self.records.iter().filter(|r| !r.hidden)
-    }
-
-    /// Records of one experiment.
-    pub fn for_experiment(
-        &self,
-        project: ProjectId,
-        experiment: ExperimentId,
-    ) -> impl Iterator<Item = &ResultRecord> {
-        self.records
-            .iter()
-            .filter(move |r| r.project == project.0 && r.experiment == experiment.0)
-    }
-
-    /// Records of one query.
-    pub fn for_query(&self, query: QueryId) -> impl Iterator<Item = &ResultRecord> {
-        self.records.iter().filter(move |r| r.query == query.0)
-    }
-
     /// Index of the latest record a contributor filed for a task, if any
     /// — the idempotency check behind retried `report_result` calls.
     pub fn index_of(&self, task: TaskId, contributor: &str) -> Option<usize> {
@@ -174,16 +153,6 @@ impl ResultStore {
             None => false,
         }
     }
-
-    /// Moderator: remove an incorrectly-measured record.
-    pub fn remove(&mut self, index: usize) -> Option<ResultRecord> {
-        if index < self.records.len() {
-            Some(self.records.remove(index))
-        } else {
-            None
-        }
-    }
-
 }
 
 /// CSV export (§5.6: "exported in CSV for post-processing") of any
@@ -246,7 +215,7 @@ pub fn record(
         query: query.0,
         dbms_label: dbms_label.into(),
         host: host.into(),
-        contributor: contributor.0.clone(),
+        contributor: contributor.0.to_string(),
         times_ms,
         rows,
         error,
@@ -292,28 +261,17 @@ mod tests {
     }
 
     #[test]
-    fn moderation_hides_and_removes() {
+    fn moderation_hides() {
         let mut s = ResultStore::new();
         let i = s.push(sample(0, vec![1.0], None));
         s.push(sample(1, vec![2.0], None));
-        assert_eq!(s.visible().count(), 2);
         assert!(s.set_hidden(i, true));
-        assert_eq!(s.visible().count(), 1);
+        assert!(s.all()[i].hidden && !s.all()[1].hidden);
+        assert!(s.set_hidden(i, false));
+        assert!(!s.all()[i].hidden);
         assert!(!s.set_hidden(99, true));
-        let removed = s.remove(i).unwrap();
-        assert_eq!(removed.query, 0);
-        assert_eq!(s.len(), 1);
-        assert!(s.remove(99).is_none());
-    }
-
-    #[test]
-    fn filtering_by_experiment_and_query() {
-        let mut s = ResultStore::new();
-        s.push(sample(0, vec![1.0], None));
-        s.push(sample(1, vec![2.0], None));
-        assert_eq!(s.for_experiment(ProjectId(1), ExperimentId(0)).count(), 2);
-        assert_eq!(s.for_experiment(ProjectId(2), ExperimentId(0)).count(), 0);
-        assert_eq!(s.for_query(QueryId(1)).count(), 1);
+        assert_eq!(s.index_of(TaskId(1), "ck_1"), Some(1));
+        assert_eq!(s.index_of(TaskId(1), "ck_2"), None);
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! in a small global shard, so contributors working distinct projects
 //! never contend. Three orthogonal concerns wrap every mutation:
 //!
-//! * **Durability** — a server opened with [`SqalpelServer::open`] logs a
-//!   [`WalRecord`] for each mutation *before* the owning lock is
-//!   released, takes periodic snapshots, and recovers snapshot + WAL
-//!   tail on the next open. `new()` stays purely in-memory.
+//! * **Durability** — every mutating op has one shape. Under the owning
+//!   lock it decides, changing nothing, what its [`WalRecord`] says;
+//!   a server opened with [`SqalpelServer::open`] logs the record; then
+//!   the record is applied with the function recovery replays it with
+//!   ([`Apply`]). An op that returns `Err` changed nothing, and the live
+//!   state is the replay of its own log. Durable servers take periodic
+//!   snapshots and recover snapshot + WAL tail on the next open; `new()`
+//!   stays purely in-memory (it applies the records without logging
+//!   them).
 //! * **Admission** — [`AdmissionControl`] bounds per-user in-flight
 //!   hand-outs and per-project queue depth; violations surface as
 //!   [`PlatformError::Throttled`].
@@ -30,7 +35,7 @@
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
-use crate::durability::{Durability, EnqueuedTasks, WalRecord};
+use crate::durability::{Durability, WalRecord};
 use crate::error::{PlatformError, PlatformResult};
 use crate::metrics::MetricsRegistry;
 use crate::pool::{PoolEntry, QueryId, Strategy};
@@ -38,7 +43,7 @@ use crate::project::{ExperimentId, Project, ProjectId, Role};
 use crate::push::{LocalWaiter, Notification, PushHub, PushWaiter};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{self, ResultRecord};
-use crate::shard::{ProjectShard, ShardedState};
+use crate::shard::{Apply, ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
 use serde::Serialize;
@@ -211,9 +216,9 @@ impl SqalpelServer {
     // --------------------------------------------------------- durability
 
     /// Append one record to the WAL (no-op on in-memory servers). Called
-    /// while holding the lock that guards the mutated state, so WAL
-    /// order equals mutation order per lock domain.
-    fn log(&self, record: &impl Serialize) -> PlatformResult<()> {
+    /// while holding the lock that guards the state the record changes,
+    /// so WAL order equals mutation order per lock domain.
+    fn log(&self, record: &WalRecord) -> PlatformResult<()> {
         let Some(d) = &self.durability else {
             return Ok(());
         };
@@ -226,13 +231,15 @@ impl SqalpelServer {
         Ok(())
     }
 
-    /// [`log`](Self::log) for the hot paths: an in-memory server does not
-    /// even build the record.
-    fn log_with(&self, build: impl FnOnce() -> WalRecord) -> PlatformResult<()> {
-        match self.durability {
-            Some(_) => self.log(&build()),
-            None => Ok(()),
+    /// Log a record the op decided under `state`'s lock, then apply it
+    /// with the function replay applies it with. Nothing has changed
+    /// when this returns `Err`.
+    fn commit(&self, state: &mut impl Apply, record: WalRecord) -> PlatformResult<()> {
+        self.log(&record)?;
+        if let Err(e) = state.apply(record) {
+            panic!("a record decided under its lock does not apply: {e}");
         }
+        Ok(())
     }
 
     /// Snapshot the full state and truncate the WAL behind it. Takes
@@ -297,23 +304,20 @@ impl SqalpelServer {
 
     pub fn register_user(&self, nickname: &str, email: &str) -> PlatformResult<UserId> {
         let mut g = self.state.global.write();
-        let id = g.users.register(nickname, email)?;
-        self.log(&WalRecord::UserRegistered {
+        let id = g.users.next_user(nickname, email)?;
+        let record = WalRecord::UserRegistered {
             id,
             nickname: nickname.to_string(),
             email: email.to_string(),
-        })?;
+        };
+        self.commit(&mut *g, record)?;
         Ok(id)
     }
 
     pub fn issue_key(&self, user: UserId) -> PlatformResult<ContributorKey> {
         let mut g = self.state.global.write();
-        let key = g.users.issue_key(user)?;
-        self.log(&WalRecord::KeyIssued {
-            user,
-            key: key.clone(),
-            counter: g.users.key_counter(),
-        })?;
+        let (key, counter) = g.users.next_key(user)?;
+        self.commit(&mut *g, WalRecord::KeyIssued { user, key: key.clone(), counter })?;
         Ok(key)
     }
 
@@ -321,14 +325,14 @@ impl SqalpelServer {
 
     pub fn add_dbms(&self, entry: DbmsEntry) -> PlatformResult<()> {
         let mut g = self.state.global.write();
-        g.catalogs.add_dbms(entry.clone())?;
-        self.log(&WalRecord::DbmsAdded { entry })
+        g.catalogs.check_dbms(&entry)?;
+        self.commit(&mut *g, WalRecord::DbmsAdded { entry })
     }
 
     pub fn add_host(&self, entry: HostEntry) -> PlatformResult<()> {
         let mut g = self.state.global.write();
-        g.catalogs.add_host(entry.clone())?;
-        self.log(&WalRecord::HostAdded { entry })
+        g.catalogs.check_host(&entry)?;
+        self.commit(&mut *g, WalRecord::HostAdded { entry })
     }
 
     pub fn dbms_labels(&self) -> Vec<String> {
@@ -352,20 +356,17 @@ impl SqalpelServer {
         visibility: Visibility,
     ) -> PlatformResult<ProjectId> {
         self.state.global.read().users.get(owner)?;
-        // The log callback runs under the shard-map write lock, so
-        // project creations reach the WAL in id order.
-        self.state.add_project_with(
-            |id| Project::new(id, title, synopsis, owner, visibility),
-            |p| {
-                self.log(&WalRecord::ProjectCreated {
-                    id: p.id,
-                    owner,
-                    title: title.to_string(),
-                    synopsis: synopsis.to_string(),
-                    visibility,
-                })
-            },
-        )
+        self.state.create_project(|id| {
+            let record = WalRecord::ProjectCreated {
+                id,
+                owner,
+                title: title.to_string(),
+                synopsis: synopsis.to_string(),
+                visibility,
+            };
+            self.log(&record)?;
+            Ok(record)
+        })
     }
 
     fn with_shard<T>(
@@ -384,8 +385,8 @@ impl SqalpelServer {
         let g = self.state.global.read();
         g.users.get(user)?;
         let mut s = shard.write();
-        s.project.invite(owner, user)?;
-        self.log(&WalRecord::Invited { project, user })
+        s.project.require(owner, Role::Owner)?;
+        self.commit(&mut *s, WalRecord::Invited { project, user })
     }
 
     /// Declare the DBMS/host targets of the project; public projects are
@@ -402,38 +403,27 @@ impl SqalpelServer {
         let g = self.state.global.read();
         let mut s = shard.write();
         s.project.require(actor, Role::Owner)?;
-        let old = (
-            std::mem::replace(&mut s.project.dbms_labels, dbms_labels.clone()),
-            std::mem::replace(&mut s.project.hosts, hosts.clone()),
-        );
-        if let Err(e) = s.project.check_publication(&g.catalogs) {
-            (s.project.dbms_labels, s.project.hosts) = old;
-            return Err(e);
-        }
-        self.log(&WalRecord::TargetsSet {
+        s.project.check_targets(&g.catalogs, &dbms_labels, &hosts)?;
+        let record = WalRecord::TargetsSet {
             project,
             dbms_labels,
             hosts,
-        })
+        };
+        self.commit(&mut *s, record)
     }
 
+    /// Any registered user with at least read access may comment.
     pub fn comment(&self, project: ProjectId, author: UserId, text: &str) -> PlatformResult<()> {
         self.with_shard(project, |s| {
-            s.project.comment(author, text)?;
-            self.log(&WalRecord::CommentAdded {
-                project,
-                author,
-                text: text.to_string(),
-            })
+            s.project.require(author, Role::Reader)?;
+            let text = text.to_string();
+            self.commit(s, WalRecord::CommentAdded { project, author, text })
         })
     }
 
     /// Vendor notice-and-takedown (§4.3): results stop being served.
     pub fn take_down(&self, project: ProjectId) -> PlatformResult<()> {
-        self.with_shard(project, |s| {
-            s.project.taken_down = true;
-            self.log(&WalRecord::TakenDown { project })
-        })
+        self.with_shard(project, |s| self.commit(s, WalRecord::TakenDown { project }))
     }
 
     /// The role a user holds on a project.
@@ -455,22 +445,24 @@ impl SqalpelServer {
         pool_cap: usize,
     ) -> PlatformResult<ExperimentId> {
         self.with_shard(project, |s| {
-            let id = s
+            let (id, pool) = s
                 .project
-                .add_experiment(actor, title, baseline_sql, grammar, template_cap, pool_cap)?;
-            let exp = s.project.experiment(id)?;
+                .new_experiment(actor, baseline_sql, grammar, template_cap, pool_cap)?;
             self.log(&WalRecord::ExperimentAdded {
                 project,
                 id,
                 title: title.to_string(),
                 baseline_sql: baseline_sql.to_string(),
                 // The *resolved* grammar (hand-written or auto-converted),
-                // rendered back to the DSL for replay.
-                grammar: exp.pool.grammar().to_string(),
-                template_cap: exp.pool.template_cap(),
-                pool_cap: exp.pool.pool_cap(),
-                dialect: exp.pool.dialect().map(str::to_string),
+                // rendered back to the DSL for replay. The pool built from
+                // it here is added as it is, not built a second time.
+                grammar: pool.grammar().to_string(),
+                template_cap: pool.template_cap(),
+                pool_cap: pool.pool_cap(),
+                dialect: pool.dialect().map(str::to_string),
             })?;
+            s.project
+                .add_experiment(id, title.to_string(), baseline_sql.to_string(), pool);
             Ok(id)
         })
     }
@@ -486,22 +478,28 @@ impl SqalpelServer {
     ) -> PlatformResult<usize> {
         self.with_shard(project, |s| {
             s.project.require(actor, Role::Owner)?;
-            let exp = s.project.experiment_mut(experiment)?;
-            let before = exp.pool.entries().len();
-            exp.pool.seed_baseline()?;
+            let mut draft = s.project.experiment(experiment)?.pool.draft();
+            draft.seed_baseline()?;
             let mut rng = sqalpel_grammar::seeded_rng(seed);
-            let added = exp.pool.add_random(n_random, &mut rng)?;
-            let count = added.len() + 1;
-            let new_entries: Vec<PoolEntry> = exp.pool.entries()[before..].to_vec();
-            if !new_entries.is_empty() {
-                self.log(&WalRecord::PoolExtended {
-                    project,
-                    experiment,
-                    entries: new_entries,
-                })?;
-            }
+            let count = draft.add_random(n_random, &mut rng)?.len() + 1;
+            let entries = draft.into_entries();
+            self.extend_pool(s, experiment, entries)?;
             Ok(count)
         })
+    }
+
+    /// Log and add the entries a pool walk found, if it found any.
+    fn extend_pool(
+        &self,
+        s: &mut ProjectShard,
+        experiment: ExperimentId,
+        entries: Vec<PoolEntry>,
+    ) -> PlatformResult<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        let project = s.project.id;
+        self.commit(s, WalRecord::PoolExtended { project, experiment, entries })
     }
 
     /// Attach (or detach) a plan fingerprinter to an experiment's pool:
@@ -539,29 +537,20 @@ impl SqalpelServer {
     ) -> PlatformResult<Vec<QueryId>> {
         self.with_shard(project, |s| {
             s.project.require(actor, Role::Owner)?;
-            let exp = s.project.experiment_mut(experiment)?;
-            let before = exp.pool.entries().len();
+            let mut draft = s.project.experiment(experiment)?.pool.draft();
             let mut rng = sqalpel_grammar::seeded_rng(seed);
             let mut added = Vec::new();
             for _ in 0..steps {
                 let id = match strategy {
-                    Some(st) => exp.pool.morph(st, &mut rng)?,
-                    None => exp.pool.morph_auto(&mut rng)?,
+                    Some(st) => draft.morph(st, &mut rng)?,
+                    None => draft.morph_auto(&mut rng)?,
                 };
-                if let Some(id) = id {
-                    added.push(id);
-                }
+                added.extend(id);
             }
             // Log the physical entries (instantiated SQL), not the walk
             // that found them — replay needs no RNG.
-            let new_entries: Vec<PoolEntry> = exp.pool.entries()[before..].to_vec();
-            if !new_entries.is_empty() {
-                self.log(&WalRecord::PoolExtended {
-                    project,
-                    experiment,
-                    entries: new_entries,
-                })?;
-            }
+            let entries = draft.into_entries();
+            self.extend_pool(s, experiment, entries)?;
             Ok(added)
         })
     }
@@ -601,9 +590,9 @@ impl SqalpelServer {
                 .iter()
                 .map(|e| (e.id, Arc::from(e.sql.as_str())))
                 .collect();
-            let (dbms_labels, hosts) = (s.project.dbms_labels.clone(), s.project.hosts.clone());
+            let (dbms_labels, hosts) = (&s.project.dbms_labels, &s.project.hosts);
             // Quota check against the upper bound (dedup may admit
-            // fewer): refuse before mutating anything.
+            // fewer): refuse before deciding anything.
             let sum = s.queue.summary();
             let adding = entries.len() * dbms_labels.len() * hosts.len();
             if let Err(e) = self
@@ -613,22 +602,13 @@ impl SqalpelServer {
                 self.metrics.incr("admission.throttled");
                 return Err(e);
             }
-            let first_new = s.queue.tasks().len();
-            for (qid, sql) in &entries {
-                for d in &dbms_labels {
-                    for h in &hosts {
-                        s.queue
-                            .enqueue(project, experiment, *qid, Arc::clone(sql), d, h);
-                    }
-                }
+            // Built once: logged by reference, then moved into the queue.
+            let tasks = s.queue.new_tasks(project, experiment, &entries, dbms_labels, hosts);
+            let n = tasks.len();
+            if n > 0 {
+                self.commit(s, WalRecord::TasksEnqueued { project, tasks })?;
             }
-            // The new tasks are the tail of the queue; the log writes
-            // them from where they are.
-            let tasks = &s.queue.tasks()[first_new..];
-            if !tasks.is_empty() {
-                self.log(&EnqueuedTasks { project, tasks })?;
-            }
-            Ok(tasks.len())
+            Ok(n)
         })
     }
 
@@ -717,21 +697,15 @@ impl SqalpelServer {
                     if s.project.role_of(user) < Role::Contributor || s.project.taken_down {
                         continue;
                     }
-                    if let Some(task) = s.queue.checkout(key, dbms_label, host) {
-                        if let Err(e) = self.log_with(|| WalRecord::TaskClaimed {
-                            task: task.id,
-                            key: key.clone(),
-                        }) {
-                            // The claim never became durable: undo it so
-                            // the task is immediately claimable again
-                            // instead of stranded Running with no holder.
-                            s.queue
-                                .unclaim(task.id, key)
-                                .expect("just checked out under this lock");
+                    if let Some(id) = s.queue.checkout(dbms_label, host) {
+                        // The record's key becomes the task's holder.
+                        let record = WalRecord::TaskClaimed { task: id, key: key.clone() };
+                        if let Err(e) = self.commit(&mut *s, record) {
                             self.admission.cancel(user);
                             return Err(e);
                         }
-                        self.admission.confirm(key, user, task.id, claim);
+                        let task = s.queue.task(id).expect("claimed here").clone();
+                        self.admission.confirm(key, user, id, claim);
                         self.metrics.incr("shard.handouts");
                         return Ok(Some(task));
                     }
@@ -775,7 +749,7 @@ impl SqalpelServer {
             query: task.query.0,
             dbms_label: Arc::clone(&task.dbms_label),
             host: Arc::clone(&task.host),
-            contributor: key.0.clone(),
+            contributor: key.0.to_string(),
             times_ms: outcome.times_ms,
             rows: outcome.rows,
             error: outcome.error,
@@ -798,33 +772,6 @@ impl SqalpelServer {
             }
         }
         (rec.error.clone(), rec)
-    }
-
-    /// Log one accepted report and hand its parts back to be moved on
-    /// into the state: the record is built by move and destructured
-    /// again, never copied to be logged — and not built at all on an
-    /// in-memory server.
-    fn log_report(
-        &self,
-        task: TaskId,
-        key: &ContributorKey,
-        error: Option<String>,
-        record: ResultRecord,
-    ) -> PlatformResult<(Option<String>, ResultRecord)> {
-        if self.durability.is_none() {
-            return Ok((error, record));
-        }
-        let logged = WalRecord::ReportAccepted {
-            task,
-            key: key.clone(),
-            error,
-            record,
-        };
-        self.log(&logged)?;
-        let WalRecord::ReportAccepted { error, record, .. } = logged else {
-            unreachable!("built four lines up")
-        };
-        Ok((error, record))
     }
 
     /// The driver's "report back" call.
@@ -866,18 +813,15 @@ impl SqalpelServer {
             }
             require_finite(task_id, &outcome)?;
             let (project, experiment) = (task.project, task.experiment);
-            let (error, rec) = self.accepted_record(task, key, outcome);
-            // One combined record: replay applies the queue completion
-            // and the stored result atomically. Logged *before* the queue
-            // mutation: if the append fails, the task stays Running and
-            // the admission slot stays held, so the contributor's retry
-            // can complete it once the log is writable again — in-memory,
-            // on-disk and admission state never diverge.
-            let (error, rec) = self.log_report(task_id, key, error, rec)?;
-            s.queue
-                .complete(task_id, key, error)
-                .expect("validated above under this lock: task is held by this key");
-            let idx = s.results.push(rec);
+            let (error, record) = self.accepted_record(task, key, outcome);
+            // One combined record: the queue completion and the stored
+            // result apply together. If the append fails, the task stays
+            // Running and the admission slot stays held, so the
+            // contributor's retry can complete it once the log is
+            // writable again.
+            let record = WalRecord::ReportAccepted { task: task_id, key: key.clone(), error, record };
+            self.commit(&mut *s, record)?;
+            let idx = s.results.len() - 1;
             let drained = experiment_drained(&s, experiment);
             drop(s);
             if self.admission.release(key, task_id) {
@@ -976,24 +920,13 @@ impl SqalpelServer {
                 }
                 // The group commit: every fresh report of this shard in
                 // ONE framed append+flush, so the whole batch becomes
-                // durable — and replays — atomically. Logged before the
-                // queue mutations, same as the single-report path. The
-                // record is built by move and destructured back, so the
-                // batch is never deep-copied just to be logged.
-                let group = WalRecord::ReportBatchAccepted {
-                    key: key.clone(),
-                    items,
-                };
-                self.log(&group)?;
+                // durable — and applies — atomically.
+                let first = s.results.len();
+                let record = WalRecord::ReportBatchAccepted { key: key.clone(), items };
+                self.commit(&mut *s, record)?;
                 self.metrics.incr("wal.group_commits");
-                let WalRecord::ReportBatchAccepted { items, .. } = group else {
-                    unreachable!("built three lines up")
-                };
-                for (pos, (task_id, error, rec)) in fresh.iter().zip(items) {
-                    s.queue
-                        .complete(task_id, key, error)
-                        .expect("validated above under this lock");
-                    indices[*pos] = s.results.push(rec) as u64;
+                for (i, &pos) in fresh.iter().enumerate() {
+                    indices[pos] = (first + i) as u64;
                 }
                 let ids: Vec<TaskId> = fresh.iter().map(|&pos| reports[pos].0).collect();
                 let released = self.admission.release_batch(key, &ids);
@@ -1022,27 +955,25 @@ impl SqalpelServer {
     }
 
     /// Reap stuck runs (moderator cron). An experiment whose last open
-    /// task timed out is finished: its subscribers hear so, once.
+    /// task timed out is finished: its subscribers hear so, once. A shard
+    /// whose record cannot be logged reaps nothing (`wal.errors` counts
+    /// it).
     pub fn reap_stuck(&self, timeout: Duration) -> Vec<TaskId> {
         let mut all = Vec::new();
         let mut finished: Vec<(ProjectId, ExperimentId)> = Vec::new();
         for shard in self.state.all_shards() {
             let mut s = shard.write();
-            let reaped = s.queue.reap_stuck(timeout);
-            if reaped.is_empty() {
+            let stuck = s.queue.stuck(timeout);
+            if stuck.is_empty() {
                 continue;
             }
             let project = s.project.id;
-            if self
-                .log(&WalRecord::TasksReaped {
-                    project,
-                    tasks: reaped.clone(),
-                })
-                .is_err()
-            {
+            let record = WalRecord::TasksReaped { project, tasks: stuck.clone() };
+            if self.commit(&mut *s, record).is_err() {
                 self.metrics.incr("wal.errors");
+                continue;
             }
-            for &t in &reaped {
+            for &t in &stuck {
                 if self.admission.release_any(t) {
                     self.metrics.incr("admission.released");
                 }
@@ -1051,7 +982,7 @@ impl SqalpelServer {
                     finished.push((project, experiment));
                 }
             }
-            all.extend(reaped);
+            all.extend(stuck);
         }
         // Notify outside every shard lock.
         for (project, experiment) in finished {
@@ -1067,8 +998,8 @@ impl SqalpelServer {
         let shard = self.state.shard_of_task(task)?;
         let project = {
             let mut s = shard.write();
-            s.queue.requeue(task)?;
-            self.log(&WalRecord::TaskRequeued { task })?;
+            s.queue.check_requeue(task)?;
+            self.commit(&mut *s, WalRecord::TaskRequeued { task })?;
             s.project.id
         };
         // The task is claimable again: wake parked workers (lock released
@@ -1118,15 +1049,10 @@ impl SqalpelServer {
     ) -> PlatformResult<()> {
         self.with_shard(project, |s| {
             s.project.require(actor, Role::Owner)?;
-            if s.results.set_hidden(index, hidden) {
-                self.log(&WalRecord::ResultHidden {
-                    project,
-                    index,
-                    hidden,
-                })
-            } else {
-                Err(PlatformError::Invalid(format!("no result #{index}")))
+            if index >= s.results.len() {
+                return Err(PlatformError::Invalid(format!("no result #{index}")));
             }
+            self.commit(s, WalRecord::ResultHidden { project, index, hidden })
         })
     }
 
@@ -1172,6 +1098,29 @@ impl SqalpelServer {
             )));
         }
         Ok(f(&s.project))
+    }
+}
+
+#[cfg(test)]
+impl SqalpelServer {
+    /// The state's fingerprint ([`crate::durability::state_fingerprint`]).
+    pub(crate) fn state_fingerprint(&self) -> u64 {
+        let global = self.state.global.read();
+        self.state.with_shards_locked(|shards| {
+            let guards: Vec<_> = shards.iter().map(|s| s.read()).collect();
+            let refs: Vec<&ProjectShard> = guards.iter().map(|g| &**g).collect();
+            crate::durability::state_fingerprint(&global, &refs)
+        })
+    }
+
+    /// Make the next WAL append fail, or stop it from failing.
+    pub(crate) fn fail_next_append(&self, fail: bool) {
+        self.durability.as_ref().expect("a durable server").fail_next_append(fail);
+    }
+
+    /// Whether an append failure is still waiting for its append.
+    pub(crate) fn append_failure_pending(&self) -> bool {
+        self.durability.as_ref().is_some_and(Durability::append_failure_pending)
     }
 }
 

@@ -12,13 +12,20 @@
 //! the high 32 bits ([`TASK_PROJECT_SHIFT`]) and the shard-local
 //! sequence in the low 32, so a task id alone routes a report to its
 //! shard without any cross-shard lookup.
+//!
+//! Each shard applies the [`WalRecord`]s that change it ([`Apply`]): the
+//! server, after logging a record under the shard's lock, and recovery,
+//! replaying it, call the same function — so the live state is the replay
+//! of its own log.
 
 use crate::catalog::Catalogs;
+use crate::durability::WalRecord;
 use crate::error::{PlatformError, PlatformResult};
-use crate::project::{Project, ProjectId};
+use crate::pool::QueryPool;
+use crate::project::{Comment, Project, ProjectId};
 use crate::queue::{TaskId, TaskQueue};
 use crate::results::{ResultRecord, ResultStore};
-use crate::user::UserRegistry;
+use crate::user::{ContributorKey, UserRegistry};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,11 +43,34 @@ pub fn task_id_base(project: ProjectId) -> u64 {
     project.0 << TASK_PROJECT_SHIFT
 }
 
+/// A part of the state that [`WalRecord`]s change.
+pub trait Apply {
+    /// Apply a record that was decided against this part (live) or read
+    /// from the log (replay). An error means the record contradicts the
+    /// state: a corrupt log, or a record meant for another part.
+    fn apply(&mut self, record: WalRecord) -> Result<(), String>;
+}
+
 /// Users and catalogs: shared by every project, mutated rarely.
 #[derive(Debug)]
 pub struct GlobalShard {
     pub users: UserRegistry,
     pub catalogs: Catalogs,
+}
+
+impl Apply for GlobalShard {
+    fn apply(&mut self, record: WalRecord) -> Result<(), String> {
+        match record {
+            WalRecord::UserRegistered { id, nickname, email } => self.users.add_user(id, nickname, email),
+            WalRecord::KeyIssued { user, key, counter } => {
+                self.users.add_key(key, user, counter);
+                Ok(())
+            }
+            WalRecord::DbmsAdded { entry } => self.catalogs.add_dbms(entry).map_err(|e| e.to_string()),
+            WalRecord::HostAdded { entry } => self.catalogs.add_host(entry).map_err(|e| e.to_string()),
+            _ => Err("a project's record applied to the users and catalogs".into()),
+        }
+    }
 }
 
 /// Everything owned by one project: the project record (experiments,
@@ -62,10 +92,34 @@ impl ProjectShard {
         }
     }
 
-    /// File a result during recovery, sharing its target labels with its
-    /// task's again — the sharing `report_result` set up and the log
-    /// could not carry.
-    pub fn restore_result(&mut self, mut record: ResultRecord) -> usize {
+    /// The shard a `ProjectCreated` record makes, the shard map holding
+    /// `len` shards: ids are dense, so the record's must be the next.
+    pub fn created(record: WalRecord, len: usize) -> Result<ProjectShard, String> {
+        let WalRecord::ProjectCreated { id, owner, title, synopsis, visibility } = record else {
+            return Err("not a project creation".into());
+        };
+        if id.0 as usize != len + 1 {
+            return Err(format!("project #{} created out of order", id.0));
+        }
+        Ok(ProjectShard::new(Project::new(id, title, synopsis, owner, visibility)))
+    }
+
+    /// A report accepted: its task completes, its record is filed.
+    fn accept(
+        &mut self,
+        task: TaskId,
+        key: &ContributorKey,
+        error: Option<String>,
+        record: ResultRecord,
+    ) -> Result<(), String> {
+        self.queue.complete(task, key, error).map_err(|e| e.to_string())?;
+        self.file_result(record);
+        Ok(())
+    }
+
+    /// File a result with its target labels shared with its task's — the
+    /// sharing a report sets up and a log line cannot carry.
+    pub fn file_result(&mut self, mut record: ResultRecord) -> usize {
         if let Ok(task) = self.queue.task(TaskId(record.task)) {
             if task.dbms_label == record.dbms_label && task.host == record.host {
                 record.dbms_label = Arc::clone(&task.dbms_label);
@@ -73,6 +127,67 @@ impl ProjectShard {
             }
         }
         self.results.push(record)
+    }
+}
+
+impl Apply for ProjectShard {
+    fn apply(&mut self, record: WalRecord) -> Result<(), String> {
+        let p = &mut self.project;
+        match record {
+            WalRecord::Invited { user, .. } => {
+                if user != p.owner {
+                    p.contributors.insert(user);
+                }
+            }
+            // No publication check: it passed when the record was decided,
+            // and the catalogs replay in the same order.
+            WalRecord::TargetsSet { dbms_labels, hosts, .. } => {
+                p.dbms_labels = dbms_labels;
+                p.hosts = hosts;
+            }
+            WalRecord::CommentAdded { author, text, .. } => p.comments.push(Comment { author, text }),
+            WalRecord::TakenDown { .. } => p.taken_down = true,
+            WalRecord::ExperimentAdded {
+                id,
+                title,
+                baseline_sql,
+                grammar,
+                template_cap,
+                pool_cap,
+                dialect,
+                ..
+            } => {
+                let pool = QueryPool::from_dsl(&grammar, template_cap, pool_cap, dialect)?;
+                p.add_experiment(id, title, baseline_sql, pool);
+            }
+            WalRecord::PoolExtended { experiment, entries, .. } => p
+                .experiment_mut(experiment)
+                .map_err(|e| e.to_string())?
+                .pool
+                .extend(entries)?,
+            WalRecord::TasksEnqueued { tasks, .. } => self.queue.add(tasks)?,
+            WalRecord::TaskClaimed { task, key } => self.queue.claim(task, key).map_err(|e| e.to_string())?,
+            WalRecord::ReportAccepted { task, key, error, record } => self.accept(task, &key, error, record)?,
+            // One group commit applies as its reports, in upload order.
+            WalRecord::ReportBatchAccepted { key, items } => {
+                for (task, error, record) in items {
+                    self.accept(task, &key, error, record)?;
+                }
+            }
+            WalRecord::TasksReaped { tasks, .. } => {
+                for task in tasks {
+                    self.queue.time_out(task).map_err(|e| e.to_string())?;
+                }
+            }
+            WalRecord::TaskRequeued { task } => self.queue.requeue(task).map_err(|e| e.to_string())?,
+            WalRecord::ResultHidden { index, hidden, .. } => {
+                if !self.results.set_hidden(index, hidden) {
+                    return Err(format!("hidden flag for unknown result #{index}"));
+                }
+            }
+            _ => return Err("a users, catalogs or shard-map record applied to a project".into()),
+        }
+        Ok(())
     }
 }
 
@@ -121,30 +236,19 @@ impl ShardedState {
         }
     }
 
-    /// Allocate the next project id and install its shard. The builder
-    /// runs under the map write lock, so id allocation and installation
-    /// are atomic.
-    pub fn add_project(&self, build: impl FnOnce(ProjectId) -> Project) -> ProjectId {
-        let mut shards = self.shards.write();
-        let id = ProjectId(shards.len() as u64 + 1);
-        shards.push(Arc::new(RwLock::new(ProjectShard::new(build(id)))));
-        id
-    }
-
-    /// Like [`ShardedState::add_project`], but runs a fallible `log`
-    /// callback between building the project and installing its shard —
-    /// still under the map write lock, so the WAL sees project creations
-    /// in id order. On error the id is never allocated.
-    pub fn add_project_with<E>(
+    /// Install a new project's shard — the one change to the shard map.
+    /// `commit` gets the next id under the map write lock and returns the
+    /// `ProjectCreated` record it logged, so creations reach the log in id
+    /// order; on error the id is never allocated.
+    pub fn create_project<E>(
         &self,
-        build: impl FnOnce(ProjectId) -> Project,
-        log: impl FnOnce(&Project) -> Result<(), E>,
+        commit: impl FnOnce(ProjectId) -> Result<WalRecord, E>,
     ) -> Result<ProjectId, E> {
         let mut shards = self.shards.write();
         let id = ProjectId(shards.len() as u64 + 1);
-        let project = build(id);
-        log(&project)?;
-        shards.push(Arc::new(RwLock::new(ProjectShard::new(project))));
+        let shard = ProjectShard::created(commit(id)?, shards.len())
+            .expect("a creation decided for the next id installs");
+        shards.push(Arc::new(RwLock::new(shard)));
         Ok(id)
     }
 
@@ -194,15 +298,26 @@ mod tests {
     use crate::catalog::Visibility;
     use crate::user::UserId;
 
+    fn create(state: &ShardedState, title: &str) -> ProjectId {
+        state
+            .create_project(|id| {
+                Ok::<_, ()>(WalRecord::ProjectCreated {
+                    id,
+                    owner: UserId(1),
+                    title: title.into(),
+                    synopsis: "s".into(),
+                    visibility: Visibility::Public,
+                })
+            })
+            .unwrap()
+    }
+
     #[test]
     fn task_ids_route_to_their_shard() {
         let state = ShardedState::new();
-        let p1 = state.add_project(|id| {
-            Project::new(id, "a", "s", UserId(1), Visibility::Public)
-        });
-        let p2 = state.add_project(|id| {
-            Project::new(id, "b", "s", UserId(1), Visibility::Public)
-        });
+        let p1 = create(&state, "a");
+        let p2 = create(&state, "b");
+        assert!(state.create_project(|_| Err(())).is_err());
         assert_eq!((p1, p2), (ProjectId(1), ProjectId(2)));
         assert_eq!(state.shard_count(), 2);
 
@@ -220,6 +335,20 @@ mod tests {
             state.shard_of_task(TaskId(99 << TASK_PROJECT_SHIFT)),
             Err(PlatformError::UnknownTask(_))
         ));
+    }
+
+    #[test]
+    fn a_creation_out_of_order_is_refused() {
+        let created = |id| WalRecord::ProjectCreated {
+            id: ProjectId(id),
+            owner: UserId(1),
+            title: "t".into(),
+            synopsis: "s".into(),
+            visibility: Visibility::Public,
+        };
+        assert!(ProjectShard::created(created(1), 0).is_ok());
+        assert!(ProjectShard::created(created(3), 1).is_err());
+        assert!(ProjectShard::created(WalRecord::TaskRequeued { task: TaskId(0) }, 0).is_err());
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::error::{PlatformError, PlatformResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A unique, opaque user id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,11 +31,13 @@ impl User {
     }
 }
 
-/// An anonymous key under which results are contributed.
+/// An anonymous key under which results are contributed. The text is
+/// shared: the queue's claim, the admission book and a logged record
+/// hold one allocation between them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ContributorKey(pub String);
+pub struct ContributorKey(pub Arc<str>);
 
-serde::newtype!(UserId(u64), ContributorKey(String));
+serde::newtype!(UserId(u64), ContributorKey(Arc<str>));
 
 impl ContributorKey {
     /// Derive a stable, anonymous key for a user; the mapping back to the
@@ -47,7 +50,7 @@ impl ContributorKey {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
-        ContributorKey(format!("ck_{h:016x}"))
+        ContributorKey(format!("ck_{h:016x}").into())
     }
 }
 
@@ -65,8 +68,9 @@ impl UserRegistry {
         Self::default()
     }
 
-    /// Register a new user; nicknames are unique, emails must look valid.
-    pub fn register(&mut self, nickname: &str, email: &str) -> PlatformResult<UserId> {
+    /// The id registering `nickname` and `email` gets, or why it is
+    /// refused: nicknames are unique, emails must look valid.
+    pub fn next_user(&self, nickname: &str, email: &str) -> PlatformResult<UserId> {
         if nickname.trim().is_empty() {
             return Err(PlatformError::Invalid("empty nickname".into()));
         }
@@ -79,19 +83,27 @@ impl UserRegistry {
         if !matches!(at, Some(i) if i > 0 && i + 1 < email.len() && email[i + 1..].contains('.')) {
             return Err(PlatformError::Invalid(format!("invalid email {email:?}")));
         }
-        let id = UserId(self.users.len() as u64 + 1);
-        self.users.push(User {
-            id,
-            nickname: nickname.to_string(),
-            email: email.to_string(),
-        });
-        self.by_nickname.insert(nickname.to_string(), id);
-        Ok(id)
+        Ok(UserId(self.users.len() as u64 + 1))
+    }
+
+    /// Add a registered user (`UserRegistered`). Ids arrive in
+    /// registration order, so the dense id space stays dense.
+    pub fn add_user(&mut self, id: UserId, nickname: String, email: String) -> Result<(), String> {
+        let expect = self.users.len() as u64 + 1;
+        if id.0 != expect {
+            return Err(format!(
+                "user #{} registered out of order (expected #{expect})",
+                id.0
+            ));
+        }
+        self.by_nickname.insert(nickname.clone(), id);
+        self.users.push(User { id, nickname, email });
+        Ok(())
     }
 
     pub fn get(&self, id: UserId) -> PlatformResult<&User> {
-        self.users
-            .get((id.0 - 1) as usize)
+        id.0.checked_sub(1)
+            .and_then(|i| self.users.get(i as usize))
             .filter(|u| u.id == id)
             .ok_or(PlatformError::UnknownUser(id.0))
     }
@@ -102,13 +114,19 @@ impl UserRegistry {
             .and_then(|id| self.get(*id).ok())
     }
 
-    /// Issue a fresh anonymous contributor key for a user.
-    pub fn issue_key(&mut self, id: UserId) -> PlatformResult<ContributorKey> {
+    /// The fresh anonymous key issuing one to `id` hands out, with the
+    /// issue counter it is derived from.
+    pub fn next_key(&self, id: UserId) -> PlatformResult<(ContributorKey, u64)> {
         self.get(id)?;
-        self.key_counter += 1;
-        let key = ContributorKey::derive(id, self.key_counter);
-        self.keys.insert(key.clone(), id);
-        Ok(key)
+        let counter = self.key_counter + 1;
+        Ok((ContributorKey::derive(id, counter), counter))
+    }
+
+    /// Add an issued key (`KeyIssued`). The registry counter advances
+    /// past `counter`, so later keys never collide with this one.
+    pub fn add_key(&mut self, key: ContributorKey, user: UserId, counter: u64) {
+        self.keys.insert(key, user);
+        self.raise_key_counter(counter);
     }
 
     /// Resolve a contributor key back to its owner (moderators only).
@@ -139,36 +157,9 @@ impl UserRegistry {
         self.key_counter
     }
 
-    /// Re-insert a user during recovery. Ids must arrive in registration
-    /// order (snapshot/WAL order) so the dense id space stays dense.
-    pub fn restore_user(&mut self, id: UserId, nickname: &str, email: &str) -> Result<(), String> {
-        let expect = self.users.len() as u64 + 1;
-        if id.0 != expect {
-            return Err(format!(
-                "user #{} restored out of order (expected #{expect})",
-                id.0
-            ));
-        }
-        self.users.push(User {
-            id,
-            nickname: nickname.to_string(),
-            email: email.to_string(),
-        });
-        self.by_nickname.insert(nickname.to_string(), id);
-        Ok(())
-    }
-
-    /// Re-insert an issued key during recovery. `counter` is the issue
-    /// counter at derivation time; the registry counter advances past it
-    /// so future keys never collide with replayed ones.
-    pub fn restore_key(&mut self, key: ContributorKey, user: UserId, counter: u64) {
-        self.keys.insert(key, user);
-        self.key_counter = self.key_counter.max(counter);
-    }
-
-    /// Advance the issue counter during recovery (snapshots carry it as
-    /// one global value rather than per key).
-    pub fn restore_key_counter(&mut self, counter: u64) {
+    /// Advance the issue counter to at least `counter` (a checkpoint
+    /// carries it as one value rather than per key).
+    pub fn raise_key_counter(&mut self, counter: u64) {
         self.key_counter = self.key_counter.max(counter);
     }
 }
@@ -177,10 +168,23 @@ impl UserRegistry {
 mod tests {
     use super::*;
 
+    /// Decide, then apply: what the server does with the record between.
+    fn register(r: &mut UserRegistry, nickname: &str, email: &str) -> PlatformResult<UserId> {
+        let id = r.next_user(nickname, email)?;
+        r.add_user(id, nickname.into(), email.into()).unwrap();
+        Ok(id)
+    }
+
+    fn issue(r: &mut UserRegistry, id: UserId) -> ContributorKey {
+        let (key, counter) = r.next_key(id).unwrap();
+        r.add_key(key.clone(), id, counter);
+        key
+    }
+
     #[test]
     fn register_and_lookup() {
         let mut r = UserRegistry::new();
-        let id = r.register("mlk", "mlk@cwi.nl").unwrap();
+        let id = register(&mut r, "mlk", "mlk@cwi.nl").unwrap();
         assert_eq!(r.get(id).unwrap().nickname, "mlk");
         assert_eq!(r.by_nickname("mlk").unwrap().id, id);
         assert!(r.by_nickname("nobody").is_none());
@@ -189,22 +193,22 @@ mod tests {
     #[test]
     fn duplicate_nickname_rejected() {
         let mut r = UserRegistry::new();
-        r.register("mlk", "a@b.io").unwrap();
-        assert!(r.register("mlk", "c@d.io").is_err());
+        register(&mut r, "mlk", "a@b.io").unwrap();
+        assert!(r.next_user("mlk", "c@d.io").is_err());
     }
 
     #[test]
     fn bad_emails_rejected() {
-        let mut r = UserRegistry::new();
+        let r = UserRegistry::new();
         for bad in ["", "plain", "@x.com", "a@", "a@nodot"] {
-            assert!(r.register("u", bad).is_err(), "{bad:?} accepted");
+            assert!(r.next_user("u", bad).is_err(), "{bad:?} accepted");
         }
     }
 
     #[test]
     fn email_not_in_debug_of_nickname_paths() {
         let mut r = UserRegistry::new();
-        let id = r.register("mlk", "secret@cwi.nl").unwrap();
+        let id = register(&mut r, "mlk", "secret@cwi.nl").unwrap();
         let user = r.get(id).unwrap();
         // The only path to the email is the explicitly-named accessor.
         assert_eq!(user.email_for_legal_contact(), "secret@cwi.nl");
@@ -214,43 +218,45 @@ mod tests {
     #[test]
     fn contributor_keys_are_anonymous_but_resolvable() {
         let mut r = UserRegistry::new();
-        let id = r.register("mlk", "a@b.io").unwrap();
-        let k1 = r.issue_key(id).unwrap();
-        let k2 = r.issue_key(id).unwrap();
+        let id = register(&mut r, "mlk", "a@b.io").unwrap();
+        let k1 = issue(&mut r, id);
+        let k2 = issue(&mut r, id);
         assert_ne!(k1, k2, "keys are per-issue, not per-user");
         assert!(!k1.0.contains("mlk"));
         assert_eq!(r.resolve_key(&k1), Some(id));
         assert_eq!(r.resolve_key(&ContributorKey("ck_bogus".into())), None);
+        assert!(r.next_key(UserId(9)).is_err());
     }
 
     #[test]
-    fn restore_rebuilds_registry_without_key_collisions() {
+    fn rebuilt_registry_issues_no_colliding_keys() {
         let mut r = UserRegistry::new();
-        let a = r.register("a", "a@b.io").unwrap();
-        let b = r.register("b", "b@b.io").unwrap();
-        let k1 = r.issue_key(a).unwrap();
-        let k2 = r.issue_key(b).unwrap();
+        let a = register(&mut r, "a", "a@b.io").unwrap();
+        let b = register(&mut r, "b", "b@b.io").unwrap();
+        let k1 = issue(&mut r, a);
+        let k2 = issue(&mut r, b);
 
         let mut back = UserRegistry::new();
         for u in r.users() {
-            back.restore_user(u.id, &u.nickname, u.email_for_legal_contact())
+            back.add_user(u.id, u.nickname.clone(), u.email_for_legal_contact().into())
                 .unwrap();
         }
         for (k, owner) in r.keys() {
-            // Counter per key is unknown here; the max bound is what matters.
-            back.restore_key(k.clone(), owner, r.key_counter());
+            // A checkpoint knows no per-key counter, only the registry's.
+            back.add_key(k.clone(), owner, 0);
         }
+        back.raise_key_counter(r.key_counter());
         assert_eq!(back.resolve_key(&k1), Some(a));
         assert_eq!(back.resolve_key(&k2), Some(b));
         assert_eq!(back.by_nickname("b").unwrap().id, b);
         assert_eq!(back.get(a).unwrap().email_for_legal_contact(), "a@b.io");
         // Fresh keys after recovery don't collide with replayed ones.
-        let k3 = back.issue_key(a).unwrap();
+        let k3 = issue(&mut back, a);
         assert_ne!(k3, k1);
         assert_ne!(k3, k2);
-        // Out-of-order restore is rejected.
+        // An id out of order is a corrupt log.
         let mut bad = UserRegistry::new();
-        assert!(bad.restore_user(UserId(2), "x", "x@y.io").is_err());
+        assert!(bad.add_user(UserId(2), "x".into(), "x@y.io".into()).is_err());
     }
 
     #[test]

@@ -96,9 +96,19 @@ newtype_fields!(
     ProjectId(u64),
     ExperimentId(u64),
     TaskId(u64),
-    QueryId(u64),
-    ContributorKey(String)
+    QueryId(u64)
 );
+
+impl Field for ContributorKey {
+    const MIN_BITS: usize = 32;
+    fn write(v: &ContributorKey, w: &mut W) {
+        w.str(&v.0)
+    }
+    fn read(r: &mut R<'_>) -> D<ContributorKey> {
+        r.str().map(|k| ContributorKey(k.into()))
+    }
+    json_by_serde!();
+}
 
 impl Field for bool {
     fn write(v: &bool, w: &mut W) {
@@ -281,7 +291,7 @@ impl Field for Task {
             state: match r.u8()? {
                 0 => TaskState::Queued,
                 1 => TaskState::Running {
-                    contributor: ContributorKey(r.str()?),
+                    contributor: ContributorKey(r.str()?.into()),
                 },
                 2 => TaskState::Done,
                 3 => TaskState::Failed(r.str()?),

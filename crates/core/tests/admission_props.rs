@@ -60,7 +60,7 @@ proptest! {
             max_inflight_per_user: bound,
             max_queued_per_project: 1_000,
         });
-        let key_of = |u: usize, k: usize| ContributorKey(format!("ck_{u}_{k}"));
+        let key_of = |u: usize, k: usize| ContributorKey(format!("ck_{u}_{k}").into());
         let mut held: HashMap<(usize, usize), Vec<TaskId>> = HashMap::new();
         let count = |held: &HashMap<(usize, usize), Vec<TaskId>>, u: usize| -> usize {
             (0..KEYS).map(|k| held.get(&(u, k)).map_or(0, Vec::len)).sum()

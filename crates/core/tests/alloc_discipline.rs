@@ -8,8 +8,9 @@
 //!   `report_result` allocate a fixed, small number of times — nothing
 //!   proportional to the SQL text (shared, not cloned), the metric names
 //!   (looked up, not copied) or the index keys (interned). A durable
-//!   server adds the record's own key and nothing else: the log line is
-//!   written into a reused buffer, not built as a value tree.
+//!   server adds nothing: the record it logs is the record it applies,
+//!   and the log line is written into a reused buffer, not built as a
+//!   value tree.
 //! * **Depth independence.** Draining a 160 k-task queue in process costs
 //!   the same per task at the end as at the start: no step of claim or
 //!   report walks the finished prefix the drain leaves behind.
@@ -273,9 +274,9 @@ fn claim_report_and_replay_cost_what_they_do() {
     let per_result = (live() - before) as f64 / 3_584.0;
     eprintln!("in-memory  allocs/request_task {claim:.2}  allocs/report_result {report:.2}");
     eprintln!("bytes/queued task {per_task:.0}  bytes/stored result {per_result:.0}");
-    // Pinned at the measured values: 8 and 3 allocations (18 and 24
-    // before texts were shared and names looked up), 260 and 379 bytes
-    // (664 and 1035 before).
+    // Pinned at 8 and 3 allocations (18 and 24 before texts were shared
+    // and names looked up), 260 and 379 bytes (664 and 1035 before); a
+    // claim measures 3 since a contributor key shares its text.
     assert!(claim <= 8.05, "request_task allocates {claim:.2} times");
     assert!(report <= 3.05, "report_result allocates {report:.2} times");
     assert!(per_task <= 300.0, "a queued task occupies {per_task:.0} B");
@@ -289,9 +290,11 @@ fn claim_report_and_replay_cost_what_they_do() {
     drain(&server, &fx, &outcome, 200);
     let (claim, report) = drain(&server, &fx, &outcome, 1_000);
     eprintln!("durable    allocs/request_task {claim:.2}  allocs/report_result {report:.2}");
-    // Measured 9 and 4: the in-memory counts plus the contributor key
-    // the logged record owns (24 and 72 while the line was built as a
-    // value tree, printed and framed; 35 and 86 before that).
+    // Measured 3 and 3, the in-memory counts: the record an op logs is
+    // the one it applies, and its contributor key is the shared text
+    // the state keeps (9 and 4 while the logged record owned a copy of
+    // the key; 24 and 72 while the line was built as a value tree,
+    // printed and framed; 35 and 86 before that).
     assert!(claim <= 10.05, "durable request_task allocates {claim:.2} times");
     assert!(report <= 5.05, "durable report_result allocates {report:.2} times");
     drop(server);

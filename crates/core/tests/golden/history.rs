@@ -41,7 +41,7 @@ fn result(n: u64, query: u64, dbms: &str, times_ms: Vec<f64>, error: Option<&str
         query,
         dbms_label: dbms.into(),
         host: "bench-server".into(),
-        contributor: key().0,
+        contributor: key().0.to_string(),
         times_ms,
         rows: 25,
         error: error.map(str::to_string),

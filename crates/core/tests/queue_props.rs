@@ -18,6 +18,7 @@ use sqalpel_core::{
     WalRecord,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 const PROJECT: ProjectId = ProjectId(1);
@@ -43,7 +44,16 @@ fn ops_from_seed(seed: u64, len: usize) -> Vec<(u8, u8, u8, u8)> {
 }
 
 fn key(n: u8) -> ContributorKey {
-    ContributorKey(format!("ck_{}", n as usize % KEYS))
+    ContributorKey(format!("ck_{}", n as usize % KEYS).into())
+}
+
+/// Enqueue one query for one target, the way the server does: decide
+/// the tasks, then add them. `None` when the combination was queued.
+fn enqueue(q: &mut TaskQueue, e: ExperimentId, query: QueryId, sql: &str, dbms: &str, host: &str) -> Option<TaskId> {
+    let tasks = q.new_tasks(PROJECT, e, &[(query, Arc::from(sql))], &[dbms.into()], &[host.into()]);
+    let id = tasks.first().map(|t| t.id);
+    q.add(tasks).unwrap();
+    id
 }
 
 // ------------------------------------------------------------ the oracle
@@ -158,44 +168,35 @@ proptest! {
             // Any id the queue has allocated, plus a few it has not.
             let some_id = TaskId(BASE + a as u64 % (q.tasks().len() as u64 + 2));
             let (dbms, host) = TARGETS[b as usize % TARGETS.len()];
-            match action % 11 {
+            match action % 10 {
                 // Enqueue (dedup turns repeats into no-ops). Several
                 // actions, so queues grow past a handful of tasks.
                 0..=2 => {
                     let (e, qid) = (a as u64 % EXPERIMENTS, c as u64 % QUERIES);
                     let sql = format!("select {qid} from t{e}");
-                    if let Some(id) =
-                        q.enqueue(PROJECT, ExperimentId(e), QueryId(qid), sql, dbms, host)
-                    {
+                    if let Some(id) = enqueue(&mut q, ExperimentId(e), QueryId(qid), &sql, dbms, host) {
                         log.push(WalRecord::TasksEnqueued {
                             project: PROJECT,
                             tasks: vec![q.task(id).unwrap().clone()],
                         });
                     }
                 }
+                // The server's hand-out: the checked-out task, claimed.
                 3 => {
-                    if let Some(t) = q.checkout(&key(c), dbms, host) {
+                    if let Some(id) = q.checkout(dbms, host) {
+                        let t = q.task(id).unwrap();
                         prop_assert_eq!((&*t.dbms_label, &*t.host), (dbms, host));
-                        log.push(WalRecord::TaskClaimed { task: t.id, key: key(c) });
+                        q.claim(id, key(c)).unwrap();
+                        log.push(WalRecord::TaskClaimed { task: id, key: key(c) });
                     }
                 }
                 4 => {
-                    if q.claim(some_id, &key(c)).is_ok() {
+                    if q.claim(some_id, key(c)).is_ok() {
                         log.push(WalRecord::TaskClaimed { task: some_id, key: key(c) });
                     }
                 }
-                // Unclaim is the undo of a claim that never reached the
-                // log: a success removes that claim's record.
-                5 => {
-                    if q.unclaim(some_id, &key(c)).is_ok() {
-                        let at = log.iter().rposition(|r| {
-                            matches!(r, WalRecord::TaskClaimed { task, .. } if *task == some_id)
-                        });
-                        log.remove(at.expect("an unclaimed task was claimed"));
-                    }
-                }
-                6 | 7 => {
-                    let error = (action % 11 == 7).then(|| format!("boom {a}"));
+                5 | 6 => {
+                    let error = (action % 10 == 6).then(|| format!("boom {a}"));
                     if q.complete(some_id, &key(c), error.clone()).is_ok() {
                         let t = q.task(some_id).unwrap();
                         log.push(WalRecord::ReportAccepted {
@@ -209,19 +210,22 @@ proptest! {
                         });
                     }
                 }
-                8 => {
+                7 => {
                     // Everything running is stuck at a zero timeout,
                     // nothing at an hour.
                     let timeout = if a % 4 == 0 { Duration::from_secs(3600) } else { Duration::ZERO };
                     let running = scan_summary(&q).running;
-                    let reaped = q.reap_stuck(timeout);
+                    let reaped = q.stuck(timeout);
                     prop_assert_eq!(reaped.len(), if timeout.is_zero() { running } else { 0 });
                     prop_assert!(reaped.windows(2).all(|w| w[0] < w[1]), "id order");
+                    for &id in &reaped {
+                        q.time_out(id).unwrap();
+                    }
                     if !reaped.is_empty() {
                         log.push(WalRecord::TasksReaped { project: PROJECT, tasks: reaped });
                     }
                 }
-                9 => {
+                8 => {
                     if q.requeue(some_id).is_ok() {
                         log.push(WalRecord::TaskRequeued { task: some_id });
                     }
@@ -232,7 +236,7 @@ proptest! {
                     let was_running = q
                         .task(some_id)
                         .is_ok_and(|t| matches!(t.state, TaskState::Running { .. }));
-                    if q.restore_timeout(some_id).is_ok() && was_running {
+                    if q.time_out(some_id).is_ok() && was_running {
                         prop_assert_eq!(&q.task(some_id).unwrap().state, &TaskState::TimedOut);
                         log.push(WalRecord::TasksReaped { project: PROJECT, tasks: vec![some_id] });
                     }
@@ -245,9 +249,7 @@ proptest! {
         let dir = tmp_dir("snap", seed);
         let global = GlobalShard { users: UserRegistry::new(), catalogs: Catalogs::bootstrap() };
         let mut shard = ProjectShard::new(project());
-        for t in q.tasks() {
-            shard.queue.restore_task(t.clone()).unwrap();
-        }
+        shard.queue.add(q.tasks().iter().cloned()).unwrap();
         check_same_counts(&q, &shard.queue);
         let path = write_snapshot(&dir, 1, &global, &[&shard]).unwrap();
         let (_, shards) = read_snapshot(&path).unwrap();
@@ -268,24 +270,25 @@ proptest! {
     }
 }
 
-/// `restore_timeout` (the replay of a reap) on tasks in every state: only
-/// a running task moves, and the counts follow it.
+/// `time_out` (a reap, live or replayed) on tasks in every state: only a
+/// running task moves, and the counts follow it.
 #[test]
-fn restore_timeout_counts_only_running_tasks() {
+fn time_out_counts_only_running_tasks() {
     let mut q = TaskQueue::with_base(BASE);
     let (dbms, host) = TARGETS[0];
     for qid in 0..4 {
-        q.enqueue(PROJECT, ExperimentId(0), QueryId(qid), "select 1 from t", dbms, host)
-            .unwrap();
+        enqueue(&mut q, ExperimentId(0), QueryId(qid), "select 1 from t", dbms, host).unwrap();
     }
     let k = key(0);
-    let done = q.checkout(&k, dbms, host).unwrap();
-    q.complete(done.id, &k, None).unwrap();
-    let running = q.checkout(&k, dbms, host).unwrap();
-    for id in [done.id, running.id, TaskId(BASE + 2)] {
-        q.restore_timeout(id).unwrap();
+    let done = q.checkout(dbms, host).unwrap();
+    q.claim(done, k.clone()).unwrap();
+    q.complete(done, &k, None).unwrap();
+    let running = q.checkout(dbms, host).unwrap();
+    q.claim(running, k).unwrap();
+    for id in [done, running, TaskId(BASE + 2)] {
+        q.time_out(id).unwrap();
     }
-    assert!(q.restore_timeout(TaskId(BASE + 99)).is_err());
+    assert!(q.time_out(TaskId(BASE + 99)).is_err());
     assert_eq!(
         q.summary(),
         QueueSummary { queued: 2, running: 0, finished: 1, failed: 0, timed_out: 1 }

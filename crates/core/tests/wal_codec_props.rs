@@ -373,7 +373,7 @@ impl Rng {
         let state = match self.below(5) {
             0 => TaskState::Queued,
             1 => TaskState::Running {
-                contributor: ContributorKey(self.text()),
+                contributor: ContributorKey(self.text().into()),
             },
             2 => TaskState::Done,
             3 => TaskState::Failed(self.text()),
@@ -422,7 +422,7 @@ impl Rng {
 
     /// One record of op number `op` (0..18).
     fn record(&mut self, op: usize, finite: bool) -> WalRecord {
-        let key = ContributorKey(self.text());
+        let key = ContributorKey(self.text().into());
         let project = ProjectId(self.id());
         match op {
             0 => WalRecord::UserRegistered {

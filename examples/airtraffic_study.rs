@@ -37,11 +37,11 @@ fn main() {
 
     // 2. Build and walk the pool.
     let mut pool = QueryPool::new(grammar, 10_000, 500).expect("pool");
-    pool.seed_baseline().expect("baseline");
+    pool.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel::grammar::seeded_rng(99);
-    pool.add_random(20, &mut rng).expect("seeds");
+    pool.walk(|d| d.add_random(20, &mut rng)).expect("seeds");
     for _ in 0..30 {
-        let _ = pool.morph_auto(&mut rng).expect("morph");
+        let _ = pool.walk(|d| d.morph_auto(&mut rng)).expect("morph");
     }
     println!("pool holds {} query variants", pool.len());
 

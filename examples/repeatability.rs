@@ -19,11 +19,11 @@ use std::sync::Arc;
 fn build_pool(seed: u64) -> QueryPool {
     let grammar = sqalpel::grammar::convert_sql(sqalpel::sql::tpch::Q6).expect("Q6 converts");
     let mut pool = QueryPool::new(grammar, 10_000, 500).expect("pool");
-    pool.seed_baseline().expect("baseline");
+    pool.walk(|d| d.seed_baseline()).expect("baseline");
     let mut rng = sqalpel::grammar::seeded_rng(seed);
-    pool.add_random(8, &mut rng).expect("seeds");
+    pool.walk(|d| d.add_random(8, &mut rng)).expect("seeds");
     for _ in 0..12 {
-        let _ = pool.morph_auto(&mut rng).expect("morph");
+        let _ = pool.walk(|d| d.morph_auto(&mut rng)).expect("morph");
     }
     pool
 }
