@@ -88,8 +88,11 @@ pub fn write_snapshot(
 /// The state's lines, in restore order: users, keys, the key counter,
 /// the catalogs, then per project its line, its experiments with their
 /// pool entries, its tasks and its results.
-fn write_state<W: Write>(out: &mut Lines<W>, global: &GlobalShard, shards: &[&ProjectShard]) -> io::Result<()> {
-
+fn write_state<W: Write>(
+    out: &mut Lines<W>,
+    global: &GlobalShard,
+    shards: &[&ProjectShard],
+) -> io::Result<()> {
     for u in global.users.users() {
         out.line(|s| {
             s.field("email", u.email_for_legal_contact());

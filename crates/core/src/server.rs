@@ -293,9 +293,8 @@ impl SqalpelServer {
         {
             return;
         }
-        if let Err(e) = self.snapshot_now() {
+        if self.snapshot_now().is_err() {
             self.metrics.incr("wal.snapshot_errors");
-            let _ = e;
         }
         self.snapshotting.store(false, Ordering::Release);
     }
@@ -1156,10 +1155,6 @@ fn experiment_drained(s: &ProjectShard, experiment: ExperimentId) -> bool {
     s.queue.open_tasks(s.project.id, experiment) == 0
 }
 
-/// Why a report for a task the reporting key does not hold (and never
-/// filed a record for) is refused — the same typed errors
-/// `queue.complete` would raise, raised before anything is logged or
-/// mutated.
 /// Refuse a report with a non-finite time or load average, before
 /// anything is logged: JSON has no NaN or infinity, so the log line would
 /// print one as `null`, pass its checksum and never decode again.
@@ -1180,6 +1175,10 @@ fn require_finite(task: TaskId, outcome: &RunOutcome) -> PlatformResult<()> {
     }
 }
 
+/// Why a report for a task the reporting key does not hold (and never
+/// filed a record for) is refused — the same typed errors
+/// `queue.complete` would raise, raised before anything is logged or
+/// changed.
 fn not_held_refusal(task: &Task) -> PlatformError {
     match &task.state {
         TaskState::Running { .. } => PlatformError::AccessDenied(format!(
