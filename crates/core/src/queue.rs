@@ -84,7 +84,7 @@ serde::object! {
 }
 
 /// Point `text` at `shared`'s allocation when the two read the same.
-fn share(text: &mut Arc<str>, shared: &Arc<str>) {
+pub(crate) fn share(text: &mut Arc<str>, shared: &Arc<str>) {
     if !Arc::ptr_eq(text, shared) && **text == **shared {
         *text = Arc::clone(shared);
     }

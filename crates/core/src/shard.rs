@@ -23,7 +23,7 @@ use crate::durability::WalRecord;
 use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryPool;
 use crate::project::{Comment, Project, ProjectId};
-use crate::queue::{TaskId, TaskQueue};
+use crate::queue::{share, TaskId, TaskQueue};
 use crate::results::{ResultRecord, ResultStore};
 use crate::user::{ContributorKey, UserRegistry};
 use parking_lot::RwLock;
@@ -121,10 +121,8 @@ impl ProjectShard {
     /// sharing a report sets up and a log line cannot carry.
     pub fn file_result(&mut self, mut record: ResultRecord) -> usize {
         if let Ok(task) = self.queue.task(TaskId(record.task)) {
-            if task.dbms_label == record.dbms_label && task.host == record.host {
-                record.dbms_label = Arc::clone(&task.dbms_label);
-                record.host = Arc::clone(&task.host);
-            }
+            share(&mut record.dbms_label, &task.dbms_label);
+            share(&mut record.host, &task.host);
         }
         self.results.push(record)
     }
