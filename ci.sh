@@ -159,9 +159,10 @@ cargo test -q --release -p sqalpel-core --test wal_codec_props
 # request_task and report_result pinned (8 and 3 in memory, 10 and 5 on a
 # durable server; all four measure 3 now that a contributor key shares
 # its text and the record an op logs is the record it applies), the
-# in-process drain of 160k tasks flat from first to last, replay of a 20k-task, 10k-report log peaking within 1.25x of the
-# recovered state (it streams), and a 40k-task enqueue line written and
-# replayed within the state plus twice the line's bytes.
+# in-process drain of 160k tasks flat from first to last, replay of a
+# 20k-task, 10k-report log peaking within 1.25x of the recovered state
+# (it streams), and a 40k-task enqueue line written and replayed within
+# the state plus twice the line's bytes.
 cargo test -q --release -p sqalpel-core --test alloc_discipline
 # Bulk-upload differential wall: the same experiment reported per-record
 # over v1, per-record over v2 and as one streamed v2 batch must export

@@ -8,7 +8,7 @@
 //! nothing — what its typed [`WalRecord`] says, logs the record, and then
 //! applies it with the function replay applies it with
 //! ([`crate::shard::Apply`]; [`recovery::apply`] only routes a record to
-//! it). A failed append therefore leaves nothing behind, and WAL order
+//! it, by [`WalRecord::part`]). A failed append therefore leaves nothing behind, and WAL order
 //! equals mutation order per lock domain. (A bulk upload spanning
 //! projects, and a reap, commit per project: a later project's failure
 //! leaves the earlier ones committed.) Each record is flushed to the OS

@@ -14,9 +14,9 @@
 //! they claim to extend) and abort recovery rather than guessing.
 
 use super::snapshot::{latest_snapshot, read_snapshot};
-use super::wal::{read_wal, WalRecord, WAL_FILE};
+use super::wal::{read_wal, Part, WalRecord, WAL_FILE};
 use crate::catalog::Catalogs;
-use crate::shard::{project_of_task, Apply, GlobalShard, ProjectShard};
+use crate::shard::{Apply, GlobalShard, ProjectShard};
 use crate::user::UserRegistry;
 use std::io;
 use std::path::Path;
@@ -104,46 +104,27 @@ pub fn recover(dir: &Path) -> io::Result<RecoveredState> {
 }
 
 /// Apply one WAL record to the state parts, consuming it: route it to
-/// the part it changes, which applies it with the function the live
-/// server applied it with.
+/// the part it changes ([`WalRecord::part`]), which applies it with the
+/// function the live server applied it with.
 pub fn apply(
     record: WalRecord,
     global: &mut GlobalShard,
     shards: &mut Vec<ProjectShard>,
 ) -> Result<(), String> {
-    let project = match &record {
-        WalRecord::UserRegistered { .. }
-        | WalRecord::KeyIssued { .. }
-        | WalRecord::DbmsAdded { .. }
-        | WalRecord::HostAdded { .. } => return global.apply(record),
-        WalRecord::ProjectCreated { .. } => {
-            let shard = ProjectShard::created(record, shards.len())?;
-            shards.push(shard);
-            return Ok(());
+    match record.part() {
+        None => Ok(()),
+        Some(Part::Global) => global.apply(record),
+        Some(Part::ShardMap) => {
+            shards.push(ProjectShard::created(record, shards.len())?);
+            Ok(())
         }
-        WalRecord::Invited { project, .. }
-        | WalRecord::TargetsSet { project, .. }
-        | WalRecord::CommentAdded { project, .. }
-        | WalRecord::TakenDown { project }
-        | WalRecord::ExperimentAdded { project, .. }
-        | WalRecord::PoolExtended { project, .. }
-        | WalRecord::TasksEnqueued { project, .. }
-        | WalRecord::TasksReaped { project, .. }
-        | WalRecord::ResultHidden { project, .. } => *project,
-        WalRecord::TaskClaimed { task, .. }
-        | WalRecord::ReportAccepted { task, .. }
-        | WalRecord::TaskRequeued { task } => project_of_task(*task),
-        WalRecord::ReportBatchAccepted { items, .. } => match items.first() {
-            Some((task, ..)) => project_of_task(*task),
-            None => return Ok(()),
-        },
-    };
-    let shard = project
-        .0
-        .checked_sub(1)
-        .and_then(|i| shards.get_mut(i as usize))
-        .ok_or(format!("record for unknown project #{}", project.0))?;
-    shard.apply(record)
+        Some(Part::Project(project)) => project
+            .0
+            .checked_sub(1)
+            .and_then(|i| shards.get_mut(i as usize))
+            .ok_or(format!("record for unknown project #{}", project.0))?
+            .apply(record),
+    }
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@ use crate::pool::PoolEntry;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::{SharedTexts, Task, TaskId};
 use crate::results::ResultRecord;
+use crate::shard::project_of_task;
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
 use serde::{Serialize, Table};
@@ -162,6 +163,44 @@ serde::tagged! {
             "index" => index: usize,
             "project" => project: ProjectId,
         } = "result_hidden",
+    }
+}
+
+/// The part of the platform state a record changes — the one place a
+/// record kind is mapped to its part. Recovery routes each record by it;
+/// the server applies a record holding that part's lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// Users and catalogs ([`crate::shard::GlobalShard`]).
+    Global,
+    /// The shard map: the record creates a project's shard.
+    ShardMap,
+    /// One project's shard ([`crate::shard::ProjectShard`]).
+    Project(ProjectId),
+}
+
+impl WalRecord {
+    /// The part this record changes; `None` for an empty report batch,
+    /// which changes nothing.
+    pub fn part(&self) -> Option<Part> {
+        use WalRecord::*;
+        Some(match self {
+            UserRegistered { .. } | KeyIssued { .. } | DbmsAdded { .. } | HostAdded { .. } => Part::Global,
+            ProjectCreated { .. } => Part::ShardMap,
+            Invited { project, .. }
+            | TargetsSet { project, .. }
+            | CommentAdded { project, .. }
+            | TakenDown { project }
+            | ExperimentAdded { project, .. }
+            | PoolExtended { project, .. }
+            | TasksEnqueued { project, .. }
+            | TasksReaped { project, .. }
+            | ResultHidden { project, .. } => Part::Project(*project),
+            TaskClaimed { task, .. } | ReportAccepted { task, .. } | TaskRequeued { task } => {
+                Part::Project(project_of_task(*task))
+            }
+            ReportBatchAccepted { items, .. } => Part::Project(project_of_task(items.first()?.0)),
+        })
     }
 }
 
@@ -553,6 +592,21 @@ mod tests {
         };
         assert_eq!(tasks[0].id, TaskId(1 << 32));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn records_name_the_part_they_change() {
+        let parts: Vec<_> = sample_records().iter().map(WalRecord::part).collect();
+        let p1 = Some(Part::Project(ProjectId(1)));
+        assert_eq!(
+            parts,
+            [Some(Part::Global), Some(Part::Global), Some(Part::ShardMap), p1, p1, p1, p1, p1, p1, p1]
+        );
+        // A task id names its project; an empty batch changes nothing.
+        let claim = WalRecord::TaskClaimed { task: TaskId(7 << 32), key: ContributorKey("ck".into()) };
+        assert_eq!(claim.part(), Some(Part::Project(ProjectId(7))));
+        let batch = WalRecord::ReportBatchAccepted { key: ContributorKey("ck".into()), items: vec![] };
+        assert_eq!(batch.part(), None);
     }
 
     #[test]

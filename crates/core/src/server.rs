@@ -1330,6 +1330,53 @@ mod tests {
     }
 
     #[test]
+    fn only_the_owner_invites() {
+        let (server, owner, contrib, project, _exp) = setup();
+        let members = || {
+            server
+                .with_project_view(project, owner, |p| p.contributors.iter().copied().collect::<Vec<_>>())
+                .unwrap()
+        };
+        let eve = server.register_user("eve", "eve@x.io").unwrap();
+        assert!(matches!(
+            server.invite(project, contrib, eve),
+            Err(PlatformError::AccessDenied(_))
+        ));
+        assert_eq!(members(), vec![contrib], "a refused invite changes nothing");
+        // Idempotent; the owner never becomes a contributor.
+        server.invite(project, owner, contrib).unwrap();
+        server.invite(project, owner, owner).unwrap();
+        assert_eq!(members(), vec![contrib]);
+        assert_eq!(server.role_of(project, owner).unwrap(), Role::Owner);
+        server.invite(project, owner, eve).unwrap();
+        assert_eq!(members(), vec![contrib, eve]);
+    }
+
+    #[test]
+    fn comments_respect_visibility() {
+        let server = SqalpelServer::new();
+        let owner = server.register_user("mlk", "a@b.io").unwrap();
+        let stranger = server.register_user("eve", "e@x.io").unwrap();
+        let public = server.create_project(owner, "open", "public study", Visibility::Public).unwrap();
+        let private = server.create_project(owner, "secret", "private study", Visibility::Private).unwrap();
+        let comments = |p| {
+            server
+                .with_project_view(p, owner, |p| p.comments.iter().map(|c| c.text.clone()).collect::<Vec<_>>())
+                .unwrap()
+        };
+        server.comment(public, stranger, "nice work").unwrap();
+        assert!(matches!(
+            server.comment(private, stranger, "sneaky"),
+            Err(PlatformError::AccessDenied(_))
+        ));
+        assert!(comments(private).is_empty(), "a refused comment changes nothing");
+        server.invite(private, owner, stranger).unwrap();
+        server.comment(private, stranger, "now allowed").unwrap();
+        assert_eq!(comments(private), vec!["now allowed".to_string()]);
+        assert_eq!(comments(public), vec!["nice work".to_string()]);
+    }
+
+    #[test]
     fn hidden_results_invisible_to_readers() {
         let (server, owner, contrib, project, exp) = setup();
         server.enqueue_experiment(project, exp, owner).unwrap();

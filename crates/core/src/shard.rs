@@ -46,8 +46,8 @@ pub fn task_id_base(project: ProjectId) -> u64 {
 /// A part of the state that [`WalRecord`]s change.
 pub trait Apply {
     /// Apply a record that was decided against this part (live) or read
-    /// from the log (replay). An error means the record contradicts the
-    /// state: a corrupt log, or a record meant for another part.
+    /// from the log (replay); its [`WalRecord::part`] must be this part.
+    /// An error means the record contradicts the state: a corrupt log.
     fn apply(&mut self, record: WalRecord) -> Result<(), String>;
 }
 
@@ -68,7 +68,7 @@ impl Apply for GlobalShard {
             }
             WalRecord::DbmsAdded { entry } => self.catalogs.add_dbms(entry).map_err(|e| e.to_string()),
             WalRecord::HostAdded { entry } => self.catalogs.add_host(entry).map_err(|e| e.to_string()),
-            _ => Err("a project's record applied to the users and catalogs".into()),
+            other => unreachable!("a record for {:?} applied to the users and catalogs", other.part()),
         }
     }
 }
@@ -183,7 +183,7 @@ impl Apply for ProjectShard {
                     return Err(format!("hidden flag for unknown result #{index}"));
                 }
             }
-            _ => return Err("a users, catalogs or shard-map record applied to a project".into()),
+            other => unreachable!("a record for {:?} applied to a project", other.part()),
         }
         Ok(())
     }
