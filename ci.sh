@@ -149,12 +149,19 @@ cargo test -q --release -p sqalpel-core --lib live_is_replay
 # 18 ops and every checkpoint line kind) are what today's text sink
 # writes and what its lines re-encode to; text sink == tree sink and
 # encode -> decode -> encode on random values of every table type (WAL
-# records, the v1 DTOs, metrics, errors); the legacy-input table (each
+# records, the v1 DTOs, metrics, errors, checkpoint lines); the legacy-input table (each
 # key older writers leave out reads as its default, every other key is
 # required, a non-hex fingerprint is an error and fails replay naming
-# its LSN); the element-wise walk of a bulk record equals whole-line
-# parsing; a line cut at any byte is torn.
+# its LSN, a mistyped checkpoint value fails the read naming its key);
+# every line read as a tree prints back; a line cut at any byte is torn.
 cargo test -q --release -p sqalpel-core --test wal_codec_props
+# The hostile-JSON wall: random bytes and mutated log and checkpoint lines
+# (bytes flipped, inserted, cut; nesting past the reader's bound) through
+# every JSON reader — a Value, a WAL record, a checkpoint line, v1
+# request and reply bodies, the v2 JSON-text fields — return Ok or Err,
+# never panic or abort; what reads is a decode -> encode fixed point, and
+# what the printer writes reads back byte for byte.
+cargo test -q --release -p sqalpel-core --test hostile_json
 # The task path's allocation and memory contract: allocations per
 # request_task and report_result pinned (8 and 3 in memory, 10 and 5 on a
 # durable server; all four measure 3 now that a contributor key shares

@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod wal;
 
 pub use recovery::{recover, RecoveredState};
-pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot};
+pub use snapshot::{latest_snapshot, read_snapshot, state_fingerprint, write_snapshot, SnapshotLine};
 pub use wal::{read_wal, WalReader, WalRecord, WalWriter, WAL_FILE};
 
 use crate::shard::{GlobalShard, ProjectShard};

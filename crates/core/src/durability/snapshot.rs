@@ -5,6 +5,10 @@
 //! line-oriented so huge states stream out without building one giant
 //! JSON value: a `meta` line (snapshot LSN), then one line per item in
 //! restore order, then an `end` marker that proves the file is whole.
+//! Every line kind is one row of the [`SnapshotLine`] table, told apart
+//! by `"t"`: the writer describes the state through it, borrowing every
+//! item, and the reader decodes each line straight off its text and
+//! applies it through the functions that apply the records of the log.
 //!
 //! Written to a temp file and atomically renamed into place as
 //! `snapshot-<lsn>.jsonl`; the directory is fsynced so the rename
@@ -12,6 +16,7 @@
 //! snapshots are pruned after a new one lands.
 
 use super::wal::fnv_fold;
+use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::pool::{PoolEntry, QueryPool};
 use crate::project::{Comment, ExperimentId, Project, ProjectId};
 use crate::queue::Task;
@@ -19,10 +24,65 @@ use crate::results::ResultRecord;
 use crate::shard::{GlobalShard, ProjectShard};
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
-use serde::{Deserialize, Sink, Value};
+use serde::Serialize;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+serde::tagged! {
+    /// One line of a checkpoint: the item of state it restores. Written
+    /// borrowing the state — a checkpoint copies no task, pool entry or
+    /// result — and read owning what it holds.
+    #[derive(Debug, Clone)]
+    pub enum SnapshotLine<'a> by "t" {
+        /// First: the LSN the checkpoint was taken at.
+        Meta { "lsn" => lsn: u64, "projects" => projects: usize } = "meta",
+        User {
+            "email" => email: Cow<'a, str>,
+            "id" => id: UserId,
+            "nickname" => nickname: Cow<'a, str>,
+        } = "user",
+        /// A contributor key; the issue counter is a line of its own.
+        Key { "key" => key: Cow<'a, ContributorKey>, "user" => user: UserId } = "key",
+        KeyCounter { "value" => value: u64 } = "key_counter",
+        Dbms { "entry" => entry: Cow<'a, DbmsEntry> } = "dbms",
+        Host { "entry" => entry: Cow<'a, HostEntry> } = "host",
+        Project {
+            "comments" => comments: Cow<'a, [Comment]>,
+            "contributors" => contributors: Cow<'a, BTreeSet<UserId>>,
+            "dbms_labels" => dbms_labels: Cow<'a, [String]>,
+            "hosts" => hosts: Cow<'a, [String]>,
+            "id" => id: ProjectId,
+            "owner" => owner: UserId,
+            "synopsis" => synopsis: Cow<'a, str>,
+            "taken_down" => taken_down: bool [default],
+            "title" => title: Cow<'a, str>,
+            "visibility" => visibility: Visibility,
+        } = "project",
+        Experiment {
+            "baseline_sql" => baseline_sql: Cow<'a, str>,
+            "dialect" => dialect: Option<Cow<'a, str>> [omit],
+            /// The pool's grammar rendered back to the DSL.
+            "grammar" => grammar: String,
+            "id" => id: ExperimentId,
+            "pool_cap" => pool_cap: usize,
+            "project" => project: ProjectId,
+            "template_cap" => template_cap: usize,
+            "title" => title: Cow<'a, str>,
+        } = "experiment",
+        PoolEntry {
+            "entry" => entry: Cow<'a, PoolEntry>,
+            "experiment" => experiment: ExperimentId,
+            "project" => project: ProjectId,
+        } = "pool_entry",
+        Task("task" => Cow<'a, Task>) = "task",
+        Result("record" => Cow<'a, ResultRecord>) = "result",
+        /// Last: the file is whole.
+        End = "end",
+    }
+}
 
 fn corrupt(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {}", msg.into()))
@@ -37,15 +97,9 @@ struct Lines<W> {
 }
 
 impl<W: Write> Lines<W> {
-    /// One line: a JSON object whose members `describe` writes — its
-    /// `"t"` tag among them, in key order like the rest (the sink
-    /// contract of the `serde` stand-in).
-    fn line(&mut self, describe: impl FnOnce(&mut TextSink)) -> io::Result<()> {
+    fn line(&mut self, line: SnapshotLine<'_>) -> io::Result<()> {
         self.buf.clear();
-        let mut s = TextSink::new(&mut self.buf);
-        s.begin_object();
-        describe(&mut s);
-        s.end_object();
+        line.serialize(&mut TextSink::new(&mut self.buf));
         self.buf.push('\n');
         self.out.write_all(self.buf.as_bytes())
     }
@@ -67,13 +121,9 @@ pub fn write_snapshot(
         buf: String::new(),
     };
 
-    out.line(|s| {
-        s.field("lsn", &lsn);
-        s.field("projects", &shards.len());
-        s.field("t", "meta");
-    })?;
+    out.line(SnapshotLine::Meta { lsn, projects: shards.len() })?;
     write_state(&mut out, global, shards)?;
-    out.line(|s| s.field("t", "end"))?;
+    out.line(SnapshotLine::End)?;
     let mut out = out.out;
     out.flush()?;
     out.into_inner()
@@ -94,103 +144,64 @@ fn write_state<W: Write>(
     shards: &[&ProjectShard],
 ) -> io::Result<()> {
     for u in global.users.users() {
-        out.line(|s| {
-            s.field("email", u.email_for_legal_contact());
-            s.field("id", &u.id.0);
-            s.field("nickname", &u.nickname);
-            s.field("t", "user");
+        out.line(SnapshotLine::User {
+            email: u.email_for_legal_contact().into(),
+            id: u.id,
+            nickname: u.nickname.as_str().into(),
         })?;
     }
     // In key order: equal states checkpoint to equal bytes.
     let mut keys: Vec<_> = global.users.keys().collect();
     keys.sort_unstable();
     for (key, user) in keys {
-        out.line(|s| {
-            s.field("key", &key.0);
-            s.field("t", "key");
-            s.field("user", &user.0);
-        })?;
+        out.line(SnapshotLine::Key { key: Cow::Borrowed(key), user })?;
     }
-    out.line(|s| {
-        s.field("t", "key_counter");
-        s.field("value", &global.users.key_counter());
-    })?;
+    out.line(SnapshotLine::KeyCounter { value: global.users.key_counter() })?;
     for entry in global.catalogs.dbms_entries() {
-        out.line(|s| {
-            s.field("entry", entry);
-            s.field("t", "dbms");
-        })?;
+        out.line(SnapshotLine::Dbms { entry: Cow::Borrowed(entry) })?;
     }
     for entry in global.catalogs.host_entries() {
-        out.line(|s| {
-            s.field("entry", entry);
-            s.field("t", "host");
-        })?;
+        out.line(SnapshotLine::Host { entry: Cow::Borrowed(entry) })?;
     }
 
     for shard in shards {
         let p = &shard.project;
-        out.line(|s| {
-            s.key("comments");
-            s.begin_array();
-            for c in &p.comments {
-                s.begin_object();
-                s.field("author", &c.author.0);
-                s.field("text", &c.text);
-                s.end_object();
-            }
-            s.end_array();
-            s.key("contributors");
-            s.begin_array();
-            for u in &p.contributors {
-                s.int(u.0 as i64);
-            }
-            s.end_array();
-            s.field("dbms_labels", &p.dbms_labels);
-            s.field("hosts", &p.hosts);
-            s.field("id", &p.id.0);
-            s.field("owner", &p.owner.0);
-            s.field("synopsis", &p.synopsis);
-            s.field("t", "project");
-            s.field("taken_down", &p.taken_down);
-            s.field("title", &p.title);
-            s.field("visibility", &p.visibility);
+        out.line(SnapshotLine::Project {
+            comments: p.comments.as_slice().into(),
+            contributors: Cow::Borrowed(&p.contributors),
+            dbms_labels: p.dbms_labels.as_slice().into(),
+            hosts: p.hosts.as_slice().into(),
+            id: p.id,
+            owner: p.owner,
+            synopsis: p.synopsis.as_str().into(),
+            taken_down: p.taken_down,
+            title: p.title.as_str().into(),
+            visibility: p.visibility,
         })?;
-
         for e in &p.experiments {
-            out.line(|s| {
-                s.field("baseline_sql", &e.baseline_sql);
-                if let Some(d) = e.pool.dialect() {
-                    s.field("dialect", d);
-                }
-                s.field("grammar", &e.pool.grammar().to_string());
-                s.field("id", &e.id.0);
-                s.field("pool_cap", &e.pool.pool_cap());
-                s.field("project", &p.id.0);
-                s.field("t", "experiment");
-                s.field("template_cap", &e.pool.template_cap());
-                s.field("title", &e.title);
+            out.line(SnapshotLine::Experiment {
+                baseline_sql: e.baseline_sql.as_str().into(),
+                dialect: e.pool.dialect().map(Cow::Borrowed),
+                grammar: e.pool.grammar().to_string(),
+                id: e.id,
+                pool_cap: e.pool.pool_cap(),
+                project: p.id,
+                template_cap: e.pool.template_cap(),
+                title: e.title.as_str().into(),
             })?;
             for entry in e.pool.entries() {
-                out.line(|s| {
-                    s.field("entry", entry);
-                    s.field("experiment", &e.id.0);
-                    s.field("project", &p.id.0);
-                    s.field("t", "pool_entry");
+                out.line(SnapshotLine::PoolEntry {
+                    entry: Cow::Borrowed(entry),
+                    experiment: e.id,
+                    project: p.id,
                 })?;
             }
         }
         for task in shard.queue.tasks() {
-            out.line(|s| {
-                s.field("t", "task");
-                s.field("task", task);
-            })?;
+            out.line(SnapshotLine::Task(Cow::Borrowed(task)))?;
         }
         for record in shard.results.all() {
-            out.line(|s| {
-                s.field("record", record);
-                s.field("t", "result");
-            })?;
+            out.line(SnapshotLine::Result(Cow::Borrowed(record)))?;
         }
     }
 
@@ -242,9 +253,9 @@ pub fn prune_older(dir: &Path, keep_lsn: u64) -> io::Result<()> {
     Ok(())
 }
 
-/// Load a snapshot back into state parts, through the functions that
-/// apply the records of the log. Restore order inside the file matches
-/// write order, so they see ids arrive densely.
+/// Load a snapshot back into state parts, each line through the
+/// functions that apply the records of the log. Restore order inside the
+/// file matches write order, so they see ids arrive densely.
 pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)> {
     let mut global = GlobalShard {
         users: crate::user::UserRegistry::new(),
@@ -258,111 +269,80 @@ pub fn read_snapshot(path: &Path) -> io::Result<(GlobalShard, Vec<ProjectShard>)
         if text.is_empty() {
             continue;
         }
-        let v: Value = serde_json::from_str(&text)
-            .map_err(|e| corrupt(format!("bad line: {e}")))?;
-        let num = |k: &str| u64::from_value(&v[k]).map_err(|e| corrupt(format!("{k}: {e}")));
-        let text_field = |k: &str| {
-            v[k].as_str()
-                .map(str::to_string)
-                .ok_or_else(|| corrupt(format!("missing {k}")))
-        };
-        match v["t"].as_str().ok_or_else(|| corrupt("untagged line"))? {
-            "meta" => {}
-            "user" => {
+        let line = serde_json::from_str(&text).map_err(|e| corrupt(format!("bad line: {e}")))?;
+        match line {
+            SnapshotLine::Meta { .. } => {}
+            SnapshotLine::User { email, id, nickname } => {
                 global
                     .users
-                    .add_user(UserId(num("id")?), text_field("nickname")?, text_field("email")?)
+                    .add_user(id, nickname.into_owned(), email.into_owned())
                     .map_err(corrupt)?;
             }
-            "key" => {
-                // Counter comes as its own line; 0 here, raised later.
-                let key = ContributorKey(text_field("key")?.into());
-                global.users.add_key(key, UserId(num("user")?), 0);
+            // The counter comes as its own line; 0 here, raised later.
+            SnapshotLine::Key { key, user } => global.users.add_key(key.into_owned(), user, 0),
+            SnapshotLine::KeyCounter { value } => global.users.raise_key_counter(value),
+            SnapshotLine::Dbms { entry } => {
+                global.catalogs.add_dbms(entry.into_owned()).map_err(|e| corrupt(e.to_string()))?;
             }
-            "key_counter" => {
-                global.users.raise_key_counter(num("value")?);
+            SnapshotLine::Host { entry } => {
+                global.catalogs.add_host(entry.into_owned()).map_err(|e| corrupt(e.to_string()))?;
             }
-            "dbms" => {
-                let entry = crate::catalog::DbmsEntry::from_value(&v["entry"]).map_err(corrupt)?;
-                global.catalogs.add_dbms(entry).map_err(|e| corrupt(e.to_string()))?;
-            }
-            "host" => {
-                let entry = crate::catalog::HostEntry::from_value(&v["entry"]).map_err(corrupt)?;
-                global.catalogs.add_host(entry).map_err(|e| corrupt(e.to_string()))?;
-            }
-            "project" => {
-                let id = ProjectId(num("id")?);
+            SnapshotLine::Project {
+                comments,
+                contributors,
+                dbms_labels,
+                hosts,
+                id,
+                owner,
+                synopsis,
+                taken_down,
+                title,
+                visibility,
+            } => {
                 if id.0 as usize != shards.len() + 1 {
                     return Err(corrupt(format!("project #{} out of order", id.0)));
                 }
-                let mut p = Project::new(
-                    id,
-                    text_field("title")?,
-                    text_field("synopsis")?,
-                    UserId(num("owner")?),
-                    crate::catalog::Visibility::from_value(&v["visibility"]).map_err(corrupt)?,
-                );
-                for u in v["contributors"].as_array().ok_or_else(|| corrupt("missing contributors"))? {
-                    let user = UserId::from_value(u).map_err(|e| corrupt(format!("contributor: {e}")))?;
-                    p.contributors.insert(user);
-                }
-                for c in v["comments"].as_array().ok_or_else(|| corrupt("missing comments"))? {
-                    p.comments.push(Comment {
-                        author: UserId::from_value(&c["author"]).map_err(|e| corrupt(format!("author: {e}")))?,
-                        text: c["text"].as_str().ok_or_else(|| corrupt("bad comment"))?.to_string(),
-                    });
-                }
-                for l in v["dbms_labels"].as_array().ok_or_else(|| corrupt("missing dbms_labels"))? {
-                    p.dbms_labels.push(l.as_str().ok_or_else(|| corrupt("bad label"))?.to_string());
-                }
-                for h in v["hosts"].as_array().ok_or_else(|| corrupt("missing hosts"))? {
-                    p.hosts.push(h.as_str().ok_or_else(|| corrupt("bad host"))?.to_string());
-                }
-                p.taken_down = v["taken_down"].as_bool().unwrap_or(false);
+                let mut p = Project::new(id, title, synopsis, owner, visibility);
+                p.contributors = contributors.into_owned();
+                p.comments = comments.into_owned();
+                p.dbms_labels = dbms_labels.into_owned();
+                p.hosts = hosts.into_owned();
+                p.taken_down = taken_down;
                 shards.push(ProjectShard::new(p));
             }
-            "experiment" => {
-                let shard = shard_mut(&mut shards, ProjectId(num("project")?))?;
-                let pool = QueryPool::from_dsl(
-                    &text_field("grammar")?,
-                    num("template_cap")? as usize,
-                    num("pool_cap")? as usize,
-                    v["dialect"].as_str().map(str::to_string),
-                )
-                .map_err(corrupt)?;
-                shard.project.add_experiment(
-                    ExperimentId(num("id")?),
-                    text_field("title")?,
-                    text_field("baseline_sql")?,
-                    pool,
-                );
+            SnapshotLine::Experiment {
+                baseline_sql,
+                dialect,
+                grammar,
+                id,
+                pool_cap,
+                project,
+                template_cap,
+                title,
+            } => {
+                let shard = shard_mut(&mut shards, project)?;
+                let pool = QueryPool::from_dsl(&grammar, template_cap, pool_cap, dialect.map(Cow::into_owned))
+                    .map_err(corrupt)?;
+                shard.project.add_experiment(id, title.into_owned(), baseline_sql.into_owned(), pool);
             }
-            "pool_entry" => {
-                let shard = shard_mut(&mut shards, ProjectId(num("project")?))?;
-                let exp = ExperimentId(num("experiment")?);
-                let entry = PoolEntry::from_value(&v["entry"]).map_err(corrupt)?;
-                shard
+            SnapshotLine::PoolEntry { entry, experiment, project } => {
+                shard_mut(&mut shards, project)?
                     .project
-                    .experiment_mut(exp)
+                    .experiment_mut(experiment)
                     .map_err(|e| corrupt(e.to_string()))?
                     .pool
-                    .extend([entry])
+                    .extend([entry.into_owned()])
                     .map_err(corrupt)?;
             }
-            "task" => {
-                let task = Task::from_value(&v["task"]).map_err(corrupt)?;
-                let shard = shard_mut(&mut shards, task.project)?;
-                shard.queue.add([task]).map_err(corrupt)?;
+            SnapshotLine::Task(task) => {
+                let task = task.into_owned();
+                shard_mut(&mut shards, task.project)?.queue.add([task]).map_err(corrupt)?;
             }
-            "result" => {
-                let record = ResultRecord::from_value(&v["record"]).map_err(corrupt)?;
-                let shard = shard_mut(&mut shards, ProjectId(record.project))?;
-                shard.file_result(record);
+            SnapshotLine::Result(record) => {
+                let record = record.into_owned();
+                shard_mut(&mut shards, ProjectId(record.project))?.file_result(record);
             }
-            "end" => {
-                ended = true;
-            }
-            other => return Err(corrupt(format!("unknown tag {other:?}"))),
+            SnapshotLine::End => ended = true,
         }
     }
     if !ended {

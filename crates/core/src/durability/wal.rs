@@ -23,13 +23,12 @@
 //! lands between persisting a snapshot and truncating the log, the stale
 //! prefix (lsn <= snapshot lsn) is ignored instead of replayed twice.
 //!
-//! A line is written, not built: the records' JSON is one table (each
-//! op's keys once, in byte order) that generates both directions, and
-//! the writer runs a record's description against its line buffer — no
-//! value tree on the way out. On the way in a record is decoded through
-//! a tree, but its `[bulk]` array (`tasks`, `entries`, `items`) is walked
-//! off the text element by element, so replay holds one element's tree,
-//! never one line's.
+//! No value tree stands between a record and its line: the records' JSON
+//! is one table (each op's keys once, in byte order) that generates both
+//! directions. The writer runs a record's description against its line
+//! buffer; replay reads the record straight off the line's text, an
+//! array of any length (`tasks`, `entries`, `items`) element by element,
+//! so it holds the line and the record, never a tree of either.
 //!
 //! Each append is flushed to the OS before the operation acks, which
 //! survives process death (`kill -9`). Full fsync happens at snapshot
@@ -44,7 +43,7 @@ use crate::results::ResultRecord;
 use crate::shard::project_of_task;
 use crate::user::{ContributorKey, UserId};
 use serde::text::TextSink;
-use serde::{Serialize, Table};
+use serde::Serialize;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -124,13 +123,13 @@ serde::tagged! {
         /// Pool entries added by seeding or a morph step (physical: the
         /// instantiated SQL, not the random walk that found it).
         PoolExtended {
-            "entries" => entries: Vec<PoolEntry> [bulk],
+            "entries" => entries: Vec<PoolEntry>,
             "experiment" => experiment: ExperimentId,
             "project" => project: ProjectId,
         } = "pool_extended",
         TasksEnqueued {
             "project" => project: ProjectId,
-            "tasks" => tasks: Vec<Task> as SharedTexts [bulk],
+            "tasks" => tasks: Vec<Task> as SharedTexts,
         } = "tasks_enqueued",
         TaskClaimed {
             "key" => key: ContributorKey,
@@ -150,12 +149,12 @@ serde::tagged! {
         ReportBatchAccepted {
             /// `(task, error, record)` per accepted report, in upload
             /// order.
-            "items" => items: Vec<(TaskId, Option<String>, ResultRecord)> as BatchItem [bulk],
+            "items" => items: Vec<(TaskId, Option<String>, ResultRecord)> as Vec<BatchItem>,
             "key" => key: ContributorKey,
         } = "report_batch_accepted",
         TasksReaped {
             "project" => project: ProjectId,
-            "tasks" => tasks: Vec<TaskId> [bulk],
+            "tasks" => tasks: Vec<TaskId>,
         } = "tasks_reaped",
         TaskRequeued { "task" => task: TaskId } = "task_requeued",
         ResultHidden {
@@ -211,15 +210,6 @@ serde::object! {
         "record" => record,
         "task" => task,
     }
-}
-
-/// Decode one record's JSON text holding one element's tree at a time:
-/// the `[bulk]` array (if the record has one) is walked off the text, the
-/// handful of other members parsed as usual.
-fn decode_line(json: &str) -> Result<WalRecord, String> {
-    let mut line =
-        serde_json::from_str_deferring(json, WalRecord::bulk).map_err(|e| e.to_string())?;
-    WalRecord::from_members(&mut line)
 }
 
 /// The WAL file name inside a state directory.
@@ -352,9 +342,9 @@ impl WalWriter {
 }
 
 /// The intact records of a WAL file, one at a time: replay applies each
-/// before the next is parsed, so recovery never holds more of the log
+/// before the next is read, so recovery never holds more of the log
 /// than one line's text and one record beside the state it is
-/// rebuilding — and of a bulk record's line, one element's tree. Iteration
+/// rebuilding. Iteration
 /// ends silently at a torn tail — short line, bad length, bad checksum —
 /// and [`torn`](WalReader::torn) then says so. A line that passes its
 /// checksum but does not decode is not a torn write — it was
@@ -449,7 +439,7 @@ fn parse_line(line: &[u8]) -> Option<(u64, Result<WalRecord, String>)> {
     if json.len() != len || fnv64(json.as_bytes()) != sum {
         return None;
     }
-    Some((lsn, decode_line(json)))
+    Some((lsn, serde_json::from_str(json).map_err(|e| e.to_string())))
 }
 
 #[cfg(test)]
@@ -686,7 +676,10 @@ mod tests {
         wal.append(&sample_records()[0]).unwrap();
         drop(wal);
         let mut log = std::fs::read(&path).unwrap();
-        for json in [r#"{"op":"from_the_future"}"#, r#"{"op":"tasks_enqueued","project":1,"tasks":[{}]}"#] {
+        // A value nested past the reader's bound, which an older build
+        // could log, no longer reads either.
+        let deep = format!(r#"{{"op":"taken_down","project":1,"x":{}{}}}"#, "[".repeat(200), "]".repeat(200));
+        for json in [r#"{"op":"from_the_future"}"#, r#"{"op":"tasks_enqueued","project":1,"tasks":[{}]}"#, &deep] {
             let line = format!("2 {} {:016x} {json}\n", json.len(), fnv64(json.as_bytes()));
             let mut bad = log.clone();
             bad.extend_from_slice(line.as_bytes());

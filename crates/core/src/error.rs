@@ -6,7 +6,7 @@
 //! round-trip `{"code": ..., "message": ..., "detail": ...}` losslessly,
 //! and v2 carries the same code and detail in binary.
 
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Reader, Serialize, Sink, Value};
 use std::fmt;
 
 /// Errors raised by the sqalpel platform layers.
@@ -192,7 +192,8 @@ impl PlatformError {
         let code = ErrorCode::parse(code).ok_or_else(|| format!("unknown error code {code:?}"))?;
         let detail = match detail {
             Value::String(m) => Detail::Text(m),
-            v => Detail::Number(u64::from_value(v).map_err(|_| "error detail is neither text nor a number")?),
+            Value::Int(n) => Detail::Number(*n as u64),
+            _ => return Err("error detail is neither text nor a number".into()),
         };
         PlatformError::from_detail(code, detail)
     }
@@ -214,9 +215,17 @@ impl Serialize for PlatformError {
 
 /// The message is derived from code and detail, so it is never read.
 impl Deserialize for PlatformError {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let code = String::from_value(&v["code"]).map_err(|e| format!("code: {e}"))?;
-        PlatformError::from_code(&code, &v["detail"])
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut code, mut detail) = (None, Value::Null);
+        r.begin_object()?;
+        while let Some(key) = r.key()? {
+            match &*key {
+                "code" => code = Some(String::deserialize(r).map_err(|e| format!("code: {e}"))?),
+                "detail" => detail = Value::deserialize(r)?,
+                _ => r.skip()?,
+            }
+        }
+        PlatformError::from_code(&code.ok_or("code: missing")?, &detail)
     }
 }
 

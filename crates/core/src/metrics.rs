@@ -15,7 +15,7 @@
 //! relative error — plenty for p50/p95/p99 latency reporting.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Sink, Value};
+use serde::{Codec, Deserialize, Reader, Serialize, Sink};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -216,12 +216,14 @@ serde::object! {
     }
 }
 
-/// A point-in-time, name-sorted view of every metric — the payload of
-/// `GET /v1/metrics`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    pub counters: Vec<(String, u64)>,
-    pub histograms: Vec<(String, HistogramSummary)>,
+serde::object! {
+    /// A point-in-time, name-sorted view of every metric — the payload of
+    /// `GET /v1/metrics`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct MetricsSnapshot {
+        "counters" => pub counters: Vec<(String, u64)> as ByName,
+        "histograms" => pub histograms: Vec<(String, HistogramSummary)> as ByName,
+    }
 }
 
 impl MetricsSnapshot {
@@ -240,37 +242,20 @@ impl MetricsSnapshot {
     }
 }
 
-/// Two maps as name-sorted lists (see the type): the name order is the
-/// key order the sink contract asks for.
-impl Serialize for MetricsSnapshot {
-    fn serialize<S: Sink>(&self, s: &mut S) {
-        fn map<S: Sink, T: Serialize>(s: &mut S, entries: &[(String, T)]) {
-            s.begin_object();
-            for (k, v) in entries {
-                s.field(k, v);
-            }
-            s.end_object();
-        }
+/// Name-sorted pairs as an object: the name order is the key order the
+/// sink contract asks for.
+struct ByName;
+
+impl<T: Serialize + Deserialize> Codec<Vec<(String, T)>> for ByName {
+    fn write<S: Sink>(entries: &Vec<(String, T)>, s: &mut S) {
         s.begin_object();
-        s.key("counters");
-        map(s, &self.counters);
-        s.key("histograms");
-        map(s, &self.histograms);
+        for (k, v) in entries {
+            s.field(k, v);
+        }
         s.end_object();
     }
-}
-
-impl Deserialize for MetricsSnapshot {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        fn map<T: Deserialize>(v: &Value, key: &str) -> Result<Vec<(String, T)>, String> {
-            BTreeMap::<String, T>::from_value(&v[key])
-                .map(|map| map.into_iter().collect())
-                .map_err(|e| format!("{key}: {e}"))
-        }
-        Ok(MetricsSnapshot {
-            counters: map(v, "counters")?,
-            histograms: map(v, "histograms")?,
-        })
+    fn read(r: &mut Reader<'_>) -> Result<Vec<(String, T)>, String> {
+        BTreeMap::<String, T>::deserialize(r).map(|map| map.into_iter().collect())
     }
 }
 

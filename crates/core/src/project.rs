@@ -38,13 +38,15 @@ serde::names! {
     }
 }
 
-/// A registered-user comment on a project (§4.2: "Registered users can
-/// leave comments on projects to improve upon the presentation, highlight
-/// issues, or suggest other experiments").
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub author: UserId,
-    pub text: String,
+serde::object! {
+    /// A registered-user comment on a project (§4.2: "Registered users can
+    /// leave comments on projects to improve upon the presentation,
+    /// highlight issues, or suggest other experiments").
+    #[derive(Debug, Clone)]
+    pub struct Comment {
+        "author" => pub author: UserId,
+        "text" => pub text: String,
+    }
 }
 
 /// One experiment: a baseline query turned into a grammar, with its pool.

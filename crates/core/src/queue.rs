@@ -28,7 +28,7 @@ use crate::error::{PlatformError, PlatformResult};
 use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::user::ContributorKey;
-use serde::{Codec, Deserialize, Serialize, Sink, Value};
+use serde::{Codec, Deserialize, Reader, Serialize, Sink};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -90,29 +90,29 @@ pub(crate) fn share(text: &mut Arc<str>, shared: &Arc<str>) {
     }
 }
 
-/// Tasks decoded one after another — the elements of a logged enqueue —
-/// keeping each text once: a freshly decoded task owns its `sql`,
-/// `dbms_label` and `host`, the tasks of one query follow each other, so
-/// each takes over its predecessor's allocation where the two read the
-/// same.
+/// An array of tasks — a logged enqueue — read keeping each text once: a
+/// freshly decoded task owns its `sql`, `dbms_label` and `host`, the
+/// tasks of one query follow each other, so each takes over its
+/// predecessor's allocation where the two read the same.
 pub(crate) struct SharedTexts;
 
-impl Codec<Task> for SharedTexts {
-    fn write<S: Sink>(task: &Task, s: &mut S) {
-        task.serialize(s)
+impl Codec<Vec<Task>> for SharedTexts {
+    fn write<S: Sink>(tasks: &Vec<Task>, s: &mut S) {
+        tasks.serialize(s)
     }
-    fn read(v: &Value) -> Result<Task, String> {
-        Task::from_value(v)
-    }
-    fn push(tasks: &mut Vec<Task>, v: &Value) -> Result<(), String> {
-        let mut task = Task::from_value(v)?;
-        if let Some(prev) = tasks.last() {
-            share(&mut task.sql, &prev.sql);
-            share(&mut task.dbms_label, &prev.dbms_label);
-            share(&mut task.host, &prev.host);
+    fn read(r: &mut Reader<'_>) -> Result<Vec<Task>, String> {
+        let mut tasks: Vec<Task> = Vec::new();
+        r.begin_array()?;
+        while r.element()? {
+            let mut task = Task::deserialize(r)?;
+            if let Some(prev) = tasks.last() {
+                share(&mut task.sql, &prev.sql);
+                share(&mut task.dbms_label, &prev.dbms_label);
+                share(&mut task.host, &prev.host);
+            }
+            tasks.push(task);
         }
-        tasks.push(task);
-        Ok(())
+        Ok(tasks)
     }
 }
 

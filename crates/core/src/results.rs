@@ -11,7 +11,7 @@ use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
 use crate::user::ContributorKey;
-use serde::{Codec, Hex, Serialize, Sink, Value};
+use serde::{Codec, Deserialize, Hex, Reader, Serialize, Sink, Value};
 use std::sync::Arc;
 
 serde::object! {
@@ -89,8 +89,8 @@ impl Codec<String> for RawJson {
             }
         }
     }
-    fn read(v: &Value) -> Result<String, String> {
-        Ok(v.to_string())
+    fn read(r: &mut Reader<'_>) -> Result<String, String> {
+        Value::deserialize(r).map(|v| v.to_string())
     }
 }
 
@@ -231,7 +231,6 @@ pub fn record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
     fn sample(query: u64, times: Vec<f64>, error: Option<&str>) -> ResultRecord {
         record(
@@ -318,7 +317,7 @@ mod tests {
         if let Value::Object(m) = &mut v {
             m.remove("fingerprint");
         }
-        let back = ResultRecord::from_value(&v).unwrap();
+        let back: ResultRecord = serde_json::from_str(&v.to_string()).unwrap();
         assert_eq!(back.fingerprint, None);
 
         let mut s = ResultStore::new();

@@ -10,17 +10,17 @@
 //!   a count is refused before anything is allocated for it unless its
 //!   items fit in the bytes left ([`Field::MIN_BITS`] is an item's
 //!   smallest encoding).
-//! * **v1** — `to_json` is the JSON value the field's carrier places
-//!   (a body member, a whole body, a path segment or query value by its
-//!   text); `from_json` rebuilds it, naming the field in its error. An
-//!   absent option is `null` on the way out and a missing key or `null`
-//!   on the way in.
+//! * **v1** — [`Field::Json`] is the `serde` codec of the JSON the
+//!   field's carrier places (a body member, a whole body, a path segment
+//!   or query value by its text) and reads back off the text. An absent
+//!   option is `null` on the way out and a missing key or `null` on the
+//!   way in.
 //!
-//! Every v1 form is the type's own `serde` description, scalars
-//! included, or a `serde` codec's (a fingerprint's hex, a report pair's
-//! object); the binary form of the hot types (tasks, outcomes, result
-//! records and sets) is here, columnar where the type is a vector of
-//! records. `extras`, catalog entries and metrics snapshots travel as
+//! Every v1 form is the type's own `serde` description ([`Plain`]),
+//! scalars included, or a `serde` codec's (a fingerprint's hex, a report
+//! pair's object); the binary form of the hot types (tasks, outcomes,
+//! result records and sets) is here, columnar where the type is a vector
+//! of records. `extras`, catalog entries and metrics snapshots travel as
 //! JSON text on v2 too.
 
 use super::v2::{R, W};
@@ -33,7 +33,7 @@ use crate::project::{ExperimentId, ProjectId, Role};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{LoadAvg, ResultRecord};
 use crate::user::{ContributorKey, UserId};
-use serde::{Codec, Deserialize, Hex, Serialize, Value};
+use serde::{Codec, Deserialize, Hex, Plain, Serialize};
 
 type D<T> = Result<T, String>;
 
@@ -43,22 +43,10 @@ pub(crate) trait Field<T = Self> {
     /// Bits of the smallest v2 encoding: what each item of a count must
     /// find left in the frame.
     const MIN_BITS: usize = 8;
+    /// The v1 form: the codec that writes and reads the field's JSON.
+    type Json: Codec<T>;
     fn write(v: &T, w: &mut W);
     fn read(r: &mut R<'_>) -> D<T>;
-    fn to_json(v: &T) -> Value;
-    fn from_json(v: Value, name: &str) -> D<T>;
-}
-
-/// The v1 half of a type whose JSON is its `serde` description.
-macro_rules! json_by_serde {
-    () => {
-        fn to_json(v: &Self) -> Value {
-            v.to_value()
-        }
-        fn from_json(v: Value, name: &str) -> D<Self> {
-            Self::from_value(&v).map_err(|e| format!("bad {name}: {e}"))
-        }
-    };
 }
 
 // ---------------------------------------------------------------- scalars
@@ -71,7 +59,7 @@ impl Field for u64 {
     fn read(r: &mut R<'_>) -> D<u64> {
         r.u64()
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// Newtypes travel as what they wrap: the ids as their number, a
@@ -86,7 +74,7 @@ macro_rules! newtype_fields {
             fn read(r: &mut R<'_>) -> D<$id> {
                 <$inner>::read(r).map($id)
             }
-            json_by_serde!();
+            type Json = Plain;
         }
     )*};
 }
@@ -107,7 +95,7 @@ impl Field for ContributorKey {
     fn read(r: &mut R<'_>) -> D<ContributorKey> {
         r.str().map(|k| ContributorKey(k.into()))
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 impl Field for bool {
@@ -117,7 +105,7 @@ impl Field for bool {
     fn read(r: &mut R<'_>) -> D<bool> {
         r.bool()
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 impl Field for String {
@@ -128,7 +116,7 @@ impl Field for String {
     fn read(r: &mut R<'_>) -> D<String> {
         r.str()
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// A presence byte, then the value.
@@ -142,23 +130,18 @@ impl<T: Field + Serialize + Deserialize> Field for Option<T> {
     fn read(r: &mut R<'_>) -> D<Option<T>> {
         Ok(if r.bool()? { Some(T::read(r)?) } else { None })
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// `Execute.fingerprint`: on v1 the plan fingerprint in hex, as results
 /// and execution outcomes print it; on v2 the plain `Option<u64>`.
 impl Field<Option<u64>> for Option<Hex> {
+    type Json = Self;
     fn write(v: &Option<u64>, w: &mut W) {
         Option::<u64>::write(v, w)
     }
     fn read(r: &mut R<'_>) -> D<Option<u64>> {
         Option::<u64>::read(r)
-    }
-    fn to_json(v: &Option<u64>) -> Value {
-        <Self as Codec<_>>::to_value(v)
-    }
-    fn from_json(v: Value, name: &str) -> D<Option<u64>> {
-        <Self as Codec<_>>::read(&v).map_err(|e| format!("bad {name}: {e}"))
     }
 }
 
@@ -178,7 +161,7 @@ impl<T: Field + Serialize + Deserialize> Field for Vec<T> {
         }
         Ok(out)
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 impl Field for Visibility {
@@ -195,7 +178,7 @@ impl Field for Visibility {
             b => Err(format!("bad visibility byte {b}")),
         }
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 impl Field for Role {
@@ -216,7 +199,7 @@ impl Field for Role {
             b => Err(format!("bad role byte {b}")),
         }
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// Cold management DTOs: JSON text inside the frame on v2 too.
@@ -229,7 +212,7 @@ macro_rules! json_text_fields {
             fn read(r: &mut R<'_>) -> D<$t> {
                 r.json(stringify!($t))
             }
-            json_by_serde!();
+            type Json = Plain;
         }
     )*};
 }
@@ -251,7 +234,7 @@ impl Field for QueueSummary {
             timed_out: r.u64()? as usize,
         })
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 // ------------------------------------------------------------- hot DTOs
@@ -302,7 +285,7 @@ impl Field for Task {
             started: None,
         })
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// An operator profile: a count, then per operator its label and six
@@ -389,7 +372,7 @@ impl Field for RunOutcome {
             },
         })
     }
-    json_by_serde!();
+    type Json = Plain;
 }
 
 /// Columnar `(task, outcome)` pairs: `[count][task ids][outcomes]` — the
@@ -420,7 +403,7 @@ pub(crate) fn read_report_pairs(r: &mut R<'_>) -> D<Vec<(TaskId, RunOutcome)>> {
 
 serde::object! {
     /// One `ReportBatch` report on v1.
-    ReportPair for (task, outcome): (TaskId, RunOutcome) {
+    pub(crate) ReportPair for (task, outcome): (TaskId, RunOutcome) {
         "outcome" => outcome,
         "task" => task,
     }
@@ -431,6 +414,7 @@ serde::object! {
 /// frames itself, see [`super::v2::decode_request`]); on v1 an array of
 /// `ReportPair`s.
 impl Field for Vec<(TaskId, RunOutcome)> {
+    type Json = Vec<ReportPair>;
     fn write(v: &Vec<(TaskId, RunOutcome)>, w: &mut W) {
         w.u32(v.len() as u32);
         write_report_pairs(w, v);
@@ -442,13 +426,6 @@ impl Field for Vec<(TaskId, RunOutcome)> {
             return Err(format!("batch declared {total} reports, carried {}", pairs.len()));
         }
         Ok(pairs)
-    }
-    fn to_json(v: &Vec<(TaskId, RunOutcome)>) -> Value {
-        Value::Array(v.iter().map(ReportPair::to_value).collect())
-    }
-    fn from_json(v: Value, name: &str) -> D<Vec<(TaskId, RunOutcome)>> {
-        let items = v.as_array().ok_or_else(|| format!("missing array field {name:?}"))?;
-        items.iter().map(|x| ReportPair::read(x).map_err(|e| format!("bad {name}: {e}"))).collect()
     }
 }
 
@@ -597,7 +574,7 @@ impl Field for Vec<ResultRecord> {
         Ok(records)
     }
 
-    json_by_serde!();
+    type Json = Plain;
 }
 
 // -------------------------------------------------------- result sets
@@ -745,5 +722,5 @@ impl Field for ExecOutcome {
             cache: CacheStatus::from_u8(r.u8()?)?,
         })
     }
-    json_by_serde!();
+    type Json = Plain;
 }

@@ -46,7 +46,7 @@ use crate::queue::{QueueSummary, Task, TaskId};
 use crate::results::ResultRecord;
 use crate::user::{ContributorKey, UserId};
 use field::Field;
-use serde::{Deserialize, Hex, Serialize, Sink, Value};
+use serde::{Deserialize, Hex, Reader, Serialize, Sink};
 use std::any::Any;
 
 /// Where a field travels on v1. (v2 writes every field back to back, in
@@ -75,7 +75,7 @@ pub(crate) trait Visit {
 /// implements.
 pub(crate) trait Source {
     type Error;
-    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> Result<T, Self::Error>;
+    fn field<C: Field<T>, T: 'static>(&mut self, name: &'static str, via: Via) -> Result<T, Self::Error>;
 }
 
 /// The codec of a table field: its type, or the spelling after `as`.
@@ -566,37 +566,45 @@ impl Serialize for WireValue {
     }
 }
 
+/// `null`, or a tagged array; cells past the ones its tag reads are
+/// skipped.
 impl Deserialize for WireValue {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        if v.is_null() {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        if r.null()? {
             return Ok(WireValue::Null);
         }
-        let arr = v.as_array().ok_or("wire value: expected tagged array")?;
-        let tag = arr
-            .first()
-            .and_then(|t| t.as_str())
-            .ok_or("wire value: missing tag")?;
-        /// Cell `i` of the tagged array.
-        fn at<T: Deserialize>(arr: &[Value], tag: &str, i: usize) -> Result<T, String> {
-            let cell = arr.get(i).ok_or(format!("wire value {tag:?}: short array"))?;
-            T::from_value(cell).map_err(|e| format!("wire value {tag:?}: {e}"))
+        r.begin_array().map_err(|_| "wire value: expected tagged array")?;
+        if !r.element()? {
+            return Err("wire value: missing tag".into());
         }
-        Ok(match tag {
-            "b" => WireValue::Bool(at(arr, tag, 1)?),
-            "i" => WireValue::Int(at(arr, tag, 1)?),
-            "f" => WireValue::Float(at(arr, tag, 1)?),
+        let tag = r.str().map_err(|_| "wire value: missing tag")?;
+        /// The next cell of the tagged array.
+        fn at<T: Deserialize>(r: &mut Reader<'_>, tag: &str) -> Result<T, String> {
+            if !r.element()? {
+                return Err(format!("wire value {tag:?}: short array"));
+            }
+            T::deserialize(r).map_err(|e| format!("wire value {tag:?}: {e}"))
+        }
+        let value = match &*tag {
+            "b" => WireValue::Bool(at(r, &tag)?),
+            "i" => WireValue::Int(at(r, &tag)?),
+            "f" => WireValue::Float(at(r, &tag)?),
             "d" => WireValue::Decimal {
-                raw: at::<String>(arr, tag, 1)?.parse().map_err(|_| "bad decimal raw")?,
-                scale: u8::try_from(at::<i64>(arr, tag, 2)?).map_err(|_| "bad decimal scale")?,
+                raw: at::<String>(r, &tag)?.parse().map_err(|_| "bad decimal raw")?,
+                scale: u8::try_from(at::<i64>(r, &tag)?).map_err(|_| "bad decimal scale")?,
             },
-            "s" => WireValue::Str(at(arr, tag, 1)?),
-            "t" => WireValue::Date(at(arr, tag, 1)?),
+            "s" => WireValue::Str(at(r, &tag)?),
+            "t" => WireValue::Date(at(r, &tag)?),
             "iv" => WireValue::Interval {
-                months: at(arr, tag, 1)?,
-                days: at(arr, tag, 2)?,
+                months: at(r, &tag)?,
+                days: at(r, &tag)?,
             },
             other => return Err(format!("unknown value tag {other:?}")),
-        })
+        };
+        while r.element()? {
+            r.skip()?;
+        }
+        Ok(value)
     }
 }
 
@@ -654,9 +662,18 @@ impl Serialize for WireResultSet {
 
 /// Read as its two members, then checked: a column per name.
 impl Deserialize for WireResultSet {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let columns = Vec::<String>::from_value(&v["columns"]).map_err(|e| format!("columns: {e}"))?;
-        let data = Vec::<Vec<WireValue>>::from_value(&v["data"]).map_err(|e| format!("data: {e}"))?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut columns, mut data) = (None, None);
+        r.begin_object()?;
+        while let Some(key) = r.key()? {
+            match &*key {
+                "columns" => columns = Some(Vec::deserialize(r).map_err(|e| format!("columns: {e}"))?),
+                "data" => data = Some(Vec::deserialize(r).map_err(|e| format!("data: {e}"))?),
+                _ => r.skip()?,
+            }
+        }
+        let (columns, data): (Vec<String>, Vec<Vec<WireValue>>) =
+            (columns.ok_or("columns: missing")?, data.ok_or("data: missing")?);
         if data.len() != columns.len() {
             return Err("result set: column count mismatch".into());
         }
@@ -679,6 +696,7 @@ serde::object! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn error_codes_are_stable_and_bijective() {

@@ -27,12 +27,12 @@
 //! (`wire.latency.<METHOD /path>`), all served back by `GET /v1/metrics`.
 
 use super::field::Field;
-use super::{status_counter, ErrorCode, Reply, Request, Source, Via, Visit, ROUTES};
+use super::{cast, status_counter, ErrorCode, Reply, Request, Source, Via, Visit, ROUTES};
 use crate::error::{PlatformError, PlatformResult};
 use crate::server::SqalpelServer;
 use crate::wire::dispatch::{dispatch, ExecBackend};
 use crate::wire::transport::http::{Request as WireRequest, Response as WireResponse};
-use serde::{Deserialize, Value};
+use serde::{Codec, Reader, Value};
 
 /// The HTTP status carrying each error variant. Part of the v1 protocol.
 pub fn status_of(err: &PlatformError) -> u16 {
@@ -100,59 +100,85 @@ pub(crate) fn route_label(req: &WireRequest) -> String {
     format!("{} /{}", req.method, parts.join("/"))
 }
 
-/// A request's fields as v1 carries them: path ids, query, lazily parsed
-/// JSON body.
+/// A request's fields as v1 carries them: path ids, query, and the JSON
+/// body, each field read straight off its text.
 struct Inbound<'a> {
     req: &'a WireRequest,
     /// The segments the route's `:id`s matched, in order.
     ids: std::vec::IntoIter<&'a str>,
-    body: Option<Value>,
+    /// The body once checked to be one JSON value (`null` when empty).
+    body: Option<&'a str>,
 }
 
-impl Inbound<'_> {
-    fn body(&mut self) -> PlatformResult<&mut Value> {
-        if self.body.is_none() {
-            let parsed = if self.req.body.is_empty() {
-                Value::Null
-            } else {
-                let text = std::str::from_utf8(&self.req.body)
-                    .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?;
-                serde_json::from_str(text)
-                    .map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))?
-            };
-            self.body = Some(parsed);
+impl<'a> Inbound<'a> {
+    fn body(&mut self) -> PlatformResult<&'a str> {
+        if let Some(body) = self.body {
+            return Ok(body);
         }
-        Ok(self.body.as_mut().expect("just parsed"))
+        let body = if self.req.body.is_empty() {
+            "null"
+        } else {
+            std::str::from_utf8(&self.req.body)
+                .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?
+        };
+        check_json(body).map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))?;
+        self.body = Some(body);
+        Ok(body)
     }
+}
+
+/// `text` is exactly one JSON value.
+fn check_json(text: &str) -> Result<(), String> {
+    let mut r = Reader::new(text);
+    r.skip()?;
+    r.finish()
+}
+
+/// The value a `Via::Body` field reads: the member `name` of the object
+/// `body`, else `null`.
+fn member<'a>(body: &'a str, name: &str) -> Reader<'a> {
+    Reader::new(body)
+        .member(name)
+        .ok()
+        .flatten()
+        .unwrap_or(Reader::new("null"))
+}
+
+/// A field read off the JSON at `r` by its v1 codec.
+fn read_field<C: Field<T>, T>(mut r: Reader<'_>, name: &str) -> Result<T, String> {
+    <C::Json as Codec<T>>::read(&mut r).map_err(|e| format!("bad {name}: {e}"))
+}
+
+/// A path id or a query value as the JSON number it names.
+fn id_json(id: u64) -> String {
+    (id as i64).to_string()
 }
 
 impl Source for Inbound<'_> {
     type Error = PlatformError;
     fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
-        let value = match via {
-            Via::Body => match self.body()? {
-                Value::Object(members) => members.remove(name).unwrap_or_default(),
-                _ => Value::Null,
-            },
-            Via::Whole | Via::Text => std::mem::take(self.body()?),
+        let read = |json: Reader<'_>| read_field::<C, T>(json, name).map_err(PlatformError::Invalid);
+        match via {
+            Via::Body => read(member(self.body()?, name)),
+            Via::Whole | Via::Text => read(Reader::new(self.body()?)),
             Via::Path => {
                 let seg = self.ids.next().expect("a route has one `:id` per path field");
                 let id = seg.parse::<u64>().map_err(|_| {
                     PlatformError::Invalid(format!("{name} id {seg:?} is not a number"))
                 })?;
-                Value::from(id)
+                read(Reader::new(&id_json(id)))
             }
             Via::Query => {
                 let missing = || PlatformError::Invalid(format!("missing query parameter {name:?}"));
                 let text = self.req.query_param(name).ok_or_else(missing)?;
                 // Keys are text, ids numbers: read whichever the type takes.
-                return C::from_json(Value::from(text), name).or_else(|_| {
+                let quoted = serde_json::to_string(&text).expect("a string serializes");
+                read(Reader::new(&quoted)).or_else(|_| {
                     let id = text.parse::<u64>().map_err(|_| missing())?;
-                    C::from_json(Value::from(id), name).map_err(PlatformError::Invalid)
-                });
+                    read(Reader::new(&id_json(id)))
+                })
             }
-        };
-        C::from_json(value, name).map_err(PlatformError::Invalid)
+        }
     }
 }
 
@@ -203,7 +229,7 @@ struct Outbound {
 
 impl Visit for Outbound {
     fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via, value: &T) {
-        let json = C::to_json(value);
+        let json = <C::Json as Codec<T>>::to_value(value);
         let text = |json: Value| match json {
             Value::String(s) => s,
             other => other.to_string(),
@@ -256,18 +282,19 @@ pub fn encode_request(op: &Request) -> WireRequest {
     WireRequest { method: method.into(), path, query, body }
 }
 
-/// A reply's payload as v1 carries it.
-struct ReplyBody(Value);
+/// A reply's payload as v1 carries it: the JSON body's text.
+struct ReplyBody<'a>(&'a str);
 
-impl Source for ReplyBody {
+impl Source for ReplyBody<'_> {
     type Error = PlatformError;
-    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
-        let value = match (via, &mut self.0) {
-            (Via::Body, Value::Object(members)) => members.remove(name).unwrap_or_default(),
-            (Via::Body, _) => Value::Null,
-            _ => std::mem::take(&mut self.0),
+    fn field<C: Field<T>, T: 'static>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
+        let json = match via {
+            // A `text/plain` body is the payload itself, not its JSON.
+            Via::Text => return Ok(cast(self.0.to_string())),
+            Via::Body => member(self.0, name),
+            _ => Reader::new(self.0),
         };
-        C::from_json(value, name).map_err(|e| PlatformError::Transport(format!("malformed response: {e}")))
+        read_field::<C, T>(json, name).map_err(|e| PlatformError::Transport(format!("malformed response: {e}")))
     }
 }
 
@@ -279,20 +306,15 @@ pub fn decode_reply(op: &Request, status: u16, body: &[u8]) -> PlatformResult<Re
     let text = std::str::from_utf8(body)
         .map_err(|_| PlatformError::Transport("response body is not UTF-8".into()))?;
     if !(200..300).contains(&status) {
-        let value: Value = serde_json::from_str(text).map_err(|e| {
-            PlatformError::Transport(format!("undecodable error body (status {status}): {e}"))
-        })?;
-        let err = PlatformError::from_value(&value)
-            .map_err(|e| PlatformError::Transport(format!("unrecognized error body: {e}")))?;
-        return Err(err);
+        return Err(serde_json::from_str(text).map_err(|e| {
+            PlatformError::Transport(format!("unrecognized error body (status {status}): {e}"))
+        })?);
     }
     let kind = op.reply_kind();
-    let value = match kind.via() {
-        Via::Text => Value::from(text),
-        _ => serde_json::from_str(text)
-            .map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?,
-    };
-    Ok(Reply::decode(kind as u8, &mut ReplyBody(value))?.expect("every reply kind is in the table"))
+    if kind.via() != Via::Text {
+        check_json(text).map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?;
+    }
+    Ok(Reply::decode(kind as u8, &mut ReplyBody(text))?.expect("every reply kind is in the table"))
 }
 
 #[cfg(test)]
@@ -324,7 +346,7 @@ mod tests {
         }
     }
 
-    fn body_of(resp: &WireResponse) -> Value {
+    fn body_of<T: serde::Deserialize>(resp: &WireResponse) -> T {
         serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap()
     }
 
@@ -340,7 +362,7 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 200);
-        let owner = body_of(&resp)["user"].as_i64().unwrap();
+        let owner = body_of::<Value>(&resp)["user"].as_i64().unwrap();
 
         let resp = handle(
             &server,
@@ -356,7 +378,7 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 200);
-        let project = body_of(&resp)["project"].as_i64().unwrap();
+        let project = body_of::<Value>(&resp)["project"].as_i64().unwrap();
 
         let resp = handle(
             &server,
@@ -366,10 +388,10 @@ mod tests {
                 vec![("user", &owner.to_string())],
             ),
         );
-        assert_eq!(body_of(&resp)["role"].as_str(), Some("owner"));
+        assert_eq!(body_of::<Value>(&resp)["role"].as_str(), Some("owner"));
 
         let resp = handle(&server, None, &get("/v1/queue/summary", vec![]));
-        let summary: QueueSummary = QueueSummary::from_value(&body_of(&resp)).unwrap();
+        let summary: QueueSummary = body_of(&resp);
         assert_eq!(summary.total(), 0);
     }
 
@@ -382,7 +404,7 @@ mod tests {
         handle(&server, None, &get("/v1/project/9/role", vec![("user", "1")]));
         let resp = handle(&server, None, &get("/v1/metrics", vec![]));
         assert_eq!(resp.status, 200);
-        let snap = crate::metrics::MetricsSnapshot::from_value(&body_of(&resp)).unwrap();
+        let snap: crate::metrics::MetricsSnapshot = body_of(&resp);
         assert_eq!(snap.counter("wire.route.GET /v1/queue/summary"), Some(1));
         assert_eq!(snap.counter("wire.route.GET /v1/project/:id/role"), Some(2));
         assert_eq!(snap.counter("wire.requests"), Some(3));
@@ -404,7 +426,7 @@ mod tests {
             &post("/v1/project/99/take_down", &json!({})),
         );
         assert_eq!(resp.status, 404);
-        let err = PlatformError::from_value(&body_of(&resp)).unwrap();
+        let err: PlatformError = body_of(&resp);
         assert_eq!(err, PlatformError::UnknownProject(99));
 
         // Malformed body → 400 invalid.
@@ -412,7 +434,7 @@ mod tests {
         req.body = b"not json".to_vec();
         let resp = handle(&server, None, &req);
         assert_eq!(resp.status, 400);
-        assert_eq!(body_of(&resp)["code"].as_str(), Some("invalid"));
+        assert_eq!(body_of::<Value>(&resp)["code"].as_str(), Some("invalid"));
 
         // Unknown endpoint → 404.
         let resp = handle(&server, None, &get("/v1/no/such/thing", vec![]));
@@ -440,7 +462,7 @@ mod tests {
             ),
         );
         assert_eq!(resp.status, 403);
-        assert_eq!(body_of(&resp)["code"].as_str(), Some("access_denied"));
+        assert_eq!(body_of::<Value>(&resp)["code"].as_str(), Some("access_denied"));
     }
 
     #[test]
@@ -479,5 +501,28 @@ mod tests {
         assert_eq!(resp.status, 409);
         let err = decode_reply(&Request::QueueSummary, resp.status, &resp.body).unwrap_err();
         assert_eq!(err, PlatformError::PoolFull(3));
+    }
+
+    /// A comment as Python's `json.dumps` sends it — U+1F600 as a UTF-16
+    /// surrogate pair of `\u` escapes — is stored as that one character;
+    /// an escape that is not four hex digits is refused.
+    #[test]
+    fn a_surrogate_pair_comment_round_trips() {
+        let server = SqalpelServer::new();
+        let owner = server.register_user("mlk", "mlk@cwi.nl").unwrap();
+        let project = server.create_project(owner, "p", "s", crate::catalog::Visibility::Public).unwrap();
+        let comment = |text: &str| {
+            let body = format!(r#"{{"author":{},"text":"{text}"}}"#, owner.0);
+            let mut req = post(&format!("/v1/project/{}/comment", project.0), &Value::Null);
+            req.body = body.into_bytes();
+            handle(&server, None, &req).status
+        };
+        assert_eq!(comment(r"\ud83d\ude00"), 200);
+        assert_eq!(comment(r"\u+123"), 400);
+        let texts = server
+            .with_project_view(project, owner, |p| p.comments.iter().map(|c| c.text.clone()).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(texts, ["\u{1f600}"]);
+        assert_eq!(serde_json::to_string(&texts[0]).unwrap(), "\"\u{1f600}\"");
     }
 }

@@ -221,18 +221,21 @@ impl<'a> R<'a> {
         }
         Ok(n)
     }
-    pub(super) fn str(&mut self) -> D<String> {
+    /// A string, borrowed from the frame.
+    fn text(&mut self) -> D<&'a str> {
         let n = self.count(8)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("non-UTF-8 string: {e}"))
+        std::str::from_utf8(self.take(n)?).map_err(|e| format!("non-UTF-8 string: {e}"))
+    }
+    pub(super) fn str(&mut self) -> D<String> {
+        self.text().map(str::to_string)
     }
     pub(super) fn bitmap(&mut self, n: usize) -> D<Vec<bool>> {
         let bytes = self.take(n.div_ceil(8))?;
         Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
     }
+    /// JSON-text payload, read straight off the frame.
     pub(super) fn json<T: Deserialize>(&mut self, what: &str) -> D<T> {
-        let text = self.str()?;
-        serde_json::from_str(&text).map_err(|e| format!("bad {what} JSON: {e}"))
+        serde_json::from_str(self.text()?).map_err(|e| format!("bad {what} JSON: {e}"))
     }
     fn done(&self) -> D<()> {
         match self.left() {

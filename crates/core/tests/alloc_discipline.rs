@@ -21,13 +21,16 @@
 //!   on a durable server, and replaying the one 19 MB line that makes,
 //!   each peak within the state plus twice the line's bytes (a buffer
 //!   grown by doubling): the line is written from the queue's own tasks
-//!   and read back one element at a time.
+//!   and read back straight off its text, one task at a time.
 //! * **A length prefix is checked before it allocates.** Three v2
 //!   frames whose counts announce far more than they carry — a 5-byte
 //!   bulk part claiming 2^22 pairs, a 16 MB part of 2 M task ids and no
 //!   outcomes, a 6-byte results reply claiming 2^22 records — each fail
 //!   to decode within twice the frame plus 64 KiB, and a server answers
 //!   the two requests `Invalid` on a connection that keeps serving.
+//! * **A v1 reply is read off its text.** Decoding a 100-record
+//!   `results_for_key` reply allocates for what the records keep, not
+//!   for a value tree of the body.
 //!
 //! It also prints (`--nocapture`) the bytes a queued task and a stored
 //! result occupy — the numbers EXPERIMENTS.md quotes.
@@ -36,7 +39,7 @@
 //! would pollute each other's deltas.
 
 use sqalpel_core::durability::recover;
-use sqalpel_core::wire::proto::v2;
+use sqalpel_core::wire::proto::{v1, v2};
 use sqalpel_core::wire::{Reply, Request};
 use sqalpel_core::{
     ContributorKey, DriverConfig, ExperimentDriver, MockConnector, PlatformError, ProjectId,
@@ -281,6 +284,18 @@ fn claim_report_and_replay_cost_what_they_do() {
     assert!(report <= 3.05, "report_result allocates {report:.2} times");
     assert!(per_task <= 300.0, "a queued task occupies {per_task:.0} B");
     assert!(per_result <= 420.0, "a stored result occupies {per_result:.0} B");
+    // A v1 results reply of 100 of those records, decoded off its text.
+    let project = fx.projects[0];
+    let records = server.results_for_key(project, &fx.key).unwrap();
+    let resp = v1::encode_reply(&Ok(Reply::Results(records.into_iter().take(100).collect())));
+    let op = Request::ResultsForKey { project, key: fx.key.clone() };
+    let (decode, reply) = allocs_during(|| v1::decode_reply(&op, resp.status, &resp.body));
+    assert!(matches!(reply, Ok(Reply::Results(r)) if r.len() == 100));
+    eprintln!("v1 results reply of 100 records: {decode} allocations to decode");
+    // Measured 1,806 (18 per record: the `extras` object is read as a
+    // tree to print it canonical); 8,817 when the body was parsed into a
+    // value tree and each record then read off it.
+    assert!(decode <= 2_000, "decoding 100 v1 records allocates {decode} times");
     drop(server);
 
     // ---- the same ops on a durable server (the WAL encoder's share)

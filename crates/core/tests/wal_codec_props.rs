@@ -2,8 +2,8 @@
 //!
 //! The WAL and the checkpoint are written straight to text by each
 //! type's one description (the `serde` stand-in's `Serialize::serialize`
-//! against a `TextSink`), and a bulk record is replayed element by
-//! element off its line. Neither may change a byte of either format:
+//! against a `TextSink`) and read straight off it by the reader the same
+//! table generates. Neither may change a byte of either format:
 //!
 //! * **The bytes are the parent's.** `tests/golden/` holds a log, its
 //!   checkpoint and its CSV as the last value-tree build (7faa73a) wrote
@@ -17,12 +17,14 @@
 //!   included), which is what catches a description whose keys are not
 //!   sorted; and for finite input encode → decode → encode is a fixed
 //!   point.
-//! * **The element-wise walk == whole-line parsing**, on the golden
-//!   lines, on random bulk records whose texts look like the log's own
-//!   structure — and a line cut at any byte is torn, never a panic.
+//! * **The reader agrees with the printer**: every golden line, and every
+//!   line of random records whose texts look like the log's own
+//!   structure, read as a `Value` by the same tokenizer prints back byte
+//!   for byte — and a line cut at any byte is torn, never a panic.
 //! * **Every JSON type, not only the log's records**: text sink == tree
 //!   sink and encode → decode → encode on random values of each type the
-//!   platform writes as JSON (the v1 wire's DTOs included).
+//!   platform writes as JSON (the v1 wire's DTOs and every checkpoint
+//!   line kind included).
 //! * **Legacy input still reads**: each key an older writer may leave out
 //!   decodes to its default when absent; every other key is required.
 //!   A value that is present but mistyped — a fingerprint that is not
@@ -31,7 +33,8 @@
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
-use sqalpel_core::durability::{read_wal, write_snapshot, WalWriter, WAL_FILE};
+use sqalpel_core::durability::{read_snapshot, read_wal, write_snapshot, SnapshotLine, WalWriter, WAL_FILE};
+use sqalpel_core::project::Comment;
 use sqalpel_core::wire::{CacheStatus, ExecOutcome, WireResultSet, WireValue};
 use sqalpel_core::{
     recover, ContributorKey, DbmsEntry, ExperimentId, HistogramSummary, HostEntry, LoadAvg,
@@ -39,6 +42,7 @@ use sqalpel_core::{
     QueryId, QueueSummary, ResultRecord, Role, RunOutcome, SqalpelServer, Strategy, Task, TaskId,
     TaskState, UserId, Visibility, WalRecord,
 };
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 
 include!("golden/history.rs");
@@ -117,19 +121,19 @@ fn the_bytes_are_the_parents() {
         String::from_utf8_lossy(&log)
     );
 
-    // Every parent-written line: decode (element-wise) -> encode.
+    // Every parent-written line: decode -> encode.
     let replayed = replay("golden-replay", &parent_log);
     assert_eq!(replayed.len(), history.len());
     assert!(log_of("golden-reencode", &replayed) == parent_log);
-    // ... and the walk agrees with parsing the whole line into a tree.
-    for (line, walked) in std::str::from_utf8(&parent_log)
+    // ... and read as a tree by the same tokenizer, it prints back.
+    for (line, replayed) in std::str::from_utf8(&parent_log)
         .unwrap()
         .lines()
         .zip(&replayed)
     {
-        let whole: WalRecord = serde_json::from_str(payload(line)).unwrap();
-        assert_eq!(text(walked), text(&whole));
-        assert_eq!(text(walked), payload(line));
+        assert_eq!(text(replayed), payload(line));
+        let tree: Value = serde_json::from_str(payload(line)).unwrap();
+        assert_eq!(tree.to_string(), payload(line));
     }
 
     // A state dir holding the parent's log opens to the parent's CSV and
@@ -649,6 +653,56 @@ impl Rng {
     fn role(&mut self) -> Role {
         [Role::None, Role::Reader, Role::Contributor, Role::Owner][self.below(4)]
     }
+
+    /// One checkpoint line of each of the twelve kinds.
+    fn snapshot_lines(&mut self, finite: bool) -> Vec<SnapshotLine<'static>> {
+        let project = Some(SnapshotLine::Project {
+            comments: (0..self.below(3))
+                .map(|_| Comment { author: UserId(self.id()), text: self.text() })
+                .collect::<Vec<_>>()
+                .into(),
+            contributors: Cow::Owned((0..self.below(4)).map(|_| UserId(self.id())).collect()),
+            dbms_labels: (0..self.below(3)).map(|_| self.text()).collect::<Vec<_>>().into(),
+            hosts: (0..self.below(3)).map(|_| self.text()).collect::<Vec<_>>().into(),
+            id: ProjectId(self.id()),
+            owner: UserId(self.id()),
+            synopsis: self.text().into(),
+            taken_down: self.coin(),
+            title: self.text().into(),
+            visibility: self.visibility(),
+        });
+        let experiment = Some(SnapshotLine::Experiment {
+            baseline_sql: self.text().into(),
+            dialect: self.opt_text().map(Cow::Owned),
+            grammar: self.text(),
+            id: ExperimentId(self.id()),
+            pool_cap: self.id() as usize,
+            project: ProjectId(self.id()),
+            template_cap: self.id() as usize,
+            title: self.text().into(),
+        });
+        [
+            Some(SnapshotLine::Meta { lsn: self.next(), projects: self.id() as usize }),
+            Some(SnapshotLine::User { email: self.text().into(), id: UserId(self.id()), nickname: self.text().into() }),
+            Some(SnapshotLine::Key { key: Cow::Owned(ContributorKey(self.text().into())), user: UserId(self.id()) }),
+            Some(SnapshotLine::KeyCounter { value: self.next() }),
+            Some(SnapshotLine::Dbms { entry: Cow::Owned(self.dbms()) }),
+            Some(SnapshotLine::Host { entry: Cow::Owned(self.host()) }),
+            project,
+            experiment,
+            Some(SnapshotLine::PoolEntry {
+                entry: Cow::Owned(self.pool_entry()),
+                experiment: ExperimentId(self.id()),
+                project: ProjectId(self.id()),
+            }),
+            Some(SnapshotLine::Task(Cow::Owned(self.task()))),
+            Some(SnapshotLine::Result(Cow::Owned(self.result(finite)))),
+            Some(SnapshotLine::End),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
 }
 
 /// `v` prints the same JSON through the text sink and the tree sink; and
@@ -684,20 +738,20 @@ proptest! {
         }
     }
 
-    /// Finite input: what was written decodes, and encodes to the same
-    /// bytes again — through the whole-line tree and through the
-    /// element-wise walk replay takes.
+    /// Finite input: what was written replays, and encodes to the same
+    /// bytes again; read as a tree by the same tokenizer, each line
+    /// prints back unchanged.
     #[test]
     fn encode_decode_encode_is_a_fixed_point(seed in any::<u64>()) {
         let mut rng = Rng(seed);
         let records: Vec<WalRecord> = (0..18).map(|op| rng.record(op, true)).collect();
         let log = log_of(&format!("fixed-{seed:x}"), &records);
-        let walked = replay(&format!("walk-{seed:x}"), &log);
-        prop_assert_eq!(walked.len(), records.len());
-        for ((line, written), walked) in std::str::from_utf8(&log).unwrap().lines().zip(&records).zip(&walked) {
-            let whole: WalRecord = serde_json::from_str(payload(line)).unwrap();
-            prop_assert_eq!(text(&whole), payload(line), "written as {}", text(written));
-            prop_assert_eq!(text(walked), payload(line));
+        let replayed = replay(&format!("replay-{seed:x}"), &log);
+        prop_assert_eq!(replayed.len(), records.len());
+        for ((line, written), replayed) in std::str::from_utf8(&log).unwrap().lines().zip(&records).zip(&replayed) {
+            prop_assert_eq!(text(replayed), payload(line), "written as {}", text(written));
+            let tree: Value = serde_json::from_str(payload(line)).unwrap();
+            prop_assert_eq!(tree.to_string(), payload(line));
         }
     }
 }
@@ -740,6 +794,9 @@ proptest! {
             }
             one_description("PlatformError", &rng.error(), finite);
             one_description("Role", &rng.role(), finite);
+            for line in rng.snapshot_lines(finite) {
+                one_description("SnapshotLine", &line, finite);
+            }
         }
     }
 }
@@ -766,7 +823,7 @@ fn legacy_input<T: Serialize + Deserialize + Clone>(
     for key in members.keys() {
         let mut cut = members.clone();
         cut.remove(key);
-        let got = T::from_value(&Value::Object(cut));
+        let got: Result<T, _> = serde_json::from_str(&Value::Object(cut).to_string());
         match tolerated.iter().find(|(k, _)| k == key) {
             Some((_, reset)) => {
                 seen += 1;
@@ -954,6 +1011,33 @@ fn legacy_input_decodes_to_its_defaults() {
         seen, 2,
         "the history carries one dialect and one report error"
     );
+    // Every checkpoint line kind: a project's `taken_down` and an
+    // experiment's `dialect` may be left out, nothing else.
+    let snapshot = String::from_utf8(golden("snapshot_parent.jsonl")).unwrap();
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut seen = 0;
+    for text in snapshot.lines() {
+        let line: SnapshotLine = serde_json::from_str(text).unwrap();
+        kinds.insert(line.to_value()["t"].as_str().unwrap().to_string());
+        seen += legacy_input(
+            "SnapshotLine",
+            &line,
+            &[
+                ("dialect", |l| {
+                    if let SnapshotLine::Experiment { dialect, .. } = l {
+                        *dialect = None;
+                    }
+                }),
+                ("taken_down", |l| {
+                    if let SnapshotLine::Project { taken_down, .. } = l {
+                        *taken_down = false;
+                    }
+                }),
+            ],
+        );
+    }
+    assert_eq!(kinds.len(), 12, "the fixture holds every line kind: {kinds:?}");
+    assert_eq!(seen, 3, "the fixture carries two projects and one dialect");
     // ... and inside a batch, an item's `error` may be left out too.
     let batch = history()
         .into_iter()
@@ -971,7 +1055,7 @@ fn legacy_input_decodes_to_its_defaults() {
             panic!()
         };
         assert!(item.remove(key).is_some(), "items[1].{key}");
-        let got = WalRecord::from_value(&v);
+        let got = serde_json::from_str::<WalRecord>(&v.to_string());
         if tolerated {
             let WalRecord::ReportBatchAccepted { items, .. } = got.unwrap() else {
                 panic!()
@@ -993,7 +1077,7 @@ fn a_mistyped_fingerprint_is_an_error_naming_it() {
             panic!()
         };
         members.insert("fingerprint".into(), Value::from("not-hex"));
-        T::from_value(&v)
+        serde_json::from_str(&v.to_string()).map_err(|e| e.to_string())
     }
     let WalRecord::PoolExtended { entries, .. } = &history()[11] else {
         panic!()
@@ -1012,6 +1096,23 @@ fn a_mistyped_fingerprint_is_an_error_naming_it() {
         let e = got.unwrap_or_else(|| panic!("{what}: a non-hex fingerprint decoded"));
         assert!(e.contains("fingerprint"), "{what}: {e}");
     }
+}
+
+/// The checkpoint reads as strictly as the log: a `taken_down` that is not
+/// a bool fails the read naming the key (it once read as `false`).
+#[test]
+fn a_mistyped_checkpoint_value_fails_the_read_naming_it() {
+    let snapshot = String::from_utf8(golden("snapshot_parent.jsonl")).unwrap();
+    let dir = tmp_dir("bad-taken-down");
+    let path = dir.join("snapshot-00000000000000000027.jsonl");
+    for (from, to) in [("\"taken_down\":false", "\"taken_down\":0"), ("\"taken_down\":false", "\"taken_down\":null")] {
+        std::fs::write(&path, snapshot.replacen(from, to, 1)).unwrap();
+        let err = read_snapshot(&path).err().unwrap_or_else(|| panic!("{to} read"));
+        assert!(err.to_string().contains("taken_down"), "{err}");
+    }
+    std::fs::write(&path, snapshot.replacen(",\"taken_down\":false", "", 1)).unwrap();
+    assert!(read_snapshot(&path).is_ok(), "an older writer's line without the key reads");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The same on the replay side: a checksummed `report_accepted` line

@@ -442,3 +442,73 @@ fn typed_errors_and_moderation_over_the_wire() {
         Err(PlatformError::Publication(_))
     ));
 }
+
+/// 10,000 `[`: 10 KB, well under v1's body cap, and deeper than a
+/// recursive parser gets on a handler thread's stack — both tests below
+/// aborted the whole process before the reader bounded its nesting.
+fn deep() -> String {
+    "[".repeat(10_000)
+}
+
+/// A v1 body nested that deep is a 400, and the server answers the next
+/// request.
+#[test]
+fn a_deeply_nested_v1_body_is_refused_and_the_server_keeps_serving() {
+    use sqalpel_core::wire::transport::http;
+    let server = Arc::new(SqalpelServer::new());
+    let wire = start_wire(&server);
+    let mut s = std::net::TcpStream::connect(wire.local_addr()).unwrap();
+    http::write_request(&mut s, "POST", "/v1/user/register", deep().as_bytes()).unwrap();
+    let (status, body) = http::read_response(&mut s, 1 << 20).unwrap();
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let client = WireClient::builder(wire.local_addr()).retry(fast_retry()).build();
+    assert_eq!(client.queue_summary().unwrap().total(), 0);
+}
+
+/// A v2 report whose `extras` text is nested that deep is `Invalid`, and
+/// the connection answers the next request.
+#[test]
+fn a_deeply_nested_v2_extras_is_refused_and_the_server_keeps_serving() {
+    use sqalpel_core::wire::proto::v2;
+    use sqalpel_core::wire::{Reply, Request};
+    use sqalpel_core::{RunOutcome, TaskId, V2Config, V2Server};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let server = Arc::new(SqalpelServer::new());
+    let wire = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default()).unwrap();
+    let mut s = TcpStream::connect(wire.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let reply = |s: &mut TcpStream| {
+        let mut header = [0u8; v2::HEADER_LEN];
+        s.read_exact(&mut header).unwrap();
+        let mut body = vec![0u8; u32::from_le_bytes(header[..4].try_into().unwrap()) as usize];
+        s.read_exact(&mut body).unwrap();
+        v2::decode_reply(&body).unwrap()
+    };
+    s.write_all(&v2::encode_hello_frame(0)).unwrap();
+    assert!(matches!(reply(&mut s), v2::DecodedReply::Hello { .. }));
+    // A report whose `extras` is `null`, its JSON text swapped for the
+    // deep one.
+    let outcome = RunOutcome { extras: serde_json::Value::Null, ..driver().run(SQL) };
+    let report = Request::ReportResult { key: ContributorKey("ck".into()), task: TaskId(1), outcome };
+    let frame = v2::encode_request_frame(1, &report);
+    let null = b"\x04\0\0\0null";
+    let at = frame.windows(null.len()).position(|w| w == null).unwrap();
+    let deep = deep();
+    let mut body = frame[v2::HEADER_LEN..at].to_vec();
+    body.extend_from_slice(&(deep.len() as u32).to_le_bytes());
+    body.extend_from_slice(deep.as_bytes());
+    body.extend_from_slice(&frame[at + null.len()..]);
+    s.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+    s.write_all(&1u32.to_le_bytes()).unwrap();
+    s.write_all(&body).unwrap();
+    match reply(&mut s) {
+        v2::DecodedReply::Outcome(Err(PlatformError::Invalid(m))) => assert!(m.contains("nesting"), "{m}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+    s.write_all(&v2::encode_request_frame(2, &Request::QueueSummary)).unwrap();
+    assert!(matches!(reply(&mut s), v2::DecodedReply::Outcome(Ok(Reply::Queue(_)))));
+}
