@@ -45,8 +45,8 @@ use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{self, ResultRecord};
 use crate::shard::{Apply, ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
-use serde::text::TextSink;
-use serde::Serialize;
+use serde::text::{TextSink, MAX_DEPTH};
+use serde::{Serialize, Value};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -810,7 +810,7 @@ impl SqalpelServer {
                 // report that cannot be accepted.
                 return Err(not_held_refusal(task));
             }
-            require_finite(task_id, &outcome)?;
+            require_loggable(task_id, &outcome)?;
             let (project, experiment) = (task.project, task.experiment);
             let (error, record) = self.accepted_record(task, key, outcome);
             // One combined record: the queue completion and the stored
@@ -889,7 +889,7 @@ impl SqalpelServer {
                         TaskState::Running { contributor } if contributor == key
                     );
                     if held_by_key {
-                        require_finite(*task_id, outcome)?;
+                        require_loggable(*task_id, outcome)?;
                         fresh.push(pos);
                         continue;
                     }
@@ -1155,23 +1155,41 @@ fn experiment_drained(s: &ProjectShard, experiment: ExperimentId) -> bool {
     s.queue.open_tasks(s.project.id, experiment) == 0
 }
 
-/// Refuse a report with a non-finite time or load average, before
-/// anything is logged: JSON has no NaN or infinity, so the log line would
-/// print one as `null`, pass its checksum and never decode again.
-fn require_finite(task: TaskId, outcome: &RunOutcome) -> PlatformResult<()> {
+/// How deep a report's `extras` may nest. A record embeds it at most four
+/// containers down — a batch item's `record` in the log, a report's
+/// `outcome` in a v1 batch body — and every text holding it must stay
+/// within the [`MAX_DEPTH`] its readers take.
+const EXTRAS_DEPTH: usize = MAX_DEPTH - 4;
+
+/// Refuse a report the log could not read back, before anything is
+/// logged. JSON has no NaN or infinity, so the log line would print a
+/// non-finite time or load average as `null`, pass its checksum and never
+/// decode again. And `extras` deeper than [`EXTRAS_DEPTH`] would make a
+/// line no reader takes: a v2 frame carries it as a JSON text of its own,
+/// read to the full [`MAX_DEPTH`], and an in-process caller builds its own.
+fn require_loggable(task: TaskId, outcome: &RunOutcome) -> PlatformResult<()> {
     let loads = [outcome.load_before, outcome.load_after];
     let mut numbers = outcome
         .times_ms
         .iter()
         .copied()
         .chain(loads.iter().flat_map(|l| [l.one, l.five, l.fifteen]));
-    if numbers.all(f64::is_finite) {
-        Ok(())
+    let refused = if !numbers.all(f64::is_finite) {
+        "a non-finite time or load average"
+    } else if !nests_within(&outcome.extras, EXTRAS_DEPTH) {
+        "extras nested too deep"
     } else {
-        Err(PlatformError::Invalid(format!(
-            "report for task #{} carries a non-finite time or load average",
-            task.0
-        )))
+        return Ok(());
+    };
+    Err(PlatformError::Invalid(format!("report for task #{} carries {refused}", task.0)))
+}
+
+/// Whether no path into `v` opens more than `left` containers.
+fn nests_within(v: &Value, left: usize) -> bool {
+    match v {
+        Value::Array(items) => left > 0 && items.iter().all(|x| nests_within(x, left - 1)),
+        Value::Object(map) => left > 0 && map.values().all(|x| nests_within(x, left - 1)),
+        _ => true,
     }
 }
 

@@ -47,6 +47,10 @@ pub(crate) trait Field<T = Self> {
     type Json: Codec<T>;
     fn write(v: &T, w: &mut W);
     fn read(r: &mut R<'_>) -> D<T>;
+    /// The value a `text/plain` v1 body is: only text travels so.
+    fn text(_body: &str) -> D<T> {
+        Err("not a text payload".into())
+    }
 }
 
 // ---------------------------------------------------------------- scalars
@@ -115,6 +119,9 @@ impl Field for String {
     }
     fn read(r: &mut R<'_>) -> D<String> {
         r.str()
+    }
+    fn text(body: &str) -> D<String> {
+        Ok(body.into())
     }
     type Json = Plain;
 }

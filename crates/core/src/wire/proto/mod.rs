@@ -75,7 +75,7 @@ pub(crate) trait Visit {
 /// implements.
 pub(crate) trait Source {
     type Error;
-    fn field<C: Field<T>, T: 'static>(&mut self, name: &'static str, via: Via) -> Result<T, Self::Error>;
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> Result<T, Self::Error>;
 }
 
 /// The codec of a table field: its type, or the spelling after `as`.

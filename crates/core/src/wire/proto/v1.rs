@@ -27,12 +27,13 @@
 //! (`wire.latency.<METHOD /path>`), all served back by `GET /v1/metrics`.
 
 use super::field::Field;
-use super::{cast, status_counter, ErrorCode, Reply, Request, Source, Via, Visit, ROUTES};
+use super::{status_counter, ErrorCode, Reply, Request, Source, Via, Visit, ROUTES};
 use crate::error::{PlatformError, PlatformResult};
 use crate::server::SqalpelServer;
 use crate::wire::dispatch::{dispatch, ExecBackend};
 use crate::wire::transport::http::{Request as WireRequest, Response as WireResponse};
 use serde::{Codec, Reader, Value};
+use std::borrow::Cow;
 
 /// The HTTP status carrying each error variant. Part of the v1 protocol.
 pub fn status_of(err: &PlatformError) -> u16 {
@@ -100,48 +101,69 @@ pub(crate) fn route_label(req: &WireRequest) -> String {
     format!("{} /{}", req.method, parts.join("/"))
 }
 
+/// A JSON body checked to be exactly one value, and where each member
+/// starts when it is an object — found in the one pass that checks it.
+struct Body<'a> {
+    text: &'a str,
+    members: Vec<(Cow<'a, str>, Reader<'a>)>,
+}
+
+impl<'a> Body<'a> {
+    fn check(text: &'a str) -> Result<Self, String> {
+        let mut r = Reader::new(text);
+        let mut members = Vec::new();
+        if r.begin_object().is_ok() {
+            while let Some(key) = r.key()? {
+                members.push((key, r));
+                r.skip()?;
+            }
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(Body { text, members })
+    }
+
+    /// What a `Via::Body` field reads: the member `name` — the last of a
+    /// repeated key, as in a table's reader — else `null`.
+    fn member(&self, name: &str) -> Reader<'a> {
+        self.members
+            .iter()
+            .rev()
+            .find(|(key, _)| key == name)
+            .map_or(Reader::new("null"), |&(_, at)| at)
+    }
+
+    fn whole(&self) -> Reader<'a> {
+        Reader::new(self.text)
+    }
+}
+
 /// A request's fields as v1 carries them: path ids, query, and the JSON
 /// body, each field read straight off its text.
 struct Inbound<'a> {
     req: &'a WireRequest,
     /// The segments the route's `:id`s matched, in order.
     ids: std::vec::IntoIter<&'a str>,
-    /// The body once checked to be one JSON value (`null` when empty).
-    body: Option<&'a str>,
+    /// The body once checked (`null` when empty).
+    body: Option<Body<'a>>,
 }
 
 impl<'a> Inbound<'a> {
-    fn body(&mut self) -> PlatformResult<&'a str> {
-        if let Some(body) = self.body {
-            return Ok(body);
+    fn body(&mut self) -> PlatformResult<&Body<'a>> {
+        if self.body.is_none() {
+            let text = if self.req.body.is_empty() {
+                "null"
+            } else {
+                std::str::from_utf8(&self.req.body)
+                    .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?
+            };
+            let body = Body::check(text)
+                .map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))?;
+            self.body = Some(body);
         }
-        let body = if self.req.body.is_empty() {
-            "null"
-        } else {
-            std::str::from_utf8(&self.req.body)
-                .map_err(|_| PlatformError::Invalid("body is not UTF-8".into()))?
-        };
-        check_json(body).map_err(|e| PlatformError::Invalid(format!("body is not JSON: {e}")))?;
-        self.body = Some(body);
-        Ok(body)
+        Ok(self.body.as_ref().expect("checked above"))
     }
-}
-
-/// `text` is exactly one JSON value.
-fn check_json(text: &str) -> Result<(), String> {
-    let mut r = Reader::new(text);
-    r.skip()?;
-    r.finish()
-}
-
-/// The value a `Via::Body` field reads: the member `name` of the object
-/// `body`, else `null`.
-fn member<'a>(body: &'a str, name: &str) -> Reader<'a> {
-    Reader::new(body)
-        .member(name)
-        .ok()
-        .flatten()
-        .unwrap_or(Reader::new("null"))
 }
 
 /// A field read off the JSON at `r` by its v1 codec.
@@ -159,8 +181,8 @@ impl Source for Inbound<'_> {
     fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
         let read = |json: Reader<'_>| read_field::<C, T>(json, name).map_err(PlatformError::Invalid);
         match via {
-            Via::Body => read(member(self.body()?, name)),
-            Via::Whole | Via::Text => read(Reader::new(self.body()?)),
+            Via::Body => read(self.body()?.member(name)),
+            Via::Whole | Via::Text => read(self.body()?.whole()),
             Via::Path => {
                 let seg = self.ids.next().expect("a route has one `:id` per path field");
                 let id = seg.parse::<u64>().map_err(|_| {
@@ -282,19 +304,24 @@ pub fn encode_request(op: &Request) -> WireRequest {
     WireRequest { method: method.into(), path, query, body }
 }
 
-/// A reply's payload as v1 carries it: the JSON body's text.
-struct ReplyBody<'a>(&'a str);
+/// A reply's payload as v1 carries it: a checked JSON body, or the text
+/// of a `text/plain` one.
+enum ReplyBody<'a> {
+    Json(Body<'a>),
+    Text(&'a str),
+}
 
 impl Source for ReplyBody<'_> {
     type Error = PlatformError;
-    fn field<C: Field<T>, T: 'static>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
-        let json = match via {
+    fn field<C: Field<T>, T>(&mut self, name: &'static str, via: Via) -> PlatformResult<T> {
+        let malformed = |e| PlatformError::Transport(format!("malformed response: {e}"));
+        let json = match (self, via) {
             // A `text/plain` body is the payload itself, not its JSON.
-            Via::Text => return Ok(cast(self.0.to_string())),
-            Via::Body => member(self.0, name),
-            _ => Reader::new(self.0),
+            (ReplyBody::Text(text), _) => return C::text(text).map_err(malformed),
+            (ReplyBody::Json(body), Via::Body) => body.member(name),
+            (ReplyBody::Json(body), _) => body.whole(),
         };
-        read_field::<C, T>(json, name).map_err(|e| PlatformError::Transport(format!("malformed response: {e}")))
+        read_field::<C, T>(json, name).map_err(malformed)
     }
 }
 
@@ -311,10 +338,13 @@ pub fn decode_reply(op: &Request, status: u16, body: &[u8]) -> PlatformResult<Re
         })?);
     }
     let kind = op.reply_kind();
-    if kind.via() != Via::Text {
-        check_json(text).map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?;
-    }
-    Ok(Reply::decode(kind as u8, &mut ReplyBody(text))?.expect("every reply kind is in the table"))
+    let mut body = match kind.via() {
+        Via::Text => ReplyBody::Text(text),
+        _ => ReplyBody::Json(
+            Body::check(text).map_err(|e| PlatformError::Transport(format!("response is not JSON: {e}")))?,
+        ),
+    };
+    Ok(Reply::decode(kind as u8, &mut body)?.expect("every reply kind is in the table"))
 }
 
 #[cfg(test)]
@@ -501,6 +531,18 @@ mod tests {
         assert_eq!(resp.status, 409);
         let err = decode_reply(&Request::QueueSummary, resp.status, &resp.body).unwrap_err();
         assert_eq!(err, PlatformError::PoolFull(3));
+    }
+
+    /// A repeated body key reads as its last value, the rule a field's
+    /// own table follows inside it.
+    #[test]
+    fn a_repeated_body_key_reads_its_last_value() {
+        let mut req = post("/v1/user/register", &Value::Null);
+        req.body = br#"{"email":"e","nickname":"a","nickname":"b"}"#.to_vec();
+        match decode_http(&req).unwrap() {
+            Request::RegisterUser { nickname, email } => assert_eq!((nickname.as_str(), email.as_str()), ("b", "e")),
+            other => panic!("{other:?}"),
+        }
     }
 
     /// A comment as Python's `json.dumps` sends it — U+1F600 as a UTF-16

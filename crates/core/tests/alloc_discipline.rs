@@ -292,7 +292,7 @@ fn claim_report_and_replay_cost_what_they_do() {
     let (decode, reply) = allocs_during(|| v1::decode_reply(&op, resp.status, &resp.body));
     assert!(matches!(reply, Ok(Reply::Results(r)) if r.len() == 100));
     eprintln!("v1 results reply of 100 records: {decode} allocations to decode");
-    // Measured 1,806 (18 per record: the `extras` object is read as a
+    // Measured 1,807 (18 per record: the `extras` object is read as a
     // tree to print it canonical); 8,817 when the body was parsed into a
     // value tree and each record then read off it.
     assert!(decode <= 2_000, "decoding 100 v1 records allocates {decode} times");

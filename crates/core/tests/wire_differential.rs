@@ -271,6 +271,82 @@ fn non_finite_reports_are_refused_before_the_log_on_both_transports() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `extras` nests at most 124 levels: a log record embeds it two
+/// containers down, a batch item four, a checkpoint `result` line two, a
+/// v1 results reply three and a v1 batch body four, and every one of those
+/// texts stays within the 128 levels a reader takes. So a report that deep
+/// — over v2, which reads it as a JSON text of its own, and over v1's
+/// batch body — is read back by the v1 client and the directory reopens to
+/// the live state from the log and again from the checkpoint. One level
+/// more is refused before the log, over either wire and in process.
+#[test]
+fn extras_as_deep_as_every_record_embeds_survive_the_log_and_the_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("sqalpel-wirediff-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Arc::new(SqalpelServer::open(&dir).unwrap());
+    let (w1, w2, v1, v2) = both_wires(&server);
+    let owner = v2.register_user("mlk", "mlk@cwi.nl").unwrap();
+    let key = v2.issue_key(owner).unwrap();
+    let project = v2
+        .create_project(owner, "deep", "deep extras", Visibility::Public)
+        .unwrap();
+    v2.set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
+        .unwrap();
+    let exp = v2
+        .add_experiment(project, owner, "fig1", SQL, Some(sqalpel_grammar::FIG1_GRAMMAR), 1000, 100)
+        .unwrap();
+    v2.seed_pool(project, exp, owner, 9, 42).unwrap();
+    assert!(v2.enqueue_experiment(project, exp, owner).unwrap() >= 5);
+    // `n` arrays, one inside the next.
+    let nested = |n: usize| {
+        (1..n).fold(serde_json::Value::Array(vec![]), |v, _| serde_json::Value::Array(vec![v]))
+    };
+    let deep = |sql: &str, n: usize| sqalpel_core::RunOutcome { extras: nested(n), ..driver().run(sql) };
+    let logged = || server.metrics().snapshot().counter("wal.records").unwrap();
+
+    let task = v2.request_task(&key, DBMS, HOST).unwrap().unwrap();
+    let before = logged();
+    for err in [
+        v1.report_result(&key, task.id, &deep(&task.sql, 125)).unwrap_err(),
+        v2.report_result(&key, task.id, &deep(&task.sql, 125)).unwrap_err(),
+        v2.report_result(&key, task.id, &deep(&task.sql, 128)).unwrap_err(),
+        server.report_result(&key, task.id, deep(&task.sql, 125)).unwrap_err(),
+    ] {
+        assert!(matches!(&err, PlatformError::Invalid(m) if m.contains("nested too deep")), "{err:?}");
+    }
+    assert_eq!(logged(), before, "a refused report logs nothing");
+    v2.report_result(&key, task.id, &deep(&task.sql, 124)).unwrap();
+    for (client, nonce) in [(&v1, 10u64), (&v2, 20)] {
+        let a = client.claim_task(&key, DBMS, HOST, nonce).unwrap().unwrap();
+        let b = client.claim_task(&key, DBMS, HOST, nonce + 1).unwrap().unwrap();
+        client
+            .report_batch(&key, &[(a.id, deep(&a.sql, 124)), (b.id, deep(&b.sql, 1))])
+            .unwrap();
+    }
+
+    let state = |s: &SqalpelServer| {
+        let extras: Vec<String> =
+            s.results_for_key(project, &key).unwrap().into_iter().map(|r| r.extras).collect();
+        (s.queue_summary(), s.export_csv(project, owner).unwrap(), extras)
+    };
+    let live = state(&server);
+    let (most, flat) = (nested(124).to_string(), "[]".to_string());
+    assert_eq!(live.2, [most.clone(), most.clone(), flat.clone(), most, flat]);
+    let over_v1: Vec<String> =
+        v1.results_for_key(project, &key).unwrap().into_iter().map(|r| r.extras).collect();
+    assert_eq!(over_v1, live.2);
+    drop((w1, w2, v1, v2));
+    drop(server);
+    let reopened = SqalpelServer::open(&dir).unwrap();
+    assert_eq!(state(&reopened), live, "reopened from the log");
+    reopened.snapshot_now().unwrap();
+    drop(reopened);
+    let reopened = SqalpelServer::open(&dir).unwrap();
+    assert_eq!(state(&reopened), live, "reopened from the checkpoint");
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A claim nonce is any `u64`. v1 carries one past `i64::MAX` as the
 /// negative number its bits print as, and reads it back through the
 /// same cast: on both transports such a nonce hands out a task, and a
