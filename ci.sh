@@ -125,8 +125,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p sqalpel-engine --all-targets -- -D warnings -D clippy::needless_collect -D clippy::redundant_clone
 # Every intra-doc link resolves, and none points at a private item.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-# Admission-control invariants (the per-user in-flight bound is exact and
-# every release path — report, error, reaper — returns the slot).
+# Admission-control invariants: the per-user in-flight count is exact
+# against a reference model under any interleaving of reserves and
+# releases by count, and on a server every path that moves a task out of
+# Running — report, error report, batch report, reaper — returns its slot.
 cargo test -q --release -p sqalpel-core --test admission_props
 # The queue's O(1) bookkeeping is the scans it replaced: per-state counts
 # and open tasks per experiment against the deleted scans (kept in the
@@ -139,10 +141,13 @@ cargo test -q --release -p sqalpel-core --test queue_props
 # zero-timeout reaps, requeues, hidden results, checkpoints) on a durable
 # server with one append failed at a random step: after every op the
 # live state's fingerprint (its checkpoint lines, hashed) equals what the
-# state dir recovers to, the failed op returned Err and changed nothing,
-# and the same sequence in memory ends in the same state. Plus the four
-# two-call sequences whose failed first append once left a state dir
-# that would not reopen.
+# state dir recovers to, each user's in-flight count equals a recount of
+# the Running tasks their keys hold on the live and the recovered server,
+# every retried claim (each key, target and nonce) resumes the same task
+# on both, the failed op returned Err and changed nothing, and the same
+# sequence in memory ends in the same state. Plus the four two-call
+# sequences whose failed first append once left a state dir that would
+# not reopen.
 cargo test -q --release -p sqalpel-core --lib live_is_replay
 # Every JSON type's one description, both directions: the log,
 # checkpoint and CSV the last value-tree build wrote (tests/golden/, all
@@ -163,9 +168,10 @@ cargo test -q --release -p sqalpel-core --test wal_codec_props
 # what the printer writes reads back byte for byte.
 cargo test -q --release -p sqalpel-core --test hostile_json
 # The task path's allocation and memory contract: allocations per
-# request_task and report_result pinned (8 and 3 in memory, 10 and 5 on a
-# durable server; all four measure 3 now that a contributor key shares
-# its text and the record an op logs is the record it applies), the
+# request_task and report_result pinned (2 and 3 in memory, 2 and 5 on a
+# durable server; they measure 2 and 3 on both now that a contributor
+# key shares its text, the record an op logs is the record it applies,
+# and held tasks are recorded by the queue alone), the
 # in-process drain of 160k tasks flat from first to last, replay of a
 # 20k-task, 10k-report log peaking within 1.25x of the recovered state
 # (it streams), and a 40k-task enqueue line written and replayed within
@@ -187,7 +193,9 @@ cargo test -q --release -p sqalpel-core --test push_props
 # and require byte-identical acked results, re-hand-out of the open claim
 # to its original key only, and a snapshot on SIGTERM — plus the bulk
 # path: an acked batch replays byte-identical from its one group-commit
-# record, a torn group commit drops the whole batch atomically.
+# record, a torn group commit drops the whole batch atomically, and the
+# claims it leaves in flight keep their nonces (a fresh nonce after the
+# restart never gets one of them back).
 cargo test -q --release -p sqalpel-bench --test crash_recovery
 # The benchmark (BENCHMARK.json): all five workloads at smoke length with
 # every output check on — engines agree with the goldens, every task

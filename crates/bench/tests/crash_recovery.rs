@@ -270,6 +270,17 @@ fn kill_nine_mid_group_commit_keeps_bulk_batches_atomic() {
     let summary = client3.queue_summary().expect("summary");
     assert_eq!(summary.finished, 3, "only batch 1 is applied");
     assert_eq!(summary.running, 3, "batch 2's claims (logged earlier) are back in flight");
+    // They came back with their nonces: a fresh nonce gets a fresh task,
+    // never one of batch 2's (a bulk uploader would report it twice).
+    let fresh = client3
+        .claim_task(&key, DBMS, HOST, 4)
+        .expect("claim")
+        .expect("demo queue still has work");
+    assert!(
+        batch2.iter().all(|(id, _)| *id != fresh.id),
+        "a fresh nonce after recovery re-handed out batch 2's task #{}",
+        fresh.id.0
+    );
 
     // The dropped reports are still held by the original key and can be
     // re-submitted — exactly once, landing on the same record indices,
@@ -291,7 +302,9 @@ fn kill_nine_mid_group_commit_keeps_bulk_batches_atomic() {
     let csv_after = client4.export_csv(PROJECT, ADMIN).expect("csv after the fourth boot");
     assert_eq!(csv_after, csv2, "reports acked behind a torn tail must survive the next boot");
     let summary = client4.queue_summary().expect("summary");
-    assert_eq!((summary.finished, summary.running), (6, 0));
+    assert_eq!((summary.finished, summary.running), (6, 1), "boot 3's fresh claim is still held");
+    let again = client4.claim_task(&key, DBMS, HOST, 4).expect("claim").expect("held");
+    assert_eq!(again.id, fresh.id, "a retried nonce gets its task back after kill -9");
 
     drop(serve4);
     let _ = std::fs::remove_dir_all(&dir);

@@ -15,15 +15,16 @@
 //!   `max_queued_per_project` outstanding (non-terminal) tasks is
 //!   rejected with `Throttled`.
 //!
-//! Reservation is race-free across shards: `try_reserve` atomically
-//! checks and increments the user's count *before* the shard sweep
-//! begins, `confirm` records the claimed task, and `cancel` returns the
-//! slot if the sweep found nothing. Release happens on report, reap or
-//! requeue.
+//! Only the count lives here. *Which* tasks a key holds is the queue's
+//! record (a `Running` task names its holder and claim nonce), so the
+//! count is the one thing this module adds: race-free across shards,
+//! `try_reserve` atomically checks and increments the user's count
+//! *before* the shard sweep begins, and [`release`](AdmissionControl::release)
+//! gives slots back by number — one the sweep did not use, or the tasks a
+//! report or a reap moved out of `Running`.
 
 use crate::error::{PlatformError, PlatformResult};
-use crate::queue::TaskId;
-use crate::user::{ContributorKey, UserId};
+use crate::user::UserId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -45,32 +46,28 @@ impl Default for AdmissionConfig {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    /// Tasks currently held under each contributor key, each with the
-    /// claim nonce it was handed out under (`None` = legacy claim or a
-    /// recovered hand-out, which matches any nonce on re-request).
-    by_key: HashMap<ContributorKey, Vec<(TaskId, Option<u64>)>>,
-    /// In-flight count per user (sum over that user's keys, plus any
-    /// not-yet-confirmed reservations).
-    by_user: HashMap<UserId, usize>,
-    /// Which user each key's held tasks are charged to.
-    owner_of: HashMap<ContributorKey, UserId>,
-}
-
-/// Cross-shard admission state. One small mutex: every operation is a
-/// couple of hash-map probes, and it is the only lock `request_task`
-/// takes before picking a shard.
+/// Cross-shard admission state. One small mutex over the in-flight count
+/// per user: every operation is one hash-map probe, and it is the only
+/// lock `request_task` takes before picking a shard. A user with nothing
+/// in flight has no entry, so a long uptime serving many contributors
+/// does not grow an entry per user ever seen.
 pub struct AdmissionControl {
     config: AdmissionConfig,
-    inner: Mutex<Inner>,
+    inflight: Mutex<HashMap<UserId, usize>>,
 }
 
 impl AdmissionControl {
     pub fn new(config: AdmissionConfig) -> Self {
+        Self::with_inflight(config, HashMap::new())
+    }
+
+    /// Bounds over counts already held — recovery's recount of the
+    /// `Running` tasks per user (no bound check: the bound was enforced
+    /// when each hand-out was first acknowledged).
+    pub fn with_inflight(config: AdmissionConfig, inflight: HashMap<UserId, usize>) -> Self {
         AdmissionControl {
             config,
-            inner: Mutex::new(Inner::default()),
+            inflight: Mutex::new(inflight),
         }
     }
 
@@ -79,11 +76,11 @@ impl AdmissionControl {
     }
 
     /// Atomically claim an in-flight slot for `user`, or `Throttled` if
-    /// the bound is already met. Must be paired with `confirm` or
-    /// `cancel`.
+    /// the bound is already met. A slot the hand-out does not use goes
+    /// back through [`release`](Self::release).
     pub fn try_reserve(&self, user: UserId) -> PlatformResult<()> {
-        let mut inner = self.inner.lock();
-        let count = inner.by_user.entry(user).or_insert(0);
+        let mut inflight = self.inflight.lock();
+        let count = inflight.entry(user).or_insert(0);
         if *count >= self.config.max_inflight_per_user {
             return Err(PlatformError::Throttled(format!(
                 "user #{} already holds {} in-flight tasks (bound {})",
@@ -94,151 +91,25 @@ impl AdmissionControl {
         Ok(())
     }
 
-    /// Attach a claimed task to the reservation made by `try_reserve`,
-    /// recording the claim nonce the hand-out answered (if any).
-    pub fn confirm(&self, key: &ContributorKey, user: UserId, task: TaskId, claim: Option<u64>) {
-        let mut inner = self.inner.lock();
-        inner
-            .by_key
-            .entry(key.clone())
-            .or_default()
-            .push((task, claim));
-        inner.owner_of.insert(key.clone(), user);
-    }
-
-    /// Return an unused reservation (the shard sweep found no task).
-    pub fn cancel(&self, user: UserId) {
-        let mut inner = self.inner.lock();
-        if let Some(count) = inner.by_user.get_mut(&user) {
-            *count = count.saturating_sub(1);
+    /// Give back `n` of `user`'s slots.
+    pub fn release(&self, user: UserId, n: usize) {
+        let mut inflight = self.inflight.lock();
+        if let Some(count) = inflight.get_mut(&user) {
+            *count = count.saturating_sub(n);
             if *count == 0 {
-                inner.by_user.remove(&user);
+                inflight.remove(&user);
             }
         }
-    }
-
-    /// Drop a held task (reported, reaped or requeued). Returns whether
-    /// the task was actually held — duplicate reports release nothing.
-    ///
-    /// Emptied bookkeeping is removed, not left at zero: a platform
-    /// serving many contributors over a long uptime must not grow an
-    /// entry per key or user ever seen. `confirm` re-records the owner
-    /// on the key's next claim.
-    pub fn release(&self, key: &ContributorKey, task: TaskId) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(held) = inner.by_key.get_mut(key) else {
-            return false;
-        };
-        let Some(pos) = held.iter().position(|(t, _)| *t == task) else {
-            return false;
-        };
-        held.swap_remove(pos);
-        let emptied = held.is_empty();
-        if let Some(user) = inner.owner_of.get(key).copied() {
-            if let Some(count) = inner.by_user.get_mut(&user) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    inner.by_user.remove(&user);
-                }
-            }
-        }
-        if emptied {
-            inner.by_key.remove(key);
-            inner.owner_of.remove(key);
-        }
-        true
-    }
-
-    /// [`release`](Self::release) for a whole bulk upload: one lock
-    /// acquisition and one pass over the held list, instead of a
-    /// rescan-under-mutex per task. Returns how many of `tasks` were
-    /// actually held — duplicates in a retried batch release nothing.
-    pub fn release_batch(&self, key: &ContributorKey, tasks: &[TaskId]) -> usize {
-        let dropping: std::collections::HashSet<u64> = tasks.iter().map(|t| t.0).collect();
-        let mut inner = self.inner.lock();
-        let Some(held) = inner.by_key.get_mut(key) else {
-            return 0;
-        };
-        let before = held.len();
-        held.retain(|(t, _)| !dropping.contains(&t.0));
-        let removed = before - held.len();
-        if removed == 0 {
-            return 0;
-        }
-        let emptied = held.is_empty();
-        if let Some(user) = inner.owner_of.get(key).copied() {
-            if let Some(count) = inner.by_user.get_mut(&user) {
-                *count = count.saturating_sub(removed);
-                if *count == 0 {
-                    inner.by_user.remove(&user);
-                }
-            }
-        }
-        if emptied {
-            inner.by_key.remove(key);
-            inner.owner_of.remove(key);
-        }
-        removed
-    }
-
-    /// Drop a held task without knowing the key — the reaper's path,
-    /// where the queue has already forgotten who held it. Returns
-    /// whether any holder was found.
-    pub fn release_any(&self, task: TaskId) -> bool {
-        let key = {
-            let inner = self.inner.lock();
-            match inner
-                .by_key
-                .iter()
-                .find(|(_, held)| held.iter().any(|(t, _)| *t == task))
-            {
-                Some((key, _)) => key.clone(),
-                None => return false,
-            }
-        };
-        self.release(&key, task)
-    }
-
-    /// Tasks currently held under a key (for idempotent re-hand-out).
-    pub fn held_by(&self, key: &ContributorKey) -> Vec<TaskId> {
-        self.held_with(key).into_iter().map(|(t, _)| t).collect()
-    }
-
-    /// Held tasks with the claim nonce each was handed out under.
-    pub fn held_with(&self, key: &ContributorKey) -> Vec<(TaskId, Option<u64>)> {
-        self.inner
-            .lock()
-            .by_key
-            .get(key)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Current in-flight count for a user.
     pub fn inflight_of(&self, user: UserId) -> usize {
-        self.inner.lock().by_user.get(&user).copied().unwrap_or(0)
+        self.inflight.lock().get(&user).copied().unwrap_or(0)
     }
 
-    /// Current bookkeeping sizes as `(keys held, users counted, owners
-    /// recorded)` — the bounded-state invariant: all three must return
-    /// to zero once every hand-out is released.
-    pub fn footprint(&self) -> (usize, usize, usize) {
-        let inner = self.inner.lock();
-        (inner.by_key.len(), inner.by_user.len(), inner.owner_of.len())
-    }
-
-    /// Rebuild one held task during recovery (no bound check: the bound
-    /// was enforced when the hand-out was first acknowledged).
-    pub fn restore(&self, key: &ContributorKey, user: UserId, task: TaskId) {
-        let mut inner = self.inner.lock();
-        // Recovered hand-outs carry no nonce: they match any re-request.
-        inner
-            .by_key
-            .entry(key.clone())
-            .or_default()
-            .push((task, None));
-        inner.owner_of.insert(key.clone(), user);
-        *inner.by_user.entry(user).or_insert(0) += 1;
+    /// Every user holding a slot, with how many: no entry is ever zero.
+    pub fn inflight(&self) -> HashMap<UserId, usize> {
+        self.inflight.lock().clone()
     }
 
     /// Enforce the per-project queue quota before enqueueing `adding`
@@ -266,86 +137,39 @@ mod tests {
     }
 
     #[test]
-    fn reserve_confirm_release_cycle_enforces_bound() {
+    fn reserve_release_cycle_enforces_bound() {
         let adm = small();
         let user = UserId(1);
-        let key = ContributorKey("ck_a".into());
-
         adm.try_reserve(user).unwrap();
-        adm.confirm(&key, user, TaskId(100), None);
         adm.try_reserve(user).unwrap();
-        adm.confirm(&key, user, TaskId(101), None);
         assert_eq!(adm.inflight_of(user), 2);
         assert!(matches!(
             adm.try_reserve(user),
             Err(PlatformError::Throttled(_))
         ));
-
-        assert!(adm.release(&key, TaskId(100)));
+        adm.release(user, 1);
         assert_eq!(adm.inflight_of(user), 1);
         adm.try_reserve(user).unwrap();
-        adm.cancel(user); // sweep found nothing: slot returned
-        assert_eq!(adm.inflight_of(user), 1);
-
-        // Duplicate release is a no-op.
-        assert!(!adm.release(&key, TaskId(100)));
-        assert_eq!(adm.inflight_of(user), 1);
+        // Another user's bound is their own.
+        adm.try_reserve(UserId(2)).unwrap();
+        adm.release(user, 2);
+        assert_eq!(adm.inflight(), HashMap::from([(UserId(2), 1)]));
+        // Releasing what is not held is a no-op, and leaves no residue.
+        adm.release(user, 1);
+        adm.release(UserId(2), 5);
+        assert!(adm.inflight().is_empty());
     }
 
     #[test]
-    fn bound_spans_all_keys_of_a_user() {
-        let adm = small();
-        let user = UserId(7);
-        let (k1, k2) = (ContributorKey("ck_1".into()), ContributorKey("ck_2".into()));
-        adm.try_reserve(user).unwrap();
-        adm.confirm(&k1, user, TaskId(1), None);
-        adm.try_reserve(user).unwrap();
-        adm.confirm(&k2, user, TaskId(2), None);
-        assert!(adm.try_reserve(user).is_err());
-        assert_eq!(adm.held_by(&k1), vec![TaskId(1)]);
-        assert_eq!(adm.held_by(&k2), vec![TaskId(2)]);
-        assert!(adm.release(&k2, TaskId(2)));
-        adm.try_reserve(user).unwrap();
-        adm.cancel(user);
-    }
-
-    #[test]
-    fn release_clears_all_bookkeeping() {
-        let adm = small();
-        let user = UserId(9);
-        let key = ContributorKey("ck_gc".into());
-        adm.try_reserve(user).unwrap();
-        adm.confirm(&key, user, TaskId(1), None);
-        adm.try_reserve(user).unwrap();
-        adm.confirm(&key, user, TaskId(2), None);
-        assert_eq!(adm.footprint(), (1, 1, 1));
-        assert!(adm.release(&key, TaskId(1)));
-        assert_eq!(adm.footprint(), (1, 1, 1), "one task still held");
-        assert!(adm.release(&key, TaskId(2)));
-        assert_eq!(
-            adm.footprint(),
-            (0, 0, 0),
-            "no per-key or per-user residue after the last release"
+    fn recounted_slots_count_against_the_bound() {
+        let adm = AdmissionControl::with_inflight(
+            small().config(),
+            HashMap::from([(UserId(3), 2)]),
         );
-        // A cancelled reservation leaves nothing behind either.
-        adm.try_reserve(user).unwrap();
-        adm.cancel(user);
-        assert_eq!(adm.footprint(), (0, 0, 0));
-    }
-
-    #[test]
-    fn restore_rebuilds_counts() {
-        let adm = small();
-        let user = UserId(3);
-        let key = ContributorKey("ck_r".into());
-        adm.restore(&key, user, TaskId(5));
-        adm.restore(&key, user, TaskId(6));
-        assert_eq!(adm.inflight_of(user), 2);
-        assert_eq!(adm.held_by(&key).len(), 2);
-        assert!(adm.try_reserve(user).is_err());
-        assert!(adm.release(&key, TaskId(5)));
-        adm.try_reserve(user).unwrap();
-        adm.cancel(user);
+        assert_eq!(adm.inflight_of(UserId(3)), 2);
+        assert!(adm.try_reserve(UserId(3)).is_err());
+        adm.release(UserId(3), 1);
+        adm.try_reserve(UserId(3)).unwrap();
     }
 
     #[test]

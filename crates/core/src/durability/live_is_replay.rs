@@ -7,10 +7,15 @@
 //! that once left a state directory `SqalpelServer::open` refused; the
 //! wall runs random sequences of every op that logs, with one append
 //! failure at a random step, and after every op compares the live state
-//! with what its directory recovers to. The same sequence, minus the step
-//! that failed, must end on an in-memory server in the same state.
+//! with what its directory recovers to. Who holds what is said once, by
+//! the queues, so after every op each user's in-flight count must also
+//! equal a recount of the `Running` tasks their keys hold — on the live
+//! server and on the recovered one — and a retried claim must resume the
+//! same task on both. The same sequence, minus the step that failed, must
+//! end on an in-memory server in the same state.
 
-use super::{recover, state_fingerprint};
+use super::recover;
+use crate::admission::AdmissionConfig;
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
 use crate::error::PlatformResult;
@@ -18,7 +23,6 @@ use crate::pool::Strategy;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
 use crate::server::SqalpelServer;
-use crate::shard::ProjectShard;
 use crate::user::{ContributorKey, UserId};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -30,17 +34,18 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The fingerprint of the state `dir` recovers to.
-fn recovered(dir: &Path) -> u64 {
+/// An in-memory server over the state `dir` recovers to, its in-flight
+/// counts recounted as `SqalpelServer::open` recounts them.
+fn recovered(dir: &Path) -> SqalpelServer {
     let r = recover(dir).unwrap_or_else(|e| panic!("recovery: {e}"));
-    state_fingerprint(&r.global, &r.shards.iter().collect::<Vec<&ProjectShard>>())
+    SqalpelServer::from_recovered(r, AdmissionConfig::default())
 }
 
 /// The live state equals its directory's, and the directory reopens to
 /// it; the reopened server.
 fn reopen(server: SqalpelServer, dir: &Path) -> SqalpelServer {
     let live = server.state_fingerprint();
-    assert_eq!(live, recovered(dir));
+    assert_eq!(live, recovered(dir).state_fingerprint());
     drop(server);
     let reopened = SqalpelServer::open(dir).unwrap_or_else(|e| panic!("reopen: {e}"));
     assert_eq!(reopened.state_fingerprint(), live);
@@ -233,6 +238,29 @@ fn did<T>(r: PlatformResult<T>) -> Did {
 fn advance_cursor(server: &SqalpelServer, m: &Made, [_, a, ..]: [u8; 4]) {
     let key = pick(&m.keys, a, ContributorKey("ck_none".into()));
     assert!(server.request_task(&key, "none", "none").unwrap().is_none());
+}
+
+/// The nonces the wall claims under, and none.
+const NONCES: [Option<u64>; 6] = [None, Some(0), Some(1), Some(2), Some(3), Some(4)];
+
+/// The live server and the one its directory recovers to agree on who
+/// holds what: each side's in-flight counts are its queues' recount, and
+/// every key's retry of every target and nonce resumes the same task.
+fn holds_agree(live: &SqalpelServer, rec: &SqalpelServer, m: &Made) {
+    let inflight = live.admission().inflight();
+    prop_assert_eq!(&inflight, &live.recount_inflight(), "live counts against the live queues");
+    prop_assert_eq!(&inflight, &rec.admission().inflight(), "live counts against the recovered queues");
+    for key in &m.keys {
+        for (dbms, host) in TARGETS {
+            for nonce in NONCES {
+                prop_assert_eq!(
+                    live.held_claim(key, dbms, host, nonce).map(|t| t.id),
+                    rec.held_claim(key, dbms, host, nonce).map(|t| t.id),
+                    "a retry of {:?} under {:?} on {}/{}", key, nonce, dbms, host
+                );
+            }
+        }
+    }
 }
 
 /// Run one op on `server`, recording what it made in `m`.
@@ -471,7 +499,9 @@ proptest! {
                 prop_assert_eq!(&outcome, &Did::Err, "op {:?} at step {} lost its append", op, i);
                 prop_assert_eq!(durable.state_fingerprint(), before, "a failed op changed the state");
             }
-            prop_assert_eq!(durable.state_fingerprint(), recovered(&dir), "after op {:?} at step {}", op, i);
+            let rec = recovered(&dir);
+            prop_assert_eq!(durable.state_fingerprint(), rec.state_fingerprint(), "after op {:?} at step {}", op, i);
+            holds_agree(&durable, &rec, &made);
             if op[0] % 7 == 0 {
                 durable.snapshot_now().unwrap();
             }
@@ -491,6 +521,7 @@ proptest! {
             step(&memory, &mut made_in_memory, op);
         }
         prop_assert_eq!(memory.state_fingerprint(), durable.state_fingerprint());
+        prop_assert_eq!(memory.admission().inflight(), durable.admission().inflight());
         drop(durable);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -240,6 +240,7 @@ mod tests {
             WalRecord::TaskClaimed {
                 task: TaskId(base),
                 key: key.clone(),
+                claim: None,
             },
             WalRecord::ReportAccepted {
                 task: TaskId(base),
@@ -261,6 +262,7 @@ mod tests {
             WalRecord::TaskClaimed {
                 task: TaskId(base + 1),
                 key: key.clone(),
+                claim: Some(2),
             },
         ];
         for r in &records {
@@ -287,7 +289,7 @@ mod tests {
         // The in-flight claim is re-held: idempotent re-hand-out works.
         assert!(shard
             .queue
-            .running_claim(&key, "colstore-5.1", "bench-server")
+            .running_claim(&key, "colstore-5.1", "bench-server", Some(2))
             .is_some());
         assert_eq!(shard.results.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -405,6 +407,7 @@ mod tests {
         wal.append(&WalRecord::TaskClaimed {
             task: TaskId(1u64 << 32),
             key: ContributorKey("ck_x".into()),
+            claim: None,
         })
         .unwrap();
         drop(wal);

@@ -442,10 +442,10 @@ mod tests {
         let tasks = shard.queue.new_tasks(ProjectId(1), ExperimentId(0), &queries, &dbms, &["bench-server".into()]);
         shard.queue.add(tasks).unwrap();
         let task = shard.queue.checkout("rowstore-2.0", "bench-server").unwrap();
-        shard.queue.claim(task, key.clone()).unwrap();
+        shard.queue.claim(task, key.clone(), None).unwrap();
         shard.queue.complete(task, &key, None).unwrap();
         let task = shard.queue.checkout("colstore-5.1", "bench-server").unwrap();
-        shard.queue.claim(task, key).unwrap();
+        shard.queue.claim(task, key, Some(3)).unwrap();
         (
             GlobalShard {
                 users,
@@ -479,6 +479,9 @@ mod tests {
             a.project.experiments[0].pool.len()
         );
         assert_eq!(b.queue.summary(), a.queue.summary());
+        // A held claim keeps its holder and its nonce.
+        let states = |s: &ProjectShard| s.queue.tasks().iter().map(|t| t.state.clone()).collect::<Vec<_>>();
+        assert_eq!(states(b), states(a));
         assert_eq!(b.queue.id_base(), a.queue.id_base());
         assert_eq!(b.results.len(), a.results.len());
         assert_eq!(

@@ -131,7 +131,12 @@ serde::tagged! {
             "project" => project: ProjectId,
             "tasks" => tasks: Vec<Task> as SharedTexts,
         } = "tasks_enqueued",
+        /// A hand-out: the task runs under `key`, answering claim nonce
+        /// `claim` (absent when the claim carried none). A log written
+        /// before claims kept their nonce has none on any line, so each
+        /// of its held claims answers every nonce, as it did then.
         TaskClaimed {
+            "claim" => claim: Option<u64> [omit],
             "key" => key: ContributorKey,
             "task" => task: TaskId,
         } = "task_claimed",
@@ -506,6 +511,7 @@ mod tests {
             WalRecord::TaskClaimed {
                 task: TaskId(1 << 32),
                 key: ContributorKey("ck_feed".into()),
+                claim: Some(7),
             },
             WalRecord::ReportAccepted {
                 task: TaskId(1 << 32),
@@ -593,7 +599,7 @@ mod tests {
             [Some(Part::Global), Some(Part::Global), Some(Part::ShardMap), p1, p1, p1, p1, p1, p1, p1]
         );
         // A task id names its project; an empty batch changes nothing.
-        let claim = WalRecord::TaskClaimed { task: TaskId(7 << 32), key: ContributorKey("ck".into()) };
+        let claim = WalRecord::TaskClaimed { task: TaskId(7 << 32), key: ContributorKey("ck".into()), claim: None };
         assert_eq!(claim.part(), Some(Part::Project(ProjectId(7))));
         let batch = WalRecord::ReportBatchAccepted { key: ContributorKey("ck".into()), items: vec![] };
         assert_eq!(batch.part(), None);

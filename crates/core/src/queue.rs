@@ -8,8 +8,10 @@
 //! Hand-out is served from an index keyed by `(dbms_label, host)` — the
 //! target a contributor asks for — so `request_task` touches only the
 //! tasks it could actually hand out instead of scanning the whole queue.
-//! A second index tracks the running tasks per contributor key, which
-//! makes re-handing a lost claim (idempotent retry) an O(1) lookup.
+//! A second index tracks the running tasks per contributor key. It is
+//! the platform's one record of who holds what: a retried claim is
+//! re-handed from it (idempotent retry, an O(1) lookup by key), and
+//! admission control recounts its in-flight bound from it after recovery.
 //!
 //! Bookkeeping is O(1) too. Every state change of a stored task goes
 //! through one function (`set_state`), which keeps two sets of counts
@@ -44,8 +46,14 @@ serde::tagged! {
     pub enum TaskState by "kind" {
         Queued = "queued",
         /// Handed to a contributor; kept with the hand-out time so stuck
-        /// runs can be reaped.
-        Running { "contributor" => contributor: ContributorKey } = "running",
+        /// runs can be reaped. `claim` is the nonce the hand-out answered:
+        /// a retry under it gets this task back. `None` — a claim made
+        /// without one, or logged before claims kept their nonce — matches
+        /// any retry.
+        Running {
+            "claim" => claim: Option<u64> [omit],
+            "contributor" => contributor: ContributorKey,
+        } = "running",
         Done = "done",
         /// The contributor reported a failure.
         Failed("error" => String) = "failed",
@@ -59,6 +67,14 @@ impl TaskState {
     /// experiment and `ExperimentFinished`.
     pub fn is_open(&self) -> bool {
         matches!(self, TaskState::Queued | TaskState::Running { .. })
+    }
+
+    /// The key a running task is handed to.
+    pub fn holder(&self) -> Option<&ContributorKey> {
+        match self {
+            TaskState::Running { contributor, .. } => Some(contributor),
+            _ => None,
+        }
     }
 }
 
@@ -242,7 +258,7 @@ impl TaskQueue {
         task.started = None;
         match &task.state {
             TaskState::Queued => self.targets[target].ready.push_back(task.id),
-            TaskState::Running { contributor } => {
+            TaskState::Running { contributor, .. } => {
                 self.hold(task.id, contributor);
                 task.started = Some(Instant::now());
             }
@@ -392,26 +408,40 @@ impl TaskQueue {
         }
     }
 
-    /// The oldest task this contributor already holds for the target, if
-    /// any — the idempotent answer to a retried claim whose original
-    /// response was lost in transit.
+    /// A task this contributor already holds for the target that a claim
+    /// under nonce `claim` resumes, if any — the idempotent answer to a
+    /// retried claim whose original response was lost in transit. With no
+    /// nonce any held task of the target answers; with nonce `n`, one
+    /// handed out under `n` or under no nonce.
     pub fn running_claim(
         &self,
         contributor: &ContributorKey,
         dbms_label: &str,
         host: &str,
+        claim: Option<u64>,
     ) -> Option<&Task> {
         self.running.get(contributor)?.iter().find_map(|id| {
             let t = &self.tasks[(id.0 - self.id_base) as usize];
-            let held = matches!(&t.state, TaskState::Running { contributor: c } if c == contributor);
-            (held && &*t.dbms_label == dbms_label && &*t.host == host).then_some(t)
+            let resumes = match &t.state {
+                TaskState::Running { claim: held, contributor: c } => {
+                    c == contributor && (claim.is_none() || held.is_none() || *held == claim)
+                }
+                _ => false,
+            };
+            (resumes && &*t.dbms_label == dbms_label && &*t.host == host).then_some(t)
         })
     }
 
-    /// Hand a queued task to a contributor (`TaskClaimed`): the key
-    /// moves into the task's state. A task at the head of its ready deque
-    /// leaves it, as [`checkout`](Self::checkout) found it there.
-    pub fn claim(&mut self, id: TaskId, contributor: ContributorKey) -> PlatformResult<()> {
+    /// How many tasks each contributor key holds.
+    pub fn holders(&self) -> impl Iterator<Item = (&ContributorKey, usize)> {
+        self.running.iter().map(|(key, held)| (key, held.len()))
+    }
+
+    /// Hand a queued task to a contributor under a claim nonce
+    /// (`TaskClaimed`): key and nonce move into the task's state. A task
+    /// at the head of its ready deque leaves it, as
+    /// [`checkout`](Self::checkout) found it there.
+    pub fn claim(&mut self, id: TaskId, contributor: ContributorKey, claim: Option<u64>) -> PlatformResult<()> {
         let idx = self.slot(id)?;
         if self.tasks[idx].state != TaskState::Queued {
             return Err(PlatformError::Invalid(format!(
@@ -424,7 +454,7 @@ impl TaskQueue {
             ready.pop_front();
         }
         self.hold(id, &contributor);
-        self.set_state(idx, TaskState::Running { contributor });
+        self.set_state(idx, TaskState::Running { claim, contributor });
         self.tasks[idx].started = Some(Instant::now());
         Ok(())
     }
@@ -458,7 +488,7 @@ impl TaskQueue {
     ) -> PlatformResult<()> {
         let idx = self.slot(id)?;
         match &self.tasks[idx].state {
-            TaskState::Running { contributor: c } if c == contributor => {
+            TaskState::Running { contributor: c, .. } if c == contributor => {
                 self.set_state(
                     idx,
                     match error {
@@ -505,7 +535,7 @@ impl TaskQueue {
     pub fn time_out(&mut self, id: TaskId) -> PlatformResult<()> {
         let idx = self.slot(id)?;
         if matches!(self.tasks[idx].state, TaskState::Running { .. }) {
-            if let TaskState::Running { contributor } = self.set_state(idx, TaskState::TimedOut) {
+            if let TaskState::Running { contributor, .. } = self.set_state(idx, TaskState::TimedOut) {
                 self.drop_running(id, &contributor);
             }
             self.tasks[idx].started = None;
@@ -580,7 +610,7 @@ mod tests {
 
     fn checkout(q: &mut TaskQueue, k: &ContributorKey, dbms: &str, host: &str) -> Option<Task> {
         let id = q.checkout(dbms, host)?;
-        q.claim(id, k.clone()).unwrap();
+        q.claim(id, k.clone(), None).unwrap();
         Some(q.task(id).unwrap().clone())
     }
 
@@ -632,10 +662,10 @@ mod tests {
         assert_eq!(q.queued_for("rowstore-2.0", "bench-server"), vec![TaskId(1)]);
         // A claim by id of a task behind the head leaves a stale index
         // entry that a later checkout silently discards.
-        q.claim(TaskId(1), key(2)).unwrap();
+        q.claim(TaskId(1), key(2), None).unwrap();
         assert!(q.queued_for("rowstore-2.0", "bench-server").is_empty());
         assert!(q.checkout("rowstore-2.0", "bench-server").is_none());
-        assert!(q.claim(TaskId(1), key(3)).is_err(), "not queued");
+        assert!(q.claim(TaskId(1), key(3), None).is_err(), "not queued");
         // Completion + requeue puts the id back.
         q.complete(t.id, &key(1), Some("boom".into())).unwrap();
         q.requeue(t.id).unwrap();
@@ -645,16 +675,40 @@ mod tests {
     #[test]
     fn running_claim_returns_held_task() {
         let mut q = queue_with_two();
-        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
+        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server", None).is_none());
         let t = checkout(&mut q, &key(1), "rowstore-2.0", "bench-server").unwrap();
-        let held = q.running_claim(&key(1), "rowstore-2.0", "bench-server").unwrap();
+        let held = q.running_claim(&key(1), "rowstore-2.0", "bench-server", None).unwrap();
         assert_eq!(held.id, t.id);
         // Wrong target or wrong key: no re-claim.
-        assert!(q.running_claim(&key(1), "colstore-5.1", "bench-server").is_none());
-        assert!(q.running_claim(&key(2), "rowstore-2.0", "bench-server").is_none());
+        assert!(q.running_claim(&key(1), "colstore-5.1", "bench-server", None).is_none());
+        assert!(q.running_claim(&key(2), "rowstore-2.0", "bench-server", None).is_none());
         // Completion clears the hold.
         q.complete(t.id, &key(1), None).unwrap();
-        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
+        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server", None).is_none());
+    }
+
+    #[test]
+    fn running_claim_resumes_by_nonce() {
+        let mut q = queue_with_two();
+        let resumed = |q: &TaskQueue, claim| {
+            q.running_claim(&key(1), "rowstore-2.0", "bench-server", claim).map(|t| t.id)
+        };
+        q.claim(TaskId(0), key(1), Some(1)).unwrap();
+        q.claim(TaskId(1), key(1), Some(2)).unwrap();
+        assert_eq!(resumed(&q, Some(1)), Some(TaskId(0)));
+        assert_eq!(resumed(&q, Some(2)), Some(TaskId(1)));
+        assert_eq!(resumed(&q, Some(3)), None, "a fresh nonce resumes nothing");
+        assert!(resumed(&q, None).is_some(), "no nonce: any held task");
+        // The nonce rides the task's state through a rebuild.
+        let mut rebuilt = TaskQueue::new();
+        rebuilt.add(q.tasks().iter().cloned()).unwrap();
+        assert_eq!(resumed(&rebuilt, Some(2)), Some(TaskId(1)));
+        // A claim without a nonce (or logged before claims kept one)
+        // answers every nonce.
+        let mut q = queue_with_two();
+        q.claim(TaskId(0), key(1), None).unwrap();
+        assert_eq!(resumed(&q, Some(7)), Some(TaskId(0)));
+        assert_eq!(q.holders().collect::<Vec<_>>(), vec![(&key(1), 1)]);
     }
 
     #[test]
@@ -706,7 +760,7 @@ mod tests {
         q.time_out(t.id).unwrap();
         assert_eq!(q.task(t.id).unwrap().state, TaskState::TimedOut);
         // The timed-out task is no longer held, so no idempotent re-claim.
-        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server").is_none());
+        assert!(q.running_claim(&key(1), "rowstore-2.0", "bench-server", None).is_none());
         // A late completion attempt fails.
         assert!(q.complete(t.id, &key(1), None).is_err());
         // Moderator requeues.
@@ -747,7 +801,7 @@ mod tests {
         // The running hold and the ready index both survive the rebuild.
         assert_eq!(
             rebuilt
-                .running_claim(&key(1), "rowstore-2.0", "bench-server")
+                .running_claim(&key(1), "rowstore-2.0", "bench-server", None)
                 .unwrap()
                 .id,
             t.id

@@ -23,19 +23,23 @@
 //!   them).
 //! * **Admission** — [`AdmissionControl`] bounds per-user in-flight
 //!   hand-outs and per-project queue depth; violations surface as
-//!   [`PlatformError::Throttled`].
+//!   [`PlatformError::Throttled`]. It keeps counts only: which tasks a
+//!   key holds is recorded once, by the queue (a `Running` task names
+//!   its holder and claim nonce), and a report or reap gives back the
+//!   slots of exactly the tasks its record moved out of `Running`.
 //! * **Fairness** — `request_task` sweeps shards round-robin from a
 //!   rotating cursor, so one project with a deep queue cannot starve the
 //!   hand-out of the others.
 //!
 //! Lock order everywhere: global shard → shard map → project shard →
 //! WAL. The admission mutex is leaf-level (never held across another
-//! acquisition).
+//! acquisition); slots are released after the shard lock drops, since
+//! resolving a key to its user takes the global lock.
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::catalog::{DbmsEntry, HostEntry, Visibility};
 use crate::driver::RunOutcome;
-use crate::durability::{Durability, WalRecord};
+use crate::durability::{Durability, RecoveredState, WalRecord};
 use crate::error::{PlatformError, PlatformResult};
 use crate::metrics::MetricsRegistry;
 use crate::pool::{PoolEntry, QueryId, Strategy};
@@ -43,10 +47,11 @@ use crate::project::{ExperimentId, Project, ProjectId, Role};
 use crate::push::{LocalWaiter, Notification, PushHub, PushWaiter};
 use crate::queue::{QueueSummary, Task, TaskId, TaskState};
 use crate::results::{self, ResultRecord};
-use crate::shard::{Apply, ProjectShard, ShardedState};
+use crate::shard::{Apply, GlobalShard, ProjectShard, ShardedState};
 use crate::user::{ContributorKey, UserId};
 use serde::text::{TextSink, MAX_DEPTH};
 use serde::{Serialize, Value};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -132,14 +137,30 @@ impl SqalpelServer {
 
     /// An in-memory server with explicit admission bounds.
     pub fn with_admission(config: AdmissionConfig) -> Self {
+        Self::assemble(ShardedState::new(), AdmissionControl::new(config), true)
+    }
+
+    /// An in-memory server over recovered state. Every `Running` task
+    /// still counts against its holder's bound: the in-flight counts are
+    /// recounted from the queues.
+    pub(crate) fn from_recovered(recovered: RecoveredState, config: AdmissionConfig) -> Self {
+        let inflight = inflight_by_user(&recovered.global, &recovered.shards);
+        Self::assemble(
+            ShardedState::from_parts(recovered.global, recovered.shards),
+            AdmissionControl::with_inflight(config, inflight),
+            recovered.fresh,
+        )
+    }
+
+    fn assemble(state: ShardedState, admission: AdmissionControl, fresh: bool) -> Self {
         SqalpelServer {
-            state: ShardedState::new(),
-            admission: AdmissionControl::new(config),
+            state,
+            admission,
             durability: None,
             snapshot_every: None,
             ops_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
-            fresh: true,
+            fresh,
             metrics: MetricsRegistry::new(),
             push: Arc::new(PushHub::new()),
         }
@@ -160,34 +181,15 @@ impl SqalpelServer {
     ) -> io::Result<Self> {
         let started = Instant::now();
         let (durability, recovered) = Durability::open(dir)?;
-        let metrics = MetricsRegistry::new();
-        metrics.add("wal.replayed_records", recovered.replayed_records);
-        metrics.add("wal.skipped_records", recovered.skipped_records);
-        metrics.add("wal.recovery_nanos", started.elapsed().as_nanos() as u64);
-
-        // Rebuild in-flight admission state from the recovered queues:
-        // every Running task still counts against its holder's bound.
-        let admission = AdmissionControl::new(config);
-        for shard in &recovered.shards {
-            for task in shard.queue.tasks() {
-                if let TaskState::Running { contributor } = &task.state {
-                    if let Some(user) = recovered.global.users.resolve_key(contributor) {
-                        admission.restore(contributor, user, task.id);
-                    }
-                }
-            }
-        }
-        Ok(SqalpelServer {
-            fresh: recovered.fresh,
-            state: ShardedState::from_parts(recovered.global, recovered.shards),
-            admission,
-            durability: Some(durability),
-            snapshot_every,
-            ops_since_snapshot: AtomicU64::new(0),
-            snapshotting: AtomicBool::new(false),
-            metrics,
-            push: Arc::new(PushHub::new()),
-        })
+        let recovery_nanos = started.elapsed().as_nanos() as u64;
+        let (replayed, skipped) = (recovered.replayed_records, recovered.skipped_records);
+        let mut server = Self::from_recovered(recovered, config);
+        server.durability = Some(durability);
+        server.snapshot_every = snapshot_every;
+        server.metrics.add("wal.replayed_records", replayed);
+        server.metrics.add("wal.skipped_records", skipped);
+        server.metrics.add("wal.recovery_nanos", recovery_nanos);
+        Ok(server)
     }
 
     /// Whether `open` found an empty state directory (no snapshot, no
@@ -639,9 +641,10 @@ impl SqalpelServer {
     /// `claim: None` the key gets any task it already holds for the
     /// target (the legacy idempotent rule — one outstanding claim per
     /// target). With `claim: Some(n)` only a held task handed out under
-    /// nonce `n` (or under no nonce, e.g. after recovery) is re-handed
-    /// out; otherwise the call checks out a *fresh* task, which is what
-    /// lets a bulk client hold many tasks of the same target at once.
+    /// nonce `n` (or under no nonce) is re-handed out; otherwise the call
+    /// checks out a *fresh* task, which is what lets a bulk client hold
+    /// many tasks of the same target at once. The nonce is logged with
+    /// the claim, so the rule holds across a restart.
     pub fn request_task_claimed(
         &self,
         key: &ContributorKey,
@@ -658,26 +661,14 @@ impl SqalpelServer {
                 .users
                 .resolve_key(key)
                 .ok_or_else(|| PlatformError::AccessDenied("unknown contributor key".into()))?;
-            // Idempotent re-hand-out of a claim whose response was lost.
-            for (id, held_claim) in self.admission.held_with(key) {
-                if let Some(n) = claim {
-                    if held_claim.is_some() && held_claim != Some(n) {
-                        continue;
-                    }
-                }
-                let Ok(shard) = self.state.shard_of_task(id) else {
-                    continue;
-                };
-                let s = shard.read();
-                if let Ok(t) = s.queue.task(id) {
-                    let held = matches!(
-                        &t.state,
-                        TaskState::Running { contributor } if contributor == key
-                    );
-                    if held && &*t.dbms_label == dbms_label && &*t.host == host {
-                        self.metrics.incr("server.request_task.rehandout");
-                        return Ok(Some(t.clone()));
-                    }
+            // Idempotent re-hand-out of a claim whose response was lost,
+            // read from the queues: the one record of who holds what. A
+            // user's count covers every task their keys hold, so with
+            // nothing in flight there is nothing to look for.
+            if self.admission.inflight_of(user) > 0 {
+                if let Some(task) = self.held_claim(key, dbms_label, host, claim) {
+                    self.metrics.incr("server.request_task.rehandout");
+                    return Ok(Some(task));
                 }
             }
             // Reserve the in-flight slot before touching any shard, so
@@ -697,20 +688,20 @@ impl SqalpelServer {
                         continue;
                     }
                     if let Some(id) = s.queue.checkout(dbms_label, host) {
-                        // The record's key becomes the task's holder.
-                        let record = WalRecord::TaskClaimed { task: id, key: key.clone() };
+                        // The record's key and nonce become the task's
+                        // holder and the claim a retry resumes.
+                        let record = WalRecord::TaskClaimed { task: id, key: key.clone(), claim };
                         if let Err(e) = self.commit(&mut *s, record) {
-                            self.admission.cancel(user);
+                            self.admission.release(user, 1);
                             return Err(e);
                         }
                         let task = s.queue.task(id).expect("claimed here").clone();
-                        self.admission.confirm(key, user, id, claim);
                         self.metrics.incr("shard.handouts");
                         return Ok(Some(task));
                     }
                 }
             }
-            self.admission.cancel(user);
+            self.admission.release(user, 1);
             // Push-subscribed workers park on notifications and only poll
             // when woken, so their misses are raced hand-outs, not the
             // busy-wait `queue.empty_polls` measures.
@@ -773,6 +764,68 @@ impl SqalpelServer {
         (rec.error.clone(), rec)
     }
 
+    /// What a report of `task_id` by `key` is, decided under its shard's
+    /// lock before anything is logged: fresh (`None`) when the key holds
+    /// the task and the outcome can be logged; a retry of the record this
+    /// key already filed (`Some(index)`); otherwise refused with the typed
+    /// error `queue.complete` would raise. A task the key holds is always
+    /// a fresh report, even if the key filed one before — it failed, was
+    /// requeued and re-claimed by the same key.
+    fn judge_report(
+        &self,
+        s: &ProjectShard,
+        key: &ContributorKey,
+        task_id: TaskId,
+        outcome: &RunOutcome,
+    ) -> PlatformResult<Option<usize>> {
+        let task = s.queue.task(task_id)?;
+        if task.state.holder() == Some(key) {
+            require_loggable(task_id, outcome)?;
+            return Ok(None);
+        }
+        if let Some(existing) = s.results.index_of(task_id, &key.0) {
+            self.metrics.incr("server.report_result.duplicate");
+            return Ok(Some(existing));
+        }
+        Err(match &task.state {
+            TaskState::Running { .. } => PlatformError::AccessDenied(format!(
+                "task #{} belongs to another contributor",
+                task_id.0
+            )),
+            other => PlatformError::Invalid(format!(
+                "task #{} is not running (state {other:?})",
+                task_id.0
+            )),
+        })
+    }
+
+    /// The task a claim under nonce `claim` resumes: one `key` already
+    /// holds for the target ([`TaskQueue::running_claim`](crate::queue::TaskQueue::running_claim)),
+    /// looked up by key in each shard's queue.
+    pub(crate) fn held_claim(
+        &self,
+        key: &ContributorKey,
+        dbms_label: &str,
+        host: &str,
+        claim: Option<u64>,
+    ) -> Option<Task> {
+        self.state.with_shards_locked(|shards| {
+            shards
+                .iter()
+                .find_map(|s| s.read().queue.running_claim(key, dbms_label, host, claim).cloned())
+        })
+    }
+
+    /// Give back the in-flight slots of `n` tasks of `key` that a
+    /// committed record moved out of `Running`. Called with no shard lock
+    /// held, as resolving a key to its user takes the global lock.
+    fn release_slots(&self, key: &ContributorKey, n: usize) {
+        if let Some(user) = self.state.global.read().users.resolve_key(key) {
+            self.admission.release(user, n);
+            self.metrics.add("admission.released", n as u64);
+        }
+    }
+
     /// The driver's "report back" call.
     ///
     /// Reports are **idempotent per (task, contributor)**: if this key
@@ -789,33 +842,17 @@ impl SqalpelServer {
         let out = self.metrics.time("server.report_result_nanos", || {
             let shard = self.state.shard_of_task(task_id)?;
             let mut s = shard.write();
+            if let Some(existing) = self.judge_report(&s, key, task_id, &outcome)? {
+                return Ok(existing);
+            }
             // Borrowed, not cloned: a report needs four ids and two labels
             // of its task, not a copy of the SQL.
-            let task = s.queue.task(task_id)?;
-            // The idempotency check applies only when this key does NOT hold
-            // the task: a running claim means this is a fresh report (e.g. the
-            // task failed, was requeued and re-claimed by the same key), not a
-            // retry of an accepted one.
-            let held_by_key = matches!(
-                &task.state,
-                TaskState::Running { contributor } if contributor == key
-            );
-            if !held_by_key {
-                if let Some(existing) = s.results.index_of(task_id, &key.0) {
-                    self.metrics.incr("server.report_result.duplicate");
-                    return Ok(existing);
-                }
-                // Refused up front — the same typed errors `queue.complete`
-                // would raise — so nothing is logged or mutated for a
-                // report that cannot be accepted.
-                return Err(not_held_refusal(task));
-            }
-            require_loggable(task_id, &outcome)?;
+            let task = s.queue.task(task_id).expect("judged above");
             let (project, experiment) = (task.project, task.experiment);
             let (error, record) = self.accepted_record(task, key, outcome);
             // One combined record: the queue completion and the stored
             // result apply together. If the append fails, the task stays
-            // Running and the admission slot stays held, so the
+            // Running and its admission slot stays held, so the
             // contributor's retry can complete it once the log is
             // writable again.
             let record = WalRecord::ReportAccepted { task: task_id, key: key.clone(), error, record };
@@ -823,9 +860,7 @@ impl SqalpelServer {
             let idx = s.results.len() - 1;
             let drained = experiment_drained(&s, experiment);
             drop(s);
-            if self.admission.release(key, task_id) {
-                self.metrics.incr("admission.released");
-            }
+            self.release_slots(key, 1);
             self.metrics.incr("shard.reports");
             self.metrics.incr("server.report_result.accepted");
             if drained {
@@ -883,22 +918,10 @@ impl SqalpelServer {
                             task_id.0
                         )));
                     }
-                    let task = s.queue.task(*task_id)?;
-                    let held_by_key = matches!(
-                        &task.state,
-                        TaskState::Running { contributor } if contributor == key
-                    );
-                    if held_by_key {
-                        require_loggable(*task_id, outcome)?;
-                        fresh.push(pos);
-                        continue;
+                    match self.judge_report(&s, key, *task_id, outcome)? {
+                        Some(existing) => indices[pos] = existing as u64,
+                        None => fresh.push(pos),
                     }
-                    if let Some(existing) = s.results.index_of(*task_id, &key.0) {
-                        self.metrics.incr("server.report_result.duplicate");
-                        indices[pos] = existing as u64;
-                        continue;
-                    }
-                    return Err(not_held_refusal(task));
                 }
                 if fresh.is_empty() {
                     continue; // pure retry: everything resolved as duplicates
@@ -927,18 +950,15 @@ impl SqalpelServer {
                 for (i, &pos) in fresh.iter().enumerate() {
                     indices[pos] = (first + i) as u64;
                 }
-                let ids: Vec<TaskId> = fresh.iter().map(|&pos| reports[pos].0).collect();
-                let released = self.admission.release_batch(key, &ids);
-                if released > 0 {
-                    self.metrics.add("admission.released", released as u64);
-                }
-                self.metrics.add("shard.reports", fresh.len() as u64);
-                self.metrics.add("server.report_batch.accepted", fresh.len() as u64);
                 for experiment in experiments {
                     if experiment_drained(&s, experiment) {
                         finished.push((project, experiment));
                     }
                 }
+                drop(s);
+                self.release_slots(key, fresh.len());
+                self.metrics.add("shard.reports", fresh.len() as u64);
+                self.metrics.add("server.report_batch.accepted", fresh.len() as u64);
             }
             // Notify outside every shard lock.
             for (project, experiment) in finished {
@@ -967,19 +987,25 @@ impl SqalpelServer {
                 continue;
             }
             let project = s.project.id;
+            // Every stuck task is running: the reap takes its slot back.
+            let holders: Vec<ContributorKey> = stuck
+                .iter()
+                .filter_map(|&t| s.queue.task(t).ok()?.state.holder().cloned())
+                .collect();
             let record = WalRecord::TasksReaped { project, tasks: stuck.clone() };
             if self.commit(&mut *s, record).is_err() {
                 self.metrics.incr("wal.errors");
                 continue;
             }
             for &t in &stuck {
-                if self.admission.release_any(t) {
-                    self.metrics.incr("admission.released");
-                }
                 let experiment = s.queue.task(t).expect("just reaped here").experiment;
                 if experiment_drained(&s, experiment) && !finished.contains(&(project, experiment)) {
                     finished.push((project, experiment));
                 }
+            }
+            drop(s);
+            for key in &holders {
+                self.release_slots(key, 1);
             }
             all.extend(stuck);
         }
@@ -1112,6 +1138,15 @@ impl SqalpelServer {
         })
     }
 
+    /// In-flight tasks per user, recounted from the queues.
+    pub(crate) fn recount_inflight(&self) -> HashMap<UserId, usize> {
+        let global = self.state.global.read();
+        self.state.with_shards_locked(|shards| {
+            let guards: Vec<_> = shards.iter().map(|s| s.read()).collect();
+            inflight_by_user(&global, guards.iter().map(|g| &**g))
+        })
+    }
+
     /// Make the next WAL append fail, or stop it from failing.
     pub(crate) fn fail_next_append(&self, fail: bool) {
         self.durability.as_ref().expect("a durable server").fail_next_append(fail);
@@ -1193,21 +1228,22 @@ fn nests_within(v: &Value, left: usize) -> bool {
     }
 }
 
-/// Why a report for a task the reporting key does not hold (and never
-/// filed a record for) is refused — the same typed errors
-/// `queue.complete` would raise, raised before anything is logged or
-/// changed.
-fn not_held_refusal(task: &Task) -> PlatformError {
-    match &task.state {
-        TaskState::Running { .. } => PlatformError::AccessDenied(format!(
-            "task #{} belongs to another contributor",
-            task.id.0
-        )),
-        other => PlatformError::Invalid(format!(
-            "task #{} is not running (state {other:?})",
-            task.id.0
-        )),
+/// In-flight tasks per user: the `Running` tasks their keys hold,
+/// recounted from the queues. Admission's counts equal it whenever no op
+/// stands between its commit and its release.
+fn inflight_by_user<'a>(
+    global: &GlobalShard,
+    shards: impl IntoIterator<Item = &'a ProjectShard>,
+) -> HashMap<UserId, usize> {
+    let mut inflight = HashMap::new();
+    for shard in shards {
+        for (key, held) in shard.queue.holders() {
+            if let Some(user) = global.users.resolve_key(key) {
+                *inflight.entry(user).or_default() += held;
+            }
+        }
     }
+    inflight
 }
 
 impl Platform for SqalpelServer {
@@ -1688,13 +1724,14 @@ mod tests {
             (1, 1, total - 2),
             "one acked report, one open claim, the rest still queued"
         );
-        // The open claim is re-handed out idempotently, and the admission
-        // book knows it is held.
+        // The open claim is re-handed out idempotently, and counts
+        // against its holder's bound.
+        assert_eq!(server.admission().inflight_of(UserId(2)), 1);
         let again = server
             .request_task(&key, "rowstore-2.0", "bench-server")
             .unwrap()
             .unwrap();
-        assert!(matches!(&again.state, TaskState::Running { contributor } if contributor == &key));
+        assert_eq!(again.state.holder(), Some(&key));
         assert_eq!(server.queue_summary().running, 1);
 
         // A snapshot truncates the WAL; a third open recovers from it.
@@ -1704,6 +1741,59 @@ mod tests {
         assert!(!server.recovered_fresh());
         assert_eq!(server.queue_summary().running, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Claim nonces 1 and 2 hand out tasks `a` and `b`; the state dir is
+    /// reopened — from its log, or from a checkpoint taken first. A retry
+    /// of nonce 2 must still get `b`, and a fresh nonce 3 a task that is
+    /// neither: a reopen that forgot the nonces handed `a` to both, and a
+    /// bulk uploader then reported `a` twice in one batch.
+    fn claim_nonces_survive_a_reopen(tag: &str, checkpoint: bool) {
+        let dir = std::env::temp_dir().join(format!("sqalpel-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let claim = |server: &SqalpelServer, key: &ContributorKey, nonce: u64| {
+            server
+                .request_task_claimed(key, "rowstore-2.0", "bench-server", Some(nonce))
+                .unwrap()
+                .unwrap()
+                .id
+        };
+        let (key, contrib, a, b);
+        {
+            let (server, owner, user, project, exp) = setup_on(SqalpelServer::open(&dir).unwrap());
+            server.enqueue_experiment(project, exp, owner).unwrap();
+            (key, contrib) = (server.issue_key(user).unwrap(), user);
+            a = claim(&server, &key, 1);
+            b = claim(&server, &key, 2);
+            assert_ne!(a, b, "two nonces, two tasks");
+            assert_eq!(claim(&server, &key, 1), a);
+            if checkpoint {
+                server.snapshot_now().unwrap();
+            }
+        }
+        let server = SqalpelServer::open(&dir).unwrap();
+        assert_eq!(server.admission().inflight_of(contrib), 2);
+        assert_eq!(claim(&server, &key, 2), b, "a retried nonce gets its task back");
+        assert_eq!(claim(&server, &key, 1), a);
+        let c = claim(&server, &key, 3);
+        assert!(c != a && c != b, "a fresh nonce gets a fresh task");
+        assert_eq!(server.admission().inflight_of(contrib), 3);
+        // One claim each, reported together: the batch is accepted whole.
+        let reports: Vec<(TaskId, RunOutcome)> = [a, b, c].iter().map(|&t| (t, fake_outcome())).collect();
+        assert_eq!(server.report_batch(&key, &reports).unwrap().len(), 3);
+        assert_eq!(server.admission().inflight_of(contrib), 0);
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn claim_nonces_survive_a_reopen_from_the_log() {
+        claim_nonces_survive_a_reopen("nonce-log", false);
+    }
+
+    #[test]
+    fn claim_nonces_survive_a_reopen_from_the_checkpoint() {
+        claim_nonces_survive_a_reopen("nonce-checkpoint", true);
     }
 
     /// Regression: a snapshot must hold the shard-map lock for its whole

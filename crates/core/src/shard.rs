@@ -164,7 +164,7 @@ impl Apply for ProjectShard {
                 .pool
                 .extend(entries)?,
             WalRecord::TasksEnqueued { tasks, .. } => self.queue.add(tasks)?,
-            WalRecord::TaskClaimed { task, key } => self.queue.claim(task, key).map_err(|e| e.to_string())?,
+            WalRecord::TaskClaimed { task, key, claim } => self.queue.claim(task, key, claim).map_err(|e| e.to_string())?,
             WalRecord::ReportAccepted { task, key, error, record } => self.accept(task, &key, error, record)?,
             // One group commit applies as its reports, in upload order.
             WalRecord::ReportBatchAccepted { key, items } => {

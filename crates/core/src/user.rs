@@ -32,8 +32,8 @@ impl User {
 }
 
 /// An anonymous key under which results are contributed. The text is
-/// shared: the queue's claim, the admission book and a logged record
-/// hold one allocation between them.
+/// shared: the running task, the queue's index of held tasks and a
+/// logged record hold one allocation between them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContributorKey(pub Arc<str>);
 

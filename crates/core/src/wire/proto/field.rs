@@ -257,7 +257,10 @@ impl Field for Task {
         w.str(&t.host);
         match &t.state {
             TaskState::Queued => w.u8(0),
-            TaskState::Running { contributor } => {
+            // The claim nonce stays off the frame: the client that claimed
+            // sent it and keeps it, and carrying it would change every
+            // running task's frame for peers that predate it.
+            TaskState::Running { contributor, .. } => {
                 w.u8(1);
                 w.str(&contributor.0);
             }
@@ -281,6 +284,7 @@ impl Field for Task {
             state: match r.u8()? {
                 0 => TaskState::Queued,
                 1 => TaskState::Running {
+                    claim: None,
                     contributor: ContributorKey(r.str()?.into()),
                 },
                 2 => TaskState::Done,

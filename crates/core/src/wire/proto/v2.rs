@@ -663,7 +663,7 @@ mod tests {
             sql: "select 1 from t".into(),
             dbms_label: "rowstore-2.0".into(),
             host: "bench-server".into(),
-            state: TaskState::Running { contributor: ContributorKey("ck_1".into()) },
+            state: TaskState::Running { claim: None, contributor: ContributorKey("ck_1".into()) },
             started: None,
         };
         let replies = vec![

@@ -2,10 +2,11 @@
 //!
 //! The per-user in-flight bound is the platform's defense against a
 //! contributor script stuck in a crash loop checking out the whole
-//! queue. Two layers are exercised: the [`AdmissionControl`] ledger
-//! against a reference model under arbitrary interleavings, and the
-//! full [`SqalpelServer`] hand-out/report/reap cycle, where every
-//! release path (ok report, error report, reaper) must return the slot.
+//! queue. Two layers are exercised: the [`AdmissionControl`] count
+//! against a reference model under arbitrary interleavings of reserves
+//! and releases, and the full [`SqalpelServer`] hand-out/report/reap
+//! cycle, where every path that moves a task out of `Running` (ok report,
+//! error report, batch report, reaper) must return its slot.
 
 use proptest::prelude::*;
 use sqalpel_core::{
@@ -16,7 +17,6 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 const USERS: usize = 3;
-const KEYS: usize = 2;
 
 /// Deterministically expand a seed into `len` op tuples (the vendored
 /// proptest has no collection strategies; same idiom as metrics_props).
@@ -45,10 +45,10 @@ fn fake_outcome(error: Option<String>) -> RunOutcome {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary interleavings of reserve/confirm/cancel, release by
-    /// key, and release by task (the reaper's path) against a reference
-    /// model: per-user counts track exactly, never exceed the bound,
-    /// and `try_reserve` fails precisely at the bound.
+    /// Arbitrary interleavings of reserves and releases by count against
+    /// a reference model: per-user counts track exactly, never exceed the
+    /// bound, `try_reserve` fails precisely at the bound, and a user with
+    /// nothing in flight leaves no entry behind.
     #[test]
     fn bound_is_exact_under_arbitrary_interleavings(
         bound in 1usize..4,
@@ -60,76 +60,38 @@ proptest! {
             max_inflight_per_user: bound,
             max_queued_per_project: 1_000,
         });
-        let key_of = |u: usize, k: usize| ContributorKey(format!("ck_{u}_{k}").into());
-        let mut held: HashMap<(usize, usize), Vec<TaskId>> = HashMap::new();
-        let count = |held: &HashMap<(usize, usize), Vec<TaskId>>, u: usize| -> usize {
-            (0..KEYS).map(|k| held.get(&(u, k)).map_or(0, Vec::len)).sum()
-        };
-        let mut next_task = 0u64;
-        for (action, u, k, x) in ops {
-            let (u, k) = (u as usize % USERS, k as usize % KEYS);
+        let mut model = [0usize; USERS];
+        for (action, u, x, _) in ops {
+            let u = u as usize % USERS;
             let user = UserId(u as u64 + 1);
-            match action % 4 {
-                // Claim: reserve, then confirm (x even) or cancel (the
-                // shard sweep found nothing).
-                0 | 1 => {
-                    let res = adm.try_reserve(user);
-                    if count(&held, u) >= bound {
-                        prop_assert!(matches!(res, Err(PlatformError::Throttled(_))));
-                    } else {
-                        prop_assert!(res.is_ok());
-                        if x % 2 == 0 {
-                            next_task += 1;
-                            let t = TaskId(next_task);
-                            adm.confirm(&key_of(u, k), user, t, None);
-                            held.entry((u, k)).or_default().push(t);
-                        } else {
-                            adm.cancel(user);
-                        }
-                    }
+            if action % 2 == 0 {
+                let res = adm.try_reserve(user);
+                if model[u] >= bound {
+                    prop_assert!(matches!(res, Err(PlatformError::Throttled(_))));
+                } else {
+                    prop_assert!(res.is_ok());
+                    model[u] += 1;
                 }
-                // Release by key: a held task if any, else a bogus id.
-                2 => {
-                    let slot = held.entry((u, k)).or_default();
-                    if slot.is_empty() {
-                        prop_assert!(!adm.release(&key_of(u, k), TaskId(u64::MAX)));
-                    } else {
-                        let t = slot.remove(x as usize % slot.len());
-                        prop_assert!(adm.release(&key_of(u, k), t));
-                        // Double release is a no-op.
-                        prop_assert!(!adm.release(&key_of(u, k), t));
-                    }
-                }
-                // Release by task alone: the reaper does not know the
-                // holding key.
-                _ => {
-                    let mut all: Vec<((usize, usize), TaskId)> = held
-                        .iter()
-                        .flat_map(|(&uk, ts)| ts.iter().map(move |&t| (uk, t)))
-                        .collect();
-                    all.sort_by_key(|&(_, t)| t.0);
-                    if all.is_empty() {
-                        prop_assert!(!adm.release_any(TaskId(u64::MAX)));
-                    } else {
-                        let (uk, t) = all[x as usize % all.len()];
-                        prop_assert!(adm.release_any(t));
-                        held.get_mut(&uk).unwrap().retain(|&h| h != t);
-                    }
-                }
+            } else {
+                // An unused reservation, a report or a reap gives back
+                // some slots; more than are held gives back what is.
+                let n = x as usize % (bound + 2);
+                adm.release(user, n);
+                model[u] = model[u].saturating_sub(n);
             }
-            for u in 0..USERS {
-                let c = count(&held, u);
+            for (u, &c) in model.iter().enumerate() {
                 prop_assert_eq!(adm.inflight_of(UserId(u as u64 + 1)), c);
                 prop_assert!(c <= bound);
             }
+            prop_assert_eq!(adm.inflight().len(), model.iter().filter(|&&c| c > 0).count());
         }
     }
 
     /// Driving the whole server: claims beyond the bound are throttled
     /// (even through a fresh key of the same user), re-hand-out of an
     /// open claim consumes no extra slot, and every release path — ok
-    /// report, error report, the reaper — returns the slot, so a
-    /// drained walk always ends with zero in-flight.
+    /// report, error report, a batch report, the reaper — returns the
+    /// slot, so a drained walk always ends with zero in-flight.
     #[test]
     fn server_releases_every_slot(
         bound in 1usize..3,
@@ -189,7 +151,7 @@ proptest! {
             let k = kb as usize % (bound + 1);
             let user = users[u];
             let key = &keys[u][k];
-            match action % 8 {
+            match action % 9 {
                 // Claim (the most frequent op).
                 0..=3 => {
                     let open = held.get(&(u, k)).and_then(|v| v.first().map(|t| t.id));
@@ -220,6 +182,14 @@ proptest! {
                     let in_flight: usize = held.values().map(Vec::len).sum();
                     prop_assert_eq!(reaped.len(), in_flight);
                     held.clear();
+                }
+                // Everything the key holds, as one batch.
+                7 => {
+                    if let Some(tasks) = held.remove(&(u, k)) {
+                        let reports: Vec<(TaskId, RunOutcome)> =
+                            tasks.iter().map(|t| (t.id, fake_outcome(None))).collect();
+                        prop_assert_eq!(server.report_batch(key, &reports).unwrap().len(), tasks.len());
+                    }
                 }
                 // A brand-new key of a saturated user is still throttled.
                 _ => {

@@ -277,10 +277,11 @@ fn claim_report_and_replay_cost_what_they_do() {
     let per_result = (live() - before) as f64 / 3_584.0;
     eprintln!("in-memory  allocs/request_task {claim:.2}  allocs/report_result {report:.2}");
     eprintln!("bytes/queued task {per_task:.0}  bytes/stored result {per_result:.0}");
-    // Pinned at 8 and 3 allocations (18 and 24 before texts were shared
-    // and names looked up), 260 and 379 bytes (664 and 1035 before); a
-    // claim measures 3 since a contributor key shares its text.
-    assert!(claim <= 8.05, "request_task allocates {claim:.2} times");
+    // Pinned at 2 and 3 allocations (18 and 24 before texts were shared
+    // and names looked up; a claim measured 3 while admission kept its own
+    // list of each key's held tasks), 260 and 379 bytes (664 and 1035
+    // before; 252 before a running task kept its claim nonce).
+    assert!(claim <= 2.05, "request_task allocates {claim:.2} times");
     assert!(report <= 3.05, "report_result allocates {report:.2} times");
     assert!(per_task <= 300.0, "a queued task occupies {per_task:.0} B");
     assert!(per_result <= 420.0, "a stored result occupies {per_result:.0} B");
@@ -305,12 +306,13 @@ fn claim_report_and_replay_cost_what_they_do() {
     drain(&server, &fx, &outcome, 200);
     let (claim, report) = drain(&server, &fx, &outcome, 1_000);
     eprintln!("durable    allocs/request_task {claim:.2}  allocs/report_result {report:.2}");
-    // Measured 3 and 3, the in-memory counts: the record an op logs is
+    // Measured 2 and 3, the in-memory counts: the record an op logs is
     // the one it applies, and its contributor key is the shared text
-    // the state keeps (9 and 4 while the logged record owned a copy of
-    // the key; 24 and 72 while the line was built as a value tree,
-    // printed and framed; 35 and 86 before that).
-    assert!(claim <= 10.05, "durable request_task allocates {claim:.2} times");
+    // the state keeps (3 and 3 while admission kept its own list of held
+    // tasks; 9 and 4 while the logged record owned a copy of the key; 24
+    // and 72 while the line was built as a value tree, printed and
+    // framed; 35 and 86 before that).
+    assert!(claim <= 2.05, "durable request_task allocates {claim:.2} times");
     assert!(report <= 5.05, "durable report_result allocates {report:.2} times");
     drop(server);
     std::fs::remove_dir_all(&dir).unwrap();

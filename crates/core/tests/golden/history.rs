@@ -189,17 +189,17 @@ pub fn history() -> Vec<WalRecord> {
                 .map(|n| task(n, n / 2, sqls[(n / 2) as usize], dbms[(n % 2) as usize]))
                 .collect(),
         },
-        WalRecord::TaskClaimed { task: TaskId(BASE), key: key() },
+        WalRecord::TaskClaimed { task: TaskId(BASE), key: key(), claim: None },
         WalRecord::ReportAccepted { task: TaskId(BASE), key: key(), error: None, record: ok },
-        WalRecord::TaskClaimed { task: TaskId(BASE + 1), key: key() },
+        WalRecord::TaskClaimed { task: TaskId(BASE + 1), key: key(), claim: None },
         WalRecord::ReportAccepted {
             task: TaskId(BASE + 1),
             key: key(),
             error: Some(HOSTILE.into()),
             record: failed,
         },
-        WalRecord::TaskClaimed { task: TaskId(BASE + 2), key: key() },
-        WalRecord::TaskClaimed { task: TaskId(BASE + 3), key: key() },
+        WalRecord::TaskClaimed { task: TaskId(BASE + 2), key: key(), claim: None },
+        WalRecord::TaskClaimed { task: TaskId(BASE + 3), key: key(), claim: None },
         WalRecord::ReportBatchAccepted {
             key: key(),
             items: vec![
@@ -208,9 +208,9 @@ pub fn history() -> Vec<WalRecord> {
             ],
         },
         WalRecord::TaskRequeued { task: TaskId(BASE + 3) },
-        WalRecord::TaskClaimed { task: TaskId(BASE + 4), key: key() },
+        WalRecord::TaskClaimed { task: TaskId(BASE + 4), key: key(), claim: None },
         WalRecord::TasksReaped { project: ProjectId(1), tasks: vec![TaskId(BASE + 4)] },
-        WalRecord::TaskClaimed { task: TaskId(BASE + 5), key: key() },
+        WalRecord::TaskClaimed { task: TaskId(BASE + 5), key: key(), claim: None },
         WalRecord::ResultHidden { project: ProjectId(1), index: 1, hidden: true },
         WalRecord::ProjectCreated {
             id: ProjectId(2),

@@ -186,13 +186,14 @@ proptest! {
                     if let Some(id) = q.checkout(dbms, host) {
                         let t = q.task(id).unwrap();
                         prop_assert_eq!((&*t.dbms_label, &*t.host), (dbms, host));
-                        q.claim(id, key(c)).unwrap();
-                        log.push(WalRecord::TaskClaimed { task: id, key: key(c) });
+                        let claim = (a % 3 != 0).then_some(a as u64 % 4);
+                        q.claim(id, key(c), claim).unwrap();
+                        log.push(WalRecord::TaskClaimed { task: id, key: key(c), claim });
                     }
                 }
                 4 => {
-                    if q.claim(some_id, key(c)).is_ok() {
-                        log.push(WalRecord::TaskClaimed { task: some_id, key: key(c) });
+                    if q.claim(some_id, key(c), None).is_ok() {
+                        log.push(WalRecord::TaskClaimed { task: some_id, key: key(c), claim: None });
                     }
                 }
                 5 | 6 => {
@@ -281,10 +282,10 @@ fn time_out_counts_only_running_tasks() {
     }
     let k = key(0);
     let done = q.checkout(dbms, host).unwrap();
-    q.claim(done, k.clone()).unwrap();
+    q.claim(done, k.clone(), None).unwrap();
     q.complete(done, &k, None).unwrap();
     let running = q.checkout(dbms, host).unwrap();
-    q.claim(running, k).unwrap();
+    q.claim(running, k, None).unwrap();
     for id in [done, running, TaskId(BASE + 2)] {
         q.time_out(id).unwrap();
     }

@@ -244,6 +244,11 @@ impl Rng {
         }
     }
 
+    /// A claim nonce, or none.
+    fn nonce(&mut self) -> Option<u64> {
+        self.coin().then(|| self.id())
+    }
+
     /// Text out of the characters an escaper and a bracket matcher get
     /// wrong, with the log's own key names thrown in.
     fn text(&mut self) -> String {
@@ -377,6 +382,7 @@ impl Rng {
         let state = match self.below(5) {
             0 => TaskState::Queued,
             1 => TaskState::Running {
+                claim: self.nonce(),
                 contributor: ContributorKey(self.text().into()),
             },
             2 => TaskState::Done,
@@ -504,6 +510,7 @@ impl Rng {
             12 => WalRecord::TaskClaimed {
                 task: TaskId(self.id()),
                 key,
+                claim: self.nonce(),
             },
             13 => WalRecord::ReportAccepted {
                 task: TaskId(self.id()),
@@ -929,12 +936,36 @@ fn legacy_input_decodes_to_its_defaults() {
     assert_eq!(legacy_input("Task", &t, &[]), 0);
     for state in [
         TaskState::Queued,
-        TaskState::Running { contributor: key() },
+        TaskState::Running { claim: None, contributor: key() },
         TaskState::Failed("boom".into()),
     ] {
         t.state = state;
         assert_eq!(legacy_input("TaskState", &t.state, &[]), 0);
     }
+    // A claim's nonce: state lines and claim records written before
+    // claims kept one read as "answers any nonce".
+    let running = TaskState::Running { claim: Some(u64::MAX), contributor: key() };
+    let n = legacy_input(
+        "TaskState",
+        &running,
+        &[("claim", |s| {
+            if let TaskState::Running { claim, .. } = s {
+                *claim = None;
+            }
+        })],
+    );
+    assert_eq!(n, 1);
+    let claimed = WalRecord::TaskClaimed { task: TaskId(1 << 32), key: key(), claim: Some(9) };
+    let n = legacy_input(
+        "WalRecord",
+        &claimed,
+        &[("claim", |r| {
+            if let WalRecord::TaskClaimed { claim, .. } = r {
+                *claim = None;
+            }
+        })],
+    );
+    assert_eq!(n, 1);
     let summary = QueueSummary {
         queued: 1,
         running: 2,

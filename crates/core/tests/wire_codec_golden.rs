@@ -398,7 +398,7 @@ fn replies() -> Vec<(String, Request, PlatformResult<Reply>)> {
     }
     for (name, state) in [
         ("queued", TaskState::Queued),
-        ("running", TaskState::Running { contributor: key("ck_1") }),
+        ("running", TaskState::Running { claim: None, contributor: key("ck_1") }),
         ("done", TaskState::Done),
         ("failed", TaskState::Failed("boom \"x\"".into())),
         ("timed_out", TaskState::TimedOut),
