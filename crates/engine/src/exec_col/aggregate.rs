@@ -3,7 +3,7 @@
 //! projection of the (few) groups.
 
 use super::{Batch, ColExec, ColVec, MODE};
-use crate::codec::{self, GroupCodec, GroupMap};
+use crate::codec::{self, GroupCodec, KeyTable};
 use crate::error::EngineResult;
 use crate::eval::{
     collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Prepared, Scope,
@@ -13,9 +13,29 @@ use crate::morsel;
 use crate::plan::BoundQuery;
 use crate::value::Value;
 
-/// Grouped-aggregation state: (representative row index, accumulators)
-/// per group.
-type Groups = Vec<(usize, Vec<Accumulator>)>;
+/// Grouped-aggregation state, in two flat arenas: each group's
+/// representative row index, and its accumulators, `stride` (one per
+/// aggregate) apiece.
+#[derive(Default)]
+struct Groups {
+    reps: Vec<usize>,
+    accs: Vec<Accumulator>,
+}
+
+impl Groups {
+    fn push(&mut self, rep: usize, accs: impl IntoIterator<Item = Accumulator>) {
+        self.reps.push(rep);
+        self.accs.extend(accs);
+    }
+
+    /// The stitch: group indices by ascending representative row — each
+    /// is its group's first occurrence, so this is first-seen order.
+    fn first_seen(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.reps.len()).collect();
+        order.sort_unstable_by_key(|&g| self.reps[g]);
+        order
+    }
+}
 
 impl ColExec<'_> {
     pub(super) fn project_aggregated(
@@ -52,15 +72,14 @@ impl ColExec<'_> {
             .collect::<EngineResult<_>>()?;
 
         // Pass 2: group ids and accumulation.
+        let stride = specs.len();
         let mut groups = self.aggregate(batch.len, &key_cols, &arg_cols, &specs)?;
-        if groups.is_empty() && bq.group_by.is_empty() {
-            groups.push((
-                usize::MAX,
-                specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
-            ));
+        if groups.reps.is_empty() && bq.group_by.is_empty() {
+            groups.push(usize::MAX, specs.iter().map(|s| Accumulator::new(s, MODE)));
         }
 
-        // Pass 3: per-group projection (few groups: row-wise is fine).
+        // Pass 3: per-group projection (few groups: row-wise is fine),
+        // through one reused row and one reused value buffer.
         let ctx = EvalCtx::new(self, MODE);
         let scope = Scope {
             schema: &batch.schema,
@@ -76,13 +95,18 @@ impl ColExec<'_> {
             .map(|item| Prepared::new(&item.expr, scope, MODE, &keys))
             .collect();
         let order = crate::output::prepare_sort_keys(bq, scope, MODE, &keys);
-        for (rep, accs) in &groups {
-            let rep_row: Vec<Value> = if *rep == usize::MAX {
-                vec![Value::Null; batch.schema.len()]
+        let mut rep_row: Vec<Value> = Vec::with_capacity(batch.schema.len());
+        let mut values: Vec<Value> = Vec::with_capacity(stride);
+        for g in groups.first_seen() {
+            let rep = groups.reps[g];
+            if rep == usize::MAX {
+                rep_row.clear();
+                rep_row.resize(batch.schema.len(), Value::Null);
             } else {
-                batch.row(*rep)
-            };
-            let values: Vec<Value> = accs.iter().map(|a| a.finish()).collect();
+                batch.row_into(rep, &mut rep_row);
+            }
+            values.clear();
+            values.extend(groups.accs[g * stride..(g + 1) * stride].iter().map(|a| a.finish()));
             let gctx = ctx.with_aggs(&values);
             if let Some(h) = &having {
                 if !h.filter(&rep_row, &gctx)? {
@@ -109,10 +133,10 @@ impl ColExec<'_> {
     ///    within a partition, ranges fold in range order, so every group
     ///    keeps the representative row of the first range that saw it,
     ///    i.e. its global first-occurrence row;
-    /// 3. a stitch pass sorts all groups by representative row. First
-    ///    occurrences are unique per group and ascending row order *is*
-    ///    first-seen order over the whole input, so the output does not
-    ///    depend on how the input was split.
+    /// 3. a stitch ([`Groups::first_seen`]) orders all groups by
+    ///    representative row. First occurrences are unique per group and
+    ///    ascending row order *is* first-seen order over the whole input,
+    ///    so the output does not depend on how the input was split.
     ///
     /// One worker gets one range and one partition, with nothing to merge
     /// and groups already in order. So does any input with an accumulator
@@ -137,72 +161,59 @@ impl ColExec<'_> {
         // Coarse ranges: per-range group tables must be merged
         // afterwards, and with 4096-row morsels that merge would rival
         // the accumulation itself when groups are plentiful.
+        let stride = specs.len();
         let ranges = morsel::coarse_morsels(rows, workers);
-        let mut partials: Vec<Vec<(GroupMap, Groups)>> =
+        let partials: Vec<Vec<(KeyTable, Groups)>> =
             morsel::run_on_ranges(ranges, workers, |range| {
                 // One charge per range, not per row: the same total, and
                 // no contended atomic in the loop.
                 budget.charge(range.len() as u64)?;
-                let mut parts: Vec<(GroupMap, Groups)> = (0..nparts)
-                    .map(|_| (GroupMap::new(codec.u64_mode()), Vec::new()))
-                    .collect();
+                let mut parts: Vec<(KeyTable, Groups)> =
+                    (0..nparts).map(|_| Default::default()).collect();
                 let feeders: Vec<ArgCol> = arg_cols.iter().map(ArgCol::from).collect();
                 let mut scratch = Vec::new();
                 for i in range {
                     let k = codec.encode(i, &mut scratch)?;
-                    let (map, groups) = &mut parts[k.partition(nparts)];
-                    let gid = match map.get(&k) {
-                        Some(g) => g as usize,
-                        None => {
-                            map.insert(&k, groups.len() as u32);
-                            groups.push((
-                                i,
-                                specs.iter().map(|s| Accumulator::new(s, MODE)).collect(),
-                            ));
-                            groups.len() - 1
-                        }
-                    };
-                    for (f, acc) in feeders.iter().zip(groups[gid].1.iter_mut()) {
+                    let (table, groups) = &mut parts[k.partition(nparts)];
+                    let (gid, fresh) = table.insert(k);
+                    if fresh {
+                        groups.push(i, specs.iter().map(|s| Accumulator::new(s, MODE)));
+                    }
+                    let first = gid as usize * stride;
+                    for (f, acc) in feeders.iter().zip(&mut groups.accs[first..first + stride]) {
                         f.feed(acc, i)?;
                     }
                 }
                 Ok(parts)
             })?;
 
-        // Phase 2: a partition's ranges fold in order into one table.
-        // A single range is already that table.
-        let merged: Vec<Groups> = if partials.len() <= 1 {
-            let only = partials.pop().unwrap_or_default();
-            only.into_iter().map(|(_, groups)| groups).collect()
-        } else {
-            morsel::run_indexed(nparts, workers, |p| {
-                let mut map = GroupMap::new(codec.u64_mode());
-                let mut groups: Groups = Vec::new();
-                for range_parts in &partials {
-                    let (range_map, range_groups) = &range_parts[p];
-                    for (k, gid) in range_map.iter() {
-                        let (rep, accs) = &range_groups[gid as usize];
-                        match map.get(&k) {
-                            Some(g) => {
-                                for (acc, other) in groups[g as usize].1.iter_mut().zip(accs) {
-                                    acc.merge(other)?;
-                                }
-                            }
-                            None => {
-                                map.insert(&k, groups.len() as u32);
-                                groups.push((*rep, accs.clone()));
+        // Phase 2: a partition's ranges fold in order into the first
+        // range's table, which is not rebuilt.
+        let merged = morsel::fold_partitions(partials, workers, |(mut table, mut groups), later| {
+            for (later_table, later) in later {
+                for (k, gid) in later_table.iter() {
+                    let gid = gid as usize;
+                    let accs = &later.accs[gid * stride..(gid + 1) * stride];
+                    match table.insert(k) {
+                        (_, true) => groups.push(later.reps[gid], accs.iter().cloned()),
+                        (g, false) => {
+                            let first = g as usize * stride;
+                            for (acc, other) in groups.accs[first..].iter_mut().zip(accs) {
+                                acc.merge(other)?;
                             }
                         }
                     }
                 }
-                Ok(groups)
-            })?
-        };
+            }
+            Ok(groups)
+        })?;
 
-        // Phase 3: stitch — ascending first-occurrence row index is
-        // first-seen group order.
-        let mut groups: Groups = merged.into_iter().flatten().collect();
-        groups.sort_unstable_by_key(|(rep, _)| *rep);
+        // The partitions' groups in one arena, for the caller to stitch.
+        let mut groups = Groups::default();
+        for part in merged {
+            groups.reps.extend(part.reps);
+            groups.accs.extend(part.accs);
+        }
         Ok(groups)
     }
 }

@@ -5,7 +5,7 @@
 
 use super::scan::{concat_col, gather_table_col, materialize_col};
 use super::{Batch, ColExec, ColVec};
-use crate::codec::{self, GroupCodec, MatchMap};
+use crate::codec::{self, GroupCodec, MatchBuilder, MatchLists};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::Env;
 use crate::ir::Expr;
@@ -14,55 +14,53 @@ use crate::plan::{JoinKind, Plan};
 use crate::profile::{self, NodeMetrics};
 use crate::storage::Table;
 use crate::value::Value;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A lazily-scanned join input: the stored table plus the scan's live
 /// column mapping, enough to fetch payload columns at matched rows only.
 type LazySide<'p> = (&'p Table, &'p [usize]);
 
-/// Build the join table over `rows` build-side rows: each range of the
-/// input fills its own radix-partitioned tables, then every partition's
-/// tables fold in range order — so each key's match list stays in global
-/// build-row order however the input was split. One worker builds one
-/// table from one range, with nothing to fold.
-fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResult<Vec<MatchMap>> {
+/// Build the join's match lists over `rows` build-side rows: each range
+/// of the input fills its own radix-partitioned builders, then every
+/// partition's builders fold in range order — appending rows and mapping
+/// key ids, so each key's rows stay in global build-row order however the
+/// input was split. One worker builds one partition from one range, with
+/// nothing to fold.
+fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResult<Vec<MatchLists>> {
     if rows > u32::MAX as usize {
         return Err(EngineError::Unsupported(
             "join build side exceeds 2^32 rows".into(),
         ));
     }
     let nparts = if workers > 1 { codec::NPARTS } else { 1 };
-    let fresh = || -> Vec<MatchMap> { (0..nparts).map(|_| MatchMap::new(rc.u64_mode())).collect() };
+    // Each builder has room for its even share of its range's rows (all
+    // of them when there is one partition).
+    let fresh = |rows: usize| -> Vec<MatchBuilder> {
+        (0..nparts)
+            .map(|_| MatchBuilder::with_capacity(rows.div_ceil(nparts)))
+            .collect()
+    };
     let ranges = morsel::coarse_morsels(rows, workers);
-    let mut per_range: Vec<Vec<MatchMap>> = morsel::run_on_ranges(ranges, workers, |range| {
-        let mut parts = fresh();
+    let per_range: Vec<Vec<MatchBuilder>> = morsel::run_on_ranges(ranges, workers, |range| {
+        let mut parts = fresh(range.len());
         let mut scratch = Vec::new();
         for j in range {
             let k = rc.encode(j, &mut scratch)?;
-            parts[k.partition(nparts)].push(&k, j as u32);
+            parts[k.partition(nparts)].push(k, j as u32);
         }
         Ok(parts)
     })?;
-    if per_range.len() <= 1 {
-        return Ok(per_range.pop().unwrap_or_else(fresh));
+    if per_range.is_empty() {
+        // No build rows: one empty table, which every probe misses.
+        return Ok(vec![MatchBuilder::default().finish()]);
     }
-    // Each partition's tables, in range order, for one worker to take
-    // and fold — into the first range's table, which is not rebuilt.
-    let mut by_part: Vec<Mutex<Vec<MatchMap>>> = (0..nparts).map(|_| Mutex::default()).collect();
-    for parts in per_range {
-        for (slot, table) in by_part.iter_mut().zip(parts) {
-            slot.get_mut().expect("not shared yet").push(table);
+    // Each partition's builders fold into the first range's, which is
+    // not rebuilt.
+    morsel::fold_partitions(per_range, workers, |mut part, later| {
+        for builder in later {
+            part.absorb(builder);
         }
-    }
-    morsel::run_indexed(nparts, workers, |p| {
-        let mut tables = std::mem::take(&mut *by_part[p].lock().expect("holders do not panic"))
-            .into_iter();
-        let mut table = tables.next().expect("one table per range");
-        for later in tables {
-            table.absorb(later);
-        }
-        Ok(table)
+        Ok(part.finish())
     })
 }
 
@@ -73,7 +71,7 @@ type Matches<'t> = (usize, &'t [u32]);
 /// Probe `tables` with every one of `rows` left rows: the rows that
 /// match anything, in probe order, each with its match list.
 fn probe<'t>(
-    tables: &'t [MatchMap],
+    tables: &'t [MatchLists],
     lc: &GroupCodec<'_>,
     rows: usize,
     workers: usize,
@@ -84,7 +82,7 @@ fn probe<'t>(
         let mut scratch = Vec::new();
         for i in range {
             let k = lc.encode(i, &mut scratch)?;
-            if let Some(list) = tables[k.partition(tables.len())].get(&k) {
+            if let Some(list) = tables[k.partition(tables.len())].get(k) {
                 found.push((i, list));
             }
         }

@@ -215,105 +215,171 @@ pub(super) fn vectorizable(e: &Expr) -> bool {
     }
 }
 
-/// Vectorized arithmetic with typed fast paths; the guarded-decimal paths
-/// are the expensive, overflow-checked ones.
+/// Vectorized arithmetic. `+`, `-` and `*` over integer and decimal
+/// columns and constants, on either side, run through the one typed
+/// kernel, [`numeric`]; floats, boxed columns, NULL, `/`, `%` and `||`
+/// go element by element through the scalar operations.
 fn arith_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColVec> {
-    match (op, l, r) {
+    match (l, r) {
         // Constant against constant (`date '1998-12-01' - interval '90'
         // day`): compute the one value once and keep it a constant, so
         // the comparison above it takes its typed fast path. (No rows,
         // no evaluation: an erroring constant stays silent on empty
         // input.)
-        (_, ColVec::Const(..), ColVec::Const(..)) if n > 0 => {
+        (ColVec::Const(..), ColVec::Const(..)) if n > 0 => {
             Ok(ColVec::Const(elementwise(op, l, r, 1)?.get(0), n))
         }
-        // decimal ⊙ decimal
-        (
-            BinOp::Mul,
-            ColVec::Decimal { raw: lr, scale: ls },
-            ColVec::Decimal { raw: rr, scale: rs },
-        ) => {
-            let mut out = Vec::with_capacity(n);
-            let mut scale = ls + rs;
-            let mut shift = 1i128;
-            while scale > 6 {
-                shift *= 10;
-                scale -= 1;
-            }
-            for i in 0..n {
-                let p = lr[i]
-                    .checked_mul(rr[i])
-                    .ok_or_else(|| EngineError::Overflow("decimal *".into()))?;
-                out.push(p / shift);
-            }
-            Ok(ColVec::Decimal { raw: out, scale })
-        }
-        (
-            BinOp::Plus | BinOp::Minus,
-            ColVec::Decimal { raw: lr, scale: ls },
-            ColVec::Decimal { raw: rr, scale: rs },
-        ) => {
-            let scale = (*ls).max(*rs);
-            let lf = 10i128.pow((scale - ls) as u32);
-            let rf = 10i128.pow((scale - rs) as u32);
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let a = lr[i]
-                    .checked_mul(lf)
-                    .ok_or_else(|| EngineError::Overflow("decimal rescale".into()))?;
-                let b = rr[i]
-                    .checked_mul(rf)
-                    .ok_or_else(|| EngineError::Overflow("decimal rescale".into()))?;
-                let v = if op == BinOp::Plus {
-                    a.checked_add(b)
-                } else {
-                    a.checked_sub(b)
-                };
-                out.push(v.ok_or_else(|| EngineError::Overflow("decimal +/-".into()))?);
-            }
-            Ok(ColVec::Decimal { raw: out, scale })
-        }
-        // int ⊙ int
-        (BinOp::Plus, ColVec::Int(a), ColVec::Int(b)) => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(
-                    a[i].checked_add(b[i])
-                        .ok_or_else(|| EngineError::Overflow("integer +".into()))?,
-                );
-            }
-            Ok(ColVec::Int(out))
-        }
-        (BinOp::Minus, ColVec::Int(a), ColVec::Int(b)) => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(
-                    a[i].checked_sub(b[i])
-                        .ok_or_else(|| EngineError::Overflow("integer -".into()))?,
-                );
-            }
-            Ok(ColVec::Int(out))
-        }
-        (BinOp::Mul, ColVec::Int(a), ColVec::Int(b)) => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                out.push(
-                    a[i].checked_mul(b[i])
-                        .ok_or_else(|| EngineError::Overflow("integer *".into()))?,
-                );
-            }
-            Ok(ColVec::Int(out))
-        }
-        // Constant broadcast: expand and retry via the generic path below
-        // would lose the typed loop; handle decimal-const specially.
-        (_, ColVec::Const(cv, _), _) if cv.is_numeric() || matches!(cv, Value::Null) => {
-            elementwise(op, l, r, n)
-        }
-        (_, _, ColVec::Const(cv, _)) if cv.is_numeric() || matches!(cv, Value::Null) => {
-            elementwise(op, l, r, n)
-        }
-        _ => elementwise(op, l, r, n),
+        _ => match (op, Num::of(l), Num::of(r)) {
+            (BinOp::Plus | BinOp::Minus | BinOp::Mul, Some(a), Some(b)) => numeric(op, a, b, n),
+            _ => elementwise(op, l, r, n),
+        },
     }
+}
+
+/// The rows of one operand of [`numeric`], as raw `i128`s.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    Ints(&'a [i64]),
+    Decs(&'a [i128]),
+    /// A constant, the same on every row.
+    Const(i128),
+}
+
+/// An integer or decimal operand: its lane, its scale (0 for integers)
+/// and whether it is an integer.
+#[derive(Clone, Copy)]
+struct Num<'a> {
+    lane: Lane<'a>,
+    scale: u8,
+    int: bool,
+}
+
+impl Num<'_> {
+    fn of(col: &ColVec) -> Option<Num<'_>> {
+        let (lane, scale, int) = match col {
+            ColVec::Int(v) => (Lane::Ints(v), 0, true),
+            ColVec::Decimal { raw, scale } => (Lane::Decs(raw), *scale, false),
+            ColVec::Const(Value::Int(i), _) => (Lane::Const(*i as i128), 0, true),
+            ColVec::Const(Value::Decimal { raw, scale }, _) => (Lane::Const(*raw), *scale, false),
+            _ => return None,
+        };
+        Some(Num { lane, scale, int })
+    }
+}
+
+/// `l op r` over integer and decimal operands, row by row, exactly as
+/// `value::{add, sub, mul}` compute it in guarded mode: two integers stay
+/// an integer, checked in `i64`; a decimal on either side makes the
+/// result a decimal — at the wider scale for `+` and `-`, both sides
+/// rescaled with a checked multiply, and at the summed scale capped at 6
+/// for `*`, the product checked before the cap divides it — with the
+/// same overflow checks and the same error texts.
+fn numeric<'a>(op: BinOp, l: Num<'a>, r: Num<'a>, n: usize) -> EngineResult<ColVec> {
+    if l.int && r.int {
+        // Exact in `i128`: the `i64` result exists iff it fits.
+        let out = map2(l.lane, r.lane, n, |a, b| {
+            let v = match op {
+                BinOp::Plus => a + b,
+                BinOp::Minus => a - b,
+                _ => a * b,
+            };
+            i64::try_from(v).map_err(|_| value::overflow(true, op))
+        })?;
+        return Ok(ColVec::Int(out));
+    }
+    if op == BinOp::Mul {
+        let (mut scale, mut shift) = (l.scale + r.scale, 1i128);
+        while scale > 6 {
+            shift *= 10;
+            scale -= 1;
+        }
+        let raw = map2(l.lane, r.lane, n, |a, b| {
+            checked_mul(a, b)
+                .map(|p| if shift == 1 { p } else { p / shift })
+                .ok_or_else(|| value::overflow(false, op))
+        })?;
+        return Ok(ColVec::Decimal { raw, scale });
+    }
+    let scale = l.scale.max(r.scale);
+    let rescale = |x: i128, f: i128| {
+        checked_mul(x, f).ok_or_else(|| EngineError::Overflow("decimal rescale".into()))
+    };
+    // Each side's lane and the factor that takes it to `scale`. A
+    // constant is rescaled once: if that overflows, so does every row,
+    // with the same text whichever side a row rescales first.
+    let side = |x: Num<'a>| {
+        let f = 10i128.pow((scale - x.scale) as u32);
+        match x.lane {
+            Lane::Const(c) if n > 0 => Ok::<_, EngineError>((Lane::Const(rescale(c, f)?), 1)),
+            lane => Ok((lane, f)),
+        }
+    };
+    let ((llane, lf), (rlane, rf)) = (side(l)?, side(r)?);
+    let raw = map2(llane, rlane, n, |a, b| {
+        let (a, b) = (rescale(a, lf)?, rescale(b, rf)?);
+        match op {
+            BinOp::Plus => a.checked_add(b),
+            _ => a.checked_sub(b),
+        }
+        .ok_or_else(|| value::overflow(false, op))
+    })?;
+    Ok(ColVec::Decimal { raw, scale })
+}
+
+/// `a * b`, checked. Two factors that fit `i64` — the product of any two
+/// stored values, a value and a power of ten — cannot overflow `i128`:
+/// one widening multiply, no overflow test.
+#[inline]
+fn checked_mul(a: i128, b: i128) -> Option<i128> {
+    let fits = |x: i128| x as i64 as i128 == x;
+    if fits(a) && fits(b) {
+        Some(a * b)
+    } else {
+        a.checked_mul(b)
+    }
+}
+
+/// `f` over the rows of two lanes, stopping at the first error. Each
+/// pairing of lane kinds gets its own loop, with no per-row dispatch.
+fn map2<T>(
+    l: Lane<'_>,
+    r: Lane<'_>,
+    n: usize,
+    f: impl Fn(i128, i128) -> EngineResult<T>,
+) -> EngineResult<Vec<T>> {
+    fn run<T>(
+        n: usize,
+        a: impl Fn(usize) -> i128,
+        b: impl Fn(usize) -> i128,
+        f: &impl Fn(i128, i128) -> EngineResult<T>,
+    ) -> EngineResult<Vec<T>> {
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            out.push(f(a(i), b(i))?);
+        }
+        Ok(out)
+    }
+    macro_rules! lane {
+        ($lane:expr, $at:ident => $body:expr) => {
+            match $lane {
+                Lane::Ints(v) => {
+                    let v = &v[..n];
+                    let $at = |i: usize| v[i] as i128;
+                    $body
+                }
+                Lane::Decs(v) => {
+                    let v = &v[..n];
+                    let $at = |i: usize| v[i];
+                    $body
+                }
+                Lane::Const(c) => {
+                    let $at = |_: usize| c;
+                    $body
+                }
+            }
+        };
+    }
+    lane!(l, a => lane!(r, b => run(n, a, b, &f)))
 }
 
 /// Generic element-at-a-time fallback using the guarded scalar ops.
@@ -501,4 +567,116 @@ fn not_kernel(v: &ColVec, n: usize) -> EngineResult<ColVec> {
         });
     }
     Ok(ColVec::Val(out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const ROWS: usize = 3;
+
+    /// Integers from small to the edges of `i64`.
+    fn int(pick: u64) -> i64 {
+        match pick % 4 {
+            0 | 1 => (pick >> 8) as i64 % 1_000,
+            2 => [i64::MIN, i64::MAX, i64::MIN + 1, -1][(pick >> 8) as usize % 4],
+            _ => pick as i64,
+        }
+    }
+
+    /// Raw decimals from small to the edges of `i128`, and near the edge
+    /// a rescale by up to 10^8 crosses.
+    fn raw(pick: u64) -> i128 {
+        let small = (pick >> 8) as i128 % 1_000;
+        match pick % 6 {
+            0 | 1 => small,
+            2 => int(pick >> 2) as i128,
+            3 => [i128::MIN, i128::MAX, i128::MIN + 1, i128::MAX - 1][(pick >> 8) as usize % 4],
+            4 => i128::MAX / 10i128.pow((pick >> 8) as u32 % 9) - small,
+            _ => -(i128::MAX / 10i128.pow((pick >> 8) as u32 % 9)) + small,
+        }
+    }
+
+    /// An integer or decimal column or constant, or a NULL constant.
+    fn operand(kind: u8, scale: u8, picks: [u64; ROWS]) -> ColVec {
+        match kind {
+            0 => ColVec::Int(picks.map(int).to_vec()),
+            1 => ColVec::Decimal {
+                raw: picks.map(raw).to_vec(),
+                scale,
+            },
+            2 => ColVec::Const(Value::Int(int(picks[0])), ROWS),
+            3 => ColVec::Const(
+                Value::Decimal {
+                    raw: raw(picks[0]),
+                    scale,
+                },
+                ROWS,
+            ),
+            _ => ColVec::Const(Value::Null, ROWS),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The kernel is the scalar operations of guarded mode, row by
+        /// row: the same value bits on every row, or the error the first
+        /// failing row raises, text included.
+        #[test]
+        fn numeric_kernel_is_the_scalar_operations(
+            op in 0u8..3,
+            lkind in 0u8..5,
+            rkind in 0u8..5,
+            lscale in 0u8..9,
+            rscale in 0u8..9,
+            l0 in any::<u64>(),
+            l1 in any::<u64>(),
+            l2 in any::<u64>(),
+            r0 in any::<u64>(),
+            r1 in any::<u64>(),
+            r2 in any::<u64>(),
+        ) {
+            let op = [BinOp::Plus, BinOp::Minus, BinOp::Mul][op as usize];
+            let l = operand(lkind, lscale, [l0, l1, l2]);
+            let r = operand(rkind, rscale, [r0, r1, r2]);
+            let scalar = |a: &Value, b: &Value| match op {
+                BinOp::Plus => value::add(a, b, MODE),
+                BinOp::Minus => value::sub(a, b, MODE),
+                _ => value::mul(a, b, MODE),
+            };
+            let expected: EngineResult<Vec<Value>> =
+                (0..ROWS).map(|i| scalar(&l.get(i), &r.get(i))).collect();
+            let got = arith_kernel(op, &l, &r, ROWS)
+                .map(|col| (0..ROWS).map(|i| col.get(i)).collect::<Vec<_>>());
+            // `Debug` of these values shows every bit that matters:
+            // variant, raw and scale.
+            prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{:?} {:?} {:?}", l, op, r);
+        }
+    }
+
+    #[test]
+    fn typed_operands_stay_typed_and_the_rest_goes_elementwise() {
+        let ints = ColVec::Int(vec![1, 2]);
+        let disc = ColVec::Decimal {
+            raw: vec![5, 10],
+            scale: 2,
+        };
+        let one = ColVec::Const(Value::Int(1), 2);
+        // `1 - l_discount`: a constant against a decimal column.
+        match arith_kernel(BinOp::Minus, &one, &disc, 2).unwrap() {
+            ColVec::Decimal { raw, scale } => assert_eq!((raw, scale), (vec![95, 90], 2)),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(
+            arith_kernel(BinOp::Mul, &ints, &one, 2).unwrap(),
+            ColVec::Int(v) if v == [1, 2]
+        ));
+        let null = ColVec::Const(Value::Null, 2);
+        let floats = ColVec::Float(vec![0.5, 1.5]);
+        for (l, r) in [(&ints, &null), (&disc, &floats)] {
+            assert!(matches!(arith_kernel(BinOp::Plus, l, r, 2).unwrap(), ColVec::Val(_)));
+        }
+    }
 }

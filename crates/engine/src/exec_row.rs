@@ -14,7 +14,7 @@
 //! row is built, and joins and grouping keep their state in flat arenas
 //! and write their output into one reused row.
 
-use crate::codec::FxBuild;
+use crate::codec::{self, KeyTable, MatchBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
     self, collect_aggregates, Accumulator, ColTest, CteFrame, Env, EvalCtx, NoSubqueries, Prepared,
@@ -26,10 +26,10 @@ use crate::output::{finish_rows, prepare_sort_keys, sort_keys};
 use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
 use crate::storage::{self, CellPred, Database, Table, ZonePred, CHUNK_ROWS};
-use crate::value::{self, ArithMode, FixedKey, Value};
+use crate::value::{self, ArithMode, Value};
 use sqalpel_sql::ast::{BinOp, Query};
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -238,91 +238,6 @@ impl<'p> ScanFilter<'p> {
     }
 }
 
-/// A hash index over evaluated key tuples. A single non-string key (and
-/// the empty tuple) is hashed as its [`FixedKey`]; multi-column and
-/// string keys as tagged byte encodings built in one reused buffer, owned
-/// once per distinct key. The two images never compare equal to each
-/// other (a string equals no non-string), so splitting them over two
-/// maps is exact.
-struct KeyIndex<T> {
-    fixed: HashMap<FixedKey, T, FxBuild>,
-    bytes: HashMap<Vec<u8>, T, FxBuild>,
-    buf: Vec<u8>,
-}
-
-impl<T: Copy> KeyIndex<T> {
-    fn new() -> Self {
-        KeyIndex {
-            fixed: HashMap::default(),
-            bytes: HashMap::default(),
-            buf: Vec::new(),
-        }
-    }
-
-    /// The fixed image of the key of `row`, or `None` with the byte
-    /// image left in `self.buf`.
-    fn image(
-        &mut self,
-        keys: &[Prepared<'_>],
-        row: &[Value],
-        ctx: &EvalCtx<'_>,
-    ) -> EngineResult<Option<FixedKey>> {
-        self.buf.clear();
-        match keys {
-            [] => return Ok(Some(FixedKey::UNIT)),
-            [key] => {
-                let v = key.eval_ref(row, ctx)?;
-                match value::fixed_key(&v)? {
-                    Some(k) => return Ok(Some(k)),
-                    None => value::encode_key(&v, &mut self.buf)?,
-                }
-            }
-            keys => {
-                for key in keys {
-                    value::encode_key(&*key.eval_ref(row, ctx)?, &mut self.buf)?;
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    fn get(
-        &mut self,
-        keys: &[Prepared<'_>],
-        row: &[Value],
-        ctx: &EvalCtx<'_>,
-    ) -> EngineResult<Option<T>> {
-        Ok(match self.image(keys, row, ctx)? {
-            Some(k) => self.fixed.get(&k).copied(),
-            None => self.bytes.get(self.buf.as_slice()).copied(),
-        })
-    }
-
-    /// What is stored under the key of `row` — `fresh`, newly inserted, if
-    /// nothing was — and whether that insertion happened.
-    fn get_or_insert(
-        &mut self,
-        keys: &[Prepared<'_>],
-        row: &[Value],
-        ctx: &EvalCtx<'_>,
-        fresh: T,
-    ) -> EngineResult<(T, bool)> {
-        Ok(match self.image(keys, row, ctx)? {
-            Some(k) => match self.fixed.entry(k) {
-                Entry::Occupied(e) => (*e.get(), false),
-                Entry::Vacant(e) => (*e.insert(fresh), true),
-            },
-            None => match self.bytes.get(self.buf.as_slice()) {
-                Some(found) => (*found, false),
-                None => {
-                    self.bytes.insert(self.buf.clone(), fresh);
-                    (fresh, true)
-                }
-            },
-        })
-    }
-}
-
 /// The reused output row of a join: left columns, then right.
 struct Combined {
     row: Vec<Value>,
@@ -346,9 +261,6 @@ impl Combined {
         self.row[self.left_width..].fill(Value::Null);
     }
 }
-
-/// End of a match list.
-const NIL: u32 = u32::MAX;
 
 impl<'a> RowExec<'a> {
     pub fn new(db: &'a Database, budget: u64) -> Self {
@@ -535,13 +447,15 @@ impl<'a> RowExec<'a> {
         // two flat arenas: each group's representative row and its
         // accumulators, one stride apiece.
         let width = scope.schema.len();
-        let mut index: KeyIndex<u32> = KeyIndex::new();
+        let mut index = KeyTable::default();
+        let mut scratch = Vec::new();
         let mut groups = 0usize;
         let mut reps: Vec<Value> = Vec::new();
         let mut accs: Vec<Accumulator> = Vec::new();
 
         self.execute_core(&bq.core, scope.outer, &mut |row| {
-            let (gid, fresh) = index.get_or_insert(&group_by, row, ctx, groups as u32)?;
+            let key = |i: usize| group_by[i].eval_ref(row, ctx);
+            let (gid, fresh) = index.insert(codec::tuple_image(group_by.len(), key, &mut scratch)?);
             if fresh {
                 groups += 1;
                 reps.extend_from_slice(row);
@@ -949,9 +863,8 @@ impl<'a> RowExec<'a> {
             });
         }
 
-        // Hash join: index the build rows by key. A key's match list is
-        // threaded through `next` in build order, from the row the index
-        // holds to `NIL`; `last[first]` is where the list currently ends.
+        // Hash join: the build rows grouped by key, each key's rows in
+        // build order.
         let lkeys: Vec<Prepared<'_>> = equi
             .iter()
             .map(|(l, _)| Prepared::new(l, scope_of(&left_schema), MODE, &[]))
@@ -960,26 +873,21 @@ impl<'a> RowExec<'a> {
             .iter()
             .map(|(_, r)| Prepared::new(r, scope_of(&right_schema), MODE, &[]))
             .collect();
-        let mut index: KeyIndex<u32> = KeyIndex::new();
-        let mut next: Vec<u32> = vec![NIL; build_rows];
-        let mut last: Vec<u32> = vec![NIL; build_rows];
+        let mut scratch = Vec::new();
+        let mut lists = MatchBuilder::with_capacity(build_rows);
         for i in 0..build_rows {
             self.charge(1)?;
-            let (first, fresh) = index.get_or_insert(&rkeys, build_row(i), &ctx, i as u32)?;
-            if !fresh {
-                next[last[first as usize] as usize] = i as u32;
-            }
-            last[first as usize] = i as u32;
+            let row = build_row(i);
+            let key = |k: usize| rkeys[k].eval_ref(row, &ctx);
+            lists.push(codec::tuple_image(rkeys.len(), key, &mut scratch)?, i as u32);
         }
+        let lists = lists.finish();
 
         self.execute_core(left, outer, &mut |lrow| {
             self.charge(1)?;
-            let first = index.get(&lkeys, lrow, &ctx)?;
-            let mut matches = std::iter::successors(first, |&i| {
-                Some(next[i as usize]).filter(|&n| n != NIL)
-            })
-            .map(|i| i as usize);
-            probe(lrow, &mut matches, sink)
+            let key = |k: usize| lkeys[k].eval_ref(lrow, &ctx);
+            let list = lists.get(codec::tuple_image(lkeys.len(), key, &mut scratch)?);
+            probe(lrow, &mut list.unwrap_or_default().iter().map(|&i| i as usize), sink)
         })
     }
 }

@@ -29,6 +29,7 @@
 use crate::error::{EngineError, EngineResult};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Rows per morsel. Small enough that a skewed predicate still load-balances
 /// across workers, large enough that per-morsel overhead (a batch header,
@@ -158,6 +159,44 @@ fn host_workers() -> usize {
 /// produces byte-identical results anyway.
 pub fn effective_workers(threads: usize) -> usize {
     threads.min(host_workers())
+}
+
+/// Fold per-range state partition by partition: `per_range[r][p]` is
+/// range `r`'s state for partition `p`. Each partition's first range's
+/// state goes to `fold` with the later ranges' states, in range order;
+/// partitions spread over up to `threads` workers and come back in
+/// partition order. One range folds nothing into each of its states, on
+/// the calling thread. The grouped aggregation and the join build both
+/// merge this way.
+pub fn fold_partitions<T, R, F>(
+    mut per_range: Vec<Vec<T>>,
+    threads: usize,
+    fold: F,
+) -> EngineResult<Vec<R>>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T, std::vec::IntoIter<T>) -> EngineResult<R> + Sync,
+{
+    if per_range.len() <= 1 {
+        let parts = per_range.pop().unwrap_or_default();
+        return parts.into_iter().map(|part| fold(part, Vec::new().into_iter())).collect();
+    }
+    let nparts = per_range[0].len();
+    let mut by_part: Vec<Mutex<Vec<T>>> = (0..nparts)
+        .map(|_| Mutex::new(Vec::with_capacity(per_range.len())))
+        .collect();
+    for parts in per_range {
+        for (slot, part) in by_part.iter_mut().zip(parts) {
+            slot.get_mut().expect("not shared yet").push(part);
+        }
+    }
+    run_indexed(nparts, threads, |p| {
+        let mut parts = std::mem::take(&mut *by_part[p].lock().expect("holders do not panic"))
+            .into_iter();
+        let first = parts.next().expect("one state per range");
+        fold(first, parts)
+    })
 }
 
 /// Run `f(0) .. f(count - 1)` on up to `threads` scoped workers and return

@@ -182,21 +182,30 @@ pub(crate) fn rescale(raw: i128, from: u8, to: u8) -> EngineResult<i128> {
     }
 }
 
-/// Add two values under the given arithmetic mode.
-pub fn add(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
-    numeric_or_temporal(a, b, mode, "+")
+/// The overflow error of `op` over two integers (`int`) or over
+/// decimals: one text per operator, whichever path computed it.
+pub(crate) fn overflow(int: bool, op: BinOp) -> EngineError {
+    let class = if int { "integer" } else { "decimal" };
+    EngineError::Overflow(format!("{class} {}", op.sql()))
 }
 
-/// Subtract.
+/// Add two values under the given arithmetic mode.
+pub fn add(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
+    numeric_or_temporal(a, b, mode, BinOp::Plus)
+}
+
+/// Subtract. Numbers subtract, checked, as they add; anything else adds
+/// the negation.
 pub fn sub(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
     match (a, b) {
         (Value::Date(d), Value::Date(e)) => Ok(Value::Int((*d - *e) as i64)),
         (Value::Date(d), Value::Interval { months, days }) => {
             Ok(Value::Date(shift_date(*d, -months, -days)))
         }
+        _ if a.is_numeric() && b.is_numeric() => plus_minus(a, b, mode, BinOp::Minus),
         _ => {
             let neg = negate(b, mode)?;
-            numeric_or_temporal(a, &neg, mode, "-")
+            numeric_or_temporal(a, &neg, mode, BinOp::Minus)
         }
     }
 }
@@ -210,7 +219,8 @@ fn shift_date(d: Day, months: i32, days: i32) -> Day {
     with_months + days
 }
 
-fn numeric_or_temporal(a: &Value, b: &Value, mode: ArithMode, op: &str) -> EngineResult<Value> {
+/// `a + b`; `op` names the operator a type error reports.
+fn numeric_or_temporal(a: &Value, b: &Value, mode: ArithMode, op: BinOp) -> EngineResult<Value> {
     match (a, b) {
         (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
         (Value::Date(d), Value::Interval { months, days })
@@ -218,34 +228,36 @@ fn numeric_or_temporal(a: &Value, b: &Value, mode: ArithMode, op: &str) -> Engin
             Ok(Value::Date(shift_date(*d, *months, *days)))
         }
         (Value::Date(d), Value::Int(n)) => Ok(Value::Date(*d + *n as i32)),
-        (Value::Int(x), Value::Int(y)) => x
-            .checked_add(*y)
-            .map(Value::Int)
-            .ok_or_else(|| EngineError::Overflow("integer +".into())),
-        _ if a.is_numeric() && b.is_numeric() => match mode {
-            ArithMode::Float => Ok(Value::Float(a.as_f64().unwrap() + b.as_f64().unwrap())),
-            ArithMode::GuardedDecimal => {
-                let (ar, asc) = to_decimal(a);
-                let (br, bsc) = to_decimal(b);
-                match (ar, br) {
-                    (Some(ar), Some(br)) => {
-                        let scale = asc.max(bsc);
-                        let x = rescale(ar, asc, scale)?;
-                        let y = rescale(br, bsc, scale)?;
-                        x.checked_add(y)
-                            .map(|raw| Value::Decimal { raw, scale })
-                            .ok_or_else(|| EngineError::Overflow("decimal +".into()))
-                    }
-                    // A float operand forces float math even in guarded mode.
-                    _ => Ok(Value::Float(a.as_f64().unwrap() + b.as_f64().unwrap())),
-                }
-            }
-        },
+        _ if a.is_numeric() && b.is_numeric() => plus_minus(a, b, mode, BinOp::Plus),
         _ => Err(EngineError::Type(format!(
-            "cannot apply {op} to {} and {}",
+            "cannot apply {} to {} and {}",
+            op.sql(),
             a.type_name(),
             b.type_name()
         ))),
+    }
+}
+
+/// `a + b` or `a - b` over two numbers.
+fn plus_minus(a: &Value, b: &Value, mode: ArithMode, op: BinOp) -> EngineResult<Value> {
+    let minus = op == BinOp::Minus;
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        let v = if minus { x.checked_sub(*y) } else { x.checked_add(*y) };
+        return v.map(Value::Int).ok_or_else(|| overflow(true, op));
+    }
+    let float = |x: f64, y: f64| Value::Float(if minus { x - y } else { x + y });
+    match (mode, to_decimal(a), to_decimal(b)) {
+        (ArithMode::GuardedDecimal, (Some(ar), asc), (Some(br), bsc)) => {
+            let scale = asc.max(bsc);
+            let x = rescale(ar, asc, scale)?;
+            let y = rescale(br, bsc, scale)?;
+            let v = if minus { x.checked_sub(y) } else { x.checked_add(y) };
+            v.map(|raw| Value::Decimal { raw, scale })
+                .ok_or_else(|| overflow(false, op))
+        }
+        // Float mode, or a float operand, which forces float math even
+        // in guarded mode.
+        _ => Ok(float(a.as_f64().unwrap(), b.as_f64().unwrap())),
     }
 }
 
@@ -262,12 +274,15 @@ fn to_decimal(v: &Value) -> (Option<i128>, u8) {
 pub fn negate(v: &Value, _mode: ArithMode) -> EngineResult<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Int(i) => Ok(Value::Int(-i)),
+        Value::Int(i) => i
+            .checked_neg()
+            .map(Value::Int)
+            .ok_or_else(|| overflow(true, BinOp::Minus)),
         Value::Float(f) => Ok(Value::Float(-f)),
-        Value::Decimal { raw, scale } => Ok(Value::Decimal {
-            raw: -raw,
-            scale: *scale,
-        }),
+        Value::Decimal { raw, scale } => raw
+            .checked_neg()
+            .map(|raw| Value::Decimal { raw, scale: *scale })
+            .ok_or_else(|| overflow(false, BinOp::Minus)),
         Value::Interval { months, days } => Ok(Value::Interval {
             months: -months,
             days: -days,
@@ -286,7 +301,7 @@ pub fn mul(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
         (Value::Int(x), Value::Int(y)) => x
             .checked_mul(*y)
             .map(Value::Int)
-            .ok_or_else(|| EngineError::Overflow("integer *".into())),
+            .ok_or_else(|| overflow(true, BinOp::Mul)),
         _ if a.is_numeric() && b.is_numeric() => match mode {
             ArithMode::Float => Ok(Value::Float(a.as_f64().unwrap() * b.as_f64().unwrap())),
             ArithMode::GuardedDecimal => {
@@ -294,9 +309,7 @@ pub fn mul(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
                 let (br, bsc) = to_decimal(b);
                 match (ar, br) {
                     (Some(ar), Some(br)) => {
-                        let raw = ar
-                            .checked_mul(br)
-                            .ok_or_else(|| EngineError::Overflow("decimal *".into()))?;
+                        let raw = ar.checked_mul(br).ok_or_else(|| overflow(false, BinOp::Mul))?;
                         let mut scale = asc + bsc;
                         let mut raw = raw;
                         // Cap the scale at 6 to bound growth across chained
@@ -456,24 +469,32 @@ impl Value {
 }
 
 /// The fixed-width part of the key domain: the image of every value
-/// but a string, equal exactly when the [`Key`]s are. A hash table over
-/// one non-string key column hashes this instead of a byte string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// but a string, equal exactly when the [`Key`]s are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FixedKey {
     tag: u8,
     bits: i128,
 }
 
 impl FixedKey {
-    /// The key of the empty tuple (a global aggregate's one group);
-    /// equal to no value's key.
-    pub(crate) const UNIT: FixedKey = FixedKey {
-        tag: u8::MAX,
-        bits: 0,
-    };
+    /// Bits of a [`FixedKey::word`] below its tag.
+    const PAYLOAD: u32 = 60;
+
+    /// The key as one machine word — its tag in the top 4 bits, its bits
+    /// in the low 60 — when the bits fit 60 as a signed number: NULL,
+    /// booleans, dates and every number up to ±5.7·10¹¹ do; other
+    /// numbers, and non-integral floats, do not. Distinct keys that fit
+    /// get distinct words.
+    #[inline]
+    pub(crate) fn word(self) -> Option<u64> {
+        let half = 1i128 << (Self::PAYLOAD - 1);
+        let payload = self.bits as u64 & ((1 << Self::PAYLOAD) - 1);
+        (-half..half).contains(&self.bits).then_some((self.tag as u64) << Self::PAYLOAD | payload)
+    }
 }
 
 /// The [`FixedKey`] of `v`; `None` for strings.
+#[inline]
 pub(crate) fn fixed_key(v: &Value) -> EngineResult<Option<FixedKey>> {
     let (tag, bits) = match v {
         Value::Null => (0, 0),
@@ -497,6 +518,22 @@ pub(crate) fn fixed_key(v: &Value) -> EngineResult<Option<FixedKey>> {
         }
     };
     Ok(Some(FixedKey { tag, bits }))
+}
+
+/// The key of `v` as one machine word, when it fits one: a fixed key
+/// that does ([`FixedKey::word`]), or a string of at most 7 bytes — the
+/// tag [`encode_key`] gives strings (4) in the top 4 bits, then its
+/// length, then its bytes. Distinct keys that fit get distinct words.
+#[inline]
+pub(crate) fn key_word(v: &Value) -> EngineResult<Option<u64>> {
+    Ok(match v {
+        Value::Str(s) if s.len() < 8 => {
+            let mut bytes = [0u8; 8];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Some(4 << FixedKey::PAYLOAD | (s.len() as u64) << 56 | u64::from_le_bytes(bytes))
+        }
+        v => fixed_key(v)?.and_then(FixedKey::word),
+    })
 }
 
 /// Append the grouping/hashing key image of `v` to `buf` as a tagged

@@ -254,6 +254,35 @@ fn division_by_zero_is_an_error_run() {
 }
 
 #[test]
+fn integer_subtraction_and_negation_overflow_is_an_error_run() {
+    let db = tiny_db();
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        // i64::MIN is `-9223372036854775807 - 1`: subtracting or negating
+        // it overflows, on a constant and on a column alike.
+        for sql in [
+            "select 5 - (-9223372036854775807 - 1) from people",
+            "select id - (-9223372036854775807 - 1) from people",
+            "select -(-9223372036854775807 - 1) from people",
+        ] {
+            let err = dbms.execute(sql).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "numeric overflow: integer -",
+                "{sql} on {}",
+                dbms.label()
+            );
+        }
+        let r = dbms
+            .execute("select id - 9223372036854775807 from people where id = 1")
+            .unwrap();
+        assert_eq!(cell(&r, 0, 0), "-9223372036854775806", "{}", dbms.label());
+    }
+}
+
+#[test]
 fn correlated_exists_and_not_exists() {
     on_both(
         "select name from people where exists \
