@@ -197,6 +197,16 @@ cargo test -q --release -p sqalpel-core --test push_props
 # claims it leaves in flight keep their nonces (a fresh nonce after the
 # restart never gets one of them back).
 cargo test -q --release -p sqalpel-bench --test crash_recovery
+# The contributor command line end to end: `repro contribute` against a
+# live `repro serve` drains each demo target — v1 one task at a time, v2,
+# and v2 `--bulk` — exits 0 with a "queue drained" count equal to the
+# target's queued tasks, and exits 2 on a DBMS label no engine reports.
+cargo test -q --release -p sqalpel-bench --test contribute_e2e
+# Every test of every workspace package, so nothing runs only by hand:
+# the suites no line above names (cross_engine, sql_semantics, the
+# engine's differential walls) and the in-file unit tests of -engine,
+# -grammar, -sql, -datagen and -core (for_label, the contributor loop).
+cargo test --workspace --release -q
 # The benchmark (BENCHMARK.json): all five workloads at smoke length with
 # every output check on — engines agree with the goldens, every task
 # acked once, ReportBatch index order, CSV byte-identical after reopening

@@ -250,8 +250,8 @@ fn serve(args: &[String]) {
 /// produced, so the output format can be inspected offline.
 fn metrics(addr: Option<&str>) {
     use sqalpel_core::{
-        bootstrap_server, DriverConfig, EngineConnector, ExperimentDriver, SqalpelServer,
-        WireClient, WireConfig, WireServer, Worker,
+        bootstrap_server, DriverConfig, EngineConnector, ExperimentDriver, PollPolicy,
+        SqalpelServer, WireClient, WireConfig, WireServer, Worker,
     };
     use sqalpel_engine::{Database, RowStore};
     use std::net::ToSocketAddrs;
@@ -289,7 +289,8 @@ fn metrics(addr: Option<&str>) {
                 DriverConfig::parse("dbms = rowstore-2.0\nhost = bench-server\nrepetitions = 2")
                     .expect("driver config"),
             );
-            sqalpel_core::run_worker_pool(&client, vec![Worker::new(key, driver)]);
+            let worker = Worker::new(key, driver);
+            sqalpel_core::run_worker_pool(&client, vec![worker], PollPolicy::default());
             std::mem::forget(wire);
             client
         }
@@ -305,60 +306,63 @@ fn metrics(addr: Option<&str>) {
 
 /// `repro contribute <addr> <key> [dbms] [host] [--proto v1|v2] [--bulk]`:
 /// connect to a running `repro serve`, claim tasks for one target, run
-/// them on the local engine, and report the measurements back — over
-/// JSON/HTTP (`v1`, the default) or the framed binary protocol (`v2`).
+/// them on the local engine named by `dbms`, and report the measurements
+/// back — over JSON/HTTP (`v1`, the default) or the framed binary
+/// protocol (`v2`). The loop is [`sqalpel_core::contribute`]; this
+/// command only parses its arguments, builds the engine and prints.
 ///
-/// `--bulk` switches to the streaming upload shape: claim a whole round
-/// of tasks under distinct nonces, run them all, and report the round as
-/// one `ReportBatch` (over v2 that is columnar continuation frames with
-/// a single ack and one WAL group commit on the server). Over v2 the
-/// contributor also subscribes for server push, so an empty queue parks
-/// on the socket instead of sleeping-and-polling.
+/// `--bulk` switches to the streaming upload shape: claim rounds of 32
+/// tasks under distinct nonces and report each round as one
+/// `ReportBatch` (over v2 that is columnar continuation frames with a
+/// single ack and one WAL group commit on the server). Idle waits park
+/// on server push where the transport offers it (v2), and back off with
+/// jittered sleeps otherwise.
+///
+/// Exit codes: 0 when the queue is drained, 1 when a claim error stopped
+/// the loop, 2 on bad arguments — including a `dbms` label no built-in
+/// engine reports, since its times would be filed under a system that
+/// never ran.
 fn contribute(args: &[String]) {
     use sqalpel_core::{
-        ContributorKey, DriverConfig, EngineConnector, ExperimentDriver, PlatformError,
-        PollPolicy, Proto, WireClient,
+        ContributorKey, DriverConfig, EngineConnector, ExperimentDriver, PollPolicy, Proto,
+        WireClient, Worker,
     };
-    use sqalpel_engine::{ColStore, Database, RowStore};
+    use sqalpel_engine::Database;
     use std::net::ToSocketAddrs;
 
+    let usage = || -> ! {
+        eprintln!("usage: repro contribute <addr> <key> [dbms] [host] [--proto v1|v2] [--bulk]");
+        std::process::exit(2);
+    };
     // Split off `--proto <v>` and `--bulk` wherever they appear; the
     // rest stay positional.
     let mut proto = Proto::V1Http;
     let mut bulk = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
+    let mut positional: Vec<&str> = Vec::new();
+    let mut it = args.iter().skip(1);
     while let Some(arg) = it.next() {
-        if arg == "--proto" {
-            proto = match it.next().map(String::as_str) {
-                Some("v1") => Proto::V1Http,
-                Some("v2") => Proto::V2Framed,
-                other => {
-                    eprintln!("--proto takes v1 or v2, got {other:?}");
-                    std::process::exit(2);
+        match arg.as_str() {
+            "--proto" => {
+                proto = match it.next().map(String::as_str) {
+                    Some("v1") => Proto::V1Http,
+                    Some("v2") => Proto::V2Framed,
+                    _ => usage(),
                 }
-            };
-        } else if arg == "--bulk" {
-            bulk = true;
-        } else {
-            positional.push(arg);
+            }
+            "--bulk" => bulk = true,
+            _ => positional.push(arg),
         }
     }
-    let args = positional;
-    let (Some(addr), Some(key)) = (args.get(1).copied(), args.get(2).copied()) else {
-        eprintln!("usage: repro contribute <addr> <key> [dbms] [host] [--proto v1|v2] [--bulk]");
+    let (addr, key) = match positional[..] {
+        [addr, key, ..] => (addr, key),
+        _ => usage(),
+    };
+    let dbms = positional.get(2).copied().unwrap_or("rowstore-2.0");
+    let host = positional.get(3).copied().unwrap_or("bench-server");
+    let Some(addr) = addr.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
+        eprintln!("cannot resolve address {addr}");
         std::process::exit(2);
     };
-    let dbms = args.get(3).map(|s| s.as_str()).unwrap_or("rowstore-2.0");
-    let host = args.get(4).map(|s| s.as_str()).unwrap_or("bench-server");
-    let addr = addr
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-        .unwrap_or_else(|| {
-            eprintln!("cannot resolve address {addr}");
-            std::process::exit(2);
-        });
 
     // Morphed variants can drop a join predicate and go cartesian; the
     // row budget kills those so they report as errors instead of hanging
@@ -367,142 +371,64 @@ fn contribute(args: &[String]) {
     // order of magnitude of headroom while tripping runaways quickly.
     let sf = sqalpel_bench::base_sf();
     let budget = ((sf * 100_000_000.0) as u64).max(2_000_000);
-    let db = Arc::new(Database::tpch(sf, 42));
-    let connector = if dbms.starts_with("colstore") {
-        EngineConnector::new(Arc::new(ColStore::new(db).with_budget(budget)))
-    } else if dbms == "rowstore-1.4" {
-        EngineConnector::new(Arc::new(RowStore::legacy(db).with_budget(budget)))
-    } else {
-        EngineConnector::new(Arc::new(RowStore::new(db).with_budget(budget)))
+    let Some(engine) = sqalpel_engine::for_label(dbms, Arc::new(Database::tpch(sf, 42)), budget)
+    else {
+        eprintln!("unknown dbms label {dbms:?}: no built-in engine reports it");
+        usage();
     };
     let driver = ExperimentDriver::new(
-        connector,
+        EngineConnector::new(engine),
         DriverConfig::parse(&format!(
             "dbms = {dbms}\nhost = {host}\nrepetitions = {}",
             sqalpel_bench::repetitions()
         ))
         .expect("driver config"),
     );
-
+    let worker = Worker::new(ContributorKey(key.into()), driver);
     let client = WireClient::builder(addr).transport(proto).build();
-    let key = ContributorKey(key.as_str().into());
-    let mut completed = 0usize;
-    // Empty polls and admission throttling back off instead of hammering
-    // the server: a few retries ride out a queue that is refilling (or a
-    // momentarily-exceeded in-flight bound) before the contributor
-    // concludes the study is drained. Over v2 the backoff is a park on
-    // the push subscription — an enqueue wakes the contributor
-    // immediately and without spending retry budget; elsewhere it is the
-    // jittered sleep.
-    let policy = PollPolicy::polling(5);
-    let mut empty = 0u32;
-    let mut rng = std::process::id() as u64 ^ 0x5bd1e995;
-    let mut waiter = client.subscribe_push(&key);
-    if waiter.is_some() {
-        println!("subscribed for server push: idle waits park on the socket");
-    }
-    let mut back_off = |empty: &mut u32| -> bool {
-        if *empty >= policy.max_empty_polls {
-            return false;
-        }
-        match waiter.as_mut() {
-            Some(w) => match w.wait(policy.cap) {
-                Ok(Some(_)) => {} // woken by the server: re-poll for free
-                Ok(None) | Err(_) => *empty += 1,
-            },
-            None => {
-                std::thread::sleep(policy.backoff(*empty, &mut rng));
-                *empty += 1;
+
+    // A few empty waits ride out a queue that is refilling (or a
+    // momentarily exceeded in-flight bound) before the contributor
+    // concludes the study is drained.
+    let report = sqalpel_core::contribute(
+        &client,
+        &worker,
+        &PollPolicy::pushed(5),
+        if bulk { 32 } else { 1 },
+        |tasks, reports, result| match (result, tasks) {
+            (Ok(indices), [task]) if !bulk => {
+                let status = match &reports[0].1.error {
+                    Some(e) => format!("error: {e}"),
+                    None => "ok".into(),
+                };
+                println!("task {} -> result #{} [{status}] {}", task.id.0, indices[0], task.sql);
             }
-        }
-        true
-    };
-    if bulk {
-        // Claim a whole round under distinct nonces (each nonce is a
-        // separate outstanding claim), run everything, upload the round
-        // as one batch. Throttling ends the round early: report what we
-        // hold — that releases the in-flight slots.
-        const ROUND: usize = 32;
-        let mut nonce = 0u64;
-        loop {
-            let mut round = Vec::new();
-            while round.len() < ROUND {
-                nonce += 1;
-                match client.claim_task(&key, dbms, host, nonce) {
-                    Ok(Some(t)) => round.push(t),
-                    Ok(None) | Err(PlatformError::Throttled(_)) => break,
-                    Err(e) => {
-                        eprintln!("claim failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
+            (Ok(indices), _) => {
+                let errors = reports.iter().filter(|(_, o)| o.error.is_some()).count();
+                println!(
+                    "batch of {} -> results #{}..#{} [{} ok, {errors} error]",
+                    tasks.len(),
+                    indices.iter().min().copied().unwrap_or(0),
+                    indices.iter().max().copied().unwrap_or(0),
+                    tasks.len() - errors,
+                );
             }
-            if round.is_empty() {
-                if back_off(&mut empty) {
-                    continue;
-                }
-                break;
-            }
-            empty = 0;
-            let reports: Vec<_> = round.iter().map(|t| (t.id, driver.run(&t.sql))).collect();
-            match client.report_batch(&key, &reports) {
-                Ok(indices) => {
-                    completed += round.len();
-                    let errors = reports.iter().filter(|(_, o)| o.error.is_some()).count();
-                    println!(
-                        "batch of {} -> results #{}..#{} [{} ok, {errors} error]",
-                        round.len(),
-                        indices.iter().min().copied().unwrap_or(0),
-                        indices.iter().max().copied().unwrap_or(0),
-                        round.len() - errors,
-                    );
-                }
-                Err(e) => {
-                    eprintln!("bulk report of {} tasks failed: {e}", round.len());
-                    std::process::exit(1);
-                }
-            }
-        }
+            (Err(e), _) => eprintln!("report of {} task(s) refused: {e}", tasks.len()),
+        },
+    );
+    let done = format!("{} tasks completed, {} rejected", report.completed, report.rejected);
+    if let Some(e) = &report.error {
+        eprintln!("contribute stopped for {dbms}@{host} on a claim error: {e} ({done})");
     } else {
-        loop {
-            let task = match client.request_task(&key, dbms, host) {
-                Ok(Some(t)) => {
-                    empty = 0;
-                    t
-                }
-                Ok(None) | Err(PlatformError::Throttled(_)) => {
-                    if back_off(&mut empty) {
-                        continue;
-                    }
-                    break;
-                }
-                Err(e) => {
-                    eprintln!("request failed: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let outcome = driver.run(&task.sql);
-            let status = match &outcome.error {
-                Some(e) => format!("error: {e}"),
-                None => "ok".into(),
-            };
-            match client.report_result(&key, task.id, &outcome) {
-                Ok(index) => {
-                    completed += 1;
-                    println!("task {} -> result #{index} [{status}] {}", task.id.0, task.sql);
-                }
-                Err(e) => {
-                    eprintln!("report for task {} failed: {e}", task.id.0);
-                    std::process::exit(1);
-                }
-            }
-        }
+        println!("queue drained for {dbms}@{host}: {done}");
     }
-    println!("queue drained for {dbms}@{host}: {completed} tasks completed");
     if let Ok(summary) = client.queue_summary() {
         println!(
             "server queue: {} queued, {} running, {} finished, {} failed",
             summary.queued, summary.running, summary.finished, summary.failed
         );
+    }
+    if report.error.is_some() {
+        std::process::exit(1);
     }
 }

@@ -7,9 +7,10 @@
 //! ```
 
 use sqalpel_core::{
-    bootstrap_server, reports, DriverConfig, EngineConnector, ExperimentDriver, SqalpelServer,
+    bootstrap_server, reports, run_worker_pool, DriverConfig, EngineConnector, ExperimentDriver,
+    PollPolicy, SqalpelServer, Worker,
 };
-use sqalpel_engine::{ColStore, Database, RowStore};
+use sqalpel_engine::{for_label, Database, DEFAULT_BUDGET};
 use std::sync::Arc;
 
 fn main() {
@@ -46,27 +47,15 @@ fn main() {
     let key = server.issue_key(b.admin).expect("key");
     let db = Arc::new(Database::tpch(0.005, 42));
     for label in ["rowstore-2.0", "rowstore-1.4", "colstore-5.1"] {
-        let dbms: Arc<dyn sqalpel_engine::Dbms> = match label {
-            "rowstore-2.0" => Arc::new(RowStore::new(db.clone())),
-            "rowstore-1.4" => Arc::new(RowStore::legacy(db.clone())),
-            _ => Arc::new(ColStore::new(db.clone())),
-        };
-        let connector = EngineConnector::new(dbms);
+        let dbms = for_label(label, db.clone(), DEFAULT_BUDGET).expect("a built-in label");
         let driver = ExperimentDriver::new(
-            connector,
+            EngineConnector::new(dbms),
             DriverConfig::parse(&format!("dbms = {label}\nhost = bench-server\nrepetitions = 5"))
                 .expect("config"),
         );
-        let mut n = 0;
-        while let Some(task) = server
-            .request_task(&key, label, "bench-server")
-            .expect("request")
-        {
-            let outcome = driver.run(&task.sql);
-            server.report_result(&key, task.id, outcome).expect("report");
-            n += 1;
-        }
-        println!("{label}: contributed {n} results");
+        let worker = Worker::new(key.clone(), driver);
+        let pool = run_worker_pool(&server, vec![worker], PollPolicy::default());
+        println!("{label}: contributed {} results", pool.completed());
     }
 
     // §5.6: visual analytics — history and CSV export.

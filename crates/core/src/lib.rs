@@ -67,4 +67,4 @@ pub use wire::{
     CacheStatus, ErrorCode, ExecBackend, ExecOutcome, Proto, RetryPolicy, V2Config, V2Server,
     WireClient, WireClientBuilder, WireConfig, WireServer,
 };
-pub use workers::{run_worker_pool, run_worker_pool_with, PollPolicy, PoolReport, Worker, WorkerReport};
+pub use workers::{contribute, run_worker_pool, PollPolicy, PoolReport, Worker, WorkerReport};

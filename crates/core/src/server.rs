@@ -58,35 +58,45 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The contribution surface of the platform — what a driver loop needs,
-/// abstracted over the transport. [`SqalpelServer`] implements it
-/// in-process; [`crate::wire::WireClient`] implements it over HTTP, so
-/// [`crate::workers::run_worker_pool`] and every driver loop run
-/// unchanged against either.
+/// The contribution surface of the platform — exactly what
+/// [`crate::workers::contribute`] calls, abstracted over the transport.
+/// [`SqalpelServer`] implements it in-process; [`crate::wire::WireClient`]
+/// implements it over either wire protocol, so the one contributor loop
+/// runs unchanged against both.
 pub trait Platform: Send + Sync {
-    /// Request a queued task matching the contributor's target.
-    fn request_task(
+    /// Claim a queued task matching the contributor's target. `nonce`
+    /// names the claim a retry resumes, as in
+    /// [`SqalpelServer::request_task_claimed`]: `None` resumes any task
+    /// the key holds for the target, `Some(n)` only one claimed under
+    /// `n` (or under no nonce).
+    fn claim(
         &self,
         key: &ContributorKey,
         dbms_label: &str,
         host: &str,
+        nonce: Option<u64>,
     ) -> PlatformResult<Option<Task>>;
 
-    /// Report the outcome of a handed-out task; returns the index of the
+    /// Report the outcome of a claimed task; returns the index of the
     /// accepted result record.
     fn report_result(
         &self,
         key: &ContributorKey,
         task_id: TaskId,
-        outcome: RunOutcome,
+        outcome: &RunOutcome,
     ) -> PlatformResult<usize>;
 
-    /// Per-state task counts.
-    fn queue_summary(&self) -> PlatformResult<QueueSummary>;
+    /// Report many claimed tasks in one exchange; returns the record
+    /// index of each report, in input order.
+    fn report_batch(
+        &self,
+        key: &ContributorKey,
+        reports: &[(TaskId, RunOutcome)],
+    ) -> PlatformResult<Vec<u64>>;
 
-    /// The platform's metrics registry, for instrumented callers like
-    /// the worker pool. Remote implementations (the wire client) return
-    /// `None` — their server keeps the registry.
+    /// The platform's metrics registry, for the instrumented contributor
+    /// loop. Remote implementations (the wire client) return `None` —
+    /// their server keeps the registry.
     fn metrics(&self) -> Option<&MetricsRegistry> {
         None
     }
@@ -1247,26 +1257,31 @@ fn inflight_by_user<'a>(
 }
 
 impl Platform for SqalpelServer {
-    fn request_task(
+    fn claim(
         &self,
         key: &ContributorKey,
         dbms_label: &str,
         host: &str,
+        nonce: Option<u64>,
     ) -> PlatformResult<Option<Task>> {
-        SqalpelServer::request_task(self, key, dbms_label, host)
+        self.request_task_claimed(key, dbms_label, host, nonce)
     }
 
     fn report_result(
         &self,
         key: &ContributorKey,
         task_id: TaskId,
-        outcome: RunOutcome,
+        outcome: &RunOutcome,
     ) -> PlatformResult<usize> {
-        SqalpelServer::report_result(self, key, task_id, outcome)
+        SqalpelServer::report_result(self, key, task_id, outcome.clone())
     }
 
-    fn queue_summary(&self) -> PlatformResult<QueueSummary> {
-        Ok(SqalpelServer::queue_summary(self))
+    fn report_batch(
+        &self,
+        key: &ContributorKey,
+        reports: &[(TaskId, RunOutcome)],
+    ) -> PlatformResult<Vec<u64>> {
+        SqalpelServer::report_batch(self, key, reports)
     }
 
     fn metrics(&self) -> Option<&MetricsRegistry> {
@@ -1523,7 +1538,7 @@ mod tests {
                 crate::workers::Worker::new(key, driver)
             })
             .collect();
-        let report = crate::workers::run_worker_pool(&server, workers);
+        let report = crate::workers::run_worker_pool(&server, workers, Default::default());
 
         assert_eq!(report.completed(), total);
         assert_eq!(report.rejected(), 0);

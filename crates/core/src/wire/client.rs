@@ -2,7 +2,7 @@
 //!
 //! Every method mirrors a [`crate::SqalpelServer`] operation and returns
 //! the same `PlatformResult` types, so code written against the server —
-//! the driver loop, [`crate::workers::run_worker_pool`], the bench
+//! the contributor loop [`crate::workers::contribute`], the bench
 //! harness — runs against a remote platform unchanged (the client
 //! implements [`Platform`]).
 //!
@@ -539,12 +539,7 @@ impl WireClient {
         dbms_label: &str,
         host: &str,
     ) -> PlatformResult<Option<Task>> {
-        self.ask(&Request::RequestTask {
-            key: key.clone(),
-            dbms_label: dbms_label.into(),
-            host: host.into(),
-            claim: None,
-        })
+        self.claim(key, dbms_label, host, None)
     }
 
     /// [`WireClient::request_task`] with a claim nonce: a transport
@@ -558,12 +553,7 @@ impl WireClient {
         host: &str,
         claim: u64,
     ) -> PlatformResult<Option<Task>> {
-        self.ask(&Request::RequestTask {
-            key: key.clone(),
-            dbms_label: dbms_label.into(),
-            host: host.into(),
-            claim: Some(claim),
-        })
+        self.claim(key, dbms_label, host, Some(claim))
     }
 
     /// Upload a whole experiment's results in one acked exchange. On v2
@@ -681,28 +671,38 @@ impl WireClient {
 }
 
 /// The contribution surface over the wire: lets
-/// [`crate::workers::run_worker_pool`] drain a remote server.
+/// [`crate::workers::contribute`] drain a remote server.
 impl Platform for WireClient {
-    fn request_task(
+    fn claim(
         &self,
         key: &ContributorKey,
         dbms_label: &str,
         host: &str,
+        nonce: Option<u64>,
     ) -> PlatformResult<Option<Task>> {
-        WireClient::request_task(self, key, dbms_label, host)
+        self.ask(&Request::RequestTask {
+            key: key.clone(),
+            dbms_label: dbms_label.into(),
+            host: host.into(),
+            claim: nonce,
+        })
     }
 
     fn report_result(
         &self,
         key: &ContributorKey,
         task_id: TaskId,
-        outcome: RunOutcome,
+        outcome: &RunOutcome,
     ) -> PlatformResult<usize> {
-        WireClient::report_result(self, key, task_id, &outcome)
+        WireClient::report_result(self, key, task_id, outcome)
     }
 
-    fn queue_summary(&self) -> PlatformResult<QueueSummary> {
-        WireClient::queue_summary(self)
+    fn report_batch(
+        &self,
+        key: &ContributorKey,
+        reports: &[(TaskId, RunOutcome)],
+    ) -> PlatformResult<Vec<u64>> {
+        WireClient::report_batch(self, key, reports)
     }
 
     fn subscribe_push(&self, key: &ContributorKey) -> Option<Box<dyn PushWaiter>> {

@@ -356,7 +356,7 @@ fn short_policy(push: bool) -> PollPolicy {
 /// up as `queue.parked_polls` instead.
 #[test]
 fn pushed_workers_never_empty_poll() {
-    use sqalpel_core::run_worker_pool_with;
+    use sqalpel_core::run_worker_pool;
     let server = SqalpelServer::new();
     let owner = server.register_user("owner", "o@x.test").unwrap();
     let project = server
@@ -381,7 +381,7 @@ fn pushed_workers_never_empty_poll() {
             .iter()
             .map(|k| Worker::new(k.clone(), driver()))
             .collect();
-        let report = run_worker_pool_with(&server, workers, short_policy(true));
+        let report = run_worker_pool(&server, workers, short_policy(true));
         let total = enqueue.join().unwrap();
         assert_eq!(report.completed(), total, "late work fully drained over push");
         total
@@ -408,7 +408,7 @@ fn pushed_workers_never_empty_poll() {
 /// claim is "no pathological regression", not a microbenchmark).
 #[test]
 fn pushed_drain_latency_no_worse_than_polling() {
-    use sqalpel_core::run_worker_pool_with;
+    use sqalpel_core::run_worker_pool;
     let run = |push: bool| -> Duration {
         let server = SqalpelServer::new();
         let total = experiment_on(&server);
@@ -420,7 +420,7 @@ fn pushed_drain_latency_no_worse_than_polling() {
             .map(|k| Worker::new(k.clone(), driver()))
             .collect();
         let started = Instant::now();
-        let report = run_worker_pool_with(&server, workers, short_policy(push));
+        let report = run_worker_pool(&server, workers, short_policy(push));
         assert_eq!(report.completed(), total);
         started.elapsed()
     };

@@ -494,7 +494,7 @@ fn warm_plan_cache_hits_show_at_v1_metrics_with_identical_results() {
 /// the `Platform` impl is transport-agnostic by construction.
 #[test]
 fn worker_pool_drains_over_v2() {
-    use sqalpel_core::{run_worker_pool, Worker};
+    use sqalpel_core::{run_worker_pool, PollPolicy, Worker};
     let server = Arc::new(SqalpelServer::new());
     let (_w1, _w2, v1, v2) = both_wires(&server);
 
@@ -513,7 +513,7 @@ fn worker_pool_drains_over_v2() {
     let workers = (0..4)
         .map(|_| Worker::new(v2.issue_key(owner).unwrap(), driver()))
         .collect();
-    let report = run_worker_pool(&v2, workers);
+    let report = run_worker_pool(&v2, workers, PollPolicy::default());
     assert_eq!(report.completed(), total);
     assert_eq!(report.rejected(), 0);
     let summary = v1.queue_summary().unwrap();

@@ -86,7 +86,7 @@ fn in_process_reference() -> (Fingerprint, QueueSummary, usize) {
     let workers = (0..4)
         .map(|_| Worker::new(server.issue_key(contrib).unwrap(), driver()))
         .collect();
-    let report = run_worker_pool(&server, workers);
+    let report = run_worker_pool(&server, workers, sqalpel_core::PollPolicy::default());
     assert_eq!(report.completed(), total);
 
     let records = server.results_for(project, contrib).unwrap();
@@ -220,41 +220,87 @@ fn lost_responses_are_absorbed_by_idempotent_retries() {
     assert_eq!((summary.queued, summary.running, summary.finished), (0, 0, total));
 }
 
-/// The generic worker pool drains a remote platform through a single
-/// shared client — the same code path as the in-process pool tests.
+/// The contributor loop drains a remote platform through a shared
+/// client that drops every 9th connection — the same code path as the
+/// in-process pool tests: a pool of four claiming one task at a time over
+/// v1, and two workers claiming rounds of 32 (reported as one
+/// `ReportBatch` each) over v1 and over v2.
 #[test]
 fn worker_pool_runs_unchanged_against_a_wire_client() {
-    let server = Arc::new(SqalpelServer::new());
-    let wire = start_wire(&server);
+    use sqalpel_core::{contribute, PollPolicy, Proto, V2Config, V2Server};
+    for (proto, round) in [(Proto::V1Http, 1), (Proto::V1Http, 32), (Proto::V2Framed, 32)] {
+        let server = Arc::new(SqalpelServer::new());
+        let wire = start_wire(&server);
+        let v2 = V2Server::start(Arc::clone(&server), None, "127.0.0.1:0", V2Config::default())
+            .expect("bind loopback v2");
 
-    let admin = WireClient::builder(wire.local_addr()).retry(fast_retry()).build();
-    let owner = admin.register_user("mlk", "mlk@cwi.nl").unwrap();
-    let project = admin
-        .create_project(owner, "pool-over-wire", "generic pool", Visibility::Public)
-        .unwrap();
-    admin
-        .set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
-        .unwrap();
-    let exp = admin
-        .add_experiment(project, owner, "nation", SQL, None, 1000, 100)
-        .unwrap();
-    admin.seed_pool(project, exp, owner, 3, 7).unwrap();
-    let total = admin.enqueue_experiment(project, exp, owner).unwrap();
+        let admin = WireClient::builder(wire.local_addr()).retry(fast_retry()).build();
+        let owner = admin.register_user("mlk", "mlk@cwi.nl").unwrap();
+        let project = admin
+            .create_project(owner, "pool-over-wire", "generic pool", Visibility::Public)
+            .unwrap();
+        admin
+            .set_targets(project, owner, vec![DBMS.into()], vec![HOST.into()])
+            .unwrap();
+        // Bulk rounds get enough experiments for several rounds each.
+        let experiments = if round == 1 { 1 } else { 20 };
+        let mut total = 0;
+        for i in 0..experiments {
+            let exp = admin
+                .add_experiment(project, owner, &format!("nation {i}"), SQL, None, 1000, 100)
+                .unwrap();
+            admin.seed_pool(project, exp, owner, 3, 7).unwrap();
+            total += admin.enqueue_experiment(project, exp, owner).unwrap();
+        }
 
-    let pool_client = WireClient::builder(wire.local_addr())
-        .retry(fast_retry())
-        .inject_drop_every(9)
-        .build();
-    let workers = (0..4)
-        .map(|_| Worker::new(admin.issue_key(owner).unwrap(), driver()))
-        .collect();
-    let report = run_worker_pool(&pool_client, workers);
-    assert_eq!(report.completed(), total);
-    assert_eq!(report.rejected(), 0);
+        let addr = match proto {
+            Proto::V1Http => wire.local_addr(),
+            Proto::V2Framed => v2.local_addr(),
+        };
+        let pool_client = WireClient::builder(addr)
+            .transport(proto)
+            .retry(fast_retry())
+            .inject_drop_every(9)
+            .build();
+        let case = format!("{proto:?}, round {round}");
+        let (completed, rejected) = if round == 1 {
+            let workers = (0..4)
+                .map(|_| Worker::new(admin.issue_key(owner).unwrap(), driver()))
+                .collect();
+            let report = run_worker_pool(&pool_client, workers, PollPolicy::default());
+            (report.completed(), report.rejected())
+        } else {
+            assert!(total > 2 * round, "{case}: only {total} tasks");
+            let workers: Vec<_> = (0..2)
+                .map(|_| Worker::new(admin.issue_key(owner).unwrap(), driver()))
+                .collect();
+            let reports: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = workers
+                    .iter()
+                    .map(|w| {
+                        let client = &pool_client;
+                        scope.spawn(move || {
+                            contribute(client, w, &PollPolicy::default(), round, |_, _, _| {})
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for r in &reports {
+                assert!(r.error.is_none(), "{case}: {:?}", r.error);
+            }
+            (
+                reports.iter().map(|r| r.completed).sum(),
+                reports.iter().map(|r| r.rejected).sum(),
+            )
+        };
+        assert_eq!(completed, total, "{case}");
+        assert_eq!(rejected, 0, "{case}");
 
-    let summary = admin.queue_summary().unwrap();
-    assert_eq!((summary.queued, summary.running), (0, 0));
-    assert_eq!(summary.terminal(), total);
+        let summary = admin.queue_summary().unwrap();
+        assert_eq!((summary.queued, summary.running), (0, 0), "{case}");
+        assert_eq!(summary.terminal(), total, "{case}");
+    }
 }
 
 /// `GET /v1/metrics` after a contribute run: the snapshot carries the

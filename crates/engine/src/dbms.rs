@@ -308,6 +308,19 @@ impl Store<ColEngine> {
     }
 }
 
+/// The built-in system whose [`Dbms::label`] is `label`, over `db` and
+/// under a row `budget`: one of [`RowStore::new`], [`RowStore::legacy`]
+/// and [`ColStore::new`]. `None` for any other label, so a contributor
+/// never files times under a system that did not run them.
+pub fn for_label(label: &str, db: Arc<Database>, budget: u64) -> Option<Arc<dyn Dbms>> {
+    let systems: [Arc<dyn Dbms>; 3] = [
+        Arc::new(RowStore::new(db.clone()).with_budget(budget)),
+        Arc::new(RowStore::legacy(db.clone()).with_budget(budget)),
+        Arc::new(ColStore::new(db).with_budget(budget)),
+    ];
+    systems.into_iter().find(|s| s.label() == label)
+}
+
 impl<E: Engine> Store<E> {
     fn over(engine: E, db: Arc<Database>) -> Self {
         Store {
@@ -482,6 +495,23 @@ mod tests {
         assert_eq!(RowStore::new(db.clone()).label(), "rowstore-2.0");
         assert_eq!(RowStore::legacy(db.clone()).label(), "rowstore-1.4");
         assert_eq!(ColStore::new(db).label(), "colstore-5.1");
+    }
+
+    #[test]
+    fn for_label_builds_the_labelled_system_or_none() {
+        let db = tpch();
+        for label in ["rowstore-2.0", "rowstore-1.4", "colstore-5.1"] {
+            let system = for_label(label, db.clone(), 1_000).expect("a built-in label");
+            assert_eq!(system.label(), label);
+        }
+        for label in ["postgres-15", "colstore-9.9", "rowstore", ""] {
+            assert!(for_label(label, db.clone(), 1_000).is_none(), "{label:?}");
+        }
+        // The budget reaches the system: 10 rows cannot cover a join of
+        // nation's 25 with region's 5.
+        let tiny = for_label("colstore-5.1", db, 10).unwrap();
+        let err = tiny.execute("select count(*) from nation, region").unwrap_err();
+        assert!(err.to_string().contains("budget"), "{err}");
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod result;
 pub mod storage;
 pub mod value;
 
-pub use dbms::{AnalyzedPlan, ColStore, Dbms, OpProfile, RowStore, DEFAULT_BUDGET};
+pub use dbms::{for_label, AnalyzedPlan, ColStore, Dbms, OpProfile, RowStore, DEFAULT_BUDGET};
 pub use error::{EngineError, EngineResult};
 pub use ir::Explain;
 pub use plan_cache::{CacheOutcome, FpExecution, PlanCache, PlanCacheStats};

@@ -12,9 +12,10 @@
 
 use sqalpel::core::analytics;
 use sqalpel::core::{
-    DriverConfig, EngineConnector, ExperimentDriver, QueryId, SqalpelServer, Visibility,
+    contribute, DriverConfig, EngineConnector, ExperimentDriver, PollPolicy, QueryId,
+    SqalpelServer, Visibility, Worker,
 };
-use sqalpel::engine::{Database, Dbms, RowStore};
+use sqalpel::engine::{self, Database};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -64,30 +65,20 @@ fn main() {
 
     // --- contribution (the driver's side) -------------------------------
     let db = Arc::new(Database::tpch(0.002, 42));
-    // Both versions run under a row budget: runaway variants get killed.
-    let targets: Vec<(Arc<dyn Dbms>, &str)> = vec![
-        (Arc::new(RowStore::new(db.clone()).with_budget(4_000_000)), "rowstore-2.0"),
-        (Arc::new(RowStore::legacy(db).with_budget(2_000_000)), "rowstore-1.4"),
-    ];
     let key = server.issue_key(contrib).expect("key");
-    for (dbms, label) in targets {
+    // Both versions run under a row budget: runaway variants get killed.
+    for (label, budget) in [("rowstore-2.0", 4_000_000), ("rowstore-1.4", 2_000_000)] {
         let driver = ExperimentDriver::new(
-            EngineConnector::new(dbms),
+            EngineConnector::new(engine::for_label(label, db.clone(), budget).expect("built in")),
             DriverConfig::parse(&format!("dbms = {label}\nhost = bench-server\nrepetitions = 3"))
                 .expect("config"),
         );
-        let mut done = 0;
+        let worker = Worker::new(key.clone(), driver);
         let mut failed = 0;
-        while let Some(task) = server
-            .request_task(&key, label, "bench-server")
-            .expect("request")
-        {
-            let outcome = driver.run(&task.sql);
-            failed += outcome.error.is_some() as usize;
-            server.report_result(&key, task.id, outcome).expect("report");
-            done += 1;
-        }
-        println!("{label}: ran {done} tasks ({failed} error runs)");
+        let report = contribute(&server, &worker, &PollPolicy::default(), 1, |_, reports, _| {
+            failed += reports.iter().filter(|(_, o)| o.error.is_some()).count()
+        });
+        println!("{label}: ran {} tasks ({failed} error runs)", report.completed);
     }
 
     // --- analysis (anyone's side) ----------------------------------------
