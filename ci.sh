@@ -63,7 +63,9 @@ cargo test -q -p sqalpel-core --test wire_codec_golden
 # EXPLAIN plans for the full TPC-H + SSB flights are pinned: any drift in
 # the binder/unnesting/rewriter/ir output fails here until re-blessed.
 # The same suite holds the ratchet that no TPC-H plan evaluates a
-# subquery per outer row (the cached uncorrelated scalars are listed).
+# subquery per outer row (the cached uncorrelated scalars are listed),
+# and the rule that executing a query on either engine reports its
+# EXPLAIN fingerprint.
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
 # estimated-vs-actual cardinalities for the five join-heavy queries,
@@ -75,7 +77,8 @@ plan_goldens
 # and group joins against per-row evaluation (rewriter off) on NULL
 # probes, NULLs in the set, empty sets and groups, duplicate inner keys
 # and every fallback shape — each case checked to take the path it is
-# named for — plus Q4/Q20 on ColStore at SF 0.005 under the default
+# named for, and to execute under its EXPLAIN fingerprint on both
+# engines — plus Q4/Q20 on ColStore at SF 0.005 under the default
 # budget, which the per-row path blew.
 cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # Join reordering must be result-preserving too: optimizer on vs off,

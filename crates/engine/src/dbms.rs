@@ -12,8 +12,9 @@
 //! - [`ColStore`] — the materializing column-at-a-time engine
 //!   ([`crate::exec_col`]).
 
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::exec_col::ColExec;
+use crate::eval::Executor;
 use crate::exec_row::RowExec;
 use crate::ir::{self, Explain};
 use crate::morsel;
@@ -56,46 +57,26 @@ pub trait Dbms: Send + Sync {
     fn execute(&self, sql: &str) -> EngineResult<ResultSet>;
 
     /// Render the rewritten logical plan and its canonical fingerprint
-    /// without executing. Systems without a plan inspector keep the
-    /// default error.
-    fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        let _ = sql;
-        Err(EngineError::Unsupported(
-            "EXPLAIN not supported by this system".into(),
-        ))
-    }
+    /// without executing.
+    fn explain(&self, sql: &str) -> EngineResult<Explain>;
 
     /// Execute `sql` with the profiler on and render the EXPLAIN tree
-    /// annotated with per-operator metrics. Systems without a profiler
-    /// keep the default error.
-    fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
-        let _ = sql;
-        Err(EngineError::Unsupported(
-            "EXPLAIN ANALYZE not supported by this system".into(),
-        ))
-    }
+    /// annotated with per-operator metrics.
+    fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan>;
 
     /// Execute with prepared-statement semantics: if the system has a
     /// plan cache and `fingerprint` names a cached plan, parse/bind/
     /// rewrite are skipped and the cached [`BoundQuery`] runs directly.
     /// The returned [`FpExecution`] always carries the authoritative
-    /// fingerprint of the plan that ran — on a miss, that is the key the
-    /// caller should reuse to hit next time. Systems without a cache
-    /// fall through to plain [`Dbms::execute`] and report
+    /// fingerprint of the plan that ran — the [`Dbms::explain`]
+    /// fingerprint of `sql`; on a miss, that is the key the caller should
+    /// reuse to hit next time. Without a cache the call reports
     /// [`CacheOutcome::Bypass`].
     fn execute_by_fingerprint(
         &self,
         sql: &str,
         fingerprint: Option<u64>,
-    ) -> EngineResult<FpExecution> {
-        let _ = fingerprint;
-        let fp = self.explain(sql).map(|e| e.fingerprint).unwrap_or(0);
-        Ok(FpExecution {
-            result: self.execute(sql)?,
-            fingerprint: fp,
-            cache: CacheOutcome::Bypass,
-        })
-    }
+    ) -> EngineResult<FpExecution>;
 
     /// `name-version` label used in reports.
     fn label(&self) -> String {
@@ -194,9 +175,8 @@ pub trait Engine: Clone + Send + Sync + Sized {
     /// Version string, e.g. `"2.0"`.
     fn version(&self) -> &'static str;
 
-    /// Run `bound` on a fresh executor carrying `store`'s knobs, so the
-    /// subqueries it binds at runtime are planned the way the statement
-    /// was. With `profile` the executor also collects per-operator
+    /// Run `bound` on a fresh executor carrying `store`'s budget and
+    /// worker cap. With `profile` the executor also collects per-operator
     /// metrics; the shard is empty otherwise.
     fn run(
         store: &Store<Self>,
@@ -226,13 +206,9 @@ impl Engine for RowEngine {
         profile: bool,
     ) -> EngineResult<(Vec<Vec<Value>>, ProfileShard)> {
         let hash_joins = store.engine.hash_joins;
-        let mut exec = RowExec::with_threads(&store.db, store.budget, hash_joins, store.threads)
-            .with_planner_flags(store.rewrite, store.optimize);
-        if profile {
-            exec = exec.with_profiler();
-        }
+        let exec = RowExec::new(store.budget, hash_joins, store.threads, profile);
         let rows = exec.run_query(bound, None)?;
-        Ok((rows, exec.take_profile()))
+        Ok((rows, exec.state().take_profile()))
     }
 }
 
@@ -252,13 +228,9 @@ impl Engine for ColEngine {
         bound: &BoundQuery,
         profile: bool,
     ) -> EngineResult<(Vec<Vec<Value>>, ProfileShard)> {
-        let mut exec = ColExec::with_threads(&store.db, store.budget, store.threads)
-            .with_planner_flags(store.rewrite, store.optimize);
-        if profile {
-            exec = exec.with_profiler();
-        }
+        let exec = ColExec::new(&store.db, store.budget, store.threads, profile);
         let rows = exec.run_query(bound, None)?;
-        Ok((rows, exec.take_profile()))
+        Ok((rows, exec.state().take_profile()))
     }
 }
 
@@ -376,12 +348,7 @@ impl<E: Engine> Store<E> {
         &self.db
     }
 
-    fn bind_sql(
-        &self,
-        sql: &str,
-        hints: Option<&ir::cost::CardHints>,
-        explain: bool,
-    ) -> EngineResult<BoundQuery> {
+    fn bind_sql(&self, sql: &str, hints: Option<&ir::cost::CardHints>) -> EngineResult<BoundQuery> {
         let q = sqalpel_sql::parse_query(sql)?;
         let mut p = Planner::new(&self.db)
             .with_rewrite(self.rewrite)
@@ -389,11 +356,7 @@ impl<E: Engine> Store<E> {
         if let Some(h) = hints {
             p = p.with_hints(h.clone());
         }
-        if explain {
-            p.bind_explained(&q)
-        } else {
-            p.bind(&q)
-        }
+        p.bind(&q)
     }
 
     fn run_bound(&self, bound: &BoundQuery) -> EngineResult<ResultSet> {
@@ -408,7 +371,7 @@ impl<E: Engine> Store<E> {
     /// feedback so the next `execute_by_fingerprint` re-optimizes with
     /// actuals.
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
-        let bound = self.bind_sql(sql, None, true)?;
+        let bound = self.bind_sql(sql, None)?;
         let (rows, profile) = E::run(self, &bound, true)?;
         let plan = AnalyzedPlan {
             explain: ir::explain_analyze(&bound, &profile),
@@ -431,7 +394,7 @@ impl<E: Engine> Store<E> {
     /// pin — the second pass shows both any join-order change and the
     /// estimates converging on the actuals.
     pub fn explain_adaptive(&self, sql: &str) -> EngineResult<(Explain, Explain)> {
-        let cold_bound = self.bind_sql(sql, None, true)?;
+        let cold_bound = self.bind_sql(sql, None)?;
         let (_, cold_profile) = E::run(self, &cold_bound, true)?;
         let cold = ir::explain_estimates(
             &cold_bound,
@@ -439,7 +402,7 @@ impl<E: Engine> Store<E> {
             &ir::cost::CardHints::default(),
         );
         let hints = crate::profile::extract_feedback(&cold_bound, &cold_profile);
-        let warm_bound = self.bind_sql(sql, Some(&hints), true)?;
+        let warm_bound = self.bind_sql(sql, Some(&hints))?;
         let (_, warm_profile) = E::run(self, &warm_bound, true)?;
         let warm = ir::explain_estimates(&warm_bound, &warm_profile, &hints);
         Ok((cold, warm))
@@ -456,11 +419,11 @@ impl<E: Engine> Dbms for Store<E> {
     }
 
     fn execute(&self, sql: &str) -> EngineResult<ResultSet> {
-        self.run_bound(&self.bind_sql(sql, None, false)?)
+        self.run_bound(&self.bind_sql(sql, None)?)
     }
 
     fn explain(&self, sql: &str) -> EngineResult<Explain> {
-        Ok(ir::explain(&self.bind_sql(sql, None, true)?))
+        Ok(ir::explain(&self.bind_sql(sql, None)?))
     }
 
     fn explain_analyze(&self, sql: &str) -> EngineResult<AnalyzedPlan> {
@@ -475,7 +438,7 @@ impl<E: Engine> Dbms for Store<E> {
         cached_execute(
             self.plan_cache.as_ref(),
             fingerprint,
-            |hints| self.bind_sql(sql, hints, false),
+            |hints| self.bind_sql(sql, hints),
             |bound| self.run_bound(bound),
         )
     }

@@ -15,25 +15,27 @@
 //! chain of rows). Subqueries are executed through the
 //! [`SubqueryRunner`] callback so each engine runs nested queries with
 //! its own executor. Only the subqueries the plan-time unnesting pass
-//! left in place get here; `run_subquery` — the one implementation
-//! behind both runners — binds such a body on first use, finds out then
-//! whether it is correlated, and caches the result of an uncorrelated one
-//! for the rest of the execution.
+//! left in place get here, each with the body the planner bound for it
+//! and whether that body is correlated; the one runner both executors
+//! share re-runs a correlated body per outer row and runs an uncorrelated
+//! one once, caching its rows for the rest of the execution.
 //!
 //! The evaluator implements SQL three-valued logic: comparisons over NULL
 //! yield NULL, `AND`/`OR` follow Kleene semantics, and filters treat NULL
 //! as false.
 
 use crate::error::{EngineError, EngineResult};
-use crate::ir::{Expr, Ty};
-use crate::plan::{BoundQuery, Planner, Schema};
-use crate::storage::Database;
+use crate::ir::expr::{Subquery, SubqueryPlan};
+use crate::ir::Expr;
+use crate::plan::{BoundQuery, Schema};
+use crate::profile::{self, NodeMetrics, ProfileShard, Profiler};
 use crate::value::{self, pow10, ArithMode, Key, LikePattern, Value};
-use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, Query, UnaryOp};
+use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, UnaryOp};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
+use std::time::Instant;
 
 /// A row visible to expression evaluation, with a link to the enclosing
 /// row for correlated subqueries.
@@ -82,89 +84,126 @@ pub type Rows = Vec<Vec<Value>>;
 
 /// Callback for executing subqueries inside expressions.
 pub trait SubqueryRunner {
-    /// Run `q` with `outer` in scope; returns the result rows — shared,
-    /// because an uncorrelated subquery hands out its one cached result
-    /// for every outer row.
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>>;
+    /// Run the body bound for a subquery with `outer` in scope; returns
+    /// the result rows — shared, because an uncorrelated subquery hands
+    /// out its one cached result for every outer row.
+    fn run_subquery(&self, sub: &SubqueryPlan, outer: &Env<'_>) -> EngineResult<Rc<Rows>>;
 }
 
 /// One materialized CTE visible during execution.
-pub(crate) struct CteFrame {
-    pub name: String,
-    pub cols: Vec<(String, Ty)>,
-    pub rows: Rc<Rows>,
+struct CteFrame {
+    name: String,
+    rows: Rc<Rows>,
 }
 
-/// How a subquery behaved on first execution.
-pub(crate) enum SubState {
-    /// Uncorrelated: its cached result rows.
-    Cached(Rc<Rows>),
-    /// Correlated: the bound query, re-executed per outer row.
-    Correlated(Rc<BoundQuery>),
+/// What one statement's execution carries besides the executor's knobs:
+/// the rows of each uncorrelated subquery once it has run (keyed by the
+/// address of its body in the immutable plan), the CTEs materialized so
+/// far (innermost last) and the profiler, when on.
+pub(crate) struct ExecState {
+    subqueries: RefCell<HashMap<usize, Rc<Rows>>>,
+    ctes: RefCell<Vec<CteFrame>>,
+    pub profiler: Option<Profiler>,
 }
 
-/// Per-execution subquery states, keyed by the address of the subquery's
-/// AST inside the (immutable) bound plan.
-pub(crate) type SubStates = RefCell<HashMap<usize, SubState>>;
-
-/// Bind a subquery body at runtime with the CTEs materialized so far in
-/// scope (e.g. TPC-H Q15's `(select max(total_revenue) from revenue)`),
-/// planned the way the enclosing statement was.
-pub(crate) fn bind_subquery(
-    db: &Database,
-    ctes: &[CteFrame],
-    rewrite: bool,
-    optimize: bool,
-    q: &Query,
-) -> EngineResult<BoundQuery> {
-    let scope = ctes
-        .iter()
-        .map(|f| (f.name.clone(), f.cols.clone()))
-        .collect();
-    Planner::with_ctes(db, scope)
-        .with_rewrite(rewrite)
-        .with_optimize(optimize)
-        .bind(q)
-}
-
-/// The [`SubqueryRunner`] protocol both executors implement with their
-/// own `bind` and `run`: a subquery seen before either returns its cached
-/// rows or re-runs its bound plan under `outer`; a new one is bound, run
-/// once *without* an outer row, and classified by what happens — success
-/// means uncorrelated (cache the rows), `UnknownColumn` means a name only
-/// the outer row resolves (keep the plan, run it per row).
-pub(crate) fn run_subquery(
-    states: &SubStates,
-    q: &Query,
-    outer: &Env<'_>,
-    bind: impl FnOnce() -> EngineResult<BoundQuery>,
-    run: impl Fn(&BoundQuery, Option<&Env<'_>>) -> EngineResult<Rows>,
-) -> EngineResult<Rc<Rows>> {
-    let id = q as *const Query as usize;
-    let known = match states.borrow().get(&id) {
-        Some(SubState::Cached(rows)) => return Ok(Rc::clone(rows)),
-        Some(SubState::Correlated(bound)) => Some(Rc::clone(bound)),
-        None => None,
-    };
-    if let Some(bound) = known {
-        return run(&bound, Some(outer)).map(Rc::new);
+impl ExecState {
+    pub fn new(profile: bool) -> Self {
+        ExecState {
+            subqueries: RefCell::new(HashMap::new()),
+            ctes: RefCell::new(Vec::new()),
+            profiler: profile.then(Profiler::new),
+        }
     }
-    let bound = Rc::new(bind()?);
-    match run(&bound, None) {
-        Ok(rows) => {
-            let rows = Rc::new(rows);
-            states
-                .borrow_mut()
-                .insert(id, SubState::Cached(Rc::clone(&rows)));
-            Ok(rows)
+
+    /// The rows of the innermost CTE called `name`.
+    pub fn cte_rows(&self, name: &str) -> EngineResult<Rc<Rows>> {
+        let frames = self.ctes.borrow();
+        let frame = frames.iter().rev().find(|f| f.name == name);
+        frame
+            .map(|f| Rc::clone(&f.rows))
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+    }
+
+    /// The metrics accumulated so far, draining the profiler. Empty when
+    /// profiling is off.
+    pub fn take_profile(&self) -> ProfileShard {
+        self.profiler
+            .as_ref()
+            .map(|p| p.take())
+            .unwrap_or_default()
+    }
+}
+
+/// An executor as the query protocol sees it: its [`ExecState`], and how
+/// it runs one block once the block's CTEs are materialized. Running a
+/// whole query and running a subquery are written once, here, for both.
+pub(crate) trait Executor {
+    fn state(&self) -> &ExecState;
+
+    /// Run `bq`'s core and tail; its CTEs are already in scope.
+    fn run_block(&self, bq: &BoundQuery, outer: Option<&Env<'_>>) -> EngineResult<Rows>;
+
+    /// Execute a bound query, with `outer` in scope for correlation.
+    fn run_query(&self, bq: &BoundQuery, outer: Option<&Env<'_>>) -> EngineResult<Rows> {
+        let Some(prof) = &self.state().profiler else {
+            return run_scoped(self, bq, outer);
+        };
+        // The select node's rows_in is the *delta* of the core's
+        // cumulative rows_out across this execution, so repeated runs of
+        // one bound tree (correlated subqueries) never double-count.
+        let root = profile::node_key(&bq.core);
+        let before = prof.rows_out_of(root);
+        let start = Instant::now();
+        let rows = run_scoped(self, bq, outer)?;
+        prof.record(
+            profile::node_key(bq),
+            NodeMetrics {
+                rows_in: prof.rows_out_of(root) - before,
+                rows_out: rows.len() as u64,
+                batches: 1,
+                nanos: start.elapsed().as_nanos() as u64,
+                ..NodeMetrics::default()
+            },
+        );
+        Ok(rows)
+    }
+}
+
+/// Materialize `bq`'s CTEs innermost-last, run its block, pop the CTEs.
+fn run_scoped<E: Executor + ?Sized>(
+    exec: &E,
+    bq: &BoundQuery,
+    outer: Option<&Env<'_>>,
+) -> EngineResult<Rows> {
+    let ctes = &exec.state().ctes;
+    let frame_base = ctes.borrow().len();
+    for (name, cte_query) in &bq.ctes {
+        let rows = Rc::new(exec.run_query(cte_query, outer)?);
+        ctes.borrow_mut().push(CteFrame {
+            name: name.clone(),
+            rows,
+        });
+    }
+    let result = exec.run_block(bq, outer);
+    ctes.borrow_mut().truncate(frame_base);
+    result
+}
+
+/// A correlated body re-runs under every outer row; an uncorrelated one
+/// runs once, with no outer row, and its rows serve every later call.
+impl<E: Executor> SubqueryRunner for E {
+    fn run_subquery(&self, sub: &SubqueryPlan, outer: &Env<'_>) -> EngineResult<Rc<Rows>> {
+        if sub.correlated() {
+            return self.run_query(&sub.query, Some(outer)).map(Rc::new);
         }
-        Err(EngineError::UnknownColumn(_)) => {
-            states
-                .borrow_mut()
-                .insert(id, SubState::Correlated(Rc::clone(&bound)));
-            run(&bound, Some(outer)).map(Rc::new)
+        let id = sub as *const SubqueryPlan as usize;
+        let cache = &self.state().subqueries;
+        if let Some(rows) = cache.borrow().get(&id) {
+            return Ok(Rc::clone(rows));
         }
-        Err(other) => Err(other),
+        let rows = Rc::new(self.run_query(&sub.query, None)?);
+        cache.borrow_mut().insert(id, Rc::clone(&rows));
+        Ok(rows)
     }
 }
 
@@ -212,7 +251,7 @@ pub struct Scope<'a> {
 pub(crate) struct NoSubqueries;
 
 impl SubqueryRunner for NoSubqueries {
-    fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
+    fn run_subquery(&self, _: &SubqueryPlan, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
         Err(EngineError::Unsupported(
             "subquery where none can be evaluated".into(),
         ))
@@ -262,11 +301,11 @@ enum Node<'a> {
     InSubquery {
         expr: Box<Node<'a>>,
         negated: bool,
-        query: &'a Query,
+        query: &'a Subquery,
     },
     Exists {
         negated: bool,
-        query: &'a Query,
+        query: &'a Subquery,
     },
     Like {
         expr: Box<Node<'a>>,
@@ -299,7 +338,7 @@ enum Node<'a> {
         start: Box<Node<'a>>,
         length: Option<Box<Node<'a>>>,
     },
-    Subquery(&'a Query),
+    Subquery(&'a Subquery),
 }
 
 /// A conjunct that tests one column against constants — the shape zone
@@ -716,7 +755,7 @@ impl<'a> Node<'a> {
                 if v.is_null() {
                     return owned(Value::Null);
                 }
-                let rows = ctx.runner.run_subquery(query, &scope.env(row))?;
+                let rows = ctx.runner.run_subquery(query.plan()?, &scope.env(row))?;
                 let mut found = false;
                 for r in rows.iter() {
                     let cell = r
@@ -730,7 +769,7 @@ impl<'a> Node<'a> {
                 owned(Value::Bool(found != *negated))
             }
             Node::Exists { negated, query } => {
-                let rows = ctx.runner.run_subquery(query, &scope.env(row))?;
+                let rows = ctx.runner.run_subquery(query.plan()?, &scope.env(row))?;
                 owned(Value::Bool(rows.is_empty() == *negated))
             }
             Node::Like {
@@ -847,7 +886,7 @@ impl<'a> Node<'a> {
                 }
             }
             Node::Subquery(q) => {
-                let rows = ctx.runner.run_subquery(q, &scope.env(row))?;
+                let rows = ctx.runner.run_subquery(q.plan()?, &scope.env(row))?;
                 match rows.len() {
                     0 => owned(Value::Null),
                     1 => rows[0]

@@ -109,7 +109,7 @@ impl ColExec<'_> {
             (kind, key_slots, plan)
         {
             self.charge(table.row_count() as u64)?;
-            let start = self.profiler.as_ref().map(|_| Instant::now());
+            let start = self.state.profiler.as_ref().map(|_| Instant::now());
             let schema = plan.schema();
             let n = table.row_count();
             slots.sort_unstable();
@@ -121,7 +121,7 @@ impl ColExec<'_> {
             for &slot in &slots {
                 cols[slot] = materialize_col(&table.columns[live[slot]].data, 0..n);
             }
-            if let (Some(prof), Some(t)) = (&self.profiler, start) {
+            if let (Some(prof), Some(t)) = (&self.state.profiler, start) {
                 // `exec_core` is bypassed, so record the scan sample here
                 // (same row flow as an eager scan of the whole table).
                 prof.record(

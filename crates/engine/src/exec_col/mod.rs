@@ -31,18 +31,14 @@ mod kernels;
 mod scan;
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{self, CteFrame, Env, Rows, SubStates, SubqueryRunner};
+use crate::eval::{Env, ExecState, Executor, Rows};
 use crate::ir::Expr;
 use crate::morsel::{self, RowBudget};
 use crate::output::finish_rows;
 use crate::plan::{BoundQuery, Plan, Schema};
-use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
+use crate::profile::{self, child_rows_out, NodeMetrics};
 use crate::storage::Database;
 use crate::value::{ArithMode, Value};
-use sqalpel_sql::ast::Query;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -220,64 +216,26 @@ pub struct ColExec<'a> {
     /// ([`Self::workers_for`]); one worker is the same code over one
     /// range.
     threads: usize,
-    subqueries: SubStates,
-    ctes: RefCell<Vec<CteFrame>>,
-    /// Whether the logical rewriter and the join-order optimizer run on
-    /// the subqueries this execution binds at runtime (both on by
-    /// default; the equivalence suites turn one off to diff against raw
-    /// or syntactic-order plans).
-    rewrite: bool,
-    optimize: bool,
-    /// Per-node metrics collection; `None` (the default) keeps every
-    /// operator on an early-return path with no metrics code at all.
-    profiler: Option<Profiler>,
+    /// Subquery cache, CTE frames and profiler. Without a profiler every
+    /// operator takes an early-return path with no metrics code at all.
+    state: ExecState,
 }
 
 impl<'a> ColExec<'a> {
-    pub fn new(db: &'a Database, budget: u64) -> Self {
-        Self::with_threads(db, budget, 1)
+    /// An execution under a row `budget` that may fan work out over
+    /// `threads` morsel workers. With `profile` every operator records
+    /// its metrics.
+    pub fn new(db: &'a Database, budget: u64, threads: usize, profile: bool) -> Self {
+        Self::over(db, Arc::new(RowBudget::new(budget)), threads.max(1), profile)
     }
 
-    /// An executor that may fan work out over `threads` morsel workers.
-    pub fn with_threads(db: &'a Database, budget: u64, threads: usize) -> Self {
-        Self::over(db, Arc::new(RowBudget::new(budget)), threads.max(1))
-    }
-
-    fn over(db: &'a Database, budget: Arc<RowBudget>, threads: usize) -> Self {
+    fn over(db: &'a Database, budget: Arc<RowBudget>, threads: usize, profile: bool) -> Self {
         ColExec {
             db,
             budget,
             threads,
-            subqueries: RefCell::new(HashMap::new()),
-            ctes: RefCell::new(Vec::new()),
-            rewrite: true,
-            optimize: true,
-            profiler: None,
+            state: ExecState::new(profile),
         }
-    }
-
-    /// Set the planner flags the runtime subquery binds of this
-    /// execution use, so they match how the statement itself was bound.
-    pub fn with_planner_flags(mut self, rewrite: bool, optimize: bool) -> Self {
-        self.rewrite = rewrite;
-        self.optimize = optimize;
-        self
-    }
-
-    /// Collect per-node metrics during execution; retrieve the profile
-    /// with [`Self::take_profile`] afterwards.
-    pub fn with_profiler(mut self) -> Self {
-        self.profiler = Some(Profiler::new());
-        self
-    }
-
-    /// The metrics accumulated so far, draining the profiler. Empty when
-    /// profiling was never enabled.
-    pub fn take_profile(&self) -> ProfileShard {
-        self.profiler
-            .as_ref()
-            .map(|p| p.take())
-            .unwrap_or_default()
     }
 
     /// The executor one worker of a parallel scan evaluates its chunk's
@@ -286,7 +244,7 @@ impl<'a> ColExec<'a> {
     /// is not fanned out) and no profiler (the coordinator times the
     /// operator as a whole).
     fn worker(db: &'a Database, budget: Arc<RowBudget>) -> Self {
-        Self::over(db, budget, 1)
+        Self::over(db, budget, 1, false)
     }
 
     fn charge(&self, n: u64) -> EngineResult<()> {
@@ -302,73 +260,6 @@ impl<'a> ColExec<'a> {
         } else {
             morsel::effective_workers(self.threads)
         }
-    }
-
-    /// Execute a bound query with an optional outer row in scope.
-    pub fn run_query(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        let Some(prof) = &self.profiler else {
-            return self.run_query_inner(bq, outer);
-        };
-        // The select node's rows_in is the *delta* of the core's
-        // cumulative rows_out across this execution, so repeated runs of
-        // one bound tree (correlated subqueries) never double-count.
-        let root = profile::node_key(&bq.core);
-        let before = prof.rows_out_of(root);
-        let start = Instant::now();
-        let rows = self.run_query_inner(bq, outer)?;
-        prof.record(
-            profile::node_key(bq),
-            NodeMetrics {
-                rows_in: prof.rows_out_of(root) - before,
-                rows_out: rows.len() as u64,
-                batches: 1,
-                nanos: start.elapsed().as_nanos() as u64,
-                ..NodeMetrics::default()
-            },
-        );
-        Ok(rows)
-    }
-
-    fn run_query_inner(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        let frame_base = self.ctes.borrow().len();
-        for (name, cte_query) in &bq.ctes {
-            let rows = self.run_query(cte_query, outer)?;
-            self.ctes.borrow_mut().push(CteFrame {
-                name: name.clone(),
-                cols: cte_query.output_schema(),
-                rows: Rc::new(rows),
-            });
-        }
-        let result = self.run_body(bq, outer);
-        self.ctes.borrow_mut().truncate(frame_base);
-        result
-    }
-
-    fn run_body(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        // Projection pushdown happened at plan time: the rewriter's
-        // liveness pass shrank every scan's `live` list, so scans
-        // materialize only referenced columns (the column-store advantage
-        // MonetDB's BATs provide).
-        let batch = self.exec_core(&bq.core, outer)?;
-        let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-        if bq.aggregated {
-            self.project_aggregated(bq, &batch, outer, &mut produced)?;
-        } else {
-            self.project_plain(bq, &batch, outer, &mut produced)?;
-        }
-        finish_rows(bq, produced)
     }
 
     fn project_plain(
@@ -407,7 +298,7 @@ impl<'a> ColExec<'a> {
     /// per-node metrics when profiling is on. The off path is one branch
     /// and a tail call into [`Self::exec_node`].
     fn exec_core(&self, plan: &Plan, outer: Option<&Env<'_>>) -> EngineResult<Batch> {
-        let Some(prof) = &self.profiler else {
+        let Some(prof) = &self.state.profiler else {
             return self.exec_node(plan, outer);
         };
         let before = child_rows_out(prof, plan);
@@ -454,15 +345,7 @@ impl<'a> ColExec<'a> {
                 Ok(rows_to_batch(plan.schema(), &rows))
             }
             Plan::Cte { name, .. } => {
-                let rows = {
-                    let frames = self.ctes.borrow();
-                    frames
-                        .iter()
-                        .rev()
-                        .find(|f| f.name == *name)
-                        .map(|f| Rc::clone(&f.rows))
-                        .ok_or_else(|| EngineError::UnknownTable(name.clone()))?
-                };
+                let rows = self.state.cte_rows(name)?;
                 self.charge(rows.len() as u64)?;
                 Ok(rows_to_batch(plan.schema(), &rows))
             }
@@ -485,15 +368,24 @@ impl<'a> ColExec<'a> {
     }
 }
 
-impl SubqueryRunner for ColExec<'_> {
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>> {
-        eval::run_subquery(
-            &self.subqueries,
-            q,
-            outer,
-            || eval::bind_subquery(self.db, &self.ctes.borrow(), self.rewrite, self.optimize, q),
-            |bound, outer| self.run_query(bound, outer),
-        )
+impl Executor for ColExec<'_> {
+    fn state(&self) -> &ExecState {
+        &self.state
+    }
+
+    fn run_block(&self, bq: &BoundQuery, outer: Option<&Env<'_>>) -> EngineResult<Rows> {
+        // Projection pushdown happened at plan time: the rewriter's
+        // liveness pass shrank every scan's `live` list, so scans
+        // materialize only referenced columns (the column-store advantage
+        // MonetDB's BATs provide).
+        let batch = self.exec_core(&bq.core, outer)?;
+        let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        if bq.aggregated {
+            self.project_aggregated(bq, &batch, outer, &mut produced)?;
+        } else {
+            self.project_plain(bq, &batch, outer, &mut produced)?;
+        }
+        finish_rows(bq, produced)
     }
 }
 
@@ -569,7 +461,7 @@ mod tests {
         sql: &str,
     ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
         let bound = bind(db, sql)?;
-        let rows = ColExec::new(db, budget).run_query(&bound, None)?;
+        let rows = ColExec::new(db, budget, 1, false).run_query(&bound, None)?;
         Ok((bound.output_names(), rows))
     }
 
@@ -579,7 +471,7 @@ mod tests {
 
     fn run_row_engine(db: &Database, sql: &str) -> Vec<Vec<Value>> {
         let bound = bind(db, sql).unwrap();
-        crate::exec_row::RowExec::new(db, 50_000_000)
+        crate::exec_row::RowExec::new(50_000_000, true, 1, false)
             .run_query(&bound, None)
             .unwrap()
     }

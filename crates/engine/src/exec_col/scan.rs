@@ -133,7 +133,7 @@ impl ColExec<'_> {
         let schema = input.schema();
         let conjs = predicate.conjuncts();
         let zpreds = zone_preds(&conjs, &schema, table, live);
-        let start = self.profiler.as_ref().map(|_| Instant::now());
+        let start = self.state.profiler.as_ref().map(|_| Instant::now());
         let chunk = |exec: &ColExec<'_>, range| {
             exec.filter_chunk(table, &schema, live, range, &conjs, &zpreds)
         };
@@ -157,7 +157,7 @@ impl ColExec<'_> {
                 .map(|range| chunk(self, range))
                 .collect::<EngineResult<Vec<_>>>()?
         };
-        if let (Some(prof), Some(t)) = (&self.profiler, start) {
+        if let (Some(prof), Some(t)) = (&self.state.profiler, start) {
             // `exec_core` is bypassed for the scan child, so its one
             // sample is recorded here — as if the scan had produced the
             // whole table: skipped chunks still count their rows, so the

@@ -17,29 +17,25 @@
 use crate::codec::{self, KeyTable, MatchBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    self, collect_aggregates, Accumulator, ColTest, CteFrame, Env, EvalCtx, NoSubqueries, Prepared,
-    Rows, Scope, SubStates, SubqueryRunner,
+    collect_aggregates, Accumulator, ColTest, Env, EvalCtx, ExecState, Executor, NoSubqueries,
+    Prepared, Rows, Scope,
 };
 use crate::ir::Expr;
 use crate::morsel;
 use crate::output::{finish_rows, prepare_sort_keys, sort_keys};
 use crate::plan::{BoundQuery, JoinKind, Plan};
-use crate::profile::{self, child_rows_out, NodeMetrics, ProfileShard, Profiler};
-use crate::storage::{self, CellPred, Database, Table, ZonePred, CHUNK_ROWS};
+use crate::profile::{self, child_rows_out, NodeMetrics};
+use crate::storage::{self, CellPred, Table, ZonePred, CHUNK_ROWS};
 use crate::value::{self, ArithMode, Value};
-use sqalpel_sql::ast::{BinOp, Query};
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use sqalpel_sql::ast::BinOp;
+use std::cell::Cell;
 use std::ops::Range;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// One query execution over the row engine.
 ///
-/// Created per statement; holds the per-execution subquery cache and the
-/// CTE materialization stack.
-pub struct RowExec<'a> {
-    db: &'a Database,
+/// Created per statement; holds the per-execution `ExecState`.
+pub struct RowExec {
     /// Rows the execution may touch before aborting with
     /// [`EngineError::Budget`] (morphed queries can go cartesian).
     budget: u64,
@@ -47,21 +43,12 @@ pub struct RowExec<'a> {
     /// Worker cap for the scan front end's decide step; `1` keeps
     /// execution on the calling thread.
     threads: usize,
-    subqueries: SubStates,
-    /// CTE frames: innermost last.
-    ctes: RefCell<Vec<CteFrame>>,
     /// False for the legacy (pre-hash-join) version: every join runs as a
     /// nested loop over its equality predicates.
     hash_joins: bool,
-    /// Whether the logical rewriter and the join-order optimizer run on
-    /// the subqueries this execution binds at runtime (both on by
-    /// default; the equivalence suites turn one off to diff against raw
-    /// or syntactic-order plans).
-    rewrite: bool,
-    optimize: bool,
-    /// Per-node metrics collection; `None` (the default) keeps every
-    /// operator on an early-return path with no metrics code at all.
-    profiler: Option<Profiler>,
+    /// Subquery cache, CTE frames and profiler. Without a profiler every
+    /// operator takes an early-return path with no metrics code at all.
+    state: ExecState,
 }
 
 const MODE: ArithMode = ArithMode::Float;
@@ -262,58 +249,20 @@ impl Combined {
     }
 }
 
-impl<'a> RowExec<'a> {
-    pub fn new(db: &'a Database, budget: u64) -> Self {
-        Self::with_options(db, budget, true)
-    }
-
-    /// Constructor with the hash-join switch (false = RowStore 1.x
-    /// nested-loop behaviour).
-    pub fn with_options(db: &'a Database, budget: u64, hash_joins: bool) -> Self {
-        Self::with_threads(db, budget, hash_joins, 1)
-    }
-
-    /// Constructor with the worker cap. Only the scan front end's decide
-    /// step fans out — float aggregation must fold in row order — and
-    /// `threads = 1` runs the same code on the calling thread.
-    pub fn with_threads(db: &'a Database, budget: u64, hash_joins: bool, threads: usize) -> Self {
-        let threads = threads.max(1);
+impl RowExec {
+    /// An execution under a row `budget`. `hash_joins = false` is the
+    /// RowStore 1.x nested-loop behaviour. Only the scan front end's
+    /// decide step fans out over `threads` — float aggregation must fold
+    /// in row order — and `threads = 1` runs the same code on the calling
+    /// thread. With `profile` every operator records its metrics.
+    pub fn new(budget: u64, hash_joins: bool, threads: usize, profile: bool) -> Self {
         RowExec {
-            db,
             budget,
             used: Cell::new(0),
-            threads,
-            subqueries: RefCell::new(HashMap::new()),
-            ctes: RefCell::new(Vec::new()),
+            threads: threads.max(1),
             hash_joins,
-            rewrite: true,
-            optimize: true,
-            profiler: None,
+            state: ExecState::new(profile),
         }
-    }
-
-    /// Set the planner flags the runtime subquery binds of this
-    /// execution use, so they match how the statement itself was bound.
-    pub fn with_planner_flags(mut self, rewrite: bool, optimize: bool) -> Self {
-        self.rewrite = rewrite;
-        self.optimize = optimize;
-        self
-    }
-
-    /// Collect per-node metrics during execution; retrieve the profile
-    /// with [`Self::take_profile`] afterwards.
-    pub fn with_profiler(mut self) -> Self {
-        self.profiler = Some(Profiler::new());
-        self
-    }
-
-    /// The metrics accumulated so far, draining the profiler. Empty when
-    /// profiling was never enabled.
-    pub fn take_profile(&self) -> ProfileShard {
-        self.profiler
-            .as_ref()
-            .map(|p| p.take())
-            .unwrap_or_default()
     }
 
     /// Charge `n` rows to the budget. Only the executor's own thread
@@ -327,93 +276,6 @@ impl<'a> RowExec<'a> {
         } else {
             Ok(())
         }
-    }
-
-    /// Execute a bound query, with `outer` in scope for correlation.
-    pub fn run_query(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        let Some(prof) = &self.profiler else {
-            return self.run_query_inner(bq, outer);
-        };
-        // The select node's rows_in is the *delta* of the core's
-        // cumulative rows_out across this execution, so repeated runs of
-        // one bound tree (correlated subqueries) never double-count.
-        let root = profile::node_key(&bq.core);
-        let before = prof.rows_out_of(root);
-        let start = Instant::now();
-        let rows = self.run_query_inner(bq, outer)?;
-        prof.record(
-            profile::node_key(bq),
-            NodeMetrics {
-                rows_in: prof.rows_out_of(root) - before,
-                rows_out: rows.len() as u64,
-                batches: 1,
-                nanos: start.elapsed().as_nanos() as u64,
-                ..NodeMetrics::default()
-            },
-        );
-        Ok(rows)
-    }
-
-    fn run_query_inner(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        // Materialize CTEs innermost-last; pop them on exit.
-        let frame_base = self.ctes.borrow().len();
-        for (name, cte_query) in &bq.ctes {
-            let rows = self.run_query(cte_query, outer)?;
-            self.ctes.borrow_mut().push(CteFrame {
-                name: name.clone(),
-                cols: cte_query.output_schema(),
-                rows: Rc::new(rows),
-            });
-        }
-        let result = self.run_body(bq, outer);
-        self.ctes.borrow_mut().truncate(frame_base);
-        result
-    }
-
-    fn run_body(
-        &self,
-        bq: &BoundQuery,
-        outer: Option<&Env<'_>>,
-    ) -> EngineResult<Vec<Vec<Value>>> {
-        let core_schema = bq.core.schema();
-        let scope = Scope {
-            schema: &core_schema,
-            outer,
-        };
-        let ctx = EvalCtx::new(self, MODE);
-
-        // (output row, sort keys) pairs.
-        let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-
-        if bq.aggregated {
-            self.run_aggregated(bq, scope, &ctx, &mut produced)?;
-        } else {
-            let items: Vec<Prepared<'_>> = bq
-                .items
-                .iter()
-                .map(|item| Prepared::new(&item.expr, scope, MODE, &[]))
-                .collect();
-            let order = prepare_sort_keys(bq, scope, MODE, &[]);
-            self.execute_core(&bq.core, outer, &mut |row| {
-                let mut out = Vec::with_capacity(items.len());
-                for item in &items {
-                    out.push(item.eval(row, &ctx)?);
-                }
-                let keys = sort_keys(&order, &out, row, &ctx)?;
-                produced.push((out, keys));
-                Ok(())
-            })?;
-        }
-
-        finish_rows(bq, produced)
     }
 
     fn run_aggregated(
@@ -551,7 +413,7 @@ impl<'a> RowExec<'a> {
             .map(|c| Prepared::new(c, scope, MODE, &[]))
             .collect();
         let filt = ScanFilter::new(table, live, &exprs, &conjuncts);
-        let profiling = self.profiler.is_some();
+        let profiling = self.state.profiler.is_some();
 
         // Decide. Each chunk yields its selection and the time it took.
         let decide = |range: Range<usize>, row: &mut [Value], ctx: &EvalCtx<'_>| {
@@ -628,7 +490,7 @@ impl<'a> RowExec<'a> {
             }
         }
 
-        if let Some(prof) = &self.profiler {
+        if let Some(prof) = &self.state.profiler {
             // What is timed is this node and what is below it — never
             // the consumer the rows were pushed into: the scan is the
             // fetch of the survivors, the filter the decision plus that.
@@ -665,7 +527,7 @@ impl<'a> RowExec<'a> {
         outer: Option<&Env<'_>>,
         sink: &mut Sink<'_>,
     ) -> EngineResult<()> {
-        let Some(prof) = &self.profiler else {
+        let Some(prof) = &self.state.profiler else {
             return self.exec_node(plan, outer, sink);
         };
         if scan_parts(plan).is_some() {
@@ -721,15 +583,7 @@ impl<'a> RowExec<'a> {
                 Ok(())
             }
             Plan::Cte { name, .. } => {
-                let rows = {
-                    let frames = self.ctes.borrow();
-                    frames
-                        .iter()
-                        .rev()
-                        .find(|f| f.name == *name)
-                        .map(|f| Rc::clone(&f.rows))
-                        .ok_or_else(|| EngineError::UnknownTable(name.clone()))?
-                };
+                let rows = self.state.cte_rows(name)?;
                 for row in rows.iter() {
                     self.charge(1)?;
                     sink(row)?;
@@ -904,15 +758,43 @@ fn scan_parts(plan: &Plan) -> Option<(&Plan, Option<(&Plan, &Expr)>)> {
     }
 }
 
-impl SubqueryRunner for RowExec<'_> {
-    fn run_subquery(&self, q: &Query, outer: &Env<'_>) -> EngineResult<Rc<Rows>> {
-        eval::run_subquery(
-            &self.subqueries,
-            q,
+impl Executor for RowExec {
+    fn state(&self) -> &ExecState {
+        &self.state
+    }
+
+    fn run_block(&self, bq: &BoundQuery, outer: Option<&Env<'_>>) -> EngineResult<Rows> {
+        let core_schema = bq.core.schema();
+        let scope = Scope {
+            schema: &core_schema,
             outer,
-            || eval::bind_subquery(self.db, &self.ctes.borrow(), self.rewrite, self.optimize, q),
-            |bound, outer| self.run_query(bound, outer),
-        )
+        };
+        let ctx = EvalCtx::new(self, MODE);
+
+        // (output row, sort keys) pairs.
+        let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+
+        if bq.aggregated {
+            self.run_aggregated(bq, scope, &ctx, &mut produced)?;
+        } else {
+            let items: Vec<Prepared<'_>> = bq
+                .items
+                .iter()
+                .map(|item| Prepared::new(&item.expr, scope, MODE, &[]))
+                .collect();
+            let order = prepare_sort_keys(bq, scope, MODE, &[]);
+            self.execute_core(&bq.core, outer, &mut |row| {
+                let mut out = Vec::with_capacity(items.len());
+                for item in &items {
+                    out.push(item.eval(row, &ctx)?);
+                }
+                let keys = sort_keys(&order, &out, row, &ctx)?;
+                produced.push((out, keys));
+                Ok(())
+            })?;
+        }
+
+        finish_rows(bq, produced)
     }
 }
 
@@ -920,6 +802,7 @@ impl SubqueryRunner for RowExec<'_> {
 mod tests {
     use super::*;
     use crate::plan::Planner;
+    use crate::storage::Database;
 
     fn db() -> Database {
         Database::tpch(0.001, 42)
@@ -932,7 +815,7 @@ mod tests {
     ) -> EngineResult<(Vec<String>, Vec<Vec<Value>>)> {
         let q = sqalpel_sql::parse_query(sql)?;
         let bound = Planner::new(db).bind(&q)?;
-        let rows = RowExec::new(db, budget).run_query(&bound, None)?;
+        let rows = RowExec::new(budget, true, 1, false).run_query(&bound, None)?;
         Ok((bound.output_names(), rows))
     }
 

@@ -4,17 +4,15 @@
 //! a qualified name matches on `(binding, column)`, an unqualified name on
 //! `column` alone, two hits are ambiguous, and a miss is *not* an error —
 //! it becomes an [`Expr::Outer`] reference. Those references are what
-//! correlation is read from: the unnesting pass ([`super::unnest`]) binds
-//! a subquery body at plan time, resolves its `Outer`s against the
-//! enclosing block with the same rule, and turns the ones in `WHERE`
-//! equalities into join keys. A subquery it leaves in place keeps its
-//! `Outer`s, which climb the environment chain at runtime; for those the
-//! executors still find out on first evaluation whether the body is
-//! correlated at all (it runs once without an outer row, and
-//! `UnknownColumn` means it is).
+//! correlation is read from. A subquery comes out of [`bind_expr`] as a
+//! [`Subquery`] node holding its SQL; the planner binds its body once,
+//! while binding the block it stands in (`crate::ir::unnest`), and the
+//! body's escaping `Outer`s say whether it is correlated: the unnesting
+//! pass turns the ones in `WHERE` equalities into join keys, and a body
+//! left in place runs once if it has none and per outer row otherwise.
 
 use crate::error::{EngineError, EngineResult};
-use crate::ir::expr::Expr;
+use crate::ir::expr::{Expr, Subquery};
 use crate::plan::Schema;
 use sqalpel_sql::ast;
 use std::collections::HashSet;
@@ -39,7 +37,7 @@ pub fn resolve_name(schema: &Schema, c: &ast::ColumnRef) -> EngineResult<Option<
 }
 
 /// Lower an AST expression against `schema`. Purely structural except for
-/// column references; subquery bodies stay opaque AST.
+/// column references; a subquery becomes an unbound [`Subquery`] node.
 pub fn bind_expr(e: &ast::Expr, schema: &Schema) -> EngineResult<Expr> {
     let bind = |e: &ast::Expr| bind_expr(e, schema);
     let bindb = |e: &ast::Expr| bind_expr(e, schema).map(Box::new);
@@ -69,11 +67,11 @@ pub fn bind_expr(e: &ast::Expr, schema: &Schema) -> EngineResult<Expr> {
         ast::Expr::InSubquery { expr, negated, query } => Expr::InSubquery {
             expr: bindb(expr)?,
             negated: *negated,
-            query: query.clone(),
+            query: Box::new(Subquery::new(query)),
         },
         ast::Expr::Exists { negated, query } => Expr::Exists {
             negated: *negated,
-            query: query.clone(),
+            query: Box::new(Subquery::new(query)),
         },
         ast::Expr::Like { expr, negated, pattern } => Expr::Like {
             expr: bindb(expr)?,
@@ -103,7 +101,7 @@ pub fn bind_expr(e: &ast::Expr, schema: &Schema) -> EngineResult<Expr> {
             start: bindb(start)?,
             length: length.as_deref().map(&bindb).transpose()?,
         },
-        ast::Expr::Subquery(q) => Expr::Subquery(q.clone()),
+        ast::Expr::Subquery(q) => Expr::Subquery(Box::new(Subquery::new(q))),
         ast::Expr::Wildcard => Expr::Wildcard,
     })
 }
@@ -127,10 +125,10 @@ pub fn bind_order_key(
 }
 
 /// Every column name mentioned anywhere in an expression, descending into
-/// subquery bodies. Used to build the *protected* name set: a subquery is
-/// bound lazily at runtime, so any name inside it may turn out to be a
-/// correlated reference into an enclosing scan — those columns must
-/// survive projection pruning.
+/// subquery bodies. Used to build the *protected* name set: a subquery
+/// body's outer references resolve by name against the row it runs for,
+/// so any name inside it may be a correlated reference into an enclosing
+/// scan — those columns must survive projection pruning.
 pub fn collect_expr_names(e: &ast::Expr, out: &mut HashSet<String>) {
     e.visit(&mut |x| match x {
         ast::Expr::Column(c) => {
@@ -185,7 +183,7 @@ fn collect_table_ref_names(t: &ast::TableRef, out: &mut HashSet<String>) {
 
 /// Every base-table name referenced anywhere in a query (descending into
 /// subqueries and CTE bodies). Used to gate CTE predicate pushdown: a CTE
-/// scanned by a lazily-bound subquery must keep its unfiltered
+/// scanned by a subquery left in place must keep its unfiltered
 /// materialization.
 pub fn collect_query_tables(q: &ast::Query, out: &mut HashSet<String>) {
     for cte in &q.ctes {

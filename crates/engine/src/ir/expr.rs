@@ -2,8 +2,11 @@
 //! types, and a canonical rendering used for aggregate keys, duplicate
 //! elimination and plan fingerprints.
 
+use crate::error::{EngineError, EngineResult};
+use crate::plan::BoundQuery;
 use sqalpel_sql::ast::{self, BinOp, ColumnRef, IntervalUnit, Literal, UnaryOp};
 use std::fmt;
+use std::sync::Arc;
 
 /// Inferred expression / column type. `Unknown` is a honest "cannot tell
 /// statically" (scalar subqueries, NULL literals, mixed CASE arms); the
@@ -51,10 +54,10 @@ impl fmt::Display for Ty {
 ///   the runtime environment chain (correlation);
 /// * [`Expr::OutputCol`] — an `ORDER BY` alias referencing a projected
 ///   output column by position;
-/// * a subquery node holds opaque AST ([`ast::Query`]). The unnesting pass
-///   replaces the ones it can with joins; one that is still here when the
-///   plan executes is bound lazily, against the environment that first
-///   evaluates it.
+/// * a subquery node ([`Subquery`]) holds its SQL and the one result of
+///   binding its body, which the planner does while binding the block the
+///   node stands in. The unnesting pass replaces the ones it can with
+///   joins; the rest run their bound body when evaluation reaches them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Col { slot: usize, ty: Ty },
@@ -67,8 +70,8 @@ pub enum Expr {
     Binary { left: Box<Expr>, op: BinOp, right: Box<Expr> },
     Between { expr: Box<Expr>, negated: bool, low: Box<Expr>, high: Box<Expr> },
     InList { expr: Box<Expr>, negated: bool, list: Vec<Expr> },
-    InSubquery { expr: Box<Expr>, negated: bool, query: Box<ast::Query> },
-    Exists { negated: bool, query: Box<ast::Query> },
+    InSubquery { expr: Box<Expr>, negated: bool, query: Box<Subquery> },
+    Exists { negated: bool, query: Box<Subquery> },
     Like { expr: Box<Expr>, negated: bool, pattern: Box<Expr> },
     IsNull { expr: Box<Expr>, negated: bool },
     Case {
@@ -79,8 +82,72 @@ pub enum Expr {
     Function { name: String, distinct: bool, args: Vec<Expr> },
     Extract { field: IntervalUnit, expr: Box<Expr> },
     Substring { expr: Box<Expr>, start: Box<Expr>, length: Option<Box<Expr>> },
-    Subquery(Box<ast::Query>),
+    Subquery(Box<Subquery>),
     Wildcard,
+}
+
+/// A subquery inside an expression. Its SQL is what [`Expr`]'s `Display`
+/// and `PartialEq` — and so fingerprints — see; `bound` is the one result
+/// of binding the body, `None` only until the planner reaches the block
+/// the node stands in.
+#[derive(Debug, Clone)]
+pub struct Subquery {
+    pub sql: ast::Query,
+    /// The bind error is kept, not raised: SQL raises it only if
+    /// evaluation reaches the subquery.
+    pub bound: Option<Result<Arc<SubqueryPlan>, EngineError>>,
+}
+
+/// A subquery body bound, rewritten, pruned and optimized as a query of
+/// its own, with what it reads from enclosing rows.
+#[derive(Debug)]
+pub struct SubqueryPlan {
+    pub query: BoundQuery,
+    /// The names the body leaves to an enclosing row, read off the bound
+    /// tree; `None` when a subquery nested in it did not bind, so which
+    /// names it reads cannot be told.
+    pub outer_refs: Option<Vec<ColumnRef>>,
+}
+
+impl Subquery {
+    pub fn new(sql: &ast::Query) -> Self {
+        Subquery {
+            sql: sql.clone(),
+            bound: None,
+        }
+    }
+
+    /// The bound body, or the error binding it raised.
+    pub fn plan(&self) -> EngineResult<&SubqueryPlan> {
+        match &self.bound {
+            Some(Ok(plan)) => Ok(plan),
+            Some(Err(e)) => Err(e.clone()),
+            None => Err(EngineError::Unsupported(format!(
+                "subquery never bound: {}",
+                self.sql
+            ))),
+        }
+    }
+}
+
+impl SubqueryPlan {
+    /// Whether the body reads an enclosing row, so it must run per row;
+    /// an uncorrelated body runs once.
+    pub fn correlated(&self) -> bool {
+        self.outer_refs.as_ref().is_none_or(|refs| !refs.is_empty())
+    }
+}
+
+impl PartialEq for Subquery {
+    fn eq(&self, other: &Self) -> bool {
+        self.sql == other.sql
+    }
+}
+
+impl fmt::Display for Subquery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.sql)
+    }
 }
 
 impl Expr {
@@ -506,7 +573,7 @@ mod tests {
 
     #[test]
     fn slots_skip_subquery_bodies() {
-        let q = Box::new(ast::Query::simple(ast::Select::default()));
+        let q = Box::new(Subquery::new(&ast::Query::simple(ast::Select::default())));
         let e = Expr::and(col(3), Expr::Exists { negated: false, query: q });
         assert_eq!(e.slots(), vec![3]);
         assert!(!e.parallel_safe());

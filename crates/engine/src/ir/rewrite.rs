@@ -25,7 +25,7 @@
 //!    unless the derived query aggregates or has a LIMIT.
 //! 7. **Pushdown into CTEs** — same, but only when the CTE is scanned
 //!    exactly once in the whole tree, is not shadowed, and is not
-//!    referenced by any lazily-bound subquery.
+//!    referenced by any subquery left in place.
 //! 8. **Common-conjunct factoring** — `(A ∧ X) ∨ (A ∧ Y)` becomes
 //!    `A ∧ (X ∨ Y)`, so what every branch of an `OR` demands can be
 //!    pushed down or (rule 9) hashed. TPC-H Q19 is the shape.
@@ -667,15 +667,15 @@ fn for_each_plan_expr(p: &Plan, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// Table names referenced by any lazily-bound subquery anywhere in the
-/// tree. A CTE in this set may be scanned at runtime by a subquery, so its
+/// Table names referenced by any subquery left in place anywhere in the
+/// tree. A CTE in this set may be scanned by that subquery's body, so its
 /// materialization must stay unfiltered.
 fn embedded_subquery_tables(bq: &BoundQuery, out: &mut HashSet<String>) {
     for_each_expr(bq, &mut |top| {
         top.visit(&mut |e| match e {
-            Expr::Subquery(q) => collect_query_tables(q, out),
-            Expr::InSubquery { query, .. } => collect_query_tables(query, out),
-            Expr::Exists { query, .. } => collect_query_tables(query, out),
+            Expr::Subquery(q) => collect_query_tables(&q.sql, out),
+            Expr::InSubquery { query, .. } => collect_query_tables(&query.sql, out),
+            Expr::Exists { query, .. } => collect_query_tables(&query.sql, out),
             _ => {}
         });
     });
@@ -765,8 +765,8 @@ fn cte_pushdown(bq: &mut BoundQuery, changed: &mut bool) {
 /// Projection pruning via column liveness: shrink every scan to the
 /// columns actually referenced, plus a *protected* set of names that may
 /// be reached dynamically — outer references and any column name mentioned
-/// inside a subquery left in place (bound lazily, it may turn out to be
-/// correlated into an enclosing scan). An unnested subquery is plan nodes
+/// inside a subquery left in place (its body's outer references resolve
+/// by name against the row it runs for). An unnested subquery is plan nodes
 /// like any other, so the build side of a semi, anti or group join keeps
 /// its key and residual columns and nothing else.
 pub fn prune(bq: &mut BoundQuery) {
@@ -781,9 +781,9 @@ fn collect_protected(bq: &BoundQuery, out: &mut HashSet<String>) {
             Expr::Outer(c) => {
                 out.insert(c.column.clone());
             }
-            Expr::Subquery(q) => collect_query_names(q, out),
-            Expr::InSubquery { query, .. } => collect_query_names(query, out),
-            Expr::Exists { query, .. } => collect_query_names(query, out),
+            Expr::Subquery(q) => collect_query_names(&q.sql, out),
+            Expr::InSubquery { query, .. } => collect_query_names(&query.sql, out),
+            Expr::Exists { query, .. } => collect_query_names(&query.sql, out),
             _ => {}
         });
     });

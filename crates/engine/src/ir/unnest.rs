@@ -1,12 +1,12 @@
 //! Plan-time subquery unnesting: semi, anti and group joins.
 //!
 //! The binder leaves every `WHERE` conjunct that mentions a subquery in
-//! the filter on top of its block, body still opaque AST. Run per block
-//! (by `Planner::bind_select`, under the `rewrite` flag, before the
-//! fixed-point rewriter), this pass binds each such body with the same
-//! [`Planner`] — so the body's own conjuncts are already unnested —
-//! reads its correlation off the [`Expr::Outer`] references the binder
-//! left behind, and rewrites three shapes:
+//! the filter on top of its block, the subquery not bound yet. Run per
+//! block (by `Planner::bind_select`, before the fixed-point rewriter),
+//! this pass binds each such body with the same [`Planner`] — so the
+//! body's own conjuncts are already unnested — and, under the `rewrite`
+//! flag, reads its correlation off the [`Expr::Outer`] references the
+//! binder left behind and rewrites three shapes:
 //!
 //! * `[NOT] EXISTS (body)`, correlated by at least one equality: the
 //!   correlated conjuncts are pulled out of the body's core, equalities
@@ -39,47 +39,49 @@
 //! evaluation, float sums included.
 //!
 //! Everything else stays on the per-row [`crate::eval::SubqueryRunner`]
-//! path; the choice depends on the query's shape alone. When the plan is
-//! bound for EXPLAIN (`Planner::bind_explained`) each subquery left in
-//! place also gets a line in [`BoundQuery::subquery_notes`] saying how it
-//! runs and why — telling `cached` from `per-row` outside the three
-//! shapes takes a bind of the body, which an executing bind does not pay.
+//! path; the choice depends on the query's shape alone. This pass is also
+//! where every subquery of a block is bound, exactly once, in the order
+//! EXPLAIN notes them (so `$sqN` names do not depend on how a plan is
+//! used): each body is bound as a block of the statement, and one that
+//! stays — every one, with the rewriter off — is then finished as a query
+//! of its own into its [`Subquery`] node, with the outer references that
+//! make it correlated. Each subquery left in place also gets a line in
+//! [`BoundQuery::subquery_notes`] saying how it runs and why.
 
 use crate::ir::bind::resolve_name;
-use crate::ir::expr::{Expr, Ty};
+use crate::ir::cost::CardHints;
+use crate::ir::expr::{Expr, Subquery, SubqueryPlan, Ty};
 use crate::plan::{BoundQuery, JoinKind, OutputItem, Plan, Planner, Schema};
 use sqalpel_sql::ast::{self, BinOp, ColumnRef, UnaryOp};
 use std::mem;
+use std::sync::Arc;
 
-/// Unnest the subquery conjuncts of one freshly bound block and, when
-/// binding for EXPLAIN, note why every subquery that stays does.
+/// Unnest the subquery conjuncts of one freshly bound block (rewriter on),
+/// bind every subquery that stays, and note why each one stays.
 pub(crate) fn unnest(planner: &mut Planner, bq: &mut BoundQuery) {
-    let noting = planner.noting();
+    let rewrite = planner.rewrites();
     let mut notes = Vec::new();
     let mut from_notes = Vec::new();
     let where_has_subquery =
         matches!(&bq.core, Plan::Filter { predicate, .. } if predicate.contains_subquery());
-    if where_has_subquery {
+    if rewrite && where_has_subquery {
         let Plan::Filter { input, predicate } = mem::replace(&mut bq.core, placeholder()) else {
             unreachable!("checked above")
         };
         let mut cur = *input;
-        if noting {
-            note_plan(planner, &cur, &mut from_notes);
-        }
+        note_plan(planner, &mut cur, &mut from_notes);
         let mut kept = Vec::new();
         for c in predicate.conjuncts() {
+            let mut c = c.clone();
             if !c.contains_subquery() {
-                kept.push(c.clone());
+                kept.push(c);
                 continue;
             }
-            match try_unnest(planner, c, &mut cur, &mut notes) {
+            match try_unnest(planner, &mut c, &mut cur, &mut notes) {
                 Ok(replacement) => kept.extend(replacement),
                 Err(stays) => {
-                    if noting {
-                        note_conjunct(planner, c, stays, &mut notes);
-                    }
-                    kept.push(c.clone());
+                    note_conjunct(planner, &mut c, stays, &mut notes);
+                    kept.push(c);
                 }
             }
         }
@@ -90,27 +92,27 @@ pub(crate) fn unnest(planner: &mut Planner, bq: &mut BoundQuery) {
             },
             None => cur,
         };
-    } else if noting {
-        note_plan(planner, &bq.core, &mut from_notes);
+    } else {
+        note_plan(planner, &mut bq.core, &mut from_notes);
     }
-    if noting {
-        notes.append(&mut from_notes);
-        for (e, place) in tail_exprs(bq) {
-            note_expr(planner, e, place, &mut notes);
-        }
+    notes.append(&mut from_notes);
+    for (e, place) in tail_exprs(bq) {
+        note_expr(planner, e, place, &mut notes);
     }
-    bq.subquery_notes.append(&mut notes);
+    if rewrite {
+        bq.subquery_notes.append(&mut notes);
+    }
 }
 
 /// The expressions of a block outside its FROM/WHERE tree, each with
 /// where it stands.
-fn tail_exprs(bq: &BoundQuery) -> impl Iterator<Item = (&Expr, &'static str)> {
+fn tail_exprs(bq: &mut BoundQuery) -> impl Iterator<Item = (&mut Expr, &'static str)> {
     bq.items
-        .iter()
-        .map(|it| (&it.expr, "in the SELECT list"))
-        .chain(bq.group_by.iter().map(|g| (g, "in GROUP BY")))
-        .chain(bq.having.iter().map(|h| (h, "in HAVING")))
-        .chain(bq.order_by.iter().map(|(k, _)| (k, "in ORDER BY")))
+        .iter_mut()
+        .map(|it| (&mut it.expr, "in the SELECT list"))
+        .chain(bq.group_by.iter_mut().map(|g| (g, "in GROUP BY")))
+        .chain(bq.having.iter_mut().map(|h| (h, "in HAVING")))
+        .chain(bq.order_by.iter_mut().map(|(k, _)| (k, "in ORDER BY")))
 }
 
 fn placeholder() -> Plan {
@@ -119,6 +121,36 @@ fn placeholder() -> Plan {
         binding: String::new(),
         schema: Vec::new(),
     }
+}
+
+// ---------------------------------------------------------------- binding
+
+/// Bind every subquery in `e` that is not bound yet.
+fn bind_subqueries(planner: &mut Planner, e: &mut Expr) {
+    e.visit_mut(&mut |x| {
+        let sub = match x {
+            Expr::Subquery(sub)
+            | Expr::InSubquery { query: sub, .. }
+            | Expr::Exists { query: sub, .. } => sub,
+            _ => return,
+        };
+        if sub.bound.is_none() {
+            sub.bound = Some(
+                planner
+                    .bind_query(&sub.sql)
+                    .map(|body| finished(planner, body)),
+            );
+        }
+    });
+}
+
+/// A body bound by [`Planner::bind_query`] as it will run in place: with
+/// the outer references read off it, then rewritten, pruned and optimized
+/// as a query of its own.
+fn finished(planner: &Planner, mut query: BoundQuery) -> Arc<SubqueryPlan> {
+    let outer_refs = escaping_refs(&query);
+    planner.finish(&mut query, &CardHints::default());
+    Arc::new(SubqueryPlan { query, outer_refs })
 }
 
 // ----------------------------------------------------------------- shapes
@@ -134,26 +166,29 @@ enum Stays {
     Elsewhere,
 }
 
-enum Shape<'a> {
+/// One of the three shapes: the subquery node, and what stands around it.
+struct Shape<'a> {
+    kind: Kind<'a>,
+    sub: &'a mut Subquery,
+}
+
+enum Kind<'a> {
     Exists {
         negated: bool,
-        query: &'a ast::Query,
     },
     In {
         probe: &'a Expr,
         negated: bool,
-        query: &'a ast::Query,
     },
     /// `other op (query)`, or `(query) op other` when `sub_on_left`.
     Scalar {
         op: BinOp,
         other: &'a Expr,
         sub_on_left: bool,
-        query: &'a ast::Query,
     },
 }
 
-fn shape_of(c: &Expr) -> Option<Shape<'_>> {
+fn shape_of(c: &mut Expr) -> Option<Shape<'_>> {
     match c {
         // The parser spells `NOT EXISTS (..)` as a NOT over EXISTS. Both
         // predicates pass NULL through a NOT unchanged (EXISTS is never
@@ -162,53 +197,50 @@ fn shape_of(c: &Expr) -> Option<Shape<'_>> {
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => match shape_of(expr)? {
-            Shape::Exists { negated, query } => Some(Shape::Exists {
-                negated: !negated,
-                query,
-            }),
-            Shape::In {
-                probe,
-                negated,
-                query,
-            } => Some(Shape::In {
-                probe,
-                negated: !negated,
-                query,
-            }),
-            Shape::Scalar { .. } => None,
-        },
-        Expr::Exists { negated, query } => Some(Shape::Exists {
-            negated: *negated,
-            query,
+        } => {
+            let Shape { kind, sub } = shape_of(expr)?;
+            let kind = match kind {
+                Kind::Exists { negated } => Kind::Exists { negated: !negated },
+                Kind::In { probe, negated } => Kind::In {
+                    probe,
+                    negated: !negated,
+                },
+                Kind::Scalar { .. } => return None,
+            };
+            Some(Shape { kind, sub })
+        }
+        Expr::Exists { negated, query } => Some(Shape {
+            kind: Kind::Exists { negated: *negated },
+            sub: query,
         }),
         Expr::InSubquery {
             expr,
             negated,
             query,
-        } if !expr.contains_subquery() => Some(Shape::In {
-            probe: expr,
-            negated: *negated,
-            query,
+        } if !expr.contains_subquery() => Some(Shape {
+            kind: Kind::In {
+                probe: expr,
+                negated: *negated,
+            },
+            sub: query,
         }),
         Expr::Binary { left, op, right } if op.is_comparison() => {
-            match (left.as_ref(), right.as_ref()) {
-                (Expr::Subquery(query), other) if !other.contains_subquery() => {
-                    Some(Shape::Scalar {
-                        op: *op,
+            let op = *op;
+            let sub_on_left = matches!(**left, Expr::Subquery(_)) && !right.contains_subquery();
+            let (sub, other) = if sub_on_left {
+                (left, right)
+            } else {
+                (right, left)
+            };
+            match sub.as_mut() {
+                Expr::Subquery(sub) if !other.contains_subquery() => Some(Shape {
+                    kind: Kind::Scalar {
+                        op,
                         other,
-                        sub_on_left: true,
-                        query,
-                    })
-                }
-                (other, Expr::Subquery(query)) if !other.contains_subquery() => {
-                    Some(Shape::Scalar {
-                        op: *op,
-                        other,
-                        sub_on_left: false,
-                        query,
-                    })
-                }
+                        sub_on_left,
+                    },
+                    sub,
+                }),
                 _ => None,
             }
         }
@@ -232,27 +264,17 @@ impl Body {
     }
 }
 
-/// Bind `query` and split its correlation off. `Err` says why the body
-/// has to stay on the per-row path.
-fn decompose(planner: &mut Planner, query: &ast::Query, outer: &Schema) -> Result<Body, Stays> {
-    if !query.ctes.is_empty() {
-        return Err(Stays::PerRow("WITH inside"));
-    }
-    if query.limit.is_some() {
-        return Err(Stays::PerRow("LIMIT inside"));
-    }
-    let Ok(mut bq) = planner.bind_query(query) else {
-        return Err(Stays::PerRow("does not bind at plan time"));
-    };
+/// Split the correlation off a bound body. `Err` says why the body has to
+/// stay on the per-row path.
+fn decompose(mut bq: BoundQuery, outer: &Schema) -> Result<Body, Stays> {
     let mut pulled = Vec::new();
     bq.core = pull_correlated(mem::replace(&mut bq.core, placeholder()), 0, &mut pulled);
     // Whatever outer reference is still inside cannot become a join
     // condition: select list, HAVING, an ON clause, a derived table, the
     // null-padded side of an outer join, or a nested subquery that looks
     // past this body.
-    match escaping_refs(planner, &bq) {
-        Ok(refs) if refs.is_empty() => {}
-        _ => return Err(Stays::PerRow("correlated outside a WHERE conjunct")),
+    if escaping_refs(&bq).is_none_or(|refs| !refs.is_empty()) {
+        return Err(Stays::PerRow("correlated outside a WHERE conjunct"));
     }
 
     let width = outer.len();
@@ -391,17 +413,51 @@ fn hashable_pair(a: &Expr, b: &Expr) -> bool {
 /// Rewrite one subquery conjunct over `cur` into a join. `Ok` carries the
 /// conjunct that replaces it in the filter (the comparison of a group
 /// join; nothing for semi and anti joins); `Err` the reason it stays,
-/// with `cur` untouched.
+/// with `cur` untouched and the subquery in `c` bound if this got as far
+/// as binding it.
 fn try_unnest(
     planner: &mut Planner,
-    c: &Expr,
+    c: &mut Expr,
     cur: &mut Plan,
     notes: &mut Vec<String>,
 ) -> Result<Option<Expr>, Stays> {
-    let outer = cur.schema();
-    match shape_of(c).ok_or(Stays::Elsewhere)? {
-        Shape::Exists { negated, query } => {
-            let body = decompose(planner, query, &outer)?;
+    let Shape { kind, sub } = shape_of(c).ok_or(Stays::Elsewhere)?;
+    if matches!(kind, Kind::In { probe, .. } if probe.contains_outer()) {
+        return Err(Stays::PerRow("probe references an enclosing block"));
+    }
+    if !sub.sql.ctes.is_empty() {
+        return Err(Stays::PerRow("WITH inside"));
+    }
+    if sub.sql.limit.is_some() {
+        return Err(Stays::PerRow("LIMIT inside"));
+    }
+    let body = match planner.bind_query(&sub.sql) {
+        Ok(body) => body,
+        Err(e) => {
+            sub.bound = Some(Err(e));
+            return Err(Stays::PerRow("does not bind at plan time"));
+        }
+    };
+    let unnested = join_shape(planner, kind, body.clone(), cur, notes);
+    if unnested.is_err() {
+        sub.bound = Some(Ok(finished(planner, body)));
+    }
+    unnested
+}
+
+/// [`try_unnest`] once the body is bound: take `bq` apart and join it
+/// into `cur`.
+fn join_shape(
+    planner: &mut Planner,
+    kind: Kind<'_>,
+    bq: BoundQuery,
+    cur: &mut Plan,
+    notes: &mut Vec<String>,
+) -> Result<Option<Expr>, Stays> {
+    let outer = &cur.schema();
+    let body = decompose(bq, outer)?;
+    match kind {
+        Kind::Exists { negated } => {
             if !body.correlated() {
                 return Err(Stays::Cached);
             }
@@ -420,15 +476,7 @@ fn try_unnest(
             semi_join(cur, bq.core, negated, keys, residual, 0);
             Ok(None)
         }
-        Shape::In {
-            probe,
-            negated,
-            query,
-        } => {
-            if probe.contains_outer() {
-                return Err(Stays::PerRow("probe references an enclosing block"));
-            }
-            let body = decompose(planner, query, &outer)?;
+        Kind::In { probe, negated } => {
             if body.bq.items.len() != 1 {
                 return Err(Stays::PerRow("IN body with several columns"));
             }
@@ -481,13 +529,11 @@ fn try_unnest(
             semi_join(cur, right, negated, keys, residual, 1);
             Ok(None)
         }
-        Shape::Scalar {
+        Kind::Scalar {
             op,
             other,
             sub_on_left,
-            query,
         } => {
-            let body = decompose(planner, query, &outer)?;
             if !body.correlated() {
                 return Err(Stays::Cached);
             }
@@ -664,7 +710,9 @@ fn each_expr<'a>(bq: &'a BoundQuery, f: &mut dyn FnMut(&'a Expr, &Schema)) {
     }
     each_plan_expr(&bq.core, f);
     let schema = bq.core.schema();
-    for (e, _) in tail_exprs(bq) {
+    let tail = bq.items.iter().map(|it| &it.expr);
+    let tail = tail.chain(&bq.group_by).chain(&bq.having);
+    for e in tail.chain(bq.order_by.iter().map(|(k, _)| k)) {
         f(e, &schema);
     }
 }
@@ -700,8 +748,8 @@ fn each_plan_expr<'a>(p: &'a Plan, f: &mut dyn FnMut(&'a Expr, &Schema)) {
     }
 }
 
-/// The subqueries directly inside `e`, as `(kind, body)`.
-fn subqueries_of(e: &Expr) -> Vec<(&'static str, &ast::Query)> {
+/// The subqueries directly inside `e`, as `(kind, node)`.
+fn subqueries_of(e: &Expr) -> Vec<(&'static str, &Subquery)> {
     let mut out = Vec::new();
     e.visit(&mut |x| match x {
         Expr::Subquery(q) => out.push(("scalar", q.as_ref())),
@@ -713,46 +761,47 @@ fn subqueries_of(e: &Expr) -> Vec<(&'static str, &ast::Query)> {
 }
 
 /// The outer references that escape `bq`: every [`Expr::Outer`] in it,
-/// plus — for each subquery still opaque — the references of its body
-/// that the schema it is evaluated against does not resolve. `Err` when
-/// a body does not bind, i.e. nothing can be said.
-fn escaping_refs(planner: &mut Planner, bq: &BoundQuery) -> Result<Vec<ColumnRef>, ()> {
+/// plus — for each subquery left in it — the references of its body that
+/// the schema it is evaluated against does not resolve. `None` when a
+/// body did not bind, i.e. nothing can be said.
+fn escaping_refs(bq: &BoundQuery) -> Option<Vec<ColumnRef>> {
     let mut found = Vec::new();
-    let mut nested: Vec<(&ast::Query, Schema)> = Vec::new();
+    let mut known = true;
     each_expr(bq, &mut |e, schema| {
         e.visit(&mut |x| {
             if let Expr::Outer(c) = x {
                 found.push(c.clone());
             }
         });
-        for (_, q) in subqueries_of(e) {
-            nested.push((q, schema.clone()));
+        for (_, sub) in subqueries_of(e) {
+            let refs = match &sub.bound {
+                Some(Ok(plan)) => plan.outer_refs.as_ref(),
+                _ => None,
+            };
+            let Some(refs) = refs else {
+                known = false;
+                continue;
+            };
+            let unresolved = refs
+                .iter()
+                .filter(|r| !matches!(resolve_name(schema, r), Ok(Some(_))));
+            found.extend(unresolved.cloned());
         }
     });
-    for (q, schema) in nested {
-        for r in free_refs(planner, q)? {
-            if !matches!(resolve_name(&schema, &r), Ok(Some(_))) {
-                found.push(r);
-            }
-        }
-    }
-    Ok(found)
-}
-
-/// The outer references of a subquery body: what makes it correlated.
-fn free_refs(planner: &mut Planner, q: &ast::Query) -> Result<Vec<ColumnRef>, ()> {
-    let body = planner.bind_query(q).map_err(|_| ())?;
-    escaping_refs(planner, &body)
+    known.then_some(found)
 }
 
 // ------------------------------------------------------------------ notes
 
 /// Note the subqueries of a conjunct that stays in the filter.
-fn note_conjunct(planner: &mut Planner, c: &Expr, stays: Stays, notes: &mut Vec<String>) {
-    let place = match (stays, c) {
+fn note_conjunct(planner: &mut Planner, c: &mut Expr, stays: Stays, notes: &mut Vec<String>) {
+    let place = match (stays, &*c) {
         (Stays::Cached, _) => {
             for (kind, q) in subqueries_of(c) {
-                notes.push(format!("cached: uncorrelated {kind} -- {}", snippet(q)));
+                notes.push(format!(
+                    "cached: uncorrelated {kind} -- {}",
+                    snippet(&q.sql)
+                ));
             }
             return;
         }
@@ -769,26 +818,31 @@ fn note_conjunct(planner: &mut Planner, c: &Expr, stays: Stays, notes: &mut Vec<
     note_expr(planner, c, place, notes);
 }
 
-/// Note every subquery directly inside `e`: cached when its body has no
-/// outer reference (it runs once, whatever kept it from becoming a
-/// join), per-row because of `place` otherwise.
-fn note_expr(planner: &mut Planner, e: &Expr, place: &str, notes: &mut Vec<String>) {
+/// Bind the subqueries directly inside `e` and note each: cached when its
+/// body has no outer reference (it runs once, whatever kept it from
+/// becoming a join), per-row because of `place` otherwise.
+fn note_expr(planner: &mut Planner, e: &mut Expr, place: &str, notes: &mut Vec<String>) {
+    bind_subqueries(planner, e);
     for (kind, q) in subqueries_of(e) {
-        let how = match free_refs(planner, q) {
-            Ok(refs) if refs.is_empty() => format!("cached: uncorrelated {kind} ({place})"),
+        let how = match &q.bound {
+            Some(Ok(plan)) if !plan.correlated() => {
+                format!("cached: uncorrelated {kind} ({place})")
+            }
             _ => format!("per-row: {place}"),
         };
-        notes.push(format!("{how} -- {}", snippet(q)));
+        notes.push(format!("{how} -- {}", snippet(&q.sql)));
     }
 }
 
 /// The join conditions and filters of a block's own FROM tree that
 /// mention a subquery (derived tables are blocks of their own).
-fn own_subquery_exprs<'a>(p: &'a Plan, out: &mut Vec<&'a Expr>) {
+fn own_subquery_exprs<'a>(p: &'a mut Plan, out: &mut Vec<&'a mut Expr>) {
     match p {
         Plan::Scan { .. } | Plan::Cte { .. } | Plan::Derived { .. } => {}
         Plan::Filter { input, predicate } => {
-            out.extend(predicate.contains_subquery().then_some(predicate));
+            if predicate.contains_subquery() {
+                out.push(predicate);
+            }
             own_subquery_exprs(input, out);
         }
         Plan::Join {
@@ -798,7 +852,7 @@ fn own_subquery_exprs<'a>(p: &'a Plan, out: &mut Vec<&'a Expr>) {
             residual,
             ..
         } => {
-            let conditions = equi.iter().flat_map(|(l, r)| [l, r]).chain(residual);
+            let conditions = equi.iter_mut().flat_map(|(l, r)| [l, r]).chain(residual);
             out.extend(conditions.filter(|e| e.contains_subquery()));
             own_subquery_exprs(left, out);
             own_subquery_exprs(right, out);
@@ -806,9 +860,9 @@ fn own_subquery_exprs<'a>(p: &'a Plan, out: &mut Vec<&'a Expr>) {
     }
 }
 
-/// Note the subqueries in the join conditions of this block's own FROM
-/// tree.
-fn note_plan(planner: &mut Planner, p: &Plan, notes: &mut Vec<String>) {
+/// Bind and note the subqueries in the join conditions of this block's
+/// own FROM tree (and, with the rewriter off, in its WHERE filter).
+fn note_plan(planner: &mut Planner, p: &mut Plan, notes: &mut Vec<String>) {
     let mut found = Vec::new();
     own_subquery_exprs(p, &mut found);
     for e in found {
@@ -837,10 +891,7 @@ mod tests {
     fn bound(sql: &str) -> BoundQuery {
         let db = Database::tpch(0.001, 42);
         let q = parse_query(sql).unwrap();
-        Planner::new(&db)
-            .with_optimize(false)
-            .bind_explained(&q)
-            .unwrap()
+        Planner::new(&db).with_optimize(false).bind(&q).unwrap()
     }
 
     /// The joins of a core in pre-order, as `(kind, keys, has residual)`.

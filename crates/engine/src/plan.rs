@@ -20,9 +20,10 @@
 //! deterministic: relations join in `FROM` order with hash joins on the
 //! equality conjuncts that connect them. A subquery the unnesting pass
 //! left in place (its shape is outside what the pass proves equivalent,
-//! or the rewriter is off) stays opaque AST in its predicate, is bound on
-//! first evaluation, and that predicate is never moved: its correlation
-//! needs the full row in scope.
+//! or the rewriter is off) is bound all the same, once, while its block
+//! is: its body is planned as a query of its own and kept in the
+//! [`ir::expr::Subquery`] node, and the predicate holding it is never
+//! moved: its correlation needs the full row in scope.
 
 use crate::error::{EngineError, EngineResult};
 use crate::ir::bind::{bind_expr, bind_order_key};
@@ -229,8 +230,7 @@ pub struct BoundQuery {
     /// One line per subquery the unnesting pass left in place in this
     /// block, saying how it will run and why (`per-row: under OR`,
     /// `cached: uncorrelated scalar`). EXPLAIN prints them; nothing else
-    /// reads them. Filled only by `Planner::bind_explained`, and empty
-    /// when the rewriter is off.
+    /// reads them. Empty when the rewriter is off.
     pub subquery_notes: Vec<String>,
 }
 
@@ -247,6 +247,7 @@ impl BoundQuery {
 }
 
 /// Planner state: the database plus CTE names visible during binding.
+/// One planner binds a whole statement, subquery bodies included.
 pub struct Planner<'a> {
     db: &'a Database,
     /// CTE name → output schema, for scans that target a CTE.
@@ -259,8 +260,6 @@ pub struct Planner<'a> {
     hints: ir::cost::CardHints,
     /// Group-join derived tables named so far (`$sq1`, `$sq2`, ...).
     derived_seq: usize,
-    /// Binding for EXPLAIN: fill [`BoundQuery::subquery_notes`].
-    noting: bool,
 }
 
 impl<'a> Planner<'a> {
@@ -272,23 +271,6 @@ impl<'a> Planner<'a> {
             optimize: true,
             hints: ir::cost::CardHints::default(),
             derived_seq: 0,
-            noting: false,
-        }
-    }
-
-    /// A planner with CTE names already in scope — used when binding
-    /// subqueries at runtime, where the enclosing query's CTEs must stay
-    /// visible (e.g. TPC-H Q15's `(select max(total_revenue) from
-    /// revenue)`).
-    pub fn with_ctes(db: &'a Database, ctes: Vec<(String, Vec<(String, Ty)>)>) -> Self {
-        Planner {
-            db,
-            ctes,
-            rewrite: true,
-            optimize: true,
-            hints: ir::cost::CardHints::default(),
-            derived_seq: 0,
-            noting: false,
         }
     }
 
@@ -320,27 +302,26 @@ impl<'a> Planner<'a> {
     /// rewrite, prune and cost-optimize it.
     pub fn bind(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let mut bq = self.bind_query(q)?;
-        if self.rewrite {
-            ir::rewrite::rewrite(&mut bq);
-            ir::rewrite::prune(&mut bq);
-        }
-        if self.optimize {
-            ir::memo::optimize(&mut bq, &self.hints);
-        }
+        self.finish(&mut bq, &self.hints);
         Ok(bq)
     }
 
-    /// [`Self::bind`] for EXPLAIN: the same plan, with a note on every
-    /// subquery the unnesting pass left in place. Saying whether such a
-    /// body is correlated can take an extra bind of it, so plans bound to
-    /// run skip the notes.
-    pub(crate) fn bind_explained(&mut self, q: &Query) -> EngineResult<BoundQuery> {
-        self.noting = true;
-        self.bind(q)
+    /// The whole-tree passes of [`Self::bind`], under `hints`. A subquery
+    /// body left in place gets them as a query of its own, with no hints
+    /// (the statement's observed cardinalities are about its own nodes).
+    pub(crate) fn finish(&self, bq: &mut BoundQuery, hints: &ir::cost::CardHints) {
+        if self.rewrite {
+            ir::rewrite::rewrite(bq);
+            ir::rewrite::prune(bq);
+        }
+        if self.optimize {
+            ir::memo::optimize(bq, hints);
+        }
     }
 
-    pub(crate) fn noting(&self) -> bool {
-        self.noting
+    /// Whether the rewriter, and with it the unnesting pass, is on.
+    pub(crate) fn rewrites(&self) -> bool {
+        self.rewrite
     }
 
     /// A binding name no SQL text can spell, for a derived table the
@@ -351,8 +332,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Bind one query block tree without the whole-tree passes of
-    /// [`Self::bind`]. With the rewriter on, each block comes back with
-    /// its subquery conjuncts already unnested.
+    /// [`Self::bind`]. Each block comes back with its subqueries bound —
+    /// with the rewriter on, the conjuncts it could unnest already joins.
     pub(crate) fn bind_query(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let cte_depth = self.ctes.len();
         let mut bound_ctes = Vec::with_capacity(q.ctes.len());
@@ -538,9 +519,7 @@ impl<'a> Planner<'a> {
             aggregated,
             subquery_notes: Vec::new(),
         };
-        if self.rewrite {
-            ir::unnest::unnest(self, &mut bq);
-        }
+        ir::unnest::unnest(self, &mut bq);
         Ok(bq)
     }
 

@@ -126,7 +126,7 @@ impl Profiler {
 
 /// Address-based key for a plan node. Bound plan trees are immutable and
 /// outlive execution, so the address is a stable identity — the same
-/// trick `exec_*`'s subquery caches use.
+/// trick the executors' subquery cache uses.
 pub fn node_key<T>(node: &T) -> usize {
     node as *const T as usize
 }

@@ -19,11 +19,12 @@ use proptest::prelude::*;
 use sqalpel_engine::eval::{
     agg_key, literal, Env, EvalCtx, Prepared, Rows, Scope, SubqueryRunner,
 };
+use sqalpel_engine::ir::expr::SubqueryPlan;
 use sqalpel_engine::ir::{Expr, Ty};
 use sqalpel_engine::plan::{ColMeta, Schema};
 use sqalpel_engine::value::{self, ArithMode, LikePattern, Value};
 use sqalpel_engine::{EngineError, EngineResult};
-use sqalpel_sql::ast::{BinOp, ColumnRef, IntervalUnit, Literal, Query, UnaryOp};
+use sqalpel_sql::ast::{BinOp, ColumnRef, IntervalUnit, Literal, UnaryOp};
 use std::rc::Rc;
 
 // ------------------------------------------------------------------ oracles
@@ -593,7 +594,7 @@ fn gen_expr(g: &mut Gen, kind: Kind, depth: usize) -> Expr {
 struct NoSubqueries;
 
 impl SubqueryRunner for NoSubqueries {
-    fn run_subquery(&self, _: &Query, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
+    fn run_subquery(&self, _: &SubqueryPlan, _: &Env<'_>) -> EngineResult<Rc<Rows>> {
         panic!("no subqueries expected in this test")
     }
 }

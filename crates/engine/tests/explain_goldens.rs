@@ -7,7 +7,8 @@
 //! `./ci.sh explain-goldens --bless`).
 //!
 //! Both engines share the binder and rewriter, so the suite also asserts
-//! RowStore and ColStore produce byte-identical EXPLAIN output.
+//! RowStore and ColStore produce byte-identical EXPLAIN output, and that
+//! executing each query on either engine reports the pinned fingerprint.
 
 use sqalpel_engine::{ColStore, Database, Dbms, RowStore};
 use std::path::PathBuf;
@@ -51,6 +52,19 @@ fn check_flight(db: Arc<Database>, queries: &[(&str, &str)]) {
             a.fingerprint, b.fingerprint,
             "{name}: engines disagree on fingerprint"
         );
+        // Executing binds the way EXPLAIN does: it runs under the pinned
+        // fingerprint.
+        for (label, executed) in [
+            ("rowstore", row.execute_by_fingerprint(sql, None)),
+            ("colstore", col.execute_by_fingerprint(sql, None)),
+        ] {
+            let executed =
+                executed.unwrap_or_else(|e| panic!("{name} failed to execute on {label}: {e}"));
+            assert_eq!(
+                executed.fingerprint, a.fingerprint,
+                "{name}: {label} executes under another fingerprint than EXPLAIN's"
+            );
+        }
         let rendered = format!("fingerprint: {}\n{}", a.fingerprint_hex(), a.text);
         let path = dir.join(golden_name(name));
         if bless {

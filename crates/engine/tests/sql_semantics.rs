@@ -282,6 +282,52 @@ fn integer_subtraction_and_negation_overflow_is_an_error_run() {
     }
 }
 
+/// A subquery is bound when its statement is planned, but a body that
+/// does not bind is an error only where evaluation reaches it — as with
+/// `1/0` behind a false conjunct. Both engines, rewriter on and off.
+#[test]
+fn a_subquery_that_does_not_bind_fails_only_where_it_is_reached() {
+    use sqalpel_engine::EngineError;
+    let db = Arc::new(Database::tpch(0.001, 42));
+    for rewrite in [true, false] {
+        for dbms in [
+            Box::new(RowStore::new(db.clone()).with_rewriter(rewrite)) as Box<dyn Dbms>,
+            Box::new(ColStore::new(db.clone()).with_rewriter(rewrite)),
+        ] {
+            let ctx = format!("{}, rewriter {rewrite}", dbms.label());
+            // No region row passes the first conjunct.
+            for sql in [
+                "select count(*) from region where r_regionkey < 0 \
+                 and exists (select * from nosuchtable)",
+                "select count(*) from region where r_regionkey < 0 \
+                 and r_name in (select n_name from nation where n_nosuch = 1)",
+            ] {
+                let r = dbms
+                    .execute(sql)
+                    .unwrap_or_else(|e| panic!("{sql} failed on {ctx}: {e}"));
+                assert_eq!(r.row_count(), 1, "{sql} on {ctx}");
+                assert_eq!(cell(&r, 0, 0), "0", "{sql} on {ctx}");
+            }
+            // No CASE reaches its THEN arm.
+            let r = dbms
+                .execute(
+                    "select r_regionkey, case when r_regionkey > 10 then \
+                     (select max(x) from nosuchtable) end from region order by 1",
+                )
+                .unwrap_or_else(|e| panic!("CASE failed on {ctx}: {e}"));
+            assert_eq!(r.row_count(), 5, "{ctx}");
+            // Every row reaches the EXISTS.
+            let err = dbms
+                .execute(
+                    "select count(*) from region where r_regionkey < 0 \
+                     or r_regionkey > 100 or exists (select * from nosuchtable)",
+                )
+                .unwrap_err();
+            assert_eq!(err, EngineError::UnknownTable("nosuchtable".into()), "{ctx}");
+        }
+    }
+}
+
 #[test]
 fn correlated_exists_and_not_exists() {
     on_both(
