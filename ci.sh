@@ -79,7 +79,10 @@ plan_goldens
 # and every fallback shape — each case checked to take the path it is
 # named for, and to execute under its EXPLAIN fingerprint on both
 # engines — plus Q4/Q20 on ColStore at SF 0.005 under the default
-# budget, which the per-row path blew.
+# budget, which the per-row path blew. Pruning and the CTE-pushdown gate
+# read the bound subquery bodies, so the wall also holds an outer column
+# only a body left in place reads (beside a nested body that does not
+# bind, too) and a CTE such a body scans, which must stay unfiltered.
 cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # Join reordering must be result-preserving too: optimizer on vs off,
 # both engines, 1 and 4 workers, identical row sets and fingerprints —

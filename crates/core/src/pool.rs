@@ -120,26 +120,6 @@ pub struct Guidance {
     pub exclude: BTreeSet<(String, usize)>,
     /// Terms that must appear in every generated query.
     pub require: BTreeSet<(String, usize)>,
-    /// Relative strategy weights for [`Draft::morph_auto`].
-    pub weights: StrategyWeights,
-}
-
-/// Relative weights for the guided random walk.
-#[derive(Debug, Clone, Copy)]
-pub struct StrategyWeights {
-    pub alter: f64,
-    pub expand: f64,
-    pub prune: f64,
-}
-
-impl Default for StrategyWeights {
-    fn default() -> Self {
-        StrategyWeights {
-            alter: 1.0,
-            expand: 1.0,
-            prune: 1.0,
-        }
-    }
 }
 
 /// A pluggable plan fingerprinter: canonical plan hash for a SQL string,
@@ -512,17 +492,13 @@ impl Draft<'_> {
         Ok(None)
     }
 
-    /// One step of the guided random walk: pick a strategy by weight.
+    /// One step of the guided random walk: alter, expand or prune, each
+    /// with probability one third.
     pub fn morph_auto(&mut self, rng: &mut StdRng) -> PlatformResult<Option<QueryId>> {
-        let w = self.pool.guidance.weights;
-        let total = w.alter + w.expand + w.prune;
-        if total <= 0.0 {
-            return Err(PlatformError::Invalid("all strategy weights zero".into()));
-        }
-        let roll = rng.random_range(0.0..total);
-        let strategy = if roll < w.alter {
+        let roll = rng.random_range(0.0..3.0);
+        let strategy = if roll < 1.0 {
             Strategy::Alter
-        } else if roll < w.alter + w.expand {
+        } else if roll < 2.0 {
             Strategy::Expand
         } else {
             Strategy::Prune

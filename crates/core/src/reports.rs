@@ -97,8 +97,8 @@ pub fn pool_page(pool: &QueryPool) -> String {
     let g = &pool.guidance;
     let _ = writeln!(
         out,
-        "guidance: exclude={:?} require={:?} weights(alter/expand/prune)={}/{}/{}",
-        g.exclude, g.require, g.weights.alter, g.weights.expand, g.weights.prune
+        "guidance: exclude={:?} require={:?}",
+        g.exclude, g.require
     );
     let _ = writeln!(out, "{:>4}  {:<22} {:>5}  sql", "id", "origin", "size");
     for e in pool.entries() {

@@ -109,22 +109,25 @@ fn cached_execute(
             cache: CacheOutcome::Bypass,
         });
     };
+    // Fresh actuals arrived since the plan for `fp` was built: re-search
+    // the join order with corrected cardinalities and cache the new plan.
+    let reoptimize =
+        |fp: u64, (hints, generation): (ir::cost::CardHints, u64)| -> EngineResult<_> {
+            let rebound = Arc::new(bind(Some(&hints))?);
+            let new_fp = ir::explain(&rebound).fingerprint;
+            cache.insert(new_fp, rebound.clone());
+            cache.mark_planned(fp, generation);
+            cache.count_reoptimized();
+            Ok(FpExecution {
+                result: run(&rebound)?,
+                fingerprint: new_fp,
+                cache: CacheOutcome::Reoptimized,
+            })
+        };
     if let Some(fp) = fingerprint {
         if let Some(bound) = cache.get(fp) {
-            if let Some((hints, generation)) = cache.stale_hints(fp) {
-                // Fresh actuals arrived since this plan was built:
-                // re-search the join order with corrected cardinalities
-                // and replace the cached entry.
-                let rebound = Arc::new(bind(Some(&hints))?);
-                let new_fp = ir::explain(&rebound).fingerprint;
-                cache.insert(new_fp, rebound.clone());
-                cache.mark_planned(fp, generation);
-                cache.count_reoptimized();
-                return Ok(FpExecution {
-                    result: run(&rebound)?,
-                    fingerprint: new_fp,
-                    cache: CacheOutcome::Reoptimized,
-                });
+            if let Some(stale) = cache.stale_hints(fp) {
+                return reoptimize(fp, stale);
             }
             return Ok(FpExecution {
                 result: run(&bound)?,
@@ -143,17 +146,8 @@ fn cached_execute(
     // known to be built on bad estimates.
     let plain = bind(None)?;
     let fp = ir::explain(&plain).fingerprint;
-    if let Some((hints, generation)) = cache.stale_hints(fp) {
-        let rebound = Arc::new(bind(Some(&hints))?);
-        let new_fp = ir::explain(&rebound).fingerprint;
-        cache.insert(new_fp, rebound.clone());
-        cache.mark_planned(fp, generation);
-        cache.count_reoptimized();
-        return Ok(FpExecution {
-            result: run(&rebound)?,
-            fingerprint: new_fp,
-            cache: CacheOutcome::Reoptimized,
-        });
+    if let Some(stale) = cache.stale_hints(fp) {
+        return reoptimize(fp, stale);
     }
     let bound = Arc::new(plain);
     let evicted = cache.insert(fp, bound.clone());

@@ -25,6 +25,7 @@
 //! as false.
 
 use crate::error::{EngineError, EngineResult};
+use crate::ir::bind::resolve_name;
 use crate::ir::expr::{Subquery, SubqueryPlan};
 use crate::ir::Expr;
 use crate::plan::{BoundQuery, Schema};
@@ -50,7 +51,7 @@ impl Env<'_> {
     /// Resolve a column reference: innermost scope first, ambiguity is an
     /// error within a scope, unresolved names climb to the outer scope.
     pub fn resolve(&self, col: &sqalpel_sql::ColumnRef) -> EngineResult<Value> {
-        match find_column(self.schema, col)? {
+        match resolve_name(self.schema, col)? {
             Some(i) => Ok(self.row[i].clone()),
             None => match self.outer {
                 Some(outer) => outer.resolve(col),
@@ -58,25 +59,6 @@ impl Env<'_> {
             },
         }
     }
-}
-
-/// The slot `col` names in `schema`: `None` when no column matches, an
-/// error when more than one does.
-fn find_column(schema: &Schema, col: &sqalpel_sql::ColumnRef) -> EngineResult<Option<usize>> {
-    let mut hit: Option<usize> = None;
-    for (i, meta) in schema.iter().enumerate() {
-        let matches = match &col.table {
-            Some(t) => meta.binding == *t && meta.name == col.column,
-            None => meta.name == col.column,
-        };
-        if matches {
-            if hit.is_some() {
-                return Err(EngineError::AmbiguousColumn(col.to_string()));
-            }
-            hit = Some(i);
-        }
-    }
-    Ok(hit)
 }
 
 /// Materialized result rows.
@@ -918,7 +900,7 @@ impl<'a> Scope<'a> {
 /// constant; unresolved and ambiguous names error when reached, exactly
 /// as they did when resolution ran per row.
 fn resolve_outer<'a>(col: &sqalpel_sql::ColumnRef, scope: Scope<'a>) -> Node<'a> {
-    match find_column(scope.schema, col) {
+    match resolve_name(scope.schema, col) {
         Err(e) => Node::Fail(e),
         Ok(Some(slot)) => Node::Col(slot),
         Ok(None) => match scope.outer.map(|o| o.resolve(col)) {

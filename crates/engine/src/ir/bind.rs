@@ -1,21 +1,24 @@
 //! AST → IR lowering: name resolution against a plan-node schema.
 //!
-//! Resolution uses exactly the rule the runtime `Env::resolve` applies:
-//! a qualified name matches on `(binding, column)`, an unqualified name on
-//! `column` alone, two hits are ambiguous, and a miss is *not* an error —
-//! it becomes an [`Expr::Outer`] reference. Those references are what
-//! correlation is read from. A subquery comes out of [`bind_expr`] as a
-//! [`Subquery`] node holding its SQL; the planner binds its body once,
-//! while binding the block it stands in (`crate::ir::unnest`), and the
-//! body's escaping `Outer`s say whether it is correlated: the unnesting
-//! pass turns the ones in `WHERE` equalities into join keys, and a body
-//! left in place runs once if it has none and per outer row otherwise.
+//! [`resolve_name`] is the one resolution rule, here and at run time
+//! (`Env::resolve` calls it for every scope it climbs): a qualified name
+//! matches on `(binding, column)`, an unqualified name on `column` alone,
+//! two hits are ambiguous, and a miss is *not* an error — it becomes an
+//! [`Expr::Outer`] reference. Those references are what correlation is
+//! read from. A subquery comes out of [`bind_expr`] as a [`Subquery`] node
+//! holding its SQL; the planner binds its body once, while binding the
+//! block it stands in (`crate::ir::unnest`), and the body's escaping
+//! `Outer`s say whether it is correlated: the unnesting pass turns the
+//! ones in `WHERE` equalities into join keys, and a body left in place
+//! runs once if it has none and per outer row otherwise. After binding
+//! nothing reads the SQL again: projection pruning protects the names of
+//! the `Outer`s in the bound tree and in every bound body left in place,
+//! and CTE pushdown is gated on the tables and CTEs those bodies scan.
 
 use crate::error::{EngineError, EngineResult};
 use crate::ir::expr::{Expr, Subquery};
 use crate::plan::Schema;
 use sqalpel_sql::ast;
-use std::collections::HashSet;
 
 /// Resolve a column reference against a schema. `Ok(None)` means "no local
 /// match" (a potential outer/correlated reference).
@@ -122,114 +125,4 @@ pub fn bind_order_key(
         }
     }
     bind_expr(e, schema)
-}
-
-/// Every column name mentioned anywhere in an expression, descending into
-/// subquery bodies. Used to build the *protected* name set: a subquery
-/// body's outer references resolve by name against the row it runs for,
-/// so any name inside it may be a correlated reference into an enclosing
-/// scan — those columns must survive projection pruning.
-pub fn collect_expr_names(e: &ast::Expr, out: &mut HashSet<String>) {
-    e.visit(&mut |x| match x {
-        ast::Expr::Column(c) => {
-            out.insert(c.column.clone());
-        }
-        ast::Expr::Subquery(q) => collect_query_names(q, out),
-        ast::Expr::InSubquery { query, .. } => collect_query_names(query, out),
-        ast::Expr::Exists { query, .. } => collect_query_names(query, out),
-        _ => {}
-    });
-}
-
-/// Deep column-name collection over a whole query (see
-/// [`collect_expr_names`]).
-pub fn collect_query_names(q: &ast::Query, out: &mut HashSet<String>) {
-    for cte in &q.ctes {
-        collect_query_names(&cte.query, out);
-    }
-    for item in &q.body.items {
-        if let ast::SelectItem::Expr { expr, .. } = item {
-            collect_expr_names(expr, out);
-        }
-    }
-    for t in &q.body.from {
-        collect_table_ref_names(t, out);
-    }
-    if let Some(sel) = &q.body.selection {
-        collect_expr_names(sel, out);
-    }
-    for g in &q.body.group_by {
-        collect_expr_names(g, out);
-    }
-    if let Some(h) = &q.body.having {
-        collect_expr_names(h, out);
-    }
-    for o in &q.order_by {
-        collect_expr_names(&o.expr, out);
-    }
-}
-
-fn collect_table_ref_names(t: &ast::TableRef, out: &mut HashSet<String>) {
-    match t {
-        ast::TableRef::Table { .. } => {}
-        ast::TableRef::Subquery { query, .. } => collect_query_names(query, out),
-        ast::TableRef::Join { left, right, on, .. } => {
-            collect_table_ref_names(left, out);
-            collect_table_ref_names(right, out);
-            collect_expr_names(on, out);
-        }
-    }
-}
-
-/// Every base-table name referenced anywhere in a query (descending into
-/// subqueries and CTE bodies). Used to gate CTE predicate pushdown: a CTE
-/// scanned by a subquery left in place must keep its unfiltered
-/// materialization.
-pub fn collect_query_tables(q: &ast::Query, out: &mut HashSet<String>) {
-    for cte in &q.ctes {
-        collect_query_tables(&cte.query, out);
-    }
-    for item in &q.body.items {
-        if let ast::SelectItem::Expr { expr, .. } = item {
-            collect_expr_tables(expr, out);
-        }
-    }
-    for t in &q.body.from {
-        collect_table_ref_tables(t, out);
-    }
-    if let Some(sel) = &q.body.selection {
-        collect_expr_tables(sel, out);
-    }
-    for g in &q.body.group_by {
-        collect_expr_tables(g, out);
-    }
-    if let Some(h) = &q.body.having {
-        collect_expr_tables(h, out);
-    }
-    for o in &q.order_by {
-        collect_expr_tables(&o.expr, out);
-    }
-}
-
-fn collect_expr_tables(e: &ast::Expr, out: &mut HashSet<String>) {
-    e.visit(&mut |x| match x {
-        ast::Expr::Subquery(q) => collect_query_tables(q, out),
-        ast::Expr::InSubquery { query, .. } => collect_query_tables(query, out),
-        ast::Expr::Exists { query, .. } => collect_query_tables(query, out),
-        _ => {}
-    });
-}
-
-fn collect_table_ref_tables(t: &ast::TableRef, out: &mut HashSet<String>) {
-    match t {
-        ast::TableRef::Table { name, .. } => {
-            out.insert(name.clone());
-        }
-        ast::TableRef::Subquery { query, .. } => collect_query_tables(query, out),
-        ast::TableRef::Join { left, right, on, .. } => {
-            collect_table_ref_tables(left, out);
-            collect_table_ref_tables(right, out);
-            collect_expr_tables(on, out);
-        }
-    }
 }

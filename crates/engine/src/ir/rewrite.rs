@@ -48,7 +48,6 @@
 //! After the fixed point, [`prune`] walks the tree once computing column
 //! liveness and shrinks every [`Plan::Scan`] to its live columns.
 
-use crate::ir::bind::{collect_query_names, collect_query_tables};
 use crate::ir::expr::{Expr, Ty};
 use crate::ir::unnest;
 use crate::plan::{BoundQuery, JoinKind, OutputItem, Plan, Schema};
@@ -618,67 +617,48 @@ fn count_cte_plan(p: &Plan, name: &str, scans: &mut usize, decls: &mut usize) {
     }
 }
 
-/// Visit every IR expression in the tree (CTE bodies and derived queries
-/// included).
-fn for_each_expr(bq: &BoundQuery, f: &mut impl FnMut(&Expr)) {
-    for (_, body) in &bq.ctes {
-        for_each_expr(body, f);
-    }
-    for_each_plan_expr(&bq.core, f);
-    for it in &bq.items {
-        f(&it.expr);
-    }
-    for g in &bq.group_by {
-        f(g);
-    }
-    if let Some(h) = &bq.having {
-        f(h);
-    }
-    for (k, _) in &bq.order_by {
-        f(k);
-    }
-}
-
-fn for_each_plan_expr(p: &Plan, f: &mut impl FnMut(&Expr)) {
-    match p {
-        Plan::Scan { .. } | Plan::Cte { .. } => {}
-        Plan::Derived { query, .. } => for_each_expr(query, f),
-        Plan::Filter { input, predicate } => {
-            f(predicate);
-            for_each_plan_expr(input, f);
-        }
-        Plan::Join {
-            left,
-            right,
-            equi,
-            residual,
-            ..
-        } => {
-            for (l, r) in equi {
-                f(l);
-                f(r);
+/// `bq` and the bound body of every subquery left in place in it, nested
+/// bodies included. A body that did not bind has nothing to add: its
+/// evaluation errors wherever it is reached.
+fn with_bodies(bq: &BoundQuery) -> Vec<&BoundQuery> {
+    let mut out = vec![bq];
+    let mut next = 0;
+    while let Some(&q) = out.get(next) {
+        q.each_expr(&mut |e, _| {
+            for (_, sub) in unnest::subqueries_of(e) {
+                if let Some(Ok(plan)) = &sub.bound {
+                    out.push(&plan.query);
+                }
             }
-            if let Some(r) = residual {
-                f(r);
-            }
-            for_each_plan_expr(left, f);
-            for_each_plan_expr(right, f);
-        }
-    }
-}
-
-/// Table names referenced by any subquery left in place anywhere in the
-/// tree. A CTE in this set may be scanned by that subquery's body, so its
-/// materialization must stay unfiltered.
-fn embedded_subquery_tables(bq: &BoundQuery, out: &mut HashSet<String>) {
-    for_each_expr(bq, &mut |top| {
-        top.visit(&mut |e| match e {
-            Expr::Subquery(q) => collect_query_tables(&q.sql, out),
-            Expr::InSubquery { query, .. } => collect_query_tables(&query.sql, out),
-            Expr::Exists { query, .. } => collect_query_tables(&query.sql, out),
-            _ => {}
         });
-    });
+        next += 1;
+    }
+    out
+}
+
+/// The tables and CTEs `bq` scans, in its core, CTE bodies and derived
+/// tables.
+fn scanned(bq: &BoundQuery, out: &mut HashSet<String>) {
+    fn plan(p: &Plan, out: &mut HashSet<String>) {
+        match p {
+            Plan::Scan { table, .. } => {
+                out.insert(table.name.clone());
+            }
+            Plan::Cte { name, .. } => {
+                out.insert(name.clone());
+            }
+            Plan::Derived { query, .. } => scanned(query, out),
+            Plan::Filter { input, .. } => plan(input, out),
+            Plan::Join { left, right, .. } => {
+                plan(left, out);
+                plan(right, out);
+            }
+        }
+    }
+    for (_, body) in &bq.ctes {
+        scanned(body, out);
+    }
+    plan(&bq.core, out);
 }
 
 /// Find a `Filter` directly over the (unique) scan of CTE `name` in this
@@ -728,6 +708,17 @@ fn extract_cte_filter(p: &mut Plan, name: &str, items: &[OutputItem]) -> Option<
 }
 
 fn cte_pushdown(bq: &mut BoundQuery, changed: &mut bool) {
+    if bq.ctes.is_empty() {
+        return;
+    }
+    // What the subquery bodies left in place scan; a CTE among them must
+    // keep its unfiltered materialization. A pushdown moves a conjunct
+    // within the tree and never adds or drops a body, so one walk serves
+    // every CTE.
+    let mut sub_tables = HashSet::new();
+    for body in &with_bodies(bq)[1..] {
+        scanned(body, &mut sub_tables);
+    }
     for idx in 0..bq.ctes.len() {
         let name = bq.ctes[idx].0.clone();
         let (mut scans, mut decls) = (0, 0);
@@ -741,8 +732,6 @@ fn cte_pushdown(bq: &mut BoundQuery, changed: &mut bool) {
                 continue;
             }
         }
-        let mut sub_tables = HashSet::new();
-        embedded_subquery_tables(bq, &mut sub_tables);
         if sub_tables.contains(&name) {
             continue;
         }
@@ -764,9 +753,11 @@ fn cte_pushdown(bq: &mut BoundQuery, changed: &mut bool) {
 
 /// Projection pruning via column liveness: shrink every scan to the
 /// columns actually referenced, plus a *protected* set of names that may
-/// be reached dynamically — outer references and any column name mentioned
-/// inside a subquery left in place (its body's outer references resolve
-/// by name against the row it runs for). An unnested subquery is plan nodes
+/// be reached dynamically — the name of every [`Expr::Outer`] in the tree
+/// and in the bound body of each subquery left in place, nested bodies
+/// included (an outer reference resolves by name against the rows it
+/// runs for). A body that did not bind protects nothing: evaluation
+/// errors wherever it reaches one. An unnested subquery is plan nodes
 /// like any other, so the build side of a semi, anti or group join keeps
 /// its key and residual columns and nothing else.
 pub fn prune(bq: &mut BoundQuery) {
@@ -776,17 +767,15 @@ pub fn prune(bq: &mut BoundQuery) {
 }
 
 fn collect_protected(bq: &BoundQuery, out: &mut HashSet<String>) {
-    for_each_expr(bq, &mut |top| {
-        top.visit(&mut |e| match e {
-            Expr::Outer(c) => {
-                out.insert(c.column.clone());
-            }
-            Expr::Subquery(q) => collect_query_names(&q.sql, out),
-            Expr::InSubquery { query, .. } => collect_query_names(&query.sql, out),
-            Expr::Exists { query, .. } => collect_query_names(&query.sql, out),
-            _ => {}
+    for q in with_bodies(bq) {
+        q.each_expr(&mut |e, _| {
+            e.visit(&mut |x| {
+                if let Expr::Outer(c) = x {
+                    out.insert(c.column.clone());
+                }
+            })
         });
-    });
+    }
 }
 
 fn mark_used(e: &Expr, schema: &Schema, used: &mut HashSet<(String, String)>) {
@@ -1109,6 +1098,23 @@ mod tests {
         }
     }
 
+    /// The stored columns of every scan in `p`, in plan order.
+    fn scan_names(p: &Plan) -> Vec<String> {
+        match p {
+            Plan::Scan { table, live, .. } => live
+                .iter()
+                .map(|&i| table.columns[i].name.clone())
+                .collect(),
+            Plan::Filter { input, .. } => scan_names(input),
+            Plan::Join { left, right, .. } => {
+                let mut names = scan_names(left);
+                names.extend(scan_names(right));
+                names
+            }
+            _ => Vec::new(),
+        }
+    }
+
     #[test]
     fn prune_protects_names_reached_by_subqueries() {
         // s_suppkey is referenced inside the subquery and correlates into
@@ -1119,23 +1125,22 @@ mod tests {
         );
         rewrite(&mut b);
         prune(&mut b);
-        fn scan_names(p: &Plan, out: &mut Vec<String>) {
-            match p {
-                Plan::Scan { table, live, .. } => {
-                    out.extend(live.iter().map(|&i| table.columns[i].name.clone()))
-                }
-                Plan::Filter { input, .. } => scan_names(input, out),
-                Plan::Join { left, right, .. } => {
-                    scan_names(left, out);
-                    scan_names(right, out);
-                }
-                _ => {}
-            }
-        }
-        let mut names = Vec::new();
-        scan_names(&b.core, &mut names);
+        let names = scan_names(&b.core);
         assert!(names.contains(&"s_suppkey".to_string()), "{names:?}");
         assert!(names.contains(&"s_name".to_string()), "{names:?}");
+    }
+
+    #[test]
+    fn prune_drops_names_only_an_uncorrelated_body_reads() {
+        // s_nationkey is the body's own column, not an outer reference:
+        // the outer scan does not keep it.
+        let mut b = raw(
+            "select s_name from supplier where s_suppkey > \
+             (select min(s_nationkey) from supplier)",
+        );
+        rewrite(&mut b);
+        prune(&mut b);
+        assert_eq!(scan_names(&b.core), ["s_suppkey", "s_name"]);
     }
 
     #[test]

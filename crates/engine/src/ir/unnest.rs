@@ -702,54 +702,8 @@ fn null_on_empty_group(e: &Expr) -> Result<(), Stays> {
 
 // ------------------------------------------------------ outer references
 
-/// Visit every expression of `bq` — its CTE bodies and derived tables
-/// included — with the schema it is evaluated against.
-fn each_expr<'a>(bq: &'a BoundQuery, f: &mut dyn FnMut(&'a Expr, &Schema)) {
-    for (_, body) in &bq.ctes {
-        each_expr(body, f);
-    }
-    each_plan_expr(&bq.core, f);
-    let schema = bq.core.schema();
-    let tail = bq.items.iter().map(|it| &it.expr);
-    let tail = tail.chain(&bq.group_by).chain(&bq.having);
-    for e in tail.chain(bq.order_by.iter().map(|(k, _)| k)) {
-        f(e, &schema);
-    }
-}
-
-fn each_plan_expr<'a>(p: &'a Plan, f: &mut dyn FnMut(&'a Expr, &Schema)) {
-    match p {
-        Plan::Scan { .. } | Plan::Cte { .. } => {}
-        Plan::Derived { query, .. } => each_expr(query, f),
-        Plan::Filter { input, predicate } => {
-            f(predicate, &input.schema());
-            each_plan_expr(input, f);
-        }
-        Plan::Join {
-            left,
-            right,
-            equi,
-            residual,
-            ..
-        } => {
-            let mut schema = left.schema();
-            let right_schema = right.schema();
-            for (l, r) in equi {
-                f(l, &schema);
-                f(r, &right_schema);
-            }
-            if let Some(res) = residual {
-                schema.extend(right_schema);
-                f(res, &schema);
-            }
-            each_plan_expr(left, f);
-            each_plan_expr(right, f);
-        }
-    }
-}
-
 /// The subqueries directly inside `e`, as `(kind, node)`.
-fn subqueries_of(e: &Expr) -> Vec<(&'static str, &Subquery)> {
+pub(crate) fn subqueries_of(e: &Expr) -> Vec<(&'static str, &Subquery)> {
     let mut out = Vec::new();
     e.visit(&mut |x| match x {
         Expr::Subquery(q) => out.push(("scalar", q.as_ref())),
@@ -767,7 +721,7 @@ fn subqueries_of(e: &Expr) -> Vec<(&'static str, &Subquery)> {
 fn escaping_refs(bq: &BoundQuery) -> Option<Vec<ColumnRef>> {
     let mut found = Vec::new();
     let mut known = true;
-    each_expr(bq, &mut |e, schema| {
+    bq.each_expr(&mut |e, schema| {
         e.visit(&mut |x| {
             if let Expr::Outer(c) = x {
                 found.push(c.clone());
@@ -782,9 +736,10 @@ fn escaping_refs(bq: &BoundQuery) -> Option<Vec<ColumnRef>> {
                 known = false;
                 continue;
             };
+            let schema = schema();
             let unresolved = refs
                 .iter()
-                .filter(|r| !matches!(resolve_name(schema, r), Ok(Some(_))));
+                .filter(|r| !matches!(resolve_name(&schema, r), Ok(Some(_))));
             found.extend(unresolved.cloned());
         }
     });

@@ -244,6 +244,52 @@ impl BoundQuery {
     pub fn output_schema(&self) -> Vec<(String, Ty)> {
         self.items.iter().map(|i| (i.name.clone(), i.ty)).collect()
     }
+
+    /// Visit every expression of the query — its CTE bodies and derived
+    /// tables included, the bodies of its subqueries not — with the schema
+    /// it is evaluated against, built only if the visitor asks for it: CTE
+    /// bodies first, then the core top-down (a filter's predicate before
+    /// its input; a join's keys and residual before its left and right
+    /// inputs), then the tail.
+    pub fn each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a ir::Expr, &dyn Fn() -> Schema)) {
+        for (_, body) in &self.ctes {
+            body.each_expr(f);
+        }
+        each_plan_expr(&self.core, f);
+        let tail = self.items.iter().map(|it| &it.expr);
+        let tail = tail.chain(&self.group_by).chain(&self.having);
+        for e in tail.chain(self.order_by.iter().map(|(k, _)| k)) {
+            f(e, &|| self.core.schema());
+        }
+    }
+}
+
+fn each_plan_expr<'a>(p: &'a Plan, f: &mut dyn FnMut(&'a ir::Expr, &dyn Fn() -> Schema)) {
+    match p {
+        Plan::Scan { .. } | Plan::Cte { .. } => {}
+        Plan::Derived { query, .. } => query.each_expr(f),
+        Plan::Filter { input, predicate } => {
+            f(predicate, &|| input.schema());
+            each_plan_expr(input, f);
+        }
+        Plan::Join {
+            left,
+            right,
+            equi,
+            residual,
+            ..
+        } => {
+            for (l, r) in equi {
+                f(l, &|| left.schema());
+                f(r, &|| right.schema());
+            }
+            if let Some(res) = residual {
+                f(res, &|| [left.schema(), right.schema()].concat());
+            }
+            each_plan_expr(left, f);
+            each_plan_expr(right, f);
+        }
+    }
 }
 
 /// Planner state: the database plus CTE names visible during binding.

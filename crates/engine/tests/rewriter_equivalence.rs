@@ -424,6 +424,34 @@ fn unnested_subqueries_match_per_row_evaluation() {
                where ps2.ps_partkey = p_partkey)"
                 .into(),
         ),
+        // Pruning keeps what a body left in place reads of the outer row:
+        // `o_custkey` is read by nothing else in the outer block.
+        (
+            "fallback-outer-column-only-the-body-reads",
+            "select o_orderkey from orders where o_orderkey < 100 or exists \
+             (select * from lineitem where l_orderkey = o_orderkey and l_suppkey < o_custkey)"
+                .into(),
+        ),
+        // The same with a nested body that does not bind, in a CASE arm no
+        // row reaches: it protects no column, and nothing fails.
+        (
+            "fallback-outer-column-beside-a-body-that-does-not-bind",
+            "select o_orderkey from orders where o_orderkey < 100 or exists \
+             (select * from lineitem where l_orderkey = o_orderkey and l_suppkey < \
+              case when l_quantity > 1000 then (select max(o_clerk) from nosuchtable) \
+              else o_custkey end)"
+                .into(),
+        ),
+        // A CTE scanned once by the outer block and again by a body left in
+        // place: the outer `o_custkey < 40` must not filter its rows.
+        (
+            "fallback-cte-read-by-a-body-under-or",
+            "with big as (select o_orderkey, o_custkey, o_totalprice from orders) \
+             select count(*), sum(o_totalprice) from big where o_custkey < 40 \
+             and (o_orderkey < 50 or exists \
+               (select * from big b2 where b2.o_custkey = big.o_custkey + 30))"
+                .into(),
+        ),
     ];
     // The wall only means something if each case takes the path its
     // name says: a join for the unnested ones, the evaluator per row for
@@ -450,6 +478,18 @@ fn unnested_subqueries_match_per_row_evaluation() {
         }
         if *name == "fallback-under-or-beside-a-group-join" {
             assert_eq!(explained.fingerprint_hex(), "a0bc7b3dc92e735f", "{text}");
+        }
+        if *name == "fallback-cte-read-by-a-body-under-or" {
+            let cte: Vec<&str> = text
+                .lines()
+                .skip_while(|l| l.trim() != "cte big:")
+                .skip(1)
+                .take_while(|l| l.starts_with("    "))
+                .collect();
+            assert!(
+                !cte.is_empty() && !cte.iter().any(|l| l.trim_start().starts_with("filter")),
+                "the CTE a body reads was filtered:\n{text}"
+            );
         }
     }
     let borrowed: Vec<(&str, &str)> = queries.iter().map(|(n, q)| (*n, q.as_str())).collect();
