@@ -83,12 +83,18 @@ plan_goldens
 # read the bound subquery bodies, so the wall also holds an outer column
 # only a body left in place reads (beside a nested body that does not
 # bind, too) and a CTE such a body scans, which must stay unfiltered.
+# Pushdown sinks a conjunct through every join it can pass in one pass:
+# a WHERE conjunct on a derived table three joins down must end up
+# inside its body in EXPLAIN.
 cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # Join reordering must be result-preserving too: optimizer on vs off,
 # both engines, 1 and 4 workers, identical row sets and fingerprints —
 # plus the self-checks that "off" really binds and executes the
 # syntactic plan (different EXPLAIN text; a row budget only the
-# optimized plan fits).
+# optimized plan fits). The placement pass runs either way, so the
+# corner cases include a 17-way chain one past MAX_DP (as bound, keys
+# placed, under the default budget), a bushy as-bound tree, and a
+# two-table non-equality beside a three-table equality.
 cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # The cardinality estimator's invariants (selectivity in [0,1], conjunct
 # monotonicity, semi + anti estimates partition the left input) under

@@ -445,6 +445,8 @@ enum Width {
 pub struct GroupCodec<'a> {
     encs: Vec<ColEnc<'a>>,
     width: Width,
+    /// Whether some encoder is tagged, the only kind that can hold NULL.
+    tagged: bool,
 }
 
 impl<'a> GroupCodec<'a> {
@@ -457,7 +459,12 @@ impl<'a> GroupCodec<'a> {
             Some(t) if t <= 16 => Width::Pair,
             _ => Width::Bytes,
         };
-        GroupCodec { encs, width }
+        let tagged = encs.iter().any(|e| matches!(e, ColEnc::Tagged(_)));
+        GroupCodec {
+            encs,
+            width,
+            tagged,
+        }
     }
 
     /// A codec for GROUP BY key columns.
@@ -509,6 +516,19 @@ impl<'a> GroupCodec<'a> {
             acc = if w >= 16 { v } else { (acc << (8 * w)) | v };
         }
         Ok(acc)
+    }
+
+    /// Whether row `i`'s key holds a NULL, which matches nothing in a
+    /// join. Only a tagged column — a boxed `Val` column or a constant
+    /// with no typed domain — can hold one.
+    #[inline]
+    pub fn has_null(&self, i: usize) -> bool {
+        self.tagged
+            && self.encs.iter().any(|enc| match enc {
+                ColEnc::Tagged(ColVec::Val(v)) => v[i].is_null(),
+                ColEnc::Tagged(ColVec::Const(v, _)) => v.is_null(),
+                _ => false,
+            })
     }
 
     /// Encode one row's key, reusing `buf` as scratch for bytes.

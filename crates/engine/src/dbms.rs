@@ -319,9 +319,11 @@ impl<E: Engine> Store<E> {
         self
     }
 
-    /// Toggle the cost-based join-order optimizer (on by default). The
-    /// equivalence suites diff optimized against syntactic-order plans
-    /// with this.
+    /// Toggle the cost-based join-order search (on by default). Off, every
+    /// inner-join region keeps its join tree as bound — `FROM` order,
+    /// explicit `JOIN`s as written — and predicates are placed on that
+    /// tree as they are on a searched one. The equivalence suites diff
+    /// optimized against as-bound plans with this.
     pub fn with_optimizer(mut self, on: bool) -> Self {
         self.optimize = on;
         self

@@ -25,7 +25,8 @@ type LazySide<'p> = (&'p Table, &'p [usize]);
 /// partition's builders fold in range order — appending rows and mapping
 /// key ids, so each key's rows stay in global build-row order however the
 /// input was split. One worker builds one partition from one range, with
-/// nothing to fold.
+/// nothing to fold. A row whose key holds a NULL matches nothing and is
+/// left out.
 fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResult<Vec<MatchLists>> {
     if rows > u32::MAX as usize {
         return Err(EngineError::Unsupported(
@@ -46,7 +47,9 @@ fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResul
         let mut scratch = Vec::new();
         for j in range {
             let k = rc.encode(j, &mut scratch)?;
-            parts[k.partition(nparts)].push(k, j as u32);
+            if !rc.has_null(j) {
+                parts[k.partition(nparts)].push(k, j as u32);
+            }
         }
         Ok(parts)
     })?;
@@ -69,7 +72,8 @@ fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResul
 type Matches<'t> = (usize, &'t [u32]);
 
 /// Probe `tables` with every one of `rows` left rows: the rows that
-/// match anything, in probe order, each with its match list.
+/// match anything, in probe order, each with its match list. A key
+/// holding a NULL matches nothing.
 fn probe<'t>(
     tables: &'t [MatchLists],
     lc: &GroupCodec<'_>,
@@ -82,6 +86,9 @@ fn probe<'t>(
         let mut scratch = Vec::new();
         for i in range {
             let k = lc.encode(i, &mut scratch)?;
+            if lc.has_null(i) {
+                continue;
+            }
             if let Some(list) = tables[k.partition(tables.len())].get(k) {
                 found.push((i, list));
             }

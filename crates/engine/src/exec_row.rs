@@ -14,7 +14,7 @@
 //! row is built, and joins and grouping keep their state in flat arenas
 //! and write their output into one reused row.
 
-use crate::codec::{self, KeyTable, MatchBuilder};
+use crate::codec::{self, KeyImage, KeyTable, MatchBuilder};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
     collect_aggregates, Accumulator, ColTest, Env, EvalCtx, ExecState, Executor, NoSubqueries,
@@ -28,6 +28,7 @@ use crate::profile::{self, child_rows_out, NodeMetrics};
 use crate::storage::{self, CellPred, Table, ZonePred, CHUNK_ROWS};
 use crate::value::{self, ArithMode, Value};
 use sqalpel_sql::ast::BinOp;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -733,17 +734,40 @@ impl RowExec {
             self.charge(1)?;
             let row = build_row(i);
             let key = |k: usize| rkeys[k].eval_ref(row, &ctx);
-            lists.push(codec::tuple_image(rkeys.len(), key, &mut scratch)?, i as u32);
+            if let Some(image) = join_image(rkeys.len(), key, &mut scratch)? {
+                lists.push(image, i as u32);
+            }
         }
         let lists = lists.finish();
 
         self.execute_core(left, outer, &mut |lrow| {
             self.charge(1)?;
             let key = |k: usize| lkeys[k].eval_ref(lrow, &ctx);
-            let list = lists.get(codec::tuple_image(lkeys.len(), key, &mut scratch)?);
+            let list = join_image(lkeys.len(), key, &mut scratch)?.and_then(|k| lists.get(k));
             probe(lrow, &mut list.unwrap_or_default().iter().map(|&i| i as usize), sink)
         })
     }
+}
+
+/// The hash image of a join key tuple, `None` when one of its values is
+/// NULL: such a key matches nothing. Every value is still evaluated and
+/// encoded, so a key that fails fails on the same row either way.
+fn join_image<'v, 'b>(
+    n: usize,
+    mut value: impl FnMut(usize) -> EngineResult<Cow<'v, Value>>,
+    buf: &'b mut Vec<u8>,
+) -> EngineResult<Option<KeyImage<'b>>> {
+    let mut null = false;
+    let image = codec::tuple_image(
+        n,
+        |k| {
+            let v = value(k)?;
+            null |= v.is_null();
+            Ok(v)
+        },
+        buf,
+    )?;
+    Ok((!null).then_some(image))
 }
 
 /// `plan` as the scan front end takes it: a base-table scan, and the

@@ -634,7 +634,7 @@ fn collect_region<'a>(
             w
         }
         _ => {
-            let width = p.schema().len();
+            let width = p.width();
             leaves.push(CanonLeaf {
                 plan: p,
                 off,

@@ -1,17 +1,24 @@
-//! Memo-style join-order search over the bound plan.
+//! Predicate placement and memo-style join-order search over the bound
+//! plan.
 //!
-//! The optimizer works on *regions*: maximal trees of inner joins (plus
+//! This pass runs on every bind and is the one place that decides where
+//! a conjunct of an inner-join region runs and which equalities become
+//! hash keys. It works on *regions*: maximal trees of inner joins (plus
 //! the filter directly above them). Each region is flattened into its
-//! leaf relations and a pool of predicates lifted into the region's
-//! "global frame" (the concatenation of the leaf schemas in original
-//! left-to-right order). A dynamic program then searches join orders —
-//! exhaustive bushy plans for small regions, left-deep beyond
+//! leaf relations, its join tree as bound, and a pool of predicates —
+//! join keys, residuals and filter conjuncts alike — lifted into the
+//! region's "global frame" (the concatenation of the leaf schemas in
+//! original left-to-right order). A conjunct over one leaf sinks onto
+//! it. With the search on, a dynamic program then searches join orders
+//! — exhaustive bushy plans for small regions, left-deep beyond
 //! [`MAX_BUSHY`] leaves — costing each candidate with the estimator in
 //! [`super::cost`] and the load-time statistics from [`super::stats`],
-//! preferring connected (equi-keyed) joins over cross products. The
-//! winning tree is rebuilt with every pooled predicate placed at its
-//! lowest covering join (as a hash key when it splits into two plain
-//! sides, as a residual otherwise).
+//! preferring connected (equi-keyed) joins over cross products; with it
+//! off, and for a region of more than [`MAX_DP`] leaves, the tree is the
+//! one bound. That tree is rebuilt with every pooled predicate placed at
+//! its lowest covering join (as a hash key when it splits into two plain
+//! sides, as a residual otherwise). The engines' hash joins match no
+//! NULL key, so a key is taken whatever its sides may hold.
 //!
 //! Predicates that must not move (subqueries, constants — the same
 //! `immovable` rule the rewriter uses) stay in a filter above the
@@ -37,16 +44,20 @@ use std::mem;
 /// Regions up to this many leaves get the exhaustive bushy DP.
 pub const MAX_BUSHY: usize = 6;
 /// Regions up to this many leaves get a left-deep search; beyond it the
-/// syntactic order is kept (no workload here comes close).
+/// tree as bound is kept, its predicates placed (no workload here comes
+/// close).
 pub const MAX_DP: usize = 16;
 
-/// Optimize a bound query in place: reorder every inner-join region in
-/// its core, its CTEs and its derived tables by estimated cost,
-/// consulting `hints` (observed cardinalities from a prior profiled run
-/// of the same fingerprint) wherever a binding subset matches.
-pub fn optimize(bq: &mut BoundQuery, hints: &CardHints) {
+/// Place the predicates of every inner-join region in a bound query's
+/// core, its CTEs and its derived tables. With `search`, each region is
+/// first reordered by estimated cost, consulting `hints` (observed
+/// cardinalities from a prior profiled run of the same fingerprint)
+/// wherever a binding subset matches; without it, each keeps its join
+/// tree as bound.
+pub fn optimize(bq: &mut BoundQuery, hints: &CardHints, search: bool) {
     let mut ctx = Ctx {
         hints,
+        search,
         cte_rows: BTreeMap::new(),
     };
     optimize_query(bq, &mut ctx);
@@ -57,6 +68,7 @@ pub fn optimize(bq: &mut BoundQuery, hints: &CardHints) {
 pub fn estimated_rows(p: &Plan, hints: &CardHints) -> f64 {
     let ctx = Ctx {
         hints,
+        search: true,
         cte_rows: BTreeMap::new(),
     };
     estimate_plan_rows(p, &ctx)
@@ -64,6 +76,8 @@ pub fn estimated_rows(p: &Plan, hints: &CardHints) -> f64 {
 
 struct Ctx<'a> {
     hints: &'a CardHints,
+    /// Whether regions are searched for a join order.
+    search: bool,
     /// Estimated output rows per CTE name, filled as CTEs are optimized.
     cte_rows: BTreeMap<String, f64>,
 }
@@ -71,8 +85,10 @@ struct Ctx<'a> {
 fn optimize_query(bq: &mut BoundQuery, ctx: &mut Ctx) {
     for (name, cte) in &mut bq.ctes {
         optimize_query(cte, ctx);
-        let rows = estimate_query_rows(cte, ctx);
-        ctx.cte_rows.insert(name.clone(), rows);
+        if ctx.search {
+            let rows = estimate_query_rows(cte, ctx);
+            ctx.cte_rows.insert(name.clone(), rows);
+        }
     }
     let mapping = optimize_plan(&mut bq.core, ctx);
     for it in &mut bq.items {
@@ -172,23 +188,6 @@ struct Leaf {
     map: Vec<Option<usize>>,
     old_offset: usize,
     width: usize,
-    /// Sorted relation bindings this leaf covers.
-    bindings: Vec<String>,
-    /// Estimated output rows (post-pushed-filters, hint-overridden).
-    rows: f64,
-    /// Per old-local-slot statistics (populated for scan leaves).
-    stats: Vec<Option<SlotStat>>,
-}
-
-/// A movable region predicate in the global frame.
-struct PoolPred {
-    expr: Expr,
-    /// Bitset of leaves it references.
-    mask: u32,
-    sel: f64,
-    /// True when it splits into two single-leaf equality sides — usable
-    /// as a hash-join key, and what "connected" means for the search.
-    is_edge: bool,
 }
 
 #[derive(Clone)]
@@ -203,80 +202,156 @@ struct Cand {
     tree: Tree,
 }
 
+/// Place the predicates of one region: flatten it, sink each single-leaf
+/// conjunct onto its leaf, search a join order (unless the search is off
+/// or the region has more than [`MAX_DP`] leaves, which keep the tree as
+/// bound), then rebuild that tree with every other movable conjunct at
+/// its lowest covering join.
 fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
-    let snapshot = p.clone();
     let owned = mem::replace(p, dummy());
     let mut leaves: Vec<Leaf> = Vec::new();
     let mut hoisted: Vec<Expr> = Vec::new();
     let mut pinned: Vec<Expr> = Vec::new();
     let mut offset = 0usize;
-    flatten(owned, ctx, &mut leaves, &mut hoisted, &mut pinned, &mut offset);
+    let bound = flatten(
+        owned,
+        ctx,
+        &mut leaves,
+        &mut hoisted,
+        &mut pinned,
+        &mut offset,
+    );
     let total = offset;
     let n = leaves.len();
-    if !(2..=MAX_DP).contains(&n) {
-        *p = snapshot;
-        return identity(total);
-    }
-
-    // Global frame statistics: leaf stats concatenated in original order.
-    let global_stats = FrameStats {
-        slots: leaves.iter().flat_map(|lf| lf.stats.clone()).collect(),
-    };
-    let spans: Vec<(usize, usize)> = leaves.iter().map(|lf| (lf.old_offset, lf.width)).collect();
-    let leaf_of_slot = move |s: usize| -> usize {
-        spans
+    // Leaves are in frame order, each over a contiguous span of slots.
+    let leaf_of = |s: usize| {
+        leaves
             .iter()
-            .position(|&(off, w)| s >= off && s < off + w)
+            .position(|lf| s < lf.old_offset + lf.width)
             .expect("slot outside region frame")
     };
 
-    // Partition the hoisted predicates: single-leaf conjuncts sink onto
-    // their leaf (scaling its row estimate), the rest form the pool.
-    let mut pool_raw: Vec<(Expr, u32)> = Vec::new();
+    // Single-leaf conjuncts sink onto their leaf, the rest form the pool.
+    let mut sunk: Vec<Vec<Expr>> = leaves.iter().map(|_| Vec::new()).collect();
+    let mut pool: Vec<Expr> = Vec::new();
     for e in hoisted {
-        let mut mask = 0u32;
-        for s in e.slots() {
-            mask |= 1 << leaf_of_slot(s);
-        }
-        if mask.count_ones() == 1 {
-            let k = mask.trailing_zeros() as usize;
-            let sel = cost::selectivity(&e, &global_stats);
-            let lf = &mut leaves[k];
-            lf.rows *= sel;
-            let off = lf.old_offset;
-            let mut local = e;
-            let map = lf.map.clone();
-            local.map_slots(&|s| map[s - off].expect("live slot"));
-            lf.plan = Plan::Filter {
-                input: Box::new(mem::replace(&mut lf.plan, dummy())),
-                predicate: local,
-            };
+        let (lo, hi) = span(&e);
+        if leaf_of(lo) == leaf_of(hi) {
+            sunk[leaf_of(lo)].push(e);
         } else {
-            pool_raw.push((e, mask));
+            pool.push(e);
         }
     }
-    // Observed cardinalities beat estimates, applied after local filters.
-    for lf in &mut leaves {
-        if let Some(h) = ctx.hints.get(&lf.bindings) {
-            lf.rows = h;
+    let root = if ctx.search && n <= MAX_DP {
+        search(&leaves, &sunk, &pool, &leaf_of, ctx)
+    } else {
+        bound
+    };
+    for (lf, conjuncts) in leaves.iter_mut().zip(sunk) {
+        let (off, map) = (lf.old_offset, &lf.map);
+        let local: Vec<Expr> = conjuncts
+            .into_iter()
+            .map(|mut e| {
+                e.map_slots(&|s| map[s - off].expect("live slot"));
+                e
+            })
+            .collect();
+        if let Some(predicate) = Expr::conjoin(local) {
+            lf.plan = Plan::Filter {
+                input: Box::new(mem::replace(&mut lf.plan, dummy())),
+                predicate,
+            };
         }
     }
 
+    // Rebuild: new frame = leaf schemas in the chosen in-order sequence.
+    let mut order = Vec::with_capacity(n);
+    inorder(&root, &mut order);
+    let mut new_off = vec![0usize; n];
+    let mut acc = 0usize;
+    for &k in &order {
+        new_off[k] = acc;
+        acc += leaves[k].width;
+    }
+    let mut mapping: Vec<Option<usize>> = vec![None; total];
+    for (k, lf) in leaves.iter().enumerate() {
+        for j in 0..lf.width {
+            mapping[lf.old_offset + j] = Some(new_off[k] + lf.map[j].expect("live slot"));
+        }
+    }
+    let mut pending: Vec<Option<Pending>> = pool
+        .into_iter()
+        .map(|mut expr| {
+            remap(&mut expr, &mapping);
+            let (lo, hi) = span(&expr);
+            Some(Pending { expr, lo, hi })
+        })
+        .collect();
+    let widths: Vec<usize> = leaves.iter().map(|lf| lf.width).collect();
+    let mut plans: Vec<Option<Plan>> = leaves.into_iter().map(|lf| Some(lf.plan)).collect();
+    let (mut plan, _, _) = build_tree(&root, &mut plans, &mut pending, &new_off, &widths);
+
+    // Safety net for preds that found no covering join (cannot happen
+    // for the whole region, but cheap to keep sound) plus the pinned set.
+    let mut top: Vec<Expr> = pending.into_iter().flatten().map(|p| p.expr).collect();
+    for mut e in pinned {
+        remap(&mut e, &mapping);
+        top.push(e);
+    }
+    if let Some(pred) = Expr::conjoin(top) {
+        plan = Plan::Filter {
+            input: Box::new(plan),
+            predicate: pred,
+        };
+    }
+    *p = plan;
+    mapping
+}
+
+/// The cheapest join tree over at most [`MAX_DP`] leaves by estimated
+/// cost: exhaustive bushy up to [`MAX_BUSHY`] leaves, left-deep beyond.
+/// `sunk` holds each leaf's own conjuncts, `pool` the rest, all in the
+/// region frame, where `leaf_of` says which leaf a slot belongs to.
+fn search(
+    leaves: &[Leaf],
+    sunk: &[Vec<Expr>],
+    pool: &[Expr],
+    leaf_of: &dyn Fn(usize) -> usize,
+    ctx: &Ctx,
+) -> Tree {
+    let n = leaves.len();
+    let mask_of = |e: &Expr| e.slots().into_iter().fold(0u32, |m, s| m | 1 << leaf_of(s));
+    let estimates: Vec<(f64, Vec<Option<SlotStat>>)> = leaves
+        .iter()
+        .map(|lf| leaf_estimates(&lf.plan, lf.width, ctx))
+        .collect();
+    // Global frame statistics: leaf stats concatenated in original order.
+    let global_stats = FrameStats {
+        slots: estimates.iter().flat_map(|(_, st)| st.clone()).collect(),
+    };
+    let bindings: Vec<Vec<String>> = leaves
+        .iter()
+        .map(|lf| lf.plan.bindings().into_iter().collect())
+        .collect();
+    // A leaf's own conjuncts scale its estimate; observed cardinalities
+    // beat estimates, applied after them.
+    let leaf_rows: Vec<f64> = (0..n)
+        .map(|k| {
+            let filtered = sunk[k].iter().fold(estimates[k].0, |r, e| {
+                r * cost::selectivity(e, &global_stats)
+            });
+            ctx.hints.get(&bindings[k]).unwrap_or(filtered)
+        })
+        .collect();
+
     let single_leaf_side = |e: &Expr| -> Option<u32> {
-        let slots = e.slots();
-        if slots.is_empty() {
-            return None;
-        }
-        let mut mask = 0u32;
-        for s in slots {
-            mask |= 1 << leaf_of_slot(s);
-        }
+        let mask = mask_of(e);
         (mask.count_ones() == 1).then_some(mask)
     };
-    let pool: Vec<PoolPred> = pool_raw
-        .into_iter()
-        .map(|(expr, mask)| {
-            let (sel, is_edge) = match &expr {
+    let pool: Vec<PoolPred> = pool
+        .iter()
+        .map(|expr| {
+            let (sel, is_edge) = match expr {
                 Expr::Binary {
                     left,
                     op: BinOp::Eq,
@@ -292,16 +367,20 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
                         let sel = cost::equi_edge_selectivity(
                             stat_of(left),
                             stat_of(right),
-                            leaves[li].rows,
-                            leaves[ri].rows,
+                            leaf_rows[li],
+                            leaf_rows[ri],
                         );
                         (sel, true)
                     }
-                    _ => (cost::selectivity(&expr, &global_stats), false),
+                    _ => (cost::selectivity(expr, &global_stats), false),
                 },
-                _ => (cost::selectivity(&expr, &global_stats), false),
+                _ => (cost::selectivity(expr, &global_stats), false),
             };
-            PoolPred { expr, mask, sel, is_edge }
+            PoolPred {
+                mask: mask_of(expr),
+                sel,
+                is_edge,
+            }
         })
         .collect();
 
@@ -311,9 +390,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
     let mut card = vec![0f64; (1usize << n).max(2)];
     for mask in 1..=full {
         let mut rows = 1.0;
-        for (i, lf) in leaves.iter().enumerate() {
+        for (i, r) in leaf_rows.iter().enumerate() {
             if mask & (1 << i) != 0 {
-                rows *= lf.rows;
+                rows *= r;
             }
         }
         for pp in &pool {
@@ -323,9 +402,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         }
         if !ctx.hints.is_empty() && mask.count_ones() >= 2 {
             let mut bs: Vec<String> = Vec::new();
-            for (i, lf) in leaves.iter().enumerate() {
+            for (i, b) in bindings.iter().enumerate() {
                 if mask & (1 << i) != 0 {
-                    bs.extend(lf.bindings.iter().cloned());
+                    bs.extend(b.iter().cloned());
                 }
             }
             bs.sort();
@@ -345,9 +424,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
     };
     let bushy = n <= MAX_BUSHY;
     let mut dp: Vec<Option<Cand>> = vec![None; 1usize << n];
-    for (i, lf) in leaves.iter().enumerate() {
+    for (i, r) in leaf_rows.iter().enumerate() {
         dp[1usize << i] = Some(Cand {
-            cost: lf.rows,
+            cost: *r,
             tree: Tree::Leaf(i),
         });
     }
@@ -396,64 +475,25 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         }
         dp[mask as usize] = best;
     }
-    let root = dp[full as usize]
+    dp[full as usize]
         .take()
         .expect("DP always finds a plan for the full set")
-        .tree;
+        .tree
+}
 
-    // Rebuild: new frame = leaf schemas in the chosen in-order sequence.
-    let mut order = Vec::with_capacity(n);
-    inorder(&root, &mut order);
-    let mut new_off = vec![0usize; n];
-    let mut acc = 0usize;
-    for &k in &order {
-        new_off[k] = acc;
-        acc += leaves[k].width;
-    }
-    let mut mapping: Vec<Option<usize>> = vec![None; total];
-    for (k, lf) in leaves.iter().enumerate() {
-        for j in 0..lf.width {
-            mapping[lf.old_offset + j] = Some(new_off[k] + lf.map[j].expect("live slot"));
-        }
-    }
-    let mut preds: Vec<(Expr, u32, bool)> = pool
-        .into_iter()
-        .map(|pp| {
-            let mut e = pp.expr;
-            remap(&mut e, &mapping);
-            (e, pp.mask, false)
-        })
-        .collect();
-    let widths: Vec<usize> = leaves.iter().map(|lf| lf.width).collect();
-    let mut plans: Vec<Option<Plan>> = leaves
-        .iter_mut()
-        .map(|lf| Some(mem::replace(&mut lf.plan, dummy())))
-        .collect();
-    let (mut plan, _, _, _) = build_tree(&root, &mut plans, &mut preds, &new_off, &widths);
-
-    // Safety net for preds that found no covering join (cannot happen
-    // for the full mask, but cheap to keep sound) plus the pinned set.
-    let mut top: Vec<Expr> = preds
-        .into_iter()
-        .filter(|(_, _, placed)| !placed)
-        .map(|(e, _, _)| e)
-        .collect();
-    for mut e in pinned {
-        remap(&mut e, &mapping);
-        top.push(e);
-    }
-    if let Some(pred) = Expr::conjoin(top) {
-        plan = Plan::Filter {
-            input: Box::new(plan),
-            predicate: pred,
-        };
-    }
-    *p = plan;
-    mapping
+/// A pooled predicate as the search sees it.
+struct PoolPred {
+    /// Bitset of leaves it references.
+    mask: u32,
+    sel: f64,
+    /// True when it splits into two single-leaf equality sides — usable
+    /// as a hash-join key, and what "connected" means for the search.
+    is_edge: bool,
 }
 
 /// Flatten a region subtree: leaves out, predicates lifted into the
-/// global frame (`offset` tracks each subtree's base slot).
+/// global frame (`offset` tracks each subtree's base slot). Returns the
+/// subtree's join tree as bound.
 fn flatten(
     p: Plan,
     ctx: &mut Ctx,
@@ -461,8 +501,7 @@ fn flatten(
     hoisted: &mut Vec<Expr>,
     pinned: &mut Vec<Expr>,
     offset: &mut usize,
-) {
-    let immovable = |c: &Expr| c.contains_subquery() || c.slots().is_empty();
+) -> Tree {
     match p {
         Plan::Join {
             left,
@@ -472,52 +511,49 @@ fn flatten(
             residual,
         } => {
             let left_start = *offset;
-            flatten(*left, ctx, leaves, hoisted, pinned, offset);
+            let l = flatten(*left, ctx, leaves, hoisted, pinned, offset);
             let right_start = *offset;
-            flatten(*right, ctx, leaves, hoisted, pinned, offset);
+            let r = flatten(*right, ctx, leaves, hoisted, pinned, offset);
             for (l, r) in equi {
                 hoisted.push(Expr::eq_pair(l.shifted(left_start), r.shifted(right_start)));
             }
-            if let Some(res) = residual {
-                for c in res.conjuncts() {
-                    let e = c.shifted(left_start);
-                    if immovable(&e) {
-                        pinned.push(e);
-                    } else {
-                        hoisted.push(e);
-                    }
-                }
+            for c in residual.iter().flat_map(Expr::conjuncts) {
+                lift(c, left_start, hoisted, pinned);
             }
+            Tree::Join(Box::new(l), Box::new(r))
         }
         Plan::Filter { input, predicate } if is_inner_join(&input) => {
             let start = *offset;
-            flatten(*input, ctx, leaves, hoisted, pinned, offset);
+            let tree = flatten(*input, ctx, leaves, hoisted, pinned, offset);
             for c in predicate.conjuncts() {
-                let e = c.shifted(start);
-                if immovable(&e) {
-                    pinned.push(e);
-                } else {
-                    hoisted.push(e);
-                }
+                lift(c, start, hoisted, pinned);
             }
+            tree
         }
-        other => {
-            let mut plan = other;
+        mut plan => {
             let map = optimize_plan(&mut plan, ctx);
             let width = map.len();
-            let (rows, stats) = leaf_estimates(&plan, width, ctx);
-            let bindings: Vec<String> = plan.bindings().into_iter().collect();
             leaves.push(Leaf {
                 plan,
                 map,
                 old_offset: *offset,
                 width,
-                bindings,
-                rows,
-                stats,
             });
             *offset += width;
+            Tree::Leaf(leaves.len() - 1)
         }
+    }
+}
+
+/// Lift a conjunct into the region frame: into the pool, or into the
+/// filter above the region when it must not move (a subquery, or no
+/// column at all — the same `immovable` rule the rewriter uses).
+fn lift(c: &Expr, start: usize, hoisted: &mut Vec<Expr>, pinned: &mut Vec<Expr>) {
+    let e = c.shifted(start);
+    if e.contains_subquery() || e.slots().is_empty() {
+        pinned.push(e);
+    } else {
+        hoisted.push(e);
     }
 }
 
@@ -575,38 +611,53 @@ fn inorder(t: &Tree, out: &mut Vec<usize>) {
     }
 }
 
-/// Build the chosen tree bottom-up, placing each pooled predicate at its
-/// lowest covering join. Returns `(plan, leaf mask, frame start, width)`.
+/// The lowest and highest slot a movable conjunct reads.
+fn span(e: &Expr) -> (usize, usize) {
+    e.slots()
+        .into_iter()
+        .fold((usize::MAX, 0), |(lo, hi), s| (lo.min(s), hi.max(s)))
+}
+
+/// A pooled conjunct in the rebuilt frame, waiting for the lowest join
+/// whose slot range covers `lo..=hi`.
+struct Pending {
+    expr: Expr,
+    lo: usize,
+    hi: usize,
+}
+
+/// Build the chosen tree bottom-up, placing each pending conjunct at its
+/// lowest covering join: in the rebuilt frame every subtree reads one
+/// contiguous slot range. Returns `(plan, frame start, width)`.
 fn build_tree(
     t: &Tree,
     plans: &mut [Option<Plan>],
-    preds: &mut Vec<(Expr, u32, bool)>,
+    pending: &mut [Option<Pending>],
     new_off: &[usize],
     widths: &[usize],
-) -> (Plan, u32, usize, usize) {
+) -> (Plan, usize, usize) {
     match t {
         Tree::Leaf(i) => (
             plans[*i].take().expect("leaf built twice"),
-            1u32 << *i,
             new_off[*i],
             widths[*i],
         ),
         Tree::Join(l, r) => {
-            let (pl, ml, sl, wl) = build_tree(l, plans, preds, new_off, widths);
-            let (pr, mr, sr, wr) = build_tree(r, plans, preds, new_off, widths);
+            let (pl, sl, wl) = build_tree(l, plans, pending, new_off, widths);
+            let (pr, sr, wr) = build_tree(r, plans, pending, new_off, widths);
             debug_assert_eq!(sr, sl + wl, "in-order frame must be contiguous");
-            let covered = ml | mr;
             let mut equi = Vec::new();
             let mut residual = Vec::new();
-            for (e, mask, placed) in preds.iter_mut() {
-                if *placed || *mask & !covered != 0 {
+            for slot in pending.iter_mut() {
+                let Some(p) = slot else { continue };
+                if p.lo < sl || p.hi >= sr + wr {
                     continue;
                 }
-                *placed = true;
-                match split_sides(e, sl, wl, sr, wr) {
+                let e = slot.take().expect("checked above").expr;
+                match split_sides(&e, sl, wl, sr, wr) {
                     Some(pair) => equi.push(pair),
                     None => {
-                        let mut c = e.clone();
+                        let mut c = e;
                         c.map_slots(&|s| s - sl);
                         residual.push(c);
                     }
@@ -619,15 +670,16 @@ fn build_tree(
                 equi,
                 residual: Expr::conjoin(residual),
             };
-            (plan, covered, sl, wl + wr)
+            (plan, sl, wl + wr)
         }
     }
 }
 
-/// If `e` (in the new frame) is `a = b` with `a` entirely in the left
-/// child's slot range and `b` in the right's (or mirrored), return the
-/// localized `(left_key, right_key)` pair.
-fn split_sides(
+/// If `e` is `a = b` with `a` entirely in the left side's slot range
+/// (`sl`, width `wl`) and `b` in the right's (or mirrored), return the
+/// localized `(left_key, right_key)` pair. The one function that splits
+/// an equality into join keys.
+pub(crate) fn split_sides(
     e: &Expr,
     sl: usize,
     wl: usize,
@@ -745,7 +797,7 @@ mod tests {
         let db = Database::tpch(0.001, 42);
         let q = parse_query(sql).unwrap();
         let mut bq = Planner::new(&db).with_optimize(false).bind(&q).unwrap();
-        optimize(&mut bq, &CardHints::default());
+        optimize(&mut bq, &CardHints::default(), true);
         bq
     }
 
@@ -787,7 +839,7 @@ mod tests {
             v.sort();
             v
         };
-        optimize(&mut bq, &CardHints::default());
+        optimize(&mut bq, &CardHints::default(), true);
         let mut after = schema_names(&bq.core);
         after.sort();
         assert_eq!(before, after);
@@ -834,10 +886,36 @@ mod tests {
         small_region.insert(vec!["region".into()], 1.0);
         let plan_with = |hints: &CardHints| {
             let mut bq = Planner::new(&db).with_optimize(false).bind(&q).unwrap();
-            optimize(&mut bq, hints);
+            optimize(&mut bq, hints, true);
             crate::ir::explain(&bq).text
         };
         assert_ne!(plan_with(&small_nation), plan_with(&small_region));
+    }
+
+    #[test]
+    fn without_the_search_the_tree_as_bound_gets_its_keys() {
+        // FROM order puts region over (nation ⋈ supplier): a bushy tree,
+        // kept as bound, each equality a key of its lowest covering join.
+        let db = Database::tpch(0.001, 42);
+        let q = parse_query(
+            "select count(*) from region, nation join supplier on n_nationkey = s_nationkey \
+             where r_regionkey = n_regionkey",
+        )
+        .unwrap();
+        let bq = Planner::new(&db).with_optimize(false).bind(&q).unwrap();
+        let Plan::Join {
+            left, right, equi, ..
+        } = &bq.core
+        else {
+            panic!("{:?}", bq.core)
+        };
+        assert!(matches!(**left, Plan::Scan { .. }), "{left:?}");
+        assert!(
+            matches!(&**right, Plan::Join { equi, .. } if equi.len() == 1),
+            "{right:?}"
+        );
+        assert_eq!(equi.len(), 1);
+        assert_eq!(count_cross_joins(&bq.core), 0);
     }
 
     #[test]
@@ -848,7 +926,7 @@ mod tests {
             let mut bq = Planner::new(&db)
                 .bind(&q)
                 .unwrap_or_else(|e| panic!("{name}: bind failed: {e}"));
-            optimize(&mut bq, &CardHints::default());
+            optimize(&mut bq, &CardHints::default(), true);
         }
     }
 }

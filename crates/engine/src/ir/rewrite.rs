@@ -17,9 +17,13 @@
 //! 4. **Filter merging** — chained filters collapse into one conjunction,
 //!    inner conjuncts first (preserving evaluation order).
 //! 5. **Predicate pushdown through joins** — single-side conjuncts move
-//!    below the join (left side also through LEFT OUTER joins: null-padded
-//!    rows carry real left values, so filtering the left input is
-//!    equivalent); inner-join ON-residual conjuncts likewise.
+//!    below the join (left side also through LEFT OUTER, semi and anti
+//!    joins: null-padded rows carry real left values, so filtering the
+//!    left input is equivalent), and on through every join below that
+//!    they can pass, in one pass — down to the derived tables and CTE
+//!    scans rules 6 and 7 push them into. Where a conjunct of an
+//!    inner-join region finally runs, and which equalities become hash
+//!    keys, is the placement pass's decision ([`super::memo`]).
 //! 6. **Pushdown into derived tables** — conjuncts over a derived table's
 //!    output are substituted through its projection and pushed inside,
 //!    unless the derived query aggregates or has a LIMIT.
@@ -28,11 +32,8 @@
 //!    referenced by any subquery left in place.
 //! 8. **Common-conjunct factoring** — `(A ∧ X) ∨ (A ∧ Y)` becomes
 //!    `A ∧ (X ∨ Y)`, so what every branch of an `OR` demands can be
-//!    pushed down or (rule 9) hashed. TPC-H Q19 is the shape.
-//! 9. **Join-key extraction** — a filter conjunct `l = r` directly over
-//!    an inner join, with `l` on the left input and `r` on the right,
-//!    becomes a hash key of that join when the hash tables match exactly
-//!    as `=` does (same exact type, neither side nullable).
+//!    pushed down or, by the placement pass, hashed. TPC-H Q19 is the
+//!    shape.
 //!
 //! The subqueries this module meets are the ones the unnesting pass
 //! ([`super::unnest`], run per block at bind time, before these rules)
@@ -115,9 +116,7 @@ fn rewrite_plan(p: &mut Plan, changed: &mut bool) {
     simplify_filter(p, changed);
     factor_or(p, changed);
     dedup_equi(p, changed);
-    push_residual_down(p, changed);
     push_through_join(p, changed);
-    extract_join_keys(p, changed);
     push_into_derived(p, changed);
 }
 
@@ -350,57 +349,13 @@ fn factor_or(p: &mut Plan, changed: &mut bool) {
     }
 }
 
-/// Turn filter conjuncts `l = r` over an inner join into hash keys of the
-/// join when `l` reads the left input only and `r` the right (or the
-/// other way round). The hash tables match NULL with NULL and floats by
-/// bit pattern, so only the pairs [`unnest::split_key`] accepts (one
-/// exactly hashed type on both sides) that cannot be NULL qualify — the
-/// result stays byte-identical to the filter over the cross product, row
-/// order included.
-fn extract_join_keys(p: &mut Plan, changed: &mut bool) {
-    let Plan::Filter { input, predicate } = p else {
-        return;
-    };
-    let Plan::Join {
-        left,
-        right,
-        kind: JoinKind::Inner,
-        equi,
-        ..
-    } = &mut **input
-    else {
-        return;
-    };
-    let left_len = left.schema().len();
-    let mut stay = Vec::new();
-    let before = equi.len();
-    for c in predicate.conjuncts() {
-        match unnest::split_key(c, left_len) {
-            Some((l, r)) if unnest::non_null(&l, left) && unnest::non_null(&r, right) => {
-                equi.push((l, r));
-            }
-            _ => stay.push(c.clone()),
-        }
-    }
-    if equi.len() == before {
-        return;
-    }
-    match Expr::conjoin(stay) {
-        Some(pred) => *predicate = pred,
-        None => {
-            let inner = mem::replace(&mut **input, dummy());
-            *p = inner;
-        }
-    }
-    *changed = true;
-}
-
 /// Can this conjunct move below a join boundary at all?
 fn immovable(c: &Expr, slots: &[usize]) -> bool {
     c.contains_subquery() || slots.is_empty()
 }
 
-/// Push single-side conjuncts of a `Filter` below its `Join` input.
+/// Push single-side conjuncts of a `Filter` below its `Join` input, and
+/// on through every join below that they can pass, in this one pass.
 fn push_through_join(p: &mut Plan, changed: &mut bool) {
     let Plan::Filter { input, predicate } = p else {
         return;
@@ -411,7 +366,7 @@ fn push_through_join(p: &mut Plan, changed: &mut bool) {
     else {
         return;
     };
-    let left_len = left.schema().len();
+    let left_len = left.width();
     let mut to_left = Vec::new();
     let mut to_right = Vec::new();
     let mut stay = Vec::new();
@@ -434,20 +389,8 @@ fn push_through_join(p: &mut Plan, changed: &mut bool) {
     if to_left.is_empty() && to_right.is_empty() {
         return;
     }
-    if let Some(pl) = Expr::conjoin(to_left) {
-        let l = mem::replace(&mut **left, dummy());
-        **left = Plan::Filter {
-            input: Box::new(l),
-            predicate: pl,
-        };
-    }
-    if let Some(pr) = Expr::conjoin(to_right) {
-        let r = mem::replace(&mut **right, dummy());
-        **right = Plan::Filter {
-            input: Box::new(r),
-            predicate: pr,
-        };
-    }
+    sink(left, to_left, changed);
+    sink(right, to_right, changed);
     match Expr::conjoin(stay) {
         Some(pred) => *predicate = pred,
         None => {
@@ -458,61 +401,24 @@ fn push_through_join(p: &mut Plan, changed: &mut bool) {
     *changed = true;
 }
 
-/// Push single-side conjuncts of an inner join's ON-residual below the
-/// join (for an inner join, a candidate pair rejected by a one-side
-/// residual conjunct contributes nothing either way).
-fn push_residual_down(p: &mut Plan, changed: &mut bool) {
-    let Plan::Join {
-        left,
-        right,
-        kind,
-        residual,
-        ..
-    } = p
-    else {
-        return;
-    };
-    if *kind != JoinKind::Inner {
+/// Filter `p` by `conjuncts` — after the conjuncts of a filter `p`
+/// already is, as filter merging would order them — and push them on.
+fn sink(p: &mut Plan, mut conjuncts: Vec<Expr>, changed: &mut bool) {
+    if conjuncts.is_empty() {
         return;
     }
-    let Some(r) = residual else { return };
-    let left_len = left.schema().len();
-    let mut to_left = Vec::new();
-    let mut to_right = Vec::new();
-    let mut stay = Vec::new();
-    for c in r.conjuncts() {
-        let slots = c.slots();
-        if immovable(c, &slots) {
-            stay.push(c.clone());
-        } else if slots.iter().all(|&s| s < left_len) {
-            to_left.push(c.clone());
-        } else if slots.iter().all(|&s| s >= left_len) {
-            let mut e = c.clone();
-            e.map_slots(&|s| s - left_len);
-            to_right.push(e);
-        } else {
-            stay.push(c.clone());
+    let (input, mut all) = match mem::replace(p, dummy()) {
+        Plan::Filter { input, predicate } => {
+            (input, predicate.conjuncts().into_iter().cloned().collect())
         }
-    }
-    if to_left.is_empty() && to_right.is_empty() {
-        return;
-    }
-    if let Some(pl) = Expr::conjoin(to_left) {
-        let l = mem::replace(&mut **left, dummy());
-        **left = Plan::Filter {
-            input: Box::new(l),
-            predicate: pl,
-        };
-    }
-    if let Some(pr) = Expr::conjoin(to_right) {
-        let rr = mem::replace(&mut **right, dummy());
-        **right = Plan::Filter {
-            input: Box::new(rr),
-            predicate: pr,
-        };
-    }
-    *residual = Expr::conjoin(stay);
-    *changed = true;
+        other => (Box::new(other), Vec::new()),
+    };
+    all.append(&mut conjuncts);
+    *p = Plan::Filter {
+        input,
+        predicate: Expr::conjoin(all).expect("non-empty conjunct list"),
+    };
+    push_through_join(p, changed);
 }
 
 /// Can a conjunct over a derived/CTE output be substituted through the
@@ -905,7 +811,7 @@ fn prune_plan(
         } => {
             let ml = prune_plan(left, used, protected);
             let mr = prune_plan(right, used, protected);
-            let new_left_len = left.schema().len();
+            let new_left_len = left.width();
             for (l, r) in equi.iter_mut() {
                 remap(l, &ml);
                 remap(r, &mr);
@@ -1004,6 +910,8 @@ mod tests {
 
     #[test]
     fn on_residual_single_side_conjuncts_sink_below_inner_join() {
+        // The placement pass every bind runs puts them there, and the
+        // rules leave them there.
         let b = rewritten(
             "select c_custkey from customer join orders \
              on c_custkey = o_custkey and o_totalprice > 100",

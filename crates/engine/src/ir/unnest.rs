@@ -21,17 +21,17 @@
 //!
 //! The rewrites reproduce the evaluator in [`crate::eval`] exactly, not
 //! textbook SQL. `IN` there matches with [`crate::value::group_eq`] and
-//! yields NULL (row dropped, `NOT IN` too) for a NULL probe; a NULL *in*
-//! the set never matches and never poisons `NOT IN`. The hash joins treat
-//! NULL keys as equal to each other, so a probe that may be NULL is
-//! filtered `IS NOT NULL` first, and a correlated inner key that may be
-//! NULL is filtered on the build side (`inner = outer` is never true for
-//! a NULL). Keys are only taken between sides of one statically known
-//! type in which hash-key equality is comparison equality (int, string,
-//! date): decimals turn into floats under the row engine's arithmetic
-//! and a float never hashes like the decimal it compares equal to. An
-//! aggregate over an empty group must be NULL for the group join to drop
-//! the row where `x < NULL` did, which rules out `count`.
+//! yields NULL (row dropped, `NOT IN` too) for a NULL probe, so a probe
+//! that may be NULL is filtered `IS NOT NULL` first: the anti join would
+//! keep it. A NULL *in* the set never matches and never poisons `NOT
+//! IN`, and `inner = outer` is never true for a NULL: the hash joins
+//! match no key holding NULL, on either side. Keys are only taken
+//! between sides of one statically known type in which hash-key equality
+//! is comparison equality (int, string, date): decimals turn into floats
+//! under the row engine's arithmetic and a float never hashes like the
+//! decimal it compares equal to. An aggregate over an empty group must be
+//! NULL for the group join to drop the row where `x < NULL` did, which
+//! rules out `count`.
 //!
 //! Both join kinds probe from the outer side and emit outer rows in input
 //! order, and a group join matches each outer row at most once, so with
@@ -51,6 +51,7 @@
 use crate::ir::bind::resolve_name;
 use crate::ir::cost::CardHints;
 use crate::ir::expr::{Expr, Subquery, SubqueryPlan, Ty};
+use crate::ir::memo::split_sides;
 use crate::plan::{BoundQuery, JoinKind, OutputItem, Plan, Planner, Schema};
 use sqalpel_sql::ast::{self, BinOp, ColumnRef, UnaryOp};
 use std::mem;
@@ -278,6 +279,7 @@ fn decompose(mut bq: BoundQuery, outer: &Schema) -> Result<Body, Stays> {
     }
 
     let width = outer.len();
+    let inner_width = bq.core.width();
     let mut keys = Vec::new();
     let mut residual = Vec::new();
     for mut c in pulled {
@@ -303,9 +305,9 @@ fn decompose(mut bq: BoundQuery, outer: &Schema) -> Result<Body, Stays> {
         if unresolved {
             return Err(Stays::PerRow("references two scopes up"));
         }
-        match split_key(&c, width) {
-            Some(pair) => keys.push(pair),
-            None => residual.push(c),
+        match split_sides(&c, 0, width, width, inner_width) {
+            Some((outer, inner)) if hashable_pair(&outer, &inner) => keys.push((outer, inner)),
+            _ => residual.push(c),
         }
     }
     Ok(Body { bq, keys, residual })
@@ -343,7 +345,7 @@ fn pull_correlated(p: Plan, off: usize, out: &mut Vec<Expr>) -> Plan {
             equi,
             residual,
         } => {
-            let left_width = left.schema().len();
+            let left_width = left.width();
             let left = pull_correlated(*left, off, out);
             let right = if kind == JoinKind::Inner {
                 pull_correlated(*right, off + left_width, out)
@@ -360,44 +362,6 @@ fn pull_correlated(p: Plan, off: usize, out: &mut Vec<Expr>) -> Plan {
         }
         leaf => leaf,
     }
-}
-
-/// `c` as a hash-key pair when it is `a = b` with one side entirely over
-/// the outer columns (slots below `width`), the other entirely over the
-/// body's, and both of one hashable type. The inner side comes back in
-/// the body's own frame.
-pub(crate) fn split_key(c: &Expr, width: usize) -> Option<(Expr, Expr)> {
-    let Expr::Binary {
-        left,
-        op: BinOp::Eq,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let side = |e: &Expr| {
-        let slots = e.slots();
-        if slots.is_empty() {
-            None
-        } else if slots.iter().all(|&s| s < width) {
-            Some(false)
-        } else if slots.iter().all(|&s| s >= width) {
-            Some(true)
-        } else {
-            None
-        }
-    };
-    let (outer, inner) = match (side(left)?, side(right)?) {
-        (false, true) => (left, right),
-        (true, false) => (right, left),
-        _ => return None,
-    };
-    if !hashable_pair(outer, inner) {
-        return None;
-    }
-    let mut inner = inner.as_ref().clone();
-    inner.map_slots(&|s| s - width);
-    Some((outer.as_ref().clone(), inner))
 }
 
 /// Hash-key equality coincides with `=` / `group_eq` only where both
@@ -473,7 +437,7 @@ fn join_shape(
                 residual,
             } = body;
             notes.append(&mut bq.subquery_notes);
-            semi_join(cur, bq.core, negated, keys, residual, 0);
+            semi_join(cur, bq.core, negated, keys, residual);
             Ok(None)
         }
         Kind::In { probe, negated } => {
@@ -524,9 +488,7 @@ fn join_shape(
                     },
                 };
             }
-            // The probe pair went in first; only the correlation keys
-            // behind it follow `=` semantics and need the inner guard.
-            semi_join(cur, right, negated, keys, residual, 1);
+            semi_join(cur, right, negated, keys, residual);
             Ok(None)
         }
         Kind::Scalar {
@@ -571,19 +533,16 @@ fn join_shape(
     }
 }
 
-/// `cur := cur ⋉ right` (anti when `negated`). The keys from index
-/// `eq_from` on follow `=` semantics: an inner side that may be NULL is
-/// filtered on the build side, so the NULL = NULL match of the hash
-/// tables cannot happen.
+/// `cur := cur ⋉ right` (anti when `negated`). A key holding NULL
+/// matches nothing in the hash tables, as `inner = outer` is never true
+/// for a NULL.
 fn semi_join(
     cur: &mut Plan,
     right: Plan,
     negated: bool,
     keys: Vec<(Expr, Expr)>,
     residual: Vec<Expr>,
-    eq_from: usize,
 ) {
-    let right = guard_not_null(right, keys[eq_from..].iter().map(|(_, inner)| inner));
     let left = mem::replace(cur, placeholder());
     *cur = Plan::Join {
         left: Box::new(left),
@@ -602,9 +561,9 @@ fn semi_join(
 /// table's columns are the group keys, then the aggregate.
 fn group_join(planner: &mut Planner, cur: &mut Plan, body: Body) {
     let Body { mut bq, keys, .. } = body;
+    // A NULL group, if there is one, matches no outer row: a key holding
+    // NULL matches nothing, as `inner = outer` selects nothing for it.
     let (outer_keys, inner_keys): (Vec<Expr>, Vec<Expr>) = keys.into_iter().unzip();
-    // `inner = NULL` selects nothing, so the NULL group must not exist.
-    bq.core = guard_not_null(mem::replace(&mut bq.core, placeholder()), inner_keys.iter());
     let value = bq.items.pop().expect("one item, checked by the caller");
     bq.items = inner_keys
         .iter()
@@ -640,28 +599,9 @@ fn group_join(planner: &mut Planner, cur: &mut Plan, body: Body) {
     };
 }
 
-/// `p` under an `IS NOT NULL` filter for each expression that is not
-/// provably non-null over it.
-fn guard_not_null<'a>(p: Plan, exprs: impl Iterator<Item = &'a Expr>) -> Plan {
-    let guards: Vec<Expr> = exprs
-        .filter(|e| !non_null(e, &p))
-        .map(|e| Expr::IsNull {
-            expr: Box::new(e.clone()),
-            negated: true,
-        })
-        .collect();
-    match Expr::conjoin(guards) {
-        Some(predicate) => Plan::Filter {
-            input: Box::new(p),
-            predicate,
-        },
-        None => p,
-    }
-}
-
 /// Stored columns hold no NULLs, so a bare column that reaches a scan
 /// without crossing the null-padded side of an outer join never is one.
-pub(crate) fn non_null(e: &Expr, p: &Plan) -> bool {
+fn non_null(e: &Expr, p: &Plan) -> bool {
     matches!(e, Expr::Col { slot, .. }
         if p.stored_column(*slot).is_some_and(|(_, _, null_padded)| !null_padded))
 }

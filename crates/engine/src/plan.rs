@@ -8,22 +8,30 @@
 //! the schema of the plan node the expression is evaluated against, with
 //! inferred [`Ty`]s; unresolved names become explicit outer references.
 //!
-//! With the rewriter on, every `SELECT` block first goes through the
-//! unnesting pass (`crate::ir::unnest`): `[NOT] EXISTS`, `[NOT] IN` and
-//! correlated scalar-aggregate conjuncts of its `WHERE` become semi, anti
-//! and group joins — plan nodes like any other, so everything below sees
-//! them. Then the rule-based rewriter (`crate::ir::rewrite`) runs to a
-//! fixed point — constant folding, predicate pushdown through joins and
-//! into derived tables/CTEs, duplicate conjunct elimination, trivial-filter
-//! elimination — followed by projection pruning, so scans materialize only
-//! live columns. Join planning itself stays deliberately simple and
-//! deterministic: relations join in `FROM` order with hash joins on the
-//! equality conjuncts that connect them. A subquery the unnesting pass
-//! left in place (its shape is outside what the pass proves equivalent,
-//! or the rewriter is off) is bound all the same, once, while its block
-//! is: its body is planned as a query of its own and kept in the
-//! [`ir::expr::Subquery`] node, and the predicate holding it is never
-//! moved: its correlation needs the full row in scope.
+//! The binder places no predicate: each block joins its `FROM` items in
+//! `FROM` order by keyless inner joins and puts its `WHERE` conjuncts in
+//! one filter over them — the ones holding a subquery in a second filter
+//! on top. An inner `JOIN ... ON` keeps its whole `ON` as the join's
+//! residual; a `LEFT JOIN`'s equalities between its two sides are its
+//! keys. With the rewriter on, every `SELECT` block first goes through
+//! the unnesting pass (`crate::ir::unnest`): `[NOT] EXISTS`, `[NOT] IN`
+//! and correlated scalar-aggregate conjuncts of its `WHERE` become semi,
+//! anti and group joins — plan nodes like any other, so everything below
+//! sees them. Then the rule-based rewriter (`crate::ir::rewrite`) runs to
+//! a fixed point — constant folding, predicate pushdown through joins and
+//! into derived tables/CTEs, duplicate conjunct elimination,
+//! trivial-filter elimination — followed by projection pruning, so scans
+//! materialize only live columns. Last, on every bind, the placement
+//! pass (`crate::ir::memo`) puts each conjunct of an inner-join region at
+//! its lowest covering join, as a hash key where it is an equality
+//! between the join's two sides, on the join order it searched for or,
+//! with the optimizer off, on the tree as bound. A subquery the unnesting
+//! pass left in place (its shape is outside what the pass proves
+//! equivalent, or the rewriter is off) is bound all the same, once,
+//! while its block is: its body is planned as a query of its own and
+//! kept in the [`ir::expr::Subquery`] node, and the predicate holding it
+//! is never moved into a join: its correlation needs the full row in
+//! scope.
 
 use crate::error::{EngineError, EngineResult};
 use crate::ir::bind::{bind_expr, bind_order_key};
@@ -185,7 +193,7 @@ impl Plan {
             Plan::Join {
                 left, right, kind, ..
             } => {
-                let left_width = left.schema().len();
+                let left_width = left.width();
                 if slot < left_width {
                     left.stored_column(slot)
                 } else {
@@ -193,6 +201,20 @@ impl Plan {
                     Some((table, column, padded || *kind == JoinKind::LeftOuter))
                 }
             }
+        }
+    }
+
+    /// The number of output columns: `schema().len()` without building
+    /// the schema.
+    pub fn width(&self) -> usize {
+        match self {
+            Plan::Scan { live, .. } => live.len(),
+            Plan::Derived { query, .. } => query.items.len(),
+            Plan::Cte { schema, .. } => schema.len(),
+            Plan::Filter { input, .. } => input.width(),
+            Plan::Join {
+                left, right, kind, ..
+            } => left.width() + if kind.emits_right() { right.width() } else { 0 },
         }
     }
 
@@ -300,7 +322,8 @@ pub struct Planner<'a> {
     ctes: Vec<(String, Vec<(String, Ty)>)>,
     /// Whether to run the rewrite rules + projection pruning after binding.
     rewrite: bool,
-    /// Whether to run the cost-based join-order search after rewriting.
+    /// Whether the placement pass searches for a join order, or keeps
+    /// the tree as bound.
     optimize: bool,
     /// Observed cardinalities fed back from a prior profiled run.
     hints: ir::cost::CardHints,
@@ -321,16 +344,18 @@ impl<'a> Planner<'a> {
     }
 
     /// Toggle the rewriter (on by default). With it off the binder output
-    /// runs unrewritten and unpruned — the configuration the
-    /// rewriter-equivalence suite compares against.
+    /// runs unrewritten and unpruned, its predicates placed — the
+    /// configuration the rewriter-equivalence suite compares against.
     pub fn with_rewrite(mut self, on: bool) -> Self {
         self.rewrite = on;
         self
     }
 
-    /// Toggle the cost-based join-order optimizer (on by default). It is
-    /// independent of the rewriter: equivalence suites can hold one fixed
-    /// while toggling the other.
+    /// Toggle the cost-based join-order search (on by default). Off, every
+    /// inner-join region keeps its join tree as bound — `FROM` order,
+    /// explicit `JOIN`s as written; predicates are placed either way. It
+    /// is independent of the rewriter: equivalence suites can hold one
+    /// fixed while toggling the other.
     pub fn with_optimize(mut self, on: bool) -> Self {
         self.optimize = on;
         self
@@ -345,7 +370,7 @@ impl<'a> Planner<'a> {
 
     /// Bind a parsed query — unnesting each block's subquery conjuncts as
     /// it is bound, unless the rewriter is off — then (unless disabled)
-    /// rewrite, prune and cost-optimize it.
+    /// rewrite and prune it, and place its predicates.
     pub fn bind(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let mut bq = self.bind_query(q)?;
         self.finish(&mut bq, &self.hints);
@@ -360,9 +385,7 @@ impl<'a> Planner<'a> {
             ir::rewrite::rewrite(bq);
             ir::rewrite::prune(bq);
         }
-        if self.optimize {
-            ir::memo::optimize(bq, hints);
-        }
+        ir::memo::optimize(bq, hints, self.optimize);
     }
 
     /// Whether the rewriter, and with it the unnesting pass, is on.
@@ -404,99 +427,41 @@ impl<'a> Planner<'a> {
                 "queries without a FROM clause".into(),
             ));
         }
-        // 1. Bind each FROM item to a plan fragment.
-        let mut fragments: Vec<Plan> = Vec::with_capacity(s.from.len());
-        for item in &s.from {
-            fragments.push(self.bind_table_ref(item)?);
-        }
-
-        // 2. Classify WHERE conjuncts.
-        let conjuncts: Vec<Expr> = s
-            .selection
-            .as_ref()
-            .map(|e| e.conjuncts().into_iter().cloned().collect())
-            .unwrap_or_default();
-        let frag_bindings: Vec<BTreeSet<String>> =
-            fragments.iter().map(|f| f.bindings()).collect();
-        let frag_schemas: Vec<Schema> = fragments.iter().map(|f| f.schema()).collect();
-
-        let mut pushed: Vec<Vec<Expr>> = vec![Vec::new(); fragments.len()];
-        let mut join_candidates: Vec<Expr> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
-
-        for c in conjuncts {
-            if contains_subquery(&c) {
-                residual.push(c);
-                continue;
-            }
-            let refs = self.conjunct_fragments(&c, &frag_bindings, &frag_schemas)?;
-            match refs.len() {
-                0 => residual.push(c), // constant or correlated-outer predicate
-                1 => pushed[*refs.iter().next().unwrap()].push(c),
-                2 if is_equality(&c) => join_candidates.push(c),
-                _ => residual.push(c),
-            }
-        }
-
-        // 3. Apply pushed-down filters, lowering each conjunction against
-        // its fragment's schema.
-        let mut filtered: Vec<Plan> = Vec::with_capacity(fragments.len());
-        for (frag, preds) in fragments.into_iter().zip(pushed) {
-            match Expr::conjoin(preds) {
-                Some(p) => {
-                    let predicate = bind_expr(&p, &frag.schema())?;
-                    filtered.push(Plan::Filter {
-                        input: Box::new(frag),
-                        predicate,
-                    });
-                }
-                None => filtered.push(frag),
-            }
-        }
-
-        // 4. Join fragments in FROM order, picking up connecting equi keys.
-        let mut iter = filtered.into_iter();
-        let mut current = iter.next().expect("non-empty FROM");
-        let mut current_bindings = current.bindings();
-        for frag in iter {
-            let right_bindings = frag.bindings();
-            let mut pairs: Vec<(Expr, Expr)> = Vec::new();
-            join_candidates.retain(|c| {
-                match split_equi(c, &current_bindings, &right_bindings, &frag_schemas) {
-                    Some(pair) => {
-                        pairs.push(pair);
-                        false
-                    }
-                    None => true,
-                }
-            });
-            let left_schema = current.schema();
-            let right_schema = frag.schema();
-            let mut equi = Vec::with_capacity(pairs.len());
-            for (a, b) in pairs {
-                equi.push((bind_expr(&a, &left_schema)?, bind_expr(&b, &right_schema)?));
-            }
-            current_bindings.extend(right_bindings);
+        // 1. The FROM items, joined in FROM order by keyless inner joins.
+        let mut from = s.from.iter();
+        let mut current = self.bind_table_ref(from.next().expect("non-empty FROM"))?;
+        for item in from {
             current = Plan::Join {
                 left: Box::new(current),
-                right: Box::new(frag),
+                right: Box::new(self.bind_table_ref(item)?),
                 kind: JoinKind::Inner,
-                equi,
+                equi: Vec::new(),
                 residual: None,
             };
         }
 
-        // 5. Any unconsumed join candidates become residual filters.
-        residual.extend(join_candidates);
-        if let Some(p) = Expr::conjoin(residual) {
-            let predicate = bind_expr(&p, &current.schema())?;
-            current = Plan::Filter {
-                input: Box::new(current),
-                predicate,
-            };
+        // 2. WHERE: one filter over the FROM tree, and the conjuncts that
+        // hold a subquery in a second filter on top, where the unnesting
+        // pass looks for them. Where each plain conjunct runs is the
+        // placement pass's decision (`ir::memo`), not the binder's.
+        if let Some(selection) = &s.selection {
+            let predicate = bind_expr(selection, &current.schema())?;
+            let (with_subquery, plain): (Vec<ir::Expr>, Vec<ir::Expr>) = predicate
+                .conjuncts()
+                .into_iter()
+                .cloned()
+                .partition(ir::Expr::contains_subquery);
+            for conjuncts in [plain, with_subquery] {
+                if let Some(predicate) = ir::Expr::conjoin(conjuncts) {
+                    current = Plan::Filter {
+                        input: Box::new(current),
+                        predicate,
+                    };
+                }
+            }
         }
 
-        // 6. Projection items, lowered against the core schema.
+        // 3. Projection items, lowered against the core schema.
         let core_schema = current.schema();
         let mut items: Vec<OutputItem> = Vec::new();
         for item in &s.items {
@@ -606,84 +571,40 @@ impl<'a> Planner<'a> {
                 kind,
                 on,
             } => {
-                let l = self.bind_table_ref(left)?;
-                let r = self.bind_table_ref(right)?;
-                let l_bind = l.bindings();
-                let r_bind = r.bindings();
-                let l_schema = l.schema();
-                let r_schema = r.schema();
+                let left = self.bind_table_ref(left)?;
+                let right = self.bind_table_ref(right)?;
+                let mut schema = left.schema();
+                let left_width = schema.len();
+                schema.extend(right.schema());
+                let on = bind_expr(on, &schema)?;
+                let kind = JoinKind::from(*kind);
+                // An inner join's ON is a WHERE conjunct like any other:
+                // the placement pass takes it from the residual. A left
+                // join's equalities between its two sides are its keys.
+                let right_width = schema.len() - left_width;
                 let mut equi = Vec::new();
                 let mut residual = Vec::new();
                 for c in on.conjuncts() {
-                    if !contains_subquery(c) {
-                        if let Some((a, b)) = split_equi(
-                            c,
-                            &l_bind,
-                            &r_bind,
-                            &[l_schema.clone(), r_schema.clone()],
-                        ) {
-                            equi.push((bind_expr(&a, &l_schema)?, bind_expr(&b, &r_schema)?));
-                            continue;
+                    let key = match kind {
+                        JoinKind::LeftOuter if !c.contains_subquery() => {
+                            ir::memo::split_sides(c, 0, left_width, left_width, right_width)
                         }
+                        _ => None,
+                    };
+                    match key {
+                        Some(pair) => equi.push(pair),
+                        None => residual.push(c.clone()),
                     }
-                    residual.push(c.clone());
                 }
-                let residual = match Expr::conjoin(residual) {
-                    Some(p) => {
-                        let mut combined = l_schema;
-                        combined.extend(r_schema);
-                        Some(bind_expr(&p, &combined)?)
-                    }
-                    None => None,
-                };
                 Ok(Plan::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    kind: (*kind).into(),
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    kind,
                     equi,
-                    residual,
+                    residual: ir::Expr::conjoin(residual),
                 })
             }
         }
-    }
-
-    /// Which FROM fragments a conjunct references. Columns that resolve in
-    /// no fragment are treated as outer (correlated) references and ignored
-    /// here; ambiguous unqualified names are an error.
-    fn conjunct_fragments(
-        &self,
-        e: &Expr,
-        frag_bindings: &[BTreeSet<String>],
-        frag_schemas: &[Schema],
-    ) -> EngineResult<BTreeSet<usize>> {
-        let mut out = BTreeSet::new();
-        for col in e.columns() {
-            match &col.table {
-                Some(t) => {
-                    if let Some(i) = frag_bindings.iter().position(|b| b.contains(t)) {
-                        out.insert(i);
-                    }
-                }
-                None => {
-                    let hits: Vec<usize> = frag_schemas
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.iter().any(|c| c.name == col.column))
-                        .map(|(i, _)| i)
-                        .collect();
-                    match hits.len() {
-                        0 => {} // outer reference
-                        1 => {
-                            out.insert(hits[0]);
-                        }
-                        _ => {
-                            return Err(EngineError::AmbiguousColumn(col.column.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -693,88 +614,6 @@ pub fn default_name(e: &Expr) -> String {
     match e {
         Expr::Column(c) => c.column.clone(),
         other => other.to_string(),
-    }
-}
-
-/// True when the expression contains any form of subquery.
-pub fn contains_subquery(e: &Expr) -> bool {
-    let mut found = false;
-    e.visit(&mut |x| {
-        if matches!(
-            x,
-            Expr::Subquery(_) | Expr::Exists { .. } | Expr::InSubquery { .. }
-        ) {
-            found = true;
-        }
-    });
-    found
-}
-
-fn is_equality(e: &Expr) -> bool {
-    matches!(
-        e,
-        Expr::Binary {
-            op: sqalpel_sql::BinOp::Eq,
-            ..
-        }
-    )
-}
-
-/// If `e` is `lhs = rhs` with `lhs` bound entirely to one side and `rhs`
-/// to the other, return the pair ordered `(left_expr, right_expr)`.
-fn split_equi(
-    e: &Expr,
-    left: &BTreeSet<String>,
-    right: &BTreeSet<String>,
-    schemas: &[Schema],
-) -> Option<(Expr, Expr)> {
-    let Expr::Binary {
-        left: a,
-        op: sqalpel_sql::BinOp::Eq,
-        right: b,
-    } = e
-    else {
-        return None;
-    };
-    let side = |x: &Expr| -> Option<u8> {
-        // 0 = left, 1 = right; None = unresolvable/mixed.
-        let mut sides = BTreeSet::new();
-        for col in x.columns() {
-            let binding = match &col.table {
-                Some(t) => Some(t.clone()),
-                None => {
-                    // Resolve the unqualified name through any schema.
-                    let mut found = None;
-                    for s in schemas {
-                        for c in s {
-                            if c.name == col.column {
-                                found = Some(c.binding.clone());
-                            }
-                        }
-                    }
-                    found
-                }
-            };
-            match binding {
-                Some(b) if left.contains(&b) => {
-                    sides.insert(0u8);
-                }
-                Some(b) if right.contains(&b) => {
-                    sides.insert(1u8);
-                }
-                _ => return None,
-            }
-        }
-        if sides.len() == 1 {
-            sides.into_iter().next()
-        } else {
-            None
-        }
-    };
-    match (side(a), side(b)) {
-        (Some(0), Some(1)) => Some((a.as_ref().clone(), b.as_ref().clone())),
-        (Some(1), Some(0)) => Some((b.as_ref().clone(), a.as_ref().clone())),
-        _ => None,
     }
 }
 

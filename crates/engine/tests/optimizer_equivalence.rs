@@ -127,6 +127,15 @@ fn ssb_flight_is_join_order_invariant() {
 #[test]
 fn multi_join_corner_cases_are_join_order_invariant() {
     let db = Arc::new(Database::tpch(0.001, 42));
+    let from: Vec<String> = (1..=17).map(|i| format!("nation n{i}")).collect();
+    let on: Vec<String> = (2..=17)
+        .map(|i| format!("n{}.n_nationkey = n{i}.n_nationkey", i - 1))
+        .collect();
+    let nation_chain = format!(
+        "select count(*) from {} where {}",
+        from.join(", "),
+        on.join(" and ")
+    );
     let queries: &[(&str, &str)] = &[
         ("worst-syntactic-order", WORST_SYNTACTIC_ORDER),
         // An unconnected FROM item: the optimizer must cope with a
@@ -180,6 +189,27 @@ fn multi_join_corner_cases_are_join_order_invariant() {
             "select a.n_regionkey, b.n_name from nation a, nation b, region \
              where a.n_regionkey = b.n_regionkey and a.n_regionkey = r_regionkey \
              order by a.n_regionkey",
+        ),
+        // One leaf past `MAX_DP`: the region is not searched but keeps
+        // its tree as bound, keys placed. Without them the binder's
+        // keyless chain would touch 25^17 rows, far past the default
+        // budget.
+        ("past-max-dp", &nation_chain),
+        // The tree as bound is bushy: region over (nation ⋈ supplier).
+        (
+            "bushy-as-bound",
+            "select count(*) from region, nation join supplier on n_nationkey = s_nationkey \
+             where r_regionkey = n_regionkey",
+        ),
+        // A two-table non-equality and a three-table equality: each is
+        // placed at its lowest covering join, the latter a key only
+        // where its sides fall on the two inputs.
+        (
+            "non-equality-and-three-table-equality",
+            "select count(*) from nation, supplier, customer \
+             where s_nationkey = n_nationkey \
+               and c_nationkey + s_nationkey = n_nationkey + n_nationkey \
+               and s_acctbal < c_acctbal",
         ),
     ];
     check_queries(db, queries);

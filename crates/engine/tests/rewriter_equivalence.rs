@@ -170,7 +170,41 @@ fn rule_corner_cases_are_rewrite_invariant() {
             "select count(*) from part, partsupp \
              where (p_partkey = ps_partkey) or (p_partkey = ps_partkey and p_size > 40)",
         ),
+        // A WHERE conjunct on a derived table three joins down sinks
+        // through all three in one pass and then into the body.
+        (
+            "derived-under-three-joins",
+            "select count(*), sum(cb) from \
+             (select c_custkey as ck, c_nationkey as cn, c_acctbal as cb from customer) t, \
+             nation, region, supplier \
+             where cn = n_nationkey and n_regionkey = r_regionkey \
+               and s_nationkey = n_nationkey and cb > 5000",
+        ),
     ];
+    let (name, sql) = queries[queries.len() - 1];
+    for optimizer in [true, false] {
+        let text = RowStore::new(db.clone())
+            .with_optimizer(optimizer)
+            .explain(sql)
+            .unwrap()
+            .text;
+        // The derived table's block: the lines indented past its header.
+        let header = text.lines().find(|l| l.trim() == "derived t").unwrap();
+        let depth = header.len() - header.trim_start().len();
+        let body: Vec<&str> = text
+            .lines()
+            .skip_while(|l| l.trim() != "derived t")
+            .skip(1)
+            .take_while(|l| l.len() - l.trim_start().len() > depth)
+            .collect();
+        let filters = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("filter"));
+        assert!(
+            body.iter().any(|l| l.trim() == "filter (#2 > 5000)") && filters.count() == 1,
+            "{name} (optimizer {optimizer}): the filter is not in the body\n{text}"
+        );
+    }
     check_queries(db, queries);
 }
 

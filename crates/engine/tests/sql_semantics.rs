@@ -394,6 +394,66 @@ fn self_join_with_aliases() {
     );
 }
 
+/// A join key that holds NULL matches nothing — `NULL = NULL` is not
+/// true — on every engine, with the optimizer and the rewriter each on
+/// and off. `o` is the padded column of a LEFT JOIN's output: dan has no
+/// pets, so his `o` is NULL, and the self-join on `o` pairs ann's two
+/// rows four ways, bob and cat once each.
+#[test]
+fn a_join_key_holding_null_matches_nothing() {
+    const X: &str = "with x as (select p.id, pets.owner_id as o from people p \
+                     left join pets on p.id = pets.owner_id) ";
+    let db = tiny_db();
+    for optimizer in [true, false] {
+        for rewriter in [true, false] {
+            let stores: [Box<dyn Dbms>; 3] = [
+                Box::new(
+                    RowStore::new(db.clone())
+                        .with_optimizer(optimizer)
+                        .with_rewriter(rewriter),
+                ),
+                Box::new(
+                    RowStore::legacy(db.clone())
+                        .with_optimizer(optimizer)
+                        .with_rewriter(rewriter),
+                ),
+                Box::new(
+                    ColStore::new(db.clone())
+                        .with_optimizer(optimizer)
+                        .with_rewriter(rewriter),
+                ),
+            ];
+            for dbms in &stores {
+                let run = |sql: &str| {
+                    let label = dbms.label();
+                    let ctx = format!("{label}, optimizer {optimizer}, rewriter {rewriter}");
+                    let r = dbms
+                        .execute(&format!("{X}{sql}"))
+                        .unwrap_or_else(|e| panic!("{sql} [{ctx}] failed: {e}"));
+                    let counts: Vec<String> =
+                        (0..r.columns.len()).map(|c| cell(&r, 0, c)).collect();
+                    (counts, ctx)
+                };
+                for sql in [
+                    "select count(*) from x a, x b where a.o = b.o",
+                    "select count(*) from x a join x b on a.o = b.o",
+                ] {
+                    let (counts, ctx) = run(sql);
+                    assert_eq!(counts, ["6"], "{sql} [{ctx}]");
+                }
+                // The left join keeps dan's row, its right side NULL.
+                let sql = "select count(*), count(b.id) from x a left join x b on a.o = b.o";
+                let (counts, ctx) = run(sql);
+                assert_eq!(counts, ["7", "6"], "{sql} [{ctx}]");
+                let sql = "select count(*), count(b.id) from x a \
+                           left join x b on a.o = b.o where a.id = 4";
+                let (counts, ctx) = run(sql);
+                assert_eq!(counts, ["1", "0"], "{sql} [{ctx}]");
+            }
+        }
+    }
+}
+
 #[test]
 fn non_ascii_literals_and_quoted_identifiers() {
     // A literal is its characters, not one Latin-1 `char` per UTF-8
