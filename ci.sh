@@ -216,9 +216,16 @@ cargo test -q --release -p sqalpel-bench --test crash_recovery
 cargo test -q --release -p sqalpel-bench --test contribute_e2e
 # Every test of every workspace package, so nothing runs only by hand:
 # the suites no line above names (cross_engine, sql_semantics, the
-# engine's differential walls) and the in-file unit tests of -engine,
-# -grammar, -sql, -datagen and -core (for_label, the contributor loop).
+# engine's differential walls, `repro fig2/3/4/7` end to end) and the
+# in-file unit tests of -engine, -grammar, -sql, -datagen and -core
+# (for_label, the contributor loop).
 cargo test --workspace --release -q
+# The examples run, not only compile: each asserts what it shows (the
+# engines agree on quickstart's queries, reruns repeat their answers),
+# and the timing ones measure through the experiment driver.
+for example in quickstart airtraffic_study discriminative_hunt repeatability; do
+    cargo run --release -q --example "$example"
+done
 # The benchmark (BENCHMARK.json): all five workloads at smoke length with
 # every output check on — engines agree with the goldens, every task
 # acked once, ReportBatch index order, CSV byte-identical after reopening

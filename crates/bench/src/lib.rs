@@ -9,13 +9,14 @@
 pub mod ablations;
 
 use sqalpel_core::analytics::{self, SpeedupReport};
-use sqalpel_core::{reports, QueryId, QueryPool};
+use sqalpel_core::{
+    reports, results, ContributorKey, DriverConfig, EngineConnector, ExperimentDriver,
+    ExperimentId, PoolEntry, ProjectId, QueryPool, ResultRecord, TaskId,
+};
 use sqalpel_engine::{ColStore, Database, Dbms, RowStore};
 use sqalpel_grammar::Grammar;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The base scale factor for engine-backed experiments.
 pub fn base_sf() -> f64 {
@@ -47,36 +48,44 @@ pub fn q1_pool(n_random: usize, n_morph: usize, seed: u64) -> QueryPool {
     pool
 }
 
-/// Run every pool query against a system; returns median times for the
-/// queries that executed and the ids that errored.
-pub fn measure_pool(
-    pool: &QueryPool,
-    dbms: &dyn Dbms,
+/// Run each query through an [`ExperimentDriver`] on `dbms` — `reps`
+/// timed repetitions, the loads around them and the profiled run, as for
+/// any contributor — and file every outcome as a result record under the
+/// system's label and host `bench-server`.
+fn run_queries<'a>(
+    dbms: Arc<dyn Dbms>,
     reps: usize,
-) -> (HashMap<QueryId, f64>, Vec<QueryId>) {
-    let mut times = HashMap::new();
-    let mut errors = Vec::new();
-    for entry in pool.entries() {
-        let mut runs = Vec::with_capacity(reps);
-        let mut failed = false;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            match dbms.execute(&entry.sql) {
-                Ok(_) => runs.push(t0.elapsed().as_secs_f64() * 1e3),
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if failed {
-            errors.push(entry.id);
-        } else {
-            runs.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-            times.insert(entry.id, runs[runs.len() / 2]);
-        }
-    }
-    (times, errors)
+    queries: impl IntoIterator<Item = &'a PoolEntry>,
+) -> Vec<ResultRecord> {
+    let config = DriverConfig {
+        dbms_label: dbms.label(),
+        host: "bench-server".into(),
+        repetitions: reps,
+    };
+    let driver = ExperimentDriver::new(EngineConnector::new(dbms), config);
+    let config = driver.config();
+    let contributor = ContributorKey("ck_repro".into());
+    queries
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            results::record(
+                TaskId(i as u64),
+                ProjectId(1),
+                ExperimentId(0),
+                entry.id,
+                &config.dbms_label,
+                &config.host,
+                &contributor,
+                driver.run(&entry.sql),
+            )
+        })
+        .collect()
+}
+
+/// How many of `records` errored.
+fn errors(records: &[ResultRecord]) -> usize {
+    records.iter().filter(|r| r.error.is_some()).count()
 }
 
 // ----------------------------------------------------------------- tables
@@ -142,15 +151,16 @@ pub fn fig1() -> String {
 pub fn fig2() -> String {
     let pool = q1_pool(40, 40, 2);
     let db = Arc::new(Database::tpch(base_sf(), 42));
-    let col = ColStore::new(db);
-    let (times, errors) = measure_pool(&pool, &col, repetitions());
+    let col: Arc<dyn Dbms> = Arc::new(ColStore::new(db));
+    let label = col.label();
+    let records = run_queries(col, repetitions(), pool.entries());
+    let times = analytics::times_by_query(&records, &label);
     let ranked = analytics::components(&pool, &times);
     let mut out = format!(
-        "## Figure 2 — dominant lexical components (Q1 pool on {}, SF {}, {} measured, {} errors)\n\n",
-        col.label(),
+        "## Figure 2 — dominant lexical components (Q1 pool on {label}, SF {}, {} measured, {} errors)\n\n",
         base_sf(),
         times.len(),
-        errors.len()
+        errors(&records)
     );
     out.push_str(&reports::components_page(&ranked, 12));
     if let Some(top) = ranked.first() {
@@ -171,17 +181,17 @@ pub fn fig2() -> String {
 pub fn fig3() -> (String, Option<SpeedupReport>, QueryPool) {
     let pool = q1_pool(15, 20, 3);
     let sf = base_sf();
-    let small = Arc::new(Database::tpch(sf, 42));
-    let large = Arc::new(Database::tpch(sf * 10.0, 42));
-    let col_small = ColStore::new(small);
-    let col_large = ColStore::new(large);
-    let reps = repetitions();
-    let (t_small, _) = measure_pool(&pool, &col_small, reps);
-    let (t_large, _) = measure_pool(&pool, &col_large, reps);
+    let times = |sf: f64| {
+        let col: Arc<dyn Dbms> = Arc::new(ColStore::new(Arc::new(Database::tpch(sf, 42))));
+        let label = col.label();
+        let records = run_queries(col, repetitions(), pool.entries());
+        (analytics::times_by_query(&records, &label), label)
+    };
+    let (t_small, label) = times(sf);
+    let (t_large, _) = times(sf * 10.0);
     let report = analytics::speedup(&t_small, &t_large);
     let mut out = format!(
-        "## Figure 3 — slowdown of {} between SF {sf} and SF {} (per Q1 variant)\n\n",
-        col_small.label(),
+        "## Figure 3 — slowdown of {label} between SF {sf} and SF {} (per Q1 variant)\n\n",
         sf * 10.0
     );
     match &report {
@@ -230,9 +240,9 @@ pub fn fig4_from(report: Option<SpeedupReport>, pool: &QueryPool) -> String {
 
     // Per-system timings of the two variants (row vs column store).
     let db = Arc::new(Database::tpch(base_sf(), 42));
-    let systems: Vec<Box<dyn Dbms>> = vec![
-        Box::new(RowStore::new(db.clone())),
-        Box::new(ColStore::new(db)),
+    let systems: [Arc<dyn Dbms>; 2] = [
+        Arc::new(RowStore::new(db.clone())),
+        Arc::new(ColStore::new(db)),
     ];
     let mut out = format!(
         "## Figure 4 — query differential (least-affected {:.2}x vs most-affected {:.2}x)\n\n",
@@ -241,21 +251,14 @@ pub fn fig4_from(report: Option<SpeedupReport>, pool: &QueryPool) -> String {
     let _ = writeln!(out, "token diff (-: least-affected only, +: most-affected only):");
     out.push_str(&analytics::render_diff(&diff));
     let _ = writeln!(out, "\nper-system medians:");
-    for sys in &systems {
-        for (tag, q) in [("least", q_lo), ("most", q_hi)] {
-            let mut runs = Vec::new();
-            for _ in 0..repetitions() {
-                let t0 = Instant::now();
-                if sys.execute(&q.sql).is_ok() {
-                    runs.push(t0.elapsed().as_secs_f64() * 1e3);
-                }
-            }
-            runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let median = runs
-                .get(runs.len() / 2)
+    for sys in systems {
+        let records = run_queries(sys, repetitions(), [q_lo, q_hi]);
+        for (tag, r) in ["least", "most"].into_iter().zip(&records) {
+            let median = r
+                .median_ms()
                 .map(|m| format!("{m:.2}ms"))
                 .unwrap_or_else(|| "error".into());
-            let _ = writeln!(out, "  {:<14} {:<6} {median}", sys.label(), tag);
+            let _ = writeln!(out, "  {:<14} {:<6} {median}", r.dbms_label, tag);
         }
     }
     out
@@ -318,42 +321,22 @@ pub fn fig7() -> String {
     // Both versions run under a server-side row budget: variants that
     // morphed away a join predicate go cartesian and are killed (the
     // paper's stuck-query timeout), surfacing as error dots.
-    let new_version = RowStore::new(db.clone()).with_budget(8_000_000);
-    let old_version = RowStore::legacy(db.clone()).with_budget(4_000_000);
-    let reps = repetitions();
-    let (t_new, e_new) = measure_pool(&pool, &new_version, reps);
+    let new_version: Arc<dyn Dbms> = Arc::new(RowStore::new(db.clone()).with_budget(8_000_000));
+    let old_version: Arc<dyn Dbms> = Arc::new(RowStore::legacy(db.clone()).with_budget(4_000_000));
+    let (new_label, old_label) = (new_version.label(), old_version.label());
+    let new_records = run_queries(new_version, repetitions(), pool.entries());
     // The nested-loop version is measured once per query: its slow runs
     // are two orders of magnitude above timer noise anyway.
-    let (t_old, e_old) = measure_pool(&pool, &old_version, 1);
+    let old_records = run_queries(old_version, 1, pool.entries());
+    let (e_new, e_old) = (errors(&new_records), errors(&old_records));
+    let records = [new_records, old_records].concat();
+    let t_new = analytics::times_by_query(&records, &new_label);
+    let t_old = analytics::times_by_query(&records, &old_label);
 
-    // Assemble result records so the history view sees both versions.
-    let mut records = Vec::new();
-    for entry in pool.entries() {
-        for (label, times) in [(new_version.label(), &t_new), (old_version.label(), &t_old)] {
-            let (times_ms, error) = match times.get(&entry.id) {
-                Some(&m) => (vec![m], None),
-                None => (vec![], Some("execution failed".to_string())),
-            };
-            records.push(sqalpel_core::results::record(
-                sqalpel_core::TaskId(records.len() as u64),
-                sqalpel_core::ProjectId(1),
-                sqalpel_core::ExperimentId(0),
-                entry.id,
-                &label,
-                "bench-server",
-                &sqalpel_core::ContributorKey("ck_repro".into()),
-                times_ms,
-                0,
-                error,
-            ));
-        }
-    }
     let nodes = analytics::history(&pool, &records);
     let mut out = format!(
-        "## Figure 7 — experiment history (Q3 pool, rowstore-2.0 vs rowstore-1.4, SF {sf}, \
-         {}/{} error runs)\n\n",
-        e_new.len(),
-        e_old.len()
+        "## Figure 7 — experiment history (Q3 pool, {new_label} vs {old_label}, SF {sf}, \
+         {e_new}/{e_old} error runs)\n\n"
     );
     out.push_str(&reports::history_page(&nodes));
 
@@ -380,8 +363,10 @@ pub fn fig7() -> String {
     }
 
     // The cross-system comparison of the same pool (row vs column store).
-    let col = ColStore::new(db).with_budget(20_000_000);
-    let (t_col, _) = measure_pool(&pool, &col, reps);
+    let col: Arc<dyn Dbms> = Arc::new(ColStore::new(db).with_budget(20_000_000));
+    let col_label = col.label();
+    let t_col =
+        analytics::times_by_query(&run_queries(col, repetitions(), pool.entries()), &col_label);
     let (row_wins, col_wins) = analytics::discriminative(&t_new, &t_col, 1.5);
     let _ = writeln!(
         out,
@@ -434,13 +419,38 @@ mod tests {
     }
 
     #[test]
-    fn measure_pool_records_errors_separately() {
+    fn driver_filed_records_keep_repetitions_and_loads() {
         let pool = q1_pool(5, 5, 2);
         let db = Arc::new(Database::tpch(0.001, 42));
-        let row = RowStore::new(db);
-        let (times, errors) = measure_pool(&pool, &row, 1);
-        assert_eq!(times.len() + errors.len(), pool.len());
-        assert!(!times.is_empty());
+        let loaded = sqalpel_core::driver::read_loadavg().fifteen > 0.0;
+        let records = run_queries(Arc::new(RowStore::new(db)), 2, pool.entries());
+        assert_eq!(records.len(), pool.len());
+        let ran: Vec<&ResultRecord> = records.iter().filter(|r| r.error.is_none()).collect();
+        assert!(!ran.is_empty());
+        for r in ran {
+            assert_eq!(r.times_ms.len(), 2);
+            assert_eq!((&*r.dbms_label, &*r.host), ("rowstore-2.0", "bench-server"));
+            assert!(r.extras.contains(r#""repetitions":2"#), "{}", r.extras);
+            assert!(r.fingerprint.is_some() && r.profile.is_some());
+            // Where the host reports a load, the record holds the one
+            // the driver read around the run.
+            if loaded {
+                assert!(r.load_before.fifteen > 0.0 && r.load_after.fifteen > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_budget_killed_run_files_the_engine_error() {
+        let pool = q1_pool(2, 0, 2);
+        let db = Arc::new(Database::tpch(0.001, 42));
+        let tight: Arc<dyn Dbms> = Arc::new(RowStore::new(db).with_budget(100));
+        let records = run_queries(tight, 1, pool.entries());
+        for r in &records {
+            let error = r.error.as_deref().unwrap_or_default();
+            assert!(error.contains("row budget exceeded"), "{error:?}");
+            assert!(r.times_ms.is_empty() && r.median_ms().is_none());
+        }
     }
 
     #[test]

@@ -389,6 +389,7 @@ pub fn history(pool: &QueryPool, records: &[ResultRecord]) -> Vec<HistoryNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RunOutcome;
     use sqalpel_grammar::Grammar;
 
     fn pool() -> QueryPool {
@@ -487,22 +488,16 @@ mod tests {
         }
         // Simulate results: first query errored, second measured.
         let records = vec![
-            {
-                let mut r = crate::results::record(
-                    crate::queue::TaskId(0),
-                    crate::project::ProjectId(1),
-                    crate::project::ExperimentId(0),
-                    QueryId(0),
-                    "rowstore-2.0",
-                    "h",
-                    &crate::user::ContributorKey("ck".into()),
-                    vec![],
-                    0,
-                    Some("boom".into()),
-                );
-                r.times_ms = vec![];
-                r
-            },
+            crate::results::record(
+                crate::queue::TaskId(0),
+                crate::project::ProjectId(1),
+                crate::project::ExperimentId(0),
+                QueryId(0),
+                "rowstore-2.0",
+                "h",
+                &crate::user::ContributorKey("ck".into()),
+                RunOutcome { error: Some("boom".into()), ..RunOutcome::default() },
+            ),
             crate::results::record(
                 crate::queue::TaskId(1),
                 crate::project::ProjectId(1),
@@ -511,9 +506,7 @@ mod tests {
                 "rowstore-2.0",
                 "h",
                 &crate::user::ContributorKey("ck".into()),
-                vec![3.0, 1.0, 2.0],
-                5,
-                None,
+                RunOutcome { times_ms: vec![3.0, 1.0, 2.0], rows: 5, ..RunOutcome::default() },
             ),
         ];
         let h = history(&p, &records);

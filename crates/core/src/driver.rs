@@ -192,7 +192,7 @@ impl DriverConfig {
 
 serde::object! {
     /// The outcome of running one task locally.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Default)]
     pub struct RunOutcome {
         "error" => pub error: Option<String>,
         "extras" => pub extras: serde_json::Value,

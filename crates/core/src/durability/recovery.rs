@@ -133,6 +133,7 @@ mod tests {
     use super::super::Durability;
     use super::*;
     use crate::catalog::Visibility;
+    use crate::driver::RunOutcome;
     use sqalpel_grammar::Grammar;
     use crate::queue::{TaskId, TaskState};
     use crate::results;
@@ -254,9 +255,7 @@ mod tests {
                     "rowstore-2.0",
                     "bench-server",
                     &key,
-                    vec![1.0, 2.0, 3.0],
-                    5,
-                    None,
+                    RunOutcome { times_ms: vec![1.0, 2.0, 3.0], rows: 5, ..RunOutcome::default() },
                 ),
             },
             WalRecord::TaskClaimed {
@@ -319,9 +318,7 @@ mod tests {
                 "colstore-5.1",
                 "bench-server",
                 &key,
-                vec![],
-                0,
-                Some("boom".into()),
+                RunOutcome { error: Some("boom".into()), ..RunOutcome::default() },
             ),
         })
         .unwrap();

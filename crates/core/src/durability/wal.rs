@@ -450,6 +450,7 @@ fn parse_line(line: &[u8]) -> Option<(u64, Result<WalRecord, String>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RunOutcome;
     use crate::results::record;
     use crate::{pool::QueryId, queue::TaskState};
 
@@ -525,9 +526,7 @@ mod tests {
                     "rowstore-2.0",
                     "bench-server",
                     &ContributorKey("ck_feed".into()),
-                    vec![1.0, 2.0],
-                    3,
-                    None,
+                    RunOutcome { times_ms: vec![1.0, 2.0], rows: 3, ..RunOutcome::default() },
                 ),
             },
             WalRecord::ReportBatchAccepted {
@@ -543,9 +542,11 @@ mod tests {
                         "rowstore-2.0",
                         "bench-server",
                         &ContributorKey("ck_feed".into()),
-                        vec![4.0],
-                        0,
-                        Some("timeout".into()),
+                        RunOutcome {
+                            times_ms: vec![4.0],
+                            error: Some("timeout".into()),
+                            ..RunOutcome::default()
+                        },
                     ),
                 )],
             },

@@ -6,7 +6,7 @@
 //! these results private until sufficient clarification has been obtained
 //! from the contributor."
 
-use crate::driver::OperatorProfile;
+use crate::driver::{OperatorProfile, RunOutcome};
 use crate::pool::QueryId;
 use crate::project::{ExperimentId, ProjectId};
 use crate::queue::TaskId;
@@ -194,7 +194,8 @@ pub fn to_csv<'a>(records: impl IntoIterator<Item = &'a ResultRecord>) -> String
     out
 }
 
-/// Convenience constructor for tests and the driver.
+/// File one driver outcome as a record: its repetitions, rows, error,
+/// loads, extras, fingerprint and profile, under the given coordinates.
 #[allow(clippy::too_many_arguments)]
 pub fn record(
     task: TaskId,
@@ -204,9 +205,7 @@ pub fn record(
     dbms_label: &str,
     host: &str,
     contributor: &ContributorKey,
-    times_ms: Vec<f64>,
-    rows: usize,
-    error: Option<String>,
+    outcome: RunOutcome,
 ) -> ResultRecord {
     ResultRecord {
         task: task.0,
@@ -216,15 +215,15 @@ pub fn record(
         dbms_label: dbms_label.into(),
         host: host.into(),
         contributor: contributor.0.to_string(),
-        times_ms,
-        rows,
-        error,
-        load_before: LoadAvg::default(),
-        load_after: LoadAvg::default(),
-        extras: "null".into(),
+        times_ms: outcome.times_ms,
+        rows: outcome.rows,
+        error: outcome.error,
+        load_before: outcome.load_before,
+        load_after: outcome.load_after,
+        extras: outcome.extras.to_string(),
         hidden: false,
-        fingerprint: None,
-        profile: None,
+        fingerprint: outcome.fingerprint,
+        profile: outcome.profile,
     }
 }
 
@@ -241,10 +240,41 @@ mod tests {
             "rowstore-2.0",
             "bench-server",
             &ContributorKey("ck_1".into()),
-            times,
-            10,
-            error.map(String::from),
+            RunOutcome {
+                times_ms: times,
+                rows: 10,
+                error: error.map(String::from),
+                ..RunOutcome::default()
+            },
         )
+    }
+
+    #[test]
+    fn record_keeps_the_whole_outcome() {
+        let load = LoadAvg { one: 0.5, five: 0.25, fifteen: 0.125 };
+        let r = record(
+            TaskId(3),
+            ProjectId(1),
+            ExperimentId(0),
+            QueryId(3),
+            "colstore-5.1",
+            "bench-server",
+            &ContributorKey("ck_1".into()),
+            RunOutcome {
+                times_ms: vec![1.0, 2.0],
+                rows: 4,
+                load_before: load,
+                load_after: LoadAvg::default(),
+                extras: serde_json::json!({"repetitions": 2}),
+                fingerprint: Some(7),
+                profile: Some(vec![]),
+                ..RunOutcome::default()
+            },
+        );
+        assert_eq!((r.times_ms.len(), r.rows, r.error), (2, 4, None));
+        assert_eq!((r.load_before, r.load_after), (load, LoadAvg::default()));
+        assert_eq!(r.extras, r#"{"repetitions":2}"#);
+        assert_eq!((r.fingerprint, r.profile), (Some(7), Some(vec![])));
     }
 
     #[test]

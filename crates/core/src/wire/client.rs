@@ -96,6 +96,11 @@ pub enum Proto {
     V2Framed,
 }
 
+/// Bound on establishing one connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// Bound on each socket read and write of an attempt.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Builder for [`WireClient`] — the one way to configure a client.
 ///
 /// ```no_run
@@ -109,8 +114,6 @@ pub struct WireClientBuilder {
     addr: SocketAddr,
     proto: Proto,
     retry: RetryPolicy,
-    connect_timeout: Duration,
-    io_timeout: Duration,
     max_body: usize,
     drop_every: u64,
 }
@@ -127,16 +130,6 @@ impl WireClientBuilder {
         self
     }
 
-    pub fn connect_timeout(mut self, t: Duration) -> WireClientBuilder {
-        self.connect_timeout = t;
-        self
-    }
-
-    pub fn io_timeout(mut self, t: Duration) -> WireClientBuilder {
-        self.io_timeout = t;
-        self
-    }
-
     /// Lose the response of every `n`th request (see module docs).
     pub fn inject_drop_every(mut self, n: u64) -> WireClientBuilder {
         self.drop_every = n;
@@ -148,8 +141,6 @@ impl WireClientBuilder {
             addr: self.addr,
             proto: self.proto,
             retry: self.retry,
-            connect_timeout: self.connect_timeout,
-            io_timeout: self.io_timeout,
             max_body: self.max_body,
             drop_every: self.drop_every,
             requests: AtomicU64::new(0),
@@ -163,8 +154,6 @@ pub struct WireClient {
     addr: SocketAddr,
     proto: Proto,
     retry: RetryPolicy,
-    connect_timeout: Duration,
-    io_timeout: Duration,
     max_body: usize,
     /// Fault injection: drop the connection after writing every Nth
     /// request, losing the response. 0 = disabled.
@@ -189,8 +178,6 @@ impl WireClient {
             addr,
             proto: Proto::V1Http,
             retry: RetryPolicy::default(),
-            connect_timeout: Duration::from_secs(5),
-            io_timeout: Duration::from_secs(10),
             max_body: 1 << 24,
             drop_every: 0,
         }
@@ -260,9 +247,9 @@ impl WireClient {
             format!("{}?{}", http.path, qs.join("&"))
         };
         let exchange = (|| -> std::io::Result<(u16, Vec<u8>)> {
-            let mut stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-            stream.set_read_timeout(Some(self.io_timeout))?;
-            stream.set_write_timeout(Some(self.io_timeout))?;
+            let mut stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
+            stream.set_read_timeout(Some(IO_TIMEOUT))?;
+            stream.set_write_timeout(Some(IO_TIMEOUT))?;
             write_request(&mut stream, &http.method, &path, &http.body)?;
             if self.drop_every != 0 && n.is_multiple_of(self.drop_every) {
                 // The full request is on the wire (the server will
@@ -293,8 +280,8 @@ impl WireClient {
     fn connect(&self) -> std::io::Result<FramedConn> {
         FramedConn::connect(
             &self.addr.to_string(),
-            self.connect_timeout,
-            self.io_timeout,
+            CONNECT_TIMEOUT,
+            IO_TIMEOUT,
             self.max_body,
         )
     }

@@ -221,9 +221,7 @@ fn v2_json_fields(json: &[u8]) {
         "rowstore-2.0",
         "bench-server",
         &ContributorKey("ck".into()),
-        vec![1.0],
-        1,
-        None,
+        sqalpel_core::RunOutcome { times_ms: vec![1.0], rows: 1, ..Default::default() },
     );
     let results = v2::encode_reply_frame(1, &Ok(Reply::Results(vec![ResultRecord { extras: extras.clone(), ..record }])));
     let metrics = MetricsRegistry::new();

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use sqalpel_core::durability::{read_snapshot, recover, write_snapshot, WalWriter};
 use sqalpel_core::results::record;
+use sqalpel_core::RunOutcome;
 use sqalpel_core::{
     Catalogs, ContributorKey, ExperimentId, GlobalShard, Project, ProjectId, ProjectShard,
     QueryId, QueueSummary, TaskId, TaskQueue, TaskState, UserId, UserRegistry, Visibility,
@@ -206,7 +207,8 @@ proptest! {
                             error: error.clone(),
                             record: record(
                                 t.id, t.project, t.experiment, t.query, &t.dbms_label,
-                                &t.host, &key(c), vec![1.0], 1, error,
+                                &t.host, &key(c),
+                                RunOutcome { times_ms: vec![1.0], rows: 1, error, ..Default::default() },
                             ),
                         });
                     }

@@ -243,10 +243,6 @@ impl TpchGen {
         TpchGen { sf, seed }
     }
 
-    pub fn scale_factor(&self) -> f64 {
-        self.sf
-    }
-
     fn scaled(&self, base: u64) -> i64 {
         ((base as f64 * self.sf).round() as i64).max(1)
     }

@@ -337,9 +337,11 @@ fn render_plan(p: &Plan, level: usize, out: &mut String, ann: Ann) {
 //    same qualified-name set, so ranks are identical.
 // 2. Maximal inner-join regions (plus filters directly above them) are
 //    flattened: sorted leaf canons + sorted predicate canons, with
-//    single-leaf predicates sunk into their leaf and equality predicates
-//    rendered with their sides in sorted order. The join *tree* never
-//    reaches the hash — only the region's contents do.
+//    equality predicates rendered with their sides in sorted order. The
+//    placement pass ([`crate::ir::memo`]) has already sunk every movable
+//    single-leaf conjunct into its leaf on every bind, whatever the join
+//    order, so a leaf's filter chain is the same on both sides. The join
+//    *tree* never reaches the hash — only the region's contents do.
 
 /// Slot → rank of the slot's qualified name in the sorted schema.
 fn ranks(schema: &[crate::plan::ColMeta]) -> Vec<usize> {
@@ -548,46 +550,18 @@ fn canon_plan(p: &Plan, out: &mut String) {
     }
 }
 
-/// A leaf of a flattened inner-join region: the subtree, its span in the
-/// region frame, and any single-leaf region predicates sunk onto it.
-struct CanonLeaf<'a> {
-    plan: &'a Plan,
-    off: usize,
-    width: usize,
-    extra: Vec<Expr>,
-}
-
 /// Render a maximal inner-join region in join-order-invariant form:
 /// sorted leaf canons plus sorted region predicates over the region
 /// frame's name ranks. Mirrors the optimizer's own flatten
 /// ([`crate::ir::memo`]) so optimized and syntactic-order plans collide.
 fn canon_region(p: &Plan, out: &mut String) {
     let rank = ranks(&p.schema());
-    let mut leaves: Vec<CanonLeaf> = Vec::new();
+    let mut leaves: Vec<&Plan> = Vec::new();
     let mut preds: Vec<Expr> = Vec::new();
     collect_region(p, 0, &mut leaves, &mut preds);
-    // Sink movable single-leaf predicates into their leaf — the
-    // optimizer evaluates them there, the syntactic plan may hold them
-    // on a join; both must hash alike.
-    let mut pool: Vec<Expr> = Vec::new();
-    'next: for e in preds {
-        let slots = e.slots();
-        if !e.contains_subquery() && !slots.is_empty() {
-            for lf in leaves.iter_mut() {
-                if slots.iter().all(|&s| s >= lf.off && s < lf.off + lf.width) {
-                    let off = lf.off;
-                    let mut local = e.clone();
-                    local.map_slots(&|s| s - off);
-                    lf.extra.push(local);
-                    continue 'next;
-                }
-            }
-        }
-        pool.push(e);
-    }
-    let mut leaf_strs: Vec<String> = leaves.iter().map(canon_leaf).collect();
+    let mut leaf_strs: Vec<String> = leaves.into_iter().map(canon_leaf).collect();
     leaf_strs.sort();
-    let mut pred_strs: Vec<String> = pool.iter().map(|e| canon_pred_at(e, &rank)).collect();
+    let mut pred_strs: Vec<String> = preds.iter().map(|e| canon_pred_at(e, &rank)).collect();
     pred_strs.sort();
     let _ = write!(
         out,
@@ -603,7 +577,7 @@ fn canon_region(p: &Plan, out: &mut String) {
 fn collect_region<'a>(
     p: &'a Plan,
     off: usize,
-    leaves: &mut Vec<CanonLeaf<'a>>,
+    leaves: &mut Vec<&'a Plan>,
     preds: &mut Vec<Expr>,
 ) -> usize {
     match p {
@@ -634,26 +608,20 @@ fn collect_region<'a>(
             w
         }
         _ => {
-            let width = p.width();
-            leaves.push(CanonLeaf {
-                plan: p,
-                off,
-                width,
-                extra: Vec::new(),
-            });
-            width
+            leaves.push(p);
+            p.width()
         }
     }
 }
 
-/// One region leaf's canon: its filter chain (plus sunk region
-/// predicates) merged and sorted over the leaf base's name ranks,
-/// rendered exactly like a standalone filtered plan.
-fn canon_leaf(lf: &CanonLeaf) -> String {
-    let mut all: Vec<Expr> = lf.extra.clone();
-    let mut base = lf.plan;
+/// One region leaf's canon: its filter chain merged and sorted over the
+/// leaf base's name ranks, rendered exactly like a standalone filtered
+/// plan.
+fn canon_leaf(leaf: &Plan) -> String {
+    let mut all: Vec<&Expr> = Vec::new();
+    let mut base = leaf;
     while let Plan::Filter { input, predicate } = base {
-        all.extend(predicate.conjuncts().into_iter().cloned());
+        all.extend(predicate.conjuncts());
         base = input;
     }
     let mut s = String::new();

@@ -593,11 +593,6 @@ impl Table {
         self.rows
     }
 
-    /// Number of [`CHUNK_ROWS`] storage chunks.
-    pub fn chunk_count(&self) -> usize {
-        self.rows.div_ceil(CHUNK_ROWS)
-    }
-
     /// The zone map for column `ci`, if its type supports one.
     pub fn zone_map(&self, ci: usize) -> Option<&ZoneMap> {
         self.zones.get(ci).and_then(|z| z.as_ref())
@@ -974,15 +969,6 @@ pub fn str_col(name: &str, values: impl Iterator<Item = String>) -> Column {
     Column {
         name: name.to_string(),
         data,
-    }
-}
-
-/// Helper: string column that is never dictionary-encoded (benchmarks
-/// compare dict and raw predicate paths on identical data).
-pub fn raw_str_col(name: &str, values: impl Iterator<Item = String>) -> Column {
-    Column {
-        name: name.to_string(),
-        data: ColumnData::Str(values.collect()),
     }
 }
 

@@ -23,7 +23,6 @@
 
 pub mod ast;
 pub mod convert;
-pub mod edit;
 pub mod generate;
 pub mod parse;
 pub mod template;
@@ -31,7 +30,6 @@ pub mod validate;
 
 pub use ast::{Alternative, Element, Grammar, Rule};
 pub use convert::{convert, convert_sql};
-pub use edit::EditError;
 pub use generate::{
     instantiate, instantiate_random, random_choice, random_query, seeded_rng, Choice,
     GenerateError,

@@ -7,12 +7,12 @@
 //! cargo run --release --example airtraffic_study
 //! ```
 
-use sqalpel::core::analytics;
-use sqalpel::core::QueryPool;
+use sqalpel::core::{
+    analytics, results, ContributorKey, DriverConfig, EngineConnector, ExperimentDriver,
+    ExperimentId, ProjectId, QueryPool, ResultRecord, TaskId,
+};
 use sqalpel::engine::{ColStore, Database, Dbms};
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The baseline question a DBA might ask of the ontime data.
 const BASELINE: &str = "\
@@ -45,28 +45,28 @@ fn main() {
     }
     println!("pool holds {} query variants", pool.len());
 
-    // 3. Measure on the column store over a year of flights.
+    // 3. Measure on the column store over a year of flights: the
+    //    experiment driver runs each variant three times, and each
+    //    outcome is filed as a result record.
     let db = Arc::new(Database::airtraffic(400, 2015, 9));
-    let col = ColStore::new(db);
-    let mut times: HashMap<sqalpel::core::QueryId, f64> = HashMap::new();
-    let mut errors = 0;
-    for entry in pool.entries() {
-        let mut runs = Vec::new();
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            match col.execute(&entry.sql) {
-                Ok(_) => runs.push(t0.elapsed().as_secs_f64() * 1e3),
-                Err(_) => break,
-            }
-        }
-        if runs.len() == 3 {
-            runs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            times.insert(entry.id, runs[1]);
-        } else {
-            errors += 1;
-        }
-    }
-    println!("measured {} variants on {} ({errors} error runs)\n", times.len(), col.label());
+    let col: Arc<dyn Dbms> = Arc::new(ColStore::new(db));
+    let config = DriverConfig { dbms_label: col.label(), repetitions: 3, ..Default::default() };
+    let driver = ExperimentDriver::new(EngineConnector::new(col), config);
+    let (label, host) = (&driver.config().dbms_label, &driver.config().host);
+    let key = ContributorKey("ck_airtraffic".into());
+    let records: Vec<ResultRecord> = pool
+        .entries()
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| {
+            let (task, query) = (TaskId(i as u64), entry.id);
+            let outcome = driver.run(&entry.sql);
+            results::record(task, ProjectId(1), ExperimentId(0), query, label, host, &key, outcome)
+        })
+        .collect();
+    let errors = records.iter().filter(|r| r.error.is_some()).count();
+    let times = analytics::times_by_query(&records, label);
+    println!("measured {} variants on {label} ({errors} error runs)\n", times.len());
 
     // 4. Which lexical terms dominate the cost?
     let ranked = analytics::components(&pool, &times);

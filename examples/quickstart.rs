@@ -2,12 +2,13 @@
 //!
 //! Parses the sample grammar, validates it, enumerates its templates,
 //! generates a few concrete queries and runs them against both target
-//! systems.
+//! systems through the experiment driver.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
+use sqalpel::core::{DriverConfig, EngineConnector, ExperimentDriver};
 use sqalpel::engine::{ColStore, Database, Dbms, RowStore};
 use sqalpel::grammar::{self, Grammar};
 use std::sync::Arc;
@@ -29,21 +30,27 @@ fn main() {
         .map(|_| grammar::random_query(&g, &set.templates, &mut rng, None).expect("generates"))
         .collect();
 
-    // 4. Run them on the two target systems over a TPC-H instance.
+    // 4. Run each once on the two target systems over a TPC-H instance,
+    //    timed by the experiment driver.
     let db = Arc::new(Database::tpch(0.01, 42));
-    let row = RowStore::new(db.clone());
-    let col = ColStore::new(db);
+    let row: Arc<dyn Dbms> = Arc::new(RowStore::new(db.clone()));
+    let col: Arc<dyn Dbms> = Arc::new(ColStore::new(db));
+    let driver = |dbms: &Arc<dyn Dbms>| {
+        let cfg = DriverConfig { dbms_label: dbms.label(), repetitions: 1, ..Default::default() };
+        ExperimentDriver::new(EngineConnector::new(Arc::clone(dbms)), cfg)
+    };
+    let (row_driver, col_driver) = (driver(&row), driver(&col));
     println!("{:<62} {:>12} {:>12}", "query", "rowstore", "colstore");
     for sql in &queries {
-        let time = |dbms: &dyn Dbms| {
-            let t0 = std::time::Instant::now();
-            match dbms.execute(sql) {
-                Ok(rs) => format!("{:.2}ms/{}r", t0.elapsed().as_secs_f64() * 1e3, rs.row_count()),
-                Err(e) => format!("error: {e:.20}"),
+        let time = |driver: &ExperimentDriver<EngineConnector>| {
+            let run = driver.run(sql);
+            match run.error {
+                None => format!("{:.2}ms/{}r", run.times_ms[0], run.rows),
+                Some(e) => format!("error: {e:.20}"),
             }
         };
         let display = if sql.len() > 60 { format!("{}…", &sql[..59]) } else { sql.clone() };
-        println!("{display:<62} {:>12} {:>12}", time(&row), time(&col));
+        println!("{display:<62} {:>12} {:>12}", time(&row_driver), time(&col_driver));
     }
 
     // 5. Results agree across systems (differential check).
