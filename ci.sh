@@ -6,10 +6,11 @@
 #   ./ci.sh explain-goldens --bless  regenerate the goldens after an
 #                                    intentional unnesting/rewriter/plan
 #                                    change
-#   ./ci.sh plan-goldens [--bless]   the join-order goldens: Q5/Q7/Q8/Q9/Q21
-#                                    chosen order + estimated vs actual
-#                                    cardinalities (timings masked); Q21
-#                                    carries the semi and anti join estimates
+#   ./ci.sh plan-goldens [--bless]   the join-order goldens: Q5/Q7/Q8/Q9/
+#                                    Q18/Q21 chosen order + estimated vs
+#                                    actual cardinalities (timings masked);
+#                                    Q21 carries the semi and anti join
+#                                    estimates, Q18 its semi join's placement
 set -eux
 
 explain_goldens() {
@@ -68,9 +69,12 @@ cargo test -q -p sqalpel-core --test wire_codec_golden
 # EXPLAIN fingerprint.
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
-# estimated-vs-actual cardinalities for the five join-heavy queries,
-# including the adaptive second pass (and, on Q21, est vs actual of the
-# semi and anti joins its EXISTS / NOT EXISTS became).
+# estimated-vs-actual cardinalities for the five join-heavy queries and
+# Q18, including the adaptive second pass (on Q21, est vs actual of the
+# semi and anti joins its EXISTS / NOT EXISTS became, which stay on top:
+# their leaf is estimated larger than the region; on Q18, its IN's semi
+# join on `orders` below the three-way join, cold, and back on top where
+# the reoptimized leaf and region both observe 0 rows, a tie).
 plan_goldens
 # Every logical rewrite must be result-preserving, byte-for-byte, on both
 # engines at 1 and 4 workers. This is also the unnesting wall: semi, anti
@@ -94,7 +98,13 @@ cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # optimized plan fits). The placement pass runs either way, so the
 # corner cases include a 17-way chain one past MAX_DP (as bound, keys
 # placed, under the default budget), a bushy as-bound tree, and a
-# two-table non-equality beside a three-table equality.
+# two-table non-equality beside a three-table equality. The memo also
+# moves a semi or anti join onto the one leaf it reads when that leaf is
+# estimated smaller than the region: the placement cases (IN under a
+# three-way join, NOT IN over a set holding a NULL and NOT EXISTS below
+# an inner join, EXISTS reading two leaves, a semi + anti chain on one
+# leaf and one split across the region) are each checked to land where
+# they are named for, on and off, with identical rows.
 cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # The cardinality estimator's invariants (selectivity in [0,1], conjunct
 # monotonicity, semi + anti estimates partition the left input) under

@@ -3,12 +3,14 @@
 //! [`resolve_name`] is the one resolution rule, here and at run time
 //! (`Env::resolve` calls it for every scope it climbs): a qualified name
 //! matches on `(binding, column)`, an unqualified name on `column` alone,
-//! two hits are ambiguous, and a miss is *not* an error — it becomes an
-//! [`Expr::Outer`] reference. Those references are what correlation is
-//! read from. A subquery comes out of [`bind_expr`] as a [`Subquery`] node
-//! holding its SQL; the planner binds its body once, while binding the
-//! block it stands in (`crate::ir::unnest`), and the body's escaping
-//! `Outer`s say whether it is correlated: the unnesting pass turns the
+//! two hits are ambiguous, and a miss is *not* an error here — it becomes
+//! an [`Expr::Outer`] reference. Those references are what correlation is
+//! read from; one that escapes the statement's outermost block is refused
+//! by [`crate::plan::Planner::bind`]. A subquery comes out of
+//! [`bind_expr`] as a [`Subquery`] node holding its SQL; the planner binds
+//! its body once, while binding the block it stands in
+//! (`crate::ir::unnest`), and the body's escaping `Outer`s say whether it
+//! is correlated: the unnesting pass turns the
 //! ones in `WHERE` equalities into join keys, and a body left in place
 //! runs once if it has none and per outer row otherwise. After binding
 //! nothing reads the SQL again: projection pruning protects the names of

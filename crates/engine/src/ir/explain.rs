@@ -342,6 +342,12 @@ fn render_plan(p: &Plan, level: usize, out: &mut String, ann: Ann) {
 //    single-leaf conjunct into its leaf on every bind, whatever the join
 //    order, so a leaf's filter chain is the same on both sides. The join
 //    *tree* never reaches the hash — only the region's contents do.
+// 3. The placement pass may move a semi or anti join from above a region
+//    onto the leaf it filters, or leave it there. Every semi and anti
+//    join above a region or on one of its leaves is rendered above the
+//    region, its left side in the region's frame, and the chain they
+//    form is sorted: where such a join runs, and in which order a WHERE
+//    clause names them, never reaches the hash.
 
 /// Slot → rank of the slot's qualified name in the sorted schema.
 fn ranks(schema: &[crate::plan::ColMeta]) -> Vec<usize> {
@@ -448,15 +454,28 @@ fn canon_query(bq: &BoundQuery, out: &mut String) {
 }
 
 /// Is `p` an inner-join region (an inner join, possibly under filters)?
-fn is_region_root(p: &Plan) -> bool {
+fn is_inner_region(p: &Plan) -> bool {
     match p {
         Plan::Join {
             kind: JoinKind::Inner,
             ..
         } => true,
-        Plan::Filter { input, .. } => is_region_root(input),
+        Plan::Filter { input, .. } => is_inner_region(input),
         _ => false,
     }
+}
+
+/// Is `p` rendered by [`canon_region`]: an inner-join region, or a semi
+/// or anti join over anything?
+fn is_region_root(p: &Plan) -> bool {
+    let filters = matches!(
+        p,
+        Plan::Join {
+            kind: JoinKind::Semi | JoinKind::Anti,
+            ..
+        }
+    );
+    filters || is_inner_region(p)
 }
 
 fn canon_plan(p: &Plan, out: &mut String) {
@@ -500,11 +519,10 @@ fn canon_plan(p: &Plan, out: &mut String) {
             equi,
             residual,
         } => {
-            // Outer, semi and anti joins reach here (inner joins are
-            // regions); their sides never swap, but the subtrees may
-            // have been permuted internally, so slots still rank-remap.
-            // `EXISTS` and `IN` spellings of one semi join are the same
-            // node by now, so they hash alike.
+            // Only outer joins reach here (inner joins are regions, semi
+            // and anti joins are rendered with one); their sides never
+            // swap, but the subtrees may have been permuted internally,
+            // so slots still rank-remap.
             let lrank = ranks(&left.schema());
             let rrank = ranks(&right.schema());
             let mut pairs: Vec<String> = equi
@@ -520,18 +538,7 @@ fn canon_plan(p: &Plan, out: &mut String) {
             pairs.sort();
             let _ = write!(out, "join {kind:?} [{}]", pairs.join(","));
             if let Some(r) = residual {
-                // The residual frame is left ++ right whatever the join
-                // emits. A semi/anti body may scan a table the outer
-                // block scans too, and a rank over the concatenation
-                // would break that tie by physical position: rank those
-                // per side.
-                let rank = if kind.emits_right() {
-                    ranks(&p.schema())
-                } else {
-                    let mut rank = lrank.clone();
-                    rank.extend(rrank.iter().map(|r| r + lrank.len()));
-                    rank
-                };
+                let rank = ranks(&p.schema());
                 let mut cs: Vec<String> = r
                     .conjuncts()
                     .iter()
@@ -552,64 +559,152 @@ fn canon_plan(p: &Plan, out: &mut String) {
 
 /// Render a maximal inner-join region in join-order-invariant form:
 /// sorted leaf canons plus sorted region predicates over the region
-/// frame's name ranks. Mirrors the optimizer's own flatten
+/// frame's name ranks, under the sorted chain of the semi and anti joins
+/// above it or on its leaves. Mirrors the optimizer's own flatten
 /// ([`crate::ir::memo`]) so optimized and syntactic-order plans collide.
+/// A chain of semi and anti joins over no inner join renders its input
+/// as it is.
 fn canon_region(p: &Plan, out: &mut String) {
-    let rank = ranks(&p.schema());
-    let mut leaves: Vec<&Plan> = Vec::new();
-    let mut preds: Vec<Expr> = Vec::new();
-    collect_region(p, 0, &mut leaves, &mut preds);
-    let mut leaf_strs: Vec<String> = leaves.into_iter().map(canon_leaf).collect();
+    let mut region = Region {
+        rank: ranks(&p.schema()),
+        width: p.width(),
+        leaves: Vec::new(),
+        preds: Vec::new(),
+        filters: Vec::new(),
+    };
+    region.collect(p, 0);
+    let mut leaf_strs: Vec<String> = region.leaves.iter().map(|&l| canon_leaf(l)).collect();
     leaf_strs.sort();
-    let mut pred_strs: Vec<String> = preds.iter().map(|e| canon_pred_at(e, &rank)).collect();
+    let mut pred_strs: Vec<String> = region
+        .preds
+        .iter()
+        .map(|e| canon_pred_at(e, &region.rank))
+        .collect();
     pred_strs.sort();
-    let _ = write!(
-        out,
-        "region [{}] where [{}];",
-        leaf_strs.join("|"),
-        pred_strs.join(" AND ")
-    );
+    let mut filters = region.filters;
+    filters.sort();
+    // Outermost first, each with the plan below it as its left input.
+    for (head, _) in &filters {
+        let _ = write!(out, "{head};(");
+    }
+    match &leaf_strs[..] {
+        [leaf] if pred_strs.is_empty() => out.push_str(leaf),
+        _ => {
+            let _ = write!(
+                out,
+                "region [{}] where [{}];",
+                leaf_strs.join("|"),
+                pred_strs.join(" AND ")
+            );
+        }
+    }
+    for (_, right) in filters.iter().rev() {
+        let _ = write!(out, ")({right})");
+    }
 }
 
-/// Flatten the region in-order: leaves keep their subtree, predicates
-/// (equi pairs, residuals, filters above inner joins) shift into the
-/// region frame. Returns the subtree's width in the frame.
-fn collect_region<'a>(
-    p: &'a Plan,
-    off: usize,
-    leaves: &mut Vec<&'a Plan>,
-    preds: &mut Vec<Expr>,
-) -> usize {
-    match p {
-        Plan::Join {
-            kind: JoinKind::Inner,
-            left,
-            right,
-            equi,
-            residual,
-        } => {
-            let lw = collect_region(left, off, leaves, preds);
-            let rw = collect_region(right, off + lw, leaves, preds);
-            for (l, r) in equi {
-                preds.push(Expr::eq_pair(l.shifted(off), r.shifted(off + lw)));
-            }
-            if let Some(res) = residual {
-                for c in res.conjuncts() {
-                    preds.push(c.shifted(off));
+/// A region being flattened for its canon.
+struct Region<'a> {
+    /// Name rank of each slot of the region frame.
+    rank: Vec<usize>,
+    width: usize,
+    leaves: Vec<&'a Plan>,
+    preds: Vec<Expr>,
+    /// Each semi or anti join: its header over the region frame, and its
+    /// right input's canon.
+    filters: Vec<(String, String)>,
+}
+
+impl<'a> Region<'a> {
+    /// Flatten `p` in-order: leaves keep their subtree, predicates (equi
+    /// pairs, residuals, filters above inner joins) shift into the region
+    /// frame, and semi and anti joins go to `filters`. Returns the
+    /// subtree's width in the frame.
+    fn collect(&mut self, p: &'a Plan, off: usize) -> usize {
+        match p {
+            Plan::Join {
+                kind: JoinKind::Inner,
+                left,
+                right,
+                equi,
+                residual,
+            } => {
+                let lw = self.collect(left, off);
+                let rw = self.collect(right, off + lw);
+                for (l, r) in equi {
+                    self.preds
+                        .push(Expr::eq_pair(l.shifted(off), r.shifted(off + lw)));
                 }
+                if let Some(res) = residual {
+                    for c in res.conjuncts() {
+                        self.preds.push(c.shifted(off));
+                    }
+                }
+                lw + rw
             }
-            lw + rw
-        }
-        Plan::Filter { input, predicate } if is_region_root(input) => {
-            let w = collect_region(input, off, leaves, preds);
-            for c in predicate.conjuncts() {
-                preds.push(c.shifted(off));
+            Plan::Join {
+                kind: kind @ (JoinKind::Semi | JoinKind::Anti),
+                left,
+                right,
+                equi,
+                residual,
+            } => {
+                let w = self.collect(left, off);
+                let rrank = ranks(&right.schema());
+                let mut pairs: Vec<String> = equi
+                    .iter()
+                    .map(|(l, r)| {
+                        format!(
+                            "{}={}",
+                            canon_expr_at(&l.shifted(off), &self.rank),
+                            canon_expr_at(r, &rrank)
+                        )
+                    })
+                    .collect();
+                pairs.sort();
+                let mut head = format!("join {kind:?} [{}]", pairs.join(","));
+                if let Some(r) = residual {
+                    // The residual frame is left ++ right. A semi/anti
+                    // body may scan a table the outer block scans too,
+                    // and a rank over the concatenation would break that
+                    // tie by physical position: rank the sides apart.
+                    let mut rank = self.rank.clone();
+                    rank.extend(rrank.iter().map(|r| r + self.width));
+                    let (width, total) = (self.width, w);
+                    let mut cs: Vec<String> = r
+                        .conjuncts()
+                        .iter()
+                        .map(|c| {
+                            let mut c = (*c).clone();
+                            c.map_slots(&|s| {
+                                if s < total {
+                                    s + off
+                                } else {
+                                    s - total + width
+                                }
+                            });
+                            canon_pred_at(&c, &rank)
+                        })
+                        .collect();
+                    cs.sort();
+                    let _ = write!(head, " residual [{}]", cs.join(" AND "));
+                }
+                let mut right_canon = String::new();
+                canon_plan(right, &mut right_canon);
+                self.filters.push((head, right_canon));
+                w
             }
-            w
-        }
-        _ => {
-            leaves.push(p);
-            p.width()
+            Plan::Filter { input, predicate } if is_inner_region(input) => {
+                let w = self.collect(input, off);
+                for c in predicate.conjuncts() {
+                    self.preds.push(c.shifted(off));
+                }
+                w
+            }
+            _ => {
+                self.leaves.push(p);
+                p.width()
+            }
         }
     }
 }
@@ -709,6 +804,35 @@ mod tests {
         );
         assert_ne!(opt.text, raw.text, "optimizer should reorder this join");
         assert_eq!(opt.fingerprint, raw.fingerprint);
+    }
+
+    #[test]
+    fn semi_and_anti_join_order_and_placement_collide() {
+        // One EXISTS / NOT EXISTS pair in either WHERE order: the chain
+        // is bound in that order and hashes sorted.
+        let exists = "exists (select * from lineitem where l_orderkey = o_orderkey)";
+        let absent = "not exists (select * from customer where c_custkey = o_custkey)";
+        let sql = |first: &str, second: &str| {
+            format!("select count(*) from orders where {first} and {second}")
+        };
+        let a = explain_sql(&sql(exists, absent));
+        let b = explain_sql(&sql(absent, exists));
+        assert_ne!(a.text, b.text);
+        assert_eq!(a.fingerprint, b.fingerprint);
+        // Q20's body both ways round: its IN joins `partsupp` below the
+        // group join one way, above it the other.
+        let semi = "ps_partkey in (select p_partkey from part where p_name like 'forest%')";
+        let cmp = "ps_availqty > (select 0.5 * sum(l_quantity) from lineitem \
+                   where l_partkey = ps_partkey and l_suppkey = ps_suppkey)";
+        let db = Database::tpch(0.001, 42);
+        let bound = |first: &str, second: &str| {
+            let sql = format!("select ps_suppkey from partsupp where {first} and {second}");
+            let q = parse_query(&sql).unwrap();
+            explain(&Planner::new(&db).with_optimize(false).bind(&q).unwrap())
+        };
+        let (a, b) = (bound(semi, cmp), bound(cmp, semi));
+        assert_ne!(a.text, b.text);
+        assert_eq!(a.fingerprint, b.fingerprint);
     }
 
     #[test]

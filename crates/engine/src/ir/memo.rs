@@ -22,11 +22,26 @@
 //!
 //! Predicates that must not move (subqueries, constants — the same
 //! `immovable` rule the rewriter uses) stay in a filter above the
-//! region. `LEFT OUTER`, semi and anti joins are reorder barriers: they
-//! become region leaves, and their own inputs are optimized as
-//! independent regions. A group join (what the unnesting pass makes of a
-//! correlated scalar aggregate) is an inner join against a derived table
-//! and takes part in the search like any other.
+//! region. `LEFT OUTER` joins are reorder barriers: they become region
+//! leaves, and their own inputs are optimized as independent regions. A
+//! group join (what the unnesting pass makes of a correlated scalar
+//! aggregate) is an inner join against a derived table and takes part in
+//! the search like any other.
+//!
+//! The semi and anti joins directly above a region (what the unnesting
+//! pass makes of `[NOT] EXISTS` and `[NOT] IN`) are placed with it. One
+//! whose left keys and residual read a single leaf is a per-row filter on
+//! that leaf, so it commutes with the inner joins above the leaf — NOT
+//! IN's NULL handling moves with the node. With the search on, such a
+//! join moves down onto its leaf, above the leaf's own conjuncts, when
+//! the search's cardinality table says the leaf has strictly fewer rows
+//! than the region's output. The join's own selectivity is not trusted
+//! (a cold anti estimate can be 0 rows), so that is the row count at its
+//! place above the region whether or not a join below it moved; a tie
+//! stays. The move happens at the rebuild, after the search: no join
+//! order changes with it. With the search off nothing moves. A join that
+//! stays is rebuilt above the region, and every right input is optimized
+//! as a region of its own.
 //!
 //! Like `rewrite::prune`, every entry point returns an old→new slot
 //! mapping for its node's schema so callers can remap expressions bound
@@ -131,12 +146,24 @@ fn is_inner_join(p: &Plan) -> bool {
     )
 }
 
+/// An inner join, or the filter directly above one, under a chain of
+/// zero or more semi and anti joins (each the left input of the next).
+fn is_region_root(p: &Plan) -> bool {
+    match p {
+        Plan::Join {
+            kind: JoinKind::Semi | JoinKind::Anti,
+            left,
+            ..
+        } => is_region_root(left),
+        Plan::Filter { input, .. } => is_inner_join(input),
+        _ => is_inner_join(p),
+    }
+}
+
 /// Optimize one plan node, returning the old→new slot mapping of its
 /// schema (mirroring `rewrite::prune_plan`'s contract).
 fn optimize_plan(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
-    let region_root = is_inner_join(p)
-        || matches!(p, Plan::Filter { input, .. } if is_inner_join(input));
-    if region_root {
+    if is_region_root(p) {
         return optimize_region(p, ctx);
     }
     match p {
@@ -158,8 +185,8 @@ fn optimize_plan(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             equi,
             residual,
         } => {
-            // Left-outer, semi and anti joins: optimize each side as its
-            // own region.
+            // Left-outer joins, and semi and anti joins over no region:
+            // optimize each side as its own region.
             let ml = optimize_plan(left, ctx);
             let mr = optimize_plan(right, ctx);
             for (l, r) in equi.iter_mut() {
@@ -202,13 +229,95 @@ struct Cand {
     tree: Tree,
 }
 
-/// Place the predicates of one region: flatten it, sink each single-leaf
-/// conjunct onto its leaf, search a join order (unless the search is off
-/// or the region has more than [`MAX_DP`] leaves, which keep the tree as
-/// bound), then rebuild that tree with every other movable conjunct at
-/// its lowest covering join.
+/// A semi or anti join directly above a region, taken off it. Its left
+/// keys and the left slots of its residual are in the region's frame,
+/// the right slots of its residual follow that frame.
+struct Filtering {
+    kind: JoinKind,
+    right: Plan,
+    /// Old→new slots of `right`, once it is optimized.
+    right_map: Vec<Option<usize>>,
+    equi: Vec<(Expr, Expr)>,
+    residual: Option<Expr>,
+}
+
+impl Filtering {
+    /// The region-frame slots its condition reads on the left.
+    fn left_slots(&self, total: usize) -> Vec<usize> {
+        let mut slots: Vec<usize> = self.equi.iter().flat_map(|(l, _)| l.slots()).collect();
+        let residual = self.residual.iter().flat_map(Expr::slots);
+        slots.extend(residual.filter(|&s| s < total));
+        slots
+    }
+
+    /// The join over `left`, a plan of `width` columns that holds region
+    /// slot `s` at `to_left(s)`, and the optimized right input.
+    fn over(
+        mut self,
+        left: Plan,
+        total: usize,
+        width: usize,
+        to_left: &impl Fn(usize) -> usize,
+    ) -> Plan {
+        for (l, r) in &mut self.equi {
+            l.map_slots(to_left);
+            remap(r, &self.right_map);
+        }
+        if let Some(res) = &mut self.residual {
+            let right_map = &self.right_map;
+            res.map_slots(&|s| {
+                if s < total {
+                    to_left(s)
+                } else {
+                    width + right_map[s - total].expect("live slot")
+                }
+            });
+        }
+        Plan::Join {
+            left: Box::new(left),
+            right: Box::new(self.right),
+            kind: self.kind,
+            equi: self.equi,
+            residual: self.residual,
+        }
+    }
+}
+
+/// Take the chain of semi and anti joins off the top of `p`, innermost
+/// first into `chain`, and return the region below them.
+fn peel(p: Plan, chain: &mut Vec<Filtering>) -> Plan {
+    match p {
+        Plan::Join {
+            left,
+            right,
+            kind: kind @ (JoinKind::Semi | JoinKind::Anti),
+            equi,
+            residual,
+        } => {
+            let region = peel(*left, chain);
+            chain.push(Filtering {
+                kind,
+                right: *right,
+                right_map: Vec::new(),
+                equi,
+                residual,
+            });
+            region
+        }
+        p => p,
+    }
+}
+
+/// Place the predicates of one region and of the semi and anti joins
+/// above it: flatten it, sink each single-leaf conjunct onto its leaf,
+/// search a join order (unless the search is off or the region has more
+/// than [`MAX_DP`] leaves, which keep the tree as bound), then rebuild
+/// that tree with every other movable conjunct at its lowest covering
+/// join, and each semi or anti join on the leaf it filters where the
+/// search's estimates say that leaf is smaller than the region.
 fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
-    let owned = mem::replace(p, dummy());
+    let mut chain: Vec<Filtering> = Vec::new();
+    let owned = peel(mem::replace(p, dummy()), &mut chain);
     let mut leaves: Vec<Leaf> = Vec::new();
     let mut hoisted: Vec<Expr> = Vec::new();
     let mut pinned: Vec<Expr> = Vec::new();
@@ -222,6 +331,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         &mut offset,
     );
     let total = offset;
+    for f in &mut chain {
+        f.right_map = optimize_plan(&mut f.right, ctx);
+    }
     let n = leaves.len();
     // Leaves are in frame order, each over a contiguous span of slots.
     let leaf_of = |s: usize| {
@@ -242,11 +354,22 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             pool.push(e);
         }
     }
-    let root = if ctx.search && n <= MAX_DP {
+    let (root, card) = if ctx.search && n <= MAX_DP {
         search(&leaves, &sunk, &pool, &leaf_of, ctx)
     } else {
-        bound
+        (bound, Vec::new())
     };
+    // The leaf each semi or anti join moves onto, if any.
+    let onto: Vec<Option<usize>> = chain
+        .iter()
+        .map(|f| {
+            let region_rows = *card.last()?;
+            let slots = f.left_slots(total);
+            let k = leaf_of(*slots.first()?);
+            let one_leaf = slots.iter().all(|&s| leaf_of(s) == k);
+            (one_leaf && card[1 << k] < region_rows).then_some(k)
+        })
+        .collect();
     for (lf, conjuncts) in leaves.iter_mut().zip(sunk) {
         let (off, map) = (lf.old_offset, &lf.map);
         let local: Vec<Expr> = conjuncts
@@ -262,6 +385,17 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
                 predicate,
             };
         }
+    }
+    let mut above = Vec::new();
+    for (f, dest) in chain.into_iter().zip(onto) {
+        let Some(k) = dest else {
+            above.push(f);
+            continue;
+        };
+        let lf = &mut leaves[k];
+        let (off, map) = (lf.old_offset, &lf.map);
+        let leaf = mem::replace(&mut lf.plan, dummy());
+        lf.plan = f.over(leaf, total, lf.width, &|s| map[s - off].expect("live slot"));
     }
 
     // Rebuild: new frame = leaf schemas in the chosen in-order sequence.
@@ -304,6 +438,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             predicate: pred,
         };
     }
+    for f in above {
+        plan = f.over(plan, total, total, &|s| mapping[s].expect("live slot"));
+    }
     *p = plan;
     mapping
 }
@@ -312,13 +449,15 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
 /// cost: exhaustive bushy up to [`MAX_BUSHY`] leaves, left-deep beyond.
 /// `sunk` holds each leaf's own conjuncts, `pool` the rest, all in the
 /// region frame, where `leaf_of` says which leaf a slot belongs to.
+/// Also returns the estimated rows of every leaf subset, indexed by its
+/// bitset: the last entry is the whole region.
 fn search(
     leaves: &[Leaf],
     sunk: &[Vec<Expr>],
     pool: &[Expr],
     leaf_of: &dyn Fn(usize) -> usize,
     ctx: &Ctx,
-) -> Tree {
+) -> (Tree, Vec<f64>) {
     let n = leaves.len();
     let mask_of = |e: &Expr| e.slots().into_iter().fold(0u32, |m, s| m | 1 << leaf_of(s));
     let estimates: Vec<(f64, Vec<Option<SlotStat>>)> = leaves
@@ -475,10 +614,11 @@ fn search(
         }
         dp[mask as usize] = best;
     }
-    dp[full as usize]
+    let tree = dp[full as usize]
         .take()
         .expect("DP always finds a plan for the full set")
-        .tree
+        .tree;
+    (tree, card)
 }
 
 /// A pooled predicate as the search sees it.
@@ -916,6 +1056,68 @@ mod tests {
         );
         assert_eq!(equi.len(), 1);
         assert_eq!(count_cross_joins(&bq.core), 0);
+    }
+
+    /// Each semi and anti join, innermost first, with the bindings of
+    /// the input it filters.
+    fn filtered_inputs(p: &Plan, out: &mut Vec<(JoinKind, Vec<String>)>) {
+        match p {
+            Plan::Join {
+                left, right, kind, ..
+            } => {
+                filtered_inputs(left, out);
+                filtered_inputs(right, out);
+                if !kind.emits_right() {
+                    out.push((*kind, left.bindings().into_iter().collect()));
+                }
+            }
+            Plan::Filter { input, .. } => filtered_inputs(input, out),
+            Plan::Derived { query, .. } => filtered_inputs(&query.core, out),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn a_semi_join_moves_onto_its_leaf_only_where_the_leaf_is_smaller() {
+        for (sf, seed) in [(0.001, 42), (0.02, 15)] {
+            let db = Database::tpch(sf, seed);
+            let placed = |name: &str, search: bool| {
+                let sql = sqalpel_sql::tpch::query(name).unwrap();
+                let q = parse_query(sql).unwrap();
+                let bq = Planner::new(&db).with_optimize(search).bind(&q).unwrap();
+                let mut out = Vec::new();
+                filtered_inputs(&bq.core, &mut out);
+                out
+            };
+            // Q18's IN filters `orders` (a few thousand rows) instead of
+            // `lineitem ⋈ orders ⋈ customer` (four times as many).
+            let q18 = placed("Q18", true);
+            let on_orders = [(JoinKind::Semi, vec!["orders".to_string()])];
+            assert_eq!(q18, on_orders, "SF {sf}");
+            assert_ne!(q18, placed("Q18", false), "SF {sf}");
+            // Q16's partsupp, Q20's supplier and Q21's l1 are estimated
+            // larger than their regions.
+            for name in ["Q16", "Q20", "Q21"] {
+                assert_eq!(placed(name, true), placed(name, false), "{name} at SF {sf}");
+            }
+        }
+        // Strictly fewer rows: a leaf that ties with its region keeps the
+        // join on top.
+        let db = Database::tpch(0.001, 42);
+        let q = parse_query(sqalpel_sql::tpch::query("Q18").unwrap()).unwrap();
+        let top_kind = |orders: f64| {
+            let mut hints = CardHints::default();
+            hints.insert(vec!["orders".into()], orders);
+            let region = ["customer", "lineitem", "orders"].map(String::from);
+            hints.insert(region.to_vec(), 5.0);
+            let bq = Planner::new(&db).with_hints(hints).bind(&q).unwrap();
+            match bq.core {
+                Plan::Join { kind, .. } => kind,
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(top_kind(5.0), JoinKind::Semi);
+        assert_eq!(top_kind(4.0), JoinKind::Inner);
     }
 
     #[test]

@@ -658,7 +658,7 @@ pub(crate) fn subqueries_of(e: &Expr) -> Vec<(&'static str, &Subquery)> {
 /// plus — for each subquery left in it — the references of its body that
 /// the schema it is evaluated against does not resolve. `None` when a
 /// body did not bind, i.e. nothing can be said.
-fn escaping_refs(bq: &BoundQuery) -> Option<Vec<ColumnRef>> {
+pub(crate) fn escaping_refs(bq: &BoundQuery) -> Option<Vec<ColumnRef>> {
     let mut found = Vec::new();
     let mut known = true;
     bq.each_expr(&mut |e, schema| {

@@ -370,9 +370,16 @@ impl<'a> Planner<'a> {
 
     /// Bind a parsed query — unnesting each block's subquery conjuncts as
     /// it is bound, unless the rewriter is off — then (unless disabled)
-    /// rewrite and prune it, and place its predicates.
+    /// rewrite and prune it, and place its predicates. The statement has
+    /// no enclosing scope, so a name that escapes its outermost block —
+    /// from the block itself or from a subquery body in it — is an
+    /// [`EngineError::UnknownColumn`] here, not when a row reaches it.
     pub fn bind(&mut self, q: &Query) -> EngineResult<BoundQuery> {
         let mut bq = self.bind_query(q)?;
+        let escaping = ir::unnest::escaping_refs(&bq).unwrap_or_default();
+        if let Some(name) = escaping.first() {
+            return Err(EngineError::UnknownColumn(name.to_string()));
+        }
         self.finish(&mut bq, &self.hints);
         Ok(bq)
     }

@@ -284,7 +284,9 @@ fn integer_subtraction_and_negation_overflow_is_an_error_run() {
 
 /// A subquery is bound when its statement is planned, but a body that
 /// does not bind is an error only where evaluation reaches it — as with
-/// `1/0` behind a false conjunct. Both engines, rewriter on and off.
+/// `1/0` behind a false conjunct. Both engines, rewriter on and off. (A
+/// body that binds but names a column no scope has is refused at plan
+/// time: see `a_name_no_scope_resolves_does_not_plan`.)
 #[test]
 fn a_subquery_that_does_not_bind_fails_only_where_it_is_reached() {
     use sqalpel_engine::EngineError;
@@ -300,7 +302,7 @@ fn a_subquery_that_does_not_bind_fails_only_where_it_is_reached() {
                 "select count(*) from region where r_regionkey < 0 \
                  and exists (select * from nosuchtable)",
                 "select count(*) from region where r_regionkey < 0 \
-                 and r_name in (select n_name from nation where n_nosuch = 1)",
+                 and r_name in (select n_name from nation, nosuchtable)",
             ] {
                 let r = dbms
                     .execute(sql)
@@ -324,6 +326,59 @@ fn a_subquery_that_does_not_bind_fails_only_where_it_is_reached() {
                 )
                 .unwrap_err();
             assert_eq!(err, EngineError::UnknownTable("nosuchtable".into()), "{ctx}");
+        }
+    }
+}
+
+/// The outermost block has no enclosing scope: a name that neither it
+/// nor any subquery scope resolves is refused when the statement is
+/// planned — by EXPLAIN and by `execute` alike, on both engines, with the
+/// rewriter on and off — not when a row reaches it. A correlated body
+/// whose names resolve, two scopes up included, still plans and runs.
+#[test]
+fn a_name_no_scope_resolves_does_not_plan() {
+    use sqalpel_engine::EngineError;
+    let db = Arc::new(Database::tpch(0.001, 42));
+    let refused = [
+        ("select o_orderkey, c_name from orders", "c_name"),
+        ("select count(*) from orders where c_custkey = 1", "c_custkey"),
+        ("select count(*) from orders group by c_phone", "c_phone"),
+        (
+            "select o_custkey, count(*) from orders group by o_custkey \
+             having max(l_quantity) > 3",
+            "l_quantity",
+        ),
+        ("select o_orderkey from orders order by c_name", "c_name"),
+        ("select count(*) from orders o where x.o_orderkey = 1", "x.o_orderkey"),
+        // Left unresolved by the body, and by the block around it.
+        (
+            "select count(*) from region where r_regionkey < 0 \
+             and r_name in (select n_name from nation where n_nosuch = 1)",
+            "n_nosuch",
+        ),
+    ];
+    let valid = "select count(*) from nation where exists (select * from supplier \
+                 where s_nationkey = n_nationkey and exists (select * from customer \
+                 where c_nationkey = n_nationkey and c_acctbal > s_acctbal))";
+    for rewrite in [true, false] {
+        for dbms in [
+            Box::new(RowStore::new(db.clone()).with_rewriter(rewrite)) as Box<dyn Dbms>,
+            Box::new(ColStore::new(db.clone()).with_rewriter(rewrite)),
+        ] {
+            let ctx = format!("{}, rewriter {rewrite}", dbms.label());
+            for (sql, name) in refused {
+                let want = EngineError::UnknownColumn(name.into());
+                let err = dbms.explain(sql).map(|e| e.text).unwrap_err();
+                assert_eq!(err, want, "EXPLAIN {sql} on {ctx}");
+                let err = dbms.execute(sql).unwrap_err();
+                assert_eq!(err, want, "{sql} on {ctx}");
+            }
+            dbms.explain(valid)
+                .unwrap_or_else(|e| panic!("EXPLAIN {valid} on {ctx}: {e}"));
+            let r = dbms
+                .execute(valid)
+                .unwrap_or_else(|e| panic!("{valid} on {ctx}: {e}"));
+            assert_eq!(r.row_count(), 1, "{ctx}");
         }
     }
 }
