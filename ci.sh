@@ -129,7 +129,12 @@ cargo test -q --release -p sqalpel-core --test metrics_props
 # Prepared expressions are unobservable: same values bit for bit and same
 # errors as the per-row tree walk they replaced (kept there as the
 # oracle), erroring constants only where evaluation reaches them, and
-# compiled LIKE patterns against the old char-vector matcher.
+# compiled LIKE patterns against the old char-vector matcher. The typed
+# walk too: `+ - * /` trees of depth 3-5 over integer (i64 edges),
+# decimal (scales 0-4), float, untyped and NULL operands with zero
+# divisors are the oracle bit for bit and error for error in both
+# modes, whether the walk takes a row or gives it to the boxed arm, and
+# `Prepared::eval_num`'s number is the value.
 cargo test -q --release -p sqalpel-engine --test eval_props
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
 # skipped chunk must hold no qualifying row, checked against raw data —
@@ -137,7 +142,12 @@ cargo test -q --release -p sqalpel-engine --test eval_props
 # `date ± interval` bound must prune what its folded literal prunes).
 cargo test -q --release -p sqalpel-engine --test storage_props
 # Selection-vector filters, dict probes and the row engine's scan ->
-# filter -> join -> group pipeline must stay allocation-lean.
+# filter -> join -> group pipeline must stay allocation-lean. A Q1-shaped
+# aggregate list (two dictionary keys; sum and avg of one column, a
+# product and that product inside a longer one) allocates nothing per
+# row on RowStore, and on ColStore only its scan's columns and one
+# column per distinct kernel, at 1 and 4 workers: a bare column copied,
+# or a shared subexpression evaluated once per occurrence, fails it.
 cargo test -q --release -p sqalpel-engine --test alloc_discipline
 # Clippy over the whole workspace, including the ir module (bind/rewrite/
 # explain) that both engines now lower from.

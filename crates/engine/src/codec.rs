@@ -468,9 +468,9 @@ impl<'a> GroupCodec<'a> {
     }
 
     /// A codec for GROUP BY key columns.
-    pub fn for_group(key_cols: &'a [ColVec]) -> GroupCodec<'a> {
+    pub fn for_group(key_cols: impl IntoIterator<Item = &'a ColVec>) -> GroupCodec<'a> {
         let encs = key_cols
-            .iter()
+            .into_iter()
             .map(|col| match col {
                 ColVec::Int(v) => ColEnc::I64(v),
                 ColVec::Date(v) => ColEnc::Date(v),

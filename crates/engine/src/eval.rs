@@ -27,10 +27,10 @@
 use crate::error::{EngineError, EngineResult};
 use crate::ir::bind::resolve_name;
 use crate::ir::expr::{Subquery, SubqueryPlan};
-use crate::ir::Expr;
+use crate::ir::{Expr, Ty};
 use crate::plan::{BoundQuery, Schema};
 use crate::profile::{self, NodeMetrics, ProfileShard, Profiler};
-use crate::value::{self, pow10, ArithMode, Key, LikePattern, Value};
+use crate::value::{self, decimal_to_f64, ArithMode, Key, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, UnaryOp};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -255,6 +255,8 @@ impl SubqueryRunner for NoSubqueries {
 pub struct Prepared<'a> {
     node: Node<'a>,
     scope: Scope<'a>,
+    /// The whole expression is [`Node::typed`].
+    typed: bool,
 }
 
 enum Node<'a> {
@@ -267,7 +269,17 @@ enum Node<'a> {
     Not(Box<Node<'a>>),
     And(Box<Node<'a>>, Box<Node<'a>>),
     Or(Box<Node<'a>>, Box<Node<'a>>),
-    /// Arithmetic and comparison operators.
+    /// `+`, `-`, `*` and `/`. `typed` when the operator's mode is
+    /// [`ArithMode::Float`] and every operand below is a number-shaped
+    /// node ([`Node::typed`]): such a node first tries the typed walk
+    /// ([`Node::num`]).
+    Arith {
+        op: BinOp,
+        l: Box<Node<'a>>,
+        r: Box<Node<'a>>,
+        typed: bool,
+    },
+    /// The other binary operators: `%`, `||` and the comparisons.
     Binary(BinOp, Box<Node<'a>>, Box<Node<'a>>),
     Between {
         expr: Box<Node<'a>>,
@@ -363,9 +375,24 @@ impl<'a> Prepared<'a> {
     /// an aggregation). Never fails: whatever cannot be resolved becomes
     /// an error raised when evaluation reaches it.
     pub fn new(e: &'a Expr, scope: Scope<'a>, mode: ArithMode, agg_keys: &[String]) -> Self {
-        Prepared {
-            node: Node::lower(e, scope, mode, agg_keys),
-            scope,
+        let node = Node::lower(e, scope, mode, agg_keys);
+        let typed = mode == ArithMode::Float && node.typed(scope.schema);
+        Prepared { node, scope, typed }
+    }
+
+    /// Evaluate a numeric expression without building a [`Value`]: the
+    /// typed walk, for an expression of numeric columns, constants,
+    /// negation and `+ - * /` prepared in [`ArithMode::Float`]. The
+    /// number is the one [`Self::eval`] returns, variant and bits
+    /// (`Some(None)` is NULL); `None` means this expression or this row
+    /// is not for the typed walk — evaluate it with [`Self::eval_ref`],
+    /// which also raises the row's error.
+    #[inline]
+    pub fn eval_num(&self, row: &[Value]) -> Option<Option<Num>> {
+        if self.typed {
+            self.node.num(row)
+        } else {
+            None
         }
     }
 
@@ -485,6 +512,18 @@ impl<'a> Node<'a> {
             Expr::Binary { left, op, right } => match op {
                 BinOp::And => Node::And(sub(left), sub(right)),
                 BinOp::Or => Node::Or(sub(left), sub(right)),
+                BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div => {
+                    let (l, r) = (sub(left), sub(right));
+                    let typed = mode == ArithMode::Float
+                        && l.typed(scope.schema)
+                        && r.typed(scope.schema);
+                    Node::Arith {
+                        op: *op,
+                        l,
+                        r,
+                        typed,
+                    }
+                }
                 op => Node::Binary(*op, sub(left), sub(right)),
             },
             Expr::Between {
@@ -610,7 +649,10 @@ impl<'a> Node<'a> {
             | Node::Exists { .. }
             | Node::Subquery(_) => false,
             Node::Neg(x) | Node::Not(x) => is_const(x),
-            Node::And(l, r) | Node::Or(l, r) | Node::Binary(_, l, r) => is_const(l) && is_const(r),
+            Node::And(l, r)
+            | Node::Or(l, r)
+            | Node::Binary(_, l, r)
+            | Node::Arith { l, r, .. } => is_const(l) && is_const(r),
             Node::Between {
                 expr, low, high, ..
             } => is_const(expr) && is_const(low) && is_const(high),
@@ -684,14 +726,28 @@ impl<'a> Node<'a> {
                 let r = truth(&*r.ev(row, scope, ctx)?)?;
                 owned(tv(kleene_or(l, r)))
             }
-            Node::Binary(op, l, r) => {
+            Node::Arith { op, l, r, typed } => {
+                if *typed {
+                    if let Some(n) = self.num(row) {
+                        return owned(n.map_or(Value::Null, Num::value));
+                    }
+                }
+                // Not number-shaped, or the typed walk gave this row up —
+                // it reads only columns and constants, so evaluating the
+                // operands again here is invisible.
                 let lv = l.ev(row, scope, ctx)?;
                 let rv = r.ev(row, scope, ctx)?;
                 owned(match op {
                     BinOp::Plus => value::add(&lv, &rv, ctx.mode)?,
                     BinOp::Minus => value::sub(&lv, &rv, ctx.mode)?,
                     BinOp::Mul => value::mul(&lv, &rv, ctx.mode)?,
-                    BinOp::Div => value::div(&lv, &rv, ctx.mode)?,
+                    _ => value::div(&lv, &rv, ctx.mode)?,
+                })
+            }
+            Node::Binary(op, l, r) => {
+                let lv = l.ev(row, scope, ctx)?;
+                let rv = r.ev(row, scope, ctx)?;
+                owned(match op {
                     BinOp::Mod => value::rem(&lv, &rv)?,
                     BinOp::Concat => value::concat(&lv, &rv)?,
                     cmp => tv(compare_tv(&lv, &rv, *cmp)?),
@@ -879,6 +935,137 @@ impl<'a> Node<'a> {
                     n => Err(EngineError::ScalarCardinality(format!("{n} rows"))),
                 }
             }
+        }
+    }
+}
+
+/// A number the typed walk carries instead of a [`Value`]: what a
+/// numeric value is, variant for variant.
+#[derive(Debug, Clone, Copy)]
+pub enum Num {
+    Int(i64),
+    Float(f64),
+    Decimal { raw: i128, scale: u8 },
+}
+
+impl Num {
+    /// The number in `v`: `Some(None)` for NULL, `None` for a value that
+    /// is not a number.
+    #[inline]
+    fn of(v: &Value) -> Option<Option<Num>> {
+        Some(Some(match v {
+            Value::Null => return Some(None),
+            Value::Int(i) => Num::Int(*i),
+            Value::Float(f) => Num::Float(*f),
+            Value::Decimal { raw, scale } => Num::Decimal {
+                raw: *raw,
+                scale: *scale,
+            },
+            _ => return None,
+        }))
+    }
+
+    /// The [`Value`] this number is.
+    pub fn value(self) -> Value {
+        match self {
+            Num::Int(i) => Value::Int(i),
+            Num::Float(f) => Value::Float(f),
+            Num::Decimal { raw, scale } => Value::Decimal { raw, scale },
+        }
+    }
+
+    /// [`Value::as_f64`].
+    #[inline]
+    fn f64(self) -> f64 {
+        match self {
+            Num::Int(i) => i as f64,
+            Num::Float(f) => f,
+            Num::Decimal { raw, scale } => decimal_to_f64(raw, scale),
+        }
+    }
+
+    /// `value::negate`; `None` where it overflows.
+    #[inline]
+    fn neg(self) -> Option<Num> {
+        Some(match self {
+            Num::Int(i) => Num::Int(i.checked_neg()?),
+            Num::Float(f) => Num::Float(-f),
+            Num::Decimal { raw, scale } => Num::Decimal {
+                raw: raw.checked_neg()?,
+                scale,
+            },
+        })
+    }
+}
+
+/// `a op b` in [`ArithMode::Float`] for `+ - * /`, as `value::{add, sub,
+/// mul, div}` compute it: NULL on either side is NULL, two integers stay
+/// a checked `i64` (but divide as floats), anything else is `f64`
+/// arithmetic on [`Value::as_f64`]. `None` where those raise an error —
+/// an overflow, a zero divisor, and `NULL - x` where negating `x`
+/// overflows (`sub` negates before it adds).
+#[inline]
+fn float_arith(op: BinOp, a: Option<Num>, b: Option<Num>) -> Option<Option<Num>> {
+    let (a, b) = match (a, b) {
+        (None, Some(b)) if op == BinOp::Minus => {
+            b.neg()?;
+            return Some(None);
+        }
+        (Some(a), Some(b)) => (a, b),
+        _ => return Some(None),
+    };
+    Some(Some(match (a, b) {
+        (Num::Int(x), Num::Int(y)) if op != BinOp::Div => Num::Int(match op {
+            BinOp::Plus => x.checked_add(y)?,
+            BinOp::Minus => x.checked_sub(y)?,
+            _ => x.checked_mul(y)?,
+        }),
+        _ => {
+            let (x, y) = (a.f64(), b.f64());
+            Num::Float(match op {
+                BinOp::Plus => x + y,
+                BinOp::Minus => x - y,
+                BinOp::Mul => x * y,
+                _ if y == 0.0 => return None,
+                _ => x / y,
+            })
+        }
+    }))
+}
+
+impl Node<'_> {
+    /// Whether the typed walk can take this node: a numeric or NULL
+    /// constant, a column whose type is numeric or unknown, a negation
+    /// of such a node, or typed arithmetic.
+    fn typed(&self, schema: &Schema) -> bool {
+        match self {
+            Node::Const(v) => v.is_null() || v.is_numeric(),
+            Node::Col(slot) => schema.get(*slot).is_some_and(|c| {
+                matches!(c.ty, Ty::Int | Ty::Decimal | Ty::Float | Ty::Unknown)
+            }),
+            Node::Neg(x) => x.typed(schema),
+            Node::Arith { typed, .. } => *typed,
+            _ => false,
+        }
+    }
+
+    /// The typed walk: the value of a [`Node::typed`] subtree in
+    /// [`ArithMode::Float`] without building a [`Value`] — `Some(None)`
+    /// for NULL, `None` where it gives the row up (a column holding a
+    /// non-number, or an operation that would raise an error). It reads
+    /// only columns and constants, so the boxed evaluator can take a row
+    /// it gave up and raise that row's error, text and all.
+    #[inline]
+    fn num(&self, row: &[Value]) -> Option<Option<Num>> {
+        match self {
+            Node::Const(v) => Num::of(v),
+            Node::Col(slot) => Num::of(&row[*slot]),
+            Node::Neg(x) => match x.num(row)? {
+                None => Some(None),
+                Some(n) => n.neg().map(Some),
+            },
+            Node::Arith { op, l, r, .. } => float_arith(*op, l.num(row)?, r.num(row)?),
+            _ => None,
         }
     }
 }
@@ -1126,19 +1313,13 @@ impl Accumulator {
         self.count += 1;
         match self.func {
             AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match (self.mode, v) {
-                (ArithMode::GuardedDecimal, Value::Int(i)) => {
-                    self.add_decimal(*i as i128, 0)?;
-                }
-                (ArithMode::GuardedDecimal, Value::Decimal { raw, scale }) => {
-                    self.add_decimal(*raw, *scale)?;
-                }
+            AggFunc::Sum | AggFunc::Avg => match Num::of(v) {
+                Some(Some(n)) => self.add(n)?,
                 _ => {
-                    let f = v.as_f64().ok_or_else(|| {
-                        EngineError::Type(format!("cannot sum {}", v.type_name()))
-                    })?;
-                    self.sum_f += f;
-                    self.sum_is_decimal = false;
+                    return Err(EngineError::Type(format!(
+                        "cannot sum {}",
+                        v.type_name()
+                    )))
                 }
             },
             AggFunc::Min | AggFunc::Max => {
@@ -1159,6 +1340,56 @@ impl Accumulator {
             }
         }
         Ok(())
+    }
+
+    /// `update(Some(&n.value()))` without the [`Value`]: the entry point
+    /// for an `i64`, an `f64` or an `(i128, scale)` input.
+    #[inline]
+    pub fn update_num(&mut self, n: Num) -> EngineResult<()> {
+        if self.seen.is_some() || matches!(self.func, AggFunc::Min | AggFunc::Max) {
+            // DISTINCT needs the key image, min/max keep the value.
+            return self.update(Some(&n.value()));
+        }
+        self.count += 1;
+        match self.func {
+            AggFunc::Count => Ok(()),
+            _ => self.add(n),
+        }
+    }
+
+    /// Add to a sum: integers and decimals exactly in guarded mode,
+    /// anything else as a float.
+    #[inline]
+    fn add(&mut self, n: Num) -> EngineResult<()> {
+        match (self.mode, n) {
+            (ArithMode::GuardedDecimal, Num::Int(i)) => self.add_decimal(i as i128, 0),
+            (ArithMode::GuardedDecimal, Num::Decimal { raw, scale }) => {
+                self.add_decimal(raw, scale)
+            }
+            _ => {
+                self.add_float(n.f64());
+                Ok(())
+            }
+        }
+    }
+
+    /// Add a float. The first one turns the sum into a float sum, and the
+    /// exact decimal sum so far is folded into it first.
+    #[inline]
+    fn add_float(&mut self, f: f64) {
+        if self.sum_is_decimal {
+            self.turn_float();
+        }
+        self.sum_f += f;
+    }
+
+    /// Turn a decimal sum into a float sum holding the same amount. A
+    /// float sum keeps no decimal part: `sum_d` is zero from here on.
+    fn turn_float(&mut self) {
+        self.sum_f += decimal_to_f64(self.sum_d, self.sum_scale);
+        self.sum_d = 0;
+        self.sum_scale = 0;
+        self.sum_is_decimal = false;
     }
 
     /// Fold one string input without boxing it into a [`Value`]. The
@@ -1198,7 +1429,7 @@ impl Accumulator {
 
     fn add_decimal(&mut self, raw: i128, scale: u8) -> EngineResult<()> {
         if !self.sum_is_decimal {
-            self.sum_f += raw as f64 / pow10(scale);
+            self.sum_f += decimal_to_f64(raw, scale);
             return Ok(());
         }
         // Align scales, widening as needed.
@@ -1238,11 +1469,9 @@ impl Accumulator {
                 if other.sum_is_decimal {
                     self.add_decimal(other.sum_d, other.sum_scale)?;
                 } else {
-                    if self.sum_is_decimal {
-                        self.sum_f += self.sum_d as f64 / pow10(self.sum_scale);
-                        self.sum_is_decimal = false;
-                    }
-                    self.sum_f += other.sum_f;
+                    // `other` folded its decimal part into `sum_f` when
+                    // it turned float.
+                    self.add_float(other.sum_f);
                 }
             }
             AggFunc::Min | AggFunc::Max => {
@@ -1289,7 +1518,7 @@ impl Accumulator {
                     Value::Null
                 } else if self.sum_is_decimal && self.mode == ArithMode::GuardedDecimal {
                     Value::Float(
-                        self.sum_d as f64 / pow10(self.sum_scale) / self.count as f64,
+                        decimal_to_f64(self.sum_d, self.sum_scale) / self.count as f64,
                     )
                 } else {
                     Value::Float(self.sum_f / self.count as f64)
@@ -1386,6 +1615,152 @@ mod tests {
                     format!("{:?}", sequential.finish()),
                     "{name} split at {split}"
                 );
+            }
+        }
+    }
+
+    fn spec_of(func: AggFunc, distinct: bool) -> AggSpec {
+        AggSpec {
+            func,
+            distinct,
+            arg: None,
+            key: format!("{func:?}(x)"),
+        }
+    }
+
+    #[test]
+    fn a_float_after_decimals_keeps_the_decimal_part() {
+        // 1.50 + 0.5 + 2.50: the exact sum is folded into the float sum
+        // when the float arrives, in `update` and in `merge` alike.
+        let values = [Value::decimal(150, 2), Value::Float(0.5), Value::decimal(250, 2)];
+        for (func, want) in [(AggFunc::Sum, 4.5), (AggFunc::Avg, 1.5)] {
+            let spec = spec_of(func, false);
+            for split in 0..=values.len() {
+                let mut lo = Accumulator::new(&spec, ArithMode::GuardedDecimal);
+                let mut hi = Accumulator::new(&spec, ArithMode::GuardedDecimal);
+                for v in &values[..split] {
+                    lo.update(Some(v)).unwrap();
+                }
+                for v in &values[split..] {
+                    hi.update(Some(v)).unwrap();
+                }
+                lo.merge(&hi).unwrap();
+                assert!(
+                    matches!(lo.finish(), Value::Float(f) if f == want),
+                    "{func:?} split at {split}: {:?}",
+                    lo.finish()
+                );
+            }
+        }
+    }
+
+    /// One input of the typed-entry-point property: small numbers most of
+    /// the time, the edges of `i64` and `i128` some of the time.
+    fn input(kind: u8, bits: i64, scale: u8, small: bool) -> Value {
+        let n = if small { bits % 1000 } else { bits };
+        match kind {
+            0 if small => Value::Int(n),
+            0 => Value::Int([i64::MIN, i64::MAX, n][n.rem_euclid(3) as usize]),
+            1 if small => Value::decimal(n as i128, scale),
+            1 => {
+                let edges = [i128::MIN / 3, i128::MAX / 3, n as i128];
+                Value::decimal(edges[n.rem_euclid(3) as usize], scale)
+            }
+            2 => Value::Float(n as f64 / 8.0),
+            _ => Value::Null,
+        }
+    }
+
+    /// The typed entry point for what `update(Some(v))` folds.
+    fn typed(acc: &mut Accumulator, v: &Value) -> EngineResult<()> {
+        match Num::of(v) {
+            Some(Some(n)) => acc.update_num(n),
+            Some(None) => Ok(()), // callers skip NULLs
+            None => acc.update(Some(v)),
+        }
+    }
+
+    fn fold(
+        spec: &AggSpec,
+        mode: ArithMode,
+        values: &[Value],
+        feed: fn(&mut Accumulator, &Value) -> EngineResult<()>,
+    ) -> EngineResult<Accumulator> {
+        let mut acc = Accumulator::new(spec, mode);
+        for v in values {
+            feed(&mut acc, v)?;
+        }
+        Ok(acc)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The typed entry point is `update` of the value it stands for,
+        /// in both modes, for every aggregate: the same result bits or
+        /// the same error. The runs mix integers, decimals of scales 0–4,
+        /// floats and NULLs, so decimal sums turn float part way; and a
+        /// split folded with `merge` is the same either way too. A guarded
+        /// sum of small inputs also equals the sum of their floats, which
+        /// is what losing the decimal part at the turn would break.
+        #[test]
+        fn update_num_is_update(
+            seed in proptest::prelude::any::<u64>(),
+            small in proptest::prelude::any::<bool>(),
+        ) {
+            // A splitmix-style expansion of the seed into a run.
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state >> 11
+            };
+            let len = next() as usize % 10;
+            let values: Vec<Value> = (0..len)
+                .map(|_| {
+                    let (kind, bits, scale) = (next() % 4, next() as i64 - (1 << 52), next() % 5);
+                    input(kind as u8, bits, scale as u8, small)
+                })
+                .collect();
+            let split = next() as usize % (len + 1);
+            for mode in [ArithMode::Float, ArithMode::GuardedDecimal] {
+                for func in
+                    [AggFunc::Sum, AggFunc::Count, AggFunc::Avg, AggFunc::Min, AggFunc::Max]
+                {
+                    for distinct in [false, true] {
+                        let spec = spec_of(func, distinct);
+                        let boxed = fold(&spec, mode, &values, |a, v| a.update(Some(v)));
+                        let fast = fold(&spec, mode, &values, typed);
+                        let shown = |r: &EngineResult<Accumulator>| {
+                            format!("{:?}", r.as_ref().map(Accumulator::finish))
+                        };
+                        proptest::prop_assert_eq!(
+                            shown(&fast),
+                            shown(&boxed),
+                            "{:?} {:?} {:?}", func, mode, values
+                        );
+                        if distinct {
+                            continue;
+                        }
+                        let halves = |feed: fn(&mut Accumulator, &Value) -> EngineResult<()>| {
+                            let mut lo = fold(&spec, mode, &values[..split], feed)?;
+                            lo.merge(&fold(&spec, mode, &values[split..], feed)?)?;
+                            Ok(lo)
+                        };
+                        proptest::prop_assert_eq!(
+                            shown(&halves(typed)),
+                            shown(&halves(|a, v| a.update(Some(v)))),
+                            "{:?} {:?} split at {}", func, mode, split
+                        );
+                        if let (true, AggFunc::Sum, Ok(acc)) = (small, func, &boxed) {
+                            let want: f64 = values.iter().filter_map(Value::as_f64).sum();
+                            let got = acc.finish().as_f64().unwrap_or(0.0);
+                            proptest::prop_assert!(
+                                (got - want).abs() < 1e-6,
+                                "{} vs {} over {:?}", got, want, values
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,12 +1,19 @@
 //! Grouped aggregation: vectorized key and argument columns, one
 //! partitioned accumulate / merge / stitch over them, then a row-wise
 //! projection of the (few) groups.
+//!
+//! A bare key or argument column is borrowed from the batch; an argument
+//! several aggregates take, and a kernel subexpression that repeats
+//! across the arguments, is computed once per batch and charged to the
+//! budget per occurrence ([`Memo`]). Typed argument columns reach their
+//! accumulators without a [`Value`] per row ([`ArgCol`]).
 
+use super::kernels::{Col, Memo};
 use super::{Batch, ColExec, ColVec, MODE};
 use crate::codec::{self, GroupCodec, KeyTable};
 use crate::error::EngineResult;
 use crate::eval::{
-    collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Prepared, Scope,
+    collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Num, Prepared, Scope,
 };
 use crate::ir::Expr;
 use crate::morsel;
@@ -55,21 +62,27 @@ impl ColExec<'_> {
         let specs = collect_aggregates(&agg_exprs);
         let keys: Vec<String> = specs.iter().map(|s| s.key.clone()).collect();
 
-        // Vectorized pass 1: group-key columns and aggregate arguments.
-        let key_cols: Vec<ColVec> = bq
+        // Vectorized pass 1: group-key columns and aggregate arguments,
+        // a bare column borrowed from the batch and a subexpression the
+        // arguments share computed once.
+        let key_cols: Vec<Col<'_>> = bq
             .group_by
             .iter()
-            .map(|g| self.eval_vec(g, batch, outer))
+            .map(|g| self.eval_col(g, batch, outer, &mut Memo::default()))
             .collect::<EngineResult<_>>()?;
-        let arg_cols: Vec<Option<ColVec>> = specs
+        let args: Vec<&Expr> = specs.iter().filter_map(|s| s.arg.as_ref()).collect();
+        let mut memo = Memo::for_args(&args);
+        let arg_cols: Vec<Option<Col<'_>>> = specs
             .iter()
             .map(|s| {
                 s.arg
                     .as_ref()
-                    .map(|a| self.eval_vec(a, batch, outer))
+                    .map(|a| self.eval_col(a, batch, outer, &mut memo))
                     .transpose()
             })
             .collect::<EngineResult<_>>()?;
+        let key_cols: Vec<&ColVec> = key_cols.iter().map(|c| &**c).collect();
+        let arg_cols: Vec<Option<&ColVec>> = arg_cols.iter().map(|c| c.as_deref()).collect();
 
         // Pass 2: group ids and accumulation.
         let stride = specs.len();
@@ -145,8 +158,8 @@ impl ColExec<'_> {
     fn aggregate(
         &self,
         rows: usize,
-        key_cols: &[ColVec],
-        arg_cols: &[Option<ColVec>],
+        key_cols: &[&ColVec],
+        arg_cols: &[Option<&ColVec>],
         specs: &[AggSpec],
     ) -> EngineResult<Groups> {
         let workers = if exactly_mergeable(specs, arg_cols) {
@@ -155,7 +168,7 @@ impl ColExec<'_> {
             1
         };
         let nparts = if workers > 1 { codec::NPARTS } else { 1 };
-        let codec = GroupCodec::for_group(key_cols);
+        let codec = GroupCodec::for_group(key_cols.iter().copied());
         let budget = &self.budget;
 
         // Coarse ranges: per-range group tables must be merged
@@ -170,7 +183,7 @@ impl ColExec<'_> {
                 budget.charge(range.len() as u64)?;
                 let mut parts: Vec<(KeyTable, Groups)> =
                     (0..nparts).map(|_| Default::default()).collect();
-                let feeders: Vec<ArgCol> = arg_cols.iter().map(ArgCol::from).collect();
+                let feeders: Vec<ArgCol> = arg_cols.iter().copied().map(ArgCol::from).collect();
                 let mut scratch = Vec::new();
                 for i in range {
                     let k = codec.encode(i, &mut scratch)?;
@@ -220,7 +233,7 @@ impl ColExec<'_> {
 
 /// Whether per-range accumulators of these aggregates combine into
 /// exactly what one pass over the whole input computes.
-fn exactly_mergeable(specs: &[AggSpec], arg_cols: &[Option<ColVec>]) -> bool {
+fn exactly_mergeable(specs: &[AggSpec], arg_cols: &[Option<&ColVec>]) -> bool {
     specs.iter().zip(arg_cols).all(|(s, arg)| {
         if s.distinct {
             return false;
@@ -246,9 +259,10 @@ fn exactly_mergeable(specs: &[AggSpec], arg_cols: &[Option<ColVec>]) -> bool {
 }
 
 /// One aggregate argument's feeder: how each input row reaches its
-/// accumulator. Splitting this out of the row loop keeps typed string
-/// columns on [`Accumulator::update_str`] (no per-row boxing) and
-/// avoids re-matching the column variant per row per aggregate.
+/// accumulator. Splitting this out of the row loop keeps typed columns
+/// on the accumulator's typed entry points ([`Accumulator::update_str`],
+/// [`Accumulator::update_num`]: no [`Value`] per row) and avoids
+/// re-matching the column variant per row per aggregate.
 enum ArgCol<'a> {
     /// `count(*)`: no argument.
     Star,
@@ -260,13 +274,20 @@ enum ArgCol<'a> {
         codes: &'a [u32],
         dict: &'a [String],
     },
-    /// Everything else: box one value per row (ints and decimals are
-    /// stack-only, so this allocates nothing for numeric columns).
+    Int(&'a [i64]),
+    Decimal {
+        raw: &'a [i128],
+        scale: u8,
+    },
+    Float(&'a [f64]),
+    /// The same value on every row: fed by reference.
+    Const(&'a Value),
+    /// Everything else: one value per row, through [`Accumulator::update`].
     Generic(&'a ColVec),
 }
 
 impl<'a> ArgCol<'a> {
-    fn from(arg: &'a Option<ColVec>) -> ArgCol<'a> {
+    fn from(arg: Option<&'a ColVec>) -> ArgCol<'a> {
         match arg {
             None => ArgCol::Star,
             Some(ColVec::Str(v)) => ArgCol::Str(v),
@@ -274,6 +295,10 @@ impl<'a> ArgCol<'a> {
                 codes,
                 dict: dict.as_slice(),
             },
+            Some(ColVec::Int(v)) => ArgCol::Int(v),
+            Some(ColVec::Decimal { raw, scale }) => ArgCol::Decimal { raw, scale: *scale },
+            Some(ColVec::Float(v)) => ArgCol::Float(v),
+            Some(ColVec::Const(v, _)) => ArgCol::Const(v),
             Some(c) => ArgCol::Generic(c),
         }
     }
@@ -284,10 +309,14 @@ impl<'a> ArgCol<'a> {
             ArgCol::Star => acc.update(None),
             ArgCol::Str(v) => acc.update_str(&v[i]),
             ArgCol::Dict { codes, dict } => acc.update_str(&dict[codes[i] as usize]),
-            ArgCol::Generic(c) => {
-                let v = c.get(i);
-                acc.update(Some(&v))
-            }
+            ArgCol::Int(v) => acc.update_num(Num::Int(v[i])),
+            ArgCol::Decimal { raw, scale } => acc.update_num(Num::Decimal {
+                raw: raw[i],
+                scale: *scale,
+            }),
+            ArgCol::Float(v) => acc.update_num(Num::Float(v[i])),
+            ArgCol::Const(v) => acc.update(Some(v)),
+            ArgCol::Generic(c) => acc.update(Some(&c.get(i))),
         }
     }
 }

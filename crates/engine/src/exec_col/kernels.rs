@@ -7,7 +7,92 @@ use crate::eval::{self, Env, EvalCtx, Prepared, Scope};
 use crate::ir::Expr;
 use crate::value::{self, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, UnaryOp};
+use std::ops::Deref;
+use std::rc::Rc;
 use std::sync::Arc;
+
+/// A column an expression evaluated to: a column of the batch itself
+/// (a bare column reference is borrowed, not copied), one the
+/// expression computed, or a subexpression computed once for a whole
+/// aggregate list ([`Memo`]).
+pub(super) enum Col<'b> {
+    Batch(&'b ColVec),
+    Own(ColVec),
+    Shared(Rc<ColVec>),
+}
+
+impl Deref for Col<'_> {
+    type Target = ColVec;
+
+    fn deref(&self) -> &ColVec {
+        match self {
+            Col::Batch(c) => c,
+            Col::Own(c) => c,
+            Col::Shared(c) => c,
+        }
+    }
+}
+
+impl Col<'_> {
+    fn into_owned(self) -> ColVec {
+        match self {
+            Col::Batch(c) => c.clone(),
+            Col::Own(c) => c,
+            Col::Shared(c) => (*c).clone(),
+        }
+    }
+}
+
+/// The subexpressions an aggregate list evaluates more than once — a
+/// whole argument several aggregates take (`sum(x)`, `avg(x)`), or a
+/// part of one argument that another holds too (Q1's `l_extendedprice *
+/// (1 - l_discount)` in `sum_disc_price` and inside `sum_charge`) — and
+/// their columns once computed, for one batch. Only kernel-only subtrees
+/// ([`vectorizable`]) are shared: what they do to the budget is their
+/// shape alone, so a later occurrence replays the charges it would have
+/// made ([`ColExec::recharge`]) and no budget error moves.
+#[derive(Default)]
+pub(super) struct Memo<'e> {
+    shared: Vec<(&'e Expr, Option<Rc<ColVec>>)>,
+}
+
+impl<'e> Memo<'e> {
+    /// The memo for the arguments `args`: a subtree is shared when it
+    /// occurs at least twice and not only inside a larger subtree that
+    /// occurs as often (that one is shared instead).
+    pub(super) fn for_args(args: &[&'e Expr]) -> Memo<'e> {
+        fn count<'e>(e: &'e Expr, counts: &mut Vec<(&'e Expr, usize)>) {
+            match counts.iter_mut().find(|(x, _)| *x == e) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((e, 1)),
+            }
+            kernel_operands(e, |o| count(o, counts));
+        }
+        fn pick<'e>(
+            e: &'e Expr,
+            parent: usize,
+            counts: &[(&'e Expr, usize)],
+            shared: &mut Vec<(&'e Expr, Option<Rc<ColVec>>)>,
+        ) {
+            let n = counts.iter().find(|(x, _)| *x == e).map_or(0, |c| c.1);
+            let leaf = matches!(e, Expr::Col { .. } | Expr::Literal(_) | Expr::Bool(_));
+            let known = shared.iter().any(|(x, _)| *x == e);
+            if n > 1 && n > parent && !leaf && !known && vectorizable(e) {
+                shared.push((e, None));
+            }
+            kernel_operands(e, |o| pick(o, n, counts, shared));
+        }
+        let mut counts = Vec::new();
+        args.iter().for_each(|a| count(a, &mut counts));
+        let mut shared = Vec::new();
+        args.iter().for_each(|a| pick(a, 0, &counts, &mut shared));
+        Memo { shared }
+    }
+
+    fn slot(&mut self, e: &Expr) -> Option<&mut Option<Rc<ColVec>>> {
+        self.shared.iter_mut().find(|(x, _)| *x == e).map(|(_, c)| c)
+    }
+}
 
 impl ColExec<'_> {
     /// Evaluate an expression over a whole batch, materializing the result.
@@ -17,9 +102,59 @@ impl ColExec<'_> {
         batch: &Batch,
         outer: Option<&Env<'_>>,
     ) -> EngineResult<ColVec> {
-        let n = batch.len;
+        Ok(self.eval_col(e, batch, outer, &mut Memo::default())?.into_owned())
+    }
+
+    /// [`Self::eval_vec`] without copying a bare column, and with the
+    /// columns of `memo`'s subexpressions computed once: the first
+    /// occurrence computes and keeps one, every later one reads it.
+    pub(super) fn eval_col<'b>(
+        &self,
+        e: &Expr,
+        batch: &'b Batch,
+        outer: Option<&Env<'_>>,
+        memo: &mut Memo<'_>,
+    ) -> EngineResult<Col<'b>> {
+        let Some(slot) = memo.slot(e) else {
+            return self.eval_node(e, batch, outer, memo);
+        };
+        if let Some(col) = slot {
+            let col = Rc::clone(col);
+            self.recharge(e, batch.len as u64)?;
+            return Ok(Col::Shared(col));
+        }
+        let col = Rc::new(self.eval_node(e, batch, outer, memo)?.into_owned());
+        *memo.slot(e).expect("looked up above") = Some(Rc::clone(&col));
+        Ok(Col::Shared(col))
+    }
+
+    /// The budget charges evaluating the kernel-only `e` over `n` rows
+    /// makes, in the order it makes them.
+    fn recharge(&self, e: &Expr, n: u64) -> EngineResult<()> {
+        let mut charged = Ok(());
+        kernel_operands(e, |o| {
+            if charged.is_ok() {
+                charged = self.recharge(o, n);
+            }
+        });
+        charged?;
         match e {
-            Expr::Col { slot, .. } => Ok(batch.cols[*slot].clone()), // materializing copy
+            Expr::Col { .. } | Expr::Literal(_) | Expr::Bool(_) => Ok(()),
+            Expr::Between { .. } => self.charge(2 * n),
+            _ => self.charge(n),
+        }
+    }
+
+    fn eval_node<'b>(
+        &self,
+        e: &Expr,
+        batch: &'b Batch,
+        outer: Option<&Env<'_>>,
+        memo: &mut Memo<'_>,
+    ) -> EngineResult<Col<'b>> {
+        let n = batch.len;
+        let col = match e {
+            Expr::Col { slot, .. } => return Ok(Col::Batch(&batch.cols[*slot])),
             Expr::Outer(c) => match outer {
                 Some(env) => Ok(ColVec::Const(env.resolve(c)?, n)),
                 None => Err(EngineError::UnknownColumn(c.to_string())),
@@ -31,21 +166,21 @@ impl ColExec<'_> {
             Expr::Literal(l) => Ok(ColVec::Const(eval::literal(l)?, n)),
             Expr::Binary { left, op, right } => match op {
                 BinOp::And | BinOp::Or => {
-                    let l = self.eval_vec(left, batch, outer)?;
-                    let r = self.eval_vec(right, batch, outer)?;
+                    let l = self.eval_col(left, batch, outer, memo)?;
+                    let r = self.eval_col(right, batch, outer, memo)?;
                     self.charge(n as u64)?;
                     bool_kernel(*op, &l, &r, n)
                 }
                 BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div | BinOp::Mod
                 | BinOp::Concat => {
-                    let l = self.eval_vec(left, batch, outer)?;
-                    let r = self.eval_vec(right, batch, outer)?;
+                    let l = self.eval_col(left, batch, outer, memo)?;
+                    let r = self.eval_col(right, batch, outer, memo)?;
                     self.charge(n as u64)?;
                     arith_kernel(*op, &l, &r, n)
                 }
                 cmp => {
-                    let l = self.eval_vec(left, batch, outer)?;
-                    let r = self.eval_vec(right, batch, outer)?;
+                    let l = self.eval_col(left, batch, outer, memo)?;
+                    let r = self.eval_col(right, batch, outer, memo)?;
                     self.charge(n as u64)?;
                     cmp_kernel(*cmp, &l, &r, n)
                 }
@@ -56,9 +191,9 @@ impl ColExec<'_> {
                 low,
                 high,
             } => {
-                let v = self.eval_vec(expr, batch, outer)?;
-                let lo = self.eval_vec(low, batch, outer)?;
-                let hi = self.eval_vec(high, batch, outer)?;
+                let v = self.eval_col(expr, batch, outer, memo)?;
+                let lo = self.eval_col(low, batch, outer, memo)?;
+                let hi = self.eval_col(high, batch, outer, memo)?;
                 self.charge(2 * n as u64)?;
                 let ge = cmp_kernel(BinOp::GtEq, &v, &lo, n)?;
                 let le = cmp_kernel(BinOp::LtEq, &v, &hi, n)?;
@@ -74,26 +209,26 @@ impl ColExec<'_> {
                 negated,
                 pattern,
             } => {
-                let v = self.eval_vec(expr, batch, outer)?;
-                let p = self.eval_vec(pattern, batch, outer)?;
+                let v = self.eval_col(expr, batch, outer, memo)?;
+                let p = self.eval_col(pattern, batch, outer, memo)?;
                 self.charge(n as u64)?;
                 // Fast paths against a constant pattern, compiled once.
-                if let ColVec::Const(Value::Str(pat), _) = &p {
+                if let ColVec::Const(Value::Str(pat), _) = &*p {
                     let pat = LikePattern::new(pat);
-                    match &v {
+                    match &*v {
                         ColVec::Str(texts) => {
-                            return Ok(ColVec::Bool(
+                            return Ok(Col::Own(ColVec::Bool(
                                 texts.iter().map(|t| pat.matches(t) != *negated).collect(),
-                            ));
+                            )));
                         }
                         // Match the pattern once per dictionary entry,
                         // then map codes through the result table.
                         ColVec::Dict { codes, dict } => {
                             let table: Vec<bool> =
                                 dict.iter().map(|t| pat.matches(t) != *negated).collect();
-                            return Ok(ColVec::Bool(
+                            return Ok(Col::Own(ColVec::Bool(
                                 codes.iter().map(|&c| table[c as usize]).collect(),
-                            ));
+                            )));
                         }
                         _ => {}
                     }
@@ -120,7 +255,7 @@ impl ColExec<'_> {
                 op: UnaryOp::Not,
                 expr,
             } => {
-                let v = self.eval_vec(expr, batch, outer)?;
+                let v = self.eval_col(expr, batch, outer, memo)?;
                 self.charge(n as u64)?;
                 not_kernel(&v, n)
             }
@@ -129,30 +264,30 @@ impl ColExec<'_> {
                 negated,
                 list,
             } => {
-                let v = self.eval_vec(expr, batch, outer)?;
-                let items: Vec<ColVec> = list
+                let v = self.eval_col(expr, batch, outer, memo)?;
+                let items: Vec<Col<'_>> = list
                     .iter()
-                    .map(|it| self.eval_vec(it, batch, outer))
+                    .map(|it| self.eval_col(it, batch, outer, memo))
                     .collect::<EngineResult<_>>()?;
                 self.charge(n as u64)?;
                 // Dict fast path: constant string lists (`l_shipmode in
                 // ('MAIL', 'SHIP')`) become a per-code membership table.
-                if let ColVec::Dict { codes, dict } = &v {
+                if let ColVec::Dict { codes, dict } = &*v {
                     if items
                         .iter()
-                        .all(|it| matches!(it, ColVec::Const(Value::Str(_), _)))
+                        .all(|it| matches!(**it, ColVec::Const(Value::Str(_), _)))
                     {
                         let mut member = vec![false; dict.len()];
                         for it in &items {
-                            if let ColVec::Const(Value::Str(s), _) = it {
+                            if let ColVec::Const(Value::Str(s), _) = &**it {
                                 if let Ok(p) = dict.binary_search(s) {
                                     member[p] = true;
                                 }
                             }
                         }
-                        return Ok(ColVec::Bool(
+                        return Ok(Col::Own(ColVec::Bool(
                             codes.iter().map(|&c| member[c as usize] != *negated).collect(),
-                        ));
+                        )));
                     }
                 }
                 let mut out = Vec::with_capacity(n);
@@ -188,7 +323,8 @@ impl ColExec<'_> {
                 }
                 Ok(ColVec::Val(out))
             }
-        }
+        };
+        col.map(Col::Own)
     }
 }
 
@@ -197,22 +333,42 @@ impl ColExec<'_> {
 /// the row-wise fallback, which sees the whole row — so the staged filter
 /// may leave null placeholders in unread slots only for these.
 pub(super) fn vectorizable(e: &Expr) -> bool {
+    let mut all = true;
+    kernel_operands(e, |o| all &= vectorizable(o)) && all
+}
+
+/// Call `f` on each operand [`ColExec::eval_col`] evaluates as a column
+/// before the kernel of `e` runs, in that order. False, with no call,
+/// when `e` goes to the row-wise fallback instead.
+fn kernel_operands<'e>(e: &'e Expr, mut f: impl FnMut(&'e Expr)) -> bool {
     match e {
-        Expr::Col { .. } | Expr::Literal(_) | Expr::Bool(_) => true,
-        Expr::Binary { left, right, .. } => vectorizable(left) && vectorizable(right),
+        Expr::Col { .. } | Expr::Literal(_) | Expr::Bool(_) => {}
+        Expr::Binary { left, right, .. } => {
+            f(left);
+            f(right);
+        }
         Expr::Between {
             expr, low, high, ..
-        } => vectorizable(expr) && vectorizable(low) && vectorizable(high),
-        Expr::Like { expr, pattern, .. } => vectorizable(expr) && vectorizable(pattern),
+        } => {
+            f(expr);
+            f(low);
+            f(high);
+        }
+        Expr::Like { expr, pattern, .. } => {
+            f(expr);
+            f(pattern);
+        }
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => vectorizable(expr),
+        } => f(expr),
         Expr::InList { expr, list, .. } => {
-            vectorizable(expr) && list.iter().all(vectorizable)
+            f(expr);
+            list.iter().for_each(f);
         }
-        _ => false,
+        _ => return false,
     }
+    true
 }
 
 /// Vectorized arithmetic. `+`, `-` and `*` over integer and decimal

@@ -573,6 +573,33 @@ mod tests {
     }
 
     #[test]
+    fn a_shared_argument_is_charged_per_occurrence() {
+        // The first list computes `l_extendedprice * (1 - l_discount)`
+        // once and reads it twice more; the second has the same kernels
+        // in the same order, none shared. Every budget must end both the
+        // same way: the same error, with the same row count in it.
+        let d = db();
+        let shared = "select sum(l_extendedprice * (1 - l_discount)), \
+                      sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)), \
+                      avg(l_extendedprice * (1 - l_discount)) from lineitem";
+        let unshared = "select sum(l_extendedprice * (1 - l_discount)), \
+                        sum(l_extendedprice * (1 - l_tax) * (1 + l_discount)), \
+                        avg(l_discount * (1 - l_extendedprice)) from lineitem";
+        let rows = d.table("lineitem").unwrap().row_count() as u64;
+        let outcome = |sql: &str, budget: u64| match try_run(&d, budget, sql) {
+            Ok(_) => "ok".to_string(),
+            Err(e) => e.to_string(),
+        };
+        let mut errors = 0;
+        for budget in (0..=12 * rows).step_by(rows as usize / 3) {
+            let got = outcome(shared, budget);
+            errors += (got != "ok") as usize;
+            assert_eq!(got, outcome(unshared, budget), "budget {budget}");
+        }
+        assert!(errors > 20, "the sweep must cross most of the charges");
+    }
+
+    #[test]
     fn gather_and_get_round_trip() {
         let v = ColVec::Decimal {
             raw: vec![100, 200, 300],

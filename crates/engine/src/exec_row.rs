@@ -13,6 +13,13 @@
 //! and decides `column ⋈ constant` conjuncts on stored values before any
 //! row is built, and joins and grouping keep their state in flat arenas
 //! and write their output into one reused row.
+//!
+//! Arithmetic over numbers is computed unboxed: a `+ - * /` subtree of
+//! numeric columns and constants takes the evaluator's typed walk (a
+//! `Value` only at its root, and only where one is returned), and an
+//! aggregate argument of that shape reaches its accumulator as a number
+//! ([`Prepared::eval_num`], [`Accumulator::update_num`]) — the same
+//! float sums, added in row order.
 
 use crate::codec::{self, KeyImage, KeyTable, MatchBuilder};
 use crate::error::{EngineError, EngineResult};
@@ -326,9 +333,14 @@ impl RowExec {
             }
             let first = gid as usize * specs.len();
             for (arg, acc) in args.iter().zip(&mut accs[first..first + specs.len()]) {
-                match arg {
-                    None => acc.update(None)?,
-                    Some(arg) => acc.update(Some(&*arg.eval_ref(row, ctx)?))?,
+                let Some(arg) = arg else {
+                    acc.update(None)?;
+                    continue;
+                };
+                match arg.eval_num(row) {
+                    Some(Some(n)) => acc.update_num(n)?,
+                    Some(None) => {} // aggregates skip NULLs
+                    None => acc.update(Some(&*arg.eval_ref(row, ctx)?))?,
                 }
             }
             Ok(())

@@ -56,7 +56,7 @@ impl Value {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
-            Value::Decimal { raw, scale } => Some(*raw as f64 / pow10(*scale)),
+            Value::Decimal { raw, scale } => Some(decimal_to_f64(*raw, *scale)),
             _ => None,
         }
     }
@@ -139,6 +139,25 @@ pub fn pow10(scale: u8) -> f64 {
         Some(p) => *p,
         None => 10f64.powi(scale as i32),
     }
+}
+
+/// `raw` as the nearest `f64`. A raw that fits `i64` converts through
+/// `i64`, one instruction; only a wider one pays for the `i128`
+/// conversion routine. Both round the same integer to nearest, so the
+/// bits are those of `raw as f64` (unit-tested at the edges below).
+#[inline]
+pub fn i128_to_f64(raw: i128) -> f64 {
+    match i64::try_from(raw) {
+        Ok(x) => x as f64,
+        Err(_) => raw as f64,
+    }
+}
+
+/// The decimal `raw / 10^scale` as `f64`: every decimal-to-float touch,
+/// in [`Value::as_f64`] and in the accumulators.
+#[inline]
+pub fn decimal_to_f64(raw: i128, scale: u8) -> f64 {
+    i128_to_f64(raw) / pow10(scale)
 }
 
 /// Store a string in `slot`, reusing the allocation of the string it
@@ -715,6 +734,35 @@ mod tests {
         }
         let v = Value::decimal(123_456, 2);
         assert_eq!(v.as_f64().unwrap().to_bits(), (123_456f64 / 10f64.powi(2)).to_bits());
+    }
+
+    #[test]
+    fn i128_to_f64_is_the_plain_conversion() {
+        let two53 = 1i128 << 53;
+        let edges = [
+            two53 + 1,
+            -(two53 + 1),
+            i64::MIN as i128,
+            i64::MAX as i128,
+            1i128 << 63,
+            -(1i128 << 63),
+            (1i128 << 63) + 1,
+            i64::MIN as i128 - 1,
+            i128::MIN,
+            i128::MAX,
+            0,
+            -1,
+        ];
+        for raw in edges {
+            assert_eq!(i128_to_f64(raw).to_bits(), (raw as f64).to_bits(), "{raw}");
+            for scale in [0u8, 2, 4, 6] {
+                assert_eq!(
+                    decimal_to_f64(raw, scale).to_bits(),
+                    (raw as f64 / pow10(scale)).to_bits(),
+                    "{raw} at scale {scale}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -547,3 +547,79 @@ fn non_ascii_literals_and_quoted_identifiers() {
         }
     }
 }
+
+/// A sum whose input turns from decimal to float part way: ColStore sums
+/// decimals exactly until the first float arrives, and must carry that
+/// exact sum into the float sum then, not drop it. RowStore adds floats
+/// from the first row. Both must give what the inputs add up to, read
+/// back row by row and summed here.
+#[test]
+fn a_sum_that_turns_float_keeps_its_decimal_part() {
+    let db = Arc::new(Database::tpch(0.002, 15));
+    let inputs = RowStore::new(db.clone())
+        .execute(
+            "select l_orderkey, l_linenumber, l_extendedprice, l_quantity \
+             from lineitem where l_orderkey < 5",
+        )
+        .unwrap();
+    let num = |v: &Value| v.as_f64().unwrap();
+    let key = |v: &Value| match v {
+        Value::Int(i) => *i,
+        other => panic!("{other:?}"),
+    };
+    // `case when <first> then l_extendedprice else l_quantity / 2 end`.
+    let arg = |first: bool, r: &[Value]| if first { num(&r[2]) } else { num(&r[3]) / 2.0 };
+    let by_order: Vec<f64> = inputs.rows.iter().map(|r| arg(key(&r[0]) == 1, r)).collect();
+    let sum: f64 = by_order.iter().sum();
+    let avg = sum / by_order.len() as f64;
+    let per_order = |order: i64| -> f64 {
+        inputs
+            .rows
+            .iter()
+            .filter(|r| key(&r[0]) == order)
+            .map(|r| arg(key(&r[1]) == 1, r))
+            .sum()
+    };
+    let close = |got: &Value, want: f64, what: &str| {
+        let got = num(got);
+        assert!((got - want).abs() <= 1e-9 * want.abs(), "{what}: {got} vs {want}");
+    };
+    let case = |cond: &str| {
+        format!("case when {cond} then l_extendedprice else l_quantity / 2 end")
+    };
+    let queries = [
+        format!("select sum({}) from lineitem where l_orderkey < 5", case("l_orderkey = 1")),
+        format!("select avg({}) from lineitem where l_orderkey < 5", case("l_orderkey = 1")),
+        format!(
+            "select l_orderkey, sum({}) from lineitem where l_orderkey < 5 \
+             group by l_orderkey order by l_orderkey",
+            case("l_linenumber = 1")
+        ),
+    ];
+    let mut answers: Vec<Vec<String>> = Vec::new();
+    for threads in [1, 4] {
+        for dbms in [
+            Box::new(RowStore::new(db.clone()).with_threads(threads)) as Box<dyn Dbms>,
+            Box::new(ColStore::new(db.clone()).with_threads(threads)),
+        ] {
+            let label = dbms.label();
+            let run = |sql: &str| dbms.execute(sql).unwrap_or_else(|e| panic!("{label}: {e}"));
+            close(&run(&queries[0]).rows[0][0], sum, &format!("sum on {label}"));
+            close(&run(&queries[1]).rows[0][0], avg, &format!("avg on {label}"));
+            let grouped = run(&queries[2]);
+            assert_eq!(grouped.row_count(), 4, "{label}");
+            for row in &grouped.rows {
+                let order = key(&row[0]);
+                close(&row[1], per_order(order), &format!("order {order} on {label}"));
+            }
+            answers.push(
+                queries
+                    .iter()
+                    .map(|q| format!("{:?}", run(q).rows))
+                    .collect(),
+            );
+        }
+    }
+    // The engines agree, at every thread count, value for value.
+    assert!(answers.windows(2).all(|w| w[0] == w[1]), "{answers:#?}");
+}
