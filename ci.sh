@@ -8,9 +8,12 @@
 #                                    change
 #   ./ci.sh plan-goldens [--bless]   the join-order goldens: Q5/Q7/Q8/Q9/
 #                                    Q18/Q21 chosen order + estimated vs
-#                                    actual cardinalities (timings masked);
-#                                    Q21 carries the semi and anti join
-#                                    estimates, Q18 its semi join's placement
+#                                    actual cardinalities (timings masked),
+#                                    a join's estimate being the one the
+#                                    search chose it by; Q21 carries the
+#                                    semi and anti join estimates, Q18 its
+#                                    semi join's placement; Q5/Q7/Q8's cold
+#                                    order must equal the reoptimized one
 set -eux
 
 explain_goldens() {
@@ -70,11 +73,15 @@ cargo test -q -p sqalpel-core --test wire_codec_golden
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
 # estimated-vs-actual cardinalities for the five join-heavy queries and
-# Q18, including the adaptive second pass (on Q21, est vs actual of the
-# semi and anti joins its EXISTS / NOT EXISTS became, which stay on top:
-# their leaf is estimated larger than the region; on Q18, its IN's semi
-# join on `orders` below the three-way join, cold, and back on top where
-# the reoptimized leaf and region both observe 0 rows, a tie).
+# Q18, including the adaptive second pass. Each join the search built
+# shows the estimate the search held for its leaf set, the number that
+# chose the plan (on Q21, est vs actual of the semi and anti joins its
+# EXISTS / NOT EXISTS became, which stay on top: their leaf is estimated
+# larger than the region; on Q18, its IN's semi join on `orders` below
+# the three-way join, cold, and back on top where the reoptimized leaf
+# and region both observe 0 rows, a tie). The estimator must rank plans
+# cold: Q5, Q7 and Q8's cold join order is the reoptimized one, at SF
+# 0.001 (seed 42) and SF 0.02 (seed 15).
 plan_goldens
 # Every logical rewrite must be result-preserving, byte-for-byte, on both
 # engines at 1 and 4 workers. This is also the unnesting wall: semi, anti
@@ -107,7 +114,9 @@ cargo test -q --release -p sqalpel-engine --test rewriter_equivalence
 # they are named for, on and off, with identical rows.
 cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # The cardinality estimator's invariants (selectivity in [0,1], conjunct
-# monotonicity, semi + anti estimates partition the left input) under
+# monotonicity — also where bounds on one column intersect into an
+# interval —, semi + anti estimates partition the left input, a
+# composite join key between its pairs' product and their minimum) under
 # random predicates and degenerate statistics.
 cargo test -q --release -p sqalpel-engine --test cost_props
 # Thread invariance, the primary wall for the one-operator-at-any-

@@ -1002,17 +1002,11 @@ impl Num {
 /// mul, div}` compute it: NULL on either side is NULL, two integers stay
 /// a checked `i64` (but divide as floats), anything else is `f64`
 /// arithmetic on [`Value::as_f64`]. `None` where those raise an error —
-/// an overflow, a zero divisor, and `NULL - x` where negating `x`
-/// overflows (`sub` negates before it adds).
+/// an overflow or a zero divisor.
 #[inline]
 fn float_arith(op: BinOp, a: Option<Num>, b: Option<Num>) -> Option<Option<Num>> {
-    let (a, b) = match (a, b) {
-        (None, Some(b)) if op == BinOp::Minus => {
-            b.neg()?;
-            return Some(None);
-        }
-        (Some(a), Some(b)) => (a, b),
-        _ => return Some(None),
+    let (Some(a), Some(b)) = (a, b) else {
+        return Some(None);
     };
     Some(Some(match (a, b) {
         (Num::Int(x), Num::Int(y)) if op != BinOp::Div => Num::Int(match op {

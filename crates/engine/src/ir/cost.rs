@@ -1,12 +1,16 @@
 //! Cardinality estimation and the cost model for the join-order search.
 //!
 //! Selectivities are estimated from the load-time [`super::stats`] —
-//! NDV for equality predicates, min/max interpolation for ranges —
-//! with textbook fallback constants where no statistic applies. The
-//! estimator is deliberately simple (independence assumed everywhere:
-//! conjunctions multiply, disjunctions use inclusion–exclusion); the
-//! adaptive feedback loop corrects its worst mistakes with observed
-//! row counts keyed by relation subset ([`CardHints`]).
+//! NDV for equality predicates (against a number, a date or a string),
+//! min/max interpolation for ranges — with textbook fallback constants
+//! where no statistic applies. The estimator is deliberately simple:
+//! independence is assumed between columns (conjunctions multiply,
+//! disjunctions use inclusion–exclusion), but not within one — the
+//! one-sided bounds a conjunction puts on one column intersect into one
+//! interval, and the equalities that join the same two inputs form one
+//! composite key ([`key_selectivity`]). The adaptive feedback loop
+//! corrects the worst remaining mistakes with observed row counts keyed
+//! by relation subset ([`CardHints`]).
 
 use super::expr::Expr;
 use super::stats::ColStats;
@@ -89,10 +93,76 @@ fn clamp(s: f64) -> f64 {
 }
 
 /// Estimated fraction of input rows satisfying predicate `e`, always in
-/// `[0, 1]`. Conjunctions multiply their parts' selectivities, so adding
-/// a conjunct never increases the estimate (pinned by proptest).
+/// `[0, 1]`. A conjunction is priced by [`conjunction_selectivity`], so
+/// adding a conjunct never increases the estimate (pinned by proptest).
 pub fn selectivity(e: &Expr, frame: &FrameStats) -> f64 {
     clamp(sel(e, frame))
+}
+
+/// The selectivity of the conjunction of `conjuncts` — the same number
+/// [`selectivity`] gives their `AND`. Conjuncts multiply, except the
+/// one-sided range bounds (`<`, `<=`, `>`, `>=` against a constant) on
+/// one slot: those intersect into one interval, priced as the share of
+/// the slot's `[min, max]` it covers. `c >= a AND c < b` is the rows
+/// between `a` and `b`, not the rows above `a` times the rows below `b`.
+pub fn conjunction_selectivity<'a>(
+    conjuncts: impl IntoIterator<Item = &'a Expr>,
+    frame: &FrameStats,
+) -> f64 {
+    let conjuncts: Vec<&Expr> = conjuncts.into_iter().collect();
+    if conjuncts.iter().any(|c| c.contains_subquery()) {
+        return SUBQUERY_SEL;
+    }
+    clamp(conjunction_sel(&conjuncts, frame))
+}
+
+fn conjunction_sel(conjuncts: &[&Expr], frame: &FrameStats) -> f64 {
+    // Per slot, the share of its domain below the highest lower bound and
+    // below the lowest upper bound.
+    let mut intervals: BTreeMap<usize, (f64, f64)> = BTreeMap::new();
+    let mut s = 1.0;
+    for c in conjuncts {
+        match one_sided_bound(c, frame) {
+            Some((slot, upper, below)) => {
+                let (lo, hi) = intervals.entry(slot).or_insert((0.0, 1.0));
+                if upper {
+                    *hi = hi.min(below);
+                } else {
+                    *lo = lo.max(below);
+                }
+            }
+            None => s *= clamp(sel(c, frame)),
+        }
+    }
+    intervals.values().fold(s, |s, (lo, hi)| s * clamp(hi - lo))
+}
+
+/// `col < v`, `col >= v` (either operand order) on a slot whose
+/// statistics span a range: the slot, whether `v` bounds it from above,
+/// and the share of the slot's values below `v`.
+fn one_sided_bound(e: &Expr, frame: &FrameStats) -> Option<(usize, bool, f64)> {
+    let Expr::Binary { left, op, right } = e else {
+        return None;
+    };
+    let (slot, v, op) = match (left.as_ref(), right.as_ref()) {
+        (Expr::Col { slot, .. }, v) => (*slot, v, *op),
+        (v, Expr::Col { slot, .. }) => (*slot, v, mirror(*op)),
+        _ => return None,
+    };
+    let upper = match op {
+        BinOp::Lt | BinOp::LtEq => true,
+        BinOp::Gt | BinOp::GtEq => false,
+        _ => return None,
+    };
+    let st = frame.slot(slot)?;
+    let (Some(min), Some(max)) = (st.min, st.max) else {
+        return None;
+    };
+    if max <= min {
+        return None;
+    }
+    let v = literal_raw(v, st.scale)?;
+    Some((slot, upper, fraction_below(st, v)))
 }
 
 fn sel(e: &Expr, frame: &FrameStats) -> f64 {
@@ -112,7 +182,7 @@ fn sel(e: &Expr, frame: &FrameStats) -> f64 {
             expr,
         } => 1.0 - clamp(sel(expr, frame)),
         Expr::Binary { left, op, right } => match op {
-            BinOp::And => clamp(sel(left, frame)) * clamp(sel(right, frame)),
+            BinOp::And => conjunction_sel(&e.conjuncts(), frame),
             BinOp::Or => {
                 let a = clamp(sel(left, frame));
                 let b = clamp(sel(right, frame));
@@ -172,19 +242,15 @@ fn sel(e: &Expr, frame: &FrameStats) -> f64 {
     }
 }
 
-/// `a op b` where one side is a plain column and the other folds to a
-/// constant in the column's raw domain.
+/// `a op b` where one side is a plain column and the other a constant:
+/// `=` and `<>` from the column's distinct count when the constant folds
+/// into its raw domain or is a string; the ranges by interpolating the
+/// folded constant between the column's bounds.
 fn comparison_sel(a: &Expr, op: BinOp, b: &Expr, frame: &FrameStats) -> f64 {
-    let (st, lit, op) = match (col_stat(a, frame), col_stat(b, frame)) {
-        (Some(st), _) => match literal_raw(b, st.scale) {
-            Some(v) => (st, v, op),
-            None => return DEFAULT_SEL,
-        },
-        (None, Some(st)) => match literal_raw(a, st.scale) {
-            // Flip `lit op col` to `col op' lit`.
-            Some(v) => (st, v, mirror(op)),
-            None => return DEFAULT_SEL,
-        },
+    let (st, other, op) = match (col_stat(a, frame), col_stat(b, frame)) {
+        (Some(st), _) => (st, b, op),
+        // Flip `lit op col` to `col op' lit`.
+        (None, Some(st)) => (st, a, mirror(op)),
         (None, None) => {
             // Column-to-column or uninstrumented comparison.
             return if op == BinOp::Eq {
@@ -194,11 +260,13 @@ fn comparison_sel(a: &Expr, op: BinOp, b: &Expr, frame: &FrameStats) -> f64 {
             };
         }
     };
-    match op {
-        BinOp::Eq => 1.0 / st.ndv_floor(),
-        BinOp::NotEq => 1.0 - 1.0 / st.ndv_floor(),
-        BinOp::Lt | BinOp::LtEq => fraction_below(st, lit),
-        BinOp::Gt | BinOp::GtEq => 1.0 - fraction_below(st, lit),
+    let lit = literal_raw(other, st.scale);
+    let constant = lit.is_some() || matches!(other, Expr::Literal(Literal::String(_)));
+    match (op, lit) {
+        (BinOp::Eq, _) if constant => 1.0 / st.ndv_floor(),
+        (BinOp::NotEq, _) if constant => 1.0 - 1.0 / st.ndv_floor(),
+        (BinOp::Lt | BinOp::LtEq, Some(v)) => fraction_below(st, v),
+        (BinOp::Gt | BinOp::GtEq, Some(v)) => 1.0 - fraction_below(st, v),
         _ => DEFAULT_SEL,
     }
 }
@@ -286,17 +354,30 @@ fn date_shift(left: &Expr, op: BinOp, right: &Expr) -> Option<i32> {
     })
 }
 
-/// Selectivity of one equi-join edge `left_slot = right_slot`: the
-/// classic `1 / max(ndv_l, ndv_r)`, with each side's distinct count
-/// defaulting to its input cardinality when no statistic exists.
-pub fn equi_edge_selectivity(
-    left: Option<&SlotStat>,
-    right: Option<&SlotStat>,
-    left_rows: f64,
-    right_rows: f64,
-) -> f64 {
-    let ndv_l = left.map_or(left_rows.max(1.0), SlotStat::ndv_floor);
-    let ndv_r = right.map_or(right_rows.max(1.0), SlotStat::ndv_floor);
+/// The `(left, right)` statistics of one equality of a join key, `None`
+/// where a side has none.
+pub type KeyPair<'a> = (Option<&'a SlotStat>, Option<&'a SlotStat>);
+
+/// Selectivity of an equi-join key — the `(left, right)` statistics of
+/// every equality between the same two inputs: the classic
+/// `1 / max(ndv_l, ndv_r)`. A column's distinct count defaults to its
+/// input's rows when no statistic exists. With one pair that is the
+/// single-edge estimate. Several pairs are one composite key, not
+/// independent edges: a side's count is the product of its columns'
+/// counts, capped at the side's rows (a key cannot be more distinct than
+/// the rows that hold it) but never below its largest single count. So a
+/// composite key's selectivity lies between the product of its pairs'
+/// own selectivities and the smallest of them.
+pub fn key_selectivity(pairs: &[KeyPair], left_rows: f64, right_rows: f64) -> f64 {
+    let distinct = |stats: &mut dyn Iterator<Item = Option<&SlotStat>>, rows: f64| {
+        let rows = rows.max(1.0);
+        let (product, largest) = stats
+            .map(|st| st.map_or(rows, SlotStat::ndv_floor))
+            .fold((1.0f64, 1.0f64), |(p, m), n| (p * n, m.max(n)));
+        product.min(rows).max(largest)
+    };
+    let ndv_l = distinct(&mut pairs.iter().map(|p| p.0), left_rows);
+    let ndv_r = distinct(&mut pairs.iter().map(|p| p.1), right_rows);
     1.0 / ndv_l.max(ndv_r).max(1.0)
 }
 
@@ -494,11 +575,100 @@ mod tests {
     fn join_edge_selectivity_uses_larger_ndv() {
         let l = stat(0, 0, 1_000.0);
         let r = stat(0, 0, 50.0);
-        let s = equi_edge_selectivity(Some(&l), Some(&r), 1e6, 1e6);
+        let s = key_selectivity(&[(Some(&l), Some(&r))], 1e6, 1e6);
         assert!((s - 0.001).abs() < 1e-12);
         // Missing stats fall back to input cardinality.
-        let s = equi_edge_selectivity(None, Some(&r), 200.0, 1e6);
+        let s = key_selectivity(&[(None, Some(&r))], 200.0, 1e6);
         assert!((s - 1.0 / 200.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_composite_key_is_capped_at_its_rows() {
+        // Q9's partsupp ⋈ lineitem at SF 0.02: (suppkey, partkey) pairs.
+        let supp = stat(1, 200, 200.0);
+        let part = stat(1, 4_000, 4_000.0);
+        let pairs = [(Some(&supp), Some(&supp)), (Some(&part), Some(&part))];
+        // partsupp's 16,000 rows hold at most 16,000 distinct keys,
+        // lineitem's 120,000 at most 120,000: one partsupp row per
+        // lineitem row, not 1/200 × 1/4,000 of the cross product.
+        let s = key_selectivity(&pairs, 16_000.0, 120_000.0);
+        assert!((s - 1.0 / 120_000.0).abs() < 1e-15, "{s}");
+        // Never below a single column's own count: two keys over 10 rows
+        // each still have 4,000 distinct part keys.
+        let s = key_selectivity(&pairs, 10.0, 10.0);
+        assert!((s - 1.0 / 4_000.0).abs() < 1e-15, "{s}");
+    }
+
+    fn cmp(op: BinOp, right: Expr) -> Expr {
+        Expr::Binary {
+            left: Box::new(col()),
+            op,
+            right: Box::new(right),
+        }
+    }
+
+    #[test]
+    fn string_equality_uses_ndv() {
+        // A string column has no bounds, only a distinct count.
+        let f = frame(SlotStat {
+            min: None,
+            max: None,
+            ndv: 150.0,
+            scale: None,
+        });
+        let steel = || Expr::Literal(Literal::String("ECONOMY ANODIZED STEEL".into()));
+        assert!((selectivity(&cmp(BinOp::Eq, steel()), &f) - 1.0 / 150.0).abs() < 1e-12);
+        let ne = selectivity(&cmp(BinOp::NotEq, steel()), &f);
+        assert!((ne - (1.0 - 1.0 / 150.0)).abs() < 1e-12);
+        // Literal on the left reads the same.
+        let flipped = Expr::eq_pair(steel(), col());
+        assert!((selectivity(&flipped, &f) - 1.0 / 150.0).abs() < 1e-12);
+        // A range against a string has no domain to interpolate in.
+        assert_eq!(selectivity(&cmp(BinOp::Lt, steel()), &f), DEFAULT_SEL);
+    }
+
+    #[test]
+    fn two_bounds_on_one_column_are_one_interval() {
+        let f = frame(stat(0, 100, 100.0));
+        let within = Expr::and(cmp(BinOp::GtEq, lit(20)), cmp(BinOp::Lt, lit(30)));
+        assert!((selectivity(&within, &f) - 0.10).abs() < 1e-12);
+        // Literal-left bounds and a third, tighter bound join the interval.
+        let narrower = Expr::and(
+            Expr::and(
+                Expr::Binary {
+                    left: Box::new(lit(20)),
+                    op: BinOp::LtEq,
+                    right: Box::new(col()),
+                },
+                cmp(BinOp::Lt, lit(30)),
+            ),
+            cmp(BinOp::LtEq, lit(25)),
+        );
+        assert!((selectivity(&narrower, &f) - 0.05).abs() < 1e-12);
+        assert!(
+            (conjunction_selectivity(narrower.conjuncts(), &f) - 0.05).abs() < 1e-12,
+            "the conjunct list prices as its AND"
+        );
+        // Disjoint bounds select nothing.
+        let empty = Expr::and(cmp(BinOp::Gt, lit(60)), cmp(BinOp::Lt, lit(40)));
+        assert_eq!(selectivity(&empty, &f), 0.0);
+    }
+
+    #[test]
+    fn bounds_on_two_columns_still_multiply() {
+        let f = FrameStats {
+            slots: vec![Some(stat(0, 100, 100.0)), Some(stat(0, 100, 100.0))],
+        };
+        let other = Expr::Col { slot: 1, ty: Ty::Int };
+        let e = Expr::and(
+            cmp(BinOp::GtEq, lit(20)),
+            Expr::Binary {
+                left: Box::new(other),
+                op: BinOp::Lt,
+                right: Box::new(lit(30)),
+            },
+        );
+        assert!((selectivity(&e, &f) - 0.8 * 0.3).abs() < 1e-12);
     }
 
     #[test]

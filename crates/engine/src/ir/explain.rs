@@ -45,6 +45,8 @@ impl Explain {
 struct Ann<'a> {
     prof: Option<&'a ProfileShard>,
     est: Option<&'a crate::ir::cost::CardHints>,
+    /// The join-order search's estimates for the block being rendered.
+    joins: Option<&'a crate::ir::memo::JoinEstimates>,
 }
 
 /// Render a bound query and compute its fingerprint.
@@ -61,7 +63,7 @@ pub fn explain_analyze(bq: &BoundQuery, prof: &ProfileShard) -> Explain {
         bq,
         Ann {
             prof: Some(prof),
-            est: None,
+            ..Ann::default()
         },
     )
 }
@@ -80,6 +82,7 @@ pub fn explain_estimates(
         Ann {
             prof: Some(prof),
             est: Some(hints),
+            ..Ann::default()
         },
     )
 }
@@ -183,12 +186,25 @@ fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
 }
 
 /// Plan-node annotation: the estimator's prediction first (when hints
-/// are being rendered), then the executed actuals. Estimates are
-/// rounded to whole rows — the goldens pin drift direction, not float
-/// noise.
+/// are being rendered), then the executed actuals. An inner join the
+/// search built shows the estimate the search held for its leaf set —
+/// the number that chose the plan; every other node the subtree
+/// estimate. Estimates are rounded to whole rows — the goldens pin drift
+/// direction, not float noise.
 fn annotate_plan(out: &mut String, ann: Ann, p: &Plan) {
     if let Some(h) = ann.est {
-        let _ = write!(out, " (est_rows={:.0})", crate::ir::memo::estimated_rows(p, h));
+        let searched = match p {
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            } => ann.joins.and_then(|joins| {
+                let set: Vec<String> = p.bindings().into_iter().collect();
+                joins.get(&set).copied().flatten()
+            }),
+            _ => None,
+        };
+        let rows = searched.unwrap_or_else(|| crate::ir::memo::estimated_rows(p, h));
+        let _ = write!(out, " (est_rows={rows:.0})");
     }
     annotate(out, ann.prof, p);
 }
@@ -244,6 +260,10 @@ fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
         let _ = writeln!(out, "cte {name}:");
         render_query(body, level + 2, out, ann);
     }
+    let ann = Ann {
+        joins: Some(&bq.join_rows),
+        ..ann
+    };
     render_plan(&bq.core, level + 1, out, ann);
 }
 

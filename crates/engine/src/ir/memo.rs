@@ -48,7 +48,7 @@
 //! against it; the optimizer only permutes columns, so entries are
 //! always `Some`.
 
-use super::cost::{self, CardHints, FrameStats, SlotStat};
+use super::cost::{self, CardHints, FrameStats, KeyPair, SlotStat};
 use super::expr::Expr;
 use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::storage::{ColumnData, Table};
@@ -74,17 +74,20 @@ pub fn optimize(bq: &mut BoundQuery, hints: &CardHints, search: bool) {
         hints,
         search,
         cte_rows: BTreeMap::new(),
+        join_rows: JoinEstimates::new(),
     };
     optimize_query(bq, &mut ctx);
 }
 
 /// Crude output-cardinality estimate for a plan subtree, hint-aware.
-/// Used for derived/CTE leaf estimates and EXPLAIN annotations.
+/// Used for derived/CTE leaf estimates and the EXPLAIN annotations of
+/// every node but a searched join (see [`JoinEstimates`]).
 pub fn estimated_rows(p: &Plan, hints: &CardHints) -> f64 {
     let ctx = Ctx {
         hints,
         search: true,
         cte_rows: BTreeMap::new(),
+        join_rows: JoinEstimates::new(),
     };
     estimate_plan_rows(p, &ctx)
 }
@@ -95,7 +98,15 @@ struct Ctx<'a> {
     search: bool,
     /// Estimated output rows per CTE name, filled as CTEs are optimized.
     cte_rows: BTreeMap<String, f64>,
+    /// The search's estimates for the joins of the block being optimized.
+    join_rows: JoinEstimates,
 }
+
+/// The search's estimated rows for each inner join it built in one query
+/// block, by the join's sorted binding set: the number that chose the
+/// plan, which EXPLAIN renders as the join's `est_rows`. `None` where two
+/// joins of the block share a binding set.
+pub type JoinEstimates = BTreeMap<Vec<String>, Option<f64>>;
 
 fn optimize_query(bq: &mut BoundQuery, ctx: &mut Ctx) {
     for (name, cte) in &mut bq.ctes {
@@ -105,7 +116,9 @@ fn optimize_query(bq: &mut BoundQuery, ctx: &mut Ctx) {
             ctx.cte_rows.insert(name.clone(), rows);
         }
     }
+    let outer = mem::take(&mut ctx.join_rows);
     let mapping = optimize_plan(&mut bq.core, ctx);
+    bq.join_rows = mem::replace(&mut ctx.join_rows, outer);
     for it in &mut bq.items {
         remap(&mut it.expr, &mapping);
     }
@@ -355,7 +368,13 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         }
     }
     let (root, card) = if ctx.search && n <= MAX_DP {
-        search(&leaves, &sunk, &pool, &leaf_of, ctx)
+        let bindings: Vec<Vec<String>> = leaves
+            .iter()
+            .map(|lf| lf.plan.bindings().into_iter().collect())
+            .collect();
+        let (root, card) = search(&leaves, &bindings, &sunk, &pool, &leaf_of, ctx);
+        note_joins(&root, &bindings, &card, &mut ctx.join_rows);
+        (root, card)
     } else {
         (bound, Vec::new())
     };
@@ -447,12 +466,14 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
 
 /// The cheapest join tree over at most [`MAX_DP`] leaves by estimated
 /// cost: exhaustive bushy up to [`MAX_BUSHY`] leaves, left-deep beyond.
-/// `sunk` holds each leaf's own conjuncts, `pool` the rest, all in the
-/// region frame, where `leaf_of` says which leaf a slot belongs to.
-/// Also returns the estimated rows of every leaf subset, indexed by its
-/// bitset: the last entry is the whole region.
+/// `bindings` holds each leaf's sorted binding set, `sunk` its own
+/// conjuncts, `pool` the rest, all in the region frame, where `leaf_of`
+/// says which leaf a slot belongs to. Also returns the estimated rows of
+/// every leaf subset, indexed by its bitset: the last entry is the whole
+/// region.
 fn search(
     leaves: &[Leaf],
+    bindings: &[Vec<String>],
     sunk: &[Vec<Expr>],
     pool: &[Expr],
     leaf_of: &dyn Fn(usize) -> usize,
@@ -468,60 +489,60 @@ fn search(
     let global_stats = FrameStats {
         slots: estimates.iter().flat_map(|(_, st)| st.clone()).collect(),
     };
-    let bindings: Vec<Vec<String>> = leaves
-        .iter()
-        .map(|lf| lf.plan.bindings().into_iter().collect())
-        .collect();
     // A leaf's own conjuncts scale its estimate; observed cardinalities
     // beat estimates, applied after them.
     let leaf_rows: Vec<f64> = (0..n)
         .map(|k| {
-            let filtered = sunk[k].iter().fold(estimates[k].0, |r, e| {
-                r * cost::selectivity(e, &global_stats)
-            });
+            let filtered = estimates[k].0 * cost::conjunction_selectivity(&sunk[k], &global_stats);
             ctx.hints.get(&bindings[k]).unwrap_or(filtered)
         })
         .collect();
 
-    let single_leaf_side = |e: &Expr| -> Option<u32> {
+    // An equality whose sides each read one leaf, two different ones, is
+    // a join edge. The edges between the same two leaves form one key,
+    // priced once; every other pooled conjunct is priced on its own.
+    let single_leaf = |e: &Expr| -> Option<usize> {
         let mask = mask_of(e);
-        (mask.count_ones() == 1).then_some(mask)
+        (mask.count_ones() == 1).then(|| mask.trailing_zeros() as usize)
     };
-    let pool: Vec<PoolPred> = pool
-        .iter()
-        .map(|expr| {
-            let (sel, is_edge) = match expr {
-                Expr::Binary {
-                    left,
-                    op: BinOp::Eq,
-                    right,
-                } => match (single_leaf_side(left), single_leaf_side(right)) {
-                    (Some(lm), Some(rm)) if lm != rm => {
-                        let stat_of = |e: &Expr| match e {
-                            Expr::Col { slot, .. } => global_stats.slot(*slot),
-                            _ => None,
-                        };
-                        let li = lm.trailing_zeros() as usize;
-                        let ri = rm.trailing_zeros() as usize;
-                        let sel = cost::equi_edge_selectivity(
-                            stat_of(left),
-                            stat_of(right),
-                            leaf_rows[li],
-                            leaf_rows[ri],
-                        );
-                        (sel, true)
-                    }
-                    _ => (cost::selectivity(expr, &global_stats), false),
-                },
-                _ => (cost::selectivity(expr, &global_stats), false),
-            };
-            PoolPred {
+    let stat_of = |e: &Expr| match e {
+        Expr::Col { slot, .. } => global_stats.slot(*slot),
+        _ => None,
+    };
+    let mut keys: BTreeMap<(usize, usize), Vec<KeyPair>> = BTreeMap::new();
+    let mut priced: Vec<PoolPred> = Vec::new();
+    for expr in pool {
+        let edge = match expr {
+            Expr::Binary {
+                left,
+                op: BinOp::Eq,
+                right,
+            } => match (single_leaf(left), single_leaf(right)) {
+                (Some(li), Some(ri)) if li < ri => {
+                    Some(((li, ri), (stat_of(left), stat_of(right))))
+                }
+                (Some(li), Some(ri)) if li > ri => {
+                    Some(((ri, li), (stat_of(right), stat_of(left))))
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        match edge {
+            Some((ends, pair)) => keys.entry(ends).or_default().push(pair),
+            None => priced.push(PoolPred {
                 mask: mask_of(expr),
-                sel,
-                is_edge,
-            }
-        })
-        .collect();
+                sel: cost::selectivity(expr, &global_stats),
+                is_edge: false,
+            }),
+        }
+    }
+    priced.extend(keys.into_iter().map(|((li, ri), pairs)| PoolPred {
+        mask: (1 << li) | (1 << ri),
+        sel: cost::key_selectivity(&pairs, leaf_rows[li], leaf_rows[ri]),
+        is_edge: true,
+    }));
+    let pool = priced;
 
     // Cardinality per leaf subset: independence across predicates, each
     // counted once, with hint overrides by binding set.
@@ -621,14 +642,36 @@ fn search(
     (tree, card)
 }
 
-/// A pooled predicate as the search sees it.
+/// A pooled predicate as the search sees it: one conjunct, or every
+/// equality between the same two leaves as one key.
 struct PoolPred {
     /// Bitset of leaves it references.
     mask: u32,
     sel: f64,
-    /// True when it splits into two single-leaf equality sides — usable
-    /// as a hash-join key, and what "connected" means for the search.
+    /// True for a key: equalities that split into two single-leaf sides —
+    /// usable as a hash-join key, and what "connected" means for the
+    /// search.
     is_edge: bool,
+}
+
+/// Note, under its sorted binding set, the search's estimate for every
+/// join of the chosen tree `t` (what EXPLAIN shows as its `est_rows`),
+/// and return the bitset of the leaves below `t`. A set two joins of
+/// one block share is noted as unknown.
+fn note_joins(t: &Tree, bindings: &[Vec<String>], card: &[f64], out: &mut JoinEstimates) -> u32 {
+    let mask = match t {
+        Tree::Leaf(i) => return 1 << i,
+        Tree::Join(l, r) => note_joins(l, bindings, card, out) | note_joins(r, bindings, card, out),
+    };
+    let mut set: Vec<String> = (0..bindings.len())
+        .filter(|i| mask & (1 << i) != 0)
+        .flat_map(|i| bindings[i].iter().cloned())
+        .collect();
+    set.sort();
+    out.entry(set)
+        .and_modify(|rows| *rows = None)
+        .or_insert(Some(card[mask as usize]));
+    mask
 }
 
 /// Flatten a region subtree: leaves out, predicates lifted into the

@@ -149,8 +149,17 @@ pub fn pow10(scale: u8) -> f64 {
 pub fn i128_to_f64(raw: i128) -> f64 {
     match i64::try_from(raw) {
         Ok(x) => x as f64,
-        Err(_) => raw as f64,
+        Err(_) => wide_to_f64(raw),
     }
+}
+
+/// The `i128` conversion routine, out of line: inlined, the optimizer
+/// hoists its call above [`i128_to_f64`]'s range check, and every
+/// conversion pays for it.
+#[cold]
+#[inline(never)]
+fn wide_to_f64(raw: i128) -> f64 {
+    raw as f64
 }
 
 /// The decimal `raw / 10^scale` as `f64`: every decimal-to-float touch,
@@ -213,10 +222,11 @@ pub fn add(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
     numeric_or_temporal(a, b, mode, BinOp::Plus)
 }
 
-/// Subtract. Numbers subtract, checked, as they add; anything else adds
-/// the negation.
+/// Subtract. NULL on either side is NULL, as for `+`; numbers subtract,
+/// checked, as they add; anything else adds the negation.
 pub fn sub(a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
     match (a, b) {
+        (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
         (Value::Date(d), Value::Date(e)) => Ok(Value::Int((*d - *e) as i64)),
         (Value::Date(d), Value::Interval { months, days }) => {
             Ok(Value::Date(shift_date(*d, -months, -days)))

@@ -13,10 +13,18 @@
 //! 3. A semi join and the anti join over the same inputs split the left
 //!    side: `0 <= est(semi) <= est(left)` and `est(semi) + est(anti) =
 //!    est(left)`, whatever the key statistics say.
+//! 4. The one-sided bounds a conjunction puts on one slot intersect into
+//!    an interval; narrowing it, like adding any other conjunct, never
+//!    increases the estimate, and the conjunct list prices as its `AND`.
+//! 5. A composite join key (several equalities between the same two
+//!    inputs) is neither more selective than its pairs taken as
+//!    independent edges nor less selective than its most selective pair;
+//!    a key of one pair is the classic single-edge rule.
 
 use proptest::prelude::*;
 use sqalpel_engine::ir::cost::{
-    selectivity, semi_anti_rows, semi_selectivity, FrameStats, SlotStat,
+    conjunction_selectivity, key_selectivity, selectivity, semi_anti_rows, semi_selectivity,
+    FrameStats, KeyPair, SlotStat,
 };
 use sqalpel_engine::ir::{Expr, Ty};
 use sqalpel_sql::ast::{BinOp, Literal, UnaryOp};
@@ -147,8 +155,94 @@ fn random_pred(g: &mut Gen, width: usize, depth: usize) -> Expr {
     }
 }
 
+/// A one-sided range bound on one of `width` slots, either operand
+/// order: the conjuncts that intersect into one interval per slot.
+fn random_bound(g: &mut Gen, width: usize) -> Expr {
+    let ops = [BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq];
+    let op = ops[g.below(ops.len() as u64) as usize];
+    let col = random_col(g, width);
+    let lit = Expr::Literal(Literal::Integer(g.i64_small()));
+    let (left, right) = if g.below(2) == 0 { (col, lit) } else { (lit, col) };
+    Expr::Binary {
+        left: Box::new(left),
+        op,
+        right: Box::new(right),
+    }
+}
+
+/// The single-edge rule a composite key generalizes: `1 / max(ndv_l,
+/// ndv_r)`, a side without a statistic counting each of its rows.
+fn edge_selectivity(pair: KeyPair, left_rows: f64, right_rows: f64) -> f64 {
+    let ndv = |st: Option<&SlotStat>, rows: f64| st.map_or(rows.max(1.0), |s| s.ndv.max(1.0));
+    1.0 / ndv(pair.0, left_rows).max(ndv(pair.1, right_rows)).max(1.0)
+}
+
+/// Random statistics for an equi-join key's side: unknown, empty or
+/// positive distinct counts.
+fn random_key_stat(g: &mut Gen) -> Option<SlotStat> {
+    (g.below(4) > 0).then(|| SlotStat {
+        min: None,
+        max: None,
+        ndv: g.below(50_000) as f64 / (1 + g.below(3)) as f64,
+        scale: None,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn narrowing_an_interval_never_increases_selectivity(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        // Few slots, so bounds pile up on the same one.
+        let width = 1 + g.below(2) as usize;
+        let frame = random_frame(&mut g, width);
+        let mut conjuncts: Vec<Expr> = (0..1 + g.below(4))
+            .map(|_| {
+                if g.below(4) == 0 {
+                    random_pred(&mut g, width, 1)
+                } else {
+                    random_bound(&mut g, width)
+                }
+            })
+            .collect();
+        let before = Expr::conjoin(conjuncts.clone()).unwrap();
+        let sa = selectivity(&before, &frame);
+        let listed = conjunction_selectivity(&conjuncts, &frame);
+        prop_assert!((sa - listed).abs() <= 1e-12, "list {listed} != AND {sa} for {before}");
+        conjuncts.push(random_bound(&mut g, width));
+        let after = Expr::conjoin(conjuncts).unwrap();
+        let both = selectivity(&after, &frame);
+        prop_assert!(
+            (0.0..=1.0).contains(&both) && both <= sa + 1e-12,
+            "sel({after}) = {both} > sel({before}) = {sa}"
+        );
+    }
+
+    #[test]
+    fn a_composite_key_lies_between_its_pairs_product_and_their_minimum(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        let stats: Vec<(Option<SlotStat>, Option<SlotStat>)> = (0..1 + g.below(4))
+            .map(|_| (random_key_stat(&mut g), random_key_stat(&mut g)))
+            .collect();
+        let pairs: Vec<KeyPair> = stats.iter().map(|(l, r)| (l.as_ref(), r.as_ref())).collect();
+        let left_rows = g.below(1_000_000) as f64 / (1 + g.below(4)) as f64;
+        let right_rows = g.below(1_000_000) as f64 / (1 + g.below(4)) as f64;
+        let key = key_selectivity(&pairs, left_rows, right_rows);
+        let single: Vec<f64> = pairs
+            .iter()
+            .map(|&pair| edge_selectivity(pair, left_rows, right_rows))
+            .collect();
+        let one = key_selectivity(&pairs[..1], left_rows, right_rows);
+        prop_assert_eq!(one, single[0], "one pair is one edge");
+        let product: f64 = single.iter().product();
+        let smallest = single.iter().copied().fold(1.0, f64::min);
+        prop_assert!((0.0..=1.0).contains(&key), "key selectivity {key} out of [0,1]");
+        prop_assert!(
+            product <= key * (1.0 + 1e-12) && key <= smallest * (1.0 + 1e-12),
+            "key {key} outside [{product}, {smallest}] for {pairs:?} over {left_rows} x {right_rows}"
+        );
+    }
 
     #[test]
     fn selectivity_is_always_a_fraction(seed in any::<u64>()) {

@@ -5,7 +5,7 @@
 //! post-aggregation expressions, ORDER BY with NULLs and ties, LIMIT
 //! edges. Every assertion runs on both engines.
 
-use sqalpel_engine::storage::{dec_col, int_col, str_col, Table};
+use sqalpel_engine::storage::{date_col, dec_col, int_col, str_col, Table};
 use sqalpel_engine::{ColStore, Database, Dbms, ResultSet, RowStore, Value};
 use std::sync::Arc;
 
@@ -279,6 +279,46 @@ fn integer_subtraction_and_negation_overflow_is_an_error_run() {
             .execute("select id - 9223372036854775807 from people where id = 1")
             .unwrap();
         assert_eq!(cell(&r, 0, 0), "-9223372036854775806", "{}", dbms.label());
+    }
+}
+
+/// `NULL - x` is NULL, as `NULL + x` is: subtraction looks at NULL before
+/// it negates its right side, so neither a date (which has no negation)
+/// nor `i64::MIN` (whose negation overflows) raises on the right of a
+/// NULL — as a constant or from a column, through the boxed and the typed
+/// paths of both engines.
+#[test]
+fn null_minus_anything_is_null() {
+    let mut db = Database::new();
+    db.add_table(
+        Table::new(
+            "t",
+            vec![
+                date_col("d", [8766, 9131].into_iter()),
+                int_col("i", [i64::MIN, 7].into_iter()),
+            ],
+        )
+        .unwrap(),
+    );
+    let db = Arc::new(db);
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        for sql in [
+            "select null - d, null + d from t",
+            "select null - i, null + i from t",
+            "select null - (-9223372036854775807 - 1), null + (-9223372036854775807 - 1) from t",
+            "select (i - i + null) - i, null - (i + 0) from t",
+        ] {
+            let r = dbms
+                .execute(sql)
+                .unwrap_or_else(|e| panic!("{sql} failed on {}: {e}", dbms.label()));
+            assert_eq!(r.rows.len(), 2, "{sql} on {}", dbms.label());
+            for row in &r.rows {
+                assert!(row.iter().all(Value::is_null), "{sql} on {}: {row:?}", dbms.label());
+            }
+        }
     }
 }
 
