@@ -137,14 +137,19 @@ cargo test -q --release -p sqalpel-engine --test metrics_invariance
 cargo test -q --release -p sqalpel-core --test metrics_props
 # Prepared expressions are unobservable: same values bit for bit and same
 # errors as the per-row tree walk they replaced (kept there as the
-# oracle), erroring constants only where evaluation reaches them, and
-# compiled LIKE patterns against the old char-vector matcher. The typed
-# walk too: `+ - * /` trees of depth 3-5 over integer (i64 edges),
-# decimal (scales 0-4), float, untyped and NULL operands with zero
-# divisors are the oracle bit for bit and error for error in both
-# modes, whether the walk takes a row or gives it to the boxed arm, and
-# `Prepared::eval_num`'s number is the value.
+# oracle), in both modes, with `Prepared::eval_num`'s number or error
+# the value wherever the typed walk takes the expression (guarded
+# decimals included), erroring constants only where evaluation reaches
+# them, and compiled LIKE patterns against the old char-vector matcher.
 cargo test -q --release -p sqalpel-engine --test eval_props
+# The arithmetic walls again in a debug build, where an integer that
+# wraps panics instead: every other line here runs --release, which
+# wraps silently. The engine's in-file tests hold the three arithmetic
+# entry points (the boxed `value` operations, the typed walk and
+# ColStore's lane kernel) to one another over i64/i32 edges, decimals,
+# dates and intervals; sql_semantics and eval_props run the same
+# operations end to end.
+cargo test -q -p sqalpel-engine --lib --test sql_semantics --test eval_props
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
 # skipped chunk must hold no qualifying row, checked against raw data —
 # also end to end through the row engine's scan front end, and a

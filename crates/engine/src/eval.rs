@@ -30,7 +30,7 @@ use crate::ir::expr::{Subquery, SubqueryPlan};
 use crate::ir::{Expr, Ty};
 use crate::plan::{BoundQuery, Schema};
 use crate::profile::{self, NodeMetrics, ProfileShard, Profiler};
-use crate::value::{self, decimal_to_f64, ArithMode, Key, LikePattern, Value};
+use crate::value::{self, decimal_to_f64, ArithMode, Fault, Key, LikePattern, Num, Value};
 use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, UnaryOp};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -255,6 +255,7 @@ impl SubqueryRunner for NoSubqueries {
 pub struct Prepared<'a> {
     node: Node<'a>,
     scope: Scope<'a>,
+    mode: ArithMode,
     /// The whole expression is [`Node::typed`].
     typed: bool,
 }
@@ -269,10 +270,9 @@ enum Node<'a> {
     Not(Box<Node<'a>>),
     And(Box<Node<'a>>, Box<Node<'a>>),
     Or(Box<Node<'a>>, Box<Node<'a>>),
-    /// `+`, `-`, `*` and `/`. `typed` when the operator's mode is
-    /// [`ArithMode::Float`] and every operand below is a number-shaped
-    /// node ([`Node::typed`]): such a node first tries the typed walk
-    /// ([`Node::num`]).
+    /// `+`, `-`, `*` and `/`. `typed` when every operand below is a
+    /// number-shaped node ([`Node::typed`]): such a node first tries the
+    /// typed walk ([`Node::num`]).
     Arith {
         op: BinOp,
         l: Box<Node<'a>>,
@@ -376,24 +376,27 @@ impl<'a> Prepared<'a> {
     /// an error raised when evaluation reaches it.
     pub fn new(e: &'a Expr, scope: Scope<'a>, mode: ArithMode, agg_keys: &[String]) -> Self {
         let node = Node::lower(e, scope, mode, agg_keys);
-        let typed = mode == ArithMode::Float && node.typed(scope.schema);
-        Prepared { node, scope, typed }
+        let typed = node.typed(scope.schema);
+        Prepared {
+            node,
+            scope,
+            mode,
+            typed,
+        }
     }
 
     /// Evaluate a numeric expression without building a [`Value`]: the
-    /// typed walk, for an expression of numeric columns, constants,
-    /// negation and `+ - * /` prepared in [`ArithMode::Float`]. The
-    /// number is the one [`Self::eval`] returns, variant and bits
-    /// (`Some(None)` is NULL); `None` means this expression or this row
-    /// is not for the typed walk — evaluate it with [`Self::eval_ref`],
-    /// which also raises the row's error.
+    /// typed walk, for numeric columns, constants, negation and `+ - * /`.
+    /// The number (`Ok(None)` is NULL) or fault is [`Self::eval`]'s value
+    /// or error; `None`: evaluate this row with [`Self::eval_ref`]. The
+    /// fault stays a [`Fault`] for the caller to raise: a wider return
+    /// slows every row.
     #[inline]
-    pub fn eval_num(&self, row: &[Value]) -> Option<Option<Num>> {
-        if self.typed {
-            self.node.num(row)
-        } else {
-            None
+    pub fn eval_num(&self, row: &[Value]) -> Option<Result<Option<Num>, Fault>> {
+        if !self.typed {
+            return None;
         }
+        self.node.num(row, self.mode)
     }
 
     /// Evaluate to a value the caller owns.
@@ -514,9 +517,7 @@ impl<'a> Node<'a> {
                 BinOp::Or => Node::Or(sub(left), sub(right)),
                 BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div => {
                     let (l, r) = (sub(left), sub(right));
-                    let typed = mode == ArithMode::Float
-                        && l.typed(scope.schema)
-                        && r.typed(scope.schema);
+                    let typed = l.typed(scope.schema) && r.typed(scope.schema);
                     Node::Arith {
                         op: *op,
                         l,
@@ -698,7 +699,7 @@ impl<'a> Node<'a> {
             Node::Const(v) => Ok(Cow::Borrowed(v)),
             Node::Col(slot) => Ok(Cow::Borrowed(&row[*slot])),
             Node::Fail(e) => Err(e.clone()),
-            Node::Neg(x) => owned(value::negate(&*x.ev(row, scope, ctx)?, ctx.mode)?),
+            Node::Neg(x) => owned(value::negate(&*x.ev(row, scope, ctx)?)?),
             Node::Not(x) => owned(match &*x.ev(row, scope, ctx)? {
                 Value::Null => Value::Null,
                 Value::Bool(b) => Value::Bool(!b),
@@ -728,20 +729,18 @@ impl<'a> Node<'a> {
             }
             Node::Arith { op, l, r, typed } => {
                 if *typed {
-                    if let Some(n) = self.num(row) {
-                        return owned(n.map_or(Value::Null, Num::value));
+                    if let Some(n) = self.num(row, ctx.mode) {
+                        return owned(n?.map_or(Value::Null, Num::value));
                     }
                 }
-                // Not number-shaped, or the typed walk gave this row up —
-                // it reads only columns and constants, so evaluating the
-                // operands again here is invisible.
+                // Not number-shaped, or a column held a non-number.
                 let lv = l.ev(row, scope, ctx)?;
                 let rv = r.ev(row, scope, ctx)?;
                 owned(match op {
                     BinOp::Plus => value::add(&lv, &rv, ctx.mode)?,
                     BinOp::Minus => value::sub(&lv, &rv, ctx.mode)?,
                     BinOp::Mul => value::mul(&lv, &rv, ctx.mode)?,
-                    _ => value::div(&lv, &rv, ctx.mode)?,
+                    _ => value::div(&lv, &rv)?,
                 })
             }
             Node::Binary(op, l, r) => {
@@ -939,101 +938,13 @@ impl<'a> Node<'a> {
     }
 }
 
-/// A number the typed walk carries instead of a [`Value`]: what a
-/// numeric value is, variant for variant.
-#[derive(Debug, Clone, Copy)]
-pub enum Num {
-    Int(i64),
-    Float(f64),
-    Decimal { raw: i128, scale: u8 },
-}
-
-impl Num {
-    /// The number in `v`: `Some(None)` for NULL, `None` for a value that
-    /// is not a number.
-    #[inline]
-    fn of(v: &Value) -> Option<Option<Num>> {
-        Some(Some(match v {
-            Value::Null => return Some(None),
-            Value::Int(i) => Num::Int(*i),
-            Value::Float(f) => Num::Float(*f),
-            Value::Decimal { raw, scale } => Num::Decimal {
-                raw: *raw,
-                scale: *scale,
-            },
-            _ => return None,
-        }))
-    }
-
-    /// The [`Value`] this number is.
-    pub fn value(self) -> Value {
-        match self {
-            Num::Int(i) => Value::Int(i),
-            Num::Float(f) => Value::Float(f),
-            Num::Decimal { raw, scale } => Value::Decimal { raw, scale },
-        }
-    }
-
-    /// [`Value::as_f64`].
-    #[inline]
-    fn f64(self) -> f64 {
-        match self {
-            Num::Int(i) => i as f64,
-            Num::Float(f) => f,
-            Num::Decimal { raw, scale } => decimal_to_f64(raw, scale),
-        }
-    }
-
-    /// `value::negate`; `None` where it overflows.
-    #[inline]
-    fn neg(self) -> Option<Num> {
-        Some(match self {
-            Num::Int(i) => Num::Int(i.checked_neg()?),
-            Num::Float(f) => Num::Float(-f),
-            Num::Decimal { raw, scale } => Num::Decimal {
-                raw: raw.checked_neg()?,
-                scale,
-            },
-        })
-    }
-}
-
-/// `a op b` in [`ArithMode::Float`] for `+ - * /`, as `value::{add, sub,
-/// mul, div}` compute it: NULL on either side is NULL, two integers stay
-/// a checked `i64` (but divide as floats), anything else is `f64`
-/// arithmetic on [`Value::as_f64`]. `None` where those raise an error —
-/// an overflow or a zero divisor.
-#[inline]
-fn float_arith(op: BinOp, a: Option<Num>, b: Option<Num>) -> Option<Option<Num>> {
-    let (Some(a), Some(b)) = (a, b) else {
-        return Some(None);
-    };
-    Some(Some(match (a, b) {
-        (Num::Int(x), Num::Int(y)) if op != BinOp::Div => Num::Int(match op {
-            BinOp::Plus => x.checked_add(y)?,
-            BinOp::Minus => x.checked_sub(y)?,
-            _ => x.checked_mul(y)?,
-        }),
-        _ => {
-            let (x, y) = (a.f64(), b.f64());
-            Num::Float(match op {
-                BinOp::Plus => x + y,
-                BinOp::Minus => x - y,
-                BinOp::Mul => x * y,
-                _ if y == 0.0 => return None,
-                _ => x / y,
-            })
-        }
-    }))
-}
-
 impl Node<'_> {
     /// Whether the typed walk can take this node: a numeric or NULL
     /// constant, a column whose type is numeric or unknown, a negation
     /// of such a node, or typed arithmetic.
     fn typed(&self, schema: &Schema) -> bool {
         match self {
-            Node::Const(v) => v.is_null() || v.is_numeric(),
+            Node::Const(v) => Num::of(v).is_some(),
             Node::Col(slot) => schema.get(*slot).is_some_and(|c| {
                 matches!(c.ty, Ty::Int | Ty::Decimal | Ty::Float | Ty::Unknown)
             }),
@@ -1043,24 +954,24 @@ impl Node<'_> {
         }
     }
 
-    /// The typed walk: the value of a [`Node::typed`] subtree in
-    /// [`ArithMode::Float`] without building a [`Value`] — `Some(None)`
-    /// for NULL, `None` where it gives the row up (a column holding a
-    /// non-number, or an operation that would raise an error). It reads
-    /// only columns and constants, so the boxed evaluator can take a row
-    /// it gave up and raise that row's error, text and all.
+    /// The typed walk: a [`Node::typed`] subtree's number through
+    /// [`value::arith`] (`Ok(None)` for NULL), or the row's fault. `None`
+    /// where a column holds a non-number: the walk reads only columns and
+    /// constants, so the boxed evaluator can take that row from the start.
     #[inline]
-    fn num(&self, row: &[Value]) -> Option<Option<Num>> {
-        match self {
-            Node::Const(v) => Num::of(v),
-            Node::Col(slot) => Num::of(&row[*slot]),
-            Node::Neg(x) => match x.num(row)? {
-                None => Some(None),
-                Some(n) => n.neg().map(Some),
+    fn num(&self, row: &[Value], mode: ArithMode) -> Option<Result<Option<Num>, Fault>> {
+        Some(match self {
+            Node::Const(v) => Ok(Num::of(v)?),
+            Node::Col(slot) => Ok(Num::of(&row[*slot])?),
+            Node::Neg(x) => x.num(row, mode)?.and_then(|n| n.map(Num::checked_neg).transpose()),
+            // The left fault first, as the boxed evaluator raises it.
+            Node::Arith { op, l, r, .. } => match (l.num(row, mode)?, r.num(row, mode)?) {
+                (Ok(Some(a)), Ok(Some(b))) => value::arith(*op, a, b, mode).map(Some),
+                (Err(f), _) | (_, Err(f)) => Err(f),
+                _ => Ok(None),
             },
-            Node::Arith { op, l, r, .. } => float_arith(*op, l.num(row)?, r.num(row)?),
-            _ => None,
-        }
+            _ => return None,
+        })
     }
 }
 

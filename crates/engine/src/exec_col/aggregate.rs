@@ -12,13 +12,11 @@ use super::kernels::{Col, Memo};
 use super::{Batch, ColExec, ColVec, MODE};
 use crate::codec::{self, GroupCodec, KeyTable};
 use crate::error::EngineResult;
-use crate::eval::{
-    collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Num, Prepared, Scope,
-};
+use crate::eval::{collect_aggregates, Accumulator, AggFunc, AggSpec, Env, EvalCtx, Prepared, Scope};
 use crate::ir::Expr;
 use crate::morsel;
 use crate::plan::BoundQuery;
-use crate::value::Value;
+use crate::value::{Num, Value};
 
 /// Grouped-aggregation state, in two flat arenas: each group's
 /// representative row index, and its accumulators, `stride` (one per

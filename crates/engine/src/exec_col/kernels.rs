@@ -5,7 +5,7 @@ use super::{Batch, ColExec, ColVec, MODE};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, Env, EvalCtx, Prepared, Scope};
 use crate::ir::Expr;
-use crate::value::{self, LikePattern, Value};
+use crate::value::{self, Fault, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, UnaryOp};
 use std::ops::Deref;
 use std::rc::Rc;
@@ -385,14 +385,14 @@ fn arith_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<Col
         (ColVec::Const(..), ColVec::Const(..)) if n > 0 => {
             Ok(ColVec::Const(elementwise(op, l, r, 1)?.get(0), n))
         }
-        _ => match (op, Num::of(l), Num::of(r)) {
+        _ => match (op, Operand::of(l), Operand::of(r)) {
             (BinOp::Plus | BinOp::Minus | BinOp::Mul, Some(a), Some(b)) => numeric(op, a, b, n),
             _ => elementwise(op, l, r, n),
         },
     }
 }
 
-/// The rows of one operand of [`numeric`], as raw `i128`s.
+/// The rows of one [`Operand`], as raw `i128`s.
 #[derive(Clone, Copy)]
 enum Lane<'a> {
     Ints(&'a [i64]),
@@ -401,17 +401,17 @@ enum Lane<'a> {
     Const(i128),
 }
 
-/// An integer or decimal operand: its lane, its scale (0 for integers)
-/// and whether it is an integer.
+/// An integer or decimal operand: its lane, its scale and whether it is
+/// an integer.
 #[derive(Clone, Copy)]
-struct Num<'a> {
+struct Operand<'a> {
     lane: Lane<'a>,
     scale: u8,
     int: bool,
 }
 
-impl Num<'_> {
-    fn of(col: &ColVec) -> Option<Num<'_>> {
+impl Operand<'_> {
+    fn of(col: &ColVec) -> Option<Operand<'_>> {
         let (lane, scale, int) = match col {
             ColVec::Int(v) => (Lane::Ints(v), 0, true),
             ColVec::Decimal { raw, scale } => (Lane::Decs(raw), *scale, false),
@@ -419,96 +419,56 @@ impl Num<'_> {
             ColVec::Const(Value::Decimal { raw, scale }, _) => (Lane::Const(*raw), *scale, false),
             _ => return None,
         };
-        Some(Num { lane, scale, int })
+        Some(Operand { lane, scale, int })
     }
 }
 
-/// `l op r` over integer and decimal operands, row by row, exactly as
-/// `value::{add, sub, mul}` compute it in guarded mode: two integers stay
-/// an integer, checked in `i64`; a decimal on either side makes the
-/// result a decimal — at the wider scale for `+` and `-`, both sides
-/// rescaled with a checked multiply, and at the summed scale capped at 6
-/// for `*`, the product checked before the cap divides it — with the
-/// same overflow checks and the same error texts.
-fn numeric<'a>(op: BinOp, l: Num<'a>, r: Num<'a>, n: usize) -> EngineResult<ColVec> {
+/// `l op r` over integer and decimal operands: [`value::arith`] in guarded
+/// mode, each loop calling the core's per-element function for its case,
+/// with scales read and a constant rescaled once, not per row.
+fn numeric<'a>(op: BinOp, l: Operand<'a>, r: Operand<'a>, n: usize) -> EngineResult<ColVec> {
     if l.int && r.int {
-        // Exact in `i128`: the `i64` result exists iff it fits.
-        let out = map2(l.lane, r.lane, n, |a, b| {
-            let v = match op {
-                BinOp::Plus => a + b,
-                BinOp::Minus => a - b,
-                _ => a * b,
-            };
-            i64::try_from(v).map_err(|_| value::overflow(true, op))
-        })?;
+        // Integer lanes hold `i64`s, so `as` is exact.
+        let out = map2(l.lane, r.lane, n, |a, b| value::int_arith(op, a as i64, b as i64))?;
         return Ok(ColVec::Int(out));
     }
     if op == BinOp::Mul {
-        let (mut scale, mut shift) = (l.scale + r.scale, 1i128);
-        while scale > 6 {
-            shift *= 10;
-            scale -= 1;
-        }
-        let raw = map2(l.lane, r.lane, n, |a, b| {
-            checked_mul(a, b)
-                .map(|p| if shift == 1 { p } else { p / shift })
-                .ok_or_else(|| value::overflow(false, op))
-        })?;
+        let (scale, shift) = value::product_scale(l.scale, r.scale);
+        let raw = map2(l.lane, r.lane, n, |a, b| value::fixed_product(a, b, shift))?;
         return Ok(ColVec::Decimal { raw, scale });
     }
     let scale = l.scale.max(r.scale);
-    let rescale = |x: i128, f: i128| {
-        checked_mul(x, f).ok_or_else(|| EngineError::Overflow("decimal rescale".into()))
-    };
-    // Each side's lane and the factor that takes it to `scale`. A
-    // constant is rescaled once: if that overflows, so does every row,
-    // with the same text whichever side a row rescales first.
-    let side = |x: Num<'a>| {
-        let f = 10i128.pow((scale - x.scale) as u32);
+    // Each side's lane and the factor that takes it to `scale`. If a
+    // constant's rescale overflows, so does every row's, with the same
+    // fault whichever side a row rescales first.
+    let side = |x: Operand<'a>| {
+        let f = value::scale_factor(x.scale, scale);
         match x.lane {
-            Lane::Const(c) if n > 0 => Ok::<_, EngineError>((Lane::Const(rescale(c, f)?), 1)),
+            Lane::Const(c) if n > 0 => Ok::<_, Fault>((Lane::Const(value::upscale(c, f)?), 1)),
             lane => Ok((lane, f)),
         }
     };
     let ((llane, lf), (rlane, rf)) = (side(l)?, side(r)?);
     let raw = map2(llane, rlane, n, |a, b| {
-        let (a, b) = (rescale(a, lf)?, rescale(b, rf)?);
-        match op {
-            BinOp::Plus => a.checked_add(b),
-            _ => a.checked_sub(b),
-        }
-        .ok_or_else(|| value::overflow(false, op))
+        value::fixed_sum(op, value::upscale(a, lf)?, value::upscale(b, rf)?)
     })?;
     Ok(ColVec::Decimal { raw, scale })
 }
 
-/// `a * b`, checked. Two factors that fit `i64` — the product of any two
-/// stored values, a value and a power of ten — cannot overflow `i128`:
-/// one widening multiply, no overflow test.
-#[inline]
-fn checked_mul(a: i128, b: i128) -> Option<i128> {
-    let fits = |x: i128| x as i64 as i128 == x;
-    if fits(a) && fits(b) {
-        Some(a * b)
-    } else {
-        a.checked_mul(b)
-    }
-}
-
-/// `f` over the rows of two lanes, stopping at the first error. Each
+/// `f` over the rows of two lanes, stopping at the first fault. Each
 /// pairing of lane kinds gets its own loop, with no per-row dispatch.
 fn map2<T>(
     l: Lane<'_>,
     r: Lane<'_>,
     n: usize,
-    f: impl Fn(i128, i128) -> EngineResult<T>,
-) -> EngineResult<Vec<T>> {
+    f: impl Fn(i128, i128) -> Result<T, Fault>,
+) -> Result<Vec<T>, Fault> {
     fn run<T>(
         n: usize,
         a: impl Fn(usize) -> i128,
         b: impl Fn(usize) -> i128,
-        f: &impl Fn(i128, i128) -> EngineResult<T>,
-    ) -> EngineResult<Vec<T>> {
+        f: &impl Fn(i128, i128) -> Result<T, Fault>,
+    ) -> Result<Vec<T>, Fault> {
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(f(a(i), b(i))?);
@@ -548,7 +508,7 @@ fn elementwise(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColV
             BinOp::Plus => value::add(&a, &b, MODE)?,
             BinOp::Minus => value::sub(&a, &b, MODE)?,
             BinOp::Mul => value::mul(&a, &b, MODE)?,
-            BinOp::Div => value::div(&a, &b, MODE)?,
+            BinOp::Div => value::div(&a, &b)?,
             BinOp::Mod => value::rem(&a, &b)?,
             BinOp::Concat => value::concat(&a, &b)?,
             _ => return Err(EngineError::Type("non-arithmetic op in kernel".into())),
@@ -728,15 +688,23 @@ fn not_kernel(v: &ColVec, n: usize) -> EngineResult<ColVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::NoSubqueries;
+    use crate::ir::Ty;
+    use crate::plan::{ColMeta, Schema};
+    use crate::value::{ArithMode, Num};
     use proptest::prelude::*;
+    use sqalpel_sql::ast::{ColumnRef, IntervalUnit, Literal};
 
     const ROWS: usize = 3;
 
-    /// Integers from small to the edges of `i64`.
+    /// Integers from small to the edges of `i64` and `i32`, and `2^32`,
+    /// which wraps to 0 in `i32`.
     fn int(pick: u64) -> i64 {
-        match pick % 4 {
+        let edges = [i64::MIN, i64::MAX, i64::MIN + 1, -1, 1 << 32];
+        match pick % 5 {
             0 | 1 => (pick >> 8) as i64 % 1_000,
-            2 => [i64::MIN, i64::MAX, i64::MIN + 1, -1][(pick >> 8) as usize % 4],
+            2 => edges[(pick >> 8) as usize % edges.len()],
+            3 => [i32::MIN as i64, i32::MAX as i64, 3_037_000_500][(pick >> 8) as usize % 3],
             _ => pick as i64,
         }
     }
@@ -754,61 +722,264 @@ mod tests {
         }
     }
 
-    /// An integer or decimal column or constant, or a NULL constant.
-    fn operand(kind: u8, scale: u8, picks: [u64; ROWS]) -> ColVec {
-        match kind {
-            0 => ColVec::Int(picks.map(int).to_vec()),
-            1 => ColVec::Decimal {
-                raw: picks.map(raw).to_vec(),
-                scale,
-            },
-            2 => ColVec::Const(Value::Int(int(picks[0])), ROWS),
-            3 => ColVec::Const(
-                Value::Decimal {
-                    raw: raw(picks[0]),
-                    scale,
-                },
-                ROWS,
-            ),
-            _ => ColVec::Const(Value::Null, ROWS),
+    /// Dates around the TPC-H range, and the ends of `i32` days.
+    fn date(pick: u64) -> i32 {
+        match pick % 4 {
+            0 => [i32::MIN, i32::MAX, 0][(pick >> 8) as usize % 3],
+            _ => 8_000 + (pick >> 8) as i32 % 3_000,
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4096))]
+    /// Splitmix-style expansion of a proptest-drawn seed.
+    struct Gen(u64);
 
-        /// The kernel is the scalar operations of guarded mode, row by
-        /// row: the same value bits on every row, or the error the first
-        /// failing row raises, text included.
-        #[test]
-        fn numeric_kernel_is_the_scalar_operations(
-            op in 0u8..3,
-            lkind in 0u8..5,
-            rkind in 0u8..5,
-            lscale in 0u8..9,
-            rscale in 0u8..9,
-            l0 in any::<u64>(),
-            l1 in any::<u64>(),
-            l2 in any::<u64>(),
-            r0 in any::<u64>(),
-            r1 in any::<u64>(),
-            r2 in any::<u64>(),
-        ) {
-            let op = [BinOp::Plus, BinOp::Minus, BinOp::Mul][op as usize];
-            let l = operand(lkind, lscale, [l0, l1, l2]);
-            let r = operand(rkind, rscale, [r0, r1, r2]);
-            let scalar = |a: &Value, b: &Value| match op {
-                BinOp::Plus => value::add(a, b, MODE),
-                BinOp::Minus => value::sub(a, b, MODE),
-                _ => value::mul(a, b, MODE),
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Any value an operand of `+ - * /` may hold, NULL, dates,
+        /// intervals and a string included; decimals at scales 0–8.
+        fn value(&mut self) -> Value {
+            let pick = self.next();
+            match self.below(9) {
+                0 => Value::Null,
+                1 | 2 => Value::Int(int(pick)),
+                3 | 4 => Value::decimal(raw(pick), self.below(9) as u8),
+                5 => Value::Float([0.0, -0.0, 0.5, -2.25, 1e300, 3.0][pick as usize % 6]),
+                6 => Value::Date(date(pick)),
+                7 => Value::Interval {
+                    months: (pick % 49) as i32 - 24,
+                    days: [(pick >> 8) as i32 % 1_000, i32::MAX, i32::MIN + 1][pick as usize % 3],
+                },
+                _ => Value::Str("x".into()),
+            }
+        }
+    }
+
+    /// The wall's batch: typed integer, decimal, float and date columns —
+    /// each as its vector, or boxed with NULLs in it — and an untyped
+    /// column of anything [`Gen::value`] draws.
+    fn batch(g: &mut Gen) -> Batch {
+        let (dscale, escale) = (g.below(9) as u8, g.below(9) as u8);
+        let mut cols = Vec::new();
+        let mut schema = Schema::new();
+        let mut add = |name: &str, ty: Ty, typed: ColVec, g: &mut Gen| {
+            let boxed = (0..ROWS)
+                .map(|i| if g.below(3) == 0 { Value::Null } else { typed.get(i) })
+                .collect();
+            cols.push(if g.below(3) == 0 { ColVec::Val(boxed) } else { typed });
+            schema.push(ColMeta {
+                binding: "t".into(),
+                name: name.into(),
+                ty,
+            });
+        };
+        let ints = ColVec::Int((0..ROWS).map(|_| int(g.next())).collect());
+        add("i", Ty::Int, ints, g);
+        let decs = |g: &mut Gen, scale| ColVec::Decimal {
+            raw: (0..ROWS).map(|_| raw(g.next())).collect(),
+            scale,
+        };
+        let d = decs(g, dscale);
+        add("d", Ty::Decimal, d, g);
+        let e = decs(g, escale);
+        add("e", Ty::Decimal, e, g);
+        let floats = (0..ROWS).map(|_| [0.0, -0.0, 0.5, 1e300, 3.0][g.below(5) as usize]);
+        add("f", Ty::Float, ColVec::Float(floats.collect()), g);
+        add("t", Ty::Date, ColVec::Date((0..ROWS).map(|_| date(g.next())).collect()), g);
+        cols.push(ColVec::Val((0..ROWS).map(|_| g.value()).collect()));
+        schema.push(ColMeta {
+            binding: "t".into(),
+            name: "u".into(),
+            ty: Ty::Unknown,
+        });
+        Batch {
+            schema,
+            len: ROWS,
+            cols,
+        }
+    }
+
+    /// The enclosing row's names: constants of any value, which prepared
+    /// expressions and the column engine both take as constants.
+    const OUTER: [&str; 3] = ["c0", "c1", "c2"];
+
+    /// A `+ - * /` tree with a unary minus now and then, over the batch's
+    /// columns, outer constants and literals (`i64` and `i32` edges, `2^32`,
+    /// decimals, NULL, intervals).
+    fn tree(g: &mut Gen, depth: usize) -> Expr {
+        if depth == 0 || g.below(4) == 0 {
+            let slots = [Ty::Int, Ty::Decimal, Ty::Decimal, Ty::Float, Ty::Date, Ty::Unknown];
+            return match g.below(10) {
+                0..=4 => {
+                    let slot = g.below(slots.len() as u64) as usize;
+                    Expr::Col {
+                        slot,
+                        ty: slots[slot],
+                    }
+                }
+                5 | 6 => Expr::Outer(ColumnRef::bare(OUTER[g.below(3) as usize])),
+                7 => {
+                    let ints = [0, 1, -1, i64::MAX, i64::MIN, 2_147_483_647, 1 << 32];
+                    Expr::Literal(Literal::Integer(ints[g.below(ints.len() as u64) as usize]))
+                }
+                8 => Expr::Literal(match g.below(3) {
+                    0 => Literal::Null,
+                    1 => Literal::Decimal([0.05, 1.5, 0.0, 0.123_456_7][g.below(4) as usize]),
+                    _ => Literal::Interval {
+                        value: g.below(100) as i64,
+                        unit: [IntervalUnit::Day, IntervalUnit::Month][g.below(2) as usize],
+                    },
+                }),
+                _ => Expr::Literal(Literal::Integer(g.below(7) as i64 - 3)),
             };
-            let expected: EngineResult<Vec<Value>> =
-                (0..ROWS).map(|i| scalar(&l.get(i), &r.get(i))).collect();
-            let got = arith_kernel(op, &l, &r, ROWS)
-                .map(|col| (0..ROWS).map(|i| col.get(i)).collect::<Vec<_>>());
-            // `Debug` of these values shows every bit that matters:
-            // variant, raw and scale.
-            prop_assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{:?} {:?} {:?}", l, op, r);
+        }
+        if g.below(8) == 0 {
+            return Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(tree(g, depth - 1)),
+            };
+        }
+        Expr::Binary {
+            left: Box::new(tree(g, depth - 1)),
+            op: [BinOp::Plus, BinOp::Minus, BinOp::Mul, BinOp::Div][g.below(4) as usize],
+            right: Box::new(tree(g, depth - 1)),
+        }
+    }
+
+    /// The boxed operation `a op b`. A date plus or minus an integer is
+    /// also held to exact arithmetic: a date where the sum fits `i32`
+    /// days, an error where it does not.
+    fn boxed_op(op: BinOp, a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Value> {
+        let got = match op {
+            BinOp::Plus => value::add(a, b, mode),
+            BinOp::Minus => value::sub(a, b, mode),
+            BinOp::Mul => value::mul(a, b, mode),
+            _ => value::div(a, b),
+        };
+        if let (Value::Date(d), Value::Int(n), BinOp::Plus | BinOp::Minus) = (a, b, op) {
+            let exact = match op {
+                BinOp::Plus => *d as i128 + *n as i128,
+                _ => *d as i128 - *n as i128,
+            };
+            let want = i32::try_from(exact).ok().map(Value::Date);
+            assert_eq!(format!("{:?}", got.as_ref().ok()), format!("{want:?}"), "{a:?} {op:?} {b:?}");
+        }
+        got
+    }
+
+    /// Entry point one: the tree walked row by row on boxed values.
+    fn boxed(e: &Expr, row: &[Value], outer: &Env<'_>, mode: ArithMode) -> EngineResult<Value> {
+        match e {
+            Expr::Col { slot, .. } => Ok(row[*slot].clone()),
+            Expr::Outer(c) => outer.resolve(c),
+            Expr::Literal(l) => eval::literal(l),
+            Expr::Unary { expr, .. } => value::negate(&boxed(expr, row, outer, mode)?),
+            Expr::Binary { left, op, right } => {
+                let l = boxed(left, row, outer, mode)?;
+                let r = boxed(right, row, outer, mode)?;
+                boxed_op(*op, &l, &r, mode)
+            }
+            _ => unreachable!("the wall's trees hold only arithmetic"),
+        }
+    }
+
+    /// Entry point three: the tree column at a time, every `+ - * /`
+    /// through [`arith_kernel`] (a unary minus row by row, as the engine's
+    /// row-wise fallback takes it). At each operator the kernel's column
+    /// is the boxed operation over the rows of its operand columns: the
+    /// same value bits on every row, or the error the first failing row
+    /// raises, text included. `None` once a node has failed.
+    fn kernel(e: &Expr, batch: &Batch, outer: &Env<'_>) -> Option<ColVec> {
+        let n = batch.len;
+        let rows = |col: &ColVec| (0..n).map(|i| col.get(i)).collect::<Vec<_>>();
+        Some(match e {
+            Expr::Col { slot, .. } => batch.cols[*slot].clone(),
+            Expr::Outer(c) => ColVec::Const(outer.resolve(c).unwrap(), n),
+            Expr::Literal(l) => ColVec::Const(eval::literal(l).unwrap(), n),
+            Expr::Unary { expr, .. } => {
+                let v = kernel(expr, batch, outer)?;
+                ColVec::Val(rows(&v).iter().map(value::negate).collect::<EngineResult<_>>().ok()?)
+            }
+            Expr::Binary { left, op, right } => {
+                let (l, r) = (kernel(left, batch, outer)?, kernel(right, batch, outer)?);
+                let want: EngineResult<Vec<Value>> = (0..n)
+                    .map(|i| boxed_op(*op, &l.get(i), &r.get(i), ArithMode::GuardedDecimal))
+                    .collect();
+                let got = arith_kernel(*op, &l, &r, n);
+                assert_eq!(
+                    format!("{:?}", got.as_ref().map(rows)),
+                    format!("{want:?}"),
+                    "{l:?} {op:?} {r:?}"
+                );
+                got.ok()?
+            }
+            _ => unreachable!("the wall's trees hold only arithmetic"),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// One arithmetic, three entry points: over random `+ - * /`
+        /// trees, the boxed operations walked row by row, the prepared
+        /// expression's evaluation (its typed walk, where it takes the
+        /// expression, and the boxed arm, where an untyped column gives
+        /// a row back) with `eval_num`'s number, and the column engine's
+        /// kernel agree on every value bit and every error text — the
+        /// first two in both modes, the kernel in the guarded mode it
+        /// runs in. `Debug` of a value shows every bit that matters:
+        /// variant, raw, scale and float bits.
+        #[test]
+        fn three_entry_points_are_one_arithmetic(seed in any::<u64>()) {
+            let mut g = Gen(seed | 1);
+            let batch = batch(&mut g);
+            let outer_schema: Schema = OUTER
+                .iter()
+                .map(|name| ColMeta { binding: "o".into(), name: name.to_string(), ty: Ty::Unknown })
+                .collect();
+            let outer_row: Vec<Value> = OUTER.iter().map(|_| g.value()).collect();
+            let outer = Env { schema: &outer_schema, row: &outer_row, outer: None };
+            let depth = 1 + g.below(4) as usize;
+            let e = tree(&mut g, depth);
+            let rows: Vec<Vec<Value>> = (0..ROWS)
+                .map(|i| batch.cols.iter().map(|c| c.get(i)).collect())
+                .collect();
+            for mode in [ArithMode::Float, ArithMode::GuardedDecimal] {
+                let scope = Scope { schema: &batch.schema, outer: Some(&outer) };
+                let prepared = Prepared::new(&e, scope, mode, &[]);
+                let ctx = EvalCtx::new(&NoSubqueries, mode);
+                for row in &rows {
+                    let want = format!("{:?}", boxed(&e, row, &outer, mode));
+                    prop_assert_eq!(
+                        format!("{:?}", prepared.eval(row, &ctx)), want.clone(),
+                        "{} over {:?} in {:?}", e, row, mode
+                    );
+                    if let Some(num) = prepared.eval_num(row) {
+                        let num = num.map(|n| n.map_or(Value::Null, Num::value)).map_err(EngineError::from);
+                        prop_assert_eq!(format!("{num:?}"), want, "eval_num of {}", e);
+                    }
+                }
+            }
+            // Every row computes exactly when the kernel does, to the same
+            // values.
+            let walked: EngineResult<Vec<Value>> = rows
+                .iter()
+                .map(|row| boxed(&e, row, &outer, ArithMode::GuardedDecimal))
+                .collect();
+            let columnar = kernel(&e, &batch, &outer)
+                .map(|c| (0..ROWS).map(|i| c.get(i)).collect::<Vec<_>>());
+            prop_assert_eq!(
+                format!("{:?}", columnar),
+                format!("{:?}", walked.ok()),
+                "{} over {:?}", e, rows
+            );
         }
     }
 

@@ -338,8 +338,8 @@ impl RowExec {
                     continue;
                 };
                 match arg.eval_num(row) {
-                    Some(Some(n)) => acc.update_num(n)?,
-                    Some(None) => {} // aggregates skip NULLs
+                    // Aggregates skip NULLs.
+                    Some(n) => n?.map_or(Ok(()), |n| acc.update_num(n))?,
                     None => acc.update(Some(&*arg.eval_ref(row, ctx)?))?,
                 }
             }

@@ -52,6 +52,7 @@
 use crate::ir::expr::{Expr, Ty};
 use crate::ir::unnest;
 use crate::plan::{BoundQuery, JoinKind, OutputItem, Plan, Schema};
+use crate::value;
 use sqalpel_sql::ast::{BinOp, Literal, UnaryOp};
 use std::collections::HashSet;
 use std::mem;
@@ -167,17 +168,17 @@ fn fold_step(e: &Expr) -> Option<Expr> {
         },
         Expr::Binary { left, op, right } => {
             match (left.as_ref(), op, right.as_ref()) {
-                // Checked integer arithmetic only — never float/decimal
-                // (their evaluation differs per engine arithmetic mode).
-                (Expr::Literal(Literal::Integer(a)), BinOp::Plus, Expr::Literal(Literal::Integer(b))) => {
-                    a.checked_add(*b).map(|n| Expr::Literal(Literal::Integer(n)))
-                }
-                (Expr::Literal(Literal::Integer(a)), BinOp::Minus, Expr::Literal(Literal::Integer(b))) => {
-                    a.checked_sub(*b).map(|n| Expr::Literal(Literal::Integer(n)))
-                }
-                (Expr::Literal(Literal::Integer(a)), BinOp::Mul, Expr::Literal(Literal::Integer(b))) => {
-                    a.checked_mul(*b).map(|n| Expr::Literal(Literal::Integer(n)))
-                }
+                // Integer arithmetic only, through the core's integer
+                // function — never float/decimal (their evaluation differs
+                // per engine arithmetic mode). An overflow stays unfolded
+                // and is raised where evaluation reaches it.
+                (
+                    Expr::Literal(Literal::Integer(a)),
+                    op @ (BinOp::Plus | BinOp::Minus | BinOp::Mul),
+                    Expr::Literal(Literal::Integer(b)),
+                ) => value::int_arith(*op, *a, *b)
+                    .ok()
+                    .map(|n| Expr::Literal(Literal::Integer(n))),
                 (Expr::Literal(Literal::Integer(a)), op, Expr::Literal(Literal::Integer(b)))
                     if op.is_comparison() =>
                 {

@@ -16,13 +16,11 @@
 //! ambiguous, aggregates inside and outside an aggregation.
 
 use proptest::prelude::*;
-use sqalpel_engine::eval::{
-    agg_key, literal, Env, EvalCtx, Num, Prepared, Rows, Scope, SubqueryRunner,
-};
+use sqalpel_engine::eval::{agg_key, literal, Env, EvalCtx, Prepared, Rows, Scope, SubqueryRunner};
 use sqalpel_engine::ir::expr::SubqueryPlan;
 use sqalpel_engine::ir::{Expr, Ty};
 use sqalpel_engine::plan::{ColMeta, Schema};
-use sqalpel_engine::value::{self, ArithMode, LikePattern, Value};
+use sqalpel_engine::value::{self, ArithMode, LikePattern, Num, Value};
 use sqalpel_engine::{EngineError, EngineResult};
 use sqalpel_sql::ast::{BinOp, ColumnRef, IntervalUnit, Literal, UnaryOp};
 use std::rc::Rc;
@@ -82,7 +80,7 @@ fn walk(e: &Expr, env: &Env<'_>, ctx: &WalkCtx<'_>) -> EngineResult<Value> {
         Expr::Unary { op, expr } => {
             let v = walk(expr, env, ctx)?;
             match op {
-                UnaryOp::Neg => value::negate(&v, ctx.mode),
+                UnaryOp::Neg => value::negate(&v),
                 UnaryOp::Not => Ok(match v {
                     Value::Null => Value::Null,
                     Value::Bool(b) => Value::Bool(!b),
@@ -281,7 +279,7 @@ fn walk_binary(
         BinOp::Plus => value::add(&lv, &rv, ctx.mode),
         BinOp::Minus => value::sub(&lv, &rv, ctx.mode),
         BinOp::Mul => value::mul(&lv, &rv, ctx.mode),
-        BinOp::Div => value::div(&lv, &rv, ctx.mode),
+        BinOp::Div => value::div(&lv, &rv),
         BinOp::Mod => value::rem(&lv, &rv),
         BinOp::Concat => value::concat(&lv, &rv),
         cmp => Ok(tv(compare_tv(&lv, &rv, cmp)?)),
@@ -588,91 +586,6 @@ fn gen_expr(g: &mut Gen, kind: Kind, depth: usize) -> Expr {
     }
 }
 
-/// The numeric wall's schema: an integer, a decimal and a float column,
-/// and a column of unknown type that holds numbers, strings or dates —
-/// which the typed walk only finds out about row by row.
-fn num_schema() -> Schema {
-    [("n", "i", Ty::Int), ("n", "d", Ty::Decimal), ("n", "f", Ty::Float), ("n", "u", Ty::Unknown)]
-        .into_iter()
-        .map(|(binding, name, ty)| ColMeta {
-            binding: binding.into(),
-            name: name.into(),
-            ty,
-        })
-        .collect()
-}
-
-/// Integers with the overflow edges of `i64` and zero.
-fn edge_int(g: &mut Gen) -> i64 {
-    match g.below(6) {
-        0 => *g.pick(&[i64::MAX, i64::MIN, i64::MIN + 1, i64::MAX - 1]),
-        1 => 0,
-        2 => *g.pick(&[1 << 32, -(1 << 32), 3_037_000_500]),
-        _ => g.below(21) as i64 - 10,
-    }
-}
-
-/// A row for [`num_schema`]: decimals of scales 0–4, zeros of every
-/// type (divisors), NULLs in every column.
-fn gen_num_row(g: &mut Gen) -> Vec<Value> {
-    let null_or = |g: &mut Gen, v: Value| if g.below(6) == 0 { Value::Null } else { v };
-    let i = edge_int(g);
-    let raw = match g.below(5) {
-        0 => 0,
-        1 => edge_int(g) as i128,
-        _ => g.below(200_001) as i128 - 100_000,
-    };
-    let d = Value::decimal(raw, g.below(5) as u8);
-    let f = *g.pick(&[0.0, -0.0, 0.5, -2.25, 1e300, 3.0]);
-    let u = match g.below(5) {
-        0 => Value::Str("x".into()),
-        1 => Value::Date(9_000),
-        2 => Value::Float(0.25),
-        _ => Value::Int(edge_int(g)),
-    };
-    vec![
-        null_or(g, Value::Int(i)),
-        null_or(g, d),
-        null_or(g, Value::Float(f)),
-        null_or(g, u),
-    ]
-}
-
-/// A leaf of a numeric tree: a column of [`num_schema`] (the unknown one
-/// rarely) or a constant — zeros, `i64` edges, decimal literals, NULL.
-fn gen_num_leaf(g: &mut Gen) -> Expr {
-    match g.below(16) {
-        0..=2 => col(0, Ty::Int),
-        3..=5 => col(1, Ty::Decimal),
-        6 | 7 => col(2, Ty::Float),
-        8 => col(3, Ty::Unknown),
-        9 => lit(Literal::Integer(*g.pick(&[0, 1, 2, -1, i64::MAX, i64::MIN]))),
-        10 => lit(Literal::Decimal(*g.pick(&[0.05, 1.5, 0.0, 0.123_456_7]))),
-        11 => lit(Literal::Null),
-        _ => lit(Literal::Integer(g.below(7) as i64 - 3)),
-    }
-}
-
-/// `+ - * /` trees at least `min_depth` deep over [`gen_num_leaf`], with a
-/// unary minus now and then.
-fn gen_num_expr(g: &mut Gen, depth: usize, min_depth: usize) -> Expr {
-    if depth == 0 || (min_depth == 0 && g.below(4) == 0) {
-        return gen_num_leaf(g);
-    }
-    let below = min_depth.saturating_sub(1);
-    if g.below(8) == 0 {
-        return Expr::Unary {
-            op: UnaryOp::Neg,
-            expr: Box::new(gen_num_expr(g, depth - 1, below)),
-        };
-    }
-    Expr::Binary {
-        left: Box::new(gen_num_expr(g, depth - 1, below)),
-        op: *g.pick(&[BinOp::Plus, BinOp::Minus, BinOp::Mul, BinOp::Div]),
-        right: Box::new(gen_num_expr(g, depth - 1, below)),
-    }
-}
-
 // ----------------------------------------------------------------- checking
 
 /// No generated expression holds a subquery.
@@ -691,13 +604,10 @@ fn shown(r: &EngineResult<Value>) -> String {
 }
 
 /// Prepared evaluation against the tree walk, over `rows`, in `mode`.
+/// Where the typed walk takes the expression ([`Prepared::eval_num`]),
+/// its number or error is the value too.
 fn check(e: &Expr, rows: &[Vec<Value>], outer_row: &[Value], mode: ArithMode) {
-    check_in(&local_schema(), e, rows, outer_row, mode);
-}
-
-/// [`check`] over rows of `schema`. Where the typed walk takes the
-/// expression ([`Prepared::eval_num`]), its number is the value too.
-fn check_in(schema: &Schema, e: &Expr, rows: &[Vec<Value>], outer_row: &[Value], mode: ArithMode) {
+    let schema = &local_schema();
     let outer_schema = outer_schema();
     let outer = Env {
         schema: &outer_schema,
@@ -737,8 +647,8 @@ fn check_in(schema: &Schema, e: &Expr, rows: &[Vec<Value>], outer_row: &[Value],
                 shown(&want),
                 "{e} over {row:?} in {mode:?} (aggregates: {with_aggs})"
             );
-            if let Some(n) = prepared.eval_num(row) {
-                let typed = Ok(n.map_or(Value::Null, Num::value));
+            if let Some(typed) = prepared.eval_num(row) {
+                let typed = typed.map(|n| n.map_or(Value::Null, Num::value)).map_err(Into::into);
                 assert_eq!(shown(&typed), shown(&want), "typed walk of {e} over {row:?}");
             }
             // The predicate views agree with the value they are views of.
@@ -791,25 +701,58 @@ proptest! {
         );
         prop_assert_eq!(value::like_match(&text, &pattern), want);
     }
+}
 
-    /// (c) Arithmetic in depth: `+ - * /` trees of depth 3 to 5 over
-    /// integer, decimal, float and untyped columns and constants, with
-    /// the overflow edges of `i64` and zero divisors, are the tree walk
-    /// bit for bit and error for error — in float mode through the typed
-    /// walk where it takes a row and the boxed evaluator where it gives
-    /// one up — and the typed walk's number, where it has one, is the
-    /// value.
-    #[test]
-    fn typed_arithmetic_is_the_tree_walk(seed in any::<u64>()) {
-        let mut g = Gen(seed | 1);
-        let depth = 3 + g.below(3);
-        let e = gen_num_expr(&mut g, depth, 3);
-        let rows: Vec<Vec<Value>> = (0..8).map(|_| gen_num_row(&mut g)).collect();
-        let outer_row = vec![Value::Int(1), Value::Str("a".into())];
-        for mode in [ArithMode::Float, ArithMode::GuardedDecimal] {
-            check_in(&num_schema(), &e, &rows, &outer_row, mode);
-        }
-    }
+/// The typed walk serves guarded mode too: Q1's `sum_charge` argument
+/// over decimal columns is a decimal from `eval_num`, at the scale the
+/// guarded product caps it at, with exactly the bits `eval` returns; an
+/// overflow is raised by the walk itself, with `eval`'s text; and only a
+/// non-number in an untyped column hands the row to the boxed arm.
+#[test]
+fn eval_num_computes_guarded_decimals() {
+    let schema: Schema = [("p", Ty::Decimal), ("d", Ty::Decimal), ("t", Ty::Decimal), ("u", Ty::Unknown)]
+        .into_iter()
+        .map(|(name, ty)| ColMeta {
+            binding: "l".into(),
+            name: name.into(),
+            ty,
+        })
+        .collect();
+    let col = |slot: usize| Expr::Col {
+        slot,
+        ty: schema[slot].ty,
+    };
+    // p * (1 - d) * (1 + t)
+    let charge = binary(
+        binary(col(0), BinOp::Mul, binary(int(1), BinOp::Minus, col(1))),
+        BinOp::Mul,
+        binary(int(1), BinOp::Plus, col(2)),
+    );
+    let scope = Scope {
+        schema: &schema,
+        outer: None,
+    };
+    let mode = ArithMode::GuardedDecimal;
+    let ctx = EvalCtx::new(&NoSubqueries, mode);
+    let prepared = Prepared::new(&charge, scope, mode, &[]);
+    let row = [Value::cents(123_456), Value::cents(5), Value::cents(8), Value::Null];
+    let num = prepared.eval_num(&row).unwrap().unwrap().unwrap();
+    // 1234.56 * 0.95 = 1172.8320 (scale 4), * 1.08 = 1266.658560 (scale 6).
+    assert!(matches!(num, Num::Decimal { raw: 1_266_658_560, scale: 6 }), "{num:?}");
+    assert_eq!(shown(&Ok(num.value())), shown(&prepared.eval(&row, &ctx)));
+
+    let big = [Value::decimal(i128::MAX / 2, 2), Value::cents(5), Value::cents(8), Value::Null];
+    let err = EngineError::from(prepared.eval_num(&big).unwrap().unwrap_err());
+    assert_eq!(err, EngineError::Overflow("decimal *".into()));
+    assert_eq!(shown(&Err(err)), shown(&prepared.eval(&big, &ctx)));
+
+    let plus_one = binary(col(3), BinOp::Plus, int(1));
+    let untyped = Prepared::new(&plus_one, scope, mode, &[]);
+    let date = [Value::Null, Value::Null, Value::Null, Value::Date(9_000)];
+    assert!(untyped.eval_num(&date).is_none());
+    let cents = [Value::Null, Value::Null, Value::Null, Value::cents(150)];
+    let sum = untyped.eval_num(&cents).unwrap().unwrap().unwrap();
+    assert!(matches!(sum, Num::Decimal { raw: 250, scale: 2 }), "{sum:?}");
 }
 
 fn int(i: i64) -> Expr {

@@ -322,6 +322,75 @@ fn null_minus_anything_is_null() {
     }
 }
 
+/// A date plus or minus a number of days is a date while the result fits
+/// the engine's `i32` day count and an integer overflow where it does not
+/// — never a wrapped count: `4294967296` days is `2^32`, which wraps to 0
+/// in `i32`, and `2147483647` days past 1994 leaves the range. Two dates
+/// subtract in `i64`, so the days between the ends of the range are a
+/// number. Both engines.
+#[test]
+fn date_plus_days_out_of_range_is_an_overflow() {
+    let mut db = Database::new();
+    db.add_table(
+        Table::new(
+            "t",
+            vec![
+                date_col("d", [8766, 9131].into_iter()),
+                date_col("lo", [i32::MIN, i32::MIN].into_iter()),
+                date_col("hi", [i32::MAX, i32::MAX].into_iter()),
+            ],
+        )
+        .unwrap(),
+    );
+    let db = Arc::new(db);
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        for (sql, want) in [
+            ("select d + 4294967296 from t", "numeric overflow: integer +"),
+            ("select d - 4294967296 from t", "numeric overflow: integer -"),
+            ("select d + 2147483647 from t", "numeric overflow: integer +"),
+        ] {
+            let err = dbms.execute(sql).unwrap_err();
+            assert_eq!(err.to_string(), want, "{sql} on {}", dbms.label());
+        }
+        let r = dbms.execute("select d + 31, d - 365, hi - lo from t").unwrap();
+        let rows: Vec<Vec<String>> =
+            r.rows.iter().map(|row| row.iter().map(Value::to_string).collect()).collect();
+        assert_eq!(
+            rows,
+            [
+                ["1994-02-01", "1993-01-01", "4294967295"],
+                ["1995-02-01", "1994-01-01", "4294967295"],
+            ],
+            "{}",
+            dbms.label()
+        );
+    }
+}
+
+/// A number minus a date is the type error a number plus a date is: the
+/// operator and both types named, on both engines.
+#[test]
+fn a_number_minus_a_date_names_both_types() {
+    let mut db = Database::new();
+    db.add_table(Table::new("t", vec![date_col("d", [8766, 9131].into_iter())]).unwrap());
+    let db = Arc::new(db);
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        for (sql, want) in [
+            ("select 1 + d from t", "type error: cannot apply + to integer and date"),
+            ("select 1 - d from t", "type error: cannot apply - to integer and date"),
+        ] {
+            let err = dbms.execute(sql).unwrap_err();
+            assert_eq!(err.to_string(), want, "{sql} on {}", dbms.label());
+        }
+    }
+}
+
 /// A subquery is bound when its statement is planned, but a body that
 /// does not bind is an error only where evaluation reaches it — as with
 /// `1/0` behind a false conjunct. Both engines, rewriter on and off. (A
