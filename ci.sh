@@ -9,11 +9,13 @@
 #   ./ci.sh plan-goldens [--bless]   the join-order goldens: Q5/Q7/Q8/Q9/
 #                                    Q18/Q21 chosen order + estimated vs
 #                                    actual cardinalities (timings masked),
-#                                    a join's estimate being the one the
-#                                    search chose it by; Q21 carries the
-#                                    semi and anti join estimates, Q18 its
-#                                    semi join's placement; Q5/Q7/Q8's cold
-#                                    order must equal the reoptimized one
+#                                    every estimate from the one model the
+#                                    search priced the plan with; Q21
+#                                    carries the semi and anti join
+#                                    estimates, Q18 its semi join's
+#                                    placement; Q5/Q7/Q8's cold order must
+#                                    equal the reoptimized one; the summed
+#                                    |log2 q-error| stays in its budget
 set -eux
 
 explain_goldens() {
@@ -73,15 +75,18 @@ cargo test -q -p sqalpel-core --test wire_codec_golden
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
 # estimated-vs-actual cardinalities for the five join-heavy queries and
-# Q18, including the adaptive second pass. Each join the search built
-# shows the estimate the search held for its leaf set, the number that
-# chose the plan (on Q21, est vs actual of the semi and anti joins its
-# EXISTS / NOT EXISTS became, which stay on top: their leaf is estimated
-# larger than the region; on Q18, its IN's semi join on `orders` below
-# the three-way join, cold, and back on top where the reoptimized leaf
-# and region both observe 0 rows, a tie). The estimator must rank plans
-# cold: Q5, Q7 and Q8's cold join order is the reoptimized one, at SF
-# 0.001 (seed 42) and SF 0.02 (seed 15).
+# Q18, including the adaptive second pass. Every estimate comes from the
+# one cardinality model the search priced the plan with, so each inner
+# join shows the estimate the search held for its leaf set, the number
+# that chose the plan, and a derived table its body's (on Q21, est vs
+# actual of the semi and anti joins its EXISTS / NOT EXISTS became,
+# which stay on top: their leaf is estimated larger than the region; on
+# Q18, its IN's semi join on `orders` below the three-way join, cold,
+# and back on top where the reoptimized leaf and region both observe 0
+# rows, a tie). The estimator must rank plans cold: Q5, Q7 and Q8's cold
+# join order is the reoptimized one, at SF 0.001 (seed 42) and SF 0.02
+# (seed 15). The summed |log2 q-error| of the goldens is printed per
+# file and must stay within the pinned budget.
 plan_goldens
 # Every logical rewrite must be result-preserving, byte-for-byte, on both
 # engines at 1 and 4 workers. This is also the unnesting wall: semi, anti

@@ -91,8 +91,8 @@ impl AirTrafficGen {
 
     pub fn generate(&self) -> Vec<Flight> {
         let mut rng = Pcg32::new(self.seed, 11);
-        let start = to_days(Date::new(self.year, 1, 1));
-        let end = to_days(Date::new(self.year, 12, 31));
+        let on = |month, day| to_days(Date::new(self.year, month, day)).expect("year in range");
+        let (start, end) = (on(1, 1), on(12, 31));
         let mut out = Vec::with_capacity(self.flights_per_day * (end - start + 1) as usize);
         for day in start..=end {
             let month = from_days(day).month;

@@ -20,15 +20,16 @@ impl Date {
     }
 }
 
-/// Convert a civil date to days since 1970-01-01.
-pub fn to_days(d: Date) -> i32 {
+/// Convert a civil date to days since 1970-01-01; `None` when that count
+/// leaves `i32`.
+pub fn to_days(d: Date) -> Option<i32> {
     let y = if d.month <= 2 { d.year - 1 } else { d.year } as i64;
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = y - era * 400; // [0, 399]
     let mp = (d.month as i64 + 9) % 12; // [0, 11], March = 0
     let doy = (153 * mp + 2) / 5 + d.day as i64 - 1; // [0, 365]
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    (era * 146097 + doe - 719468) as i32
+    i32::try_from(era * 146097 + doe - 719468).ok()
 }
 
 /// Convert days since 1970-01-01 back to a civil date.
@@ -63,7 +64,7 @@ pub fn parse_days(s: &str) -> Option<i32> {
     if day < 1 || day > days_in_month(year, month) {
         return None;
     }
-    Some(to_days(Date::new(year, month, day)))
+    to_days(Date::new(year, month, day))
 }
 
 /// Format days since the epoch as `YYYY-MM-DD`.
@@ -99,19 +100,21 @@ pub fn year_of(days: i32) -> i32 {
 }
 
 /// Add `n` calendar months, clamping the day to the target month's length
-/// (1994-01-31 + 1 month = 1994-02-28), the SQL `INTERVAL` convention.
-pub fn add_months(days: i32, n: i32) -> i32 {
+/// (1994-01-31 + 1 month = 1994-02-28), the SQL `INTERVAL` convention;
+/// `None` when the result leaves the `i32` day count.
+pub fn add_months(days: i32, n: i32) -> Option<i32> {
     let d = from_days(days);
     let total = d.year as i64 * 12 + (d.month as i64 - 1) + n as i64;
-    let year = total.div_euclid(12) as i32;
+    let year = i32::try_from(total.div_euclid(12)).ok()?;
     let month = (total.rem_euclid(12) + 1) as u32;
     let day = d.day.min(days_in_month(year, month));
     to_days(Date::new(year, month, day))
 }
 
-/// Add `n` calendar years (Feb 29 clamps to Feb 28 off leap years).
-pub fn add_years(days: i32, n: i32) -> i32 {
-    add_months(days, n * 12)
+/// Add `n` calendar years (Feb 29 clamps to Feb 28 off leap years);
+/// `None` when the result leaves the `i32` day count.
+pub fn add_years(days: i32, n: i32) -> Option<i32> {
+    add_months(days, n.checked_mul(12)?)
 }
 
 #[cfg(test)]
@@ -120,28 +123,28 @@ mod tests {
 
     #[test]
     fn epoch_is_zero() {
-        assert_eq!(to_days(Date::new(1970, 1, 1)), 0);
+        assert_eq!(to_days(Date::new(1970, 1, 1)), Some(0));
         assert_eq!(from_days(0), Date::new(1970, 1, 1));
     }
 
     #[test]
     fn known_dates() {
         // TPC-H date range endpoints.
-        assert_eq!(to_days(Date::new(1992, 1, 1)), 8035);
-        assert_eq!(to_days(Date::new(1998, 12, 31)), 10591);
+        assert_eq!(to_days(Date::new(1992, 1, 1)), Some(8035));
+        assert_eq!(to_days(Date::new(1998, 12, 31)), Some(10591));
         assert_eq!(format_days(8035), "1992-01-01");
     }
 
     #[test]
     fn round_trip_every_day_of_tpch_range() {
-        for days in to_days(Date::new(1992, 1, 1))..=to_days(Date::new(1998, 12, 31)) {
-            assert_eq!(to_days(from_days(days)), days);
+        for days in 8035..=10591 {
+            assert_eq!(to_days(from_days(days)), Some(days));
         }
     }
 
     #[test]
     fn parse_and_format() {
-        assert_eq!(parse_days("1994-01-01"), Some(to_days(Date::new(1994, 1, 1))));
+        assert_eq!(parse_days("1994-01-01"), to_days(Date::new(1994, 1, 1)));
         assert_eq!(format_days(parse_days("1996-02-29").unwrap()), "1996-02-29");
         assert_eq!(parse_days("1994-13-01"), None);
         assert_eq!(parse_days("1994-02-30"), None);
@@ -162,17 +165,28 @@ mod tests {
     #[test]
     fn month_arithmetic_clamps() {
         let jan31 = parse_days("1994-01-31").unwrap();
-        assert_eq!(format_days(add_months(jan31, 1)), "1994-02-28");
-        assert_eq!(format_days(add_months(jan31, -1)), "1993-12-31");
+        assert_eq!(format_days(add_months(jan31, 1).unwrap()), "1994-02-28");
+        assert_eq!(format_days(add_months(jan31, -1).unwrap()), "1993-12-31");
         let jul1 = parse_days("1993-07-01").unwrap();
-        assert_eq!(format_days(add_months(jul1, 3)), "1993-10-01");
+        assert_eq!(format_days(add_months(jul1, 3).unwrap()), "1993-10-01");
     }
 
     #[test]
     fn year_arithmetic() {
         let feb29 = parse_days("1996-02-29").unwrap();
-        assert_eq!(format_days(add_years(feb29, 1)), "1997-02-28");
+        assert_eq!(format_days(add_years(feb29, 1).unwrap()), "1997-02-28");
         assert_eq!(year_of(feb29), 1996);
+    }
+
+    #[test]
+    fn far_from_the_epoch_is_none_not_a_wrapped_day() {
+        assert_eq!(to_days(from_days(i32::MAX)), Some(i32::MAX));
+        assert_eq!(to_days(from_days(i32::MIN)), Some(i32::MIN));
+        assert_eq!(add_months(i32::MAX, 1), None);
+        assert_eq!(add_months(0, i32::MAX), None);
+        assert_eq!(add_months(0, i32::MIN), None);
+        assert_eq!(add_years(0, i32::MAX), None);
+        assert_eq!(parse_days("6000000-01-01"), None);
     }
 
     #[test]

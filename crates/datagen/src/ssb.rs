@@ -61,12 +61,12 @@ pub fn selling_season(month: u32) -> &'static str {
 /// Build the date dimension for the TPC-H date range (1992-01-01 to
 /// 1998-12-31), one row per day.
 pub fn date_dimension() -> Vec<DateDim> {
-    let start = to_days(Date::new(1992, 1, 1));
-    let end = to_days(Date::new(1998, 12, 31));
+    let start = to_days(Date::new(1992, 1, 1)).expect("in range");
+    let end = to_days(Date::new(1998, 12, 31)).expect("in range");
     (start..=end)
         .map(|days| {
             let d = from_days(days);
-            let day_of_year = days - to_days(Date::new(d.year, 1, 1)) + 1;
+            let day_of_year = days - to_days(Date::new(d.year, 1, 1)).expect("in range") + 1;
             DateDim {
                 d_datekey: days,
                 d_date: crate::calendar::format_days(days),

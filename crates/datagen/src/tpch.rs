@@ -27,17 +27,17 @@ pub type Day = i32;
 
 /// dbgen's CURRENTDATE constant, used to derive flags/status.
 pub fn current_date() -> Day {
-    to_days(Date::new(1995, 6, 17))
+    to_days(Date::new(1995, 6, 17)).expect("in range")
 }
 
 /// First order date.
 pub fn start_date() -> Day {
-    to_days(Date::new(1992, 1, 1))
+    to_days(Date::new(1992, 1, 1)).expect("in range")
 }
 
 /// Last order date (ENDDATE - 151 days, so receipt dates stay in range).
 pub fn last_order_date() -> Day {
-    to_days(Date::new(1998, 8, 2))
+    to_days(Date::new(1998, 8, 2)).expect("in range")
 }
 
 #[derive(Debug, Clone, PartialEq)]

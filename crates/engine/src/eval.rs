@@ -498,7 +498,11 @@ impl<'a> Node<'a> {
         let sub = |x: &'a Expr| Box::new(Node::lower(x, scope, mode, agg_keys));
         let node = match e {
             Expr::Col { slot, .. } => Node::Col(*slot),
-            Expr::Outer(c) => resolve_outer(c, scope),
+            Expr::Outer(c) => match resolve_outer(c, scope.schema, scope.outer) {
+                Ok(OuterRef::Local(slot)) => Node::Col(slot),
+                Ok(OuterRef::Value(v)) => Node::Const(v),
+                Err(e) => Node::Fail(e),
+            },
             Expr::OutputCol(_) => Node::Fail(EngineError::Unsupported(
                 "output-column reference outside ORDER BY".into(),
             )),
@@ -986,19 +990,26 @@ impl<'a> Scope<'a> {
     }
 }
 
+/// Where an outer reference reads: a local slot or an enclosing value.
+pub(crate) enum OuterRef {
+    Local(usize),
+    Value(Value),
+}
+
 /// Resolve an outer reference the way [`Env::resolve`] does — local
-/// schema first, then up the chain — once. The enclosing row does not
-/// change while the expression lives, so a name found there is a
-/// constant; unresolved and ambiguous names error when reached, exactly
-/// as they did when resolution ran per row.
-fn resolve_outer<'a>(col: &sqalpel_sql::ColumnRef, scope: Scope<'a>) -> Node<'a> {
-    match resolve_name(scope.schema, col) {
-        Err(e) => Node::Fail(e),
-        Ok(Some(slot)) => Node::Col(slot),
-        Ok(None) => match scope.outer.map(|o| o.resolve(col)) {
-            Some(Ok(v)) => Node::Const(v),
-            Some(Err(e)) => Node::Fail(e),
-            None => Node::Fail(EngineError::UnknownColumn(col.to_string())),
+/// schema first, then up the chain — once per operator (RowStore) or
+/// batch (ColStore): the enclosing row is fixed meanwhile, so a name found
+/// there is a constant. Unresolved and ambiguous names error when reached.
+pub(crate) fn resolve_outer(
+    col: &sqalpel_sql::ColumnRef,
+    schema: &Schema,
+    outer: Option<&Env<'_>>,
+) -> EngineResult<OuterRef> {
+    match resolve_name(schema, col)? {
+        Some(slot) => Ok(OuterRef::Local(slot)),
+        None => match outer {
+            Some(outer) => outer.resolve(col).map(OuterRef::Value),
+            None => Err(EngineError::UnknownColumn(col.to_string())),
         },
     }
 }
@@ -1025,20 +1036,16 @@ pub fn literal(l: &Literal) -> EngineResult<Value> {
             sqalpel_datagen::calendar::parse_days(text)
                 .ok_or_else(|| EngineError::Type(format!("invalid date literal '{text}'")))?,
         ),
-        Literal::Interval { value, unit } => match unit {
-            IntervalUnit::Day => Value::Interval {
-                months: 0,
-                days: *value as i32,
-            },
-            IntervalUnit::Month => Value::Interval {
-                months: *value as i32,
-                days: 0,
-            },
-            IntervalUnit::Year => Value::Interval {
-                months: *value as i32 * 12,
-                days: 0,
-            },
-        },
+        Literal::Interval { value, unit } => {
+            let scale = if *unit == IntervalUnit::Year { 12 } else { 1 };
+            let count = value.checked_mul(scale).and_then(|n| i32::try_from(n).ok());
+            let overflow = || EngineError::Overflow(format!("interval '{value}' {}", unit.sql()));
+            let (months, days) = match (unit, count.ok_or_else(overflow)?) {
+                (IntervalUnit::Day, n) => (0, n),
+                (_, n) => (n, 0),
+            };
+            Value::Interval { months, days }
+        }
         Literal::Null => Value::Null,
     })
 }

@@ -155,9 +155,9 @@ impl ColExec<'_> {
         let n = batch.len;
         let col = match e {
             Expr::Col { slot, .. } => return Ok(Col::Batch(&batch.cols[*slot])),
-            Expr::Outer(c) => match outer {
-                Some(env) => Ok(ColVec::Const(env.resolve(c)?, n)),
-                None => Err(EngineError::UnknownColumn(c.to_string())),
+            Expr::Outer(c) => match eval::resolve_outer(c, &batch.schema, outer)? {
+                eval::OuterRef::Local(slot) => return Ok(Col::Batch(&batch.cols[slot])),
+                eval::OuterRef::Value(v) => Ok(ColVec::Const(v, n)),
             },
             Expr::Bool(b) => Ok(ColVec::Const(Value::Bool(*b), n)),
             Expr::OutputCol(_) => Err(EngineError::Unsupported(

@@ -17,7 +17,9 @@
 //! itself a deterministic product of parse → bind → rewrite, so a
 //! fingerprint is stable across runs, platforms and engines.
 
+use crate::ir::cost::CardHints;
 use crate::ir::expr::Expr;
+use crate::ir::memo::{is_inner_region, Model, Region};
 use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::profile::{self, NodeMetrics, ProfileShard};
 use std::fmt::Write;
@@ -38,15 +40,13 @@ impl Explain {
 }
 
 /// Annotation sources threaded through the renderer: an executed
-/// profile (ANALYZE actuals) and/or cardinality hints driving the
-/// estimator (plan-golden `est_rows`). Neither touches the canonical
-/// form, so neither moves the fingerprint.
+/// profile (ANALYZE actuals) and/or the cardinality model (plan-golden
+/// `est_rows`), its CTEs in scope. Neither touches the canonical form, so
+/// neither moves the fingerprint.
 #[derive(Clone, Copy, Default)]
 struct Ann<'a> {
     prof: Option<&'a ProfileShard>,
-    est: Option<&'a crate::ir::cost::CardHints>,
-    /// The join-order search's estimates for the block being rendered.
-    joins: Option<&'a crate::ir::memo::JoinEstimates>,
+    est: Option<&'a Model<'a>>,
 }
 
 /// Render a bound query and compute its fingerprint.
@@ -72,17 +72,12 @@ pub fn explain_analyze(bq: &BoundQuery, prof: &ProfileShard) -> Explain {
 /// (under `hints` — pass empty hints for the cold, stats-only numbers)
 /// and the executed actuals side by side. This is the shape the plan
 /// goldens pin: estimate-vs-actual drift is visible per operator.
-pub fn explain_estimates(
-    bq: &BoundQuery,
-    prof: &ProfileShard,
-    hints: &crate::ir::cost::CardHints,
-) -> Explain {
+pub fn explain_estimates(bq: &BoundQuery, prof: &ProfileShard, hints: &CardHints) -> Explain {
     render(
         bq,
         Ann {
             prof: Some(prof),
-            est: Some(hints),
-            ..Ann::default()
+            est: Some(&Model::new(hints)),
         },
     )
 }
@@ -185,26 +180,15 @@ fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
     }
 }
 
-/// Plan-node annotation: the estimator's prediction first (when hints
-/// are being rendered), then the executed actuals. An inner join the
-/// search built shows the estimate the search held for its leaf set —
-/// the number that chose the plan; every other node the subtree
-/// estimate. Estimates are rounded to whole rows — the goldens pin drift
+/// Plan-node annotation: the estimator's prediction first (when the
+/// model is being rendered), then the executed actuals. Every estimate
+/// is the cardinality model's, so an inner join shows the number the
+/// search held for its leaf set — the number that chose the plan.
+/// Estimates are rounded to whole rows — the goldens pin drift
 /// direction, not float noise.
 fn annotate_plan(out: &mut String, ann: Ann, p: &Plan) {
-    if let Some(h) = ann.est {
-        let searched = match p {
-            Plan::Join {
-                kind: JoinKind::Inner,
-                ..
-            } => ann.joins.and_then(|joins| {
-                let set: Vec<String> = p.bindings().into_iter().collect();
-                joins.get(&set).copied().flatten()
-            }),
-            _ => None,
-        };
-        let rows = searched.unwrap_or_else(|| crate::ir::memo::estimated_rows(p, h));
-        let _ = write!(out, " (est_rows={rows:.0})");
+    if let Some(m) = ann.est {
+        let _ = write!(out, " (est_rows={:.0})", m.rows(p));
     }
     annotate(out, ann.prof, p);
 }
@@ -220,6 +204,9 @@ fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
     }
     if let Some(n) = bq.limit {
         let _ = write!(out, " limit {n}");
+    }
+    if let Some(m) = ann.est {
+        let _ = write!(out, " (est_rows={:.0})", m.query_rows(bq));
     }
     annotate(out, ann.prof, bq);
     out.push('\n');
@@ -255,15 +242,17 @@ fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
         indent(out, level + 1);
         let _ = writeln!(out, "subquery {note}");
     }
+    // The block's CTEs are in scope for its bodies and its core.
+    let entered = ann.est.map(|m| m.entered(bq));
+    let ann = Ann {
+        est: entered.as_ref(),
+        ..ann
+    };
     for (name, body) in &bq.ctes {
         indent(out, level + 1);
         let _ = writeln!(out, "cte {name}:");
         render_query(body, level + 2, out, ann);
     }
-    let ann = Ann {
-        joins: Some(&bq.join_rows),
-        ..ann
-    };
     render_plan(&bq.core, level + 1, out, ann);
 }
 
@@ -473,18 +462,6 @@ fn canon_query(bq: &BoundQuery, out: &mut String) {
     canon_plan(&bq.core, out);
 }
 
-/// Is `p` an inner-join region (an inner join, possibly under filters)?
-fn is_inner_region(p: &Plan) -> bool {
-    match p {
-        Plan::Join {
-            kind: JoinKind::Inner,
-            ..
-        } => true,
-        Plan::Filter { input, .. } => is_inner_region(input),
-        _ => false,
-    }
-}
-
 /// Is `p` rendered by [`canon_region`]: an inner-join region, or a semi
 /// or anti join over anything?
 fn is_region_root(p: &Plan) -> bool {
@@ -580,28 +557,26 @@ fn canon_plan(p: &Plan, out: &mut String) {
 /// Render a maximal inner-join region in join-order-invariant form:
 /// sorted leaf canons plus sorted region predicates over the region
 /// frame's name ranks, under the sorted chain of the semi and anti joins
-/// above it or on its leaves. Mirrors the optimizer's own flatten
-/// ([`crate::ir::memo`]) so optimized and syntactic-order plans collide.
+/// above it or on its leaves, as [`Region`] reads the region back, so
+/// optimized and syntactic-order plans collide.
 /// A chain of semi and anti joins over no inner join renders its input
 /// as it is.
 fn canon_region(p: &Plan, out: &mut String) {
-    let mut region = Region {
-        rank: ranks(&p.schema()),
-        width: p.width(),
-        leaves: Vec::new(),
-        preds: Vec::new(),
-        filters: Vec::new(),
-    };
-    region.collect(p, 0);
+    let rank = ranks(&p.schema());
+    let region = Region::of(p);
     let mut leaf_strs: Vec<String> = region.leaves.iter().map(|&l| canon_leaf(l)).collect();
     leaf_strs.sort();
     let mut pred_strs: Vec<String> = region
         .preds
         .iter()
-        .map(|e| canon_pred_at(e, &region.rank))
+        .map(|e| canon_pred_at(e, &rank))
         .collect();
     pred_strs.sort();
-    let mut filters = region.filters;
+    let mut filters: Vec<(String, String)> = region
+        .filters
+        .iter()
+        .map(|&(join, off)| canon_filter(join, off, &rank))
+        .collect();
     filters.sort();
     // Outermost first, each with the plan below it as its left input.
     for (head, _) in &filters {
@@ -623,110 +598,62 @@ fn canon_region(p: &Plan, out: &mut String) {
     }
 }
 
-/// A region being flattened for its canon.
-struct Region<'a> {
-    /// Name rank of each slot of the region frame.
-    rank: Vec<usize>,
-    width: usize,
-    leaves: Vec<&'a Plan>,
-    preds: Vec<Expr>,
-    /// Each semi or anti join: its header over the region frame, and its
-    /// right input's canon.
-    filters: Vec<(String, String)>,
-}
-
-impl<'a> Region<'a> {
-    /// Flatten `p` in-order: leaves keep their subtree, predicates (equi
-    /// pairs, residuals, filters above inner joins) shift into the region
-    /// frame, and semi and anti joins go to `filters`. Returns the
-    /// subtree's width in the frame.
-    fn collect(&mut self, p: &'a Plan, off: usize) -> usize {
-        match p {
-            Plan::Join {
-                kind: JoinKind::Inner,
-                left,
-                right,
-                equi,
-                residual,
-            } => {
-                let lw = self.collect(left, off);
-                let rw = self.collect(right, off + lw);
-                for (l, r) in equi {
-                    self.preds
-                        .push(Expr::eq_pair(l.shifted(off), r.shifted(off + lw)));
-                }
-                if let Some(res) = residual {
-                    for c in res.conjuncts() {
-                        self.preds.push(c.shifted(off));
+/// A semi or anti join of a region, its left input at `off` in a frame
+/// whose slots rank as `rank` says: its header, and its right input's
+/// canon.
+fn canon_filter(join: &Plan, off: usize, rank: &[usize]) -> (String, String) {
+    let Plan::Join {
+        kind,
+        left,
+        right,
+        equi,
+        residual,
+    } = join
+    else {
+        unreachable!("a region filter is a join")
+    };
+    let rrank = ranks(&right.schema());
+    let mut pairs: Vec<String> = equi
+        .iter()
+        .map(|(l, r)| {
+            format!(
+                "{}={}",
+                canon_expr_at(&l.shifted(off), rank),
+                canon_expr_at(r, &rrank)
+            )
+        })
+        .collect();
+    pairs.sort();
+    let mut head = format!("join {kind:?} [{}]", pairs.join(","));
+    if let Some(r) = residual {
+        // The residual frame is left ++ right. A semi/anti body may scan
+        // a table the outer block scans too, and a rank over the
+        // concatenation would break that tie by physical position: rank
+        // the sides apart.
+        let (width, total) = (rank.len(), left.width());
+        let mut rank = rank.to_vec();
+        rank.extend(rrank.iter().map(|r| r + width));
+        let mut cs: Vec<String> = r
+            .conjuncts()
+            .iter()
+            .map(|c| {
+                let mut c = (*c).clone();
+                c.map_slots(&|s| {
+                    if s < total {
+                        s + off
+                    } else {
+                        s - total + width
                     }
-                }
-                lw + rw
-            }
-            Plan::Join {
-                kind: kind @ (JoinKind::Semi | JoinKind::Anti),
-                left,
-                right,
-                equi,
-                residual,
-            } => {
-                let w = self.collect(left, off);
-                let rrank = ranks(&right.schema());
-                let mut pairs: Vec<String> = equi
-                    .iter()
-                    .map(|(l, r)| {
-                        format!(
-                            "{}={}",
-                            canon_expr_at(&l.shifted(off), &self.rank),
-                            canon_expr_at(r, &rrank)
-                        )
-                    })
-                    .collect();
-                pairs.sort();
-                let mut head = format!("join {kind:?} [{}]", pairs.join(","));
-                if let Some(r) = residual {
-                    // The residual frame is left ++ right. A semi/anti
-                    // body may scan a table the outer block scans too,
-                    // and a rank over the concatenation would break that
-                    // tie by physical position: rank the sides apart.
-                    let mut rank = self.rank.clone();
-                    rank.extend(rrank.iter().map(|r| r + self.width));
-                    let (width, total) = (self.width, w);
-                    let mut cs: Vec<String> = r
-                        .conjuncts()
-                        .iter()
-                        .map(|c| {
-                            let mut c = (*c).clone();
-                            c.map_slots(&|s| {
-                                if s < total {
-                                    s + off
-                                } else {
-                                    s - total + width
-                                }
-                            });
-                            canon_pred_at(&c, &rank)
-                        })
-                        .collect();
-                    cs.sort();
-                    let _ = write!(head, " residual [{}]", cs.join(" AND "));
-                }
-                let mut right_canon = String::new();
-                canon_plan(right, &mut right_canon);
-                self.filters.push((head, right_canon));
-                w
-            }
-            Plan::Filter { input, predicate } if is_inner_region(input) => {
-                let w = self.collect(input, off);
-                for c in predicate.conjuncts() {
-                    self.preds.push(c.shifted(off));
-                }
-                w
-            }
-            _ => {
-                self.leaves.push(p);
-                p.width()
-            }
-        }
+                });
+                canon_pred_at(&c, &rank)
+            })
+            .collect();
+        cs.sort();
+        let _ = write!(head, " residual [{}]", cs.join(" AND "));
     }
+    let mut right_canon = String::new();
+    canon_plan(right, &mut right_canon);
+    (head, right_canon)
 }
 
 /// One region leaf's canon: its filter chain merged and sorted over the

@@ -43,6 +43,11 @@
 //! stays is rebuilt above the region, and every right input is optimized
 //! as a region of its own.
 //!
+//! One cardinality model, [`Model`], prices every plan here and in
+//! EXPLAIN: one function prices a set of region leaves, for the search
+//! every subset, for any inner join the full leaf set of its region read
+//! back from the plan; every other node prices over those estimates.
+//!
 //! Like `rewrite::prune`, every entry point returns an old→new slot
 //! mapping for its node's schema so callers can remap expressions bound
 //! against it; the optimizer only permutes columns, so entries are
@@ -71,54 +76,141 @@ pub const MAX_DP: usize = 16;
 /// tree as bound.
 pub fn optimize(bq: &mut BoundQuery, hints: &CardHints, search: bool) {
     let mut ctx = Ctx {
-        hints,
+        model: Model::new(hints),
         search,
-        cte_rows: BTreeMap::new(),
-        join_rows: JoinEstimates::new(),
     };
     optimize_query(bq, &mut ctx);
 }
 
-/// Crude output-cardinality estimate for a plan subtree, hint-aware.
-/// Used for derived/CTE leaf estimates and the EXPLAIN annotations of
-/// every node but a searched join (see [`JoinEstimates`]).
-pub fn estimated_rows(p: &Plan, hints: &CardHints) -> f64 {
-    let ctx = Ctx {
-        hints,
-        search: true,
-        cte_rows: BTreeMap::new(),
-        join_rows: JoinEstimates::new(),
-    };
-    estimate_plan_rows(p, &ctx)
+/// The cardinality model: observed cardinalities (a binding set found
+/// there is its hint) and the estimated rows of each CTE in scope.
+#[derive(Clone)]
+pub struct Model<'a> {
+    hints: &'a CardHints,
+    cte_rows: BTreeMap<String, f64>,
+}
+
+impl<'a> Model<'a> {
+    pub fn new(hints: &'a CardHints) -> Self {
+        Model {
+            hints,
+            cte_rows: BTreeMap::new(),
+        }
+    }
+
+    /// This model with `bq`'s CTEs in scope, each priced with those
+    /// before it (a copy of this one for a block without CTEs).
+    pub fn entered(&self, bq: &BoundQuery) -> Model<'a> {
+        let mut inner = self.clone();
+        for (name, body) in &bq.ctes {
+            let rows = inner.query_rows(body);
+            inner.cte_rows.insert(name.clone(), rows);
+        }
+        inner
+    }
+
+    /// Estimated output rows of a query block: its core's, through its
+    /// aggregate, DISTINCT and LIMIT.
+    pub fn query_rows(&self, bq: &BoundQuery) -> f64 {
+        let mut rows = self.entered(bq).rows(&bq.core);
+        if bq.aggregated {
+            rows = if bq.group_by.is_empty() {
+                1.0
+            } else {
+                rows.powf(0.7)
+            };
+        }
+        if bq.distinct {
+            rows = rows.powf(0.9);
+        }
+        if let Some(l) = bq.limit {
+            rows = rows.min(l as f64);
+        }
+        rows.max(1.0)
+    }
+
+    /// Estimated output rows of a plan subtree: an inner join is the full
+    /// leaf set of its region, priced as the search priced it; every other
+    /// node applies its own rule to its inputs' estimates.
+    pub fn rows(&self, p: &Plan) -> f64 {
+        if let Some(h) = self.hint(|| p.bindings().into_iter().collect()) {
+            return h;
+        }
+        match p {
+            Plan::Scan { table, .. } => table.row_count() as f64,
+            Plan::Cte { name, .. } => self.cte_rows.get(name).copied().unwrap_or(1000.0),
+            Plan::Derived { query, .. } => self.query_rows(query),
+            Plan::Filter { input, predicate } => {
+                let stats = FrameStats {
+                    slots: slot_stats(input),
+                };
+                self.rows(input) * cost::selectivity(predicate, &stats)
+            }
+            Plan::Join {
+                kind: JoinKind::Inner,
+                ..
+            } => {
+                let region = Region::of(p);
+                Pricing::new(&region.leaves, &region.preds, self).rows(u64::MAX)
+            }
+            Plan::Join {
+                left,
+                right,
+                kind,
+                equi,
+                ..
+            } => {
+                let (l, r) = (self.rows(left), self.rows(right));
+                if *kind == JoinKind::LeftOuter {
+                    // Every left row at least once.
+                    return if equi.is_empty() { l * r } else { l.max(r) }.max(l);
+                }
+                // Containment on the keys; the most selective pair decides.
+                let matching = equi
+                    .iter()
+                    .map(|(lk, rk)| {
+                        let (ls, rs) = (key_stat(left, lk), key_stat(right, rk));
+                        cost::semi_selectivity(ls.as_ref(), rs.as_ref(), l, r)
+                    })
+                    .fold(1.0, f64::min);
+                let (semi, anti) = cost::semi_anti_rows(l, matching);
+                if *kind == JoinKind::Semi {
+                    semi
+                } else {
+                    anti
+                }
+            }
+        }
+    }
+
+    /// The observed cardinality of a binding set, if any; `bindings` is
+    /// only called when there are hints.
+    fn hint(&self, bindings: impl FnOnce() -> Vec<String>) -> Option<f64> {
+        if self.hints.is_empty() {
+            return None;
+        }
+        let mut set = bindings();
+        set.sort();
+        self.hints.get(&set)
+    }
 }
 
 struct Ctx<'a> {
-    hints: &'a CardHints,
+    /// The CTEs' estimates fill in as they are optimized.
+    model: Model<'a>,
     /// Whether regions are searched for a join order.
     search: bool,
-    /// Estimated output rows per CTE name, filled as CTEs are optimized.
-    cte_rows: BTreeMap<String, f64>,
-    /// The search's estimates for the joins of the block being optimized.
-    join_rows: JoinEstimates,
 }
-
-/// The search's estimated rows for each inner join it built in one query
-/// block, by the join's sorted binding set: the number that chose the
-/// plan, which EXPLAIN renders as the join's `est_rows`. `None` where two
-/// joins of the block share a binding set.
-pub type JoinEstimates = BTreeMap<Vec<String>, Option<f64>>;
 
 fn optimize_query(bq: &mut BoundQuery, ctx: &mut Ctx) {
     for (name, cte) in &mut bq.ctes {
         optimize_query(cte, ctx);
         if ctx.search {
-            let rows = estimate_query_rows(cte, ctx);
-            ctx.cte_rows.insert(name.clone(), rows);
+            let rows = ctx.model.query_rows(cte);
+            ctx.model.cte_rows.insert(name.clone(), rows);
         }
     }
-    let outer = mem::take(&mut ctx.join_rows);
     let mapping = optimize_plan(&mut bq.core, ctx);
-    bq.join_rows = mem::replace(&mut ctx.join_rows, outer);
     for it in &mut bq.items {
         remap(&mut it.expr, &mapping);
     }
@@ -227,7 +319,6 @@ struct Leaf {
     /// (identity except for nested regions inside left-outer leaves).
     map: Vec<Option<usize>>,
     old_offset: usize,
-    width: usize,
 }
 
 #[derive(Clone)]
@@ -349,12 +440,11 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
     }
     let n = leaves.len();
     // Leaves are in frame order, each over a contiguous span of slots.
-    let leaf_of = |s: usize| {
-        leaves
-            .iter()
-            .position(|lf| s < lf.old_offset + lf.width)
-            .expect("slot outside region frame")
-    };
+    let ends: Vec<usize> = leaves
+        .iter()
+        .map(|lf| lf.old_offset + lf.map.len())
+        .collect();
+    let leaf_of = |s: usize| leaf_at(&ends, s);
 
     // Single-leaf conjuncts sink onto their leaf, the rest form the pool.
     let mut sunk: Vec<Vec<Expr>> = leaves.iter().map(|_| Vec::new()).collect();
@@ -367,28 +457,7 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             pool.push(e);
         }
     }
-    let (root, card) = if ctx.search && n <= MAX_DP {
-        let bindings: Vec<Vec<String>> = leaves
-            .iter()
-            .map(|lf| lf.plan.bindings().into_iter().collect())
-            .collect();
-        let (root, card) = search(&leaves, &bindings, &sunk, &pool, &leaf_of, ctx);
-        note_joins(&root, &bindings, &card, &mut ctx.join_rows);
-        (root, card)
-    } else {
-        (bound, Vec::new())
-    };
-    // The leaf each semi or anti join moves onto, if any.
-    let onto: Vec<Option<usize>> = chain
-        .iter()
-        .map(|f| {
-            let region_rows = *card.last()?;
-            let slots = f.left_slots(total);
-            let k = leaf_of(*slots.first()?);
-            let one_leaf = slots.iter().all(|&s| leaf_of(s) == k);
-            (one_leaf && card[1 << k] < region_rows).then_some(k)
-        })
-        .collect();
+    // Each leaf carries its own conjuncts before the search prices it.
     for (lf, conjuncts) in leaves.iter_mut().zip(sunk) {
         let (off, map) = (lf.old_offset, &lf.map);
         let local: Vec<Expr> = conjuncts
@@ -405,6 +474,22 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             };
         }
     }
+    let (root, card) = if ctx.search && n <= MAX_DP {
+        search(&leaves, &pool, ctx)
+    } else {
+        (bound, Vec::new())
+    };
+    // The leaf each semi or anti join moves onto, if any.
+    let onto: Vec<Option<usize>> = chain
+        .iter()
+        .map(|f| {
+            let region_rows = *card.last()?;
+            let slots = f.left_slots(total);
+            let k = leaf_of(*slots.first()?);
+            let one_leaf = slots.iter().all(|&s| leaf_of(s) == k);
+            (one_leaf && card[1 << k] < region_rows).then_some(k)
+        })
+        .collect();
     let mut above = Vec::new();
     for (f, dest) in chain.into_iter().zip(onto) {
         let Some(k) = dest else {
@@ -414,7 +499,9 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
         let lf = &mut leaves[k];
         let (off, map) = (lf.old_offset, &lf.map);
         let leaf = mem::replace(&mut lf.plan, dummy());
-        lf.plan = f.over(leaf, total, lf.width, &|s| map[s - off].expect("live slot"));
+        lf.plan = f.over(leaf, total, lf.map.len(), &|s| {
+            map[s - off].expect("live slot")
+        });
     }
 
     // Rebuild: new frame = leaf schemas in the chosen in-order sequence.
@@ -424,11 +511,11 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
     let mut acc = 0usize;
     for &k in &order {
         new_off[k] = acc;
-        acc += leaves[k].width;
+        acc += leaves[k].map.len();
     }
     let mut mapping: Vec<Option<usize>> = vec![None; total];
     for (k, lf) in leaves.iter().enumerate() {
-        for j in 0..lf.width {
+        for j in 0..lf.map.len() {
             mapping[lf.old_offset + j] = Some(new_off[k] + lf.map[j].expect("live slot"));
         }
     }
@@ -440,7 +527,7 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
             Some(Pending { expr, lo, hi })
         })
         .collect();
-    let widths: Vec<usize> = leaves.iter().map(|lf| lf.width).collect();
+    let widths: Vec<usize> = leaves.iter().map(|lf| lf.map.len()).collect();
     let mut plans: Vec<Option<Plan>> = leaves.into_iter().map(|lf| Some(lf.plan)).collect();
     let (mut plan, _, _) = build_tree(&root, &mut plans, &mut pending, &new_off, &widths);
 
@@ -466,127 +553,30 @@ fn optimize_region(p: &mut Plan, ctx: &mut Ctx) -> Vec<Option<usize>> {
 
 /// The cheapest join tree over at most [`MAX_DP`] leaves by estimated
 /// cost: exhaustive bushy up to [`MAX_BUSHY`] leaves, left-deep beyond.
-/// `bindings` holds each leaf's sorted binding set, `sunk` its own
-/// conjuncts, `pool` the rest, all in the region frame, where `leaf_of`
-/// says which leaf a slot belongs to. Also returns the estimated rows of
-/// every leaf subset, indexed by its bitset: the last entry is the whole
-/// region.
-fn search(
-    leaves: &[Leaf],
-    bindings: &[Vec<String>],
-    sunk: &[Vec<Expr>],
-    pool: &[Expr],
-    leaf_of: &dyn Fn(usize) -> usize,
-    ctx: &Ctx,
-) -> (Tree, Vec<f64>) {
+/// `leaves` are in frame order, each with its own conjuncts on it, and
+/// `pool` holds the rest over the region frame. Also returns the
+/// estimated rows of every leaf subset, indexed by its bitset: the last
+/// entry is the whole region.
+fn search(leaves: &[Leaf], pool: &[Expr], ctx: &Ctx) -> (Tree, Vec<f64>) {
     let n = leaves.len();
-    let mask_of = |e: &Expr| e.slots().into_iter().fold(0u32, |m, s| m | 1 << leaf_of(s));
-    let estimates: Vec<(f64, Vec<Option<SlotStat>>)> = leaves
-        .iter()
-        .map(|lf| leaf_estimates(&lf.plan, lf.width, ctx))
-        .collect();
-    // Global frame statistics: leaf stats concatenated in original order.
-    let global_stats = FrameStats {
-        slots: estimates.iter().flat_map(|(_, st)| st.clone()).collect(),
-    };
-    // A leaf's own conjuncts scale its estimate; observed cardinalities
-    // beat estimates, applied after them.
-    let leaf_rows: Vec<f64> = (0..n)
-        .map(|k| {
-            let filtered = estimates[k].0 * cost::conjunction_selectivity(&sunk[k], &global_stats);
-            ctx.hints.get(&bindings[k]).unwrap_or(filtered)
-        })
-        .collect();
-
-    // An equality whose sides each read one leaf, two different ones, is
-    // a join edge. The edges between the same two leaves form one key,
-    // priced once; every other pooled conjunct is priced on its own.
-    let single_leaf = |e: &Expr| -> Option<usize> {
-        let mask = mask_of(e);
-        (mask.count_ones() == 1).then(|| mask.trailing_zeros() as usize)
-    };
-    let stat_of = |e: &Expr| match e {
-        Expr::Col { slot, .. } => global_stats.slot(*slot),
-        _ => None,
-    };
-    let mut keys: BTreeMap<(usize, usize), Vec<KeyPair>> = BTreeMap::new();
-    let mut priced: Vec<PoolPred> = Vec::new();
-    for expr in pool {
-        let edge = match expr {
-            Expr::Binary {
-                left,
-                op: BinOp::Eq,
-                right,
-            } => match (single_leaf(left), single_leaf(right)) {
-                (Some(li), Some(ri)) if li < ri => {
-                    Some(((li, ri), (stat_of(left), stat_of(right))))
-                }
-                (Some(li), Some(ri)) if li > ri => {
-                    Some(((ri, li), (stat_of(right), stat_of(left))))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        match edge {
-            Some((ends, pair)) => keys.entry(ends).or_default().push(pair),
-            None => priced.push(PoolPred {
-                mask: mask_of(expr),
-                sel: cost::selectivity(expr, &global_stats),
-                is_edge: false,
-            }),
-        }
-    }
-    priced.extend(keys.into_iter().map(|((li, ri), pairs)| PoolPred {
-        mask: (1 << li) | (1 << ri),
-        sel: cost::key_selectivity(&pairs, leaf_rows[li], leaf_rows[ri]),
-        is_edge: true,
-    }));
-    let pool = priced;
-
-    // Cardinality per leaf subset: independence across predicates, each
-    // counted once, with hint overrides by binding set.
-    let full: u32 = (1u32 << n) - 1;
-    let mut card = vec![0f64; (1usize << n).max(2)];
-    for mask in 1..=full {
-        let mut rows = 1.0;
-        for (i, r) in leaf_rows.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                rows *= r;
-            }
-        }
-        for pp in &pool {
-            if pp.mask & !mask == 0 {
-                rows *= pp.sel;
-            }
-        }
-        if !ctx.hints.is_empty() && mask.count_ones() >= 2 {
-            let mut bs: Vec<String> = Vec::new();
-            for (i, b) in bindings.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    bs.extend(b.iter().cloned());
-                }
-            }
-            bs.sort();
-            if let Some(h) = ctx.hints.get(&bs) {
-                rows = h;
-            }
-        }
-        card[mask as usize] = rows.max(0.0);
-    }
+    let plans: Vec<&Plan> = leaves.iter().map(|lf| &lf.plan).collect();
+    let region = Pricing::new(&plans, pool, &ctx.model);
+    let full: u64 = (1 << n) - 1;
+    let card: Vec<f64> = (0..=full).map(|mask| region.rows(mask)).collect();
 
     // The DP proper. Connected splits (sharing an equi edge) first; a
     // second pass admits cross joins only when no keyed split exists.
-    let connected = |a: u32, b: u32| {
-        pool.iter().any(|pp| {
-            pp.is_edge && pp.mask & a != 0 && pp.mask & b != 0 && pp.mask & !(a | b) == 0
-        })
+    let connected = |a: u64, b: u64| {
+        region
+            .preds
+            .iter()
+            .any(|pp| pp.is_edge && pp.mask & a != 0 && pp.mask & b != 0 && pp.mask & !(a | b) == 0)
     };
     let bushy = n <= MAX_BUSHY;
     let mut dp: Vec<Option<Cand>> = vec![None; 1usize << n];
-    for (i, r) in leaf_rows.iter().enumerate() {
+    for i in 0..n {
         dp[1usize << i] = Some(Cand {
-            cost: *r,
+            cost: card[1usize << i],
             tree: Tree::Leaf(i),
         });
     }
@@ -597,7 +587,7 @@ fn search(
         let rows = card[mask as usize];
         let mut best: Option<Cand> = None;
         for pass in 0..2 {
-            let consider = |lm: u32, rm: u32, best: &mut Option<Cand>| {
+            let consider = |lm: u64, rm: u64, best: &mut Option<Cand>| {
                 if pass == 0 && !connected(lm, rm) {
                     return;
                 }
@@ -623,7 +613,7 @@ fn search(
             } else {
                 // Left-deep: extend with one leaf on the build (right) side.
                 for i in 0..n {
-                    let bit = 1u32 << i;
+                    let bit = 1u64 << i;
                     if mask & bit != 0 && mask != bit {
                         consider(mask ^ bit, bit, &mut best);
                     }
@@ -642,36 +632,141 @@ fn search(
     (tree, card)
 }
 
-/// A pooled predicate as the search sees it: one conjunct, or every
-/// equality between the same two leaves as one key.
+/// The leaf holding slot `s`, given where each leaf's span of the frame
+/// ends.
+fn leaf_at(ends: &[usize], s: usize) -> usize {
+    let k = ends.iter().position(|&end| s < end);
+    k.expect("slot outside region frame")
+}
+
+/// Leaf `k`'s bit in a leaf-set mask. Leaves from the 64th on share the
+/// last: only the search, up to [`MAX_DP`] leaves, prices proper subsets,
+/// and the full set is `u64::MAX` at any size.
+fn bit(k: usize) -> u64 {
+    1 << k.min(63)
+}
+
+/// The one place a set of region leaves is priced: the search prices
+/// every subset, [`Model::rows`] the full set below an inner join. Leaves
+/// multiply at their own estimates, each pooled predicate the set covers
+/// scales the product (the equalities between two leaves as one key), and
+/// an observed binding set is its hint.
+struct Pricing<'a> {
+    leaf_rows: Vec<f64>,
+    /// Each leaf's sorted binding set, when there are hints.
+    bindings: Vec<Vec<String>>,
+    preds: Vec<PoolPred>,
+    model: &'a Model<'a>,
+}
+
+impl<'a> Pricing<'a> {
+    /// `leaves` in frame order; `pool` over the frame their schemas
+    /// concatenate to.
+    fn new(leaves: &[&Plan], pool: &[Expr], model: &'a Model<'a>) -> Self {
+        let mut ends = Vec::with_capacity(leaves.len());
+        for leaf in leaves {
+            ends.push(ends.last().unwrap_or(&0) + leaf.width());
+        }
+        let leaf_of = |s: usize| leaf_at(&ends, s);
+        let mask_of = |e: &Expr| e.slots().into_iter().fold(0u64, |m, s| m | bit(leaf_of(s)));
+        let leaf_rows: Vec<f64> = leaves.iter().map(|p| model.rows(p)).collect();
+        let stats = FrameStats {
+            slots: leaves.iter().flat_map(|p| slot_stats(p)).collect(),
+        };
+
+        // An equality whose sides each read one leaf, two different ones, is
+        // a join edge. The edges between the same two leaves form one key,
+        // priced once; every other pooled conjunct is priced on its own.
+        let single_leaf = |e: &Expr| -> Option<usize> {
+            let mut leaves = e.slots().into_iter().map(leaf_of);
+            let first = leaves.next()?;
+            leaves.all(|k| k == first).then_some(first)
+        };
+        let stat_of = |e: &Expr| match e {
+            Expr::Col { slot, .. } => stats.slot(*slot),
+            _ => None,
+        };
+        let mut keys: BTreeMap<(usize, usize), Vec<KeyPair>> = BTreeMap::new();
+        let mut preds: Vec<PoolPred> = Vec::new();
+        for expr in pool {
+            let edge = match expr {
+                Expr::Binary {
+                    left,
+                    op: BinOp::Eq,
+                    right,
+                } => match (single_leaf(left), single_leaf(right)) {
+                    (Some(li), Some(ri)) if li < ri => {
+                        Some(((li, ri), (stat_of(left), stat_of(right))))
+                    }
+                    (Some(li), Some(ri)) if li > ri => {
+                        Some(((ri, li), (stat_of(right), stat_of(left))))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            match edge {
+                Some((ends, pair)) => keys.entry(ends).or_default().push(pair),
+                None => preds.push(PoolPred {
+                    mask: mask_of(expr),
+                    sel: cost::selectivity(expr, &stats),
+                    is_edge: false,
+                }),
+            }
+        }
+        preds.extend(keys.into_iter().map(|((li, ri), pairs)| PoolPred {
+            mask: bit(li) | bit(ri),
+            sel: cost::key_selectivity(&pairs, leaf_rows[li], leaf_rows[ri]),
+            is_edge: true,
+        }));
+        let bindings = match model.hints.is_empty() {
+            true => Vec::new(),
+            false => leaves
+                .iter()
+                .map(|p| p.bindings().into_iter().collect())
+                .collect(),
+        };
+        Pricing {
+            leaf_rows,
+            bindings,
+            preds,
+            model,
+        }
+    }
+
+    /// Estimated rows of the leaf set `mask`: independence across
+    /// predicates, each counted once, and the hint of its binding set.
+    fn rows(&self, mask: u64) -> f64 {
+        let member = |i: usize| mask & bit(i) != 0;
+        let mut rows: f64 = (0..self.leaf_rows.len())
+            .filter(|&i| member(i))
+            .map(|i| self.leaf_rows[i])
+            .product();
+        for pp in &self.preds {
+            if pp.mask & !mask == 0 {
+                rows *= pp.sel;
+            }
+        }
+        let set = || {
+            let leaves = (0..self.bindings.len()).filter(|&i| member(i));
+            leaves
+                .flat_map(|i| self.bindings[i].iter().cloned())
+                .collect()
+        };
+        self.model.hint(set).unwrap_or(rows).max(0.0)
+    }
+}
+
+/// A pooled predicate as the cardinality model sees it: one conjunct, or
+/// every equality between the same two leaves as one key.
 struct PoolPred {
     /// Bitset of leaves it references.
-    mask: u32,
+    mask: u64,
     sel: f64,
     /// True for a key: equalities that split into two single-leaf sides —
     /// usable as a hash-join key, and what "connected" means for the
     /// search.
     is_edge: bool,
-}
-
-/// Note, under its sorted binding set, the search's estimate for every
-/// join of the chosen tree `t` (what EXPLAIN shows as its `est_rows`),
-/// and return the bitset of the leaves below `t`. A set two joins of
-/// one block share is noted as unknown.
-fn note_joins(t: &Tree, bindings: &[Vec<String>], card: &[f64], out: &mut JoinEstimates) -> u32 {
-    let mask = match t {
-        Tree::Leaf(i) => return 1 << i,
-        Tree::Join(l, r) => note_joins(l, bindings, card, out) | note_joins(r, bindings, card, out),
-    };
-    let mut set: Vec<String> = (0..bindings.len())
-        .filter(|i| mask & (1 << i) != 0)
-        .flat_map(|i| bindings[i].iter().cloned())
-        .collect();
-    set.sort();
-    out.entry(set)
-        .and_modify(|rows| *rows = None)
-        .or_insert(Some(card[mask as usize]));
-    mask
 }
 
 /// Flatten a region subtree: leaves out, predicates lifted into the
@@ -715,17 +810,83 @@ fn flatten(
         }
         mut plan => {
             let map = optimize_plan(&mut plan, ctx);
-            let width = map.len();
+            *offset += map.len();
             leaves.push(Leaf {
                 plan,
+                old_offset: *offset - map.len(),
                 map,
-                old_offset: *offset,
-                width,
             });
-            *offset += width;
             Tree::Leaf(leaves.len() - 1)
         }
     }
+}
+
+/// A region read back from a plan as [`flatten`] takes one apart: leaves
+/// in frame order, the predicates of its inner joins and the filters over
+/// them in that frame, and each semi or anti join with the offset of its
+/// left input. The model reads leaves and predicates, so a semi or anti
+/// join moved onto a leaf prices there as the leaf the search priced.
+#[derive(Default)]
+pub(crate) struct Region<'a> {
+    pub leaves: Vec<&'a Plan>,
+    pub preds: Vec<Expr>,
+    pub filters: Vec<(&'a Plan, usize)>,
+}
+
+impl<'a> Region<'a> {
+    pub fn of(p: &'a Plan) -> Self {
+        let mut region = Region::default();
+        region.collect(p, 0);
+        region
+    }
+
+    /// Walk `p`, whose frame starts at `off`, returning its width.
+    fn collect(&mut self, p: &'a Plan, off: usize) -> usize {
+        match p {
+            Plan::Join {
+                kind: JoinKind::Inner,
+                left,
+                right,
+                equi,
+                residual,
+            } => {
+                let lw = self.collect(left, off);
+                let rw = self.collect(right, off + lw);
+                for (l, r) in equi {
+                    self.preds
+                        .push(Expr::eq_pair(l.shifted(off), r.shifted(off + lw)));
+                }
+                for c in residual.iter().flat_map(Expr::conjuncts) {
+                    self.preds.push(c.shifted(off));
+                }
+                lw + rw
+            }
+            Plan::Join {
+                kind: JoinKind::Semi | JoinKind::Anti,
+                left,
+                ..
+            } => {
+                self.filters.push((p, off));
+                self.collect(left, off)
+            }
+            Plan::Filter { input, predicate } if is_inner_region(input) => {
+                let w = self.collect(input, off);
+                for c in predicate.conjuncts() {
+                    self.preds.push(c.shifted(off));
+                }
+                w
+            }
+            _ => {
+                self.leaves.push(p);
+                p.width()
+            }
+        }
+    }
+}
+
+/// An inner join under zero or more filters.
+pub(crate) fn is_inner_region(p: &Plan) -> bool {
+    is_inner_join(p) || matches!(p, Plan::Filter { input, .. } if is_inner_region(input))
 }
 
 /// Lift a conjunct into the region frame: into the pool, or into the
@@ -740,28 +901,14 @@ fn lift(c: &Expr, start: usize, hoisted: &mut Vec<Expr>, pinned: &mut Vec<Expr>)
     }
 }
 
-/// Row estimate and per-slot stats for a region leaf.
-fn leaf_estimates(plan: &Plan, width: usize, ctx: &Ctx) -> (f64, Vec<Option<SlotStat>>) {
-    match plan {
-        Plan::Scan { table, live, .. } => {
-            (table.row_count() as f64, scan_stats(table, live))
-        }
-        Plan::Filter { input, predicate } => {
-            if let Plan::Scan { table, live, .. } = input.as_ref() {
-                let stats = scan_stats(table, live);
-                let frame = FrameStats { slots: stats.clone() };
-                let rows = table.row_count() as f64 * cost::selectivity(predicate, &frame);
-                (rows, stats)
-            } else {
-                (estimate_plan_rows(plan, ctx), vec![None; width])
-            }
-        }
-        _ => (estimate_plan_rows(plan, ctx), vec![None; width]),
+/// Per-slot statistics of a plan's output: a scan's columns, seen
+/// through the filters above it; unknown for anything else.
+fn slot_stats(p: &Plan) -> Vec<Option<SlotStat>> {
+    match p {
+        Plan::Scan { table, live, .. } => live.iter().map(|&ci| column_stat(table, ci)).collect(),
+        Plan::Filter { input, .. } => slot_stats(input),
+        _ => vec![None; p.width()],
     }
-}
-
-fn scan_stats(table: &Table, live: &[usize]) -> Vec<Option<SlotStat>> {
-    live.iter().map(|&ci| column_stat(table, ci)).collect()
 }
 
 fn column_stat(table: &Table, ci: usize) -> Option<SlotStat> {
@@ -893,80 +1040,6 @@ pub(crate) fn split_sides(
     } else {
         None
     }
-}
-
-/// Hint-aware cardinality estimate for an arbitrary subtree. Crude on
-/// purpose: region internals get the real DP treatment; this covers
-/// derived/CTE leaves and EXPLAIN annotations.
-fn estimate_plan_rows(p: &Plan, ctx: &Ctx) -> f64 {
-    if !ctx.hints.is_empty() {
-        let bindings: Vec<String> = p.bindings().into_iter().collect();
-        if let Some(h) = ctx.hints.get(&bindings) {
-            return h;
-        }
-    }
-    match p {
-        Plan::Scan { table, .. } => table.row_count() as f64,
-        Plan::Cte { name, .. } => ctx.cte_rows.get(name).copied().unwrap_or(1000.0),
-        Plan::Derived { query, .. } => estimate_query_rows(query, ctx),
-        Plan::Filter { input, predicate } => {
-            let base = estimate_plan_rows(input, ctx);
-            if let Plan::Scan { table, live, .. } = input.as_ref() {
-                let frame = FrameStats {
-                    slots: scan_stats(table, live),
-                };
-                base * cost::selectivity(predicate, &frame)
-            } else {
-                base * cost::DEFAULT_SEL
-            }
-        }
-        Plan::Join {
-            left,
-            right,
-            kind,
-            equi,
-            ..
-        } => {
-            let l = estimate_plan_rows(left, ctx);
-            let r = estimate_plan_rows(right, ctx);
-            if !kind.emits_right() {
-                // Containment on the keys; the most selective pair decides.
-                let matching = equi
-                    .iter()
-                    .map(|(lk, rk)| {
-                        let (ls, rs) = (key_stat(left, lk), key_stat(right, rk));
-                        cost::semi_selectivity(ls.as_ref(), rs.as_ref(), l, r)
-                    })
-                    .fold(1.0, f64::min);
-                let (semi, anti) = cost::semi_anti_rows(l, matching);
-                return if *kind == JoinKind::Semi { semi } else { anti };
-            }
-            let out = if equi.is_empty() { l * r } else { l.max(r) };
-            if *kind == JoinKind::LeftOuter {
-                out.max(l)
-            } else {
-                out
-            }
-        }
-    }
-}
-
-fn estimate_query_rows(bq: &BoundQuery, ctx: &Ctx) -> f64 {
-    let mut rows = estimate_plan_rows(&bq.core, ctx);
-    if bq.aggregated {
-        rows = if bq.group_by.is_empty() {
-            1.0
-        } else {
-            rows.powf(0.7)
-        };
-    }
-    if bq.distinct {
-        rows = rows.powf(0.9);
-    }
-    if let Some(l) = bq.limit {
-        rows = rows.min(l as f64);
-    }
-    rows.max(1.0)
 }
 
 #[cfg(test)]

@@ -254,10 +254,6 @@ pub struct BoundQuery {
     /// `cached: uncorrelated scalar`). EXPLAIN prints them; nothing else
     /// reads them. Empty when the rewriter is off.
     pub subquery_notes: Vec<String>,
-    /// The join-order search's row estimate for each inner join of this
-    /// block's core it built; EXPLAIN renders them. Filled by
-    /// [`ir::memo::optimize`].
-    pub join_rows: ir::memo::JoinEstimates,
 }
 
 impl BoundQuery {
@@ -540,7 +536,6 @@ impl<'a> Planner<'a> {
             limit: q.limit,
             aggregated,
             subquery_notes: Vec::new(),
-            join_rows: Default::default(),
         };
         ir::unnest::unnest(self, &mut bq);
         Ok(bq)

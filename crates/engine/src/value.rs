@@ -466,12 +466,15 @@ fn numbers(op: BinOp, a: &Value, b: &Value, mode: ArithMode) -> EngineResult<Val
 /// `d op (months, days)` for `op` in `+ -`, the months first: a date
 /// while the result fits a [`Day`], the integer overflow of `op` if not.
 fn shift_date(d: Day, months: i32, days: i64, op: BinOp) -> EngineResult<Value> {
-    let months = if op == BinOp::Plus { months } else { -months };
-    let d = match months {
-        0 => d as i64,
-        m => sqalpel_datagen::calendar::add_months(d, m) as i64,
+    let (months, days) = match op {
+        BinOp::Plus => (Some(months), Some(days)),
+        _ => (months.checked_neg(), days.checked_neg()),
     };
-    let d = if op == BinOp::Plus { d.checked_add(days) } else { d.checked_sub(days) };
+    let d = match months {
+        Some(0) => Some(d),
+        m => m.and_then(|m| sqalpel_datagen::calendar::add_months(d, m)),
+    };
+    let d = d.zip(days).and_then(|(d, n)| i64::from(d).checked_add(n));
     let d = d.and_then(|d| Day::try_from(d).ok());
     d.map(Value::Date).ok_or_else(|| Fault::Overflow { int: true, op }.into())
 }

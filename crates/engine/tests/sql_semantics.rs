@@ -370,6 +370,72 @@ fn date_plus_days_out_of_range_is_an_overflow() {
     }
 }
 
+/// An interval literal that does not fit the engine's `i32` day or month
+/// count is a numeric overflow, never a wrapped count: `4294967296` days
+/// is `2^32`, which wraps to 0, and `200000000` years is more months than
+/// `i32` holds. A date moved by months far past the calendar's range is
+/// the overflow of its operator. Folding such a literal into an estimate
+/// gives up the bound. Both engines.
+#[test]
+fn interval_literals_and_month_shifts_out_of_range_are_an_overflow() {
+    let mut db = Database::new();
+    db.add_table(Table::new("t", vec![date_col("d", [8766, 9131].into_iter())]).unwrap());
+    let db = Arc::new(db);
+    for dbms in [
+        Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
+        Box::new(ColStore::new(db)),
+    ] {
+        for (sql, want) in [
+            (
+                "select d + interval '4294967296' day from t",
+                "numeric overflow: interval '4294967296' day",
+            ),
+            (
+                "select d - interval '200000000' year from t",
+                "numeric overflow: interval '200000000' year",
+            ),
+            (
+                "select d + interval '100000000' month from t",
+                "numeric overflow: integer +",
+            ),
+            (
+                "select d - interval '100000000' month from t",
+                "numeric overflow: integer -",
+            ),
+            (
+                "select count(*) from t where d < date '1994-01-01' + interval '4294967296' day",
+                "numeric overflow: interval '4294967296' day",
+            ),
+        ] {
+            let err = dbms.execute(sql).unwrap_err();
+            assert_eq!(err.to_string(), want, "{sql} on {}", dbms.label());
+        }
+        let r = dbms
+            .execute("select d + interval '2147483647' day - d, d + interval '12' month from t")
+            .unwrap_err();
+        assert_eq!(
+            r.to_string(),
+            "numeric overflow: integer +",
+            "{}",
+            dbms.label()
+        );
+        let r = dbms
+            .execute("select d + interval '100' year, d - interval '1000' month from t")
+            .unwrap();
+        let rows: Vec<Vec<String>> = r
+            .rows
+            .iter()
+            .map(|row| row.iter().map(Value::to_string).collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [["2094-01-01", "1910-09-01"], ["2095-01-01", "1911-09-01"]],
+            "{}",
+            dbms.label()
+        );
+    }
+}
+
 /// A number minus a date is the type error a number plus a date is: the
 /// operator and both types named, on both engines.
 #[test]
