@@ -71,7 +71,10 @@ cargo test -q -p sqalpel-core --test wire_codec_golden
 # The same suite holds the ratchet that no TPC-H plan evaluates a
 # subquery per outer row (the cached uncorrelated scalars are listed),
 # and the rule that executing a query on either engine reports its
-# EXPLAIN fingerprint.
+# EXPLAIN fingerprint. The alignment wall rides along: over both flights,
+# both engines, 1 and 4 workers, EXPLAIN ANALYZE's flat operator rows are
+# its annotated lines one for one, label and counters (the benchmark
+# reads self times off that pairing).
 explain_goldens
 # The cost-based optimizer's plan goldens: chosen join order plus
 # estimated-vs-actual cardinalities for the five join-heavy queries and
@@ -153,7 +156,10 @@ cargo test -q --release -p sqalpel-engine --test eval_props
 # entry points (the boxed `value` operations, the typed walk and
 # ColStore's lane kernel) to one another over i64/i32 edges, decimals,
 # dates and intervals; sql_semantics and eval_props run the same
-# operations end to end.
+# operations end to end. Here too: a decimal literal past `i128` stays a
+# float (sql_semantics), a mirrored comparison is the swapped one
+# (eval_props), and the sum accumulator's rescale at scales 0-6, with
+# its overflow texts, under every merge split (the in-file tests).
 cargo test -q -p sqalpel-engine --lib --test sql_semantics --test eval_props
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
 # skipped chunk must hold no qualifying row, checked against raw data —

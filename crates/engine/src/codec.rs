@@ -39,7 +39,7 @@
 //! every deterministic ordering argument) never depends on how many
 //! workers run.
 
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::exec_col::ColVec;
 use crate::value::{self, Value};
 use std::borrow::Cow;
@@ -360,13 +360,13 @@ enum ColEnc<'a> {
     /// One byte.
     Bool(&'a [bool]),
     /// Decimal rescaled to scale 6 (the [`value::Key`] normalization,
-    /// with the identical overflow check), 16 little-endian bytes.
+    /// through [`key6`]), 16 little-endian bytes.
     Dec6 {
         raw: &'a [i128],
-        /// `10^(6 - scale)` when upscaling (checked), else 1.
-        mul: i128,
-        /// `10^(scale - 6)` when downscaling (lossy, like `Key`), else 1.
-        div: i128,
+        scale: u8,
+        /// `value::scale_factor(scale, 6)`, once per column; 1 past
+        /// scale 6.
+        factor: i128,
     },
     /// `i64` widened into the scale-6 decimal domain (for join pairs
     /// mixing integer and decimal sides), 16 little-endian bytes.
@@ -394,8 +394,8 @@ enum ColEnc<'a> {
 
 impl ColEnc<'_> {
     fn dec6(raw: &[i128], scale: u8) -> ColEnc<'_> {
-        let (mul, div) = dec6_factors(scale);
-        ColEnc::Dec6 { raw, mul, div }
+        let factor = value::scale_factor(scale.min(6), 6);
+        ColEnc::Dec6 { raw, scale, factor }
     }
 
     /// Encoded byte width; `None` for variable-width strings.
@@ -412,25 +412,15 @@ impl ColEnc<'_> {
     }
 }
 
-/// The `(mul, div)` pair that takes a decimal of `scale` to scale 6.
-fn dec6_factors(scale: u8) -> (i128, i128) {
-    if scale <= 6 {
-        (10i128.pow((6 - scale) as u32), 1)
-    } else {
-        (1, 10i128.pow((scale - 6) as u32))
-    }
-}
-
-/// Rescale with the exact failure mode of [`Value::key`]: upscaling is
-/// overflow-checked, downscaling truncates.
+/// `raw` at `scale` taken to scale 6 as [`Value::key`] takes it, by
+/// `value`'s rescale: widening by the column's `factor`, narrowing (past
+/// scale 6) by [`value::rescale`].
 #[inline]
-fn rescale6(raw: i128, mul: i128, div: i128) -> EngineResult<i128> {
-    if div != 1 {
-        Ok(raw / div)
-    } else {
-        raw.checked_mul(mul)
-            .ok_or_else(|| EngineError::Overflow("decimal rescale".into()))
+fn key6(raw: i128, scale: u8, factor: i128) -> EngineResult<i128> {
+    if scale > 6 {
+        return value::rescale(raw, scale, 6);
     }
+    Ok(value::upscale(raw, factor)?)
 }
 
 /// Which image a codec's keys take.
@@ -504,7 +494,7 @@ impl<'a> GroupCodec<'a> {
                 ColEnc::Date(v) => (4, v[i] as u32 as u128),
                 ColEnc::Bool(v) => (1, v[i] as u128),
                 ColEnc::DictCode(v) => (4, v[i] as u128),
-                ColEnc::Dec6 { raw, mul, div } => (16, rescale6(raw[i], *mul, *div)? as u128),
+                ColEnc::Dec6 { raw, scale, factor } => (16, key6(raw[i], *scale, *factor)? as u128),
                 ColEnc::IntDec6(v) => (16, (v[i] as i128 * 1_000_000) as u128),
                 ColEnc::Const(b) => {
                     let mut buf = [0u8; 16];
@@ -545,8 +535,8 @@ impl<'a> GroupCodec<'a> {
                 ColEnc::I64(v) => buf.extend_from_slice(&v[i].to_le_bytes()),
                 ColEnc::Date(v) => buf.extend_from_slice(&v[i].to_le_bytes()),
                 ColEnc::Bool(v) => buf.push(v[i] as u8),
-                ColEnc::Dec6 { raw, mul, div } => {
-                    buf.extend_from_slice(&rescale6(raw[i], *mul, *div)?.to_le_bytes())
+                ColEnc::Dec6 { raw, scale, factor } => {
+                    buf.extend_from_slice(&key6(raw[i], *scale, *factor)?.to_le_bytes())
                 }
                 ColEnc::IntDec6(v) => {
                     buf.extend_from_slice(&(v[i] as i128 * 1_000_000).to_le_bytes())
@@ -628,8 +618,7 @@ fn enc_in_domain(col: &ColVec, class: JClass) -> Option<ColEnc<'_>> {
             (Value::Int(i), JClass::Int) => i.to_le_bytes().to_vec(),
             (Value::Int(i), JClass::Dec) => (*i as i128 * 1_000_000).to_le_bytes().to_vec(),
             (Value::Decimal { raw, scale }, JClass::Dec) => {
-                let (mul, div) = dec6_factors(*scale);
-                rescale6(*raw, mul, div).ok()?.to_le_bytes().to_vec()
+                value::rescale(*raw, *scale, 6).ok()?.to_le_bytes().to_vec()
             }
             (Value::Date(d), JClass::Date) => d.to_le_bytes().to_vec(),
             (Value::Bool(b), JClass::Bool) => vec![*b as u8],
@@ -683,6 +672,7 @@ pub fn join_codecs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use proptest::prelude::*;
 
     /// Row `i`'s image, owned.

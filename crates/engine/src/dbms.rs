@@ -20,7 +20,7 @@ use crate::ir::{self, Explain};
 use crate::morsel;
 use crate::plan::{BoundQuery, Planner};
 use crate::plan_cache::{CacheOutcome, FpExecution, PlanCache};
-use crate::profile::{NodeMetrics, ProfileShard};
+use crate::profile::{OpProfile, ProfileShard};
 use crate::result::ResultSet;
 use crate::storage::Database;
 use crate::value::Value;
@@ -28,15 +28,6 @@ use std::sync::Arc;
 
 /// Default execution budget: rows an execution may touch before aborting.
 pub const DEFAULT_BUDGET: u64 = 200_000_000;
-
-/// One operator's metrics row in an executed profile, in EXPLAIN render
-/// order — the shape the platform ships over the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpProfile {
-    /// Operator label, e.g. `"scan lineitem"`, `"join inner"`.
-    pub op: String,
-    pub metrics: NodeMetrics,
-}
 
 /// The product of EXPLAIN ANALYZE: the annotated EXPLAIN tree plus the
 /// flat per-operator rows. The fingerprint is the plain EXPLAIN
@@ -369,13 +360,8 @@ impl<E: Engine> Store<E> {
     pub fn execute_analyzed(&self, sql: &str) -> EngineResult<(ResultSet, AnalyzedPlan)> {
         let bound = self.bind_sql(sql, None)?;
         let (rows, profile) = E::run(self, &bound, true)?;
-        let plan = AnalyzedPlan {
-            explain: ir::explain_analyze(&bound, &profile),
-            ops: ir::profile_ops(&bound, &profile)
-                .into_iter()
-                .map(|(op, metrics)| OpProfile { op, metrics })
-                .collect(),
-        };
+        let (explain, ops) = ir::explain_analyze(&bound, &profile);
+        let plan = AnalyzedPlan { explain, ops };
         if let Some(cache) = &self.plan_cache {
             let hints = crate::profile::extract_feedback(&bound, &profile);
             cache.record_feedback(plan.explain.fingerprint, hints);

@@ -358,17 +358,6 @@ pub(crate) enum ColTest<'p> {
     },
 }
 
-/// Mirror a comparison across `const op col` → `col op' const`.
-fn flip_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
-}
-
 impl<'a> Prepared<'a> {
     /// Lower `e` for evaluation in `scope`. `agg_keys` names the
     /// aggregates [`EvalCtx::aggs`] will carry, in order (empty outside
@@ -444,7 +433,7 @@ impl<'a> Prepared<'a> {
                 }),
                 (Node::Const(value), Node::Col(slot)) => Some(ColTest::Cmp {
                     slot: *slot,
-                    op: flip_cmp(*op),
+                    op: op.mirrored()?,
                     value,
                 }),
                 _ => None,
@@ -1020,9 +1009,11 @@ pub fn literal(l: &Literal) -> EngineResult<Value> {
         Literal::Integer(i) => Value::Int(*i),
         Literal::Decimal(d) => {
             // SQL decimal literals like 0.05 become fixed-point values so
-            // guarded arithmetic stays in the decimal domain.
+            // guarded arithmetic stays in the decimal domain; one that
+            // scale 4 cannot hold exactly, or whose raw would not fit
+            // `i128`, stays a float.
             let scaled = (d * 10_000.0).round();
-            if (scaled / 10_000.0 - d).abs() < 1e-12 {
+            if (scaled / 10_000.0 - d).abs() < 1e-12 && scaled.abs() < i128::MAX as f64 {
                 Value::Decimal {
                     raw: scaled as i128,
                     scale: 4,
@@ -1234,22 +1225,27 @@ impl Accumulator {
                     )))
                 }
             },
-            AggFunc::Min | AggFunc::Max => {
-                let replace = match &self.extreme {
-                    None => true,
-                    Some(cur) => {
-                        let ord = value::compare(v, cur)?
-                            .ok_or_else(|| EngineError::Type("incomparable in min/max".into()))?;
-                        match self.func {
-                            AggFunc::Min => ord.is_lt(),
-                            _ => ord.is_gt(),
-                        }
-                    }
-                };
-                if replace {
-                    self.extreme = Some(v.clone());
+            AggFunc::Min | AggFunc::Max => self.fold_extreme(v)?,
+        }
+        Ok(())
+    }
+
+    /// Keep `v` as the min (max) if it is below (above) the one held, so
+    /// a tie keeps the value seen first.
+    fn fold_extreme(&mut self, v: &Value) -> EngineResult<()> {
+        let replace = match &self.extreme {
+            None => true,
+            Some(cur) => {
+                let ord = value::compare(v, cur)?
+                    .ok_or_else(|| EngineError::Type("incomparable in min/max".into()))?;
+                match self.func {
+                    AggFunc::Min => ord.is_lt(),
+                    _ => ord.is_gt(),
                 }
             }
+        };
+        if replace {
+            self.extreme = Some(v.clone());
         }
         Ok(())
     }
@@ -1344,25 +1340,13 @@ impl Accumulator {
             self.sum_f += decimal_to_f64(raw, scale);
             return Ok(());
         }
-        // Align scales, widening as needed.
-        if scale > self.sum_scale {
-            let factor = 10i128.pow((scale - self.sum_scale) as u32);
-            self.sum_d = self
-                .sum_d
-                .checked_mul(factor)
-                .ok_or_else(|| EngineError::Overflow("sum rescale".into()))?;
-            self.sum_scale = scale;
-        }
-        let addend = if scale < self.sum_scale {
-            raw.checked_mul(10i128.pow((self.sum_scale - scale) as u32))
-                .ok_or_else(|| EngineError::Overflow("sum rescale".into()))?
+        // The fixed-point `+` of `value::arith`; at one scale, without
+        // its rescaling.
+        (self.sum_d, self.sum_scale) = if scale == self.sum_scale {
+            (value::fixed_sum(BinOp::Plus, self.sum_d, raw)?, scale)
         } else {
-            raw
+            value::fixed_arith(BinOp::Plus, self.sum_d, self.sum_scale, raw, scale)?
         };
-        self.sum_d = self
-            .sum_d
-            .checked_add(addend)
-            .ok_or_else(|| EngineError::Overflow("sum".into()))?;
         Ok(())
     }
 
@@ -1388,21 +1372,7 @@ impl Accumulator {
             }
             AggFunc::Min | AggFunc::Max => {
                 if let Some(v) = &other.extreme {
-                    let replace = match &self.extreme {
-                        None => true,
-                        Some(cur) => {
-                            let ord = value::compare(v, cur)?.ok_or_else(|| {
-                                EngineError::Type("incomparable in min/max".into())
-                            })?;
-                            match self.func {
-                                AggFunc::Min => ord.is_lt(),
-                                _ => ord.is_gt(),
-                            }
-                        }
-                    };
-                    if replace {
-                        self.extreme = Some(v.clone());
-                    }
+                    self.fold_extreme(v)?;
                 }
             }
         }
@@ -1493,13 +1463,29 @@ mod tests {
             ("min", AggFunc::Min),
             ("max", AggFunc::Max),
         ];
+        // Decimals at scales 0, 2, 4 and 6 among integers and a NULL: the
+        // sum is exact at the widest scale, 11.734499.
         let values: Vec<Value> = vec![
             Value::Int(5),
             Value::Null,
             Value::Decimal { raw: 250, scale: 2 },
             Value::Int(-3),
             Value::Decimal { raw: 7, scale: 0 },
+            Value::decimal(12_345, 4),
+            Value::decimal(-1_000_001, 6),
         ];
+        // Sums past `i128`, in the add and in widening the running sum.
+        let overflows = [
+            (
+                [Value::decimal(i128::MAX - 1, 2), Value::decimal(2, 2)],
+                "numeric overflow: decimal +",
+            ),
+            (
+                [Value::decimal(i128::MAX / 10, 0), Value::decimal(1, 6)],
+                "numeric overflow: decimal rescale",
+            ),
+        ];
+        let update = |a: &mut Accumulator, v: &Value| a.update(Some(v));
         for (name, func) in funcs {
             let spec = AggSpec {
                 func,
@@ -1507,26 +1493,37 @@ mod tests {
                 arg: None,
                 key: format!("{name}(x)"),
             };
-            let mut sequential = Accumulator::new(&spec, ArithMode::GuardedDecimal);
-            for v in &values {
-                sequential.update(Some(v)).unwrap();
+            let mode = ArithMode::GuardedDecimal;
+            let sequential = fold(&spec, mode, &values, update).unwrap().finish();
+            if func == AggFunc::Sum {
+                assert_eq!(
+                    format!("{sequential:?}"),
+                    "Decimal { raw: 11734499, scale: 6 }"
+                );
             }
             // Split at every point, accumulate the halves separately, merge.
+            let halves = |values: &[Value], split: usize| {
+                let mut lo = fold(&spec, mode, &values[..split], update)?;
+                lo.merge(&fold(&spec, mode, &values[split..], update)?)?;
+                Ok::<_, EngineError>(lo)
+            };
             for split in 0..=values.len() {
-                let mut lo = Accumulator::new(&spec, ArithMode::GuardedDecimal);
-                let mut hi = Accumulator::new(&spec, ArithMode::GuardedDecimal);
-                for v in &values[..split] {
-                    lo.update(Some(v)).unwrap();
-                }
-                for v in &values[split..] {
-                    hi.update(Some(v)).unwrap();
-                }
-                lo.merge(&hi).unwrap();
                 assert_eq!(
-                    format!("{:?}", lo.finish()),
-                    format!("{:?}", sequential.finish()),
+                    format!("{:?}", halves(&values, split).unwrap().finish()),
+                    format!("{sequential:?}"),
                     "{name} split at {split}"
                 );
+            }
+            if !matches!(func, AggFunc::Sum | AggFunc::Avg) {
+                continue;
+            }
+            for (values, want) in &overflows {
+                let fault = fold(&spec, mode, values, update).unwrap_err();
+                assert_eq!(fault.to_string(), *want, "{name}");
+                for split in 0..=values.len() {
+                    let fault = halves(values, split).unwrap_err();
+                    assert_eq!(fault.to_string(), *want, "{name} split at {split}");
+                }
             }
         }
     }

@@ -135,7 +135,7 @@ fn one_sided_bound(e: &Expr, frame: &FrameStats) -> Option<(usize, bool, f64)> {
     };
     let (slot, v, op) = match (left.as_ref(), right.as_ref()) {
         (Expr::Col { slot, .. }, v) => (*slot, v, *op),
-        (v, Expr::Col { slot, .. }) => (*slot, v, mirror(*op)),
+        (v, Expr::Col { slot, .. }) => (*slot, v, op.mirrored()?),
         _ => return None,
     };
     let upper = match op {
@@ -239,7 +239,7 @@ fn comparison_sel(a: &Expr, op: BinOp, b: &Expr, frame: &FrameStats) -> f64 {
     let (st, other, op) = match (col_stat(a, frame), col_stat(b, frame)) {
         (Some(st), _) => (st, b, op),
         // Flip `lit op col` to `col op' lit`.
-        (None, Some(st)) => (st, a, mirror(op)),
+        (None, Some(st)) => (st, a, op.mirrored().expect("`sel` passes comparisons only")),
         (None, None) => {
             // Column-to-column or uninstrumented comparison.
             return if op == BinOp::Eq {
@@ -257,16 +257,6 @@ fn comparison_sel(a: &Expr, op: BinOp, b: &Expr, frame: &FrameStats) -> f64 {
         (BinOp::Lt | BinOp::LtEq, Some(v)) => fraction_below(st, v),
         (BinOp::Gt | BinOp::GtEq, Some(v)) => 1.0 - fraction_below(st, v),
         _ => DEFAULT_SEL,
-    }
-}
-
-fn mirror(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
     }
 }
 

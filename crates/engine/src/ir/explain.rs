@@ -21,8 +21,9 @@ use crate::ir::cost::CardHints;
 use crate::ir::expr::Expr;
 use crate::ir::memo::{is_inner_region, Model, Region};
 use crate::plan::{BoundQuery, JoinKind, Plan};
-use crate::profile::{self, NodeMetrics, ProfileShard};
+use crate::profile::{self, OpProfile, ProfileShard};
 use std::fmt::Write;
+use std::ops::Range;
 
 /// A rendered plan with its canonical fingerprint.
 #[derive(Debug, Clone)]
@@ -49,16 +50,27 @@ struct Ann<'a> {
     est: Option<&'a Model<'a>>,
 }
 
-/// Render a bound query and compute its fingerprint.
-pub fn explain(bq: &BoundQuery) -> Explain {
-    render(bq, Ann::default())
+/// What a rendering writes: the text and, when a profile is rendered,
+/// each operator line's row, in the order the lines are printed.
+#[derive(Default)]
+struct Out {
+    text: String,
+    ops: Vec<OpProfile>,
 }
 
-/// Render the same tree annotated with an executed profile. The
-/// fingerprint is computed from the canonical form only, so it is
-/// identical to the plain [`explain`] fingerprint — ANALYZE never
-/// changes plan identity.
-pub fn explain_analyze(bq: &BoundQuery, prof: &ProfileShard) -> Explain {
+/// Render a bound query and compute its fingerprint.
+pub fn explain(bq: &BoundQuery) -> Explain {
+    render(bq, Ann::default()).0
+}
+
+/// Render the same tree annotated with an executed profile, and return
+/// the operator rows the rendering printed: one per annotated line, in
+/// line order, labelled `select`, `scan <table>`, `derived <binding>`,
+/// `cte scan <name>`, `filter` or `join <kind>` — the shape the platform
+/// ships over the wire. The fingerprint is computed from the canonical
+/// form only, so it is identical to the plain [`explain`] fingerprint —
+/// ANALYZE never changes plan identity.
+pub fn explain_analyze(bq: &BoundQuery, prof: &ProfileShard) -> (Explain, Vec<OpProfile>) {
     render(
         bq,
         Ann {
@@ -80,59 +92,19 @@ pub fn explain_estimates(bq: &BoundQuery, prof: &ProfileShard, hints: &CardHints
             est: Some(&Model::new(hints)),
         },
     )
+    .0
 }
 
-fn render(bq: &BoundQuery, ann: Ann) -> Explain {
-    let mut text = String::new();
-    render_query(bq, 0, &mut text, ann);
+fn render(bq: &BoundQuery, ann: Ann) -> (Explain, Vec<OpProfile>) {
+    let mut out = Out::default();
+    render_query(bq, 0, &mut out, ann);
     let mut canon = String::new();
     canon_query(bq, &mut canon);
-    Explain {
+    let explain = Explain {
         fingerprint: fnv1a(&canon),
-        text,
-    }
-}
-
-/// Flat list of `(operator label, metrics)` in render order — the shape
-/// the platform ships over the wire (labels like `select`,
-/// `scan lineitem`, `filter`, `join inner`, `join semi`, `derived d`,
-/// `cte scan c`).
-pub fn profile_ops(bq: &BoundQuery, prof: &ProfileShard) -> Vec<(String, NodeMetrics)> {
-    let mut out = Vec::new();
-    ops_query(bq, prof, &mut out);
-    out
-}
-
-fn ops_query(bq: &BoundQuery, prof: &ProfileShard, out: &mut Vec<(String, NodeMetrics)>) {
-    let m = prof.get(profile::node_key(bq)).copied().unwrap_or_default();
-    out.push(("select".to_string(), m));
-    for (_, body) in &bq.ctes {
-        ops_query(body, prof, out);
-    }
-    ops_plan(&bq.core, prof, out);
-}
-
-fn ops_plan(p: &Plan, prof: &ProfileShard, out: &mut Vec<(String, NodeMetrics)>) {
-    let m = prof.get(profile::node_key(p)).copied().unwrap_or_default();
-    match p {
-        Plan::Scan { table, .. } => out.push((format!("scan {}", table.name), m)),
-        Plan::Derived { query, binding } => {
-            out.push((format!("derived {binding}"), m));
-            ops_query(query, prof, out);
-        }
-        Plan::Cte { name, .. } => out.push((format!("cte scan {name}"), m)),
-        Plan::Filter { input, .. } => {
-            out.push(("filter".to_string(), m));
-            ops_plan(input, prof, out);
-        }
-        Plan::Join {
-            left, right, kind, ..
-        } => {
-            out.push((format!("join {}", kind.name()), m));
-            ops_plan(left, prof, out);
-            ops_plan(right, prof, out);
-        }
-    }
+        text: out.text,
+    };
+    (explain, out.ops)
 }
 
 fn fnv1a(s: &str) -> u64 {
@@ -146,21 +118,32 @@ fn fnv1a(s: &str) -> u64 {
 
 // ------------------------------------------------------------ EXPLAIN text
 
-fn indent(out: &mut String, level: usize) {
+fn indent(out: &mut Out, level: usize) {
     for _ in 0..level {
-        out.push_str("  ");
+        out.text.push_str("  ");
     }
 }
 
-/// Append the ANALYZE annotation for `node` when rendering a profile.
-/// Nodes the execution never reached (short-circuited subtrees) are
-/// marked rather than silently skipped.
-fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
+/// Start an operator's line at `level` with its label, and return where
+/// the label sits in the text: the line's row takes its label from there.
+fn head(out: &mut Out, level: usize, label: std::fmt::Arguments) -> Range<usize> {
+    indent(out, level);
+    let start = out.text.len();
+    let _ = out.text.write_fmt(label);
+    start..out.text.len()
+}
+
+/// Append the ANALYZE annotation for `node`, whose label is at `op` in
+/// the text, when rendering a profile, and record the line's row. Nodes
+/// the execution never reached (short-circuited subtrees) are marked
+/// rather than silently skipped; their row holds zeros.
+fn annotate<T>(out: &mut Out, prof: Option<&ProfileShard>, node: &T, op: Range<usize>) {
     let Some(prof) = prof else { return };
-    match prof.get(profile::node_key(node)) {
+    let metrics = prof.get(profile::node_key(node)).copied();
+    match metrics {
         Some(m) => {
             let _ = write!(
-                out,
+                out.text,
                 " (rows_in={} rows_out={} batches={} time={}ns",
                 m.rows_in, m.rows_out, m.batches, m.nanos
             );
@@ -169,15 +152,19 @@ fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
             // engine's fused filter scans).
             if m.chunks_scanned + m.chunks_skipped > 0 {
                 let _ = write!(
-                    out,
+                    out.text,
                     " chunks_scanned={} chunks_skipped={}",
                     m.chunks_scanned, m.chunks_skipped
                 );
             }
-            out.push(')');
+            out.text.push(')');
         }
-        None => out.push_str(" (not executed)"),
+        None => out.text.push_str(" (not executed)"),
     }
+    out.ops.push(OpProfile {
+        op: out.text[op].to_string(),
+        metrics: metrics.unwrap_or_default(),
+    });
 }
 
 /// Plan-node annotation: the estimator's prediction first (when the
@@ -186,61 +173,60 @@ fn annotate<T>(out: &mut String, prof: Option<&ProfileShard>, node: &T) {
 /// search held for its leaf set — the number that chose the plan.
 /// Estimates are rounded to whole rows — the goldens pin drift
 /// direction, not float noise.
-fn annotate_plan(out: &mut String, ann: Ann, p: &Plan) {
+fn annotate_plan(out: &mut Out, ann: Ann, p: &Plan, op: Range<usize>) {
     if let Some(m) = ann.est {
-        let _ = write!(out, " (est_rows={:.0})", m.rows(p));
+        let _ = write!(out.text, " (est_rows={:.0})", m.rows(p));
     }
-    annotate(out, ann.prof, p);
+    annotate(out, ann.prof, p, op);
 }
 
-fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
-    indent(out, level);
-    out.push_str("select");
+fn render_query(bq: &BoundQuery, level: usize, out: &mut Out, ann: Ann) {
+    let op = head(out, level, format_args!("select"));
     if bq.distinct {
-        out.push_str(" distinct");
+        out.text.push_str(" distinct");
     }
     if bq.aggregated {
-        out.push_str(" aggregate");
+        out.text.push_str(" aggregate");
     }
     if let Some(n) = bq.limit {
-        let _ = write!(out, " limit {n}");
+        let _ = write!(out.text, " limit {n}");
     }
     if let Some(m) = ann.est {
-        let _ = write!(out, " (est_rows={:.0})", m.query_rows(bq));
+        let _ = write!(out.text, " (est_rows={:.0})", m.query_rows(bq));
     }
-    annotate(out, ann.prof, bq);
-    out.push('\n');
+    annotate(out, ann.prof, bq, op);
+    out.text.push('\n');
     indent(out, level + 1);
-    out.push_str("output:");
+    out.text.push_str("output:");
     for it in &bq.items {
-        let _ = write!(out, " {}={} ({})", it.name, it.expr, it.ty);
+        let _ = write!(out.text, " {}={} ({})", it.name, it.expr, it.ty);
     }
-    out.push('\n');
+    out.text.push('\n');
     if !bq.group_by.is_empty() {
         indent(out, level + 1);
-        out.push_str("group by:");
+        out.text.push_str("group by:");
         for g in &bq.group_by {
-            let _ = write!(out, " {g}");
+            let _ = write!(out.text, " {g}");
         }
-        out.push('\n');
+        out.text.push('\n');
     }
     if let Some(h) = &bq.having {
         indent(out, level + 1);
-        let _ = writeln!(out, "having: {h}");
+        let _ = writeln!(out.text, "having: {h}");
     }
     if !bq.order_by.is_empty() {
         indent(out, level + 1);
-        out.push_str("order by:");
+        out.text.push_str("order by:");
         for (k, desc) in &bq.order_by {
-            let _ = write!(out, " {k}{}", if *desc { " desc" } else { "" });
+            let _ = write!(out.text, " {k}{}", if *desc { " desc" } else { "" });
         }
-        out.push('\n');
+        out.text.push('\n');
     }
     // Why each subquery still in this block was not turned into a join,
     // and whether it runs once or per row.
     for note in &bq.subquery_notes {
         indent(out, level + 1);
-        let _ = writeln!(out, "subquery {note}");
+        let _ = writeln!(out.text, "subquery {note}");
     }
     // The block's CTEs are in scope for its bodies and its core.
     let entered = ann.est.map(|m| m.entered(bq));
@@ -250,56 +236,53 @@ fn render_query(bq: &BoundQuery, level: usize, out: &mut String, ann: Ann) {
     };
     for (name, body) in &bq.ctes {
         indent(out, level + 1);
-        let _ = writeln!(out, "cte {name}:");
+        let _ = writeln!(out.text, "cte {name}:");
         render_query(body, level + 2, out, ann);
     }
     render_plan(&bq.core, level + 1, out, ann);
 }
 
-fn render_plan(p: &Plan, level: usize, out: &mut String, ann: Ann) {
+fn render_plan(p: &Plan, level: usize, out: &mut Out, ann: Ann) {
     match p {
         Plan::Scan {
             table,
             binding,
             live,
         } => {
-            indent(out, level);
-            let _ = write!(out, "scan {}", table.name);
+            let op = head(out, level, format_args!("scan {}", table.name));
             if binding != &table.name {
-                let _ = write!(out, " as {binding}");
+                let _ = write!(out.text, " as {binding}");
             }
-            out.push_str(" [");
+            out.text.push_str(" [");
             for (i, &ci) in live.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.text.push_str(", ");
                 }
-                out.push_str(&table.columns[ci].name);
+                out.text.push_str(&table.columns[ci].name);
             }
-            out.push(']');
-            annotate_plan(out, ann, p);
-            out.push('\n');
+            out.text.push(']');
+            annotate_plan(out, ann, p, op);
+            out.text.push('\n');
         }
         Plan::Derived { query, binding } => {
-            indent(out, level);
-            let _ = write!(out, "derived {binding}");
-            annotate_plan(out, ann, p);
-            out.push('\n');
+            let op = head(out, level, format_args!("derived {binding}"));
+            annotate_plan(out, ann, p, op);
+            out.text.push('\n');
             render_query(query, level + 1, out, ann);
         }
         Plan::Cte { name, binding, .. } => {
-            indent(out, level);
-            let _ = write!(out, "cte scan {name}");
+            let op = head(out, level, format_args!("cte scan {name}"));
             if binding != name {
-                let _ = write!(out, " as {binding}");
+                let _ = write!(out.text, " as {binding}");
             }
-            annotate_plan(out, ann, p);
-            out.push('\n');
+            annotate_plan(out, ann, p, op);
+            out.text.push('\n');
         }
         Plan::Filter { input, predicate } => {
-            indent(out, level);
-            let _ = write!(out, "filter {predicate}");
-            annotate_plan(out, ann, p);
-            out.push('\n');
+            let op = head(out, level, format_args!("filter"));
+            let _ = write!(out.text, " {predicate}");
+            annotate_plan(out, ann, p, op);
+            out.text.push('\n');
             render_plan(input, level + 1, out, ann);
         }
         Plan::Join {
@@ -309,22 +292,21 @@ fn render_plan(p: &Plan, level: usize, out: &mut String, ann: Ann) {
             equi,
             residual,
         } => {
-            indent(out, level);
-            let _ = write!(out, "join {}", kind.name());
+            let op = head(out, level, format_args!("join {}", kind.name()));
             if !equi.is_empty() {
-                out.push_str(" on");
+                out.text.push_str(" on");
                 for (i, (l, r)) in equi.iter().enumerate() {
                     if i > 0 {
-                        out.push_str(" and");
+                        out.text.push_str(" and");
                     }
-                    let _ = write!(out, " {l} = {r}");
+                    let _ = write!(out.text, " {l} = {r}");
                 }
             }
             if let Some(r) = residual {
-                let _ = write!(out, " residual {r}");
+                let _ = write!(out.text, " residual {r}");
             }
-            annotate_plan(out, ann, p);
-            out.push('\n');
+            annotate_plan(out, ann, p, op);
+            out.text.push('\n');
             render_plan(left, level + 1, out, ann);
             render_plan(right, level + 1, out, ann);
         }
@@ -411,20 +393,13 @@ fn normalized(e: &Expr) -> Expr {
 }
 
 fn normalize_in_place(e: &mut Expr) {
-    use sqalpel_sql::ast::BinOp;
     // Children first (normalization is structural, subqueries stay as-is).
     e.visit_mut(&mut |node| {
         let Expr::Binary { left, op, right } = node else {
             return;
         };
-        let mirrored = match op {
-            BinOp::Eq => BinOp::Eq,
-            BinOp::NotEq => BinOp::NotEq,
-            BinOp::Lt => BinOp::Gt,
-            BinOp::LtEq => BinOp::GtEq,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::GtEq => BinOp::LtEq,
-            _ => return,
+        let Some(mirrored) = op.mirrored() else {
+            return;
         };
         if matches!(left.as_ref(), Expr::Literal(_) | Expr::Bool(_))
             && !matches!(right.as_ref(), Expr::Literal(_) | Expr::Bool(_))

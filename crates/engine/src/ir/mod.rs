@@ -25,5 +25,5 @@ pub mod rewrite;
 pub mod stats;
 pub mod unnest;
 
-pub use explain::{explain, explain_analyze, explain_estimates, profile_ops, Explain};
+pub use explain::{explain, explain_analyze, explain_estimates, Explain};
 pub use expr::{Expr, Ty};

@@ -45,11 +45,11 @@ pub mod result;
 pub mod storage;
 pub mod value;
 
-pub use dbms::{for_label, AnalyzedPlan, ColStore, Dbms, OpProfile, RowStore, DEFAULT_BUDGET};
+pub use dbms::{for_label, AnalyzedPlan, ColStore, Dbms, RowStore, DEFAULT_BUDGET};
 pub use error::{EngineError, EngineResult};
 pub use ir::Explain;
 pub use plan_cache::{CacheOutcome, FpExecution, PlanCache, PlanCacheStats};
-pub use profile::{NodeMetrics, ProfileShard, Profiler};
+pub use profile::{NodeMetrics, OpProfile, ProfileShard, Profiler};
 pub use result::ResultSet;
 pub use storage::{Database, Table};
 pub use value::Value;

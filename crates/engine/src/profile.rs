@@ -59,6 +59,15 @@ impl NodeMetrics {
     }
 }
 
+/// One operator's metrics row in an executed profile, in EXPLAIN render
+/// order — the shape the platform ships over the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpProfile {
+    /// Operator label, e.g. `"scan lineitem"`, `"join inner"`.
+    pub op: String,
+    pub metrics: NodeMetrics,
+}
+
 /// One execution's per-node metrics.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ProfileShard {

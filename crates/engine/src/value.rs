@@ -319,7 +319,8 @@ pub fn arith(op: BinOp, a: Num, b: Num, mode: ArithMode) -> Result<Num, Fault> {
         (Num::Float(_), _) | (_, Num::Float(_)) => float_op(op, a.f64(), b.f64()),
         _ => {
             let ((x, xs), (y, ys)) = (fixed(a), fixed(b));
-            fixed_arith(op, x, xs, y, ys)
+            let (raw, scale) = fixed_arith(op, x, xs, y, ys)?;
+            Ok(Num::Decimal { raw, scale })
         }
     }
 }
@@ -336,16 +337,23 @@ fn float_op(op: BinOp, x: f64, y: f64) -> Result<Num, Fault> {
     }))
 }
 
-/// [`arith`] in guarded mode: `x` at scale `xs` `op` `y` at scale `ys`.
+/// [`arith`] in guarded mode: `x` at scale `xs` `op` `y` at scale `ys`,
+/// as the result's raw and scale.
 #[inline(never)]
-fn fixed_arith(op: BinOp, x: i128, xs: u8, y: i128, ys: u8) -> Result<Num, Fault> {
+pub(crate) fn fixed_arith(
+    op: BinOp,
+    x: i128,
+    xs: u8,
+    y: i128,
+    ys: u8,
+) -> Result<(i128, u8), Fault> {
     if op == BinOp::Mul {
         let (scale, shift) = product_scale(xs, ys);
-        return Ok(Num::Decimal { raw: fixed_product(x, y, shift)?, scale });
+        return Ok((fixed_product(x, y, shift)?, scale));
     }
     let scale = xs.max(ys);
     let (x, y) = (upscale(x, scale_factor(xs, scale))?, upscale(y, scale_factor(ys, scale))?);
-    Ok(Num::Decimal { raw: fixed_sum(op, x, y)?, scale })
+    Ok((fixed_sum(op, x, y)?, scale))
 }
 
 /// `a op b` for `op` in `+ - *` over two integers, checked.

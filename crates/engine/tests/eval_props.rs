@@ -14,6 +14,10 @@
 //! an invalid date) behind `AND false`, `OR true` and unmatched `CASE`
 //! arms, outer references that resolve, do not resolve, or are
 //! ambiguous, aggregates inside and outside an aggregation.
+//!
+//! Comparison mirroring — what the filter kernels, the estimator and the
+//! fingerprint do to `constant op column` — is held to the comparison
+//! itself over random value pairs.
 
 use proptest::prelude::*;
 use sqalpel_engine::eval::{agg_key, literal, Env, EvalCtx, Prepared, Rows, Scope, SubqueryRunner};
@@ -418,6 +422,33 @@ fn gen_row(g: &mut Gen) -> Vec<Value> {
     ]
 }
 
+/// One value for the comparison properties: NULL, a number in halves
+/// from -3 to 3 (an integer, a decimal at scale 0 to 6 or a float, so the
+/// types meet in equalities), a date or a string.
+fn gen_scalar(g: &mut Gen) -> Value {
+    let halves = g.below(13) as i64 - 6;
+    match g.below(6) {
+        0 => Value::Null,
+        1 => Value::Int(halves / 2),
+        2 => {
+            let scale = g.below(7) as u8;
+            Value::decimal(halves as i128 * 10i128.pow(scale as u32) / 2, scale)
+        }
+        3 => Value::Float(halves as f64 / 2.0),
+        4 => Value::Date(9000 + g.below(3) as i32),
+        _ => Value::Str((*g.pick(&["", "a", "ab", "b"])).to_string()),
+    }
+}
+
+const COMPARISONS: [BinOp; 6] = [
+    BinOp::Eq,
+    BinOp::NotEq,
+    BinOp::Lt,
+    BinOp::LtEq,
+    BinOp::Gt,
+    BinOp::GtEq,
+];
+
 /// What a generated expression is meant to evaluate to.
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
@@ -700,6 +731,33 @@ proptest! {
             "text={:?} pattern={:?}", text, pattern
         );
         prop_assert_eq!(value::like_match(&text, &pattern), want);
+    }
+
+    /// (c) One mirror: `a op b` is `b op' a` for `op'` the comparison's
+    /// `mirrored()`, NULLs, mixed numeric types and incomparable pairs
+    /// (an error both ways) included, and mirroring twice is the identity.
+    #[test]
+    fn a_mirrored_comparison_is_the_swapped_one(seed in any::<u64>()) {
+        let mut g = Gen(seed | 1);
+        let (a, b) = (gen_scalar(&mut g), gen_scalar(&mut g));
+        for op in COMPARISONS {
+            let m = op.mirrored().expect("a comparison has a mirror");
+            prop_assert_eq!(m.mirrored(), Some(op));
+            prop_assert_eq!(
+                compare_tv(&a, &b, op).ok(), compare_tv(&b, &a, m).ok(),
+                "{:?} {:?} {:?}", a, op, b
+            );
+        }
+    }
+}
+
+/// Only the comparisons have a mirror.
+#[test]
+fn no_other_operator_has_a_mirror() {
+    use BinOp::*;
+    for op in [Plus, Minus, Mul, Div, Mod, And, Or, Concat] {
+        assert_eq!(op.mirrored(), None, "{op:?}");
+        assert!(!op.is_comparison(), "{op:?}");
     }
 }
 

@@ -14,8 +14,12 @@
 //! filter was fused into one), ANALYZE must not move the plan
 //! fingerprint, and the plain EXPLAIN goldens must be untouched by the
 //! annotation machinery.
+//!
+//! Over the full TPC-H and SSB flights, the flat operator rows are the
+//! annotated lines of the text, one for one, in order: the benchmark
+//! reads self times off that pairing.
 
-use sqalpel_engine::{ColStore, Database, Dbms, RowStore};
+use sqalpel_engine::{ColStore, Database, Dbms, NodeMetrics, RowStore};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -202,4 +206,62 @@ fn analyze_goldens_cover_the_slice() {
     let mut expected: Vec<String> = slice().iter().map(|(n, _)| golden_name(n)).collect();
     expected.sort();
     assert_eq!(files, expected);
+}
+
+#[test]
+fn analyze_rows_are_its_operator_lines() {
+    let flights = [
+        (Database::tpch(0.001, 42), sqalpel_sql::tpch::all_queries()),
+        (Database::ssb(0.001, 42), sqalpel_sql::ssb::all_queries()),
+    ];
+    for (db, queries) in flights {
+        let db = Arc::new(db);
+        for threads in [1, 4] {
+            let engines: [Box<dyn Dbms>; 2] = [
+                Box::new(RowStore::new(db.clone()).with_threads(threads)),
+                Box::new(ColStore::new(db.clone()).with_threads(threads)),
+            ];
+            for dbms in &engines {
+                for (name, sql) in &queries {
+                    let at = format!("{name} on {} at {threads} workers", dbms.label());
+                    let plan = dbms
+                        .explain_analyze(sql)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    let lines: Vec<&str> = plan
+                        .explain
+                        .text
+                        .lines()
+                        .filter(|l| l.contains("(rows_in=") || l.contains("(not executed)"))
+                        .collect();
+                    assert_eq!(lines.len(), plan.ops.len(), "{at}:\n{}", plan.explain.text);
+                    for (line, row) in lines.iter().zip(&plan.ops) {
+                        let rest = line.trim_start().strip_prefix(row.op.as_str());
+                        assert!(
+                            rest.is_some_and(|r| r.starts_with(' ')),
+                            "{at}: `{line}` is not a `{}` line",
+                            row.op
+                        );
+                        let m = row.metrics;
+                        if line.ends_with(" (not executed)") {
+                            assert_eq!(m, NodeMetrics::default(), "{at}: `{line}`");
+                            continue;
+                        }
+                        let chunks = if m.chunks_scanned + m.chunks_skipped > 0 {
+                            format!(
+                                " chunks_scanned={} chunks_skipped={}",
+                                m.chunks_scanned, m.chunks_skipped
+                            )
+                        } else {
+                            String::new()
+                        };
+                        let want = format!(
+                            " (rows_in={} rows_out={} batches={} time={}ns{chunks})",
+                            m.rows_in, m.rows_out, m.batches, m.nanos
+                        );
+                        assert!(line.ends_with(&want), "{at}: `{line}` is not {m:?}");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -240,6 +240,22 @@ fn arithmetic_and_division_in_projection() {
 }
 
 #[test]
+fn a_decimal_literal_scale_4_cannot_hold_stays_a_float() {
+    // 2^120 at scale 4 needs a raw past `i128`: the literal is the float
+    // it reads as (it once saturated to i128::MAX, 1.7e34), and so is an
+    // integer plus it, on both engines. 0.05 still fits, exactly.
+    let two_120 = "1329227995784915872903807060280344576.0";
+    on_both(
+        &format!("select {two_120}, id + {two_120}, 0.05 from people where id = 1"),
+        |r, label| {
+            let big = Value::Float(2f64.powi(120));
+            let want = [big.clone(), big, Value::Decimal { raw: 500, scale: 4 }];
+            assert_eq!(format!("{:?}", r.rows[0]), format!("{want:?}"), "{label}");
+        },
+    );
+}
+
+#[test]
 fn division_by_zero_is_an_error_run() {
     let db = tiny_db();
     for dbms in [

@@ -171,10 +171,20 @@ impl BinOp {
 
     /// True for comparison operators that yield booleans from scalars.
     pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        )
+        self.mirrored().is_some()
+    }
+
+    /// The comparison that holds of `b op' a` exactly when `self` holds
+    /// of `a op b`; `None` for an operator that is not a comparison.
+    pub fn mirrored(self) -> Option<BinOp> {
+        Some(match self {
+            BinOp::Eq | BinOp::NotEq => self,
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            _ => return None,
+        })
     }
 }
 
