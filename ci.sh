@@ -156,15 +156,24 @@ cargo test -q --release -p sqalpel-engine --test eval_props
 # entry points (the boxed `value` operations, the typed walk and
 # ColStore's lane kernel) to one another over i64/i32 edges, decimals,
 # dates and intervals; sql_semantics and eval_props run the same
-# operations end to end. Here too: a decimal literal past `i128` stays a
-# float (sql_semantics), a mirrored comparison is the swapped one
-# (eval_props), and the sum accumulator's rescale at scales 0-6, with
-# its overflow texts, under every merge split (the in-file tests).
+# operations end to end. Here too: a decimal literal keeps its digits,
+# and one past `i128` stays a float (sql_semantics), a mirrored
+# comparison is the swapped one (eval_props), and the sum accumulator's
+# rescale at scales 0-6, with its overflow texts, under every merge
+# split (the in-file tests). The second line is storage_props' magnitude
+# case alone: integer, decimal and float constants around ±2^53, at the
+# ends of `i64` and past them, read in a column's keys (the one
+# `storage::key_range`) and compared exactly, where an `i128` or `i64`
+# that wraps would panic.
 cargo test -q -p sqalpel-engine --lib --test sql_semantics --test eval_props
+cargo test -q -p sqalpel-engine --test storage_props a_comparison_counts_the_same_rows_on_every_path
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
 # skipped chunk must hold no qualifying row, checked against raw data —
-# also end to end through the row engine's scan front end, and a
-# `date ± interval` bound must prune what its folded literal prunes).
+# also end to end through both engines' scans, and a `date ± interval`
+# bound must prune what its folded literal prunes). Every comparison,
+# `IN` list and `BETWEEN` around ±2^53 counts the same rows through the
+# base-table scan, a `(select … limit n)` no scan shortcut reaches, and
+# the projected comparison, on both engines at 1 and 4 workers.
 cargo test -q --release -p sqalpel-engine --test storage_props
 # Selection-vector filters, dict probes and the row engine's scan ->
 # filter -> join -> group pipeline must stay allocation-lean. A Q1-shaped

@@ -359,13 +359,11 @@ enum ColEnc<'a> {
     Date(&'a [i32]),
     /// One byte.
     Bool(&'a [bool]),
-    /// Decimal rescaled to scale 6 (the [`value::Key`] normalization,
-    /// through [`key6`]), 16 little-endian bytes.
+    /// Decimal at scale 6 or below, widened to scale 6 (the
+    /// [`value::Key`] normalization), 16 little-endian bytes.
     Dec6 {
         raw: &'a [i128],
-        scale: u8,
-        /// `value::scale_factor(scale, 6)`, once per column; 1 past
-        /// scale 6.
+        /// `value::scale_factor(scale, 6)`, once per column.
         factor: i128,
     },
     /// `i64` widened into the scale-6 decimal domain (for join pairs
@@ -394,8 +392,8 @@ enum ColEnc<'a> {
 
 impl ColEnc<'_> {
     fn dec6(raw: &[i128], scale: u8) -> ColEnc<'_> {
-        let factor = value::scale_factor(scale.min(6), 6);
-        ColEnc::Dec6 { raw, scale, factor }
+        let factor = value::scale_factor(scale, 6);
+        ColEnc::Dec6 { raw, factor }
     }
 
     /// Encoded byte width; `None` for variable-width strings.
@@ -410,17 +408,6 @@ impl ColEnc<'_> {
             ColEnc::Const(b) => Some(b.len()),
         }
     }
-}
-
-/// `raw` at `scale` taken to scale 6 as [`Value::key`] takes it, by
-/// `value`'s rescale: widening by the column's `factor`, narrowing (past
-/// scale 6) by [`value::rescale`].
-#[inline]
-fn key6(raw: i128, scale: u8, factor: i128) -> EngineResult<i128> {
-    if scale > 6 {
-        return value::rescale(raw, scale, 6);
-    }
-    Ok(value::upscale(raw, factor)?)
 }
 
 /// Which image a codec's keys take.
@@ -465,7 +452,7 @@ impl<'a> GroupCodec<'a> {
                 ColVec::Int(v) => ColEnc::I64(v),
                 ColVec::Date(v) => ColEnc::Date(v),
                 ColVec::Bool(v) => ColEnc::Bool(v),
-                ColVec::Decimal { raw, scale } => ColEnc::dec6(raw, *scale),
+                ColVec::Decimal { raw, scale } if *scale <= 6 => ColEnc::dec6(raw, *scale),
                 ColVec::Str(v) => ColEnc::Str(v),
                 // Grouping happens within one column, so the 4-byte code
                 // is an injective stand-in for the string.
@@ -475,7 +462,8 @@ impl<'a> GroupCodec<'a> {
                 // Any other constant puts every row in one group; the
                 // encoding just has to be self-consistent.
                 ColVec::Const(..) => ColEnc::Const(Vec::new()),
-                ColVec::Float(_) | ColVec::Val(_) => ColEnc::Tagged(col),
+                // Past scale 6 a decimal may key as a float, row by row.
+                ColVec::Decimal { .. } | ColVec::Float(_) | ColVec::Val(_) => ColEnc::Tagged(col),
             })
             .collect();
         GroupCodec::new(encs)
@@ -494,7 +482,7 @@ impl<'a> GroupCodec<'a> {
                 ColEnc::Date(v) => (4, v[i] as u32 as u128),
                 ColEnc::Bool(v) => (1, v[i] as u128),
                 ColEnc::DictCode(v) => (4, v[i] as u128),
-                ColEnc::Dec6 { raw, scale, factor } => (16, key6(raw[i], *scale, *factor)? as u128),
+                ColEnc::Dec6 { raw, factor } => (16, value::upscale(raw[i], *factor)? as u128),
                 ColEnc::IntDec6(v) => (16, (v[i] as i128 * 1_000_000) as u128),
                 ColEnc::Const(b) => {
                     let mut buf = [0u8; 16];
@@ -535,8 +523,8 @@ impl<'a> GroupCodec<'a> {
                 ColEnc::I64(v) => buf.extend_from_slice(&v[i].to_le_bytes()),
                 ColEnc::Date(v) => buf.extend_from_slice(&v[i].to_le_bytes()),
                 ColEnc::Bool(v) => buf.push(v[i] as u8),
-                ColEnc::Dec6 { raw, scale, factor } => {
-                    buf.extend_from_slice(&key6(raw[i], *scale, *factor)?.to_le_bytes())
+                ColEnc::Dec6 { raw, factor } => {
+                    buf.extend_from_slice(&value::upscale(raw[i], *factor)?.to_le_bytes())
                 }
                 ColEnc::IntDec6(v) => {
                     buf.extend_from_slice(&(v[i] as i128 * 1_000_000).to_le_bytes())
@@ -578,21 +566,22 @@ enum JClass {
 fn classify(col: &ColVec) -> Option<JClass> {
     Some(match col {
         ColVec::Int(_) => JClass::Int,
-        ColVec::Decimal { .. } => JClass::Dec,
+        ColVec::Decimal { scale, .. } if *scale <= 6 => JClass::Dec,
         ColVec::Date(_) => JClass::Date,
         ColVec::Bool(_) => JClass::Bool,
         ColVec::Str(_) | ColVec::Dict { .. } => JClass::Str,
         ColVec::Const(v, _) => match v {
             Value::Int(_) => JClass::Int,
-            Value::Decimal { .. } => JClass::Dec,
+            Value::Decimal { scale, .. } if *scale <= 6 => JClass::Dec,
             Value::Date(_) => JClass::Date,
             Value::Bool(_) => JClass::Bool,
             Value::Str(_) => JClass::Str,
-            // NULL equals NULL in the key domain; floats and intervals
-            // keep their per-row `Value::key` behaviour: all tagged.
+            // NULL equals NULL in the key domain; floats, intervals and
+            // decimals past scale 6 keep their per-row `Value::key`
+            // behaviour: all tagged.
             _ => return None,
         },
-        ColVec::Float(_) | ColVec::Val(_) => return None,
+        ColVec::Decimal { .. } | ColVec::Float(_) | ColVec::Val(_) => return None,
     })
 }
 
@@ -618,7 +607,7 @@ fn enc_in_domain(col: &ColVec, class: JClass) -> Option<ColEnc<'_>> {
             (Value::Int(i), JClass::Int) => i.to_le_bytes().to_vec(),
             (Value::Int(i), JClass::Dec) => (*i as i128 * 1_000_000).to_le_bytes().to_vec(),
             (Value::Decimal { raw, scale }, JClass::Dec) => {
-                value::rescale(*raw, *scale, 6).ok()?.to_le_bytes().to_vec()
+                value::key6(*raw, *scale).ok()??.to_le_bytes().to_vec()
             }
             (Value::Date(d), JClass::Date) => d.to_le_bytes().to_vec(),
             (Value::Bool(b), JClass::Bool) => vec![*b as u8],

@@ -338,17 +338,12 @@ enum Node<'a> {
 /// A conjunct that tests one column against constants — the shape zone
 /// maps can bound and a scan can decide on stored values.
 pub(crate) enum ColTest<'p> {
-    /// `col op value`, mirrored if the constant stood on the left.
+    /// `col op value` for every `(op, value)` of `bounds`: one comparison,
+    /// mirrored if the constant stood on the left, or the `>= low` and
+    /// `<= high` of a `BETWEEN` that is not negated.
     Cmp {
         slot: usize,
-        op: BinOp,
-        value: &'p Value,
-    },
-    /// `col BETWEEN low AND high`, not negated.
-    Between {
-        slot: usize,
-        low: &'p Value,
-        high: &'p Value,
+        bounds: Vec<(BinOp, &'p Value)>,
     },
     /// `col [NOT] LIKE 'pattern'`.
     Like {
@@ -428,13 +423,11 @@ impl<'a> Prepared<'a> {
             Node::Binary(op, l, r) if op.is_comparison() => match (&**l, &**r) {
                 (Node::Col(slot), Node::Const(value)) => Some(ColTest::Cmp {
                     slot: *slot,
-                    op: *op,
-                    value,
+                    bounds: vec![(*op, value)],
                 }),
                 (Node::Const(value), Node::Col(slot)) => Some(ColTest::Cmp {
                     slot: *slot,
-                    op: op.mirrored()?,
-                    value,
+                    bounds: vec![(op.mirrored()?, value)],
                 }),
                 _ => None,
             },
@@ -444,13 +437,10 @@ impl<'a> Prepared<'a> {
                 low,
                 high,
             } => match (&**expr, &**low, &**high) {
-                (Node::Col(slot), Node::Const(low), Node::Const(high)) => {
-                    Some(ColTest::Between {
-                        slot: *slot,
-                        low,
-                        high,
-                    })
-                }
+                (Node::Col(slot), Node::Const(low), Node::Const(high)) => Some(ColTest::Cmp {
+                    slot: *slot,
+                    bounds: vec![(BinOp::GtEq, low), (BinOp::LtEq, high)],
+                }),
                 _ => None,
             },
             Node::LikeConst {
@@ -468,17 +458,20 @@ impl<'a> Prepared<'a> {
             _ => None,
         }
     }
+}
 
-    /// The `(slot, op, constant)` bounds this conjunct puts on a column —
-    /// what zone maps are tested against.
-    pub(crate) fn col_bounds(&self) -> Vec<(usize, BinOp, &Value)> {
-        match self.col_test() {
-            Some(ColTest::Cmp { slot, op, value }) => vec![(slot, op, value)],
-            Some(ColTest::Between { slot, low, high }) => {
-                vec![(slot, BinOp::GtEq, low), (slot, BinOp::LtEq, high)]
-            }
-            _ => Vec::new(),
-        }
+/// The value of a column-free expression: the constant preparing it in
+/// `mode` folds it to ([`Prepared`]), `None` where it reads a row or its
+/// evaluation fails.
+pub(crate) fn constant(e: &Expr, mode: ArithMode) -> Option<Value> {
+    let schema = Schema::new();
+    let scope = Scope {
+        schema: &schema,
+        outer: None,
+    };
+    match Node::lower(e, scope, mode, &[]) {
+        Node::Const(v) => Some(v),
+        _ => None,
     }
 }
 
@@ -1007,21 +1000,21 @@ pub(crate) fn resolve_outer(
 pub fn literal(l: &Literal) -> EngineResult<Value> {
     Ok(match l {
         Literal::Integer(i) => Value::Int(*i),
-        Literal::Decimal(d) => {
-            // SQL decimal literals like 0.05 become fixed-point values so
-            // guarded arithmetic stays in the decimal domain; one that
-            // scale 4 cannot hold exactly, or whose raw would not fit
-            // `i128`, stays a float.
-            let scaled = (d * 10_000.0).round();
-            if (scaled / 10_000.0 - d).abs() < 1e-12 && scaled.abs() < i128::MAX as f64 {
-                Value::Decimal {
-                    raw: scaled as i128,
-                    scale: 4,
-                }
-            } else {
-                Value::Float(*d)
+        // Decimal literals are fixed point, so guarded arithmetic stays in
+        // the decimal domain: at scale 4 when they have at most 4
+        // fractional digits (a float when that raw leaves `i128`), at
+        // their own scale when they have more.
+        Literal::Decimal { raw, scale } if *scale <= 4 => {
+            match raw.checked_mul(value::scale_factor(*scale, 4)) {
+                Some(raw) => Value::Decimal { raw, scale: 4 },
+                None => Value::Float(decimal_to_f64(*raw, *scale)),
             }
         }
+        Literal::Decimal { raw, scale } => Value::Decimal {
+            raw: *raw,
+            scale: *scale,
+        },
+        Literal::Float(f) => Value::Float(*f),
         Literal::String(s) => Value::Str(s.clone()),
         Literal::Date(text) => Value::Date(
             sqalpel_datagen::calendar::parse_days(text)

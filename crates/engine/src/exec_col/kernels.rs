@@ -5,6 +5,7 @@ use super::{Batch, ColExec, ColVec, MODE};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{self, Env, EvalCtx, Prepared, Scope};
 use crate::ir::Expr;
+use crate::storage::{self, Keys};
 use crate::value::{self, Fault, LikePattern, Value};
 use sqalpel_sql::ast::{BinOp, UnaryOp};
 use std::ops::Deref;
@@ -548,30 +549,14 @@ fn cmp_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColVe
             ))
         }
         // Dictionary column against a constant string: the dictionary is
-        // sorted, so the whole comparison collapses into code space — one
-        // binary search, then an integer compare per row.
-        (ColVec::Dict { codes, dict }, ColVec::Const(Value::Str(c), _)) => {
-            let out: Vec<bool> = match dict.binary_search(c) {
-                Ok(p) => {
-                    let p = p as u32;
-                    codes.iter().map(|&x| apply(x.cmp(&p), op)).collect()
-                }
-                // The constant is absent: equality is constant-false,
-                // inequality constant-true, and for range ops `p` is the
-                // insertion point, so `x < p` ⇔ `dict[x] < c` (no code
-                // equals `c`, which folds `<`/`<=` and `>`/`>=` together).
-                Err(p) => {
-                    let p = p as u32;
-                    match op {
-                        BinOp::Eq => vec![false; codes.len()],
-                        BinOp::NotEq => vec![true; codes.len()],
-                        BinOp::Lt | BinOp::LtEq => codes.iter().map(|&x| x < p).collect(),
-                        BinOp::Gt | BinOp::GtEq => codes.iter().map(|&x| x >= p).collect(),
-                        _ => unreachable!("cmp_kernel only sees comparison ops"),
-                    }
-                }
-            };
-            return Ok(ColVec::Bool(out));
+        // sorted, so the whole comparison is a range of codes — one binary
+        // search, then an integer compare per row.
+        (ColVec::Dict { codes, dict }, ColVec::Const(c @ Value::Str(_), _)) => {
+            if let Some(range) = storage::key_range(op, c, Keys::Codes(dict)) {
+                return Ok(ColVec::Bool(
+                    codes.iter().map(|&x| range.holds(x.into())).collect(),
+                ));
+            }
         }
         (
             ColVec::Dict {
@@ -831,7 +816,14 @@ mod tests {
                 }
                 8 => Expr::Literal(match g.below(3) {
                     0 => Literal::Null,
-                    1 => Literal::Decimal([0.05, 1.5, 0.0, 0.123_456_7][g.below(4) as usize]),
+                    1 => [
+                        Literal::Decimal { raw: 5, scale: 2 },
+                        Literal::Decimal { raw: 15, scale: 1 },
+                        Literal::Decimal { raw: 0, scale: 0 },
+                        Literal::Decimal { raw: 1_234_567, scale: 7 },
+                        Literal::Float(0.123_456_7),
+                    ][g.below(5) as usize]
+                        .clone(),
                     _ => Literal::Interval {
                         value: g.below(100) as i64,
                         unit: [IntervalUnit::Day, IntervalUnit::Month][g.below(2) as usize],

@@ -132,7 +132,17 @@ impl ColExec<'_> {
         }
         let schema = input.schema();
         let conjs = predicate.conjuncts();
-        let zpreds = zone_preds(&conjs, &schema, table, live);
+        // The zone predicates come from the conjuncts prepared in this
+        // engine's arithmetic, so a `date ± interval` bound is its value.
+        let scope = Scope {
+            schema: &schema,
+            outer: None,
+        };
+        let prepared: Vec<Prepared<'_>> = conjs
+            .iter()
+            .map(|c| Prepared::new(c, scope, MODE, &[]))
+            .collect();
+        let zpreds = storage::zone_preds(&prepared, table, live);
         let start = self.state.profiler.as_ref().map(|_| Instant::now());
         let chunk = |exec: &ColExec<'_>, range| {
             exec.filter_chunk(table, &schema, live, range, &conjs, &zpreds)
@@ -178,22 +188,6 @@ impl ColExec<'_> {
         let batches = parts.into_iter().map(|(batch, _)| batch).collect();
         Ok(Some(concat_batches(schema, batches)))
     }
-}
-
-/// Zone predicates for a conjunct list: whatever bounds the conjuncts,
-/// prepared in this engine's arithmetic, put on the scan's columns —
-/// `col ⋈ constant` in either order and non-negated `BETWEEN`, where a
-/// constant is any column-free expression (`date ± interval` included).
-fn zone_preds(conjs: &[&Expr], schema: &Schema, table: &Table, live: &[usize]) -> Vec<ZonePred> {
-    let scope = Scope {
-        schema,
-        outer: None,
-    };
-    let prepared: Vec<Prepared<'_>> = conjs
-        .iter()
-        .map(|c| Prepared::new(c, scope, MODE, &[]))
-        .collect();
-    storage::zone_preds(prepared.iter().flat_map(Prepared::col_bounds), table, live)
 }
 
 /// Materialize one range of a stored column into an executor vector:

@@ -34,7 +34,6 @@ use crate::plan::{BoundQuery, JoinKind, Plan};
 use crate::profile::{self, child_rows_out, NodeMetrics};
 use crate::storage::{self, CellPred, Table, ZonePred, CHUNK_ROWS};
 use crate::value::{self, ArithMode, Value};
-use sqalpel_sql::ast::BinOp;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
@@ -105,23 +104,17 @@ impl<'p> ScanFilter<'p> {
         exprs: &[&Expr],
         conjuncts: &'p [Prepared<'p>],
     ) -> ScanFilter<'p> {
-        let zones = storage::zone_preds(
-            conjuncts.iter().flat_map(Prepared::col_bounds),
-            table,
-            live,
-        );
+        let zones = storage::zone_preds(conjuncts, table, live);
         let mut typed = Vec::new();
         for c in conjuncts {
             let data = |slot: usize| &table.columns[live[slot]].data;
             let compiled = match c.col_test() {
-                Some(ColTest::Cmp { slot, op, value }) => {
-                    CellPred::compare(op, value, data(slot)).map(|p| vec![(live[slot], p)])
-                }
-                Some(ColTest::Between { slot, low, high }) => {
-                    CellPred::compare(BinOp::GtEq, low, data(slot))
-                        .zip(CellPred::compare(BinOp::LtEq, high, data(slot)))
-                        .map(|(lo, hi)| vec![(live[slot], lo), (live[slot], hi)])
-                }
+                Some(ColTest::Cmp { slot, bounds }) => bounds
+                    .into_iter()
+                    .map(|(op, value)| {
+                        Some((live[slot], CellPred::compare(op, value, data(slot))?))
+                    })
+                    .collect(),
                 Some(ColTest::Like {
                     slot,
                     negated,

@@ -14,7 +14,9 @@
 
 use super::expr::Expr;
 use super::stats::ColStats;
-use sqalpel_sql::ast::{BinOp, IntervalUnit, Literal, UnaryOp};
+use crate::eval;
+use crate::value::{self, ArithMode, Num, Value};
+use sqalpel_sql::ast::{BinOp, Literal, UnaryOp};
 use std::collections::BTreeMap;
 
 /// Default selectivity for predicates the estimator cannot analyze.
@@ -150,7 +152,7 @@ fn one_sided_bound(e: &Expr, frame: &FrameStats) -> Option<(usize, bool, f64)> {
     if max <= min {
         return None;
     }
-    let v = literal_raw(v, st.scale)?;
+    let v = raw_position(&constant(v)?, st)?;
     Some((slot, upper, fraction_below(st, v)))
 }
 
@@ -249,8 +251,9 @@ fn comparison_sel(a: &Expr, op: BinOp, b: &Expr, frame: &FrameStats) -> f64 {
             };
         }
     };
-    let lit = literal_raw(other, st.scale);
-    let constant = lit.is_some() || matches!(other, Expr::Literal(Literal::String(_)));
+    let k = constant(other);
+    let lit = k.as_ref().and_then(|k| raw_position(k, st));
+    let constant = lit.is_some() || matches!(k, Some(Value::Str(_)));
     match (op, lit) {
         (BinOp::Eq, _) if constant => 1.0 / st.ndv_floor(),
         (BinOp::NotEq, _) if constant => 1.0 - 1.0 / st.ndv_floor(),
@@ -279,7 +282,8 @@ fn range_sel(expr: &Expr, low: &Expr, high: &Expr, frame: &FrameStats) -> f64 {
     let Some(st) = col_stat(expr, frame) else {
         return DEFAULT_SEL * DEFAULT_SEL;
     };
-    match (literal_raw(low, st.scale), literal_raw(high, st.scale)) {
+    let bound = |e| raw_position(&constant(e)?, st);
+    match (bound(low), bound(high)) {
         (Some(lo), Some(hi)) => clamp(fraction_below(st, hi) - fraction_below(st, lo)),
         _ => DEFAULT_SEL * DEFAULT_SEL,
     }
@@ -293,43 +297,19 @@ fn col_stat<'a>(e: &Expr, frame: &'a FrameStats) -> Option<&'a SlotStat> {
     }
 }
 
-/// Fold `e` to a constant in a column's raw i64 domain: integer and
-/// decimal literals (scaled by `10^scale` for decimal columns), date
-/// literals (days), and `date ± interval` arithmetic.
-fn literal_raw(e: &Expr, scale: Option<u8>) -> Option<f64> {
-    let factor = 10f64.powi(i32::from(scale.unwrap_or(0)));
-    match e {
-        Expr::Literal(Literal::Integer(i)) => Some(*i as f64 * factor),
-        Expr::Literal(Literal::Decimal(d)) => Some(d * factor),
-        Expr::Literal(Literal::Date(text)) => {
-            sqalpel_datagen::calendar::parse_days(text).map(f64::from)
-        }
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => literal_raw(expr, scale).map(|v| -v),
-        Expr::Binary { left, op, right } if matches!(op, BinOp::Plus | BinOp::Minus) => {
-            date_shift(left, *op, right).map(f64::from)
-        }
-        _ => None,
-    }
+/// The constant `e` folds to: by the evaluator's own folding
+/// ([`eval::constant`]), in guarded arithmetic whichever engine asks, so
+/// an estimate and the EXPLAIN it prints are engine-independent.
+fn constant(e: &Expr) -> Option<Value> {
+    eval::constant(e, ArithMode::GuardedDecimal)
 }
 
-/// Fold `date 'x' ± interval 'n' unit` to days.
-fn date_shift(left: &Expr, op: BinOp, right: &Expr) -> Option<i32> {
-    let Expr::Literal(Literal::Date(text)) = left else {
-        return None;
-    };
-    let Expr::Literal(Literal::Interval { value, unit }) = right else {
-        return None;
-    };
-    let days = sqalpel_datagen::calendar::parse_days(text)?;
-    let sign = if op == BinOp::Minus { -1 } else { 1 };
-    let n = i32::try_from(value.checked_mul(sign)?).ok()?;
-    match unit {
-        IntervalUnit::Day => days.checked_add(n),
-        IntervalUnit::Month => sqalpel_datagen::calendar::add_months(days, n),
-        IntervalUnit::Year => sqalpel_datagen::calendar::add_years(days, n),
+/// Where constant `v` lies in the raw i64 domain of a slot: a number
+/// times `10^scale`, a date as its day.
+fn raw_position(v: &Value, st: &SlotStat) -> Option<f64> {
+    match v {
+        Value::Date(d) => Some(f64::from(*d)),
+        v => Some(Num::of(v)??.f64() * value::pow10(st.scale.unwrap_or(0))),
     }
 }
 
@@ -433,6 +413,7 @@ impl CardHints {
 mod tests {
     use super::*;
     use crate::ir::expr::Ty;
+    use sqalpel_sql::ast::IntervalUnit;
 
     fn frame(st: SlotStat) -> FrameStats {
         FrameStats {
@@ -526,7 +507,7 @@ mod tests {
         let e = Expr::Binary {
             left: Box::new(col()),
             op: BinOp::Lt,
-            right: Box::new(Expr::Literal(Literal::Decimal(25.0))),
+            right: Box::new(Expr::Literal(Literal::Decimal { raw: 25, scale: 0 })),
         };
         assert!((selectivity(&e, &frame(st)) - 0.25).abs() < 1e-12);
     }
@@ -543,9 +524,11 @@ mod tests {
                 unit: IntervalUnit::Year,
             })),
         };
-        assert_eq!(literal_raw(&shifted, None), Some(f64::from(next)));
+        let st = stat(0, 0, 1.0);
+        let raw = |e: &Expr| raw_position(&constant(e)?, &st);
+        assert_eq!(raw(&shifted), Some(f64::from(next)));
         assert_eq!(
-            literal_raw(&Expr::Literal(Literal::Date("1994-01-01".into())), None),
+            raw(&Expr::Literal(Literal::Date("1994-01-01".into()))),
             Some(f64::from(jan1))
         );
     }

@@ -396,7 +396,7 @@ impl Expr {
                 Literal::Integer(_) => Ty::Int,
                 // Decimal literals become fixed-point or float depending on
                 // representability (see `eval::literal`).
-                Literal::Decimal(_) => Ty::Unknown,
+                Literal::Decimal { .. } | Literal::Float(_) => Ty::Unknown,
                 Literal::String(_) => Ty::Str,
                 Literal::Date(_) => Ty::Date,
                 Literal::Interval { .. } => Ty::Interval,

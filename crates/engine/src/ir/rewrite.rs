@@ -182,12 +182,12 @@ fn fold_step(e: &Expr) -> Option<Expr> {
                 (Expr::Literal(Literal::Integer(a)), op, Expr::Literal(Literal::Integer(b)))
                     if op.is_comparison() =>
                 {
-                    Some(Expr::Bool(cmp_holds(a.cmp(b), *op)))
+                    Some(Expr::Bool(value::ordering_holds(a.cmp(b), *op)))
                 }
                 (Expr::Literal(Literal::String(a)), op, Expr::Literal(Literal::String(b)))
                     if op.is_comparison() =>
                 {
-                    Some(Expr::Bool(cmp_holds(a.cmp(b), *op)))
+                    Some(Expr::Bool(value::ordering_holds(a.cmp(b), *op)))
                 }
                 // Kleene absorption: FALSE dominates AND, TRUE dominates OR
                 // (row engine short-circuits the same way).
@@ -209,19 +209,6 @@ fn fold_step(e: &Expr) -> Option<Expr> {
             }
         }
         _ => None,
-    }
-}
-
-fn cmp_holds(ord: std::cmp::Ordering, op: BinOp) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        BinOp::Eq => ord == Equal,
-        BinOp::NotEq => ord != Equal,
-        BinOp::Lt => ord == Less,
-        BinOp::LtEq => ord != Greater,
-        BinOp::Gt => ord == Greater,
-        BinOp::GtEq => ord != Less,
-        _ => unreachable!("not a comparison"),
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Every [`crate::storage::Table`] collects one [`ColStats`] per column
 //! when it is built: row-independent `min`/`max` bounds in the column's
-//! raw i64 domain (the same domain the zone maps use — value for ints,
-//! day for dates, raw for decimals) and a distinct-value estimate from a
-//! KMV (k-minimum-values) sketch.
+//! raw i64 domain — the fold of its per-chunk zone maps (value for ints,
+//! day for dates, raw for decimals) — and a distinct-value estimate from
+//! a KMV (k-minimum-values) sketch.
 //!
 //! The sketch hashes every *logical* value, so the estimate is a pure
 //! function of the stored value multiset: a dictionary-encoded string
@@ -12,7 +12,7 @@
 //! and its unencoded twin, produce identical statistics. The storage
 //! property tests pin that round-trip.
 
-use crate::storage::{ColumnData, ForVec};
+use crate::storage::{ColumnData, ZoneMap};
 use std::collections::BTreeSet;
 
 /// Sketch size: with `k` minima the estimate `(k-1) * 2^64 / kth_min` has
@@ -113,33 +113,36 @@ fn hash_i64(v: i64) -> u64 {
     fnv1a_bytes(&v.to_le_bytes())
 }
 
-/// Collect statistics for one column in a single pass.
+/// Collect statistics for one column, as [`crate::storage::Table::new`]
+/// does: its zone maps' span and one pass of the sketch.
 pub fn collect(data: &ColumnData) -> ColStats {
+    of(data, data.zone_map().as_ref())
+}
+
+/// The statistics of one column whose zone maps are `zone`: `min`/`max`
+/// are their fold — for every column but a dictionary, whose code order
+/// interpolates nothing — and `ndv` the sketch of its logical values.
+pub(crate) fn of(data: &ColumnData, zone: Option<&ZoneMap>) -> ColStats {
+    fn ints(kmv: &mut KmvSketch, values: impl Iterator<Item = i64>) {
+        values.for_each(|v| kmv.insert_hash(hash_i64(v)));
+    }
+    let mut kmv = KmvSketch::default();
     match data {
-        ColumnData::Int(v) => numeric(v.iter().copied()),
-        ColumnData::Decimal { raw, .. } => numeric(raw.iter().copied()),
-        ColumnData::Date(v) => numeric(v.iter().map(|&d| d as i64)),
-        ColumnData::ForInt(v) | ColumnData::ForDate(v) => for_stats(v),
+        ColumnData::Int(v) => ints(&mut kmv, v.iter().copied()),
+        ColumnData::Decimal { raw, .. } => ints(&mut kmv, raw.iter().copied()),
+        ColumnData::Date(v) => ints(&mut kmv, v.iter().map(|&d| d.into())),
+        // Every decoded value, so the sketch matches the unencoded twin.
+        ColumnData::ForInt(v) | ColumnData::ForDate(v) => {
+            ints(&mut kmv, (0..v.len()).map(|i| v.get(i)))
+        }
         ColumnData::Float(v) => {
-            let mut kmv = KmvSketch::default();
             for x in v {
                 kmv.insert_hash(fnv1a_bytes(&x.to_bits().to_le_bytes()));
             }
-            ColStats {
-                min: None,
-                max: None,
-                ndv: kmv.estimate(),
-            }
         }
         ColumnData::Str(v) => {
-            let mut kmv = KmvSketch::default();
             for s in v {
                 kmv.insert_hash(fnv1a_bytes(s.as_bytes()));
-            }
-            ColStats {
-                min: None,
-                max: None,
-                ndv: kmv.estimate(),
             }
         }
         ColumnData::Dict { codes, dict } => {
@@ -147,55 +150,18 @@ pub fn collect(data: &ColumnData) -> ColStats {
             // raw twin sketch identically. One hash per dictionary entry,
             // then an array lookup per row.
             let entry_hash: Vec<u64> = dict.iter().map(|s| fnv1a_bytes(s.as_bytes())).collect();
-            let mut kmv = KmvSketch::default();
             for &c in codes {
                 kmv.insert_hash(entry_hash[c as usize]);
             }
-            ColStats {
-                min: None,
-                max: None,
-                ndv: kmv.estimate(),
-            }
         }
     }
-}
-
-fn numeric(values: impl Iterator<Item = i64>) -> ColStats {
-    let mut kmv = KmvSketch::default();
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    let mut any = false;
-    for v in values {
-        any = true;
-        min = min.min(v);
-        max = max.max(v);
-        kmv.insert_hash(hash_i64(v));
-    }
+    let span = match data {
+        ColumnData::Dict { .. } => None,
+        _ => zone.and_then(ZoneMap::span),
+    };
     ColStats {
-        min: any.then_some(min),
-        max: any.then_some(max),
-        ndv: kmv.estimate(),
-    }
-}
-
-fn for_stats(v: &ForVec) -> ColStats {
-    // Min/max fold over the frame bounds (free); the sketch still hashes
-    // every decoded value so it matches the unencoded twin exactly.
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    let mut any = false;
-    for (lo, hi) in v.chunk_bounds() {
-        any = true;
-        min = min.min(lo);
-        max = max.max(hi);
-    }
-    let mut kmv = KmvSketch::default();
-    for i in 0..v.len() {
-        kmv.insert_hash(hash_i64(v.get(i)));
-    }
-    ColStats {
-        min: any.then_some(min),
-        max: any.then_some(max),
+        min: span.map(|(min, _)| min),
+        max: span.map(|(_, max)| max),
         ndv: kmv.estimate(),
     }
 }
@@ -203,7 +169,7 @@ fn for_stats(v: &ForVec) -> ColStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::dict_encode;
+    use crate::storage::{dict_encode, ForVec};
 
     #[test]
     fn small_columns_count_exactly() {

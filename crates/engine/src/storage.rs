@@ -6,6 +6,7 @@
 //! from the `sqalpel-datagen` generators.
 
 use crate::error::{EngineError, EngineResult};
+use crate::eval::{ColTest, Prepared};
 use crate::value::{self, ordering_holds, Day, LikePattern, Value};
 use sqalpel_sql::ast::BinOp;
 use std::collections::HashMap;
@@ -255,10 +256,22 @@ impl ColumnData {
         self.fill(idx, &[0], std::slice::from_mut(slot), 0, 1);
     }
 
-    /// Per-chunk `(min, max)` zone bounds in the column's raw i64 domain
-    /// (value for ints, day for dates, raw for decimals, code for dicts).
-    /// `None` for types zone maps cannot order (floats, raw strings).
-    fn zone_map(&self) -> Option<ZoneMap> {
+    /// The column's stored keys, where its cells are ordered `i64` keys:
+    /// what zone bounds and [`key_range`] are read in. `None` for floats
+    /// and raw strings.
+    pub(crate) fn keys(&self) -> Option<Keys<'_>> {
+        Some(match self {
+            ColumnData::Int(_) | ColumnData::ForInt(_) => Keys::Fixed(0),
+            ColumnData::Decimal { scale, .. } => Keys::Fixed(*scale),
+            ColumnData::Date(_) | ColumnData::ForDate(_) => Keys::Days,
+            ColumnData::Dict { dict, .. } => Keys::Codes(dict),
+            ColumnData::Str(_) | ColumnData::Float(_) => return None,
+        })
+    }
+
+    /// Per-chunk `(min, max)` zone bounds over the column's [`Keys`];
+    /// `None` where it has none.
+    pub(crate) fn zone_map(&self) -> Option<ZoneMap> {
         fn bounds<T: Copy, F: Fn(T) -> i64>(vals: &[T], f: F) -> ZoneMap {
             let mut zm = ZoneMap::default();
             for chunk in vals.chunks(CHUNK_ROWS) {
@@ -292,8 +305,9 @@ impl ColumnData {
     }
 }
 
-/// Per-chunk min/max bounds for one column, in the column's raw i64
-/// domain. Empty chunks never occur: chunk `i` covers rows
+/// Per-chunk min/max bounds for one column, over its stored keys (value,
+/// decimal raw, day number or dictionary code). Empty chunks never occur:
+/// chunk `i` covers rows
 /// `[i * CHUNK_ROWS, min((i + 1) * CHUNK_ROWS, rows))`.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneMap {
@@ -302,112 +316,153 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Could any row of chunk `chunk` satisfy `value ∈ [lo, hi]`?
+    /// Could any row of chunk `chunk` have a key in `lo..=hi`?
     #[inline]
-    pub fn overlaps(&self, chunk: usize, lo: Option<i64>, hi: Option<i64>) -> bool {
-        lo.is_none_or(|lo| self.maxs[chunk] >= lo) && hi.is_none_or(|hi| self.mins[chunk] <= hi)
+    pub fn overlaps(&self, chunk: usize, lo: i64, hi: i64) -> bool {
+        lo <= hi && self.maxs[chunk] >= lo && self.mins[chunk] <= hi
+    }
+
+    /// The smallest and largest key of the whole column; `None` for an
+    /// empty one.
+    pub fn span(&self) -> Option<(i64, i64)> {
+        Some((*self.mins.iter().min()?, *self.maxs.iter().max()?))
     }
 }
 
-/// A scan-range constraint harvested from one filter conjunct, expressed
-/// in the column's zone-map domain ([`ZoneMap`]): integer value, decimal
-/// raw, day number, or dictionary code.
+/// What a column's stored `i64` keys are.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Keys<'d> {
+    /// Exact numbers at a scale: integers (scale 0) or decimal raws.
+    Fixed(u8),
+    /// Day numbers.
+    Days,
+    /// Codes into a sorted dictionary: code order is string order.
+    Codes(&'d [String]),
+}
+
+/// `col op k` read in a column's stored keys: the rows it keeps are
+/// exactly those whose key lies in `lo..=hi` (none if `lo > hi`) or, for
+/// `<>` (`negated`), exactly those whose key does not.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRange {
+    pub lo: i64,
+    pub hi: i64,
+    pub negated: bool,
+}
+
+impl KeyRange {
+    #[inline]
+    pub fn holds(&self, key: i64) -> bool {
+        (self.lo <= key && key <= self.hi) != self.negated
+    }
+}
+
+/// The one reading of `col op k` in a column's stored keys: the zone
+/// bounds a scan tests, RowStore's typed predicates and ColStore's
+/// dictionary kernel all take it from here, and it keeps exactly the
+/// rows [`value::compare`] keeps. `None` where that comparison is not one
+/// over keys: a float constant, or a pair of types it refuses.
+pub(crate) fn key_range(op: BinOp, k: &Value, keys: Keys<'_>) -> Option<KeyRange> {
+    // Where `k` falls among the keys: the floor and ceiling of its place,
+    // equal where it is a key.
+    let (floor, ceil) = match (keys, k) {
+        (Keys::Fixed(to), Value::Int(i)) => at_scale(*i as i128, 0, to),
+        (Keys::Fixed(to), Value::Decimal { raw, scale }) => at_scale(*raw, *scale, to),
+        (Keys::Days, Value::Date(d)) => (*d as i128, *d as i128),
+        (Keys::Codes(dict), Value::Str(s)) => match dict.binary_search(s) {
+            Ok(p) => (p as i128, p as i128),
+            // Absent: between the codes on either side of where it would
+            // be inserted.
+            Err(p) => (p as i128 - 1, p as i128),
+        },
+        _ => return None,
+    };
+    let (lo, hi, negated) = match op {
+        BinOp::Eq => (ceil, floor, false),
+        BinOp::NotEq => (ceil, floor, true),
+        BinOp::Lt => (i128::MIN, ceil.saturating_sub(1), false),
+        BinOp::LtEq => (i128::MIN, floor, false),
+        BinOp::Gt => (floor.saturating_add(1), i128::MAX, false),
+        BinOp::GtEq => (ceil, i128::MAX, false),
+        _ => return None,
+    };
+    // A bound past every key leaves none.
+    let (lo, hi) = match (
+        i64::try_from(lo.max(i64::MIN.into())),
+        i64::try_from(hi.min(i64::MAX.into())),
+    ) {
+        (Ok(lo), Ok(hi)) => (lo, hi),
+        _ => (1, 0),
+    };
+    Some(KeyRange { lo, hi, negated })
+}
+
+/// The floor and ceiling of `raw / 10^from` among keys at scale `to`,
+/// saturating far past the `i64` keys.
+fn at_scale(raw: i128, from: u8, to: u8) -> (i128, i128) {
+    if from <= to {
+        let f = 10i128.checked_pow(u32::from(to - from)).unwrap_or(i128::MAX);
+        let k = raw.saturating_mul(f);
+        return (k, k);
+    }
+    match 10i128.checked_pow(u32::from(from - to)) {
+        Some(d) => {
+            let floor = raw.div_euclid(d);
+            (floor, floor + i128::from(raw.rem_euclid(d) != 0))
+        }
+        // `|raw|` is below the divisor: the value lies within (-1, 1).
+        None => (raw.signum().min(0), raw.signum().max(0)),
+    }
+}
+
+/// A scan-range constraint harvested from one filter conjunct: a
+/// [`KeyRange`] that keeps one interval of the column's keys.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ZonePred {
     /// Table column index (`live[slot]` of the scan).
     pub col: usize,
-    pub lo: Option<i64>,
-    pub hi: Option<i64>,
+    pub lo: i64,
+    pub hi: i64,
 }
 
-/// Translate `col op constant` into zone-domain bounds, or `None` when
-/// the constant doesn't map exactly into the column's domain. Bounds only
-/// ever *widen* on inexact edges (saturating ±1), so a skip decision is
-/// always sound: the zone test may scan a chunk it could have skipped,
-/// never the reverse.
-pub(crate) fn zone_bounds(
-    op: BinOp,
-    v: &Value,
-    data: &ColumnData,
-) -> Option<(Option<i64>, Option<i64>)> {
-    let point: i64 = match (data, v) {
-        (ColumnData::Int(_) | ColumnData::ForInt(_), Value::Int(i)) => *i,
-        (ColumnData::Date(_) | ColumnData::ForDate(_), Value::Date(d)) => *d as i64,
-        (ColumnData::Decimal { scale, .. }, Value::Decimal { raw, scale: ls }) => {
-            let raw = if ls <= scale {
-                raw.checked_mul(10i128.checked_pow((scale - ls) as u32)?)?
-            } else {
-                let f = 10i128.checked_pow((ls - scale) as u32)?;
-                if raw % f != 0 {
-                    return None; // not representable at the column's scale
-                }
-                raw / f
-            };
-            i64::try_from(raw).ok()?
-        }
-        (ColumnData::Decimal { scale, .. }, Value::Int(i)) => {
-            i.checked_mul(10i64.checked_pow(*scale as u32)?)?
-        }
-        // Dictionary columns: the dictionary is sorted, so string bounds
-        // become code bounds through one binary search. An absent string
-        // folds `<`/`<=` (and `>`/`>=`) together at the insertion point;
-        // an absent equality is provably empty (lo > hi skips everything).
-        (ColumnData::Dict { dict, .. }, Value::Str(s)) => {
-            return Some(match (op, dict.binary_search(s)) {
-                (BinOp::Eq, Ok(p)) => (Some(p as i64), Some(p as i64)),
-                (BinOp::Eq, Err(_)) => (Some(0), Some(-1)),
-                (BinOp::Lt, Ok(p)) => (None, Some(p as i64 - 1)),
-                (BinOp::LtEq, Ok(p)) => (None, Some(p as i64)),
-                (BinOp::Lt | BinOp::LtEq, Err(p)) => (None, Some(p as i64 - 1)),
-                (BinOp::Gt, Ok(p)) => (Some(p as i64 + 1), None),
-                (BinOp::GtEq, Ok(p)) => (Some(p as i64), None),
-                (BinOp::Gt | BinOp::GtEq, Err(p)) => (Some(p as i64), None),
-                _ => return None,
-            });
-        }
-        _ => return None,
-    };
-    Some(match op {
-        BinOp::Eq => (Some(point), Some(point)),
-        BinOp::Lt => (None, Some(point.saturating_sub(1))),
-        BinOp::LtEq => (None, Some(point)),
-        BinOp::Gt => (Some(point.saturating_add(1)), None),
-        BinOp::GtEq => (Some(point), None),
-        _ => return None,
-    })
-}
-
-/// Zone predicates for the `(slot, op, constant)` bounds a scan's
-/// prepared conjuncts put on its columns
-/// ([`crate::eval::Prepared::col_bounds`]). Bounds that don't map into
-/// the column's domain contribute no constraint (never an unsound one).
-pub(crate) fn zone_preds<'v>(
-    bounds: impl IntoIterator<Item = (usize, BinOp, &'v Value)>,
+/// The zone predicates of a scan's prepared conjuncts: the key range of
+/// every bound a column test ([`ColTest::Cmp`]) puts on a column with
+/// keys. A `<>` keeps no one interval and constrains no chunk.
+pub(crate) fn zone_preds(
+    conjuncts: &[Prepared<'_>],
     table: &Table,
     live: &[usize],
 ) -> Vec<ZonePred> {
-    bounds
-        .into_iter()
-        .filter_map(|(slot, op, v)| {
-            let col = live[slot];
-            zone_bounds(op, v, &table.columns[col].data).map(|(lo, hi)| ZonePred { col, lo, hi })
-        })
-        .collect()
+    let mut preds = Vec::new();
+    for c in conjuncts {
+        let Some(ColTest::Cmp { slot, bounds }) = c.col_test() else {
+            continue;
+        };
+        let col = live[slot];
+        let Some(keys) = table.columns[col].data.keys() else {
+            continue;
+        };
+        for (op, k) in bounds {
+            if let Some(r) = key_range(op, k, keys).filter(|r| !r.negated) {
+                preds.push(ZonePred { col, lo: r.lo, hi: r.hi });
+            }
+        }
+    }
+    preds
 }
 
 /// `col op constant` or `col [NOT] LIKE pattern` compiled against one
-/// stored column, decided on the stored representation — the i64, the
-/// raw decimal, the dictionary code, the string in place — with exactly
-/// the verdict [`value::compare`] reaches on the boxed cell. Only pairs
-/// that comparison cannot fail on compile (stored columns hold no NULLs,
-/// so the verdict is a plain bool); everything else stays with the
+/// stored column, decided on the stored representation — the key, the
+/// float, the string in place — with exactly the verdict
+/// [`value::compare`] reaches on the boxed cell. Only pairs that
+/// comparison cannot fail on compile (stored columns hold no NULLs, so
+/// the verdict is a plain bool); everything else stays with the
 /// expression evaluator.
 pub(crate) enum CellPred<'p> {
-    /// Ints and day numbers against a constant of the same type.
-    I64 { op: BinOp, k: i64 },
-    /// Decimal against decimal, both brought to the wider scale.
-    Dec { op: BinOp, factor: i128, k: i128 },
-    /// Mixed numerics, compared as `f64` like the boxed comparison.
+    /// A comparison read in the column's keys ([`key_range`]).
+    Keys(KeyRange),
+    /// A float constant against an integer or decimal column, compared
+    /// as `f64` like the boxed comparison.
     F64 { op: BinOp, div: f64, k: f64 },
     /// Dictionary column: the verdict per code.
     Codes(Vec<bool>),
@@ -420,46 +475,17 @@ pub(crate) enum CellPred<'p> {
 
 impl<'p> CellPred<'p> {
     pub fn compare(op: BinOp, v: &'p Value, data: &ColumnData) -> Option<CellPred<'p>> {
-        Some(match (data, v) {
-            (ColumnData::Int(_) | ColumnData::ForInt(_), Value::Int(k)) => {
-                CellPred::I64 { op, k: *k }
-            }
-            (ColumnData::Date(_) | ColumnData::ForDate(_), Value::Date(d)) => {
-                CellPred::I64 { op, k: *d as i64 }
-            }
-            (ColumnData::Decimal { scale, .. }, Value::Decimal { raw, scale: ks }) => {
-                // An i64 raw times 10^18 still fits an i128.
-                let wide = (*scale).max(*ks);
-                if wide - scale > 18 {
-                    return None;
-                }
-                CellPred::Dec {
-                    op,
-                    factor: 10i128.pow((wide - scale) as u32),
-                    k: value::rescale(*raw, *ks, wide).ok()?,
-                }
-            }
-            (
-                ColumnData::Int(_) | ColumnData::ForInt(_),
-                Value::Decimal { .. } | Value::Float(_),
-            ) => CellPred::F64 {
+        let keys = data.keys();
+        if let Some(range) = keys.and_then(|keys| key_range(op, v, keys)) {
+            return Some(CellPred::Keys(range));
+        }
+        Some(match (keys, data, v) {
+            (Some(Keys::Fixed(scale)), _, Value::Float(k)) => CellPred::F64 {
                 op,
-                div: 1.0,
-                k: v.as_f64()?,
+                div: value::pow10(scale),
+                k: *k,
             },
-            (ColumnData::Decimal { scale, .. }, Value::Int(_) | Value::Float(_)) => {
-                CellPred::F64 {
-                    op,
-                    div: value::pow10(*scale),
-                    k: v.as_f64()?,
-                }
-            }
-            (ColumnData::Dict { dict, .. }, Value::Str(k)) => CellPred::Codes(
-                dict.iter()
-                    .map(|s| ordering_holds(s.as_str().cmp(k.as_str()), op))
-                    .collect(),
-            ),
-            (ColumnData::Str(_), Value::Str(k)) => CellPred::Str { op, k },
+            (_, ColumnData::Str(_), Value::Str(k)) => CellPred::Str { op, k },
             _ => return None,
         })
     }
@@ -504,17 +530,18 @@ impl<'p> CellPred<'p> {
         }
         let f64_holds = |x: f64, k: f64, op: BinOp| x.partial_cmp(&k).is_some_and(|o| ordering_holds(o, op));
         match (self, data) {
-            (CellPred::I64 { op, k }, ColumnData::Int(v)) => {
-                keep(base, whole, sel, |i| ordering_holds(v[i].cmp(k), *op))
+            (CellPred::Keys(r), ColumnData::Int(v)) => keep(base, whole, sel, |i| r.holds(v[i])),
+            (CellPred::Keys(r), ColumnData::Decimal { raw, .. }) => {
+                keep(base, whole, sel, |i| r.holds(raw[i]))
             }
-            (CellPred::I64 { op, k }, ColumnData::Date(v)) => {
-                keep(base, whole, sel, |i| ordering_holds((v[i] as i64).cmp(k), *op))
+            (CellPred::Keys(r), ColumnData::Date(v)) => {
+                keep(base, whole, sel, |i| r.holds(v[i].into()))
             }
-            (CellPred::I64 { op, k }, ColumnData::ForInt(v) | ColumnData::ForDate(v)) => {
-                keep(base, whole, sel, |i| ordering_holds(v.get(i).cmp(k), *op))
+            (CellPred::Keys(r), ColumnData::ForInt(v) | ColumnData::ForDate(v)) => {
+                keep(base, whole, sel, |i| r.holds(v.get(i)))
             }
-            (CellPred::Dec { op, factor, k }, ColumnData::Decimal { raw, .. }) => {
-                keep(base, whole, sel, |i| ordering_holds((raw[i] as i128 * factor).cmp(k), *op))
+            (CellPred::Keys(r), ColumnData::Dict { codes, .. }) => {
+                keep(base, whole, sel, |i| r.holds(codes[i].into()))
             }
             (CellPred::F64 { op, div, k }, ColumnData::Int(v)) => {
                 keep(base, whole, sel, |i| f64_holds(v[i] as f64 / div, *k, *op))
@@ -575,10 +602,11 @@ impl Table {
                 )));
             }
         }
-        let zones = columns.iter().map(|c| c.data.zone_map()).collect();
+        let zones: Vec<_> = columns.iter().map(|c| c.data.zone_map()).collect();
         let stats = columns
             .iter()
-            .map(|c| crate::ir::stats::collect(&c.data))
+            .zip(&zones)
+            .map(|(c, zone)| crate::ir::stats::of(&c.data, zone.as_ref()))
             .collect();
         Ok(Table {
             name,
@@ -999,6 +1027,51 @@ pub fn float_col(name: &str, values: impl Iterator<Item = f64>) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `key_range` keeps exactly the keys whose value `value::compare`
+    /// orders as the operator asks: integers and decimals at scales 0, 2
+    /// and 4 against integer and decimal constants on, between and far
+    /// past the keys, and a dictionary against present and absent
+    /// strings.
+    #[test]
+    fn a_key_range_keeps_what_compare_keeps() {
+        let ops = [BinOp::Eq, BinOp::NotEq, BinOp::Lt, BinOp::LtEq, BinOp::Gt, BinOp::GtEq];
+        let keys = [i64::MIN, i64::MIN + 1, -101, -100, -1, 0, 1, 99, 100, 101, i64::MAX];
+        let constants = [
+            Value::Int(-1),
+            Value::Int(1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Decimal { raw: -101, scale: 2 },
+            Value::Decimal { raw: 1005, scale: 3 },
+            Value::Decimal { raw: -1, scale: 38 },
+            Value::Decimal { raw: i128::MAX, scale: 0 },
+            Value::Decimal { raw: i128::MIN + 1, scale: 38 },
+        ];
+        for scale in [0u8, 2, 4] {
+            for k in &constants {
+                for op in ops {
+                    let range = key_range(op, k, Keys::Fixed(scale)).unwrap();
+                    for key in keys {
+                        let cell = Value::Decimal { raw: key.into(), scale };
+                        let want = ordering_holds(value::compare(&cell, k).unwrap().unwrap(), op);
+                        assert_eq!(range.holds(key), want, "{cell:?} {op:?} {k:?}");
+                    }
+                }
+            }
+        }
+        let dict: Vec<String> = ["b", "d"].map(String::from).to_vec();
+        for k in ["a", "b", "c", "d", "e"] {
+            let k = Value::Str(k.into());
+            for op in ops {
+                let range = key_range(op, &k, Keys::Codes(&dict)).unwrap();
+                for (code, s) in dict.iter().enumerate() {
+                    let want = ordering_holds(value::compare(&Value::Str(s.clone()), &k).unwrap().unwrap(), op);
+                    assert_eq!(range.holds(code as i64), want, "{s:?} {op:?} {k:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn mismatched_column_lengths_rejected() {

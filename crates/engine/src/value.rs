@@ -207,12 +207,14 @@ pub enum ArithMode {
     GuardedDecimal,
 }
 
-pub(crate) fn rescale(raw: i128, from: u8, to: u8) -> EngineResult<i128> {
-    match from.cmp(&to) {
-        Ordering::Equal => Ok(raw),
-        Ordering::Less => Ok(upscale(raw, scale_factor(from, to))?),
-        Ordering::Greater => Ok(raw / 10i128.pow((from - to) as u32)),
+/// A decimal's image in the scale-6 key domain: `None` where scale 6
+/// cannot hold it exactly, and the decimal keys as its float does.
+pub(crate) fn key6(raw: i128, scale: u8) -> Result<Option<i128>, Fault> {
+    if scale <= 6 {
+        return upscale(raw, scale_factor(scale, 6)).map(Some);
     }
+    let f = 10i128.pow(u32::from(scale - 6));
+    Ok((raw % f == 0).then_some(raw / f))
 }
 
 /// A number: what a numeric [`Value`] is, variant for variant; NULL is
@@ -308,11 +310,6 @@ impl From<Fault> for EngineError {
 /// integers: a walk that passes its `Num`s to a call keeps them in memory.
 #[inline(always)]
 pub fn arith(op: BinOp, a: Num, b: Num, mode: ArithMode) -> Result<Num, Fault> {
-    let fixed = |n| match n {
-        Num::Int(i) => (i as i128, 0),
-        Num::Decimal { raw, scale } => (raw, scale),
-        Num::Float(_) => unreachable!("a float operand computes in f64"),
-    };
     match (a, b) {
         (Num::Int(x), Num::Int(y)) if op != BinOp::Div => int_arith(op, x, y).map(Num::Int),
         _ if mode == ArithMode::Float || op == BinOp::Div => float_op(op, a.f64(), b.f64()),
@@ -322,6 +319,16 @@ pub fn arith(op: BinOp, a: Num, b: Num, mode: ArithMode) -> Result<Num, Fault> {
             let (raw, scale) = fixed_arith(op, x, xs, y, ys)?;
             Ok(Num::Decimal { raw, scale })
         }
+    }
+}
+
+/// An integer or decimal as its raw and scale.
+#[inline]
+fn fixed(n: Num) -> (i128, u8) {
+    match n {
+        Num::Int(i) => (i as i128, 0),
+        Num::Decimal { raw, scale } => (raw, scale),
+        Num::Float(_) => unreachable!("a float is not fixed point"),
     }
 }
 
@@ -382,15 +389,16 @@ pub(crate) fn fixed_sum(op: BinOp, a: i128, b: i128) -> Result<i128, Fault> {
 #[inline]
 pub(crate) fn fixed_product(a: i128, b: i128, shift: i128) -> Result<i128, Fault> {
     let p = wide_mul(a, b).ok_or(Fault::Overflow { int: false, op: BinOp::Mul })?;
-    Ok(if shift == 1 { p } else { p / shift })
+    Ok(if shift == 1 { p } else { p.checked_div(shift).unwrap_or(0) })
 }
 
 /// A product's scale, capped at 6 to bound chained multiplications, and
-/// the divisor the cap costs (1 for none).
+/// the divisor the cap costs (1 for none; 0 for one past `i128`, which
+/// leaves no product a digit at scale 6).
 #[inline]
 pub(crate) fn product_scale(a: u8, b: u8) -> (u8, i128) {
     match a + b {
-        s if s > 6 => (6, scale_factor(6, s)),
+        s if s > 6 => (6, 10i128.checked_pow(u32::from(s - 6)).unwrap_or(0)),
         s => (s, 1),
     }
 }
@@ -522,7 +530,8 @@ pub fn concat(a: &Value, b: &Value) -> EngineResult<Value> {
 }
 
 /// SQL comparison: `None` when either side is NULL (three-valued logic),
-/// error on incomparable types.
+/// error on incomparable types. Exact numerics (integers, decimals)
+/// compare exactly, a float as `f64`.
 pub fn compare(a: &Value, b: &Value) -> EngineResult<Option<Ordering>> {
     match (a, b) {
         (Value::Null, _) | (_, Value::Null) => Ok(None),
@@ -530,12 +539,9 @@ pub fn compare(a: &Value, b: &Value) -> EngineResult<Option<Ordering>> {
         (Value::Str(x), Value::Str(y)) => Ok(Some(x.as_str().cmp(y.as_str()))),
         (Value::Date(x), Value::Date(y)) => Ok(Some(x.cmp(y))),
         (Value::Int(x), Value::Int(y)) => Ok(Some(x.cmp(y))),
-        (Value::Decimal { raw: xr, scale: xs }, Value::Decimal { raw: yr, scale: ys }) => {
-            // Compare in the wider scale; i128 is ample for stored data.
-            let s = (*xs).max(*ys);
-            let x = rescale(*xr, *xs, s)?;
-            let y = rescale(*yr, *ys, s)?;
-            Ok(Some(x.cmp(&y)))
+        (Value::Int(_) | Value::Decimal { .. }, Value::Int(_) | Value::Decimal { .. }) => {
+            let exact = |v| fixed(Num::of(v).flatten().expect("an exact number"));
+            Ok(Some(fixed_cmp(exact(a), exact(b))))
         }
         _ if a.is_numeric() && b.is_numeric() => {
             let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
@@ -546,6 +552,19 @@ pub fn compare(a: &Value, b: &Value) -> EngineResult<Option<Ordering>> {
             a.type_name(),
             b.type_name()
         ))),
+    }
+}
+
+/// The order of two fixed-point numbers, exactly: both at the wider
+/// scale. A side that leaves `i128` there lies past every value the other
+/// side holds, on its own sign's side.
+fn fixed_cmp((x, xs): (i128, u8), (y, ys): (i128, u8)) -> Ordering {
+    let s = xs.max(ys);
+    let wide = |raw: i128, from: u8| upscale(raw, scale_factor(from, s));
+    match (wide(x, xs), wide(y, ys)) {
+        (Ok(x), Ok(y)) => x.cmp(&y),
+        (Err(_), _) => x.cmp(&0),
+        (_, Err(_)) => 0.cmp(&y),
     }
 }
 
@@ -605,7 +624,10 @@ impl Value {
                     Key::Float(c.to_bits())
                 }
             }
-            Value::Decimal { raw, scale } => Key::Decimal(rescale(*raw, *scale, 6)?),
+            Value::Decimal { raw, scale } => match key6(*raw, *scale)? {
+                Some(k) => Key::Decimal(k),
+                None => Value::Float(decimal_to_f64(*raw, *scale)).key()?,
+            },
             Value::Str(s) => Key::Str(s.clone()),
             Value::Date(d) => Key::Date(*d),
             Value::Interval { .. } => {
@@ -657,7 +679,10 @@ pub(crate) fn fixed_key(v: &Value) -> EngineResult<Option<FixedKey>> {
                 (3, c.to_bits() as i128)
             }
         }
-        Value::Decimal { raw, scale } => (2, rescale(*raw, *scale, 6)?),
+        Value::Decimal { raw, scale } => match key6(*raw, *scale)? {
+            Some(k) => (2, k),
+            None => return fixed_key(&Value::Float(decimal_to_f64(*raw, *scale))),
+        },
         Value::Str(_) => return Ok(None),
         Value::Date(d) => (5, *d as i128),
         Value::Interval { .. } => {

@@ -83,7 +83,7 @@ fn random_frame(g: &mut Gen, slots: usize) -> FrameStats {
 fn random_literal(g: &mut Gen) -> Expr {
     Expr::Literal(match g.below(4) {
         0 => Literal::Integer(g.i64_small()),
-        1 => Literal::Decimal(g.i64_small() as f64 / 7.0),
+        1 => Literal::Float(g.i64_small() as f64 / 7.0),
         2 => Literal::String(format!("s{}", g.below(50))),
         _ => Literal::Null,
     })

@@ -478,9 +478,15 @@ fn gen_leaf(g: &mut Gen, kind: Kind) -> Expr {
         Kind::Num => match g.below(12) {
             0 => lit(Literal::Integer(0)),
             1..=3 => lit(Literal::Integer(g.below(9) as i64 - 4)),
-            4 => lit(Literal::Decimal(*g.pick(&[0.05, 1.5, 0.0, 2.25]))),
-            // Not representable at scale 4: becomes a float.
-            5 => lit(Literal::Decimal(0.123_456_7)),
+            4 => {
+                let (raw, scale) = *g.pick(&[(5, 2), (15, 1), (0, 0), (225, 2)]);
+                lit(Literal::Decimal { raw, scale })
+            }
+            // More digits than scale 4 holds: a decimal at its own scale;
+            // past `i128`: a float.
+            5 => lit(g
+                .pick(&[Literal::Decimal { raw: 1_234_567, scale: 7 }, Literal::Float(0.123_456_7)])
+                .clone()),
             6 => col(0, Ty::Int),
             7 => col(1, Ty::Decimal),
             8 => col(2, Ty::Float),

@@ -255,6 +255,49 @@ fn a_decimal_literal_scale_4_cannot_hold_stays_a_float() {
     );
 }
 
+/// A decimal literal keeps its digits: up to 4 fractional digits it is
+/// the scale-4 decimal it always was, exactly, however many digits come
+/// before the point (an `f64` would round 9007199254740993 and invent
+/// digits past 16); with more it is the decimal at its own scale. Both
+/// engines.
+#[test]
+fn a_decimal_literal_keeps_its_digits() {
+    on_both(
+        "select 9007199254740993.0, 12345678901234567.89, -0.1234567, 1.50 \
+         from people where id = 1",
+        |r, label| {
+            let want = [
+                Value::Decimal { raw: 90071992547409930000, scale: 4 },
+                Value::Decimal { raw: 123456789012345678900, scale: 4 },
+                Value::Decimal { raw: -1234567, scale: 7 },
+                Value::Decimal { raw: 15000, scale: 4 },
+            ];
+            assert_eq!(format!("{:?}", r.rows[0]), format!("{want:?}"), "{label}");
+        },
+    );
+}
+
+/// Decimals that differ only past the sixth fractional digit are
+/// different keys: DISTINCT and GROUP BY keep them apart, as a comparison
+/// does. (The scale-6 key image cannot hold them; they key as their
+/// floats.) Both engines.
+#[test]
+fn decimals_past_scale_6_are_distinct_keys() {
+    let two = "case when id = 1 then 0.1234567 else 0.1234568 end";
+    on_both(&format!("select distinct {two} as x from people order by x"), |r, label| {
+        assert_eq!(cell(r, 0, 0), "0.1234567", "{label}");
+        assert_eq!(cell(r, 1, 0), "0.1234568", "{label}");
+        assert_eq!(r.rows.len(), 2, "{label}");
+    });
+    on_both(
+        &format!("select {two} as x, count(*) from people group by {two} order by x"),
+        |r, label| {
+            let rows: Vec<String> = r.rows.iter().map(|row| format!("{} {}", row[0], row[1])).collect();
+            assert_eq!(rows, ["0.1234567 1", "0.1234568 3"], "{label}");
+        },
+    );
+}
+
 #[test]
 fn division_by_zero_is_an_error_run() {
     let db = tiny_db();

@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 use sqalpel_engine::storage::{
-    date_col, dict_encode, int_col, str_col, ColumnData, ForVec, Table, CHUNK_ROWS,
+    date_col, dec_col, dict_encode, int_col, str_col, ColumnData, ForVec, Table, CHUNK_ROWS,
 };
 use sqalpel_engine::value::{Day, Value};
-use sqalpel_engine::{ColStore, Database, RowStore};
+use sqalpel_engine::{ColStore, Database, Dbms, RowStore};
 use std::sync::Arc;
 
 /// Deterministic splitmix-style expansion of a proptest-drawn seed, the
@@ -156,7 +156,7 @@ proptest! {
         .unwrap();
         let zm = table.zone_map(0).expect("int columns always have zone maps");
         for (chunk, raw) in values.chunks(CHUNK_ROWS).enumerate() {
-            if !zm.overlaps(chunk, Some(lo), Some(hi)) {
+            if !zm.overlaps(chunk, lo, hi) {
                 prop_assert!(
                     raw.iter().all(|&v| v < lo || v > hi),
                     "chunk {} skipped but contains a qualifying row", chunk
@@ -165,7 +165,7 @@ proptest! {
         }
         let dzm = table.zone_map(1).expect("date columns always have zone maps");
         for (chunk, raw) in values.chunks(CHUNK_ROWS).enumerate() {
-            if !dzm.overlaps(chunk, Some(lo), Some(hi)) {
+            if !dzm.overlaps(chunk, lo, hi) {
                 prop_assert!(
                     raw.iter()
                         .map(|&v| (v as i32).unsigned_abs().min(1 << 20) as i64)
@@ -191,7 +191,7 @@ proptest! {
             for s in raw {
                 let code = dict.binary_search(s).expect("dict covers values") as i64;
                 prop_assert!(
-                    zm.overlaps(chunk, Some(code), Some(code)),
+                    zm.overlaps(chunk, code, code),
                     "chunk {} holds {:?} but its zone map excludes code {}", chunk, s, code
                 );
             }
@@ -212,14 +212,14 @@ fn scan_chunks(plan: &sqalpel_engine::AnalyzedPlan) -> (u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The row engine's scan front end end to end: zone tests, typed
-    /// conjuncts and the generic stage together count exactly the rows of
-    /// the *unencoded* input that satisfy the predicate, at one worker
-    /// and at several — a false skip or a wrong verdict on a stored
-    /// value would drop or invent rows. Clustered input, so chunks do
-    /// get skipped.
+    /// Both engines' scans end to end: zone tests, typed conjuncts (the
+    /// row engine's) or vector kernels (the column engine's) and the
+    /// generic stage together count exactly the rows of the *unencoded*
+    /// input that satisfy the predicate, at one worker and at several —
+    /// a false skip or a wrong verdict on a stored value would drop or
+    /// invent rows. Clustered input, so chunks do get skipped.
     #[test]
-    fn rowstore_scan_is_sound_against_raw_data(
+    fn scan_is_sound_against_raw_data(
         seed in any::<u64>(),
         len in 1usize..30_000,
         lo in -100i64..12_000,
@@ -263,14 +263,126 @@ proptest! {
             .count() as i64;
         for threads in [1usize, 4] {
             let row = RowStore::new(db.clone()).with_threads(threads);
+            let col = ColStore::new(db.clone()).with_threads(threads);
             for (sql, want) in [(&typed, want_typed), (&mixed, want_mixed)] {
-                let (rs, plan) = row.execute_analyzed(sql).unwrap();
-                prop_assert!(
-                    matches!(rs.rows[0][0], Value::Int(n) if n == want),
-                    "{} at threads={}: got {:?}, want {}", sql, threads, rs.rows[0][0], want
+                for (rs, plan) in [row.execute_analyzed(sql).unwrap(), col.execute_analyzed(sql).unwrap()] {
+                    prop_assert!(
+                        matches!(rs.rows[0][0], Value::Int(n) if n == want),
+                        "{} at threads={}: got {:?}, want {}", sql, threads, rs.rows[0][0], want
+                    );
+                    let (scanned, skipped) = scan_chunks(&plan);
+                    prop_assert_eq!((scanned + skipped) as usize, len.div_ceil(CHUNK_ROWS));
+                }
+            }
+        }
+    }
+}
+
+/// `col op k` means one thing whichever path decides it. Over an integer
+/// and a decimal column holding values around ±2⁵³ (±2⁵³·100 raw), where
+/// `f64` no longer tells neighbours apart, every comparison, `IN` list and
+/// `BETWEEN` against integer, decimal and float constants counts the same
+/// rows through the base-table scan (zone tests, typed predicates,
+/// dictionary and vector kernels), through `(select … limit n)`, where no
+/// scan shortcut applies, and as the rows whose projected comparison is
+/// true — on both engines, at 1 and 4 workers. An integer and a decimal
+/// compare exactly; a float compares as `f64`. One row is the decimal
+/// 9007199254740992.01, which equals the integer 9007199254740992 as
+/// `f64` but not exactly.
+#[test]
+fn a_comparison_counts_the_same_rows_on_every_path() {
+    std::env::set_var("SQALPEL_FORCE_WORKERS", "4");
+    const TWO_53: i64 = 1 << 53;
+    // Three chunks, one band each: below -2⁵³, around 0, around 2⁵³.
+    let mut ks = Vec::new();
+    let mut raws = Vec::new();
+    for base in [-TWO_53, 0, TWO_53] {
+        for j in -20i64..20 {
+            ks.push(base + j);
+            raws.push(base * 100 + j);
+        }
+        let fill = ks.len().next_multiple_of(CHUNK_ROWS) - 16;
+        ks.resize(fill, base);
+        raws.resize(fill, base * 100);
+    }
+    // And the ends of `i64`.
+    ks.extend([i64::MIN, i64::MAX]);
+    raws.extend([i64::MIN, i64::MAX]);
+    ks.sort_unstable();
+    raws.sort_unstable();
+    assert!(raws.contains(&(TWO_53 * 100 + 1)), "the probe row");
+    let mut db = Database::new();
+    db.add_table(
+        Table::new(
+            "t",
+            vec![int_col("k", ks.iter().copied()), dec_col("d", raws.iter().copied(), 2)],
+        )
+        .unwrap(),
+    );
+    let db = Arc::new(db);
+    let constants = [
+        // Integers.
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740993",
+        "0",
+        // Decimals: at the column's scale, past it, near zero, and past
+        // every stored value.
+        "9007199254740992.01",
+        "9007199254740992.005",
+        "-9007199254740992.19",
+        "0.5",
+        "0.00000000000000000000000000000000000001",
+        "-1e38",
+        // Floats (division is always a float; so is a literal past
+        // `i128`).
+        "9007199254740993 / 1",
+        "-9007199254740992.19 / 1",
+        "1e39",
+    ];
+    let mut preds = Vec::new();
+    for col in ["k", "d"] {
+        for k in constants {
+            for op in ["=", "<>", "<", "<=", ">", ">="] {
+                preds.push(format!("{col} {op} {k}"));
+            }
+            preds.push(format!("{col} in ({k}, 1)"));
+        }
+        for (lo, hi) in [(2, 5), (4, 10), (10, 0), (6, 4), (3, 1), (9, 8), (11, 12)] {
+            preds.push(format!("{col} between {} and {}", constants[lo], constants[hi]));
+        }
+    }
+    let count = |rs: &sqalpel_engine::ResultSet| match rs.rows[0][0] {
+        Value::Int(n) => n,
+        ref v => panic!("count(*) gave {v:?}"),
+    };
+    for threads in [1usize, 4] {
+        let engines: [Box<dyn Dbms>; 2] = [
+            Box::new(RowStore::new(db.clone()).with_threads(threads)),
+            Box::new(ColStore::new(db.clone()).with_threads(threads)),
+        ];
+        for dbms in &engines {
+            for pred in &preds {
+                let run = |sql: String| {
+                    dbms.execute(&sql)
+                        .unwrap_or_else(|e| panic!("{sql} on {}: {e}", dbms.label()))
+                };
+                let scanned = count(&run(format!("select count(*) from t where {pred}")));
+                let derived = count(&run(format!(
+                    "select count(*) from (select k, d from t limit {}) s where {pred}",
+                    ks.len()
+                )));
+                let projected = run(format!("select {pred} from t"))
+                    .rows
+                    .iter()
+                    .filter(|r| matches!(r[0], Value::Bool(true)))
+                    .count() as i64;
+                assert_eq!(
+                    (scanned, derived),
+                    (projected, projected),
+                    "{pred} on {} at {threads} workers: scan, derived table, projection",
+                    dbms.label()
                 );
-                let (scanned, skipped) = scan_chunks(&plan);
-                prop_assert_eq!((scanned + skipped) as usize, len.div_ceil(CHUNK_ROWS));
             }
         }
     }

@@ -216,13 +216,31 @@ impl IntervalUnit {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     Integer(i64),
-    Decimal(f64),
+    /// An exact decimal, `raw / 10^scale`, in lowest terms (see
+    /// [`Literal::decimal`]): no zero ends its fraction, so two literals
+    /// of one value are equal.
+    Decimal { raw: i128, scale: u8 },
+    /// A number whose digits an `i128` cannot hold, or that has more
+    /// fractional digits than an `i128` power of ten counts: the nearest
+    /// `f64`.
+    Float(f64),
     String(String),
     /// `date 'YYYY-MM-DD'`, kept textual; the engine parses it to days.
     Date(String),
     /// `interval 'n' unit`
     Interval { value: i64, unit: IntervalUnit },
     Null,
+}
+
+impl Literal {
+    /// The decimal `raw / 10^scale`, in lowest terms.
+    pub fn decimal(mut raw: i128, mut scale: u8) -> Literal {
+        while scale > 0 && raw % 10 == 0 {
+            raw /= 10;
+            scale -= 1;
+        }
+        Literal::Decimal { raw, scale }
+    }
 }
 
 /// A possibly-qualified column reference.
@@ -342,10 +360,6 @@ impl Expr {
 
     pub fn int(v: i64) -> Self {
         Expr::Literal(Literal::Integer(v))
-    }
-
-    pub fn dec(v: f64) -> Self {
-        Expr::Literal(Literal::Decimal(v))
     }
 
     pub fn str(v: impl Into<String>) -> Self {

@@ -5,6 +5,7 @@
 //! `''` escaping, the usual operators, and `--` line comments plus
 //! `/* ... */` block comments.
 
+use crate::ast::Literal;
 use crate::error::{ParseError, ParseResult, Pos};
 use crate::token::{Spanned, Token};
 
@@ -226,7 +227,7 @@ impl<'a> Lexer<'a> {
         }
         let text = std::str::from_utf8(&self.src[start..self.idx]).expect("ascii number");
         if is_decimal {
-            text.parse::<f64>()
+            decimal_literal(text)
                 .map(Token::Decimal)
                 .map_err(|e| ParseError::new(pos, format!("invalid decimal literal: {e}")))
         } else {
@@ -281,6 +282,33 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The most fractional digits an exact decimal literal keeps: `10^38` is
+/// the largest power of ten an `i128` holds, so every such literal can
+/// be taken to any scale up to its own.
+const MAX_SCALE: u8 = 38;
+
+/// The literal a decimal number's text spells: its exact value in lowest
+/// terms while its digits fit an `i128` and at most [`MAX_SCALE`] of them
+/// follow the point, the nearest `f64` otherwise.
+fn decimal_literal(text: &str) -> Result<Literal, std::num::ParseFloatError> {
+    let (mantissa, exp) = text.split_once(['e', 'E']).unwrap_or((text, "0"));
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let exact = || {
+        let raw: i128 = format!("{int}{frac}").parse().ok()?;
+        let scale = (frac.len() as i64).checked_sub(exp.parse().ok()?)?;
+        if scale < 0 {
+            let raw = raw.checked_mul(10i128.checked_pow(u32::try_from(-scale).ok()?)?)?;
+            return Some(Literal::Decimal { raw, scale: 0 });
+        }
+        let lit = Literal::decimal(raw, u8::try_from(scale).ok()?);
+        matches!(lit, Literal::Decimal { scale, .. } if scale <= MAX_SCALE).then_some(lit)
+    };
+    match exact() {
+        Some(lit) => Ok(lit),
+        None => text.parse().map(Literal::Float),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,8 +339,36 @@ mod tests {
             toks("42 0.05 1e3"),
             vec![
                 Token::Integer(42),
-                Token::Decimal(0.05),
-                Token::Decimal(1000.0),
+                Token::Decimal(Literal::Decimal { raw: 5, scale: 2 }),
+                Token::Decimal(Literal::Decimal { raw: 1000, scale: 0 }),
+                Token::Eof
+            ]
+        );
+    }
+
+    /// Decimal literals keep their exact value in lowest terms; digits
+    /// past an `i128`, or more fractional digits than `10^38` counts,
+    /// fall back to the nearest float.
+    #[test]
+    fn decimal_literals_are_exact() {
+        let dec = |raw, scale| Token::Decimal(Literal::Decimal { raw, scale });
+        assert_eq!(
+            toks("9007199254740993.0 12345678901234567.89 0.0 1.2300 12.5e-3 1e38"),
+            vec![
+                dec(9007199254740993, 0),
+                dec(1234567890123456789, 2),
+                dec(0, 0),
+                dec(123, 2),
+                dec(125, 4),
+                dec(10i128.pow(38), 0),
+                Token::Eof
+            ]
+        );
+        assert_eq!(
+            toks("1e39 1e-39"),
+            vec![
+                Token::Decimal(Literal::Float(1e39)),
+                Token::Decimal(Literal::Float(1e-39)),
                 Token::Eof
             ]
         );

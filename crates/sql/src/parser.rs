@@ -456,9 +456,13 @@ impl Parser {
                     self.bump();
                     return Ok(Expr::int(-n));
                 }
-                Token::Decimal(d) => {
+                Token::Decimal(Literal::Decimal { raw, scale }) => {
                     self.bump();
-                    return Ok(Expr::dec(-d));
+                    return Ok(Expr::Literal(Literal::Decimal { raw: -raw, scale }));
+                }
+                Token::Decimal(Literal::Float(d)) => {
+                    self.bump();
+                    return Ok(Expr::Literal(Literal::Float(-d)));
                 }
                 _ => {}
             }
@@ -478,9 +482,9 @@ impl Parser {
                 self.bump();
                 Ok(Expr::int(n))
             }
-            Token::Decimal(d) => {
+            Token::Decimal(l) => {
                 self.bump();
-                Ok(Expr::dec(d))
+                Ok(Expr::Literal(l))
             }
             Token::String(s) => {
                 self.bump();

@@ -126,13 +126,16 @@ impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Integer(i) => write!(f, "{i}"),
-            Literal::Decimal(d) => {
-                if d.fract() == 0.0 && d.abs() < 1e15 {
-                    write!(f, "{d:.1}")
-                } else {
-                    write!(f, "{d}")
-                }
+            // Always with a point, so it reads back as the literal it is.
+            Literal::Decimal { raw, scale } => {
+                let sign = if *raw < 0 { "-" } else { "" };
+                let scale = usize::from(*scale);
+                let digits = format!("{:0>width$}", raw.unsigned_abs(), width = scale + 1);
+                let (int, frac) = digits.split_at(digits.len() - scale);
+                write!(f, "{sign}{int}.{frac:0<1}")
             }
+            Literal::Float(d) if d.fract() == 0.0 => write!(f, "{d:.1}"),
+            Literal::Float(d) => write!(f, "{d}"),
             Literal::String(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Literal::Date(d) => write!(f, "DATE '{d}'"),
             Literal::Interval { value, unit } => {
@@ -411,5 +414,23 @@ mod tests {
         assert_eq!(p, "x > 0.05");
         let q = parse_expr("x > 7.0").unwrap().to_string();
         assert_eq!(q, "x > 7.0");
+    }
+
+    /// A decimal literal prints its exact digits, with a point, and so
+    /// reads back as the literal it was — also where an `f64` would have
+    /// rounded it or dropped its point — and one past `i128` prints as
+    /// the float it is, still with a point.
+    #[test]
+    fn a_decimal_literal_reads_back_as_itself() {
+        let p = round_trip(
+            "select 1000000000000000.0, 12345678901234567.89, -9007199254740993.0, \
+             0.00000000000000000001, 1.50, 2e3, 1e40",
+        );
+        assert_eq!(
+            p,
+            "SELECT 1000000000000000.0, 12345678901234567.89, -9007199254740993.0, \
+             0.00000000000000000001, 1.5, 2000.0, \
+             10000000000000000303786028427003666890752.0"
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! SQL tokens and keyword classification.
 
+use crate::ast::Literal;
 use crate::error::Pos;
 use std::fmt;
 
@@ -11,8 +12,9 @@ pub enum Token {
     Word(String),
     /// Integer literal, e.g. `42`.
     Integer(i64),
-    /// Decimal literal, e.g. `0.05`.
-    Decimal(f64),
+    /// Decimal literal, e.g. `0.05`: a [`Literal::Decimal`], or a
+    /// [`Literal::Float`] past its digits.
+    Decimal(Literal),
     /// Single-quoted string literal with quotes removed and `''` unescaped.
     String(String),
     LParen,
@@ -60,7 +62,7 @@ impl fmt::Display for Token {
         match self {
             Token::Word(w) => write!(f, "{w}"),
             Token::Integer(i) => write!(f, "{i}"),
-            Token::Decimal(d) => write!(f, "{d}"),
+            Token::Decimal(l) => write!(f, "{l}"),
             Token::String(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Token::LParen => f.write_str("("),
             Token::RParen => f.write_str(")"),

@@ -4,7 +4,7 @@
 //! round-trips.
 
 use proptest::prelude::*;
-use sqalpel::sql::ast::{BinOp, Expr};
+use sqalpel::sql::ast::{BinOp, Expr, Literal};
 use sqalpel::sql::{parse_expr, parse_query};
 
 // ----------------------------------------------------------- expression gen
@@ -15,7 +15,7 @@ fn arb_scalar() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         prop_oneof![Just("a"), Just("b"), Just("c")].prop_map(Expr::col),
         (-1000i64..1000).prop_map(Expr::int),
-        (0i64..10_000).prop_map(|c| Expr::dec(c as f64 / 100.0)),
+        (0i64..10_000).prop_map(|c| Expr::Literal(Literal::decimal(c.into(), 2))),
         "[a-z]{0,6}".prop_map(Expr::str),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
