@@ -966,7 +966,7 @@ mod tests {
             -(1i128 << 59),
             -(1i128 << 59) - 1,
         ][(pick >> 16) as usize % 4];
-        match pick % 14 {
+        match pick % 15 {
             0 => Value::Int(n as i64),
             1 => Value::Float(n as f64),
             2 => Value::Decimal {
@@ -995,6 +995,12 @@ mod tests {
                 scale: 7,
             },
             12 => Value::Int([i64::MAX, i64::MIN, (1 << 53) - 1][n as usize]),
+            // Past scale 6: one value at two scales, and a tag past 4 bits.
+            13 => {
+                let one = 10i128.pow(20);
+                let (raw, scale) = [(1, 7), (10, 8), (one + 1, 20), (one + 10, 20)][(pick >> 16) as usize % 4];
+                Value::Decimal { raw: raw * [1, -1, 1][n as usize], scale }
+            }
             _ => Value::Float([1e17, -1e17, 2f64.powi(53)][n as usize]),
         }
     }

@@ -1000,20 +1000,17 @@ pub(crate) fn resolve_outer(
 pub fn literal(l: &Literal) -> EngineResult<Value> {
     Ok(match l {
         Literal::Integer(i) => Value::Int(*i),
-        // Decimal literals are fixed point, so guarded arithmetic stays in
-        // the decimal domain: at scale 4 when they have at most 4
-        // fractional digits (a float when that raw leaves `i128`), at
-        // their own scale when they have more.
-        Literal::Decimal { raw, scale } if *scale <= 4 => {
-            match raw.checked_mul(value::scale_factor(*scale, 4)) {
-                Some(raw) => Value::Decimal { raw, scale: 4 },
-                None => Value::Float(decimal_to_f64(*raw, *scale)),
+        // A decimal literal with at most 4 fractional digits is fixed
+        // point at scale 4, so guarded arithmetic stays in the decimal
+        // domain. One with more digits, whose products guarded `*` would
+        // cut at scale 6, or whose scale-4 raw leaves `i128`, is the
+        // float its digits read as.
+        Literal::Decimal { raw, scale } => {
+            match (*scale <= 4).then(|| raw.checked_mul(value::scale_factor(*scale, 4))) {
+                Some(Some(raw)) => Value::Decimal { raw, scale: 4 },
+                _ => Value::Float(format!("{raw}e-{scale}").parse().expect("decimal digits")),
             }
         }
-        Literal::Decimal { raw, scale } => Value::Decimal {
-            raw: *raw,
-            scale: *scale,
-        },
         Literal::Float(f) => Value::Float(*f),
         Literal::String(s) => Value::Str(s.clone()),
         Literal::Date(text) => Value::Date(

@@ -552,11 +552,8 @@ fn cmp_kernel(op: BinOp, l: &ColVec, r: &ColVec, n: usize) -> EngineResult<ColVe
         // sorted, so the whole comparison is a range of codes — one binary
         // search, then an integer compare per row.
         (ColVec::Dict { codes, dict }, ColVec::Const(c @ Value::Str(_), _)) => {
-            if let Some(range) = storage::key_range(op, c, Keys::Codes(dict)) {
-                return Ok(ColVec::Bool(
-                    codes.iter().map(|&x| range.holds(x.into())).collect(),
-                ));
-            }
+            let range = storage::key_range(op, c, Keys::Codes(dict)).expect("a string comparison");
+            return Ok(ColVec::Bool(codes.iter().map(|&x| range.holds(x.into())).collect()));
         }
         (
             ColVec::Dict {

@@ -113,8 +113,8 @@ fn hash_i64(v: i64) -> u64 {
     fnv1a_bytes(&v.to_le_bytes())
 }
 
-/// Collect statistics for one column, as [`crate::storage::Table::new`]
-/// does: its zone maps' span and one pass of the sketch.
+/// Collect statistics for a bare column, outside a table: what
+/// [`crate::storage::Table::new`] does with the zone maps it built.
 pub fn collect(data: &ColumnData) -> ColStats {
     of(data, data.zone_map().as_ref())
 }

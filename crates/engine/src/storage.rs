@@ -421,8 +421,7 @@ fn at_scale(raw: i128, from: u8, to: u8) -> (i128, i128) {
 pub(crate) struct ZonePred {
     /// Table column index (`live[slot]` of the scan).
     pub col: usize,
-    pub lo: i64,
-    pub hi: i64,
+    pub range: KeyRange,
 }
 
 /// The zone predicates of a scan's prepared conjuncts: the key range of
@@ -443,8 +442,8 @@ pub(crate) fn zone_preds(
             continue;
         };
         for (op, k) in bounds {
-            if let Some(r) = key_range(op, k, keys).filter(|r| !r.negated) {
-                preds.push(ZonePred { col, lo: r.lo, hi: r.hi });
+            if let Some(range) = key_range(op, k, keys).filter(|r| !r.negated) {
+                preds.push(ZonePred { col, range });
             }
         }
     }
@@ -631,7 +630,7 @@ impl Table {
     pub(crate) fn zone_skips(&self, chunk: usize, preds: &[ZonePred]) -> bool {
         preds.iter().any(|zp| {
             self.zone_map(zp.col)
-                .is_some_and(|zm| !zm.overlaps(chunk, zp.lo, zp.hi))
+                .is_some_and(|zm| !zm.overlaps(chunk, zp.range.lo, zp.range.hi))
         })
     }
 

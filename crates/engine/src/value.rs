@@ -208,13 +208,23 @@ pub enum ArithMode {
 }
 
 /// A decimal's image in the scale-6 key domain: `None` where scale 6
-/// cannot hold it exactly, and the decimal keys as its float does.
+/// cannot hold it exactly, and the decimal keys as [`fine_key`].
 pub(crate) fn key6(raw: i128, scale: u8) -> Result<Option<i128>, Fault> {
     if scale <= 6 {
         return upscale(raw, scale_factor(scale, 6)).map(Some);
     }
     let f = 10i128.pow(u32::from(scale - 6));
     Ok((raw % f == 0).then_some(raw / f))
+}
+
+/// The key of a decimal that scale 6 cannot hold: its scale (past 6) and
+/// raw in lowest terms, which name its value exactly and alone.
+fn fine_key(mut raw: i128, mut scale: u8) -> (u8, i128) {
+    while raw % 10 == 0 {
+        raw /= 10;
+        scale -= 1;
+    }
+    (scale, raw)
 }
 
 /// A number: what a numeric [`Value`] is, variant for variant; NULL is
@@ -603,14 +613,16 @@ pub enum Key {
     Float(u64),
     /// Decimal normalized to scale 6.
     Decimal(i128),
+    /// A decimal scale 6 cannot hold: its scale and raw in lowest terms.
+    FineDecimal((u8, i128)),
     Str(String),
     Date(Day),
 }
 
 impl Value {
     /// The grouping/hashing key image. Numerics that compare equal map to
-    /// the same key (ints and decimals normalize to scale-6 decimals;
-    /// floats hash by bits).
+    /// the same key (ints and decimals normalize to scale-6 decimals, or
+    /// to lowest terms past it; floats hash by bits).
     pub fn key(&self) -> EngineResult<Key> {
         Ok(match self {
             Value::Null => Key::Null,
@@ -626,7 +638,7 @@ impl Value {
             }
             Value::Decimal { raw, scale } => match key6(*raw, *scale)? {
                 Some(k) => Key::Decimal(k),
-                None => Value::Float(decimal_to_f64(*raw, *scale)).key()?,
+                None => Key::FineDecimal(fine_key(*raw, *scale)),
             },
             Value::Str(s) => Key::Str(s.clone()),
             Value::Date(d) => Key::Date(*d),
@@ -638,7 +650,8 @@ impl Value {
 }
 
 /// The fixed-width part of the key domain: the image of every value
-/// but a string, equal exactly when the [`Key`]s are.
+/// but a string, equal exactly when the [`Key`]s are. A decimal scale 6
+/// cannot hold is tagged with its [`fine_key`]'s scale, 7 or more.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FixedKey {
     tag: u8,
@@ -650,7 +663,7 @@ impl FixedKey {
     const PAYLOAD: u32 = 60;
 
     /// The key as one machine word — its tag in the top 4 bits, its bits
-    /// in the low 60 — when the bits fit 60 as a signed number: NULL,
+    /// in the low 60 — when both fit, the bits as a signed number: NULL,
     /// booleans, dates and every number up to ±5.7·10¹¹ do; other
     /// numbers, and non-integral floats, do not. Distinct keys that fit
     /// get distinct words.
@@ -658,7 +671,8 @@ impl FixedKey {
     pub(crate) fn word(self) -> Option<u64> {
         let half = 1i128 << (Self::PAYLOAD - 1);
         let payload = self.bits as u64 & ((1 << Self::PAYLOAD) - 1);
-        (-half..half).contains(&self.bits).then_some((self.tag as u64) << Self::PAYLOAD | payload)
+        let fits = self.tag < 16 && (-half..half).contains(&self.bits);
+        fits.then_some((self.tag as u64) << Self::PAYLOAD | payload)
     }
 }
 
@@ -681,7 +695,7 @@ pub(crate) fn fixed_key(v: &Value) -> EngineResult<Option<FixedKey>> {
         }
         Value::Decimal { raw, scale } => match key6(*raw, *scale)? {
             Some(k) => (2, k),
-            None => return fixed_key(&Value::Float(decimal_to_f64(*raw, *scale))),
+            None => fine_key(*raw, *scale),
         },
         Value::Str(_) => return Ok(None),
         Value::Date(d) => (5, *d as i128),
@@ -1039,6 +1053,25 @@ mod tests {
             Value::Int(5).key().unwrap(),
             Value::Int(6).key().unwrap()
         );
+    }
+
+    #[test]
+    fn a_decimal_scale_6_cannot_hold_keys_exactly() {
+        let fine = |raw: i128, scale| Value::Decimal { raw, scale };
+        let one = 10i128.pow(17);
+        // 1.00000000000000001 at two scales is one key, and neither 1 nor
+        // the float it rounds to.
+        assert_eq!(fine(one + 1, 17).key().unwrap(), fine(10 * one + 10, 18).key().unwrap());
+        for other in [Value::Int(1), Value::Float(1.0), fine(one, 17)] {
+            assert_ne!(fine(one + 1, 17).key().unwrap(), other.key().unwrap());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            encode_key(&fine(one + 1, 17), &mut a).unwrap();
+            encode_key(&other, &mut b).unwrap();
+            assert_ne!(a, b);
+        }
+        // A small one fits a word; one tagged past 4 bits does not.
+        assert!(key_word(&fine(1, 7)).unwrap().is_some());
+        assert_eq!(key_word(&fine(1, 17)).unwrap(), None);
     }
 
     #[test]

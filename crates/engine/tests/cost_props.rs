@@ -81,10 +81,11 @@ fn random_frame(g: &mut Gen, slots: usize) -> FrameStats {
 }
 
 fn random_literal(g: &mut Gen) -> Expr {
-    Expr::Literal(match g.below(4) {
+    Expr::Literal(match g.below(5) {
         0 => Literal::Integer(g.i64_small()),
         1 => Literal::Float(g.i64_small() as f64 / 7.0),
-        2 => Literal::String(format!("s{}", g.below(50))),
+        2 => Literal::decimal(g.i64_small().into(), g.below(8) as u8),
+        3 => Literal::String(format!("s{}", g.below(50))),
         _ => Literal::Null,
     })
 }

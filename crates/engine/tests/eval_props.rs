@@ -482,11 +482,8 @@ fn gen_leaf(g: &mut Gen, kind: Kind) -> Expr {
                 let (raw, scale) = *g.pick(&[(5, 2), (15, 1), (0, 0), (225, 2)]);
                 lit(Literal::Decimal { raw, scale })
             }
-            // More digits than scale 4 holds: a decimal at its own scale;
-            // past `i128`: a float.
-            5 => lit(g
-                .pick(&[Literal::Decimal { raw: 1_234_567, scale: 7 }, Literal::Float(0.123_456_7)])
-                .clone()),
+            // Not representable at scale 4: becomes a float.
+            5 => lit(Literal::Decimal { raw: 1_234_567, scale: 7 }),
             6 => col(0, Ty::Int),
             7 => col(1, Ty::Decimal),
             8 => col(2, Ty::Float),

@@ -48,7 +48,10 @@ fn tiny_db() -> Arc<Database> {
 }
 
 fn on_both(sql: &str, check: impl Fn(&ResultSet, &str)) {
-    let db = tiny_db();
+    on_both_over(tiny_db(), sql, check)
+}
+
+fn on_both_over(db: Arc<Database>, sql: &str, check: impl Fn(&ResultSet, &str)) {
     for dbms in [
         Box::new(RowStore::new(db.clone())) as Box<dyn Dbms>,
         Box::new(ColStore::new(db)),
@@ -258,7 +261,7 @@ fn a_decimal_literal_scale_4_cannot_hold_stays_a_float() {
 /// A decimal literal keeps its digits: up to 4 fractional digits it is
 /// the scale-4 decimal it always was, exactly, however many digits come
 /// before the point (an `f64` would round 9007199254740993 and invent
-/// digits past 16); with more it is the decimal at its own scale. Both
+/// digits past 16); with more it is the float its digits read as. Both
 /// engines.
 #[test]
 fn a_decimal_literal_keeps_its_digits() {
@@ -269,7 +272,7 @@ fn a_decimal_literal_keeps_its_digits() {
             let want = [
                 Value::Decimal { raw: 90071992547409930000, scale: 4 },
                 Value::Decimal { raw: 123456789012345678900, scale: 4 },
-                Value::Decimal { raw: -1234567, scale: 7 },
+                Value::Float(-0.1234567),
                 Value::Decimal { raw: 15000, scale: 4 },
             ];
             assert_eq!(format!("{:?}", r.rows[0]), format!("{want:?}"), "{label}");
@@ -277,25 +280,62 @@ fn a_decimal_literal_keeps_its_digits() {
     );
 }
 
+/// A literal with more fractional digits than scale 4 holds scales a
+/// decimal as a float, the same on both engines. As a decimal it would
+/// meet guarded `*`'s scale-6 cap on ColStore, which cuts `d * 0.0000001`
+/// to 0 for every `|d| < 10`, and the join below would pair all 9 rows
+/// there and none on RowStore.
+#[test]
+fn a_fine_literal_times_a_decimal_is_the_same_float_on_both_engines() {
+    let mut db = Database::new();
+    let cols = vec![int_col("k", 1..=3), dec_col("d", [1, 2, 3].into_iter(), 2)];
+    db.add_table(Table::new("small", cols).unwrap());
+    let db = Arc::new(db);
+    on_both_over(db.clone(), "select d * 0.0000001 from small order by k", |r, label| {
+        let want: Vec<Value> = [0.01, 0.02, 0.03].map(|d| Value::Float(d * 1e-7)).into();
+        let got: Vec<Value> = r.rows.iter().map(|row| row[0].clone()).collect();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{label}");
+    });
+    on_both_over(
+        db,
+        "select count(*) from small a, small b where a.d * 0.0000001 = b.d * 0.00000011",
+        |r, label| assert_eq!(cell(r, 0, 0), "0", "{label}"),
+    );
+}
+
 /// Decimals that differ only past the sixth fractional digit are
-/// different keys: DISTINCT and GROUP BY keep them apart, as a comparison
-/// does. (The scale-6 key image cannot hold them; they key as their
-/// floats.) Both engines.
+/// different keys: DISTINCT, GROUP BY and a hash join keep them apart, as
+/// `=` does, also from the integer whose float they round to. (The
+/// scale-6 key image cannot hold them; they key in lowest terms.) Both
+/// engines.
 #[test]
 fn decimals_past_scale_6_are_distinct_keys() {
-    let two = "case when id = 1 then 0.1234567 else 0.1234568 end";
-    on_both(&format!("select distinct {two} as x from people order by x"), |r, label| {
-        assert_eq!(cell(r, 0, 0), "0.1234567", "{label}");
-        assert_eq!(cell(r, 1, 0), "0.1234568", "{label}");
-        assert_eq!(r.rows.len(), 2, "{label}");
+    let mut db = Database::new();
+    // d: 1.00000000000000001, 1, 0.1234567, 0.1234568, 1.00000000000000001
+    let one = 100_000_000_000_000_000;
+    let raws = [one + 1, one, 12_345_670_000_000_000, 12_345_680_000_000_000, one + 1];
+    let cols = vec![int_col("id", 1..=5), dec_col("d", raws.into_iter(), 17)];
+    db.add_table(Table::new("fine", cols).unwrap());
+    db.add_table(Table::new("ints", vec![int_col("k", [1, 2].into_iter())]).unwrap());
+    let db = Arc::new(db);
+    on_both_over(db.clone(), "select distinct d from fine", |r, label| {
+        assert_eq!(r.rows.len(), 4, "{label}");
     });
-    on_both(
-        &format!("select {two} as x, count(*) from people group by {two} order by x"),
-        |r, label| {
-            let rows: Vec<String> = r.rows.iter().map(|row| format!("{} {}", row[0], row[1])).collect();
-            assert_eq!(rows, ["0.1234567 1", "0.1234568 3"], "{label}");
-        },
-    );
+    on_both_over(db.clone(), "select id, d from fine order by d, id", |r, label| {
+        let ids: Vec<String> = r.rows.iter().map(|row| row[0].to_string()).collect();
+        assert_eq!(ids, ["3", "4", "2", "1", "5"], "{label}");
+    });
+    on_both_over(db.clone(), "select d, count(*) from fine group by d order by d", |r, label| {
+        let counts: Vec<String> = r.rows.iter().map(|row| row[1].to_string()).collect();
+        assert_eq!(counts, ["1", "1", "1", "2"], "{label}");
+    });
+    for sql in [
+        "select count(*) from fine where d = 1",
+        "select count(*) from fine, ints where d = k",
+        "select count(*) from fine where d in (select k from ints)",
+    ] {
+        on_both_over(db.clone(), sql, |r, label| assert_eq!(cell(r, 0, 0), "1", "{sql} {label}"));
+    }
 }
 
 #[test]
