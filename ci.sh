@@ -128,7 +128,10 @@ cargo test -q --release -p sqalpel-engine --test optimizer_equivalence
 # random predicates and degenerate statistics.
 cargo test -q --release -p sqalpel-engine --test cost_props
 # Thread invariance, the primary wall for the one-operator-at-any-
-# worker-count design: both flights, both engines, 1 worker against 4;
+# worker-count design, where the calling thread is one of the workers,
+# each operator takes its worker count from its own input and the join
+# build scatters row ids so each key is inserted once: both flights,
+# both engines, 1 worker against 4;
 # then the shapes where a kernel split over ranges and partitions could
 # diverge from one pass over the whole input:
 # skewed groups, join extremes, untyped (float, boxed, NULL) keys in
@@ -160,12 +163,14 @@ cargo test -q --release -p sqalpel-engine --test eval_props
 # and one past `i128` stays a float (sql_semantics), a mirrored
 # comparison is the swapped one (eval_props), and the sum accumulator's
 # rescale at scales 0-6, with its overflow texts, under every merge
-# split (the in-file tests). The second line is storage_props' magnitude
+# split (the in-file tests). parallel_adversarial rides along for the
+# join build's scatter, whose u32 row ids and partition offsets would
+# wrap silently in release. The second line is storage_props' magnitude
 # case alone: integer, decimal and float constants around ±2^53, at the
 # ends of `i64` and past them, read in a column's keys (the one
 # `storage::key_range`) and compared exactly, where an `i128` or `i64`
 # that wraps would panic.
-cargo test -q -p sqalpel-engine --lib --test sql_semantics --test eval_props
+cargo test -q -p sqalpel-engine --lib --test sql_semantics --test eval_props --test parallel_adversarial
 cargo test -q -p sqalpel-engine --test storage_props a_comparison_counts_the_same_rows_on_every_path
 # Compressed storage: dict/FoR round-trips and zone-map soundness (a
 # skipped chunk must hold no qualifying row, checked against raw data —

@@ -246,18 +246,6 @@ impl MatchBuilder {
         self.ids.push(id);
     }
 
-    /// Append `later`'s rows, its key ids mapped into this table's. When
-    /// `later` was built from rows after this one's, every key's rows
-    /// stay in build-row order.
-    pub fn absorb(&mut self, later: MatchBuilder) {
-        let mut to_here = vec![0u32; later.table.len()];
-        for (k, id) in later.table.iter() {
-            to_here[id as usize] = self.table.insert(k).0;
-        }
-        self.rows.extend_from_slice(&later.rows);
-        self.ids.extend(later.ids.iter().map(|&id| to_here[id as usize]));
-    }
-
     /// Group the rows by key id — a counting sort, stable, so each key's
     /// rows keep their order.
     pub fn finish(self) -> MatchLists {
@@ -888,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn match_lists_absorb_keeps_every_list_in_build_order() {
+    fn match_lists_keep_every_list_in_build_order() {
         for wide in [false, true] {
             let mut scratch = Vec::new();
             let key = |k: u64, scratch: &mut Vec<u8>| -> Vec<u8> {
@@ -904,14 +892,11 @@ mod tests {
                     KeyImage::Word(k)
                 }
             }
-            // Rows 0..3 in the first builder, 3..6 in the later one.
-            let mut builders = [MatchBuilder::default(), MatchBuilder::default()];
+            let mut m = MatchBuilder::default();
             for (row, k) in [17u64, 4, 17, 17, 4, 8].into_iter().enumerate() {
                 let owned = key(k, &mut scratch);
-                builders[row / 3].push(img(wide, k, &owned), row as u32);
+                m.push(img(wide, k, &owned), row as u32);
             }
-            let [mut m, later] = builders;
-            m.absorb(later);
             let lists = m.finish();
             let mut probe = |k: u64| -> Vec<u32> {
                 let owned = key(k, &mut scratch);

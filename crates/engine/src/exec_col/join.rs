@@ -6,7 +6,7 @@
 use super::scan::{concat_col, gather_table_col, materialize_col};
 use super::{Batch, ColExec, ColVec};
 use crate::codec::{self, GroupCodec, MatchBuilder, MatchLists};
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::eval::Env;
 use crate::ir::Expr;
 use crate::morsel;
@@ -20,50 +20,24 @@ use std::time::Instant;
 /// column mapping, enough to fetch payload columns at matched rows only.
 type LazySide<'p> = (&'p Table, &'p [usize]);
 
-/// Build the join's match lists over `rows` build-side rows: each range
-/// of the input fills its own radix-partitioned builders, then every
-/// partition's builders fold in range order — appending rows and mapping
-/// key ids, so each key's rows stay in global build-row order however the
-/// input was split. One worker builds one partition from one range, with
-/// nothing to fold. A row whose key holds a NULL matches nothing and is
-/// left out.
+/// Build the join's match lists over `rows` build-side rows, one table
+/// per key partition ([`morsel::run_by_partition`]): each partition's
+/// keys are inserted once, by one worker visiting its rows in build
+/// order, so each key's rows stay in global build-row order however the
+/// input was split. One worker builds one table over the whole input. A
+/// row whose key holds a NULL matches nothing and is left out.
 fn build_tables(rc: &GroupCodec<'_>, rows: usize, workers: usize) -> EngineResult<Vec<MatchLists>> {
-    if rows > u32::MAX as usize {
-        return Err(EngineError::Unsupported(
-            "join build side exceeds 2^32 rows".into(),
-        ));
-    }
-    let nparts = if workers > 1 { codec::NPARTS } else { 1 };
-    // Each builder has room for its even share of its range's rows (all
-    // of them when there is one partition).
-    let fresh = |rows: usize| -> Vec<MatchBuilder> {
-        (0..nparts)
-            .map(|_| MatchBuilder::with_capacity(rows.div_ceil(nparts)))
-            .collect()
-    };
-    let ranges = morsel::coarse_morsels(rows, workers);
-    let per_range: Vec<Vec<MatchBuilder>> = morsel::run_on_ranges(ranges, workers, |range| {
-        let mut parts = fresh(range.len());
+    morsel::run_by_partition(rc, rows, workers, |part| {
+        let mut builder = MatchBuilder::with_capacity(part.len());
         let mut scratch = Vec::new();
-        for j in range {
+        part.try_each(|j| {
             let k = rc.encode(j, &mut scratch)?;
             if !rc.has_null(j) {
-                parts[k.partition(nparts)].push(k, j as u32);
+                builder.push(k, j as u32);
             }
-        }
-        Ok(parts)
-    })?;
-    if per_range.is_empty() {
-        // No build rows: one empty table, which every probe misses.
-        return Ok(vec![MatchBuilder::default().finish()]);
-    }
-    // Each partition's builders fold into the first range's, which is
-    // not rebuilt.
-    morsel::fold_partitions(per_range, workers, |mut part, later| {
-        for builder in later {
-            part.absorb(builder);
-        }
-        Ok(part.finish())
+            Ok(())
+        })?;
+        Ok(builder.finish())
     })
 }
 
@@ -255,9 +229,8 @@ impl ColExec<'_> {
             .collect::<EngineResult<_>>()?;
         self.charge((lbatch.len + rbatch.len) as u64)?;
         let (lc, rc) = codec::join_codecs(&lkeys, &rkeys);
-        let workers = self.workers_for(lbatch.len.max(rbatch.len));
-        let tables = build_tables(&rc, rbatch.len, workers)?;
-        let found = probe(&tables, &lc, lbatch.len, workers)?;
+        let tables = build_tables(&rc, rbatch.len, self.workers_for(rbatch.len))?;
+        let found = probe(&tables, &lc, lbatch.len, self.workers_for(lbatch.len))?;
 
         if !kind.emits_right() {
             // One output row per left row that matched (semi) or did not

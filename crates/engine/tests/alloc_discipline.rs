@@ -233,13 +233,14 @@ fn kernel_loops_do_not_allocate_per_row() {
         // The join's build side is one key table, two flat arrays and
         // their offsets, whatever the number of keys: a list per key
         // would cost >= KEYS allocations at one worker, and a per-row
-        // allocation >= ROWS. Measured 395 at one worker and 875-878 at
-        // four (one builder per range and partition, each table grown to
-        // its keys); the pins sit just above.
+        // allocation >= ROWS. Measured 336 at one worker and 653-654 at
+        // four: the build over KEYS rows is one worker's single table,
+        // and only the probe over ROWS rows splits. The pins sit just
+        // above.
         let join_allocs = allocs_during(|| {
             col.execute(join).expect("join executes");
         });
-        let join_pin = if threads == 1 { 420 } else { 940 };
+        let join_pin = if threads == 1 { 350 } else { 680 };
         assert!(
             join_allocs < join_pin,
             "join at threads={threads} allocated {join_allocs} times \

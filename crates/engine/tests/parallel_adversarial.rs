@@ -229,6 +229,11 @@ const JOIN_QUERIES: &[&str] = &[
      where k in (select case when k < 500 then k end from build)",
     "select count(*), sum(v) from probe where not exists \
      (select 1 from build where build.k = probe.k and build.f = probe.fk)",
+    // A build side of PROBE_ROWS rows, every key in every range: the only
+    // builds here that split. The left join lists each match list in
+    // build-row order, so a split that reorders one shows.
+    "select p.u, q.u from probe p left join probe q on p.k = q.k where p.u < 50",
+    "select count(*), sum(v) from probe where u in (select u from probe where v < 12)",
 ];
 
 #[test]

@@ -229,7 +229,7 @@ impl<'a> Lexer<'a> {
         if is_decimal {
             decimal_literal(text)
                 .map(Token::Decimal)
-                .map_err(|e| ParseError::new(pos, format!("invalid decimal literal: {e}")))
+                .map_err(|e| ParseError::new(pos, e))
         } else {
             text.parse::<i64>()
                 .map(Token::Integer)
@@ -289,8 +289,9 @@ const MAX_SCALE: u8 = 38;
 
 /// The literal a decimal number's text spells: its exact value in lowest
 /// terms while its digits fit an `i128` and at most [`MAX_SCALE`] of them
-/// follow the point, the nearest `f64` otherwise.
-fn decimal_literal(text: &str) -> Result<Literal, std::num::ParseFloatError> {
+/// follow the point, the nearest `f64` otherwise. A number past the
+/// largest `f64` is an error: no literal could print it back.
+fn decimal_literal(text: &str) -> Result<Literal, String> {
     let (mantissa, exp) = text.split_once(['e', 'E']).unwrap_or((text, "0"));
     let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
     let exact = || {
@@ -305,7 +306,11 @@ fn decimal_literal(text: &str) -> Result<Literal, std::num::ParseFloatError> {
     };
     match exact() {
         Some(lit) => Ok(lit),
-        None => text.parse().map(Literal::Float),
+        None => match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Literal::Float(f)),
+            Ok(_) => Err(format!("decimal literal {text} is out of range")),
+            Err(e) => Err(format!("invalid decimal literal {text}: {e}")),
+        },
     }
 }
 
@@ -372,6 +377,25 @@ mod tests {
                 Token::Eof
             ]
         );
+    }
+
+    /// A number past the largest `f64` is a lex error that names it, not
+    /// an infinite float that would print back as the column `inf`.
+    #[test]
+    fn a_literal_past_every_float_is_an_error() {
+        for text in [
+            "1e400",
+            "1.5E309",
+            "12345678901234567890123456789012345678901e300",
+        ] {
+            let err = Lexer::tokenize(&format!("select {text}")).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("decimal literal {text} is out of range")),
+                "{err}"
+            );
+        }
+        assert_eq!(toks("1.7e308")[0], Token::Decimal(Literal::Float(1.7e308)));
     }
 
     #[test]

@@ -433,4 +433,27 @@ mod tests {
              10000000000000000303786028427003666890752.0"
         );
     }
+
+    /// Every literal that parses prints back as itself; one past the
+    /// largest `f64` does not parse: as an infinite float it would print
+    /// as `inf`, which reads back as a column.
+    #[test]
+    fn a_literal_past_every_float_does_not_print_as_inf() {
+        for text in [
+            "1e308",
+            "1.7976931348623157e308",
+            "-1e308",
+            "1e400",
+            "-1.8e308",
+        ] {
+            let sql = format!("select {text}");
+            match parse_query(&sql) {
+                Ok(_) => {
+                    round_trip(&sql);
+                }
+                Err(e) => assert!(e.to_string().contains("out of range"), "{text}: {e}"),
+            }
+        }
+        assert!(parse_query("select 1e400").is_err());
+    }
 }
